@@ -1,5 +1,6 @@
-// Benchmarks: one target per reproduced table/figure (E01–E16, see DESIGN.md
-// §3 and EXPERIMENTS.md), plus micro-benchmarks of the substrates. The
+// Benchmarks: one target per reproduced table/figure (E01–E16;
+// `go run ./cmd/experiments -list` prints the index with each claim's paper
+// reference), plus micro-benchmarks of the substrates. The
 // experiment benches execute the same workloads as cmd/experiments, so
 // `go test -bench=. -benchmem` regenerates every reproduced result and
 // reports its simulation cost.

@@ -25,8 +25,9 @@
 // cmd/experiments.
 //
 // Large systems are first-class: each round's all-to-all broadcast goes
-// through the engine's batched fan-out, and the simulator switches from its
-// 4-ary heap to a calendar-queue scheduler when the in-flight message
+// through the engine's batched fan-out, and the simulator's event queue — one
+// message slab ordered by a 4-ary heap of compact entries — puts a calendar
+// of time buckets in front of that heap when the in-flight message
 // population warrants it (n ≳ 22), so sweeps at n = 101 run routinely — see
 // the README's engine section and BenchmarkLargeN.
 package clocksync
@@ -56,22 +57,15 @@ type Cluster struct {
 }
 
 // New configures a cluster of n processes tolerating f Byzantine faults
-// (n ≥ 3f+1). Defaults follow DESIGN.md §6: ρ=1e−5, δ=10ms, ε=1ms, β=5.5ms,
-// P=1s; override with Options. Parameters are validated against every §5.2
-// constraint of the paper.
+// (n ≥ 3f+1). Defaults are the experiments' regime (analysis.Default):
+// ρ=1e−5, δ=10ms, ε=1ms, β=5.5ms, P=1s; override with Options. Parameters
+// are validated against every §5.2 constraint of the paper.
 func New(n, f int, opts ...Option) (*Cluster, error) {
-	o := defaultOptions()
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := resolve(opts)
 	if o.topology == TopologyTwoTier {
 		return newTwoTier(n, f, o)
 	}
-	params := analysis.Params{
-		N: n, F: f,
-		Rho: o.rho, Delta: o.delta, Eps: o.eps,
-		Beta: o.beta, P: o.roundLength, T0: o.t0,
-	}
+	params := o.params(n, f)
 	if o.deriveBeta {
 		sp, err := analysis.Suggest(n, f, o.rho, o.delta, o.eps, o.roundLength)
 		if err != nil {
@@ -115,39 +109,10 @@ func New(n, f int, opts ...Option) (*Cluster, error) {
 }
 
 // newTwoTier configures a two-tier hierarchical Cluster (WithTopology /
-// WithClusters). The composition owns its substrates, fault slots and
-// measurement hooks, so the options that configure the flat mesh's single
-// substrate are rejected by name rather than silently reinterpreted.
+// WithClusters); see optionRules for the options it rejects.
 func newTwoTier(n, f int, o options) (*Cluster, error) {
-	switch {
-	case o.deltaSet:
-		return nil, fmt.Errorf("clocksync: WithDelay configures the flat mesh's single substrate; a two-tier topology runs on its own (δ_in, ε_in)/(δ_out, ε_out) pair — drop WithDelay or WithTopology")
-	case o.betaSet:
-		return nil, fmt.Errorf("clocksync: WithBeta configures the flat mesh's initial closeness; a two-tier topology derives both tiers' A4 spreads — drop WithBeta or WithTopology")
-	case o.deriveBeta:
-		return nil, fmt.Errorf("clocksync: WithDerivedBeta applies to the flat mesh's single parameter set; a two-tier topology derives both tiers' spreads itself — drop WithDerivedBeta or WithTopology")
-	case o.averager == Mean:
-		return nil, fmt.Errorf("clocksync: WithAveraging(Mean) is not plumbed through the two-tier composition (both tiers run midpoint) — drop WithAveraging or WithTopology")
-	case o.k > 1:
-		return nil, fmt.Errorf("clocksync: WithKExchanges applies to the flat single-instance round; two-tier rounds are single-exchange per tier — drop WithKExchanges or WithTopology")
-	case o.stagger > 0:
-		return nil, fmt.Errorf("clocksync: WithStagger applies to the flat mesh's broadcast; two-tier traffic is already clustered unicast — drop WithStagger or WithTopology")
-	case o.delayDist != DelayUniform:
-		return nil, fmt.Errorf("clocksync: WithDelayDistribution configures the flat mesh's delay model; a two-tier topology uses its clustered two-band model — drop WithDelayDistribution or WithTopology")
-	case o.randomDrift:
-		return nil, fmt.Errorf("clocksync: WithRandomDrift is not plumbed through the two-tier builder (constant ρ-bounded rates) — drop WithRandomDrift or WithTopology")
-	case o.initialSpread != 0:
-		return nil, fmt.Errorf("clocksync: WithInitialSpread overrides the flat mesh's A4 spread; a two-tier topology derives a spread satisfying both tiers at once — drop WithInitialSpread or WithTopology")
-	case o.skewBucket != 0:
-		return nil, fmt.Errorf("clocksync: WithSkewSeries is not recorded for two-tier runs — drop WithSkewSeries or WithTopology")
-	case len(o.faults) > 0:
-		return nil, fmt.Errorf("clocksync: WithFault fills the flat mesh's fault slots; two-tier fault injection lives in experiment E20 — drop WithFault or WithTopology")
-	case o.adversary != "":
-		return nil, fmt.Errorf("clocksync: WithAdversary(%q) targets the flat mesh; two-tier fault injection lives in experiment E20 — drop WithAdversary or WithTopology", o.adversary)
-	case o.rejoinID >= 0:
-		return nil, fmt.Errorf("clocksync: WithRejoiner applies to the flat mesh's §9.1 path — drop WithRejoiner or WithTopology")
-	case o.traceLimit > 0:
-		return nil, fmt.Errorf("clocksync: WithTrace renders the flat action log — drop WithTrace or WithTopology")
+	if err := o.reject(twoTierReason, " or WithTopology"); err != nil {
+		return nil, err
 	}
 	c := o.clusterSize
 	if c <= 0 {
@@ -271,7 +236,7 @@ func (c *Cluster) runTwoTier(rounds int) (*Report, error) {
 	scfg := s.SimConfig(rounds, c.opts.seed)
 	warm := s.Warmup(rounds)
 	horizon := s.Horizon(rounds)
-	skew := &hierSkew{warm: warm}
+	skew := &metrics.SkewRecorder{Warmup: warm}
 	chk := invariant.NewHierAgreement(hcfg.GammaComposed(), hcfg.GammaInner(), hcfg.ClusterSize, warm)
 	rep := &Report{
 		TwoTier:     true,
@@ -285,9 +250,8 @@ func (c *Cluster) runTwoTier(rounds int) (*Report, error) {
 			return nil, fmt.Errorf("clocksync: %w", err)
 		}
 		// Both observers are Samplers, so the sharded engine fires them at
-		// its window cuts — the same instants OnWindow sees — and shard
-		// engines hold the full clock and correction arrays, so the spread
-		// they read is the whole system's.
+		// its window cuts, and shard engines hold the full clock and
+		// correction arrays, so the spread they read is the whole system's.
 		if err := se.Observe(chk); err != nil {
 			return nil, fmt.Errorf("clocksync: %w", err)
 		}
@@ -297,8 +261,6 @@ func (c *Cluster) runTwoTier(rounds int) (*Report, error) {
 		if err := se.Run(horizon); err != nil {
 			return nil, fmt.Errorf("clocksync: %w", err)
 		}
-		lo, hi, count := se.LocalTimeSpread(horizon)
-		skew.record(horizon, lo, hi, count)
 		rep.MessagesSent, rep.MessagesLost = se.MessagesSent(), se.MessagesLost()
 	} else {
 		e, err := sim.New(scfg)
@@ -322,37 +284,8 @@ func (c *Cluster) runTwoTier(rounds int) (*Report, error) {
 		}
 	}
 	rep.Rounds = minRound
-	rep.MaxSkew, rep.SteadySkew = skew.max, skew.steady
+	rep.MaxSkew, rep.SteadySkew = skew.Max(), skew.MaxAfterWarmup()
 	return rep, nil
-}
-
-// hierSkew tracks the all-time and post-warmup nonfaulty local-time spread
-// maxima; it samples at the engine's sample points (sequential) or window
-// cuts (sharded).
-type hierSkew struct {
-	warm        clock.Real
-	max, steady float64
-}
-
-var _ sim.Sampler = (*hierSkew)(nil)
-
-// Sample implements sim.Sampler.
-func (h *hierSkew) Sample(e *sim.Engine, _ bool) {
-	lo, hi, count := e.LocalTimeSpread(e.Now())
-	h.record(e.Now(), lo, hi, count)
-}
-
-func (h *hierSkew) record(t clock.Real, lo, hi clock.Local, count int) {
-	if count < 2 {
-		return
-	}
-	d := float64(hi - lo)
-	if d > h.max {
-		h.max = d
-	}
-	if t >= h.warm && d > h.steady {
-		h.steady = d
-	}
 }
 
 func (c *Cluster) faultBuilder(kind FaultKind) func() sim.Process {
@@ -382,21 +315,14 @@ func (c *Cluster) faultBuilder(kind FaultKind) func() sim.Process {
 // arbitrarily over `spread` seconds, for approximately `rounds` rounds, and
 // reports the per-round closeness Bᵢ with the Lemma 20 recurrence.
 func RunStartup(n, f int, spread float64, rounds int, opts ...Option) (*StartupReport, error) {
-	o := defaultOptions()
-	for _, opt := range opts {
-		opt(&o)
+	o := resolve(opts)
+	if err := o.reject(startupReason, ""); err != nil {
+		return nil, err
 	}
-	params := analysis.Params{
-		N: n, F: f,
-		Rho: o.rho, Delta: o.delta, Eps: o.eps,
-		Beta: o.beta, P: o.roundLength, T0: o.t0,
-	}
+	params := o.params(n, f)
 	cfg := core.Config{Params: params, Averager: o.averager}
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("clocksync: %w", err)
-	}
-	if o.shards > 1 {
-		return nil, fmt.Errorf("clocksync: WithShards applies to the maintenance algorithm only; the §9.2 establishment run is sequential")
 	}
 	if rounds <= 0 {
 		rounds = 15
@@ -423,21 +349,14 @@ func RunStartup(n, f int, spread float64, rounds int, opts ...Option) (*StartupR
 // core.SwitchProc for the message-free switch rule), and then maintRounds of
 // maintenance. The report's skew fields cover the maintenance phase.
 func RunEstablishThenMaintain(n, f int, spread float64, startupRounds, maintRounds int, opts ...Option) (*Report, error) {
-	o := defaultOptions()
-	for _, opt := range opts {
-		opt(&o)
+	o := resolve(opts)
+	if err := o.reject(lifecycleReason, ""); err != nil {
+		return nil, err
 	}
-	params := analysis.Params{
-		N: n, F: f,
-		Rho: o.rho, Delta: o.delta, Eps: o.eps,
-		Beta: o.beta, P: o.roundLength, T0: o.t0,
-	}
+	params := o.params(n, f)
 	cfg := core.Config{Params: params, Averager: o.averager}
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("clocksync: %w", err)
-	}
-	if o.shards > 1 {
-		return nil, fmt.Errorf("clocksync: WithShards applies to the maintenance algorithm only; the establish-then-maintain lifecycle is sequential")
 	}
 	if startupRounds < 2 {
 		startupRounds = 2

@@ -104,7 +104,7 @@ func main() {
 	}
 
 	rep := report{
-		Note: "events/sec is simulator event throughput; in steady, one op = one delivered event and allocs_per_op must stay ~0 (no-observer steady state); LargeN is 10 maintenance rounds of an n-process broadcast mesh, with -heap forcing the pre-calendar scheduler and -eager forcing eager broadcast materialization as baselines; peak_queue_events is the queue population high-water mark (≈ n² eager, O(n) lazy); -sharded-k runs the mesh across k time-window shards with batched windows and a pooled cross-shard copy exchange — barrier_count is the full barriers paid (batching collapses it toward one per round) and its allocs_per_op must stay within 4× the sequential entry's (TestShardedSteadyAllocs); -hier runs the same rounds on the two-tier hierarchy (clusters of 32) and must stay at ≤ 1/3 the flat n=1009 wall-clock per op; msgs_per_round is the deterministic per-round traffic (≈ n² flat, ≈ n·c + (n/c)² two-tier), gated raw like the sharded allocs/barriers; entries too slow to iterate under the 1s benchtime are rerun at 3 forced iterations and report the median run; measured events/sec depends on the host's core count (a single-core machine cannot show the parallel speedup)",
+		Note: "events/sec is simulator event throughput; in steady, one op = one delivered event and allocs_per_op must stay ~0 (no-observer steady state); LargeN is 10 maintenance rounds of an n-process broadcast mesh, with -heap forcing the calendar off (the 4-ary entry heap alone) and -eager forcing eager broadcast materialization as baselines; peak_queue_events is the queue population high-water mark (≈ n² eager, O(n) lazy); -sharded-k runs the mesh across k time-window shards with batched windows and a pooled cross-shard copy exchange — barrier_count is the full barriers paid (batching collapses it toward one per round) and its allocs_per_op must stay within 4× the sequential entry's (TestShardedSteadyAllocs); -hier runs the same rounds on the two-tier hierarchy (clusters of 32) and must stay at ≤ 1/3 the flat n=1009 wall-clock per op; msgs_per_round is the deterministic per-round traffic (≈ n² flat, ≈ n·c + (n/c)² two-tier), gated raw like the sharded allocs/barriers; entries too slow to iterate under the 1s benchtime are rerun at 3 forced iterations and report the median run; measured events/sec depends on the host's core count (a single-core machine cannot show the parallel speedup)",
 	}
 	for _, bm := range benchmarks {
 		rep.Benchmarks = append(rep.Benchmarks, measure(bm.name, bm.fn, *count))

@@ -1,5 +1,6 @@
 // Command experiments runs the paper-reproduction experiment suite and
-// prints one table per reproduced claim (see DESIGN.md §3 for the index).
+// prints one table per reproduced claim (-list prints the index with each
+// claim's paper reference).
 //
 // Usage:
 //

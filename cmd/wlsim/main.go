@@ -136,79 +136,80 @@ func main() {
 		defer flushProfiles()
 	}
 
-	if *topology != "flat" && *topology != "two-tier" {
-		exitOn(fmt.Errorf("wlsim: unknown -topology %q (flat|two-tier)", *topology))
-	}
-	if *topology == "two-tier" || *clusters > 0 {
-		exitOn(runTwoTier(*n, *f, *rounds, *rho, p.Seconds(), *seed, *clusters, *shards, *topology))
-		return
-	}
-
-	if *startup {
-		if *trials > 1 {
-			exitOn(fmt.Errorf("wlsim: -trials is only supported in maintenance mode, not with -startup"))
+	// Only the flags the user actually set become facade options (the flag
+	// defaults equal the facade defaults), so the facade can tell a
+	// configured option from a default and reject it by name where an entry
+	// point cannot honour it — the rejection table lives there, not here.
+	set := map[string]bool{}
+	flag.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
+	var opts []clocksync.Option
+	add := func(on bool, o clocksync.Option) {
+		if on {
+			opts = append(opts, o)
 		}
-		if *shards > 1 {
-			exitOn(fmt.Errorf("wlsim: -shards is only supported in maintenance mode, not with -startup"))
-		}
-		rep, err := clocksync.RunStartup(*n, *f, *spread, *rounds,
-			clocksync.WithRho(*rho),
-			clocksync.WithDelay(delta.Seconds(), eps.Seconds()),
-			clocksync.WithBeta(beta.Seconds()),
-			clocksync.WithRoundLength(p.Seconds()),
-			clocksync.WithSeed(*seed),
-		)
-		exitOn(err)
-		fmt.Print(rep)
-		return
 	}
-
-	opts := []clocksync.Option{
-		clocksync.WithRho(*rho),
-		clocksync.WithDelay(delta.Seconds(), eps.Seconds()),
-		clocksync.WithBeta(beta.Seconds()),
-		clocksync.WithRoundLength(p.Seconds()),
-		clocksync.WithSeed(*seed),
+	add(set["rho"], clocksync.WithRho(*rho))
+	add(set["delta"] || set["eps"], clocksync.WithDelay(delta.Seconds(), eps.Seconds()))
+	add(set["beta"], clocksync.WithBeta(beta.Seconds()))
+	add(set["p"], clocksync.WithRoundLength(p.Seconds()))
+	add(set["seed"], clocksync.WithSeed(*seed))
+	add(*k > 1, clocksync.WithKExchanges(*k))
+	add(*stagger > 0, clocksync.WithStagger(stagger.Seconds()))
+	add(*mean, clocksync.WithAveraging(clocksync.Mean))
+	add(*advDelay, clocksync.WithDelayDistribution(clocksync.DelayAdversarial))
+	add(*trace > 0, clocksync.WithTrace(*trace))
+	if *shards > 1 && *trace > 0 {
+		// Fail up front, naming the flags; other conflicts sharded mode
+		// rejects (an adaptive -adversary) surface as the engine's own error.
+		exitOn(fmt.Errorf("wlsim: -trace records every delivery, which sharded mode cannot order deterministically; drop -shards or -trace"))
 	}
-	if *k > 1 {
-		opts = append(opts, clocksync.WithKExchanges(*k))
-	}
-	if *stagger > 0 {
-		opts = append(opts, clocksync.WithStagger(stagger.Seconds()))
-	}
-	if *mean {
-		opts = append(opts, clocksync.WithAveraging(clocksync.Mean))
-	}
-	if *advDelay {
-		opts = append(opts, clocksync.WithDelayDistribution(clocksync.DelayAdversarial))
-	}
-	if *trace > 0 {
-		opts = append(opts, clocksync.WithTrace(*trace))
-	}
-	if *shards > 1 {
-		// Fail the feature conflicts sharded mode rejects up front, naming
-		// the flags: -trace needs per-delivery observation (no deterministic
-		// order in a parallel window drain) and adaptive -adversary
-		// strategies retime deliveries mid-window. Fixed (automaton-only)
-		// strategies and -faults run sharded fine; an adaptive strategy is
-		// still caught by the engine's own error if it slips past this.
-		if *trace > 0 {
-			exitOn(fmt.Errorf("wlsim: -trace records every delivery, which sharded mode cannot order deterministically; drop -shards or -trace"))
-		}
-		opts = append(opts, clocksync.WithShards(*shards))
-	}
-	if *faultStr != "" && *advStrat != "" {
-		exitOn(fmt.Errorf("wlsim: -faults and -adversary are mutually exclusive"))
-	}
+	add(*shards > 1, clocksync.WithShards(*shards))
+	add(*advStrat != "", clocksync.WithAdversary(*advStrat))
 	if *faultStr != "" {
+		if *advStrat != "" {
+			exitOn(fmt.Errorf("wlsim: -faults and -adversary are mutually exclusive"))
+		}
 		kind, err := parseFault(*faultStr)
 		exitOn(err)
 		for i := 0; i < *f; i++ {
 			opts = append(opts, clocksync.WithFault(*n-1-i, kind))
 		}
 	}
-	if *advStrat != "" {
-		opts = append(opts, clocksync.WithAdversary(*advStrat))
+
+	switch {
+	case *topology != "flat" && *topology != "two-tier":
+		exitOn(fmt.Errorf("wlsim: unknown -topology %q (flat|two-tier)", *topology))
+	case *topology == "two-tier" || *clusters > 0:
+		// The facade rejects the options a two-tier topology cannot honour;
+		// only wlsim's own run modes are rejected here.
+		if *topology == "flat" && set["topology"] {
+			exitOn(fmt.Errorf("wlsim: -clusters implies -topology two-tier; drop -topology flat or -clusters"))
+		}
+		for _, rej := range []struct{ name, why string }{
+			{"startup", "the §9.2 establishment algorithm is flat-only"},
+			{"spread", "the §9.2 establishment algorithm is flat-only"},
+			{"trials", "the trial table's adjustment/validity columns are flat-only"},
+		} {
+			if set[rej.name] {
+				exitOn(fmt.Errorf("wlsim: -%s is not supported with the two-tier topology (%s); drop -%s or the topology flags", rej.name, rej.why, rej.name))
+			}
+		}
+		opts = append(opts, clocksync.WithClusters(*clusters))
+		if !set["f"] {
+			// An explicitly-set -f is the outer tier's representative budget
+			// f_out; left at its default it is derived from the cluster count.
+			*f = 0
+		}
+	}
+
+	if *startup {
+		if *trials > 1 {
+			exitOn(fmt.Errorf("wlsim: -trials is only supported in maintenance mode, not with -startup"))
+		}
+		rep, err := clocksync.RunStartup(*n, *f, *spread, *rounds, opts...)
+		exitOn(err)
+		fmt.Print(rep)
+		return
 	}
 
 	if *trials > 1 {
@@ -228,62 +229,6 @@ func main() {
 		fmt.Println("\nexecution trace:")
 		fmt.Print(rep.Trace)
 	}
-}
-
-// runTwoTier drives the two-tier hierarchy (-topology two-tier / -clusters).
-// Flags that configure the flat mesh's single substrate, its fault slots or
-// its flat-only reports are rejected by name — the same style -shards uses
-// for its feature conflicts — instead of being silently ignored. An
-// explicitly-set -f becomes the outer tier's representative budget f_out;
-// left at its default it is derived from the cluster count.
-func runTwoTier(n, f, rounds int, rho, p float64, seed int64, clusters, shards int, topo string) error {
-	visited := map[string]bool{}
-	flag.Visit(func(fl *flag.Flag) { visited[fl.Name] = true })
-	if topo == "flat" && visited["topology"] {
-		return fmt.Errorf("wlsim: -clusters implies -topology two-tier; drop -topology flat or -clusters")
-	}
-	for _, rej := range []struct{ name, why string }{
-		{"delta", "two-tier runs on its own (δ_in, ε_in)/(δ_out, ε_out) substrate pair"},
-		{"eps", "two-tier runs on its own (δ_in, ε_in)/(δ_out, ε_out) substrate pair"},
-		{"beta", "two-tier derives both tiers' A4 spreads"},
-		{"k", "two-tier rounds are single-exchange per tier"},
-		{"stagger", "two-tier traffic is already clustered unicast"},
-		{"mean", "both tiers run midpoint averaging"},
-		{"adversarial", "two-tier uses its clustered two-band delay model"},
-		{"faults", "two-tier fault injection lives in experiment E20"},
-		{"adversary", "two-tier fault injection lives in experiment E20"},
-		{"trace", "per-delivery tracing is flat-only"},
-		{"startup", "the §9.2 establishment algorithm is flat-only"},
-		{"spread", "the §9.2 establishment algorithm is flat-only"},
-		{"trials", "the trial table's adjustment/validity columns are flat-only"},
-	} {
-		if visited[rej.name] {
-			return fmt.Errorf("wlsim: -%s is not supported with the two-tier topology (%s); drop -%s or the topology flags", rej.name, rej.why, rej.name)
-		}
-	}
-	fOut := 0
-	if visited["f"] {
-		fOut = f
-	}
-	opts := []clocksync.Option{
-		clocksync.WithRho(rho),
-		clocksync.WithRoundLength(p),
-		clocksync.WithSeed(seed),
-		clocksync.WithClusters(clusters),
-	}
-	if shards > 1 {
-		opts = append(opts, clocksync.WithShards(shards))
-	}
-	c, err := clocksync.New(n, fOut, opts...)
-	if err != nil {
-		return err
-	}
-	rep, err := c.Run(rounds)
-	if err != nil {
-		return err
-	}
-	fmt.Print(rep)
-	return nil
 }
 
 // runScenario loads, runs and renders one declarative scenario. Assertion

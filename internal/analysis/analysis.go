@@ -186,8 +186,8 @@ func (p Params) Validate() error {
 	return errors.Join(errs...)
 }
 
-// Default returns the parameter regime used throughout the experiments
-// (documented in DESIGN.md §6): ρ=1e−5, δ=10ms, ε=1ms, β=5.5ms, P=1s.
+// Default returns the parameter regime used throughout the experiments:
+// ρ=1e−5, δ=10ms, ε=1ms, β=5.5ms, P=1s.
 func Default(n, f int) Params {
 	return Params{
 		N:     n,

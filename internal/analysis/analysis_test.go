@@ -200,7 +200,7 @@ func TestStartupWaits(t *testing.T) {
 }
 
 func TestDefaultRegimeDocumentedNumbers(t *testing.T) {
-	// DESIGN.md §6 quotes λ≈0.993s, ADJ bound ≈6.6ms, γ≈6.6ms, floor≈4.04ms.
+	// The default regime gives λ≈0.993s, ADJ bound ≈6.6ms, γ≈6.6ms, floor≈4.04ms.
 	p := Default(7, 2)
 	if l := p.Lambda(); math.Abs(l-0.9934) > 1e-3 {
 		t.Errorf("λ = %v, want ≈0.993", l)

@@ -9,7 +9,7 @@
 // tolerates any number of faults as long as nonfaulty processes stay
 // connected — but needs unforgeable signatures.
 //
-// Signature substitution (DESIGN.md): chains carry the signer ids; the fault
+// Signature substitution: chains carry the signer ids; the fault
 // strategies in this repository never fabricate chain entries for other
 // processes, which is exactly the guarantee real signatures would enforce.
 //

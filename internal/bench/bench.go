@@ -209,7 +209,7 @@ func largeNWorkload(n int, seed int64) (sim.Config, core.Config, clock.Real, err
 }
 
 // NewLargeNEngine builds the large-n benchmark engine. The scheduler knob
-// selects the queue implementation (heap baseline vs calendar) and the
+// forces the queue's calendar front off (the heap baseline) or on, and the
 // broadcast knob the materialization strategy (eager baseline vs lazy);
 // every combination delivers the identical event sequence.
 func NewLargeNEngine(n int, seed int64, s sim.Scheduler, m sim.BroadcastMode) (*sim.Engine, core.Config, clock.Real, error) {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/exp/runner"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -223,24 +224,15 @@ func e19Trial(n, k int) (*e19Run, error) {
 	}
 
 	r := &e19Run{gamma: cfg.Gamma()}
-	warm := maxStart + clock.Real(float64(e19Rounds/2)*cfg.P)
-	se.OnWindow = func(se *sim.ShardedEngine, cut clock.Real) {
-		if cut < warm {
-			return
-		}
-		lo, hi, count := se.LocalTimeSpread(cut)
-		if count > 0 && float64(hi-lo) > r.maxSkew {
-			r.maxSkew = float64(hi - lo)
-		}
+	skew := &metrics.SkewRecorder{Warmup: maxStart + clock.Real(float64(e19Rounds/2)*cfg.P)}
+	if err := se.Observe(skew); err != nil {
+		return nil, err
 	}
 	horizon := maxStart + clock.Real(float64(e19Rounds)*cfg.P*(1+2*cfg.Rho)+2*cfg.Window()+cfg.Delta+1)
 	if err := se.Run(horizon); err != nil {
 		return nil, err
 	}
-	lo, hi, count := se.LocalTimeSpread(horizon)
-	if count > 0 && float64(hi-lo) > r.maxSkew {
-		r.maxSkew = float64(hi - lo)
-	}
+	r.maxSkew = skew.MaxAfterWarmup()
 	if math.IsNaN(r.maxSkew) {
 		return nil, fmt.Errorf("skew is NaN")
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/hier"
 	"repro/internal/invariant"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -166,24 +167,14 @@ func e20Trial(n, c, k int) (*e20Run, error) {
 		return nil, err
 	}
 	r := &e20Run{gamma: s.Cfg.GammaComposed()}
-	warm := s.Warmup(e20ScaleRounds)
-	se.OnWindow = func(se *sim.ShardedEngine, cut clock.Real) {
-		if cut < warm {
-			return
-		}
-		lo, hi, count := se.LocalTimeSpread(cut)
-		if count > 0 && float64(hi-lo) > r.maxSkew {
-			r.maxSkew = float64(hi - lo)
-		}
-	}
-	horizon := s.Horizon(e20ScaleRounds)
-	if err := se.Run(horizon); err != nil {
+	skew := &metrics.SkewRecorder{Warmup: s.Warmup(e20ScaleRounds)}
+	if err := se.Observe(skew); err != nil {
 		return nil, err
 	}
-	lo, hi, count := se.LocalTimeSpread(horizon)
-	if count > 0 && float64(hi-lo) > r.maxSkew {
-		r.maxSkew = float64(hi - lo)
+	if err := se.Run(s.Horizon(e20ScaleRounds)); err != nil {
+		return nil, err
 	}
+	r.maxSkew = skew.MaxAfterWarmup()
 	if math.IsNaN(r.maxSkew) {
 		return nil, fmt.Errorf("skew is NaN")
 	}

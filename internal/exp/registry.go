@@ -6,8 +6,9 @@ import (
 	"sync"
 )
 
-// Experiment reproduces one measurable claim of the paper (DESIGN.md §3
-// lists the full index). Run executes the workloads and returns the tables.
+// Experiment reproduces one measurable claim of the paper, named by PaperRef
+// (cmd/experiments -list prints the full index). Run executes the workloads
+// and returns the tables.
 type Experiment struct {
 	ID       string
 	Title    string

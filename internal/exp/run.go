@@ -1,7 +1,8 @@
 // Package exp contains the experiment harness: reusable workload assembly
 // around the simulator (Run), table rendering, and one file per experiment
 // (e01_halving.go …) reproducing every measurable claim of the paper. The
-// experiment ↔ paper mapping lives in DESIGN.md §3.
+// experiment ↔ paper mapping is each Experiment's PaperRef; cmd/experiments
+// -list prints it.
 package exp
 
 import (
@@ -74,17 +75,6 @@ type Workload struct {
 	// bound) as engine observers; the verdicts land in Result.Invariants.
 	CheckInvariants bool
 
-	// Scheduler selects the engine's event-queue implementation. Leave
-	// zero (auto) outside benchmarks: every scheduler delivers the
-	// identical event sequence, the knob only exists so the large-n
-	// benchmarks can measure the calendar queue against the heap baseline.
-	Scheduler sim.Scheduler
-
-	// Broadcast selects the engine's broadcast materialization mode. Leave
-	// zero (auto: lazy for n ≥ 32) outside differential tests — both modes
-	// deliver the identical event sequence (see sim.BroadcastMode).
-	Broadcast sim.BroadcastMode
-
 	// Shards, when > 1, runs the workload on the sharded time-window engine
 	// (sim.NewSharded) instead of the sequential one; the execution is
 	// byte-identical for every shard count. Workload features sharded mode
@@ -93,15 +83,6 @@ type Workload struct {
 	// registration — the standard recorders and the invariant suite all
 	// sample at window barriers and work unchanged.
 	Shards int
-}
-
-// broadcastMode resolves the workload's effective mode, honoring the test
-// harness's global override (SetBroadcastOverride).
-func (w Workload) broadcastMode() sim.BroadcastMode {
-	if o := broadcastOverride.Load(); o >= 0 {
-		return sim.BroadcastMode(o)
-	}
-	return w.Broadcast
 }
 
 // eventHint estimates the peak number of buffered events for a maintenance
@@ -120,7 +101,7 @@ func (w Workload) eventHint() int {
 	if k < 1 {
 		k = 1
 	}
-	if w.broadcastMode().Resolve(n) == sim.BroadcastLazy {
+	if broadcastMode().Resolve(n) == sim.BroadcastLazy {
 		hint := sim.DefaultEventHint(sim.BroadcastLazy, n)
 		if k > 1 {
 			hint += (k - 1) * n
@@ -239,8 +220,7 @@ func Run(w Workload) (*Result, error) {
 		Seed:      seed,
 		Adversary: w.Adversary,
 		Timeline:  w.Timeline,
-		Scheduler: w.Scheduler,
-		Broadcast: w.broadcastMode(),
+		Broadcast: broadcastMode(),
 		EventHint: w.eventHint(),
 	}
 	var eng *sim.Engine

@@ -33,16 +33,17 @@ func SetStressTier(on bool) { stressTierOn.Store(on) }
 // StressTier reports whether the nightly stress rows are enabled.
 func StressTier() bool { return stressTierOn.Load() }
 
-// broadcastOverride, when ≥ 0, forces every workload's broadcast
-// materialization mode regardless of Workload.Broadcast. The golden
-// equivalence test uses it to replay the full experiment suite under forced
-// lazy materialization and demand byte-identical tables.
+// broadcastOverride is the broadcast materialization mode every Run hands
+// the engine: BroadcastAuto (the zero value) unless the test harness forces
+// one. The golden equivalence test uses it to replay the full experiment
+// suite under forced lazy materialization and demand byte-identical tables.
 var broadcastOverride atomic.Int32
-
-func init() { broadcastOverride.Store(-1) }
 
 // SetBroadcastOverride forces mode on every subsequent Run.
 func SetBroadcastOverride(m sim.BroadcastMode) { broadcastOverride.Store(int32(m)) }
 
-// ClearBroadcastOverride restores per-workload broadcast mode selection.
-func ClearBroadcastOverride() { broadcastOverride.Store(-1) }
+// ClearBroadcastOverride restores the engine's automatic mode selection.
+func ClearBroadcastOverride() { SetBroadcastOverride(sim.BroadcastAuto) }
+
+// broadcastMode returns the mode in force.
+func broadcastMode() sim.BroadcastMode { return sim.BroadcastMode(broadcastOverride.Load()) }

@@ -10,64 +10,66 @@ import (
 	"repro/internal/clock"
 )
 
-// This file implements the round-structured scheduler: a bucketed calendar
-// queue for the near-future event cluster, spilling far-future events
-// (timers, rejoin wake-ups) into a 4-ary overflow heap, behind a small
-// hybrid front end (sched) that picks the structure automatically from the
-// workload shape.
+// This file implements the scheduler — the global message buffer of §2.2
+// with the total delivery order of §2.3. There is one event store: every
+// buffered Message sits in a slab (msgSlab), and a 24-byte pointer-free
+// entry — the full sort key plus the slab index — sits in a 4-ary min-heap
+// (entryHeap). That alone is a complete scheduler ("heap mode"). The
+// calendar (calQueue) is an optional front over the same store: a bucketed
+// window covering the near-future event cluster, into which an entry is
+// filed when it fits and out of which pops drain bucket by bucket, while
+// everything beyond the window (timers, rejoin wake-ups) stays in the heap
+// until the window rotates onto it. sched picks whether the front is on
+// from the workload shape.
 //
-// Motivation: the Lundelius–Lynch algorithm is round-structured — every
-// resynchronization round all n processes broadcast to all n peers, so n²
-// near-simultaneous messages land inside one bounded-delay window
-// [δ−ε, δ+ε]. A comparison heap pays O(log m) sift work (m ≈ n² in flight)
-// per push and per pop in exactly that regime. A calendar queue keyed by
-// delivery time makes both amortized O(1): a push appends to the bucket
-// floor((t−start)/width) and a pop drains the current bucket in order,
-// advancing bucket by bucket through the window.
+// Motivation for the front: the Lundelius–Lynch algorithm is
+// round-structured — every resynchronization round all n processes broadcast
+// to all n peers, so n² near-simultaneous messages land inside one
+// bounded-delay window [δ−ε, δ+ε]. A comparison heap pays O(log m) sift
+// work (m ≈ n² in flight) per push and per pop in exactly that regime. A
+// calendar keyed by delivery time makes both amortized O(1): a push appends
+// to the bucket floor((t−start)/width) and a pop drains the current bucket
+// in order, advancing bucket by bucket through the window.
 //
-// The calendar does not store the 64-byte Message values the comparison
-// heap sifts around. Buffered messages live in a side slab, and the queue
-// structures move 24-byte pointer-free entries — the full sort key plus a
-// slab index — so bucket appends, sorts, and heap↔calendar migrations
-// carry no GC write barriers, the garbage collector never scans bucket
-// storage, and the cache footprint of a queue operation shrinks by ~3×.
-// Payload-release hygiene concentrates in one place: the slab zeroes a slot
-// the moment its message is taken.
+// Because the queue structures move entries, not Messages, bucket appends,
+// sorts, sifts and heap→calendar migrations carry no GC write barriers and
+// the garbage collector never scans them. Payload-release hygiene
+// concentrates in one place: the slab zeroes a slot the moment its message
+// is taken.
 //
-// Ordering is bit-for-bit identical to the heap's. entryLess realizes the
-// same total order (DeliverAt, non-TIMER first, seq) — the tie-break packs
-// into a single uint64 with the TIMER flag above the sequence bits —
-// buckets cover disjoint half-open time ranges, so concatenating per-bucket
-// order gives the global order, and within a bucket entries are sorted by
-// the same relation (total, since seq is unique, so sorting is
-// deterministic). Every pop sequence, and therefore every golden experiment
-// table, is independent of which scheduler ran it; the differential tests
-// in queue_test.go and the FuzzBucketWidth target enforce this.
+// Ordering is the same relation everywhere. entryLess is the total order
+// (DeliverAt, non-TIMER first, seq) — the tie-break packs into a single
+// uint64 with the TIMER flag above the sequence bits. Buckets cover disjoint
+// half-open time ranges and every heap entry is later than every bucketed
+// one, so concatenating per-bucket order and then heap order gives the
+// global order, and within a bucket entries are sorted by the same relation
+// (total, since seq is unique, so sorting is deterministic). Every pop
+// sequence, and therefore every golden experiment table, is independent of
+// whether the calendar is on; the differential tests in queue_test.go and
+// the FuzzBucketWidth target enforce this.
 
 // Scheduler selects the event-queue implementation.
 type Scheduler uint8
 
 const (
-	// SchedulerAuto (the default) starts on the 4-ary heap and switches to
-	// the calendar queue when the number of buffered events crosses
-	// calActivateLen — small systems never pay calendar overhead, large
-	// broadcast storms never pay per-event sift work. A Config.EventHint
-	// of at least calActivateLen activates the calendar eagerly, skipping
-	// the migration.
+	// SchedulerAuto (the default) starts with the calendar off and switches
+	// it on when the number of buffered events crosses calActivateLen —
+	// small systems never pay calendar overhead, large broadcast storms
+	// never pay per-event sift work. A Config.EventHint of at least
+	// calActivateLen switches it on from the first event.
 	SchedulerAuto Scheduler = iota
-	// SchedulerHeap forces the 4-ary heap of full event values (the
-	// pre-calendar scheduler, byte-for-byte); benchmarks use it as the
-	// baseline.
+	// SchedulerHeap keeps the calendar off for the whole run; benchmarks
+	// use it as the baseline.
 	SchedulerHeap
-	// SchedulerCalendar forces the calendar queue from the first event.
+	// SchedulerCalendar switches the calendar on from the first event.
 	SchedulerCalendar
 )
 
 const (
 	// calActivateLen is the buffered-event count at which SchedulerAuto
-	// switches to the calendar: below it (n ≲ 22 full-mesh systems) heap
-	// sift depth is short and cache-resident, above it the O(log m) work
-	// and 64-byte event swaps dominate the queue cost.
+	// switches the calendar on: below it (n ≲ 22 full-mesh systems) heap
+	// sift depth is short and cache-resident, above it the O(log m) sift
+	// work dominates the queue cost.
 	calActivateLen = 512
 	// calMaxBuckets bounds the bucket array (memory: 24 B of slice header
 	// plus one occupancy bit plus calArenaFill pre-carved entries per
@@ -89,7 +91,7 @@ const (
 	// start. Near spills are traffic the window should have covered (they
 	// drive the horizon signal of the width tuner); anything further —
 	// next-round timers a full period away, rejoin wake-ups — belongs in
-	// the overflow heap and must not stretch the window.
+	// the heap and must not stretch the window.
 	calNearFactor = 16
 	// calDenseFill is the average per-bucket fill above which a finished
 	// window counts as message-dense, disqualifying its near spills from
@@ -104,7 +106,7 @@ const (
 	// about one delay window past the drain position (a fan-out's delivery
 	// lead), so a spill further out than span + calContLead·spanHint is a
 	// separate future cluster across a dead gap — the rotation machinery
-	// jumps to it and the overflow scan sizes its window; stretching the
+	// jumps to it and the heap scan sizes its window; stretching the
 	// current window across the gap only dilutes bucket resolution.
 	calContLead = 2
 	// calMinWidth floors the bucket width so degenerate tuning inputs
@@ -115,7 +117,9 @@ const (
 
 // entryTimerBit flags TIMER messages in an entry key; it sits above the
 // sequence bits so that at equal delivery times non-TIMER messages order
-// first and insertion order breaks the remaining ties — exactly eventLess.
+// first — execution property 4 of §2.3 ("messages that arrive at the same
+// time as a timer is due to go off get in just under the wire") — and
+// insertion order breaks the remaining ties.
 const entryTimerBit = uint64(1) << 63
 
 // bcopy is one unmaterialized copy of a lazy broadcast: its delivery time,
@@ -206,12 +210,13 @@ func sortCopies(cs []bcopy) {
 	})
 }
 
-// entry is the calendar's compact, pointer-free handle to one buffered
-// message: the full sort key plus the slab slot holding the Message.
+// entry is the compact, pointer-free handle to one buffered message: the
+// full sort key plus where the Message lives — a slab slot, or, for the
+// queued head of a lazy broadcast, the record that will assemble it.
 type entry struct {
 	at  float64 // Message.DeliverAt
 	key uint64  // TIMER flag | sequence number
-	ref int32   // msgSlab slot
+	ref int32   // msgSlab slot if ≥ 0; lazy broadcast record −ref−1 if < 0
 	_   int32
 }
 
@@ -223,7 +228,10 @@ func packKey(kind Kind, seq uint64) uint64 {
 	return seq
 }
 
-// entryLess is eventLess on packed entries.
+// entryLess orders a before b by (DeliverAt, non-TIMER first, seq). The
+// sequence number makes the order total, so the pop sequence is independent
+// of heap shape, arity and bucket layout. It is the single comparator shared
+// by the heap and the calendar's bucket sort.
 func entryLess(a, b *entry) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -240,10 +248,10 @@ func entryCmp(a, b entry) int {
 	return 1
 }
 
-// msgSlab stores the buffered Message values the compact queues reference.
-// Slots are recycled through a free stack; take zeroes the vacated slot so
-// no stale Payload reference outlives its message (the hygiene the heap's
-// free list provided, concentrated in one place).
+// msgSlab stores the buffered Message values the entries reference. Slots
+// are recycled through a free stack, so the steady-state engine schedules
+// timers and messages with no per-event allocation; take zeroes the vacated
+// slot so no stale Payload reference outlives its message.
 type msgSlab struct {
 	msgs []Message
 	free []int32
@@ -279,9 +287,13 @@ func (s *msgSlab) take(i int32, out *Message) {
 	s.free = append(s.free, i)
 }
 
-// entryHeap is a 4-ary min-heap of entries ordered by entryLess — the
-// overflow store for events beyond the calendar window. Identical layout
-// logic to eventQueue, but sifting 24-byte pointer-free entries.
+// entryHeap is a 4-ary min-heap of entries ordered by entryLess: the whole
+// queue while the calendar is off, the store for events beyond the calendar
+// window while it is on. It is deliberately not a container/heap.Interface
+// (heap.Push(x any) would box every entry into an interface value, one
+// allocation per scheduled message); the 4-ary layout halves tree depth
+// versus a binary heap and scans each node's children within two cache
+// lines.
 type entryHeap struct {
 	items []entry
 }
@@ -395,9 +407,9 @@ func (c *calQueue) reset(start clock.Real, width float64) {
 }
 
 // tryPush files en into its bucket, or reports false when the event lies
-// beyond the current window (the caller spills it into the overflow heap).
-// Events are never earlier than the drain position: the engine only
-// schedules at or after the current time, which lives in bucket cur.
+// beyond the current window (the caller leaves it in the heap). Events are
+// never earlier than the drain position: the engine only schedules at or
+// after the current time, which lives in bucket cur.
 func (c *calQueue) tryPush(en entry) bool {
 	dt := en.at - float64(c.start)
 	f := dt * c.invWidth
@@ -514,35 +526,24 @@ func sortBucket(b []entry) {
 	}
 }
 
-// sched is the hybrid scheduler the engine talks to. In heap mode (small
-// workloads, or forced) events live as full values in the legacy 4-ary
-// eventQueue and the calendar machinery is dormant — the byte-for-byte
-// pre-calendar scheduler. In calendar mode messages live in the slab and
-// compact entries flow through the calendar and the overflow entryHeap;
-// every overflow entry is strictly later than every calendar entry (the
-// window ranges are disjoint), so the calendar minimum is the global
-// minimum whenever the calendar is nonempty.
+// sched is the scheduler the engine talks to. Messages live in the slab and
+// their entries in exactly one of two places: a calendar bucket, when the
+// calendar is on and the entry fits the current window, or the heap. Every
+// heap entry is then strictly later than every bucketed one (the calendar
+// window is a prefix of the time line), so the calendar minimum is the global
+// minimum whenever the calendar is nonempty, and the heap minimum otherwise.
 type sched struct {
-	heap      eventQueue // heap mode storage (full events)
-	slab      msgSlab    // calendar mode message storage
-	cal       calQueue
-	oheap     entryHeap  // calendar mode far-future overflow
+	slab      msgSlab    // every buffered Message
+	cal       calQueue   // near-future window; dormant while calOn is false
+	heap      entryHeap  // everything the calendar window does not hold
 	bcasts    bcastStore // lazy broadcast records (heads are in the queue)
 	copyPool  [][]bcopy  // recycled bcopy capacity for cross-shard chunks
-	scanBuf   []float64  // rotate's overflow-scan scratch (reused)
+	scanBuf   []float64  // rotate's heap-scan scratch (reused)
 	calOn     bool
 	mode      Scheduler
 	spanHint  float64 // declared delay window δ+2ε, seeds the bucket width
 	eventHint int     // expected peak buffered events (Config.EventHint)
 	peak      int     // high-water mark of buffered (structural) events
-}
-
-// trackPeak records the population high-water mark; callers invoke it after
-// every insertion. len() is two integer reads, so the hot path barely sees it.
-func (s *sched) trackPeak() {
-	if l := s.len(); l > s.peak {
-		s.peak = l
-	}
 }
 
 // init records the workload shape. span is the declared one-way delay
@@ -562,77 +563,52 @@ func (s *sched) init(mode Scheduler, hint int, delta, eps float64) {
 	}
 }
 
-func (s *sched) len() int {
-	if s.calOn {
-		return s.cal.count + s.oheap.len()
-	}
-	return s.heap.len()
-}
+func (s *sched) len() int { return s.cal.count + s.heap.len() }
 
-// grow pre-sizes the backing stores for about c buffered events: the free
-// list in heap mode; the slab plus a slice of the overflow heap (timers and
-// rejoin wake-ups, a small fraction of c) in calendar mode.
+// grow pre-sizes the backing stores for about c buffered events: the slab,
+// and the heap — in full while it is the whole queue, a slice of c (timers
+// and rejoin wake-ups, a small fraction of the population) behind the
+// calendar.
 func (s *sched) grow(c int) {
+	s.slab.grow(c)
 	if s.calOn {
-		s.slab.grow(c)
-		s.oheap.grow(c/8 + 64)
-		return
+		c = c/8 + 64
 	}
 	s.heap.grow(c)
 }
 
 func (s *sched) push(ev *event) {
-	if s.calOn {
-		en := entry{
-			at:  float64(ev.msg.DeliverAt),
-			key: packKey(ev.msg.Kind, ev.seq),
-		}
-		if ev.bref != 0 {
-			// Lazy-broadcast head: the record owns the message, so the slab
-			// holds nothing — the entry references the record instead,
-			// encoded as a negative ref (slab slots are never negative).
-			en.ref = -ev.bref
-		} else {
-			en.ref = s.slab.put(&ev.msg)
-		}
-		if !s.cal.tryPush(en) {
-			s.oheap.push(en)
-		}
-		s.trackPeak()
-		return
-	}
-	s.heap.push(*ev)
-	s.trackPeak()
-	if s.mode == SchedulerAuto && s.heap.len() >= calActivateLen {
-		s.activate()
-	}
+	s.file(entry{
+		at:  float64(ev.msg.DeliverAt),
+		key: packKey(ev.msg.Kind, ev.seq),
+		ref: s.slab.put(&ev.msg),
+	})
 }
 
 // pushHead enqueues the head copy of broadcast record b — the next entry of
-// its (at, rank)-sorted chain. In calendar mode the head is a 24-byte entry
-// whose negative ref points at the record; in heap mode it is a fully
-// materialized event carrying bref so pop can advance the chain (and so an
-// auto-mode migration to the calendar re-files it as a record reference).
+// its (at, rank)-sorted chain. The record owns the message, so the slab
+// holds nothing: the entry references the record instead, encoded as a
+// negative ref (slab slots are never negative).
 func (s *sched) pushHead(b int32) {
 	rec := &s.bcasts.recs[b]
 	c := rec.copies[rec.next]
-	if s.calOn {
-		en := entry{at: c.at, key: rec.seqAt(c), ref: -(b + 1)}
-		if !s.cal.tryPush(en) {
-			s.oheap.push(en)
+	s.file(entry{at: c.at, key: rec.seqAt(c), ref: -(b + 1)})
+}
+
+// file queues one entry — into its calendar bucket when the calendar is on
+// and the entry fits the window, into the heap otherwise — and, under
+// SchedulerAuto, switches the calendar on once the population warrants it.
+func (s *sched) file(en entry) {
+	if !s.calOn || !s.cal.tryPush(en) {
+		s.heap.push(en)
+	}
+	if l := s.len(); l > s.peak {
+		s.peak = l
+		// A population reaching the threshold is necessarily a new peak.
+		if !s.calOn && l >= calActivateLen && s.mode == SchedulerAuto {
+			s.activate()
 		}
-		s.trackPeak()
-		return
 	}
-	ev := event{
-		msg: Message{
-			From: rec.from, To: ProcID(c.pid), Kind: KindOrdinary,
-			Payload: rec.payload, SentAt: rec.sentAt, DeliverAt: clock.Real(c.at),
-		},
-		seq:  rec.seqAt(c),
-		bref: b + 1,
-	}
-	s.push(&ev)
 }
 
 // pushBroadcast files one logical broadcast as a lazy record and enqueues its
@@ -746,33 +722,27 @@ func (s *sched) advanceBcast(b int32) {
 	s.bcasts.free = append(s.bcasts.free, b)
 }
 
-// materializeHead assembles the head copy of record b into out, returns its
-// sequence number, and advances the record's chain.
-func (s *sched) materializeHead(b int32, out *Message) uint64 {
+// materializeHead assembles the head copy of record b into out and advances
+// the record's chain.
+func (s *sched) materializeHead(b int32, out *Message) {
 	rec := &s.bcasts.recs[b]
 	c := rec.copies[rec.next]
 	*out = Message{
 		From: rec.from, To: ProcID(c.pid), Kind: KindOrdinary,
 		Payload: rec.payload, SentAt: rec.sentAt, DeliverAt: clock.Real(c.at),
 	}
-	seq := rec.seqAt(c)
 	s.advanceBcast(b)
-	return seq
 }
 
 // peekTime returns the delivery time of the minimum buffered event, or
 // ok == false when the queue is empty.
 func (s *sched) peekTime() (clock.Real, bool) {
-	if !s.calOn {
-		ev := s.heap.peek()
-		if ev == nil {
+	if s.cal.count == 0 {
+		if s.heap.len() == 0 {
 			return 0, false
 		}
-		return ev.msg.DeliverAt, true
-	}
-	if s.cal.count == 0 {
-		if s.oheap.len() == 0 {
-			return 0, false
+		if !s.calOn {
+			return clock.Real(s.heap.peek().at), true
 		}
 		s.rotate()
 	}
@@ -780,63 +750,33 @@ func (s *sched) peekTime() (clock.Real, bool) {
 }
 
 // popMsg removes the minimum event, writing its message directly into out
-// (no intermediate event value crosses the call boundary — this is the once
-// -per-delivered-event path). The caller must ensure the queue is nonempty.
+// (this is the once-per-delivered-event path). The caller must ensure the
+// queue is nonempty.
 func (s *sched) popMsg(out *Message) {
-	if !s.calOn {
-		ev := s.heap.pop()
-		*out = ev.msg
-		if ev.bref != 0 {
-			s.advanceBcast(ev.bref - 1)
+	var en entry
+	if s.calOn {
+		if s.cal.count == 0 {
+			s.rotate()
 		}
-		return
+		en = s.cal.pop()
+	} else {
+		en = s.heap.pop()
 	}
-	if s.cal.count == 0 {
-		s.rotate()
-	}
-	en := s.cal.pop()
 	if en.ref < 0 {
 		s.materializeHead(-en.ref-1, out)
-		return
+	} else {
+		s.slab.take(en.ref, out)
 	}
-	s.slab.take(en.ref, out)
-}
-
-// pop removes and returns the minimum event; the caller must ensure the
-// queue is nonempty. (Tests use it; the engine's event loop goes through
-// popMsg.)
-func (s *sched) pop() event {
-	if !s.calOn {
-		ev := s.heap.pop()
-		if ev.bref != 0 {
-			s.advanceBcast(ev.bref - 1)
-			ev.bref = 0
-		}
-		return ev
-	}
-	if s.cal.count == 0 {
-		s.rotate()
-	}
-	en := s.cal.pop()
-	ev := event{seq: en.key &^ entryTimerBit}
-	if en.ref < 0 {
-		s.materializeHead(-en.ref-1, &ev.msg)
-		return ev
-	}
-	s.slab.take(en.ref, &ev.msg)
-	return ev
 }
 
 // forEachPending calls fn for every buffered message until fn returns
-// false. Iteration order is unspecified (heap layout in heap mode, slab
-// layout in calendar mode — free slab slots are zeroed and skipped by their
-// zero Kind). Read-only view for the adversary seam; never on the hot path.
+// false. Iteration order is unspecified. Read-only view for the adversary
+// seam; never on the hot path.
 func (s *sched) forEachPending(fn func(m *Message) bool) {
 	// Lazy-broadcast copies first, synthesized from their records: every
 	// copy not yet materialized, including each record's queued head (the
-	// head lives in the queue only as a reference — or, in heap mode, as a
-	// bref-marked duplicate skipped below — so the view stays exactly one
-	// entry per pending copy).
+	// head lives in the queue only as a reference to the record, so the
+	// view stays exactly one message per pending copy).
 	var m Message
 	for i := range s.bcasts.recs {
 		rec := &s.bcasts.recs[i]
@@ -851,47 +791,34 @@ func (s *sched) forEachPending(fn func(m *Message) bool) {
 			}
 		}
 	}
-	if s.calOn {
-		for i := range s.slab.msgs {
-			if s.slab.msgs[i].Kind == 0 {
-				continue
-			}
-			if !fn(&s.slab.msgs[i]) {
-				return
-			}
-		}
-		return
-	}
-	for i := range s.heap.items {
-		if s.heap.items[i].bref != 0 {
+	// Everything else is in the slab; free slots are zeroed and skipped by
+	// their zero Kind.
+	for i := range s.slab.msgs {
+		if s.slab.msgs[i].Kind == 0 {
 			continue
 		}
-		if !fn(&s.heap.items[i].msg) {
+		if !fn(&s.slab.msgs[i]) {
 			return
 		}
 	}
 }
 
-// activate switches to calendar mode, migrating whatever the heap holds.
-// The bucket count scales to about twice the expected population (hint or
-// current size), clamped to a power of two in [256, calMaxBuckets]: a
-// window's events concentrate in its active span (a delay window's worth of
-// a horizon that also covers the round's timers), so 2× buckets puts the
-// active-span fill near a few entries and pops stay near sort-free. The
-// initial width spreads twice the declared delay window across the buckets:
-// a round's traffic stretches past one span (senders spread over β keep
-// broadcasting while the first fan-outs land), and a too-short first window
-// would send the whole opening round through the overflow heap before the
-// tuner could react — a cost every fresh engine would pay again. Too wide
-// merely leaves the bitmap sparser.
+// activate switches the calendar on: it allocates the buckets and opens the
+// first window at the earliest buffered event, exactly as a rotation would.
+// Messages stay where they are in the slab; only the heap entries that fit
+// the window move. The bucket count scales to about twice the expected
+// population (hint or current size), clamped to a power of two in
+// [256, calMaxBuckets]: a window's events concentrate in its active span (a
+// delay window's worth of a horizon that also covers the round's timers), so
+// 2× buckets puts the active-span fill near a few entries and pops stay near
+// sort-free. The initial width spreads twice the declared delay window
+// across the buckets: a round's traffic stretches past one span (senders
+// spread over β keep broadcasting while the first fan-outs land), and a
+// too-short first window would send the whole opening round through the
+// heap before the tuner could react — a cost every fresh engine would pay
+// again. Too wide merely leaves the bitmap sparser.
 func (s *sched) activate() {
-	if s.calOn || s.mode == SchedulerHeap {
-		return
-	}
-	target := s.heap.len()
-	if s.eventHint > target {
-		target = s.eventHint
-	}
+	target := max(s.heap.len(), s.eventHint)
 	nb := 256
 	for nb < calMaxBuckets && nb < 2*target {
 		nb *= 2
@@ -912,39 +839,37 @@ func (s *sched) activate() {
 	s.cal.contLead = calContLead * s.spanHint
 	s.calOn = true
 
-	start := clock.Real(0)
-	if ev := s.heap.peek(); ev != nil {
-		start = ev.msg.DeliverAt
+	start := 0.0
+	if en := s.heap.peek(); en != nil {
+		start = en.at
 	}
-	s.cal.reset(start, sanitizeWidth(2*s.spanHint/float64(nb)))
-	if s.heap.len() == 0 {
-		return
-	}
-	// Re-file the buffered events through the slab: near ones into
-	// buckets, far ones into the overflow heap. The old backing array is
-	// iterated in place — heap order is irrelevant here, tryPush ignores
-	// arrival order on unsorted buckets — then released.
-	old := s.heap.items
-	s.heap.items = nil
-	s.slab.grow(max(s.eventHint, len(old)))
-	for i := range old {
-		s.push(&old[i])
+	s.openWindow(start, 2*s.spanHint/float64(nb))
+}
+
+// openWindow anchors a fresh calendar window at start and moves into it
+// every heap entry that fits (a 24-byte entry move each — slab slots stay
+// put). The calendar must be drained.
+func (s *sched) openWindow(start, width float64) {
+	s.cal.reset(clock.Real(start), sanitizeWidth(width))
+	for s.heap.len() > 0 && s.cal.tryPush(*s.heap.peek()) {
+		// Stops at the first entry beyond the window; heap order ⇒ so is
+		// the rest.
+		s.heap.pop()
 	}
 }
 
 // calDebug (environment variable CALDEBUG, any non-empty value) prints one
 // line per window rotation — width, events accepted, buckets used, furthest
-// near-future spill, overflow population — to stderr. It is the intended
-// way to watch the width tuner converge on a new workload shape before
+// near-future spill, heap population — to stderr. It is the intended way
+// to watch the width tuner converge on a new workload shape before
 // codifying the expectation in a test (TestCalendarTunerConverges was
 // written from exactly this output).
 var calDebug = os.Getenv("CALDEBUG") != ""
 
 // rotate advances the calendar to a new window anchored at the earliest
-// overflow event, retuning the bucket width from the finished window's
-// observed traffic first, then migrating every overflow entry that fits
-// the new window (a 24-byte entry move each — slab slots stay put). Called
-// when the calendar drains while overflow remains.
+// heap entry, retuning the bucket width from the finished window's observed
+// traffic first. Called when the calendar drains while the heap is
+// nonempty.
 func (s *sched) rotate() {
 	c := &s.cal
 	if calDebug {
@@ -952,7 +877,7 @@ func (s *sched) rotate() {
 		// experiment/golden table output on stdout.
 		fmt.Fprintf(os.Stderr, "rotate: width(ns)=%d inserted=%d used=%d maxDtCont(ns)=%d maxDtNear(ns)=%d span(ns)=%d heapLen=%d\n",
 			int64(c.width*1e9), c.inserted, c.used, int64(c.maxDtCont*1e9), int64(c.maxDtNear*1e9),
-			int64(c.width*float64(len(c.buckets))*1e9), s.oheap.len())
+			int64(c.width*float64(len(c.buckets))*1e9), s.heap.len())
 	}
 	// Width tuning, from two decoupled signals of the finished window:
 	//
@@ -1005,18 +930,18 @@ func (s *sched) rotate() {
 	//     P/8 ≈ 125 ms (inside nearLimit ≈ 166 ms): ungated, the sparse
 	//     timer windows stretch the span to ≈ 108 ms, fill ≈ 5200 per
 	//     bucket, and throughput drops ~1.8×; gated, the span stays at one
-	//     cluster and rotation jumps the gap through the overflow heap.
+	//     cluster and rotation jumps the gap through the heap.
 	nb1 := float64(len(c.buckets) - 1)
 	sparse := c.inserted <= calDenseFill*c.used
 	if wh := c.maxDtCont / nb1; sparse && wh > c.reqWidth {
 		c.reqWidth = wh
 	}
 	// The push-time spill signal only sees traffic that arrived while a
-	// window was active. Events that land in the overflow heap wholesale —
-	// a far-future cluster the drain is about to jump to — would otherwise
+	// window was active. Events that land in the heap wholesale — a
+	// far-future cluster the drain is about to jump to — would otherwise
 	// teach the tuner one window-length per rotation. One pass over the
-	// (unsorted) overflow array reads the cluster's near-future spread
-	// directly, so the next window covers it in full. The heap is small in
+	// (unsorted) heap array reads the cluster's near-future spread directly,
+	// so the next window covers it in full. The heap is small in
 	// steady state (timers, rejoin wake-ups), so the scan is cheap.
 	//
 	// "Spread" here means the contiguous cluster anchored at the earliest
@@ -1027,10 +952,10 @@ func (s *sched) rotate() {
 	// failure mode the contiguity band guards against on the push path.
 	// Chaining sorted gaps ≤ contLead gives the imminent cluster's true
 	// extent, whatever its internal shape.
-	base := s.oheap.peek().at
+	base := s.heap.peek().at
 	s.scanBuf = s.scanBuf[:0]
-	for i := range s.oheap.items {
-		if dt := s.oheap.items[i].at - base; dt < c.nearLimit {
+	for i := range s.heap.items {
+		if dt := s.heap.items[i].at - base; dt < c.nearLimit {
 			s.scanBuf = append(s.scanBuf, dt)
 		}
 	}
@@ -1054,13 +979,7 @@ func (s *sched) rotate() {
 	if w < c.reqWidth {
 		w = c.reqWidth
 	}
-	c.reset(clock.Real(base), sanitizeWidth(w))
-	for s.oheap.len() > 0 {
-		if !c.tryPush(*s.oheap.peek()) {
-			break // first event beyond the window; heap order ⇒ so is the rest
-		}
-		s.oheap.pop()
-	}
+	s.openWindow(base, w)
 }
 
 // sanitizeWidth clamps a bucket width to a positive finite value, guarding

@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/clock"
@@ -227,54 +226,159 @@ func TestCalendarTunerIgnoresGapSeparatedClusters(t *testing.T) {
 	}
 }
 
-// FuzzBucketWidth feeds the width tuner degenerate and adversarial inputs —
-// zero, denormal, huge, NaN and Inf delay spans, hint sizes from empty to
-// huge, and arbitrary traffic shapes — and checks the full pop contract
-// against a naive sort. The tuner may pick any width it likes; it must
-// never reorder, drop, or duplicate an event.
+// FuzzBucketWidth feeds the scheduler degenerate and adversarial inputs —
+// zero, denormal, huge, NaN and Inf delay spans, every scheduler mode, hints
+// on either side of calActivateLen, and arbitrary traffic shapes mixing
+// plain events with lazy broadcast records — and checks the full pop
+// contract and the pending view against a naive sort (see runSchedScript).
+// The tuner may pick any width it likes and the calendar may switch on at
+// any point; the scheduler must never reorder, drop, or duplicate an event.
 func FuzzBucketWidth(f *testing.F) {
-	f.Add(1e-2, 1e-3, int64(1), uint8(50))
-	f.Add(0.0, 0.0, int64(2), uint8(100))
-	f.Add(math.NaN(), math.Inf(1), int64(3), uint8(30))
-	f.Add(-5.0, math.MaxFloat64, int64(4), uint8(80))
-	f.Add(5e-324, 1e300, int64(5), uint8(60))
-	f.Fuzz(func(t *testing.T, delta, eps float64, seed int64, count uint8) {
-		s := &sched{}
-		s.init(SchedulerCalendar, int(count), delta, eps)
-		rng := rand.New(rand.NewSource(seed))
+	f.Add(1e-2, 1e-3, int64(1), uint16(50), uint8(SchedulerCalendar), uint16(50))
+	f.Add(0.0, 0.0, int64(2), uint16(100), uint8(SchedulerCalendar), uint16(100))
+	f.Add(math.NaN(), math.Inf(1), int64(3), uint16(30), uint8(SchedulerCalendar), uint16(30))
+	f.Add(-5.0, math.MaxFloat64, int64(4), uint16(80), uint8(SchedulerAuto), uint16(calActivateLen))
+	f.Add(5e-324, 1e300, int64(5), uint16(60), uint8(SchedulerHeap), uint16(60))
+	f.Add(1e-2, 1e-3, int64(6), uint16(1500), uint8(SchedulerAuto), uint16(0)) // switches on mid-run
+	f.Add(1e-2, 1e-3, int64(7), uint16(1500), uint8(SchedulerHeap), uint16(2*calActivateLen))
+	f.Fuzz(func(t *testing.T, delta, eps float64, seed int64, count uint16, mode uint8, hint uint16) {
+		runSchedScript(t, schedScript{
+			mode: Scheduler(mode % 3), hint: int(hint) % (4 * calActivateLen),
+			delta: delta, eps: eps, seed: seed, ops: int(count) % 2048,
+		})
+	})
+}
 
-		var pending []event
-		floor := clock.Real(0)
-		for i := 0; i <= int(count); i++ {
-			if len(pending) > 0 && rng.Intn(3) == 0 {
-				got := s.pop()
-				min := 0
-				for j := range pending {
-					if eventLess(&pending[j], &pending[min]) {
-						min = j
-					}
-				}
-				if got.seq != pending[min].seq {
-					t.Fatalf("pop seq %d, naive min seq %d (δ=%v ε=%v)", got.seq, pending[min].seq, delta, eps)
-				}
-				floor = got.msg.DeliverAt
-				pending = append(pending[:min], pending[min+1:]...)
-				continue
+// TestAutoActivationWithLazyHeads pins that the mid-run-activation fuzz seed
+// does what its comment says: the calendar switches on while lazy broadcast
+// heads are queued, and the pop order and pending view survive it.
+func TestAutoActivationWithLazyHeads(t *testing.T) {
+	heads := runSchedScript(t, schedScript{mode: SchedulerAuto, delta: 1e-2, eps: 1e-3, seed: 6, ops: 1500})
+	if heads <= 0 {
+		t.Fatalf("calendar switched on with %d lazy heads queued (−1: never switched on) — the script does not exercise mid-run activation", heads)
+	}
+}
+
+// schedScript is one randomized scheduler workload.
+type schedScript struct {
+	mode       Scheduler
+	hint       int
+	delta, eps float64
+	seed       int64
+	ops        int
+}
+
+// runSchedScript drives one sched through a random interleaving of push,
+// pushBroadcast and pop, mirrored by a naive list of fully materialized
+// events. Every pop must return the mirror's minimum under eventLess — for a
+// lazy record that means each copy surfaces exactly where the eager copy
+// would — and forEachPending must yield exactly one message per mirrored
+// event, at random points and before the final drain. It returns the number
+// of lazy broadcast heads queued at the moment the calendar switched on
+// mid-run, or −1 if it never did.
+func runSchedScript(t *testing.T, sc schedScript) (headsAtActivation int) {
+	t.Helper()
+	s := &sched{}
+	s.init(sc.mode, sc.hint, sc.delta, sc.eps)
+	rng := rand.New(rand.NewSource(sc.seed))
+	popMod := 2 + rng.Intn(7)
+	headsAtActivation = -1
+
+	// Payload carries the event's (base) sequence number, so (payload, To)
+	// identifies a pending copy in the order-free pending view.
+	type copyID struct {
+		base uint64
+		to   ProcID
+	}
+	var pending []event
+	floor := clock.Real(0)
+	seq := uint64(0)
+
+	popCheck := func() {
+		min := 0
+		for j := range pending {
+			if eventLess(&pending[j], &pending[min]) {
+				min = j
 			}
-			ev := genEventAfter(rng, floor, uint64(i))
+		}
+		want := pending[min]
+		pending = append(pending[:min], pending[min+1:]...)
+		got := s.pop()
+		if got.seq != want.seq || got.msg != want.msg {
+			t.Fatalf("pop returned seq %d %+v, naive min is seq %d %+v (%+v)", got.seq, got.msg, want.seq, want.msg, sc)
+		}
+		floor = got.msg.DeliverAt
+	}
+	viewCheck := func() {
+		want := make(map[copyID]Message, len(pending))
+		for i := range pending {
+			m := pending[i].msg
+			want[copyID{m.Payload.(uint64), m.To}] = m
+		}
+		if len(want) != len(pending) {
+			t.Fatalf("mirror ids collide: %d ids for %d events", len(want), len(pending))
+		}
+		seen := 0
+		s.forEachPending(func(m *Message) bool {
+			id := copyID{m.Payload.(uint64), m.To}
+			if w, ok := want[id]; !ok || w != *m {
+				t.Fatalf("pending view yields %+v, which is not (or no longer) pending (%+v)", *m, sc)
+			}
+			delete(want, id)
+			seen++
+			return true
+		})
+		if seen != len(pending) {
+			t.Fatalf("pending view yields %d messages for %d pending copies (%+v)", seen, len(pending), sc)
+		}
+	}
+
+	for i := 0; i < sc.ops; i++ {
+		if len(pending) > 0 && rng.Intn(popMod) == 0 {
+			popCheck()
+			continue
+		}
+		if rng.Intn(64) == 0 {
+			viewCheck()
+		}
+		was := s.calOn
+		if rng.Intn(4) == 0 {
+			// One lazy fan-out: copies sequence-numbered in pid order over
+			// the routed recipients, exactly as Engine.broadcastLazy does.
+			n := 1 + rng.Intn(12)
+			at, ok := make([]clock.Real, n), make([]bool, n)
+			base := seq
+			for q := range at {
+				at[q] = genEventAfter(rng, floor, 0).msg.DeliverAt
+				if ok[q] = rng.Intn(5) != 0; !ok[q] {
+					continue
+				}
+				pending = append(pending, event{
+					msg: Message{From: 1, To: ProcID(q), Kind: KindOrdinary, Payload: base, SentAt: floor, DeliverAt: at[q]},
+					seq: seq,
+				})
+				seq++
+			}
+			s.pushBroadcast(1, floor, base, at, ok, nil, base, false)
+		} else {
+			ev := genEventAfter(rng, floor, seq)
+			ev.msg.Payload = seq
+			seq++
 			s.push(&ev)
 			pending = append(pending, ev)
 		}
-		ref := make([]event, len(pending))
-		copy(ref, pending)
-		sort.Slice(ref, func(i, j int) bool { return eventLess(&ref[i], &ref[j]) })
-		for _, want := range ref {
-			if got := s.pop(); got.seq != want.seq {
-				t.Fatalf("drain diverges: got seq %d, want %d (δ=%v ε=%v)", got.seq, want.seq, delta, eps)
-			}
+		if !was && s.calOn {
+			headsAtActivation = len(s.bcasts.recs) - len(s.bcasts.free)
 		}
-		if s.len() != 0 {
-			t.Fatalf("queue not empty after drain")
-		}
-	})
+	}
+
+	viewCheck()
+	for len(pending) > 0 {
+		popCheck()
+	}
+	if s.len() != 0 {
+		t.Fatalf("queue not empty after drain (%+v)", sc)
+	}
+	viewCheck()
+	return headsAtActivation
 }

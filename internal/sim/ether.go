@@ -12,9 +12,9 @@ import "repro/internal/clock"
 // Concretely: a copy scheduled to arrive at real time a at receiver q is
 // dropped if, counting arrivals at q within the window (a−Window, a], it
 // would be the (Buffer+1)-th or later. This is the drop-new variant of the
-// paper's overwrite-old buffer; DESIGN.md records the substitution — either
-// variant loses exactly the colliding traffic, which is the phenomenon the
-// experiment needs.
+// paper's overwrite-old buffer, a deliberate substitution — either variant
+// loses exactly the colliding traffic, which is the phenomenon the experiment
+// needs.
 type Ether struct {
 	// Window is the interval within which arrivals contend for buffer
 	// slots (roughly the datagram service time times the buffer depth).

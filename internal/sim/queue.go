@@ -1,126 +1,18 @@
 package sim
 
-// event is a buffered message plus a sequence number for stable ordering.
-// bref, when nonzero, marks the event as the materialized head of lazy
-// broadcast record bref−1 (see bcastStore in calqueue.go): popping it must
-// advance the record's chain so the next unmaterialized copy enters the
-// queue.
+// event is a message on its way into the buffer together with the sequence
+// number that breaks delivery-time ties by insertion order. It is the
+// hand-off form between the engine and the scheduler (and across shards, in
+// Engine.outbox); the buffer itself stores the message in the slab and the
+// order key in an entry — see sched in calqueue.go.
 type event struct {
-	msg  Message
-	seq  uint64
-	bref int32
-}
-
-// eventQueue is a 4-ary min-heap of event values ordered by delivery time; at
-// equal times, ordinary (and START) messages precede TIMER messages —
-// execution property 4 of §2.3 ("messages that arrive at the same time as a
-// timer is due to go off get in just under the wire") — and ties beyond that
-// break by insertion order. The sequence number makes the order total, so the
-// pop sequence is independent of heap shape or arity.
-//
-// The queue is deliberately not a container/heap.Interface: heap.Push(x any)
-// boxes every event into an interface value, which costs one heap allocation
-// per scheduled message. Here events live as values in a single backing
-// array, and that array doubles as the free list — a popped slot is zeroed
-// (releasing its Payload reference to the GC) and recycled by the next push,
-// so the steady-state engine schedules timers and messages with no per-event
-// allocation at all. The 4-ary layout halves tree depth versus a binary heap
-// and scans each node's children within one cache line.
-type eventQueue struct {
-	items []event
-}
-
-// eventLess orders a before b by (DeliverAt, non-TIMER first, seq). It is
-// the single comparator shared by the 4-ary heap and the calendar queue's
-// bucket sort, so both schedulers produce the same total pop order.
-func eventLess(a, b *event) bool {
-	if a.msg.DeliverAt != b.msg.DeliverAt {
-		return a.msg.DeliverAt < b.msg.DeliverAt
-	}
-	at, bt := a.msg.Kind == KindTimer, b.msg.Kind == KindTimer
-	if at != bt {
-		return !at // non-TIMER first
-	}
-	return a.seq < b.seq
-}
-
-// less delegates to eventLess (kept as a method for the heap's call sites).
-func (q *eventQueue) less(a, b *event) bool { return eventLess(a, b) }
-
-func (q *eventQueue) len() int { return len(q.items) }
-
-// grow pre-sizes the backing array (the free list) to capacity c, so engine
-// start-up absorbs the growth reallocations instead of the event loop.
-func (q *eventQueue) grow(c int) {
-	if cap(q.items) < c {
-		items := make([]event, len(q.items), c)
-		copy(items, q.items)
-		q.items = items
-	}
-}
-
-// push enqueues ev, sifting it up from the first free slot.
-func (q *eventQueue) push(ev event) {
-	q.items = append(q.items, ev)
-	i := len(q.items) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !q.less(&q.items[i], &q.items[p]) {
-			break
-		}
-		q.items[i], q.items[p] = q.items[p], q.items[i]
-		i = p
-	}
-}
-
-// peek returns the minimum event, or nil when the queue is empty. The pointer
-// is valid only until the next push or pop.
-func (q *eventQueue) peek() *event {
-	if len(q.items) == 0 {
-		return nil
-	}
-	return &q.items[0]
-}
-
-// pop removes and returns the minimum event. The vacated tail slot is zeroed
-// so the free list holds no stale Payload references.
-func (q *eventQueue) pop() event {
-	items := q.items
-	min := items[0]
-	n := len(items) - 1
-	items[0] = items[n]
-	items[n] = event{}
-	items = items[:n]
-	q.items = items
-
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		best := i
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first; c < end; c++ {
-			if q.less(&items[c], &items[best]) {
-				best = c
-			}
-		}
-		if best == i {
-			break
-		}
-		items[i], items[best] = items[best], items[i]
-		i = best
-	}
-	return min
+	msg Message
+	seq uint64
 }
 
 // push enqueues a message with the next sequence number: the shared counter
 // normally, or — in sharded executions — a packed per-sender key that is
-// independent of shard count and window interleaving (see packShardSeq).
+// independent of shard count and window interleaving (see Engine.packSeq).
 func (e *Engine) push(m Message) {
 	var ev event
 	if e.detSeq {

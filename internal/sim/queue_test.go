@@ -8,55 +8,59 @@ import (
 	"repro/internal/clock"
 )
 
-// popQueue abstracts the scheduler implementations under differential test:
-// the legacy 4-ary heap and the hybrid sched in its various modes all
-// expose the same pop contract.
-type popQueue interface {
-	push(ev *event)
-	pop() event
-	len() int
+// eventLess is the reference order the naive mirrors sort by: delivery
+// time, then ordinary (and START) messages before TIMER messages — execution
+// property 4 of §2.3 — then insertion order. It is written against full
+// events, independently of the packed entry key the scheduler compares.
+func eventLess(a, b *event) bool {
+	if a.msg.DeliverAt != b.msg.DeliverAt {
+		return a.msg.DeliverAt < b.msg.DeliverAt
+	}
+	at, bt := a.msg.Kind == KindTimer, b.msg.Kind == KindTimer
+	if at != bt {
+		return !at // non-TIMER first
+	}
+	return a.seq < b.seq
 }
 
-// heapAdapter gives eventQueue the pointer-push signature of sched.
-type heapAdapter struct{ q eventQueue }
+// pop removes and returns the minimum event with its sequence number, read
+// off the minimum entry's key before popMsg consumes it; the queue must be
+// nonempty. (The engine's event loop only needs the message.)
+func (s *sched) pop() event {
+	s.peekTime() // rotates onto the heap if the calendar has drained
+	en := s.heap.peek()
+	if s.cal.count > 0 {
+		en = s.cal.peek()
+	}
+	ev := event{seq: en.key &^ entryTimerBit}
+	s.popMsg(&ev.msg)
+	return ev
+}
 
-func (h *heapAdapter) push(ev *event) { h.q.push(*ev) }
-func (h *heapAdapter) pop() event     { return h.q.pop() }
-func (h *heapAdapter) len() int       { return h.q.len() }
-
-// queueConfigs enumerates the scheduler implementations that must agree:
-// the plain heap, an auto sched (which flips to the calendar mid-run when
-// the population crosses the activation threshold), an eagerly-activated
-// calendar, and calendars whose declared delay span wildly mismatches the
-// generated traffic (forcing constant window rotation and overflow spill
-// in both directions).
-func queueConfigs() map[string]func() popQueue {
-	return map[string]func() popQueue{
-		"heap": func() popQueue { return &heapAdapter{} },
-		"auto": func() popQueue {
+// queueConfigs enumerates the scheduler configurations that must agree: the
+// heap alone, an auto sched (which switches the calendar on mid-run when the
+// population crosses the activation threshold), a calendar active from the
+// start, and calendars whose declared delay span wildly mismatches the
+// generated traffic (forcing constant window rotation and heap spill in both
+// directions).
+func queueConfigs() map[string]func() *sched {
+	mk := func(mode Scheduler, hint int, delta, eps float64) func() *sched {
+		return func() *sched {
 			s := &sched{}
-			s.init(SchedulerAuto, 0, 1e-2, 1e-3)
+			s.init(mode, hint, delta, eps)
 			return s
-		},
-		"calendar": func() popQueue {
-			s := &sched{}
-			s.init(SchedulerCalendar, 2048, 1e-2, 1e-3)
-			return s
-		},
-		"calendar-narrow": func() popQueue {
-			// Tiny declared span: nearly everything overflows at first and
-			// the tuner has to widen through rotations.
-			s := &sched{}
-			s.init(SchedulerCalendar, 0, 1e-9, 0)
-			return s
-		},
-		"calendar-wide": func() popQueue {
-			// Huge declared span: the whole run lands in one window and
-			// dense buckets exercise the sort paths.
-			s := &sched{}
-			s.init(SchedulerCalendar, 0, 1e3, 10)
-			return s
-		},
+		}
+	}
+	return map[string]func() *sched{
+		"heap":     mk(SchedulerHeap, 0, 1e-2, 1e-3),
+		"auto":     mk(SchedulerAuto, 0, 1e-2, 1e-3),
+		"calendar": mk(SchedulerCalendar, 2048, 1e-2, 1e-3),
+		// Tiny declared span: nearly everything stays in the heap at first
+		// and the tuner has to widen through rotations.
+		"calendar-narrow": mk(SchedulerCalendar, 0, 1e-9, 0),
+		// Huge declared span: the whole run lands in one window and dense
+		// buckets exercise the sort paths.
+		"calendar-wide": mk(SchedulerCalendar, 0, 1e3, 10),
 	}
 }
 
@@ -67,7 +71,7 @@ func queueConfigs() map[string]func() popQueue {
 // produces. Pushes respect the engine's scheduling contract (never earlier
 // than the last popped delivery time); the generated times mix same-instant
 // ties, dense clusters, and far-future jumps so the calendar's bucket
-// rotation and overflow spill paths run constantly.
+// rotation and heap spill paths run constantly.
 func TestQueueMatchesNaiveSort(t *testing.T) {
 	for name, mk := range queueConfigs() {
 		t.Run(name, func(t *testing.T) {
@@ -162,35 +166,40 @@ func genEventAfter(rng *rand.Rand, floor clock.Real, seq uint64) event {
 	}
 }
 
-// TestQueuePopReleasesPayload checks the free-list hygiene: the slot a pop
-// vacates must not pin the message payload.
+// TestQueuePopReleasesPayload checks the slab hygiene with the calendar off:
+// the slot a pop vacates must not pin the message payload.
 func TestQueuePopReleasesPayload(t *testing.T) {
-	var q eventQueue
-	q.push(event{msg: Message{Payload: "x", DeliverAt: 1}})
-	q.push(event{msg: Message{Payload: "y", DeliverAt: 2}})
-	q.pop()
-	q.pop()
-	for i := 0; i < cap(q.items); i++ {
-		if q.items[:cap(q.items)][i].msg.Payload != nil {
-			t.Fatalf("free-list slot %d still holds payload %v", i, q.items[:cap(q.items)][i].msg.Payload)
+	s := &sched{}
+	s.init(SchedulerHeap, 0, 1e-2, 1e-3)
+	s.push(&event{msg: Message{Kind: KindOrdinary, Payload: "x", DeliverAt: 1}, seq: 0})
+	s.push(&event{msg: Message{Kind: KindOrdinary, Payload: "y", DeliverAt: 2}, seq: 1})
+	if s.calOn || s.heap.len() != 2 {
+		t.Fatalf("SchedulerHeap: calOn=%v heap=%d, want both entries in the heap", s.calOn, s.heap.len())
+	}
+	s.pop()
+	s.pop()
+	for i, m := range s.slab.msgs[:cap(s.slab.msgs)] {
+		if m != (Message{}) {
+			t.Fatalf("slab slot %d not zeroed after pop: %+v", i, m)
 		}
 	}
 }
 
-// TestQueueGrowPreservesContents checks that pre-sizing the free list keeps
+// TestQueueGrowPreservesContents checks that pre-sizing the stores keeps
 // already-queued events intact.
 func TestQueueGrowPreservesContents(t *testing.T) {
-	var q eventQueue
-	q.push(event{msg: Message{DeliverAt: 2}, seq: 0})
-	q.push(event{msg: Message{DeliverAt: 1}, seq: 1})
-	q.grow(64)
-	if cap(q.items) < 64 {
-		t.Fatalf("cap = %d after grow(64)", cap(q.items))
+	s := &sched{}
+	s.init(SchedulerHeap, 0, 1e-2, 1e-3)
+	s.push(&event{msg: Message{Kind: KindOrdinary, Payload: "late", DeliverAt: 2}, seq: 0})
+	s.push(&event{msg: Message{Kind: KindTimer, Payload: "early", DeliverAt: 1}, seq: 1})
+	s.grow(64)
+	if cap(s.slab.msgs) < 64 || cap(s.heap.items) < 64 {
+		t.Fatalf("cap = slab %d, heap %d after grow(64)", cap(s.slab.msgs), cap(s.heap.items))
 	}
-	if ev := q.pop(); ev.seq != 1 {
-		t.Fatalf("pop after grow returned seq %d, want 1", ev.seq)
+	if ev := s.pop(); ev.seq != 1 || ev.msg.Payload != "early" || ev.msg.Kind != KindTimer {
+		t.Fatalf("pop after grow returned %+v, want seq 1 / early / TIMER", ev)
 	}
-	if ev := q.pop(); ev.seq != 0 {
-		t.Fatalf("pop after grow returned seq %d, want 0", ev.seq)
+	if ev := s.pop(); ev.seq != 0 || ev.msg.Payload != "late" {
+		t.Fatalf("pop after grow returned %+v, want seq 0 / late", ev)
 	}
 }

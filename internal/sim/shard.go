@@ -105,15 +105,8 @@ type ShardStats struct {
 
 // ShardedEngine runs one system configuration partitioned across several
 // shard engines with conservative time-window synchronization. Build with
-// NewSharded, drive with Run; per-window sampling hooks in via OnWindow or
-// Observe.
+// NewSharded, drive with Run; per-window sampling hooks in via Observe.
 type ShardedEngine struct {
-	// OnWindow, when non-nil, is called single-threaded after every window
-	// with the window's cut time: all events strictly before cut have been
-	// delivered and no others, so clock/correction reads at cut are
-	// well-defined.
-	OnWindow func(se *ShardedEngine, cut clock.Real)
-
 	shards    []*Engine
 	owner     []int32 // process → shard index
 	lookahead float64 // L = δ−ε
@@ -232,7 +225,7 @@ func NewSharded(cfg Config, shards int) (*ShardedEngine, error) {
 // window, deliveries on different shards have no global order to replay.
 func (se *ShardedEngine) Observe(o Observer) error {
 	if _, ok := o.(DeliveryObserver); ok {
-		return fmt.Errorf("sim: sharded execution cannot run per-delivery observer %T (deliveries inside a window have no deterministic global order; use Sampler/AnnotationSink observers or OnWindow, sampled at window barriers)", o)
+		return fmt.Errorf("sim: sharded execution cannot run per-delivery observer %T (deliveries inside a window have no deterministic global order; use Sampler/AnnotationSink observers, sampled at window barriers)", o)
 	}
 	matched := false
 	if s, ok := o.(Sampler); ok {
@@ -320,7 +313,7 @@ func (se *ShardedEngine) QueuePeak() int {
 
 // LocalTimeSpread returns the min/max nonfaulty local time at t (all shard
 // engines hold the full clock and correction arrays; reads are safe at
-// window barriers, where OnWindow and the observers fire).
+// window barriers, where the observers fire).
 func (se *ShardedEngine) LocalTimeSpread(t clock.Real) (lo, hi clock.Local, count int) {
 	return se.shards[0].LocalTimeSpread(t)
 }
@@ -458,10 +451,11 @@ func (b *shardBatch) coordinate(rel chan struct{}) {
 }
 
 // finishWindow completes one drained (and, if needed, exchanged) window:
-// advance the cut, dispatch the buffered annotations in merged order, fire
-// the window samplers, then the OnWindow hook. Single-threaded — called by
-// Run behind the batch join, or by the coordinator while every other shard
-// is parked at the barrier.
+// advance the cut — all events strictly before it have been delivered and
+// no others, so clock/correction reads at the cut are well-defined —
+// dispatch the buffered annotations in merged order, then fire the samplers.
+// Single-threaded — called by Run behind the batch join, or by the
+// coordinator while every other shard is parked at the barrier.
 func (se *ShardedEngine) finishWindow(hi, until clock.Real) {
 	cut := hi
 	if until < cut {
@@ -470,17 +464,16 @@ func (se *ShardedEngine) finishWindow(hi, until clock.Real) {
 	se.stats.Windows++
 	se.now = cut
 	se.dispatchAnnotations()
-	if len(se.samplers) > 0 {
-		// Shard 0's engine carries the full clock/correction view and its
-		// now equals the cut, so samplers read it exactly as they would the
-		// sequential engine at a sample point.
-		e0 := se.shards[0]
-		for _, s := range se.samplers {
-			s.Sample(e0, false)
-		}
-	}
-	if se.OnWindow != nil {
-		se.OnWindow(se, cut)
+	se.sample()
+}
+
+// sample fires the registered samplers on shard 0's engine: it carries the
+// full clock/correction view and its now equals se.now, so samplers read it
+// exactly as they would the sequential engine at a sample point.
+func (se *ShardedEngine) sample() {
+	e0 := se.shards[0]
+	for _, s := range se.samplers {
+		s.Sample(e0, false)
 	}
 }
 
@@ -521,7 +514,8 @@ func (se *ShardedEngine) dispatchAnnotations() {
 
 // Run executes windows until no shard holds an event at or before until, or
 // the step limit is hit. Like Engine.Run it may be called repeatedly with
-// increasing horizons; OnWindow and the observers fire once per window.
+// increasing horizons, and it ends by advancing every clock to the horizon
+// and sampling there; the observers otherwise fire once per window.
 func (se *ShardedEngine) Run(until clock.Real) error {
 	k := len(se.shards)
 	b := &shardBatch{
@@ -533,8 +527,15 @@ func (se *ShardedEngine) Run(until clock.Real) error {
 	for {
 		m, any := se.minPending()
 		if !any || m > until {
+			// Advance to the horizon so metrics sampled at Now() reflect
+			// the full interval, as Engine.Run does.
 			if se.now < until {
 				se.now = until
+				for _, e := range se.shards {
+					e.now = until
+					e.spreadOK = false
+				}
+				se.sample()
 			}
 			return nil
 		}

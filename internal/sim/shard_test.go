@@ -88,9 +88,11 @@ func runSharded(t *testing.T, cfg Config, k int, horizon clock.Real) *shardRun {
 		t.Fatal(err)
 	}
 	r := &shardRun{}
-	se.OnWindow = func(se *ShardedEngine, cut clock.Real) {
-		lo, hi, _ := se.LocalTimeSpread(cut)
+	if err := se.Observe(samplerFunc(func(e *Engine) {
+		lo, hi, _ := e.LocalTimeSpread(e.Now())
 		r.spreads = append(r.spreads, hi-lo)
+	})); err != nil {
+		t.Fatal(err)
 	}
 	if err := se.Run(horizon); err != nil {
 		t.Fatal(err)
@@ -104,6 +106,11 @@ func runSharded(t *testing.T, cfg Config, k int, horizon clock.Real) *shardRun {
 	r.steps, r.windows = se.Steps(), se.Windows()
 	return r
 }
+
+// samplerFunc adapts a function to Sampler.
+type samplerFunc func(e *Engine)
+
+func (f samplerFunc) Sample(e *Engine, _ bool) { f(e) }
 
 // equalShardRuns compares two runs field by field and names the first
 // divergence. (Each runSharded call builds a fresh Config — shardBeacon
@@ -388,6 +395,42 @@ func TestShardedObservers(t *testing.T) {
 	}
 	if err := se.Observe(struct{ Observer }{}); err == nil {
 		t.Fatal("non-observer accepted")
+	}
+}
+
+// TestShardedRunSamplesHorizon is the regression test for the horizon
+// sample: when the last window ends short of the horizon (here the horizon
+// sits in the quiet gap between two rounds), Run must still advance every
+// shard's clock to the horizon and sample there once, as Engine.Run does —
+// it used to move only its own cut, so recorders missed the final interval
+// and callers hand-rolled the sample.
+func TestShardedRunSamplesHorizon(t *testing.T) {
+	const horizon = clock.Real(0.8e-3) // round 0 lands by ~0.6ms; round 1 fires at 1ms
+	se, err := NewSharded(shardWorkload(16, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var at []clock.Real
+	if err := se.Observe(samplerFunc(func(e *Engine) { at = append(at, e.Now()) })); err != nil {
+		t.Fatal(err)
+	}
+	if err := se.Run(horizon); err != nil {
+		t.Fatal(err)
+	}
+	n := len(at)
+	if n < 2 || at[n-1] != horizon || at[n-2] >= horizon {
+		t.Fatalf("samples end at %v, want the last window cut short of the horizon and then one sample at %v", at[max(0, n-2):], horizon)
+	}
+	for i := 0; i < se.Shards(); i++ {
+		if got := se.Shard(i).Now(); got != horizon {
+			t.Fatalf("shard %d clock at %v after Run(%v)", i, got, horizon)
+		}
+	}
+	if err := se.Run(horizon); err != nil {
+		t.Fatal(err)
+	}
+	if len(at) != n {
+		t.Fatalf("a second Run to the same horizon sampled %d more times", len(at)-n)
 	}
 }
 

@@ -22,8 +22,10 @@
 // which case nothing is placed (§2.2).
 //
 // The event loop is the per-trial hot path of every experiment, so it is
-// built to run allocation-free in the steady state: the queue is a concrete
-// 4-ary heap of event values (no interface boxing), one Context per engine is
+// built to run allocation-free in the steady state: buffered messages sit in
+// a recycling slab and the queue orders 24-byte pointer-free entries — a
+// concrete 4-ary heap, fronted by a calendar of buckets once the population
+// warrants it (calqueue.go; no interface boxing) — one Context per engine is
 // reused across deliveries, observers are classified into typed slices at
 // registration time (no per-event type assertions), and delay sampling draws
 // from an inline splitmix64 stream. The no-observer steady state performs
@@ -162,10 +164,10 @@ type Config struct {
 	// MaxSteps bounds the number of delivered messages; 0 means a large
 	// default. Guards against runaway (e.g. adversarial) executions.
 	MaxSteps int
-	// Scheduler selects the event-queue implementation; the zero value
-	// (SchedulerAuto) picks heap or calendar from the workload shape. Every
-	// scheduler produces the identical event order — the knob exists for
-	// benchmarking the structures against each other.
+	// Scheduler says whether the event queue's calendar front is on; the
+	// zero value (SchedulerAuto) decides from the workload shape. Every
+	// setting produces the identical event order — the knob exists for
+	// benchmarking the heap alone against the calendar over it.
 	Scheduler Scheduler
 	// Broadcast selects eager or lazy broadcast materialization; the zero
 	// value (BroadcastAuto) picks lazily for systems large enough to
@@ -181,8 +183,8 @@ type Config struct {
 	Timeline []TimedAction
 	// EventHint is the expected peak number of buffered events. A hint
 	// pre-sizes the queue's backing stores so large-n runs skip
-	// growth-doubling copies, and lets SchedulerAuto activate the calendar
-	// eagerly instead of migrating mid-run. Zero derives the default from
+	// growth-doubling copies, and lets SchedulerAuto switch the calendar on
+	// from the first event instead of mid-run. Zero derives the default from
 	// the process count and the resolved broadcast mode: eager broadcasts
 	// keep ≈ n² copies plus a timer per process in flight (n² + 2n + 8);
 	// lazy broadcasts keep one head per in-flight fan-out plus the timers
@@ -442,8 +444,8 @@ func newEngine(cfg Config, sh *shardSetup) (*Engine, error) {
 	// Pre-size the queue's backing stores for the expected peak population
 	// under the resolved broadcast mode (see Config.EventHint), unless the
 	// workload supplied a sharper hint. The hint also decides the scheduler
-	// shape up front (see Scheduler/EventHint), so large-n runs start on
-	// the calendar with no mid-run migration.
+	// shape up front (see Scheduler/EventHint), so large-n runs start with
+	// the calendar on.
 	hint := cfg.EventHint
 	if hint <= 0 {
 		mode := BroadcastEager
@@ -458,9 +460,9 @@ func newEngine(cfg Config, sh *shardSetup) (*Engine, error) {
 		// Auto-lazy means the workload is a broadcast storm whose *traffic
 		// rate* is O(n²) per delay window even though the buffered
 		// population is only O(n) — too small to ever trip the calendar's
-		// population-based migration, yet each delivery re-pushes a record
+		// population-based activation, yet each delivery re-pushes a record
 		// head, which the calendar files in O(1) where the heap pays a
-		// sift. Activate the calendar on the traffic shape directly (the
+		// sift. Switch the calendar on from the traffic shape directly (the
 		// stores stay sized by the small lazy hint).
 		sched = SchedulerCalendar
 	}
@@ -714,9 +716,9 @@ func (e *Engine) Broadcast(from ProcID, payload any) {
 		e.broadcastLazy(from, payload, at, ok, sidx)
 		return
 	}
-	// Eager: one template event, patched per receiver — the 64-byte struct
-	// and its write-barriered Payload words are built once and copied
-	// exactly once per copy, into the queue slot.
+	// Eager: one template event, patched per receiver — the Message and its
+	// write-barriered Payload words are built once and copied exactly once
+	// per copy, into the slab slot.
 	ev := event{msg: Message{From: from, Kind: KindOrdinary, Payload: payload, SentAt: e.now}}
 	for q := 0; q < n; q++ {
 		if !ok[q] {

@@ -1,6 +1,9 @@
 package clocksync
 
 import (
+	"fmt"
+
+	"repro/internal/analysis"
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -105,6 +108,116 @@ func defaultOptions() options {
 		delayDist:   DelayUniform,
 		rejoinID:    -1,
 	}
+}
+
+// resolve applies opts over the defaults.
+func resolve(opts []Option) options {
+	o := defaultOptions()
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o
+}
+
+// params assembles the flat mesh's parameter set for an n-process system
+// tolerating f faults.
+func (o options) params(n, f int) analysis.Params {
+	return analysis.Params{
+		N: n, F: f,
+		Rho: o.rho, Delta: o.delta, Eps: o.eps,
+		Beta: o.beta, P: o.roundLength, T0: o.t0,
+	}
+}
+
+// optionRule is one row of the composition table: an option the caller may
+// have set, and the entry points that cannot honour it. Rejections are
+// decided here and nowhere else — cmd/wlsim passes the flags the user set
+// through as options and prints the facade's error — so every row names both
+// the option and the wlsim flag that sets it.
+type optionRule struct {
+	option string // the facade option, as errors cite it
+	flag   string // the cmd/wlsim flag that sets it ("" if none does)
+	set    func(o *options) bool
+	// twoTier is why a two-tier topology cannot honour the option ("" if it
+	// can). The composition owns its substrates, fault slots and
+	// measurement hooks, so the options that configure the flat mesh's
+	// single substrate are rejected by name rather than silently
+	// reinterpreted.
+	twoTier string
+	// startup and lifecycle mark the options RunStartup and
+	// RunEstablishThenMaintain have no use for.
+	startup, lifecycle bool
+}
+
+var optionRules = []optionRule{
+	{option: "WithDelay", flag: "-delta/-eps", set: func(o *options) bool { return o.deltaSet },
+		twoTier: "configures the flat mesh's single substrate; a two-tier topology runs on its own (δ_in, ε_in)/(δ_out, ε_out) pair"},
+	{option: "WithBeta", flag: "-beta", set: func(o *options) bool { return o.betaSet },
+		twoTier: "configures the flat mesh's initial closeness; a two-tier topology derives both tiers' A4 spreads"},
+	{option: "WithDerivedBeta", set: func(o *options) bool { return o.deriveBeta }, startup: true, lifecycle: true,
+		twoTier: "applies to the flat mesh's single parameter set; a two-tier topology derives both tiers' spreads itself"},
+	{option: "WithAveraging(Mean)", flag: "-mean", set: func(o *options) bool { return o.averager == Mean },
+		twoTier: "is not plumbed through the two-tier composition (both tiers run midpoint)"},
+	{option: "WithKExchanges", flag: "-k", set: func(o *options) bool { return o.k > 1 }, startup: true, lifecycle: true,
+		twoTier: "applies to the flat single-instance round; two-tier rounds are single-exchange per tier"},
+	{option: "WithStagger", flag: "-stagger", set: func(o *options) bool { return o.stagger > 0 }, startup: true, lifecycle: true,
+		twoTier: "applies to the flat mesh's broadcast; two-tier traffic is already clustered unicast"},
+	{option: "WithDelayDistribution", flag: "-adversarial", set: func(o *options) bool { return o.delayDist != DelayUniform }, startup: true,
+		twoTier: "configures the flat mesh's delay model; a two-tier topology uses its clustered two-band model"},
+	{option: "WithRandomDrift", set: func(o *options) bool { return o.randomDrift }, startup: true,
+		twoTier: "is not plumbed through the two-tier builder (constant ρ-bounded rates)"},
+	{option: "WithInitialSpread", set: func(o *options) bool { return o.initialSpread != 0 }, startup: true, lifecycle: true,
+		twoTier: "overrides the flat mesh's A4 spread; a two-tier topology derives a spread satisfying both tiers at once"},
+	{option: "WithSkewSeries", set: func(o *options) bool { return o.skewBucket != 0 }, startup: true,
+		twoTier: "is not recorded for two-tier runs"},
+	{option: "WithFault", flag: "-faults", set: func(o *options) bool { return len(o.faults) > 0 }, startup: true, lifecycle: true,
+		twoTier: "fills the flat mesh's fault slots; two-tier fault injection lives in experiment E20"},
+	{option: "WithAdversary", flag: "-adversary", set: func(o *options) bool { return o.adversary != "" }, startup: true, lifecycle: true,
+		twoTier: "targets the flat mesh; two-tier fault injection lives in experiment E20"},
+	{option: "WithRejoiner", set: func(o *options) bool { return o.rejoinID >= 0 }, startup: true, lifecycle: true,
+		twoTier: "applies to the flat mesh's §9.1 path"},
+	{option: "WithTrace", flag: "-trace", set: func(o *options) bool { return o.traceLimit > 0 }, startup: true, lifecycle: true,
+		twoTier: "renders the flat action log"},
+	{option: "WithTopology/WithClusters", flag: "-topology/-clusters", set: func(o *options) bool { return o.topology != TopologyFlat }, startup: true, lifecycle: true},
+	{option: "WithShards", flag: "-shards", set: func(o *options) bool { return o.shards > 1 }, startup: true, lifecycle: true},
+}
+
+// cite names the rule's option and, when one exists, its wlsim flag.
+func (r *optionRule) cite() string {
+	if r.flag == "" {
+		return r.option
+	}
+	return fmt.Sprintf("%s (wlsim %s)", r.option, r.flag)
+}
+
+// The entry points that consult the table, as reject's why argument: each
+// gives its reason for turning a rule's option down, "" if it honours it.
+func twoTierReason(r *optionRule) string { return r.twoTier }
+
+func startupReason(r *optionRule) string {
+	if r.startup {
+		return "has no effect on RunStartup (the §9.2 establishment run is the sequential flat mesh on constant drift and uniform delays, spread by its own argument)"
+	}
+	return ""
+}
+
+func lifecycleReason(r *optionRule) string {
+	if r.lifecycle {
+		return "has no effect on RunEstablishThenMaintain (the lifecycle run is the sequential flat mesh, fault-free and single-exchange, spread by its own argument)"
+	}
+	return ""
+}
+
+// reject returns the named error for the first option set in o that an
+// entry point cannot honour; alt names what else the caller could drop.
+func (o *options) reject(why func(r *optionRule) string, alt string) error {
+	for i := range optionRules {
+		r := &optionRules[i]
+		if reason := why(r); reason != "" && r.set(o) {
+			return fmt.Errorf("clocksync: %s %s — drop %s%s", r.cite(), reason, r.option, alt)
+		}
+	}
+	return nil
 }
 
 func (o options) delayModel(cfg core.Config) sim.DelayModel {
