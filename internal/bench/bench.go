@@ -38,15 +38,44 @@ func (b *beacon) Receive(ctx *sim.Context, m sim.Message) {
 	ctx.SetTimer(ctx.PhysNow()+b.period, nil)
 }
 
+// adjuster is a beacon with a correction it moves at every timer — once per
+// n+1 deliveries, the cadence of a §4.2 process — so a sampled engine of
+// adjusters has local times to scan and new configurations to scan them at.
+type adjuster struct {
+	beacon
+	corr clock.Local
+}
+
+func (a *adjuster) Receive(ctx *sim.Context, m sim.Message) {
+	if m.Kind != sim.KindOrdinary {
+		a.corr = -a.corr
+	}
+	a.beacon.Receive(ctx, m)
+}
+
+func (a *adjuster) Corr() clock.Local { return a.corr }
+
 // NewSteadyEngine builds the no-observer benchmark engine: n beacon
 // processes on drifting clocks, uniform delays, no observers registered.
 func NewSteadyEngine(n int, seed int64) (*sim.Engine, error) {
+	return newSteadyEngine(n, seed, func(int) sim.Process { return &beacon{period: 1e-3} })
+}
+
+// NewSampledSteadyEngine is NewSteadyEngine over adjusters, for the caller
+// to attach samplers to.
+func NewSampledSteadyEngine(n int, seed int64) (*sim.Engine, error) {
+	return newSteadyEngine(n, seed, func(i int) sim.Process {
+		return &adjuster{beacon: beacon{period: 1e-3}, corr: clock.Local(i+1) * 1e-6}
+	})
+}
+
+func newSteadyEngine(n int, seed int64, mk func(i int) sim.Process) (*sim.Engine, error) {
 	procs := make([]sim.Process, n)
 	clocks := make([]clock.Clock, n)
 	starts := make([]clock.Real, n)
 	drift := clock.ConstantDrift{RhoBound: 1e-5}
 	for i := range procs {
-		procs[i] = &beacon{period: 1e-3}
+		procs[i] = mk(i)
 		clocks[i] = drift.Build(i, n)
 		starts[i] = clock.Real(i) * 1e-4
 	}

@@ -1,8 +1,11 @@
 package bench
 
 import (
+	"math"
 	"testing"
 
+	"repro/internal/invariant"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -14,6 +17,11 @@ func steadyAllocGate(t *testing.T, n int) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	allocGate(t, eng)
+}
+
+func allocGate(t *testing.T, eng *sim.Engine) {
+	t.Helper()
 	const perSlice = 5000
 	horizon, err := Advance(eng, 0, 2000) // warm the queue and free list
 	if err != nil {
@@ -87,4 +95,26 @@ func TestEngineLazySteadyStateAllocs(t *testing.T) {
 		t.Fatal("n=40 engine did not resolve to lazy broadcasts; the gate would re-test the eager path")
 	}
 	steadyAllocGate(t, 40)
+}
+
+// TestEngineSampledSteadyStateAllocs is the same gate with the sampling path
+// on: n = 40 correction-holding processes under the three spread readers the
+// harness attaches (skew recorder, validity recorder, Theorem 16 checker),
+// sampled before and after every delivery. The clock table is allocated once,
+// at the first read — inside the warm-up — and refreshed in place from then
+// on, so the measured slices allocate nothing.
+func TestEngineSampledSteadyStateAllocs(t *testing.T) {
+	eng, err := NewSampledSteadyEngine(40, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skew := &metrics.SkewRecorder{}
+	agree := invariant.NewAgreement(math.Inf(1), 0)
+	eng.Observe(skew)
+	eng.Observe(&metrics.ValidityRecorder{Alpha1: 1, Alpha2: 1})
+	eng.Observe(agree)
+	allocGate(t, eng)
+	if skew.Max() <= 0 || agree.Checked() == 0 {
+		t.Fatalf("samplers saw nothing: max skew %v, %d agreement checks", skew.Max(), agree.Checked())
+	}
 }

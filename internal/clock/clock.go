@@ -126,16 +126,50 @@ func (c *PiecewiseLinear) Rate(t Real) float64 {
 }
 
 func (c *PiecewiseLinear) segAt(t Real) segment {
+	return c.segs[c.segIndex(t)]
+}
+
+func (c *PiecewiseLinear) segIndex(t Real) int {
 	if len(c.segs) == 1 {
 		// Linear clocks (the default constant-drift schedule) are the
 		// per-event hot path; skip the binary search and its closure.
-		return c.segs[0]
+		return 0
 	}
 	i := sort.Search(len(c.segs), func(i int) bool { return c.segs[i].start > t }) - 1
 	if i < 0 {
 		i = 0
 	}
-	return c.segs[i]
+	return i
+}
+
+// Segment is the linear piece of a PiecewiseLinear clock in force over the
+// real-time interval [From, Until): for every t in it, At(t) is exactly
+//
+//	Value + Local(Rate*float64(t-Start))
+//
+// — the expression At itself evaluates, so a caller that holds the segment
+// (the simulation engine's clock table) reproduces At bit for bit without
+// the method call. The first piece extends back to From = −∞ and the last
+// forward to Until = +∞, matching how At extends the clock to all of ℝ.
+type Segment struct {
+	Start       Real
+	Value       Local
+	Rate        float64
+	From, Until Real
+}
+
+// SegmentAt returns the piece At(t) reads.
+func (c *PiecewiseLinear) SegmentAt(t Real) Segment {
+	i := c.segIndex(t)
+	s := c.segs[i]
+	seg := Segment{Start: s.start, Value: s.value, Rate: s.rate, From: Real(math.Inf(-1)), Until: Real(math.Inf(1))}
+	if i > 0 {
+		seg.From = s.start
+	}
+	if i+1 < len(c.segs) {
+		seg.Until = c.segs[i+1].start
+	}
+	return seg
 }
 
 // RhoBounded reports whether every segment rate of the clock lies within the

@@ -382,3 +382,27 @@ func TestInvBeforeFirstSegment(t *testing.T) {
 		t.Errorf("Inv(5) = %v, want -5", got)
 	}
 }
+
+// TestSegmentAtReproducesAt pins the contract the simulation engine's clock
+// table relies on: over [From, Until) the segment's expression is At, bit for
+// bit, including before the first breakpoint and after the last.
+func TestSegmentAtReproducesAt(t *testing.T) {
+	c, err := New(0.25, []Breakpoint{{Start: 1, Rate: 1.00001}, {Start: 2.5, Rate: 0.99999}, {Start: 4, Rate: 1.000003}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, clk := range []*PiecewiseLinear{c, Linear(0.1, 1.00001)} {
+		for x := Real(-1); x < 6; x += 0.0371 {
+			s := clk.SegmentAt(x)
+			if x < s.From || x >= s.Until {
+				t.Fatalf("SegmentAt(%v) covers [%v, %v)", x, s.From, s.Until)
+			}
+			for _, y := range []Real{x, Real(math.Max(float64(s.From), -2)), Real(math.Nextafter(math.Min(float64(s.Until), 7), -1))} {
+				got := s.Value + Local(s.Rate*float64(y-s.Start))
+				if want := clk.At(y); math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+					t.Fatalf("segment of %v at %v: %v, At %v", x, y, got, want)
+				}
+			}
+		}
+	}
+}

@@ -406,6 +406,13 @@ type e20Spread struct {
 
 	maxGlobal, maxConn float64
 	samples            int64
+
+	// The two spreads of configuration version ver (ok: both populations
+	// have at least two members), kept so a sample that finds the
+	// configuration unchanged only counts.
+	global, conn float64
+	ok           bool
+	ver          uint64
 }
 
 var _ sim.Sampler = (*e20Spread)(nil)
@@ -416,13 +423,30 @@ func (s *e20Spread) Sample(e *sim.Engine, _ bool) {
 	if t < s.warmup {
 		return
 	}
+	ids, lts := e.LocalTimes()
+	if ver := e.ConfigVersion(); ver != s.ver {
+		s.global, s.conn, s.ok = s.spreads(ids, lts)
+		s.ver = ver
+	}
+	if !s.ok {
+		return
+	}
+	s.samples++
+	if s.global > s.maxGlobal {
+		s.maxGlobal = s.global
+	}
+	if s.conn > s.maxConn {
+		s.maxConn = s.conn
+	}
+}
+
+// spreads scans the engine's shared pass of local times once for both
+// populations.
+func (s *e20Spread) spreads(ids []sim.ProcID, lts []clock.Local) (global, conn float64, ok bool) {
 	var glo, ghi, clo, chi clock.Local
 	gn, cn := 0, 0
-	for _, p := range e.NonfaultyIDs() {
-		lt, ok := e.LocalTime(p, t)
-		if !ok {
-			continue
-		}
+	for i, p := range ids {
+		lt := lts[i]
 		if gn == 0 || lt < glo {
 			glo = lt
 		}
@@ -441,16 +465,7 @@ func (s *e20Spread) Sample(e *sim.Engine, _ bool) {
 		}
 		cn++
 	}
-	if gn < 2 || cn < 2 {
-		return
-	}
-	s.samples++
-	if d := float64(ghi - glo); d > s.maxGlobal {
-		s.maxGlobal = d
-	}
-	if d := float64(chi - clo); d > s.maxConn {
-		s.maxConn = d
-	}
+	return float64(ghi - glo), float64(chi - clo), gn >= 2 && cn >= 2
 }
 
 // e20SendAt schedules one adversarial copy.

@@ -2,6 +2,7 @@ package invariant
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/clock"
 	"repro/internal/sim"
@@ -29,8 +30,13 @@ type HierAgreement struct {
 	Warmup      clock.Real
 	Exclude     []bool
 
-	lo, hi []clock.Local
-	seen   []bool
+	// Sized at the first sample: cluster[i] is the cluster of the i-th
+	// process of Engine.LocalTimes, seen[j] whether cluster j has one at all,
+	// lo/hi the per-cluster extremes at configuration version ver.
+	cluster []int32
+	seen    []bool
+	lo, hi  []clock.Local
+	ver     uint64
 }
 
 var _ sim.Sampler = (*HierAgreement)(nil)
@@ -51,31 +57,36 @@ func (h *HierAgreement) Sample(e *sim.Engine, _ bool) {
 	if t < h.Warmup {
 		return
 	}
-	nc := (e.N() + h.ClusterSize - 1) / h.ClusterSize
+	ids, lts := e.LocalTimes()
+	ver := e.ConfigVersion()
 	if h.seen == nil {
+		nc := (e.N() + h.ClusterSize - 1) / h.ClusterSize
 		h.lo = make([]clock.Local, nc)
 		h.hi = make([]clock.Local, nc)
 		h.seen = make([]bool, nc)
+		h.cluster = make([]int32, len(ids))
+		for i, p := range ids {
+			j := int(p) / h.ClusterSize
+			h.cluster[i], h.seen[j] = int32(j), true
+		}
 	}
-	for j := range h.seen {
-		h.seen[j] = false
-	}
-	for _, p := range e.NonfaultyIDs() {
-		lt, ok := e.LocalTime(p, t)
-		if !ok {
-			continue
+	nc := len(h.seen)
+	if ver != h.ver {
+		// New configuration: refill the per-cluster extremes from the
+		// engine's shared pass. Otherwise they are the ones already held.
+		for j := range h.lo {
+			h.lo[j], h.hi[j] = clock.Local(math.Inf(1)), clock.Local(math.Inf(-1))
 		}
-		j := int(p) / h.ClusterSize
-		if !h.seen[j] {
-			h.lo[j], h.hi[j], h.seen[j] = lt, lt, true
-			continue
+		for i, lt := range lts {
+			j := h.cluster[i]
+			if lt < h.lo[j] {
+				h.lo[j] = lt
+			}
+			if lt > h.hi[j] {
+				h.hi[j] = lt
+			}
 		}
-		if lt < h.lo[j] {
-			h.lo[j] = lt
-		}
-		if lt > h.hi[j] {
-			h.hi[j] = lt
-		}
+		h.ver = ver
 	}
 
 	var glo, ghi clock.Local

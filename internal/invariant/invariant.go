@@ -222,8 +222,8 @@ type Monotonicity struct {
 	recorder
 	MaxBackstep float64
 
-	prev []clock.Local
-	seen []bool
+	prev []clock.Local // previous observation, parallel to Engine.LocalTimes
+	ver  uint64        // configuration version prev was taken at
 }
 
 var _ sim.Sampler = (*Monotonicity)(nil)
@@ -235,29 +235,32 @@ func NewMonotonicity(maxBackstep float64) *Monotonicity {
 
 // Sample implements sim.Sampler.
 func (m *Monotonicity) Sample(e *sim.Engine, _ bool) {
+	ids, lts := e.LocalTimes()
+	ver := e.ConfigVersion()
 	if m.prev == nil {
-		m.prev = make([]clock.Local, e.N())
-		m.seen = make([]bool, e.N())
+		m.prev = make([]clock.Local, len(lts))
+		copy(m.prev, lts)
+		m.ver = ver
+		return
 	}
-	t := e.Now()
-	for _, p := range e.NonfaultyIDs() {
-		lt, ok := e.LocalTime(p, t)
-		if !ok {
-			continue
-		}
-		if m.seen[p] {
-			m.checked++
-			if drop := float64(m.prev[p] - lt); drop > m.MaxBackstep {
-				m.violate(Violation{
-					Invariant: m.name, At: t, Proc: p,
-					Amount: drop - m.MaxBackstep,
-					Detail: fmt.Sprintf("local time stepped back %.3gs > bound %.3gs", drop, m.MaxBackstep),
-				})
-			}
-		}
-		m.prev[p] = lt
-		m.seen[p] = true
+	if ver == m.ver && m.MaxBackstep >= 0 {
+		// Same configuration as the previous observation: every local time
+		// is the one already held and every drop is exactly 0.
+		m.checked += int64(len(lts))
+		return
 	}
+	for i, lt := range lts {
+		m.checked++
+		if drop := float64(m.prev[i] - lt); drop > m.MaxBackstep {
+			m.violate(Violation{
+				Invariant: m.name, At: e.Now(), Proc: ids[i],
+				Amount: drop - m.MaxBackstep,
+				Detail: fmt.Sprintf("local time stepped back %.3gs > bound %.3gs", drop, m.MaxBackstep),
+			})
+		}
+	}
+	copy(m.prev, lts)
+	m.ver = ver
 }
 
 // LowerBoundWitness is the bound predicate of the lower-bound experiments —

@@ -73,8 +73,10 @@ func (r *SkewRecorder) Series() []float64 { return r.series }
 
 // NonfaultySkew computes max−min of the nonfaulty local times at real time t.
 // ok is false when fewer than two nonfaulty processes expose local times.
-// The scan is delegated to the engine's batched LocalTimeSpread, so multiple
-// observers asking at the same sample point share one O(n) clock walk.
+// The scan is delegated to the engine's LocalTimeSpread: at the current
+// instant every observer shares the one pass the engine makes per
+// configuration, and a sample that finds the configuration unchanged (most
+// post-delivery samples) costs no scan at all.
 func NonfaultySkew(e *sim.Engine, t clock.Real) (float64, bool) {
 	lo, hi, count := e.LocalTimeSpread(t)
 	if count < 2 {
@@ -227,8 +229,8 @@ func (r *RoundRecorder) AnnotationTimes(i int) []clock.Real {
 //
 //	α₁(t − tmax⁰) − α₃ ≤ L_p(t) − T⁰ ≤ α₂(t − tmin⁰) + α₃
 //
-// at every sample and tracks the worst violation (a nonpositive worst
-// violation means the envelope held throughout).
+// at every sample and tracks the worst violation (a worst violation of 0
+// means the envelope held throughout).
 type ValidityRecorder struct {
 	Alpha1, Alpha2, Alpha3 float64
 	T0                     float64
@@ -237,7 +239,7 @@ type ValidityRecorder struct {
 	// t ≥ t_p⁰).
 	From clock.Real
 
-	worst   float64 // max over samples of (violation amount); ≤ 0 when clean
+	worst   float64 // max over samples of (violation amount); 0 when clean
 	samples int
 }
 
@@ -267,8 +269,8 @@ func (v *ValidityRecorder) Sample(e *sim.Engine, _ bool) {
 	}
 }
 
-// WorstViolation returns the largest envelope violation observed; values ≤ 0
-// mean Theorem 19 held at every sample.
+// WorstViolation returns the largest envelope violation observed; 0 means
+// Theorem 19 held at every sample.
 func (v *ValidityRecorder) WorstViolation() float64 { return v.worst }
 
 // Samples returns how many (process, time) points were checked.

@@ -25,7 +25,8 @@ import (
 //     adversary returns — the upper-bound theorems keep their hypotheses
 //     and the invariant checkers remain sound;
 //   - the AdversaryView is the omniscient read side: nonfaulty local
-//     clocks, the cached spread scan, pending buffered deliveries, and —
+//     clocks, the spread of the current configuration, pending buffered
+//     deliveries, and —
 //     via the ReceiveHook/SendHook interfaces — the observed send and
 //     arrival times of every copy as it moves through the buffer.
 //
@@ -67,7 +68,7 @@ type ReceiveHook interface {
 
 // AdversaryView is the omniscient read capability granted to a registered
 // adversary: real time, the fault assignment, every process's local clock,
-// the cached nonfaulty spread, and the buffered (pending) deliveries. It is
+// the nonfaulty spread, and the buffered (pending) deliveries. It is
 // engine-owned and reused across calls; adversaries must not retain it.
 type AdversaryView struct {
 	eng *Engine
@@ -94,8 +95,12 @@ func (v *AdversaryView) LocalTime(p ProcID, t clock.Real) (clock.Local, bool) {
 	return v.eng.LocalTime(p, t)
 }
 
-// LocalTimeSpread returns the minimum and maximum nonfaulty local time at t
-// (served from the engine's per-sample cache when t is the current instant).
+// LocalTimeSpread returns the minimum and maximum nonfaulty local time at t.
+// At the current instant it is served from the engine's one pass per
+// configuration (clocktable.go). Retime runs inside the sender's Receive, so
+// the engine first re-reads that one process's correction: a sender that
+// adjusted before it broadcast is seen adjusted, and the n Retime calls of
+// one fan-out share a single scan.
 func (v *AdversaryView) LocalTimeSpread(t clock.Real) (lo, hi clock.Local, count int) {
 	return v.eng.LocalTimeSpread(t)
 }

@@ -1,0 +1,317 @@
+package sim_test
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"repro/internal/analysis"
+	"repro/internal/clock"
+	"repro/internal/core"
+	"repro/internal/exp"
+	"repro/internal/faults"
+	"repro/internal/hier"
+	"repro/internal/invariant"
+	"repro/internal/sim"
+	"repro/internal/sim/simtest"
+)
+
+// TestOracleDifferential holds the engine's clock table against the live
+// NonfaultyIDs × LocalTime walk, bit for bit, at every callback of every run
+// below (simtest.Oracle). The scenario corpus has its own leg next to the
+// compiler, TestOracleScenarios in internal/scenario.
+func TestOracleDifferential(t *testing.T) {
+	// run drives one harness workload with the oracle attached everywhere
+	// the harness lets an observer in.
+	run := func(t *testing.T, w exp.Workload) *exp.Result {
+		t.Helper()
+		o := simtest.NewOracle(t)
+		if w.Shards > 1 {
+			w.Observers = append(w.Observers, o.AtCuts())
+		} else {
+			w.Observers = append(w.Observers, o)
+		}
+		if w.Adversary != nil {
+			w.Adversary = o.Wrap(w.Adversary)
+		}
+		res, err := exp.Run(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.Checks < 100 {
+			t.Fatalf("only %d oracle checks", o.Checks)
+		}
+		return res
+	}
+	cfg := core.Config{Params: analysis.Default(7, 2)}
+
+	// An E17 conformance slice: every schedule-driven strategy at (7, 2)
+	// with the invariant suite — whose Monotonicity reads the shared pass —
+	// attached, so suite and oracle see the same configurations.
+	for i, s := range faults.ScheduleDriven() {
+		t.Run("conformance/"+s.Name, func(t *testing.T) {
+			res := run(t, exp.Workload{
+				Cfg: cfg, Rounds: 6, Seed: 7, CheckInvariants: true,
+				Faults: faults.Mix(s, cfg, faults.TopIDs(2, 7), int64(17+i)),
+			})
+			if !res.Invariants.Ok() {
+				t.Fatalf("invariants: %s", res.Invariants.Summary())
+			}
+		})
+	}
+
+	// The adaptive adversaries read the spread inside Receive, per copy.
+	for _, name := range []string{"skewmax", "splitter"} {
+		t.Run("adaptive/"+name, func(t *testing.T) {
+			s, err := faults.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var members []sim.ProcID
+			if s.WantsMembers {
+				members = faults.TopIDs(2, 7)
+			}
+			w := exp.Workload{Cfg: cfg, Rounds: 6, Seed: 18}
+			w.Faults, w.Adversary = faults.MixAdaptive(s, cfg, members, 18)
+			run(t, w)
+		})
+	}
+
+	// Multi-segment clocks: the run crosses a breakpoint of every clock every
+	// 50 ms (a few hundred crossings), the oracle's historical reads straddle
+	// them.
+	for name, drift := range map[string]clock.DriftSchedule{
+		"random-walk": clock.RandomWalkDrift{RhoBound: cfg.Rho, SegmentDur: 0.05, Horizon: 10, Seed: 3},
+		"alternating": clock.AlternatingDrift{RhoBound: cfg.Rho, Period: 0.05, Horizon: 10},
+	} {
+		t.Run("drift/"+name, func(t *testing.T) {
+			if segs := drift.Build(0, 7).(*clock.PiecewiseLinear).Segments(); segs < 100 {
+				t.Fatalf("%d segments", segs)
+			}
+			res := run(t, exp.Workload{Cfg: cfg, Rounds: 5, Seed: 5, Drift: drift, CheckInvariants: true})
+			if res.Horizon < 5 {
+				t.Fatalf("horizon %v crosses too few breakpoints", res.Horizon)
+			}
+		})
+	}
+
+	// Clocks the table cannot hold as rows: every odd process on a
+	// clock.Offset turns the whole scan live.
+	t.Run("offset-clocks", func(t *testing.T) {
+		run(t, exp.Workload{Cfg: cfg, Rounds: 5, Seed: 6, Drift: offsetDrift{clock.ConstantDrift{RhoBound: cfg.Rho}}})
+	})
+
+	// A nonfaulty-marked process behind a wrapper that dies mid-run: its row
+	// mirrors the wrapper's Corr, which freezes.
+	t.Run("crash-after-wrapped", func(t *testing.T) {
+		run(t, exp.Workload{
+			Cfg: cfg, Rounds: 6, Seed: 8,
+			MakeProc: func(id sim.ProcID, corr clock.Local) sim.Process {
+				p := core.NewProc(cfg, corr)
+				if id == 3 {
+					return &faults.CrashAfter{Inner: p, At: 2.5}
+				}
+				return p
+			},
+		})
+	})
+
+	// Flat, sharded: read at window cuts only, always live.
+	for _, k := range []int{2, 4} {
+		t.Run(fmt.Sprintf("sharded-flat/k=%d", k), func(t *testing.T) {
+			c := core.Config{Params: analysis.Default(40, 13)}
+			run(t, exp.Workload{Cfg: c, Rounds: 4, Seed: 9, Shards: k, CheckInvariants: true})
+		})
+	}
+
+	// Two-tier n = 64: sequential with HierAgreement on the shared pass,
+	// then sharded k ∈ {1, 2, 4}, where the same checker refills at every cut.
+	twoTier := func(t *testing.T, shards int) {
+		const rounds = 5
+		hcfg := hier.Default(64, 8)
+		s, err := hier.Build(hcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := simtest.NewOracle(t)
+		chk := invariant.NewHierAgreement(hcfg.GammaComposed(), hcfg.GammaInner(), hcfg.ClusterSize, s.Warmup(rounds))
+		if shards == 0 {
+			eng, err := sim.New(s.SimConfig(rounds, 20))
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.Observe(o)
+			eng.Observe(chk)
+			err = eng.Run(s.Horizon(rounds))
+			if err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			se, err := sim.NewSharded(s.SimConfig(rounds, 20), shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ob := range []sim.Observer{o.AtCuts(), chk} {
+				if err := se.Observe(ob); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := se.Run(s.Horizon(rounds)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if o.Checks < 20 || chk.Checked() == 0 || !chk.Ok() {
+			t.Fatalf("%d oracle checks, hier-agreement: %d checked, %v", o.Checks, chk.Checked(), chk.Violations())
+		}
+	}
+	t.Run("two-tier/sequential", func(t *testing.T) { twoTier(t, 0) })
+	for _, k := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("two-tier/sharded/k=%d", k), func(t *testing.T) { twoTier(t, k) })
+	}
+
+	t.Run("chaos", func(t *testing.T) {
+		o := simtest.NewOracle(t)
+		eng := newChaosEngine(t, 12, o, nil)
+		if err := eng.Run(0.4); err != nil {
+			t.Fatal(err)
+		}
+		// Between runs the caller may change any correction.
+		eng.Process(4).(*chaosProc).corr += 2e-3
+		if err := eng.Run(1); err != nil {
+			t.Fatal(err)
+		}
+		if o.Checks < 10000 {
+			t.Fatalf("only %d oracle checks", o.Checks)
+		}
+	})
+}
+
+// offsetDrift puts every odd process's clock behind a clock.Offset.
+type offsetDrift struct{ clock.ConstantDrift }
+
+func (d offsetDrift) Build(id, n int) clock.Clock {
+	c := d.ConstantDrift.Build(id, n)
+	if id%2 == 1 {
+		return clock.Offset{Base: c, Corr: 1e-3}
+	}
+	return c
+}
+
+// chaosProc changes its correction on random deliveries, with and without
+// annotating, and has the oracle read the table before and after doing so —
+// inside its own Receive, which is all the sim.CorrHolder contract allows.
+// With meddle set it also, rarely, writes a peer's correction: the breach the
+// oracle exists to catch.
+type chaosProc struct {
+	corr   clock.Local
+	rng    *rand.Rand
+	eng    **sim.Engine
+	o      *simtest.Oracle
+	peers  []*chaosProc
+	meddle *bool // set once a peer's correction has been written
+}
+
+func (p *chaosProc) Corr() clock.Local { return p.corr }
+
+func (p *chaosProc) Receive(ctx *sim.Context, m sim.Message) {
+	p.o.Check(*p.eng, "chaos: entering Receive")
+	switch p.rng.Intn(4) {
+	case 0:
+		p.corr += clock.Local(p.rng.NormFloat64()) * 1e-4
+	case 1:
+		p.corr += clock.Local(p.rng.NormFloat64()) * 1e-4
+		ctx.Annotate("chaos", float64(p.corr))
+	case 2:
+		ctx.Annotate("chaos-unchanged", 0)
+	}
+	p.o.Check(*p.eng, "chaos: after changing CORR")
+	if p.meddle != nil && !*p.meddle && ctx.ID() == 0 && float64((*p.eng).Now()) > 0.1 {
+		p.peers[5].corr += 1e-3
+		*p.meddle = true
+	}
+	if m.Kind != sim.KindOrdinary {
+		ctx.Broadcast(nil)
+		ctx.SetTimer(ctx.PhysNow()+7e-3, nil)
+	}
+}
+
+// newChaosEngine builds n chaosProcs (one of them marked faulty, one on a
+// two-segment clock) with o attached as observer and adversary, and a
+// timeline whose actions rewrite every correction — reading the table inside
+// the action before and, every other action, after. meddle, when non-nil,
+// arms the breach.
+func newChaosEngine(t *testing.T, n int, o *simtest.Oracle, meddle *bool) *sim.Engine {
+	var eng *sim.Engine
+	procs := make([]sim.Process, n)
+	peers := make([]*chaosProc, n)
+	clocks := make([]clock.Clock, n)
+	starts := make([]clock.Real, n)
+	faulty := make([]bool, n)
+	for i := range procs {
+		peers[i] = &chaosProc{
+			corr: clock.Local(i) * 1e-3, rng: rand.New(rand.NewSource(int64(i) + 1)),
+			eng: &eng, o: o, peers: peers, meddle: meddle,
+		}
+		procs[i] = peers[i]
+		clocks[i] = clock.Linear(clock.Local(i)*1e-4, 1+1e-5*float64(i%3))
+		starts[i] = clock.Real(i) * 1e-4
+	}
+	faulty[n-1] = true
+	two, err := clock.New(0, []clock.Breakpoint{{Start: 0, Rate: 1}, {Start: 0.5, Rate: 1 + 1e-5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clocks[1] = two
+	var timeline []sim.TimedAction
+	for i, at := range []clock.Real{0.2, 0.2, 0.61, 0.8} {
+		timeline = append(timeline, sim.TimedAction{At: at, Name: "rewrite", Do: func(e *sim.Engine) {
+			o.Check(e, "chaos: entering action")
+			for _, p := range peers {
+				p.corr -= 0.5e-3
+			}
+			if i%2 == 0 { // the odd actions leave the re-read to the engine
+				o.Check(e, "chaos: inside action, corrections rewritten")
+			}
+		}})
+	}
+	eng, err = sim.New(sim.Config{
+		Procs: procs, Clocks: clocks, StartAt: starts, Faulty: faulty,
+		Delay:     sim.UniformDelay{Delta: 2e-3, Eps: 1e-3},
+		Seed:      11,
+		Adversary: o.Wrap(passThrough{}),
+		Timeline:  timeline,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Observe(o)
+	return eng
+}
+
+type passThrough struct{}
+
+func (passThrough) Retime(_ *sim.AdversaryView, _, _ sim.ProcID, _ clock.Real, base float64) float64 {
+	return base
+}
+
+// TestOracleCatchesContractBreach has process 0 write process 5's correction
+// inside its own Receive — what sim.CorrHolder forbids — and demands that the
+// oracle fail, naming the process, the time and both values.
+func TestOracleCatchesContractBreach(t *testing.T) {
+	var report string
+	o := &simtest.Oracle{Fail: func(format string, args ...any) { report = fmt.Sprintf(format, args...) }}
+	meddled := false
+	eng := newChaosEngine(t, 12, o, &meddled)
+	if err := eng.Run(0.3); err != nil {
+		t.Fatal(err)
+	}
+	if !meddled {
+		t.Fatal("the breach never happened")
+	}
+	for _, want := range []string{"process 5", "t=0.1", "the clock table has local time", "the live walk", "sim.CorrHolder contract"} {
+		if !strings.Contains(report, want) {
+			t.Fatalf("oracle report %q does not name %q", report, want)
+		}
+	}
+}

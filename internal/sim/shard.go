@@ -313,7 +313,8 @@ func (se *ShardedEngine) QueuePeak() int {
 
 // LocalTimeSpread returns the min/max nonfaulty local time at t (all shard
 // engines hold the full clock and correction arrays; reads are safe at
-// window barriers, where the observers fire).
+// window barriers, where the observers fire). Shard engines scan live —
+// see clocktable.go — once per window cut for t = Now().
 func (se *ShardedEngine) LocalTimeSpread(t clock.Real) (lo, hi clock.Local, count int) {
 	return se.shards[0].LocalTimeSpread(t)
 }
@@ -463,9 +464,16 @@ func (se *ShardedEngine) finishWindow(hi, until clock.Real) {
 	}
 	se.stats.Windows++
 	se.now = cut
+	se.cut()
 	se.dispatchAnnotations()
 	se.sample()
 }
+
+// cut starts a new configuration version on shard 0's engine, the one the
+// observers read. Shard engines keep no version of their own — peers'
+// corrections move inside other shards' windows — so every cut counts as a
+// change and the first reader's live scan serves the rest of the cut.
+func (se *ShardedEngine) cut() { se.shards[0].ver++ }
 
 // sample fires the registered samplers on shard 0's engine: it carries the
 // full clock/correction view and its now equals se.now, so samplers read it
@@ -533,8 +541,8 @@ func (se *ShardedEngine) Run(until clock.Real) error {
 				se.now = until
 				for _, e := range se.shards {
 					e.now = until
-					e.spreadOK = false
 				}
+				se.cut()
 				se.sample()
 			}
 			return nil
@@ -618,7 +626,6 @@ func (e *Engine) runWindow(hi, until clock.Real) (int, error) {
 			}
 			if e.now < adv {
 				e.now = adv
-				e.spreadOK = false
 			}
 			return steps, nil
 		}
@@ -627,7 +634,6 @@ func (e *Engine) runWindow(hi, until clock.Real) (int, error) {
 		}
 		e.queue.popMsg(&m)
 		e.now = m.DeliverAt
-		e.spreadOK = false
 		e.steps++
 		steps++
 		e.ctx.pid = m.To

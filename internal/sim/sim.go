@@ -37,7 +37,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/clock"
@@ -96,7 +95,10 @@ type Annotation struct {
 // Process is an automaton in the sense of §2.1: its entire behavior is a
 // transition function invoked once per received message. Nonfaulty processes
 // must interact with the system only through the Context. Faulty processes
-// implement the same interface but may behave arbitrarily.
+// implement the same interface but may behave arbitrarily in what they send
+// and when. What no Process may do, faulty or not, is change state outside its
+// own Receive: §2.3(6) lets a step change only the recipient's state and the
+// buffer, and the engine's clock table relies on it (see CorrHolder).
 type Process interface {
 	Receive(ctx *Context, msg Message)
 }
@@ -104,6 +106,18 @@ type Process interface {
 // CorrHolder is implemented by processes whose local time is Ph + CORR; it
 // lets the engine (and metrics) evaluate L_p(t) without touching process
 // internals.
+//
+// Contract: while Engine.Run is executing, the value Corr returns changes
+// only inside the holder's own Receive, or inside a timeline action
+// (Config.Timeline), and a process changes no correction but its own. The
+// engine mirrors nonfaulty corrections in its clock table and re-reads
+// exactly one — the recipient's — per delivery, and all of them after a
+// timeline action and when Run is entered; a holder whose correction moves
+// at any other moment (a peer writing it, a goroutine, an observer poking
+// it) makes LocalTimeSpread and LocalTimes serve a stale value. The oracle
+// differential test (oracle_test.go) fails, naming the process, the time and
+// both values, when an automaton breaks this. Sharded engines are exempt:
+// they do not mirror corrections.
 type CorrHolder interface {
 	Corr() clock.Local
 }
@@ -302,17 +316,15 @@ type Engine struct {
 	annotCapture bool
 	annotBuf     []Annotation
 
-	// Cached nonfaulty local-time spread for the current sample point.
-	// Several observers (skew recorder, validity recorder, the invariant
-	// checkers) need min/max nonfaulty local time at every sample; the
-	// engine computes the O(n) scan once per sample point and serves the
-	// rest from this cache. Invalidated whenever real time advances or a
-	// delivery/annotation may have changed a correction.
-	spreadLo    clock.Local
-	spreadHi    clock.Local
-	spreadCount int
-	spreadAt    clock.Real
-	spreadOK    bool
+	// The clock table and the configuration version its one pass per
+	// configuration is keyed by (clocktable.go). ver advances when real time
+	// moves, a re-read correction differs from its mirror, or a timeline
+	// action fires. acting is the process inside Receive (actingAll inside a
+	// timeline action, actingNone otherwise): what a read made at that
+	// moment must re-read first.
+	tbl    clockTable
+	ver    uint64
+	acting ProcID
 
 	// Timeline actions pending execution (sorted by At); tlIdx is the next
 	// action to fire. See timeline.go.
@@ -398,6 +410,8 @@ func newEngine(cfg Config, sh *shardSetup) (*Engine, error) {
 		rng:      NewRNG(cfg.Seed),
 		prand:    make([]*rand.Rand, n),
 		maxSteps: maxSteps,
+		ver:      1,
+		acting:   actingNone,
 	}
 	e.ctx.eng = e
 	// Assemble the delivery pipeline, classifying each stage's capabilities
@@ -556,44 +570,15 @@ func (e *Engine) PhysTime(p ProcID, t clock.Real) clock.Local {
 
 // LocalTime returns L_p(t) = Ph_p(t) + CORR_p for the process's current CORR
 // value. ok is false if the process does not expose a correction variable.
+// This is the live scalar path — it asks the clock and the process every
+// time — and the oracle the clock table's batch reads (LocalTimeSpread,
+// LocalTimes) are tested against.
 func (e *Engine) LocalTime(p ProcID, t clock.Real) (clock.Local, bool) {
 	h := e.corr[p]
 	if h == nil {
 		return 0, false
 	}
 	return e.clocks[p].At(t) + h.Corr(), true
-}
-
-// LocalTimeSpread returns the minimum and maximum nonfaulty local times at
-// real time t in one pass over the cached nonfaulty ids, together with how
-// many processes exposed a local time. When t is the current sample point the
-// result is cached, so every observer interrogating the spread at the same
-// instant (skew, validity, the invariant checkers) shares a single O(n) clock
-// scan instead of each walking all clocks itself.
-func (e *Engine) LocalTimeSpread(t clock.Real) (lo, hi clock.Local, count int) {
-	if e.spreadOK && e.spreadAt == t {
-		return e.spreadLo, e.spreadHi, e.spreadCount
-	}
-	lo, hi = clock.Local(math.Inf(1)), clock.Local(math.Inf(-1))
-	for _, p := range e.nonfaulty {
-		h := e.corr[p]
-		if h == nil {
-			continue
-		}
-		v := e.clocks[p].At(t) + h.Corr()
-		count++
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	if t == e.now {
-		e.spreadLo, e.spreadHi, e.spreadCount = lo, hi, count
-		e.spreadAt, e.spreadOK = t, true
-	}
-	return lo, hi, count
 }
 
 // Process returns the automaton of p (used by tests and metrics).
@@ -611,6 +596,11 @@ func (e *Engine) Adversary() *AdversaryController { return e.advCtl }
 // would exceed until, or the step limit is hit (an error). It may be called
 // repeatedly with increasing horizons.
 func (e *Engine) Run(until clock.Real) error {
+	if e.tbl.ids != nil {
+		// Between runs the caller owns the processes and may have changed
+		// any correction; start from what they hold now.
+		e.loadTable()
+	}
 	var m Message
 	for {
 		at, ok := e.queue.peekTime()
@@ -632,8 +622,10 @@ func (e *Engine) Run(until clock.Real) error {
 			// e.Now() reflect the full interval.
 			if e.now < until {
 				e.now = until
-				e.spreadOK = false
-				e.sample(true)
+				e.ver++
+				if len(e.samplers) > 0 {
+					e.sample(true)
+				}
 			}
 			return nil
 		}
@@ -641,8 +633,10 @@ func (e *Engine) Run(until clock.Real) error {
 			return fmt.Errorf("sim: step limit %d exceeded at t=%v", e.maxSteps, e.now)
 		}
 		e.queue.popMsg(&m)
-		e.now = m.DeliverAt
-		e.spreadOK = false
+		if m.DeliverAt != e.now {
+			e.now = m.DeliverAt
+			e.ver++
+		}
 		e.steps++
 		// The observer fan-outs are pre-classified at Observe time; skip
 		// the call overhead entirely on the (benchmark-typical) paths with
@@ -659,8 +653,14 @@ func (e *Engine) Run(until clock.Real) error {
 			e.advCtl.onReceive(m)
 		}
 		e.ctx.pid = m.To
+		e.acting = m.To
 		e.procs[m.To].Receive(&e.ctx, m)
-		e.spreadOK = false // the delivery may have changed a correction
+		e.acting = actingNone
+		if e.tbl.rowOf != nil {
+			// The one correction the delivery may have changed (CorrHolder's
+			// contract); the configuration version moves only if it did.
+			e.rereadCorr(m.To)
+		}
 		if len(e.samplers) > 0 {
 			e.sample(false) // configuration immediately after the action
 		}
@@ -675,9 +675,8 @@ func (e *Engine) sample(pre bool) {
 
 func (e *Engine) annotate(p ProcID, tag string, v float64) {
 	// Annotations fire mid-Receive, typically right after the process
-	// changed its correction, so a spread cached at the pre-delivery sample
-	// is stale for sinks that read clocks now.
-	e.spreadOK = false
+	// changed its correction; a sink that reads clocks now goes through
+	// Engine.table, which re-reads the acting process first.
 	a := Annotation{At: e.now, Proc: p, Tag: tag, Value: v}
 	if e.annotCapture {
 		// Sharded execution: buffer for deterministic merged dispatch at

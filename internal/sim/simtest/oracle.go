@@ -1,0 +1,192 @@
+// Package simtest holds the engine's test oracle: the scan every observer
+// used to run for itself, kept as the reference the engine's clock table is
+// held against.
+package simtest
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/clock"
+	"repro/internal/sim"
+)
+
+// LiveSpread is the live walk: one Engine.LocalTime call — a Clock.At and a
+// CorrHolder.Corr through their interfaces — per nonfaulty process, with
+// nothing mirrored or cached. It is the reference for Engine.LocalTimeSpread
+// at any t and the "before" side of BenchmarkSpreadScan.
+func LiveSpread(e *sim.Engine, t clock.Real) (lo, hi clock.Local, count int) {
+	lo, hi = clock.Local(math.Inf(1)), clock.Local(math.Inf(-1))
+	for _, p := range e.NonfaultyIDs() {
+		lt, ok := e.LocalTime(p, t)
+		if !ok {
+			continue
+		}
+		count++
+		if lt < lo {
+			lo = lt
+		}
+		if lt > hi {
+			hi = lt
+		}
+	}
+	return lo, hi, count
+}
+
+// Oracle demands, at every callback the engine offers, that what the clock
+// table serves — Engine.LocalTimeSpread(now) and Engine.LocalTimes — equals
+// the live NonfaultyIDs × LocalTime walk bit for bit, and every 16th time
+// that a historical LocalTimeSpread(t < now) does too. It is at once a
+// sim.Sampler (before and after every action), a sim.AnnotationSink and a
+// sim.DeliveryObserver (both inside the action), and Wrap makes it a
+// sim.Adversary around another one (inside Receive, per message copy).
+//
+// A mismatch means either the table is wrong or an automaton broke the
+// sim.CorrHolder contract — its correction moved outside its own Receive or
+// a timeline action; the failure names the process, the time and both
+// values. Only the first mismatch is reported.
+type Oracle struct {
+	// Fail reports a mismatch; NewOracle sets it to tb.Errorf — not Fatalf,
+	// because a sharded engine's window cut may run on a worker goroutine.
+	Fail func(format string, args ...any)
+	// Checks counts comparisons made, so a test can refuse a vacuous pass.
+	Checks int
+
+	failed bool
+	eng    *sim.Engine // learned at the first engine callback, for Wrap
+}
+
+// NewOracle returns an oracle that fails tb at the first mismatch.
+func NewOracle(tb testing.TB) *Oracle { return &Oracle{Fail: tb.Errorf} }
+
+var (
+	_ sim.Sampler          = (*Oracle)(nil)
+	_ sim.AnnotationSink   = (*Oracle)(nil)
+	_ sim.DeliveryObserver = (*Oracle)(nil)
+)
+
+// Sample implements sim.Sampler.
+func (o *Oracle) Sample(e *sim.Engine, pre bool) {
+	if pre {
+		o.Check(e, "pre-action sample")
+	} else {
+		o.Check(e, "post-action sample")
+	}
+}
+
+// OnAnnotation implements sim.AnnotationSink.
+func (o *Oracle) OnAnnotation(e *sim.Engine, a sim.Annotation) { o.Check(e, "annotation "+a.Tag) }
+
+// OnDeliver implements sim.DeliveryObserver.
+func (o *Oracle) OnDeliver(e *sim.Engine, _ sim.Message) { o.Check(e, "delivery") }
+
+// AtCuts returns the oracle as a Sampler and AnnotationSink only, which is
+// what sim.ShardedEngine.Observe accepts.
+func (o *Oracle) AtCuts() sim.Observer { return atCuts{o} }
+
+type atCuts struct{ o *Oracle }
+
+func (c atCuts) Sample(e *sim.Engine, pre bool)               { c.o.Sample(e, pre) }
+func (c atCuts) OnAnnotation(e *sim.Engine, a sim.Annotation) { c.o.OnAnnotation(e, a) }
+
+// Check compares the table's reads with the live walk at the engine's
+// current instant; where labels the failure.
+func (o *Oracle) Check(e *sim.Engine, where string) {
+	o.eng = e
+	if o.failed {
+		return
+	}
+	o.Checks++
+	now := e.Now()
+	ids, lts := e.LocalTimes()
+	k := 0
+	for _, p := range e.NonfaultyIDs() {
+		want, ok := e.LocalTime(p, now)
+		if !ok {
+			continue
+		}
+		if k >= len(ids) || ids[k] != p {
+			o.fail("%s at t=%v: LocalTimes lists %v, the live walk reaches process %d at position %d", where, now, ids, p, k)
+			return
+		}
+		if bits(lts[k]) != bits(want) {
+			o.fail("%s at t=%v: process %d: the clock table has local time %v (%#x), the live walk %v (%#x), apart by %v — the table is wrong, or the process's correction changed outside its own Receive or a timeline action (sim.CorrHolder contract)",
+				where, now, p, lts[k], bits(lts[k]), want, bits(want), lts[k]-want)
+			return
+		}
+		k++
+	}
+	if k != len(ids) {
+		o.fail("%s at t=%v: LocalTimes lists %d processes, the live walk finds %d", where, now, len(ids), k)
+		return
+	}
+	o.spread(e, now, where)
+	if o.Checks%16 == 0 {
+		o.spread(e, now-clock.Real(o.Checks%7+1)*0.37e-3, where+" (historical)")
+	}
+}
+
+func (o *Oracle) spread(e *sim.Engine, t clock.Real, where string) {
+	wlo, whi, wn := LiveSpread(e, t)
+	for read := 0; read < 2; read++ { // the second read is served from the pass, unchanged
+		lo, hi, n := e.LocalTimeSpread(t)
+		if bits(lo) != bits(wlo) || bits(hi) != bits(whi) || n != wn {
+			o.fail("%s, read %d at now=%v: LocalTimeSpread(%v) = (%v, %v, %d), live walk = (%v, %v, %d)",
+				where, read, e.Now(), t, lo, hi, n, wlo, whi, wn)
+			return
+		}
+	}
+}
+
+func (o *Oracle) fail(format string, args ...any) {
+	o.failed = true
+	o.Fail(format, args...)
+}
+
+func bits(v clock.Local) uint64 { return math.Float64bits(float64(v)) }
+
+// Wrap returns adv with the oracle's check made at each of its callbacks —
+// Retime runs inside the sender's Receive, once per message copy, which is
+// where the adaptive adversaries read the spread. Hooks adv does not have
+// stay no-ops. The oracle must also be registered as an observer: it learns
+// the engine from its first callback.
+func (o *Oracle) Wrap(adv sim.Adversary) sim.Adversary {
+	w := &wrapped{o: o, adv: adv}
+	w.send, _ = adv.(sim.SendHook)
+	w.recv, _ = adv.(sim.ReceiveHook)
+	return w
+}
+
+type wrapped struct {
+	o    *Oracle
+	adv  sim.Adversary
+	send sim.SendHook
+	recv sim.ReceiveHook
+}
+
+func (w *wrapped) check(where string) {
+	if w.o.eng != nil {
+		w.o.Check(w.o.eng, where)
+	}
+}
+
+func (w *wrapped) Retime(v *sim.AdversaryView, from, to sim.ProcID, sentAt clock.Real, base float64) float64 {
+	w.check("adversary retime")
+	d := w.adv.Retime(v, from, to, sentAt, base)
+	w.check("adversary retime (after)")
+	return d
+}
+
+func (w *wrapped) OnSend(v *sim.AdversaryView, m sim.Message) {
+	w.check("adversary send hook")
+	if w.send != nil {
+		w.send.OnSend(v, m)
+	}
+}
+
+func (w *wrapped) OnReceive(v *sim.AdversaryView, m sim.Message) {
+	w.check("adversary receive hook")
+	if w.recv != nil {
+		w.recv.OnReceive(v, m)
+	}
+}

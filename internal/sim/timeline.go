@@ -75,10 +75,17 @@ func (e *Engine) fireTimeline(bound clock.Real) bool {
 		// first START) fires immediately; time never moves backward.
 		if a.At > e.now {
 			e.now = a.At
+			e.ver++
 		}
-		e.spreadOK = false
+		// The action may change any correction (a crash gate freezing a
+		// stale CORR): reads made inside it re-read every row of the clock
+		// table, and so does the engine once it returns.
+		e.acting = actingAll
 		a.Do(e)
-		e.spreadOK = false // the action may have changed corrections or clocks
+		e.acting = actingNone
+		if e.tbl.ids != nil {
+			e.loadTable()
+		}
 		fired = true
 	}
 	return fired
