@@ -183,8 +183,8 @@ func BenchmarkEngineThroughput(b *testing.B) {
 // with no observers, so queue and automaton work dominate. The default
 // configuration (calendar scheduler, lazy broadcasts at these sizes) is the
 // number that matters; the -heap and -eager sub-benchmarks force the 4-ary
-// heap and eager materialization as baselines, and the peak-queue-events
-// metric exposes the O(n²) → O(n) population drop directly. The sharded
+// heap and eager materialization as baselines (peak-queue-events is ≈ n²
+// pending copies either way; B/op shows what a copy costs). The sharded
 // sub-benchmarks run the same workload across k worker shards
 // (time-window synchronization at lookahead δ−ε), and the -hier one swaps
 // the flat mesh for the two-tier hierarchy (clusters of 32, internal/hier):

@@ -259,8 +259,9 @@ const largeNRounds = 10
 // LargeN returns a benchmark running largeNRounds maintenance rounds of an
 // n-process system per op under the given scheduler and broadcast mode;
 // events/sec is the headline metric (one round delivers ≈ n² messages
-// inside one delay window) and peak-queue-events the memory one: the
-// queue's population high-water mark, ≈ n² eager and O(n) lazy.
+// inside one delay window) and peak-queue-events the population one: the
+// queue's high-water mark, ≈ n² pending copies in either broadcast mode
+// (B/op carries what a copy costs: 24 bytes lazy, 24 + 72 eager).
 func LargeN(n int, s sim.Scheduler, m sim.BroadcastMode) func(*testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()

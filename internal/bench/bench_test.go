@@ -58,19 +58,14 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	steadyAllocGate(t, 7) // n = 7: eager broadcasts, heap scheduler
 }
 
-// TestEngineLazySteadyStateAllocs is the same gate over the lazy broadcast
-// path: at n = 40 BroadcastAuto resolves to lazy, so every fan-out runs the
-// record/head machinery — record recycling, head re-push on pop, copy-slice
-// reuse — which must be as allocation-free as the eager loop it replaced.
 // TestShardedSteadyAllocs is the sharded allocation budget gate: the same
 // n=1009 workload benchjson tracks, run sequentially and across 8 shards,
 // with the sharded run's allocs/op capped at 4× the sequential engine's.
-// The sharded engine's extra allocations are per-engine warm-up (k calendar
-// arenas, the first round's cross-shard chunk slices); in steady state the
-// copy pool recycles chunk capacity between shards, so a leak on the
-// exchange path — a chunk slice dropped instead of pooled, a recycled
-// record regrowing its copies from nil — multiplies per-round and blows the
-// budget immediately (the pre-pool engine sat at ~14× sequential).
+// The sharded engine's extra allocations are per-engine warm-up (k rings and
+// block chunks, the first round's cross-shard link buffers); in steady state
+// the barrier empties a link's buffers in place, so a leak on the exchange
+// path — a buffer dropped instead of reused — multiplies per-round and blows
+// the budget immediately (the pre-pool engine sat at ~14× sequential).
 func TestShardedSteadyAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the n=1009 benchmark pair (~10s)")
@@ -86,6 +81,12 @@ func TestShardedSteadyAllocs(t *testing.T) {
 	}
 }
 
+// TestEngineLazySteadyStateAllocs is the same gate over the lazy broadcast
+// path: at n = 40 BroadcastAuto resolves to lazy, so every fan-out files a
+// shared header and one entry per copy into the calendar's bins — header
+// recycling, block recycling through the free list, the window and its group
+// offsets reused from slot to slot — which must be as allocation-free as the
+// eager loop it replaced.
 func TestEngineLazySteadyStateAllocs(t *testing.T) {
 	eng, err := NewSteadyEngine(40, 1)
 	if err != nil {

@@ -13,10 +13,11 @@ import (
 // newLargeNKEngine builds a K-exchange variant of the LargeN workload: k
 // exchanges per round at calendar scale, spread across the round (SubPeriod
 // = P/k) or, with dense set, packed at the sub-period floor (PMin·1.05) so
-// consecutive sub-round fan-outs tile into near-continuous traffic. The two
-// shapes exercise the width tuner's gap handling: spread sub-rounds land a
-// dead gap apart (the window must not stretch across it), dense ones leave
-// no gap at all (the horizon floor must not chase the receding spill).
+// consecutive sub-round fan-outs tile into near-continuous traffic. These
+// are the two shapes the calendar's old width tuner needed a heuristic each
+// for (a dead gap between clusters, and no gap at all); the slot-binned
+// scheduler has no window to stretch, and sim's TestSubRoundShapesStayBinned
+// pins that both stay binned.
 func newLargeNKEngine(n, k int, dense bool, seed int64) (*sim.Engine, core.Config, clock.Real, error) {
 	cfg := core.Config{Params: analysis.Default(n, (n-1)/3), K: k}
 	if k > 1 && !dense {
@@ -56,12 +57,10 @@ func newLargeNKEngine(n, k int, dense bool, seed int64) (*sim.Engine, core.Confi
 }
 
 // BenchmarkLargeNK measures the calendar queue under K-exchange sub-rounds
-// at n=1009 — the workload shape the ROADMAP flagged for profiling before
-// adding tuner signals. Every variant should sit near the flat (k=1)
-// events/sec; before the tuner's density gate and contiguity band, k=8
-// (sub-period inside nearLimit) and k=8-dense (continuum traffic) ran ~1.8×
-// slower with up to 10× the allocated bytes. Four maintenance rounds per op
-// keep one op under a minute.
+// at n=1009. Every variant should sit near the flat (k=1) events/sec. On the
+// 2-core host, 4 rounds per op: k=8 23.4 s → 11.3 s and k=8-dense 23.0 s →
+// 13.3 s from the tuned calendar to the slot-binned one (268 → 46 MB/op).
+// Four maintenance rounds per op keep one op under a minute.
 func BenchmarkLargeNK(b *testing.B) {
 	for _, v := range []struct {
 		k     int

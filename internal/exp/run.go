@@ -86,30 +86,16 @@ type Workload struct {
 }
 
 // eventHint estimates the peak number of buffered events for a maintenance
-// workload under the resolved broadcast mode. Eager: each of the K
-// exchanges per round keeps ≈ n² broadcast copies in flight at once plus a
-// timer per process, and with §9.3 staggering or rejoin schedules a
-// previous exchange's stragglers can overlap the next. Lazy: a fan-out
-// occupies one queue slot however many copies remain, so the population is
-// O(n) per exchange — passing the old n² figure would grossly over-size
-// the calendar and force it on workloads the heap serves better. The hint
-// pre-sizes the engine's queue stores so rounds never pay growth-doubling
-// copies mid-run (see sim.Config.EventHint).
+// workload: each of the K exchanges per round keeps ≈ n² broadcast copies in
+// flight at once plus a timer per process — under either broadcast mode —
+// and with §9.3 staggering or rejoin schedules a previous exchange's
+// stragglers can overlap the next. The hint pre-sizes the engine's queue
+// stores so rounds never pay growth-doubling copies mid-run (see
+// sim.Config.EventHint).
 func (w Workload) eventHint() int {
 	n := w.Cfg.N
-	k := w.Cfg.K
-	if k < 1 {
-		k = 1
-	}
-	if broadcastMode().Resolve(n) == sim.BroadcastLazy {
-		hint := sim.DefaultEventHint(sim.BroadcastLazy, n)
-		if k > 1 {
-			hint += (k - 1) * n
-		}
-		return hint
-	}
-	hint := n*n + 2*n + 8
-	if k > 1 {
+	hint := sim.DefaultEventHint(broadcastMode(), n)
+	if k := w.Cfg.K; k > 1 {
 		hint += (k - 1) * n * n / 4
 	}
 	return hint

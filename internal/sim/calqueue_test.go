@@ -110,179 +110,243 @@ func TestSlabReleasesPayload(t *testing.T) {
 	}
 }
 
-// TestCalendarTunerConverges checks the width tuner's two signals on the
-// adversarial shape that used to defeat it: traffic whose spread is far
-// wider than the declared delay window (the horizon signal must widen and
-// stay widened — it is sticky), interleaved with dense same-instant spikes
-// (the resolution signal must not shrink the window back below the observed
-// spread, which would send whole clusters through the overflow heap every
-// rotation).
-func TestCalendarTunerConverges(t *testing.T) {
-	s := &sched{}
-	s.init(SchedulerCalendar, 1024, 1e-3, 0) // declared span 1ms
-	rng := rand.New(rand.NewSource(5))
+// storm is a broadcast storm driven straight through a sched, the way the
+// engine would drive it: n processes, each on a timer every period (first
+// firing within spread of zero), each firing broadcasting to all n with
+// every copy landing δ−ε … δ+ε later. run delivers everything before until,
+// calling check after every broadcast.
+type storm struct {
+	s                     *sched
+	rng                   *rand.Rand
+	n                     int
+	period, spread        clock.Real
+	delta, eps            float64
+	seq                   uint64
+	at                    []clock.Real
+	ok                    []bool
+	broadcasts, delivered int
+}
 
-	floor := clock.Real(0)
-	seq := uint64(0)
-	var pending []event
-	push := func(at clock.Real) {
-		ev := event{msg: Message{DeliverAt: at}, seq: seq}
-		seq++
-		s.push(&ev)
-		pending = append(pending, ev)
+func newStorm(n int, period, spread clock.Real, delta, eps float64, seed int64) *storm {
+	st := &storm{
+		s: &sched{}, rng: rand.New(rand.NewSource(seed)), n: n, period: period, spread: spread,
+		delta: delta, eps: eps, at: make([]clock.Real, n), ok: make([]bool, n),
 	}
-	drain := func() { // drain and verify order against the naive reference
-		t.Helper()
-		for s.len() > 0 {
-			got := s.pop()
-			min := 0
-			for i := range pending {
-				if eventLess(&pending[i], &pending[min]) {
-					min = i
-				}
-			}
-			if got.seq != pending[min].seq {
-				t.Fatalf("pop seq %d, naive min seq %d", got.seq, pending[min].seq)
-			}
-			pending = append(pending[:min], pending[min+1:]...)
-			floor = got.msg.DeliverAt
-		}
+	st.s.init(SchedulerCalendar, 0, delta, eps)
+	for p := range st.ok {
+		st.ok[p] = true
+		st.timer(ProcID(p), spread*clock.Real(st.rng.Float64()))
 	}
-	for round := 0; round < 6; round++ {
-		base := floor + 0.1 // far jump: forces a rotation per round
-		// 200 events spread over 8 ms — 8× the declared span — plus a
-		// same-instant spike of 40.
-		for i := 0; i < 200; i++ {
-			push(base + clock.Real(rng.Float64()*8e-3))
+	return st
+}
+
+func (st *storm) timer(p ProcID, at clock.Real) {
+	st.s.push(&event{msg: Message{To: p, Kind: KindTimer, DeliverAt: at}, seq: st.seq})
+	st.seq++
+}
+
+func (st *storm) run(t *testing.T, until clock.Real, check func()) {
+	t.Helper()
+	var m Message
+	last := clock.Real(math.Inf(-1))
+	for {
+		now, ok := st.s.peekTime()
+		if !ok || now >= until {
+			return
 		}
-		for i := 0; i < 40; i++ {
-			push(base + 4e-3)
+		if now < last {
+			t.Fatalf("storm delivered %v after %v", now, last)
 		}
-		drain()
-	}
-	// After several rounds the window must cover the observed ~8ms spread
-	// (the exact spread is the max of the random draws, a hair under 8ms):
-	// the sticky horizon floor guarantees rotations stop spilling.
-	if got := s.cal.width * float64(len(s.cal.buckets)); got < 7.5e-3 {
-		t.Fatalf("tuned horizon %.3gs never grew to the observed ~8ms spread", got)
+		last = now
+		st.s.popMsg(&m)
+		st.delivered++
+		if m.Kind != KindTimer {
+			continue
+		}
+		for q := range st.at {
+			st.at[q] = now + clock.Real(st.delta-st.eps+2*st.eps*st.rng.Float64())
+		}
+		st.s.pushBroadcast(m.To, now, nil, st.at, st.ok, nil, st.seq, false)
+		st.seq += uint64(st.n)
+		st.broadcasts++
+		st.timer(m.To, now+st.period)
+		if check != nil {
+			check()
+		}
 	}
 }
 
-// TestCalendarTunerIgnoresGapSeparatedClusters checks the horizon signal's
-// contiguity band: clusters whose spacing fits inside nearLimit but leaves a
-// dead gap wider than the contiguity lead must NOT stretch the window across
-// the gap — the rotation machinery jumps it instead. (K-exchange sub-rounds
-// at sub-period P/k land exactly here; before the band, the tuner widened
-// the span to the inter-cluster distance and bucket fill grew ~25×.)
-func TestCalendarTunerIgnoresGapSeparatedClusters(t *testing.T) {
-	s := &sched{}
-	s.init(SchedulerCalendar, 1024, 1e-3, 0) // span 1ms, contiguity lead 2ms, nearLimit 16ms
-	rng := rand.New(rand.NewSource(9))
+// TestSlotSpanConverges pins the one geometry rule left: C is cut only when
+// a slot opens over calSlotCap, and then in few steps. An n = 1009 storm
+// (a million copies a round inside a few delay windows) must settle within
+// three cuts, all in the first round; an n = 31 storm never moves C.
+func TestSlotSpanConverges(t *testing.T) {
+	for _, tc := range []struct{ n, minCuts, maxCuts int }{{1009, 1, 3}, {31, 0, 0}} {
+		st := newStorm(tc.n, 1, 5e-3, 10e-3, 1e-3, 1)
+		s := st.s
+		c0 := s.c
+		var cuts [3]int
+		for r := range cuts {
+			st.run(t, clock.Real(r+1), nil)
+			cuts[r] = s.cuts
+		}
+		if st.broadcasts != 3*tc.n {
+			t.Fatalf("n=%d: %d broadcasts in 3 rounds", tc.n, st.broadcasts)
+		}
+		if cuts[2] < tc.minCuts || cuts[2] > tc.maxCuts {
+			t.Errorf("n=%d: %d cuts (C %.3g → %.3g), want %d…%d", tc.n, cuts[2], c0, s.c, tc.minCuts, tc.maxCuts)
+		}
+		if cuts[2] != cuts[0] {
+			t.Errorf("n=%d: C still moving after the first round: cuts by round %v", tc.n, cuts)
+		}
+		if tc.maxCuts == 0 && s.c != c0 {
+			t.Errorf("n=%d: C moved from %v to %v without a cut", tc.n, c0, s.c)
+		}
+		if per := st.delivered / s.opened; tc.minCuts > 0 && (per > calSlotCap || per < calSlotCap/16) {
+			t.Errorf("n=%d: %d entries per opened window, want within 16× of the cap %d", tc.n, per, calSlotCap)
+		}
+	}
+}
 
-	seq := uint64(0)
-	var pending []event
-	push := func(at clock.Real) {
-		ev := event{msg: Message{DeliverAt: at}, seq: seq}
-		seq++
-		s.push(&ev)
-		pending = append(pending, ev)
-	}
-	drain := func() {
-		t.Helper()
-		for s.len() > 0 {
-			got := s.pop()
-			min := 0
-			for i := range pending {
-				if eventLess(&pending[i], &pending[min]) {
-					min = i
-				}
-			}
-			if got.seq != pending[min].seq {
-				t.Fatalf("pop seq %d, naive min seq %d", got.seq, pending[min].seq)
-			}
-			pending = append(pending[:min], pending[min+1:]...)
+// TestSubRoundShapesStayBinned runs the two K-exchange shapes the deleted
+// width tuner grew heuristics for — eight sub-rounds a round, packed at the
+// sub-period floor so consecutive fan-outs tile into a continuum, and spread
+// P/8 apart so the clusters sit a dead gap apart — and checks that what made
+// them slow then cannot happen now: the copies stay binned (the heap never
+// holds more than the timers, however the sub-rounds are spaced), C settles
+// within the first round, and windows stay under the cap.
+func TestSubRoundShapesStayBinned(t *testing.T) {
+	const n, k = 256, 8
+	for _, sub := range []clock.Real{18e-3, 1.0 / k} {
+		st := newStorm(n, sub, 5e-3, 10e-3, 1e-3, 2)
+		s := st.s
+		heapPeak := 0
+		watch := func() { heapPeak = max(heapPeak, s.heap.len()) }
+		st.run(t, k*sub, watch)
+		cutsFirst := s.cuts
+		st.run(t, 3*k*sub, watch)
+		if st.broadcasts != 3*k*n {
+			t.Fatalf("sub-period %v: %d broadcasts in 3 rounds of %d sub-rounds", sub, st.broadcasts, k)
 		}
-	}
-	// Rounds of two clusters 10ms apart (inside nearLimit = 16ms, gap far
-	// beyond the 2ms contiguity lead), each cluster ~1ms wide. Push both
-	// before draining so the second cluster sits in the overflow heap at
-	// every rotation — the shape that used to teach the tuner the
-	// inter-cluster distance.
-	base := clock.Real(0)
-	for round := 0; round < 6; round++ {
-		for c := 0; c < 2; c++ {
-			cbase := base + clock.Real(c)*10e-3
-			for i := 0; i < 100; i++ {
-				push(cbase + clock.Real(rng.Float64()*1e-3))
-			}
+		if heapPeak > 2*n {
+			t.Errorf("sub-period %v: heap held %d entries; only the %d timers belong there", sub, heapPeak, n)
 		}
-		drain()
-		base += 20e-3
-	}
-	// The window must cover one cluster (~1ms plus the seeded 2·span), not
-	// the 10ms inter-cluster distance.
-	if got := s.cal.width * float64(len(s.cal.buckets)); got > 5e-3 {
-		t.Fatalf("tuned horizon %.3gs stretched across the 10ms inter-cluster gap", got)
+		if s.cuts > 3 || s.cuts != cutsFirst {
+			t.Errorf("sub-period %v: %d cuts, %d of them after the first round", sub, s.cuts, s.cuts-cutsFirst)
+		}
+		if per := st.delivered / s.opened; per > calSlotCap {
+			t.Errorf("sub-period %v: %d entries per opened window, over the cap %d", sub, per, calSlotCap)
+		}
 	}
 }
 
 // FuzzBucketWidth feeds the scheduler degenerate and adversarial inputs —
 // zero, denormal, huge, NaN and Inf delay spans, every scheduler mode, hints
-// on either side of calActivateLen, and arbitrary traffic shapes mixing
-// plain events with lazy broadcast records — and checks the full pop
-// contract and the pending view against a naive sort (see runSchedScript).
-// The tuner may pick any width it likes and the calendar may switch on at
-// any point; the scheduler must never reorder, drop, or duplicate an event.
+// on either side of calActivateLen, slot caps small enough that C is cut
+// with bins populated, and arbitrary traffic shapes mixing plain events with
+// lazy broadcasts, times before the open slot, beyond the ring, NaN and ±Inf
+// — and checks the full pop contract and the pending view against a naive
+// sort (see runSchedScript). The calendar may pick any slot span it likes and
+// may switch on at any point; the scheduler must never reorder, drop, or
+// duplicate an event.
 func FuzzBucketWidth(f *testing.F) {
-	f.Add(1e-2, 1e-3, int64(1), uint16(50), uint8(SchedulerCalendar), uint16(50))
-	f.Add(0.0, 0.0, int64(2), uint16(100), uint8(SchedulerCalendar), uint16(100))
-	f.Add(math.NaN(), math.Inf(1), int64(3), uint16(30), uint8(SchedulerCalendar), uint16(30))
-	f.Add(-5.0, math.MaxFloat64, int64(4), uint16(80), uint8(SchedulerAuto), uint16(calActivateLen))
-	f.Add(5e-324, 1e300, int64(5), uint16(60), uint8(SchedulerHeap), uint16(60))
-	f.Add(1e-2, 1e-3, int64(6), uint16(1500), uint8(SchedulerAuto), uint16(0)) // switches on mid-run
-	f.Add(1e-2, 1e-3, int64(7), uint16(1500), uint8(SchedulerHeap), uint16(2*calActivateLen))
-	f.Fuzz(func(t *testing.T, delta, eps float64, seed int64, count uint16, mode uint8, hint uint16) {
+	f.Add(1e-2, 1e-3, int64(1), uint16(50), uint8(SchedulerCalendar), uint16(50), uint8(0))
+	f.Add(0.0, 0.0, int64(2), uint16(100), uint8(SchedulerCalendar), uint16(100), uint8(0))
+	f.Add(math.NaN(), math.Inf(1), int64(3), uint16(30), uint8(SchedulerCalendar), uint16(30), uint8(0))
+	f.Add(-5.0, math.MaxFloat64, int64(4), uint16(80), uint8(SchedulerAuto), uint16(calActivateLen), uint8(0))
+	f.Add(5e-324, 1e300, int64(5), uint16(60), uint8(SchedulerHeap), uint16(60), uint8(0))
+	f.Add(1e-2, 1e-3, int64(6), uint16(1500), uint8(SchedulerAuto), uint16(0), uint8(0)) // switches on mid-run
+	f.Add(1e-2, 1e-3, int64(7), uint16(1500), uint8(SchedulerHeap), uint16(2*calActivateLen), uint8(0))
+	f.Add(1e-2, 1e-2, int64(8), uint16(2000), uint8(SchedulerCalendar), uint16(0), uint8(0))  // δ = ε: the open slot takes traffic
+	f.Add(3e-3, 1e-3, int64(9), uint16(2000), uint8(SchedulerCalendar), uint16(0), uint8(11)) // a small slot cap, so cuts
+	f.Fuzz(func(t *testing.T, delta, eps float64, seed int64, count uint16, mode uint8, hint uint16, slotCap uint8) {
 		runSchedScript(t, schedScript{
 			mode: Scheduler(mode % 3), hint: int(hint) % (4 * calActivateLen),
 			delta: delta, eps: eps, seed: seed, ops: int(count) % 2048,
+			slotCap: int32(slotCap), // 0 keeps calSlotCap, which no script this short reaches
 		})
 	})
 }
 
 // TestAutoActivationWithLazyHeads pins that the mid-run-activation fuzz seed
 // does what its comment says: the calendar switches on while lazy broadcast
-// heads are queued, and the pop order and pending view survive it.
+// copies are queued, and the pop order and pending view survive it.
 func TestAutoActivationWithLazyHeads(t *testing.T) {
-	heads := runSchedScript(t, schedScript{mode: SchedulerAuto, delta: 1e-2, eps: 1e-3, seed: 6, ops: 1500})
-	if heads <= 0 {
-		t.Fatalf("calendar switched on with %d lazy heads queued (−1: never switched on) — the script does not exercise mid-run activation", heads)
+	st := runSchedScript(t, schedScript{mode: SchedulerAuto, delta: 1e-2, eps: 1e-3, seed: 6, ops: 1500})
+	if st.lazyAtActivation <= 0 {
+		t.Fatalf("calendar switched on with %d lazy copies queued (−1: never switched on) — the script does not exercise mid-run activation", st.lazyAtActivation)
 	}
 }
 
-// schedScript is one randomized scheduler workload.
+// TestSchedScriptCoverage pins that the seed corpus reaches the paths the
+// fuzz target exists for: a cut with bins populated, entries beyond the ring
+// and in the open slot, and windows fed from both bins and the heap.
+func TestSchedScriptCoverage(t *testing.T) {
+	st := runSchedScript(t, schedScript{mode: SchedulerCalendar, slotCap: 11, delta: 3e-3, eps: 1e-3, seed: 9, ops: 2000})
+	if st.cuts == 0 || st.binnedAtCut == 0 {
+		t.Errorf("small-cap script: %d cuts, %d entries binned at the last one; want both > 0", st.cuts, st.binnedAtCut)
+	}
+	if st.opened < 10 {
+		t.Errorf("small-cap script opened %d windows", st.opened)
+	}
+	st = runSchedScript(t, schedScript{mode: SchedulerCalendar, delta: 1e-2, eps: 1e-2, seed: 8, ops: 2000})
+	if st.heapPeak == 0 || st.binnedPeak == 0 {
+		t.Errorf("δ=ε script: heap peak %d, binned peak %d; want traffic in both", st.heapPeak, st.binnedPeak)
+	}
+}
+
+// schedScript is one randomized scheduler workload. A nonzero slotCap lowers
+// the slot cap to a handful of entries, so C is cut while bins are populated.
 type schedScript struct {
 	mode       Scheduler
 	hint       int
+	slotCap    int32
 	delta, eps float64
 	seed       int64
 	ops        int
 }
 
+// schedScriptStats is what a script run observed of the scheduler's insides.
+type schedScriptStats struct {
+	lazyAtActivation int // lazy copies pending when the calendar switched on mid-run; −1 if it never did
+	cuts, opened     int
+	binnedAtCut      int // entries binned just before the last cut
+	heapPeak         int
+	binnedPeak       int
+}
+
+// canonAt is the time the scheduler orders a delivery by: NaN has no place
+// in a total order and is filed as +Inf (see sched.place).
+func canonAt(t clock.Real) clock.Real {
+	if t != t {
+		return clock.Real(math.Inf(1))
+	}
+	return t
+}
+
+// sameMsg compares two messages with NaN delivery times canonicalized (a
+// slab message keeps its NaN, a lazy copy is rebuilt from its entry's +Inf).
+func sameMsg(a, b Message) bool {
+	a.DeliverAt, b.DeliverAt = canonAt(a.DeliverAt), canonAt(b.DeliverAt)
+	return a == b
+}
+
 // runSchedScript drives one sched through a random interleaving of push,
-// pushBroadcast and pop, mirrored by a naive list of fully materialized
-// events. Every pop must return the mirror's minimum under eventLess — for a
-// lazy record that means each copy surfaces exactly where the eager copy
-// would — and forEachPending must yield exactly one message per mirrored
-// event, at random points and before the final drain. It returns the number
-// of lazy broadcast heads queued at the moment the calendar switched on
-// mid-run, or −1 if it never did.
-func runSchedScript(t *testing.T, sc schedScript) (headsAtActivation int) {
+// pushBroadcast, adopt and pop, mirrored by a naive list of fully
+// materialized events. Every pop must return the mirror's minimum under
+// eventLess — for a lazy copy that means it surfaces exactly where the eager
+// copy would — and forEachPending must yield exactly one message per
+// mirrored event, wherever the entry is filed (window, bin or heap), at
+// random points and before the final drain. Pushes mostly respect the
+// engine's contract (no earlier than the last pop) but also land before the
+// open slot, at NaN and at ±Inf, which the scheduler must order all the same.
+func runSchedScript(t *testing.T, sc schedScript) schedScriptStats {
 	t.Helper()
-	s := &sched{}
+	s := &sched{slotCap: sc.slotCap}
 	s.init(sc.mode, sc.hint, sc.delta, sc.eps)
 	rng := rand.New(rand.NewSource(sc.seed))
 	popMod := 2 + rng.Intn(7)
-	headsAtActivation = -1
+	st := schedScriptStats{lazyAtActivation: -1}
 
 	// Payload carries the event's (base) sequence number, so (payload, To)
 	// identifies a pending copy in the order-free pending view.
@@ -293,21 +357,46 @@ func runSchedScript(t *testing.T, sc schedScript) (headsAtActivation int) {
 	var pending []event
 	floor := clock.Real(0)
 	seq := uint64(0)
+	less := func(a, b *event) bool {
+		ca, cb := *a, *b
+		ca.msg.DeliverAt, cb.msg.DeliverAt = canonAt(a.msg.DeliverAt), canonAt(b.msg.DeliverAt)
+		return eventLess(&ca, &cb)
+	}
+	// oddTime occasionally replaces a generated time with one the engine
+	// would never schedule.
+	oddTime := func(at clock.Real) clock.Real {
+		switch rng.Intn(64) {
+		case 0:
+			return clock.Real(math.NaN())
+		case 1:
+			return clock.Real(math.Inf(1))
+		case 2:
+			return clock.Real(math.Inf(-1))
+		case 3, 4:
+			return floor - clock.Real(rng.Float64()*2e-2) // before the open slot
+		}
+		return at
+	}
 
 	popCheck := func() {
 		min := 0
 		for j := range pending {
-			if eventLess(&pending[j], &pending[min]) {
+			if less(&pending[j], &pending[min]) {
 				min = j
 			}
 		}
 		want := pending[min]
 		pending = append(pending[:min], pending[min+1:]...)
+		if at, ok := s.peekTime(); !ok || at != canonAt(want.msg.DeliverAt) {
+			t.Fatalf("peekTime = %v, %v; naive min is at %v (%+v)", at, ok, want.msg.DeliverAt, sc)
+		}
 		got := s.pop()
-		if got.seq != want.seq || got.msg != want.msg {
+		if got.seq != want.seq || !sameMsg(got.msg, want.msg) {
 			t.Fatalf("pop returned seq %d %+v, naive min is seq %d %+v (%+v)", got.seq, got.msg, want.seq, want.msg, sc)
 		}
-		floor = got.msg.DeliverAt
+		if f := canonAt(got.msg.DeliverAt); f > floor && !math.IsInf(float64(f), 1) {
+			floor = f
+		}
 	}
 	viewCheck := func() {
 		want := make(map[copyID]Message, len(pending))
@@ -321,21 +410,25 @@ func runSchedScript(t *testing.T, sc schedScript) (headsAtActivation int) {
 		seen := 0
 		s.forEachPending(func(m *Message) bool {
 			id := copyID{m.Payload.(uint64), m.To}
-			if w, ok := want[id]; !ok || w != *m {
+			if w, ok := want[id]; !ok || !sameMsg(w, *m) {
 				t.Fatalf("pending view yields %+v, which is not (or no longer) pending (%+v)", *m, sc)
 			}
 			delete(want, id)
 			seen++
 			return true
 		})
-		if seen != len(pending) {
-			t.Fatalf("pending view yields %d messages for %d pending copies (%+v)", seen, len(pending), sc)
+		if seen != len(pending) || s.len() != len(pending) {
+			t.Fatalf("pending view yields %d messages, len() %d, for %d pending copies (%+v)", seen, s.len(), len(pending), sc)
 		}
 	}
 
 	for i := 0; i < sc.ops; i++ {
 		if len(pending) > 0 && rng.Intn(popMod) == 0 {
+			cuts, binned := s.cuts, s.binned
 			popCheck()
+			if s.cuts > cuts {
+				st.binnedAtCut = binned
+			}
 			continue
 		}
 		if rng.Intn(64) == 0 {
@@ -344,12 +437,15 @@ func runSchedScript(t *testing.T, sc schedScript) (headsAtActivation int) {
 		was := s.calOn
 		if rng.Intn(4) == 0 {
 			// One lazy fan-out: copies sequence-numbered in pid order over
-			// the routed recipients, exactly as Engine.broadcastLazy does.
+			// the routed recipients, exactly as Engine.broadcastLazy does —
+			// filed directly, or, every other time, handed over as a
+			// cross-shard link would (ready-keyed entries, adopted).
 			n := 1 + rng.Intn(12)
 			at, ok := make([]clock.Real, n), make([]bool, n)
+			var ents []entry
 			base := seq
 			for q := range at {
-				at[q] = genEventAfter(rng, floor, 0).msg.DeliverAt
+				at[q] = oddTime(genEventAfter(rng, floor, 0).msg.DeliverAt)
 				if ok[q] = rng.Intn(5) != 0; !ok[q] {
 					continue
 				}
@@ -357,19 +453,30 @@ func runSchedScript(t *testing.T, sc schedScript) (headsAtActivation int) {
 					msg: Message{From: 1, To: ProcID(q), Kind: KindOrdinary, Payload: base, SentAt: floor, DeliverAt: at[q]},
 					seq: seq,
 				})
+				ents = append(ents, entry{at: float64(at[q]), key: seq, to: int32(q)})
 				seq++
 			}
-			s.pushBroadcast(1, floor, base, at, ok, nil, base, false)
+			if rng.Intn(2) == 0 {
+				s.adopt(1, floor, base, ents)
+			} else {
+				s.pushBroadcast(1, floor, base, at, ok, nil, base, false)
+			}
 		} else {
 			ev := genEventAfter(rng, floor, seq)
+			ev.msg.DeliverAt = oddTime(ev.msg.DeliverAt)
 			ev.msg.Payload = seq
 			seq++
 			s.push(&ev)
 			pending = append(pending, ev)
 		}
 		if !was && s.calOn {
-			headsAtActivation = len(s.bcasts.recs) - len(s.bcasts.free)
+			st.lazyAtActivation = 0
+			for i := range s.hdrs {
+				st.lazyAtActivation += int(s.hdrs[i].left)
+			}
 		}
+		st.heapPeak = max(st.heapPeak, s.heap.len())
+		st.binnedPeak = max(st.binnedPeak, s.binned)
 	}
 
 	viewCheck()
@@ -379,6 +486,10 @@ func runSchedScript(t *testing.T, sc schedScript) (headsAtActivation int) {
 	if s.len() != 0 {
 		t.Fatalf("queue not empty after drain (%+v)", sc)
 	}
+	if len(s.hdrFree) != len(s.hdrs) {
+		t.Fatalf("%d of %d broadcast headers still held after drain (%+v)", len(s.hdrs)-len(s.hdrFree), len(s.hdrs), sc)
+	}
 	viewCheck()
-	return headsAtActivation
+	st.cuts, st.opened = s.cuts, s.opened
+	return st
 }

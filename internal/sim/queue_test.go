@@ -24,16 +24,12 @@ func eventLess(a, b *event) bool {
 }
 
 // pop removes and returns the minimum event with its sequence number, read
-// off the minimum entry's key before popMsg consumes it; the queue must be
-// nonempty. (The engine's event loop only needs the message.)
+// off the entry's key; the queue must be nonempty. (The engine's event loop
+// only needs the message.)
 func (s *sched) pop() event {
-	s.peekTime() // rotates onto the heap if the calendar has drained
-	en := s.heap.peek()
-	if s.cal.count > 0 {
-		en = s.cal.peek()
-	}
+	en := s.popEntry()
 	ev := event{seq: en.key &^ entryTimerBit}
-	s.popMsg(&ev.msg)
+	s.take(en, &ev.msg)
 	return ev
 }
 
@@ -41,8 +37,8 @@ func (s *sched) pop() event {
 // heap alone, an auto sched (which switches the calendar on mid-run when the
 // population crosses the activation threshold), a calendar active from the
 // start, and calendars whose declared delay span wildly mismatches the
-// generated traffic (forcing constant window rotation and heap spill in both
-// directions).
+// generated traffic (a ring that reaches nothing, so every event crosses the
+// heap, and a single slot that holds the whole run).
 func queueConfigs() map[string]func() *sched {
 	mk := func(mode Scheduler, hint int, delta, eps float64) func() *sched {
 		return func() *sched {
@@ -55,11 +51,11 @@ func queueConfigs() map[string]func() *sched {
 		"heap":     mk(SchedulerHeap, 0, 1e-2, 1e-3),
 		"auto":     mk(SchedulerAuto, 0, 1e-2, 1e-3),
 		"calendar": mk(SchedulerCalendar, 2048, 1e-2, 1e-3),
-		// Tiny declared span: nearly everything stays in the heap at first
-		// and the tuner has to widen through rotations.
+		// Tiny declared span: everything lies beyond the ring and reaches
+		// the window through the heap, one slot per instant.
 		"calendar-narrow": mk(SchedulerCalendar, 0, 1e-9, 0),
-		// Huge declared span: the whole run lands in one window and dense
-		// buckets exercise the sort paths.
+		// Huge declared span: the whole run lands in one slot, and what is
+		// pushed after it opens is filed for the open slot.
 		"calendar-wide": mk(SchedulerCalendar, 0, 1e3, 10),
 	}
 }
@@ -70,8 +66,8 @@ func queueConfigs() map[string]func() *sched {
 // non-TIMER first, seq) order — the order a plain sort of the same events
 // produces. Pushes respect the engine's scheduling contract (never earlier
 // than the last popped delivery time); the generated times mix same-instant
-// ties, dense clusters, and far-future jumps so the calendar's bucket
-// rotation and heap spill paths run constantly.
+// ties, dense clusters, and far-future jumps so the calendar's slot
+// rotation and heap paths run constantly.
 func TestQueueMatchesNaiveSort(t *testing.T) {
 	for name, mk := range queueConfigs() {
 		t.Run(name, func(t *testing.T) {
@@ -192,7 +188,7 @@ func TestQueueGrowPreservesContents(t *testing.T) {
 	s.init(SchedulerHeap, 0, 1e-2, 1e-3)
 	s.push(&event{msg: Message{Kind: KindOrdinary, Payload: "late", DeliverAt: 2}, seq: 0})
 	s.push(&event{msg: Message{Kind: KindTimer, Payload: "early", DeliverAt: 1}, seq: 1})
-	s.grow(64)
+	s.grow(64, 64)
 	if cap(s.slab.msgs) < 64 || cap(s.heap.items) < 64 {
 		t.Fatalf("cap = slab %d, heap %d after grow(64)", cap(s.slab.msgs), cap(s.heap.items))
 	}

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"runtime/debug"
 	"slices"
@@ -24,11 +25,11 @@ import (
 // private Engine that holds only its processes' pending events. A window
 // runs as: (1) find the globally earliest pending event time m; (2) let
 // every shard drain its events in [m, m+L) concurrently; (3) synchronize,
-// exchange cross-shard traffic — single-threaded — and repeat. Every
-// cross-shard message produced inside the window has delivery time ≥ m+L,
-// i.e. beyond the window, so no shard can miss an event (checked at
-// exchange time; a delay model violating its declared bounds is reported,
-// not silently reordered).
+// exchange cross-shard traffic single-threaded, and repeat. Every cross-shard
+// message produced inside the window has delivery time ≥ m+L, i.e. beyond
+// the window, so no shard can miss an event (checked at exchange time against
+// the earliest copy on each link; a delay model violating its declared bounds
+// is reported, not silently reordered).
 //
 // Windows are *batched*: the only reason a shard must stop at a window
 // boundary is cross-shard traffic another shard may have produced. When a
@@ -87,6 +88,75 @@ func (e *Engine) packSeq(from ProcID, sidx uint64, to ProcID) uint64 {
 			from, sidx, len(e.procs), 63-2*int(e.seqToBits)))
 	}
 	return uint64(from)<<e.seqFromShift | sidx<<e.seqToBits | uint64(to)
+}
+
+// chunkHdr is one lazy fan-out's share of a shardLink: what its copies have
+// in common, and how many of the link's entries (in order) are its.
+type chunkHdr struct {
+	from    ProcID
+	sentAt  clock.Real
+	payload any
+	n       int32
+}
+
+// shardLink is the lazy broadcast traffic one shard produced for another
+// during one window: the copies as ready-keyed queue entries (unsorted; the
+// destination's header index is filled in when the barrier files them), and
+// their earliest delivery time, which the sender keeps as it appends so the
+// barrier can check the delay lower bound over every copy in O(1). The
+// barrier empties a link in place, so steady-state windows allocate nothing.
+type shardLink struct {
+	hdrs []chunkHdr
+	ents []entry
+	min  float64 // +Inf when empty
+}
+
+func newShardLinks(k int) []shardLink {
+	ls := make([]shardLink, k)
+	for i := range ls {
+		ls[i].min = math.Inf(1)
+	}
+	return ls
+}
+
+// linkRemote appends a lazy fan-out's non-local copies to the links of the
+// shards that own the recipients, keyed exactly as the eager path would key
+// them. Shards own contiguous pid blocks, so one fan-out's copies for one
+// shard are consecutive.
+func (e *Engine) linkRemote(from ProcID, payload any, at []clock.Real, ok []bool, seqBase uint64) {
+	last := int32(-1)
+	for q := range ok {
+		if !ok[q] || e.local[q] {
+			continue
+		}
+		d := e.shardOf[q]
+		l := &e.out[d]
+		if d != last {
+			l.hdrs = append(l.hdrs, chunkHdr{from: from, sentAt: e.now, payload: payload})
+			last = d
+		}
+		l.hdrs[len(l.hdrs)-1].n++
+		t := float64(at[q])
+		if t < l.min {
+			l.min = t
+		}
+		if len(l.ents) == cap(l.ents) {
+			// Double exactly: append's 1.25× steps would copy a link that
+			// ends a round at n²/k² entries five times over.
+			l.ents = append(make([]entry, 0, max(2*len(l.ents), 64)), l.ents...)
+		}
+		l.ents = append(l.ents, entry{at: t, key: seqBase | uint64(q), to: int32(q)})
+	}
+}
+
+// hasOutbound reports whether the last window produced cross-shard traffic.
+func (e *Engine) hasOutbound() bool {
+	for d := range e.out {
+		if len(e.out[d].ents) > 0 {
+			return true
+		}
+	}
+	return len(e.outbox) > 0
 }
 
 // ShardStats counts the synchronization work of a sharded run.
@@ -160,10 +230,6 @@ func NewSharded(cfg Config, shards int) (*ShardedEngine, error) {
 	for i := range owner {
 		owner[i] = int32(i / per)
 	}
-	shardProcs := make([]int32, shards)
-	for _, o := range owner {
-		shardProcs[o]++
-	}
 	procBits := bits.Len(uint(n - 1))
 	if procBits < 1 {
 		procBits = 1
@@ -189,24 +255,17 @@ func NewSharded(cfg Config, shards int) (*ShardedEngine, error) {
 		scfg := cfg
 		if scfg.EventHint > 0 {
 			// A caller-supplied hint describes the whole system; this engine
-			// only ever buffers its own processes' share — roughly hint/k —
-			// plus up to one lazy head per in-flight fan-out. Passing the
-			// whole-system figure through would oversize every shard's
-			// calendar k-fold (TestShardedEventHintScaling pins this).
+			// only ever buffers its own processes' share — roughly hint/k.
+			// Passing the whole-system figure through would oversize every
+			// shard's stores k-fold (TestShardedEventHintScaling pins this).
 			scfg.EventHint = cfg.EventHint/shards + n + 2*(n/shards) + 16
 		} else {
-			// Per-shard population: every in-flight fan-out contributes at
-			// most one head here (lazy), or its local copies (eager), plus
-			// the shard's own timers.
-			if cfg.Broadcast.Resolve(n) == BroadcastLazy {
-				scfg.EventHint = 2*n + 2*nLocal + 16
-			} else {
-				scfg.EventHint = n*nLocal + 2*nLocal + 8
-			}
+			// Per-shard population: the local copies of every in-flight
+			// fan-out plus the shard's own timers.
+			scfg.EventHint = n*nLocal + 2*nLocal + 8
 		}
 		eng, err := newEngine(scfg, &shardSetup{
-			local: local, owner: owner, shards: shards,
-			shardProcs: shardProcs, procBits: procBits,
+			local: local, owned: nLocal, owner: owner, shards: shards, procBits: procBits,
 		})
 		if err != nil {
 			return nil, err
@@ -389,15 +448,8 @@ func (b *shardBatch) runShard(i int) (err error) {
 		if _, werr := e.runWindow(b.hi, b.until); werr != nil {
 			b.errs[i] = werr
 		}
-		if len(e.outbox) > 0 {
+		if e.hasOutbound() {
 			b.outSeen.Store(true)
-		} else {
-			for d := range e.outChunks {
-				if len(e.outChunks[d]) > 0 {
-					b.outSeen.Store(true)
-					break
-				}
-			}
 		}
 		at, ok := e.queue.peekTime()
 		b.next[i] = pendNext{at: at, ok: ok}
@@ -572,10 +624,12 @@ func (se *ShardedEngine) Run(until clock.Real) error {
 	}
 }
 
-// exchange moves the window's cross-shard traffic — eager/unicast events
-// and lazy broadcast chunks — into the destination shards' queues.
-// Single-threaded; runs once per batch, for the window that produced the
-// traffic (batched windows produced none, so their exchange is skipped).
+// exchange moves the window's cross-shard traffic to the destination
+// shards' queues: eager/unicast events one by one, lazy broadcast copies a
+// link's chunk at a time, after checking the link's earliest copy against
+// the window. Single-threaded; runs once per batch, for the window that
+// produced the traffic (batched windows produced none, so their exchange is
+// skipped).
 func (se *ShardedEngine) exchange(hi clock.Real) error {
 	for _, src := range se.shards {
 		for i := range src.outbox {
@@ -588,31 +642,46 @@ func (se *ShardedEngine) exchange(hi clock.Real) error {
 			ev.msg = Message{} // release the payload reference
 		}
 		src.outbox = src.outbox[:0]
-		for d := range src.outChunks {
-			dst := se.shards[d]
-			for i := range src.outChunks[d] {
-				ch := &src.outChunks[d][i]
-				if len(ch.copies) > 0 && clock.Real(ch.copies[0].at) < hi {
-					return fmt.Errorf("sim: delay model violated its declared lower bound: broadcast copy from %d delivers at %v inside the window ending %v",
-						ch.from, ch.copies[0].at, hi)
-				}
-				dst.queue.adoptBroadcast(ch)
-				// Ownership of the copies slice moved to dst's record store
-				// (it returns to dst's copy pool on exhaustion); the chunk
-				// struct itself is reused in place next window.
-				ch.copies = nil
-				ch.payload = nil
+		for d := range src.out {
+			l := &src.out[d]
+			if len(l.ents) == 0 {
+				continue
 			}
-			src.outChunks[d] = src.outChunks[d][:0]
+			if clock.Real(l.min) < hi {
+				return l.lowerBoundError(hi)
+			}
+			q, o := &se.shards[d].queue, 0
+			for j := range l.hdrs {
+				h := &l.hdrs[j]
+				q.adopt(h.from, h.sentAt, h.payload, l.ents[o:o+int(h.n)])
+				o += int(h.n)
+				h.payload = nil // release the payload reference
+			}
+			l.hdrs, l.ents, l.min = l.hdrs[:0], l.ents[:0], math.Inf(1)
 		}
 	}
 	return nil
 }
 
+// lowerBoundError names the link's earliest copy, which lands before hi.
+func (l *shardLink) lowerBoundError(hi clock.Real) error {
+	o := 0
+	for _, h := range l.hdrs {
+		for _, en := range l.ents[o : o+int(h.n)] {
+			if en.at == l.min {
+				return fmt.Errorf("sim: delay model violated its declared lower bound: broadcast copy %d→%d delivers at %v inside the window ending %v",
+					h.from, en.to, en.at, hi)
+			}
+		}
+		o += int(h.n)
+	}
+	panic("sim: shard link minimum matches none of its copies")
+}
+
 // runWindow drains one shard's events in [current, hi) ∩ (-∞, until],
-// producing cross-shard traffic into the engine's outbox/outChunks. It is
+// producing cross-shard traffic into the engine's outbox and out-links. It is
 // the only engine code that runs concurrently: each shard touches its own
-// queue and its own processes' state; clocks and remote corrections are
+// queue, links and processes' state; clocks and remote corrections are
 // read-only here.
 func (e *Engine) runWindow(hi, until clock.Real) (int, error) {
 	var m Message

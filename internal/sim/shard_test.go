@@ -256,6 +256,145 @@ func TestShardedMatchesSequential(t *testing.T) {
 	}
 }
 
+// idler folds deliveries like a shardBeacon but never sends: all it keeps
+// pending is one timer, far ahead.
+type idler struct {
+	shardBeacon
+	far clock.Local
+}
+
+func (p *idler) Receive(ctx *Context, m Message) {
+	p.mute = true
+	p.shardBeacon.Receive(ctx, m)
+	if m.Kind != KindOrdinary {
+		ctx.SetTimer(ctx.PhysNow()+p.far, nil)
+	}
+}
+
+// TestShardedAdoptionBeforeWindow is the regression test for a scheduler
+// that moved when asked the time: a shard whose only pending events are far
+// timers is asked for its next event time at every window end, and the
+// barrier then files copies that land long before those timers. peekTime
+// must open no slot — the copies are filed ahead of the timers like any
+// other entry (there is no ordered-insert path for them to fall back on) —
+// and every process must see exactly the sequential engine's deliveries, in
+// its order, under a deterministic delay model.
+func TestShardedAdoptionBeforeWindow(t *testing.T) {
+	const n = 8
+	horizon := clock.Real(0.12)
+	delay := PerLinkDelay{Delta: 4e-4, Eps: 1e-4, Seed: 5}
+	workload := func() Config {
+		cfg := shardWorkload(n, delay, nil)
+		for i := n / 2; i < n; i++ { // shard 1 of 2: idlers
+			cfg.Procs[i] = &idler{far: 50e-3}
+		}
+		cfg.Scheduler = SchedulerCalendar
+		cfg.Broadcast = BroadcastLazy
+		return cfg
+	}
+	digests := func(cfg Config) (ds []uint64, counts []int) {
+		for _, p := range cfg.Procs {
+			b, ok := p.(*shardBeacon)
+			if !ok {
+				b = &p.(*idler).shardBeacon
+			}
+			ds, counts = append(ds, b.digest), append(counts, b.count)
+		}
+		return ds, counts
+	}
+
+	seqCfg := workload()
+	eng, err := New(seqCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Run(horizon); err != nil {
+		t.Fatal(err)
+	}
+	wantD, wantC := digests(seqCfg)
+
+	cfg := workload()
+	se, err := NewSharded(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// At every cut (after the exchange, before the next window): when shard 1
+	// holds copies that land well before its far timers, no window may be open
+	// on those timers, and asking for the time must leave the scheduler where
+	// it is.
+	adoptedEarlier := 0
+	if err := se.Observe(samplerFunc(func(*Engine) {
+		q := &se.Shard(1).queue
+		opened, cur := q.opened, q.cur
+		next, ok := q.peekTime()
+		if q.opened != opened || q.cur != cur {
+			t.Errorf("peekTime moved the scheduler: opened %d → %d, open slot %d → %d", opened, q.opened, cur, q.cur)
+		}
+		if !ok {
+			return
+		}
+		if q.wpos < len(q.win) {
+			if head := clock.Real(q.win[q.wpos].at); head-next > 5e-3 {
+				t.Errorf("cut at %v: a window is open on the timer at %v while copies landing at %v are pending", se.Now(), head, next)
+			}
+		} else if top := q.heap.peek(); top != nil && q.binned > 0 && clock.Real(top.at)-next > 5e-3 {
+			adoptedEarlier++
+		}
+	})); err != nil {
+		t.Fatal(err)
+	}
+	if err := se.Run(horizon); err != nil {
+		t.Fatal(err)
+	}
+	if adoptedEarlier < 10 {
+		t.Fatalf("only %d cuts left shard 1 with adopted copies binned ahead of its own far timers — the scenario did not occur", adoptedEarlier)
+	}
+	gotD, gotC := digests(cfg)
+	for i := range wantD {
+		if gotD[i] != wantD[i] || gotC[i] != wantC[i] {
+			t.Fatalf("process %d diverges: sequential (digest=%x count=%d), sharded (digest=%x count=%d)",
+				i, wantD[i], wantC[i], gotD[i], gotC[i])
+		}
+	}
+	if wantC[n-1] < 100 {
+		t.Fatalf("idler %d saw only %d deliveries", n-1, wantC[n-1])
+	}
+}
+
+// undershoot is a delay model that breaks its own declared lower bound for
+// one recipient.
+type undershoot struct {
+	UniformDelay
+	to ProcID
+}
+
+func (d undershoot) SampleAll(from ProcID, n int, at clock.Real, rng *RNG, out []float64) {
+	d.UniformDelay.SampleAll(from, n, at, rng, out)
+	out[d.to] = 0.1 * (d.Delta - d.Eps)
+}
+
+// TestShardedLowerBoundEveryCopy: the lookahead is only as good as the delay
+// model's declared lower bound, so the barrier checks it — over every
+// cross-shard copy, not just the first of each fan-out's (unsorted) share. A
+// model that undershoots δ−ε for one recipient in the middle of a remote
+// shard's block must end the run with the named error, never a reordered
+// execution.
+func TestShardedLowerBoundEveryCopy(t *testing.T) {
+	const n, victim = 8, 6 // shard 1 of 2 owns 4…7
+	for _, mode := range []BroadcastMode{BroadcastLazy, BroadcastEager} {
+		cfg := shardWorkload(n, undershoot{UniformDelay{Delta: 4e-4, Eps: 1e-4}, victim}, nil)
+		cfg.Broadcast = mode
+		se, err := NewSharded(cfg, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = se.Run(0.01)
+		if err == nil || !strings.Contains(err.Error(), "violated its declared lower bound") || !strings.Contains(err.Error(), "→6 ") {
+			t.Fatalf("mode %d: Run = %v; want the lower-bound error naming a copy to process %d", mode, err, victim)
+		}
+	}
+}
+
 // TestNewShardedValidation walks the constructor's rejection table: every
 // unsupported configuration must fail loudly at build time, never silently
 // fall back to wrong parallel semantics.
@@ -434,6 +573,45 @@ func TestShardedRunSamplesHorizon(t *testing.T) {
 	}
 }
 
+// TestLazySlabSizing pins who sizes the message slab under lazy broadcast: a
+// hint that counts all-to-all rounds reserves no 72-byte slot per copy —
+// sequential or per shard, defaulted or passed in — while a hint below one
+// round's copies describes other traffic (the two-tier hierarchy's unicast
+// fan-out) and is taken as it stands.
+func TestLazySlabSizing(t *testing.T) {
+	const n, k = 64, 4
+	slab := func(e *Engine) int { return cap(e.queue.slab.msgs) }
+	for _, hint := range []int{0, DefaultEventHint(BroadcastAuto, n)} {
+		cfg := shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
+		cfg.EventHint = hint
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := slab(e); got != 4*n+16 {
+			t.Errorf("hint %d: sequential slab holds %d messages, want %d", hint, got, 4*n+16)
+		}
+		se, err := NewSharded(cfg, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < k; i++ {
+			if got := slab(se.Shard(i)); got != 4*n+16 {
+				t.Errorf("hint %d: shard %d slab holds %d messages, want %d", hint, i, got, 4*n+16)
+			}
+		}
+	}
+	cfg := shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
+	cfg.EventHint = n*n/4 + 4*n
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := slab(e); got < cfg.EventHint {
+		t.Errorf("sparse hint %d: slab holds %d messages", cfg.EventHint, got)
+	}
+}
+
 // TestShardedEventHintScaling is the calendar pre-sizing regression test: a
 // caller-supplied whole-system EventHint must be scaled down to the shard's
 // own share, not passed through — the old behavior oversized every shard's
@@ -451,8 +629,8 @@ func TestShardedEventHintScaling(t *testing.T) {
 		if got >= cfg.EventHint/2 {
 			t.Fatalf("shard %d hint %d is not scaled down from the whole-system %d", i, got, cfg.EventHint)
 		}
-		if got < n {
-			t.Fatalf("shard %d hint %d cannot cover one head per in-flight fan-out (n=%d)", i, got, n)
+		if got < n*n/k {
+			t.Fatalf("shard %d hint %d cannot cover its share of a round's copies (n²/k = %d)", i, got, n*n/k)
 		}
 	}
 	// The per-shard defaults (hint unset) must likewise be per-shard sized.
@@ -461,8 +639,8 @@ func TestShardedEventHintScaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := se2.Shard(0).queue.eventHint; got > 8*n {
-		t.Fatalf("default lazy per-shard hint %d is system-sized (n=%d)", got, n)
+	if got := se2.Shard(0).queue.eventHint; got > 2*n*n/k {
+		t.Fatalf("default per-shard hint %d is system-sized (n²/k = %d)", got, n*n/k)
 	}
 }
 

@@ -24,7 +24,7 @@
 // The event loop is the per-trial hot path of every experiment, so it is
 // built to run allocation-free in the steady state: buffered messages sit in
 // a recycling slab and the queue orders 24-byte pointer-free entries — a
-// concrete 4-ary heap, fronted by a calendar of buckets once the population
+// concrete 4-ary heap, fronted by a calendar of time-slot bins once the population
 // warrants it (calqueue.go; no interface boxing) — one Context per engine is
 // reused across deliveries, observers are classified into typed slices at
 // registration time (no per-event type assertions), and delay sampling draws
@@ -199,10 +199,8 @@ type Config struct {
 	// pre-sizes the queue's backing stores so large-n runs skip
 	// growth-doubling copies, and lets SchedulerAuto switch the calendar on
 	// from the first event instead of mid-run. Zero derives the default from
-	// the process count and the resolved broadcast mode: eager broadcasts
-	// keep ≈ n² copies plus a timer per process in flight (n² + 2n + 8);
-	// lazy broadcasts keep one head per in-flight fan-out plus the timers
-	// (DefaultEventHint).
+	// the process count: a round keeps ≈ n² broadcast copies plus a timer
+	// per process in flight under either broadcast mode (DefaultEventHint).
 	EventHint int
 }
 
@@ -211,26 +209,27 @@ type Config struct {
 // channel routing — runs in full at broadcast time (preserving the exact RNG
 // stream, channel state evolution and hook order), so both modes produce
 // byte-identical executions; the modes differ only in when the n Message
-// copies take queue space.
+// values are built, and so in the bytes behind each pending copy.
 type BroadcastMode uint8
 
 const (
 	// BroadcastAuto (the default) materializes lazily for systems of at
 	// least lazyBroadcastMinN processes and eagerly below that, where the
-	// n² population is trivial and the record indirection isn't worth it.
+	// n² population is trivial and the header indirection isn't worth it.
 	BroadcastAuto BroadcastMode = iota
-	// BroadcastEager enqueues all n copies of a fan-out immediately — the
-	// pre-lazy engine, byte-for-byte, with O(n²) copies buffered per round.
+	// BroadcastEager builds all n Messages of a fan-out immediately — the
+	// pre-lazy engine, byte-for-byte: a 72-byte slab Message and a 24-byte
+	// queue entry per pending copy.
 	BroadcastEager
-	// BroadcastLazy files one record per fan-out and keeps only the
-	// record's earliest undelivered copy in the queue (popping it releases
-	// the next), so queue population per round drops from O(n²) to O(n).
+	// BroadcastLazy files one shared header per fan-out and a 24-byte queue
+	// entry per copy; the Message is assembled when the copy is delivered.
 	BroadcastLazy
 )
 
 // lazyBroadcastMinN is the system size at which BroadcastAuto switches to
-// lazy materialization: below it a round's full fan-out population (n²)
-// stays cache-resident and the per-pop record hop buys nothing.
+// lazy materialization; the crossover sweep in BENCH_engine.json
+// (LargeN/n={7,13,22,31,101} against their -lazy/-eager twins) is where it
+// comes from.
 const lazyBroadcastMinN = 32
 
 // Resolve returns the concrete mode (eager or lazy) that m selects for an
@@ -247,13 +246,10 @@ func (m BroadcastMode) Resolve(n int) BroadcastMode {
 
 // DefaultEventHint is the queue population estimate Config.EventHint
 // defaults to: the expected peak number of simultaneously buffered events
-// for an n-process all-to-all round under the given broadcast mode.
-func DefaultEventHint(m BroadcastMode, n int) int {
-	if m.Resolve(n) == BroadcastLazy {
-		// One head per in-flight fan-out, one timer per process, slack for
-		// overlapping rounds and auxiliary traffic.
-		return 4*n + 16
-	}
+// for an n-process all-to-all round — n² copies, a timer or two per process
+// and slack. Both broadcast modes buffer every pending copy, so the mode no
+// longer matters; the parameter is kept for callers.
+func DefaultEventHint(_ BroadcastMode, n int) int {
 	return n*n + 2*n + 8
 }
 
@@ -292,17 +288,16 @@ type Engine struct {
 	// shard.go). detSeq switches sequence numbering from the shared counter
 	// to per-copy packed keys (shard-count independent); senderRNG gives
 	// every sender its own delay stream; local marks the processes this
-	// engine owns, and cross-shard traffic accumulates in outbox (eager
-	// copies, unicasts) and outChunks (lazy fan-out slices per destination
+	// engine owns. Cross-shard traffic accumulates in outbox (eager copies,
+	// unicasts) and out (lazy fan-out copies, one shardLink per destination
 	// shard) until the window barrier exchanges it.
-	detSeq     bool
-	sidx       []uint64 // per-sender send index feeding packed sequence keys
-	senderRNG  []RNG
-	local      []bool
-	shardOf    []int32
-	shardProcs []int32 // processes per shard (chunk capacity hint)
-	outbox     []event
-	outChunks  [][]bcastChunk
+	detSeq    bool
+	sidx      []uint64 // per-sender send index feeding packed sequence keys
+	senderRNG []RNG
+	local     []bool
+	shardOf   []int32
+	outbox    []event
+	out       []shardLink
 	// Packed-key bit split, sized to the system at NewSharded: a key is
 	// from(seqToBits′)|sidx|to(seqToBits) with seqFromShift = 63−seqToBits;
 	// sidxMax guards the send-index field (see Engine.packSeq).
@@ -354,11 +349,11 @@ func New(cfg Config) (*Engine, error) {
 // the engine to deterministic (packed) sequence numbers and per-sender delay
 // streams so executions are independent of the shard count.
 type shardSetup struct {
-	local      []bool
-	owner      []int32
-	shards     int
-	shardProcs []int32
-	procBits   int // bit width of a ProcID in packed sequence keys
+	local    []bool
+	owned    int // how many processes local marks
+	owner    []int32
+	shards   int
+	procBits int // bit width of a ProcID in packed sequence keys
 }
 
 func newEngine(cfg Config, sh *shardSetup) (*Engine, error) {
@@ -449,39 +444,34 @@ func newEngine(cfg Config, sh *shardSetup) (*Engine, error) {
 		}
 		e.local = sh.local
 		e.shardOf = sh.owner
-		e.shardProcs = sh.shardProcs
-		e.outChunks = make([][]bcastChunk, sh.shards)
+		e.out = newShardLinks(sh.shards)
 		e.seqToBits = uint(sh.procBits)
 		e.seqFromShift = uint(63 - sh.procBits)
 		e.sidxMax = uint64(1)<<(63-2*sh.procBits) - 1
 	}
 	// Pre-size the queue's backing stores for the expected peak population
-	// under the resolved broadcast mode (see Config.EventHint), unless the
-	// workload supplied a sharper hint. The hint also decides the scheduler
-	// shape up front (see Scheduler/EventHint), so large-n runs start with
-	// the calendar on.
+	// (see Config.EventHint), unless the workload supplied a sharper hint.
+	// The hint also decides the scheduler shape up front (see
+	// Scheduler/EventHint), so large-n runs start with the calendar on. Lazy
+	// copies need no slab slot, only timers and unicasts do: a hint that
+	// counts all-to-all rounds (n copies per owned process) leaves the slab
+	// small, a smaller one describes sparser traffic — hier's unicast tiers —
+	// and sizes the slab as it stands.
 	hint := cfg.EventHint
 	if hint <= 0 {
-		mode := BroadcastEager
-		if e.lazy {
-			mode = BroadcastLazy
-		}
-		hint = DefaultEventHint(mode, n)
+		hint = DefaultEventHint(cfg.Broadcast, n)
+	}
+	owned := n
+	if sh != nil {
+		owned = sh.owned
+	}
+	msgs := hint
+	if e.lazy && hint >= n*owned {
+		msgs = 4*n + 16
 	}
 	d, eps := delay.Bounds()
-	sched := cfg.Scheduler
-	if sched == SchedulerAuto && e.lazy {
-		// Auto-lazy means the workload is a broadcast storm whose *traffic
-		// rate* is O(n²) per delay window even though the buffered
-		// population is only O(n) — too small to ever trip the calendar's
-		// population-based activation, yet each delivery re-pushes a record
-		// head, which the calendar files in O(1) where the heap pays a
-		// sift. Switch the calendar on from the traffic shape directly (the
-		// stores stay sized by the small lazy hint).
-		sched = SchedulerCalendar
-	}
-	e.queue.init(sched, hint, d, eps)
-	e.queue.grow(hint)
+	e.queue.init(cfg.Scheduler, hint, d, eps)
+	e.queue.grow(hint, msgs)
 	for i := 0; i < n; i++ {
 		if e.local != nil && !e.local[i] {
 			continue // sharded: a process STARTs on its home shard only
@@ -532,14 +522,13 @@ func (e *Engine) Steps() int { return e.steps }
 // materialization (see BroadcastMode).
 func (e *Engine) LazyBroadcast() bool { return e.lazy }
 
-// QueueLen returns the current number of structural queue entries: buffered
-// events plus one head per in-flight lazy broadcast (each record's
-// unmaterialized copies occupy no queue slots).
+// QueueLen returns the number of pending events: buffered messages and
+// timers, and every undelivered copy of a broadcast in either mode.
 func (e *Engine) QueueLen() int { return e.queue.len() }
 
-// QueuePeak returns the high-water mark of QueueLen over the execution —
-// the population the queue structures actually had to organize. Under eager
-// broadcasts a round peaks at O(n²); under lazy ones at O(n). The benchjson
+// QueuePeak returns the high-water mark of QueueLen over the execution — a
+// round peaks at ≈ n² under eager and lazy broadcasts alike (what differs is
+// the bytes behind each pending copy, see BroadcastMode). The benchjson
 // memory metric reports this.
 func (e *Engine) QueuePeak() int { return e.queue.peak }
 
@@ -698,8 +687,8 @@ func (e *Engine) annotate(p ProcID, tag string, v float64) {
 // in full here regardless of materialization mode, so the RNG stream, any
 // channel state (e.g. Ether contention), the send hooks and the sent/lost
 // counters evolve identically whether copies then enter the queue eagerly
-// (one queue slot per copy) or lazily (one record whose copies surface at
-// pop time — see BroadcastMode and bcastRec). The payload is shared across
+// (one slab Message per copy) or lazily (one header, the Message assembled at
+// pop time — see BroadcastMode and bcastHdr). The payload is shared across
 // copies, and the per-copy (DeliverAt, seq) order is identical to n
 // successive Send calls, so executions are byte-for-byte unchanged.
 func (e *Engine) Broadcast(from ProcID, payload any) {
@@ -746,8 +735,8 @@ func (e *Engine) Broadcast(from ProcID, payload any) {
 
 // broadcastLazy is Broadcast's lazy tail: per-copy accounting and hooks run
 // here, in pid order, exactly as the eager loop would, then the surviving
-// copies are filed as one record (plus, in sharded mode, one chunk per
-// remote shard) instead of n queue slots.
+// copies are filed under one shared header (in sharded mode the remote ones
+// go onto the link to their shard) instead of n slab messages.
 func (e *Engine) broadcastLazy(from ProcID, payload any, at []clock.Real, ok []bool, sidx uint64) {
 	seqBase := e.seq
 	if e.detSeq {
@@ -775,47 +764,9 @@ func (e *Engine) broadcastLazy(from ProcID, payload any, at []clock.Real, ok []b
 		return
 	}
 	if e.local != nil {
-		// Sharded: file the remote copies as one chunk per destination
-		// shard (adopted into that shard's record store at the barrier).
-		e.chunkRemote(from, payload, at, ok, seqBase)
+		e.linkRemote(from, payload, at, ok, seqBase)
 	}
 	e.queue.pushBroadcast(from, e.now, payload, at, ok, e.local, seqBase, e.detSeq)
-}
-
-// chunkRemote splits a lazy fan-out's non-local copies into per-destination-
-// shard chunks, sorted and sequence-keyed exactly as the destination's
-// record chain requires.
-func (e *Engine) chunkRemote(from ProcID, payload any, at []clock.Real, ok []bool, seqBase uint64) {
-	for q := range ok {
-		if !ok[q] || e.local[q] {
-			continue
-		}
-		d := e.shardOf[q]
-		cl := e.outChunks[d]
-		if len(cl) == 0 || cl[len(cl)-1].from != from || cl[len(cl)-1].seqBase != seqBase {
-			// Chunk copies recycle through the shard's copy pool: adopted
-			// chunks return their capacity on exhaustion (advanceBcast), and
-			// cross-shard traffic is symmetric enough that the pool feeds the
-			// outgoing side — steady-state windows allocate no chunk storage.
-			copies := e.queue.takeCopySlice()
-			if copies == nil {
-				copies = make([]bcopy, 0, e.shardProcs[d])
-			}
-			cl = append(cl, bcastChunk{
-				from: from, sentAt: e.now, payload: payload,
-				seqBase: seqBase, det: true, copies: copies,
-			})
-		}
-		ch := &cl[len(cl)-1]
-		ch.copies = append(ch.copies, bcopy{at: float64(at[q]), pid: int32(q), rank: int32(q)})
-		e.outChunks[d] = cl
-	}
-	for d := range e.outChunks {
-		cl := e.outChunks[d]
-		if len(cl) > 0 && cl[len(cl)-1].seqBase == seqBase && cl[len(cl)-1].from == from {
-			sortCopies(cl[len(cl)-1].copies)
-		}
-	}
 }
 
 // send schedules one ordinary message copy through the delivery pipeline.
