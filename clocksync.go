@@ -43,17 +43,14 @@ import (
 	"repro/internal/exp"
 	"repro/internal/faults"
 	"repro/internal/hier"
-	"repro/internal/invariant"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
 // Cluster is a configured system of processes ready to simulate.
 type Cluster struct {
-	cfg      core.Config
-	opts     options
-	rejoiner *core.Rejoiner
-	hier     *hier.Config // non-nil for TopologyTwoTier
+	cfg  core.Config
+	opts options
+	hier *hier.Config // non-nil for TopologyTwoTier
 }
 
 // New configures a cluster of n processes tolerating f Byzantine faults
@@ -62,6 +59,9 @@ type Cluster struct {
 // are validated against every §5.2 constraint of the paper.
 func New(n, f int, opts ...Option) (*Cluster, error) {
 	o := resolve(opts)
+	if err := o.reject(o.shardedReason, " or WithShards"); err != nil {
+		return nil, err
+	}
 	if o.topology == TopologyTwoTier {
 		return newTwoTier(n, f, o)
 	}
@@ -148,38 +148,73 @@ func newTwoTier(n, f int, o options) (*Cluster, error) {
 func (c *Cluster) Params() analysis.Params { return c.cfg.Params }
 
 // Run simulates the given number of synchronization rounds and reports the
-// measured quantities next to the paper's bounds.
+// measured quantities next to the paper's bounds. A configured Cluster is
+// read-only here: concurrent Runs are independent and equal.
 func (c *Cluster) Run(rounds int) (*Report, error) {
 	if rounds <= 0 {
 		return nil, fmt.Errorf("clocksync: rounds must be positive, got %d", rounds)
 	}
-	if c.hier != nil {
-		return c.runTwoTier(rounds)
-	}
 	w := exp.Workload{
-		Cfg:           c.cfg,
-		Rounds:        rounds,
-		Seed:          c.opts.seed,
-		Delay:         c.opts.delayModel(c.cfg),
-		Drift:         c.opts.driftSchedule(c.cfg),
-		InitialSpread: c.opts.initialSpread,
-		SkewBucket:    c.opts.skewBucket,
-		Shards:        c.opts.shards,
+		Rounds:     rounds,
+		Seed:       c.opts.seed,
+		SkewBucket: c.opts.skewBucket,
+	}
+	if c.opts.shards > 1 {
+		w.Shards = c.opts.shards
 	}
 	var tracer *sim.Tracer
 	if c.opts.traceLimit > 0 {
-		if c.opts.shards > 1 {
-			return nil, fmt.Errorf("clocksync: WithTrace records every delivery, which sharded mode cannot order deterministically — drop WithShards or WithTrace")
-		}
 		tracer = sim.NewTracer(c.opts.traceLimit)
 		w.Observers = append(w.Observers, tracer)
 	}
+	var rejoiner *core.Rejoiner
+	if c.hier != nil {
+		// Built per Run: the system's automata are stateful and single-use.
+		s, err := hier.Build(*c.hier)
+		if err != nil {
+			return nil, fmt.Errorf("clocksync: %w", err)
+		}
+		w.Hier = s
+	} else {
+		w.Cfg = c.cfg
+		w.Delay = c.opts.delayModel(c.cfg)
+		w.Drift = c.opts.driftSchedule(c.cfg)
+		w.InitialSpread = c.opts.initialSpread
+		var err error
+		if w, rejoiner, err = c.flatFaults(w); err != nil {
+			return nil, err
+		}
+	}
+	res, err := exp.Run(w)
+	if err != nil {
+		return nil, fmt.Errorf("clocksync: %w", err)
+	}
+	var rep *Report
+	if c.hier != nil {
+		rep = twoTierReport(w.Hier, res)
+	} else {
+		rep = buildReport(c.cfg, res, rejoiner)
+	}
+	if tracer != nil {
+		var b strings.Builder
+		if _, err := tracer.WriteTo(&b); err != nil {
+			return nil, fmt.Errorf("clocksync: render trace: %w", err)
+		}
+		rep.Trace = b.String()
+	}
+	return rep, nil
+}
+
+// flatFaults fills the flat mesh's fault slots in w — a registered adversary
+// strategy, or WithFault automata and the WithRejoiner process, which it
+// also returns for the report to ask whether it joined.
+func (c *Cluster) flatFaults(w exp.Workload) (exp.Workload, *core.Rejoiner, error) {
 	if c.opts.adversary != "" {
 		// Resolved per Run: strategy instances (and their adversaries) are
 		// stateful and single-use, like every fault mix.
 		s, err := faults.ByName(c.opts.adversary)
 		if err != nil {
-			return nil, fmt.Errorf("clocksync: %w", err)
+			return w, nil, fmt.Errorf("clocksync: %w", err)
 		}
 		if s.Adaptive() {
 			var members []sim.ProcID
@@ -191,6 +226,7 @@ func (c *Cluster) Run(rounds int) (*Report, error) {
 			w.Faults = faults.Mix(s, c.cfg, faults.TopIDs(c.cfg.F, c.cfg.N), c.opts.seed)
 		}
 	}
+	var rejoiner *core.Rejoiner
 	if len(c.opts.faults) > 0 || c.opts.rejoinID >= 0 {
 		if w.Faults == nil {
 			w.Faults = make(map[sim.ProcID]func() sim.Process, len(c.opts.faults)+1)
@@ -200,92 +236,12 @@ func (c *Cluster) Run(rounds int) (*Report, error) {
 		}
 		if c.opts.rejoinID >= 0 {
 			id := sim.ProcID(c.opts.rejoinID)
-			w.Faults[id] = func() sim.Process {
-				c.rejoiner = core.NewRejoiner(c.cfg, clock.Local(c.opts.rejoinCorr))
-				return c.rejoiner
-			}
+			rejoiner = core.NewRejoiner(c.cfg, clock.Local(c.opts.rejoinCorr))
+			w.Faults[id] = func() sim.Process { return rejoiner }
 			w.StartOverride = map[sim.ProcID]clock.Real{id: clock.Real(c.opts.rejoinWake)}
 		}
 	}
-	res, err := exp.Run(w)
-	if err != nil {
-		return nil, fmt.Errorf("clocksync: %w", err)
-	}
-	rep := buildReport(c.cfg, res, c.rejoiner)
-	if tracer != nil {
-		var b strings.Builder
-		if _, err := tracer.WriteTo(&b); err != nil {
-			return nil, fmt.Errorf("clocksync: render trace: %w", err)
-		}
-		rep.Trace = b.String()
-	}
-	return rep, nil
-}
-
-// runTwoTier simulates the two-tier hierarchy for `rounds` inner rounds.
-// With WithShards the clusters' inner rounds drain in parallel behind the
-// sharded engine's window barriers (results identical for every shard
-// count); the skew and the runtime hier-agreement invariant are sampled at
-// window cuts either way.
-func (c *Cluster) runTwoTier(rounds int) (*Report, error) {
-	hcfg := *c.hier
-	s, err := hier.Build(hcfg)
-	if err != nil {
-		return nil, fmt.Errorf("clocksync: %w", err)
-	}
-	scfg := s.SimConfig(rounds, c.opts.seed)
-	warm := s.Warmup(rounds)
-	horizon := s.Horizon(rounds)
-	skew := &metrics.SkewRecorder{Warmup: warm}
-	chk := invariant.NewHierAgreement(hcfg.GammaComposed(), hcfg.GammaInner(), hcfg.ClusterSize, warm)
-	rep := &Report{
-		TwoTier:     true,
-		Clusters:    hcfg.Clusters(),
-		ClusterSize: hcfg.ClusterSize,
-		Gamma:       hcfg.GammaComposed(),
-	}
-	if c.opts.shards > 1 {
-		se, err := sim.NewSharded(scfg, c.opts.shards)
-		if err != nil {
-			return nil, fmt.Errorf("clocksync: %w", err)
-		}
-		// Both observers are Samplers, so the sharded engine fires them at
-		// its window cuts, and shard engines hold the full clock and
-		// correction arrays, so the spread they read is the whole system's.
-		if err := se.Observe(chk); err != nil {
-			return nil, fmt.Errorf("clocksync: %w", err)
-		}
-		if err := se.Observe(skew); err != nil {
-			return nil, fmt.Errorf("clocksync: %w", err)
-		}
-		if err := se.Run(horizon); err != nil {
-			return nil, fmt.Errorf("clocksync: %w", err)
-		}
-		rep.MessagesSent, rep.MessagesLost = se.MessagesSent(), se.MessagesLost()
-	} else {
-		e, err := sim.New(scfg)
-		if err != nil {
-			return nil, fmt.Errorf("clocksync: %w", err)
-		}
-		e.Observe(chk)
-		e.Observe(skew)
-		if err := e.Run(horizon); err != nil {
-			return nil, fmt.Errorf("clocksync: %w", err)
-		}
-		rep.MessagesSent, rep.MessagesLost = e.MessagesSent(), e.MessagesLost()
-	}
-	rep.InnerAgreementOK = chk.Ok()
-	minRound := -1
-	for _, p := range s.Procs {
-		if m, ok := p.(*hier.Member); ok {
-			if r := m.Round(); minRound < 0 || r < minRound {
-				minRound = r
-			}
-		}
-	}
-	rep.Rounds = minRound
-	rep.MaxSkew, rep.SteadySkew = skew.Max(), skew.MaxAfterWarmup()
-	return rep, nil
+	return w, rejoiner, nil
 }
 
 func (c *Cluster) faultBuilder(kind FaultKind) func() sim.Process {
@@ -365,69 +321,37 @@ func RunEstablishThenMaintain(n, f int, spread float64, startupRounds, maintRoun
 		maintRounds = 10
 	}
 
-	drift := o.driftSchedule(cfg)
-	clocks := make([]clock.Clock, n)
-	procs := make([]sim.Process, n)
-	starts := make([]clock.Real, n)
-	corrs := clock.RandomOffsets(n, clock.Local(spread), o.seed)
-	for i := 0; i < n; i++ {
-		clocks[i] = drift.Build(i, n)
-		procs[i] = core.NewSwitchProc(cfg, corrs[i], startupRounds)
-		starts[i] = clock.Real(i) * 0.003
-	}
-	eng, err := sim.New(sim.Config{
-		Procs:   procs,
-		Clocks:  clocks,
-		StartAt: starts,
-		Delay:   o.delayModel(cfg),
-		Seed:    o.seed,
-	})
+	perStartupRound := params.StartupWait1() + params.StartupWait2() + 2*params.Delta
+	switchSlack := 3 * params.P // the epoch is up to ~2P after the switch decision
+	// Steady state: after startup, switch and a couple of maintenance rounds.
+	warmup := clock.Real(float64(startupRounds)*perStartupRound + switchSlack + 2*params.P)
+	horizon := clock.Real(float64(startupRounds)*perStartupRound + switchSlack + float64(maintRounds)*params.P*(1+2*params.Rho) + 1)
+	res, procs, err := exp.RunLifecycle(exp.Workload{
+		Cfg: cfg, Seed: o.seed, SkewBucket: o.skewBucket,
+		Drift: o.driftSchedule(cfg), Delay: o.delayModel(cfg),
+	}, spread, startupRounds, warmup, horizon)
 	if err != nil {
 		return nil, fmt.Errorf("clocksync: %w", err)
 	}
-	perStartupRound := params.StartupWait1() + params.StartupWait2() + 2*params.Delta
-	switchSlack := 3 * params.P // the epoch is up to ~2P after the switch decision
-	horizon := clock.Real(float64(startupRounds)*perStartupRound + switchSlack + float64(maintRounds)*params.P*(1+2*params.Rho) + 1)
-
-	skew := &metrics.SkewRecorder{
-		// Steady state: after startup, switch and a couple of maintenance
-		// rounds.
-		Warmup: clock.Real(float64(startupRounds)*perStartupRound + switchSlack + 2*params.P),
-		Bucket: o.skewBucket,
-	}
-	rrec := metrics.NewDefaultRoundRecorder()
-	eng.Observe(skew)
-	eng.Observe(rrec)
-	if err := eng.Run(horizon); err != nil {
-		return nil, fmt.Errorf("clocksync: %w", err)
-	}
-	for i := 0; i < n; i++ {
-		sp := eng.Process(sim.ProcID(i)).(*core.SwitchProc)
+	minRound := -1
+	for i, sp := range procs {
 		if !sp.Switched() {
 			return nil, fmt.Errorf("clocksync: process %d never switched to maintenance (startup round %d)", i, sp.StartupRound())
 		}
-	}
-	return &Report{
-		Rounds:        minMaintRound(eng, n),
-		MaxSkew:       skew.Max(),
-		SteadySkew:    skew.MaxAfterWarmup(),
-		Gamma:         cfg.Gamma(),
-		BetaFloor:     cfg.BetaFloor(),
-		MaxAdjustment: rrec.MaxAbsAdj(skew.Warmup),
-		AdjBound:      cfg.AdjBound(),
-		MessagesSent:  eng.MessagesSent(),
-		MessagesLost:  eng.MessagesLost(),
-		SkewSeries:    skew.Series(),
-	}, nil
-}
-
-func minMaintRound(eng *sim.Engine, n int) int {
-	min := -1
-	for i := 0; i < n; i++ {
-		sp := eng.Process(sim.ProcID(i)).(*core.SwitchProc)
-		if r := sp.MaintenanceRound(); min < 0 || r < min {
-			min = r
+		if r := sp.MaintenanceRound(); minRound < 0 || r < minRound {
+			minRound = r
 		}
 	}
-	return min
+	return &Report{
+		Rounds:        minRound,
+		MaxSkew:       res.Skew.Max(),
+		SteadySkew:    res.Skew.MaxAfterWarmup(),
+		Gamma:         cfg.Gamma(),
+		BetaFloor:     cfg.BetaFloor(),
+		MaxAdjustment: res.Rounds.MaxAbsAdj(warmup),
+		AdjBound:      cfg.AdjBound(),
+		MessagesSent:  res.MessagesSent(),
+		MessagesLost:  res.MessagesLost(),
+		SkewSeries:    res.Skew.Series(),
+	}, nil
 }

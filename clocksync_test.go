@@ -1,7 +1,10 @@
 package clocksync_test
 
 import (
+	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	clocksync "repro"
@@ -136,6 +139,35 @@ func TestRunWithRejoiner(t *testing.T) {
 	}
 	if !rep.AgreementHolds() {
 		t.Errorf("agreement violated with rejoiner:\n%s", rep)
+	}
+}
+
+// TestRunConcurrent runs one configured WithRejoiner Cluster from two
+// goroutines (under -race in CI): Run keeps everything per-call, the rejoiner
+// included, so the reports are equal and each saw its own rejoiner join.
+func TestRunConcurrent(t *testing.T) {
+	c, err := clocksync.New(7, 2, clocksync.WithRejoiner(6, 5.4, 99.9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reps [2]*clocksync.Report
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range reps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reps[i], errs[i] = c.Run(15)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+	}
+	if !reps[0].Rejoined || !reflect.DeepEqual(reps[0], reps[1]) {
+		t.Errorf("concurrent runs of one Cluster differ or did not rejoin:\n%+v\n%+v", reps[0], reps[1])
 	}
 }
 
@@ -337,6 +369,59 @@ func TestTwoTierRun(t *testing.T) {
 	}
 }
 
+// TestTwoTierComposition: what the shared run path attaches for the flat
+// mesh, a two-tier run gets too — the skew series and the action log — and
+// neither changes the execution; the combination the sharded engine cannot
+// run is refused from the option table.
+func TestTwoTierComposition(t *testing.T) {
+	run := func(opts ...clocksync.Option) *clocksync.Report {
+		t.Helper()
+		c, err := clocksync.New(60, 0, append(opts, clocksync.WithClusters(6))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := c.Run(6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	plain := run()
+	if len(plain.SkewSeries) != 0 || plain.Trace != "" {
+		t.Fatalf("series or trace without the option: %d buckets, %d trace bytes", len(plain.SkewSeries), len(plain.Trace))
+	}
+
+	series := run(clocksync.WithSkewSeries(0.5))
+	if len(series.SkewSeries) == 0 || slices.Max(series.SkewSeries) != series.MaxSkew {
+		t.Errorf("skew series %v: want non-empty with maximum MaxSkew = %v", series.SkewSeries, series.MaxSkew)
+	}
+	if series.MaxSkew != plain.MaxSkew || series.MessagesSent != plain.MessagesSent {
+		t.Errorf("WithSkewSeries changed the run: skew %v vs %v, %d vs %d messages",
+			series.MaxSkew, plain.MaxSkew, series.MessagesSent, plain.MessagesSent)
+	}
+
+	traced := run(clocksync.WithTrace(5000))
+	for _, want := range []string{"Tier:1", "Tier:2", "round_begin", "ORDINARY"} {
+		if !strings.Contains(traced.Trace, want) {
+			t.Errorf("two-tier trace has no %q line", want)
+		}
+	}
+	if traced.MessagesSent != plain.MessagesSent || traced.SteadySkew != plain.SteadySkew {
+		t.Errorf("WithTrace changed the run: %d vs %d messages, steady skew %v vs %v",
+			traced.MessagesSent, plain.MessagesSent, traced.SteadySkew, plain.SteadySkew)
+	}
+
+	_, err := clocksync.New(60, 0, clocksync.WithClusters(6), clocksync.WithTrace(10), clocksync.WithShards(2))
+	if err == nil {
+		t.Fatal("New accepted WithTrace with WithShards on a two-tier topology")
+	}
+	for _, part := range []string{"WithTrace", "-trace", "drop WithTrace or WithShards"} {
+		if !strings.Contains(err.Error(), part) {
+			t.Errorf("error %q does not contain %q", err, part)
+		}
+	}
+}
+
 // TestTwoTierRejections pins the named-error rejections: options that
 // configure the flat mesh must not be silently reinterpreted by a two-tier
 // topology, and the error must name the offending option.
@@ -354,11 +439,9 @@ func TestTwoTierRejections(t *testing.T) {
 		{"WithDelayDistribution", clocksync.WithDelayDistribution(clocksync.DelayAdversarial)},
 		{"WithRandomDrift", clocksync.WithRandomDrift()},
 		{"WithInitialSpread", clocksync.WithInitialSpread(1e-3)},
-		{"WithSkewSeries", clocksync.WithSkewSeries(1.0)},
 		{"WithFault", clocksync.WithFault(0, clocksync.FaultSilent)},
 		{"WithAdversary", clocksync.WithAdversary("skewmax")},
 		{"WithRejoiner", clocksync.WithRejoiner(1, 3, 0.1)},
-		{"WithTrace", clocksync.WithTrace(10)},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

@@ -158,11 +158,6 @@ func main() {
 	add(*mean, clocksync.WithAveraging(clocksync.Mean))
 	add(*advDelay, clocksync.WithDelayDistribution(clocksync.DelayAdversarial))
 	add(*trace > 0, clocksync.WithTrace(*trace))
-	if *shards > 1 && *trace > 0 {
-		// Fail up front, naming the flags; other conflicts sharded mode
-		// rejects (an adaptive -adversary) surface as the engine's own error.
-		exitOn(fmt.Errorf("wlsim: -trace records every delivery, which sharded mode cannot order deterministically; drop -shards or -trace"))
-	}
 	add(*shards > 1, clocksync.WithShards(*shards))
 	add(*advStrat != "", clocksync.WithAdversary(*advStrat))
 	if *faultStr != "" {

@@ -200,15 +200,27 @@ func EngineAdversary(b *testing.B) {
 	}
 }
 
-// largeNWorkload assembles the large-n benchmark system: n maintenance
-// automata (f = (n−1)/3 capacity, no actual faults) on drifting clocks with
-// uniform delays and no observers — the round-structured n²-broadcast
-// regime the calendar queue and lazy materialization exist for, with
-// nothing but engine and automaton work on the clock.
-func largeNWorkload(n int, seed int64) (sim.Config, core.Config, clock.Real, error) {
+// largeNRounds is how many synchronization rounds one LargeN op simulates.
+const largeNRounds = 10
+
+// largeNSystem is one LargeN op's system: the engine configuration, how many
+// shards run it (0: the sequential engine) and the horizon that completes
+// largeNRounds rounds.
+type largeNSystem struct {
+	cfg     sim.Config
+	shards  int
+	horizon clock.Real
+}
+
+// largeNFlat assembles the large-n benchmark system: n maintenance automata
+// (f = (n−1)/3 capacity, no actual faults) on drifting clocks with uniform
+// delays and no observers — the round-structured n²-broadcast regime the
+// calendar queue and lazy materialization exist for, with nothing but engine
+// and automaton work on the clock.
+func largeNFlat(n, shards int) (largeNSystem, error) {
 	cfg := core.Config{Params: analysis.Default(n, (n-1)/3)}
 	if err := cfg.Validate(); err != nil {
-		return sim.Config{}, cfg, 0, err
+		return largeNSystem{}, err
 	}
 	drift := clock.ConstantDrift{RhoBound: cfg.Rho}
 	clocks := make([]clock.Clock, n)
@@ -227,175 +239,110 @@ func largeNWorkload(n int, seed int64) (sim.Config, core.Config, clock.Real, err
 			tmax0 = s
 		}
 	}
-	return sim.Config{
-		Procs:    procs,
-		Clocks:   clocks,
-		StartAt:  starts,
-		Delay:    sim.UniformDelay{Delta: cfg.Delta, Eps: cfg.Eps},
-		Seed:     seed,
-		MaxSteps: 1 << 40,
-	}, cfg, tmax0, nil
+	return largeNSystem{
+		cfg: sim.Config{
+			Procs:   procs,
+			Clocks:  clocks,
+			StartAt: starts,
+			Delay:   sim.UniformDelay{Delta: cfg.Delta, Eps: cfg.Eps},
+			Seed:    1,
+		},
+		shards:  shards,
+		horizon: tmax0 + clock.Real(largeNRounds*cfg.P*(1+2*cfg.Rho)+2*cfg.Window()+cfg.Delta+1),
+	}, nil
 }
 
-// NewLargeNEngine builds the large-n benchmark engine. The scheduler knob
-// forces the queue's calendar front off (the heap baseline) or on, and the
-// broadcast knob the materialization strategy (eager baseline vs lazy);
-// every combination delivers the identical event sequence.
-func NewLargeNEngine(n int, seed int64, s sim.Scheduler, m sim.BroadcastMode) (*sim.Engine, core.Config, clock.Real, error) {
-	scfg, cfg, tmax0, err := largeNWorkload(n, seed)
-	if err != nil {
-		return nil, cfg, 0, err
-	}
-	scfg.Scheduler = s
-	scfg.Broadcast = m
-	scfg.EventHint = sim.DefaultEventHint(m, n)
-	eng, err := sim.New(scfg)
-	return eng, cfg, tmax0, err
-}
-
-// largeNRounds is how many synchronization rounds one LargeN op simulates.
-const largeNRounds = 10
-
-// LargeN returns a benchmark running largeNRounds maintenance rounds of an
-// n-process system per op under the given scheduler and broadcast mode;
-// events/sec is the headline metric (one round delivers ≈ n² messages
-// inside one delay window) and peak-queue-events the population one: the
-// queue's high-water mark, ≈ n² pending copies in either broadcast mode
-// (B/op carries what a copy costs: 24 bytes lazy, 24 + 72 eager).
-func LargeN(n int, s sim.Scheduler, m sim.BroadcastMode) func(*testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		var events, msgs float64
-		peak := 0
-		for i := 0; i < b.N; i++ {
-			eng, cfg, tmax0, err := NewLargeNEngine(n, 1, s, m)
-			if err != nil {
-				b.Fatal(err)
-			}
-			horizon := tmax0 + clock.Real(largeNRounds*cfg.P*(1+2*cfg.Rho)+2*cfg.Window()+cfg.Delta+1)
-			if err := eng.Run(horizon); err != nil {
-				b.Fatal(err)
-			}
-			if r := eng.Process(0).(*core.Proc).Round(); r < largeNRounds {
-				b.Fatalf("only %d rounds simulated", r)
-			}
-			events += float64(eng.Steps())
-			msgs = float64(eng.MessagesSent()) // deterministic: identical every op
-			peak = eng.QueuePeak()
-		}
-		b.StopTimer()
-		b.ReportMetric(events/float64(b.N), "events/op")
-		b.ReportMetric(float64(peak), "peak-queue-events")
-		b.ReportMetric(msgs/float64(largeNRounds), "msgs-per-round")
-		if s := b.Elapsed().Seconds(); s > 0 {
-			b.ReportMetric(events/s, "events/sec")
-		}
-	}
-}
-
-// NewLargeNHierEngine builds the two-tier counterpart of the LargeN
-// workload: n processes in clusters of c (internal/hier defaults) on the
-// sequential engine, so the flat and hierarchical numbers differ only in
-// topology.
-func NewLargeNHierEngine(n, c int, seed int64) (*sim.Engine, *hier.System, error) {
-	s, err := hier.Build(hier.Default(n, c))
-	if err != nil {
-		return nil, nil, err
-	}
-	scfg := s.SimConfig(largeNRounds, seed)
-	scfg.MaxSteps = 1 << 40
-	eng, err := sim.New(scfg)
-	return eng, s, err
-}
-
-// LargeNHier returns a benchmark running largeNRounds maintenance rounds of
-// the two-tier hierarchy at size n, cluster size c, per op. Same rounds and
-// seed discipline as LargeN, so the events/sec and msgs-per-round entries
-// committed next to the flat ones quantify the topology change alone: the
-// per-round traffic collapses from n² to ≈ n·c + (n/c)², and with it the
-// wall-clock cost of simulating (or running) one round.
-func LargeNHier(n, c int) func(*testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		var events, msgs float64
-		peak := 0
-		for i := 0; i < b.N; i++ {
-			eng, s, err := NewLargeNHierEngine(n, c, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := eng.Run(s.Horizon(largeNRounds)); err != nil {
-				b.Fatal(err)
-			}
-			if r := eng.Process(0).(*hier.Member).Round(); r < largeNRounds {
-				b.Fatalf("only %d rounds simulated", r)
-			}
-			events += float64(eng.Steps())
-			msgs = float64(eng.MessagesSent()) // deterministic: identical every op
-			peak = eng.QueuePeak()
-		}
-		b.StopTimer()
-		b.ReportMetric(events/float64(b.N), "events/op")
-		b.ReportMetric(float64(peak), "peak-queue-events")
-		b.ReportMetric(msgs/float64(largeNRounds), "msgs-per-round")
-		if s := b.Elapsed().Seconds(); s > 0 {
-			b.ReportMetric(events/s, "events/sec")
-		}
-	}
-}
-
-// NewLargeNShardedEngine builds the LargeN workload partitioned across k
-// shards with conservative time-window synchronization (lookahead δ−ε).
-func NewLargeNShardedEngine(n int, seed int64, k int) (*sim.ShardedEngine, core.Config, clock.Real, error) {
-	scfg, cfg, tmax0, err := largeNWorkload(n, seed)
-	if err != nil {
-		return nil, cfg, 0, err
-	}
-	se, err := sim.NewSharded(scfg, k)
-	return se, cfg, tmax0, err
-}
-
-// LargeNSharded returns a benchmark running the LargeN workload across k
-// shards; events/sec measures the parallel window-drain throughput against
-// the sequential LargeN numbers, peak-queue-events the largest per-shard
-// population, and barrier-count the number of full cross-shard barriers the
-// run paid — the window-batching win, deterministic per configuration and
-// gated by the nightly benchjson comparison like the allocation numbers.
-func LargeNSharded(n, k int) func(*testing.B) {
+// largeN is the one LargeN benchmark loop: per op, build the system, open
+// its runner, simulate largeNRounds maintenance rounds. events/sec is the
+// headline metric (a flat round delivers ≈ n² messages inside one delay
+// window) and peak-queue-events the population one: the queue's high-water
+// mark — for a sharded run the largest per-shard one — ≈ n² pending copies
+// in either broadcast mode (B/op carries what a copy costs: 24 bytes lazy,
+// 24 + 72 eager). A sharded run also reports barrier-count, the full
+// cross-shard barriers it paid — the window-batching win, deterministic per
+// configuration and gated by the nightly benchjson comparison like the
+// allocation numbers.
+func largeN(build func() (largeNSystem, error)) func(*testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		var events, msgs float64
 		peak := 0
 		var stats sim.ShardStats
+		sharded := false
 		for i := 0; i < b.N; i++ {
-			se, cfg, tmax0, err := NewLargeNShardedEngine(n, 1, k)
+			sys, err := build()
 			if err != nil {
 				b.Fatal(err)
 			}
-			horizon := tmax0 + clock.Real(largeNRounds*cfg.P*(1+2*cfg.Rho)+2*cfg.Window()+cfg.Delta+1)
-			if err := se.Run(horizon); err != nil {
+			sys.cfg.MaxSteps = 1 << 40
+			r, err := sim.NewRunner(sys.cfg, sys.shards)
+			if err != nil {
 				b.Fatal(err)
 			}
-			if r := se.Shard(0).Process(0).(*core.Proc).Round(); r < largeNRounds {
-				b.Fatalf("only %d rounds simulated", r)
+			if err := r.Run(sys.horizon); err != nil {
+				b.Fatal(err)
 			}
-			events += float64(se.Steps())
-			msgs = float64(se.MessagesSent()) // deterministic: identical every op
-			peak = se.QueuePeak()
-			stats = se.Stats() // deterministic: identical every op
+			if rounds := sys.cfg.Procs[0].(interface{ Round() int }).Round(); rounds < largeNRounds {
+				b.Fatalf("only %d rounds simulated", rounds)
+			}
+			events += float64(r.Steps())
+			msgs = float64(r.MessagesSent()) // deterministic: identical every op
+			peak = r.QueuePeak()
+			if se, ok := r.(*sim.ShardedEngine); ok {
+				stats, sharded = se.Stats(), true // deterministic: identical every op
+			}
 		}
 		b.StopTimer()
-		if stats.BatchedWindows == 0 {
-			b.Fatalf("window batching never fired: stats %+v (every traffic-free window should fold into its predecessor's barrier)", stats)
-		}
 		b.ReportMetric(events/float64(b.N), "events/op")
 		b.ReportMetric(float64(peak), "peak-queue-events")
-		b.ReportMetric(float64(stats.Barriers), "barrier-count")
+		if sharded {
+			if stats.BatchedWindows == 0 {
+				b.Fatalf("window batching never fired: stats %+v (every traffic-free window should fold into its predecessor's barrier)", stats)
+			}
+			b.ReportMetric(float64(stats.Barriers), "barrier-count")
+		}
 		b.ReportMetric(msgs/float64(largeNRounds), "msgs-per-round")
 		if s := b.Elapsed().Seconds(); s > 0 {
 			b.ReportMetric(events/s, "events/sec")
 		}
 	}
+}
+
+// LargeN returns the flat benchmark at size n on the sequential engine. The
+// scheduler knob forces the queue's calendar front off (the heap baseline)
+// or on, and the broadcast knob the materialization strategy (eager baseline
+// vs lazy); every combination delivers the identical event sequence.
+func LargeN(n int, s sim.Scheduler, m sim.BroadcastMode) func(*testing.B) {
+	return largeN(func() (largeNSystem, error) {
+		sys, err := largeNFlat(n, 0)
+		sys.cfg.Scheduler, sys.cfg.Broadcast = s, m
+		sys.cfg.EventHint = sim.DefaultEventHint(m, n)
+		return sys, err
+	})
+}
+
+// LargeNSharded returns the flat benchmark partitioned across k shards with
+// conservative time-window synchronization (lookahead δ−ε); events/sec
+// measures the parallel window-drain throughput against the sequential
+// LargeN numbers.
+func LargeNSharded(n, k int) func(*testing.B) {
+	return largeN(func() (largeNSystem, error) { return largeNFlat(n, k) })
+}
+
+// LargeNHier returns the two-tier counterpart: n processes in clusters of c
+// (internal/hier defaults) on the sequential engine. Same rounds and seed
+// discipline as LargeN, so the events/sec and msgs-per-round entries
+// committed next to the flat ones quantify the topology change alone: the
+// per-round traffic collapses from n² to ≈ n·c + (n/c)², and with it the
+// wall-clock cost of simulating (or running) one round.
+func LargeNHier(n, c int) func(*testing.B) {
+	return largeN(func() (largeNSystem, error) {
+		s, err := hier.Build(hier.Default(n, c))
+		if err != nil {
+			return largeNSystem{}, err
+		}
+		return largeNSystem{cfg: s.SimConfig(largeNRounds, 1), horizon: s.Horizon(largeNRounds)}, nil
+	})
 }
 
 // EngineWorkload benchmarks one full experiment-harness run per op.
@@ -409,7 +356,7 @@ func EngineWorkload(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		events += float64(res.Engine.Steps())
+		events += float64(res.Steps())
 	}
 	b.StopTimer()
 	secs = b.Elapsed().Seconds()

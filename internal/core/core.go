@@ -131,21 +131,119 @@ const (
 	phaseUpdate                     // FLAG = UPDATE
 )
 
-// Proc is the nonfaulty process automaton of §4.2. One Proc per process;
-// construct with NewProc.
-type Proc struct {
-	cfg     Config
-	corr    clock.Local
-	arr     []float64 // ARR[1..n]: local arrival times of most recent messages
-	scratch []float64 // reusable quickselect buffer for the midpoint update
-	flag    phase
-	t       clock.Local // T: the current (sub-)exchange mark
-	base    clock.Local // Tⁱ: beginning of the current round
-	exch    int         // sub-exchange index within the round, 0-based
-	rnd     int         // round index i
+// Round is one §4.2 instance minus the correction it adjusts: the fault
+// budget f, δ and the collection window, the marks, FLAG and the arrival
+// array ARR. Whoever holds it owns CORR and the timers — Proc runs one over
+// sender ids; a hier.Member runs two over one CORR, slotted by cluster rank
+// and by cluster.
+type Round struct {
+	f             int
+	delta, window float64
+	p             float64     // round length P
+	t             clock.Local // T: the current (sub-)exchange mark
+	base          clock.Local // Tⁱ: beginning of the current round
+	rnd           int         // round index i
+	flag          phase
+	arr           []float64 // ARR: local arrival time of each slot's latest message
+	scratch       []float64 // reusable quickselect buffer for the midpoint update
+}
 
-	// adjustments accumulates |ADJ| values for tests; the authoritative
-	// record for experiments is the TagAdjust annotation stream.
+// NewRound builds the instance for p at its first mark T⁰, FLAG = BCAST,
+// with one arrival slot per p.N.
+func NewRound(p analysis.Params) Round {
+	arr := make([]float64, p.N)
+	for i := range arr {
+		arr[i] = math.Inf(-1) // never-heard sentinel; reduce_f discards them
+	}
+	return Round{
+		f:     p.F,
+		delta: p.Delta, window: p.Window(), p: p.P,
+		t: clock.Local(p.T0), base: clock.Local(p.T0),
+		flag: phaseBroadcast,
+		arr:  arr, scratch: make([]float64, p.N),
+	}
+}
+
+// Mark returns T, the mark of the exchange in progress.
+func (r *Round) Mark() clock.Local { return r.t }
+
+// Index returns the round index i.
+func (r *Round) Index() int { return r.rnd }
+
+// Broadcasting reports FLAG = BCAST: the next timer broadcasts T rather than
+// updating the clock.
+func (r *Round) Broadcasting() bool { return r.flag == phaseBroadcast }
+
+// Record is §4.2's receive step, ARR[slot] := local.
+func (r *Round) Record(slot int, local float64) { r.arr[slot] = local }
+
+// Collect ends the broadcast step: FLAG := UPDATE, and the update is due
+// `extra` after Uⁱ = T + (1+ρ)(β+δ+ε).
+func (r *Round) Collect(extra float64) clock.Local {
+	r.flag = phaseUpdate
+	return r.t + clock.Local(r.window+extra)
+}
+
+// Adjust returns ADJ = T + δ − mid(reduce_f(ARR)). mid(reduce_f) needs only
+// the (f+1)-th smallest and largest arrivals, so quickselect on a reused
+// scratch copy of ARR replaces a per-round sort and allocation; the result is
+// bit-identical to the sorting path.
+func (r *Round) Adjust() float64 {
+	copy(r.scratch, r.arr)
+	av, err := multiset.MidpointSelect(r.scratch, r.f)
+	return r.adjustment(av, err)
+}
+
+// adjustment turns the fault-tolerant average AV into ADJ = T + δ − AV.
+func (r *Round) adjustment(av float64, err error) float64 {
+	if err != nil {
+		// Unreachable for validated configs: |ARR| = n ≥ 3f+1 > 2f.
+		panic(fmt.Sprintf("core: averaging: %v", err))
+	}
+	adj := float64(r.t) + r.delta - av
+	if math.IsInf(adj, 0) || math.IsNaN(adj) {
+		// Out-of-spec safeguard: with more than f senders missing, the
+		// never-heard sentinels survive reduce_f and the average is
+		// meaningless. The paper assumes ≤ f faults (A2), so this cannot
+		// happen in spec; outside spec we skip the adjustment rather than
+		// poison the clock, letting experiments measure the degradation.
+		return 0
+	}
+	return adj
+}
+
+// Advance moves to the next round: T := Tⁱ⁺¹ = Tⁱ + P, FLAG := BCAST.
+func (r *Round) Advance() {
+	r.rnd++
+	r.base += clock.Local(r.p)
+	r.t = r.base
+	r.flag = phaseBroadcast
+}
+
+// SkipTo fast-forwards an instance that has not run yet to its first mark at
+// or after local time now, so a late starter joins the running schedule.
+func (r *Round) SkipTo(now clock.Local) {
+	if now <= r.t {
+		return
+	}
+	skip := math.Ceil(float64(now-r.t) / r.p)
+	r.base += clock.Local(skip * r.p)
+	r.t = r.base
+	r.rnd = int(skip)
+}
+
+// Proc is the nonfaulty process automaton of §4.2. One Proc per process;
+// construct with NewProc. It holds its Round by value, so recording an
+// arrival is one indexed store, and adds what only the flat mesh has: the K
+// sub-exchanges of §7, the §9.3 stagger and the mean averager.
+type Proc struct {
+	cfg  Config
+	corr clock.Local
+	rd   Round
+	exch int // sub-exchange index within the round, 0-based
+
+	// lastAdj is the most recent ADJ, for tests; the authoritative record
+	// for experiments is the TagAdjust annotation stream.
 	lastAdj float64
 }
 
@@ -160,26 +258,14 @@ var (
 // assumption A4 holds, or violates it on purpose).
 func NewProc(cfg Config, initialCorr clock.Local) *Proc {
 	cfg = cfg.withDefaults()
-	arr := make([]float64, cfg.N)
-	for i := range arr {
-		arr[i] = math.Inf(-1) // never-heard sentinel; reduce_f discards them
-	}
-	return &Proc{
-		cfg:     cfg,
-		corr:    initialCorr,
-		arr:     arr,
-		scratch: make([]float64, cfg.N),
-		flag:    phaseBroadcast,
-		t:       clock.Local(cfg.T0),
-		base:    clock.Local(cfg.T0),
-	}
+	return &Proc{cfg: cfg, corr: initialCorr, rd: NewRound(cfg.Params)}
 }
 
 // Corr implements sim.CorrHolder: the local time is Ph_p + CORR.
 func (p *Proc) Corr() clock.Local { return p.corr }
 
 // Round returns the current round index.
-func (p *Proc) Round() int { return p.rnd }
+func (p *Proc) Round() int { return p.rd.rnd }
 
 // LastAdj returns the adjustment applied at the most recent update.
 func (p *Proc) LastAdj() float64 { return p.lastAdj }
@@ -200,17 +286,18 @@ func (p *Proc) Receive(ctx *sim.Context, m sim.Message) {
 		// receive(m) from q: ARR[q] := local-time().
 		// With §9.3 staggering, q broadcast at Tⁱ + q·σ, so subtract q·σ
 		// to normalize the arrival to the unstaggered schedule.
-		p.arr[m.From] = float64(p.local(ctx)) - p.cfg.Stagger*float64(m.From)
+		p.rd.arr[m.From] = float64(p.local(ctx)) - p.cfg.Stagger*float64(m.From)
 
-	case (m.Kind == sim.KindStart || isOwnTimer(m)) && p.flag == phaseBroadcast:
+	case (m.Kind == sim.KindStart || isOwnTimer(m)) && p.rd.flag == phaseBroadcast:
 		if p.exch == 0 {
-			ctx.Annotate(metrics.TagRoundBegin, float64(p.rnd))
+			ctx.Annotate(metrics.TagRoundBegin, float64(p.rd.rnd))
 		}
-		ctx.Broadcast(TMsg{Mark: p.t})
-		p.setTimer(ctx, p.updateMark())
-		p.flag = phaseUpdate
+		ctx.Broadcast(TMsg{Mark: p.rd.t})
+		// The window is extended to cover the staggered broadcast tail n·σ
+		// when σ > 0.
+		p.setTimer(ctx, p.rd.Collect(float64(p.cfg.N)*p.cfg.Stagger))
 
-	case isOwnTimer(m) && p.flag == phaseUpdate:
+	case isOwnTimer(m) && p.rd.flag == phaseUpdate:
 		p.update(ctx)
 	}
 }
@@ -222,44 +309,13 @@ func isOwnTimer(m sim.Message) bool {
 	return m.Kind == sim.KindTimer && m.Payload == nil
 }
 
-// updateMark returns Uⁱ = T + (1+ρ)(β+δ+ε), extended to cover the staggered
-// broadcast tail n·σ when σ > 0.
-func (p *Proc) updateMark() clock.Local {
-	w := p.cfg.Window() + float64(p.cfg.N)*p.cfg.Stagger
-	return p.t + clock.Local(w)
-}
-
-// broadcastMark returns the logical time at which this process broadcasts
-// the current exchange: T + p·σ (§9.3), which is plain T when σ = 0.
-func (p *Proc) broadcastMark(ctx *sim.Context) clock.Local {
-	return p.t + clock.Local(p.cfg.Stagger*float64(ctx.ID()))
-}
-
 func (p *Proc) update(ctx *sim.Context) {
-	var av float64
-	var err error
+	r := &p.rd
+	var adj float64
 	if p.cfg.Averager == Midpoint {
-		// Hot path: mid(reduce_f) needs only the (f+1)-th smallest and
-		// largest arrivals, so quickselect on a reused scratch copy of ARR
-		// replaces the per-round sort + allocation of multiset.New. The
-		// result is bit-identical to the sorting path.
-		copy(p.scratch, p.arr)
-		av, err = multiset.MidpointSelect(p.scratch, p.cfg.F)
+		adj = r.Adjust()
 	} else {
-		av, err = p.cfg.Averager.apply(multiset.New(p.arr...), p.cfg.F)
-	}
-	if err != nil {
-		// Unreachable for validated configs: |ARR| = n ≥ 3f+1 > 2f.
-		panic(fmt.Sprintf("core: averaging: %v", err))
-	}
-	adj := float64(p.t) + p.cfg.Delta - av
-	if math.IsInf(adj, 0) || math.IsNaN(adj) {
-		// Out-of-spec safeguard: with more than f senders missing, the
-		// never-heard sentinels survive reduce_f and the average is
-		// meaningless. The paper assumes ≤ f faults (A2), so this cannot
-		// happen in spec; outside spec we skip the adjustment rather than
-		// poison the clock, letting experiments measure the degradation.
-		adj = 0
+		adj = r.adjustment(p.cfg.Averager.apply(multiset.New(r.arr...), r.f))
 	}
 	p.corr += clock.Local(adj)
 	p.lastAdj = adj
@@ -267,16 +323,20 @@ func (p *Proc) update(ctx *sim.Context) {
 
 	if p.exch < p.cfg.K-1 {
 		p.exch++
-		p.t = p.base + clock.Local(float64(p.exch)*p.cfg.SubPeriod)
+		r.t = r.base + clock.Local(float64(p.exch)*p.cfg.SubPeriod)
+		r.flag = phaseBroadcast
 	} else {
-		ctx.Annotate(metrics.TagRoundComplete, float64(p.rnd))
+		ctx.Annotate(metrics.TagRoundComplete, float64(r.rnd))
 		p.exch = 0
-		p.rnd++
-		p.base += clock.Local(p.cfg.P)
-		p.t = p.base
+		r.Advance()
 	}
 	p.setTimer(ctx, p.broadcastMark(ctx))
-	p.flag = phaseBroadcast
+}
+
+// broadcastMark returns the logical time at which this process broadcasts
+// the current exchange: T + p·σ (§9.3), which is plain T when σ = 0.
+func (p *Proc) broadcastMark(ctx *sim.Context) clock.Local {
+	return p.rd.t + clock.Local(p.cfg.Stagger*float64(ctx.ID()))
 }
 
 // StartTimes returns the real times at which each process's START message

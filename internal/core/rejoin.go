@@ -159,10 +159,10 @@ func (r *Rejoiner) closeGroup(ctx *sim.Context, mark clock.Local) {
 	// Join the main algorithm at the next round mark.
 	next := mark + clock.Local(r.cfg.P)
 	inner := NewProc(r.cfg, r.corr)
-	inner.t = next
-	inner.base = next
-	inner.rnd = int(math.Round(float64(next-clock.Local(r.cfg.T0)) / r.cfg.P))
+	inner.rd.t = next
+	inner.rd.base = next
+	inner.rd.rnd = int(math.Round(float64(next-clock.Local(r.cfg.T0)) / r.cfg.P))
 	r.inner = inner
-	ctx.Annotate(metrics.TagRejoined, float64(inner.rnd))
+	ctx.Annotate(metrics.TagRejoined, float64(inner.rd.rnd))
 	inner.setTimer(ctx, inner.broadcastMark(ctx))
 }

@@ -17,34 +17,35 @@ func init() {
 	})
 }
 
+// arbitraryStart assembles the §9.2 starting point for w's substrate: clocks
+// offset at random over `spread` seconds, process i woken at i·stagger, one
+// mk automaton each, running to horizon under the given observers.
+func (w Workload) arbitraryStart(spread, stagger float64, horizon clock.Real, mk func(corr clock.Local) sim.Process, observers ...sim.Observer) assembly {
+	n := w.Cfg.N
+	procs := make([]sim.Process, n)
+	starts := make([]clock.Real, n)
+	for i, corr := range clock.RandomOffsets(n, clock.Local(spread), w.Seed) {
+		procs[i] = mk(corr)
+		starts[i] = clock.Real(float64(i) * stagger)
+	}
+	return assembly{
+		cfg:       sim.Config{Procs: procs, Clocks: w.clocks(), StartAt: starts, Delay: w.Delay, Seed: w.Seed},
+		observers: append(observers, w.Observers...),
+		horizon:   horizon,
+		res:       &Result{},
+	}
+}
+
 // RunStartup executes the §9.2 algorithm from arbitrary clocks spread over
 // `spread` seconds and returns the per-round closeness Bᵢ (the nonfaulty
 // skew at each round's begin annotations) plus the final skew.
 func RunStartup(cfg core.Config, spread float64, horizon clock.Real, seed int64) (bSeries []float64, final float64, err error) {
-	n := cfg.N
-	drift := clock.ConstantDrift{RhoBound: cfg.Rho}
-	clocks := make([]clock.Clock, n)
-	procs := make([]sim.Process, n)
-	starts := make([]clock.Real, n)
-	corrs := clock.RandomOffsets(n, clock.Local(spread), seed)
-	for i := 0; i < n; i++ {
-		clocks[i] = drift.Build(i, n)
-		procs[i] = core.NewStartupProc(cfg, corrs[i])
-		starts[i] = clock.Real(i) * 0.005
-	}
-	eng, err := sim.New(sim.Config{
-		Procs:   procs,
-		Clocks:  clocks,
-		StartAt: starts,
-		Delay:   sim.UniformDelay{Delta: cfg.Delta, Eps: cfg.Eps},
-		Seed:    seed,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
+	w := Workload{Cfg: cfg, Seed: seed}.withDefaults()
 	rec := metrics.NewRoundRecorder(metrics.TagStartupRound, metrics.TagAdjust)
-	eng.Observe(rec)
-	if err := eng.Run(horizon); err != nil {
+	res, err := execute(w.arbitraryStart(spread, 0.005, horizon, func(corr clock.Local) sim.Process {
+		return core.NewStartupProc(cfg, corr)
+	}, rec))
+	if err != nil {
 		return nil, 0, err
 	}
 	rounds := rec.Rounds()
@@ -52,13 +53,35 @@ func RunStartup(cfg core.Config, spread float64, horizon clock.Real, seed int64)
 	for i := 0; i < rounds; i++ {
 		bSeries = append(bSeries, rec.SkewAtBegin(i))
 	}
-	final, _ = metrics.NonfaultySkew(eng, eng.Now())
+	final, _ = metrics.NonfaultySkew(res.Engine, res.Now())
 	return bSeries, final, nil
 }
 
+// RunLifecycle executes the paper's full lifecycle on w's substrate (Cfg,
+// Drift, Delay, Seed; sequential, fault-free): the §9.2 start-up algorithm
+// from clocks spread over `spread` seconds, each process switching to §4.2
+// maintenance after switchRound start-up rounds (core.SwitchProc), to the
+// given horizon. Result.Skew (steady from warmup on, bucketed by
+// w.SkewBucket) and Result.Rounds (the maintenance rounds) are attached,
+// then w.Observers; the automata come back for the caller to ask whether and
+// when each switched.
+func RunLifecycle(w Workload, spread float64, switchRound int, warmup, horizon clock.Real) (*Result, []*core.SwitchProc, error) {
+	w = w.withDefaults()
+	procs := make([]*core.SwitchProc, 0, w.Cfg.N)
+	skew := &metrics.SkewRecorder{Warmup: warmup, Bucket: w.SkewBucket}
+	rrec := metrics.NewDefaultRoundRecorder()
+	a := w.arbitraryStart(spread, 0.003, horizon, func(corr clock.Local) sim.Process {
+		procs = append(procs, core.NewSwitchProc(w.Cfg, corr, switchRound))
+		return procs[len(procs)-1]
+	}, skew, rrec)
+	a.res.Skew, a.res.Rounds = skew, rrec
+	res, err := execute(a)
+	return res, procs, err
+}
+
 // runE06 reproduces Lemma 20: Bⁱ⁺¹ ≤ Bⁱ/2 + 2ε + 2ρ(11δ+39ε), with the
-// limit ≈ 4ε. A single custom-engine execution (RunStartup, not a Workload
-// sweep), so it stays off the worker pool.
+// limit ≈ 4ε. A single execution (RunStartup, not a Workload sweep), so it
+// stays off the worker pool.
 func runE06() ([]*Table, error) {
 	cfg := core.Config{Params: analysis.Default(7, 2)}
 	bs, final, err := RunStartup(cfg, 2.0, 20, 42)

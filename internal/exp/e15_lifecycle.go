@@ -20,11 +20,10 @@ func init() {
 // runE15 reproduces the deployment story the paper sketches at the end of
 // §9.2: run the start-up algorithm until the desired closeness is achieved,
 // switch to the maintenance algorithm, and keep the guarantees from then on.
-// The table reports the three phases of one execution — a single custom
-// engine run, so there is no sweep to parallelize.
+// The table reports the three phases of one execution (RunLifecycle), so
+// there is no sweep to parallelize.
 func runE15() ([]*Table, error) {
 	cfg := core.Config{Params: analysis.Default(7, 2)}
-	n := cfg.N
 	const (
 		spread        = 2.0
 		switchRound   = 6
@@ -32,36 +31,14 @@ func runE15() ([]*Table, error) {
 		startupLength = 0.1 // generous per-round real-time estimate
 	)
 
-	drift := clock.ConstantDrift{RhoBound: cfg.Rho}
-	clocks := make([]clock.Clock, n)
-	procs := make([]sim.Process, n)
-	starts := make([]clock.Real, n)
-	corrs := clock.RandomOffsets(n, spread, 42)
-	for i := 0; i < n; i++ {
-		clocks[i] = drift.Build(i, n)
-		procs[i] = core.NewSwitchProc(cfg, corrs[i], switchRound)
-		starts[i] = clock.Real(i) * 0.003
-	}
-	eng, err := sim.New(sim.Config{
-		Procs:   procs,
-		Clocks:  clocks,
-		StartAt: starts,
-		Delay:   sim.UniformDelay{Delta: cfg.Delta, Eps: cfg.Eps},
-		Seed:    42,
-	})
+	srec := metrics.NewRoundRecorder(metrics.TagStartupRound, metrics.TagAdjust)
+	horizon := clock.Real(switchRound*startupLength + 3*cfg.P + float64(maintRounds)*cfg.P)
+	res, procs, err := RunLifecycle(Workload{Cfg: cfg, Seed: 42, Observers: []sim.Observer{srec}},
+		spread, switchRound, 0, horizon)
 	if err != nil {
 		return nil, err
 	}
-	skew := &metrics.SkewRecorder{Bucket: 0.5}
-	srec := metrics.NewRoundRecorder(metrics.TagStartupRound, metrics.TagAdjust)
-	mrec := metrics.NewDefaultRoundRecorder()
-	eng.Observe(skew)
-	eng.Observe(srec)
-	eng.Observe(mrec)
-	horizon := clock.Real(switchRound*startupLength + 3*cfg.P + float64(maintRounds)*cfg.P)
-	if err := eng.Run(horizon); err != nil {
-		return nil, err
-	}
+	eng, mrec := res.Engine, res.Rounds
 
 	t := &Table{
 		ID:       "E15",
@@ -76,8 +53,7 @@ func runE15() ([]*Table, error) {
 		"Lemma 20 floor "+FmtDur(cfg.StartupFloor()))
 	allSwitched := true
 	minRound := -1
-	for i := 0; i < n; i++ {
-		sp := eng.Process(sim.ProcID(i)).(*core.SwitchProc)
+	for _, sp := range procs {
 		if !sp.Switched() {
 			allSwitched = false
 		}

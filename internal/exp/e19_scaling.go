@@ -5,11 +5,8 @@ import (
 	"math"
 
 	"repro/internal/analysis"
-	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/exp/runner"
-	"repro/internal/metrics"
-	"repro/internal/sim"
 )
 
 func init() {
@@ -101,9 +98,7 @@ func runE19() ([]*Table, error) {
 // sharded runs measurable: samplers and annotation sinks fire at every
 // window cut in a merged deterministic order, so the recorded skew, the
 // Theorem 16/19/4(a) verdicts, and the tables built from them are
-// shard-count independent. Rows start at k = 2 because Workload.Shards ≤ 1
-// is the sequential engine, whose per-delivery sampling measures a finer
-// (different) skew series.
+// shard-count independent. Rows start at k = 2; the table above has k = 1.
 func e19ObserverTable() (*Table, error) {
 	t := &Table{
 		ID:       "E19",
@@ -166,7 +161,7 @@ func e19ObsTrial(n, k int) (*e19ObsRun, error) {
 		return nil, err
 	}
 	r := &e19ObsRun{
-		windows:    res.Sharded.Windows(),
+		windows:    res.windows(),
 		events:     res.Steps(),
 		msgs:       res.MessagesSent(),
 		maxSkew:    res.Skew.Max(),
@@ -189,55 +184,23 @@ type e19Run struct {
 	gamma   float64
 }
 
-// e19Trial runs the paper's algorithm at system size n across k shards.
+// e19Trial runs the paper's algorithm at system size n across k shards
+// (k = 1 included: one shard is still the windowed execution).
 func e19Trial(n, k int) (*e19Run, error) {
 	cfg := core.Config{Params: analysis.Default(n, 0)}
-	drift := clock.ConstantDrift{RhoBound: cfg.Rho}
-	clocks := make([]clock.Clock, n)
-	for i := range clocks {
-		clocks[i] = drift.Build(i, n)
-	}
-	corrs := core.InitialCorrsWithinBeta(cfg, clocks, 0.9*cfg.Beta)
-	starts := core.StartTimes(cfg, clocks, corrs)
-	procs := make([]sim.Process, n)
-	for i := range procs {
-		procs[i] = core.NewProc(cfg, corrs[i])
-	}
-	maxStart := starts[0]
-	for _, s := range starts {
-		if s > maxStart {
-			maxStart = s
-		}
-	}
-
-	se, err := sim.NewSharded(sim.Config{
-		Procs:   procs,
-		Clocks:  clocks,
-		StartAt: starts,
-		Delay:   sim.UniformDelay{Delta: cfg.Delta, Eps: cfg.Eps},
-		Seed:    runner.DeriveSeed(19, n),
-		// ~(rounds+2) all-to-all exchanges plus per-process timers, with slack.
-		MaxSteps: (e19Rounds + 4) * (n*n + 4*n),
-	}, k)
+	res, err := Run(Workload{Cfg: cfg, Rounds: e19Rounds, Seed: runner.DeriveSeed(19, n), Shards: k})
 	if err != nil {
 		return nil, err
 	}
-
-	r := &e19Run{gamma: cfg.Gamma()}
-	skew := &metrics.SkewRecorder{Warmup: maxStart + clock.Real(float64(e19Rounds/2)*cfg.P)}
-	if err := se.Observe(skew); err != nil {
-		return nil, err
+	r := &e19Run{
+		windows: res.windows(),
+		events:  res.Steps(),
+		msgs:    res.MessagesSent(),
+		maxSkew: res.Skew.MaxAfterWarmup(),
+		gamma:   cfg.Gamma(),
 	}
-	horizon := maxStart + clock.Real(float64(e19Rounds)*cfg.P*(1+2*cfg.Rho)+2*cfg.Window()+cfg.Delta+1)
-	if err := se.Run(horizon); err != nil {
-		return nil, err
-	}
-	r.maxSkew = skew.MaxAfterWarmup()
 	if math.IsNaN(r.maxSkew) {
 		return nil, fmt.Errorf("skew is NaN")
 	}
-	r.windows = se.Windows()
-	r.events = se.Steps()
-	r.msgs = se.MessagesSent()
 	return r, nil
 }

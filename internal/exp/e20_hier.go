@@ -9,8 +9,6 @@ import (
 	"repro/internal/exp/runner"
 	"repro/internal/faults"
 	"repro/internal/hier"
-	"repro/internal/invariant"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -162,25 +160,20 @@ func e20Trial(n, c, k int) (*e20Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	se, err := sim.NewSharded(s.SimConfig(e20ScaleRounds, runner.DeriveSeed(20, n)), k)
+	res, err := Run(Workload{Hier: s, Rounds: e20ScaleRounds, Seed: runner.DeriveSeed(20, n), Shards: k})
 	if err != nil {
 		return nil, err
 	}
-	r := &e20Run{gamma: s.Cfg.GammaComposed()}
-	skew := &metrics.SkewRecorder{Warmup: s.Warmup(e20ScaleRounds)}
-	if err := se.Observe(skew); err != nil {
-		return nil, err
+	r := &e20Run{
+		windows: res.windows(),
+		events:  res.Steps(),
+		msgs:    res.MessagesSent(),
+		maxSkew: res.Skew.MaxAfterWarmup(),
+		gamma:   s.Cfg.GammaComposed(),
 	}
-	if err := se.Run(s.Horizon(e20ScaleRounds)); err != nil {
-		return nil, err
-	}
-	r.maxSkew = skew.MaxAfterWarmup()
 	if math.IsNaN(r.maxSkew) {
 		return nil, fmt.Errorf("skew is NaN")
 	}
-	r.windows = se.Windows()
-	r.events = se.Steps()
-	r.msgs = se.MessagesSent()
 	return r, nil
 }
 
@@ -335,25 +328,15 @@ func e20FaultTrial(leg e20Leg) (*e20FaultRun, error) {
 		return nil, err
 	}
 	if j := leg.offsetCluster; j >= 0 {
-		lo, hi := hcfg.ClusterBounds(j)
-		for id := lo; id < hi; id++ {
-			s.Corrs[id] += clock.Local(leg.offset)
-			s.Starts[id] = s.Clocks[id].Inv(clock.Local(hcfg.T0) - s.Corrs[id])
-			s.Procs[id] = hier.NewMember(hcfg, id, s.Corrs[id])
-			if s.Starts[id] > s.MaxStart {
-				s.MaxStart = s.Starts[id]
-			}
-		}
+		s.ShiftCluster(j, clock.Local(leg.offset))
 	}
-	cfg := s.SimConfig(e20FaultRounds, runner.DeriveSeed(20, 80))
+	w := Workload{Hier: s, Rounds: e20FaultRounds, Seed: runner.DeriveSeed(20, 80)}
 	if len(leg.faulty) > 0 {
-		cfg.Faulty = make([]bool, n)
+		w.Faults = make(map[sim.ProcID]func() sim.Process, len(leg.faulty))
 		for id, mk := range leg.faulty {
-			s.Procs[id] = mk(hcfg)
-			cfg.Faulty[id] = true
+			w.Faults[id] = func() sim.Process { return mk(hcfg) }
 		}
 	}
-	var exclude []bool
 	if leg.partition {
 		dead := make(map[sim.Link]bool)
 		lo, hi := hcfg.ClusterBounds(leg.excludeCluster)
@@ -366,106 +349,32 @@ func e20FaultTrial(leg e20Leg) (*e20FaultRun, error) {
 				dead[sim.Link{From: b, To: a}] = true
 			}
 		}
-		cfg.Channel = sim.LossyLinks{Dead: dead}
+		w.Channel = sim.LossyLinks{Dead: dead}
 	}
-	if leg.excludeCluster >= 0 {
-		exclude = make([]bool, hcfg.Clusters())
-		exclude[leg.excludeCluster] = true
-	}
-
-	e, err := sim.New(cfg)
+	a, err := w.assemble()
 	if err != nil {
 		return nil, err
 	}
-	warm := s.Warmup(e20FaultRounds)
-	chk := invariant.NewHierAgreement(hcfg.GammaComposed(), hcfg.GammaInner(), c, warm)
-	chk.Exclude = exclude
-	spread := &e20Spread{clusterSize: c, warmup: warm, exclude: exclude}
-	e.Observe(chk)
-	e.Observe(spread)
-	if err := e.Run(s.Horizon(e20FaultRounds)); err != nil {
+	if leg.excludeCluster >= 0 {
+		// The checked population leaves the cut-off cluster out; the skew
+		// recorder keeps measuring everyone.
+		a.res.HierAgreement.Exclude = make([]bool, hcfg.Clusters())
+		a.res.HierAgreement.Exclude[leg.excludeCluster] = true
+	}
+	res, err := execute(a)
+	if err != nil {
 		return nil, err
 	}
-	if spread.samples == 0 {
-		return nil, fmt.Errorf("spread sampler never fired")
+	chk := res.HierAgreement
+	if chk.Checked() == 0 {
+		return nil, fmt.Errorf("hier-agreement checker never fired")
 	}
 	return &e20FaultRun{
-		connSkew: spread.maxConn,
-		globSkew: spread.maxGlobal,
+		connSkew: chk.MaxSpread(),
+		globSkew: res.Skew.MaxAfterWarmup(),
 		gamma:    hcfg.GammaComposed(),
 		inv:      chk.Ok(),
 	}, nil
-}
-
-// e20Spread measures the post-warmup nonfaulty spread twice: over everyone
-// (global) and over the non-excluded clusters (checked population).
-type e20Spread struct {
-	clusterSize int
-	warmup      clock.Real
-	exclude     []bool
-
-	maxGlobal, maxConn float64
-	samples            int64
-
-	// The two spreads of configuration version ver (ok: both populations
-	// have at least two members), kept so a sample that finds the
-	// configuration unchanged only counts.
-	global, conn float64
-	ok           bool
-	ver          uint64
-}
-
-var _ sim.Sampler = (*e20Spread)(nil)
-
-// Sample implements sim.Sampler.
-func (s *e20Spread) Sample(e *sim.Engine, _ bool) {
-	t := e.Now()
-	if t < s.warmup {
-		return
-	}
-	ids, lts := e.LocalTimes()
-	if ver := e.ConfigVersion(); ver != s.ver {
-		s.global, s.conn, s.ok = s.spreads(ids, lts)
-		s.ver = ver
-	}
-	if !s.ok {
-		return
-	}
-	s.samples++
-	if s.global > s.maxGlobal {
-		s.maxGlobal = s.global
-	}
-	if s.conn > s.maxConn {
-		s.maxConn = s.conn
-	}
-}
-
-// spreads scans the engine's shared pass of local times once for both
-// populations.
-func (s *e20Spread) spreads(ids []sim.ProcID, lts []clock.Local) (global, conn float64, ok bool) {
-	var glo, ghi, clo, chi clock.Local
-	gn, cn := 0, 0
-	for i, p := range ids {
-		lt := lts[i]
-		if gn == 0 || lt < glo {
-			glo = lt
-		}
-		if gn == 0 || lt > ghi {
-			ghi = lt
-		}
-		gn++
-		if j := int(p) / s.clusterSize; s.exclude != nil && j < len(s.exclude) && s.exclude[j] {
-			continue
-		}
-		if cn == 0 || lt < clo {
-			clo = lt
-		}
-		if cn == 0 || lt > chi {
-			chi = lt
-		}
-		cn++
-	}
-	return float64(ghi - glo), float64(chi - clo), gn >= 2 && cn >= 2
 }
 
 // e20SendAt schedules one adversarial copy.

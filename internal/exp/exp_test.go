@@ -8,6 +8,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/hier"
 	"repro/internal/sim"
 )
 
@@ -116,6 +117,49 @@ func TestRunDefaults(t *testing.T) {
 func TestRunRejectsEmptyWorkload(t *testing.T) {
 	if _, err := Run(Workload{}); err == nil {
 		t.Error("empty workload accepted")
+	}
+}
+
+// TestRunTwoTierWorkload: the topology field takes a built hierarchy through
+// the same execute step — faults substituted and flagged, the topology's own
+// recorders attached, either engine — and refuses the fields that describe
+// the flat mesh instead of dropping them.
+func TestRunTwoTierWorkload(t *testing.T) {
+	build := func() *hier.System {
+		s, err := hier.Build(hier.Default(32, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	seq, err := Run(Workload{
+		Hier: build(), Rounds: 4,
+		Faults: map[sim.ProcID]func() sim.Process{5: func() sim.Process { return silentProc{} }},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !seq.Engine.Faulty(5) || seq.HierAgreement.Checked() == 0 || !seq.HierAgreement.Ok() || seq.Skew.Max() <= 0 {
+		t.Errorf("faulty(5)=%v, hier-agreement %d checked ok=%v, max skew %v",
+			seq.Engine.Faulty(5), seq.HierAgreement.Checked(), seq.HierAgreement.Ok(), seq.Skew.Max())
+	}
+	if seq.Rounds != nil || seq.Validity != nil || seq.Invariants != nil {
+		t.Error("two-tier run carries flat-mesh recorders")
+	}
+	plain, err := Run(Workload{Hier: build(), Rounds: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := Run(Workload{Hier: build(), Rounds: 4, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sh.Engine != nil || sh.MessagesSent() != plain.MessagesSent() || sh.MessagesSent() <= seq.MessagesSent() {
+		t.Errorf("messages: sharded %d, sequential %d, with a silent member %d", sh.MessagesSent(), plain.MessagesSent(), seq.MessagesSent())
+	}
+	_, err = Run(Workload{Hier: build(), Rounds: 4, CheckInvariants: true})
+	if err == nil || !strings.Contains(err.Error(), "CheckInvariants") {
+		t.Errorf("two-tier workload with CheckInvariants: %v, want a named error", err)
 	}
 }
 

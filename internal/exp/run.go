@@ -1,5 +1,6 @@
-// Package exp contains the experiment harness: reusable workload assembly
-// around the simulator (Run), table rendering, and one file per experiment
+// Package exp contains the experiment harness: workload assembly per
+// topology and the one execute step every run goes through (Run, RunStartup,
+// RunLifecycle), table rendering, and one file per experiment
 // (e01_halving.go …) reproducing every measurable claim of the paper. The
 // experiment ↔ paper mapping is each Experiment's PaperRef; cmd/experiments
 // -list prints it.
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/hier"
 	"repro/internal/invariant"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -20,6 +22,15 @@ import (
 // long to run. Zero fields get sensible defaults (see Run).
 type Workload struct {
 	Cfg core.Config
+
+	// Hier, when non-nil, is the topology: the built two-tier system runs in
+	// place of the flat mesh. It brings its own clocks, corrections, automata
+	// and two-band delay model, so the fields that describe the flat mesh —
+	// Cfg, Drift, Delay, InitialSpread, MakeProc, StartOverride, WarmupRounds
+	// and CheckInvariants — must be left zero (Run rejects them rather than
+	// drop them silently); everything else applies to either topology. A
+	// System is single-use, like Faults.
+	Hier *hier.System
 
 	// Drift defaults to ConstantDrift spanning the full ρ-band.
 	Drift clock.DriftSchedule
@@ -66,8 +77,8 @@ type Workload struct {
 	// WarmupRounds sets the steady-state boundary for MaxAfterWarmup
 	// (default: half of Rounds).
 	WarmupRounds int
-	// Observers are registered with the engine in addition to the standard
-	// recorders (e.g. a sim.Tracer).
+	// Observers are registered with the engine after the topology's
+	// standard recorders (e.g. a sim.Tracer).
 	Observers []sim.Observer
 
 	// CheckInvariants attaches the paper's theorem predicates
@@ -75,14 +86,40 @@ type Workload struct {
 	// bound) as engine observers; the verdicts land in Result.Invariants.
 	CheckInvariants bool
 
-	// Shards, when > 1, runs the workload on the sharded time-window engine
-	// (sim.NewSharded) instead of the sequential one; the execution is
-	// byte-identical for every shard count. Workload features sharded mode
-	// rejects fail Run with a clear error: an Adversary or Timeline at
-	// engine construction, and per-delivery observers (e.g. sim.Tracer) at
+	// Shards selects the engine (sim.NewRunner): 0 is the sequential one,
+	// k ≥ 1 the sharded time-window engine over k partitions, whose execution
+	// is byte-identical for every k. Workload features sharded mode rejects
+	// fail Run with a clear error: an Adversary or Timeline at engine
+	// construction, and per-delivery observers (e.g. sim.Tracer) at
 	// registration — the standard recorders and the invariant suite all
 	// sample at window barriers and work unchanged.
 	Shards int
+}
+
+// withDefaults fills the defaults both topologies and RunLifecycle share.
+func (w Workload) withDefaults() Workload {
+	if w.Drift == nil {
+		w.Drift = clock.ConstantDrift{RhoBound: w.Cfg.Rho}
+	}
+	if w.Delay == nil {
+		w.Delay = sim.UniformDelay{Delta: w.Cfg.Delta, Eps: w.Cfg.Eps}
+	}
+	if w.Rounds <= 0 {
+		w.Rounds = 20
+	}
+	if w.Seed == 0 {
+		w.Seed = 1
+	}
+	return w
+}
+
+// clocks builds the n physical clocks of the drift schedule.
+func (w Workload) clocks() []clock.Clock {
+	clocks := make([]clock.Clock, w.Cfg.N)
+	for i := range clocks {
+		clocks[i] = w.Drift.Build(i, w.Cfg.N)
+	}
+	return clocks
 }
 
 // eventHint estimates the peak number of buffered events for a maintenance
@@ -103,63 +140,107 @@ func (w Workload) eventHint() int {
 
 // Result bundles the engine and the recorders after a run.
 type Result struct {
-	// Engine is the sequential engine, nil when the workload ran sharded.
+	// Runner is whichever engine ran; its counters (Steps, MessagesSent,
+	// MessagesLost, QueuePeak, …) read the same either way.
+	sim.Runner
+	// Engine is the sequential engine, for what only it exposes (Process,
+	// LocalTime, NonfaultyIDs); nil when the workload ran sharded.
 	Engine *sim.Engine
-	// Sharded is the sharded engine, non-nil exactly when Workload.Shards
-	// was > 1. Use the MessagesSent/MessagesLost/Steps accessors for
-	// counters that must work either way.
-	Sharded  *sim.ShardedEngine
+	// Skew is attached by every topology; Rounds and Validity by the flat
+	// mesh only.
 	Skew     *metrics.SkewRecorder
 	Rounds   *metrics.RoundRecorder
 	Validity *metrics.ValidityRecorder
 	Horizon  clock.Real
 	// Invariants is non-nil when the workload set CheckInvariants.
 	Invariants *invariant.Suite
+	// HierAgreement is the two-tier topology's composed-agreement checker
+	// (nil for the flat mesh).
+	HierAgreement *invariant.HierAgreement
 }
 
-// Steps returns the delivered-event count of whichever engine ran.
-func (r *Result) Steps() int {
-	if r.Sharded != nil {
-		return r.Sharded.Steps()
+// windows returns how many synchronization windows a sharded run executed.
+func (r *Result) windows() int { return r.Runner.(*sim.ShardedEngine).Windows() }
+
+// assembly is a system ready to run: what a topology (or the §9.2 entry
+// points) hands the execute step.
+type assembly struct {
+	// cfg is complete but for the faulty automata, which execute substitutes
+	// into cfg.Procs.
+	cfg    sim.Config
+	faults map[sim.ProcID]func() sim.Process
+	shards int
+	// observers are registered in order.
+	observers []sim.Observer
+	horizon   clock.Real
+	// res holds the recorders among observers; execute adds the engine.
+	res *Result
+}
+
+// execute is the run path, the one place an engine is built: open the
+// runner, substitute the faulty automata and flag them, register the
+// observers, run to the horizon, package the Result.
+func execute(a assembly) (*Result, error) {
+	if len(a.faults) > 0 {
+		a.cfg.Faulty = make([]bool, len(a.cfg.Procs))
+		for i := range a.cfg.Procs {
+			if mk, ok := a.faults[sim.ProcID(i)]; ok {
+				a.cfg.Procs[i], a.cfg.Faulty[i] = mk(), true
+			}
+		}
 	}
-	return r.Engine.Steps()
-}
-
-// MessagesSent returns the ordinary-copy send count of whichever engine ran.
-func (r *Result) MessagesSent() int64 {
-	if r.Sharded != nil {
-		return r.Sharded.MessagesSent()
+	// NewRunner rejects what sharded mode cannot run (adversary, timeline,
+	// stateful channels), Observe a per-delivery observer there, each with
+	// its own error.
+	r, err := sim.NewRunner(a.cfg, a.shards)
+	if err != nil {
+		return nil, fmt.Errorf("exp: %w", err)
 	}
-	return r.Engine.MessagesSent()
-}
-
-// MessagesLost returns the lossy-channel drop count of whichever engine ran.
-func (r *Result) MessagesLost() int64 {
-	if r.Sharded != nil {
-		return r.Sharded.MessagesLost()
+	for _, o := range a.observers {
+		if err := r.Observe(o); err != nil {
+			return nil, fmt.Errorf("exp: %w", err)
+		}
 	}
-	return r.Engine.MessagesLost()
+	if err := r.Run(a.horizon); err != nil {
+		return nil, fmt.Errorf("exp: run: %w", err)
+	}
+	res := a.res
+	res.Runner, res.Horizon = r, a.horizon
+	res.Engine, _ = r.(*sim.Engine)
+	return res, nil
 }
 
-// Run assembles and executes the workload, returning the recorders.
+// Run assembles the workload's topology and executes it, returning the
+// recorders.
 func Run(w Workload) (*Result, error) {
+	a, err := w.assemble()
+	if err != nil {
+		return nil, err
+	}
+	return execute(a)
+}
+
+// assemble picks the topology's assembly.
+func (w Workload) assemble() (assembly, error) {
+	if w.Hier != nil {
+		if w.Cfg.N != 0 || w.Drift != nil || w.Delay != nil || w.InitialSpread != 0 || w.MakeProc != nil ||
+			w.StartOverride != nil || w.WarmupRounds != 0 || w.CheckInvariants {
+			return assembly{}, fmt.Errorf("exp: a two-tier workload takes its clocks, automata, delay model and warm-up from Hier; Cfg, Drift, Delay, InitialSpread, MakeProc, StartOverride, WarmupRounds and CheckInvariants describe the flat mesh and must be left zero")
+		}
+		return w.withDefaults().assembleTwoTier(), nil
+	}
+	if w.Cfg.N == 0 {
+		return assembly{}, fmt.Errorf("exp: workload has no processes")
+	}
+	return w.withDefaults().assembleFlat(), nil
+}
+
+// assembleFlat builds the paper's all-to-all mesh: A4-satisfying initial
+// corrections, one automaton per nonfaulty process, the skew, round and
+// validity recorders and, on request, the invariant suite.
+func (w Workload) assembleFlat() assembly {
 	cfg := w.Cfg
-	n := cfg.N
-	if n == 0 {
-		return nil, fmt.Errorf("exp: workload has no processes")
-	}
-	drift := w.Drift
-	if drift == nil {
-		drift = clock.ConstantDrift{RhoBound: cfg.Rho}
-	}
-	delay := w.Delay
-	if delay == nil {
-		delay = sim.UniformDelay{Delta: cfg.Delta, Eps: cfg.Eps}
-	}
-	rounds := w.Rounds
-	if rounds <= 0 {
-		rounds = 20
-	}
+	n, rounds := cfg.N, w.Rounds
 	spread := w.InitialSpread
 	if spread == 0 {
 		spread = 0.9 * cfg.Beta
@@ -170,123 +251,94 @@ func Run(w Workload) (*Result, error) {
 			return core.NewProc(cfg, corr)
 		}
 	}
-	seed := w.Seed
-	if seed == 0 {
-		seed = 1
-	}
 
-	clocks := make([]clock.Clock, n)
-	for i := range clocks {
-		clocks[i] = drift.Build(i, n)
-	}
+	clocks := w.clocks()
 	corrs := core.InitialCorrsWithinBeta(cfg, clocks, spread)
 	starts := core.StartTimes(cfg, clocks, corrs)
-
-	procs := make([]sim.Process, n)
-	faulty := make([]bool, n)
-	for i := range procs {
-		if mk, ok := w.Faults[sim.ProcID(i)]; ok {
-			procs[i] = mk()
-			faulty[i] = true
-			continue
-		}
-		procs[i] = makeProc(sim.ProcID(i), corrs[i])
-	}
 	for id, at := range w.StartOverride {
 		starts[id] = at
 	}
 
-	scfg := sim.Config{
-		Procs:     procs,
-		Clocks:    clocks,
-		StartAt:   starts,
-		Delay:     delay,
-		Channel:   w.Channel,
-		Faulty:    faulty,
-		Seed:      seed,
-		Adversary: w.Adversary,
-		Timeline:  w.Timeline,
-		Broadcast: broadcastMode(),
-		EventHint: w.eventHint(),
-	}
-	var eng *sim.Engine
-	var se *sim.ShardedEngine
-	var err error
-	if w.Shards > 1 {
-		// NewSharded rejects the features sharded mode cannot run
-		// (adversary, timeline, stateful channels) with its own errors.
-		se, err = sim.NewSharded(scfg, w.Shards)
-	} else {
-		eng, err = sim.New(scfg)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("exp: %w", err)
-	}
-
 	// tmin⁰ / tmax⁰ over nonfaulty processes, for validity bookkeeping.
+	procs := make([]sim.Process, n)
 	tmin0, tmax0 := starts[0], starts[0]
 	first := true
 	for i, s := range starts {
-		if faulty[i] {
+		if _, faulty := w.Faults[sim.ProcID(i)]; faulty {
 			continue
 		}
+		procs[i] = makeProc(sim.ProcID(i), corrs[i])
 		if first {
 			tmin0, tmax0, first = s, s, false
-			continue
 		}
-		if s < tmin0 {
-			tmin0 = s
-		}
-		if s > tmax0 {
-			tmax0 = s
-		}
+		tmin0, tmax0 = min(tmin0, s), max(tmax0, s)
 	}
 
 	warmRounds := w.WarmupRounds
 	if warmRounds <= 0 {
 		warmRounds = rounds / 2
 	}
-	horizon := tmax0 + clock.Real(float64(rounds)*cfg.P*(1+2*cfg.Rho)+2*cfg.Window()+cfg.Delta+1)
-
-	skew := &metrics.SkewRecorder{
-		Warmup: tmax0 + clock.Real(float64(warmRounds)*cfg.P),
-		Bucket: w.SkewBucket,
+	res := &Result{
+		Skew: &metrics.SkewRecorder{
+			Warmup: tmax0 + clock.Real(float64(warmRounds)*cfg.P),
+			Bucket: w.SkewBucket,
+		},
+		Rounds: metrics.NewDefaultRoundRecorder(),
 	}
-	rrec := metrics.NewDefaultRoundRecorder()
 	a1, a2, a3 := cfg.Validity()
-	vrec := &metrics.ValidityRecorder{
+	res.Validity = &metrics.ValidityRecorder{
 		Alpha1: a1, Alpha2: a2, Alpha3: a3,
 		T0:    cfg.T0,
 		TMin0: tmin0, TMax0: tmax0,
 		From: tmax0,
 	}
-	observers := []sim.Observer{skew, rrec, vrec}
-	var suite *invariant.Suite
+	observers := []sim.Observer{res.Skew, res.Rounds, res.Validity}
 	if w.CheckInvariants {
-		suite = invariant.NewSuite(cfg.Params, tmin0, tmax0, skew.Warmup)
-		observers = append(observers, suite.Observers()...)
+		res.Invariants = invariant.NewSuite(cfg.Params, tmin0, tmax0, res.Skew.Warmup)
+		observers = append(observers, res.Invariants.Observers()...)
 	}
-	observers = append(observers, w.Observers...)
-	for _, o := range observers {
-		if se != nil {
-			// Sharded registration can fail: per-delivery observers have no
-			// deterministic place in a parallel window drain.
-			if err := se.Observe(o); err != nil {
-				return nil, fmt.Errorf("exp: %w", err)
-			}
-			continue
-		}
-		eng.Observe(o)
+	return assembly{
+		cfg: sim.Config{
+			Procs:     procs,
+			Clocks:    clocks,
+			StartAt:   starts,
+			Delay:     w.Delay,
+			Channel:   w.Channel,
+			Seed:      w.Seed,
+			Adversary: w.Adversary,
+			Timeline:  w.Timeline,
+			Broadcast: broadcastMode(),
+			EventHint: w.eventHint(),
+			// The runaway guard grows with the workload: ≈ rounds+2
+			// all-to-all exchanges plus per-process timers, with slack.
+			MaxSteps: max(sim.DefaultMaxSteps, (rounds+4)*(max(cfg.K, 1)*n*n+4*n)),
+		},
+		faults:    w.Faults,
+		shards:    w.Shards,
+		observers: append(observers, w.Observers...),
+		horizon:   tmax0 + clock.Real(float64(rounds)*cfg.P*(1+2*cfg.Rho)+2*cfg.Window()+cfg.Delta+1),
+		res:       res,
 	}
+}
 
-	if se != nil {
-		if err := se.Run(horizon); err != nil {
-			return nil, fmt.Errorf("exp: run: %w", err)
-		}
-		return &Result{Sharded: se, Skew: skew, Rounds: rrec, Validity: vrec, Horizon: horizon, Invariants: suite}, nil
+// assembleTwoTier runs the built hierarchy on its own engine configuration
+// (clustered two-band delays, queue hint and step budget sized to its
+// traffic) under the composed-agreement checker and the skew recorder.
+func (w Workload) assembleTwoTier() assembly {
+	s := w.Hier
+	cfg := s.SimConfig(w.Rounds, w.Seed)
+	cfg.Channel, cfg.Adversary, cfg.Timeline = w.Channel, w.Adversary, w.Timeline
+	warm := s.Warmup(w.Rounds)
+	res := &Result{
+		HierAgreement: invariant.NewHierAgreement(s.Cfg.GammaComposed(), s.Cfg.GammaInner(), s.Cfg.ClusterSize, warm),
+		Skew:          &metrics.SkewRecorder{Warmup: warm, Bucket: w.SkewBucket},
 	}
-	if err := eng.Run(horizon); err != nil {
-		return nil, fmt.Errorf("exp: run: %w", err)
+	return assembly{
+		cfg:       cfg,
+		faults:    w.Faults,
+		shards:    w.Shards,
+		observers: append([]sim.Observer{res.HierAgreement, res.Skew}, w.Observers...),
+		horizon:   s.Horizon(w.Rounds),
+		res:       res,
 	}
-	return &Result{Engine: eng, Skew: skew, Rounds: rrec, Validity: vrec, Horizon: horizon, Invariants: suite}, nil
 }

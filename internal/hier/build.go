@@ -7,11 +7,10 @@ import (
 	"repro/internal/sim"
 )
 
-// System is an assembled two-tier instance ready to hand to sim.New or
-// sim.NewSharded: physical clocks, A4-satisfying initial corrections and
-// START times, and one Member automaton per process. Experiments substitute
-// faulty automata into Procs (and flag them in the sim.Config) before
-// constructing the engine.
+// System is an assembled two-tier instance, ready to run as an
+// exp.Workload's Hier: physical clocks, A4-satisfying initial corrections and
+// START times, and one Member automaton per process. The run substitutes its
+// faulty automata into Procs, so a System is single-use.
 type System struct {
 	Cfg      Config
 	Clocks   []clock.Clock
@@ -64,6 +63,32 @@ func Build(cfg Config) (*System, error) {
 		Cfg: cfg, Clocks: clocks, Corrs: corrs, Starts: starts,
 		Procs: procs, MaxStart: maxStart,
 	}, nil
+}
+
+// ShiftCluster moves cluster j's initial frame by offset — violating the
+// outer tier's A4 on purpose, for partition experiments — rebuilding its
+// members on the shifted corrections. Call before the run.
+func (s *System) ShiftCluster(j int, offset clock.Local) {
+	lo, hi := s.Cfg.ClusterBounds(j)
+	for id := lo; id < hi; id++ {
+		s.Corrs[id] += offset
+		s.Starts[id] = s.Clocks[id].Inv(clock.Local(s.Cfg.T0) - s.Corrs[id])
+		s.Procs[id] = NewMember(s.Cfg, id, s.Corrs[id])
+		s.MaxStart = max(s.MaxStart, s.Starts[id])
+	}
+}
+
+// MinRound returns the fewest inner rounds any Member of the system has
+// completed (faulty substitutes are not Members and do not count); -1 if
+// there is none.
+func (s *System) MinRound() int {
+	rounds := -1
+	for _, p := range s.Procs {
+		if m, ok := p.(*Member); ok && (rounds < 0 || m.Round() < rounds) {
+			rounds = m.Round()
+		}
+	}
+	return rounds
 }
 
 // SimConfig returns an engine configuration for running the system `rounds`

@@ -4,7 +4,10 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/clock"
+	"repro/internal/core"
 	"repro/internal/invariant"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -279,6 +282,127 @@ func TestMergedWindowObserverOrdering(t *testing.T) {
 			if got.cuts[i] != base.cuts[i] {
 				t.Fatalf("shards=%d: cut %d at %v, single-shard at %v", k, i, got.cuts[i], base.cuts[i])
 			}
+		}
+	}
+}
+
+// scriptedSender is a (faulty) process that sends one inner-tier round
+// message to a single target at each of a list of times on its own clock.
+type scriptedSender struct {
+	to sim.ProcID
+	at []clock.Local
+}
+
+func (s *scriptedSender) Receive(ctx *sim.Context, m sim.Message) {
+	switch m.Kind {
+	case sim.KindStart:
+		for _, at := range s.at {
+			ctx.SetTimer(at, nil)
+		}
+	case sim.KindTimer:
+		ctx.Send(s.to, TMsg{Tier: TierInner})
+	}
+}
+
+// adjLog collects one process's adjustment annotations.
+type adjLog struct {
+	proc sim.ProcID
+	adjs []float64
+}
+
+func (l *adjLog) OnAnnotation(_ *sim.Engine, a sim.Annotation) {
+	if a.Proc == l.proc && a.Tag == metrics.TagAdjust {
+		l.adjs = append(l.adjs, a.Value)
+	}
+}
+
+// TestSharedRound is the one check of the §4.2 round both automata are built
+// on. The table drives a core.Round directly — a warm ARR, a cold one (more
+// than f never-heard sentinels: ADJ = 0), NaN arrivals (skipped, never
+// applied) — and then feeds a core.Proc and a Member the same arrivals from
+// scripted peers, four rounds over, and demands the same ADJ sequence and the
+// same final CORR bit for bit: warm, and cold, where CORR must not move.
+func TestSharedRound(t *testing.T) {
+	hc := Default(4, 4)
+	params := hc.InnerParams(0) // n = 4, f = 1, δ = 2 ms, T⁰ = 0
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		arr  map[int]float64 // slot → arrival; absent slots were never heard
+		want func(adj float64) bool
+	}{
+		{"warm", map[int]float64{0: 1e-3, 1: 2.5e-3, 2: 3e-3, 3: 9e-3},
+			func(adj float64) bool { return adj == 0+params.Delta-(2.5e-3+3e-3)/2 }},
+		{"warm, one silent", map[int]float64{0: 1e-3, 1: 2.5e-3, 2: 3e-3},
+			func(adj float64) bool { return adj == 0+params.Delta-(1e-3+2.5e-3)/2 }},
+		{"cold", map[int]float64{0: 1e-3, 1: 2.5e-3},
+			func(adj float64) bool { return adj == 0 }},
+		{"all NaN", map[int]float64{0: nan, 1: nan, 2: nan, 3: nan},
+			func(adj float64) bool { return adj == 0 }},
+		{"one NaN", map[int]float64{0: nan, 1: 2.5e-3, 2: 3e-3, 3: 9e-3},
+			func(adj float64) bool { return !math.IsNaN(adj) && !math.IsInf(adj, 0) }},
+	} {
+		r := core.NewRound(params)
+		for slot, at := range tc.arr {
+			r.Record(slot, at)
+		}
+		if adj := r.Adjust(); !tc.want(adj) {
+			t.Errorf("Round, %s ARR: ADJ = %v", tc.name, adj)
+		}
+	}
+
+	// Process 3 is under test (never a representative candidate, so the
+	// Member stays a follower that hears no discipline); 0..2 are scripted.
+	const rounds, self = 4, sim.ProcID(3)
+	const corr0 = clock.Local(1.25e-4)
+	run := func(mk func() sim.Process, silent int) ([]float64, clock.Local) {
+		t.Helper()
+		procs, faulty := make([]sim.Process, 4), []bool{true, true, true, false}
+		clocks, starts := make([]clock.Clock, 4), make([]clock.Real, 4)
+		for i := range procs {
+			clocks[i] = clock.Linear(0, 1)
+			s := &scriptedSender{to: self}
+			for r := 0; i >= silent && r < rounds; r++ {
+				s.at = append(s.at, clock.Local(float64(r)*params.P+float64(i+1)*3e-4))
+			}
+			procs[i] = s
+		}
+		procs[self] = mk()
+		log := &adjLog{proc: self}
+		e, err := sim.New(sim.Config{
+			Procs: procs, Clocks: clocks, StartAt: starts, Faulty: faulty,
+			Delay: sim.ConstantDelay{Delta: params.Delta},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Observe(log); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Run(clock.Real(rounds)); err != nil {
+			t.Fatal(err)
+		}
+		return log.adjs, procs[self].(sim.CorrHolder).Corr()
+	}
+	for _, tc := range []struct {
+		name   string
+		silent int // scripted peers 0..silent−1 never send
+	}{{"warm", 0}, {"cold", 2}} {
+		flat, flatCorr := run(func() sim.Process { return core.NewProc(core.Config{Params: params}, corr0) }, tc.silent)
+		two, twoCorr := run(func() sim.Process { return NewMember(hc, self, corr0) }, tc.silent)
+		if len(flat) != rounds || len(two) != rounds {
+			t.Fatalf("%s: %d and %d adjustments, want %d each", tc.name, len(flat), len(two), rounds)
+		}
+		for i := range flat {
+			if math.Float64bits(flat[i]) != math.Float64bits(two[i]) {
+				t.Errorf("%s round %d: core.Proc applied ADJ %v, hier.Member %v", tc.name, i, flat[i], two[i])
+			}
+			if cold := tc.silent > 1; cold != (flat[i] == 0) {
+				t.Errorf("%s round %d: ADJ = %v", tc.name, i, flat[i])
+			}
+		}
+		if flatCorr != twoCorr || (tc.silent > 1 && flatCorr != corr0) {
+			t.Errorf("%s: final CORR %v (core.Proc) vs %v (hier.Member), initial %v", tc.name, flatCorr, twoCorr, corr0)
 		}
 	}
 }

@@ -1,13 +1,9 @@
 package hier
 
 import (
-	"fmt"
-	"math"
-
-	"repro/internal/analysis"
 	"repro/internal/clock"
+	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/multiset"
 	"repro/internal/sim"
 )
 
@@ -53,75 +49,14 @@ type hTimer struct {
 	gen  uint32
 }
 
-// phase mirrors §4.2's FLAG.
-type phase uint8
-
-const (
-	phaseBroadcast phase = iota + 1
-	phaseUpdate
-)
-
-// tier is one §4.2 instance. It restates core.Proc's per-round state rather
-// than embedding it because the hierarchy shares a single CORR between two
-// concurrent instances and slots arrivals by group (cluster rank inside,
-// cluster id outside) rather than by sender id.
-type tier struct {
-	f             int
-	delta, window float64
-	p             float64
-	t, base       clock.Local
-	rnd           int
-	flag          phase
-	arr           []float64
-	scratch       []float64
-}
-
-func newTier(p analysis.Params) *tier {
-	arr := make([]float64, p.N)
-	for i := range arr {
-		arr[i] = math.Inf(-1) // never-heard sentinel; reduce_f discards them
-	}
-	return &tier{
-		f:     p.F,
-		delta: p.Delta, window: p.Window(), p: p.P,
-		t: clock.Local(p.T0), base: clock.Local(p.T0),
-		flag: phaseBroadcast,
-		arr:  arr, scratch: make([]float64, p.N),
-	}
-}
-
-// adjustment computes AV = mid(reduce_f(ARR)) and ADJ = T + δ − AV, with
-// core.Proc's out-of-spec skip guard: if more than f senders are missing the
-// sentinels survive reduce_f and the average is meaningless, so the update
-// is skipped rather than poisoning the clock.
-func (t *tier) adjustment() float64 {
-	copy(t.scratch, t.arr)
-	av, err := multiset.MidpointSelect(t.scratch, t.f)
-	if err != nil {
-		// Unreachable for validated configs: |ARR| ≥ 3f+1 > 2f.
-		panic(fmt.Sprintf("hier: averaging: %v", err))
-	}
-	adj := float64(t.t) + t.delta - av
-	if math.IsInf(adj, 0) || math.IsNaN(adj) {
-		adj = 0
-	}
-	return adj
-}
-
-// advance moves to the next round mark after an update.
-func (t *tier) advance() {
-	t.rnd++
-	t.base += clock.Local(t.p)
-	t.t = t.base
-	t.flag = phaseBroadcast
-}
-
 // Member is the two-tier automaton of package hier: every process runs one.
-// The inner tier is always live; the outer tier exists only while the
-// process is its cluster's acting representative (it is created in place on
-// election). Both tiers update the one shared CORR, so local time is
-// Ph + CORR exactly as in core, and followers additionally apply the
-// representative's relayed outer adjustments.
+// Each tier is a core.Round — the §4.2 instance core.Proc also runs — with
+// arrivals slotted by cluster rank inside and by cluster id outside. The
+// inner tier is always live; the outer tier exists only while the process is
+// its cluster's acting representative (it is created in place on election).
+// Both tiers update the one shared CORR, so local time is Ph + CORR exactly
+// as in core, and followers additionally apply the representative's relayed
+// outer adjustments.
 //
 // The timing of the two tiers is interleaved, not synchronized: inner marks
 // sit at T⁰+iP, outer marks at T⁰+P/2+iP, and both collection windows are
@@ -137,8 +72,8 @@ type Member struct {
 	cands   int // candidate count in the own cluster
 
 	corr     clock.Local
-	inner    *tier
-	outer    *tier // non-nil while acting representative
+	inner    core.Round
+	outer    *core.Round // non-nil while acting representative
 	repRank  int
 	lastDisc clock.Local
 	lastAdj  float64
@@ -168,7 +103,7 @@ func NewMember(cfg Config, id sim.ProcID, initialCorr clock.Local) *Member {
 	return &Member{
 		cfg: cfg, id: id, cluster: cluster, lo: lo, hi: hi, cands: cands,
 		corr:  initialCorr,
-		inner: newTier(cfg.InnerParams(cluster)),
+		inner: core.NewRound(cfg.InnerParams(cluster)),
 	}
 }
 
@@ -183,7 +118,7 @@ func (m *Member) Representative() sim.ProcID { return m.lo + sim.ProcID(m.repRan
 func (m *Member) ActingRep() bool { return m.outer != nil }
 
 // Round returns the inner tier's current round index.
-func (m *Member) Round() int { return m.inner.rnd }
+func (m *Member) Round() int { return m.inner.Index() }
 
 // LastAdj returns the inner adjustment applied at the most recent update.
 func (m *Member) LastAdj() float64 { return m.lastAdj }
@@ -259,12 +194,12 @@ func (m *Member) receiveOrdinary(ctx *sim.Context, msg sim.Message) {
 		from := m.cfg.ClusterOf(msg.From)
 		switch {
 		case pl.Tier == TierInner && from == m.cluster:
-			m.inner.arr[int(msg.From-m.lo)] = float64(m.local(ctx))
+			m.inner.Record(int(msg.From-m.lo), float64(m.local(ctx)))
 		case pl.Tier == TierOuter && from != m.cluster && m.outer != nil:
 			// Outer arrivals are slotted by cluster, not by sender id, so a
 			// freshly elected foreign representative is heard without any
 			// membership exchange.
-			m.outer.arr[from] = float64(m.local(ctx))
+			m.outer.Record(from, float64(m.local(ctx)))
 		}
 
 	case Discipline:
@@ -282,32 +217,30 @@ func (m *Member) receiveOrdinary(ctx *sim.Context, msg sim.Message) {
 // innerBroadcast is §4.2's BCAST step restricted to the own cluster: c
 // unicast copies instead of n broadcast copies.
 func (m *Member) innerBroadcast(ctx *sim.Context) {
-	ctx.Annotate(metrics.TagRoundBegin, float64(m.inner.rnd))
+	ctx.Annotate(metrics.TagRoundBegin, float64(m.inner.Index()))
 	// Box the payload once: unicasting a fresh interface value per copy is
 	// the dominant allocation at large n (lazy broadcasts pay it once per
 	// round; this loop is the unicast equivalent).
-	var pl any = TMsg{Tier: TierInner, Mark: m.inner.t}
+	var pl any = TMsg{Tier: TierInner, Mark: m.inner.Mark()}
 	for q := m.lo; q < m.hi; q++ {
 		ctx.Send(q, pl)
 	}
-	m.armInner(ctx, m.inner.t+clock.Local(m.inner.window))
-	m.inner.flag = phaseUpdate
+	m.armInner(ctx, m.inner.Collect(0))
 }
 
 func (m *Member) innerTimer(ctx *sim.Context) {
-	switch m.inner.flag {
-	case phaseBroadcast:
+	if m.inner.Broadcasting() {
 		m.innerBroadcast(ctx)
-	case phaseUpdate:
-		adj := m.inner.adjustment()
-		m.bumpFromInner(ctx, adj)
-		m.lastAdj = adj
-		ctx.Annotate(metrics.TagAdjust, adj)
-		ctx.Annotate(metrics.TagRoundComplete, float64(m.inner.rnd))
-		m.inner.advance()
-		m.armInner(ctx, m.inner.t)
-		m.checkElection(ctx)
+		return
 	}
+	adj := m.inner.Adjust()
+	m.bumpFromInner(ctx, adj)
+	m.lastAdj = adj
+	ctx.Annotate(metrics.TagAdjust, adj)
+	ctx.Annotate(metrics.TagRoundComplete, float64(m.inner.Index()))
+	m.inner.Advance()
+	m.armInner(ctx, m.inner.Mark())
+	m.checkElection(ctx)
 }
 
 // checkElection runs once per inner round, after the update: a follower that
@@ -336,37 +269,32 @@ func (m *Member) checkElection(ctx *sim.Context) {
 // representative joins the running schedule; its first update may see a cold
 // ARR and skip via the adjustment guard, converging one round later).
 func (m *Member) becomeRep(ctx *sim.Context) {
-	m.outer = newTier(m.cfg.OuterParams())
-	if now := m.local(ctx); now > m.outer.t {
-		skip := math.Ceil(float64(now-m.outer.t) / m.outer.p)
-		m.outer.base += clock.Local(skip * m.outer.p)
-		m.outer.t = m.outer.base
-		m.outer.rnd = int(skip)
-	}
-	m.armOuter(ctx, m.outer.t)
+	outer := core.NewRound(m.cfg.OuterParams())
+	outer.SkipTo(m.local(ctx))
+	m.outer = &outer
+	m.armOuter(ctx, outer.Mark())
 }
 
 func (m *Member) outerTimer(ctx *sim.Context) {
 	if m.outer == nil {
 		return
 	}
-	switch m.outer.flag {
-	case phaseBroadcast:
+	if m.outer.Broadcasting() {
 		m.outerBroadcast(ctx)
-	case phaseUpdate:
-		adj := m.outer.adjustment()
-		m.bumpFromOuter(ctx, adj)
-		ctx.Annotate(metrics.TagOuterAdjust, adj)
-		m.outer.advance()
-		m.armOuter(ctx, m.outer.t)
-		var pl any = Discipline{Adj: adj, Round: int32(m.outer.rnd - 1)}
-		for q := m.lo; q < m.hi; q++ {
-			if q != m.id {
-				ctx.Send(q, pl)
-			}
-		}
-		m.lastDisc = m.local(ctx)
+		return
 	}
+	adj := m.outer.Adjust()
+	m.bumpFromOuter(ctx, adj)
+	ctx.Annotate(metrics.TagOuterAdjust, adj)
+	m.outer.Advance()
+	m.armOuter(ctx, m.outer.Mark())
+	var pl any = Discipline{Adj: adj, Round: int32(m.outer.Index() - 1)}
+	for q := m.lo; q < m.hi; q++ {
+		if q != m.id {
+			ctx.Send(q, pl)
+		}
+	}
+	m.lastDisc = m.local(ctx)
 }
 
 // outerBroadcast sends the outer round mark to every foreign cluster's
@@ -375,11 +303,10 @@ func (m *Member) outerTimer(ctx *sim.Context) {
 // looping a copy through the intra-cluster channel would stamp it with an
 // inner-band delay and bias the midpoint low.
 func (m *Member) outerBroadcast(ctx *sim.Context) {
-	mark := m.outer.t
-	var pl any = TMsg{Tier: TierOuter, Mark: mark}
+	var pl any = TMsg{Tier: TierOuter, Mark: m.outer.Mark()}
 	for j := 0; j < m.cfg.Clusters(); j++ {
 		if j == m.cluster {
-			m.outer.arr[j] = float64(m.local(ctx)) + m.outer.delta
+			m.outer.Record(j, float64(m.local(ctx))+m.cfg.OuterDelta)
 			continue
 		}
 		lo, hi := m.cfg.ClusterBounds(j)
@@ -391,6 +318,5 @@ func (m *Member) outerBroadcast(ctx *sim.Context) {
 			ctx.Send(lo+sim.ProcID(r), pl)
 		}
 	}
-	m.armOuter(ctx, mark+clock.Local(m.outer.window))
-	m.outer.flag = phaseUpdate
+	m.armOuter(ctx, m.outer.Collect(0))
 }

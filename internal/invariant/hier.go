@@ -37,6 +37,8 @@ type HierAgreement struct {
 	seen    []bool
 	lo, hi  []clock.Local
 	ver     uint64
+
+	maxSpread float64
 }
 
 var _ sim.Sampler = (*HierAgreement)(nil)
@@ -50,6 +52,10 @@ func NewHierAgreement(gamma, gammaIn float64, clusterSize int, warmup clock.Real
 		ClusterSize: clusterSize, Warmup: warmup,
 	}
 }
+
+// MaxSpread returns the largest spread of the checked population (everyone
+// outside Exclude) seen from Warmup on — the quantity held against Gamma.
+func (h *HierAgreement) MaxSpread() float64 { return h.maxSpread }
 
 // Sample implements sim.Sampler.
 func (h *HierAgreement) Sample(e *sim.Engine, _ bool) {
@@ -111,7 +117,9 @@ func (h *HierAgreement) Sample(e *sim.Engine, _ bool) {
 		return
 	}
 	h.checked++
-	if skew := float64(ghi - glo); skew > h.Gamma {
+	skew := float64(ghi - glo)
+	h.maxSpread = max(h.maxSpread, skew)
+	if skew > h.Gamma {
 		h.violate(Violation{
 			Invariant: h.name, At: t, Proc: -1,
 			Amount: skew - h.Gamma,

@@ -12,7 +12,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/faults"
 	"repro/internal/hier"
-	"repro/internal/invariant"
 	"repro/internal/sim"
 	"repro/internal/sim/simtest"
 )
@@ -27,7 +26,7 @@ func TestOracleDifferential(t *testing.T) {
 	run := func(t *testing.T, w exp.Workload) *exp.Result {
 		t.Helper()
 		o := simtest.NewOracle(t)
-		if w.Shards > 1 {
+		if w.Shards > 0 {
 			w.Observers = append(w.Observers, o.AtCuts())
 		} else {
 			w.Observers = append(w.Observers, o)
@@ -125,44 +124,17 @@ func TestOracleDifferential(t *testing.T) {
 		})
 	}
 
-	// Two-tier n = 64: sequential with HierAgreement on the shared pass,
-	// then sharded k ∈ {1, 2, 4}, where the same checker refills at every cut.
+	// Two-tier n = 64 through the path users run (Workload.Hier): sequential
+	// with HierAgreement on the shared pass, then sharded k ∈ {1, 2, 4}, where
+	// the same checker refills at every cut.
 	twoTier := func(t *testing.T, shards int) {
-		const rounds = 5
-		hcfg := hier.Default(64, 8)
-		s, err := hier.Build(hcfg)
+		s, err := hier.Build(hier.Default(64, 8))
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := simtest.NewOracle(t)
-		chk := invariant.NewHierAgreement(hcfg.GammaComposed(), hcfg.GammaInner(), hcfg.ClusterSize, s.Warmup(rounds))
-		if shards == 0 {
-			eng, err := sim.New(s.SimConfig(rounds, 20))
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng.Observe(o)
-			eng.Observe(chk)
-			err = eng.Run(s.Horizon(rounds))
-			if err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			se, err := sim.NewSharded(s.SimConfig(rounds, 20), shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, ob := range []sim.Observer{o.AtCuts(), chk} {
-				if err := se.Observe(ob); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := se.Run(s.Horizon(rounds)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if o.Checks < 20 || chk.Checked() == 0 || !chk.Ok() {
-			t.Fatalf("%d oracle checks, hier-agreement: %d checked, %v", o.Checks, chk.Checked(), chk.Violations())
+		chk := run(t, exp.Workload{Hier: s, Rounds: 5, Seed: 20, Shards: shards}).HierAgreement
+		if chk.Checked() == 0 || !chk.Ok() {
+			t.Fatalf("hier-agreement: %d checked, %v", chk.Checked(), chk.Violations())
 		}
 	}
 	t.Run("two-tier/sequential", func(t *testing.T) { twoTier(t, 0) })

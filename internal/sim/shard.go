@@ -241,7 +241,7 @@ func NewSharded(cfg Config, shards int) (*ShardedEngine, error) {
 		maxSteps:  cfg.MaxSteps,
 	}
 	if se.maxSteps <= 0 {
-		se.maxSteps = defaultMaxSteps
+		se.maxSteps = DefaultMaxSteps
 	}
 	for s := 0; s < shards; s++ {
 		local := make([]bool, n)

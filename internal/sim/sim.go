@@ -336,7 +336,8 @@ type Engine struct {
 	timersLapsed int64 // timers requested for the past (dropped per §2.2)
 }
 
-const defaultMaxSteps = 10_000_000
+// DefaultMaxSteps is the runaway guard Config.MaxSteps defaults to.
+const DefaultMaxSteps = 10_000_000
 
 // New validates the configuration and builds an engine with the START
 // messages pending, matching the initial buffer state of §2.2.
@@ -395,7 +396,7 @@ func newEngine(cfg Config, sh *shardSetup) (*Engine, error) {
 	}
 	maxSteps := cfg.MaxSteps
 	if maxSteps <= 0 {
-		maxSteps = defaultMaxSteps
+		maxSteps = DefaultMaxSteps
 	}
 	e := &Engine{
 		procs:    cfg.Procs,
@@ -488,9 +489,9 @@ func newEngine(cfg Config, sh *shardSetup) (*Engine, error) {
 }
 
 // Observe registers an observer, classifying it once by capability. Must be
-// called before Run. It panics if o implements none of the observer
-// interfaces — such a registration would silently observe nothing.
-func (e *Engine) Observe(o Observer) {
+// called before Run. An o that implements none of the observer interfaces is
+// an error — such a registration would silently observe nothing.
+func (e *Engine) Observe(o Observer) error {
 	matched := false
 	if s, ok := o.(Sampler); ok {
 		e.samplers = append(e.samplers, s)
@@ -505,8 +506,9 @@ func (e *Engine) Observe(o Observer) {
 		matched = true
 	}
 	if !matched {
-		panic(fmt.Sprintf("sim: Observe(%T): type implements none of Sampler, AnnotationSink, DeliveryObserver", o))
+		return fmt.Errorf("sim: Observe(%T): type implements none of Sampler, AnnotationSink, DeliveryObserver", o)
 	}
+	return nil
 }
 
 // N returns the number of processes.

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -627,8 +628,8 @@ func TestContextRandDeterministicAndPerProcess(t *testing.T) {
 
 // TestObserveClassification checks the registration-time split: a type
 // implementing only some observer interfaces is called back only on those,
-// and registering a type implementing none panics instead of silently
-// observing nothing.
+// and registering a type implementing none is a named error instead of
+// silently observing nothing — on either engine, through sim.Runner.
 func TestObserveClassification(t *testing.T) {
 	rec := &recorder{}
 	rec.onStart = func(ctx *Context) { ctx.Annotate("a", 1) }
@@ -642,15 +643,21 @@ func TestObserveClassification(t *testing.T) {
 		t.Fatal(err)
 	}
 	obs := &annObserver{}
-	e.Observe(obs)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Observe of a non-observer did not panic")
-			}
-		}()
-		e.Observe(42)
-	}()
+	if err := e.Observe(obs); err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{0, 1} {
+		r, err := NewRunner(Config{
+			Procs: []Process{&recorder{}}, Clocks: perfectClocks(1), StartAt: starts(1, 0),
+			Delay: ConstantDelay{Delta: 0.01},
+		}, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Observe(42); err == nil || !strings.Contains(err.Error(), "Observe(int)") {
+			t.Errorf("shards=%d: Observe of a non-observer: %v, want an error naming the type", shards, err)
+		}
+	}
 	if err := e.Run(1); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/sim"
 )
 
@@ -144,6 +145,12 @@ type optionRule struct {
 	// single substrate are rejected by name rather than silently
 	// reinterpreted.
 	twoTier string
+	// sharded gives why the option, as set in o, cannot run alongside
+	// WithShards ("" if it can; nil: it always can). The sharded engine has
+	// no sequential order of deliveries inside a window, so what needs one —
+	// a per-delivery log, an omniscient adversary — is rejected here, by name,
+	// rather than by the engine at Run.
+	sharded func(o *options) string
 	// startup and lifecycle mark the options RunStartup and
 	// RunEstablishThenMaintain have no use for.
 	startup, lifecycle bool
@@ -168,16 +175,23 @@ var optionRules = []optionRule{
 		twoTier: "is not plumbed through the two-tier builder (constant ρ-bounded rates)"},
 	{option: "WithInitialSpread", set: func(o *options) bool { return o.initialSpread != 0 }, startup: true, lifecycle: true,
 		twoTier: "overrides the flat mesh's A4 spread; a two-tier topology derives a spread satisfying both tiers at once"},
-	{option: "WithSkewSeries", set: func(o *options) bool { return o.skewBucket != 0 }, startup: true,
-		twoTier: "is not recorded for two-tier runs"},
+	{option: "WithSkewSeries", set: func(o *options) bool { return o.skewBucket != 0 }, startup: true},
 	{option: "WithFault", flag: "-faults", set: func(o *options) bool { return len(o.faults) > 0 }, startup: true, lifecycle: true,
 		twoTier: "fills the flat mesh's fault slots; two-tier fault injection lives in experiment E20"},
 	{option: "WithAdversary", flag: "-adversary", set: func(o *options) bool { return o.adversary != "" }, startup: true, lifecycle: true,
-		twoTier: "targets the flat mesh; two-tier fault injection lives in experiment E20"},
+		twoTier: "targets the flat mesh; two-tier fault injection lives in experiment E20",
+		sharded: func(o *options) string {
+			if s, err := faults.ByName(o.adversary); err != nil || !s.Adaptive() {
+				return "" // schedule-driven strategies only fill fault slots
+			}
+			return "installs an adaptive network adversary, whose omniscient view of every copy in flight needs the sequential engine"
+		}},
 	{option: "WithRejoiner", set: func(o *options) bool { return o.rejoinID >= 0 }, startup: true, lifecycle: true,
 		twoTier: "applies to the flat mesh's §9.1 path"},
 	{option: "WithTrace", flag: "-trace", set: func(o *options) bool { return o.traceLimit > 0 }, startup: true, lifecycle: true,
-		twoTier: "renders the flat action log"},
+		sharded: func(*options) string {
+			return "records every delivery, which sharded mode cannot order deterministically"
+		}},
 	{option: "WithTopology/WithClusters", flag: "-topology/-clusters", set: func(o *options) bool { return o.topology != TopologyFlat }, startup: true, lifecycle: true},
 	{option: "WithShards", flag: "-shards", set: func(o *options) bool { return o.shards > 1 }, startup: true, lifecycle: true},
 }
@@ -193,6 +207,13 @@ func (r *optionRule) cite() string {
 // The entry points that consult the table, as reject's why argument: each
 // gives its reason for turning a rule's option down, "" if it honours it.
 func twoTierReason(r *optionRule) string { return r.twoTier }
+
+func (o *options) shardedReason(r *optionRule) string {
+	if o.shards > 1 && r.sharded != nil {
+		return r.sharded(o)
+	}
+	return ""
+}
 
 func startupReason(r *optionRule) string {
 	if r.startup {
@@ -277,8 +298,10 @@ func WithSeed(seed int64) Option { return func(o *options) { o.seed = seed } }
 // lookahead windows in parallel (see README "Sharded execution for large
 // n"). The execution — every delivery, every measured quantity — is
 // byte-identical for every k, so the knob trades nothing but hardware.
-// Features the sharded engine rejects (an adversary strategy, per-delivery
-// tracing) fail Run with a clear error; k ≤ 1 means the sequential engine.
+// What needs the sequential engine's delivery order — WithTrace, an adaptive
+// WithAdversary strategy — is rejected by New from the option table, naming
+// both options; k ≤ 1 means the sequential engine. Composes with both
+// topologies.
 func WithShards(k int) Option { return func(o *options) { o.shards = k } }
 
 // WithInitialSpread spreads the initial logical clocks over the given real
@@ -356,10 +379,12 @@ func WithDerivedBeta() Option { return func(o *options) { o.deriveBeta = true } 
 // LAN-under-WAN substrate defaults — in two-tier mode the f argument of New
 // bounds the Byzantine *representatives* f_out (0 derives the largest
 // budget the cluster count supports) and the per-cluster budget f_in is
-// derived from the cluster size. Options that configure the flat mesh's
-// single substrate or its fault slots (WithDelay, WithBeta, WithFault,
-// WithAdversary, …) are rejected with a named error; WithShards composes
-// freely, draining the clusters' inner rounds in parallel.
+// derived from the cluster size. Both topologies run through the same
+// harness step, so what is not about the flat mesh composes: WithSeed,
+// WithRho, WithRoundLength, WithT0, WithSkewSeries, WithTrace, and WithShards
+// (draining the clusters' inner rounds in parallel). Options that configure
+// the flat mesh's single substrate or its fault slots (WithDelay, WithBeta,
+// WithFault, WithAdversary, …) are rejected with a named error.
 func WithTopology(t Topology) Option { return func(o *options) { o.topology = t } }
 
 // WithClusters runs the two-tier hierarchy with clusters of c processes

@@ -8,7 +8,8 @@ import (
 // TestOptionRules walks the composition table: every row must have a
 // setter here (so a new row cannot go untested), and each entry point must
 // reject exactly the rows marked for it — naming the option, the wlsim flag
-// and the row's reason — and run with every other row's option set.
+// and the row's reason — and run with every other row's option set. The
+// sharded entries pair each row with WithShards(2), on both topologies.
 func TestOptionRules(t *testing.T) {
 	setters := map[string]Option{
 		"WithDelay":                 WithDelay(10e-3, 0.5e-3),
@@ -28,6 +29,11 @@ func TestOptionRules(t *testing.T) {
 		"WithTopology/WithClusters": WithClusters(4),
 		"WithShards":                WithShards(2),
 	}
+	// shardedWith is the row's reason against WithShards(2) + its setter.
+	shardedWith := func(r *optionRule) string {
+		o := resolve([]Option{WithShards(2), setters[r.option]})
+		return o.shardedReason(r)
+	}
 	entryPoints := []struct {
 		name   string
 		reason func(r *optionRule) string // "" = the entry point honours the row
@@ -35,6 +41,19 @@ func TestOptionRules(t *testing.T) {
 	}{
 		{"two-tier New", twoTierReason, func(opt Option) error {
 			_, err := New(60, 0, WithClusters(6), opt)
+			return err
+		}},
+		{"sharded New", shardedWith, func(opt Option) error {
+			_, err := New(60, 3, WithShards(2), opt)
+			return err
+		}},
+		{"sharded two-tier New", func(r *optionRule) string {
+			if why := shardedWith(r); why != "" {
+				return why // New consults the sharded reasons first
+			}
+			return twoTierReason(r)
+		}, func(opt Option) error {
+			_, err := New(60, 0, WithShards(2), WithClusters(6), opt)
 			return err
 		}},
 		{"RunStartup", startupReason, func(opt Option) error {

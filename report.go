@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exp"
+	"repro/internal/hier"
 )
 
 // Report summarizes one maintenance run: measured quantities side by side
@@ -85,6 +86,25 @@ func buildReport(cfg core.Config, res *exp.Result, rj *core.Rejoiner) *Report {
 		r.Rejoined = rj.Joined()
 	}
 	return r
+}
+
+// twoTierReport reads a two-tier run back: the composed envelope in Gamma,
+// rounds from the members themselves, the runtime invariant's verdict.
+func twoTierReport(s *hier.System, res *exp.Result) *Report {
+	hcfg := s.Cfg
+	return &Report{
+		TwoTier:          true,
+		Clusters:         hcfg.Clusters(),
+		ClusterSize:      hcfg.ClusterSize,
+		Gamma:            hcfg.GammaComposed(),
+		Rounds:           s.MinRound(),
+		MaxSkew:          res.Skew.Max(),
+		SteadySkew:       res.Skew.MaxAfterWarmup(),
+		MessagesSent:     res.MessagesSent(),
+		MessagesLost:     res.MessagesLost(),
+		SkewSeries:       res.Skew.Series(),
+		InnerAgreementOK: res.HierAgreement.Ok(),
+	}
 }
 
 // AgreementHolds reports whether the measured skew respected Theorem 16
