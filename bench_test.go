@@ -178,25 +178,19 @@ func BenchmarkEngineThroughput(b *testing.B) {
 }
 
 // BenchmarkLargeN measures the round-structured broadcast regime the
-// calendar queue and lazy materialization target: 10 maintenance rounds of
-// an n-process full mesh (≈ n² messages per round inside one delay window)
-// with no observers, so queue and automaton work dominate. The default
-// configuration (calendar scheduler, lazy broadcasts at these sizes) is the
-// number that matters; the -heap and -eager sub-benchmarks force the 4-ary
-// heap and eager materialization as baselines (peak-queue-events is ≈ n²
-// pending copies either way; B/op shows what a copy costs). The sharded
+// calendar queue and the shared broadcast header target: 10 maintenance
+// rounds of an n-process full mesh (≈ n² messages per round inside one delay
+// window) with no observers, so queue and automaton work dominate
+// (peak-queue-events is ≈ n² pending copies; B/op shows what a copy costs).
+// The heap against the calendar is sim's BenchmarkSchedCrossover. The sharded
 // sub-benchmarks run the same workload across k worker shards
 // (time-window synchronization at lookahead δ−ε), and the -hier one swaps
 // the flat mesh for the two-tier hierarchy (clusters of 32, internal/hier):
 // same rounds, ≈ 3% of the per-round traffic (msgs-per-round records it).
 func BenchmarkLargeN(b *testing.B) {
-	b.Run("n=31", bench.LargeN(31, sim.SchedulerAuto, sim.BroadcastAuto))
-	b.Run("n=101", bench.LargeN(101, sim.SchedulerAuto, sim.BroadcastAuto))
-	b.Run("n=1009", bench.LargeN(1009, sim.SchedulerAuto, sim.BroadcastAuto))
-	b.Run("n=31-heap", bench.LargeN(31, sim.SchedulerHeap, sim.BroadcastAuto))
-	b.Run("n=101-heap", bench.LargeN(101, sim.SchedulerHeap, sim.BroadcastAuto))
-	b.Run("n=101-eager", bench.LargeN(101, sim.SchedulerAuto, sim.BroadcastEager))
-	b.Run("n=1009-eager", bench.LargeN(1009, sim.SchedulerAuto, sim.BroadcastEager))
+	b.Run("n=31", bench.LargeN(31))
+	b.Run("n=101", bench.LargeN(101))
+	b.Run("n=1009", bench.LargeN(1009))
 	b.Run("n=1009-sharded-k=8", bench.LargeNSharded(1009, 8))
 	b.Run("n=1009-hier", bench.LargeNHier(1009, 32))
 }

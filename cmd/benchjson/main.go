@@ -22,7 +22,6 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/sim"
 )
 
 // result is one benchmark measurement. EventsPerSec is the headline number
@@ -37,8 +36,7 @@ type result struct {
 	EventsPerSec float64 `json:"events_per_sec,omitempty"`
 	EventsPerOp  float64 `json:"events_per_op,omitempty"`
 	// PeakQueueEvents is the event queue's population high-water mark — every
-	// pending copy in either broadcast mode (≈ n²; bytes_per_op carries what
-	// a copy costs), deterministic per benchmark and tracked like the time
+	// pending copy (≈ n²; bytes_per_op carries what a copy costs), deterministic per benchmark and tracked like the time
 	// metrics.
 	PeakQueueEvents float64 `json:"peak_queue_events,omitempty"`
 	// BarrierCount (sharded benchmarks only) is how many full cross-shard
@@ -84,29 +82,14 @@ func main() {
 		// The delivery pipeline's adversary stage under load: a regression
 		// here means the interceptor refactor slowed the retime/hook path.
 		{"EngineThroughput/adversary", bench.EngineAdversary},
-		// The large-n broadcast regime: the calendar scheduler (auto) next
-		// to its 4-ary-heap-only baseline at each size, so the committed
-		// file records both the absolute throughput and the speedup.
-		{"LargeN/n=31", bench.LargeN(31, sim.SchedulerAuto, sim.BroadcastAuto)},
-		{"LargeN/n=31-heap", bench.LargeN(31, sim.SchedulerHeap, sim.BroadcastAuto)},
-		{"LargeN/n=101", bench.LargeN(101, sim.SchedulerAuto, sim.BroadcastAuto)},
-		{"LargeN/n=101-heap", bench.LargeN(101, sim.SchedulerHeap, sim.BroadcastAuto)},
-		// Eager materialization as baseline: same event sequence and queue
-		// population, a 72-byte slab Message behind every pending copy.
-		{"LargeN/n=101-eager", bench.LargeN(101, sim.SchedulerAuto, sim.BroadcastEager)},
-		// The BroadcastAuto crossover sweep: each size forced eager and
-		// forced lazy (n=31 and n=101 above are the Auto picks of their
-		// pair). sim's lazyBroadcastMinN is read off these rows.
-		{"LargeN/n=7-eager", bench.LargeN(7, sim.SchedulerAuto, sim.BroadcastEager)},
-		{"LargeN/n=7-lazy", bench.LargeN(7, sim.SchedulerAuto, sim.BroadcastLazy)},
-		{"LargeN/n=13-eager", bench.LargeN(13, sim.SchedulerAuto, sim.BroadcastEager)},
-		{"LargeN/n=13-lazy", bench.LargeN(13, sim.SchedulerAuto, sim.BroadcastLazy)},
-		{"LargeN/n=22-eager", bench.LargeN(22, sim.SchedulerAuto, sim.BroadcastEager)},
-		{"LargeN/n=22-lazy", bench.LargeN(22, sim.SchedulerAuto, sim.BroadcastLazy)},
-		{"LargeN/n=31-lazy", bench.LargeN(31, sim.SchedulerAuto, sim.BroadcastLazy)},
-		// The "n in the thousands" tier the lazy+sharded work exists for;
-		// the nightly gate watches these entries like any other.
-		{"LargeN/n=1009", bench.LargeN(1009, sim.SchedulerAuto, sim.BroadcastAuto)},
+		// The large-n broadcast regime on the calendar scheduler. (The heap
+		// against the calendar at populations either side of the switch is
+		// sim's BenchmarkSchedCrossover.)
+		{"LargeN/n=31", bench.LargeN(31)},
+		{"LargeN/n=101", bench.LargeN(101)},
+		// The "n in the thousands" tier the sharded work exists for; the
+		// nightly gate watches these entries like any other.
+		{"LargeN/n=1009", bench.LargeN(1009)},
 		{"LargeN/n=1009-sharded-k=8", bench.LargeNSharded(1009, 8)},
 		// The two-tier hierarchy on the same 10 rounds: msgs_per_round is
 		// the O(n²) → O(n·c + (n/c)²) traffic drop, and wall-clock per op
@@ -115,7 +98,7 @@ func main() {
 	}
 
 	rep := report{
-		Note: "events/sec is simulator event throughput; in steady, one op = one delivered event and allocs_per_op must stay ~0 (no-observer steady state); LargeN is 10 maintenance rounds of an n-process broadcast mesh, with -heap forcing the calendar off (the 4-ary entry heap alone) and -eager forcing eager broadcast materialization as baselines; -eager/-lazy pairs at n ≤ 31 are the BroadcastAuto crossover sweep (Auto picks lazy from n = 32); peak_queue_events is the queue population high-water mark (every pending copy, ≈ n² in either mode — lazy copies cost 24 B each plus a shared header, eager ones 24 B + a 72 B message); -sharded-k runs the mesh across k time-window shards with batched windows and per-destination link buffers the barrier files and reuses — barrier_count is the full barriers paid (batching collapses it toward one per round) and its allocs_per_op must stay within 4× the sequential entry's (TestShardedSteadyAllocs); -hier runs the same rounds on the two-tier hierarchy (clusters of 32) and must stay at ≤ 1/3 the flat n=1009 wall-clock per op; msgs_per_round is the deterministic per-round traffic (≈ n² flat, ≈ n·c + (n/c)² two-tier), gated raw like the sharded allocs/barriers; entries too slow to iterate under the 1s benchtime are rerun at 3 forced iterations and report the median run; measured events/sec depends on the host's core count (a single-core machine cannot show the parallel speedup)",
+		Note: "events/sec is simulator event throughput; in steady, one op = one delivered event and allocs_per_op must stay ~0 (no-observer steady state); LargeN is 10 maintenance rounds of an n-process broadcast mesh; peak_queue_events is the queue population high-water mark (every pending copy, ≈ n², 24 B each plus a header shared by the fan-out); -sharded-k runs the mesh across k time-window shards with batched windows and per-destination link buffers the barrier files and reuses — barrier_count is the full barriers paid (batching collapses it toward one per round) and its allocs_per_op must stay within 4× the sequential entry's (TestShardedSteadyAllocs); -hier runs the same rounds on the two-tier hierarchy (clusters of 32) and must stay at ≤ 1/3 the flat n=1009 wall-clock per op; msgs_per_round is the deterministic per-round traffic (≈ n² flat, ≈ n·c + (n/c)² two-tier), gated raw like the sharded allocs/barriers; entries too slow to iterate under the 1s benchtime are rerun at 3 forced iterations and report the median run; measured events/sec depends on the host's core count (a single-core machine cannot show the parallel speedup)",
 	}
 	for _, bm := range benchmarks {
 		rep.Benchmarks = append(rep.Benchmarks, measure(bm.name, bm.fn, *count))

@@ -31,12 +31,16 @@ func main() {
 		markdown = flag.Bool("md", false, "render tables as markdown")
 		workers  = flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
 		big      = flag.Bool("big", true, "include the large sweep rows (E05 f>4, E09 n>31, E17 n=13)")
-		stress   = flag.Bool("stress", false, "include the nightly stress rows (E17 conformance at n=31)")
+		stress   = flag.Bool("stress", false, "include the nightly stress rows (E17 conformance at n=31); implies -big")
 	)
 	flag.Parse()
 	runner.SetDefaultWorkers(*workers)
-	exp.SetBigSweeps(*big)
-	exp.SetStressTier(*stress)
+	switch {
+	case *stress:
+		exp.SetSweepTier(exp.TierStress)
+	case !*big:
+		exp.SetSweepTier(exp.TierQuick)
+	}
 
 	if *list {
 		for _, e := range exp.All() {

@@ -215,7 +215,7 @@ type largeNSystem struct {
 // largeNFlat assembles the large-n benchmark system: n maintenance automata
 // (f = (n−1)/3 capacity, no actual faults) on drifting clocks with uniform
 // delays and no observers — the round-structured n²-broadcast regime the
-// calendar queue and lazy materialization exist for, with nothing but engine
+// calendar queue and the shared broadcast header exist for, with nothing but engine
 // and automaton work on the clock.
 func largeNFlat(n, shards int) (largeNSystem, error) {
 	cfg := core.Config{Params: analysis.Default(n, (n-1)/3)}
@@ -257,8 +257,7 @@ func largeNFlat(n, shards int) (largeNSystem, error) {
 // headline metric (a flat round delivers ≈ n² messages inside one delay
 // window) and peak-queue-events the population one: the queue's high-water
 // mark — for a sharded run the largest per-shard one — ≈ n² pending copies
-// in either broadcast mode (B/op carries what a copy costs: 24 bytes lazy,
-// 24 + 72 eager). A sharded run also reports barrier-count, the full
+// (B/op carries what a copy costs: a 24-byte entry). A sharded run also reports barrier-count, the full
 // cross-shard barriers it paid — the window-batching win, deterministic per
 // configuration and gated by the nightly benchjson comparison like the
 // allocation numbers.
@@ -308,17 +307,9 @@ func largeN(build func() (largeNSystem, error)) func(*testing.B) {
 	}
 }
 
-// LargeN returns the flat benchmark at size n on the sequential engine. The
-// scheduler knob forces the queue's calendar front off (the heap baseline)
-// or on, and the broadcast knob the materialization strategy (eager baseline
-// vs lazy); every combination delivers the identical event sequence.
-func LargeN(n int, s sim.Scheduler, m sim.BroadcastMode) func(*testing.B) {
-	return largeN(func() (largeNSystem, error) {
-		sys, err := largeNFlat(n, 0)
-		sys.cfg.Scheduler, sys.cfg.Broadcast = s, m
-		sys.cfg.EventHint = sim.DefaultEventHint(m, n)
-		return sys, err
-	})
+// LargeN returns the flat benchmark at size n on the sequential engine.
+func LargeN(n int) func(*testing.B) {
+	return largeN(func() (largeNSystem, error) { return largeNFlat(n, 0) })
 }
 
 // LargeNSharded returns the flat benchmark partitioned across k shards with

@@ -55,7 +55,7 @@ func allocGate(t *testing.T, eng *sim.Engine) {
 // benchmarked regime. Each measured Run slice delivers thousands of events;
 // even ≤ 2 allocations per slice is effectively zero per event.
 func TestEngineSteadyStateAllocs(t *testing.T) {
-	steadyAllocGate(t, 7) // n = 7: eager broadcasts, heap scheduler
+	steadyAllocGate(t, 7) // n = 7: the heap alone
 }
 
 // TestShardedSteadyAllocs is the sharded allocation budget gate: the same
@@ -70,7 +70,7 @@ func TestShardedSteadyAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the n=1009 benchmark pair (~10s)")
 	}
-	seq := testing.Benchmark(LargeN(1009, sim.SchedulerAuto, sim.BroadcastAuto))
+	seq := testing.Benchmark(LargeN(1009))
 	sh := testing.Benchmark(LargeNSharded(1009, 8))
 	seqAllocs, shAllocs := seq.AllocsPerOp(), sh.AllocsPerOp()
 	if seqAllocs <= 0 {
@@ -81,20 +81,13 @@ func TestShardedSteadyAllocs(t *testing.T) {
 	}
 }
 
-// TestEngineLazySteadyStateAllocs is the same gate over the lazy broadcast
-// path: at n = 40 BroadcastAuto resolves to lazy, so every fan-out files a
-// shared header and one entry per copy into the calendar's bins — header
-// recycling, block recycling through the free list, the window and its group
-// offsets reused from slot to slot — which must be as allocation-free as the
-// eager loop it replaced.
-func TestEngineLazySteadyStateAllocs(t *testing.T) {
-	eng, err := NewSteadyEngine(40, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eng.LazyBroadcast() {
-		t.Fatal("n=40 engine did not resolve to lazy broadcasts; the gate would re-test the eager path")
-	}
+// TestEngineCalendarSteadyStateAllocs is the same gate on the calendar side
+// of the scheduler's one fork: at n = 40 the default event hint switches the
+// calendar on from the first event, so every fan-out files its shared header
+// and one entry per copy into the bins — header recycling, block recycling
+// through the free list, the window and its group offsets reused from slot
+// to slot — which must be as allocation-free as the heap alone at n = 7.
+func TestEngineCalendarSteadyStateAllocs(t *testing.T) {
 	steadyAllocGate(t, 40)
 }
 

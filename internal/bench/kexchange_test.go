@@ -44,13 +44,12 @@ func newLargeNKEngine(n, k int, dense bool, seed int64) (*sim.Engine, core.Confi
 		}
 	}
 	scfg := sim.Config{
-		Procs:     procs,
-		Clocks:    clocks,
-		StartAt:   starts,
-		Delay:     sim.UniformDelay{Delta: cfg.Delta, Eps: cfg.Eps},
-		Seed:      seed,
-		MaxSteps:  1 << 40,
-		EventHint: sim.DefaultEventHint(sim.BroadcastAuto, n),
+		Procs:    procs,
+		Clocks:   clocks,
+		StartAt:  starts,
+		Delay:    sim.UniformDelay{Delta: cfg.Delta, Eps: cfg.Eps},
+		Seed:     seed,
+		MaxSteps: 1 << 40,
 	}
 	eng, err := sim.New(scfg)
 	return eng, cfg, tmax0, err

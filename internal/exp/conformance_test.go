@@ -33,10 +33,10 @@ func TestConformanceMatrix(t *testing.T) {
 	matrix, sharp := tables[0], tables[1]
 
 	gridPoints := 3
-	if BigSweeps() {
+	if SweepTier() >= TierFull {
 		gridPoints = 4
 	}
-	if StressTier() {
+	if SweepTier() >= TierStress {
 		gridPoints += 2 // the nightly n ∈ {31, 63} rows (one aggregated row per cell)
 	}
 	wantRows := len(faults.ScheduleDriven()) * gridPoints * 2

@@ -38,7 +38,7 @@ func runE05() ([]*Table, error) {
 		strategy string
 	}
 	fs := []int{1, 2, 3, 4}
-	if BigSweeps() {
+	if SweepTier() >= TierFull {
 		// Cheap since the parallel runner + zero-alloc engine: n up to 25.
 		fs = append(fs, 6, 8)
 	}

@@ -38,7 +38,7 @@ func runE09() ([]*Table, error) {
 	// than through a Workload, so they go straight onto the worker pool —
 	// one job per (n, averager) so the slow runs don't serialize.
 	ns := []int{4, 8, 16, 31}
-	if BigSweeps() {
+	if SweepTier() >= TierFull {
 		// The mean's f/(n−2f) rate keeps shrinking as n grows; track it
 		// into the hundreds now that large sweeps are cheap.
 		ns = append(ns, 63, 101)
@@ -69,7 +69,7 @@ func runE09() ([]*Table, error) {
 		av core.Averager
 	}
 	bns := []int{4, 10, 16}
-	if BigSweeps() {
+	if SweepTier() >= TierFull {
 		bns = append(bns, 32, 48)
 	}
 	var points []trial

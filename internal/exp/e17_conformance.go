@@ -40,7 +40,7 @@ func runE17() ([]*Table, error) {
 	}
 	type gridNF struct{ n, f int }
 	grid := []gridNF{{4, 1}, {7, 2}, {10, 3}}
-	if BigSweeps() {
+	if SweepTier() >= TierFull {
 		grid = append(grid, gridNF{13, 4})
 	}
 	// Nightly-only stress tier: 31- and 63-process systems per strategy ×
@@ -51,7 +51,7 @@ func runE17() ([]*Table, error) {
 	// stress tier) stay byte-identical.
 	const stressSeeds = 3
 	var stress []gridNF
-	if StressTier() {
+	if SweepTier() >= TierStress {
 		stress = []gridNF{{31, 10}, {63, 20}}
 	}
 	type point struct {

@@ -94,7 +94,7 @@ func runE18Bound() (*Table, error) {
 		}, false},
 	}
 	ns := []int{4, 7, 10}
-	if BigSweeps() {
+	if SweepTier() >= TierFull {
 		ns = append(ns, 13)
 	}
 	type point struct {

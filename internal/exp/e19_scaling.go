@@ -46,10 +46,10 @@ func runE19() ([]*Table, error) {
 		Columns:  []string{"n", "shards", "windows", "events", "msgs", "worst skew", "γ bound", "skew ≤ γ", "det"},
 	}
 	ns := []int{101, 251}
-	if BigSweeps() {
+	if SweepTier() >= TierFull {
 		ns = append(ns, 1009)
 	}
-	if StressTier() {
+	if SweepTier() >= TierStress {
 		ns = append(ns, 4001, 16385)
 	}
 	for _, n := range ns {
@@ -107,7 +107,7 @@ func e19ObserverTable() (*Table, error) {
 		Columns:  []string{"n", "shards", "windows", "events", "max skew", "γ bound", "skew ≤ γ", "invariants", "det"},
 	}
 	ns := []int{101, 251}
-	if BigSweeps() {
+	if SweepTier() >= TierFull {
 		ns = append(ns, 1009)
 	}
 	for _, n := range ns {

@@ -6,8 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 var (
@@ -15,17 +13,22 @@ var (
 	stressTier   = flag.Bool("stress", false, "include the nightly stress rows (E17 conformance at n=31)")
 )
 
-// TestMain gates the large sweep rows on -short, so the quick loop skips
-// them while full runs (and cmd/experiments) regenerate complete tables.
-// The stress tier stays opt-in even for full runs: the golden tables are
-// pinned without it (it is additive-only), and only the nightly workflow
-// passes -stress. Note TestGoldenTables would fail under -stress — the
-// extra E17 rows are deliberately not golden — so the nightly runs the
-// conformance matrix alone with the flag.
+// TestMain maps the test binary's flags onto the sweep tier: -short drops
+// the large sweep rows, so the quick loop skips them while full runs (and
+// cmd/experiments) regenerate complete tables. The stress tier stays opt-in
+// even for full runs: the golden tables are pinned without it (it is
+// additive-only), and only the nightly workflow passes -stress. Note
+// TestGoldenTables would fail under -stress — the extra E17 rows are
+// deliberately not golden — so the nightly runs the conformance matrix alone
+// with the flag.
 func TestMain(m *testing.M) {
 	flag.Parse()
-	SetBigSweeps(!testing.Short())
-	SetStressTier(*stressTier)
+	switch {
+	case *stressTier:
+		SetSweepTier(TierStress)
+	case testing.Short():
+		SetSweepTier(TierQuick)
+	}
 	os.Exit(m.Run())
 }
 
@@ -76,54 +79,4 @@ func TestGoldenTables(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestGoldenTablesLazyBroadcast is the eager-vs-lazy differential at full
-// experiment scale: it replays every workload-driven experiment with the
-// broadcast mode forced to lazy — including the small-n experiments that
-// auto-resolve to eager — and demands the same golden bytes. Together with
-// TestGoldenTables (auto mode) this pins both materialization strategies to
-// one delivery sequence across the whole suite.
-func TestGoldenTablesLazyBroadcast(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiments are integration-sized")
-	}
-	if *updateGolden {
-		t.Skip("goldens are written by TestGoldenTables in auto mode")
-	}
-	SetBroadcastOverride(sim.BroadcastLazy)
-	defer ClearBroadcastOverride()
-	// The non-parallel wrapper keeps the override in force until every
-	// parallel subtest has finished.
-	t.Run("forced-lazy", func(t *testing.T) {
-		for _, e := range All() {
-			if e.ID == "E19" || e.ID == "E20" {
-				// E19 and E20 drive sim.NewSharded / sim.New directly, not
-				// the Workload harness; the override cannot affect them.
-				continue
-			}
-			e := e
-			t.Run(e.ID, func(t *testing.T) {
-				t.Parallel()
-				tables, err := e.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				var buf bytes.Buffer
-				for _, tbl := range tables {
-					tbl.Render(&buf)
-					tbl.Markdown(&buf)
-				}
-				path := filepath.Join("testdata", "golden", e.ID+".golden")
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("missing golden file (generate with -update-golden): %v", err)
-				}
-				if !bytes.Equal(buf.Bytes(), want) {
-					t.Errorf("%s under forced lazy broadcast differs from golden file %s\n--- got ---\n%s\n--- want ---\n%s",
-						e.ID, path, buf.Bytes(), want)
-				}
-			})
-		}
-	})
 }

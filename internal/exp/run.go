@@ -124,14 +124,13 @@ func (w Workload) clocks() []clock.Clock {
 
 // eventHint estimates the peak number of buffered events for a maintenance
 // workload: each of the K exchanges per round keeps ≈ n² broadcast copies in
-// flight at once plus a timer per process — under either broadcast mode —
-// and with §9.3 staggering or rejoin schedules a previous exchange's
-// stragglers can overlap the next. The hint pre-sizes the engine's queue
+// flight at once plus a timer per process, and with §9.3 staggering or
+// rejoin schedules a previous exchange's stragglers can overlap the next. The hint pre-sizes the engine's queue
 // stores so rounds never pay growth-doubling copies mid-run (see
 // sim.Config.EventHint).
 func (w Workload) eventHint() int {
 	n := w.Cfg.N
-	hint := sim.DefaultEventHint(broadcastMode(), n)
+	hint := sim.DefaultEventHint(sim.BroadcastAuto, n)
 	if k := w.Cfg.K; k > 1 {
 		hint += (k - 1) * n * n / 4
 	}
@@ -307,7 +306,6 @@ func (w Workload) assembleFlat() assembly {
 			Seed:      w.Seed,
 			Adversary: w.Adversary,
 			Timeline:  w.Timeline,
-			Broadcast: broadcastMode(),
 			EventHint: w.eventHint(),
 			// The runaway guard grows with the workload: ≈ rounds+2
 			// all-to-all exchanges plus per-process timers, with slack.

@@ -1,49 +1,31 @@
 package exp
 
-import (
-	"sync/atomic"
+import "sync/atomic"
 
-	"repro/internal/sim"
+// Tier says how much of each sweep experiment runs. The tiers are ordered:
+// each includes everything the one below it runs.
+type Tier int32
+
+const (
+	// TierQuick drops the large parameter points of the sweep experiments
+	// (E05 beyond f = 4, E09 beyond n = 31, the n = 13 and n = 1009 rows of
+	// E17–E20); the test harness selects it under -short so the quick loop
+	// stays quick (see TestMain in golden_test.go).
+	TierQuick Tier = iota - 1
+	// TierFull, the zero value and the default, regenerates the complete
+	// tables; the goldens are pinned at this tier.
+	TierFull
+	// TierStress adds the nightly-scale rows (E17 at n ∈ {31, 63}, E19 and
+	// E20 beyond n = 4000). They are additive-only, so the golden tables and
+	// the per-push CI loop never run them; the nightly workflow selects the
+	// tier with `cmd/experiments -stress`.
+	TierStress
 )
 
-// bigSweepsOn gates the large parameter points of the sweep experiments
-// (E05 beyond f = 4, E09 beyond n = 31, the E17 conformance grid's largest
-// systems). They are enabled by default so cmd/experiments regenerates the
-// full tables; the test harness turns them off under -short so the quick
-// loop stays quick (see TestMain in golden_test.go).
-var bigSweepsOn atomic.Bool
+var sweepTier atomic.Int32
 
-func init() { bigSweepsOn.Store(true) }
+// SetSweepTier selects the tier every subsequent experiment run reads.
+func SetSweepTier(t Tier) { sweepTier.Store(int32(t)) }
 
-// SetBigSweeps enables or disables the large sweep rows.
-func SetBigSweeps(on bool) { bigSweepsOn.Store(on) }
-
-// BigSweeps reports whether the large sweep rows are enabled.
-func BigSweeps() bool { return bigSweepsOn.Load() }
-
-// stressTierOn gates the nightly-scale stress rows (the E17 conformance
-// grid at n = 31). Off by default — the stress tier is additive-only, so
-// the golden tables and the per-push CI loop never run it; the nightly
-// workflow turns it on with `cmd/experiments -stress`.
-var stressTierOn atomic.Bool
-
-// SetStressTier enables or disables the nightly stress rows.
-func SetStressTier(on bool) { stressTierOn.Store(on) }
-
-// StressTier reports whether the nightly stress rows are enabled.
-func StressTier() bool { return stressTierOn.Load() }
-
-// broadcastOverride is the broadcast materialization mode every Run hands
-// the engine: BroadcastAuto (the zero value) unless the test harness forces
-// one. The golden equivalence test uses it to replay the full experiment
-// suite under forced lazy materialization and demand byte-identical tables.
-var broadcastOverride atomic.Int32
-
-// SetBroadcastOverride forces mode on every subsequent Run.
-func SetBroadcastOverride(m sim.BroadcastMode) { broadcastOverride.Store(int32(m)) }
-
-// ClearBroadcastOverride restores the engine's automatic mode selection.
-func ClearBroadcastOverride() { SetBroadcastOverride(sim.BroadcastAuto) }
-
-// broadcastMode returns the mode in force.
-func broadcastMode() sim.BroadcastMode { return sim.BroadcastMode(broadcastOverride.Load()) }
+// SweepTier returns the tier in force.
+func SweepTier() Tier { return Tier(sweepTier.Load()) }

@@ -219,7 +219,7 @@ func (m *Member) receiveOrdinary(ctx *sim.Context, msg sim.Message) {
 func (m *Member) innerBroadcast(ctx *sim.Context) {
 	ctx.Annotate(metrics.TagRoundBegin, float64(m.inner.Index()))
 	// Box the payload once: unicasting a fresh interface value per copy is
-	// the dominant allocation at large n (lazy broadcasts pay it once per
+	// the dominant allocation at large n (a Broadcast pays it once per
 	// round; this loop is the unicast equivalent).
 	var pl any = TMsg{Tier: TierInner, Mark: m.inner.Mark()}
 	for q := m.lo; q < m.hi; q++ {

@@ -52,9 +52,12 @@ type Adversary interface {
 	Retime(v *AdversaryView, from, to ProcID, sentAt clock.Real, base float64) float64
 }
 
-// SendHook observes every ordinary message copy as it enters the global
-// buffer, after the pipeline fixed its delivery time. Copies lost to the
-// channel are not announced (they never enter the buffer).
+// SendHook observes every ordinary message copy on its way into the global
+// buffer, after the pipeline fixed its delivery time. The rule is the same
+// for Send and Broadcast: announce, then file — the copy OnSend is told
+// about is not yet among AdversaryView.PendingDeliveries (a Broadcast
+// announces all its copies, in pid order, before it files any). Copies lost
+// to the channel are not announced (they never enter the buffer).
 type SendHook interface {
 	OnSend(v *AdversaryView, m Message)
 }

@@ -8,13 +8,14 @@ import (
 )
 
 // This file implements the scheduler — the global message buffer of §2.2
-// with the total delivery order of §2.3. There is one event store: every
-// buffered Message sits in a slab (msgSlab), or, for a copy of a lazy
-// broadcast, in the header its fan-out shares (bcastHdr), and a 24-byte
-// pointer-free entry — the full sort key, where the message lives, and the
-// recipient — is what the queue structures move. A 4-ary min-heap of entries
-// (entryHeap) is a complete scheduler by itself ("heap mode"). The calendar
-// is an optional front over the same store, in three levels:
+// with the total delivery order of §2.3. There is one event store and one
+// message form: what the copies of a buffered message share — one copy for a
+// START, TIMER or unicast, up to n for a broadcast — sits in a header
+// (msgHdr), and a 24-byte pointer-free entry per copy — the full sort key,
+// the header, and the recipient — is what the queue structures move. A 4-ary
+// min-heap of entries (entryHeap) is a complete scheduler by itself ("heap
+// mode"). The calendar is an optional front over the same store, in three
+// levels:
 //
 //   - The time line is cut into slots of span C, and the next R slots each
 //     own a bin: an unsorted chain of fixed-size entry blocks drawn from one
@@ -53,25 +54,26 @@ import (
 // on and of C; the differential tests in queue_test.go and the
 // FuzzBucketWidth target enforce this.
 
-// Scheduler selects the event-queue implementation.
-type Scheduler uint8
+// schedMode says whether the calendar front is on. Engines always run
+// schedAuto; the forced modes exist for this package's differential tests
+// and benchmarks, which reach them through newEngine and sched.init.
+type schedMode uint8
 
 const (
-	// SchedulerAuto (the default) starts with the calendar off and switches
-	// it on when the number of buffered events crosses calActivateLen —
-	// small systems never pay calendar overhead, large broadcast storms
-	// never pay per-event sift work. A Config.EventHint of at least
-	// calActivateLen switches it on from the first event.
-	SchedulerAuto Scheduler = iota
-	// SchedulerHeap keeps the calendar off for the whole run; benchmarks
-	// use it as the baseline.
-	SchedulerHeap
-	// SchedulerCalendar switches the calendar on from the first event.
-	SchedulerCalendar
+	// schedAuto starts with the calendar off and switches it on when the
+	// number of buffered events crosses calActivateLen — small systems never
+	// pay calendar overhead, large broadcast storms never pay per-event sift
+	// work. A Config.EventHint of at least calActivateLen switches it on from
+	// the first event.
+	schedAuto schedMode = iota
+	// schedHeap keeps the calendar off for the whole run.
+	schedHeap
+	// schedCalendar switches the calendar on from the first event.
+	schedCalendar
 )
 
 const (
-	// calActivateLen is the buffered-event count at which SchedulerAuto
+	// calActivateLen is the buffered-event count at which schedAuto
 	// switches the calendar on: below it (n ≲ 22 full-mesh systems) heap
 	// sift depth is short and cache-resident, above it the O(log m) sift
 	// work dominates the queue cost.
@@ -111,27 +113,28 @@ const (
 // insertion order breaks the remaining ties.
 const entryTimerBit = uint64(1) << 63
 
-// bcastHdr is what the undelivered copies of one lazy broadcast share. Copies
-// are fully determined at broadcast time (the delivery pipeline runs eagerly
-// — see Engine.Broadcast), so materializing one is pure Message assembly from
-// its entry and this header: no RNG draw, no channel state, no pipeline stage
-// runs at pop time, which is what keeps lazy executions byte-identical to
-// eager ones. Headers are recycled through a free stack.
-type bcastHdr struct {
+// msgHdr is what the undelivered copies of one buffered message share: one
+// copy for a START, TIMER or unicast, one per routed recipient for a
+// broadcast. A copy is fully determined when it is sent (the delivery
+// pipeline runs at send time — see Engine.Broadcast), so delivering one is
+// pure Message assembly from its entry and this header: no RNG draw, no
+// channel state, no pipeline stage runs at pop time. Headers are recycled
+// through a free stack, and a recycled header drops its payload reference.
+type msgHdr struct {
 	from    ProcID
 	sentAt  clock.Real
 	payload any
 	left    int32 // copies not yet delivered
+	kind    Kind
 }
 
-// entry is the compact, pointer-free handle to one buffered message: the
-// full sort key plus where the Message lives — a slab slot, or, for a copy of
-// a lazy broadcast, the header it shares and its recipient.
+// entry is the compact, pointer-free handle to one buffered message copy:
+// the full sort key, the header the copy shares, and its recipient.
 type entry struct {
 	at  float64 // Message.DeliverAt
 	key uint64  // TIMER flag | sequence number
-	ref int32   // msgSlab slot if ≥ 0; lazy broadcast header −ref−1 if < 0
-	to  int32   // recipient of a lazy copy
+	ref int32   // index of the copy's msgHdr
+	to  int32   // Message.To
 }
 
 // packKey builds an entry key from a message kind and sequence number.
@@ -162,45 +165,6 @@ func entryCmp(a, b entry) int {
 	return 1
 }
 
-// msgSlab stores the buffered Message values the entries reference. Slots
-// are recycled through a free stack, so the steady-state engine schedules
-// timers and messages with no per-event allocation; take zeroes the vacated
-// slot so no stale Payload reference outlives its message.
-type msgSlab struct {
-	msgs []Message
-	free []int32
-}
-
-func (s *msgSlab) grow(c int) {
-	if cap(s.msgs) < c {
-		msgs := make([]Message, len(s.msgs), c)
-		copy(msgs, s.msgs)
-		s.msgs = msgs
-	}
-	if cap(s.free) < c {
-		free := make([]int32, len(s.free), c)
-		copy(free, s.free)
-		s.free = free
-	}
-}
-
-func (s *msgSlab) put(m *Message) int32 {
-	if n := len(s.free); n > 0 {
-		i := s.free[n-1]
-		s.free = s.free[:n-1]
-		s.msgs[i] = *m
-		return i
-	}
-	s.msgs = append(s.msgs, *m)
-	return int32(len(s.msgs) - 1)
-}
-
-func (s *msgSlab) take(i int32, out *Message) {
-	*out = s.msgs[i]
-	s.msgs[i] = Message{}
-	s.free = append(s.free, i)
-}
-
 // entryHeap is a 4-ary min-heap of entries ordered by entryLess: the whole
 // queue while the calendar is off, the store for events outside the ring of
 // bins while it is on. It is deliberately not a container/heap.Interface
@@ -213,14 +177,6 @@ type entryHeap struct {
 }
 
 func (q *entryHeap) len() int { return len(q.items) }
-
-func (q *entryHeap) grow(c int) {
-	if cap(q.items) < c {
-		items := make([]entry, len(q.items), c)
-		copy(items, q.items)
-		q.items = items
-	}
-}
 
 func (q *entryHeap) push(en entry) {
 	q.items = append(q.items, en)
@@ -292,21 +248,19 @@ type bin struct {
 
 var emptyBin = bin{min: math.Inf(1), max: math.Inf(-1), head: -1}
 
-// sched is the scheduler the engine talks to. Messages live in the slab (or
-// their broadcast's header) and their entries in exactly one of three
-// places: the open window, a bin of the ring, or the heap. Every binned
-// entry is later than every window entry, so the minimum is the smaller of
-// the window's head and the heap's top while the window is nonempty, and
-// the smaller of the first nonempty bin's minimum and the heap's top
-// otherwise.
+// sched is the scheduler the engine talks to. Messages live in their headers
+// and their entries in exactly one of three places: the open window, a bin of
+// the ring, or the heap. Every binned entry is later than every window entry,
+// so the minimum is the smaller of the window's head and the heap's top while
+// the window is nonempty, and the smaller of the first nonempty bin's minimum
+// and the heap's top otherwise.
 type sched struct {
-	slab    msgSlab    // every buffered Message that is not a lazy copy
-	heap    entryHeap  // everything the window and the ring do not hold
-	hdrs    []bcastHdr // lazy broadcasts with copies still pending
+	heap    entryHeap // everything the window and the ring do not hold
+	hdrs    []msgHdr  // messages with copies still pending, and recycled slots
 	hdrFree []int32
 
 	calOn     bool
-	mode      Scheduler
+	mode      schedMode
 	eventHint int     // expected peak buffered events (Config.EventHint)
 	peak      int     // high-water mark of buffered events
 	span      float64 // declared delay window δ+2ε: what the ring must reach
@@ -339,7 +293,7 @@ type sched struct {
 
 // init records the workload shape: δ and ε fix the starting slot span and
 // the distance the ring must reach.
-func (s *sched) init(mode Scheduler, hint int, delta, eps float64) {
+func (s *sched) init(mode schedMode, hint int, delta, eps float64) {
 	s.mode = mode
 	s.eventHint = hint
 	s.span = delta + 2*eps
@@ -350,41 +304,50 @@ func (s *sched) init(mode Scheduler, hint int, delta, eps float64) {
 	if l := delta - eps; l > 0 && l < s.c0 {
 		s.c0 = l
 	}
-	if mode == SchedulerCalendar || (mode == SchedulerAuto && hint >= calActivateLen) {
+	if mode == schedCalendar || (mode == schedAuto && hint >= calActivateLen) {
 		s.activate()
 	}
 }
 
 func (s *sched) len() int { return len(s.win) - s.wpos + s.binned + s.heap.len() }
 
-// grow pre-sizes the backing stores: the slab for msgs buffered Messages,
-// and the heap — for all events while it is the whole queue, for a slice of
-// msgs (timers and rejoin wake-ups, a small fraction of the population)
-// behind the calendar. Bins and the window grow with the traffic.
+// grow pre-sizes the backing stores: the header store for msgs buffered
+// messages, and the heap — for all events while it is the whole queue, for a
+// slice of msgs (timers and rejoin wake-ups, a small fraction of the
+// population) behind the calendar. Bins and the window grow with the traffic.
 func (s *sched) grow(events, msgs int) {
-	s.slab.grow(msgs)
+	s.hdrs = withCap(s.hdrs, msgs)
+	s.hdrFree = withCap(s.hdrFree, msgs)
 	if s.calOn {
 		events = msgs/8 + 64
 	}
-	s.heap.grow(events)
+	s.heap.items = withCap(s.heap.items, events)
 }
 
-func (s *sched) push(ev *event) {
-	s.file(entry{
-		at:  float64(ev.msg.DeliverAt),
-		key: packKey(ev.msg.Kind, ev.seq),
-		ref: s.slab.put(&ev.msg),
-	})
+// withCap returns s with room for c elements — exactly c if it had to move.
+func withCap[T any](s []T, c int) []T {
+	if cap(s) >= c {
+		return s
+	}
+	return append(make([]T, 0, c), s...)
 }
 
-// file queues one entry and, under SchedulerAuto, switches the calendar on
-// once the population warrants it.
+// push files a message with a single copy — a START, a TIMER or a unicast —
+// under sequence number seq.
+func (s *sched) push(m *Message, seq uint64) {
+	h := s.newHdr(m.From, m.SentAt, m.Payload, m.Kind)
+	s.hdrs[h].left = 1
+	s.file(entry{at: float64(m.DeliverAt), key: packKey(m.Kind, seq), ref: h, to: int32(m.To)})
+}
+
+// file queues one entry and, under schedAuto, switches the calendar on once
+// the population warrants it.
 func (s *sched) file(en entry) {
 	s.place(en)
 	if l := s.len(); l > s.peak {
 		s.peak = l
 		// A population reaching the threshold is necessarily a new peak.
-		if !s.calOn && l >= calActivateLen && s.mode == SchedulerAuto {
+		if !s.calOn && l >= calActivateLen && s.mode == schedAuto {
 			s.activate()
 		}
 	}
@@ -479,16 +442,16 @@ func (s *sched) drain(b *bin, fn func(en *entry)) {
 	*b = emptyBin
 }
 
-// pushBroadcast files one logical broadcast lazily: a header, plus one entry
-// per surviving copy. at/ok are the delivery pipeline's per-recipient results
-// (the pipeline already ran — see Engine.Broadcast); local, when non-nil,
-// keeps only the copies this engine owns (sharded mode; remote copies travel
-// through a shardLink). Copies take the sequence numbers the eager path would
-// have assigned: seqBase plus the copy's rank among the delivered ones, or —
-// det, sharded execution — seqBase with the recipient in its low bits.
+// pushBroadcast files one broadcast: a header, plus one entry per surviving
+// copy. at/ok are the delivery pipeline's per-recipient results (the pipeline
+// already ran — see Engine.Broadcast); local, when non-nil, keeps only the
+// copies this engine owns (sharded mode; remote copies travel through a
+// shardLink). Copies take the sequence numbers n successive sends would:
+// seqBase plus the copy's rank among the delivered ones, or — det, sharded
+// execution — seqBase with the recipient in its low bits.
 func (s *sched) pushBroadcast(from ProcID, sentAt clock.Real, payload any, at []clock.Real, ok, local []bool, seqBase uint64, det bool) {
-	h := s.newHdr(from, sentAt, payload)
-	ref, left, rank := -(h + 1), int32(0), uint64(0)
+	h := s.newHdr(from, sentAt, payload, KindOrdinary)
+	left, rank := int32(0), uint64(0)
 	for q := range ok {
 		if !ok[q] {
 			continue
@@ -501,25 +464,26 @@ func (s *sched) pushBroadcast(from ProcID, sentAt clock.Real, payload any, at []
 		if det {
 			key = seqBase | uint64(q)
 		}
-		s.file(entry{at: float64(at[q]), key: key, ref: ref, to: int32(q)})
+		s.file(entry{at: float64(at[q]), key: key, ref: h, to: int32(q)})
 		left++
 	}
 	s.setLeft(h, left)
 }
 
-// adopt files the copies of a broadcast another shard sent: ents carry the
-// delivery time, key and recipient; the header is this scheduler's own.
+// adopt files the copies of an ordinary message another shard sent: ents
+// carry the delivery time, key and recipient; the header is this scheduler's
+// own.
 func (s *sched) adopt(from ProcID, sentAt clock.Real, payload any, ents []entry) {
-	h := s.newHdr(from, sentAt, payload)
+	h := s.newHdr(from, sentAt, payload, KindOrdinary)
 	for i := range ents {
-		ents[i].ref = -(h + 1)
+		ents[i].ref = h
 		s.file(ents[i])
 	}
 	s.setLeft(h, int32(len(ents)))
 }
 
-func (s *sched) newHdr(from ProcID, sentAt clock.Real, payload any) int32 {
-	hdr := bcastHdr{from: from, sentAt: sentAt, payload: payload}
+func (s *sched) newHdr(from ProcID, sentAt clock.Real, payload any, kind Kind) int32 {
+	hdr := msgHdr{from: from, sentAt: sentAt, payload: payload, kind: kind}
 	if n := len(s.hdrFree); n > 0 {
 		h := s.hdrFree[n-1]
 		s.hdrFree = s.hdrFree[:n-1]
@@ -542,13 +506,9 @@ func (s *sched) setLeft(h, left int32) {
 
 // load writes the message en stands for into out without consuming it.
 func (s *sched) load(en *entry, out *Message) {
-	if en.ref >= 0 {
-		*out = s.slab.msgs[en.ref]
-		return
-	}
-	h := &s.hdrs[-en.ref-1]
+	h := &s.hdrs[en.ref]
 	*out = Message{
-		From: h.from, To: ProcID(en.to), Kind: KindOrdinary,
+		From: h.from, To: ProcID(en.to), Kind: h.kind,
 		Payload: h.payload, SentAt: h.sentAt, DeliverAt: clock.Real(en.at),
 	}
 }
@@ -585,18 +545,14 @@ func (s *sched) peekTime() (clock.Real, bool) {
 // queue is nonempty.
 func (s *sched) popMsg(out *Message) { s.take(s.popEntry(), out) }
 
-// take writes the message of a popped entry into out and releases its slab
-// slot, or its share of the broadcast header.
+// take writes the message of a popped entry into out and releases its share
+// of the header.
 func (s *sched) take(en entry, out *Message) {
-	if en.ref >= 0 {
-		s.slab.take(en.ref, out)
-		return
-	}
 	s.load(&en, out)
-	if h := &s.hdrs[-en.ref-1]; h.left > 1 {
+	if h := &s.hdrs[en.ref]; h.left > 1 {
 		h.left--
 	} else {
-		s.setLeft(-en.ref-1, 0)
+		s.setLeft(en.ref, 0)
 	}
 }
 
@@ -645,8 +601,7 @@ func (s *sched) forEachPending(fn func(m *Message) bool) {
 
 // activate switches the calendar on at the starting slot span, with the ring
 // positioned just before the earliest buffered event, and moves every heap
-// entry that fits the ring into its bin. Messages stay where they are in the
-// slab.
+// entry that fits the ring into its bin. Headers stay where they are.
 func (s *sched) activate() {
 	s.calOn = true
 	s.free = -1

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,7 +11,7 @@ import (
 
 // TestSchedulerEquivalenceOnEngine runs one full engine workload — beacon
 // processes broadcasting every period on drifting clocks, big enough that
-// SchedulerAuto activates the calendar — under all three scheduler modes
+// schedAuto activates the calendar — under all three scheduler modes
 // and demands bit-identical delivery sequences: same (DeliverAt, From, To,
 // Kind) for every event, in the same order. This is the engine-level
 // counterpart of the queue differential test; together with the golden
@@ -23,7 +24,7 @@ func TestSchedulerEquivalenceOnEngine(t *testing.T) {
 		to   ProcID
 		kind Kind
 	}
-	run := func(s Scheduler) []delivered {
+	run := func(s schedMode) []delivered {
 		t.Helper()
 		const n = 26 // n² ≈ 700 in-flight: crosses calActivateLen
 		procs := make([]Process, n)
@@ -35,14 +36,13 @@ func TestSchedulerEquivalenceOnEngine(t *testing.T) {
 			clocks[i] = drift.Build(i, n)
 			starts[i] = clock.Real(i) * 1e-4
 		}
-		eng, err := New(Config{
-			Procs:     procs,
-			Clocks:    clocks,
-			StartAt:   starts,
-			Delay:     UniformDelay{Delta: 4e-4, Eps: 1e-4},
-			Seed:      7,
-			Scheduler: s,
-		})
+		eng, err := newEngine(Config{
+			Procs:   procs,
+			Clocks:  clocks,
+			StartAt: starts,
+			Delay:   UniformDelay{Delta: 4e-4, Eps: 1e-4},
+			Seed:    7,
+		}, nil, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,8 +59,8 @@ func TestSchedulerEquivalenceOnEngine(t *testing.T) {
 		return log
 	}
 
-	heap := run(SchedulerHeap)
-	for _, s := range []Scheduler{SchedulerAuto, SchedulerCalendar} {
+	heap := run(schedHeap)
+	for _, s := range []schedMode{schedAuto, schedCalendar} {
 		got := run(s)
 		if len(got) != len(heap) {
 			t.Fatalf("scheduler %d delivered %d events, heap delivered %d", s, len(got), len(heap))
@@ -75,13 +75,22 @@ func TestSchedulerEquivalenceOnEngine(t *testing.T) {
 
 // testBeacon is a minimal self-sustaining broadcaster (the bench beacon,
 // local to the sim tests).
-type testBeacon struct{ period clock.Local }
+type testBeacon struct {
+	period  clock.Local
+	unicast bool // fan out as a Send loop over q = 0..n−1
+}
 
 func (b *testBeacon) Receive(ctx *Context, m Message) {
 	if m.Kind == KindOrdinary {
 		return
 	}
-	ctx.Broadcast(nil)
+	if b.unicast {
+		for q := 0; q < ctx.N(); q++ {
+			ctx.Send(ProcID(q), nil)
+		}
+	} else {
+		ctx.Broadcast(nil)
+	}
 	ctx.SetTimer(ctx.PhysNow()+b.period, nil)
 }
 
@@ -91,21 +100,20 @@ type observerFunc func(e *Engine, m Message)
 func (f observerFunc) OnDeliver(e *Engine, m Message) { f(e, m) }
 
 // TestSlabReleasesPayload is the calendar-mode counterpart of
-// TestQueuePopReleasesPayload: once an event is popped, no slab slot may
-// keep its Payload alive.
+// TestQueuePopReleasesPayload: once an event is popped, no header may keep
+// its Payload alive.
 func TestSlabReleasesPayload(t *testing.T) {
 	s := &sched{}
-	s.init(SchedulerCalendar, 0, 1e-2, 1e-3)
+	s.init(schedCalendar, 0, 1e-2, 1e-3)
 	for i := 0; i < 10; i++ {
-		ev := event{msg: Message{Payload: "x", DeliverAt: clock.Real(i) * 1e-3}, seq: uint64(i)}
-		s.push(&ev)
+		s.push(&Message{Payload: "x", DeliverAt: clock.Real(i) * 1e-3}, uint64(i))
 	}
 	for s.len() > 0 {
 		s.pop()
 	}
-	for i := range s.slab.msgs {
-		if s.slab.msgs[i].Payload != nil {
-			t.Fatalf("slab slot %d still holds payload %v after drain", i, s.slab.msgs[i].Payload)
+	for i := range s.hdrs {
+		if s.hdrs[i].payload != nil {
+			t.Fatalf("header %d still holds payload %v after drain", i, s.hdrs[i].payload)
 		}
 	}
 }
@@ -127,12 +135,12 @@ type storm struct {
 	broadcasts, delivered int
 }
 
-func newStorm(n int, period, spread clock.Real, delta, eps float64, seed int64) *storm {
+func newStorm(mode schedMode, n int, period, spread clock.Real, delta, eps float64, seed int64) *storm {
 	st := &storm{
 		s: &sched{}, rng: rand.New(rand.NewSource(seed)), n: n, period: period, spread: spread,
 		delta: delta, eps: eps, at: make([]clock.Real, n), ok: make([]bool, n),
 	}
-	st.s.init(SchedulerCalendar, 0, delta, eps)
+	st.s.init(mode, 0, delta, eps)
 	for p := range st.ok {
 		st.ok[p] = true
 		st.timer(ProcID(p), spread*clock.Real(st.rng.Float64()))
@@ -141,11 +149,11 @@ func newStorm(n int, period, spread clock.Real, delta, eps float64, seed int64) 
 }
 
 func (st *storm) timer(p ProcID, at clock.Real) {
-	st.s.push(&event{msg: Message{To: p, Kind: KindTimer, DeliverAt: at}, seq: st.seq})
+	st.s.push(&Message{To: p, Kind: KindTimer, DeliverAt: at}, st.seq)
 	st.seq++
 }
 
-func (st *storm) run(t *testing.T, until clock.Real, check func()) {
+func (st *storm) run(t testing.TB, until clock.Real, check func()) {
 	t.Helper()
 	var m Message
 	last := clock.Real(math.Inf(-1))
@@ -182,7 +190,7 @@ func (st *storm) run(t *testing.T, until clock.Real, check func()) {
 // three cuts, all in the first round; an n = 31 storm never moves C.
 func TestSlotSpanConverges(t *testing.T) {
 	for _, tc := range []struct{ n, minCuts, maxCuts int }{{1009, 1, 3}, {31, 0, 0}} {
-		st := newStorm(tc.n, 1, 5e-3, 10e-3, 1e-3, 1)
+		st := newStorm(schedCalendar, tc.n, 1, 5e-3, 10e-3, 1e-3, 1)
 		s := st.s
 		c0 := s.c
 		var cuts [3]int
@@ -208,6 +216,31 @@ func TestSlotSpanConverges(t *testing.T) {
 	}
 }
 
+// BenchmarkSchedCrossover is where the scheduler's one fork is measured: the
+// same storm through the heap alone and through the calendar, at in-flight
+// populations (≈ n² copies) either side of calActivateLen. schedAuto takes
+// the heap below the threshold and the calendar from it on; ns/event is the
+// time per delivered event, delay draws included.
+func BenchmarkSchedCrossover(b *testing.B) {
+	for _, n := range []int{8, 16, 32, 101} {
+		for _, side := range []struct {
+			name string
+			mode schedMode
+		}{{"heap", schedHeap}, {"calendar", schedCalendar}} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, side.name), func(b *testing.B) {
+				st := newStorm(side.mode, n, 1, 5e-3, 10e-3, 1e-3, 1)
+				st.run(b, 2, nil) // two rounds to carve the stores
+				from := st.delivered
+				b.ResetTimer()
+				for r := 3; st.delivered-from < b.N; r++ {
+					st.run(b, clock.Real(r), nil)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(st.delivered-from), "ns/event")
+			})
+		}
+	}
+}
+
 // TestSubRoundShapesStayBinned runs the two K-exchange shapes the deleted
 // width tuner grew heuristics for — eight sub-rounds a round, packed at the
 // sub-period floor so consecutive fan-outs tile into a continuum, and spread
@@ -218,7 +251,7 @@ func TestSlotSpanConverges(t *testing.T) {
 func TestSubRoundShapesStayBinned(t *testing.T) {
 	const n, k = 256, 8
 	for _, sub := range []clock.Real{18e-3, 1.0 / k} {
-		st := newStorm(n, sub, 5e-3, 10e-3, 1e-3, 2)
+		st := newStorm(schedCalendar, n, sub, 5e-3, 10e-3, 1e-3, 2)
 		s := st.s
 		heapPeak := 0
 		watch := func() { heapPeak = max(heapPeak, s.heap.len()) }
@@ -243,25 +276,25 @@ func TestSubRoundShapesStayBinned(t *testing.T) {
 // FuzzBucketWidth feeds the scheduler degenerate and adversarial inputs —
 // zero, denormal, huge, NaN and Inf delay spans, every scheduler mode, hints
 // on either side of calActivateLen, slot caps small enough that C is cut
-// with bins populated, and arbitrary traffic shapes mixing plain events with
-// lazy broadcasts, times before the open slot, beyond the ring, NaN and ±Inf
+// with bins populated, and arbitrary traffic shapes mixing single messages
+// with broadcasts, times before the open slot, beyond the ring, NaN and ±Inf
 // — and checks the full pop contract and the pending view against a naive
 // sort (see runSchedScript). The calendar may pick any slot span it likes and
 // may switch on at any point; the scheduler must never reorder, drop, or
 // duplicate an event.
 func FuzzBucketWidth(f *testing.F) {
-	f.Add(1e-2, 1e-3, int64(1), uint16(50), uint8(SchedulerCalendar), uint16(50), uint8(0))
-	f.Add(0.0, 0.0, int64(2), uint16(100), uint8(SchedulerCalendar), uint16(100), uint8(0))
-	f.Add(math.NaN(), math.Inf(1), int64(3), uint16(30), uint8(SchedulerCalendar), uint16(30), uint8(0))
-	f.Add(-5.0, math.MaxFloat64, int64(4), uint16(80), uint8(SchedulerAuto), uint16(calActivateLen), uint8(0))
-	f.Add(5e-324, 1e300, int64(5), uint16(60), uint8(SchedulerHeap), uint16(60), uint8(0))
-	f.Add(1e-2, 1e-3, int64(6), uint16(1500), uint8(SchedulerAuto), uint16(0), uint8(0)) // switches on mid-run
-	f.Add(1e-2, 1e-3, int64(7), uint16(1500), uint8(SchedulerHeap), uint16(2*calActivateLen), uint8(0))
-	f.Add(1e-2, 1e-2, int64(8), uint16(2000), uint8(SchedulerCalendar), uint16(0), uint8(0))  // δ = ε: the open slot takes traffic
-	f.Add(3e-3, 1e-3, int64(9), uint16(2000), uint8(SchedulerCalendar), uint16(0), uint8(11)) // a small slot cap, so cuts
+	f.Add(1e-2, 1e-3, int64(1), uint16(50), uint8(schedCalendar), uint16(50), uint8(0))
+	f.Add(0.0, 0.0, int64(2), uint16(100), uint8(schedCalendar), uint16(100), uint8(0))
+	f.Add(math.NaN(), math.Inf(1), int64(3), uint16(30), uint8(schedCalendar), uint16(30), uint8(0))
+	f.Add(-5.0, math.MaxFloat64, int64(4), uint16(80), uint8(schedAuto), uint16(calActivateLen), uint8(0))
+	f.Add(5e-324, 1e300, int64(5), uint16(60), uint8(schedHeap), uint16(60), uint8(0))
+	f.Add(1e-2, 1e-3, int64(6), uint16(1500), uint8(schedAuto), uint16(0), uint8(0)) // switches on mid-run
+	f.Add(1e-2, 1e-3, int64(7), uint16(1500), uint8(schedHeap), uint16(2*calActivateLen), uint8(0))
+	f.Add(1e-2, 1e-2, int64(8), uint16(2000), uint8(schedCalendar), uint16(0), uint8(0))  // δ = ε: the open slot takes traffic
+	f.Add(3e-3, 1e-3, int64(9), uint16(2000), uint8(schedCalendar), uint16(0), uint8(11)) // a small slot cap, so cuts
 	f.Fuzz(func(t *testing.T, delta, eps float64, seed int64, count uint16, mode uint8, hint uint16, slotCap uint8) {
 		runSchedScript(t, schedScript{
-			mode: Scheduler(mode % 3), hint: int(hint) % (4 * calActivateLen),
+			mode: schedMode(mode % 3), hint: int(hint) % (4 * calActivateLen),
 			delta: delta, eps: eps, seed: seed, ops: int(count) % 2048,
 			slotCap: int32(slotCap), // 0 keeps calSlotCap, which no script this short reaches
 		})
@@ -269,12 +302,13 @@ func FuzzBucketWidth(f *testing.F) {
 }
 
 // TestAutoActivationWithLazyHeads pins that the mid-run-activation fuzz seed
-// does what its comment says: the calendar switches on while lazy broadcast
-// copies are queued, and the pop order and pending view survive it.
+// does what its comment says: the calendar switches on while broadcasts with
+// several copies left are queued, and the pop order and pending view survive
+// it.
 func TestAutoActivationWithLazyHeads(t *testing.T) {
-	st := runSchedScript(t, schedScript{mode: SchedulerAuto, delta: 1e-2, eps: 1e-3, seed: 6, ops: 1500})
-	if st.lazyAtActivation <= 0 {
-		t.Fatalf("calendar switched on with %d lazy copies queued (−1: never switched on) — the script does not exercise mid-run activation", st.lazyAtActivation)
+	st := runSchedScript(t, schedScript{mode: schedAuto, delta: 1e-2, eps: 1e-3, seed: 6, ops: 1500})
+	if st.sharedAtActivation <= 0 {
+		t.Fatalf("calendar switched on with %d copies sharing a header queued (−1: never switched on) — the script does not exercise mid-run activation", st.sharedAtActivation)
 	}
 }
 
@@ -282,14 +316,14 @@ func TestAutoActivationWithLazyHeads(t *testing.T) {
 // fuzz target exists for: a cut with bins populated, entries beyond the ring
 // and in the open slot, and windows fed from both bins and the heap.
 func TestSchedScriptCoverage(t *testing.T) {
-	st := runSchedScript(t, schedScript{mode: SchedulerCalendar, slotCap: 11, delta: 3e-3, eps: 1e-3, seed: 9, ops: 2000})
+	st := runSchedScript(t, schedScript{mode: schedCalendar, slotCap: 11, delta: 3e-3, eps: 1e-3, seed: 9, ops: 2000})
 	if st.cuts == 0 || st.binnedAtCut == 0 {
 		t.Errorf("small-cap script: %d cuts, %d entries binned at the last one; want both > 0", st.cuts, st.binnedAtCut)
 	}
 	if st.opened < 10 {
 		t.Errorf("small-cap script opened %d windows", st.opened)
 	}
-	st = runSchedScript(t, schedScript{mode: SchedulerCalendar, delta: 1e-2, eps: 1e-2, seed: 8, ops: 2000})
+	st = runSchedScript(t, schedScript{mode: schedCalendar, delta: 1e-2, eps: 1e-2, seed: 8, ops: 2000})
 	if st.heapPeak == 0 || st.binnedPeak == 0 {
 		t.Errorf("δ=ε script: heap peak %d, binned peak %d; want traffic in both", st.heapPeak, st.binnedPeak)
 	}
@@ -298,7 +332,7 @@ func TestSchedScriptCoverage(t *testing.T) {
 // schedScript is one randomized scheduler workload. A nonzero slotCap lowers
 // the slot cap to a handful of entries, so C is cut while bins are populated.
 type schedScript struct {
-	mode       Scheduler
+	mode       schedMode
 	hint       int
 	slotCap    int32
 	delta, eps float64
@@ -308,11 +342,11 @@ type schedScript struct {
 
 // schedScriptStats is what a script run observed of the scheduler's insides.
 type schedScriptStats struct {
-	lazyAtActivation int // lazy copies pending when the calendar switched on mid-run; −1 if it never did
-	cuts, opened     int
-	binnedAtCut      int // entries binned just before the last cut
-	heapPeak         int
-	binnedPeak       int
+	sharedAtActivation int // copies sharing a header with another, pending when the calendar switched on mid-run; −1 if it never did
+	cuts, opened       int
+	binnedAtCut        int // entries binned just before the last cut
+	heapPeak           int
+	binnedPeak         int
 }
 
 // canonAt is the time the scheduler orders a delivery by: NaN has no place
@@ -324,8 +358,8 @@ func canonAt(t clock.Real) clock.Real {
 	return t
 }
 
-// sameMsg compares two messages with NaN delivery times canonicalized (a
-// slab message keeps its NaN, a lazy copy is rebuilt from its entry's +Inf).
+// sameMsg compares two messages with NaN delivery times canonicalized (the
+// mirror keeps its NaN, a popped message is rebuilt from its entry's +Inf).
 func sameMsg(a, b Message) bool {
 	a.DeliverAt, b.DeliverAt = canonAt(a.DeliverAt), canonAt(b.DeliverAt)
 	return a == b
@@ -334,8 +368,8 @@ func sameMsg(a, b Message) bool {
 // runSchedScript drives one sched through a random interleaving of push,
 // pushBroadcast, adopt and pop, mirrored by a naive list of fully
 // materialized events. Every pop must return the mirror's minimum under
-// eventLess — for a lazy copy that means it surfaces exactly where the eager
-// copy would — and forEachPending must yield exactly one message per
+// eventLess — a broadcast copy surfaces exactly where the same message sent
+// alone would — and forEachPending must yield exactly one message per
 // mirrored event, wherever the entry is filed (window, bin or heap), at
 // random points and before the final drain. Pushes mostly respect the
 // engine's contract (no earlier than the last pop) but also land before the
@@ -346,7 +380,7 @@ func runSchedScript(t *testing.T, sc schedScript) schedScriptStats {
 	s.init(sc.mode, sc.hint, sc.delta, sc.eps)
 	rng := rand.New(rand.NewSource(sc.seed))
 	popMod := 2 + rng.Intn(7)
-	st := schedScriptStats{lazyAtActivation: -1}
+	st := schedScriptStats{sharedAtActivation: -1}
 
 	// Payload carries the event's (base) sequence number, so (payload, To)
 	// identifies a pending copy in the order-free pending view.
@@ -436,8 +470,8 @@ func runSchedScript(t *testing.T, sc schedScript) schedScriptStats {
 		}
 		was := s.calOn
 		if rng.Intn(4) == 0 {
-			// One lazy fan-out: copies sequence-numbered in pid order over
-			// the routed recipients, exactly as Engine.broadcastLazy does —
+			// One fan-out: copies sequence-numbered in pid order over the
+			// routed recipients, exactly as Engine.Broadcast does —
 			// filed directly, or, every other time, handed over as a
 			// cross-shard link would (ready-keyed entries, adopted).
 			n := 1 + rng.Intn(12)
@@ -466,13 +500,15 @@ func runSchedScript(t *testing.T, sc schedScript) schedScriptStats {
 			ev.msg.DeliverAt = oddTime(ev.msg.DeliverAt)
 			ev.msg.Payload = seq
 			seq++
-			s.push(&ev)
+			s.push(&ev.msg, ev.seq)
 			pending = append(pending, ev)
 		}
 		if !was && s.calOn {
-			st.lazyAtActivation = 0
+			st.sharedAtActivation = 0
 			for i := range s.hdrs {
-				st.lazyAtActivation += int(s.hdrs[i].left)
+				if left := int(s.hdrs[i].left); left > 1 {
+					st.sharedAtActivation += left
+				}
 			}
 		}
 		st.heapPeak = max(st.heapPeak, s.heap.len())

@@ -1,35 +1,39 @@
 package sim
 
 import (
-	"sort"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/clock"
 )
 
-// lazyTestEngine builds the standard lazy-vs-eager differential workload: n
-// beacon processes with near-simultaneous starts (so whole fan-out bursts
-// are in flight together), drifting clocks, and a randomized delay model.
-func lazyTestEngine(t *testing.T, n int, s Scheduler, b BroadcastMode, ch Channel, adv Adversary) *Engine {
+// beaconEngine builds the standard fan-out workload: n beacon processes with
+// near-simultaneous starts (so whole fan-out bursts are in flight together),
+// drifting clocks, and a randomized delay model unless one is passed. unicast
+// spells every fan-out as a Send loop over q = 0..n−1 instead of one
+// Broadcast.
+func beaconEngine(t *testing.T, n int, unicast bool, delay DelayModel, ch Channel, adv Adversary) *Engine {
 	t.Helper()
 	procs := make([]Process, n)
 	clocks := make([]clock.Clock, n)
 	starts := make([]clock.Real, n)
 	drift := clock.ConstantDrift{RhoBound: 1e-5}
 	for i := range procs {
-		procs[i] = &testBeacon{period: 1e-3}
+		procs[i] = &testBeacon{period: 1e-3, unicast: unicast}
 		clocks[i] = drift.Build(i, n)
 		starts[i] = clock.Real(i) * 1e-6
+	}
+	if delay == nil {
+		delay = UniformDelay{Delta: 4e-4, Eps: 1e-4}
 	}
 	eng, err := New(Config{
 		Procs:     procs,
 		Clocks:    clocks,
 		StartAt:   starts,
-		Delay:     UniformDelay{Delta: 4e-4, Eps: 1e-4},
+		Delay:     delay,
 		Channel:   ch,
 		Seed:      7,
-		Scheduler: s,
-		Broadcast: b,
 		Adversary: adv,
 	})
 	if err != nil {
@@ -38,89 +42,124 @@ func lazyTestEngine(t *testing.T, n int, s Scheduler, b BroadcastMode, ch Channe
 	return eng
 }
 
-// TestBroadcastModeEquivalence is the eager-vs-lazy differential demanded by
-// the materialization change: the same workload under every scheduler ×
-// broadcast-mode combination must produce the bit-identical delivery
-// sequence — same (DeliverAt, From, To, Kind) for every event, in the same
-// order. Lazy materialization only changes *when* fan-out copies occupy
-// queue slots; any drift in delay sampling, sequencing, or tie-break order
-// shows up here as a first-divergence index.
-func TestBroadcastModeEquivalence(t *testing.T) {
+// hookLogger is an identity adversary that records every send and receive
+// hook call, and checks SendHook's rule on each send: the copy announced is
+// not in the buffer yet.
+type hookLogger struct {
+	t   *testing.T
+	log []string
+}
+
+func (h *hookLogger) Retime(_ *AdversaryView, _, _ ProcID, _ clock.Real, base float64) float64 {
+	return base
+}
+
+func (h *hookLogger) OnSend(v *AdversaryView, m Message) {
+	h.log = append(h.log, fmt.Sprintf("send@%v %d→%d at %v", v.Now(), m.From, m.To, m.DeliverAt))
+	v.PendingDeliveries(func(p *Message) bool {
+		if *p == m {
+			h.t.Fatalf("OnSend(%+v): the copy is already pending", m)
+		}
+		return true
+	})
+}
+
+func (h *hookLogger) OnReceive(v *AdversaryView, m Message) {
+	h.log = append(h.log, fmt.Sprintf("recv@%v %d→%d sent %v", v.Now(), m.From, m.To, m.SentAt))
+}
+
+// TestBroadcastMatchesSends is the reference Engine.Broadcast is held to: a
+// fan-out is n Sends to q = 0..n−1, batched. The beacon workload runs once
+// with ctx.Broadcast and once with the Send loop, and must produce the
+// identical delivery sequence (DeliverAt, From, To, Kind), the identical
+// sent/lost/step counters and the identical send/receive hook calls — over
+// the reliable mesh, constant delays (a fan-out's copies tie on delivery
+// time, so sequence numbers alone order them), a lossy channel (the sent/lost
+// split), the stateful Ether (channel state evolving per copy) and with an
+// adversary installed, at a size the heap serves and one the calendar does. Any drift in Broadcast's
+// delay draws, sequence numbers, loss accounting or hook order shows up as a
+// first-divergence index.
+func TestBroadcastMatchesSends(t *testing.T) {
 	type delivered struct {
 		at   clock.Real
 		from ProcID
 		to   ProcID
 		kind Kind
 	}
-	run := func(s Scheduler, b BroadcastMode) []delivered {
-		t.Helper()
-		const n = 101 // far above lazyBroadcastMinN and calActivateLen
-		eng := lazyTestEngine(t, n, s, b, nil, nil)
-		if want := b == BroadcastLazy || b == BroadcastAuto; eng.LazyBroadcast() != want {
-			t.Fatalf("mode %d at n=%d: LazyBroadcast()=%v, want %v", b, n, eng.LazyBroadcast(), want)
-		}
-		var log []delivered
-		eng.Observe(observerFunc(func(_ *Engine, m Message) {
-			log = append(log, delivered{at: m.DeliverAt, from: m.From, to: m.To, kind: m.Kind})
-		}))
-		if err := eng.Run(0.01); err != nil {
-			t.Fatal(err)
-		}
-		if len(log) < 5*n*n {
-			t.Fatalf("scheduler %d mode %d: only %d deliveries — not a meaningful comparison", s, b, len(log))
-		}
-		return log
-	}
-
-	ref := run(SchedulerHeap, BroadcastEager)
-	for _, s := range []Scheduler{SchedulerHeap, SchedulerAuto, SchedulerCalendar} {
-		for _, b := range []BroadcastMode{BroadcastEager, BroadcastLazy, BroadcastAuto} {
-			if s == SchedulerHeap && b == BroadcastEager {
-				continue
-			}
-			got := run(s, b)
-			if len(got) != len(ref) {
-				t.Fatalf("scheduler %d mode %d delivered %d events, reference delivered %d", s, b, len(got), len(ref))
-			}
-			for i := range got {
-				if got[i] != ref[i] {
-					t.Fatalf("scheduler %d mode %d diverges at event %d: %+v vs reference %+v", s, b, i, got[i], ref[i])
-				}
-			}
-		}
-	}
-}
-
-// TestLazyAccountingEquivalence pins the delivery-accounting contract under
-// lazy materialization: MessagesSent counts materialized-equivalent copies
-// (one per recipient actually routed), MessagesLost counts per-copy channel
-// drops, and the delivered-step totals agree with eager mode exactly — with
-// a lossy channel in the path, so the lost/sent split is exercised too.
-func TestLazyAccountingEquivalence(t *testing.T) {
-	const n = 48
-	ch := LossyLinks{}.BreakBothWays(0, 1).BreakBothWays(2, 40).BreakBothWays(17, 33)
-	type account struct {
+	type outcome struct {
+		log        []delivered
+		hooks      []string
 		sent, lost int64
 		steps      int
+		calOn      bool
 	}
-	run := func(b BroadcastMode) account {
-		t.Helper()
-		eng := lazyTestEngine(t, n, SchedulerAuto, b, ch, nil)
-		if err := eng.Run(0.02); err != nil {
-			t.Fatal(err)
+	lossy := LossyLinks{}.BreakBothWays(0, 1).BreakBothWays(2, 5).BreakBothWays(3, 6)
+	cases := []struct {
+		name  string
+		delay DelayModel     // nil: uniform
+		ch    func() Channel // nil: the reliable mesh; a stateful channel is built per run
+		adv   bool           // install the hook logger
+	}{
+		{name: "fullmesh"},
+		{name: "ties", delay: ConstantDelay{Delta: 4e-4}},
+		{name: "lossy", ch: func() Channel { return lossy }},
+		{name: "ether", ch: func() Channel { return NewEther(5e-5, 2) }},
+		{name: "hooks", adv: true},
+	}
+	for _, n := range []int{8, 40} { // n² + 2n + 8 on either side of calActivateLen
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%s/n=%d", tc.name, n), func(t *testing.T) {
+				run := func(unicast bool) outcome {
+					t.Helper()
+					var adv Adversary
+					hl := &hookLogger{t: t}
+					if tc.adv {
+						adv = hl
+					}
+					var ch Channel
+					if tc.ch != nil {
+						ch = tc.ch()
+					}
+					eng := beaconEngine(t, n, unicast, tc.delay, ch, adv)
+					var o outcome
+					eng.Observe(observerFunc(func(_ *Engine, m Message) {
+						o.log = append(o.log, delivered{at: m.DeliverAt, from: m.From, to: m.To, kind: m.Kind})
+					}))
+					if err := eng.Run(0.006); err != nil {
+						t.Fatal(err)
+					}
+					o.hooks = hl.log
+					o.sent, o.lost, o.steps = eng.MessagesSent(), eng.MessagesLost(), eng.Steps()
+					o.calOn = eng.queue.calOn
+					return o
+				}
+				want, got := run(true), run(false)
+				if got.calOn != (n == 40) {
+					t.Fatalf("calendar on = %v at n = %d; the sizes no longer straddle calActivateLen", got.calOn, n)
+				}
+				if len(want.log) < 4*n*n {
+					t.Fatalf("only %d deliveries — not a meaningful comparison", len(want.log))
+				}
+				if tc.ch != nil && want.lost == 0 {
+					t.Fatal("no copies lost — the channel's loss path was not exercised")
+				}
+				if got.sent != want.sent || got.lost != want.lost || got.steps != want.steps {
+					t.Fatalf("accounting diverges: Broadcast sent/lost/steps %d/%d/%d, Send loop %d/%d/%d",
+						got.sent, got.lost, got.steps, want.sent, want.lost, want.steps)
+				}
+				if i := mismatch(got.log, want.log); i >= 0 {
+					t.Fatalf("delivery %d of %d (Send loop: %d) diverges: Broadcast %+v, Send loop %+v",
+						i, len(got.log), len(want.log), got.log[i:min(i+1, len(got.log))], want.log[i:min(i+1, len(want.log))])
+				}
+				if tc.adv && len(want.hooks) < 8*n*n {
+					t.Fatalf("only %d hook calls recorded", len(want.hooks))
+				}
+				if i := mismatch(got.hooks, want.hooks); i >= 0 {
+					t.Fatalf("hook call %d of %d (Send loop: %d) diverges: Broadcast %q, Send loop %q",
+						i, len(got.hooks), len(want.hooks), got.hooks[i:min(i+1, len(got.hooks))], want.hooks[i:min(i+1, len(want.hooks))])
+				}
+			})
 		}
-		return account{sent: eng.MessagesSent(), lost: eng.MessagesLost(), steps: eng.Steps()}
-	}
-	eager := run(BroadcastEager)
-	lazy := run(BroadcastLazy)
-	if eager != lazy {
-		t.Fatalf("accounting diverges: eager %+v, lazy %+v", eager, lazy)
-	}
-	if eager.lost == 0 {
-		t.Fatal("no copies lost — the lossy split was not exercised")
-	}
-	if eager.sent <= int64(eager.steps)/2 {
-		t.Fatalf("implausible accounting: sent=%d steps=%d", eager.sent, eager.steps)
 	}
 }
 
@@ -130,12 +169,14 @@ func TestLazyAccountingEquivalence(t *testing.T) {
 type pendingSnapshotter struct {
 	trigger int
 	calls   int
+	at      clock.Real // when the snapshot was taken
 	snap    []Message
 }
 
 func (p *pendingSnapshotter) Retime(v *AdversaryView, _, _ ProcID, _ clock.Real, base float64) float64 {
 	p.calls++
 	if p.calls == p.trigger {
+		p.at = v.Now()
 		v.PendingDeliveries(func(m *Message) bool {
 			p.snap = append(p.snap, *m)
 			return true
@@ -145,67 +186,104 @@ func (p *pendingSnapshotter) Retime(v *AdversaryView, _, _ ProcID, _ clock.Real,
 }
 
 // TestLazyPendingDeliveriesView checks the adversary's PendingDeliveries
-// view under lazy materialization: unmaterialized fan-out copies must be
-// visible per-copy, exactly as in eager mode. The snapshot is taken
-// mid-burst (while fan-outs are in flight) and compared as a multiset —
-// iteration order is explicitly unspecified.
+// view against the run itself: a snapshot taken mid-burst (while fan-outs are
+// in flight) must equal, as a multiset — iteration order is explicitly
+// unspecified — the messages buffered before that moment and delivered after
+// it, whatever their form: START, TIMER, unicast and fan-out copy each
+// exactly once.
 func TestLazyPendingDeliveriesView(t *testing.T) {
 	const n = 48
-	snapshot := func(b BroadcastMode) []Message {
-		t.Helper()
-		adv := &pendingSnapshotter{trigger: 10 * n}
-		eng := lazyTestEngine(t, n, SchedulerAuto, b, nil, adv)
-		if err := eng.Run(0.02); err != nil {
-			t.Fatal(err)
-		}
-		if adv.snap == nil {
-			t.Fatalf("mode %d: snapshot never triggered (%d retime calls)", b, adv.calls)
-		}
-		sort.Slice(adv.snap, func(i, j int) bool {
-			a, b := adv.snap[i], adv.snap[j]
-			if a.DeliverAt != b.DeliverAt {
-				return a.DeliverAt < b.DeliverAt
-			}
-			if a.From != b.From {
-				return a.From < b.From
-			}
-			if a.To != b.To {
-				return a.To < b.To
-			}
-			return a.Kind < b.Kind
-		})
-		return adv.snap
+	procs := make([]Process, n)
+	clocks := make([]clock.Clock, n)
+	starts := make([]clock.Real, n)
+	for i := range procs {
+		// Odd processes fan out by Send loop.
+		procs[i] = &testBeacon{period: 1e-3, unicast: i%2 == 1}
+		clocks[i] = clock.ConstantDrift{RhoBound: 1e-5}.Build(i, n)
+		starts[i] = clock.Real(i) * 1e-5
 	}
-	eager := snapshot(BroadcastEager)
-	lazy := snapshot(BroadcastLazy)
-	if len(eager) != len(lazy) {
-		t.Fatalf("pending multiset size diverges: eager %d, lazy %d", len(eager), len(lazy))
+	starts[n-2], starts[n-1] = 10e-3, 11e-3 // still to START when the snapshot is taken
+	// A fan-out is n Retime calls either way, so this is the first copy of
+	// one in the fourth round: nothing its Receive sends is buffered yet.
+	adv := &pendingSnapshotter{trigger: (3*n+n/2)*n + 1}
+	eng, err := New(Config{
+		Procs: procs, Clocks: clocks, StartAt: starts,
+		Delay: UniformDelay{Delta: 4e-4, Eps: 1e-4}, Seed: 7, Adversary: adv,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(eager) < n {
-		t.Fatalf("only %d pending events at snapshot — no fan-out in flight", len(eager))
+	key := func(m Message) string {
+		return fmt.Sprintf("%v %d→%d sent %v at %v", m.Kind, m.From, m.To, m.SentAt, m.DeliverAt)
 	}
-	for i := range eager {
-		e, l := eager[i], lazy[i]
-		if e.DeliverAt != l.DeliverAt || e.From != l.From || e.To != l.To || e.Kind != l.Kind || e.SentAt != l.SentAt {
-			t.Fatalf("pending multiset diverges at %d: eager %+v, lazy %+v", i, e, l)
+	// What the run delivers after the snapshot of what was buffered before it:
+	// sent by an earlier Receive, or a START (buffered from time zero).
+	var want []string
+	eng.Observe(observerFunc(func(_ *Engine, m Message) {
+		if adv.snap != nil && (m.SentAt < adv.at || m.Kind == KindStart) {
+			want = append(want, key(m))
 		}
+	}))
+	if err := eng.Run(0.02); err != nil {
+		t.Fatal(err)
+	}
+	if adv.snap == nil {
+		t.Fatalf("snapshot never triggered (%d retime calls)", adv.calls)
+	}
+	var starting, timers, unicasts, copies int
+	got := make([]string, len(adv.snap))
+	for i, m := range adv.snap {
+		got[i] = key(m)
+		switch {
+		case m.Kind == KindStart:
+			starting++
+		case m.Kind == KindTimer:
+			timers++
+		case m.From%2 == 1:
+			unicasts++
+		default:
+			copies++
+		}
+	}
+	if starting != 2 || timers < n/2 || unicasts < n || copies < n {
+		t.Fatalf("snapshot holds %d STARTs, %d TIMERs, %d unicasts, %d fan-out copies — not mid-burst with every form pending",
+			starting, timers, unicasts, copies)
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	if i := mismatch(got, want); i >= 0 {
+		t.Fatalf("pending view holds %d messages, %d already-buffered messages were delivered afterwards; sorted, they differ from #%d: %q vs %q",
+			len(got), len(want), i, got[i:min(i+1, len(got))], want[i:min(i+1, len(want))])
 	}
 }
 
-// TestLazySchedulerMemory states what a lazy round costs the scheduler. Both
-// modes hold one queue entry per pending copy (QueuePeak ≈ n²); lazy holds
-// nothing else per copy. With every process broadcasting each period:
-// the blocks in use never exceed what the binned entries fill plus one
-// partial block per nonempty bin, headers one per in-flight broadcast, the
-// slab only timers — and the capacity carved in the first rounds serves all
-// later ones.
+// mismatch returns the first index at which a and b differ — the shorter
+// length when one is a proper prefix of the other — or −1 when they are equal.
+func mismatch[T comparable](a, b []T) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	return -1
+}
+
+// TestLazySchedulerMemory states what a round costs the scheduler: one queue
+// entry per pending copy (QueuePeak ≈ n²) and nothing else per copy. With
+// every process broadcasting each period: the blocks in use never exceed what
+// the binned entries fill plus one partial block per nonempty bin, headers one
+// per in-flight broadcast or timer — and the capacity carved in the first
+// rounds serves all later ones.
 func TestLazySchedulerMemory(t *testing.T) {
 	const n = 101
-	eng := lazyTestEngine(t, n, SchedulerAuto, BroadcastLazy, nil, nil)
+	eng := beaconEngine(t, n, false, nil, nil, nil)
 	q := &eng.queue
-	type footprint struct{ blocks, win, hdrs, slab int }
+	type footprint struct{ blocks, win, hdrs int }
 	capacity := func() footprint {
-		return footprint{int(q.nblocks), cap(q.win), cap(q.hdrs), cap(q.slab.msgs)}
+		return footprint{int(q.nblocks), cap(q.win), cap(q.hdrs)}
 	}
 	var after2 footprint
 	maxBinned := 0
@@ -226,11 +304,8 @@ func TestLazySchedulerMemory(t *testing.T) {
 		if max := (q.binned+blockLen-1)/blockLen + bins; live > max {
 			t.Fatalf("round %d: %d blocks chained for %d binned entries in %d bins; want ≤ %d", r, live, q.binned, bins, max)
 		}
-		if held := len(q.hdrs) - len(q.hdrFree); held > 2*n {
-			t.Fatalf("round %d: %d broadcast headers held for %d senders", r, held, n)
-		}
-		if held := len(q.slab.msgs) - len(q.slab.free); held > 2*n {
-			t.Fatalf("round %d: %d slab messages held; lazy copies must not take slab slots", r, held)
+		if held := len(q.hdrs) - len(q.hdrFree); held > 3*n {
+			t.Fatalf("round %d: %d headers held for %d senders and their timers; copies must share their broadcast's", r, held, n)
 		}
 		maxBinned = max(maxBinned, q.binned)
 		if r == 2 {

@@ -8,6 +8,13 @@ import (
 	"repro/internal/clock"
 )
 
+// event is the naive mirrors' form of a buffered message: the full Message
+// and the sequence number that breaks delivery-time ties by insertion order.
+type event struct {
+	msg Message
+	seq uint64
+}
+
 // eventLess is the reference order the naive mirrors sort by: delivery
 // time, then ordinary (and START) messages before TIMER messages — execution
 // property 4 of §2.3 — then insertion order. It is written against full
@@ -40,7 +47,7 @@ func (s *sched) pop() event {
 // generated traffic (a ring that reaches nothing, so every event crosses the
 // heap, and a single slot that holds the whole run).
 func queueConfigs() map[string]func() *sched {
-	mk := func(mode Scheduler, hint int, delta, eps float64) func() *sched {
+	mk := func(mode schedMode, hint int, delta, eps float64) func() *sched {
 		return func() *sched {
 			s := &sched{}
 			s.init(mode, hint, delta, eps)
@@ -48,15 +55,15 @@ func queueConfigs() map[string]func() *sched {
 		}
 	}
 	return map[string]func() *sched{
-		"heap":     mk(SchedulerHeap, 0, 1e-2, 1e-3),
-		"auto":     mk(SchedulerAuto, 0, 1e-2, 1e-3),
-		"calendar": mk(SchedulerCalendar, 2048, 1e-2, 1e-3),
+		"heap":     mk(schedHeap, 0, 1e-2, 1e-3),
+		"auto":     mk(schedAuto, 0, 1e-2, 1e-3),
+		"calendar": mk(schedCalendar, 2048, 1e-2, 1e-3),
 		// Tiny declared span: everything lies beyond the ring and reaches
 		// the window through the heap, one slot per instant.
-		"calendar-narrow": mk(SchedulerCalendar, 0, 1e-9, 0),
+		"calendar-narrow": mk(schedCalendar, 0, 1e-9, 0),
 		// Huge declared span: the whole run lands in one slot, and what is
 		// pushed after it opens is filed for the open slot.
-		"calendar-wide": mk(SchedulerCalendar, 0, 1e3, 10),
+		"calendar-wide": mk(schedCalendar, 0, 1e3, 10),
 	}
 }
 
@@ -108,7 +115,7 @@ func TestQueueMatchesNaiveSort(t *testing.T) {
 						continue
 					}
 					ev := genEventAfter(rng, floor, uint64(pushed))
-					q.push(&ev)
+					q.push(&ev.msg, ev.seq)
 					pending = append(pending, ev)
 					pushed++
 				}
@@ -162,21 +169,21 @@ func genEventAfter(rng *rand.Rand, floor clock.Real, seq uint64) event {
 	}
 }
 
-// TestQueuePopReleasesPayload checks the slab hygiene with the calendar off:
-// the slot a pop vacates must not pin the message payload.
+// TestQueuePopReleasesPayload checks the header hygiene with the calendar
+// off: the header a pop vacates must not pin the message payload.
 func TestQueuePopReleasesPayload(t *testing.T) {
 	s := &sched{}
-	s.init(SchedulerHeap, 0, 1e-2, 1e-3)
-	s.push(&event{msg: Message{Kind: KindOrdinary, Payload: "x", DeliverAt: 1}, seq: 0})
-	s.push(&event{msg: Message{Kind: KindOrdinary, Payload: "y", DeliverAt: 2}, seq: 1})
+	s.init(schedHeap, 0, 1e-2, 1e-3)
+	s.push(&Message{Kind: KindOrdinary, Payload: "x", DeliverAt: 1}, 0)
+	s.push(&Message{Kind: KindOrdinary, Payload: "y", DeliverAt: 2}, 1)
 	if s.calOn || s.heap.len() != 2 {
-		t.Fatalf("SchedulerHeap: calOn=%v heap=%d, want both entries in the heap", s.calOn, s.heap.len())
+		t.Fatalf("schedHeap: calOn=%v heap=%d, want both entries in the heap", s.calOn, s.heap.len())
 	}
 	s.pop()
 	s.pop()
-	for i, m := range s.slab.msgs[:cap(s.slab.msgs)] {
-		if m != (Message{}) {
-			t.Fatalf("slab slot %d not zeroed after pop: %+v", i, m)
+	for i, h := range s.hdrs {
+		if h.payload != nil {
+			t.Fatalf("header %d still holds payload %v after pop", i, h.payload)
 		}
 	}
 }
@@ -185,12 +192,12 @@ func TestQueuePopReleasesPayload(t *testing.T) {
 // already-queued events intact.
 func TestQueueGrowPreservesContents(t *testing.T) {
 	s := &sched{}
-	s.init(SchedulerHeap, 0, 1e-2, 1e-3)
-	s.push(&event{msg: Message{Kind: KindOrdinary, Payload: "late", DeliverAt: 2}, seq: 0})
-	s.push(&event{msg: Message{Kind: KindTimer, Payload: "early", DeliverAt: 1}, seq: 1})
+	s.init(schedHeap, 0, 1e-2, 1e-3)
+	s.push(&Message{Kind: KindOrdinary, Payload: "late", DeliverAt: 2}, 0)
+	s.push(&Message{Kind: KindTimer, Payload: "early", DeliverAt: 1}, 1)
 	s.grow(64, 64)
-	if cap(s.slab.msgs) < 64 || cap(s.heap.items) < 64 {
-		t.Fatalf("cap = slab %d, heap %d after grow(64)", cap(s.slab.msgs), cap(s.heap.items))
+	if cap(s.hdrs) < 64 || cap(s.heap.items) < 64 {
+		t.Fatalf("cap = headers %d, heap %d after grow(64)", cap(s.hdrs), cap(s.heap.items))
 	}
 	if ev := s.pop(); ev.seq != 1 || ev.msg.Payload != "early" || ev.msg.Kind != KindTimer {
 		t.Fatalf("pop after grow returned %+v, want seq 1 / early / TIMER", ev)

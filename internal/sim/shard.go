@@ -90,8 +90,8 @@ func (e *Engine) packSeq(from ProcID, sidx uint64, to ProcID) uint64 {
 	return uint64(from)<<e.seqFromShift | sidx<<e.seqToBits | uint64(to)
 }
 
-// chunkHdr is one lazy fan-out's share of a shardLink: what its copies have
-// in common, and how many of the link's entries (in order) are its.
+// chunkHdr is one message's share of a shardLink: what its copies have in
+// common, and how many of the link's entries (in order) are its.
 type chunkHdr struct {
 	from    ProcID
 	sentAt  clock.Real
@@ -99,12 +99,13 @@ type chunkHdr struct {
 	n       int32
 }
 
-// shardLink is the lazy broadcast traffic one shard produced for another
-// during one window: the copies as ready-keyed queue entries (unsorted; the
-// destination's header index is filled in when the barrier files them), and
-// their earliest delivery time, which the sender keeps as it appends so the
-// barrier can check the delay lower bound over every copy in O(1). The
-// barrier empties a link in place, so steady-state windows allocate nothing.
+// shardLink is the traffic one shard produced for another during one
+// window, unicasts and fan-out copies alike: the copies as ready-keyed queue
+// entries (unsorted; the destination's header index is filled in when the
+// barrier files them), and their earliest delivery time, which the sender
+// keeps as it appends so the barrier can check the delay lower bound over
+// every copy in O(1). The barrier empties a link in place, so steady-state
+// windows allocate nothing.
 type shardLink struct {
 	hdrs []chunkHdr
 	ents []entry
@@ -119,10 +120,29 @@ func newShardLinks(k int) []shardLink {
 	return ls
 }
 
-// linkRemote appends a lazy fan-out's non-local copies to the links of the
-// shards that own the recipients, keyed exactly as the eager path would key
-// them. Shards own contiguous pid blocks, so one fan-out's copies for one
-// shard are consecutive.
+// open starts the chunk of a new message; add appends its copies.
+func (l *shardLink) open(from ProcID, sentAt clock.Real, payload any) {
+	l.hdrs = append(l.hdrs, chunkHdr{from: from, sentAt: sentAt, payload: payload})
+}
+
+// add appends one copy of the message last opened.
+func (l *shardLink) add(en entry) {
+	l.hdrs[len(l.hdrs)-1].n++
+	if en.at < l.min {
+		l.min = en.at
+	}
+	if len(l.ents) == cap(l.ents) {
+		// Double exactly: append's 1.25× steps would copy a link that
+		// ends a round at n²/k² entries five times over.
+		l.ents = append(make([]entry, 0, max(2*len(l.ents), 64)), l.ents...)
+	}
+	l.ents = append(l.ents, en)
+}
+
+// linkRemote appends a fan-out's non-local copies to the links of the shards
+// that own the recipients, keyed as pushBroadcast keys the local ones. Shards
+// own contiguous pid blocks, so one fan-out's copies for one shard are
+// consecutive.
 func (e *Engine) linkRemote(from ProcID, payload any, at []clock.Real, ok []bool, seqBase uint64) {
 	last := int32(-1)
 	for q := range ok {
@@ -132,20 +152,10 @@ func (e *Engine) linkRemote(from ProcID, payload any, at []clock.Real, ok []bool
 		d := e.shardOf[q]
 		l := &e.out[d]
 		if d != last {
-			l.hdrs = append(l.hdrs, chunkHdr{from: from, sentAt: e.now, payload: payload})
+			l.open(from, e.now, payload)
 			last = d
 		}
-		l.hdrs[len(l.hdrs)-1].n++
-		t := float64(at[q])
-		if t < l.min {
-			l.min = t
-		}
-		if len(l.ents) == cap(l.ents) {
-			// Double exactly: append's 1.25× steps would copy a link that
-			// ends a round at n²/k² entries five times over.
-			l.ents = append(make([]entry, 0, max(2*len(l.ents), 64)), l.ents...)
-		}
-		l.ents = append(l.ents, entry{at: t, key: seqBase | uint64(q), to: int32(q)})
+		l.add(entry{at: float64(at[q]), key: seqBase | uint64(q), to: int32(q)})
 	}
 }
 
@@ -156,7 +166,7 @@ func (e *Engine) hasOutbound() bool {
 			return true
 		}
 	}
-	return len(e.outbox) > 0
+	return false
 }
 
 // ShardStats counts the synchronization work of a sharded run.
@@ -266,7 +276,7 @@ func NewSharded(cfg Config, shards int) (*ShardedEngine, error) {
 		}
 		eng, err := newEngine(scfg, &shardSetup{
 			local: local, owned: nLocal, owner: owner, shards: shards, procBits: procBits,
-		})
+		}, schedAuto)
 		if err != nil {
 			return nil, err
 		}
@@ -625,23 +635,12 @@ func (se *ShardedEngine) Run(until clock.Real) error {
 }
 
 // exchange moves the window's cross-shard traffic to the destination
-// shards' queues: eager/unicast events one by one, lazy broadcast copies a
-// link's chunk at a time, after checking the link's earliest copy against
-// the window. Single-threaded; runs once per batch, for the window that
-// produced the traffic (batched windows produced none, so their exchange is
-// skipped).
+// shards' queues, a link's chunk at a time, after checking the link's
+// earliest copy against the window. Single-threaded; runs once per batch,
+// for the window that produced the traffic (batched windows produced none,
+// so their exchange is skipped).
 func (se *ShardedEngine) exchange(hi clock.Real) error {
 	for _, src := range se.shards {
-		for i := range src.outbox {
-			ev := &src.outbox[i]
-			if ev.msg.DeliverAt < hi {
-				return fmt.Errorf("sim: delay model violated its declared lower bound: copy %d→%d delivers at %v inside the window ending %v",
-					ev.msg.From, ev.msg.To, ev.msg.DeliverAt, hi)
-			}
-			se.shards[se.owner[ev.msg.To]].queue.push(ev)
-			ev.msg = Message{} // release the payload reference
-		}
-		src.outbox = src.outbox[:0]
 		for d := range src.out {
 			l := &src.out[d]
 			if len(l.ents) == 0 {
@@ -669,7 +668,7 @@ func (l *shardLink) lowerBoundError(hi clock.Real) error {
 	for _, h := range l.hdrs {
 		for _, en := range l.ents[o : o+int(h.n)] {
 			if en.at == l.min {
-				return fmt.Errorf("sim: delay model violated its declared lower bound: broadcast copy %d→%d delivers at %v inside the window ending %v",
+				return fmt.Errorf("sim: delay model violated its declared lower bound: copy %d→%d delivers at %v inside the window ending %v",
 					h.from, en.to, en.at, hi)
 			}
 		}
@@ -679,7 +678,7 @@ func (l *shardLink) lowerBoundError(hi clock.Real) error {
 }
 
 // runWindow drains one shard's events in [current, hi) ∩ (-∞, until],
-// producing cross-shard traffic into the engine's outbox and out-links. It is
+// producing cross-shard traffic into the engine's out-links. It is
 // the only engine code that runs concurrently: each shard touches its own
 // queue, links and processes' state; clocks and remote corrections are
 // read-only here.

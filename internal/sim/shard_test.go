@@ -288,8 +288,7 @@ func TestShardedAdoptionBeforeWindow(t *testing.T) {
 		for i := n / 2; i < n; i++ { // shard 1 of 2: idlers
 			cfg.Procs[i] = &idler{far: 50e-3}
 		}
-		cfg.Scheduler = SchedulerCalendar
-		cfg.Broadcast = BroadcastLazy
+		cfg.EventHint = 4 * calActivateLen // the calendar is on from the first event, on both shards
 		return cfg
 	}
 	digests := func(cfg Config) (ds []uint64, counts []int) {
@@ -373,24 +372,35 @@ func (d undershoot) SampleAll(from ProcID, n int, at clock.Real, rng *RNG, out [
 	out[d.to] = 0.1 * (d.Delta - d.Eps)
 }
 
+func (d undershoot) Sample(from, to ProcID, at clock.Real, rng *RNG) float64 {
+	if to == d.to {
+		return 0.1 * (d.Delta - d.Eps)
+	}
+	return d.UniformDelay.Sample(from, to, at, rng)
+}
+
 // TestShardedLowerBoundEveryCopy: the lookahead is only as good as the delay
 // model's declared lower bound, so the barrier checks it — over every
-// cross-shard copy, not just the first of each fan-out's (unsorted) share. A
-// model that undershoots δ−ε for one recipient in the middle of a remote
-// shard's block must end the run with the named error, never a reordered
-// execution.
+// cross-shard copy, not just the first of each fan-out's (unsorted) share,
+// and over unicasts, which ride the same links. A model that undershoots δ−ε
+// for one recipient in the middle of a remote shard's block must end the run
+// with the link's named error, never a reordered execution.
 func TestShardedLowerBoundEveryCopy(t *testing.T) {
 	const n, victim = 8, 6 // shard 1 of 2 owns 4…7
-	for _, mode := range []BroadcastMode{BroadcastLazy, BroadcastEager} {
+	for _, unicast := range []bool{false, true} {
 		cfg := shardWorkload(n, undershoot{UniformDelay{Delta: 4e-4, Eps: 1e-4}, victim}, nil)
-		cfg.Broadcast = mode
+		if unicast {
+			for i := range cfg.Procs {
+				cfg.Procs[i] = &testBeacon{period: 1e-3, unicast: true}
+			}
+		}
 		se, err := NewSharded(cfg, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		err = se.Run(0.01)
 		if err == nil || !strings.Contains(err.Error(), "violated its declared lower bound") || !strings.Contains(err.Error(), "→6 ") {
-			t.Fatalf("mode %d: Run = %v; want the lower-bound error naming a copy to process %d", mode, err, victim)
+			t.Fatalf("unicast=%v: Run = %v; want the lower-bound error naming a copy to process %d", unicast, err, victim)
 		}
 	}
 }
@@ -573,14 +583,14 @@ func TestShardedRunSamplesHorizon(t *testing.T) {
 	}
 }
 
-// TestLazySlabSizing pins who sizes the message slab under lazy broadcast: a
-// hint that counts all-to-all rounds reserves no 72-byte slot per copy —
-// sequential or per shard, defaulted or passed in — while a hint below one
-// round's copies describes other traffic (the two-tier hierarchy's unicast
-// fan-out) and is taken as it stands.
+// TestLazySlabSizing pins who sizes the header store: a hint that counts
+// all-to-all rounds reserves no header per copy — sequential or per shard,
+// defaulted or passed in — while a hint below one round's copies describes
+// other traffic (the two-tier hierarchy's unicast fan-out, a header each) and
+// is taken as it stands.
 func TestLazySlabSizing(t *testing.T) {
 	const n, k = 64, 4
-	slab := func(e *Engine) int { return cap(e.queue.slab.msgs) }
+	hdrs := func(e *Engine) int { return cap(e.queue.hdrs) }
 	for _, hint := range []int{0, DefaultEventHint(BroadcastAuto, n)} {
 		cfg := shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
 		cfg.EventHint = hint
@@ -588,16 +598,16 @@ func TestLazySlabSizing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := slab(e); got != 4*n+16 {
-			t.Errorf("hint %d: sequential slab holds %d messages, want %d", hint, got, 4*n+16)
+		if got := hdrs(e); got != 4*n+16 {
+			t.Errorf("hint %d: sequential header store holds %d, want %d", hint, got, 4*n+16)
 		}
 		se, err := NewSharded(cfg, k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < k; i++ {
-			if got := slab(se.Shard(i)); got != 4*n+16 {
-				t.Errorf("hint %d: shard %d slab holds %d messages, want %d", hint, i, got, 4*n+16)
+			if got := hdrs(se.Shard(i)); got != 4*n+16 {
+				t.Errorf("hint %d: shard %d header store holds %d, want %d", hint, i, got, 4*n+16)
 			}
 		}
 	}
@@ -607,8 +617,8 @@ func TestLazySlabSizing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := slab(e); got < cfg.EventHint {
-		t.Errorf("sparse hint %d: slab holds %d messages", cfg.EventHint, got)
+	if got := hdrs(e); got < cfg.EventHint {
+		t.Errorf("sparse hint %d: header store holds %d", cfg.EventHint, got)
 	}
 }
 
@@ -619,7 +629,7 @@ func TestLazySlabSizing(t *testing.T) {
 func TestShardedEventHintScaling(t *testing.T) {
 	const n, k = 1024, 8
 	cfg := shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
-	cfg.EventHint = n*n + 2*n + 8 // the whole-system eager figure exp.Run would pass
+	cfg.EventHint = n*n + 2*n + 8 // the whole-system figure exp.Run would pass
 	se, err := NewSharded(cfg, k)
 	if err != nil {
 		t.Fatal(err)

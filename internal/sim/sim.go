@@ -23,13 +23,13 @@
 //
 // The event loop is the per-trial hot path of every experiment, so it is
 // built to run allocation-free in the steady state: buffered messages sit in
-// a recycling slab and the queue orders 24-byte pointer-free entries — a
-// concrete 4-ary heap, fronted by a calendar of time-slot bins once the population
-// warrants it (calqueue.go; no interface boxing) — one Context per engine is
-// reused across deliveries, observers are classified into typed slices at
-// registration time (no per-event type assertions), and delay sampling draws
-// from an inline splitmix64 stream. The no-observer steady state performs
-// zero allocations per delivered event (enforced in CI by
+// recycled headers and the queue orders 24-byte pointer-free entries, one per
+// copy — a concrete 4-ary heap, fronted by a calendar of time-slot bins once
+// the population warrants it (calqueue.go; no interface boxing) — one Context
+// per engine is reused across deliveries, observers are classified into typed
+// slices at registration time (no per-event type assertions), and delay
+// sampling draws from an inline splitmix64 stream. The no-observer steady
+// state performs zero allocations per delivered event (enforced in CI by
 // TestEngineSteadyStateAllocs in internal/bench, which gates the same
 // workload the engine benchmarks measure).
 package sim
@@ -178,16 +178,6 @@ type Config struct {
 	// MaxSteps bounds the number of delivered messages; 0 means a large
 	// default. Guards against runaway (e.g. adversarial) executions.
 	MaxSteps int
-	// Scheduler says whether the event queue's calendar front is on; the
-	// zero value (SchedulerAuto) decides from the workload shape. Every
-	// setting produces the identical event order — the knob exists for
-	// benchmarking the heap alone against the calendar over it.
-	Scheduler Scheduler
-	// Broadcast selects eager or lazy broadcast materialization; the zero
-	// value (BroadcastAuto) picks lazily for systems large enough to
-	// benefit. Every mode produces the identical event order — see
-	// BroadcastMode.
-	Broadcast BroadcastMode
 	// Timeline is an optional script of state mutations (channel swaps,
 	// delay-band shifts, adversary changes, process crashes staged by
 	// wrapper processes) applied at scheduled real times, interleaved
@@ -197,59 +187,23 @@ type Config struct {
 	Timeline []TimedAction
 	// EventHint is the expected peak number of buffered events. A hint
 	// pre-sizes the queue's backing stores so large-n runs skip
-	// growth-doubling copies, and lets SchedulerAuto switch the calendar on
+	// growth-doubling copies, and lets the scheduler switch its calendar on
 	// from the first event instead of mid-run. Zero derives the default from
 	// the process count: a round keeps ≈ n² broadcast copies plus a timer
-	// per process in flight under either broadcast mode (DefaultEventHint).
+	// per process in flight (DefaultEventHint).
 	EventHint int
 }
 
-// BroadcastMode selects how Engine.Broadcast populates the event queue.
-// Either way the delivery pipeline — delay sampling, adversary retiming,
-// channel routing — runs in full at broadcast time (preserving the exact RNG
-// stream, channel state evolution and hook order), so both modes produce
-// byte-identical executions; the modes differ only in when the n Message
-// values are built, and so in the bytes behind each pending copy.
-type BroadcastMode uint8
-
-const (
-	// BroadcastAuto (the default) materializes lazily for systems of at
-	// least lazyBroadcastMinN processes and eagerly below that, where the
-	// n² population is trivial and the header indirection isn't worth it.
-	BroadcastAuto BroadcastMode = iota
-	// BroadcastEager builds all n Messages of a fan-out immediately — the
-	// pre-lazy engine, byte-for-byte: a 72-byte slab Message and a 24-byte
-	// queue entry per pending copy.
-	BroadcastEager
-	// BroadcastLazy files one shared header per fan-out and a 24-byte queue
-	// entry per copy; the Message is assembled when the copy is delivered.
-	BroadcastLazy
-)
-
-// lazyBroadcastMinN is the system size at which BroadcastAuto switches to
-// lazy materialization; the crossover sweep in BENCH_engine.json
-// (LargeN/n={7,13,22,31,101} against their -lazy/-eager twins) is where it
-// comes from.
-const lazyBroadcastMinN = 32
-
-// Resolve returns the concrete mode (eager or lazy) that m selects for an
-// n-process system.
-func (m BroadcastMode) Resolve(n int) BroadcastMode {
-	if m == BroadcastAuto {
-		if n >= lazyBroadcastMinN {
-			return BroadcastLazy
-		}
-		return BroadcastEager
-	}
-	return m
-}
+// BroadcastAuto is the ignored first argument of DefaultEventHint, kept
+// under this name for benchmark/replica.go:169.
+const BroadcastAuto = 0
 
 // DefaultEventHint is the queue population estimate Config.EventHint
 // defaults to: the expected peak number of simultaneously buffered events
 // for an n-process all-to-all round — n² copies, a timer or two per process
-// and slack. Both broadcast modes buffer every pending copy, so the mode no
-// longer matters; the parameter is kept for callers.
-func DefaultEventHint(_ BroadcastMode, n int) int {
+// and slack. The first parameter is ignored; benchmark/replica.go:169 passes
+// BroadcastAuto there.
+func DefaultEventHint(_ int, n int) int {
 	return n*n + 2*n + 8
 }
 
@@ -281,22 +235,19 @@ type Engine struct {
 	seq        uint64
 	steps      int
 	maxSteps   int
-	lazy       bool    // resolved broadcast mode (see BroadcastMode)
 	ctx        Context // one reusable per-delivery context per engine
 
 	// Sharded-execution plumbing, nil/zero for ordinary engines (see
 	// shard.go). detSeq switches sequence numbering from the shared counter
 	// to per-copy packed keys (shard-count independent); senderRNG gives
 	// every sender its own delay stream; local marks the processes this
-	// engine owns. Cross-shard traffic accumulates in outbox (eager copies,
-	// unicasts) and out (lazy fan-out copies, one shardLink per destination
-	// shard) until the window barrier exchanges it.
+	// engine owns. Cross-shard traffic accumulates in out (one shardLink per
+	// destination shard) until the window barrier exchanges it.
 	detSeq    bool
 	sidx      []uint64 // per-sender send index feeding packed sequence keys
 	senderRNG []RNG
 	local     []bool
 	shardOf   []int32
-	outbox    []event
 	out       []shardLink
 	// Packed-key bit split, sized to the system at NewSharded: a key is
 	// from(seqToBits′)|sidx|to(seqToBits) with seqFromShift = 63−seqToBits;
@@ -342,7 +293,7 @@ const DefaultMaxSteps = 10_000_000
 // New validates the configuration and builds an engine with the START
 // messages pending, matching the initial buffer state of §2.2.
 func New(cfg Config) (*Engine, error) {
-	return newEngine(cfg, nil)
+	return newEngine(cfg, nil, schedAuto)
 }
 
 // shardSetup carries the per-shard wiring NewSharded injects: which
@@ -357,7 +308,10 @@ type shardSetup struct {
 	procBits int // bit width of a ProcID in packed sequence keys
 }
 
-func newEngine(cfg Config, sh *shardSetup) (*Engine, error) {
+// newEngine builds a sequential engine (sh == nil) or one shard's. mode is
+// schedAuto except in this package's tests and benchmarks, which force the
+// heap or the calendar to compare them.
+func newEngine(cfg Config, sh *shardSetup, mode schedMode) (*Engine, error) {
 	n := len(cfg.Procs)
 	if n == 0 {
 		return nil, errors.New("sim: no processes")
@@ -432,7 +386,6 @@ func newEngine(cfg Config, sh *shardSetup) (*Engine, error) {
 			e.nonfaulty = append(e.nonfaulty, ProcID(i))
 		}
 	}
-	e.lazy = cfg.Broadcast.Resolve(n) == BroadcastLazy
 	if err := e.initTimeline(cfg.Timeline); err != nil {
 		return nil, err
 	}
@@ -452,26 +405,26 @@ func newEngine(cfg Config, sh *shardSetup) (*Engine, error) {
 	}
 	// Pre-size the queue's backing stores for the expected peak population
 	// (see Config.EventHint), unless the workload supplied a sharper hint.
-	// The hint also decides the scheduler shape up front (see
-	// Scheduler/EventHint), so large-n runs start with the calendar on. Lazy
-	// copies need no slab slot, only timers and unicasts do: a hint that
-	// counts all-to-all rounds (n copies per owned process) leaves the slab
+	// The hint also decides the scheduler shape up front (see schedMode), so
+	// large-n runs start with the calendar on. A broadcast's copies share one
+	// header, only timers and unicasts take one each: a hint that counts
+	// all-to-all rounds (n copies per owned process) leaves the header store
 	// small, a smaller one describes sparser traffic — hier's unicast tiers —
-	// and sizes the slab as it stands.
+	// and sizes the store as it stands.
 	hint := cfg.EventHint
 	if hint <= 0 {
-		hint = DefaultEventHint(cfg.Broadcast, n)
+		hint = DefaultEventHint(BroadcastAuto, n)
 	}
 	owned := n
 	if sh != nil {
 		owned = sh.owned
 	}
 	msgs := hint
-	if e.lazy && hint >= n*owned {
+	if hint >= n*owned {
 		msgs = 4*n + 16
 	}
 	d, eps := delay.Bounds()
-	e.queue.init(cfg.Scheduler, hint, d, eps)
+	e.queue.init(mode, hint, d, eps)
 	e.queue.grow(hint, msgs)
 	for i := 0; i < n; i++ {
 		if e.local != nil && !e.local[i] {
@@ -520,18 +473,13 @@ func (e *Engine) Now() clock.Real { return e.now }
 // Steps returns the number of delivered messages so far.
 func (e *Engine) Steps() int { return e.steps }
 
-// LazyBroadcast reports whether the engine resolved to lazy broadcast
-// materialization (see BroadcastMode).
-func (e *Engine) LazyBroadcast() bool { return e.lazy }
-
 // QueueLen returns the number of pending events: buffered messages and
-// timers, and every undelivered copy of a broadcast in either mode.
+// timers, and every undelivered copy of a broadcast.
 func (e *Engine) QueueLen() int { return e.queue.len() }
 
 // QueuePeak returns the high-water mark of QueueLen over the execution — a
-// round peaks at ≈ n² under eager and lazy broadcasts alike (what differs is
-// the bytes behind each pending copy, see BroadcastMode). The benchjson
-// memory metric reports this.
+// round peaks at ≈ n² pending copies. The benchjson memory metric reports
+// this.
 func (e *Engine) QueuePeak() int { return e.queue.peak }
 
 // MessagesSent returns the count of ordinary message copies scheduled so far
@@ -685,65 +633,17 @@ func (e *Engine) annotate(p ProcID, tag string, v float64) {
 // pipeline: delays for all n copies are sampled in one call (in fixed pid
 // order, drawing exactly the stream the per-copy path would), the adversary
 // stage — when installed — retimes each copy inside its clamp envelope, and
-// the route stage maps them to delivery times in one pass. The pipeline runs
-// in full here regardless of materialization mode, so the RNG stream, any
-// channel state (e.g. Ether contention), the send hooks and the sent/lost
-// counters evolve identically whether copies then enter the queue eagerly
-// (one slab Message per copy) or lazily (one header, the Message assembled at
-// pop time — see BroadcastMode and bcastHdr). The payload is shared across
-// copies, and the per-copy (DeliverAt, seq) order is identical to n
-// successive Send calls, so executions are byte-for-byte unchanged.
+// the route stage maps them to delivery times in one pass. Per-copy
+// accounting and send hooks then run in pid order, and the surviving copies
+// are filed under one shared header (in sharded mode the remote ones go onto
+// the link to their shard). The per-copy (DeliverAt, seq) order, the RNG
+// stream, any channel state (e.g. Ether contention), the hook calls and the
+// sent/lost counters are those of n successive Send calls to q = 0..n−1 —
+// TestBroadcastMatchesSends holds the two to one execution.
 func (e *Engine) Broadcast(from ProcID, payload any) {
 	n := len(e.procs)
 	base, at, ok := e.bcastDelay[:n], e.bcastAt[:n], e.bcastOK[:n]
 	e.pipe.broadcast(from, n, e.now, e.rngFor(from), base, at, ok)
-	var sidx uint64
-	if e.detSeq {
-		sidx = e.sidx[from]
-		e.sidx[from]++
-	}
-	if e.lazy {
-		e.broadcastLazy(from, payload, at, ok, sidx)
-		return
-	}
-	// Eager: one template event, patched per receiver — the Message and its
-	// write-barriered Payload words are built once and copied exactly once
-	// per copy, into the slab slot.
-	ev := event{msg: Message{From: from, Kind: KindOrdinary, Payload: payload, SentAt: e.now}}
-	for q := 0; q < n; q++ {
-		if !ok[q] {
-			e.msgsLost++
-			continue
-		}
-		e.msgsSent++
-		ev.msg.To = ProcID(q)
-		ev.msg.DeliverAt = at[q]
-		if e.detSeq {
-			ev.seq = e.packSeq(from, sidx, ProcID(q))
-		} else {
-			ev.seq = e.seq
-			e.seq++
-		}
-		if e.local != nil && !e.local[q] {
-			e.outbox = append(e.outbox, ev)
-		} else {
-			e.queue.push(&ev)
-		}
-		if e.advCtl != nil {
-			e.advCtl.onSend(ev.msg)
-		}
-	}
-}
-
-// broadcastLazy is Broadcast's lazy tail: per-copy accounting and hooks run
-// here, in pid order, exactly as the eager loop would, then the surviving
-// copies are filed under one shared header (in sharded mode the remote ones
-// go onto the link to their shard) instead of n slab messages.
-func (e *Engine) broadcastLazy(from ProcID, payload any, at []clock.Real, ok []bool, sidx uint64) {
-	seqBase := e.seq
-	if e.detSeq {
-		seqBase = e.packSeq(from, sidx, 0)
-	}
 	delivered := uint64(0)
 	for q := range ok {
 		if !ok[q] {
@@ -759,14 +659,16 @@ func (e *Engine) broadcastLazy(from ProcID, payload any, at []clock.Real, ok []b
 		}
 		delivered++
 	}
-	if !e.detSeq {
-		e.seq += delivered
-	}
 	if delivered == 0 {
 		return
 	}
-	if e.local != nil {
+	seqBase := e.seq
+	if e.detSeq {
+		seqBase = e.packSeq(from, e.sidx[from], 0)
+		e.sidx[from]++
 		e.linkRemote(from, payload, at, ok, seqBase)
+	} else {
+		e.seq += delivered
 	}
 	e.queue.pushBroadcast(from, e.now, payload, at, ok, e.local, seqBase, e.detSeq)
 }
@@ -774,30 +676,38 @@ func (e *Engine) broadcastLazy(from ProcID, payload any, at []clock.Real, ok []b
 // send schedules one ordinary message copy through the delivery pipeline.
 func (e *Engine) send(from, to ProcID, payload any) {
 	at, ok := e.pipe.unicast(from, to, e.now, e.rngFor(from))
-	var sidx uint64
-	if e.detSeq {
-		sidx = e.sidx[from]
-		e.sidx[from]++
-	}
 	if !ok {
 		e.msgsLost++
 		return
 	}
 	e.msgsSent++
 	m := Message{From: from, To: to, Kind: KindOrdinary, Payload: payload, SentAt: e.now, DeliverAt: at}
-	if e.detSeq {
-		ev := event{msg: m, seq: e.packSeq(from, sidx, to)}
-		if e.local != nil && !e.local[to] {
-			e.outbox = append(e.outbox, ev)
-		} else {
-			e.queue.push(&ev)
-		}
-	} else {
-		e.push(m)
-	}
 	if e.advCtl != nil {
 		e.advCtl.onSend(m)
 	}
+	e.push(m)
+}
+
+// push buffers a single-copy message under the next sequence number: the
+// shared counter normally, or — in sharded executions — a packed per-sender
+// key that is independent of shard count and window interleaving (see
+// Engine.packSeq); there a copy for a process another shard owns goes onto
+// the link to that shard.
+func (e *Engine) push(m Message) {
+	if !e.detSeq {
+		e.queue.push(&m, e.seq)
+		e.seq++
+		return
+	}
+	seq := e.packSeq(m.From, e.sidx[m.From], m.To)
+	e.sidx[m.From]++
+	if !e.local[m.To] {
+		l := &e.out[e.shardOf[m.To]]
+		l.open(m.From, m.SentAt, m.Payload)
+		l.add(entry{at: float64(m.DeliverAt), key: seq, to: int32(m.To)})
+		return
+	}
+	e.queue.push(&m, seq)
 }
 
 // rngFor returns the delay-sampling stream for copies sent by p: the single
@@ -849,7 +759,7 @@ func (c *Context) Send(to ProcID, payload any) { c.eng.send(c.pid, to, payload) 
 // every process can communicate with every process, including itself). Each
 // copy's delay is drawn independently within [δ−ε, δ+ε]. The fan-out runs
 // through the engine's batched path (Engine.Broadcast): one delay-sampling
-// call, one routing call, one queue pass for all n copies.
+// call, one routing call, one header and one queue pass for all n copies.
 func (c *Context) Broadcast(payload any) { c.eng.Broadcast(c.pid, payload) }
 
 // SetTimer requests a TIMER interrupt when the process's physical clock
