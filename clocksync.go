@@ -25,11 +25,11 @@
 // cmd/experiments.
 //
 // Large systems are first-class: each round's all-to-all broadcast goes
-// through the engine's batched fan-out, and the simulator's event queue — one
-// message slab ordered by a 4-ary heap of compact entries — puts a calendar
-// of time-slot bins in front of that heap when the in-flight message
-// population warrants it (n ≳ 22), so sweeps at n = 101 run routinely — see
-// the README's engine section and BenchmarkLargeN.
+// through the engine's batched fan-out, and the simulator's event queue — a
+// shared header per message and a 4-ary heap of 24-byte entries, one per copy
+// — puts a calendar of time-slot bins in front of that heap when the
+// in-flight message population warrants it (n ≳ 22), so sweeps at n = 101 run
+// routinely — see the README's engine section and BenchmarkLargeN.
 package clocksync
 
 import (

@@ -39,11 +39,6 @@ type result struct {
 	// pending copy (≈ n²; bytes_per_op carries what a copy costs), deterministic per benchmark and tracked like the time
 	// metrics.
 	PeakQueueEvents float64 `json:"peak_queue_events,omitempty"`
-	// BarrierCount (sharded benchmarks only) is how many full cross-shard
-	// barriers the run paid — the window-batching win. Deterministic per
-	// configuration, so the nightly gate compares it without machine
-	// normalization, like allocs_per_op.
-	BarrierCount float64 `json:"barrier_count,omitempty"`
 	// MsgsPerRound (LargeN benchmarks) is the per-round message traffic —
 	// ≈ n² for the flat mesh, ≈ n·c + (n/c)² for the two-tier hierarchy.
 	// Deterministic per configuration and compared raw by the gate: growth
@@ -98,7 +93,7 @@ func main() {
 	}
 
 	rep := report{
-		Note: "events/sec is simulator event throughput; in steady, one op = one delivered event and allocs_per_op must stay ~0 (no-observer steady state); LargeN is 10 maintenance rounds of an n-process broadcast mesh; peak_queue_events is the queue population high-water mark (every pending copy, ≈ n², 24 B each plus a header shared by the fan-out); -sharded-k runs the mesh across k time-window shards with batched windows and per-destination link buffers the barrier files and reuses — barrier_count is the full barriers paid (batching collapses it toward one per round) and its allocs_per_op must stay within 4× the sequential entry's (TestShardedSteadyAllocs); -hier runs the same rounds on the two-tier hierarchy (clusters of 32) and must stay at ≤ 1/3 the flat n=1009 wall-clock per op; msgs_per_round is the deterministic per-round traffic (≈ n² flat, ≈ n·c + (n/c)² two-tier), gated raw like the sharded allocs/barriers; entries too slow to iterate under the 1s benchtime are rerun at 3 forced iterations and report the median run; measured events/sec depends on the host's core count (a single-core machine cannot show the parallel speedup)",
+		Note: "events/sec is simulator event throughput; in steady, one op = one delivered event and allocs_per_op must stay ~0 (no-observer steady state); LargeN is 10 maintenance rounds of an n-process broadcast mesh; peak_queue_events is the queue population high-water mark (every pending copy, ≈ n², 24 B each plus a header shared by the fan-out); -sharded-k runs the mesh across k time-window shards, one worker set per window, with per-destination link buffers the barrier files and reuses — its allocs_per_op must stay within 4× the sequential entry's (TestShardedSteadyAllocs); -hier runs the same rounds on the two-tier hierarchy (clusters of 32) and must stay at ≤ 1/3 the flat n=1009 wall-clock per op; msgs_per_round is the deterministic per-round traffic (≈ n² flat, ≈ n·c + (n/c)² two-tier), gated raw like the sharded allocs; entries too slow to iterate under the 1s benchtime are rerun at 3 forced iterations and report the median run; measured events/sec depends on the host's core count (a single-core machine cannot show the parallel speedup)",
 	}
 	for _, bm := range benchmarks {
 		rep.Benchmarks = append(rep.Benchmarks, measure(bm.name, bm.fn, *count))
@@ -140,7 +135,7 @@ func main() {
 		}
 		// Status goes to stderr: with -o - the stdout stream is the JSON
 		// report (the documented `| jq .` pattern) and must stay parseable.
-		fmt.Fprintf(os.Stderr, "no regression beyond %.0f%% vs %s (events/sec machine-normalized; sharded allocs_per_op and barrier_count raw)\n", *tolerance*100, *against)
+		fmt.Fprintf(os.Stderr, "no regression beyond %.0f%% vs %s (events/sec machine-normalized; sharded allocs_per_op raw)\n", *tolerance*100, *against)
 	}
 }
 
@@ -167,7 +162,6 @@ func measure(name string, fn func(*testing.B), count int) result {
 			EventsPerSec:    r.Extra["events/sec"],
 			EventsPerOp:     r.Extra["events/op"],
 			PeakQueueEvents: r.Extra["peak-queue-events"],
-			BarrierCount:    r.Extra["barrier-count"],
 			MsgsPerRound:    r.Extra["msgs-per-round"],
 		}
 	}
@@ -217,11 +211,10 @@ func measure(name string, fn func(*testing.B), count int) result {
 // ignored, so adding a benchmark does not break the gate until its numbers
 // are committed.
 //
-// Sharded (-sharded-k) entries carry two further gated metrics,
-// allocs_per_op and barrier_count, which are deterministic for a fixed
-// workload and seed and therefore compared raw — no machine factor, no
-// blind spot: growing either by more than the tolerance fails the run on
-// any hardware.
+// Sharded (-sharded-k) entries carry one further gated metric,
+// allocs_per_op, which is deterministic for a fixed workload and seed and
+// therefore compared raw — no machine factor, no blind spot: growing it by
+// more than the tolerance fails the run on any hardware.
 func checkRegression(fresh, committed report, tolerance float64) error {
 	// Below this median fresh/committed ratio the run fails even though
 	// the slowdown is uniform: it is either severely degraded hardware or
@@ -264,12 +257,11 @@ func checkRegression(fresh, committed report, tolerance float64) error {
 					p.name, p.now/1e6, p.was/1e6, p.speedFrac, machine))
 		}
 	}
-	// Sharded entries additionally gate on allocs_per_op and barrier_count.
-	// Both are deterministic properties of the code (a fixed workload at a
-	// fixed seed allocates and barriers identically on every machine), so
-	// unlike events/sec they compare raw: any increase beyond the tolerance
-	// is a code regression — a leak on the pooled exchange path or a window
-	// that stopped batching — regardless of what hardware ran the check.
+	// Sharded entries additionally gate on allocs_per_op, a deterministic
+	// property of the code (a fixed workload at a fixed seed allocates
+	// identically on every machine), so unlike events/sec it compares raw:
+	// any increase beyond the tolerance is a code regression — a leak on the
+	// pooled exchange path — regardless of what hardware ran the check.
 	committedByName := make(map[string]result, len(committed.Benchmarks))
 	for _, b := range committed.Benchmarks {
 		committedByName[b.Name] = b
@@ -296,11 +288,6 @@ func checkRegression(fresh, committed report, tolerance float64) error {
 				fmt.Sprintf("%s: %.0f allocs/op, was %.0f (deterministic metric, compared raw)",
 					b.Name, b.AllocsPerOp, was.AllocsPerOp))
 		}
-		if was.BarrierCount > 0 && b.BarrierCount > was.BarrierCount*(1+tolerance) {
-			regressions = append(regressions,
-				fmt.Sprintf("%s: %.0f barriers, was %.0f (deterministic metric, compared raw — window batching regressed)",
-					b.Name, b.BarrierCount, was.BarrierCount))
-		}
 	}
 	if len(regressions) > 0 {
 		out := ""
@@ -310,7 +297,7 @@ func checkRegression(fresh, committed report, tolerance float64) error {
 			}
 			out += l
 		}
-		return fmt.Errorf("benchmark regressions beyond %.0f%% (events/sec normalized for machine speed %.2fx; sharded allocs/barriers compared raw):\n  %s",
+		return fmt.Errorf("benchmark regressions beyond %.0f%% (events/sec normalized for machine speed %.2fx; sharded allocs compared raw):\n  %s",
 			tolerance*100, machine, out)
 	}
 	return nil

@@ -201,7 +201,7 @@ func TestHSSDToleratesLinkFailures(t *testing.T) {
 	if got := res.Skew.MaxAfterWarmup(); got > bound {
 		t.Errorf("HSSD steady skew %v exceeds %v with 3 dead links", got, bound)
 	}
-	if res.Engine.MessagesLost() == 0 {
+	if res.MessagesLost() == 0 {
 		t.Error("no messages were dropped: link failures not exercised")
 	}
 }
@@ -222,7 +222,7 @@ func TestSTMessageComplexity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perRound := float64(res.Engine.MessagesSent()) / float64(rounds)
+	perRound := float64(res.MessagesSent()) / float64(rounds)
 	n2 := float64(p.N * p.N)
 	if perRound < 0.5*n2 || perRound > 2.2*n2 {
 		t.Errorf("ST messages/round = %v, want within [n², 2n²] ≈ [%v, %v]", perRound, n2, 2*n2)

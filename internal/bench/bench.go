@@ -257,17 +257,12 @@ func largeNFlat(n, shards int) (largeNSystem, error) {
 // headline metric (a flat round delivers ≈ n² messages inside one delay
 // window) and peak-queue-events the population one: the queue's high-water
 // mark — for a sharded run the largest per-shard one — ≈ n² pending copies
-// (B/op carries what a copy costs: a 24-byte entry). A sharded run also reports barrier-count, the full
-// cross-shard barriers it paid — the window-batching win, deterministic per
-// configuration and gated by the nightly benchjson comparison like the
-// allocation numbers.
+// (B/op carries what a copy costs: a 24-byte entry).
 func largeN(build func() (largeNSystem, error)) func(*testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		var events, msgs float64
 		peak := 0
-		var stats sim.ShardStats
-		sharded := false
 		for i := 0; i < b.N; i++ {
 			sys, err := build()
 			if err != nil {
@@ -287,19 +282,10 @@ func largeN(build func() (largeNSystem, error)) func(*testing.B) {
 			events += float64(r.Steps())
 			msgs = float64(r.MessagesSent()) // deterministic: identical every op
 			peak = r.QueuePeak()
-			if se, ok := r.(*sim.ShardedEngine); ok {
-				stats, sharded = se.Stats(), true // deterministic: identical every op
-			}
 		}
 		b.StopTimer()
 		b.ReportMetric(events/float64(b.N), "events/op")
 		b.ReportMetric(float64(peak), "peak-queue-events")
-		if sharded {
-			if stats.BatchedWindows == 0 {
-				b.Fatalf("window batching never fired: stats %+v (every traffic-free window should fold into its predecessor's barrier)", stats)
-			}
-			b.ReportMetric(float64(stats.Barriers), "barrier-count")
-		}
 		b.ReportMetric(msgs/float64(largeNRounds), "msgs-per-round")
 		if s := b.Elapsed().Seconds(); s > 0 {
 			b.ReportMetric(events/s, "events/sec")

@@ -109,7 +109,7 @@ func runE08() ([]*Table, error) {
 				warm := res.Skew.Warmup
 				cleanSkew = res.Skew.MaxAfterWarmup()
 				cleanAdj = res.Rounds.MaxAbsAdj(warm)
-				cleanMsgs = float64(res.Engine.MessagesSent()) / float64(rounds)
+				cleanMsgs = float64(res.MessagesSent()) / float64(rounds)
 				return nil
 			}
 			alg := algs[p.alg]

@@ -40,14 +40,14 @@ func runE11() ([]*Table, error) {
 		},
 		Each: func(sigma float64, w Workload, res *Result) error {
 			cfg := w.Cfg
-			sent := res.Engine.MessagesSent() + res.Engine.MessagesLost()
+			sent := res.MessagesSent() + res.MessagesLost()
 			lossRate := 0.0
 			if sent > 0 {
-				lossRate = float64(res.Engine.MessagesLost()) / float64(sent)
+				lossRate = float64(res.MessagesLost()) / float64(sent)
 			}
 			bound := cfg.Gamma() + float64(cfg.N)*sigma*2*cfg.Rho + 1e-4
 			skew := res.Skew.MaxAfterWarmup()
-			t.AddRow(FmtDur(sigma), fmtInt(int(res.Engine.MessagesLost())), FmtRatio(lossRate),
+			t.AddRow(FmtDur(sigma), fmtInt(int(res.MessagesLost())), FmtRatio(lossRate),
 				FmtDur(skew), Verdict(skew <= bound))
 			return nil
 		},

@@ -157,6 +157,9 @@ func TestRunTwoTierWorkload(t *testing.T) {
 	if sh.Engine != nil || sh.MessagesSent() != plain.MessagesSent() || sh.MessagesSent() <= seq.MessagesSent() {
 		t.Errorf("messages: sharded %d, sequential %d, with a silent member %d", sh.MessagesSent(), plain.MessagesSent(), seq.MessagesSent())
 	}
+	if plain.windows() != 0 || sh.windows() == 0 {
+		t.Errorf("windows: sequential %d (want 0, it has none), sharded %d", plain.windows(), sh.windows())
+	}
 	_, err = Run(Workload{Hier: build(), Rounds: 4, CheckInvariants: true})
 	if err == nil || !strings.Contains(err.Error(), "CheckInvariants") {
 		t.Errorf("two-tier workload with CheckInvariants: %v, want a named error", err)

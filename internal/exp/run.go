@@ -158,8 +158,14 @@ type Result struct {
 	HierAgreement *invariant.HierAgreement
 }
 
-// windows returns how many synchronization windows a sharded run executed.
-func (r *Result) windows() int { return r.Runner.(*sim.ShardedEngine).Windows() }
+// windows returns how many synchronization windows a sharded run executed;
+// 0 for the sequential engine, which has none.
+func (r *Result) windows() int {
+	if se, ok := r.Runner.(*sim.ShardedEngine); ok {
+		return se.Windows()
+	}
+	return 0
+}
 
 // assembly is a system ready to run: what a topology (or the §9.2 entry
 // points) hands the execute step.

@@ -115,11 +115,24 @@ func Map[R any](workers, n int, fn func(i int) (R, error)) ([]R, error) {
 	return results, nil
 }
 
-// call invokes fn(i), converting a panic into an error carrying the stack.
+// PanicError is the error of a job that panicked: which job, the recovered
+// value and the stack at the panic. Callers whose jobs have better names than
+// an index (the sharded engine's shards) re-label it through errors.As.
+type PanicError struct {
+	Job   int
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("runner: job %d panicked: %v\n%s", e.Job, e.Value, e.Stack)
+}
+
+// call invokes fn(i), converting a panic into a *PanicError.
 func call[R any](fn func(int) (R, error), i int) (r R, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			err = fmt.Errorf("runner: job %d panicked: %v\n%s", i, p, debug.Stack())
+			err = &PanicError{Job: i, Value: p, Stack: debug.Stack()}
 		}
 	}()
 	return fn(i)

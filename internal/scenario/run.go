@@ -102,7 +102,7 @@ func (r *Report) Table() *exp.Table {
 	}
 	t.AddRow("rounds completed", fmt.Sprintf("%d", res.Rounds.Rounds()))
 	t.AddRow("scripted events", fmt.Sprintf("%d", len(s.Events)))
-	t.AddRow("messages sent / lost", fmt.Sprintf("%d / %d", res.Engine.MessagesSent(), res.Engine.MessagesLost()))
+	t.AddRow("messages sent / lost", fmt.Sprintf("%d / %d", res.MessagesSent(), res.MessagesLost()))
 	t.AddRow("steady skew", exp.FmtDur(res.Skew.MaxAfterWarmup()))
 	t.AddRow("max skew", exp.FmtDur(res.Skew.Max()))
 	t.AddRow("agreement bound γ", exp.FmtDur(r.gamma()))

@@ -25,7 +25,7 @@ func TestRunBenign(t *testing.T) {
 	if !rep.Ok() {
 		t.Fatalf("benign scenario failed assertions: %v", rep.Failures)
 	}
-	if rep.Result.Engine.MessagesSent() == 0 {
+	if rep.Result.MessagesSent() == 0 {
 		t.Fatal("no messages sent — the scenario did not actually run")
 	}
 }
@@ -97,7 +97,7 @@ func TestRunPartitionWithinF(t *testing.T) {
 	if !rep.Ok() {
 		t.Fatalf("≤ f link cut broke assertions: %v", rep.Failures)
 	}
-	if rep.Result.Engine.MessagesLost() == 0 {
+	if rep.Result.MessagesLost() == 0 {
 		t.Fatal("no messages lost — the cut never took effect")
 	}
 }

@@ -74,9 +74,15 @@ const (
 
 const (
 	// calActivateLen is the buffered-event count at which schedAuto
-	// switches the calendar on: below it (n ≲ 22 full-mesh systems) heap
-	// sift depth is short and cache-resident, above it the O(log m) sift
-	// work dominates the queue cost.
+	// switches the calendar on (n ≳ 22 full-mesh systems). The threshold is
+	// a memory one, not a speed one: forced calendar beats forced heap at
+	// every size BenchmarkSchedCrossover runs (PR 21, ns/event heap vs
+	// calendar: 162–174 vs 98–114 at n = 8, 156–173 vs 80–90 at n = 16,
+	// 163–183 vs 64–72 at n = 32, 206–255 vs 66–79 at n = 101), but the
+	// calendar's first block chunk is 128 KB an engine, and switching it on
+	// for every engine moves the benchmark's scenario_corpus alloc_mb_per_op
+	// 1.10 → 2.04 MB — still 1.16 MB (+5.3 %, bound 3 %) with chunks sized
+	// from the hint — so small systems stay on the heap.
 	calActivateLen = 512
 	// calReach is how many declared delay windows δ+2ε the ring of bins
 	// reaches ahead of the open slot. A fan-out lands within one; senders

@@ -110,7 +110,9 @@ func (e *Engine) refresh() {
 	case e.tbl.ids == nil:
 		e.buildTable()
 	case e.acting >= 0:
-		e.rereadCorr(e.acting)
+		if e.tbl.rowOf != nil { // a shard engine mirrors no corrections
+			e.rereadCorr(e.acting)
+		}
 	default: // actingAll
 		e.loadTable()
 	}

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime/debug"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/clock"
 	"repro/internal/exp/runner"
@@ -24,26 +22,15 @@ import (
 // The processes are partitioned into contiguous shards, each owning a
 // private Engine that holds only its processes' pending events. A window
 // runs as: (1) find the globally earliest pending event time m; (2) let
-// every shard drain its events in [m, m+L) concurrently; (3) synchronize,
-// exchange cross-shard traffic single-threaded, and repeat. Every cross-shard
-// message produced inside the window has delivery time ≥ m+L, i.e. beyond
-// the window, so no shard can miss an event (checked at exchange time against
-// the earliest copy on each link; a delay model violating its declared bounds
-// is reported, not silently reordered).
-//
-// Windows are *batched*: the only reason a shard must stop at a window
-// boundary is cross-shard traffic another shard may have produced. When a
-// window produces none anywhere — the common case in round-structured
-// workloads, where only the window containing the round's broadcasts sends
-// across shards and the following delivery windows are silent — the
-// exchange is a no-op and the next window starts immediately on a
-// lightweight in-place barrier (an atomic arrival counter plus a release
-// channel) inside one runner.Map invocation, instead of tearing the worker
-// set down and spawning a new one. One runner.Map call therefore covers a
-// maximal run of traffic-free windows plus the window that finally produced
-// traffic; ShardStats separates the full barriers from the batched windows
-// so benchmarks can assert the collapse fires (barrier count trends toward
-// O(rounds) while the window count stays O(rounds·windows)).
+// every shard drain its events in [m, m+L) concurrently (Engine.drain, the
+// loop the sequential engine runs, on one runner.Map worker set per window);
+// (3) join, exchange cross-shard traffic single-threaded, cut, and repeat.
+// Every cross-shard message produced inside the window has delivery time
+// ≥ m+L, i.e. beyond the window, so no shard can miss an event (checked at
+// exchange time against the earliest copy on each link; a delay model
+// violating its declared bounds is reported, not silently reordered).
+// runner.Map's join is the only synchronization: it returns once every shard
+// has, and turns a panicking Receive into that shard's error.
 //
 // Determinism is independent of the shard count (the oracle E19 and
 // TestShardedDeterminism pin): two mechanisms replace the sequential
@@ -159,28 +146,13 @@ func (e *Engine) linkRemote(from ProcID, payload any, at []clock.Real, ok []bool
 	}
 }
 
-// hasOutbound reports whether the last window produced cross-shard traffic.
-func (e *Engine) hasOutbound() bool {
-	for d := range e.out {
-		if len(e.out[d].ents) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // ShardStats counts the synchronization work of a sharded run.
 type ShardStats struct {
 	// Windows is how many lookahead windows have executed.
 	Windows int
-	// Barriers is how many full stop-the-world barriers ran (runner.Map
-	// worker-set spawns, one per maximal batch of windows).
-	Barriers int
-	// BatchedWindows is how many windows completed inside a batch — after a
-	// window in which no shard produced cross-shard traffic, so the next
-	// window started on the in-place barrier without a worker-set respawn.
-	// Windows = Barriers + BatchedWindows.
-	BatchedWindows int
+	// Every window is one barrier, so Barriers == Windows and BatchedWindows
+	// == 0; the two stay because benchmark/replica.go:380–384 reads them.
+	Barriers, BatchedWindows int
 }
 
 // ShardedEngine runs one system configuration partitioned across several
@@ -193,7 +165,7 @@ type ShardedEngine struct {
 	workers   int
 	now       clock.Real
 	maxSteps  int
-	stats     ShardStats
+	windows   int
 
 	samplers   []Sampler
 	annotSinks []AnnotationSink
@@ -328,10 +300,12 @@ func (se *ShardedEngine) N() int { return len(se.owner) }
 func (se *ShardedEngine) Now() clock.Real { return se.now }
 
 // Windows returns how many synchronization windows have run.
-func (se *ShardedEngine) Windows() int { return se.stats.Windows }
+func (se *ShardedEngine) Windows() int { return se.windows }
 
 // Stats returns the synchronization counters of the run so far.
-func (se *ShardedEngine) Stats() ShardStats { return se.stats }
+func (se *ShardedEngine) Stats() ShardStats {
+	return ShardStats{Windows: se.windows, Barriers: se.windows}
+}
 
 // Steps returns the total number of delivered messages across all shards.
 func (se *ShardedEngine) Steps() int {
@@ -401,130 +375,13 @@ func (se *ShardedEngine) minPending() (clock.Real, bool) {
 	return m, any
 }
 
-// pendNext is one shard's earliest pending event time after a window drain.
-type pendNext struct {
-	at clock.Real
-	ok bool
-}
-
-// shardBatch is the shared state of one runner.Map invocation: a maximal
-// run of consecutive windows executed on one worker set. Between windows,
-// shards synchronize on an in-place barrier — each arrives by incrementing
-// a counter, the last arriver becomes the coordinator (it finishes the
-// window single-threaded, decides whether the batch continues, and releases
-// the rest by closing the release channel). All cross-shard reads are
-// ordered by the arrival counter (atomic Add observed by the coordinator's
-// Add) on the way in and by the channel close on the way out.
-type shardBatch struct {
-	se    *ShardedEngine
-	until clock.Real
-
-	hi      clock.Real    // current window's exclusive drain bound
-	release chan struct{} // closed by the coordinator to end the wait
-	stop    bool          // set before the final release: batch over
-	errs    []error       // per-shard window errors
-	next    []pendNext    // per-shard earliest pending time after the drain
-	arrived atomic.Int32
-	outSeen atomic.Bool // a shard produced cross-shard traffic this window
-	bailed  atomic.Bool // a shard panicked and force-released the barrier
-}
-
-// runShard is one shard's batch loop: drain the window, publish next-pending
-// and traffic flags, arrive, coordinate if last, wait for release. It never
-// returns before the coordinator ends the batch — a shard returning early
-// would strand its siblings at the barrier — so panics from process code or
-// window callbacks are converted to errors here, and the first panicking
-// shard force-releases the barrier exactly once.
-func (b *shardBatch) runShard(i int) (err error) {
-	e := b.se.shards[i]
-	var rel chan struct{}
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("sim: shard %d panicked: %v\n%s", i, p, debug.Stack())
-			if b.bailed.CompareAndSwap(false, true) {
-				b.stop = true
-				close(rel)
-			}
-		}
-	}()
-	for {
-		// Read the release channel before arriving: once the last shard
-		// arrives it may coordinate, swap in the next window's channel and
-		// close this one, so a later read would race the swap.
-		rel = b.release
-		if b.stop {
-			return b.errs[i]
-		}
-		if _, werr := e.runWindow(b.hi, b.until); werr != nil {
-			b.errs[i] = werr
-		}
-		if e.hasOutbound() {
-			b.outSeen.Store(true)
-		}
-		at, ok := e.queue.peekTime()
-		b.next[i] = pendNext{at: at, ok: ok}
-		if int(b.arrived.Add(1)) == len(b.se.shards) {
-			b.coordinate(rel)
-		}
-		<-rel
-	}
-}
-
-// coordinate runs on the last-arriving shard, with every other shard parked
-// at the barrier (their pre-arrival writes are visible through the arrival
-// counter). It ends the batch — leaving the just-drained window for Run to
-// exchange and finish — when a shard errored, when cross-shard traffic
-// needs a real exchange, or when no next window fits before the horizon or
-// the step limit. Otherwise the exchange is a no-op, so it finishes the
-// window in place and opens the next one.
-func (b *shardBatch) coordinate(rel chan struct{}) {
-	se := b.se
-	for _, err := range b.errs {
-		if err != nil {
-			b.stop = true
-			close(rel)
-			return
-		}
-	}
-	if b.outSeen.Load() {
-		b.stop = true
-		close(rel)
-		return
-	}
-	var m clock.Real
-	any := false
-	for _, p := range b.next {
-		if p.ok && (!any || p.at < m) {
-			m = p.at
-			any = true
-		}
-	}
-	if !any || m > b.until || se.Steps() >= se.maxSteps {
-		b.stop = true
-		close(rel)
-		return
-	}
-	se.finishWindow(b.hi, b.until)
-	se.stats.BatchedWindows++
-	b.hi = m + clock.Real(se.lookahead)
-	b.outSeen.Store(false)
-	b.arrived.Store(0)
-	b.release = make(chan struct{})
-	close(rel)
-}
-
-// finishWindow completes one drained (and, if needed, exchanged) window:
-// advance the cut — all events strictly before it have been delivered and
-// no others, so clock/correction reads at the cut are well-defined —
-// dispatch the buffered annotations in merged order, then fire the samplers.
-// Single-threaded — called by Run behind the batch join, or by the
-// coordinator while every other shard is parked at the barrier.
-func (se *ShardedEngine) finishWindow(hi, until clock.Real) {
-	cut := hi
-	if until < cut {
-		cut = until
-	}
-	se.stats.Windows++
+// finishWindow completes one drained and exchanged window: advance the cut —
+// all events strictly before it have been delivered and no others, so
+// clock/correction reads at the cut are well-defined — dispatch the buffered
+// annotations in merged order, then fire the samplers. Single-threaded, behind
+// the window's join.
+func (se *ShardedEngine) finishWindow(cut clock.Real) {
+	se.windows++
 	se.now = cut
 	se.cut()
 	se.dispatchAnnotations()
@@ -587,13 +444,6 @@ func (se *ShardedEngine) dispatchAnnotations() {
 // increasing horizons, and it ends by advancing every clock to the horizon
 // and sampling there; the observers otherwise fire once per window.
 func (se *ShardedEngine) Run(until clock.Real) error {
-	k := len(se.shards)
-	b := &shardBatch{
-		se:    se,
-		until: until,
-		errs:  make([]error, k),
-		next:  make([]pendNext, k),
-	}
 	for {
 		m, any := se.minPending()
 		if !any || m > until {
@@ -612,33 +462,32 @@ func (se *ShardedEngine) Run(until clock.Real) error {
 		if se.Steps() >= se.maxSteps {
 			return fmt.Errorf("sim: step limit %d exceeded at t=%v", se.maxSteps, se.now)
 		}
-		b.hi = m + clock.Real(se.lookahead)
-		b.stop = false
-		b.outSeen.Store(false)
-		b.bailed.Store(false)
-		b.arrived.Store(0)
-		b.release = make(chan struct{})
-		for i := range b.errs {
-			b.errs[i] = nil
-		}
-		se.stats.Barriers++
-		if _, err := runner.Map(se.workers, k, func(i int) (struct{}, error) {
-			return struct{}{}, b.runShard(i)
+		hi := m + clock.Real(se.lookahead)
+		cut := min(hi, until)
+		if _, err := runner.Map(se.workers, len(se.shards), func(i int) (struct{}, error) {
+			e := se.shards[i]
+			err := e.drain(hi, until)
+			if err == nil && e.now < cut {
+				e.now = cut
+			}
+			return struct{}{}, err
 		}); err != nil {
+			var p *runner.PanicError
+			if errors.As(err, &p) { // process code panicked: job i is shard i
+				return fmt.Errorf("sim: shard %d panicked: %v\n%s", p.Job, p.Value, p.Stack)
+			}
 			return err
 		}
-		if err := se.exchange(b.hi); err != nil {
+		if err := se.exchange(hi); err != nil {
 			return err
 		}
-		se.finishWindow(b.hi, until)
+		se.finishWindow(cut)
 	}
 }
 
 // exchange moves the window's cross-shard traffic to the destination
 // shards' queues, a link's chunk at a time, after checking the link's
-// earliest copy against the window. Single-threaded; runs once per batch,
-// for the window that produced the traffic (batched windows produced none,
-// so their exchange is skipped).
+// earliest copy against the window. Single-threaded, once per window.
 func (se *ShardedEngine) exchange(hi clock.Real) error {
 	for _, src := range se.shards {
 		for d := range src.out {
@@ -675,36 +524,4 @@ func (l *shardLink) lowerBoundError(hi clock.Real) error {
 		o += int(h.n)
 	}
 	panic("sim: shard link minimum matches none of its copies")
-}
-
-// runWindow drains one shard's events in [current, hi) ∩ (-∞, until],
-// producing cross-shard traffic into the engine's out-links. It is
-// the only engine code that runs concurrently: each shard touches its own
-// queue, links and processes' state; clocks and remote corrections are
-// read-only here.
-func (e *Engine) runWindow(hi, until clock.Real) (int, error) {
-	var m Message
-	steps := 0
-	for {
-		at, ok := e.queue.peekTime()
-		if !ok || at >= hi || at > until {
-			adv := hi
-			if until < adv {
-				adv = until
-			}
-			if e.now < adv {
-				e.now = adv
-			}
-			return steps, nil
-		}
-		if e.steps >= e.maxSteps {
-			return steps, fmt.Errorf("sim: step limit %d exceeded at t=%v", e.maxSteps, e.now)
-		}
-		e.queue.popMsg(&m)
-		e.now = m.DeliverAt
-		e.steps++
-		steps++
-		e.ctx.pid = m.To
-		e.procs[m.To].Receive(&e.ctx, m)
-	}
 }

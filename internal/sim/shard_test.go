@@ -2,8 +2,11 @@ package sim
 
 import (
 	"math"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/clock"
 )
@@ -81,7 +84,7 @@ type shardRun struct {
 	spreads []clock.Local
 }
 
-func runSharded(t *testing.T, cfg Config, k int, horizon clock.Real) *shardRun {
+func runOnShards(t *testing.T, cfg Config, k int, horizon clock.Real) *shardRun {
 	t.Helper()
 	se, err := NewSharded(cfg, k)
 	if err != nil {
@@ -113,7 +116,7 @@ type samplerFunc func(e *Engine)
 func (f samplerFunc) Sample(e *Engine, _ bool) { f(e) }
 
 // equalShardRuns compares two runs field by field and names the first
-// divergence. (Each runSharded call builds a fresh Config — shardBeacon
+// divergence. (Each runOnShards call builds a fresh Config — shardBeacon
 // digests are per-run state.)
 func equalShardRuns(a, b *shardRun) (string, bool) {
 	if a.sent != b.sent || a.lost != b.lost || a.steps != b.steps || a.windows != b.windows {
@@ -140,61 +143,188 @@ func equalShardRuns(a, b *shardRun) (string, bool) {
 // per-process delivery digests, engine totals, window counts, and
 // barrier-sampled spread traces. Per-sender RNG streams and packed sequence
 // keys are exactly what this pins — any leak of shard-local state into
-// delay sampling or tie-break order diverges the digests. Window batching
-// must not disturb it either: the cut sequence (and so the spread trace) is
-// defined by the global minimum pending time, however many barriers ran.
+// delay sampling or tie-break order diverges the digests. The cut sequence
+// (and so the spread trace) is defined by the global minimum pending time
+// alone.
 func TestShardedDeterminism(t *testing.T) {
 	const n = 64
 	horizon := clock.Real(0.012)
 	delay := UniformDelay{Delta: 4e-4, Eps: 1e-4}
-	base := runSharded(t, shardWorkload(n, delay, nil), 1, horizon)
+	base := runOnShards(t, shardWorkload(n, delay, nil), 1, horizon)
 	if base.steps < 5*n*n {
 		t.Fatalf("only %d steps — not a meaningful workload", base.steps)
 	}
 	for _, k := range []int{2, 4, 8, 16} {
-		got := runSharded(t, shardWorkload(n, delay, nil), k, horizon)
+		got := runOnShards(t, shardWorkload(n, delay, nil), k, horizon)
 		if what, ok := equalShardRuns(base, got); !ok {
 			t.Fatalf("k=%d diverges from k=1 in %s", k, what)
 		}
 	}
 }
 
-// TestShardedBatching pins the window-batching machinery: delivery-only
-// windows (no cross-shard traffic anywhere) must complete inside a batch
-// instead of paying a worker-set respawn, and the counters must reconcile.
-// The beacon workload has the round structure batching exists for — one
-// window per period carries the broadcasts, the following windows only
-// deliver — so a run where batching never fires is a regression.
-func TestShardedBatching(t *testing.T) {
+// TestShardedWindowAccounting pins the one-window-per-barrier loop's counters:
+// the window count is a property of the execution's time structure, not of
+// the partition; every window is one barrier and none is batched; and the
+// samplers fire once per window cut plus once at the horizon (which here sits
+// in the quiet gap after round 10, past the last cut).
+func TestShardedWindowAccounting(t *testing.T) {
 	const n = 64
-	se, err := NewSharded(shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil), 4)
+	const horizon = clock.Real(0.0108)
+	windows := 0
+	for _, k := range []int{1, 2, 4, 8} {
+		se, err := NewSharded(shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil), k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var at []clock.Real
+		if err := se.Observe(samplerFunc(func(e *Engine) { at = append(at, e.Now()) })); err != nil {
+			t.Fatal(err)
+		}
+		if err := se.Run(horizon); err != nil {
+			t.Fatal(err)
+		}
+		st := se.Stats()
+		if st.Windows != se.Windows() || st.Barriers != st.Windows || st.BatchedWindows != 0 {
+			t.Fatalf("k=%d: Windows()=%d, stats %+v; want every window one barrier, none batched", k, se.Windows(), st)
+		}
+		if k == 1 {
+			windows = st.Windows
+		} else if st.Windows != windows {
+			t.Fatalf("k=%d ran %d windows, k=1 ran %d", k, st.Windows, windows)
+		}
+		if len(at) != st.Windows+1 || at[len(at)-1] != horizon || at[len(at)-2] >= horizon {
+			t.Fatalf("k=%d: %d samples ending at %v for %d windows; want one per cut and one at the horizon %v",
+				k, len(at), at[max(0, len(at)-2):], st.Windows, horizon)
+		}
+	}
+	if windows < 20 {
+		t.Fatalf("only %d windows — not a meaningful run", windows)
+	}
+}
+
+// bomb is a shardBeacon that panics on its first delivery; slowpoke is one
+// whose every Receive takes a millisecond of wall time and counts itself in
+// and out, so a test can tell whether any is still running.
+type bomb struct{ shardBeacon }
+
+func (*bomb) Receive(*Context, Message) { panic("boom") }
+
+type slowpoke struct {
+	shardBeacon
+	running *atomic.Int32
+}
+
+func (p *slowpoke) Receive(ctx *Context, m Message) {
+	p.running.Add(1)
+	defer p.running.Add(-1)
+	time.Sleep(time.Millisecond)
+	p.shardBeacon.Receive(ctx, m)
+}
+
+// TestShardedPanicNamesShard is the sharded half of the robustness table's
+// "panicking automaton" row: a process that panics in Receive on shard 2 of 4
+// makes Run return an error naming the shard, the panic value and the stack —
+// promptly, and only after every shard has joined. The bomb goes off at its
+// START while its 12 siblings on the other shards each sleep through theirs in
+// the same window, so a window loop that returned on the first failure without
+// joining the rest would come back with a Receive still running.
+func TestShardedPanicNamesShard(t *testing.T) {
+	const n, k, victim = 16, 4, 8 // shard 2 owns 8…11
+	cfg := shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
+	var running atomic.Int32
+	for i := range cfg.Procs {
+		cfg.Procs[i] = &slowpoke{shardBeacon: shardBeacon{period: 1e-3}, running: &running}
+	}
+	cfg.Procs[victim] = &bomb{}
+	se, err := NewSharded(cfg, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := se.Run(0.012); err != nil {
-		t.Fatal(err)
+	before := runtime.NumGoroutine()
+	done := make(chan error, 1)
+	go func() { done <- se.Run(0.01) }()
+	select {
+	case err = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Run did not return after a shard panicked")
 	}
-	st := se.Stats()
-	if st.Windows != st.Barriers+st.BatchedWindows {
-		t.Fatalf("stats do not reconcile: windows=%d barriers=%d batched=%d", st.Windows, st.Barriers, st.BatchedWindows)
+	if r := running.Load(); r != 0 {
+		t.Fatalf("Run returned with %d Receive calls still running: the window did not join every shard", r)
 	}
-	if st.BatchedWindows == 0 {
-		t.Fatalf("batching never fired over %d windows (%d barriers)", st.Windows, st.Barriers)
+	if err == nil {
+		t.Fatal("Run = nil after a process panicked")
 	}
-	if st.Windows != se.Windows() {
-		t.Fatalf("Windows() = %d, stats say %d", se.Windows(), st.Windows)
+	for _, want := range []string{"sim: shard 2 panicked: boom", "(*bomb).Receive"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error does not contain %q:\n%v", want, err)
+		}
 	}
-	// A single-shard run has no cross-shard traffic at all, so the whole
-	// execution must collapse into one batch per Run call.
-	se1, err := NewSharded(shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil), 1)
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 100 {
+			t.Fatalf("%d goroutines before Run, %d still alive a second after it returned", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestShardedStepLimit: MaxSteps running out in the middle of a window — the
+// second one, where every process receives a round of n copies — ends the run
+// with the step-limit error, on one shard and on four.
+func TestShardedStepLimit(t *testing.T) {
+	const n, limit = 64, 500
+	for _, k := range []int{1, 4} {
+		cfg := shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
+		cfg.MaxSteps = limit
+		se, err := NewSharded(cfg, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = se.Run(0.012)
+		if err == nil || !strings.Contains(err.Error(), "sim: step limit 500 exceeded") {
+			t.Fatalf("k=%d: Run = %v; want the step-limit error", k, err)
+		}
+		if se.Windows() == 0 || se.Steps() < limit {
+			t.Fatalf("k=%d: failed after %d windows and %d steps; want the limit hit inside a later window", k, se.Windows(), se.Steps())
+		}
+	}
+}
+
+// peeker is a shardBeacon that reads the engine before every step.
+type peeker struct {
+	shardBeacon
+	peek func()
+}
+
+func (p *peeker) Receive(ctx *Context, m Message) {
+	p.peek()
+	p.shardBeacon.Receive(ctx, m)
+}
+
+// TestShardedMidReceiveRead: the shared delivery loop marks the acting process
+// on shard engines too, whose clock table has no correction mirror to re-read;
+// a table read made inside a Receive there must scan live, not index the
+// missing mirror.
+func TestShardedMidReceiveRead(t *testing.T) {
+	const n = 4
+	cfg := shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
+	var se *ShardedEngine
+	reads := 0
+	cfg.Procs[0] = &peeker{shardBeacon: shardBeacon{period: 1e-3}, peek: func() {
+		e := se.Shard(0)
+		if _, _, count := e.LocalTimeSpread(e.Now()); count != n {
+			t.Errorf("spread over %d processes, want %d", count, n)
+		}
+		reads++
+	}}
+	se, err := NewSharded(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := se1.Run(0.012); err != nil {
+	if err := se.Run(0.003); err != nil {
 		t.Fatal(err)
 	}
-	if st1 := se1.Stats(); st1.Barriers != 1 {
-		t.Fatalf("k=1 run took %d barriers for %d windows; want 1", st1.Barriers, st1.Windows)
+	if reads < 2 {
+		t.Fatalf("only %d mid-Receive reads", reads)
 	}
 }
 
@@ -205,12 +335,12 @@ func TestShardedLossyAccounting(t *testing.T) {
 	const n = 48
 	ch := LossyLinks{}.BreakBothWays(0, 47).BreakBothWays(3, 30)
 	delay := UniformDelay{Delta: 4e-4, Eps: 1e-4}
-	base := runSharded(t, shardWorkload(n, delay, ch), 1, 0.012)
+	base := runOnShards(t, shardWorkload(n, delay, ch), 1, 0.012)
 	if base.lost == 0 {
 		t.Fatal("no copies lost — dead links never exercised")
 	}
 	for _, k := range []int{3, 8} {
-		got := runSharded(t, shardWorkload(n, delay, ch), k, 0.012)
+		got := runOnShards(t, shardWorkload(n, delay, ch), k, 0.012)
 		if what, ok := equalShardRuns(base, got); !ok {
 			t.Fatalf("k=%d diverges from k=1 in %s", k, what)
 		}
@@ -222,7 +352,8 @@ func TestShardedLossyAccounting(t *testing.T) {
 // exactly with the sequential engine's execution, because no RNG draws
 // exist to differ between the shared stream and the per-sender streams.
 // PerLinkDelay is the richest such model (fixed asymmetric per-link
-// latencies).
+// latencies). k = 1 holds the sequential Run and a one-shard window run —
+// the same drain bounded two ways — to one execution; k = 4 adds the links.
 func TestShardedMatchesSequential(t *testing.T) {
 	const n = 40
 	horizon := clock.Real(0.012)
@@ -243,15 +374,17 @@ func TestShardedMatchesSequential(t *testing.T) {
 		seq.counts = append(seq.counts, b.count)
 	}
 
-	sh := runSharded(t, shardWorkload(n, delay, nil), 4, horizon)
-	if seq.sent != sh.sent || seq.lost != sh.lost || seq.steps != sh.steps {
-		t.Fatalf("totals diverge: sequential sent=%d lost=%d steps=%d, sharded sent=%d lost=%d steps=%d",
-			seq.sent, seq.lost, seq.steps, sh.sent, sh.lost, sh.steps)
-	}
-	for i := range seq.digests {
-		if seq.digests[i] != sh.digests[i] || seq.counts[i] != sh.counts[i] {
-			t.Fatalf("process %d diverges: sequential (digest=%x count=%d), sharded (digest=%x count=%d)",
-				i, seq.digests[i], seq.counts[i], sh.digests[i], sh.counts[i])
+	for _, k := range []int{1, 4} {
+		sh := runOnShards(t, shardWorkload(n, delay, nil), k, horizon)
+		if seq.sent != sh.sent || seq.lost != sh.lost || seq.steps != sh.steps {
+			t.Fatalf("k=%d totals diverge: sequential sent=%d lost=%d steps=%d, sharded sent=%d lost=%d steps=%d",
+				k, seq.sent, seq.lost, seq.steps, sh.sent, sh.lost, sh.steps)
+		}
+		for i := range seq.digests {
+			if seq.digests[i] != sh.digests[i] || seq.counts[i] != sh.counts[i] {
+				t.Fatalf("k=%d process %d diverges: sequential (digest=%x count=%d), sharded (digest=%x count=%d)",
+					k, i, seq.digests[i], seq.counts[i], sh.digests[i], sh.counts[i])
+			}
 		}
 	}
 }
@@ -663,8 +796,8 @@ func TestShardedTopologyEdges(t *testing.T) {
 	delay := UniformDelay{Delta: 4e-4, Eps: 1e-4}
 	t.Run("one process per shard", func(t *testing.T) {
 		const n = 8
-		base := runSharded(t, shardWorkload(n, delay, nil), 1, 0.01)
-		got := runSharded(t, shardWorkload(n, delay, nil), n, 0.01)
+		base := runOnShards(t, shardWorkload(n, delay, nil), 1, 0.01)
+		got := runOnShards(t, shardWorkload(n, delay, nil), n, 0.01)
 		if what, ok := equalShardRuns(base, got); !ok {
 			t.Fatalf("k=n diverges from k=1 in %s", what)
 		}
@@ -683,8 +816,8 @@ func TestShardedTopologyEdges(t *testing.T) {
 			}
 			return cfg
 		}
-		base := runSharded(t, mute(), 1, 0.01)
-		got := runSharded(t, mute(), 4, 0.01)
+		base := runOnShards(t, mute(), 1, 0.01)
+		got := runOnShards(t, mute(), 4, 0.01)
 		if base.steps == 0 {
 			t.Fatal("empty workload")
 		}
@@ -702,8 +835,8 @@ func TestShardedTopologyEdges(t *testing.T) {
 			}
 			return cfg
 		}
-		base := runSharded(t, wide(), 1, 0.01)
-		got := runSharded(t, wide(), 3, 0.01)
+		base := runOnShards(t, wide(), 1, 0.01)
+		got := runOnShards(t, wide(), 3, 0.01)
 		if what, ok := equalShardRuns(base, got); !ok {
 			t.Fatalf("wide starts diverge in %s", what)
 		}
@@ -764,8 +897,8 @@ func TestShardedSeqPacking(t *testing.T) {
 // n=192, k=4 mesh long enough that every shard crosses into calendar-queue
 // territory and thousands of windows' worth of cross-shard chunks move
 // through the pooled exchange. Correctness assertions are minimal — the
-// value of this test is running the real concurrent path (batched barriers,
-// copy-pool recycling, observer dispatch) under the race detector; the main
+// value of this test is running the real concurrent path (a worker set per
+// window, link recycling, observer dispatch) under the race detector; the main
 // CI workflow invokes it by name as the sharded race smoke.
 func TestShardedStress(t *testing.T) {
 	if testing.Short() {

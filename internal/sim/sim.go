@@ -37,6 +37,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/clock"
@@ -540,6 +541,31 @@ func (e *Engine) Run(until clock.Real) error {
 		// any correction; start from what they hold now.
 		e.loadTable()
 	}
+	if err := e.drain(clock.Real(math.Inf(1)), until); err != nil {
+		return err
+	}
+	// Advance the clock to the horizon so metrics sampled at e.Now() reflect
+	// the full interval.
+	if e.now < until {
+		e.now = until
+		e.ver++
+		if len(e.samplers) > 0 {
+			e.sample(true)
+		}
+	}
+	return nil
+}
+
+// drain is the one delivery loop: it delivers, in (DeliverAt, seq) order,
+// every pending event strictly before hi and at or before until. Run drains
+// with hi = +Inf; a shard's window (ShardedEngine.Run) is drain(hi, until)
+// with a finite hi, on an engine where every sequential-only branch below is
+// a never-taken comparison — a shard engine has no samplers, delivery
+// observers, adversary or timeline of its own, and mirrors no corrections.
+// There it is the only engine code that runs concurrently: each shard touches
+// its own queue, links and processes' state; clocks and remote corrections
+// are read-only.
+func (e *Engine) drain(hi, until clock.Real) error {
 	var m Message
 	for {
 		at, ok := e.queue.peekTime()
@@ -556,16 +582,7 @@ func (e *Engine) Run(until clock.Real) error {
 				continue
 			}
 		}
-		if !ok || at > until {
-			// Advance the clock to the horizon so metrics sampled at
-			// e.Now() reflect the full interval.
-			if e.now < until {
-				e.now = until
-				e.ver++
-				if len(e.samplers) > 0 {
-					e.sample(true)
-				}
-			}
+		if !ok || at >= hi || at > until {
 			return nil
 		}
 		if e.steps >= e.maxSteps {
