@@ -1,9 +1,9 @@
-// Benchmarks: one target per reproduced table/figure (E01–E16;
-// `go run ./cmd/experiments -list` prints the index with each claim's paper
-// reference), plus micro-benchmarks of the substrates. The
-// experiment benches execute the same workloads as cmd/experiments, so
-// `go test -bench=. -benchmem` regenerates every reproduced result and
-// reports its simulation cost.
+// Benchmarks: one sub-benchmark per reproduced table/figure
+// (BenchmarkExperiment/E01…; `go run ./cmd/experiments -list` prints the
+// index with each claim's paper reference), plus micro-benchmarks of the
+// substrates. The experiment benches execute the same workloads as
+// cmd/experiments, so `go test -bench=. -benchmem` regenerates every
+// reproduced result and reports its simulation cost.
 package clocksync_test
 
 import (
@@ -28,40 +28,22 @@ import (
 // baseline, the default (GOMAXPROCS) measures the parallel speedup.
 var workersFlag = flag.Int("workers", 0, "sweep worker pool size for experiment benchmarks (0 = GOMAXPROCS)")
 
-// benchExperiment runs a registered experiment once per iteration on a
-// worker pool of -workers goroutines.
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
+// BenchmarkExperiment runs every registered experiment once per iteration,
+// one sub-benchmark per id (-bench=Experiment/E05 selects one), on a worker
+// pool of -workers goroutines.
+func BenchmarkExperiment(b *testing.B) {
 	runner.SetDefaultWorkers(*workersFlag)
 	defer runner.SetDefaultWorkers(0)
-	e, err := exp.ByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
+	for _, e := range exp.All() {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkExperimentE01Halving(b *testing.B)         { benchExperiment(b, "E01") }
-func BenchmarkExperimentE02Agreement(b *testing.B)       { benchExperiment(b, "E02") }
-func BenchmarkExperimentE03Adjustment(b *testing.B)      { benchExperiment(b, "E03") }
-func BenchmarkExperimentE04Validity(b *testing.B)        { benchExperiment(b, "E04") }
-func BenchmarkExperimentE05FaultSweep(b *testing.B)      { benchExperiment(b, "E05") }
-func BenchmarkExperimentE06Startup(b *testing.B)         { benchExperiment(b, "E06") }
-func BenchmarkExperimentE07Reintegration(b *testing.B)   { benchExperiment(b, "E07") }
-func BenchmarkExperimentE08Comparison(b *testing.B)      { benchExperiment(b, "E08") }
-func BenchmarkExperimentE09MeanMid(b *testing.B)         { benchExperiment(b, "E09") }
-func BenchmarkExperimentE10KExchange(b *testing.B)       { benchExperiment(b, "E10") }
-func BenchmarkExperimentE11Stagger(b *testing.B)         { benchExperiment(b, "E11") }
-func BenchmarkExperimentE12Degradation(b *testing.B)     { benchExperiment(b, "E12") }
-func BenchmarkExperimentE13EpsSweep(b *testing.B)        { benchExperiment(b, "E13") }
-func BenchmarkExperimentE14ApproxAgreement(b *testing.B) { benchExperiment(b, "E14") }
-func BenchmarkExperimentE15Lifecycle(b *testing.B)       { benchExperiment(b, "E15") }
-func BenchmarkExperimentE16Ablation(b *testing.B)        { benchExperiment(b, "E16") }
 
 // BenchmarkMaintenanceRound measures the end-to-end simulation cost per
 // synchronization round at several system sizes.

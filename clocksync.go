@@ -85,9 +85,12 @@ func New(n, f int, opts ...Option) (*Cluster, error) {
 	if len(o.faults) > f {
 		return nil, fmt.Errorf("clocksync: %d faults configured but f = %d", len(o.faults), f)
 	}
-	for id := range o.faults {
+	for id, kind := range o.faults {
 		if id < 0 || id >= n {
 			return nil, fmt.Errorf("clocksync: fault id %d out of range [0,%d)", id, n)
+		}
+		if kind < FaultSilent || kind > FaultCrashMidRun {
+			return nil, fmt.Errorf("clocksync: unknown FaultKind %d for process %d", kind, id)
 		}
 	}
 	if o.adversary != "" {
@@ -244,6 +247,7 @@ func (c *Cluster) flatFaults(w exp.Workload) (exp.Workload, *core.Rejoiner, erro
 	return w, rejoiner, nil
 }
 
+// faultBuilder maps a FaultKind New has validated to its automaton.
 func (c *Cluster) faultBuilder(kind FaultKind) func() sim.Process {
 	cfg := c.cfg
 	switch kind {
@@ -263,7 +267,7 @@ func (c *Cluster) faultBuilder(kind FaultKind) func() sim.Process {
 			return &faults.CrashAfter{Inner: core.NewProc(cfg, 0), At: at}
 		}
 	default:
-		return func() sim.Process { return faults.Silent{} }
+		panic(fmt.Sprintf("clocksync: FaultKind %d passed New's validation", kind))
 	}
 }
 

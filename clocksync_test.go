@@ -29,6 +29,11 @@ func TestNewValidation(t *testing.T) {
 		{"fault id out of range", 7, 2, []clocksync.Option{
 			clocksync.WithFault(7, clocksync.FaultSilent),
 		}, true},
+		{"unknown fault kind", 7, 2, []clocksync.Option{
+			clocksync.WithFault(6, clocksync.FaultKind(9)),
+		}, true},
+		{"zero fault kind", 7, 2, []clocksync.Option{clocksync.WithFault(6, 0)}, true},
+		{"unknown averaging", 7, 2, []clocksync.Option{clocksync.WithAveraging(clocksync.Averaging(7))}, true},
 		{"bad round length", 7, 2, []clocksync.Option{clocksync.WithRoundLength(1e-4)}, true},
 		{"adversary strategy ok", 7, 2, []clocksync.Option{
 			clocksync.WithAdversary("skewmax"),

@@ -23,13 +23,14 @@ import (
 	"repro/internal/multiset"
 )
 
-// Averager selects the ordinary averaging function applied after reduce_f.
-type Averager uint8
+// Averager selects the ordinary averaging function applied after reduce_f;
+// the zero value means Midpoint.
+type Averager = multiset.Averager
 
 // Averaging choices.
 const (
-	Midpoint Averager = iota + 1
-	Mean
+	Midpoint = multiset.Midpoint
+	Mean     = multiset.Mean
 )
 
 // Adversary supplies the values Byzantine processes send. Value returns what
@@ -80,6 +81,9 @@ func (c Config) Validate() error {
 	if c.F < 0 {
 		return fmt.Errorf("agreement: negative f %d", c.F)
 	}
+	if c.Averager > Mean {
+		return fmt.Errorf("agreement: unknown averager %v", c.Averager)
+	}
 	return nil
 }
 
@@ -96,6 +100,9 @@ type State struct {
 func New(cfg Config, initial []float64, faulty []bool) (*State, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if cfg.Averager == 0 {
+		cfg.Averager = Midpoint
 	}
 	if len(initial) != cfg.N || len(faulty) != cfg.N {
 		return nil, fmt.Errorf("agreement: need %d initial values and faulty flags, got %d and %d",
@@ -153,14 +160,7 @@ func (s *State) Step() error {
 				received = append(received, s.vals[q])
 			}
 		}
-		var av float64
-		var err error
-		m := multiset.New(received...)
-		if s.cfg.Averager == Mean {
-			av, err = multiset.FaultTolerantMean(m, s.cfg.F)
-		} else {
-			av, err = multiset.FaultTolerantMidpoint(m, s.cfg.F)
-		}
+		av, err := s.cfg.Averager.Average(received, s.cfg.F)
 		if err != nil {
 			return fmt.Errorf("agreement: round %d process %d: %w", s.round, p, err)
 		}

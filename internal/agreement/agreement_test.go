@@ -19,6 +19,31 @@ func TestConfigValidate(t *testing.T) {
 	if err := (Config{N: 4, F: -1}).Validate(); err == nil {
 		t.Error("negative f accepted")
 	}
+	if err := (Config{N: 4, F: 1, Averager: Averager(7)}).Validate(); err == nil {
+		t.Error("unknown averager accepted")
+	}
+}
+
+// TestZeroAveragerIsMidpoint: the Averager type is shared with core and
+// multiset, where zero is not a choice; here it keeps meaning Midpoint.
+func TestZeroAveragerIsMidpoint(t *testing.T) {
+	init := []float64{0, 1, 3, 8, 9, 20, 21}
+	var got [2][]float64
+	for i, av := range []Averager{0, Midpoint} {
+		st, err := New(Config{N: 7, F: 2, Averager: av}, init, make([]bool, 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Step(); err != nil {
+			t.Fatal(err)
+		}
+		got[i] = st.Values()
+	}
+	for p := range got[0] {
+		if got[0][p] != got[1][p] || got[0][p] != (3.0+9.0)/2 {
+			t.Errorf("process %d: zero averager %v, Midpoint %v, want 6", p, got[0][p], got[1][p])
+		}
+	}
 }
 
 func TestNewValidation(t *testing.T) {

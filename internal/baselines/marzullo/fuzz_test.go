@@ -22,7 +22,8 @@ func encodeVals(vals ...float64) []byte {
 // decodeVals is the inverse, sanitizing arbitrary fuzzer bytes into finite,
 // moderately sized values so float64 round-off stays far below the assert
 // tolerance: NaN → 0, ±Inf → ±1e6, everything else folded into (−1e6, 1e6).
-func decodeVals(data []byte) []float64 {
+// With keepInf, ±Inf stay: −Inf is the automata's never-heard sentinel.
+func decodeVals(data []byte, keepInf bool) []float64 {
 	n := len(data) / 8
 	if n > 64 {
 		n = 64
@@ -34,7 +35,9 @@ func decodeVals(data []byte) []float64 {
 		case math.IsNaN(v):
 			v = 0
 		case math.IsInf(v, 0):
-			v = math.Copysign(1e6, v)
+			if !keepInf {
+				v = math.Copysign(1e6, v)
+			}
 		default:
 			v = math.Mod(v, 1e6)
 		}
@@ -54,21 +57,42 @@ func decodeVals(data []byte) []float64 {
 // midpoint is (v₍f+1₎+v₍n−f₎)/2, precisely mid(reduce_f(U)) — and whose
 // half-width is w − diam(reduce_f(U))/2. Any disagreement means one of the
 // two reductions mishandles ordering, ties, or trimming.
+//
+// The averager is one more input: on the same bytes, ±Inf kept, the one
+// averaging step the automata run — Averager.Average on a scratch copy —
+// must return the sorting path's value bit for bit, or fail with it.
 func FuzzFaultTolerantMidpoint(f *testing.F) {
 	// Seed corpus: the table-driven cases of multiset_test.TestReduce and
 	// TestFaultTolerantMidpoint, plus undersized inputs for the error path.
-	f.Add(uint8(0), encodeVals(2, 1, 3))
-	f.Add(uint8(1), encodeVals(5, 1, 3, 2, 4))
-	f.Add(uint8(2), encodeVals(1, 2, 3, 4, 5, 6, 7))
-	f.Add(uint8(1), encodeVals(1, 2, 3))
-	f.Add(uint8(2), encodeVals(7, 7, 7, 7, 7))
-	f.Add(uint8(1), encodeVals(10, 11, 12, 1e9))
-	f.Add(uint8(1), encodeVals(1, 2))
-	f.Add(uint8(3), encodeVals())
+	f.Add(uint8(0), false, encodeVals(2, 1, 3))
+	f.Add(uint8(1), true, encodeVals(5, 1, 3, 2, 4))
+	f.Add(uint8(2), true, encodeVals(1, 2, 3, 4, 5, 6, 7))
+	f.Add(uint8(1), false, encodeVals(1, 2, 3))
+	f.Add(uint8(2), true, encodeVals(7, 7, 7, 7, 7))
+	f.Add(uint8(1), false, encodeVals(10, 11, 12, 1e9))
+	f.Add(uint8(1), true, encodeVals(1, 2))
+	f.Add(uint8(3), false, encodeVals())
+	f.Add(uint8(2), true, encodeVals(3, math.Inf(-1), 1, 1, math.Inf(-1), 2, 1))
+	f.Add(uint8(1), false, encodeVals(math.Inf(-1), math.Inf(-1), 4, math.Inf(1)))
 
-	f.Fuzz(func(t *testing.T, fRaw uint8, data []byte) {
+	f.Fuzz(func(t *testing.T, fRaw uint8, mean bool, data []byte) {
 		fc := int(fRaw % 8)
-		vals := decodeVals(data)
+
+		avg, sorting := multiset.Midpoint, multiset.FaultTolerantMidpoint
+		if mean {
+			avg, sorting = multiset.Mean, multiset.FaultTolerantMean
+		}
+		raw := decodeVals(data, true)
+		want, wantErr := sorting(multiset.New(raw...), fc)
+		av, err := avg.Average(append([]float64(nil), raw...), fc)
+		if (err != nil) != (wantErr != nil) || (len(raw) < 2*fc+1) != (err != nil) {
+			t.Fatalf("%v.Average(%v, %d): error %v, the sorting path %v", avg, raw, fc, err, wantErr)
+		}
+		if math.Float64bits(av) != math.Float64bits(want) {
+			t.Fatalf("%v.Average(%v, %d) = %v, the sorting path gives %v", avg, raw, fc, av, want)
+		}
+
+		vals := decodeVals(data, false)
 		n := len(vals)
 
 		u := multiset.New(vals...)

@@ -34,7 +34,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/clock"
-	"repro/internal/metrics"
+	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -121,86 +121,57 @@ type TimeMsg struct {
 	Err  float64
 }
 
-// Proc is one interval-discipline process.
+// Proc is one interval-discipline process: the intersection as a
+// core.Discipline on the §4.2 schedule of the RoundProc it embeds.
 type Proc struct {
+	*core.RoundProc
 	cfg  Config
-	corr clock.Local
 	errB float64 // E: current half-width of own interval
 
 	centers []float64
 	widths  []float64
 	have    []bool
-	t       clock.Local
-	rnd     int
-	flag    phase
 }
-
-type phase uint8
-
-const (
-	phaseBroadcast phase = iota + 1
-	phaseUpdate
-)
-
-var (
-	_ sim.Process    = (*Proc)(nil)
-	_ sim.CorrHolder = (*Proc)(nil)
-)
 
 // New builds a Marzullo process.
 func New(cfg Config, initialCorr clock.Local) *Proc {
 	cfg = cfg.withDefaults()
-	return &Proc{
+	p := &Proc{
 		cfg:     cfg,
-		corr:    initialCorr,
 		errB:    cfg.InitialError,
 		centers: make([]float64, cfg.N),
 		widths:  make([]float64, cfg.N),
 		have:    make([]bool, cfg.N),
-		t:       clock.Local(cfg.T0),
-		flag:    phaseBroadcast,
 	}
+	p.RoundProc = core.NewRoundProc(cfg.Params, cfg.Window(), p, initialCorr)
+	return p
 }
-
-// Corr implements sim.CorrHolder.
-func (p *Proc) Corr() clock.Local { return p.corr }
-
-// Round returns the current round index.
-func (p *Proc) Round() int { return p.rnd }
 
 // ErrorBound returns the current half-width E of the process's own interval.
 func (p *Proc) ErrorBound() float64 { return p.errB }
 
-func (p *Proc) local(ctx *sim.Context) clock.Local { return ctx.PhysNow() + p.corr }
+// Payload implements core.Discipline.
+func (p *Proc) Payload(mark clock.Local) any { return TimeMsg{Mark: mark, Err: p.errB} }
 
-// Receive implements sim.Process.
-func (p *Proc) Receive(ctx *sim.Context, m sim.Message) {
-	switch {
-	case m.Kind == sim.KindOrdinary:
-		if tm, ok := m.Payload.(TimeMsg); ok {
-			p.centers[m.From] = float64(tm.Mark) + p.cfg.Delta - float64(p.local(ctx))
-			p.widths[m.From] = tm.Err + p.cfg.Eps
-			p.have[m.From] = true
-		}
-
-	case (m.Kind == sim.KindStart || m.Kind == sim.KindTimer) && p.flag == phaseBroadcast:
-		ctx.Annotate(metrics.TagRoundBegin, float64(p.rnd))
-		ctx.Broadcast(TimeMsg{Mark: p.t, Err: p.errB})
-		ctx.SetTimer(p.t+clock.Local(p.cfg.Window())-p.corr, nil)
-		p.flag = phaseUpdate
-
-	case m.Kind == sim.KindTimer && p.flag == phaseUpdate:
-		p.update(ctx)
+// Hear implements core.Discipline.
+func (p *Proc) Hear(m sim.Message, local clock.Local) {
+	if tm, ok := m.Payload.(TimeMsg); ok {
+		p.centers[m.From] = float64(tm.Mark) + p.cfg.Delta - float64(local)
+		p.widths[m.From] = tm.Err + p.cfg.Eps
+		p.have[m.From] = true
 	}
 }
 
-func (p *Proc) update(ctx *sim.Context) {
+// Adjust implements core.Discipline: intersect with quorum n−f, slew by the
+// midpoint.
+func (p *Proc) Adjust(clock.Local) float64 {
 	ivs := make([]Interval, 0, p.cfg.N)
 	for q := 0; q < p.cfg.N; q++ {
 		if !p.have[q] {
 			continue
 		}
 		ivs = append(ivs, Interval{Lo: p.centers[q] - p.widths[q], Hi: p.centers[q] + p.widths[q]})
+		p.have[q] = false
 	}
 	adj := 0.0
 	res, err := Intersect(ivs, len(ivs)-p.cfg.F)
@@ -210,15 +181,5 @@ func (p *Proc) update(ctx *sim.Context) {
 	}
 	// Drift widens the interval until the next exchange.
 	p.errB += 2 * p.cfg.Rho * p.cfg.P
-	p.corr += clock.Local(adj)
-	ctx.Annotate(metrics.TagAdjust, adj)
-	ctx.Annotate(metrics.TagRoundComplete, float64(p.rnd))
-
-	p.rnd++
-	p.t += clock.Local(p.cfg.P)
-	for i := range p.have {
-		p.have[i] = false
-	}
-	ctx.SetTimer(p.t-p.corr, nil)
-	p.flag = phaseBroadcast
+	return adj
 }

@@ -13,7 +13,7 @@ package ms
 import (
 	"repro/internal/analysis"
 	"repro/internal/clock"
-	"repro/internal/metrics"
+	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -37,76 +37,42 @@ type ClockMsg struct {
 	Mark clock.Local
 }
 
-// Proc is one MS process.
+// Proc is one MS process: the τ-support filter and mean as a core.Discipline
+// on the §4.2 schedule of the RoundProc it embeds.
 type Proc struct {
+	*core.RoundProc
 	cfg  Config
-	corr clock.Local
 	diff []float64
 	have []bool
-	t    clock.Local
-	rnd  int
-	flag phase
 }
-
-type phase uint8
-
-const (
-	phaseBroadcast phase = iota + 1
-	phaseUpdate
-)
-
-var (
-	_ sim.Process    = (*Proc)(nil)
-	_ sim.CorrHolder = (*Proc)(nil)
-)
 
 // New builds an MS process.
 func New(cfg Config, initialCorr clock.Local) *Proc {
 	cfg = cfg.withDefaults()
-	return &Proc{
-		cfg:  cfg,
-		corr: initialCorr,
-		diff: make([]float64, cfg.N),
-		have: make([]bool, cfg.N),
-		t:    clock.Local(cfg.T0),
-		flag: phaseBroadcast,
+	p := &Proc{cfg: cfg, diff: make([]float64, cfg.N), have: make([]bool, cfg.N)}
+	p.RoundProc = core.NewRoundProc(cfg.Params, cfg.Window(), p, initialCorr)
+	return p
+}
+
+// Payload implements core.Discipline.
+func (p *Proc) Payload(mark clock.Local) any { return ClockMsg{Mark: mark} }
+
+// Hear implements core.Discipline.
+func (p *Proc) Hear(m sim.Message, local clock.Local) {
+	if cm, ok := m.Payload.(ClockMsg); ok {
+		p.diff[m.From] = float64(cm.Mark) + p.cfg.Delta - float64(local)
+		p.have[m.From] = true
 	}
 }
 
-// Corr implements sim.CorrHolder.
-func (p *Proc) Corr() clock.Local { return p.corr }
-
-// Round returns the current round index.
-func (p *Proc) Round() int { return p.rnd }
-
-func (p *Proc) local(ctx *sim.Context) clock.Local { return ctx.PhysNow() + p.corr }
-
-// Receive implements sim.Process.
-func (p *Proc) Receive(ctx *sim.Context, m sim.Message) {
-	switch {
-	case m.Kind == sim.KindOrdinary:
-		if cm, ok := m.Payload.(ClockMsg); ok {
-			p.diff[m.From] = float64(cm.Mark) + p.cfg.Delta - float64(p.local(ctx))
-			p.have[m.From] = true
-		}
-
-	case (m.Kind == sim.KindStart || m.Kind == sim.KindTimer) && p.flag == phaseBroadcast:
-		ctx.Annotate(metrics.TagRoundBegin, float64(p.rnd))
-		ctx.Broadcast(ClockMsg{Mark: p.t})
-		ctx.SetTimer(p.t+clock.Local(p.cfg.Window())-p.corr, nil)
-		p.flag = phaseUpdate
-
-	case m.Kind == sim.KindTimer && p.flag == phaseUpdate:
-		p.update(ctx)
-	}
-}
-
-// update discards values lacking n−f τ-support and averages the rest.
-func (p *Proc) update(ctx *sim.Context) {
+// Adjust implements core.Discipline: it discards values lacking n−f
+// τ-support and averages the rest.
+func (p *Proc) Adjust(clock.Local) float64 {
 	received := make([]float64, 0, p.cfg.N)
 	for q := 0; q < p.cfg.N; q++ {
 		if p.have[q] {
 			received = append(received, p.diff[q])
+			p.have[q] = false
 		}
 	}
 	need := p.cfg.N - p.cfg.F
@@ -123,19 +89,8 @@ func (p *Proc) update(ctx *sim.Context) {
 			kept++
 		}
 	}
-	adj := 0.0
-	if kept > 0 {
-		adj = sum / float64(kept)
+	if kept == 0 {
+		return 0
 	}
-	p.corr += clock.Local(adj)
-	ctx.Annotate(metrics.TagAdjust, adj)
-	ctx.Annotate(metrics.TagRoundComplete, float64(p.rnd))
-
-	p.rnd++
-	p.t += clock.Local(p.cfg.P)
-	for i := range p.have {
-		p.have[i] = false
-	}
-	ctx.SetTimer(p.t-p.corr, nil)
-	p.flag = phaseBroadcast
+	return sum / float64(kept)
 }

@@ -40,37 +40,15 @@ type TMsg struct {
 	Mark clock.Local // the round mark Tⁱ the sender is broadcasting
 }
 
-// Averager selects the ordinary averaging function applied after reduce_f.
-type Averager uint8
+// Averager selects the ordinary averaging function applied after reduce_f;
+// multiset owns it, with the one averaging step every automaton here runs.
+type Averager = multiset.Averager
 
-// Averaging choices. The paper's algorithm uses the midpoint; §7 notes that
-// with f fixed and n growing, the mean converges at rate f/(n−2f) and
-// approaches an error of about 2ε.
+// Averaging choices: the paper's midpoint and the §7 mean.
 const (
-	Midpoint Averager = iota + 1
-	Mean
+	Midpoint = multiset.Midpoint
+	Mean     = multiset.Mean
 )
-
-// String implements fmt.Stringer.
-func (a Averager) String() string {
-	switch a {
-	case Midpoint:
-		return "midpoint"
-	case Mean:
-		return "mean"
-	default:
-		return fmt.Sprintf("Averager(%d)", uint8(a))
-	}
-}
-
-func (a Averager) apply(m multiset.Multiset, f int) (float64, error) {
-	switch a {
-	case Mean:
-		return multiset.FaultTolerantMean(m, f)
-	default:
-		return multiset.FaultTolerantMidpoint(m, f)
-	}
-}
 
 // Config parameterizes the maintenance algorithm. The zero value is not
 // usable; fill Params (validated via analysis.Params.Validate) and leave the
@@ -110,6 +88,9 @@ func (c Config) Validate() error {
 	if err := cc.Params.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
+	if cc.Averager != Midpoint && cc.Averager != Mean {
+		return fmt.Errorf("core: unknown averager %v", cc.Averager)
+	}
 	if cc.K > 1 && float64(cc.K)*cc.SubPeriod > cc.P {
 		return fmt.Errorf("core: K=%d exchanges of sub-period %v do not fit in round length %v", cc.K, cc.SubPeriod, cc.P)
 	}
@@ -131,71 +112,97 @@ const (
 	phaseUpdate                     // FLAG = UPDATE
 )
 
-// Round is one §4.2 instance minus the correction it adjusts: the fault
-// budget f, δ and the collection window, the marks, FLAG and the arrival
-// array ARR. Whoever holds it owns CORR and the timers — Proc runs one over
-// sender ids; a hier.Member runs two over one CORR, slotted by cluster rank
-// and by cluster.
+// schedule is the §4.2 round timing every round-structured automaton here
+// runs on: the marks Tⁱ = T⁰ + iP, FLAG, and the collection window after
+// which the update is due.
+type schedule struct {
+	p, window float64     // round length P; collection window
+	t         clock.Local // T: the current (sub-)exchange mark
+	base      clock.Local // Tⁱ: beginning of the current round
+	rnd       int         // round index i
+	flag      phase
+}
+
+func newSchedule(p analysis.Params, window float64) schedule {
+	return schedule{p: p.P, window: window, t: clock.Local(p.T0), base: clock.Local(p.T0), flag: phaseBroadcast}
+}
+
+// Mark returns T, the mark of the exchange in progress.
+func (s *schedule) Mark() clock.Local { return s.t }
+
+// Index returns the round index i.
+func (s *schedule) Index() int { return s.rnd }
+
+// Broadcasting reports FLAG = BCAST: the next timer broadcasts T rather than
+// updating the clock.
+func (s *schedule) Broadcasting() bool { return s.flag == phaseBroadcast }
+
+// Collect ends the broadcast step: FLAG := UPDATE, and the update is due
+// `extra` after Uⁱ = T + (1+ρ)(β+δ+ε).
+func (s *schedule) Collect(extra float64) clock.Local {
+	s.flag = phaseUpdate
+	return s.t + clock.Local(s.window+extra)
+}
+
+// Advance moves to the next round: T := Tⁱ⁺¹ = Tⁱ + P, FLAG := BCAST.
+func (s *schedule) Advance() {
+	s.rnd++
+	s.base += clock.Local(s.p)
+	s.t = s.base
+	s.flag = phaseBroadcast
+}
+
+// SkipTo fast-forwards an instance that has not run yet to its first mark at
+// or after local time now, so a late starter joins the running schedule.
+func (s *schedule) SkipTo(now clock.Local) {
+	if now <= s.t {
+		return
+	}
+	skip := math.Ceil(float64(now-s.t) / s.p)
+	s.base += clock.Local(skip * s.p)
+	s.t = s.base
+	s.rnd = int(skip)
+}
+
+// Round is one §4.2 instance minus the correction it adjusts: the schedule,
+// the fault budget f, δ, the averager and the arrival array ARR. Whoever
+// holds it owns CORR and the timers — Proc runs one over sender ids; a
+// hier.Member runs two over one CORR, slotted by cluster rank and by
+// cluster; a Rejoiner gathers each candidate mark into one.
 type Round struct {
-	f             int
-	delta, window float64
-	p             float64     // round length P
-	t             clock.Local // T: the current (sub-)exchange mark
-	base          clock.Local // Tⁱ: beginning of the current round
-	rnd           int         // round index i
-	flag          phase
-	arr           []float64 // ARR: local arrival time of each slot's latest message
-	scratch       []float64 // reusable quickselect buffer for the midpoint update
+	schedule
+	f       int
+	delta   float64
+	avg     Averager
+	arr     []float64 // ARR: local arrival time of each slot's latest message
+	scratch []float64 // reusable buffer the averager reorders
 }
 
 // NewRound builds the instance for p at its first mark T⁰, FLAG = BCAST,
-// with one arrival slot per p.N.
-func NewRound(p analysis.Params) Round {
-	arr := make([]float64, p.N)
+// with one arrival slot per p.N, averaging with avg.
+func NewRound(p analysis.Params, avg Averager) Round {
+	buf := make([]float64, 2*p.N) // ARR and the scratch, one allocation
+	arr := buf[:p.N:p.N]
 	for i := range arr {
 		arr[i] = math.Inf(-1) // never-heard sentinel; reduce_f discards them
 	}
 	return Round{
-		f:     p.F,
-		delta: p.Delta, window: p.Window(), p: p.P,
-		t: clock.Local(p.T0), base: clock.Local(p.T0),
-		flag: phaseBroadcast,
-		arr:  arr, scratch: make([]float64, p.N),
+		schedule: newSchedule(p, p.Window()),
+		f:        p.F, delta: p.Delta, avg: avg,
+		arr: arr, scratch: buf[p.N:],
 	}
 }
-
-// Mark returns T, the mark of the exchange in progress.
-func (r *Round) Mark() clock.Local { return r.t }
-
-// Index returns the round index i.
-func (r *Round) Index() int { return r.rnd }
-
-// Broadcasting reports FLAG = BCAST: the next timer broadcasts T rather than
-// updating the clock.
-func (r *Round) Broadcasting() bool { return r.flag == phaseBroadcast }
 
 // Record is §4.2's receive step, ARR[slot] := local.
 func (r *Round) Record(slot int, local float64) { r.arr[slot] = local }
 
-// Collect ends the broadcast step: FLAG := UPDATE, and the update is due
-// `extra` after Uⁱ = T + (1+ρ)(β+δ+ε).
-func (r *Round) Collect(extra float64) clock.Local {
-	r.flag = phaseUpdate
-	return r.t + clock.Local(r.window+extra)
-}
-
-// Adjust returns ADJ = T + δ − mid(reduce_f(ARR)). mid(reduce_f) needs only
-// the (f+1)-th smallest and largest arrivals, so quickselect on a reused
-// scratch copy of ARR replaces a per-round sort and allocation; the result is
-// bit-identical to the sorting path.
+// Adjust returns ADJ = T + δ − AV, AV = mid(reduce_f(ARR)) or the §7 mean,
+// averaged on a reused scratch copy of ARR: no per-round allocation, and for
+// the midpoint — which needs only the (f+1)-th smallest and largest arrivals
+// — quickselect instead of a sort, bit-identical to the sorting path.
 func (r *Round) Adjust() float64 {
 	copy(r.scratch, r.arr)
-	av, err := multiset.MidpointSelect(r.scratch, r.f)
-	return r.adjustment(av, err)
-}
-
-// adjustment turns the fault-tolerant average AV into ADJ = T + δ − AV.
-func (r *Round) adjustment(av float64, err error) float64 {
+	av, err := r.avg.Average(r.scratch, r.f)
 	if err != nil {
 		// Unreachable for validated configs: |ARR| = n ≥ 3f+1 > 2f.
 		panic(fmt.Sprintf("core: averaging: %v", err))
@@ -212,30 +219,10 @@ func (r *Round) adjustment(av float64, err error) float64 {
 	return adj
 }
 
-// Advance moves to the next round: T := Tⁱ⁺¹ = Tⁱ + P, FLAG := BCAST.
-func (r *Round) Advance() {
-	r.rnd++
-	r.base += clock.Local(r.p)
-	r.t = r.base
-	r.flag = phaseBroadcast
-}
-
-// SkipTo fast-forwards an instance that has not run yet to its first mark at
-// or after local time now, so a late starter joins the running schedule.
-func (r *Round) SkipTo(now clock.Local) {
-	if now <= r.t {
-		return
-	}
-	skip := math.Ceil(float64(now-r.t) / r.p)
-	r.base += clock.Local(skip * r.p)
-	r.t = r.base
-	r.rnd = int(skip)
-}
-
 // Proc is the nonfaulty process automaton of §4.2. One Proc per process;
 // construct with NewProc. It holds its Round by value, so recording an
 // arrival is one indexed store, and adds what only the flat mesh has: the K
-// sub-exchanges of §7, the §9.3 stagger and the mean averager.
+// sub-exchanges of §7 and the §9.3 stagger.
 type Proc struct {
 	cfg  Config
 	corr clock.Local
@@ -258,7 +245,7 @@ var (
 // assumption A4 holds, or violates it on purpose).
 func NewProc(cfg Config, initialCorr clock.Local) *Proc {
 	cfg = cfg.withDefaults()
-	return &Proc{cfg: cfg, corr: initialCorr, rd: NewRound(cfg.Params)}
+	return &Proc{cfg: cfg, corr: initialCorr, rd: NewRound(cfg.Params, cfg.Averager)}
 }
 
 // Corr implements sim.CorrHolder: the local time is Ph_p + CORR.
@@ -311,12 +298,7 @@ func isOwnTimer(m sim.Message) bool {
 
 func (p *Proc) update(ctx *sim.Context) {
 	r := &p.rd
-	var adj float64
-	if p.cfg.Averager == Midpoint {
-		adj = r.Adjust()
-	} else {
-		adj = r.adjustment(p.cfg.Averager.apply(multiset.New(r.arr...), r.f))
-	}
+	adj := r.Adjust()
 	p.corr += clock.Local(adj)
 	p.lastAdj = adj
 	ctx.Annotate(metrics.TagAdjust, adj)

@@ -24,6 +24,8 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"default ok", func(*core.Config) {}, false},
 		{"bad params", func(c *core.Config) { c.N = 3 }, true},
+		{"mean ok", func(c *core.Config) { c.Averager = core.Mean }, false},
+		{"unknown averager", func(c *core.Config) { c.Averager = core.Averager(7) }, true},
 		{"k too dense", func(c *core.Config) { c.K = 100; c.SubPeriod = 0.02 }, true},
 		{"k fits", func(c *core.Config) { c.K = 2; c.SubPeriod = 0.2 }, false},
 		{"negative stagger", func(c *core.Config) { c.Stagger = -1 }, true},

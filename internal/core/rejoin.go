@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/metrics"
-	"repro/internal/multiset"
 	"repro/internal/sim"
 )
 
@@ -44,9 +43,10 @@ type Rejoiner struct {
 	inner     *Proc // the main algorithm, once synchronized
 }
 
-// gatherGroup accumulates arrivals of one round mark's messages.
+// gatherGroup accumulates arrivals of one round mark's messages: a Round
+// held at that mark.
 type gatherGroup struct {
-	arr        []float64
+	rd         Round
 	firstLocal clock.Local
 	count      int
 }
@@ -120,17 +120,15 @@ func (r *Rejoiner) gather(ctx *sim.Context, m sim.Message) {
 	}
 	g := r.groups[tm.Mark]
 	if g == nil {
-		g = &gatherGroup{arr: make([]float64, r.cfg.N), firstLocal: r.local(ctx)}
-		for i := range g.arr {
-			g.arr[i] = math.Inf(-1)
-		}
+		g = &gatherGroup{rd: NewRound(r.cfg.Params, r.cfg.Averager), firstLocal: r.local(ctx)}
+		g.rd.t = tm.Mark
 		r.groups[tm.Mark] = g
 		ctx.SetTimer(g.firstLocal+r.gatherWait()-r.corr, rejoinDeadline{mark: tm.Mark})
 	}
-	if math.IsInf(g.arr[m.From], -1) {
+	if math.IsInf(g.rd.arr[m.From], -1) {
 		g.count++
 	}
-	g.arr[m.From] = float64(r.local(ctx)) - r.cfg.Stagger*float64(m.From)
+	g.rd.Record(int(m.From), float64(r.local(ctx))-r.cfg.Stagger*float64(m.From))
 }
 
 func (r *Rejoiner) closeGroup(ctx *sim.Context, mark clock.Local) {
@@ -149,12 +147,7 @@ func (r *Rejoiner) closeGroup(ctx *sim.Context, mark clock.Local) {
 	if g.count < r.cfg.N-r.cfg.F {
 		return
 	}
-	av, err := r.cfg.Averager.apply(multiset.New(g.arr...), r.cfg.F)
-	if err != nil {
-		panic("core: rejoin averaging: " + err.Error())
-	}
-	adj := float64(mark) + r.cfg.Delta - av
-	r.corr += clock.Local(adj)
+	r.corr += clock.Local(g.rd.Adjust())
 
 	// Join the main algorithm at the next round mark.
 	next := mark + clock.Local(r.cfg.P)

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/metrics"
-	"repro/internal/multiset"
 	"repro/internal/sim"
 )
 
@@ -37,6 +36,7 @@ type StartupProc struct {
 
 	corr     clock.Local
 	diff     []float64 // DIFF[q]: estimated difference to q's clock
+	scratch  []float64 // reusable buffer the averager reorders
 	a        float64   // A: adjustment computed this round
 	asleep   bool      // ASLEEP
 	earlyEnd bool      // EARLY-END
@@ -85,11 +85,12 @@ func NewStartupProc(cfg Config, initialCorr clock.Local) *StartupProc {
 		diff[i] = math.Inf(-1)
 	}
 	return &StartupProc{
-		cfg:    cfg,
-		corr:   initialCorr,
-		diff:   diff,
-		asleep: true,
-		ready:  make([]bool, cfg.N),
+		cfg:     cfg,
+		corr:    initialCorr,
+		diff:    diff,
+		scratch: make([]float64, cfg.N),
+		asleep:  true,
+		ready:   make([]bool, cfg.N),
 	}
 }
 
@@ -155,7 +156,8 @@ func (p *StartupProc) Receive(ctx *sim.Context, m sim.Message) {
 }
 
 func (p *StartupProc) onFirstIntervalEnd(ctx *sim.Context) {
-	av, err := p.cfg.Averager.apply(multiset.New(p.diff...), p.cfg.F)
+	copy(p.scratch, p.diff)
+	av, err := p.cfg.Averager.Average(p.scratch, p.cfg.F)
 	if err != nil {
 		panic("core: startup averaging: " + err.Error())
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/metrics"
 	"repro/internal/multiset"
 	"repro/internal/sim"
 )
@@ -21,75 +20,53 @@ func init() {
 	})
 }
 
-// ablatedProc is the §4.2 automaton with individual design choices removable
-// — deliberately kept out of package core so the faithful implementation
-// stays pristine. Knobs:
+// ablatedProc is the §4.2 averaging step with individual design choices
+// removable, as a core.Discipline on the faithful schedule — deliberately
+// kept out of package core so the faithful implementation stays pristine.
+// Knobs:
 //
 //   - noReduce: apply mid over *all* arrival times (skip reduce_f) — Lemma 6
 //     gone, Byzantine extremes reach the midpoint;
-//   - windowScale: multiply the (1+ρ)(β+δ+ε) collection window — too small
-//     and slow nonfaulty senders miss the round, exhausting the fault budget;
+//   - windowScale (newAblated's argument, the RoundProc's window): multiply
+//     the (1+ρ)(β+δ+ε) collection window — too small and slow nonfaulty
+//     senders miss the round, exhausting the fault budget;
 //   - noDeltaCorr: compute ADJ = T − AV instead of T + δ − AV — every clock
 //     is dragged δ backwards per round, destroying validity.
 type ablatedProc struct {
+	*core.RoundProc
 	cfg         core.Config
 	noReduce    bool
-	windowScale float64
 	noDeltaCorr bool
-
-	corr  clock.Local
-	arr   []float64
-	bcast bool // FLAG: true = broadcast next, false = update next
-	t     clock.Local
-	rnd   int
+	arr, buf    []float64 // ARR and the scratch the midpoint reorders
 }
 
-var (
-	_ sim.Process    = (*ablatedProc)(nil)
-	_ sim.CorrHolder = (*ablatedProc)(nil)
-)
-
-func newAblated(cfg core.Config, corr clock.Local) *ablatedProc {
-	arr := make([]float64, cfg.N)
-	for i := range arr {
-		arr[i] = math.Inf(-1)
+func newAblated(cfg core.Config, corr clock.Local, windowScale float64) *ablatedProc {
+	p := &ablatedProc{cfg: cfg, arr: make([]float64, cfg.N), buf: make([]float64, cfg.N)}
+	for i := range p.arr {
+		p.arr[i] = math.Inf(-1)
 	}
-	return &ablatedProc{cfg: cfg, windowScale: 1, corr: corr, arr: arr, bcast: true, t: clock.Local(cfg.T0)}
+	p.RoundProc = core.NewRoundProc(cfg.Params, cfg.Window()*windowScale, p, corr)
+	return p
 }
 
-func (p *ablatedProc) Corr() clock.Local { return p.corr }
+func (p *ablatedProc) Payload(mark clock.Local) any { return core.TMsg{Mark: mark} }
 
-func (p *ablatedProc) Receive(ctx *sim.Context, m sim.Message) {
-	local := ctx.PhysNow() + p.corr
-	switch {
-	case m.Kind == sim.KindOrdinary:
-		p.arr[m.From] = float64(local)
-	case (m.Kind == sim.KindStart || m.Kind == sim.KindTimer) && p.bcast:
-		ctx.Annotate(metrics.TagRoundBegin, float64(p.rnd))
-		ctx.Broadcast(core.TMsg{Mark: p.t})
-		window := p.cfg.Window() * p.windowScale
-		ctx.SetTimer(p.t+clock.Local(window)-p.corr, nil)
-		p.bcast = false
-	case m.Kind == sim.KindTimer && !p.bcast:
-		f := p.cfg.F
-		if p.noReduce {
-			f = 0
-		}
-		av, err := multiset.FaultTolerantMidpoint(multiset.New(p.arr...), f)
-		if err != nil || math.IsInf(av, 0) || math.IsNaN(av) {
-			av = float64(p.t) + p.cfg.Delta // skip adjusting
-		}
-		adj := float64(p.t) + p.cfg.Delta - av
-		if p.noDeltaCorr {
-			adj = float64(p.t) - av
-		}
-		p.corr += clock.Local(adj)
-		ctx.Annotate(metrics.TagAdjust, adj)
-		p.rnd++
-		p.t += clock.Local(p.cfg.P)
-		ctx.SetTimer(p.t-p.corr, nil)
-		p.bcast = true
+func (p *ablatedProc) Hear(m sim.Message, local clock.Local) { p.arr[m.From] = float64(local) }
+
+func (p *ablatedProc) Adjust(mark clock.Local) float64 {
+	f := p.cfg.F
+	if p.noReduce {
+		f = 0
 	}
+	copy(p.buf, p.arr)
+	av, err := multiset.Midpoint.Average(p.buf, f)
+	if err != nil || math.IsInf(av, 0) || math.IsNaN(av) {
+		av = float64(mark) + p.cfg.Delta // skip adjusting
+	}
+	if p.noDeltaCorr {
+		return float64(mark) - av
+	}
+	return float64(mark) + p.cfg.Delta - av
 }
 
 // runE16 measures each ablation against the faithful algorithm on the same
@@ -122,17 +99,15 @@ func runE16() ([]*Table, error) {
 			return core.NewProc(cfg, c)
 		}},
 		{"no reduce_f (plain midpoint)", "agreement (Lemma 6)", func(_ sim.ProcID, c clock.Local) sim.Process {
-			p := newAblated(cfg, c)
+			p := newAblated(cfg, c, 1)
 			p.noReduce = true
 			return p
 		}},
 		{"window ×0.3", "validity (arrivals cross round boundaries)", func(_ sim.ProcID, c clock.Local) sim.Process {
-			p := newAblated(cfg, c)
-			p.windowScale = 0.3
-			return p
+			return newAblated(cfg, c, 0.3)
 		}},
 		{"no δ in ADJ", "validity (Thm 19)", func(_ sim.ProcID, c clock.Local) sim.Process {
-			p := newAblated(cfg, c)
+			p := newAblated(cfg, c, 1)
 			p.noDeltaCorr = true
 			return p
 		}},

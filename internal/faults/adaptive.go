@@ -155,11 +155,8 @@ func init() {
 		BuildAdaptive: func(cfg core.Config, members []sim.ProcID, _ int64) ([]sim.Process, sim.Adversary) {
 			// Members are incidental (callers normally pass none); any that
 			// are named simply stay silent.
-			out := make([]sim.Process, len(members))
-			for i := range out {
-				out[i] = Silent{}
-			}
-			return out, SkewMax{}
+			silent := each(func(core.Config, int, int64) sim.Process { return Silent{} })
+			return silent(cfg, members, 0), SkewMax{}
 		},
 	})
 	Register(Strategy{
@@ -176,14 +173,13 @@ func init() {
 				st.member[id] = true
 			}
 			adv := &splitterAdv{st: st, delta: cfg.Delta, eps: cfg.Eps}
+			// The classic two-faced schedule, but the early/late split
+			// re-evaluates against the live observation record on every
+			// send decision.
 			pull := cfg.Beta - cfg.Eps
-			out := make([]sim.Process, len(members))
-			for i := range out {
-				// The classic two-faced schedule, but the early/late split
-				// re-evaluates against the live observation record on every
-				// send decision.
-				out[i] = &TwoFaced{Cfg: cfg, Lead: pull, Lag: pull, EarlyTo: st.fastHalf}
-			}
+			out := each(func(core.Config, int, int64) sim.Process {
+				return &TwoFaced{Cfg: cfg, Lead: pull, Lag: pull, EarlyTo: st.fastHalf}
+			})(cfg, members, 0)
 			return out, adv
 		},
 	})

@@ -53,7 +53,7 @@ type cliqueMember struct {
 	lag   float64
 	early func(to sim.ProcID) bool
 	plan  *cliquePlan
-	round int
+	timedSends
 }
 
 var _ sim.Process = (*cliqueMember)(nil)
@@ -63,13 +63,7 @@ var _ sim.Process = (*cliqueMember)(nil)
 // recipients apart at intensity β+ε with a shared per-round jitter.
 func NewClique(cfg core.Config, members int, seed int64, tune CliqueTuning) []sim.Process {
 	plan := &cliquePlan{rng: sim.NewRNG(seed)}
-	lead, lag := tune.Lead, tune.Lag
-	if lead == 0 {
-		lead = cfg.Beta + cfg.Eps
-	}
-	if lag == 0 {
-		lag = cfg.Beta + cfg.Eps
-	}
+	lead, lag := orDefault(tune.Lead, cfg.Beta+cfg.Eps), orDefault(tune.Lag, cfg.Beta+cfg.Eps)
 	early := tune.EarlyTo
 	if early == nil {
 		// Persistent random split: recipients below a random pivot are
@@ -85,29 +79,21 @@ func NewClique(cfg core.Config, members int, seed int64, tune CliqueTuning) []si
 }
 
 // Receive implements sim.Process.
-func (c *cliqueMember) Receive(ctx *sim.Context, m sim.Message) {
-	if m.Kind != sim.KindStart && m.Kind != sim.KindTimer {
-		return
-	}
-	if p, ok := m.Payload.(sendAt); ok {
-		ctx.Send(p.to, p.payload)
-		return
-	}
-	c.plan.advance(c.round)
-	j := c.plan.jitter
-	mark := c.cfg.T0 + float64(c.round)*c.cfg.P
-	payload := core.TMsg{Mark: clock.Local(mark)}
-	for q := 0; q < ctx.N(); q++ {
-		at := mark + c.lag*j
-		if c.early(sim.ProcID(q)) {
-			at = mark - c.lead*j
-		}
-		ctx.SetTimer(clock.Local(at), sendAt{to: sim.ProcID(q), payload: payload})
-	}
-	c.round++
-	next := c.cfg.T0 + float64(c.round)*c.cfg.P
-	ctx.SetTimer(clock.Local(next-c.lead-1e-9), nextRound{})
+func (c *cliqueMember) Receive(ctx *sim.Context, m sim.Message) { c.receive(ctx, m, &c.cfg, c) }
+
+func (c *cliqueMember) begin(round int, mark clock.Local) any {
+	c.plan.advance(round)
+	return core.TMsg{Mark: mark}
 }
+
+func (c *cliqueMember) offset(q sim.ProcID, _ int) float64 {
+	if c.early(q) {
+		return -c.lead * c.plan.jitter
+	}
+	return c.lag * c.plan.jitter
+}
+
+func (c *cliqueMember) wake(next float64) float64 { return next - c.lead - 1e-9 }
 
 // EdgeRider pins every arrival to an edge of the recipient's collection
 // window: even-id recipients get the earliest-believable copy, odd-id
@@ -119,39 +105,33 @@ type EdgeRider struct {
 	// β+ε, the extreme that still lands inside every honest window.
 	Lead, Lag float64
 
-	round int
+	timedSends
 }
 
 var _ sim.Process = (*EdgeRider)(nil)
 
 // Receive implements sim.Process.
-func (r *EdgeRider) Receive(ctx *sim.Context, m sim.Message) {
-	if m.Kind != sim.KindStart && m.Kind != sim.KindTimer {
-		return
+func (r *EdgeRider) Receive(ctx *sim.Context, m sim.Message) { r.receive(ctx, m, &r.Cfg, r) }
+
+func (r *EdgeRider) begin(_ int, mark clock.Local) any { return core.TMsg{Mark: mark} }
+
+func (r *EdgeRider) offset(q sim.ProcID, _ int) float64 {
+	if q%2 == 0 {
+		return -orDefault(r.Lead, r.Cfg.Beta+r.Cfg.Eps)
 	}
-	if p, ok := m.Payload.(sendAt); ok {
-		ctx.Send(p.to, p.payload)
-		return
+	return orDefault(r.Lag, r.Cfg.Beta+r.Cfg.Eps)
+}
+
+func (r *EdgeRider) wake(next float64) float64 {
+	return next - orDefault(r.Lead, r.Cfg.Beta+r.Cfg.Eps) - 1e-9
+}
+
+// orDefault returns v, or def when v is zero.
+func orDefault(v, def float64) float64 {
+	if v == 0 {
+		return def
 	}
-	lead, lag := r.Lead, r.Lag
-	if lead == 0 {
-		lead = r.Cfg.Beta + r.Cfg.Eps
-	}
-	if lag == 0 {
-		lag = r.Cfg.Beta + r.Cfg.Eps
-	}
-	mark := r.Cfg.T0 + float64(r.round)*r.Cfg.P
-	payload := core.TMsg{Mark: clock.Local(mark)}
-	for q := 0; q < ctx.N(); q++ {
-		at := mark + lag
-		if q%2 == 0 {
-			at = mark - lead
-		}
-		ctx.SetTimer(clock.Local(at), sendAt{to: sim.ProcID(q), payload: payload})
-	}
-	r.round++
-	next := r.Cfg.T0 + float64(r.round)*r.Cfg.P
-	ctx.SetTimer(clock.Local(next-lead-1e-9), nextRound{})
+	return v
 }
 
 // DriftMax follows the honest round schedule but pretends its physical clock
@@ -175,10 +155,7 @@ func (d *DriftMax) Receive(ctx *sim.Context, m sim.Message) {
 	if m.Kind != sim.KindStart && m.Kind != sim.KindTimer {
 		return
 	}
-	rate := d.Rate
-	if rate == 0 {
-		rate = 2e-3
-	}
+	rate := orDefault(d.Rate, 2e-3)
 	mark := d.Cfg.T0 + float64(d.round)*d.Cfg.P
 	ctx.Broadcast(core.TMsg{Mark: clock.Local(mark)})
 	d.round++
@@ -238,7 +215,7 @@ type RandomTiming struct {
 	spread float64
 	bias   float64
 	rng    sim.RNG
-	round  int
+	timedSends
 }
 
 var _ sim.Process = (*RandomTiming)(nil)
@@ -271,21 +248,12 @@ func clampAbs(v, limit float64) float64 {
 }
 
 // Receive implements sim.Process.
-func (r *RandomTiming) Receive(ctx *sim.Context, m sim.Message) {
-	if m.Kind != sim.KindStart && m.Kind != sim.KindTimer {
-		return
-	}
-	if p, ok := m.Payload.(sendAt); ok {
-		ctx.Send(p.to, p.payload)
-		return
-	}
-	mark := r.cfg.T0 + float64(r.round)*r.cfg.P
-	payload := core.TMsg{Mark: clock.Local(mark)}
-	for q := 0; q < ctx.N(); q++ {
-		off := r.bias + (2*r.rng.Float64()-1)*r.spread
-		ctx.SetTimer(clock.Local(mark+off), sendAt{to: sim.ProcID(q), payload: payload})
-	}
-	r.round++
-	next := r.cfg.T0 + float64(r.round)*r.cfg.P
-	ctx.SetTimer(clock.Local(next-r.spread+r.bias-1e-9), nextRound{})
+func (r *RandomTiming) Receive(ctx *sim.Context, m sim.Message) { r.receive(ctx, m, &r.cfg, r) }
+
+func (r *RandomTiming) begin(_ int, mark clock.Local) any { return core.TMsg{Mark: mark} }
+
+func (r *RandomTiming) offset(sim.ProcID, int) float64 {
+	return r.bias + (2*r.rng.Float64()-1)*r.spread
 }
+
+func (r *RandomTiming) wake(next float64) float64 { return next - r.spread + r.bias - 1e-9 }

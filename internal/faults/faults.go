@@ -57,11 +57,53 @@ func (c *CrashAfter) Corr() clock.Local {
 	return 0
 }
 
-// sendAt is the timer payload two-faced processes use to schedule a
-// per-recipient send.
+// sendAt is the timer payload of a per-recipient timed send.
 type sendAt struct {
 	to      sim.ProcID
 	payload any
+}
+
+// nextRound is the timer payload that wakes a strategy for its next round.
+type nextRound struct{}
+
+// timing is what a timed-send strategy decides about a round. The strategy
+// itself implements it and passes itself to timedSends.receive: a closure
+// built per round would escape to the heap once a round (flat_n7_faulty paid
+// +14 % allocations for that form), the strategy pointer costs nothing.
+type timing interface {
+	// begin prepares round i and returns the payload every copy carries.
+	begin(round int, mark clock.Local) any
+	// offset is where recipient q's copy is sent, in local time relative
+	// to the mark; it is asked once per recipient in id order.
+	offset(q sim.ProcID, n int) float64
+	// wake turns the next round's mark into the time to plan that round,
+	// early enough for its earliest copy.
+	wake(next float64) float64
+}
+
+// timedSends is the schedule every per-recipient timing attack runs on its
+// own (uncorrected) physical clock: a sendAt timer is relayed to its
+// recipient; START or any other timer plans round i — one timed copy of one
+// payload per recipient — and wakes the strategy before the next mark.
+type timedSends struct{ round int }
+
+func (s *timedSends) receive(ctx *sim.Context, m sim.Message, cfg *core.Config, t timing) {
+	if m.Kind != sim.KindStart && m.Kind != sim.KindTimer {
+		return
+	}
+	if p, ok := m.Payload.(sendAt); ok {
+		ctx.Send(p.to, p.payload)
+		return
+	}
+	mark := cfg.T0 + float64(s.round)*cfg.P
+	payload := t.begin(s.round, clock.Local(mark))
+	n := ctx.N()
+	for q := 0; q < n; q++ {
+		at := mark + t.offset(sim.ProcID(q), n)
+		ctx.SetTimer(clock.Local(at), sendAt{to: sim.ProcID(q), payload: payload})
+	}
+	s.round++
+	ctx.SetTimer(clock.Local(t.wake(cfg.T0+float64(s.round)*cfg.P)), nextRound{})
 }
 
 // TwoFaced runs the honest round schedule on its own (uncorrected) physical
@@ -84,49 +126,33 @@ type TwoFaced struct {
 	// baseline's dialect (e.g. an ms.ClockMsg) so the attack reaches it.
 	MakePayload func(mark clock.Local) any
 
-	round int
+	timedSends
 }
 
 var _ sim.Process = (*TwoFaced)(nil)
 
 // Receive implements sim.Process.
-func (t *TwoFaced) Receive(ctx *sim.Context, m sim.Message) {
-	switch m.Kind {
-	case sim.KindStart:
-		t.scheduleRound(ctx)
-	case sim.KindTimer:
-		switch p := m.Payload.(type) {
-		case sendAt:
-			ctx.Send(p.to, p.payload)
-		case nextRound:
-			t.scheduleRound(ctx)
-		}
-	}
-}
+func (t *TwoFaced) Receive(ctx *sim.Context, m sim.Message) { t.receive(ctx, m, &t.Cfg, t) }
 
-type nextRound struct{}
-
-func (t *TwoFaced) scheduleRound(ctx *sim.Context) {
-	mark := t.Cfg.T0 + float64(t.round)*t.Cfg.P
-	var payload any = core.TMsg{Mark: clock.Local(mark)}
+func (t *TwoFaced) begin(_ int, mark clock.Local) any {
 	if t.MakePayload != nil {
-		payload = t.MakePayload(clock.Local(mark))
+		return t.MakePayload(mark)
 	}
-	early := t.EarlyTo
-	if early == nil {
-		n := ctx.N()
-		early = func(to sim.ProcID) bool { return int(to) < n/2 }
-	}
-	for q := 0; q < ctx.N(); q++ {
-		at := mark + t.Lag
-		if early(sim.ProcID(q)) {
-			at = mark - t.Lead
-		}
-		ctx.SetTimer(clock.Local(at), sendAt{to: sim.ProcID(q), payload: payload})
-	}
-	t.round++
-	ctx.SetTimer(clock.Local(t.Cfg.T0+float64(t.round)*t.Cfg.P-t.Lead-1e-9), nextRound{})
+	return core.TMsg{Mark: mark}
 }
+
+func (t *TwoFaced) offset(q sim.ProcID, n int) float64 {
+	early := int(q) < n/2
+	if t.EarlyTo != nil {
+		early = t.EarlyTo(q)
+	}
+	if early {
+		return -t.Lead
+	}
+	return t.Lag
+}
+
+func (t *TwoFaced) wake(next float64) float64 { return next - t.Lead - 1e-9 }
 
 // Noise floods the system with Burst messages at random times each round —
 // a babbling fault. Nonfaulty ARR entries get overwritten by whichever copy

@@ -107,3 +107,39 @@ func TestLyingMarkHarmless(t *testing.T) {
 		t.Errorf("skew %v exceeds γ %v with a lying-mark process", got, cfg.Gamma())
 	}
 }
+
+// TestTwoFacedRoundAllocs pins what one round of the timed-send schedule
+// allocates: the payload box and one sendAt box per recipient, n + 1 on a
+// 7-process engine. A schedule that plans a round through a closure built
+// per round escapes it to the heap and reads n + 2.
+func TestTwoFacedRoundAllocs(t *testing.T) {
+	cfg := cfg7()
+	procs := make([]sim.Process, cfg.N)
+	clocks := make([]clock.Clock, cfg.N)
+	for i := range procs {
+		procs[i], clocks[i] = faults.Silent{}, clock.Linear(0, 1)
+	}
+	procs[6] = &faults.TwoFaced{Cfg: cfg, Lead: 3 * cfg.Eps, Lag: 3 * cfg.Eps}
+	e, err := sim.New(sim.Config{
+		Procs: procs, Clocks: clocks, StartAt: make([]clock.Real, cfg.N),
+		Delay: sim.ConstantDelay{Delta: cfg.Delta},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each Run slice ends mid-round, so it holds exactly one planning step,
+	// its n relays and their deliveries; the first slices warm the queue.
+	round := 0
+	oneRound := func() {
+		round++
+		if err := e.Run(clock.Real(cfg.T0 + (float64(round)+0.5)*cfg.P)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round < 5 {
+		oneRound()
+	}
+	if got := testing.AllocsPerRun(100, oneRound); got != float64(cfg.N+1) {
+		t.Errorf("a TwoFaced round allocates %v times, want n+1 = %d", got, cfg.N+1)
+	}
+}

@@ -175,62 +175,52 @@ func perMemberSeed(seed int64, i int) int64 {
 	return seed + int64(i+1)*-0x61c8864680b583eb // golden-ratio increment
 }
 
+// each adapts a per-member constructor to Strategy.Build: member i of the
+// group is mk(cfg, i, seed).
+func each(mk func(cfg core.Config, i int, seed int64) sim.Process) func(core.Config, []sim.ProcID, int64) []sim.Process {
+	return func(cfg core.Config, members []sim.ProcID, seed int64) []sim.Process {
+		out := make([]sim.Process, len(members))
+		for i := range out {
+			out[i] = mk(cfg, i, seed)
+		}
+		return out
+	}
+}
+
 func init() {
 	Register(Strategy{
-		Name: "silent",
-		Desc: "never sends — the stale-entry case of Lemma 6",
-		Build: func(cfg core.Config, members []sim.ProcID, _ int64) []sim.Process {
-			out := make([]sim.Process, len(members))
-			for i := range out {
-				out[i] = Silent{}
-			}
-			return out
-		},
+		Name:  "silent",
+		Desc:  "never sends — the stale-entry case of Lemma 6",
+		Build: each(func(core.Config, int, int64) sim.Process { return Silent{} }),
 	})
 	Register(Strategy{
 		Name: "crash-mid-run",
 		Desc: "honest until its physical clock reaches round 5, then dead",
-		Build: func(cfg core.Config, members []sim.ProcID, _ int64) []sim.Process {
-			out := make([]sim.Process, len(members))
-			for i := range out {
-				out[i] = &CrashAfter{Inner: core.NewProc(cfg, 0), At: clock.Local(cfg.T0 + 5*cfg.P)}
-			}
-			return out
-		},
+		Build: each(func(cfg core.Config, _ int, _ int64) sim.Process {
+			return &CrashAfter{Inner: core.NewProc(cfg, 0), At: clock.Local(cfg.T0 + 5*cfg.P)}
+		}),
 	})
 	Register(Strategy{
 		Name: "two-faced",
 		Desc: "delivers each round early to half the recipients, late to the rest",
-		Build: func(cfg core.Config, members []sim.ProcID, _ int64) []sim.Process {
-			out := make([]sim.Process, len(members))
+		Build: each(func(cfg core.Config, _ int, _ int64) sim.Process {
 			pull := cfg.Beta - cfg.Eps
-			for i := range out {
-				out[i] = &TwoFaced{Cfg: cfg, Lead: pull, Lag: pull}
-			}
-			return out
-		},
+			return &TwoFaced{Cfg: cfg, Lead: pull, Lag: pull}
+		}),
 	})
 	Register(Strategy{
 		Name: "stale-replay",
 		Desc: "replays round 0's mark late every round — a stuck clock",
-		Build: func(cfg core.Config, members []sim.ProcID, _ int64) []sim.Process {
-			out := make([]sim.Process, len(members))
-			for i := range out {
-				out[i] = &StaleReplay{Cfg: cfg, Offset: cfg.Beta - cfg.Eps}
-			}
-			return out
-		},
+		Build: each(func(cfg core.Config, _ int, _ int64) sim.Process {
+			return &StaleReplay{Cfg: cfg, Offset: cfg.Beta - cfg.Eps}
+		}),
 	})
 	Register(Strategy{
 		Name: "noise",
 		Desc: "floods random bogus marks at random times — a babbler",
-		Build: func(cfg core.Config, members []sim.ProcID, _ int64) []sim.Process {
-			out := make([]sim.Process, len(members))
-			for i := range out {
-				out[i] = &Noise{Cfg: cfg, Burst: 3}
-			}
-			return out
-		},
+		Build: each(func(cfg core.Config, _ int, _ int64) sim.Process {
+			return &Noise{Cfg: cfg, Burst: 3}
+		}),
 	})
 	Register(Strategy{
 		Name: "clique",
@@ -240,48 +230,28 @@ func init() {
 		},
 	})
 	Register(Strategy{
-		Name: "edge-rider",
-		Desc: "pins every arrival to an edge of the recipient's window (δ±ε riding)",
-		Build: func(cfg core.Config, members []sim.ProcID, _ int64) []sim.Process {
-			out := make([]sim.Process, len(members))
-			for i := range out {
-				out[i] = &EdgeRider{Cfg: cfg}
-			}
-			return out
-		},
+		Name:  "edge-rider",
+		Desc:  "pins every arrival to an edge of the recipient's window (δ±ε riding)",
+		Build: each(func(cfg core.Config, _ int, _ int64) sim.Process { return &EdgeRider{Cfg: cfg} }),
 	})
 	Register(Strategy{
-		Name: "drift-max",
-		Desc: "virtual clock drifting at 200ρ, walking out of every window",
-		Build: func(cfg core.Config, members []sim.ProcID, _ int64) []sim.Process {
-			out := make([]sim.Process, len(members))
-			for i := range out {
-				out[i] = &DriftMax{Cfg: cfg}
-			}
-			return out
-		},
+		Name:  "drift-max",
+		Desc:  "virtual clock drifting at 200ρ, walking out of every window",
+		Build: each(func(cfg core.Config, _ int, _ int64) sim.Process { return &DriftMax{Cfg: cfg} }),
 	})
 	Register(Strategy{
 		Name: "flaky-rejoin",
 		Desc: "crash/recover loop replaying stale marks at each rejoin",
-		Build: func(cfg core.Config, members []sim.ProcID, _ int64) []sim.Process {
-			out := make([]sim.Process, len(members))
-			for i := range out {
-				// Stagger duty cycles so members crash out of phase.
-				out[i] = &FlakyRejoin{Cfg: cfg, AliveRounds: 2 + i%2, DeadRounds: 2}
-			}
-			return out
-		},
+		Build: each(func(cfg core.Config, i int, _ int64) sim.Process {
+			// Stagger duty cycles so members crash out of phase.
+			return &FlakyRejoin{Cfg: cfg, AliveRounds: 2 + i%2, DeadRounds: 2}
+		}),
 	})
 	Register(Strategy{
 		Name: "random-timing",
 		Desc: "per-recipient send offsets drawn from a seeded sim.RNG stream",
-		Build: func(cfg core.Config, members []sim.ProcID, seed int64) []sim.Process {
-			out := make([]sim.Process, len(members))
-			for i := range out {
-				out[i] = NewRandomTiming(cfg, perMemberSeed(seed, i), cfg.Beta+cfg.Eps, 0)
-			}
-			return out
-		},
+		Build: each(func(cfg core.Config, i int, seed int64) sim.Process {
+			return NewRandomTiming(cfg, perMemberSeed(seed, i), cfg.Beta+cfg.Eps, 0)
+		}),
 	})
 }

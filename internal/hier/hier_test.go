@@ -4,10 +4,12 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/invariant"
 	"repro/internal/metrics"
+	"repro/internal/multiset"
 	"repro/internal/sim"
 )
 
@@ -319,7 +321,8 @@ func (l *adjLog) OnAnnotation(_ *sim.Engine, a sim.Annotation) {
 // TestSharedRound is the one check of the §4.2 round both automata are built
 // on. The table drives a core.Round directly — a warm ARR, a cold one (more
 // than f never-heard sentinels: ADJ = 0), NaN arrivals (skipped, never
-// applied) — and then feeds a core.Proc and a Member the same arrivals from
+// applied), and both averagers against the multiset path where mean ≠ mid —
+// and then feeds a core.Proc and a Member the same arrivals from
 // scripted peers, four rounds over, and demands the same ADJ sequence and the
 // same final CORR bit for bit: warm, and cold, where CORR must not move.
 func TestSharedRound(t *testing.T) {
@@ -342,12 +345,34 @@ func TestSharedRound(t *testing.T) {
 		{"one NaN", map[int]float64{0: nan, 1: 2.5e-3, 2: 3e-3, 3: 9e-3},
 			func(adj float64) bool { return !math.IsNaN(adj) && !math.IsInf(adj, 0) }},
 	} {
-		r := core.NewRound(params)
+		r := core.NewRound(params, core.Midpoint)
 		for slot, at := range tc.arr {
 			r.Record(slot, at)
 		}
 		if adj := r.Adjust(); !tc.want(adj) {
 			t.Errorf("Round, %s ARR: ADJ = %v", tc.name, adj)
+		}
+	}
+
+	// n = 7, f = 2 leaves three survivors, so the mean is not the midpoint;
+	// slot 6 is never heard. Each averager's Round must apply exactly
+	// T⁰ + δ − AV of the sorting path.
+	p7 := analysis.Default(7, 2)
+	arr := []float64{p7.T0 + 4e-3, p7.T0 + 1e-3, p7.T0 + 9e-3, p7.T0 + 2.5e-3, p7.T0 + 2.5e-3, p7.T0 + 3.1e-3, math.Inf(-1)}
+	for _, tc := range []struct {
+		avg  core.Averager
+		path func(multiset.Multiset, int) (float64, error)
+	}{{core.Midpoint, multiset.FaultTolerantMidpoint}, {core.Mean, multiset.FaultTolerantMean}} {
+		r := core.NewRound(p7, tc.avg)
+		for slot, at := range arr[:6] {
+			r.Record(slot, at)
+		}
+		av, err := tc.path(multiset.New(arr...), p7.F)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := r.Adjust(), p7.T0+p7.Delta-av; math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("Round, %v: ADJ = %v, the multiset path gives %v", tc.avg, got, want)
 		}
 	}
 

@@ -103,7 +103,7 @@ func NewMember(cfg Config, id sim.ProcID, initialCorr clock.Local) *Member {
 	return &Member{
 		cfg: cfg, id: id, cluster: cluster, lo: lo, hi: hi, cands: cands,
 		corr:  initialCorr,
-		inner: core.NewRound(cfg.InnerParams(cluster)),
+		inner: core.NewRound(cfg.InnerParams(cluster), core.Midpoint),
 	}
 }
 
@@ -269,7 +269,7 @@ func (m *Member) checkElection(ctx *sim.Context) {
 // representative joins the running schedule; its first update may see a cold
 // ARR and skip via the adjustment guard, converging one round later).
 func (m *Member) becomeRep(ctx *sim.Context) {
-	outer := core.NewRound(m.cfg.OuterParams())
+	outer := core.NewRound(m.cfg.OuterParams(), core.Midpoint)
 	outer.SkipTo(m.local(ctx))
 	m.outer = &outer
 	m.armOuter(ctx, outer.Mark())

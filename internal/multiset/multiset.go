@@ -10,7 +10,6 @@
 package multiset
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -90,13 +89,21 @@ func (u Multiset) DropMax() Multiset {
 // Reduce returns reduce_f(U) = l^f(s^f(U)): U with the f largest and the f
 // smallest elements removed. It returns an error unless |U| ≥ 2f+1.
 func (u Multiset) Reduce(f int) (Multiset, error) {
-	if f < 0 {
-		return Multiset{}, fmt.Errorf("multiset: negative fault bound %d", f)
-	}
-	if len(u.sorted) < 2*f+1 {
-		return Multiset{}, fmt.Errorf("multiset: reduce needs |U| ≥ 2f+1, got |U|=%d f=%d", len(u.sorted), f)
+	if err := checkReduce(len(u.sorted), f); err != nil {
+		return Multiset{}, err
 	}
 	return Multiset{sorted: u.sorted[f : len(u.sorted)-f]}, nil
+}
+
+// checkReduce is reduce_f's precondition on a multiset of n elements.
+func checkReduce(n, f int) error {
+	if f < 0 {
+		return fmt.Errorf("multiset: negative fault bound %d", f)
+	}
+	if n < 2*f+1 {
+		return fmt.Errorf("multiset: reduce needs |U| ≥ 2f+1, got |U|=%d f=%d", n, f)
+	}
+	return nil
 }
 
 // MustReduce is Reduce for callers that have already validated sizes.
@@ -124,10 +131,7 @@ func FaultTolerantMidpoint(u Multiset, f int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if r.Len() == 0 {
-		return 0, errors.New("multiset: reduce left no elements")
-	}
-	return r.Mid(), nil
+	return r.Mid(), nil // |reduce_f(U)| ≥ 1 once Reduce accepts
 }
 
 // MidpointSelect computes mid(reduce_f(vals)) — the same value
@@ -140,11 +144,8 @@ func FaultTolerantMidpoint(u Multiset, f int) (float64, error) {
 // bit-identical to the sorting path: selection returns the same element
 // values, and the midpoint is computed from the same two floats.
 func MidpointSelect(vals []float64, f int) (float64, error) {
-	if f < 0 {
-		return 0, fmt.Errorf("multiset: negative fault bound %d", f)
-	}
-	if len(vals) < 2*f+1 {
-		return 0, fmt.Errorf("multiset: reduce needs |U| ≥ 2f+1, got |U|=%d f=%d", len(vals), f)
+	if err := checkReduce(len(vals), f); err != nil {
+		return 0, err
 	}
 	lo := selectKth(vals, f)
 	// Quickselect leaves vals partitioned around index f (everything
@@ -207,10 +208,48 @@ func FaultTolerantMean(u Multiset, f int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if r.Len() == 0 {
-		return 0, errors.New("multiset: reduce left no elements")
+	return r.Mean(), nil // |reduce_f(U)| ≥ 1 once Reduce accepts
+}
+
+// Averager selects the ordinary averaging function applied after reduce_f.
+// The paper's algorithm uses the midpoint; §7 notes that with f fixed and n
+// growing, the mean converges at rate f/(n−2f) and approaches an error of
+// about 2ε.
+type Averager uint8
+
+// Averaging choices.
+const (
+	Midpoint Averager = iota + 1
+	Mean
+)
+
+// String implements fmt.Stringer.
+func (a Averager) String() string {
+	switch a {
+	case Midpoint:
+		return "midpoint"
+	case Mean:
+		return "mean"
+	default:
+		return fmt.Sprintf("Averager(%d)", uint8(a))
 	}
-	return r.Mean(), nil
+}
+
+// Average computes a(reduce_f(vals)) — bit for bit the value
+// FaultTolerantMidpoint or FaultTolerantMean returns for New(vals...) —
+// reordering vals in place, so a caller that averages every round passes a
+// reusable scratch copy and allocates nothing. The mean is the sorting path
+// itself on vals sorted in place.
+func (a Averager) Average(vals []float64, f int) (float64, error) {
+	switch a {
+	case Midpoint:
+		return MidpointSelect(vals, f)
+	case Mean:
+		sort.Float64s(vals)
+		return FaultTolerantMean(Multiset{sorted: vals}, f)
+	default:
+		return 0, fmt.Errorf("multiset: unknown averager %v", a)
+	}
 }
 
 // DistX returns d_x(U, V), the x-distance between U and V: the minimum over

@@ -230,7 +230,7 @@ type Engine struct {
 	bcastOK    []bool
 	seed       int64
 	rng        RNG          // delay-sampling stream (splitmix64)
-	prand      []*rand.Rand // per-process Context.Rand streams, built lazily
+	prand      []*rand.Rand // per-process Context.Rand streams; nil until the first Rand call
 	queue      sched
 	now        clock.Real
 	seq        uint64
@@ -359,7 +359,6 @@ func newEngine(cfg Config, sh *shardSetup, mode schedMode) (*Engine, error) {
 		faulty:   faulty,
 		seed:     cfg.Seed,
 		rng:      NewRNG(cfg.Seed),
-		prand:    make([]*rand.Rand, n),
 		maxSteps: maxSteps,
 		ver:      1,
 		acting:   actingNone,
@@ -795,10 +794,11 @@ func (c *Context) Annotate(tag string, v float64) { c.eng.annotate(c.pid, tag, v
 // Receive return identical values.)
 func (c *Context) Rand() *rand.Rand {
 	e := c.eng
-	if r := e.prand[c.pid]; r != nil {
-		return r
+	if e.prand == nil {
+		e.prand = make([]*rand.Rand, len(e.procs))
 	}
-	r := rand.New(rand.NewSource(procSeed(e.seed, c.pid)))
-	e.prand[c.pid] = r
-	return r
+	if e.prand[c.pid] == nil {
+		e.prand[c.pid] = rand.New(rand.NewSource(procSeed(e.seed, c.pid)))
+	}
+	return e.prand[c.pid]
 }

@@ -10,16 +10,10 @@ import (
 	"testing"
 )
 
-// TestOneRunPath pins the structure the harness is built on: outside the
-// engine's own package and the engine benchmarks, exactly one function opens
-// an engine — the execute step in internal/exp/run.go, through
-// sim.NewRunner — so observers, fault substitution and the choice between
-// the sequential and the sharded engine are decided in one place. A new
-// sim.New / sim.NewSharded / sim.NewRunner call anywhere else is a second
-// run path.
-func TestOneRunPath(t *testing.T) {
-	const home = "internal/exp/run.go"
-	calls := 0
+// inspectSources parses every non-test Go file of the root module outside the
+// skipped directories and hands each AST node to visit with its file's path.
+func inspectSources(t *testing.T, skip func(dir string) bool, visit func(path string, n ast.Node)) {
+	t.Helper()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -28,8 +22,7 @@ func TestOneRunPath(t *testing.T) {
 		if d.IsDir() {
 			// benchmark/ is its own module, whose traced replicas drive
 			// decorated engines by design.
-			if strings.HasPrefix(d.Name(), ".") && path != "." || path == "benchmark" ||
-				path == "internal/sim" || path == "internal/bench" {
+			if strings.HasPrefix(d.Name(), ".") && path != "." || path == "benchmark" || skip(path) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -42,20 +35,7 @@ func TestOneRunPath(t *testing.T) {
 			return err
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "sim" {
-				return true
-			}
-			switch sel.Sel.Name {
-			case "New", "NewSharded", "NewRunner":
-				if path != home {
-					t.Errorf("%s uses sim.%s: engines are opened only by the execute step in %s", path, sel.Sel.Name, home)
-				}
-				calls++
-			}
+			visit(path, n)
 			return true
 		})
 		return nil
@@ -63,7 +43,62 @@ func TestOneRunPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// selectorOf reports whether n is the selector pkg.name and returns name.
+func selectorOf(n ast.Node, pkg string) (string, bool) {
+	sel, ok := n.(*ast.SelectorExpr)
+	if !ok {
+		return "", false
+	}
+	if x, ok := sel.X.(*ast.Ident); !ok || x.Name != pkg {
+		return "", false
+	}
+	return sel.Sel.Name, true
+}
+
+// TestOneRunPath pins the structure the harness is built on: outside the
+// engine's own package and the engine benchmarks, exactly one function opens
+// an engine — the execute step in internal/exp/run.go, through
+// sim.NewRunner — so observers, fault substitution and the choice between
+// the sequential and the sharded engine are decided in one place. A new
+// sim.New / sim.NewSharded / sim.NewRunner call anywhere else is a second
+// run path.
+func TestOneRunPath(t *testing.T) {
+	const home = "internal/exp/run.go"
+	calls := 0
+	skip := func(dir string) bool { return dir == "internal/sim" || dir == "internal/bench" }
+	inspectSources(t, skip, func(path string, n ast.Node) {
+		switch name, _ := selectorOf(n, "sim"); name {
+		case "New", "NewSharded", "NewRunner":
+			if path != home {
+				t.Errorf("%s uses sim.%s: engines are opened only by the execute step in %s", path, name, home)
+			}
+			calls++
+		}
+	})
 	if calls != 1 {
 		t.Errorf("%d sim.New/NewSharded/NewRunner selectors outside internal/sim and internal/bench, want exactly 1 (in %s)", calls, home)
 	}
+}
+
+// TestOneRoundSchedule pins the structure the algorithms are built on: the
+// §4.2 FLAG — a type named phase — is declared in internal/core only, so a
+// round-structured automaton elsewhere runs on core's schedule (Round,
+// RoundProc) instead of keeping its own T/FLAG machine; and no automaton
+// package builds a multiset to average, so every update goes through
+// multiset.Averager.Average on a reused scratch.
+func TestOneRoundSchedule(t *testing.T) {
+	inspectSources(t, func(string) bool { return false }, func(path string, n ast.Node) {
+		if ts, ok := n.(*ast.TypeSpec); ok && ts.Name.Name == "phase" && !strings.HasPrefix(path, "internal/core/") {
+			t.Errorf("%s declares a type named phase: the round schedule lives in internal/core", path)
+		}
+		if name, _ := selectorOf(n, "multiset"); name == "New" {
+			for _, dir := range []string{"internal/core/", "internal/baselines/", "internal/faults/"} {
+				if strings.HasPrefix(path, dir) {
+					t.Errorf("%s calls multiset.New: automata average through multiset.Averager.Average", path)
+				}
+			}
+		}
+	})
 }
