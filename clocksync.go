@@ -34,7 +34,9 @@ package clocksync
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/analysis"
@@ -48,9 +50,10 @@ import (
 
 // Cluster is a configured system of processes ready to simulate.
 type Cluster struct {
-	cfg  core.Config
-	opts options
-	hier *hier.Config // non-nil for TopologyTwoTier
+	cfg    core.Config
+	opts   options
+	places []placement
+	hier   *hier.Config // non-nil for TopologyTwoTier
 }
 
 // New configures a cluster of n processes tolerating f Byzantine faults
@@ -82,33 +85,77 @@ func New(n, f int, opts ...Option) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("clocksync: %w", err)
 	}
-	if len(o.faults) > f {
-		return nil, fmt.Errorf("clocksync: %d faults configured but f = %d", len(o.faults), f)
+	places, err := o.place(cfg)
+	if err != nil {
+		return nil, err
 	}
-	for id, kind := range o.faults {
-		if id < 0 || id >= n {
-			return nil, fmt.Errorf("clocksync: fault id %d out of range [0,%d)", id, n)
-		}
-		if kind < FaultSilent || kind > FaultCrashMidRun {
-			return nil, fmt.Errorf("clocksync: unknown FaultKind %d for process %d", kind, id)
-		}
+	return &Cluster{cfg: cfg, opts: o, places: places}, nil
+}
+
+// placement is one fault-slot owner New resolved: a registry strategy on
+// members (nil: its conventional placement) at a pull (0: its default).
+type placement struct {
+	s       faults.Strategy
+	members []sim.ProcID
+	pull    float64
+}
+
+// place resolves WithAdversary, WithFault and WithRejoiner into one per-id
+// table — each claims the ids it places — and returns the strategies Run
+// builds (Run builds the rejoiner itself). An id outside [0, n), an id
+// claimed twice or more than f claimed ids is a named error, not a panic at
+// Run, a silently dropped fault or an execution A2 does not cover.
+func (o *options) place(cfg core.Config) ([]placement, error) {
+	type claim struct {
+		id int
+		by string
 	}
+	var claims []claim
+	var places []placement
 	if o.adversary != "" {
-		// Exclusive with the other fault-slot owners: a strategy mix fills
-		// the top f ids itself, and silently merging with WithFault automata
-		// or a WithRejoiner override would either overwrite strategy members
-		// or push the execution past the f budget (violating A2 unnoticed).
-		if len(o.faults) > 0 {
-			return nil, fmt.Errorf("clocksync: WithAdversary(%q) and WithFault are mutually exclusive", o.adversary)
-		}
-		if o.rejoinID >= 0 {
-			return nil, fmt.Errorf("clocksync: WithAdversary(%q) and WithRejoiner are mutually exclusive", o.adversary)
-		}
-		if _, err := faults.ByName(o.adversary); err != nil {
+		s, err := faults.ByName(o.adversary)
+		if err != nil {
 			return nil, fmt.Errorf("clocksync: %w", err)
 		}
+		for _, id := range s.Members(cfg, nil) {
+			claims = append(claims, claim{int(id), "WithAdversary"})
+		}
+		places = append(places, placement{s: s})
 	}
-	return &Cluster{cfg: cfg, opts: o}, nil
+	ids := make([]int, 0, len(o.faults))
+	for id := range o.faults {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids) // claims, and so errors, in id order
+	for _, id := range ids {
+		kind := o.faults[id]
+		if int(kind) >= len(faultKinds) || faultKinds[kind].strategy == "" {
+			return nil, fmt.Errorf("clocksync: WithFault(%d, %d): unknown FaultKind", id, kind)
+		}
+		s, err := faults.ByName(faultKinds[kind].strategy)
+		if err != nil {
+			return nil, fmt.Errorf("clocksync: %w", err)
+		}
+		claims = append(claims, claim{id, "WithFault"})
+		places = append(places, placement{s: s, members: []sim.ProcID{sim.ProcID(id)}, pull: faultKinds[kind].pullEps * cfg.Eps})
+	}
+	if o.rejoin != nil {
+		claims = append(claims, claim{o.rejoin.id, "WithRejoiner"})
+	}
+	for i, c := range claims {
+		if c.id < 0 || c.id >= cfg.N {
+			return nil, fmt.Errorf("clocksync: %s places process %d outside [0,%d)", c.by, c.id, cfg.N)
+		}
+		for _, prev := range claims[:i] {
+			if prev.id == c.id {
+				return nil, fmt.Errorf("clocksync: %s places process %d, which %s already placed", c.by, c.id, prev.by)
+			}
+		}
+	}
+	if len(claims) > cfg.F {
+		return nil, fmt.Errorf("clocksync: %d processes placed faulty but f = %d", len(claims), cfg.F)
+	}
+	return places, nil
 }
 
 // newTwoTier configures a two-tier hierarchical Cluster (WithTopology /
@@ -183,10 +230,7 @@ func (c *Cluster) Run(rounds int) (*Report, error) {
 		w.Delay = c.opts.delayModel(c.cfg)
 		w.Drift = c.opts.driftSchedule(c.cfg)
 		w.InitialSpread = c.opts.initialSpread
-		var err error
-		if w, rejoiner, err = c.flatFaults(w); err != nil {
-			return nil, err
-		}
+		w, rejoiner = c.flatFaults(w)
 	}
 	res, err := exp.Run(w)
 	if err != nil {
@@ -208,67 +252,33 @@ func (c *Cluster) Run(rounds int) (*Report, error) {
 	return rep, nil
 }
 
-// flatFaults fills the flat mesh's fault slots in w — a registered adversary
-// strategy, or WithFault automata and the WithRejoiner process, which it
-// also returns for the report to ask whether it joined.
-func (c *Cluster) flatFaults(w exp.Workload) (exp.Workload, *core.Rejoiner, error) {
-	if c.opts.adversary != "" {
-		// Resolved per Run: strategy instances (and their adversaries) are
-		// stateful and single-use, like every fault mix.
-		s, err := faults.ByName(c.opts.adversary)
-		if err != nil {
-			return w, nil, fmt.Errorf("clocksync: %w", err)
-		}
-		if s.Adaptive() {
-			var members []sim.ProcID
-			if s.WantsMembers {
-				members = faults.TopIDs(c.cfg.F, c.cfg.N)
-			}
-			w.Faults, w.Adversary = faults.MixAdaptive(s, c.cfg, members, c.opts.seed)
+// flatFaults places New's strategies and the WithRejoiner process into the
+// flat mesh's fault slots in w, and returns the rejoiner for the report to
+// ask whether it joined. Placed per Run: the automata (and adversaries) are
+// stateful and single-use.
+func (c *Cluster) flatFaults(w exp.Workload) (exp.Workload, *core.Rejoiner) {
+	for _, p := range c.places {
+		procs, adv := faults.Place(p.s, c.cfg, p.members, c.opts.seed, p.pull)
+		if w.Faults == nil {
+			w.Faults = procs
 		} else {
-			w.Faults = faults.Mix(s, c.cfg, faults.TopIDs(c.cfg.F, c.cfg.N), c.opts.seed)
+			maps.Copy(w.Faults, procs)
+		}
+		if adv != nil {
+			w.Adversary = adv
 		}
 	}
 	var rejoiner *core.Rejoiner
-	if len(c.opts.faults) > 0 || c.opts.rejoinID >= 0 {
+	if r := c.opts.rejoin; r != nil {
+		id := sim.ProcID(r.id)
+		rejoiner = core.NewRejoiner(c.cfg, clock.Local(r.corr))
 		if w.Faults == nil {
-			w.Faults = make(map[sim.ProcID]func() sim.Process, len(c.opts.faults)+1)
+			w.Faults = map[sim.ProcID]func() sim.Process{}
 		}
-		for id, kind := range c.opts.faults {
-			w.Faults[sim.ProcID(id)] = c.faultBuilder(kind)
-		}
-		if c.opts.rejoinID >= 0 {
-			id := sim.ProcID(c.opts.rejoinID)
-			rejoiner = core.NewRejoiner(c.cfg, clock.Local(c.opts.rejoinCorr))
-			w.Faults[id] = func() sim.Process { return rejoiner }
-			w.StartOverride = map[sim.ProcID]clock.Real{id: clock.Real(c.opts.rejoinWake)}
-		}
+		w.Faults[id] = func() sim.Process { return rejoiner }
+		w.StartOverride = map[sim.ProcID]clock.Real{id: clock.Real(r.wake)}
 	}
-	return w, rejoiner, nil
-}
-
-// faultBuilder maps a FaultKind New has validated to its automaton.
-func (c *Cluster) faultBuilder(kind FaultKind) func() sim.Process {
-	cfg := c.cfg
-	switch kind {
-	case FaultSilent:
-		return func() sim.Process { return faults.Silent{} }
-	case FaultTwoFaced:
-		return func() sim.Process {
-			return &faults.TwoFaced{Cfg: cfg, Lead: 3 * cfg.Eps, Lag: 3 * cfg.Eps}
-		}
-	case FaultNoise:
-		return func() sim.Process { return &faults.Noise{Cfg: cfg} }
-	case FaultStaleReplay:
-		return func() sim.Process { return &faults.StaleReplay{Cfg: cfg, Offset: 3 * cfg.Eps} }
-	case FaultCrashMidRun:
-		return func() sim.Process {
-			at := clock.Local(cfg.T0 + 5*cfg.P)
-			return &faults.CrashAfter{Inner: core.NewProc(cfg, 0), At: at}
-		}
-	default:
-		panic(fmt.Sprintf("clocksync: FaultKind %d passed New's validation", kind))
-	}
+	return w, rejoiner
 }
 
 // RunStartup executes the §9.2 establishment algorithm from clocks spread

@@ -1,6 +1,7 @@
 package clocksync_test
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -10,57 +11,89 @@ import (
 	clocksync "repro"
 )
 
+// TestNewValidation: New accepts a configuration it can run — each accepted
+// row runs three rounds — and rejects every other with a named error (want,
+// when set, is a substring the error must contain).
 func TestNewValidation(t *testing.T) {
 	tests := []struct {
 		name    string
 		n, f    int
 		opts    []clocksync.Option
 		wantErr bool
+		want    string
 	}{
-		{"default 7/2", 7, 2, nil, false},
-		{"minimum 4/1", 4, 1, nil, false},
-		{"fault-free singleton", 1, 0, nil, false},
-		{"n too small", 6, 2, nil, true},
+		{"default 7/2", 7, 2, nil, false, ""},
+		{"minimum 4/1", 4, 1, nil, false, ""},
+		{"fault-free singleton", 1, 0, nil, false, ""},
+		{"n too small", 6, 2, nil, true, ""},
 		{"too many faults configured", 7, 2, []clocksync.Option{
 			clocksync.WithFault(4, clocksync.FaultSilent),
 			clocksync.WithFault(5, clocksync.FaultSilent),
 			clocksync.WithFault(6, clocksync.FaultSilent),
-		}, true},
+		}, true, ""},
 		{"fault id out of range", 7, 2, []clocksync.Option{
 			clocksync.WithFault(7, clocksync.FaultSilent),
-		}, true},
+		}, true, ""},
 		{"unknown fault kind", 7, 2, []clocksync.Option{
 			clocksync.WithFault(6, clocksync.FaultKind(9)),
-		}, true},
-		{"zero fault kind", 7, 2, []clocksync.Option{clocksync.WithFault(6, 0)}, true},
-		{"unknown averaging", 7, 2, []clocksync.Option{clocksync.WithAveraging(clocksync.Averaging(7))}, true},
-		{"bad round length", 7, 2, []clocksync.Option{clocksync.WithRoundLength(1e-4)}, true},
+		}, true, ""},
+		{"zero fault kind", 7, 2, []clocksync.Option{clocksync.WithFault(6, 0)}, true, ""},
+		{"unknown averaging", 7, 2, []clocksync.Option{clocksync.WithAveraging(clocksync.Averaging(7))}, true, ""},
+		{"bad round length", 7, 2, []clocksync.Option{clocksync.WithRoundLength(1e-4)}, true, ""},
 		{"adversary strategy ok", 7, 2, []clocksync.Option{
 			clocksync.WithAdversary("skewmax"),
-		}, false},
+		}, false, ""},
 		{"unknown adversary strategy", 7, 2, []clocksync.Option{
 			clocksync.WithAdversary("nope"),
-		}, true},
+		}, true, ""},
 		{"adversary + faults conflict", 7, 2, []clocksync.Option{
 			clocksync.WithAdversary("two-faced"),
 			clocksync.WithFault(6, clocksync.FaultSilent),
-		}, true},
+		}, true, ""},
 		{"adversary + rejoiner conflict", 7, 2, []clocksync.Option{
 			clocksync.WithAdversary("two-faced"),
 			clocksync.WithRejoiner(6, 30, 0.5),
-		}, true},
+		}, true, ""},
+		{"rejoiner id out of range", 7, 2, []clocksync.Option{
+			clocksync.WithRejoiner(9, 5.4, 1),
+		}, true, "WithRejoiner places process 9 outside [0,7)"},
+		{"rejoiner id negative", 7, 2, []clocksync.Option{
+			clocksync.WithRejoiner(-1, 5.4, 1),
+		}, true, "WithRejoiner places process -1 outside [0,7)"},
+		{"rejoiner past f", 7, 2, []clocksync.Option{
+			clocksync.WithRejoiner(6, 5.4, 1),
+			clocksync.WithFault(4, clocksync.FaultSilent),
+			clocksync.WithFault(5, clocksync.FaultSilent),
+		}, true, "3 processes placed faulty but f = 2"},
+		{"rejoiner and fault on one id", 7, 2, []clocksync.Option{
+			clocksync.WithRejoiner(6, 5.4, 1),
+			clocksync.WithFault(6, clocksync.FaultTwoFaced),
+		}, true, "WithRejoiner places process 6, which WithFault already placed"},
+		{"retimer + fault on disjoint ids", 7, 2, []clocksync.Option{
+			clocksync.WithAdversary("skewmax"),
+			clocksync.WithFault(6, clocksync.FaultSilent),
+		}, false, ""},
 		{"custom regime ok", 7, 2, []clocksync.Option{
 			clocksync.WithRho(1e-6),
 			clocksync.WithDelay(1e-3, 0.1e-3),
 			clocksync.WithBeta(0.6e-3),
 			clocksync.WithRoundLength(0.5),
-		}, false},
+		}, false, ""},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			_, err := clocksync.New(tt.n, tt.f, tt.opts...)
+			c, err := clocksync.New(tt.n, tt.f, tt.opts...)
 			if (err != nil) != tt.wantErr {
-				t.Errorf("New() error = %v, wantErr %v", err, tt.wantErr)
+				t.Fatalf("New() error = %v, wantErr %v", err, tt.wantErr)
+			}
+			if err != nil {
+				if !strings.Contains(err.Error(), tt.want) {
+					t.Errorf("New() error %q does not name %q", err, tt.want)
+				}
+				return
+			}
+			if _, err := c.Run(3); err != nil {
+				t.Errorf("accepted configuration does not run: %v", err)
 			}
 		})
 	}
@@ -105,27 +138,39 @@ func TestRunRejectsBadRounds(t *testing.T) {
 	}
 }
 
+// TestRunWithEveryFaultKind is the facade's fault oracle: each FaultKind on
+// processes 5 and 6 keeps agreement and reproduces its pinned run bit for
+// bit, so each kind stays its registry strategy at its pull (two-faced and
+// stale-replay at 3ε, not the registry's β − ε).
 func TestRunWithEveryFaultKind(t *testing.T) {
-	kinds := []clocksync.FaultKind{
-		clocksync.FaultSilent,
-		clocksync.FaultTwoFaced,
-		clocksync.FaultNoise,
-		clocksync.FaultStaleReplay,
-		clocksync.FaultCrashMidRun,
-	}
-	for _, kind := range kinds {
+	for _, tc := range []struct {
+		kind               clocksync.FaultKind
+		msgs               int64
+		steadySkew, maxAdj uint64 // math.Float64bits
+	}{
+		{clocksync.FaultSilent, 595, 0x3f5824c05e1cc000, 0x3f650e54533c68d4},
+		{clocksync.FaultTwoFaced, 819, 0x3f62d26489057000, 0x3f650e54533c68d4},
+		{clocksync.FaultNoise, 1298, 0x3f5500d2347d8000, 0x3f5d165895f77340},
+		{clocksync.FaultStaleReplay, 833, 0x3f50724bb7364000, 0x3f600314bba0eb84},
+		{clocksync.FaultCrashMidRun, 665, 0x3f58719a89e14000, 0x3f600314bba0eb84},
+	} {
 		c, err := clocksync.New(7, 2,
-			clocksync.WithFault(5, kind),
-			clocksync.WithFault(6, kind))
+			clocksync.WithFault(5, tc.kind),
+			clocksync.WithFault(6, tc.kind))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := c.Run(10)
+		rep, err := c.Run(15)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !rep.AgreementHolds() {
-			t.Errorf("fault kind %d: skew %v exceeds γ %v", kind, rep.MaxSkew, rep.Gamma)
+			t.Errorf("fault kind %d: skew %v exceeds γ %v", tc.kind, rep.MaxSkew, rep.Gamma)
+		}
+		if rep.MessagesSent != tc.msgs || math.Float64bits(rep.SteadySkew) != tc.steadySkew || math.Float64bits(rep.MaxAdjustment) != tc.maxAdj {
+			t.Errorf("fault kind %d: %d msgs / steady skew %#x / max |ADJ| %#x, want %d / %#x / %#x", tc.kind,
+				rep.MessagesSent, math.Float64bits(rep.SteadySkew), math.Float64bits(rep.MaxAdjustment),
+				tc.msgs, tc.steadySkew, tc.maxAdj)
 		}
 	}
 }

@@ -10,6 +10,7 @@
 //	wlsim -adversary-list                   # the registered strategy space
 //	wlsim -n 7 -f 2 -adversary splitter     # faulty automata from the registry
 //	wlsim -n 7 -f 0 -adversary skewmax      # adaptive delivery retiming (E18)
+//	wlsim -n 7 -f 2 -faults silent -adversary skewmax  # both, on disjoint ids
 //	wlsim -n 1009 -f 0 -shards 8 -rounds 10 # sharded time-window engine
 //	wlsim -n 1009 -clusters 32 -rounds 10   # two-tier hierarchy (≈ n·c + (n/c)² traffic)
 //	wlsim -n 1009 -topology two-tier -shards 8 -rounds 10  # clusters drained in parallel
@@ -21,10 +22,15 @@
 // printed and the exit status reflects the scenario's assertions, so a
 // scenario file doubles as an executable regression test.
 //
-// -adversary resolves any strategy registered in internal/faults — fixed
-// (schedule-driven faulty automata on the top f ids) or adaptive (a
+// -faults and -adversary name the one fault vocabulary, the internal/faults
+// registry. -faults takes a facade fault kind — a registry strategy at the
+// facade's pull (two-faced and stale-replay pull 3ε, not the registry's
+// β − ε) — on the top f ids. -adversary resolves any registered strategy —
+// fixed (schedule-driven faulty automata on the top f ids) or adaptive (a
 // network adversary installed on the engine's delivery pipeline, clamped
-// to [δ−ε, δ+ε]).
+// to [δ−ε, δ+ε]). Both may be given when their ids are disjoint (a pure
+// retimer such as skewmax places none); the facade rejects an id placed
+// twice or more than f placed ids.
 //
 // With -trials > 1 the same configuration runs across that many seeds
 // (derived deterministically from -seed, so results do not depend on
@@ -70,7 +76,7 @@ func main() {
 		mean     = flag.Bool("mean", false, "use mean instead of midpoint averaging")
 		seed     = flag.Int64("seed", 1, "random seed")
 		advDelay = flag.Bool("adversarial", false, "pin delays at band edges (worst case)")
-		faultStr = flag.String("faults", "", "make the top f processes faulty: silent|two-faced|noise|stale-replay|crash")
+		faultStr = flag.String("faults", "", "make the top f processes faulty with a facade fault kind: silent|two-faced|noise|stale-replay|crash-mid-run")
 		advStrat = flag.String("adversary", "", "install a registered adversary strategy by name (fixed or adaptive; see -adversary-list)")
 		advList  = flag.Bool("adversary-list", false, "list the registered adversary strategies and exit")
 		scenFile = flag.String("scenario", "", "run a declarative scenario file (internal/scenario JSON) and exit")
@@ -161,10 +167,7 @@ func main() {
 	add(*shards > 1, clocksync.WithShards(*shards))
 	add(*advStrat != "", clocksync.WithAdversary(*advStrat))
 	if *faultStr != "" {
-		if *advStrat != "" {
-			exitOn(fmt.Errorf("wlsim: -faults and -adversary are mutually exclusive"))
-		}
-		kind, err := parseFault(*faultStr)
+		kind, err := clocksync.ParseFaultKind(*faultStr)
 		exitOn(err)
 		for i := 0; i < *f; i++ {
 			opts = append(opts, clocksync.WithFault(*n-1-i, kind))
@@ -322,23 +325,6 @@ func listAdversaries() {
 			}
 		}
 		fmt.Printf("%-15s %-30s %s\n", s.Name, kind, s.Desc)
-	}
-}
-
-func parseFault(s string) (clocksync.FaultKind, error) {
-	switch s {
-	case "silent":
-		return clocksync.FaultSilent, nil
-	case "two-faced":
-		return clocksync.FaultTwoFaced, nil
-	case "noise":
-		return clocksync.FaultNoise, nil
-	case "stale-replay":
-		return clocksync.FaultStaleReplay, nil
-	case "crash":
-		return clocksync.FaultCrashMidRun, nil
-	default:
-		return 0, fmt.Errorf("unknown fault kind %q", s)
 	}
 }
 

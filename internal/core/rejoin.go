@@ -159,3 +159,90 @@ func (r *Rejoiner) closeGroup(ctx *sim.Context, mark clock.Local) {
 	ctx.Annotate(metrics.TagRejoined, float64(inner.rd.rnd))
 	inner.setTimer(ctx, inner.broadcastMark(ctx))
 }
+
+// CrashRejoin is the crash/rejoin lifecycle of one process around the
+// paper's algorithm. It runs the maintenance automaton until the process
+// crashes: by itself, at the first delivery once its physical clock has
+// reached the crash time, or when a timeline action calls Crash. A crashed
+// process is dead, not merely silent (a silent process still resynchronizes
+// its own clock): every delivery, timers included, is dropped, and Corr is
+// frozen at its value when the process died while the physical clock runs on
+// underneath, as a dead machine's oscillator would. After a timeline
+// Rejoin, the next delivery wakes a §9.1 Rejoiner seeded with that stale
+// correction and hands it the delivery; the Rejoiner gathers a full round of
+// marks and reintegrates. Waking on the next delivery rather than at the
+// rejoin instant mirrors the model: a repaired process cannot act before an
+// interrupt reaches it (§2.1), and the running system's next broadcast is
+// that interrupt.
+//
+// The process belongs among the faulty ones for the whole run — §9.1 counts
+// a crashed process among the f faulty processes, which the others already
+// tolerate — so no invariant ever judges its dead or stale clock.
+type CrashRejoin struct {
+	cfg Config
+	at  clock.Local
+	// inner is the maintenance automaton, and the Rejoiner after a rejoin.
+	inner interface {
+		sim.Process
+		sim.CorrHolder
+	}
+
+	down, restart bool
+	stale         clock.Local
+}
+
+var (
+	_ sim.Process    = (*CrashRejoin)(nil)
+	_ sim.CorrHolder = (*CrashRejoin)(nil)
+)
+
+// NewCrashRejoin wraps a maintenance automaton started at correction corr
+// that crashes by itself once its physical clock reaches at; +Inf leaves the
+// crash to a timeline action.
+func NewCrashRejoin(cfg Config, corr, at clock.Local) *CrashRejoin {
+	return &CrashRejoin{cfg: cfg, at: at, inner: NewProc(cfg, corr)}
+}
+
+// Crash takes the process down, capturing the correction that goes stale
+// during the outage.
+func (c *CrashRejoin) Crash() {
+	c.down = true
+	c.stale = c.inner.Corr()
+}
+
+// Rejoin marks a crashed process restartable; the Rejoiner is built at the
+// next delivery. A process past its crash time crashes again there.
+func (c *CrashRejoin) Rejoin() { c.down, c.restart = false, true }
+
+// Rejoined reports whether the process completed §9.1 reintegration.
+func (c *CrashRejoin) Rejoined() bool {
+	rj, ok := c.inner.(*Rejoiner)
+	return ok && rj.Joined()
+}
+
+// Receive implements sim.Process.
+func (c *CrashRejoin) Receive(ctx *sim.Context, m sim.Message) {
+	if !c.down && ctx.PhysNow() >= c.at {
+		c.Crash()
+	}
+	if c.down {
+		return
+	}
+	if c.restart {
+		c.restart = false
+		rj := NewRejoiner(c.cfg, c.stale)
+		c.inner = rj
+		rj.Receive(ctx, sim.Message{From: m.To, To: m.To, Kind: sim.KindStart, SentAt: m.DeliverAt, DeliverAt: m.DeliverAt})
+		// The waking delivery is real traffic for the Rejoiner to gather;
+		// pre-outage timer payloads it does not recognize are ignored.
+	}
+	c.inner.Receive(ctx, m)
+}
+
+// Corr implements sim.CorrHolder: the frozen stale value while down.
+func (c *CrashRejoin) Corr() clock.Local {
+	if c.down {
+		return c.stale
+	}
+	return c.inner.Corr()
+}

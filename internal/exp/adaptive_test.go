@@ -167,17 +167,15 @@ func TestReceiveHookDispatchRace(t *testing.T) {
 	const trials = 24
 	_, err := runner.Map(0, trials, func(i int) (struct{}, error) {
 		name := "skewmax"
-		var members []sim.ProcID
 		if i%2 == 1 {
 			name = "splitter"
-			members = faults.TopIDs(cfg.F, cfg.N)
 		}
 		s, err := faults.ByName(name)
 		if err != nil {
 			return struct{}{}, err
 		}
 		w := Workload{Cfg: cfg, Rounds: 6, Seed: runner.DeriveSeed(42, i)}
-		w.Faults, w.Adversary = faults.MixAdaptive(s, cfg, members, runner.DeriveSeed(43, i))
+		w.Faults, w.Adversary = faults.Place(s, cfg, nil, runner.DeriveSeed(43, i), 0)
 		w.Delay = sim.CenterDelay{Delta: cfg.Delta, Eps: cfg.Eps}
 		if _, err := Run(w); err != nil {
 			return struct{}{}, fmt.Errorf("trial %d (%s): %w", i, name, err)

@@ -57,7 +57,7 @@ func runE05() ([]*Table, error) {
 			if err != nil {
 				return Workload{}, err
 			}
-			mix := faults.Mix(s, cfg, faults.TopIDs(p.f, p.n), 3)
+			mix, _ := faults.Place(s, cfg, nil, 3, 0)
 			return Workload{Cfg: cfg, Rounds: 12, Faults: mix, Seed: 3}, nil
 		},
 		Each: func(p point, w Workload, res *Result) error {

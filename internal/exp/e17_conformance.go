@@ -90,13 +90,8 @@ func runE17() ([]*Table, error) {
 			if p.seeds > 1 {
 				wseed = runner.DeriveSeed(7, p.seedIdx)
 			}
-			w := Workload{
-				Cfg:             cfg,
-				Rounds:          12,
-				Faults:          faults.Mix(p.strat, cfg, faults.TopIDs(p.f, p.n), runner.DeriveSeed(17, p.idx)),
-				Seed:            wseed,
-				CheckInvariants: true,
-			}
+			w := Workload{Cfg: cfg, Rounds: 12, Seed: wseed, CheckInvariants: true}
+			w.Faults, _ = faults.Place(p.strat, cfg, nil, runner.DeriveSeed(17, p.idx), 0)
 			if p.delay == "extremal" {
 				w.Delay = sim.ExtremalDelay{Delta: cfg.Delta, Eps: cfg.Eps}
 			}
@@ -172,7 +167,8 @@ func runE17Sharpness() (*Table, error) {
 			if err != nil {
 				panic(err)
 			}
-			return faults.Mix(s, cfg, faults.TopIDs(actual, cfg.N), 3)
+			mix, _ := faults.Place(s, cfg, faults.TopIDs(actual, cfg.N), 3, 0)
+			return mix
 		}
 	}
 	attacks := []attack{

@@ -117,7 +117,7 @@ func runE18Bound() (*Table, error) {
 		Params: pointers(points),
 		Build: func(p *point) (Workload, error) {
 			cfg := core.Config{Params: analysis.Default(p.n, 0)}
-			_, adv := faults.MixAdaptive(skewmax, cfg, nil, runner.DeriveSeed(18, p.n))
+			_, adv := faults.Place(skewmax, cfg, nil, runner.DeriveSeed(18, p.n), 0)
 			p.witness = invariant.NewLowerBoundWitness(witnessFraction*cfg.SkewLowerBound(), 0)
 			w := Workload{
 				Cfg:             cfg,
@@ -199,15 +199,7 @@ func runE18Strategies() (*Table, error) {
 		Params: cells,
 		Build: func(c cell) (Workload, error) {
 			w := Workload{Cfg: cfg, Seed: 18}
-			if c.strat.Adaptive() {
-				var members []sim.ProcID
-				if c.strat.WantsMembers {
-					members = faults.TopIDs(f, n)
-				}
-				w.Faults, w.Adversary = faults.MixAdaptive(c.strat, cfg, members, runner.DeriveSeed(18, c.idx))
-			} else {
-				w.Faults = faults.Mix(c.strat, cfg, faults.TopIDs(f, n), runner.DeriveSeed(18, c.idx))
-			}
+			w.Faults, w.Adversary = faults.Place(c.strat, cfg, nil, runner.DeriveSeed(18, c.idx), 0)
 			e18Substrate(&w)
 			return w, nil
 		},

@@ -54,7 +54,7 @@ type Workload struct {
 	// Adversary, when non-nil, is installed on the engine's delivery
 	// pipeline: an adaptive message-timing adversary with an omniscient
 	// read view and a write capability clamped to [δ−ε, δ+ε] (see
-	// sim.Adversary; faults.MixAdaptive builds one together with its
+	// sim.Adversary; faults.Place builds one together with its
 	// faulty automata). Single-use, like Faults: build a fresh one per run.
 	Adversary sim.Adversary
 

@@ -155,8 +155,8 @@ func init() {
 		BuildAdaptive: func(cfg core.Config, members []sim.ProcID, _ int64) ([]sim.Process, sim.Adversary) {
 			// Members are incidental (callers normally pass none); any that
 			// are named simply stay silent.
-			silent := each(func(core.Config, int, int64) sim.Process { return Silent{} })
-			return silent(cfg, members, 0), SkewMax{}
+			silent := each(func(core.Config, int, int64, float64) sim.Process { return Silent{} })
+			return silent(cfg, members, 0, 0), SkewMax{}
 		},
 	})
 	Register(Strategy{
@@ -177,9 +177,9 @@ func init() {
 			// re-evaluates against the live observation record on every
 			// send decision.
 			pull := cfg.Beta - cfg.Eps
-			out := each(func(core.Config, int, int64) sim.Process {
+			out := each(func(core.Config, int, int64, float64) sim.Process {
 				return &TwoFaced{Cfg: cfg, Lead: pull, Lag: pull, EarlyTo: st.fastHalf}
-			})(cfg, members, 0)
+			})(cfg, members, 0, 0)
 			return out, adv
 		},
 	})

@@ -27,36 +27,6 @@ var _ sim.Process = Silent{}
 // Receive implements sim.Process.
 func (Silent) Receive(*sim.Context, sim.Message) {}
 
-// CrashAfter behaves as Inner until the process's physical clock reaches At,
-// then stops forever (a crash failure, the benign end of the Byzantine
-// spectrum).
-type CrashAfter struct {
-	Inner sim.Process
-	At    clock.Local
-
-	dead bool
-}
-
-var _ sim.Process = (*CrashAfter)(nil)
-
-// Receive implements sim.Process.
-func (c *CrashAfter) Receive(ctx *sim.Context, m sim.Message) {
-	if c.dead || ctx.PhysNow() >= c.At {
-		c.dead = true
-		return
-	}
-	c.Inner.Receive(ctx, m)
-}
-
-// Corr exposes the inner correction while alive so metrics can ignore or
-// inspect it; after death it reports the last value.
-func (c *CrashAfter) Corr() clock.Local {
-	if h, ok := c.Inner.(sim.CorrHolder); ok {
-		return h.Corr()
-	}
-	return 0
-}
-
 // sendAt is the timer payload of a per-recipient timed send.
 type sendAt struct {
 	to      sim.ProcID

@@ -1,6 +1,7 @@
 package faults_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/analysis"
@@ -35,20 +36,31 @@ func TestSilentTolerated(t *testing.T) {
 
 func TestCrashAfterStopsActing(t *testing.T) {
 	cfg := cfg7()
-	res := runWith(t, cfg, map[sim.ProcID]func() sim.Process{
-		6: func() sim.Process {
-			return &faults.CrashAfter{Inner: core.NewProc(cfg, 0), At: 5.0}
-		},
-	})
+	sends := sendTimes{}
+	res, err := exp.Run(exp.Workload{Cfg: cfg, Rounds: 12, Observers: []sim.Observer{sends},
+		Faults: map[sim.ProcID]func() sim.Process{
+			6: func() sim.Process { return core.NewCrashRejoin(cfg, 0, 5.0) },
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := res.Skew.Max(); got > cfg.Gamma() {
 		t.Errorf("skew %v exceeds γ %v with a mid-run crash", got, cfg.Gamma())
 	}
-	// The crashed process's automaton must be frozen: its round counter
-	// stays near where it was at the crash (physical time 5 ≈ round 5).
-	ca := res.Engine.Process(6).(*faults.CrashAfter)
-	inner := ca.Inner.(*core.Proc)
-	if inner.Round() > 6 {
-		t.Errorf("crashed process advanced to round %d after its crash time", inner.Round())
+	// The crashed automaton is frozen: it broadcast its round marks up to
+	// round 4 and nothing from round 5 (physical time 5) on.
+	if len(sends[6]) == 0 || slices.Max(sends[6]) > 4.5 {
+		t.Errorf("crashed process sent at %v, want sends before and none after its crash time", sends[6])
+	}
+}
+
+// sendTimes records, per sender, the send time of every delivered
+// ordinary message.
+type sendTimes map[sim.ProcID][]float64
+
+func (s sendTimes) OnDeliver(_ *sim.Engine, m sim.Message) {
+	if m.Kind == sim.KindOrdinary {
+		s[m.From] = append(s[m.From], float64(m.SentAt))
 	}
 }
 

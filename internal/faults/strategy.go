@@ -25,9 +25,10 @@ type Strategy struct {
 	Desc string
 	// Build returns one faulty automaton per member. Defaults inside the
 	// built automata are derived from cfg so strategies scale across the
-	// (n, f) grid; seed parameterizes randomized strategies. Nil for
-	// adaptive strategies, which use BuildAdaptive instead.
-	Build func(cfg core.Config, members []sim.ProcID, seed int64) []sim.Process
+	// (n, f) grid; seed parameterizes randomized strategies, and pull, where
+	// a strategy reads it, is its timing offset (0: the documented default).
+	// Nil for adaptive strategies, which use BuildAdaptive instead.
+	Build func(cfg core.Config, members []sim.ProcID, seed int64, pull float64) []sim.Process
 	// BuildAdaptive, non-nil for adaptive strategies, builds the faulty
 	// automata (one per member; members may be empty) together with the
 	// network-level adversary installed on the engine's delivery pipeline —
@@ -39,8 +40,8 @@ type Strategy struct {
 	// member count respects A2.
 	BuildAdaptive func(cfg core.Config, members []sim.ProcID, seed int64) ([]sim.Process, sim.Adversary)
 	// WantsMembers reports whether an adaptive strategy attacks through
-	// faulty automata too (callers pass TopIDs(f, n)) or purely through
-	// delivery retiming (callers pass no members, leaving every process
+	// faulty automata too (its conventional placement is TopIDs(f, n)) or
+	// purely through delivery retiming (no members, leaving every process
 	// nonfaulty). Meaningful only when BuildAdaptive is set.
 	WantsMembers bool
 }
@@ -119,44 +120,39 @@ func TopIDs(count, n int) []sim.ProcID {
 	return ids
 }
 
-// Mix renders a strategy into the experiment harness's fault-map shape:
-// process builders keyed by id. The automata are built eagerly — members may
-// share state — and each closure hands out its member's instance, so the
-// returned map is one execution's fault set: build a fresh Mix per run
-// rather than reusing one across engines (the instances are stateful).
-func Mix(s Strategy, cfg core.Config, members []sim.ProcID, seed int64) map[sim.ProcID]func() sim.Process {
-	if s.Build == nil {
-		panic("faults: Mix on adaptive strategy " + s.Name + " (use MixAdaptive)")
+// Members resolves a placement: members itself, or for nil the strategy's
+// conventional one — the top f ids (TopIDs), or none for a pure retimer
+// such as skewmax, which leaves every process nonfaulty.
+func (s Strategy) Members(cfg core.Config, members []sim.ProcID) []sim.ProcID {
+	if members == nil && (!s.Adaptive() || s.WantsMembers) {
+		return TopIDs(cfg.F, cfg.N)
 	}
-	procs := s.Build(cfg, members, seed)
-	if len(procs) != len(members) {
-		panic(fmt.Sprintf("faults: strategy %s built %d automata for %d members", s.Name, len(procs), len(members)))
-	}
-	return MixProcs(members, procs)
+	return members
 }
 
-// MixAdaptive is Mix for adaptive strategies: it builds the faulty automata
-// and the network adversary in one call (they may share state) and returns
-// both in harness shape — the map goes to Workload.Faults, the adversary to
-// Workload.Adversary. The same single-use caveat as Mix applies to both
-// halves: build a fresh pair per run.
-func MixAdaptive(s Strategy, cfg core.Config, members []sim.ProcID, seed int64) (map[sim.ProcID]func() sim.Process, sim.Adversary) {
-	if s.BuildAdaptive == nil {
-		panic("faults: MixAdaptive on non-adaptive strategy " + s.Name)
+// Place is the one way a strategy becomes faulty processes: it builds the
+// automata for the resolved members (see Members) in one call, so members
+// may share state, and renders them into the harness's shape — the map goes
+// to Workload.Faults and the adversary, nil for a schedule-driven strategy,
+// to Workload.Adversary. pull is the timing offset; 0 keeps each strategy's
+// default, and only two-faced and stale-replay read it. Both halves are one
+// execution's fault set: the instances are stateful, so place afresh per
+// run rather than reusing them across engines.
+func Place(s Strategy, cfg core.Config, members []sim.ProcID, seed int64, pull float64) (map[sim.ProcID]func() sim.Process, sim.Adversary) {
+	members = s.Members(cfg, members)
+	if !s.Adaptive() {
+		return MixProcs(members, s.Build(cfg, members, seed, pull)), nil
 	}
 	procs, adv := s.BuildAdaptive(cfg, members, seed)
-	if len(procs) != len(members) {
-		panic(fmt.Sprintf("faults: strategy %s built %d automata for %d members", s.Name, len(procs), len(members)))
-	}
 	if adv == nil {
 		panic("faults: adaptive strategy " + s.Name + " built no adversary")
 	}
 	return MixProcs(members, procs), adv
 }
 
-// MixProcs is Mix for pre-built automata (e.g. a clique constructed directly
-// with custom tuning): member ids are paired with processes positionally.
-// The same single-use caveat as Mix applies.
+// MixProcs is Place for pre-built automata (e.g. a clique constructed
+// directly with custom tuning): member ids are paired with processes
+// positionally. The same single-use caveat as Place applies.
 func MixProcs(members []sim.ProcID, procs []sim.Process) map[sim.ProcID]func() sim.Process {
 	if len(procs) != len(members) {
 		panic(fmt.Sprintf("faults: %d automata for %d members", len(procs), len(members)))
@@ -176,12 +172,12 @@ func perMemberSeed(seed int64, i int) int64 {
 }
 
 // each adapts a per-member constructor to Strategy.Build: member i of the
-// group is mk(cfg, i, seed).
-func each(mk func(cfg core.Config, i int, seed int64) sim.Process) func(core.Config, []sim.ProcID, int64) []sim.Process {
-	return func(cfg core.Config, members []sim.ProcID, seed int64) []sim.Process {
+// group is mk(cfg, i, seed, pull).
+func each(mk func(cfg core.Config, i int, seed int64, pull float64) sim.Process) func(core.Config, []sim.ProcID, int64, float64) []sim.Process {
+	return func(cfg core.Config, members []sim.ProcID, seed int64, pull float64) []sim.Process {
 		out := make([]sim.Process, len(members))
 		for i := range out {
-			out[i] = mk(cfg, i, seed)
+			out[i] = mk(cfg, i, seed, pull)
 		}
 		return out
 	}
@@ -191,58 +187,58 @@ func init() {
 	Register(Strategy{
 		Name:  "silent",
 		Desc:  "never sends — the stale-entry case of Lemma 6",
-		Build: each(func(core.Config, int, int64) sim.Process { return Silent{} }),
+		Build: each(func(core.Config, int, int64, float64) sim.Process { return Silent{} }),
 	})
 	Register(Strategy{
 		Name: "crash-mid-run",
 		Desc: "honest until its physical clock reaches round 5, then dead",
-		Build: each(func(cfg core.Config, _ int, _ int64) sim.Process {
-			return &CrashAfter{Inner: core.NewProc(cfg, 0), At: clock.Local(cfg.T0 + 5*cfg.P)}
+		Build: each(func(cfg core.Config, _ int, _ int64, _ float64) sim.Process {
+			return core.NewCrashRejoin(cfg, 0, clock.Local(cfg.T0+5*cfg.P))
 		}),
 	})
 	Register(Strategy{
 		Name: "two-faced",
 		Desc: "delivers each round early to half the recipients, late to the rest",
-		Build: each(func(cfg core.Config, _ int, _ int64) sim.Process {
-			pull := cfg.Beta - cfg.Eps
+		Build: each(func(cfg core.Config, _ int, _ int64, pull float64) sim.Process {
+			pull = orDefault(pull, cfg.Beta-cfg.Eps)
 			return &TwoFaced{Cfg: cfg, Lead: pull, Lag: pull}
 		}),
 	})
 	Register(Strategy{
 		Name: "stale-replay",
 		Desc: "replays round 0's mark late every round — a stuck clock",
-		Build: each(func(cfg core.Config, _ int, _ int64) sim.Process {
-			return &StaleReplay{Cfg: cfg, Offset: cfg.Beta - cfg.Eps}
+		Build: each(func(cfg core.Config, _ int, _ int64, pull float64) sim.Process {
+			return &StaleReplay{Cfg: cfg, Offset: orDefault(pull, cfg.Beta-cfg.Eps)}
 		}),
 	})
 	Register(Strategy{
 		Name: "noise",
 		Desc: "floods random bogus marks at random times — a babbler",
-		Build: each(func(cfg core.Config, _ int, _ int64) sim.Process {
+		Build: each(func(cfg core.Config, _ int, _ int64, _ float64) sim.Process {
 			return &Noise{Cfg: cfg, Burst: 3}
 		}),
 	})
 	Register(Strategy{
 		Name: "clique",
 		Desc: "colluders share one per-round plan pulling a persistent split apart",
-		Build: func(cfg core.Config, members []sim.ProcID, seed int64) []sim.Process {
+		Build: func(cfg core.Config, members []sim.ProcID, seed int64, _ float64) []sim.Process {
 			return NewClique(cfg, len(members), seed, CliqueTuning{})
 		},
 	})
 	Register(Strategy{
 		Name:  "edge-rider",
 		Desc:  "pins every arrival to an edge of the recipient's window (δ±ε riding)",
-		Build: each(func(cfg core.Config, _ int, _ int64) sim.Process { return &EdgeRider{Cfg: cfg} }),
+		Build: each(func(cfg core.Config, _ int, _ int64, _ float64) sim.Process { return &EdgeRider{Cfg: cfg} }),
 	})
 	Register(Strategy{
 		Name:  "drift-max",
 		Desc:  "virtual clock drifting at 200ρ, walking out of every window",
-		Build: each(func(cfg core.Config, _ int, _ int64) sim.Process { return &DriftMax{Cfg: cfg} }),
+		Build: each(func(cfg core.Config, _ int, _ int64, _ float64) sim.Process { return &DriftMax{Cfg: cfg} }),
 	})
 	Register(Strategy{
 		Name: "flaky-rejoin",
 		Desc: "crash/recover loop replaying stale marks at each rejoin",
-		Build: each(func(cfg core.Config, i int, _ int64) sim.Process {
+		Build: each(func(cfg core.Config, i int, _ int64, _ float64) sim.Process {
 			// Stagger duty cycles so members crash out of phase.
 			return &FlakyRejoin{Cfg: cfg, AliveRounds: 2 + i%2, DeadRounds: 2}
 		}),
@@ -250,7 +246,7 @@ func init() {
 	Register(Strategy{
 		Name: "random-timing",
 		Desc: "per-recipient send offsets drawn from a seeded sim.RNG stream",
-		Build: each(func(cfg core.Config, i int, seed int64) sim.Process {
+		Build: each(func(cfg core.Config, i int, seed int64, _ float64) sim.Process {
 			return NewRandomTiming(cfg, perMemberSeed(seed, i), cfg.Beta+cfg.Eps, 0)
 		}),
 	})

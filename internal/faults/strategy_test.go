@@ -2,6 +2,7 @@ package faults_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/exp"
@@ -62,12 +63,27 @@ func TestTopIDs(t *testing.T) {
 			t.Fatalf("TopIDs(3, 10) = %v, want %v", got, want)
 		}
 	}
+	// The conventional placement: top f ids, none for a pure retimer, and
+	// explicit members as given.
+	cfg := cfg7()
+	for name, want := range map[string][]sim.ProcID{"two-faced": {6, 5}, "splitter": {6, 5}, "skewmax": nil} {
+		s, err := faults.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Members(cfg, nil); !slices.Equal(got, want) {
+			t.Errorf("%s.Members(nil) = %v, want %v", name, got, want)
+		}
+		if got := s.Members(cfg, []sim.ProcID{3}); !slices.Equal(got, []sim.ProcID{3}) {
+			t.Errorf("%s.Members([3]) = %v, want [3]", name, got)
+		}
+	}
 }
 
 // TestEveryStrategyToleratedBelowBoundary is the paper's central claim in
 // miniature: with f faulty processes running any registered strategy in an
 // n = 3f+1 system, agreement (γ) and every other invariant must hold. The
-// adaptive strategies run through MixAdaptive with the pipeline adversary
+// adaptive strategies run with the pipeline adversary Place builds
 // installed — their retiming is clamped to [δ−ε, δ+ε], so A1–A3 hold by
 // construction and the theorems owe them the same guarantees.
 func TestEveryStrategyToleratedBelowBoundary(t *testing.T) {
@@ -82,15 +98,7 @@ func TestEveryStrategyToleratedBelowBoundary(t *testing.T) {
 				Seed:            5,
 				CheckInvariants: true,
 			}
-			if s.Adaptive() {
-				var members []sim.ProcID
-				if s.WantsMembers {
-					members = faults.TopIDs(2, cfg.N)
-				}
-				w.Faults, w.Adversary = faults.MixAdaptive(s, cfg, members, 5)
-			} else {
-				w.Faults = faults.Mix(s, cfg, faults.TopIDs(2, cfg.N), 5)
-			}
+			w.Faults, w.Adversary = faults.Place(s, cfg, nil, 5, 0)
 			res, err := exp.Run(w)
 			if err != nil {
 				t.Fatal(err)
@@ -211,12 +219,8 @@ func TestStrategyDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		run := func() float64 {
-			res, err := exp.Run(exp.Workload{
-				Cfg:    cfg,
-				Rounds: 8,
-				Faults: faults.Mix(s, cfg, faults.TopIDs(2, cfg.N), 9),
-				Seed:   9,
-			})
+			mix, _ := faults.Place(s, cfg, nil, 9, 0)
+			res, err := exp.Run(exp.Workload{Cfg: cfg, Rounds: 8, Faults: mix, Seed: 9})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -228,17 +232,18 @@ func TestStrategyDeterminism(t *testing.T) {
 	}
 }
 
-// TestMixBuildsSharedInstances: Mix must hand each member its own automaton
-// exactly once (pointer identity preserved for shared-state strategies).
+// TestMixBuildsSharedInstances: Place must hand each member its own
+// automaton exactly once (pointer identity preserved for shared-state
+// strategies), on the conventional top-f placement when given no members.
 func TestMixBuildsSharedInstances(t *testing.T) {
 	cfg := cfg7()
 	s, err := faults.ByName("clique")
 	if err != nil {
 		t.Fatal(err)
 	}
-	mix := faults.Mix(s, cfg, faults.TopIDs(2, cfg.N), 3)
-	if len(mix) != 2 {
-		t.Fatalf("mix has %d entries, want 2", len(mix))
+	mix, adv := faults.Place(s, cfg, nil, 3, 0)
+	if len(mix) != 2 || mix[5] == nil || mix[6] == nil || adv != nil {
+		t.Fatalf("Place(clique) = %d entries, adversary %v; want members 5 and 6, no adversary", len(mix), adv)
 	}
 	for id, mk := range mix {
 		if mk() != mk() {

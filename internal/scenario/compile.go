@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/analysis"
 	"repro/internal/clock"
@@ -13,7 +14,7 @@ import (
 
 // compiled is a scenario lowered onto the experiment harness: the resolved
 // parameters, the assembled workload (whose Timeline carries the event
-// script as sim.TimedActions), and the crash/rejoin gates the assertions
+// script as sim.TimedActions), and the crash/rejoin wrappers the assertions
 // interrogate after the run.
 type compiled struct {
 	s   *Scenario
@@ -21,7 +22,7 @@ type compiled struct {
 	cfg core.Config
 	w   exp.Workload
 
-	gates map[sim.ProcID]*gate
+	gates map[sim.ProcID]*core.CrashRejoin
 	// runtimeErrs collects failures surfaced inside timeline actions
 	// (which have no error return); Run folds them into the report's
 	// assertion failures. Validated scenarios should never populate it.
@@ -50,7 +51,7 @@ func compile(s *Scenario) (*compiled, error) {
 		s:     s,
 		p:     p,
 		cfg:   core.Config{Params: p},
-		gates: map[sim.ProcID]*gate{},
+		gates: map[sim.ProcID]*core.CrashRejoin{},
 	}
 	model, d, e := s.delayBand(p)
 	c.w = exp.Workload{
@@ -82,23 +83,25 @@ func (c *compiled) compileFaults() error {
 	if err != nil {
 		return fmt.Errorf("scenario %s: %w", c.s.Name, err)
 	}
-	members := make([]sim.ProcID, 0, len(fs.Members))
-	for _, m := range fs.Members {
-		members = append(members, sim.ProcID(m))
-	}
-	if len(members) == 0 && (!strat.Adaptive() || strat.WantsMembers) {
-		members = faults.TopIDs(c.s.Topology.F, c.s.Topology.N)
-	}
 	seed := fs.Seed
 	if seed == 0 {
 		seed = c.s.seed()
 	}
-	if strat.Adaptive() {
-		c.w.Faults, c.w.Adversary = faults.MixAdaptive(strat, c.cfg, members, seed)
-	} else {
-		c.w.Faults = faults.Mix(strat, c.cfg, members, seed)
-	}
+	c.w.Faults, c.w.Adversary = faults.Place(strat, c.cfg, fs.members(), seed, 0)
 	return nil
+}
+
+// members is the explicit member list as process ids, nil when none is
+// given: faults.Place then resolves the strategy's conventional placement.
+func (fs *FaultSpec) members() []sim.ProcID {
+	if len(fs.Members) == 0 {
+		return nil
+	}
+	ids := make([]sim.ProcID, len(fs.Members))
+	for i, m := range fs.Members {
+		ids[i] = sim.ProcID(m)
+	}
+	return ids
 }
 
 // compileEvents lowers the script onto the engine timeline. Ties keep file
@@ -111,10 +114,10 @@ func (c *compiled) compileEvents() error {
 		switch ev.Kind {
 		case KindCrash:
 			g := c.gateFor(sim.ProcID(*ev.Proc))
-			c.addAction(at, name, func(*sim.Engine) { g.crash() })
+			c.addAction(at, name, func(*sim.Engine) { g.Crash() })
 		case KindRejoin:
 			g := c.gateFor(sim.ProcID(*ev.Proc))
-			c.addAction(at, name, func(*sim.Engine) { g.rejoin() })
+			c.addAction(at, name, func(*sim.Engine) { g.Rejoin() })
 		case KindPartition:
 			ch := partitionChannel(ev.Groups)
 			c.addAction(at, name, func(e *sim.Engine) { e.SetChannel(ch) })
@@ -163,14 +166,16 @@ func (c *compiled) addAction(at clock.Real, name string, do func(*sim.Engine)) {
 	c.w.Timeline = append(c.w.Timeline, sim.TimedAction{At: at, Name: name, Do: do})
 }
 
-// gateFor returns the crash/rejoin gate for p, installing it into the fault
-// map on first use (a gated process is faulty for the whole run — §9.1
-// counts a crashed process among the f faulty ones).
-func (c *compiled) gateFor(p sim.ProcID) *gate {
+// gateFor returns the crash/rejoin wrapper for p, installing it into the
+// fault map on first use (a crashed process is faulty for the whole run —
+// §9.1 counts it among the f faulty ones). Its initial correction is 0, as
+// for the registry's crash-mid-run: a faulty-marked process's exact initial
+// offset is outside every invariant's scope. Only timeline actions crash it.
+func (c *compiled) gateFor(p sim.ProcID) *core.CrashRejoin {
 	if g, ok := c.gates[p]; ok {
 		return g
 	}
-	g := newGate(c.cfg)
+	g := core.NewCrashRejoin(c.cfg, 0, clock.Local(math.Inf(1)))
 	c.gates[p] = g
 	if c.w.Faults == nil {
 		c.w.Faults = map[sim.ProcID]func() sim.Process{}

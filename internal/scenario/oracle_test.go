@@ -11,9 +11,9 @@ import (
 // TestOracleScenarios runs the whole corpus with the clock-table oracle
 // attached as sampler, annotation sink, delivery observer and adversary
 // wrapper: every read the engine serves while timeline actions crash and
-// rejoin processes (the gate freezes a stale CORR inside an action), cut
-// links, shift the delay band and swap the adversary must equal the live
-// walk bit for bit.
+// rejoin processes (core.CrashRejoin freezes a stale CORR inside an
+// action), cut links, shift the delay band and swap the adversary must
+// equal the live walk bit for bit.
 func TestOracleScenarios(t *testing.T) {
 	for _, file := range corpusFiles(t) {
 		t.Run(filepath.Base(file), func(t *testing.T) {

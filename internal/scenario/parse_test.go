@@ -107,6 +107,10 @@ func TestValidateErrors(t *testing.T) {
 			s.Topology.Faults = &FaultSpec{Strategy: "silent", Members: []int{6}}
 			s.Events = []Event{{At: 1, Kind: KindCrash, Proc: intp(6)}}
 		}, "already a member of fault strategy"},
+		{"crash of a default-placed fault member", func(s *Scenario) {
+			s.Topology.Faults = &FaultSpec{Strategy: "two-faced"}
+			s.Events = []Event{{At: 1, Kind: KindCrash, Proc: intp(6)}}
+		}, `proc 6 is already a member of fault strategy "two-faced"`},
 		{"crash while already down", func(s *Scenario) {
 			s.Events = []Event{
 				{At: 1, Kind: KindCrash, Proc: intp(3)},

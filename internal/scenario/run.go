@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/invariant"
 	"repro/internal/sim"
@@ -21,7 +22,7 @@ type Report struct {
 	// errors from timeline actions).
 	Failures []string
 
-	gates map[sim.ProcID]*gate
+	gates map[sim.ProcID]*core.CrashRejoin
 }
 
 // Ok reports whether every assertion held.
@@ -73,7 +74,7 @@ func (r *Report) evaluate() {
 	}
 	for _, q := range s.Assertions.ExpectRejoined {
 		g := r.gates[sim.ProcID(q)]
-		if g == nil || !g.rejoined() {
+		if g == nil || !g.Rejoined() {
 			r.fail("proc %d never completed §9.1 reintegration", q)
 		}
 	}
@@ -123,7 +124,7 @@ func (r *Report) Table() *exp.Table {
 	}
 	for _, q := range sortedInts(s.Assertions.ExpectRejoined) {
 		g := r.gates[sim.ProcID(q)]
-		t.AddRow(fmt.Sprintf("proc %d rejoined", q), exp.Verdict(g != nil && g.rejoined()))
+		t.AddRow(fmt.Sprintf("proc %d rejoined", q), exp.Verdict(g != nil && g.Rejoined()))
 	}
 	t.AddRow("assertions", assertionsCell(r))
 	if s.Description != "" {

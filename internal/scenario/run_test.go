@@ -102,7 +102,7 @@ func TestRunPartitionWithinF(t *testing.T) {
 	}
 }
 
-// TestRunCrashRejoin pins the gate lifecycle: the crashed process stops
+// TestRunCrashRejoin pins the crash/rejoin lifecycle: the crashed process stops
 // participating, rejoins through §9.1, and reports Joined; the invariant
 // suite never sees its dead clock.
 func TestRunCrashRejoin(t *testing.T) {
@@ -122,8 +122,8 @@ func TestRunCrashRejoin(t *testing.T) {
 		t.Fatalf("crash/rejoin scenario failed assertions: %v", rep.Failures)
 	}
 	g := rep.gates[6]
-	if g == nil || !g.rejoined() {
-		t.Fatal("gate for proc 6 missing or never rejoined")
+	if g == nil || !g.Rejoined() {
+		t.Fatal("crash/rejoin wrapper for proc 6 missing or never rejoined")
 	}
 }
 
@@ -142,8 +142,8 @@ func TestRunCrashWithoutRejoin(t *testing.T) {
 	if !rep.Ok() {
 		t.Fatalf("crash-only scenario failed assertions: %v", rep.Failures)
 	}
-	if g := rep.gates[6]; g == nil || g.rejoined() {
-		t.Fatal("gate for proc 6 missing or claims to have rejoined while down")
+	if g := rep.gates[6]; g == nil || g.Rejoined() {
+		t.Fatal("crash/rejoin wrapper for proc 6 missing or claims to have rejoined while down")
 	}
 }
 

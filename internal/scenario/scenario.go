@@ -71,10 +71,10 @@ type Topology struct {
 type FaultSpec struct {
 	// Strategy is the registered name (wlsim -adversary-list enumerates).
 	Strategy string `json:"strategy"`
-	// Members are the faulty process ids; empty means the conventional
-	// placement: the top F ids (faults.TopIDs) for schedule-driven and
-	// member-wanting adaptive strategies, no members for pure delivery
-	// adversaries (skewmax).
+	// Members are the faulty process ids; empty means the strategy's
+	// conventional placement (faults.Place): the top F ids, or no members
+	// for a pure delivery adversary (skewmax). Crash and rejoin events may
+	// not target a member either way.
 	Members []int `json:"members,omitempty"`
 	// Seed parameterizes randomized strategies; 0 inherits Scenario.Seed.
 	Seed int64 `json:"seed,omitempty"`

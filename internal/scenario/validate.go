@@ -186,10 +186,13 @@ func (s *Scenario) validateFaults() error {
 func (s *Scenario) validateEvents(p analysis.Params) error {
 	n := s.Topology.N
 	horizon := s.horizon(p)
+	// A crash/rejoin may not target a fault member, explicit or placed by
+	// default: the placement is the one faults.Place resolves.
 	faultMember := map[int]bool{}
 	if fs := s.Topology.Faults; fs != nil {
-		for _, m := range fs.Members {
-			faultMember[m] = true
+		strat, _ := faults.ByName(fs.Strategy) // validateFaults resolved it
+		for _, m := range strat.Members(core.Config{Params: p}, fs.members()) {
+			faultMember[int(m)] = true
 		}
 	}
 	for i, ev := range s.Events {

@@ -50,10 +50,8 @@ func TestOracleDifferential(t *testing.T) {
 	// attached, so suite and oracle see the same configurations.
 	for i, s := range faults.ScheduleDriven() {
 		t.Run("conformance/"+s.Name, func(t *testing.T) {
-			res := run(t, exp.Workload{
-				Cfg: cfg, Rounds: 6, Seed: 7, CheckInvariants: true,
-				Faults: faults.Mix(s, cfg, faults.TopIDs(2, 7), int64(17+i)),
-			})
+			mix, _ := faults.Place(s, cfg, nil, int64(17+i), 0)
+			res := run(t, exp.Workload{Cfg: cfg, Rounds: 6, Seed: 7, CheckInvariants: true, Faults: mix})
 			if !res.Invariants.Ok() {
 				t.Fatalf("invariants: %s", res.Invariants.Summary())
 			}
@@ -67,12 +65,8 @@ func TestOracleDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var members []sim.ProcID
-			if s.WantsMembers {
-				members = faults.TopIDs(2, 7)
-			}
 			w := exp.Workload{Cfg: cfg, Rounds: 6, Seed: 18}
-			w.Faults, w.Adversary = faults.MixAdaptive(s, cfg, members, 18)
+			w.Faults, w.Adversary = faults.Place(s, cfg, nil, 18, 0)
 			run(t, w)
 		})
 	}
@@ -101,17 +95,16 @@ func TestOracleDifferential(t *testing.T) {
 		run(t, exp.Workload{Cfg: cfg, Rounds: 5, Seed: 6, Drift: offsetDrift{clock.ConstantDrift{RhoBound: cfg.Rho}}})
 	})
 
-	// A nonfaulty-marked process behind a wrapper that dies mid-run: its row
-	// mirrors the wrapper's Corr, which freezes.
+	// A nonfaulty-marked process behind the crash/rejoin wrapper that dies
+	// mid-run: its row mirrors the wrapper's Corr, which freezes.
 	t.Run("crash-after-wrapped", func(t *testing.T) {
 		run(t, exp.Workload{
 			Cfg: cfg, Rounds: 6, Seed: 8,
 			MakeProc: func(id sim.ProcID, corr clock.Local) sim.Process {
-				p := core.NewProc(cfg, corr)
 				if id == 3 {
-					return &faults.CrashAfter{Inner: p, At: 2.5}
+					return core.NewCrashRejoin(cfg, corr, 2.5)
 				}
-				return p
+				return core.NewProc(cfg, corr)
 			},
 		})
 	})

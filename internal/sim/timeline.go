@@ -77,9 +77,9 @@ func (e *Engine) fireTimeline(bound clock.Real) bool {
 			e.now = a.At
 			e.ver++
 		}
-		// The action may change any correction (a crash gate freezing a
-		// stale CORR): reads made inside it re-read every row of the clock
-		// table, and so does the engine once it returns.
+		// The action may change any correction (a crash/rejoin wrapper
+		// freezing a stale CORR): reads made inside it re-read every row of
+		// the clock table, and so does the engine once it returns.
 		e.acting = actingAll
 		a.Do(e)
 		e.acting = actingNone

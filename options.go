@@ -10,24 +10,49 @@ import (
 	"repro/internal/sim"
 )
 
-// FaultKind selects a Byzantine behavior for a process (see internal/faults
-// for the semantics).
+// FaultKind selects a Byzantine behavior for a process: a strategy of the
+// internal/faults registry, named in faultKinds.
 type FaultKind uint8
 
 // Fault behaviors available through the public API.
 const (
 	// FaultSilent never sends anything (a crashed process).
 	FaultSilent FaultKind = iota + 1
-	// FaultTwoFaced sends its round message early to half the processes
-	// and late to the rest — the canonical Byzantine attack on averaging.
+	// FaultTwoFaced sends its round message 3ε early to half the processes
+	// and 3ε late to the rest — the canonical Byzantine attack on averaging.
 	FaultTwoFaced
 	// FaultNoise floods the system with bogus messages at random times.
 	FaultNoise
-	// FaultStaleReplay rebroadcasts an old round mark, always late.
+	// FaultStaleReplay rebroadcasts an old round mark, always 3ε late.
 	FaultStaleReplay
 	// FaultCrashMidRun behaves correctly for five rounds and then stops.
 	FaultCrashMidRun
 )
+
+// faultKinds is what each FaultKind means: a registry strategy and its pull
+// in units of ε (0: the strategy's default). The facade's timing attacks
+// pull 3ε, inside every honest window, where the registry's defaults pull
+// β − ε.
+var faultKinds = [...]struct {
+	strategy string
+	pullEps  float64
+}{
+	FaultSilent:      {"silent", 0},
+	FaultTwoFaced:    {"two-faced", 3},
+	FaultNoise:       {"noise", 0},
+	FaultStaleReplay: {"stale-replay", 3},
+	FaultCrashMidRun: {"crash-mid-run", 0},
+}
+
+// ParseFaultKind returns the FaultKind of a registry strategy name.
+func ParseFaultKind(name string) (FaultKind, error) {
+	for k, row := range faultKinds {
+		if row.strategy == name && name != "" {
+			return FaultKind(k), nil
+		}
+	}
+	return 0, fmt.Errorf("clocksync: unknown fault kind %q", name)
+}
 
 // Averaging re-exports the §4/§7 averaging choices.
 type Averaging = core.Averager
@@ -93,9 +118,14 @@ type options struct {
 	traceLimit    int
 	faults        map[int]FaultKind
 	adversary     string
-	rejoinID      int
-	rejoinWake    float64
-	rejoinCorr    float64
+	rejoin        *rejoinSpec
+}
+
+// rejoinSpec is WithRejoiner's process: its id, wake time and initial
+// correction.
+type rejoinSpec struct {
+	id         int
+	wake, corr float64
 }
 
 func defaultOptions() options {
@@ -107,7 +137,6 @@ func defaultOptions() options {
 		roundLength: 1.0,
 		seed:        1,
 		delayDist:   DelayUniform,
-		rejoinID:    -1,
 	}
 }
 
@@ -186,7 +215,7 @@ var optionRules = []optionRule{
 			}
 			return "installs an adaptive network adversary, whose omniscient view of every copy in flight needs the sequential engine"
 		}},
-	{option: "WithRejoiner", set: func(o *options) bool { return o.rejoinID >= 0 }, startup: true, lifecycle: true,
+	{option: "WithRejoiner", set: func(o *options) bool { return o.rejoin != nil }, startup: true, lifecycle: true,
 		twoTier: "applies to the flat mesh's §9.1 path"},
 	{option: "WithTrace", flag: "-trace", set: func(o *options) bool { return o.traceLimit > 0 }, startup: true, lifecycle: true,
 		sharded: func(*options) string {
@@ -325,8 +354,11 @@ func WithDelayDistribution(d DelayDistribution) Option {
 // rate instead of a constant one.
 func WithRandomDrift() Option { return func(o *options) { o.randomDrift = true } }
 
-// WithFault makes process id faulty with the given behavior. At most f
-// processes may be faulty.
+// WithFault makes process id faulty with the given behavior (a later
+// WithFault for the same id replaces it). Fault placement is one per-id
+// table: WithFault, WithAdversary's members and WithRejoiner each place the
+// ids they name, and New rejects an id outside [0, n), an id placed by two
+// of them, or more than f placed ids.
 func WithFault(id int, kind FaultKind) Option {
 	return func(o *options) {
 		if o.faults == nil {
@@ -338,23 +370,21 @@ func WithFault(id int, kind FaultKind) Option {
 
 // WithAdversary installs a registered adversary strategy by name (see
 // internal/faults: faults.Strategies lists them, cmd/wlsim -adversary-list
-// prints them). Schedule-driven strategies make the top f processes faulty
-// with the strategy's automata; adaptive strategies additionally (or, for
-// pure retimers such as "skewmax", exclusively) install the strategy's
-// network adversary on the engine's delivery pipeline, where its retiming
-// is clamped to [δ−ε, δ+ε]. Mutually exclusive with WithFault and
-// WithRejoiner (the strategy mix owns the fault slots).
+// prints them) on its conventional placement: schedule-driven strategies
+// make the top f processes faulty with the strategy's automata; adaptive
+// strategies additionally (or, for pure retimers such as "skewmax", which
+// place no process) install the strategy's network adversary on the
+// engine's delivery pipeline, where its retiming is clamped to [δ−ε, δ+ε].
+// The placed ids go into WithFault's per-id table, so a WithFault or
+// WithRejoiner on other ids composes with it.
 func WithAdversary(name string) Option { return func(o *options) { o.adversary = name } }
 
 // WithRejoiner replaces process id with a §9.1 reintegrating process that
 // wakes at real time wakeAt with its clock off by initialCorr seconds. It
-// counts toward the f fault budget until it rejoins.
+// places id in WithFault's per-id table: the process counts toward the f
+// fault budget for the whole run.
 func WithRejoiner(id int, wakeAt, initialCorr float64) Option {
-	return func(o *options) {
-		o.rejoinID = id
-		o.rejoinWake = wakeAt
-		o.rejoinCorr = initialCorr
-	}
+	return func(o *options) { o.rejoin = &rejoinSpec{id: id, wake: wakeAt, corr: initialCorr} }
 }
 
 // WithTrace records the execution's action log (up to limit events; ≤ 0

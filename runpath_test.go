@@ -102,3 +102,33 @@ func TestOneRoundSchedule(t *testing.T) {
 		}
 	})
 }
+
+// TestOneFaultVocabulary pins the one fault vocabulary: the facade, wlsim and
+// the scenario DSL build no faulty automaton of their own — no faults.X{…}
+// composite literal, no faults.Mix* call — so every faulty process they run
+// comes from faults.Place, on the placement it resolves; and the crash/rejoin
+// lifecycle is core.CrashRejoin alone, with no type named CrashAfter or gate
+// anywhere to fork it.
+func TestOneFaultVocabulary(t *testing.T) {
+	entryPoint := func(path string) bool {
+		return !strings.Contains(path, "/") || strings.HasPrefix(path, "cmd/wlsim/") || strings.HasPrefix(path, "internal/scenario/")
+	}
+	inspectSources(t, func(string) bool { return false }, func(path string, n ast.Node) {
+		if ts, ok := n.(*ast.TypeSpec); ok && (ts.Name.Name == "CrashAfter" || ts.Name.Name == "gate") {
+			t.Errorf("%s declares type %s: crash/rejoin is core.CrashRejoin", path, ts.Name.Name)
+		}
+		if !entryPoint(path) {
+			return
+		}
+		if lit, ok := n.(*ast.CompositeLit); ok {
+			if name, ok := selectorOf(lit.Type, "faults"); ok {
+				t.Errorf("%s builds a faults.%s literal: faulty automata come from faults.Place", path, name)
+			}
+		}
+		if call, ok := n.(*ast.CallExpr); ok {
+			if name, _ := selectorOf(call.Fun, "faults"); strings.HasPrefix(name, "Mix") {
+				t.Errorf("%s calls faults.%s: faulty automata come from faults.Place", path, name)
+			}
+		}
+	})
+}
