@@ -148,11 +148,11 @@ func TestRunWithEveryFaultKind(t *testing.T) {
 		msgs               int64
 		steadySkew, maxAdj uint64 // math.Float64bits
 	}{
-		{clocksync.FaultSilent, 595, 0x3f5824c05e1cc000, 0x3f650e54533c68d4},
-		{clocksync.FaultTwoFaced, 819, 0x3f62d26489057000, 0x3f650e54533c68d4},
-		{clocksync.FaultNoise, 1298, 0x3f5500d2347d8000, 0x3f5d165895f77340},
-		{clocksync.FaultStaleReplay, 833, 0x3f50724bb7364000, 0x3f600314bba0eb84},
-		{clocksync.FaultCrashMidRun, 665, 0x3f58719a89e14000, 0x3f600314bba0eb84},
+		{clocksync.FaultSilent, 595, 0x3f544df850ec4000, 0x3f65f4d698f77c24},
+		{clocksync.FaultTwoFaced, 819, 0x3f606dee64747000, 0x3f65f4d698f77c24},
+		{clocksync.FaultNoise, 1298, 0x3f52369938616000, 0x3f5964562407e000},
+		{clocksync.FaultStaleReplay, 833, 0x3f4f882782188000, 0x3f64e900ed7d76cc},
+		{clocksync.FaultCrashMidRun, 665, 0x3f544e2f729cc000, 0x3f64e900ed7d76cc},
 	} {
 		c, err := clocksync.New(7, 2,
 			clocksync.WithFault(5, tc.kind),

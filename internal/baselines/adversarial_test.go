@@ -52,8 +52,8 @@ func TestSTResistsFutureRoundSpam(t *testing.T) {
 	if got := res.Skew.MaxAfterWarmup(); got > bound {
 		t.Errorf("ST skew %v exceeds %v under future-round spam", got, bound)
 	}
-	for _, id := range res.Engine.NonfaultyIDs() {
-		proc := res.Engine.Process(id).(*st.Proc)
+	for _, id := range res.NonfaultyIDs() {
+		proc := res.Process(id).(*st.Proc)
 		if proc.Round() > 20 {
 			t.Errorf("process %d jumped to round %d — accepted spammed rounds", id, proc.Round())
 		}
@@ -98,8 +98,8 @@ func TestHSSDRejectsForgedAndEarlyChains(t *testing.T) {
 	if got := res.Skew.MaxAfterWarmup(); got > bound {
 		t.Errorf("HSSD skew %v exceeds %v under forged chains", got, bound)
 	}
-	for _, id := range res.Engine.NonfaultyIDs() {
-		proc := res.Engine.Process(id).(*hssd.Proc)
+	for _, id := range res.NonfaultyIDs() {
+		proc := res.Process(id).(*hssd.Proc)
 		if proc.Round() > 20 {
 			t.Errorf("process %d jumped to round %d — accepted a forged/early chain", id, proc.Round())
 		}

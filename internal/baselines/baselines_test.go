@@ -52,7 +52,7 @@ func TestLMSynchronizes(t *testing.T) {
 	if got := res.Skew.MaxAfterWarmup(); got > bound {
 		t.Errorf("LM steady skew %v exceeds ≈2nε = %v", got, bound)
 	}
-	if p := res.Engine.Process(0).(*lm.Proc); p.Round() < 14 {
+	if p := res.Process(0).(*lm.Proc); p.Round() < 14 {
 		t.Errorf("LM made only %d rounds", p.Round())
 	}
 }
@@ -75,7 +75,7 @@ func TestMSSynchronizes(t *testing.T) {
 	if got := res.Skew.MaxAfterWarmup(); got > bound {
 		t.Errorf("MS steady skew %v exceeds %v", got, bound)
 	}
-	if p := res.Engine.Process(0).(*ms.Proc); p.Round() < 14 {
+	if p := res.Process(0).(*ms.Proc); p.Round() < 14 {
 		t.Errorf("MS made only %d rounds", p.Round())
 	}
 }
@@ -108,7 +108,7 @@ func TestSTSynchronizes(t *testing.T) {
 	if got := res.Skew.MaxAfterWarmup(); got > bound {
 		t.Errorf("ST steady skew %v exceeds 2(δ+ε) = %v", got, bound)
 	}
-	if p := res.Engine.Process(0).(*st.Proc); p.Round() < 13 {
+	if p := res.Process(0).(*st.Proc); p.Round() < 13 {
 		t.Errorf("ST made only %d rounds", p.Round())
 	}
 }
@@ -131,7 +131,7 @@ func TestHSSDSynchronizes(t *testing.T) {
 	if got := res.Skew.MaxAfterWarmup(); got > bound {
 		t.Errorf("HSSD steady skew %v exceeds 2(δ+ε) = %v", got, bound)
 	}
-	if p := res.Engine.Process(0).(*hssd.Proc); p.Round() < 13 {
+	if p := res.Process(0).(*hssd.Proc); p.Round() < 13 {
 		t.Errorf("HSSD made only %d rounds", p.Round())
 	}
 }
@@ -161,7 +161,7 @@ func TestMarzulloSynchronizes(t *testing.T) {
 	if got := res.Skew.MaxAfterWarmup(); got > bound {
 		t.Errorf("Marzullo steady skew %v exceeds %v", got, bound)
 	}
-	p := res.Engine.Process(0).(*marzullo.Proc)
+	p := res.Process(0).(*marzullo.Proc)
 	if p.Round() < 14 {
 		t.Errorf("Marzullo made only %d rounds", p.Round())
 	}

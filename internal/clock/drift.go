@@ -35,7 +35,7 @@ func (d ConstantDrift) Build(id, n int) Clock {
 	if n > 1 {
 		frac = float64(id) / float64(n-1)
 	}
-	rate := lo + frac*(hi-lo)
+	rate := lo + float64(frac*(hi-lo))
 	var off Local
 	if id < len(d.InitialOffsets) {
 		off = d.InitialOffsets[id]
@@ -77,7 +77,7 @@ func (d RandomWalkDrift) Build(id, n int) Clock {
 	for i := 0; i < nseg; i++ {
 		bps = append(bps, Breakpoint{
 			Start: Real(i) * segDur,
-			Rate:  lo + rng.Float64()*(hi-lo),
+			Rate:  lo + float64(rng.Float64()*(hi-lo)),
 		})
 	}
 	var off Local

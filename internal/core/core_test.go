@@ -323,12 +323,12 @@ func TestRejoinerReintegrates(t *testing.T) {
 	}
 	// After joining, its local time must agree with the nonfaulty group.
 	end := res.Horizon
-	lt, ok := res.Engine.LocalTime(6, end)
+	lt, ok := res.LocalTime(6, end)
 	if !ok {
 		t.Fatal("no local time for rejoiner")
 	}
-	for _, p := range res.Engine.NonfaultyIDs() {
-		o, ok := res.Engine.LocalTime(p, end)
+	for _, p := range res.NonfaultyIDs() {
+		o, ok := res.LocalTime(p, end)
 		if !ok {
 			continue
 		}

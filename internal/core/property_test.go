@@ -79,12 +79,12 @@ func TestRejoinerUnderByzantineNoise(t *testing.T) {
 	if !rj.Joined() {
 		t.Fatal("rejoiner never joined under noise")
 	}
-	lt, ok := res.Engine.LocalTime(6, res.Horizon)
+	lt, ok := res.LocalTime(6, res.Horizon)
 	if !ok {
 		t.Fatal("no rejoiner local time")
 	}
-	for _, p := range res.Engine.NonfaultyIDs() {
-		o, ok := res.Engine.LocalTime(p, res.Horizon)
+	for _, p := range res.NonfaultyIDs() {
+		o, ok := res.LocalTime(p, res.Horizon)
 		if !ok {
 			continue
 		}
@@ -102,7 +102,7 @@ func TestFaultFreeSingleton(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := res.Engine.Process(0).(*core.Proc)
+	p := res.Process(0).(*core.Proc)
 	if p.Round() < 5 {
 		t.Errorf("singleton stalled at round %d", p.Round())
 	}

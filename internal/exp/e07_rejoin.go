@@ -74,15 +74,14 @@ func runE07() ([]*Table, error) {
 // rejoinOffsets returns the rejoiner's max offset from any nonfaulty process
 // shortly after it joined and at the end of the run.
 func rejoinOffsets(res *Result) (atJoin, atEnd float64) {
-	eng := res.Engine
 	measure := func(t clock.Real) float64 {
-		lt, ok := eng.LocalTime(6, t)
+		lt, ok := res.LocalTime(6, t)
 		if !ok {
 			return math.Inf(1)
 		}
 		worst := 0.0
-		for _, p := range eng.NonfaultyIDs() {
-			o, ok := eng.LocalTime(p, t)
+		for _, p := range res.NonfaultyIDs() {
+			o, ok := res.LocalTime(p, t)
 			if !ok {
 				continue
 			}

@@ -38,7 +38,6 @@ func runE15() ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, mrec := res.Engine, res.Rounds
 
 	t := &Table{
 		ID:       "E15",
@@ -64,16 +63,16 @@ func runE15() ([]*Table, error) {
 	t.AddRow("switch", "all processes on one epoch", Verdict(allSwitched), "message-free rule (core/switch.go)")
 	t.AddRow("maintain", "rounds completed", fmtInt(minRound), "-")
 	// Steady skew over the final two maintenance rounds.
-	steady, _ := metrics.NonfaultySkew(eng, eng.Now())
+	steady, _ := metrics.NonfaultySkew(res, res.Now())
 	t.AddRow("maintain", "final skew", FmtDur(steady), "γ = "+FmtDur(cfg.Gamma()))
 	// Maintenance adjustments only: the TagAdjust stream also contains the
 	// (large, legitimate) start-up corrections, so cut at the first
 	// maintenance round's beginning.
-	maintFrom := eng.Now()
-	if ts := mrec.AnnotationTimes(0); len(ts) > 0 {
+	maintFrom := res.Now()
+	if ts := res.Rounds.AnnotationTimes(0); len(ts) > 0 {
 		maintFrom = ts[0]
 	}
-	t.AddRow("maintain", "max |ADJ| in maintenance", FmtDur(mrec.MaxAbsAdj(maintFrom)),
+	t.AddRow("maintain", "max |ADJ| in maintenance", FmtDur(res.Rounds.MaxAbsAdj(maintFrom)),
 		"Thm 4(a) bound "+FmtDur(cfg.AdjBound()))
 	t.AddNote("the establishment phase cancels a 2-second spread in one round (the DIFF estimator is exact up to ±ε); the recurrence halving is the worst case")
 	return []*Table{t}, nil

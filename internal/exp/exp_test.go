@@ -109,7 +109,7 @@ func TestRunDefaults(t *testing.T) {
 	if res.Rounds.Rounds() < 5 {
 		t.Errorf("rounds = %d", res.Rounds.Rounds())
 	}
-	if res.Engine == nil || res.Skew == nil || res.Validity == nil {
+	if res.Runner == nil || res.Skew == nil || res.Validity == nil {
 		t.Error("result incomplete")
 	}
 }
@@ -139,9 +139,9 @@ func TestRunTwoTierWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !seq.Engine.Faulty(5) || seq.HierAgreement.Checked() == 0 || !seq.HierAgreement.Ok() || seq.Skew.Max() <= 0 {
+	if !seq.Faulty(5) || seq.HierAgreement.Checked() == 0 || !seq.HierAgreement.Ok() || seq.Skew.Max() <= 0 {
 		t.Errorf("faulty(5)=%v, hier-agreement %d checked ok=%v, max skew %v",
-			seq.Engine.Faulty(5), seq.HierAgreement.Checked(), seq.HierAgreement.Ok(), seq.Skew.Max())
+			seq.Faulty(5), seq.HierAgreement.Checked(), seq.HierAgreement.Ok(), seq.Skew.Max())
 	}
 	if seq.Rounds != nil || seq.Validity != nil || seq.Invariants != nil {
 		t.Error("two-tier run carries flat-mesh recorders")
@@ -154,7 +154,7 @@ func TestRunTwoTierWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sh.Engine != nil || sh.MessagesSent() != plain.MessagesSent() || sh.MessagesSent() <= seq.MessagesSent() {
+	if sh.MessagesSent() != plain.MessagesSent() || sh.MessagesSent() <= seq.MessagesSent() {
 		t.Errorf("messages: sharded %d, sequential %d, with a silent member %d", sh.MessagesSent(), plain.MessagesSent(), seq.MessagesSent())
 	}
 	if plain.windows() != 0 || sh.windows() == 0 {
@@ -163,6 +163,57 @@ func TestRunTwoTierWorkload(t *testing.T) {
 	_, err = Run(Workload{Hier: build(), Rounds: 4, CheckInvariants: true})
 	if err == nil || !strings.Contains(err.Error(), "CheckInvariants") {
 		t.Errorf("two-tier workload with CheckInvariants: %v, want a named error", err)
+	}
+}
+
+// TestRunEnginesAgree is the harness differential: a flat workload (uniform
+// delays, two silent faults) and a two-tier hierarchy, each run on the
+// sequential engine and on two shards, are one execution — equal step and
+// message counts and, read through the Runner, bit-equal local times for
+// every process at the horizon.
+func TestRunEnginesAgree(t *testing.T) {
+	silent := func() sim.Process { return silentProc{} }
+	for _, tc := range []struct {
+		name string
+		w    func() Workload
+	}{
+		{"flat", func() Workload {
+			return Workload{
+				Cfg: core.Config{Params: analysis.Default(7, 2)}, Rounds: 6,
+				Faults: map[sim.ProcID]func() sim.Process{5: silent, 6: silent},
+			}
+		}},
+		{"two-tier", func() Workload {
+			s, err := hier.Build(hier.Default(32, 4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return Workload{Hier: s, Rounds: 4}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			seq, err := Run(tc.w())
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := tc.w()
+			w.Shards = 2
+			sh, err := Run(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seq.Steps() != sh.Steps() || seq.MessagesSent() != sh.MessagesSent() || seq.MessagesLost() != sh.MessagesLost() {
+				t.Fatalf("totals: sequential steps=%d sent=%d lost=%d, sharded steps=%d sent=%d lost=%d",
+					seq.Steps(), seq.MessagesSent(), seq.MessagesLost(), sh.Steps(), sh.MessagesSent(), sh.MessagesLost())
+			}
+			for p := sim.ProcID(0); int(p) < seq.N(); p++ {
+				a, aok := seq.LocalTime(p, seq.Horizon)
+				b, bok := sh.LocalTime(p, sh.Horizon)
+				if aok != bok || math.Float64bits(float64(a)) != math.Float64bits(float64(b)) {
+					t.Fatalf("process %d at the horizon: sequential %v (%v), sharded %v (%v)", p, a, aok, b, bok)
+				}
+			}
+		})
 	}
 }
 
@@ -179,7 +230,7 @@ func TestRunStartOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Engine.Faulty(3) {
+	if !res.Faulty(3) {
 		t.Error("fault override not marked faulty")
 	}
 }

@@ -140,11 +140,9 @@ func (w Workload) eventHint() int {
 // Result bundles the engine and the recorders after a run.
 type Result struct {
 	// Runner is whichever engine ran; its counters (Steps, MessagesSent,
-	// MessagesLost, QueuePeak, …) read the same either way.
+	// MessagesLost, QueuePeak, …) and its processes (Process, LocalTime,
+	// NonfaultyIDs, Faulty) read the same either way.
 	sim.Runner
-	// Engine is the sequential engine, for what only it exposes (Process,
-	// LocalTime, NonfaultyIDs); nil when the workload ran sharded.
-	Engine *sim.Engine
 	// Skew is attached by every topology; Rounds and Validity by the flat
 	// mesh only.
 	Skew     *metrics.SkewRecorder
@@ -211,7 +209,6 @@ func execute(a assembly) (*Result, error) {
 	}
 	res := a.res
 	res.Runner, res.Horizon = r, a.horizon
-	res.Engine, _ = r.(*sim.Engine)
 	return res, nil
 }
 

@@ -452,25 +452,15 @@ func (s *sched) drain(b *bin, fn func(en *entry)) {
 // copy. at/ok are the delivery pipeline's per-recipient results (the pipeline
 // already ran — see Engine.Broadcast); local, when non-nil, keeps only the
 // copies this engine owns (sharded mode; remote copies travel through a
-// shardLink). Copies take the sequence numbers n successive sends would:
-// seqBase plus the copy's rank among the delivered ones, or — det, sharded
-// execution — seqBase with the recipient in its low bits.
-func (s *sched) pushBroadcast(from ProcID, sentAt clock.Real, payload any, at []clock.Real, ok, local []bool, seqBase uint64, det bool) {
+// shardLink). A copy's key is seqBase with the recipient in its low bits.
+func (s *sched) pushBroadcast(from ProcID, sentAt clock.Real, payload any, at []clock.Real, ok, local []bool, seqBase uint64) {
 	h := s.newHdr(from, sentAt, payload, KindOrdinary)
-	left, rank := int32(0), uint64(0)
+	left := int32(0)
 	for q := range ok {
-		if !ok[q] {
+		if !ok[q] || (local != nil && !local[q]) {
 			continue
 		}
-		key := seqBase + rank
-		rank++
-		if local != nil && !local[q] {
-			continue
-		}
-		if det {
-			key = seqBase | uint64(q)
-		}
-		s.file(entry{at: float64(at[q]), key: key, ref: h, to: int32(q)})
+		s.file(entry{at: float64(at[q]), key: seqBase | uint64(q), ref: h, to: int32(q)})
 		left++
 	}
 	s.setLeft(h, left)

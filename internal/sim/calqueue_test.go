@@ -149,7 +149,7 @@ func newStorm(mode schedMode, n int, period, spread clock.Real, delta, eps float
 }
 
 func (st *storm) timer(p ProcID, at clock.Real) {
-	st.s.push(&Message{To: p, Kind: KindTimer, DeliverAt: at}, st.seq)
+	st.s.push(&Message{To: p, Kind: KindTimer, DeliverAt: at}, st.seq<<11)
 	st.seq++
 }
 
@@ -174,8 +174,8 @@ func (st *storm) run(t testing.TB, until clock.Real, check func()) {
 		for q := range st.at {
 			st.at[q] = now + clock.Real(st.delta-st.eps+2*st.eps*st.rng.Float64())
 		}
-		st.s.pushBroadcast(m.To, now, nil, st.at, st.ok, nil, st.seq, false)
-		st.seq += uint64(st.n)
+		st.s.pushBroadcast(m.To, now, nil, st.at, st.ok, nil, st.seq<<11)
+		st.seq++
 		st.broadcasts++
 		st.timer(m.To, now+st.period)
 		if check != nil {
@@ -470,13 +470,14 @@ func runSchedScript(t *testing.T, sc schedScript) schedScriptStats {
 		}
 		was := s.calOn
 		if rng.Intn(4) == 0 {
-			// One fan-out: copies sequence-numbered in pid order over the
-			// routed recipients, exactly as Engine.Broadcast does —
-			// filed directly, or, every other time, handed over as a
-			// cross-shard link would (ready-keyed entries, adopted).
+			// One fan-out: copies keyed base | recipient, exactly as
+			// Engine.Broadcast does — filed directly, or, every other
+			// time, handed over as a cross-shard link would (ready-keyed
+			// entries, adopted).
 			n := 1 + rng.Intn(12)
 			at, ok := make([]clock.Real, n), make([]bool, n)
 			var ents []entry
+			seq = (seq + 15) &^ 15
 			base := seq
 			for q := range at {
 				at[q] = oddTime(genEventAfter(rng, floor, 0).msg.DeliverAt)
@@ -485,15 +486,15 @@ func runSchedScript(t *testing.T, sc schedScript) schedScriptStats {
 				}
 				pending = append(pending, event{
 					msg: Message{From: 1, To: ProcID(q), Kind: KindOrdinary, Payload: base, SentAt: floor, DeliverAt: at[q]},
-					seq: seq,
+					seq: base | uint64(q),
 				})
-				ents = append(ents, entry{at: float64(at[q]), key: seq, to: int32(q)})
-				seq++
+				ents = append(ents, entry{at: float64(at[q]), key: base | uint64(q), to: int32(q)})
 			}
+			seq += 16
 			if rng.Intn(2) == 0 {
 				s.adopt(1, floor, base, ents)
 			} else {
-				s.pushBroadcast(1, floor, base, at, ok, nil, base, false)
+				s.pushBroadcast(1, floor, base, at, ok, nil, base)
 			}
 		} else {
 			ev := genEventAfter(rng, floor, seq)

@@ -57,7 +57,7 @@ var _ BatchDelayModel = UniformDelay{}
 
 // Sample implements DelayModel.
 func (d UniformDelay) Sample(_, _ ProcID, _ clock.Real, rng *RNG) float64 {
-	return d.Delta - d.Eps + 2*d.Eps*rng.Float64()
+	return d.Delta - d.Eps + float64(2*d.Eps*rng.Float64())
 }
 
 // SampleAll implements BatchDelayModel: n draws from the same stream in the
@@ -65,7 +65,7 @@ func (d UniformDelay) Sample(_, _ ProcID, _ clock.Real, rng *RNG) float64 {
 func (d UniformDelay) SampleAll(_ ProcID, n int, _ clock.Real, rng *RNG, out []float64) {
 	lo, span := d.Delta-d.Eps, 2*d.Eps
 	for q := 0; q < n; q++ {
-		out[q] = lo + span*rng.Float64()
+		out[q] = lo + float64(span*rng.Float64())
 	}
 }
 
@@ -135,7 +135,7 @@ func (d PerLinkDelay) Sample(from, to ProcID, _ clock.Real, _ *RNG) float64 {
 	h *= 0xD6E8FEB86659FD93
 	h ^= h >> 29
 	frac := float64(h%(1<<52)) / float64(uint64(1)<<52)
-	return d.Delta - d.Eps + 2*d.Eps*frac
+	return d.Delta - d.Eps + float64(2*d.Eps*frac)
 }
 
 // Bounds implements DelayModel.

@@ -53,27 +53,26 @@ func mix64(z uint64) uint64 {
 
 // procSeedTag domain-separates Context.Rand seeding from every other
 // splitmix64 consumer: without it, procSeed(seed, pid) would be bit-for-bit
-// the engine delay stream's (pid+1)-th Uint64 draw and identical to the
-// sweep runner's DeriveSeed(seed, pid).
+// identical to the sweep runner's DeriveSeed(seed, pid).
 const procSeedTag = 0xd1b54a32d192ed03
 
 // procSeed derives the per-process Context.Rand seed from the engine seed.
 // Streams depend only on (seed, pid) — never on step counts or scheduling —
 // so per-process randomness is reproducible and well separated across
-// processes, the delay stream, and per-trial sweep seeds.
+// processes, the delay streams, and per-trial sweep seeds.
 func procSeed(seed int64, pid ProcID) int64 {
 	return int64(mix64((uint64(seed) ^ procSeedTag) + 0x9e3779b97f4a7c15*uint64(pid+1)))
 }
 
-// senderSeedTag domain-separates the sharded engine's per-sender delay
-// streams from Context.Rand streams and every other splitmix64 consumer.
+// senderSeedTag domain-separates the per-sender delay streams from
+// Context.Rand streams and every other splitmix64 consumer.
 const senderSeedTag = 0x9e6c63d0876a9a47
 
-// senderSeed derives the per-sender delay-sampling seed sharded executions
-// use. Keying the stream on (seed, sender) — instead of the sequential
-// engine's single interleaved stream — makes every sender's delay draws a
-// function of its own send history only, so delays are independent of how
-// processes are partitioned into shards and of window interleaving.
+// senderSeed derives a sender's delay-sampling seed. Keying the stream on
+// (seed, sender) makes every sender's delay draws a function of its own send
+// history only, so delays are independent of how processes are partitioned
+// into shards — the sequential engine is the one-shard case — and of window
+// interleaving.
 func senderSeed(seed int64, pid ProcID) int64 {
 	return int64(mix64((uint64(seed) ^ senderSeedTag) + 0x9e3779b97f4a7c15*uint64(pid+1)))
 }

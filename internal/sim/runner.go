@@ -3,9 +3,11 @@ package sim
 import "repro/internal/clock"
 
 // Runner is what a run needs of an engine, sequential or sharded: register
-// observers, run to a horizon, read the counters back. Code that builds a
-// system and measures it holds a Runner, so the choice of engine is made in
-// one place (NewRunner) and nowhere after it.
+// observers, run to a horizon, read the counters and the processes back.
+// Both engines run one execution of a configuration (they number sends and
+// draw delays alike), so code that builds a system and measures it holds a
+// Runner, and the choice of engine is made in one place (NewRunner) and
+// nowhere after it.
 type Runner interface {
 	Observe(Observer) error
 	Run(until clock.Real) error
@@ -17,6 +19,10 @@ type Runner interface {
 	TimersLapsed() int64
 	QueuePeak() int
 	LocalTimeSpread(t clock.Real) (lo, hi clock.Local, count int)
+	LocalTime(p ProcID, t clock.Real) (clock.Local, bool)
+	Process(p ProcID) Process
+	NonfaultyIDs() []ProcID
+	Faulty(p ProcID) bool
 }
 
 var (

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 
 	"repro/internal/clock"
@@ -33,17 +32,14 @@ import (
 // has, and turns a panicking Receive into that shard's error.
 //
 // Determinism is independent of the shard count (the oracle E19 and
-// TestShardedDeterminism pin): two mechanisms replace the sequential
-// engine's shared mutable order state. Delay sampling draws from per-sender
-// streams (senderSeed) instead of one interleaved engine stream, so a
-// copy's delay depends only on the sender's own send history. Sequence
-// numbers — the (DeliverAt, seq) tie-break — are packed per-copy keys
-// (Engine.packSeq) instead of a shared counter, so tie-break order is a
-// pure function of (sender, send index, recipient). Both are fixed
-// properties of the execution, not of the partition. The cost: a sharded
-// execution is a different (equally valid) execution of the same system
-// than the sequential engine's — except under deterministic delay models,
-// where the two coincide exactly (TestShardedMatchesSequential).
+// TestShardedDeterminism pin) because no order state is shared: every
+// engine, sequential or shard, gives each sender its own delay stream
+// (senderSeed) and send index, and breaks (DeliverAt) ties with packed
+// (sender, send index, recipient) keys (Engine.packSeq). A copy's delay and
+// key are fixed properties of the execution, not of the partition, so the
+// sequential engine and a sharded one over any k run one execution on every
+// delay model (TestShardedMatchesSequential); they differ only in when
+// observers sample it.
 //
 // Restrictions, validated at NewSharded: the channel must be stateless
 // (FullMesh or LossyLinks; Ether's contention bookkeeping is inherently
@@ -55,27 +51,6 @@ import (
 // AnnotationSink observers fire single-threaded at every window cut in a
 // deterministic merged order; per-delivery observers are rejected (inside a
 // window, deliveries on different shards have no global order).
-
-// maxShardProcs caps the sharded system size. A packed sequence key splits
-// 63 bits (bit 63 is the calendar's TIMER flag) as
-// from(b) | sendIndex(63−2b) | to(b) with b = ⌈log₂ n⌉, so at the cap
-// (2¹⁷ processes) 29 bits of per-sender send index remain — far beyond any
-// step-bounded execution.
-const maxShardProcs = 1 << 17
-
-// packSeq builds the deterministic sequence key of one message copy. Key
-// order refines (sender, send index, recipient) — a total order on copies
-// that depends only on the execution's causal structure, never on the shard
-// count or the interleaving of windows. The bit split is sized to the
-// system at NewSharded (seqToBits/seqFromShift); a send index outgrowing
-// its field would silently corrupt the order, so it panics instead.
-func (e *Engine) packSeq(from ProcID, sidx uint64, to ProcID) uint64 {
-	if sidx > e.sidxMax {
-		panic(fmt.Sprintf("sim: sender %d send index %d overflows the packed sequence key (n=%d leaves %d index bits)",
-			from, sidx, len(e.procs), 63-2*int(e.seqToBits)))
-	}
-	return uint64(from)<<e.seqFromShift | sidx<<e.seqToBits | uint64(to)
-}
 
 // chunkHdr is one message's share of a shardLink: what its copies have in
 // common, and how many of the link's entries (in order) are its.
@@ -184,9 +159,6 @@ func NewSharded(cfg Config, shards int) (*ShardedEngine, error) {
 	if shards > n {
 		return nil, fmt.Errorf("sim: %d shards for %d processes", shards, n)
 	}
-	if n > maxShardProcs {
-		return nil, fmt.Errorf("sim: %d processes exceeds the sharded-mode cap %d (packed sequence keys)", n, maxShardProcs)
-	}
 	if cfg.Adversary != nil {
 		return nil, errors.New("sim: sharded execution does not support an adversary (its omniscient view requires the sequential engine)")
 	}
@@ -211,10 +183,6 @@ func NewSharded(cfg Config, shards int) (*ShardedEngine, error) {
 	per := (n + shards - 1) / shards
 	for i := range owner {
 		owner[i] = int32(i / per)
-	}
-	procBits := bits.Len(uint(n - 1))
-	if procBits < 1 {
-		procBits = 1
 	}
 	se := &ShardedEngine{
 		owner:     owner,
@@ -247,7 +215,7 @@ func NewSharded(cfg Config, shards int) (*ShardedEngine, error) {
 			scfg.EventHint = n*nLocal + 2*nLocal + 8
 		}
 		eng, err := newEngine(scfg, &shardSetup{
-			local: local, owned: nLocal, owner: owner, shards: shards, procBits: procBits,
+			local: local, owned: nLocal, owner: owner, shards: shards,
 		}, schedAuto)
 		if err != nil {
 			return nil, err
@@ -361,6 +329,22 @@ func (se *ShardedEngine) QueuePeak() int {
 func (se *ShardedEngine) LocalTimeSpread(t clock.Real) (lo, hi clock.Local, count int) {
 	return se.shards[0].LocalTimeSpread(t)
 }
+
+// LocalTime returns L_p(t) read live, as Engine.LocalTime does; every shard
+// engine shares the configuration's clocks and processes.
+func (se *ShardedEngine) LocalTime(p ProcID, t clock.Real) (clock.Local, bool) {
+	return se.shards[0].LocalTime(p, t)
+}
+
+// Process returns the automaton of p.
+func (se *ShardedEngine) Process(p ProcID) Process { return se.shards[0].Process(p) }
+
+// NonfaultyIDs returns the ids of processes not marked faulty (shared; do
+// not modify).
+func (se *ShardedEngine) NonfaultyIDs() []ProcID { return se.shards[0].NonfaultyIDs() }
+
+// Faulty reports whether p is marked faulty in the configuration.
+func (se *ShardedEngine) Faulty(p ProcID) bool { return se.shards[0].Faulty(p) }
 
 // minPending returns the earliest pending event time across all shards.
 func (se *ShardedEngine) minPending() (clock.Real, bool) {

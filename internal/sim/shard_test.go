@@ -49,8 +49,7 @@ func (b *shardBeacon) Receive(ctx *Context, m Message) {
 }
 
 // shardWorkload builds n shardBeacons on drifting clocks with distinct
-// start times (distinct enough that no two copies to one recipient ever tie,
-// so deterministic delay models yield one well-defined delivery order).
+// start times.
 func shardWorkload(n int, delay DelayModel, ch Channel) Config {
 	procs := make([]Process, n)
 	clocks := make([]clock.Clock, n)
@@ -347,45 +346,75 @@ func TestShardedLossyAccounting(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesSequential: under a deterministic delay model the
-// sharded execution is not merely internally consistent — it coincides
-// exactly with the sequential engine's execution, because no RNG draws
-// exist to differ between the shared stream and the per-sender streams.
-// PerLinkDelay is the richest such model (fixed asymmetric per-link
-// latencies). k = 1 holds the sequential Run and a one-shard window run —
-// the same drain bounded two ways — to one execution; k = 4 adds the links.
+// TestShardedMatchesSequential is the engine differential: both engines
+// number sends and draw delays alike, so the sequential engine and the
+// sharded one over any number of shards run one execution on every delay
+// model — equal per-process delivery digests and equal sent/lost/step
+// totals. k = 1 holds the sequential Run and a one-shard window run — the
+// same drain bounded two ways — to one execution; k > 1 adds the links. The
+// tied row starts every process at one instant under a constant delay, so
+// whole rounds of copies land together and the packed keys alone order them.
 func TestShardedMatchesSequential(t *testing.T) {
 	const n = 40
 	horizon := clock.Real(0.012)
-	delay := PerLinkDelay{Delta: 4e-4, Eps: 1e-4, Seed: 3}
-
-	cfg := shardWorkload(n, delay, nil)
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	cut := LossyLinks{}.BreakBothWays(3, 30)
+	type row struct {
+		name  string
+		delay DelayModel
+		ch    Channel
+		tied  bool
 	}
-	if err := eng.Run(horizon); err != nil {
-		t.Fatal(err)
+	var rows []row
+	for _, d := range []struct {
+		name  string
+		delay DelayModel
+	}{
+		{"uniform", UniformDelay{Delta: 4e-4, Eps: 1e-4}},
+		{"perlink", PerLinkDelay{Delta: 4e-4, Eps: 1e-4, Seed: 3}},
+	} {
+		rows = append(rows, row{d.name + "/fullmesh", d.delay, nil, false}, row{d.name + "/lossy", d.delay, cut, false})
 	}
-	seq := &shardRun{sent: eng.MessagesSent(), lost: eng.MessagesLost(), steps: eng.Steps()}
-	for _, p := range cfg.Procs {
-		b := p.(*shardBeacon)
-		seq.digests = append(seq.digests, b.digest)
-		seq.counts = append(seq.counts, b.count)
-	}
-
-	for _, k := range []int{1, 4} {
-		sh := runOnShards(t, shardWorkload(n, delay, nil), k, horizon)
-		if seq.sent != sh.sent || seq.lost != sh.lost || seq.steps != sh.steps {
-			t.Fatalf("k=%d totals diverge: sequential sent=%d lost=%d steps=%d, sharded sent=%d lost=%d steps=%d",
-				k, seq.sent, seq.lost, seq.steps, sh.sent, sh.lost, sh.steps)
+	rows = append(rows, row{"tied", ConstantDelay{Delta: 4e-4}, nil, true})
+	workload := func(r row) Config {
+		cfg := shardWorkload(n, r.delay, r.ch)
+		if r.tied {
+			cfg.StartAt = starts(n, 0)
 		}
-		for i := range seq.digests {
-			if seq.digests[i] != sh.digests[i] || seq.counts[i] != sh.counts[i] {
-				t.Fatalf("k=%d process %d diverges: sequential (digest=%x count=%d), sharded (digest=%x count=%d)",
-					k, i, seq.digests[i], seq.counts[i], sh.digests[i], sh.counts[i])
+		return cfg
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			cfg := workload(r)
+			eng, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			if err := eng.Run(horizon); err != nil {
+				t.Fatal(err)
+			}
+			seq := &shardRun{sent: eng.MessagesSent(), lost: eng.MessagesLost(), steps: eng.Steps()}
+			for _, p := range cfg.Procs {
+				b := p.(*shardBeacon)
+				seq.digests = append(seq.digests, b.digest)
+				seq.counts = append(seq.counts, b.count)
+			}
+			if (r.ch != nil) != (seq.lost > 0) {
+				t.Fatalf("%d copies lost on channel %v", seq.lost, r.ch)
+			}
+			for _, k := range []int{1, 2, 4, 16} {
+				sh := runOnShards(t, workload(r), k, horizon)
+				if seq.sent != sh.sent || seq.lost != sh.lost || seq.steps != sh.steps {
+					t.Fatalf("k=%d totals diverge: sequential sent=%d lost=%d steps=%d, sharded sent=%d lost=%d steps=%d",
+						k, seq.sent, seq.lost, seq.steps, sh.sent, sh.lost, sh.steps)
+				}
+				for i := range seq.digests {
+					if seq.digests[i] != sh.digests[i] || seq.counts[i] != sh.counts[i] {
+						t.Fatalf("k=%d process %d diverges: sequential (digest=%x count=%d), sharded (digest=%x count=%d)",
+							k, i, seq.digests[i], seq.counts[i], sh.digests[i], sh.counts[i])
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -411,7 +440,7 @@ func (p *idler) Receive(ctx *Context, m Message) {
 // must open no slot — the copies are filed ahead of the timers like any
 // other entry (there is no ordered-insert path for them to fall back on) —
 // and every process must see exactly the sequential engine's deliveries, in
-// its order, under a deterministic delay model.
+// its order.
 func TestShardedAdoptionBeforeWindow(t *testing.T) {
 	const n = 8
 	horizon := clock.Real(0.12)
@@ -558,6 +587,9 @@ func TestNewShardedValidation(t *testing.T) {
 		}(), 2, "adversary"},
 		{"stateful channel", shardWorkload(8, delay, &Ether{}), 2, "stateless channel"},
 		{"zero lookahead", shardWorkload(8, UniformDelay{Delta: 1e-4, Eps: 1e-4}, nil), 2, "lookahead"},
+		// The sequential engine's cap and error (TestNewValidation); nil
+		// procs are fine, no engine is built.
+		{"over the process cap", Config{Procs: make([]Process, maxProcs+1), Delay: delay}, 2, ErrTooManyProcs.Error()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -843,10 +875,10 @@ func TestShardedTopologyEdges(t *testing.T) {
 	})
 }
 
-// TestShardedSeqPacking pins the dynamic packed-key bit split that lifted
-// the n ≤ 8192 cap: the split is sized from n alone (so it cannot vary with
-// the shard count), keys order by (from, sidx, to), the send-index field is
-// overflow-guarded, and the new cap is enforced.
+// TestShardedSeqPacking pins the packed-key bit split: it is sized from n
+// alone (so it cannot vary with the engine or the shard count), keys order
+// by (from, sidx, to), and the send-index field is overflow-guarded. The
+// cap it implies is a row of TestNewValidation and TestNewShardedValidation.
 func TestShardedSeqPacking(t *testing.T) {
 	delay := UniformDelay{Delta: 4e-4, Eps: 1e-4}
 	se, err := NewSharded(shardWorkload(10, delay, nil), 2)
@@ -854,6 +886,14 @@ func TestShardedSeqPacking(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := se.Shard(0)
+	seq, err := New(shardWorkload(10, delay, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq.seqToBits != e.seqToBits || seq.seqFromShift != e.seqFromShift || seq.sidxMax != e.sidxMax {
+		t.Fatalf("sequential split %d/%d/%d differs from the shard's %d/%d/%d",
+			seq.seqToBits, seq.seqFromShift, seq.sidxMax, e.seqToBits, e.seqFromShift, e.sidxMax)
+	}
 	if e.seqToBits != 4 || e.seqFromShift != 59 {
 		t.Fatalf("n=10 split: toBits=%d fromShift=%d, want 4/59", e.seqToBits, e.seqFromShift)
 	}
@@ -884,13 +924,6 @@ func TestShardedSeqPacking(t *testing.T) {
 		}()
 		e.packSeq(0, e.sidxMax+1, 0)
 	}()
-
-	// The cap itself: 2^17 processes fit, one more is rejected before any
-	// engine is built (so nil procs are fine here).
-	over := Config{Procs: make([]Process, maxShardProcs+1), Delay: delay}
-	if _, err := NewSharded(over, 2); err == nil || !strings.Contains(err.Error(), "cap") {
-		t.Fatalf("n > %d not rejected: %v", maxShardProcs, err)
-	}
 }
 
 // TestShardedStress is the -race workout for the parallel window drain: a

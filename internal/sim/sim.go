@@ -28,9 +28,9 @@
 // the population warrants it (calqueue.go; no interface boxing) — one Context
 // per engine is reused across deliveries, observers are classified into typed
 // slices at registration time (no per-event type assertions), and delay
-// sampling draws from an inline splitmix64 stream. The no-observer steady
-// state performs zero allocations per delivered event (enforced in CI by
-// TestEngineSteadyStateAllocs in internal/bench, which gates the same
+// sampling draws from inline per-sender splitmix64 streams. The no-observer
+// steady state performs zero allocations per delivered event (enforced in CI
+// by TestEngineSteadyStateAllocs in internal/bench, which gates the same
 // workload the engine benchmarks measure).
 package sim
 
@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/clock"
@@ -229,33 +230,33 @@ type Engine struct {
 	bcastAt    []clock.Real
 	bcastOK    []bool
 	seed       int64
-	rng        RNG          // delay-sampling stream (splitmix64)
 	prand      []*rand.Rand // per-process Context.Rand streams; nil until the first Rand call
 	queue      sched
 	now        clock.Real
-	seq        uint64
 	steps      int
 	maxSteps   int
 	ctx        Context // one reusable per-delivery context per engine
 
-	// Sharded-execution plumbing, nil/zero for ordinary engines (see
-	// shard.go). detSeq switches sequence numbering from the shared counter
-	// to per-copy packed keys (shard-count independent); senderRNG gives
-	// every sender its own delay stream; local marks the processes this
-	// engine owns. Cross-shard traffic accumulates in out (one shardLink per
-	// destination shard) until the window barrier exchanges it.
-	detSeq    bool
-	sidx      []uint64 // per-sender send index feeding packed sequence keys
-	senderRNG []RNG
-	local     []bool
-	shardOf   []int32
-	out       []shardLink
-	// Packed-key bit split, sized to the system at NewSharded: a key is
-	// from(seqToBits′)|sidx|to(seqToBits) with seqFromShift = 63−seqToBits;
-	// sidxMax guards the send-index field (see Engine.packSeq).
+	// The one numbering of an execution, sequential or sharded: every sender
+	// draws its delays from its own stream and numbers its sends itself, and
+	// a copy's (DeliverAt, key) tie-break key packs (sender, send index,
+	// recipient) — see packSeq. Neither depends on which engine delivers the
+	// copy, so a sequential run and a run over any number of shards are one
+	// execution. The bit split is sized to the system at newEngine: a key is
+	// from(63−seqFromShift bits)|sidx|to(seqToBits) and sidxMax guards the
+	// send-index field.
+	senders      []sender
 	seqToBits    uint
 	seqFromShift uint
 	sidxMax      uint64
+
+	// Sharded-execution plumbing, nil for the sequential engine (see
+	// shard.go): local marks the processes this engine owns, and cross-shard
+	// traffic accumulates in out (one shardLink per destination shard) until
+	// the window barrier exchanges it.
+	local   []bool
+	shardOf []int32
+	out     []shardLink
 
 	// Sharded annotation capture: when the ShardedEngine has annotation
 	// sinks, per-delivery annotations buffer here (reused across windows)
@@ -298,16 +299,30 @@ func New(cfg Config) (*Engine, error) {
 }
 
 // shardSetup carries the per-shard wiring NewSharded injects: which
-// processes this engine owns and how many sibling shards exist. It switches
-// the engine to deterministic (packed) sequence numbers and per-sender delay
-// streams so executions are independent of the shard count.
+// processes this engine owns and how many sibling shards exist.
 type shardSetup struct {
-	local    []bool
-	owned    int // how many processes local marks
-	owner    []int32
-	shards   int
-	procBits int // bit width of a ProcID in packed sequence keys
+	local  []bool
+	owned  int // how many processes local marks
+	owner  []int32
+	shards int
 }
+
+// sender is one process's share of the numbering: its delay stream and the
+// index of its next send.
+type sender struct {
+	rng  RNG
+	sidx uint64
+}
+
+// maxProcs caps the system size. A packed sequence key splits 63 bits (bit
+// 63 is the scheduler's TIMER flag) as from(b) | sendIndex(63−2b) | to(b)
+// with b = ⌈log₂ n⌉, so at the cap (2¹⁷ processes) 29 bits of per-sender
+// send index remain — far beyond any step-bounded execution.
+const maxProcs = 1 << 17
+
+// ErrTooManyProcs rejects a system larger than maxProcs, whose packed
+// sequence keys would overflow.
+var ErrTooManyProcs = fmt.Errorf("sim: system exceeds the %d-process cap of packed sequence keys", maxProcs)
 
 // newEngine builds a sequential engine (sh == nil) or one shard's. mode is
 // schedAuto except in this package's tests and benchmarks, which force the
@@ -316,6 +331,9 @@ func newEngine(cfg Config, sh *shardSetup, mode schedMode) (*Engine, error) {
 	n := len(cfg.Procs)
 	if n == 0 {
 		return nil, errors.New("sim: no processes")
+	}
+	if n > maxProcs {
+		return nil, fmt.Errorf("%w: n=%d", ErrTooManyProcs, n)
 	}
 	if len(cfg.Clocks) != n {
 		return nil, fmt.Errorf("sim: %d clocks for %d processes", len(cfg.Clocks), n)
@@ -358,7 +376,6 @@ func newEngine(cfg Config, sh *shardSetup, mode schedMode) (*Engine, error) {
 		clocks:   cfg.Clocks,
 		faulty:   faulty,
 		seed:     cfg.Seed,
-		rng:      NewRNG(cfg.Seed),
 		maxSteps: maxSteps,
 		ver:      1,
 		acting:   actingNone,
@@ -389,19 +406,17 @@ func newEngine(cfg Config, sh *shardSetup, mode schedMode) (*Engine, error) {
 	if err := e.initTimeline(cfg.Timeline); err != nil {
 		return nil, err
 	}
+	procBits := uint(max(bits.Len(uint(n-1)), 1))
+	e.seqToBits, e.seqFromShift = procBits, 63-procBits
+	e.sidxMax = uint64(1)<<(63-2*procBits) - 1
+	e.senders = make([]sender, n)
+	for i := range e.senders {
+		e.senders[i].rng = NewRNG(senderSeed(cfg.Seed, ProcID(i)))
+	}
 	if sh != nil {
-		e.detSeq = true
-		e.sidx = make([]uint64, n)
-		e.senderRNG = make([]RNG, n)
-		for i := range e.senderRNG {
-			e.senderRNG[i] = NewRNG(senderSeed(cfg.Seed, ProcID(i)))
-		}
 		e.local = sh.local
 		e.shardOf = sh.owner
 		e.out = newShardLinks(sh.shards)
-		e.seqToBits = uint(sh.procBits)
-		e.seqFromShift = uint(63 - sh.procBits)
-		e.sidxMax = uint64(1)<<(63-2*sh.procBits) - 1
 	}
 	// Pre-size the queue's backing stores for the expected peak population
 	// (see Config.EventHint), unless the workload supplied a sharper hint.
@@ -652,15 +667,16 @@ func (e *Engine) annotate(p ProcID, tag string, v float64) {
 // the route stage maps them to delivery times in one pass. Per-copy
 // accounting and send hooks then run in pid order, and the surviving copies
 // are filed under one shared header (in sharded mode the remote ones go onto
-// the link to their shard). The per-copy (DeliverAt, seq) order, the RNG
+// the link to their shard). The copies share one send index, so their keys
+// order as n successive Send calls to q = 0..n−1 would; with the delay
 // stream, any channel state (e.g. Ether contention), the hook calls and the
-// sent/lost counters are those of n successive Send calls to q = 0..n−1 —
-// TestBroadcastMatchesSends holds the two to one execution.
+// sent/lost counters, that makes the two one execution —
+// TestBroadcastMatchesSends holds them to it.
 func (e *Engine) Broadcast(from ProcID, payload any) {
 	n := len(e.procs)
 	base, at, ok := e.bcastDelay[:n], e.bcastAt[:n], e.bcastOK[:n]
-	e.pipe.broadcast(from, n, e.now, e.rngFor(from), base, at, ok)
-	delivered := uint64(0)
+	e.pipe.broadcast(from, n, e.now, &e.senders[from].rng, base, at, ok)
+	filed := false
 	for q := range ok {
 		if !ok[q] {
 			e.msgsLost++
@@ -673,25 +689,23 @@ func (e *Engine) Broadcast(from ProcID, payload any) {
 				Payload: payload, SentAt: e.now, DeliverAt: at[q],
 			})
 		}
-		delivered++
+		filed = true
 	}
-	if delivered == 0 {
+	if !filed {
 		return
 	}
-	seqBase := e.seq
-	if e.detSeq {
-		seqBase = e.packSeq(from, e.sidx[from], 0)
-		e.sidx[from]++
+	s := &e.senders[from]
+	seqBase := e.packSeq(from, s.sidx, 0)
+	s.sidx++
+	if e.local != nil {
 		e.linkRemote(from, payload, at, ok, seqBase)
-	} else {
-		e.seq += delivered
 	}
-	e.queue.pushBroadcast(from, e.now, payload, at, ok, e.local, seqBase, e.detSeq)
+	e.queue.pushBroadcast(from, e.now, payload, at, ok, e.local, seqBase)
 }
 
 // send schedules one ordinary message copy through the delivery pipeline.
 func (e *Engine) send(from, to ProcID, payload any) {
-	at, ok := e.pipe.unicast(from, to, e.now, e.rngFor(from))
+	at, ok := e.pipe.unicast(from, to, e.now, &e.senders[from].rng)
 	if !ok {
 		e.msgsLost++
 		return
@@ -704,20 +718,14 @@ func (e *Engine) send(from, to ProcID, payload any) {
 	e.push(m)
 }
 
-// push buffers a single-copy message under the next sequence number: the
-// shared counter normally, or — in sharded executions — a packed per-sender
-// key that is independent of shard count and window interleaving (see
-// Engine.packSeq); there a copy for a process another shard owns goes onto
-// the link to that shard.
+// push buffers a single-copy message under its sender's next packed key;
+// in a shard engine a copy for a process another shard owns goes onto the
+// link to that shard.
 func (e *Engine) push(m Message) {
-	if !e.detSeq {
-		e.queue.push(&m, e.seq)
-		e.seq++
-		return
-	}
-	seq := e.packSeq(m.From, e.sidx[m.From], m.To)
-	e.sidx[m.From]++
-	if !e.local[m.To] {
+	s := &e.senders[m.From]
+	seq := e.packSeq(m.From, s.sidx, m.To)
+	s.sidx++
+	if e.local != nil && !e.local[m.To] {
 		l := &e.out[e.shardOf[m.To]]
 		l.open(m.From, m.SentAt, m.Payload)
 		l.add(entry{at: float64(m.DeliverAt), key: seq, to: int32(m.To)})
@@ -726,14 +734,17 @@ func (e *Engine) push(m Message) {
 	e.queue.push(&m, seq)
 }
 
-// rngFor returns the delay-sampling stream for copies sent by p: the single
-// engine stream normally, p's own stream in sharded executions (see
-// senderSeed).
-func (e *Engine) rngFor(p ProcID) *RNG {
-	if e.senderRNG != nil {
-		return &e.senderRNG[p]
+// packSeq builds the sequence key of one message copy. Key order refines
+// (sender, send index, recipient) — a total order on copies that depends
+// only on the execution's causal structure, never on the engine, the shard
+// count or the interleaving of windows. A send index outgrowing its field
+// would silently corrupt the order, so it panics instead.
+func (e *Engine) packSeq(from ProcID, sidx uint64, to ProcID) uint64 {
+	if sidx > e.sidxMax {
+		panic(fmt.Sprintf("sim: sender %d send index %d overflows the packed sequence key (n=%d leaves %d index bits)",
+			from, sidx, len(e.procs), 63-2*int(e.seqToBits)))
 	}
-	return &e.rng
+	return uint64(from)<<e.seqFromShift | sidx<<e.seqToBits | uint64(to)
 }
 
 // setTimer places a TIMER for process p at physical-clock time T, i.e. real

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -53,24 +54,28 @@ func TestNewValidation(t *testing.T) {
 	tests := []struct {
 		name   string
 		mutate func(*Config)
+		is     error // when non-nil, the error must wrap it
 	}{
-		{"no processes", func(c *Config) { c.Procs = nil }},
-		{"clock count mismatch", func(c *Config) { c.Clocks = nil }},
-		{"start count mismatch", func(c *Config) { c.StartAt = nil }},
-		{"faulty count mismatch", func(c *Config) { c.Faulty = []bool{true, false} }},
-		{"nil process", func(c *Config) { c.Procs = []Process{nil} }},
-		{"nil clock", func(c *Config) { c.Clocks = []clock.Clock{nil} }},
-		{"nil delay", func(c *Config) { c.Delay = nil }},
-		{"delay violates A3: eps above delta", func(c *Config) { c.Delay = UniformDelay{Delta: 1, Eps: 2} }},
-		{"delay violates A3: negative eps", func(c *Config) { c.Delay = UniformDelay{Delta: 1, Eps: -0.5} }},
-		{"delay violates A3: negative delta", func(c *Config) { c.Delay = ConstantDelay{Delta: -1} }},
+		{"no processes", func(c *Config) { c.Procs = nil }, nil},
+		{"clock count mismatch", func(c *Config) { c.Clocks = nil }, nil},
+		{"start count mismatch", func(c *Config) { c.StartAt = nil }, nil},
+		{"faulty count mismatch", func(c *Config) { c.Faulty = []bool{true, false} }, nil},
+		{"nil process", func(c *Config) { c.Procs = []Process{nil} }, nil},
+		{"nil clock", func(c *Config) { c.Clocks = []clock.Clock{nil} }, nil},
+		{"nil delay", func(c *Config) { c.Delay = nil }, nil},
+		{"delay violates A3: eps above delta", func(c *Config) { c.Delay = UniformDelay{Delta: 1, Eps: 2} }, nil},
+		{"delay violates A3: negative eps", func(c *Config) { c.Delay = UniformDelay{Delta: 1, Eps: -0.5} }, nil},
+		{"delay violates A3: negative delta", func(c *Config) { c.Delay = ConstantDelay{Delta: -1} }, nil},
+		// Rejected before any engine is built, so nil procs are fine here.
+		{"over the process cap", func(c *Config) { c.Procs = make([]Process, maxProcs+1) }, ErrTooManyProcs},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			cfg := good
 			tt.mutate(&cfg)
-			if _, err := New(cfg); err == nil {
-				t.Error("expected config error")
+			_, err := New(cfg)
+			if err == nil || (tt.is != nil && !errors.Is(err, tt.is)) {
+				t.Errorf("got %v, want a config error (wrapping %v)", err, tt.is)
 			}
 		})
 	}
@@ -445,7 +450,8 @@ func TestExtremalDelayCustomSplit(t *testing.T) {
 func TestQueueOrderingProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		e := &Engine{}
+		// One sender whose keys are its bare send index.
+		e := &Engine{senders: make([]sender, 1), sidxMax: 1 << 62}
 		n := 2 + rng.Intn(50)
 		for i := 0; i < n; i++ {
 			k := KindOrdinary
