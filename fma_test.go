@@ -13,7 +13,9 @@ import (
 // bit for bit. Go lets a compiler fuse x*y + z into one instruction on
 // architectures that have one (amd64 never does), which rounds once instead
 // of twice and moves the last bit; an explicit float64(x*y) forbids it.
-var fmaFreePackages = []string{"./internal/sim", "./internal/clock"}
+var fmaFreePackages = []string{
+	"./internal/sim", "./internal/clock", "./internal/metrics", "./internal/invariant", "./internal/analysis",
+}
 
 // fmaTargets are the architectures whose compilers fuse.
 var fmaTargets = []string{"arm64", "riscv64", "ppc64le", "s390x"}

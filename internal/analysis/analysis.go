@@ -5,7 +5,10 @@
 // the start-up recurrence of Lemma 20.
 //
 // Experiments use these functions as the "paper" column next to measured
-// values, and Params.Validate gates every simulation configuration.
+// values, and Params.Validate gates every simulation configuration. Every
+// product that is added or subtracted is wrapped in float64(…), which keeps a
+// compiler from fusing the two into one multiply-add (see the root package's
+// TestNoFusedFloatOps), so the tables print the same bounds on every GOARCH.
 package analysis
 
 import (
@@ -30,11 +33,13 @@ type Params struct {
 // Window returns (1+ρ)(β+δ+ε), the length of the collection interval each
 // round: just large enough that a process receives Tⁱ messages from all
 // nonfaulty processes (§4.1).
-func (p Params) Window() float64 { return (1 + p.Rho) * (p.Beta + p.Delta + p.Eps) }
+func (p Params) Window() float64 { return float64((1 + p.Rho) * (p.Beta + p.Delta + p.Eps)) }
 
 // AdjBound returns the Theorem 4(a) bound on any nonfaulty adjustment:
 // |ADJ| ≤ (1+ρ)(β+ε) + ρδ. Section 10 summarizes it as "about 5ε".
-func (p Params) AdjBound() float64 { return (1+p.Rho)*(p.Beta+p.Eps) + p.Rho*p.Delta }
+func (p Params) AdjBound() float64 {
+	return float64((1+p.Rho)*(p.Beta+p.Eps)) + float64(p.Rho*p.Delta)
+}
 
 // PMin returns the lower bound the analysis needs for the round length:
 // the larger of the Lemma 8 requirement
@@ -46,7 +51,7 @@ func (p Params) AdjBound() float64 { return (1+p.Rho)*(p.Beta+p.Eps) + p.Rho*p.D
 //	P ≥ 3(1+ρ)(β+ε) + ρδ                  (round-i messages arrive in round i)
 func (p Params) PMin() float64 {
 	lemma8 := p.Window() + p.AdjBound()
-	lemma12 := 3*(1+p.Rho)*(p.Beta+p.Eps) + p.Rho*p.Delta
+	lemma12 := float64(3*(1+p.Rho)*(p.Beta+p.Eps)) + float64(p.Rho*p.Delta)
 	return math.Max(lemma8, lemma12)
 }
 
@@ -60,12 +65,13 @@ func (p Params) PMax() float64 {
 	if p.Rho == 0 {
 		return math.Inf(1)
 	}
-	return p.Beta/(4*p.Rho) - p.Eps/p.Rho - p.Rho*(p.Beta+p.Delta+p.Eps) - 2*p.Beta - p.Delta - 2*p.Eps
+	return p.Beta/(4*p.Rho) - p.Eps/p.Rho - float64(p.Rho*(p.Beta+p.Delta+p.Eps)) -
+		float64(2*p.Beta) - p.Delta - float64(2*p.Eps)
 }
 
 // BetaFloor returns the paper's estimate of the achievable closeness along
 // the real-time axis for a fixed round length: β ≈ 4ε + 4ρP (§5.2, §7).
-func (p Params) BetaFloor() float64 { return 4*p.Eps + 4*p.Rho*p.P }
+func (p Params) BetaFloor() float64 { return float64(4*p.Eps) + float64(4*p.Rho*p.P) }
 
 // BetaFloorK returns the k-exchanges-per-round generalization of §7:
 // β ≈ 4ε + 2ρP·2ᵏ/(2ᵏ−1). k must be ≥ 1.
@@ -74,7 +80,7 @@ func (p Params) BetaFloorK(k int) float64 {
 		return math.Inf(1)
 	}
 	pow := math.Pow(2, float64(k))
-	return 4*p.Eps + 2*p.Rho*p.P*pow/(pow-1)
+	return float64(4*p.Eps) + 2*p.Rho*p.P*pow/(pow-1)
 }
 
 // Gamma returns the Theorem 16 agreement bound:
@@ -82,7 +88,8 @@ func (p Params) BetaFloorK(k int) float64 {
 //	γ = β + ε + ρ(7β+3δ+7ε) + 8ρ²(β+δ+ε) + 4ρ³(β+δ+ε).
 func (p Params) Gamma() float64 {
 	s := p.Beta + p.Delta + p.Eps
-	return p.Beta + p.Eps + p.Rho*(7*p.Beta+3*p.Delta+7*p.Eps) + 8*p.Rho*p.Rho*s + 4*math.Pow(p.Rho, 3)*s
+	return p.Beta + p.Eps + float64(p.Rho*(float64(7*p.Beta)+float64(3*p.Delta)+float64(7*p.Eps))) +
+		float64(8*p.Rho*p.Rho*s) + float64(4*math.Pow(p.Rho, 3)*s)
 }
 
 // SkewLowerBound returns ε(1 − 1/n), the lower bound on achievable
@@ -103,7 +110,7 @@ func (p Params) SkewLowerBound() float64 {
 // Lambda returns λ = (P − (1+ρ)(β+ε) − ρδ)/(1+ρ), the length of the shortest
 // round in real time (§8).
 func (p Params) Lambda() float64 {
-	return (p.P - (1+p.Rho)*(p.Beta+p.Eps) - p.Rho*p.Delta) / (1 + p.Rho)
+	return (p.P - float64((1+p.Rho)*(p.Beta+p.Eps)) - float64(p.Rho*p.Delta)) / (1 + p.Rho)
 }
 
 // Validity returns the Theorem 19 parameters (α₁, α₂, α₃) = (1−ρ−ε/λ,
@@ -131,25 +138,28 @@ func (Params) MidpointConvergenceRate() float64 { return 0.5 }
 // StartupStep applies the Lemma 20 recurrence to a closeness value:
 // B^{i+1} ≤ B^i/2 + 2ε + 2ρ(11δ+39ε).
 func (p Params) StartupStep(b float64) float64 {
-	return b/2 + 2*p.Eps + 2*p.Rho*(11*p.Delta+39*p.Eps)
+	return float64(b/2) + float64(2*p.Eps) + float64(2*p.Rho*(float64(11*p.Delta)+float64(39*p.Eps)))
 }
 
 // StartupFloor returns the fixed point of the Lemma 20 recurrence,
 // 4ε + 4ρ(11δ+39ε) — "the algorithm achieves a closeness of synchronization
 // of about 4ε" (§9.2).
 func (p Params) StartupFloor() float64 {
-	return 4*p.Eps + 4*p.Rho*(11*p.Delta+39*p.Eps)
+	return float64(4*p.Eps) + float64(4*p.Rho*(float64(11*p.Delta)+float64(39*p.Eps)))
 }
 
 // StartupWait1 returns the first waiting interval of the §9.2 code,
 // (1+ρ)(2δ+4ε): long enough to receive every nonfaulty clock value.
-func (p Params) StartupWait1() float64 { return (1 + p.Rho) * (2*p.Delta + 4*p.Eps) }
+func (p Params) StartupWait1() float64 {
+	return (1 + p.Rho) * (float64(2*p.Delta) + float64(4*p.Eps))
+}
 
 // StartupWait2 returns the second waiting interval of the §9.2 code,
 // (1+ρ)(4ε + 4ρ(δ+2ε) + 2ρ²(δ+4ε)), which keeps new-round messages from
 // arriving before other nonfaulty processes finish their first interval.
 func (p Params) StartupWait2() float64 {
-	return (1 + p.Rho) * (4*p.Eps + 4*p.Rho*(p.Delta+2*p.Eps) + 2*p.Rho*p.Rho*(p.Delta+4*p.Eps))
+	return (1 + p.Rho) * (float64(4*p.Eps) + float64(4*p.Rho*(p.Delta+float64(2*p.Eps))) +
+		float64(2*p.Rho*p.Rho*(p.Delta+float64(4*p.Eps))))
 }
 
 // Validate checks every standing assumption (A1–A4) and the §5.2 parameter

@@ -21,7 +21,7 @@ func MinBetaForP(rho, delta, eps, p float64) float64 {
 	if denom <= 0 {
 		return math.Inf(1) // ρ absurdly large: no β works
 	}
-	num := p + eps/rho + delta + 2*eps + rho*(delta+eps)
+	num := p + eps/rho + delta + float64(2*eps) + float64(rho*(delta+eps))
 	return num / denom
 }
 
@@ -36,7 +36,7 @@ func Suggest(n, f int, rho, delta, eps, p float64) (Params, error) {
 	}
 	// Margin, and a floor for the drift-free case: β must still be
 	// positive and exceed the ε-noise the algorithm can't remove.
-	beta = math.Max(beta*1.1, 4*eps+eps/2)
+	beta = math.Max(beta*1.1, float64(4*eps)+float64(eps/2))
 	params := Params{
 		N: n, F: f,
 		Rho: rho, Delta: delta, Eps: eps,

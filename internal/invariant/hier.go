@@ -30,9 +30,9 @@ type HierAgreement struct {
 	Warmup      clock.Real
 	Exclude     []bool
 
-	// Sized at the first sample: cluster[i] is the cluster of the i-th
-	// process of Engine.LocalTimes, seen[j] whether cluster j has one at all,
-	// lo/hi the per-cluster extremes at configuration version ver.
+	// Sized at the first per-cluster pass: cluster[i] is the cluster of the
+	// i-th process of Engine.LocalTimes, seen[j] whether cluster j has one at
+	// all, lo/hi the per-cluster extremes at configuration version ver.
 	cluster []int32
 	seen    []bool
 	lo, hi  []clock.Local
@@ -57,12 +57,77 @@ func NewHierAgreement(gamma, gammaIn float64, clusterSize int, warmup clock.Real
 // outside Exclude) seen from Warmup on — the quantity held against Gamma.
 func (h *HierAgreement) MaxSpread() float64 { return h.maxSpread }
 
-// Sample implements sim.Sampler.
+// Sample implements sim.Sampler. Without Exclude the global spread is the
+// engine's LocalTimeSpread — two certificated rows, not n — and the
+// per-cluster pass runs only when that spread exceeds GammaIn: every
+// cluster's hi − lo is at most the global hi − lo (float subtraction is
+// monotone), so below it no cluster can violate.
 func (h *HierAgreement) Sample(e *sim.Engine, _ bool) {
 	t := e.Now()
 	if t < h.Warmup {
 		return
 	}
+	var glo, ghi clock.Local
+	if h.Exclude == nil {
+		lo, hi, count := e.LocalTimeSpread(t)
+		if count == 0 {
+			return
+		}
+		glo, ghi = lo, hi
+	} else {
+		h.refill(e)
+		members := 0
+		for j, seen := range h.seen {
+			if !seen || (j < len(h.Exclude) && h.Exclude[j]) {
+				continue
+			}
+			if members == 0 {
+				glo, ghi = h.lo[j], h.hi[j]
+			} else {
+				if h.lo[j] < glo {
+					glo = h.lo[j]
+				}
+				if h.hi[j] > ghi {
+					ghi = h.hi[j]
+				}
+			}
+			members++
+		}
+		if members == 0 {
+			return
+		}
+	}
+	h.checked++
+	skew := float64(ghi - glo)
+	h.maxSpread = max(h.maxSpread, skew)
+	if skew > h.Gamma {
+		h.violate(Violation{
+			Invariant: h.name, At: t, Proc: -1,
+			Amount: skew - h.Gamma,
+			Detail: fmt.Sprintf("global skew %.3gs > γ_composed %.3gs", skew, h.Gamma),
+		})
+	}
+	if h.GammaIn <= 0 || (h.Exclude == nil && skew <= h.GammaIn) {
+		return
+	}
+	h.refill(e)
+	for j, seen := range h.seen {
+		if !seen {
+			continue
+		}
+		if skew := float64(h.hi[j] - h.lo[j]); skew > h.GammaIn {
+			h.violate(Violation{
+				Invariant: h.name, At: t, Proc: -1,
+				Amount: skew - h.GammaIn,
+				Detail: fmt.Sprintf("cluster %d skew %.3gs > γ_in %.3gs", j, skew, h.GammaIn),
+			})
+		}
+	}
+}
+
+// refill brings the per-cluster extremes to the engine's configuration,
+// sizing them at the first call.
+func (h *HierAgreement) refill(e *sim.Engine) {
 	ids, lts := e.LocalTimes()
 	ver := e.ConfigVersion()
 	if h.seen == nil {
@@ -76,69 +141,20 @@ func (h *HierAgreement) Sample(e *sim.Engine, _ bool) {
 			h.cluster[i], h.seen[j] = int32(j), true
 		}
 	}
-	nc := len(h.seen)
-	if ver != h.ver {
-		// New configuration: refill the per-cluster extremes from the
-		// engine's shared pass. Otherwise they are the ones already held.
-		for j := range h.lo {
-			h.lo[j], h.hi[j] = clock.Local(math.Inf(1)), clock.Local(math.Inf(-1))
-		}
-		for i, lt := range lts {
-			j := h.cluster[i]
-			if lt < h.lo[j] {
-				h.lo[j] = lt
-			}
-			if lt > h.hi[j] {
-				h.hi[j] = lt
-			}
-		}
-		h.ver = ver
+	if ver == h.ver {
+		return // the extremes already held are this configuration's
 	}
-
-	var glo, ghi clock.Local
-	members := 0
-	for j := 0; j < nc; j++ {
-		if !h.seen[j] || (h.Exclude != nil && j < len(h.Exclude) && h.Exclude[j]) {
-			continue
+	for j := range h.lo {
+		h.lo[j], h.hi[j] = clock.Local(math.Inf(1)), clock.Local(math.Inf(-1))
+	}
+	for i, lt := range lts {
+		j := h.cluster[i]
+		if lt < h.lo[j] {
+			h.lo[j] = lt
 		}
-		if members == 0 {
-			glo, ghi = h.lo[j], h.hi[j]
-		} else {
-			if h.lo[j] < glo {
-				glo = h.lo[j]
-			}
-			if h.hi[j] > ghi {
-				ghi = h.hi[j]
-			}
-		}
-		members++
-	}
-	if members == 0 {
-		return
-	}
-	h.checked++
-	skew := float64(ghi - glo)
-	h.maxSpread = max(h.maxSpread, skew)
-	if skew > h.Gamma {
-		h.violate(Violation{
-			Invariant: h.name, At: t, Proc: -1,
-			Amount: skew - h.Gamma,
-			Detail: fmt.Sprintf("global skew %.3gs > γ_composed %.3gs", skew, h.Gamma),
-		})
-	}
-	if h.GammaIn <= 0 {
-		return
-	}
-	for j := 0; j < nc; j++ {
-		if !h.seen[j] {
-			continue
-		}
-		if skew := float64(h.hi[j] - h.lo[j]); skew > h.GammaIn {
-			h.violate(Violation{
-				Invariant: h.name, At: t, Proc: -1,
-				Amount: skew - h.GammaIn,
-				Detail: fmt.Sprintf("cluster %d skew %.3gs > γ_in %.3gs", j, skew, h.GammaIn),
-			})
+		if lt > h.hi[j] {
+			h.hi[j] = lt
 		}
 	}
+	h.ver = ver
 }

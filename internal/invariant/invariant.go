@@ -185,8 +185,8 @@ func (v *Validity) Sample(e *sim.Engine, _ bool) {
 		return
 	}
 	v.checked++
-	lower := v.Alpha1*float64(t-v.TMax0) - v.Alpha3
-	upper := v.Alpha2*float64(t-v.TMin0) + v.Alpha3
+	lower := float64(v.Alpha1*float64(t-v.TMax0)) - v.Alpha3
+	upper := float64(v.Alpha2*float64(t-v.TMin0)) + v.Alpha3
 	if d := lower - (float64(lo) - v.T0); d > 0 {
 		v.violate(Violation{
 			Invariant: v.name, At: t, Proc: v.attribute(e, t, float64(lo)),

@@ -75,9 +75,10 @@ func (r *SkewRecorder) Series() []float64 { return r.series }
 // ok is false when fewer than two nonfaulty processes expose local times.
 // The scan is delegated to the engine's LocalTimeSpread — any sim.Runner, or
 // the engine an observer is handed: at the current instant every observer
-// shares the one pass the engine makes per configuration, and a sample that
-// finds the configuration unchanged (most post-delivery samples) costs no
-// scan at all.
+// shares the one evaluation the engine makes per configuration — two
+// certificated rows, or a full scan inside their guard band — and a sample
+// that finds the configuration unchanged (most post-delivery samples) costs
+// nothing at all.
 func NonfaultySkew(e interface {
 	LocalTimeSpread(t clock.Real) (lo, hi clock.Local, count int)
 }, t clock.Real) (float64, bool) {
@@ -262,8 +263,8 @@ func (v *ValidityRecorder) Sample(e *sim.Engine, _ bool) {
 		return
 	}
 	v.samples += count
-	lower := v.Alpha1*float64(t-v.TMax0) - v.Alpha3
-	upper := v.Alpha2*float64(t-v.TMin0) + v.Alpha3
+	lower := float64(v.Alpha1*float64(t-v.TMax0)) - v.Alpha3
+	upper := float64(v.Alpha2*float64(t-v.TMin0)) + v.Alpha3
 	if d := lower - (float64(lo) - v.T0); d > v.worst {
 		v.worst = d
 	}

@@ -500,13 +500,15 @@ func (s *sched) setLeft(h, left int32) {
 	}
 }
 
-// load writes the message en stands for into out without consuming it.
+// load writes the message en stands for into out without consuming it. Field
+// by field: a composite-literal store compiles to a zero fill, partial stores
+// and a 16-byte reload, which stalls on store forwarding behind the previous
+// delivery's stores: pprof put a quarter of a flat n = 1009, k = 2 run's CPU
+// on that one statement, against 7 % for the field stores.
 func (s *sched) load(en *entry, out *Message) {
 	h := &s.hdrs[en.ref]
-	*out = Message{
-		From: h.from, To: ProcID(en.to), Kind: h.kind,
-		Payload: h.payload, SentAt: h.sentAt, DeliverAt: clock.Real(en.at),
-	}
+	out.From, out.To, out.Kind = h.from, ProcID(en.to), h.kind
+	out.Payload, out.SentAt, out.DeliverAt = h.payload, h.sentAt, clock.Real(en.at)
 }
 
 // nextBin returns the first nonempty bin and its slot; binned must be > 0.

@@ -6,8 +6,9 @@ import (
 	"repro/internal/clock"
 )
 
-// This file is the engine's read side for local times: one clock table, one
-// evaluation per configuration.
+// This file is the engine's read side for local times: one clock table whose
+// extremes are kept kinetically — two certificates per configuration, a full
+// evaluation only inside their guard band.
 //
 // The paper's Theorem 16/19 quantities are extremes of piecewise-linear
 // functions, so the engine samples immediately before and after every
@@ -29,15 +30,29 @@ import (
 //   - Run was entered: between runs the caller may have changed anything, so
 //     every row is re-read.
 //
-// Per version the local times are evaluated once, in a loop over the rows
-// using the expression clock.PiecewiseLinear.At uses (see clock.Segment), so
-// the result is bit-identical to the live LocalTime walk. LocalTimeSpread and
-// LocalTimes serve every reader from that pass. A §4.2 process adjusts once
-// per round, after n arrivals, so the post-delivery sample of all but ~1 in n
-// deliveries finds the version unchanged and costs nothing.
+// A full evaluation (scan) is a loop over the rows using the expression
+// clock.PiecewiseLinear.At uses (see clock.Segment), so its result is
+// bit-identical to the live LocalTime walk. Real time moves at almost every
+// delivery, so one full evaluation per version would still cost n rows per
+// event. The sequential engine therefore keeps kinetic extremes (a kinetic
+// tournament cut down to its two certificates — Basch, Guibas & Hershberger,
+// "Data Structures for Mobile Data", SODA 1997): the rows that attained the
+// max and the min at the last full evaluation, and a bound line for every
+// other row — b + r·(t − t_b) with r the largest segment rate above the max
+// side, the smallest below the min side, which no row on its segment can
+// cross. A read at now evaluates only the two extreme rows and returns them
+// when each clears its bound by a rounding allowance relative to the
+// operands' magnitudes; inside that guard band it falls back to one full
+// evaluation, which re-derives both certificates. A correction change on any
+// other row re-anchors the two lines at now in O(1), rounded outward. So
+// every value served is still the bits the live walk produces, at O(1) per
+// event: a §4.2 process adjusts once per round, and only an extreme row's
+// adjustment (or a clock breakpoint, a timeline action, Run entry) drops the
+// certificates. LocalTimes, which needs every row, fills its slice lazily
+// with a full evaluation under its own version.
 //
 // What the table cannot hold falls back to the live At/Corr walk inside the
-// same scan routine:
+// same scan routine, and keeps no certificates:
 //
 //   - a clock that is not a *clock.PiecewiseLinear (clock.Offset, a foreign
 //     Clock) makes the whole scan live; a multi-segment clock crossing a
@@ -71,10 +86,16 @@ func (r *clockRow) at(t clock.Real) clock.Local {
 	return r.value + clock.Local(r.rate*float64(t-r.start)) + r.corr
 }
 
+// scale bounds the magnitudes at(t) adds up, less the rate·|t| term: what
+// the rounding error of one evaluation is proportional to.
+func (r *clockRow) scale() float64 {
+	return math.Abs(float64(r.value)) + float64(math.Abs(r.rate)*math.Abs(float64(r.start))) + math.Abs(float64(r.corr))
+}
+
 type clockTable struct {
 	ids   []ProcID      // nonfaulty CORR-holding processes, ascending; nil until first read
 	rows  []clockRow    // parallel to ids; nil on shard engines
-	lt    []clock.Local // parallel to ids: the local times of pass passVer
+	lt    []clock.Local // parallel to ids: the local times of version ltVer
 	hist  []clock.Local // scratch of the same length for scans at t ≠ now
 	rowOf []int32       // ProcID → index into ids, −1 outside the table; nil on shard engines
 	// live routes the scan through At/Corr: a shard engine, or some row's
@@ -82,8 +103,47 @@ type clockTable struct {
 	live bool
 	// Every row's segment is the one At reads over [from, until).
 	from, until clock.Real
-	lo, hi      clock.Local // extremes of lt
-	passVer     uint64      // configuration version lt, lo, hi belong to; 0 = none yet
+	lo, hi      clock.Local // extremes of the local times at version passVer
+	passVer     uint64      // configuration version lo, hi belong to; 0 = none yet
+	ltVer       uint64      // configuration version lt belongs to; 0 = none yet
+	// rMin, rMax are the extreme segment rates of the rows loaded: the
+	// slopes of the kinetic bound lines.
+	rMin, rMax float64
+	kin        kinetic
+	// evals counts evaluations at the current instant, scans those that
+	// evaluated every row.
+	evals, scans uint64
+}
+
+// kinetic holds the two certificates. While ok, for every t ≥ at until the
+// rows next leave their segments, in exact arithmetic: every row but hiRow
+// has local time ≤ bHi + rMax·(t − at), every row but loRow ≥ bLo +
+// rMin·(t − at), and every row's scale() ≤ mag.
+type kinetic struct {
+	ok           bool
+	hiRow, loRow int
+	at           clock.Real
+	bHi, bLo     clock.Local
+	mag          float64
+}
+
+// slackUlps is the guard band's width relative to the operands' magnitude.
+// One at evaluation rounds four times and a bound line three, each by at
+// most 2⁻⁵³ of the magnitude slack sums, so their total stays below 7·2⁻⁵³
+// of it; 2⁻⁴⁴ = 512·2⁻⁵³ is still picoseconds on local times of minutes.
+const slackUlps = 0x1p-44
+
+// slack bounds, at t ≥ at, the rounding of one row evaluation plus one bound
+// line evaluation.
+func (tb *clockTable) slack(t clock.Real) clock.Local {
+	r := max(tb.rMax, -tb.rMin)
+	return clock.Local(slackUlps * (tb.kin.mag + float64(r*(math.Abs(float64(t))+math.Abs(float64(tb.kin.at))))))
+}
+
+// bounds evaluates the two bound lines at t.
+func (tb *clockTable) bounds(t clock.Real) (bLo, bHi clock.Local) {
+	dt := float64(t - tb.kin.at)
+	return tb.kin.bLo + clock.Local(float64(tb.rMin*dt)), tb.kin.bHi + clock.Local(float64(tb.rMax*dt))
 }
 
 // Engine.acting outside any action, and while a timeline action runs: the
@@ -143,14 +203,17 @@ func (e *Engine) buildTable() {
 }
 
 // loadTable re-reads every row in place — the segment its clock is on at the
-// current instant and its correction — and starts a new configuration
-// version. It runs when the table is built, when Run is entered, after a
-// timeline action, and when real time leaves [from, until).
+// current instant and its correction — records the extreme segment rates,
+// drops the certificates and starts a new configuration version. It runs
+// when the table is built, when Run is entered, after a timeline action, and
+// when real time leaves [from, until).
 func (e *Engine) loadTable() {
 	tb := &e.tbl
 	e.ver++
 	tb.live = e.local != nil
+	tb.kin.ok = false
 	tb.from, tb.until = clock.Real(math.Inf(-1)), clock.Real(math.Inf(1))
+	tb.rMin, tb.rMax = math.Inf(1), math.Inf(-1)
 	for i := range tb.rows {
 		p := tb.ids[i]
 		r := &tb.rows[i]
@@ -163,6 +226,7 @@ func (e *Engine) loadTable() {
 		s := pl.SegmentAt(e.now)
 		r.start, r.value, r.rate = s.Start, s.Value, s.Rate
 		tb.from, tb.until = max(tb.from, s.From), min(tb.until, s.Until)
+		tb.rMin, tb.rMax = min(tb.rMin, s.Rate), max(tb.rMax, s.Rate)
 	}
 	if tb.live {
 		tb.from, tb.until = clock.Real(math.Inf(-1)), clock.Real(math.Inf(1))
@@ -170,24 +234,43 @@ func (e *Engine) loadTable() {
 }
 
 // rereadCorr compares p's correction with its mirror and, if it moved,
-// updates the row and starts a new configuration version.
+// updates the row and starts a new configuration version. A move of an
+// extreme row drops the certificates; any other row's re-anchors the bound
+// lines at now, on or beyond both the old lines and the row's new value.
+// (A row read past the segments' end can only mis-anchor lines that the next
+// read discards: evaluate reloads, and so drops them, first.)
 func (e *Engine) rereadCorr(p ProcID) {
-	i := e.tbl.rowOf[p]
+	tb := &e.tbl
+	i := tb.rowOf[p]
 	if i < 0 {
 		return
 	}
-	r := &e.tbl.rows[i]
-	if c := e.corr[p].Corr(); math.Float64bits(float64(c)) != math.Float64bits(float64(r.corr)) {
-		r.corr = c
-		e.ver++
+	r := &tb.rows[i]
+	c := e.corr[p].Corr()
+	if math.Float64bits(float64(c)) == math.Float64bits(float64(r.corr)) {
+		return
 	}
+	r.corr = c
+	e.ver++
+	k := &tb.kin
+	if !k.ok {
+		return
+	}
+	if int(i) == k.hiRow || int(i) == k.loRow {
+		k.ok = false
+		return
+	}
+	k.mag = max(k.mag, r.scale())
+	v, s := r.at(e.now), tb.slack(e.now)
+	bLo, bHi := tb.bounds(e.now)
+	k.bLo, k.bHi, k.at = min(bLo, v)-s, max(bHi, v)+s, e.now
 }
 
-// scan is the one routine that evaluates local times: it stores the local
-// time of every process of the table at real time t in lt and returns their
-// min and max. Rows are read when the table holds the segments in force at t,
-// the live interfaces otherwise; both orders and both float expressions are
-// LocalTime's, so the result does not depend on which ran.
+// scan is the one routine that evaluates every local time: it stores the
+// local time of every process of the table at real time t in lt and returns
+// their min and max. Rows are read when the table holds the segments in
+// force at t, the live interfaces otherwise; both orders and both float
+// expressions are LocalTime's, so the result does not depend on which ran.
 func (e *Engine) scan(t clock.Real, lt []clock.Local) (lo, hi clock.Local) {
 	tb := &e.tbl
 	lo, hi = clock.Local(math.Inf(1)), clock.Local(math.Inf(-1))
@@ -231,23 +314,66 @@ func widen(lo, hi, v clock.Local) (clock.Local, clock.Local) {
 	return lo, hi
 }
 
-// pass returns the table with lt, lo and hi evaluated for the current
-// configuration, scanning only if the version moved since the last pass.
-func (e *Engine) pass() *clockTable {
-	tb := e.table()
-	if tb.passVer != e.ver {
-		e.evaluate()
-	}
-	return tb
-}
-
-func (e *Engine) evaluate() {
+// evaluate brings lo and hi — and, when all is set, lt — to the current
+// configuration: from the two certificated rows when they clear their bound
+// lines, by a full scan otherwise.
+func (e *Engine) evaluate(all bool) {
 	tb := &e.tbl
+	tb.evals++
 	if e.now < tb.from || e.now >= tb.until {
 		e.loadTable() // a clock crossed a breakpoint
 	}
+	if k := &tb.kin; k.ok && !all {
+		hv, lv := tb.rows[k.hiRow].at(e.now), tb.rows[k.loRow].at(e.now)
+		bLo, bHi := tb.bounds(e.now)
+		s := tb.slack(e.now)
+		// Strict, so a tie — or a NaN — always takes the full scan below.
+		if hv > bHi+s && lv < bLo-s {
+			tb.lo, tb.hi, tb.passVer = lv, hv, e.ver
+			return
+		}
+		k.ok = false // inside the guard band
+	}
+	tb.scans++
 	tb.lo, tb.hi = e.scan(e.now, tb.lt)
-	tb.passVer = e.ver
+	tb.passVer, tb.ltVer = e.ver, e.ver
+	if !tb.kin.ok {
+		e.certify()
+	}
+}
+
+// certify derives the certificates from the full scan just made at now: the
+// rows scan took the extremes from (the first to attain each, as widen
+// keeps), and bound lines through the other rows' extremes, widened by one
+// allowance so they hold for the exact values. A live table, an empty one or
+// one with no finite extremes keeps none.
+func (e *Engine) certify() {
+	tb := &e.tbl
+	if tb.live {
+		return
+	}
+	k := &tb.kin
+	k.hiRow, k.loRow, k.mag = -1, -1, 0
+	bLo, bHi := clock.Local(math.Inf(1)), clock.Local(math.Inf(-1))
+	for i, v := range tb.lt {
+		k.mag = max(k.mag, tb.rows[i].scale())
+		if v == tb.hi && k.hiRow < 0 {
+			k.hiRow = i
+		} else {
+			bHi = max(bHi, v)
+		}
+		if v == tb.lo && k.loRow < 0 {
+			k.loRow = i
+		} else {
+			bLo = min(bLo, v)
+		}
+	}
+	if k.hiRow < 0 || k.loRow < 0 {
+		return
+	}
+	k.at = e.now
+	s := tb.slack(e.now)
+	k.bLo, k.bHi, k.ok = bLo-s, bHi+s, true
 }
 
 // ConfigVersion identifies the configuration samplers see: it changes
@@ -261,26 +387,33 @@ func (e *Engine) ConfigVersion() uint64 {
 }
 
 // LocalTimes returns the nonfaulty CORR-holding processes, ascending, and
-// their local times at the current instant, from the one pass per
-// configuration that LocalTimeSpread shares. Both slices are engine-owned:
-// read-only, and valid until the configuration next changes.
+// their local times at the current instant, from one full evaluation per
+// configuration, made on the first call that wants it. Both slices are
+// engine-owned: read-only, and valid until the configuration next changes.
 func (e *Engine) LocalTimes() ([]ProcID, []clock.Local) {
-	tb := e.pass()
+	tb := e.table()
+	if tb.ltVer != e.ver {
+		e.evaluate(true)
+	}
 	return tb.ids, tb.lt
 }
 
 // LocalTimeSpread returns the minimum and maximum nonfaulty local times at
 // real time t, together with how many processes exposed a local time. At the
-// current instant it is served from the configuration's pass, so every
+// current instant it is served once per configuration — from the two
+// certificated rows, or a full scan inside their guard band — so every
 // observer interrogating the spread at a sample point (skew, validity, the
-// invariant checkers) shares one scan, and none happens at all while the
-// configuration is unchanged. Any other t is scanned afresh and not cached.
+// invariant checkers) shares one evaluation, and none happens at all while
+// the configuration is unchanged. Any other t is scanned afresh and not
+// cached.
 func (e *Engine) LocalTimeSpread(t clock.Real) (lo, hi clock.Local, count int) {
+	tb := e.table()
 	if t == e.now {
-		tb := e.pass()
+		if tb.passVer != e.ver {
+			e.evaluate(false)
+		}
 		return tb.lo, tb.hi, len(tb.ids)
 	}
-	tb := e.table()
 	lo, hi = e.scan(t, tb.hist)
 	return lo, hi, len(tb.ids)
 }

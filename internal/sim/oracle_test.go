@@ -46,7 +46,7 @@ func TestOracleDifferential(t *testing.T) {
 	cfg := core.Config{Params: analysis.Default(7, 2)}
 
 	// An E17 conformance slice: every schedule-driven strategy at (7, 2)
-	// with the invariant suite — whose Monotonicity reads the shared pass —
+	// with the invariant suite — whose Monotonicity reads LocalTimes —
 	// attached, so suite and oracle see the same configurations.
 	for i, s := range faults.ScheduleDriven() {
 		t.Run("conformance/"+s.Name, func(t *testing.T) {
@@ -57,6 +57,35 @@ func TestOracleDifferential(t *testing.T) {
 			}
 		})
 	}
+
+	// The kinetic extremes at their two edges. Tied: every process starts at
+	// real time 0 with CORR 0 on a drift-free clock under constant delays, so
+	// every gap between local times is 0 and every evaluation falls inside
+	// the certificates' guard band. Long: 10⁴ rounds, so certificates age and
+	// re-anchored bound lines accumulate rounding while |t| grows to hours.
+	t.Run("kinetic/tied", func(t *testing.T) {
+		starts := map[sim.ProcID]clock.Real{}
+		for i := range cfg.N {
+			starts[sim.ProcID(i)] = 0
+		}
+		res := run(t, exp.Workload{
+			Cfg: cfg, Rounds: 6, Seed: 7,
+			Drift:         clock.ConstantDrift{},
+			Delay:         sim.ConstantDelay{Delta: cfg.Delta},
+			MakeProc:      func(sim.ProcID, clock.Local) sim.Process { return core.NewProc(cfg, 0) },
+			StartOverride: starts,
+		})
+		if evals, scans := res.Runner.(*sim.Engine).TablePasses(); scans != evals || res.Skew.Max() != 0 {
+			t.Fatalf("%d of %d evaluations scanned, skew %v; want every one, tied", scans, evals, res.Skew.Max())
+		}
+	})
+	t.Run("kinetic/long", func(t *testing.T) {
+		res := run(t, exp.Workload{Cfg: cfg, Rounds: 10_000, Seed: 21})
+		// The oracle's own LocalTimes reads scan too, about 12 a round.
+		if evals, scans := res.Runner.(*sim.Engine).TablePasses(); scans*2 > evals {
+			t.Fatalf("%d of %d evaluations scanned; the certificates served too few", scans, evals)
+		}
+	})
 
 	// The adaptive adversaries read the spread inside Receive, per copy.
 	for _, name := range []string{"skewmax", "splitter"} {
@@ -118,8 +147,8 @@ func TestOracleDifferential(t *testing.T) {
 	}
 
 	// Two-tier n = 64 through the path users run (Workload.Hier): sequential
-	// with HierAgreement on the shared pass, then sharded k ∈ {1, 2, 4}, where
-	// the same checker refills at every cut.
+	// with HierAgreement on the certificated spread, then sharded
+	// k ∈ {1, 2, 4}, where the same checker reads at every cut.
 	twoTier := func(t *testing.T, shards int) {
 		s, err := hier.Build(hier.Default(64, 8))
 		if err != nil {

@@ -34,9 +34,9 @@ func LiveSpread(e *sim.Engine, t clock.Real) (lo, hi clock.Local, count int) {
 }
 
 // Oracle demands, at every callback the engine offers, that what the clock
-// table serves — Engine.LocalTimeSpread(now) and Engine.LocalTimes — equals
-// the live NonfaultyIDs × LocalTime walk bit for bit, and every 16th time
-// that a historical LocalTimeSpread(t < now) does too. It is at once a
+// table serves as Engine.LocalTimeSpread(now) equals the live NonfaultyIDs ×
+// LocalTime walk bit for bit, and every 16th time that Engine.LocalTimes and
+// a historical LocalTimeSpread(t < now) do too. It is at once a
 // sim.Sampler (before and after every action), a sim.AnnotationSink and a
 // sim.DeliveryObserver (both inside the action), and Wrap makes it a
 // sim.Adversary around another one (inside Receive, per message copy).
@@ -90,7 +90,11 @@ func (c atCuts) Sample(e *sim.Engine, pre bool)               { c.o.Sample(e, pr
 func (c atCuts) OnAnnotation(e *sim.Engine, a sim.Annotation) { c.o.OnAnnotation(e, a) }
 
 // Check compares the table's reads with the live walk at the engine's
-// current instant; where labels the failure.
+// current instant; where labels the failure. The spread comes first and
+// alone at most callbacks: LocalTimes makes the table evaluate every row,
+// and asked at every callback it would hide how the spread reads between
+// full evaluations (the kinetic certificates, see internal/sim's
+// clocktable.go).
 func (o *Oracle) Check(e *sim.Engine, where string) {
 	o.eng = e
 	if o.failed {
@@ -98,6 +102,16 @@ func (o *Oracle) Check(e *sim.Engine, where string) {
 	}
 	o.Checks++
 	now := e.Now()
+	o.spread(e, now, where)
+	if o.Checks%16 != 0 || o.failed {
+		return
+	}
+	o.localTimes(e, now, where)
+	o.spread(e, now-clock.Real(o.Checks%7+1)*0.37e-3, where+" (historical)")
+}
+
+// localTimes compares LocalTimes with the live walk, process by process.
+func (o *Oracle) localTimes(e *sim.Engine, now clock.Real, where string) {
 	ids, lts := e.LocalTimes()
 	k := 0
 	for _, p := range e.NonfaultyIDs() {
@@ -118,17 +132,15 @@ func (o *Oracle) Check(e *sim.Engine, where string) {
 	}
 	if k != len(ids) {
 		o.fail("%s at t=%v: LocalTimes lists %d processes, the live walk finds %d", where, now, len(ids), k)
-		return
-	}
-	o.spread(e, now, where)
-	if o.Checks%16 == 0 {
-		o.spread(e, now-clock.Real(o.Checks%7+1)*0.37e-3, where+" (historical)")
 	}
 }
 
 func (o *Oracle) spread(e *sim.Engine, t clock.Real, where string) {
+	if o.failed {
+		return
+	}
 	wlo, whi, wn := LiveSpread(e, t)
-	for read := 0; read < 2; read++ { // the second read is served from the pass, unchanged
+	for read := 0; read < 2; read++ { // the second read is served from the first's evaluation
 		lo, hi, n := e.LocalTimeSpread(t)
 		if bits(lo) != bits(wlo) || bits(hi) != bits(whi) || n != wn {
 			o.fail("%s, read %d at now=%v: LocalTimeSpread(%v) = (%v, %v, %d), live walk = (%v, %v, %d)",

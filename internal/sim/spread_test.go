@@ -4,7 +4,10 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/clock"
+	"repro/internal/core"
+	"repro/internal/exp"
 	"repro/internal/sim"
 	"repro/internal/sim/simtest"
 )
@@ -67,6 +70,22 @@ func TestLocalTimeSpreadMatchesLegacyScan(t *testing.T) {
 	}
 	if chk.Checks < 1000 {
 		t.Fatalf("only %d checks; workload too small to be meaningful", chk.Checks)
+	}
+}
+
+// TestKineticExtremesO1 pins what the kinetic extremes buy: on the flat
+// n = 101 mesh over 20 rounds, sampled before and after every delivery, at
+// most 1 % of the configurations the clock table evaluates take a full scan
+// of its rows; the rest are served from the two certificated extremes.
+func TestKineticExtremesO1(t *testing.T) {
+	res, err := exp.Run(exp.Workload{Cfg: core.Config{Params: analysis.Default(101, 33)}, Rounds: 20, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evals, scans := res.Runner.(*sim.Engine).TablePasses()
+	t.Logf("%d full scans over %d evaluations (%.3f %%)", scans, evals, 100*float64(scans)/float64(evals))
+	if evals < 100_000 || scans*100 > evals {
+		t.Fatalf("%d full scans over %d evaluations; want ≤ 1 %% of at least 10⁵", scans, evals)
 	}
 }
 
@@ -149,9 +168,9 @@ func (r *spreadReaders) Sample(e *sim.Engine, _ bool) {
 // the post-delivery sample point, three spread readers each — by driving
 // deliveries through the engine. "changed-corr" has every delivery move the
 // recipient's correction, so both sample points of an event are new
-// configurations and each costs one scan of the clock table; "unchanged"
+// configurations and each costs one evaluation of the clock table; "unchanged"
 // moves none (what ~(n+1)/(n+2) of a §4.2 run's deliveries look like), so the
-// post-delivery sample is served from the pre-delivery pass.
+// post-delivery sample is served from the pre-delivery evaluation.
 // "per-observer-rescan" is the pre-table reference: every reader walks
 // NonfaultyIDs × LocalTime itself. The same event stream with no sampler is
 // "engine-only"; subtract it to isolate the sampling.
