@@ -203,12 +203,10 @@ func EngineAdversary(b *testing.B) {
 // largeNRounds is how many synchronization rounds one LargeN op simulates.
 const largeNRounds = 10
 
-// largeNSystem is one LargeN op's system: the engine configuration, how many
-// shards run it (0: the sequential engine) and the horizon that completes
-// largeNRounds rounds.
+// largeNSystem is one LargeN op's system: the engine configuration and the
+// horizon that completes largeNRounds rounds.
 type largeNSystem struct {
 	cfg     sim.Config
-	shards  int
 	horizon clock.Real
 }
 
@@ -246,14 +244,14 @@ func largeNFlat(n, shards int) (largeNSystem, error) {
 			StartAt: starts,
 			Delay:   sim.UniformDelay{Delta: cfg.Delta, Eps: cfg.Eps},
 			Seed:    1,
+			Shards:  shards,
 		},
-		shards:  shards,
 		horizon: tmax0 + clock.Real(largeNRounds*cfg.P*(1+2*cfg.Rho)+2*cfg.Window()+cfg.Delta+1),
 	}, nil
 }
 
-// largeN is the one LargeN benchmark loop: per op, build the system, open
-// its runner, simulate largeNRounds maintenance rounds. events/sec is the
+// largeN is the one LargeN benchmark loop: per op, build the system and its
+// engine, simulate largeNRounds maintenance rounds. events/sec is the
 // headline metric (a flat round delivers ≈ n² messages inside one delay
 // window) and peak-queue-events the population one: the queue's high-water
 // mark — for a sharded run the largest per-shard one — ≈ n² pending copies
@@ -269,7 +267,7 @@ func largeN(build func() (largeNSystem, error)) func(*testing.B) {
 				b.Fatal(err)
 			}
 			sys.cfg.MaxSteps = 1 << 40
-			r, err := sim.NewRunner(sys.cfg, sys.shards)
+			r, err := sim.New(sys.cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -273,7 +273,7 @@ func (p *Proc) Receive(ctx *sim.Context, m sim.Message) {
 		// receive(m) from q: ARR[q] := local-time().
 		// With §9.3 staggering, q broadcast at Tⁱ + q·σ, so subtract q·σ
 		// to normalize the arrival to the unstaggered schedule.
-		p.rd.arr[m.From] = float64(p.local(ctx)) - p.cfg.Stagger*float64(m.From)
+		p.rd.arr[m.From] = float64(p.local(ctx)) - float64(p.cfg.Stagger*float64(m.From))
 
 	case (m.Kind == sim.KindStart || isOwnTimer(m)) && p.rd.flag == phaseBroadcast:
 		if p.exch == 0 {
@@ -282,7 +282,7 @@ func (p *Proc) Receive(ctx *sim.Context, m sim.Message) {
 		ctx.Broadcast(TMsg{Mark: p.rd.t})
 		// The window is extended to cover the staggered broadcast tail n·σ
 		// when σ > 0.
-		p.setTimer(ctx, p.rd.Collect(float64(p.cfg.N)*p.cfg.Stagger))
+		p.setTimer(ctx, p.rd.Collect(float64(float64(p.cfg.N)*p.cfg.Stagger)))
 
 	case isOwnTimer(m) && p.rd.flag == phaseUpdate:
 		p.update(ctx)

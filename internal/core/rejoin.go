@@ -110,7 +110,7 @@ func (r *Rejoiner) local(ctx *sim.Context) clock.Local { return ctx.PhysNow() + 
 // (senders within β, delays within ±ε), stretched by drift and by the
 // staggered-broadcast tail when σ > 0.
 func (r *Rejoiner) gatherWait() clock.Local {
-	return clock.Local((1 + r.cfg.Rho) * (r.cfg.Beta + 2*r.cfg.Eps + float64(r.cfg.N)*r.cfg.Stagger))
+	return clock.Local((1 + r.cfg.Rho) * (r.cfg.Beta + float64(2*r.cfg.Eps) + float64(float64(r.cfg.N)*r.cfg.Stagger)))
 }
 
 func (r *Rejoiner) gather(ctx *sim.Context, m sim.Message) {
@@ -128,7 +128,7 @@ func (r *Rejoiner) gather(ctx *sim.Context, m sim.Message) {
 	if math.IsInf(g.rd.arr[m.From], -1) {
 		g.count++
 	}
-	g.rd.Record(int(m.From), float64(r.local(ctx))-r.cfg.Stagger*float64(m.From))
+	g.rd.Record(int(m.From), float64(r.local(ctx))-float64(r.cfg.Stagger*float64(m.From)))
 }
 
 func (r *Rejoiner) closeGroup(ctx *sim.Context, mark clock.Local) {

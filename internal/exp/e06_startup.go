@@ -53,7 +53,7 @@ func RunStartup(cfg core.Config, spread float64, horizon clock.Real, seed int64)
 	for i := 0; i < rounds; i++ {
 		bSeries = append(bSeries, rec.SkewAtBegin(i))
 	}
-	final, _ = metrics.NonfaultySkew(res, res.Now())
+	final, _ = metrics.NonfaultySkew(res.Engine, res.Now())
 	return bSeries, final, nil
 }
 

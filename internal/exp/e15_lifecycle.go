@@ -63,7 +63,7 @@ func runE15() ([]*Table, error) {
 	t.AddRow("switch", "all processes on one epoch", Verdict(allSwitched), "message-free rule (core/switch.go)")
 	t.AddRow("maintain", "rounds completed", fmtInt(minRound), "-")
 	// Steady skew over the final two maintenance rounds.
-	steady, _ := metrics.NonfaultySkew(res, res.Now())
+	steady, _ := metrics.NonfaultySkew(res.Engine, res.Now())
 	t.AddRow("maintain", "final skew", FmtDur(steady), "γ = "+FmtDur(cfg.Gamma()))
 	// Maintenance adjustments only: the TagAdjust stream also contains the
 	// (large, legitimate) start-up corrections, so cut at the first

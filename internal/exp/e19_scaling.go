@@ -32,7 +32,7 @@ var e19ShardCounts = []int{1, 2, 8}
 // runE19 grows the conformance story to "n in the thousands": the paper's
 // algorithm on the real engine at n = 101 … 4001, partitioned across
 // shards with conservative time-window synchronization at lookahead δ−ε
-// (sim.NewSharded). Every row reports deterministic quantities — windows
+// (sim.Config.Shards). Every row reports deterministic quantities — windows
 // run, events delivered, copies sent, worst post-warmup skew at window cuts
 // — so the table doubles as a byte-exact oracle that executions are
 // independent of the shard count. The flat all-to-all message growth
@@ -94,8 +94,8 @@ func runE19() ([]*Table, error) {
 
 // e19ObserverTable runs the same workload through the experiment harness
 // (Workload.Shards) with the standard recorders and the full invariant
-// suite registered via ShardedEngine.Observe — the observer path that made
-// sharded runs measurable: samplers and annotation sinks fire at every
+// suite registered via Engine.Observe on the windowed engine — the observer
+// path that made sharded runs measurable: samplers and annotation sinks fire at every
 // window cut in a merged deterministic order, so the recorded skew, the
 // Theorem 16/19/4(a) verdicts, and the tables built from them are
 // shard-count independent. Rows start at k = 2; the table above has k = 1.
@@ -161,7 +161,7 @@ func e19ObsTrial(n, k int) (*e19ObsRun, error) {
 		return nil, err
 	}
 	r := &e19ObsRun{
-		windows:    res.windows(),
+		windows:    res.Windows(),
 		events:     res.Steps(),
 		msgs:       res.MessagesSent(),
 		maxSkew:    res.Skew.Max(),
@@ -193,7 +193,7 @@ func e19Trial(n, k int) (*e19Run, error) {
 		return nil, err
 	}
 	r := &e19Run{
-		windows: res.windows(),
+		windows: res.Windows(),
 		events:  res.Steps(),
 		msgs:    res.MessagesSent(),
 		maxSkew: res.Skew.MaxAfterWarmup(),

@@ -165,7 +165,7 @@ func e20Trial(n, c, k int) (*e20Run, error) {
 		return nil, err
 	}
 	r := &e20Run{
-		windows: res.windows(),
+		windows: res.Windows(),
 		events:  res.Steps(),
 		msgs:    res.MessagesSent(),
 		maxSkew: res.Skew.MaxAfterWarmup(),

@@ -109,7 +109,7 @@ func TestRunDefaults(t *testing.T) {
 	if res.Rounds.Rounds() < 5 {
 		t.Errorf("rounds = %d", res.Rounds.Rounds())
 	}
-	if res.Runner == nil || res.Skew == nil || res.Validity == nil {
+	if res.Engine == nil || res.Skew == nil || res.Validity == nil {
 		t.Error("result incomplete")
 	}
 }
@@ -157,8 +157,8 @@ func TestRunTwoTierWorkload(t *testing.T) {
 	if sh.MessagesSent() != plain.MessagesSent() || sh.MessagesSent() <= seq.MessagesSent() {
 		t.Errorf("messages: sharded %d, sequential %d, with a silent member %d", sh.MessagesSent(), plain.MessagesSent(), seq.MessagesSent())
 	}
-	if plain.windows() != 0 || sh.windows() == 0 {
-		t.Errorf("windows: sequential %d (want 0, it has none), sharded %d", plain.windows(), sh.windows())
+	if plain.Windows() != 0 || sh.Windows() == 0 {
+		t.Errorf("windows: sequential %d (want 0, it has none), sharded %d", plain.Windows(), sh.Windows())
 	}
 	_, err = Run(Workload{Hier: build(), Rounds: 4, CheckInvariants: true})
 	if err == nil || !strings.Contains(err.Error(), "CheckInvariants") {

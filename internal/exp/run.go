@@ -86,13 +86,13 @@ type Workload struct {
 	// bound) as engine observers; the verdicts land in Result.Invariants.
 	CheckInvariants bool
 
-	// Shards selects the engine (sim.NewRunner): 0 is the sequential one,
-	// k ≥ 1 the sharded time-window engine over k partitions, whose execution
-	// is byte-identical for every k. Workload features sharded mode rejects
-	// fail Run with a clear error: an Adversary or Timeline at engine
-	// construction, and per-delivery observers (e.g. sim.Tracer) at
-	// registration — the standard recorders and the invariant suite all
-	// sample at window barriers and work unchanged.
+	// Shards is sim.Config.Shards: 0 drains time-major, k ≥ 1 in lookahead
+	// windows over k partitions, one execution for every k. Workload
+	// features the windowed engine rejects fail Run with a clear error: an
+	// Adversary or Timeline at engine construction, and per-delivery
+	// observers (e.g. sim.Tracer) at registration — the standard recorders
+	// and the invariant suite all sample at window barriers and work
+	// unchanged.
 	Shards int
 }
 
@@ -139,10 +139,11 @@ func (w Workload) eventHint() int {
 
 // Result bundles the engine and the recorders after a run.
 type Result struct {
-	// Runner is whichever engine ran; its counters (Steps, MessagesSent,
-	// MessagesLost, QueuePeak, …) and its processes (Process, LocalTime,
-	// NonfaultyIDs, Faulty) read the same either way.
-	sim.Runner
+	// Engine is the engine that ran. Its counters (Steps, MessagesSent,
+	// MessagesLost, Windows, …) total every partition of a windowed one, and
+	// its processes (Process, LocalTime, NonfaultyIDs, Faulty) read the same
+	// either way.
+	*sim.Engine
 	// Skew is attached by every topology; Rounds and Validity by the flat
 	// mesh only.
 	Skew     *metrics.SkewRecorder
@@ -156,15 +157,6 @@ type Result struct {
 	HierAgreement *invariant.HierAgreement
 }
 
-// windows returns how many synchronization windows a sharded run executed;
-// 0 for the sequential engine, which has none.
-func (r *Result) windows() int {
-	if se, ok := r.Runner.(*sim.ShardedEngine); ok {
-		return se.Windows()
-	}
-	return 0
-}
-
 // assembly is a system ready to run: what a topology (or the §9.2 entry
 // points) hands the execute step.
 type assembly struct {
@@ -172,7 +164,6 @@ type assembly struct {
 	// into cfg.Procs.
 	cfg    sim.Config
 	faults map[sim.ProcID]func() sim.Process
-	shards int
 	// observers are registered in order.
 	observers []sim.Observer
 	horizon   clock.Real
@@ -180,9 +171,9 @@ type assembly struct {
 	res *Result
 }
 
-// execute is the run path, the one place an engine is built: open the
-// runner, substitute the faulty automata and flag them, register the
-// observers, run to the horizon, package the Result.
+// execute is the run path, the one place an engine is built: substitute the
+// faulty automata and flag them, build the engine, register the observers,
+// run to the horizon, package the Result.
 func execute(a assembly) (*Result, error) {
 	if len(a.faults) > 0 {
 		a.cfg.Faulty = make([]bool, len(a.cfg.Procs))
@@ -192,23 +183,23 @@ func execute(a assembly) (*Result, error) {
 			}
 		}
 	}
-	// NewRunner rejects what sharded mode cannot run (adversary, timeline,
+	// New rejects what the windowed engine cannot run (adversary, timeline,
 	// stateful channels), Observe a per-delivery observer there, each with
 	// its own error.
-	r, err := sim.NewRunner(a.cfg, a.shards)
+	e, err := sim.New(a.cfg)
 	if err != nil {
 		return nil, fmt.Errorf("exp: %w", err)
 	}
 	for _, o := range a.observers {
-		if err := r.Observe(o); err != nil {
+		if err := e.Observe(o); err != nil {
 			return nil, fmt.Errorf("exp: %w", err)
 		}
 	}
-	if err := r.Run(a.horizon); err != nil {
+	if err := e.Run(a.horizon); err != nil {
 		return nil, fmt.Errorf("exp: run: %w", err)
 	}
 	res := a.res
-	res.Runner, res.Horizon = r, a.horizon
+	res.Engine, res.Horizon = e, a.horizon
 	return res, nil
 }
 
@@ -313,9 +304,9 @@ func (w Workload) assembleFlat() assembly {
 			// The runaway guard grows with the workload: ≈ rounds+2
 			// all-to-all exchanges plus per-process timers, with slack.
 			MaxSteps: max(sim.DefaultMaxSteps, (rounds+4)*(max(cfg.K, 1)*n*n+4*n)),
+			Shards:   w.Shards,
 		},
 		faults:    w.Faults,
-		shards:    w.Shards,
 		observers: append(observers, w.Observers...),
 		horizon:   tmax0 + clock.Real(float64(rounds)*cfg.P*(1+2*cfg.Rho)+2*cfg.Window()+cfg.Delta+1),
 		res:       res,
@@ -328,7 +319,7 @@ func (w Workload) assembleFlat() assembly {
 func (w Workload) assembleTwoTier() assembly {
 	s := w.Hier
 	cfg := s.SimConfig(w.Rounds, w.Seed)
-	cfg.Channel, cfg.Adversary, cfg.Timeline = w.Channel, w.Adversary, w.Timeline
+	cfg.Channel, cfg.Adversary, cfg.Timeline, cfg.Shards = w.Channel, w.Adversary, w.Timeline, w.Shards
 	warm := s.Warmup(w.Rounds)
 	res := &Result{
 		HierAgreement: invariant.NewHierAgreement(s.Cfg.GammaComposed(), s.Cfg.GammaInner(), s.Cfg.ClusterSize, warm),
@@ -337,7 +328,6 @@ func (w Workload) assembleTwoTier() assembly {
 	return assembly{
 		cfg:       cfg,
 		faults:    w.Faults,
-		shards:    w.Shards,
 		observers: append([]sim.Observer{res.HierAgreement, res.Skew}, w.Observers...),
 		horizon:   s.Horizon(w.Rounds),
 		res:       res,

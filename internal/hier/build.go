@@ -113,7 +113,7 @@ func (s *System) SimConfig(rounds int, seed int64) sim.Config {
 func (s *System) Horizon(rounds int) clock.Real {
 	c := s.Cfg
 	return s.MaxStart + clock.Real(
-		float64(rounds)*c.P*(1+2*c.Rho)+2*c.OuterParams().Window()+c.OuterDelta+1)
+		float64(float64(rounds)*c.P*(1+float64(2*c.Rho)))+float64(2*c.OuterParams().Window())+c.OuterDelta+1)
 }
 
 // Warmup returns the real time after which steady-state invariants are

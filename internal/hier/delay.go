@@ -38,9 +38,9 @@ func NewClusteredDelay(cfg Config) ClusteredDelay {
 func (d ClusteredDelay) Sample(from, to sim.ProcID, _ clock.Real, rng *sim.RNG) float64 {
 	u := rng.Float64()
 	if d.Topology.ClusterOf(from) == d.Topology.ClusterOf(to) {
-		return d.InnerDelta - d.InnerEps + 2*d.InnerEps*u
+		return d.InnerDelta - d.InnerEps + float64(2*d.InnerEps*u)
 	}
-	return d.OuterDelta - d.OuterEps + 2*d.OuterEps*u
+	return d.OuterDelta - d.OuterEps + float64(2*d.OuterEps*u)
 }
 
 // Bounds implements sim.DelayModel: the enclosing envelope of both bands.

@@ -141,7 +141,7 @@ func (c Config) OuterParams() analysis.Params {
 	return analysis.Params{
 		N: c.Clusters(), F: c.FOut,
 		Rho: c.Rho, Delta: c.OuterDelta, Eps: c.OuterEps,
-		Beta: c.OuterBeta, P: c.P, T0: c.T0 + c.P/2,
+		Beta: c.OuterBeta, P: c.P, T0: c.T0 + float64(c.P/2),
 	}
 }
 
@@ -207,9 +207,9 @@ func (c Config) MsgsPerRound() float64 {
 	for j := 0; j < m; j++ {
 		lo, hi := cc.ClusterBounds(j)
 		size := float64(hi - lo)
-		total += size*size + (size - 1)
+		total += float64(size*size) + (size - 1)
 	}
-	total += float64(m) * (float64(m-1)*float64(cc.Candidates) + 1)
+	total += float64(float64(m) * (float64(float64(m-1)*float64(cc.Candidates)) + 1))
 	return total
 }
 

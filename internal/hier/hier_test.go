@@ -89,8 +89,9 @@ func TestDeterministicAcrossShards(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := s.SimConfig(rounds, 7)
+		cfg.Shards = k
 		horizon := s.Horizon(rounds)
-		se, err := sim.NewSharded(cfg, k)
+		se, err := sim.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,8 +212,8 @@ func TestClusteredDelayBounds(t *testing.T) {
 }
 
 // orderObserver records the merged annotation stream and the window-cut
-// sample times a sharded run dispatches — the full observable sequence an
-// experiment attached to a ShardedEngine would see.
+// sample times a windowed run dispatches — the full observable sequence an
+// experiment attached to it would see.
 type orderObserver struct {
 	anns []sim.Annotation
 	cuts []float64
@@ -237,7 +238,9 @@ func TestMergedWindowObserverOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		se, err := sim.NewSharded(s.SimConfig(rounds, 11), k)
+		cfg := s.SimConfig(rounds, 11)
+		cfg.Shards = k
+		se, err := sim.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

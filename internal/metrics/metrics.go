@@ -73,15 +73,12 @@ func (r *SkewRecorder) Series() []float64 { return r.series }
 
 // NonfaultySkew computes max−min of the nonfaulty local times at real time t.
 // ok is false when fewer than two nonfaulty processes expose local times.
-// The scan is delegated to the engine's LocalTimeSpread — any sim.Runner, or
-// the engine an observer is handed: at the current instant every observer
-// shares the one evaluation the engine makes per configuration — two
-// certificated rows, or a full scan inside their guard band — and a sample
-// that finds the configuration unchanged (most post-delivery samples) costs
-// nothing at all.
-func NonfaultySkew(e interface {
-	LocalTimeSpread(t clock.Real) (lo, hi clock.Local, count int)
-}, t clock.Real) (float64, bool) {
+// The scan is delegated to the engine's LocalTimeSpread: at the current
+// instant every observer shares the one evaluation the engine makes per
+// configuration — two certificated rows, or a full scan inside their guard
+// band — and a sample that finds the configuration unchanged (most
+// post-delivery samples) costs nothing at all.
+func NonfaultySkew(e *sim.Engine, t clock.Real) (float64, bool) {
 	lo, hi, count := e.LocalTimeSpread(t)
 	if count < 2 {
 		return 0, false

@@ -42,7 +42,7 @@ func TestSchedulerEquivalenceOnEngine(t *testing.T) {
 			StartAt: starts,
 			Delay:   UniformDelay{Delta: 4e-4, Eps: 1e-4},
 			Seed:    7,
-		}, nil, s)
+		}, s)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,10 +59,10 @@ import (
 //     breakpoint reloads the rows first and stays on the table;
 //   - a historical query (t ≠ now) is never cached, and walks live when t
 //     lies outside the segments the rows hold;
-//   - shard engines: a peer's correction moves inside another shard's
-//     window, outside this engine's Receive, so their scan is always live and
-//     the ShardedEngine advances shard 0's version at every window cut, where
-//     the observers fire.
+//   - a windowed engine's partitions: a peer's correction moves inside
+//     another partition's window, outside this engine's Receive, so their
+//     scan is always live and partition 0 advances its version at every
+//     window cut, where the observers fire.
 //
 // The table relies on the CorrHolder contract — during Run a process changes
 // only its own correction, and only inside its own Receive or a timeline
@@ -94,11 +94,11 @@ func (r *clockRow) scale() float64 {
 
 type clockTable struct {
 	ids   []ProcID      // nonfaulty CORR-holding processes, ascending; nil until first read
-	rows  []clockRow    // parallel to ids; nil on shard engines
+	rows  []clockRow    // parallel to ids; nil on partitions
 	lt    []clock.Local // parallel to ids: the local times of version ltVer
 	hist  []clock.Local // scratch of the same length for scans at t ≠ now
-	rowOf []int32       // ProcID → index into ids, −1 outside the table; nil on shard engines
-	// live routes the scan through At/Corr: a shard engine, or some row's
+	rowOf []int32       // ProcID → index into ids, −1 outside the table; nil on partitions
+	// live routes the scan through At/Corr: a partition, or some row's
 	// clock is not a *clock.PiecewiseLinear.
 	live bool
 	// Every row's segment is the one At reads over [from, until).
@@ -170,7 +170,7 @@ func (e *Engine) refresh() {
 	case e.tbl.ids == nil:
 		e.buildTable()
 	case e.acting >= 0:
-		if e.tbl.rowOf != nil { // a shard engine mirrors no corrections
+		if e.tbl.rowOf != nil { // a partition mirrors no corrections
 			e.rereadCorr(e.acting)
 		}
 	default: // actingAll

@@ -75,14 +75,14 @@ func TestOracleDifferential(t *testing.T) {
 			MakeProc:      func(sim.ProcID, clock.Local) sim.Process { return core.NewProc(cfg, 0) },
 			StartOverride: starts,
 		})
-		if evals, scans := res.Runner.(*sim.Engine).TablePasses(); scans != evals || res.Skew.Max() != 0 {
+		if evals, scans := res.TablePasses(); scans != evals || res.Skew.Max() != 0 {
 			t.Fatalf("%d of %d evaluations scanned, skew %v; want every one, tied", scans, evals, res.Skew.Max())
 		}
 	})
 	t.Run("kinetic/long", func(t *testing.T) {
 		res := run(t, exp.Workload{Cfg: cfg, Rounds: 10_000, Seed: 21})
 		// The oracle's own LocalTimes reads scan too, about 12 a round.
-		if evals, scans := res.Runner.(*sim.Engine).TablePasses(); scans*2 > evals {
+		if evals, scans := res.TablePasses(); scans*2 > evals {
 			t.Fatalf("%d of %d evaluations scanned; the certificates served too few", scans, evals)
 		}
 	})

@@ -85,7 +85,8 @@ type shardRun struct {
 
 func runOnShards(t *testing.T, cfg Config, k int, horizon clock.Real) *shardRun {
 	t.Helper()
-	se, err := NewSharded(cfg, k)
+	cfg.Shards = k
+	se, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,13 +166,16 @@ func TestShardedDeterminism(t *testing.T) {
 // the window count is a property of the execution's time structure, not of
 // the partition; every window is one barrier and none is batched; and the
 // samplers fire once per window cut plus once at the horizon (which here sits
-// in the quiet gap after round 10, past the last cut).
+// in the quiet gap after round 10, past the last cut). It runs through the
+// NewSharded shim the frozen benchmark builds with, and holds the shim to New
+// with Config.Shards = k: equal steps and windows.
 func TestShardedWindowAccounting(t *testing.T) {
 	const n = 64
 	const horizon = clock.Real(0.0108)
+	workload := func() Config { return shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil) }
 	windows := 0
 	for _, k := range []int{1, 2, 4, 8} {
-		se, err := NewSharded(shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil), k)
+		se, err := NewSharded(workload(), k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,6 +198,18 @@ func TestShardedWindowAccounting(t *testing.T) {
 		if len(at) != st.Windows+1 || at[len(at)-1] != horizon || at[len(at)-2] >= horizon {
 			t.Fatalf("k=%d: %d samples ending at %v for %d windows; want one per cut and one at the horizon %v",
 				k, len(at), at[max(0, len(at)-2):], st.Windows, horizon)
+		}
+		cfg := workload()
+		cfg.Shards = k
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Run(horizon); err != nil {
+			t.Fatal(err)
+		}
+		if e.Steps() != se.Steps() || e.Windows() != se.Windows() {
+			t.Fatalf("k=%d: New ran %d steps in %d windows, NewSharded %d in %d", k, e.Steps(), e.Windows(), se.Steps(), se.Windows())
 		}
 	}
 	if windows < 20 {
@@ -235,7 +251,8 @@ func TestShardedPanicNamesShard(t *testing.T) {
 		cfg.Procs[i] = &slowpoke{shardBeacon: shardBeacon{period: 1e-3}, running: &running}
 	}
 	cfg.Procs[victim] = &bomb{}
-	se, err := NewSharded(cfg, k)
+	cfg.Shards = k
+	se, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +291,8 @@ func TestShardedStepLimit(t *testing.T) {
 	for _, k := range []int{1, 4} {
 		cfg := shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
 		cfg.MaxSteps = limit
-		se, err := NewSharded(cfg, k)
+		cfg.Shards = k
+		se, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,13 +318,13 @@ func (p *peeker) Receive(ctx *Context, m Message) {
 }
 
 // TestShardedMidReceiveRead: the shared delivery loop marks the acting process
-// on shard engines too, whose clock table has no correction mirror to re-read;
+// on partitions too, whose clock table has no correction mirror to re-read;
 // a table read made inside a Receive there must scan live, not index the
 // missing mirror.
 func TestShardedMidReceiveRead(t *testing.T) {
 	const n = 4
 	cfg := shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
-	var se *ShardedEngine
+	var se *Engine
 	reads := 0
 	cfg.Procs[0] = &peeker{shardBeacon: shardBeacon{period: 1e-3}, peek: func() {
 		e := se.Shard(0)
@@ -315,7 +333,8 @@ func TestShardedMidReceiveRead(t *testing.T) {
 		}
 		reads++
 	}}
-	se, err := NewSharded(cfg, 1)
+	cfg.Shards = 1
+	se, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +494,8 @@ func TestShardedAdoptionBeforeWindow(t *testing.T) {
 	wantD, wantC := digests(seqCfg)
 
 	cfg := workload()
-	se, err := NewSharded(cfg, 2)
+	cfg.Shards = 2
+	se, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,7 +576,8 @@ func TestShardedLowerBoundEveryCopy(t *testing.T) {
 				cfg.Procs[i] = &testBeacon{period: 1e-3, unicast: true}
 			}
 		}
-		se, err := NewSharded(cfg, 2)
+		cfg.Shards = 2
+		se, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -567,7 +588,8 @@ func TestShardedLowerBoundEveryCopy(t *testing.T) {
 	}
 }
 
-// TestNewShardedValidation walks the constructor's rejection table: every
+// TestNewShardedValidation walks New's windowed rejection table through the
+// NewSharded shim (New with Shards = k, plus its own refusal of k = 0): every
 // unsupported configuration must fail loudly at build time, never silently
 // fall back to wrong parallel semantics.
 func TestNewShardedValidation(t *testing.T) {
@@ -655,7 +677,9 @@ func TestShardedObservers(t *testing.T) {
 	delay := UniformDelay{Delta: 4e-4, Eps: 1e-4}
 	const n = 48
 	run := func(k int) *windowProbe {
-		se, err := NewSharded(annotWorkload(n, delay), k)
+		cfg := annotWorkload(n, delay)
+		cfg.Shards = k
+		se, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -698,7 +722,9 @@ func TestShardedObservers(t *testing.T) {
 		}
 	}
 
-	se, err := NewSharded(shardWorkload(8, delay, nil), 2)
+	cfg := shardWorkload(8, delay, nil)
+	cfg.Shards = 2
+	se, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -720,7 +746,9 @@ func TestShardedObservers(t *testing.T) {
 // and callers hand-rolled the sample.
 func TestShardedRunSamplesHorizon(t *testing.T) {
 	const horizon = clock.Real(0.8e-3) // round 0 lands by ~0.6ms; round 1 fires at 1ms
-	se, err := NewSharded(shardWorkload(16, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil), 4)
+	cfg := shardWorkload(16, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
+	cfg.Shards = 4
+	se, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -766,7 +794,8 @@ func TestLazySlabSizing(t *testing.T) {
 		if got := hdrs(e); got != 4*n+16 {
 			t.Errorf("hint %d: sequential header store holds %d, want %d", hint, got, 4*n+16)
 		}
-		se, err := NewSharded(cfg, k)
+		cfg.Shards = k
+		se, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -795,7 +824,8 @@ func TestShardedEventHintScaling(t *testing.T) {
 	const n, k = 1024, 8
 	cfg := shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
 	cfg.EventHint = n*n + 2*n + 8 // the whole-system figure exp.Run would pass
-	se, err := NewSharded(cfg, k)
+	cfg.Shards = k
+	se, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -810,7 +840,8 @@ func TestShardedEventHintScaling(t *testing.T) {
 	}
 	// The per-shard defaults (hint unset) must likewise be per-shard sized.
 	cfg2 := shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
-	se2, err := NewSharded(cfg2, k)
+	cfg2.Shards = k
+	se2, err := New(cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -835,7 +866,9 @@ func TestShardedTopologyEdges(t *testing.T) {
 		}
 	})
 	t.Run("more shards than processes", func(t *testing.T) {
-		_, err := NewSharded(shardWorkload(4, delay, nil), 5)
+		cfg := shardWorkload(4, delay, nil)
+		cfg.Shards = 5
+		_, err := New(cfg)
 		if err == nil || !strings.Contains(err.Error(), "shards") {
 			t.Fatalf("k>n not rejected: %v", err)
 		}
@@ -881,7 +914,9 @@ func TestShardedTopologyEdges(t *testing.T) {
 // cap it implies is a row of TestNewValidation and TestNewShardedValidation.
 func TestShardedSeqPacking(t *testing.T) {
 	delay := UniformDelay{Delta: 4e-4, Eps: 1e-4}
-	se, err := NewSharded(shardWorkload(10, delay, nil), 2)
+	cfg := shardWorkload(10, delay, nil)
+	cfg.Shards = 2
+	se, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -939,7 +974,8 @@ func TestShardedStress(t *testing.T) {
 	}
 	const n = 192
 	cfg := shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
-	se, err := NewSharded(cfg, 4)
+	cfg.Shards = 4
+	se, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

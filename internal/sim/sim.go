@@ -32,6 +32,12 @@
 // steady state performs zero allocations per delivered event (enforced in CI
 // by TestEngineSteadyStateAllocs in internal/bench, which gates the same
 // workload the engine benchmarks measure).
+//
+// One Engine type runs every execution, and New is its one constructor.
+// Config.Shards = 0 drains the buffer time-major, observers sampling at every
+// delivery; Shards = k ≥ 1 partitions the processes into k blocks drained in
+// parallel lookahead windows and samples at the window cuts (shard.go). The
+// two run one execution: they differ only in when observers sample it.
 package sim
 
 import (
@@ -118,8 +124,8 @@ type Process interface {
 // at any other moment (a peer writing it, a goroutine, an observer poking
 // it) makes LocalTimeSpread and LocalTimes serve a stale value. The oracle
 // differential test (oracle_test.go) fails, naming the process, the time and
-// both values, when an automaton breaks this. Sharded engines are exempt:
-// they do not mirror corrections.
+// both values, when an automaton breaks this. A windowed engine (Config.Shards
+// ≥ 1) is exempt: it mirrors no corrections and scans them live at the cuts.
 type CorrHolder interface {
 	Corr() clock.Local
 }
@@ -185,7 +191,7 @@ type Config struct {
 	// wrapper processes) applied at scheduled real times, interleaved
 	// deterministically with deliveries. See timeline.go; the scenario DSL
 	// (internal/scenario) compiles its event scripts onto this. Not
-	// supported by sharded engines.
+	// supported with Shards ≥ 1.
 	Timeline []TimedAction
 	// EventHint is the expected peak number of buffered events. A hint
 	// pre-sizes the queue's backing stores so large-n runs skip
@@ -194,6 +200,11 @@ type Config struct {
 	// the process count: a round keeps ≈ n² broadcast copies plus a timer
 	// per process in flight (DefaultEventHint).
 	EventHint int
+	// Shards selects how Run drains the buffer: 0 time-major, observers
+	// sampling at every delivery; k ≥ 1 in lookahead windows over k
+	// partitions, observers sampling at the window cuts (shard.go). k = 1
+	// is still windowed. Both run one execution.
+	Shards int
 }
 
 // BroadcastAuto is the ignored first argument of DefaultEventHint, kept
@@ -250,17 +261,17 @@ type Engine struct {
 	seqFromShift uint
 	sidxMax      uint64
 
-	// Sharded-execution plumbing, nil for the sequential engine (see
-	// shard.go): local marks the processes this engine owns, and cross-shard
-	// traffic accumulates in out (one shardLink per destination shard) until
-	// the window barrier exchanges it.
+	// A partition's plumbing, nil in time-major mode (see shard.go): local
+	// marks the processes this partition owns, shardOf every process's
+	// partition, and cross-partition traffic accumulates in out (one
+	// shardLink per destination) until the window barrier exchanges it.
 	local   []bool
 	shardOf []int32
 	out     []shardLink
 
-	// Sharded annotation capture: when the ShardedEngine has annotation
-	// sinks, per-delivery annotations buffer here (reused across windows)
-	// and dispatch in merged deterministic order at the window cut.
+	// Windowed annotation capture: when the engine has annotation sinks,
+	// per-delivery annotations buffer here (reused across windows) and
+	// dispatch in merged deterministic order at the window cut.
 	annotCapture bool
 	annotBuf     []Annotation
 
@@ -287,24 +298,30 @@ type Engine struct {
 	msgsLost     int64 // copies dropped by the channel
 	timersSet    int64
 	timersLapsed int64 // timers requested for the past (dropped per §2.2)
+	// bad is the first copy a send filed outside [now, +Inf); Run reports
+	// it once the drain (or the window) ends.
+	bad error
+
+	// The windowed engine, on partition 0 only (shard.go): parts is every
+	// partition, this one first. Its observers fire at the cuts from their
+	// own slices, so drain, which partition 0 runs too, never calls them.
+	parts       []*Engine
+	lookahead   float64 // L = δ−ε
+	windows     int
+	cutSamplers []Sampler
+	cutAnnots   []AnnotationSink
+	annotMerge  []Annotation // reused window-merge scratch
 }
 
 // DefaultMaxSteps is the runaway guard Config.MaxSteps defaults to.
 const DefaultMaxSteps = 10_000_000
 
-// New validates the configuration and builds an engine with the START
-// messages pending, matching the initial buffer state of §2.2.
+// New validates the configuration and builds the engine with the START
+// messages pending, matching the initial buffer state of §2.2. With
+// Config.Shards = k ≥ 1 the engine returned is partition 0 of k: it drives
+// the windows, observers read it, and its counters total every partition's.
 func New(cfg Config) (*Engine, error) {
-	return newEngine(cfg, nil, schedAuto)
-}
-
-// shardSetup carries the per-shard wiring NewSharded injects: which
-// processes this engine owns and how many sibling shards exist.
-type shardSetup struct {
-	local  []bool
-	owned  int // how many processes local marks
-	owner  []int32
-	shards int
+	return newEngine(cfg, schedAuto)
 }
 
 // sender is one process's share of the numbering: its delay stream and the
@@ -324,41 +341,61 @@ const maxProcs = 1 << 17
 // sequence keys would overflow.
 var ErrTooManyProcs = fmt.Errorf("sim: system exceeds the %d-process cap of packed sequence keys", maxProcs)
 
-// newEngine builds a sequential engine (sh == nil) or one shard's. mode is
-// schedAuto except in this package's tests and benchmarks, which force the
-// heap or the calendar to compare them.
-func newEngine(cfg Config, sh *shardSetup, mode schedMode) (*Engine, error) {
+// newEngine validates cfg and builds its engine. mode is schedAuto except in
+// this package's tests and benchmarks, which force the heap or the calendar
+// to compare them.
+func newEngine(cfg Config, mode schedMode) (*Engine, error) {
+	if err := validate(cfg); err != nil {
+		return nil, err
+	}
+	if cfg.Shards == 0 {
+		return newPartition(cfg, nil, 0, mode)
+	}
+	return newWindowed(cfg, mode)
+}
+
+// validate is the one check of a configuration, for either drain.
+func validate(cfg Config) error {
 	n := len(cfg.Procs)
 	if n == 0 {
-		return nil, errors.New("sim: no processes")
+		return errors.New("sim: no processes")
 	}
 	if n > maxProcs {
-		return nil, fmt.Errorf("%w: n=%d", ErrTooManyProcs, n)
+		return fmt.Errorf("%w: n=%d", ErrTooManyProcs, n)
 	}
 	if len(cfg.Clocks) != n {
-		return nil, fmt.Errorf("sim: %d clocks for %d processes", len(cfg.Clocks), n)
+		return fmt.Errorf("sim: %d clocks for %d processes", len(cfg.Clocks), n)
 	}
 	if len(cfg.StartAt) != n {
-		return nil, fmt.Errorf("sim: %d start times for %d processes", len(cfg.StartAt), n)
+		return fmt.Errorf("sim: %d start times for %d processes", len(cfg.StartAt), n)
 	}
 	if cfg.Faulty != nil && len(cfg.Faulty) != n {
-		return nil, fmt.Errorf("sim: %d faulty flags for %d processes", len(cfg.Faulty), n)
+		return fmt.Errorf("sim: %d faulty flags for %d processes", len(cfg.Faulty), n)
 	}
 	for i, p := range cfg.Procs {
 		if p == nil {
-			return nil, fmt.Errorf("sim: process %d is nil", i)
+			return fmt.Errorf("sim: process %d is nil", i)
 		}
 		if cfg.Clocks[i] == nil {
-			return nil, fmt.Errorf("sim: clock %d is nil", i)
+			return fmt.Errorf("sim: clock %d is nil", i)
 		}
 	}
-	delay := cfg.Delay
-	if delay == nil {
-		return nil, errors.New("sim: nil delay model")
+	if cfg.Delay == nil {
+		return errors.New("sim: nil delay model")
 	}
-	if d, eps := delay.Bounds(); d < eps || eps < 0 {
-		return nil, fmt.Errorf("sim: delay bounds δ=%v ε=%v violate assumption A3 (0 ≤ ε ≤ δ)", d, eps)
+	if d, eps := cfg.Delay.Bounds(); d < eps || eps < 0 {
+		return fmt.Errorf("sim: delay bounds δ=%v ε=%v violate assumption A3 (0 ≤ ε ≤ δ)", d, eps)
 	}
+	if cfg.Shards != 0 {
+		return validateWindowed(cfg)
+	}
+	return nil
+}
+
+// newPartition builds the time-major engine (owner == nil) or partition s
+// of a windowed one, whose processes are those owner maps to s.
+func newPartition(cfg Config, owner []int32, s int, mode schedMode) (*Engine, error) {
+	n := len(cfg.Procs)
 	ch := cfg.Channel
 	if ch == nil {
 		ch = FullMesh{}
@@ -381,13 +418,13 @@ func newEngine(cfg Config, sh *shardSetup, mode schedMode) (*Engine, error) {
 		acting:   actingNone,
 	}
 	e.ctx.eng = e
+	d, eps := cfg.Delay.Bounds()
 	// Assemble the delivery pipeline, classifying each stage's capabilities
 	// (batch fast paths, the full-mesh inline route, adversary hooks) once.
 	if cfg.Adversary != nil {
-		d, eps := delay.Bounds()
 		e.advCtl = newAdversaryController(e, cfg.Adversary, d, eps)
 	}
-	e.pipe = newPipeline(delay, ch, e.advCtl)
+	e.pipe = newPipeline(cfg.Delay, ch, e.advCtl)
 	e.bcastDelay = make([]float64, n)
 	e.bcastAt = make([]clock.Real, n)
 	e.bcastOK = make([]bool, n)
@@ -413,11 +450,6 @@ func newEngine(cfg Config, sh *shardSetup, mode schedMode) (*Engine, error) {
 	for i := range e.senders {
 		e.senders[i].rng = NewRNG(senderSeed(cfg.Seed, ProcID(i)))
 	}
-	if sh != nil {
-		e.local = sh.local
-		e.shardOf = sh.owner
-		e.out = newShardLinks(sh.shards)
-	}
 	// Pre-size the queue's backing stores for the expected peak population
 	// (see Config.EventHint), unless the workload supplied a sharper hint.
 	// The hint also decides the scheduler shape up front (see schedMode), so
@@ -426,24 +458,42 @@ func newEngine(cfg Config, sh *shardSetup, mode schedMode) (*Engine, error) {
 	// all-to-all rounds (n copies per owned process) leaves the header store
 	// small, a smaller one describes sparser traffic — hier's unicast tiers —
 	// and sizes the store as it stands.
-	hint := cfg.EventHint
+	hint, owned := cfg.EventHint, n
 	if hint <= 0 {
 		hint = DefaultEventHint(BroadcastAuto, n)
 	}
-	owned := n
-	if sh != nil {
-		owned = sh.owned
+	if owner != nil {
+		e.local = make([]bool, n)
+		owned = 0
+		for i, o := range owner {
+			if int(o) == s {
+				e.local[i] = true
+				owned++
+			}
+		}
+		e.shardOf = owner
+		e.out = newShardLinks(cfg.Shards)
+		if k := cfg.Shards; cfg.EventHint > 0 {
+			// A caller-supplied hint describes the whole system; a partition
+			// only ever buffers its own processes' share — roughly hint/k.
+			// Passing the whole-system figure through would oversize every
+			// partition's stores k-fold (TestShardedEventHintScaling pins this).
+			hint = cfg.EventHint/k + n + 2*(n/k) + 16
+		} else {
+			// The local copies of every in-flight fan-out plus the
+			// partition's own timers.
+			hint = n*owned + 2*owned + 8
+		}
 	}
 	msgs := hint
 	if hint >= n*owned {
 		msgs = 4*n + 16
 	}
-	d, eps := delay.Bounds()
 	e.queue.init(mode, hint, d, eps)
 	e.queue.grow(hint, msgs)
 	for i := 0; i < n; i++ {
 		if e.local != nil && !e.local[i] {
-			continue // sharded: a process STARTs on its home shard only
+			continue // a process STARTs on its own partition only
 		}
 		e.push(Message{
 			From:      ProcID(i),
@@ -459,22 +509,42 @@ func newEngine(cfg Config, sh *shardSetup, mode schedMode) (*Engine, error) {
 // Observe registers an observer, classifying it once by capability. Must be
 // called before Run. An o that implements none of the observer interfaces is
 // an error — such a registration would silently observe nothing.
+//
+// On a windowed engine Samplers fire once per window, at the cut, and
+// annotations emitted inside a window are buffered per partition and
+// dispatched at the cut in a deterministic merged order (sorted by (At,
+// Proc); per-process emission order preserved) — identical for every k. A
+// DeliveryObserver is an error there: inside a window, deliveries on
+// different partitions have no global order to replay.
 func (e *Engine) Observe(o Observer) error {
-	matched := false
-	if s, ok := o.(Sampler); ok {
-		e.samplers = append(e.samplers, s)
-		matched = true
-	}
-	if a, ok := o.(AnnotationSink); ok {
-		e.annots = append(e.annots, a)
-		matched = true
-	}
-	if d, ok := o.(DeliveryObserver); ok {
-		e.delivery = append(e.delivery, d)
-		matched = true
-	}
-	if !matched {
+	s, isSampler := o.(Sampler)
+	a, isSink := o.(AnnotationSink)
+	d, isDelivery := o.(DeliveryObserver)
+	switch {
+	case !isSampler && !isSink && !isDelivery:
 		return fmt.Errorf("sim: Observe(%T): type implements none of Sampler, AnnotationSink, DeliveryObserver", o)
+	case e.parts == nil:
+		if isSampler {
+			e.samplers = append(e.samplers, s)
+		}
+		if isSink {
+			e.annots = append(e.annots, a)
+		}
+		if isDelivery {
+			e.delivery = append(e.delivery, d)
+		}
+	case isDelivery:
+		return fmt.Errorf("sim: sharded execution cannot run per-delivery observer %T (deliveries inside a window have no deterministic global order; use Sampler/AnnotationSink observers, sampled at window barriers)", o)
+	default:
+		if isSampler {
+			e.cutSamplers = append(e.cutSamplers, s)
+		}
+		if isSink {
+			e.cutAnnots = append(e.cutAnnots, a)
+			for _, p := range e.parts {
+				p.annotCapture = true
+			}
+		}
 	}
 	return nil
 }
@@ -482,31 +552,53 @@ func (e *Engine) Observe(o Observer) error {
 // N returns the number of processes.
 func (e *Engine) N() int { return len(e.procs) }
 
-// Now returns the current real time (the delivery time of the last action).
+// Now returns the current real time (the delivery time of the last action;
+// on a windowed engine, the last window cut).
 func (e *Engine) Now() clock.Real { return e.now }
 
+// total is f of the time-major engine, or f summed over the partitions of a
+// windowed one.
+func total[T int | int64](e *Engine, f func(*Engine) T) T {
+	if e.parts == nil {
+		return f(e)
+	}
+	var t T
+	for _, p := range e.parts {
+		t += f(p)
+	}
+	return t
+}
+
 // Steps returns the number of delivered messages so far.
-func (e *Engine) Steps() int { return e.steps }
+func (e *Engine) Steps() int { return total(e, func(p *Engine) int { return p.steps }) }
 
 // QueueLen returns the number of pending events: buffered messages and
 // timers, and every undelivered copy of a broadcast.
 func (e *Engine) QueueLen() int { return e.queue.len() }
 
 // QueuePeak returns the high-water mark of QueueLen over the execution — a
-// round peaks at ≈ n² pending copies. The benchjson memory metric reports
-// this.
-func (e *Engine) QueuePeak() int { return e.queue.peak }
+// round peaks at ≈ n² pending copies; on a windowed engine, the largest
+// partition's. The benchjson memory metric reports this.
+func (e *Engine) QueuePeak() int {
+	peak := e.queue.peak
+	for _, p := range e.parts {
+		peak = max(peak, p.queue.peak)
+	}
+	return peak
+}
 
 // MessagesSent returns the count of ordinary message copies scheduled so far
 // (the paper's per-round message complexity derives from this).
-func (e *Engine) MessagesSent() int64 { return e.msgsSent }
+func (e *Engine) MessagesSent() int64 { return total(e, func(p *Engine) int64 { return p.msgsSent }) }
 
 // MessagesLost returns copies dropped by the channel (nonzero only for lossy
 // channels such as the §9.3 Ethernet model).
-func (e *Engine) MessagesLost() int64 { return e.msgsLost }
+func (e *Engine) MessagesLost() int64 { return total(e, func(p *Engine) int64 { return p.msgsLost }) }
 
 // TimersLapsed returns how many set-timer calls named a time already past.
-func (e *Engine) TimersLapsed() int64 { return e.timersLapsed }
+func (e *Engine) TimersLapsed() int64 {
+	return total(e, func(p *Engine) int64 { return p.timersLapsed })
+}
 
 // Faulty reports whether p is marked faulty in the configuration.
 func (e *Engine) Faulty(p ProcID) bool { return e.faulty[p] }
@@ -546,16 +638,26 @@ func (e *Engine) Pipeline() *Pipeline { return &e.pipe }
 // adversary is installed.
 func (e *Engine) Adversary() *AdversaryController { return e.advCtl }
 
-// Run processes events in delivery order until the queue empties, real time
-// would exceed until, or the step limit is hit (an error). It may be called
-// repeatedly with increasing horizons.
+// Run processes events in delivery order until the queue empties or real
+// time would exceed until — time-major, or window by window on a windowed
+// engine — and ends by advancing the clock to until and sampling there. The
+// step limit is an error, and so is a copy a delay model sent to a NaN,
+// infinite or past delivery time. Run may be called repeatedly with
+// increasing horizons.
 func (e *Engine) Run(until clock.Real) error {
+	if e.parts != nil {
+		return e.runWindows(until)
+	}
 	if e.tbl.ids != nil {
 		// Between runs the caller owns the processes and may have changed
 		// any correction; start from what they hold now.
 		e.loadTable()
 	}
-	if err := e.drain(clock.Real(math.Inf(1)), until); err != nil {
+	err := e.drain(clock.Real(math.Inf(1)), until)
+	if e.bad != nil {
+		err = e.bad
+	}
+	if err != nil {
 		return err
 	}
 	// Advance the clock to the horizon so metrics sampled at e.Now() reflect
@@ -571,14 +673,14 @@ func (e *Engine) Run(until clock.Real) error {
 }
 
 // drain is the one delivery loop: it delivers, in (DeliverAt, seq) order,
-// every pending event strictly before hi and at or before until. Run drains
-// with hi = +Inf; a shard's window (ShardedEngine.Run) is drain(hi, until)
-// with a finite hi, on an engine where every sequential-only branch below is
-// a never-taken comparison — a shard engine has no samplers, delivery
-// observers, adversary or timeline of its own, and mirrors no corrections.
-// There it is the only engine code that runs concurrently: each shard touches
-// its own queue, links and processes' state; clocks and remote corrections
-// are read-only.
+// every pending event strictly before hi and at or before until. Time-major
+// Run drains with hi = +Inf; a partition's share of a window (runWindows) is
+// drain(hi, until) with a finite hi, on an engine where every time-major-only
+// branch below is a never-taken comparison — a partition has no samplers,
+// delivery observers, adversary or timeline in drain's slices, and mirrors no
+// corrections. There it is the only engine code that runs concurrently: each
+// partition touches its own queue, links and processes' state; clocks and
+// remote corrections are read-only.
 func (e *Engine) drain(hi, until clock.Real) error {
 	var m Message
 	for {
@@ -649,8 +751,8 @@ func (e *Engine) annotate(p ProcID, tag string, v float64) {
 	// Engine.table, which re-reads the acting process first.
 	a := Annotation{At: e.now, Proc: p, Tag: tag, Value: v}
 	if e.annotCapture {
-		// Sharded execution: buffer for deterministic merged dispatch at
-		// the window cut (see ShardedEngine.dispatchAnnotations).
+		// Windowed execution: buffer for deterministic merged dispatch at
+		// the window cut (see Engine.dispatchAnnotations).
 		e.annotBuf = append(e.annotBuf, a)
 		return
 	}
@@ -666,8 +768,8 @@ func (e *Engine) annotate(p ProcID, tag string, v float64) {
 // stage — when installed — retimes each copy inside its clamp envelope, and
 // the route stage maps them to delivery times in one pass. Per-copy
 // accounting and send hooks then run in pid order, and the surviving copies
-// are filed under one shared header (in sharded mode the remote ones go onto
-// the link to their shard). The copies share one send index, so their keys
+// are filed under one shared header (on a windowed engine the remote ones go
+// onto the link to their partition). The copies share one send index, so their keys
 // order as n successive Send calls to q = 0..n−1 would; with the delay
 // stream, any channel state (e.g. Ether contention), the hook calls and the
 // sent/lost counters, that makes the two one execution —
@@ -680,6 +782,11 @@ func (e *Engine) Broadcast(from ProcID, payload any) {
 	for q := range ok {
 		if !ok[q] {
 			e.msgsLost++
+			continue
+		}
+		if !(at[q] >= e.now && at[q] <= math.MaxFloat64) { // NaN fails both
+			e.badCopy(from, ProcID(q), at[q])
+			ok[q] = false
 			continue
 		}
 		e.msgsSent++
@@ -710,6 +817,10 @@ func (e *Engine) send(from, to ProcID, payload any) {
 		e.msgsLost++
 		return
 	}
+	if !(at >= e.now && at <= math.MaxFloat64) { // NaN fails both
+		e.badCopy(from, to, at)
+		return
+	}
 	e.msgsSent++
 	m := Message{From: from, To: to, Kind: KindOrdinary, Payload: payload, SentAt: e.now, DeliverAt: at}
 	if e.advCtl != nil {
@@ -718,9 +829,20 @@ func (e *Engine) send(from, to ProcID, payload any) {
 	e.push(m)
 }
 
+// badCopy drops a copy whose delivery time is not a finite time at or after
+// its send — the buffer delivers forward in real time (§2.2) — and keeps the
+// first for Run to report. Finite, forward delays outside [δ−ε, δ+ε] stay
+// legal: experiments break A3 on purpose.
+func (e *Engine) badCopy(from, to ProcID, at clock.Real) {
+	if e.bad == nil {
+		e.bad = fmt.Errorf("sim: delay model %T sent copy %d→%d at t=%v for delivery at t=%v; a delivery time must be finite and not before the send",
+			e.pipe.Delay.Model(), from, to, e.now, at)
+	}
+}
+
 // push buffers a single-copy message under its sender's next packed key;
-// in a shard engine a copy for a process another shard owns goes onto the
-// link to that shard.
+// on a partition a copy for a process another partition owns goes onto the
+// link to that partition.
 func (e *Engine) push(m Message) {
 	s := &e.senders[m.From]
 	seq := e.packSeq(m.From, s.sidx, m.To)

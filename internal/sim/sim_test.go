@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -68,6 +69,7 @@ func TestNewValidation(t *testing.T) {
 		{"delay violates A3: negative delta", func(c *Config) { c.Delay = ConstantDelay{Delta: -1} }, nil},
 		// Rejected before any engine is built, so nil procs are fine here.
 		{"over the process cap", func(c *Config) { c.Procs = make([]Process, maxProcs+1) }, ErrTooManyProcs},
+		{"negative shards", func(c *Config) { c.Shards = -1 }, nil},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -87,6 +89,54 @@ func TestNewValidation(t *testing.T) {
 	edge.Delay = UniformDelay{Delta: 1, Eps: 1}
 	if _, err := New(edge); err != nil {
 		t.Errorf("boundary δ=ε rejected: %v", err)
+	}
+}
+
+// badCopyDelay delays the 0→1 copy by d and every other copy by δ.
+type badCopyDelay struct{ d float64 }
+
+func (m badCopyDelay) Sample(from, to ProcID, _ clock.Real, _ *RNG) float64 {
+	if from == 0 && to == 1 {
+		return m.d
+	}
+	return 0.01
+}
+
+func (badCopyDelay) Bounds() (float64, float64) { return 0.01, 0.001 }
+
+// TestBadDeliveryTime: a delay model that sends a copy to a NaN, infinite or
+// past delivery time makes Run fail, naming the model, the copy and both
+// times — on either drain, from a broadcast or a unicast. At Shards = 2,
+// processes 0 and 1 share a partition, so no link's lower-bound check sees
+// the copy.
+func TestBadDeliveryTime(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), -0.5} {
+		for _, shards := range []int{0, 2} {
+			for _, unicast := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%v/shards=%d/unicast=%v", bad, shards, unicast), func(t *testing.T) {
+					procs := make([]Process, 4)
+					for i := range procs {
+						procs[i] = &testBeacon{period: 1, unicast: unicast}
+					}
+					e, err := New(Config{
+						Procs: procs, Clocks: perfectClocks(4), StartAt: starts(4, 1),
+						Delay: badCopyDelay{bad}, Shards: shards,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					err = e.Run(10)
+					if err == nil {
+						t.Fatalf("Run = nil after a copy to t=%v; %d sent, %d steps", 1+bad, e.MessagesSent(), e.Steps())
+					}
+					for _, want := range []string{"sim.badCopyDelay", "copy 0→1 at t=1 ", fmt.Sprintf("delivery at t=%v;", 1+bad)} {
+						if !strings.Contains(err.Error(), want) {
+							t.Errorf("error %q does not name %q", err, want)
+						}
+					}
+				})
+			}
+		}
 	}
 }
 
@@ -635,7 +685,7 @@ func TestContextRandDeterministicAndPerProcess(t *testing.T) {
 // TestObserveClassification checks the registration-time split: a type
 // implementing only some observer interfaces is called back only on those,
 // and registering a type implementing none is a named error instead of
-// silently observing nothing — on either engine, through sim.Runner.
+// silently observing nothing — time-major or windowed.
 func TestObserveClassification(t *testing.T) {
 	rec := &recorder{}
 	rec.onStart = func(ctx *Context) { ctx.Annotate("a", 1) }
@@ -653,10 +703,10 @@ func TestObserveClassification(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{0, 1} {
-		r, err := NewRunner(Config{
+		r, err := New(Config{
 			Procs: []Process{&recorder{}}, Clocks: perfectClocks(1), StartAt: starts(1, 0),
-			Delay: ConstantDelay{Delta: 0.01},
-		}, shards)
+			Delay: ConstantDelay{Delta: 0.01}, Shards: shards,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -81,7 +81,7 @@ func (o *Oracle) OnAnnotation(e *sim.Engine, a sim.Annotation) { o.Check(e, "ann
 func (o *Oracle) OnDeliver(e *sim.Engine, _ sim.Message) { o.Check(e, "delivery") }
 
 // AtCuts returns the oracle as a Sampler and AnnotationSink only, which is
-// what sim.ShardedEngine.Observe accepts.
+// what Engine.Observe accepts on a windowed engine (sim.Config.Shards ≥ 1).
 func (o *Oracle) AtCuts() sim.Observer { return atCuts{o} }
 
 type atCuts struct{ o *Oracle }

@@ -82,7 +82,7 @@ func TestKineticExtremesO1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evals, scans := res.Runner.(*sim.Engine).TablePasses()
+	evals, scans := res.TablePasses()
 	t.Logf("%d full scans over %d evaluations (%.3f %%)", scans, evals, 100*float64(scans)/float64(evals))
 	if evals < 100_000 || scans*100 > evals {
 		t.Fatalf("%d full scans over %d evaluations; want ≤ 1 %% of at least 10⁵", scans, evals)

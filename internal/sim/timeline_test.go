@@ -287,8 +287,9 @@ func TestTimelineNilDo(t *testing.T) {
 func TestShardedRejectsTimeline(t *testing.T) {
 	cfg := pingConfig(4, func(c *Config) {
 		c.Timeline = []TimedAction{{At: 1, Name: "x", Do: func(*Engine) {}}}
+		c.Shards = 2
 	})
-	if _, err := NewSharded(cfg, 2); err == nil {
+	if _, err := New(cfg); err == nil {
 		t.Error("sharded engine accepted a timeline")
 	}
 }

@@ -59,26 +59,32 @@ func selectorOf(n ast.Node, pkg string) (string, bool) {
 
 // TestOneRunPath pins the structure the harness is built on: outside the
 // engine's own package and the engine benchmarks, exactly one function opens
-// an engine — the execute step in internal/exp/run.go, through
-// sim.NewRunner — so observers, fault substitution and the choice between
-// the sequential and the sharded engine are decided in one place. A new
-// sim.New / sim.NewSharded / sim.NewRunner call anywhere else is a second
-// run path.
+// an engine — the execute step in internal/exp/run.go, through sim.New — so
+// observers, fault substitution and the choice between the time-major and
+// the windowed drain (sim.Config.Shards) are decided in one place. A new
+// sim.New call anywhere else is a second run path. sim.NewSharded and
+// sim.ShardedEngine exist only for the benchmark module, and sim.NewRunner
+// and sim.Runner are gone, so naming any of them outside internal/sim fails
+// too.
 func TestOneRunPath(t *testing.T) {
 	const home = "internal/exp/run.go"
 	calls := 0
-	skip := func(dir string) bool { return dir == "internal/sim" || dir == "internal/bench" }
-	inspectSources(t, skip, func(path string, n ast.Node) {
+	inspectSources(t, func(dir string) bool { return dir == "internal/sim" }, func(path string, n ast.Node) {
 		switch name, _ := selectorOf(n, "sim"); name {
-		case "New", "NewSharded", "NewRunner":
+		case "New":
+			if strings.HasPrefix(path, "internal/bench/") {
+				return
+			}
 			if path != home {
-				t.Errorf("%s uses sim.%s: engines are opened only by the execute step in %s", path, name, home)
+				t.Errorf("%s uses sim.New: engines are opened only by the execute step in %s", path, home)
 			}
 			calls++
+		case "NewSharded", "ShardedEngine", "NewRunner", "Runner":
+			t.Errorf("%s names sim.%s: the engine is sim.Engine, built by sim.New with Config.Shards", path, name)
 		}
 	})
 	if calls != 1 {
-		t.Errorf("%d sim.New/NewSharded/NewRunner selectors outside internal/sim and internal/bench, want exactly 1 (in %s)", calls, home)
+		t.Errorf("%d sim.New selectors outside internal/sim and internal/bench, want exactly 1 (in %s)", calls, home)
 	}
 }
 
