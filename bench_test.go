@@ -150,8 +150,8 @@ func BenchmarkClockInverse(b *testing.B) {
 //     allocs/op here is the engine's own allocation rate and must stay at
 //     (effectively) zero;
 //   - workload: one full experiment-harness run per op, recorders attached;
-//   - adversary: steady state with the delivery pipeline's adversary stage
-//     active (every copy retimed through the clamped view, every delivery
+//   - adversary: steady state with an adaptive adversary installed on the
+//     send path (every copy retimed through the clamped view, every delivery
 //     hook-dispatched) — the regime E18's adaptive strategies pay for.
 func BenchmarkEngineThroughput(b *testing.B) {
 	b.Run("steady", bench.EngineSteady)

@@ -298,8 +298,8 @@ func RunStartup(n, f int, spread float64, rounds int, opts ...Option) (*StartupR
 		rounds = 15
 	}
 	// Each startup round takes ≈ StartupWait1+StartupWait2+2δ real time.
-	perRound := params.StartupWait1() + params.StartupWait2() + 2*params.Delta
-	horizon := clock.Real(float64(rounds)*perRound + 1)
+	perRound := float64(params.StartupWait1()) + float64(params.StartupWait2()) + float64(2*params.Delta)
+	horizon := clock.Real(float64(float64(rounds)*perRound) + 1)
 	bs, final, err := exp.RunStartup(cfg, spread, horizon, o.seed)
 	if err != nil {
 		return nil, fmt.Errorf("clocksync: startup: %w", err)
@@ -335,11 +335,11 @@ func RunEstablishThenMaintain(n, f int, spread float64, startupRounds, maintRoun
 		maintRounds = 10
 	}
 
-	perStartupRound := params.StartupWait1() + params.StartupWait2() + 2*params.Delta
-	switchSlack := 3 * params.P // the epoch is up to ~2P after the switch decision
+	perStartupRound := float64(params.StartupWait1()) + float64(params.StartupWait2()) + float64(2*params.Delta)
+	switchSlack := float64(3 * params.P) // the epoch is up to ~2P after the switch decision
 	// Steady state: after startup, switch and a couple of maintenance rounds.
-	warmup := clock.Real(float64(startupRounds)*perStartupRound + switchSlack + 2*params.P)
-	horizon := clock.Real(float64(startupRounds)*perStartupRound + switchSlack + float64(maintRounds)*params.P*(1+2*params.Rho) + 1)
+	warmup := clock.Real(float64(float64(startupRounds)*perStartupRound) + switchSlack + float64(2*params.P))
+	horizon := clock.Real(float64(float64(startupRounds)*perStartupRound) + switchSlack + float64(float64(maintRounds)*params.P*(1+float64(2*params.Rho))) + 1)
 	res, procs, err := exp.RunLifecycle(exp.Workload{
 		Cfg: cfg, Seed: o.seed, SkewBucket: o.skewBucket,
 		Drift: o.driftSchedule(cfg), Delay: o.delayModel(cfg),

@@ -74,8 +74,8 @@ func main() {
 	}{
 		{"EngineThroughput/steady", bench.EngineSteady},
 		{"EngineThroughput/workload", bench.EngineWorkload},
-		// The delivery pipeline's adversary stage under load: a regression
-		// here means the interceptor refactor slowed the retime/hook path.
+		// The send path's adversary retiming under load: a regression here
+		// means a change slowed the retime/hook path.
 		{"EngineThroughput/adversary", bench.EngineAdversary},
 		// The large-n broadcast regime on the calendar scheduler. (The heap
 		// against the calendar at populations either side of the switch is

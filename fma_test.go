@@ -15,7 +15,7 @@ import (
 // of twice and moves the last bit; an explicit float64(x*y) forbids it.
 var fmaFreePackages = []string{
 	"./internal/sim", "./internal/clock", "./internal/metrics", "./internal/invariant", "./internal/analysis",
-	"./internal/core", "./internal/hier",
+	"./internal/core", "./internal/hier", "./internal/faults", ".", "./internal/scenario", "./internal/sim/simtest",
 }
 
 // fmaTargets are the architectures whose compilers fuse.

@@ -132,7 +132,7 @@ func EngineSteady(b *testing.B) {
 	}
 }
 
-// benchAdversary is the adversary-stage benchmark load: an adaptive
+// benchAdversary is the adversary benchmark load: an adaptive
 // retimer that reads the live spread (the cached view lookup a real
 // adversary pays) and pins each copy to a window edge, plus a ReceiveHook
 // so the dispatch path is measured too. It mirrors the faults.SkewMax
@@ -157,8 +157,8 @@ func (a *benchAdversary) Retime(v *sim.AdversaryView, _, to sim.ProcID, _ clock.
 func (a *benchAdversary) OnReceive(_ *sim.AdversaryView, _ sim.Message) { a.recvs++ }
 
 // NewAdversarySteadyEngine is NewSteadyEngine with an adaptive adversary
-// installed on the delivery pipeline — the regime benchjson gates so a
-// pipeline-refactor regression on the adversary path fails the perf gate
+// installed on the send path — the regime benchjson gates so a
+// regression on the adversary path fails the perf gate
 // like any other.
 func NewAdversarySteadyEngine(n int, seed int64) (*sim.Engine, error) {
 	procs := make([]sim.Process, n)
@@ -181,8 +181,8 @@ func NewAdversarySteadyEngine(n int, seed int64) (*sim.Engine, error) {
 	})
 }
 
-// EngineAdversary benchmarks the steady state with the adversary stage
-// active: one op is one delivered event, every copy retimed and every
+// EngineAdversary benchmarks the steady state with an adaptive adversary
+// installed: one op is one delivered event, every copy retimed and every
 // delivery hook-dispatched.
 func EngineAdversary(b *testing.B) {
 	eng, err := NewAdversarySteadyEngine(7, 1)

@@ -31,7 +31,7 @@ func renderExperiment(t *testing.T, id string) string {
 // runner: E05 (fault sweep, 22 workloads), E13 (ε/ρ sweep, 9 workloads)
 // and E18 (the adaptive-adversary lower-bound search — its skewmax and
 // splitter strategies react to live engine state, so this is also the
-// determinism gate for the delivery pipeline's adversary stage) must
+// determinism gate for the engine's adversary retiming) must
 // render byte-identical tables when run serially and with 1, 2, and 8
 // workers. Worker count may change only wall-clock time, never results.
 func TestSweepDeterminism(t *testing.T) {

@@ -25,7 +25,7 @@ func init() {
 // internal/invariant checkers attached: agreement, validity, monotonicity
 // and the adjustment bound must all hold whenever f < n/3, no matter what
 // the adversary does. (Adaptive strategies — the ones that react through
-// the delivery pipeline's adversary stage — have their own harness, the
+// the engine's sim.Adversary retiming — have their own harness, the
 // lower-bound experiment E18, so registering one leaves this matrix's
 // pinned tables untouched.) Part two is the sharpness check: the same
 // machinery with f+1 colluders in an f-sized system must break agreement

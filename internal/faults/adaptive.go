@@ -7,7 +7,7 @@ import (
 )
 
 // This file holds the adaptive adversaries: strategies that react to the
-// live execution through the delivery pipeline's adversary stage
+// live execution through the engine's send path
 // (sim.Adversary + ReceiveHook/SendHook) instead of committing to a
 // schedule before the run starts. Their write capability is clamped by the
 // engine to the [δ−ε, δ+ε] envelope of assumption A3, so they model

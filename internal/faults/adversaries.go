@@ -27,7 +27,7 @@ type cliquePlan struct {
 // advance draws round r's plan if nobody has yet.
 func (c *cliquePlan) advance(r int) {
 	for c.planned <= r {
-		c.jitter = 0.75 + 0.25*c.rng.Float64()
+		c.jitter = 0.75 + float64(0.25*c.rng.Float64())
 		c.planned++
 	}
 }
@@ -156,11 +156,11 @@ func (d *DriftMax) Receive(ctx *sim.Context, m sim.Message) {
 		return
 	}
 	rate := orDefault(d.Rate, 2e-3)
-	mark := d.Cfg.T0 + float64(d.round)*d.Cfg.P
+	mark := d.Cfg.T0 + float64(float64(d.round)*d.Cfg.P)
 	ctx.Broadcast(core.TMsg{Mark: clock.Local(mark)})
 	d.round++
 	// Next round's broadcast at the virtually-drifted mark.
-	next := d.Cfg.T0 + float64(d.round)*d.Cfg.P*(1+rate)
+	next := d.Cfg.T0 + float64(float64(d.round)*d.Cfg.P*(1+rate))
 	ctx.SetTimer(clock.Local(next), nil)
 }
 
@@ -191,18 +191,18 @@ func (f *FlakyRejoin) Receive(ctx *sim.Context, m sim.Message) {
 		dead = 2
 	}
 	phase := f.round % (alive + dead)
-	mark := f.Cfg.T0 + float64(f.round)*f.Cfg.P
+	mark := f.Cfg.T0 + float64(float64(f.round)*f.Cfg.P)
 	if phase < alive {
 		if phase == 0 && f.round > 0 {
 			// Rejoin storm: replay the mark it was broadcasting before the
 			// crash, then the current one.
-			stale := mark - float64(dead+1)*f.Cfg.P
+			stale := mark - float64(float64(dead+1)*f.Cfg.P)
 			ctx.Broadcast(core.TMsg{Mark: clock.Local(stale)})
 		}
 		ctx.Broadcast(core.TMsg{Mark: clock.Local(mark)})
 	}
 	f.round++
-	ctx.SetTimer(clock.Local(f.Cfg.T0+float64(f.round)*f.Cfg.P), nil)
+	ctx.SetTimer(clock.Local(f.Cfg.T0+float64(float64(f.round)*f.Cfg.P)), nil)
 }
 
 // RandomTiming is the RNG-driven adversary: each round it draws, per
@@ -253,7 +253,8 @@ func (r *RandomTiming) Receive(ctx *sim.Context, m sim.Message) { r.receive(ctx,
 func (r *RandomTiming) begin(_ int, mark clock.Local) any { return core.TMsg{Mark: mark} }
 
 func (r *RandomTiming) offset(sim.ProcID, int) float64 {
-	return r.bias + (2*r.rng.Float64()-1)*r.spread
+	u := float64(r.rng.Float64()) // Float64 inlines as a product: round it here
+	return r.bias + float64((float64(2*u)-1)*r.spread)
 }
 
 func (r *RandomTiming) wake(next float64) float64 { return next - r.spread + r.bias - 1e-9 }

@@ -65,7 +65,7 @@ func (s *timedSends) receive(ctx *sim.Context, m sim.Message, cfg *core.Config, 
 		ctx.Send(p.to, p.payload)
 		return
 	}
-	mark := cfg.T0 + float64(s.round)*cfg.P
+	mark := cfg.T0 + float64(float64(s.round)*cfg.P)
 	payload := t.begin(s.round, clock.Local(mark))
 	n := ctx.N()
 	for q := 0; q < n; q++ {
@@ -73,7 +73,7 @@ func (s *timedSends) receive(ctx *sim.Context, m sim.Message, cfg *core.Config, 
 		ctx.SetTimer(clock.Local(at), sendAt{to: sim.ProcID(q), payload: payload})
 	}
 	s.round++
-	ctx.SetTimer(clock.Local(t.wake(cfg.T0+float64(s.round)*cfg.P)), nextRound{})
+	ctx.SetTimer(clock.Local(t.wake(cfg.T0+float64(float64(s.round)*cfg.P))), nextRound{})
 }
 
 // TwoFaced runs the honest round schedule on its own (uncorrected) physical
@@ -150,17 +150,17 @@ func (f *Noise) Receive(ctx *sim.Context, m sim.Message) {
 		burst = 3
 	}
 	rng := ctx.Rand()
-	mark := f.Cfg.T0 + float64(f.round)*f.Cfg.P
+	mark := f.Cfg.T0 + float64(float64(f.round)*f.Cfg.P)
 	window := f.Cfg.Window()
 	for q := 0; q < ctx.N(); q++ {
 		for b := 0; b < burst; b++ {
-			at := mark + rng.Float64()*window
-			bogus := core.TMsg{Mark: clock.Local(mark + rng.NormFloat64()*window)}
+			at := mark + float64(rng.Float64()*window)
+			bogus := core.TMsg{Mark: clock.Local(mark + float64(rng.NormFloat64()*window))}
 			ctx.SetTimer(clock.Local(at), sendAt{to: sim.ProcID(q), payload: bogus})
 		}
 	}
 	f.round++
-	ctx.SetTimer(clock.Local(f.Cfg.T0+float64(f.round)*f.Cfg.P), nextRound{})
+	ctx.SetTimer(clock.Local(f.Cfg.T0+float64(float64(f.round)*f.Cfg.P)), nextRound{})
 }
 
 // StaleReplay follows the honest schedule but always broadcasts Offset
@@ -183,7 +183,7 @@ func (s *StaleReplay) Receive(ctx *sim.Context, m sim.Message) {
 	oldMark := s.Cfg.T0 // always replays round 0's mark
 	ctx.Broadcast(core.TMsg{Mark: clock.Local(oldMark)})
 	s.round++
-	next := s.Cfg.T0 + float64(s.round)*s.Cfg.P + s.Offset
+	next := s.Cfg.T0 + float64(float64(s.round)*s.Cfg.P) + s.Offset
 	ctx.SetTimer(clock.Local(next), nil)
 }
 

@@ -31,7 +31,7 @@ type Strategy struct {
 	Build func(cfg core.Config, members []sim.ProcID, seed int64, pull float64) []sim.Process
 	// BuildAdaptive, non-nil for adaptive strategies, builds the faulty
 	// automata (one per member; members may be empty) together with the
-	// network-level adversary installed on the engine's delivery pipeline —
+	// network-level adversary installed on the engine's send path —
 	// one call, so automata and adversary can share observed state. Exactly
 	// one of Build and BuildAdaptive is set. Adaptive strategies react to
 	// the live execution through the sim.AdversaryView and hooks; their
@@ -47,7 +47,7 @@ type Strategy struct {
 }
 
 // Adaptive reports whether the strategy reacts to the live execution
-// through the delivery pipeline's adversary stage rather than committing to
+// through the engine's send path rather than committing to
 // a schedule up front. The conformance matrix (E17) sweeps the
 // schedule-driven strategies; the lower-bound experiment (E18) drives the
 // adaptive ones.
@@ -193,7 +193,7 @@ func init() {
 		Name: "crash-mid-run",
 		Desc: "honest until its physical clock reaches round 5, then dead",
 		Build: each(func(cfg core.Config, _ int, _ int64, _ float64) sim.Process {
-			return core.NewCrashRejoin(cfg, 0, clock.Local(cfg.T0+5*cfg.P))
+			return core.NewCrashRejoin(cfg, 0, clock.Local(cfg.T0+float64(5*cfg.P)))
 		}),
 	})
 	Register(Strategy{

@@ -92,7 +92,7 @@ func (s *Scenario) delayBand(p analysis.Params) (model string, d, e float64) {
 // experiment harness computes it (tmax⁰ is at most β): events must fire
 // inside it or they would silently never happen.
 func (s *Scenario) horizon(p analysis.Params) float64 {
-	return p.Beta + float64(s.rounds())*p.P*(1+2*p.Rho) + 2*p.Window() + p.Delta + 1
+	return p.Beta + float64(float64(s.rounds())*p.P*(1+float64(2*p.Rho))) + float64(2*p.Window()) + p.Delta + 1
 }
 
 // Validate checks the scenario end to end: identity, topology, parameter

@@ -6,8 +6,8 @@ import (
 	"repro/internal/clock"
 )
 
-// This file implements the adaptive-adversary seam of the delivery
-// pipeline. The paper's lower bound (ε(1−1/n), shown by a shifting argument
+// This file implements the adaptive-adversary seam of the send path. The
+// paper's lower bound (ε(1−1/n), shown by a shifting argument
 // in the companion Lundelius–Lynch work and cited in §1) is proved against
 // an adversary that *reacts* to the execution: it watches the system and
 // retimes message deliveries anywhere inside the [δ−ε, δ+ε] uncertainty
@@ -30,11 +30,9 @@ import (
 //     via the ReceiveHook/SendHook interfaces — the observed send and
 //     arrival times of every copy as it moves through the buffer.
 //
-// The controller is engine-owned and inert when no adversary is installed:
-// the pipeline's adversary stage is then a nil comparison and the hook
-// dispatch loops are never entered, which is what keeps the no-adversary
-// steady state allocation-free and byte-identical to the pre-pipeline
-// engine.
+// The controller is engine-owned and absent when no adversary is installed:
+// the send path then pays one nil comparison per copy and never builds a
+// hook message, which keeps the no-adversary steady state allocation-free.
 
 // Adversary is an adaptive message-timing adversary: a single Retime pass
 // over each ordinary message copy, between delay sampling and routing.
@@ -53,11 +51,11 @@ type Adversary interface {
 }
 
 // SendHook observes every ordinary message copy on its way into the global
-// buffer, after the pipeline fixed its delivery time. The rule is the same
-// for Send and Broadcast: announce, then file — the copy OnSend is told
-// about is not yet among AdversaryView.PendingDeliveries (a Broadcast
-// announces all its copies, in pid order, before it files any). Copies lost
-// to the channel are not announced (they never enter the buffer).
+// buffer, after its delivery time is fixed. The rule is the same for Send
+// and Broadcast: announce, then file — the copy OnSend is told about is not
+// yet among AdversaryView.PendingDeliveries (a Broadcast announces all its
+// copies, in pid order, before it files any). Copies lost to the channel are
+// not announced (they never enter the buffer).
 type SendHook interface {
 	OnSend(v *AdversaryView, m Message)
 }
@@ -85,7 +83,7 @@ func (v *AdversaryView) N() int { return len(v.eng.procs) }
 
 // Bounds returns the delay model's (δ, ε) — the envelope every retimed
 // delay is clamped to.
-func (v *AdversaryView) Bounds() (delta, eps float64) { return v.eng.pipe.Delay.Bounds() }
+func (v *AdversaryView) Bounds() (delta, eps float64) { return v.eng.delay.Bounds() }
 
 // Faulty reports whether p is marked faulty.
 func (v *AdversaryView) Faulty(p ProcID) bool { return v.eng.faulty[p] }

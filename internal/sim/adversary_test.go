@@ -125,7 +125,7 @@ func TestAdversaryRetimeStaysInEnvelope(t *testing.T) {
 		t.Fatalf("vacuous run: %d deliveries checked, %d retimes", check.seen, adv.n)
 	}
 	if adv.n < check.seen {
-		t.Errorf("adversary saw %d copies but %d were delivered — some copies bypassed the pipeline", adv.n, check.seen)
+		t.Errorf("adversary saw %d copies but %d were delivered — some copies bypassed the retiming", adv.n, check.seen)
 	}
 }
 
@@ -179,7 +179,7 @@ func TestAdversaryHooksSeeEveryCopy(t *testing.T) {
 }
 
 // passthrough returns the sampled delay unchanged: with it installed the
-// pipeline must replay exactly the no-adversary execution.
+// engine must replay exactly the no-adversary execution.
 type passthrough struct{}
 
 func (passthrough) Retime(_ *AdversaryView, _, _ ProcID, _ clock.Real, base float64) float64 {
@@ -232,36 +232,53 @@ func TestPassthroughAdversaryPreservesExecution(t *testing.T) {
 	}
 }
 
-// TestPipelineStageClassification checks the one-time capability
-// classification: batch delay models and the full-mesh inline route are
-// recognized, per-copy-only models fall back.
-func TestPipelineStageClassification(t *testing.T) {
+// TestSendPathClassification checks the engine's one classification of its
+// send path, made by SetDelayModel, SetChannel and SetAdversary at New and
+// again when a timeline swaps a part: a batch delay model is sampled with
+// SampleAll and one without falls back to per-copy Sample; the full mesh
+// routes inline and any other channel through Route; no controller exists
+// without an adversary, and the controller's view reads the model in force.
+func TestSendPathClassification(t *testing.T) {
+	check := func(where string, e *Engine, batch, mesh, adv bool) {
+		t.Helper()
+		if (e.batch != nil) != batch {
+			t.Errorf("%s: %T classified batch=%v, want %v", where, e.delay, e.batch != nil, batch)
+		}
+		if e.mesh != mesh {
+			t.Errorf("%s: %T classified full mesh=%v, want %v", where, e.channel, e.mesh, mesh)
+		}
+		if (e.Adversary() != nil) != adv {
+			t.Errorf("%s: controller installed=%v, want %v", where, e.Adversary() != nil, adv)
+		}
+	}
+	perCopy := badCopyDelay{0.01} // Sample only
 	eng := chatterEngine(t, 4, nil, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
-	p := eng.Pipeline()
-	if p.Delay.batch == nil {
-		t.Error("UniformDelay not classified as a batch delay model")
+	check("New(uniform, default channel)", eng, true, true, false)
+	if err := eng.SetDelayModel(perCopy); err != nil {
+		t.Fatal(err)
 	}
-	if !p.Route.mesh {
-		t.Error("default channel not classified as the full-mesh inline route")
+	check("SetDelayModel(per-copy)", eng, false, true, false)
+	eng.SetChannel(NewLossyLinks(Link{From: 0, To: 1}))
+	check("SetChannel(lossy)", eng, false, false, false)
+	eng.SetAdversary(passthrough{})
+	check("SetAdversary(passthrough)", eng, false, false, true)
+	if d, e := eng.Adversary().view.Bounds(); d != 0.01 || e != 0.001 {
+		t.Errorf("view bounds (%v, %v), want the per-copy model's (0.01, 0.001)", d, e)
 	}
-	if p.Adversary.active() {
-		t.Error("adversary stage active with no adversary configured")
+	if err := eng.SetDelayModel(CenterDelay{Delta: 4e-4, Eps: 1e-4}); err != nil {
+		t.Fatal(err)
 	}
-	if eng.Adversary() != nil {
-		t.Error("controller built with no adversary configured")
+	eng.SetChannel(nil)
+	eng.SetAdversary(nil)
+	check("swapped back", eng, true, true, false)
+	if err := eng.Run(0.01); err != nil {
+		t.Fatal(err)
 	}
 
-	eng2 := chatterEngine(t, 4, passthrough{}, CenterDelay{Delta: 4e-4, Eps: 1e-4}, NewEther(2e-4, 3))
-	p2 := eng2.Pipeline()
-	if p2.Route.mesh {
-		t.Error("Ether channel classified as full mesh")
-	}
-	if !p2.Adversary.active() {
-		t.Error("adversary stage inactive with an adversary configured")
-	}
-	if d, e := p2.Delay.Bounds(); d != 4e-4 || e != 1e-4 {
-		t.Errorf("CenterDelay bounds (%v, %v), want (4e-4, 1e-4)", d, e)
-	}
+	eng2 := chatterEngine(t, 4, passthrough{}, perCopy, NewEther(2e-4, 3))
+	check("New(per-copy, Ether, adversary)", eng2, false, false, true)
+	eng2.SetChannel(FullMesh{})
+	check("SetChannel(FullMesh)", eng2, false, true, true)
 }
 
 // TestCenterDelaySamplesCenter pins the E18 substrate: declared bounds keep

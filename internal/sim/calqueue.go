@@ -121,11 +121,11 @@ const entryTimerBit = uint64(1) << 63
 
 // msgHdr is what the undelivered copies of one buffered message share: one
 // copy for a START, TIMER or unicast, one per routed recipient for a
-// broadcast. A copy is fully determined when it is sent (the delivery
-// pipeline runs at send time — see Engine.Broadcast), so delivering one is
-// pure Message assembly from its entry and this header: no RNG draw, no
-// channel state, no pipeline stage runs at pop time. Headers are recycled
-// through a free stack, and a recycled header drops its payload reference.
+// broadcast. A copy is fully determined when it is sent (Engine.fanOut
+// samples, retimes and routes it then), so delivering one is pure Message
+// assembly from its entry and this header: no RNG draw, no channel state,
+// no retiming at pop time. Headers are recycled through a free stack,
+// and a recycled header drops its payload reference.
 type msgHdr struct {
 	from    ProcID
 	sentAt  clock.Real
@@ -338,8 +338,8 @@ func withCap[T any](s []T, c int) []T {
 	return append(make([]T, 0, c), s...)
 }
 
-// push files a message with a single copy — a START, a TIMER or a unicast —
-// under sequence number seq.
+// push files a message with a single copy — a START or a TIMER — under
+// sequence number seq.
 func (s *sched) push(m *Message, seq uint64) {
 	h := s.newHdr(m.From, m.SentAt, m.Payload, m.Kind)
 	s.hdrs[h].left = 1
@@ -448,28 +448,11 @@ func (s *sched) drain(b *bin, fn func(en *entry)) {
 	*b = emptyBin
 }
 
-// pushBroadcast files one broadcast: a header, plus one entry per surviving
-// copy. at/ok are the delivery pipeline's per-recipient results (the pipeline
-// already ran — see Engine.Broadcast); local, when non-nil, keeps only the
-// copies this engine owns (sharded mode; remote copies travel through a
-// shardLink). A copy's key is seqBase with the recipient in its low bits.
-func (s *sched) pushBroadcast(from ProcID, sentAt clock.Real, payload any, at []clock.Real, ok, local []bool, seqBase uint64) {
-	h := s.newHdr(from, sentAt, payload, KindOrdinary)
-	left := int32(0)
-	for q := range ok {
-		if !ok[q] || (local != nil && !local[q]) {
-			continue
-		}
-		s.file(entry{at: float64(at[q]), key: seqBase | uint64(q), ref: h, to: int32(q)})
-		left++
-	}
-	s.setLeft(h, left)
-}
-
-// adopt files the copies of an ordinary message another shard sent: ents
-// carry the delivery time, key and recipient; the header is this scheduler's
-// own.
-func (s *sched) adopt(from ProcID, sentAt clock.Real, payload any, ents []entry) {
+// pushCopies files copies of one ordinary message under one new header: ents
+// carry each copy's delivery time, key and recipient. A send files its local
+// copies here (Engine.fanOut), the window barrier those another partition
+// sent.
+func (s *sched) pushCopies(from ProcID, sentAt clock.Real, payload any, ents []entry) {
 	h := s.newHdr(from, sentAt, payload, KindOrdinary)
 	for i := range ents {
 		ents[i].ref = h

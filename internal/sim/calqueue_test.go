@@ -130,19 +130,17 @@ type storm struct {
 	period, spread        clock.Real
 	delta, eps            float64
 	seq                   uint64
-	at                    []clock.Real
-	ok                    []bool
+	copies                []entry
 	broadcasts, delivered int
 }
 
 func newStorm(mode schedMode, n int, period, spread clock.Real, delta, eps float64, seed int64) *storm {
 	st := &storm{
 		s: &sched{}, rng: rand.New(rand.NewSource(seed)), n: n, period: period, spread: spread,
-		delta: delta, eps: eps, at: make([]clock.Real, n), ok: make([]bool, n),
+		delta: delta, eps: eps, copies: make([]entry, n),
 	}
 	st.s.init(mode, 0, delta, eps)
-	for p := range st.ok {
-		st.ok[p] = true
+	for p := 0; p < n; p++ {
 		st.timer(ProcID(p), spread*clock.Real(st.rng.Float64()))
 	}
 	return st
@@ -171,10 +169,11 @@ func (st *storm) run(t testing.TB, until clock.Real, check func()) {
 		if m.Kind != KindTimer {
 			continue
 		}
-		for q := range st.at {
-			st.at[q] = now + clock.Real(st.delta-st.eps+2*st.eps*st.rng.Float64())
+		for q := range st.copies {
+			at := now + clock.Real(st.delta-st.eps+2*st.eps*st.rng.Float64())
+			st.copies[q] = entry{at: float64(at), key: st.seq<<11 | uint64(q), to: int32(q)}
 		}
-		st.s.pushBroadcast(m.To, now, nil, st.at, st.ok, nil, st.seq<<11)
+		st.s.pushCopies(m.To, now, nil, st.copies)
 		st.seq++
 		st.broadcasts++
 		st.timer(m.To, now+st.period)
@@ -366,7 +365,7 @@ func sameMsg(a, b Message) bool {
 }
 
 // runSchedScript drives one sched through a random interleaving of push,
-// pushBroadcast, adopt and pop, mirrored by a naive list of fully
+// pushCopies and pop, mirrored by a naive list of fully
 // materialized events. Every pop must return the mirror's minimum under
 // eventLess — a broadcast copy surfaces exactly where the same message sent
 // alone would — and forEachPending must yield exactly one message per
@@ -470,32 +469,25 @@ func runSchedScript(t *testing.T, sc schedScript) schedScriptStats {
 		}
 		was := s.calOn
 		if rng.Intn(4) == 0 {
-			// One fan-out: copies keyed base | recipient, exactly as
-			// Engine.Broadcast does — filed directly, or, every other
-			// time, handed over as a cross-shard link would (ready-keyed
-			// entries, adopted).
+			// One fan-out: the surviving copies, keyed base | recipient
+			// as Engine.fanOut keys them, filed under one header.
 			n := 1 + rng.Intn(12)
-			at, ok := make([]clock.Real, n), make([]bool, n)
 			var ents []entry
 			seq = (seq + 15) &^ 15
 			base := seq
-			for q := range at {
-				at[q] = oddTime(genEventAfter(rng, floor, 0).msg.DeliverAt)
-				if ok[q] = rng.Intn(5) != 0; !ok[q] {
-					continue
+			for q := 0; q < n; q++ {
+				at := oddTime(genEventAfter(rng, floor, 0).msg.DeliverAt)
+				if rng.Intn(5) == 0 {
+					continue // lost
 				}
 				pending = append(pending, event{
-					msg: Message{From: 1, To: ProcID(q), Kind: KindOrdinary, Payload: base, SentAt: floor, DeliverAt: at[q]},
+					msg: Message{From: 1, To: ProcID(q), Kind: KindOrdinary, Payload: base, SentAt: floor, DeliverAt: at},
 					seq: base | uint64(q),
 				})
-				ents = append(ents, entry{at: float64(at[q]), key: base | uint64(q), to: int32(q)})
+				ents = append(ents, entry{at: float64(at), key: base | uint64(q), to: int32(q)})
 			}
 			seq += 16
-			if rng.Intn(2) == 0 {
-				s.adopt(1, floor, base, ents)
-			} else {
-				s.pushBroadcast(1, floor, base, at, ok, nil, base)
-			}
+			s.pushCopies(1, floor, base, ents)
 		} else {
 			ev := genEventAfter(rng, floor, seq)
 			ev.msg.DeliverAt = oddTime(ev.msg.DeliverAt)

@@ -144,10 +144,9 @@ func (d PerLinkDelay) Bounds() (float64, float64) { return d.Delta, d.Eps }
 // CenterDelay declares the full [δ−ε, δ+ε] uncertainty band of assumption
 // A3 but samples every delay at the band center δ. It is the substrate of
 // the lower-bound experiments (E18): the ε-freedom belongs entirely to the
-// adversary stage of the delivery pipeline rather than to ambient sampling
-// noise, so any skew beyond the drift floor is attributable to deliberate
-// retiming inside the window — exactly the adversary of the shifting
-// argument.
+// adaptive adversary's retiming rather than to ambient sampling noise, so
+// any skew beyond the drift floor is attributable to deliberate retiming
+// inside the window — exactly the adversary of the shifting argument.
 type CenterDelay struct {
 	Delta float64
 	Eps   float64
@@ -169,9 +168,8 @@ func (d CenterDelay) SampleAll(_ ProcID, n int, _ clock.Real, _ *RNG, out []floa
 func (d CenterDelay) Bounds() (float64, float64) { return d.Delta, d.Eps }
 
 // FullMesh is the reliable fully connected channel: every copy is delivered
-// at sentAt + delay. The delivery pipeline's RouteStage recognizes it and
-// routes fan-outs inline (batched fan-out routing lives there; channels
-// only implement the per-copy Route).
+// at sentAt + delay. It is the default, and the engine's send path
+// recognizes it and routes inline, with no Route call per copy.
 type FullMesh struct{}
 
 // Route implements Channel.

@@ -53,10 +53,9 @@ func (e *Ether) Route(from, to ProcID, sentAt clock.Real, baseDelay float64) (cl
 	// Count arrivals contending with this one: the drop-new rule looks only
 	// at datagrams already in the buffer when this one lands, i.e. arrivals
 	// within (at−Window, at]. Copies scheduled to arrive *after* at must not
-	// evict it — they are not in the buffer yet. (An earlier version counted
-	// the double-sided window (at−Window, at+Window], so a copy routed first
-	// but arriving later could push out the current one; with out-of-order
-	// routing that over-dropped the §9.3 broadcast storms.)
+	// evict it — they are not in the buffer yet, and counting them would let
+	// a copy routed first but arriving later push out the current one,
+	// over-dropping the §9.3 broadcast storms.
 	contending := 0
 	for _, a := range q {
 		if a > cutoff && a <= at {
@@ -69,9 +68,8 @@ func (e *Ether) Route(from, to ProcID, sentAt clock.Real, baseDelay float64) (cl
 		return 0, false
 	}
 	// Insert at its sorted position by shifting the (short) tail: arrivals
-	// land almost in order, so this replaces the sort.Slice the old code ran
-	// per delivered copy — which allocated for the closure and re-sorted the
-	// whole window every time.
+	// land almost in order, so this costs a step or two per copy, with no
+	// allocation and no re-sort of the whole window.
 	q = append(q, at)
 	for j := len(q) - 1; j > 0 && q[j-1] > q[j]; j-- {
 		q[j-1], q[j] = q[j], q[j-1]

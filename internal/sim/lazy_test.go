@@ -68,7 +68,7 @@ func (h *hookLogger) OnReceive(v *AdversaryView, m Message) {
 	h.log = append(h.log, fmt.Sprintf("recv@%v %d→%d sent %v", v.Now(), m.From, m.To, m.SentAt))
 }
 
-// TestBroadcastMatchesSends is the reference Engine.Broadcast is held to: a
+// TestBroadcastMatchesSends is the reference Context.Broadcast is held to: a
 // fan-out is n Sends to q = 0..n−1, batched. The beacon workload runs once
 // with ctx.Broadcast and once with the Send loop, and must produce the
 // identical delivery sequence (DeliverAt, From, To, Kind), the identical

@@ -32,8 +32,8 @@ func NewLossyLinks(links ...Link) LossyLinks {
 // BreakBothWays returns a channel with both directions of the (a, b) link
 // failed in addition to the receiver's dead links. The receiver is left
 // untouched: the dead-link set is cloned, not mutated, so a LossyLinks value
-// can be used as a template for several fault patterns. (It used to write
-// through the shared Dead map, silently breaking the links in every "copy".)
+// can be used as a template for several fault patterns — writing through the
+// shared Dead map would break the links in every value derived from it.
 func (c LossyLinks) BreakBothWays(a, b ProcID) LossyLinks {
 	dead := make(map[Link]bool, len(c.Dead)+2)
 	for l := range c.Dead {
@@ -44,8 +44,7 @@ func (c LossyLinks) BreakBothWays(a, b ProcID) LossyLinks {
 	return LossyLinks{Dead: dead}
 }
 
-// Route implements Channel; the delivery pipeline's RouteStage batches
-// fan-outs over it, so the dead-link probe lives only here.
+// Route implements Channel; the engine's send path calls it once per copy.
 func (c LossyLinks) Route(from, to ProcID, sentAt clock.Real, baseDelay float64) (clock.Real, bool) {
 	if from != to && c.Dead[Link{From: from, To: to}] {
 		return 0, false

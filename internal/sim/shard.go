@@ -100,26 +100,6 @@ func (l *shardLink) add(en entry) {
 	l.ents = append(l.ents, en)
 }
 
-// linkRemote appends a fan-out's non-local copies to the links of the shards
-// that own the recipients, keyed as pushBroadcast keys the local ones. Shards
-// own contiguous pid blocks, so one fan-out's copies for one shard are
-// consecutive.
-func (e *Engine) linkRemote(from ProcID, payload any, at []clock.Real, ok []bool, seqBase uint64) {
-	last := int32(-1)
-	for q := range ok {
-		if !ok[q] || e.local[q] {
-			continue
-		}
-		d := e.shardOf[q]
-		l := &e.out[d]
-		if d != last {
-			l.open(from, e.now, payload)
-			last = d
-		}
-		l.add(entry{at: float64(at[q]), key: seqBase | uint64(q), to: int32(q)})
-	}
-}
-
 // validateWindowed is validate's block for Shards ≠ 0.
 func validateWindowed(cfg Config) error {
 	k, n := cfg.Shards, len(cfg.Procs)
@@ -304,7 +284,7 @@ func (e *Engine) exchange(hi clock.Real) error {
 			q, o := &e.parts[d].queue, 0
 			for j := range l.hdrs {
 				h := &l.hdrs[j]
-				q.adopt(h.from, h.sentAt, h.payload, l.ents[o:o+int(h.n)])
+				q.pushCopies(h.from, h.sentAt, h.payload, l.ents[o:o+int(h.n)])
 				o += int(h.n)
 				h.payload = nil // release the payload reference
 			}

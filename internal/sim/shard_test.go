@@ -17,11 +17,12 @@ import (
 // digest only if every process saw the same deliveries in the same order —
 // a window-boundary or sequencing bug cannot hide behind commutativity.
 type shardBeacon struct {
-	period clock.Local
-	corr   clock.Local
-	digest uint64
-	count  int
-	mute   bool // fold deliveries but never send (zero-sender topology)
+	period  clock.Local
+	corr    clock.Local
+	digest  uint64
+	count   int
+	mute    bool // fold deliveries but never send (zero-sender topology)
+	unicast bool // fan out as a Send loop over q = 0..n−1
 }
 
 func (b *shardBeacon) Corr() clock.Local { return b.corr }
@@ -44,7 +45,13 @@ func (b *shardBeacon) Receive(ctx *Context, m Message) {
 	if m.Kind == KindOrdinary || b.mute {
 		return
 	}
-	ctx.Broadcast(nil)
+	if b.unicast {
+		for q := 0; q < ctx.N(); q++ {
+			ctx.Send(ProcID(q), nil)
+		}
+	} else {
+		ctx.Broadcast(nil)
+	}
 	ctx.SetTimer(ctx.PhysNow()+b.period, nil)
 }
 
@@ -373,15 +380,18 @@ func TestShardedLossyAccounting(t *testing.T) {
 // same drain bounded two ways — to one execution; k > 1 adds the links. The
 // tied row starts every process at one instant under a constant delay, so
 // whole rounds of copies land together and the packed keys alone order them.
+// The unicast rows fan out as n Sends, so every copy is a one-recipient
+// send, filed locally or onto a link by the same path as a broadcast's.
 func TestShardedMatchesSequential(t *testing.T) {
 	const n = 40
 	horizon := clock.Real(0.012)
 	cut := LossyLinks{}.BreakBothWays(3, 30)
 	type row struct {
-		name  string
-		delay DelayModel
-		ch    Channel
-		tied  bool
+		name    string
+		delay   DelayModel
+		ch      Channel
+		tied    bool
+		unicast bool
 	}
 	var rows []row
 	for _, d := range []struct {
@@ -391,13 +401,24 @@ func TestShardedMatchesSequential(t *testing.T) {
 		{"uniform", UniformDelay{Delta: 4e-4, Eps: 1e-4}},
 		{"perlink", PerLinkDelay{Delta: 4e-4, Eps: 1e-4, Seed: 3}},
 	} {
-		rows = append(rows, row{d.name + "/fullmesh", d.delay, nil, false}, row{d.name + "/lossy", d.delay, cut, false})
+		for _, unicast := range []bool{false, true} {
+			suffix := ""
+			if unicast {
+				suffix = "/unicast"
+			}
+			rows = append(rows,
+				row{d.name + "/fullmesh" + suffix, d.delay, nil, false, unicast},
+				row{d.name + "/lossy" + suffix, d.delay, cut, false, unicast})
+		}
 	}
-	rows = append(rows, row{"tied", ConstantDelay{Delta: 4e-4}, nil, true})
+	rows = append(rows, row{"tied", ConstantDelay{Delta: 4e-4}, nil, true, false})
 	workload := func(r row) Config {
 		cfg := shardWorkload(n, r.delay, r.ch)
 		if r.tied {
 			cfg.StartAt = starts(n, 0)
+		}
+		for _, p := range cfg.Procs {
+			p.(*shardBeacon).unicast = r.unicast
 		}
 		return cfg
 	}

@@ -135,9 +135,8 @@ type CorrHolder interface {
 // DeliveryObserver; Observe classifies each observer once, at registration
 // time, so the event loop dispatches through pre-typed slices with no
 // per-event type assertions and skips callback fan-outs that have no
-// listeners entirely. (Before this split, every observer carried no-op stubs
-// for the callbacks it did not use, and the engine paid the full dynamic
-// fan-out twice per action even when nothing was listening.)
+// listeners entirely: an observer needs no stubs for callbacks it does not
+// use, and an action with nobody listening costs no dynamic calls.
 type Observer = any
 
 // Sampler is called twice per action — immediately before the configuration
@@ -178,10 +177,10 @@ type Config struct {
 	Channel Channel       // nil means reliable full mesh
 	Faulty  []bool        // which processes count as faulty (metrics only)
 	Seed    int64         // seed for delay sampling
-	// Adversary, when non-nil, is installed on the delivery pipeline's
-	// adversary stage: it gets one clamped Retime pass over every ordinary
-	// message copy and — if it implements SendHook/ReceiveHook — observes
-	// copies entering and leaving the buffer. See adversary.go.
+	// Adversary, when non-nil, gets one clamped Retime pass over every
+	// ordinary message copy as it is sent and — if it implements
+	// SendHook/ReceiveHook — observes copies entering and leaving the
+	// buffer. See adversary.go.
 	Adversary Adversary
 	// MaxSteps bounds the number of delivered messages; 0 means a large
 	// default. Guards against runaway (e.g. adversarial) executions.
@@ -227,26 +226,30 @@ type Engine struct {
 	faulty    []bool
 	nonfaulty []ProcID     // cached ids of non-faulty processes (fixed at New)
 	corr      []CorrHolder // per-process CorrHolder, asserted once at New (nil if none)
-	// pipe is the delivery pipeline every ordinary copy flows through:
-	// DelayStage → AdversaryStage → RouteStage (see pipeline.go). Stage
-	// capabilities (batch fast paths, the full-mesh inline route, adversary
-	// hooks) are classified once here at New.
-	pipe Pipeline
-	// advCtl is the adversary controller backing the pipeline's adversary
-	// stage; nil when no adversary is configured (the common case).
-	advCtl *AdversaryController
-	// Reusable per-broadcast buffers (length n), so a batched broadcast
-	// performs no allocation.
-	bcastDelay []float64
-	bcastAt    []clock.Real
-	bcastOK    []bool
-	seed       int64
-	prand      []*rand.Rand // per-process Context.Rand streams; nil until the first Rand call
-	queue      sched
-	now        clock.Real
-	steps      int
-	maxSteps   int
-	ctx        Context // one reusable per-delivery context per engine
+
+	// What the send path (fanOut) times every ordinary copy with, classified
+	// by SetDelayModel, SetChannel and SetAdversary at New and again on a
+	// timeline swap: the delay model and its SampleAll (nil when it has
+	// none), the channel and whether it is the reliable full mesh, which
+	// fanOut routes inline, and the adversary controller, nil when no
+	// adversary is installed (the common case).
+	delay   DelayModel
+	batch   BatchDelayModel
+	channel Channel
+	mesh    bool
+	advCtl  *AdversaryController
+	// fanOut's reusable buffers (room for n copies), so a send allocates
+	// nothing.
+	delays []float64
+	copies []entry
+
+	seed     int64
+	prand    []*rand.Rand // per-process Context.Rand streams; nil until the first Rand call
+	queue    sched
+	now      clock.Real
+	steps    int
+	maxSteps int
+	ctx      Context // one reusable per-delivery context per engine
 
 	// The one numbering of an execution, sequential or sharded: every sender
 	// draws its delays from its own stream and numbers its sends itself, and
@@ -396,10 +399,6 @@ func validate(cfg Config) error {
 // of a windowed one, whose processes are those owner maps to s.
 func newPartition(cfg Config, owner []int32, s int, mode schedMode) (*Engine, error) {
 	n := len(cfg.Procs)
-	ch := cfg.Channel
-	if ch == nil {
-		ch = FullMesh{}
-	}
 	faulty := cfg.Faulty
 	if faulty == nil {
 		faulty = make([]bool, n)
@@ -418,16 +417,13 @@ func newPartition(cfg Config, owner []int32, s int, mode schedMode) (*Engine, er
 		acting:   actingNone,
 	}
 	e.ctx.eng = e
-	d, eps := cfg.Delay.Bounds()
-	// Assemble the delivery pipeline, classifying each stage's capabilities
-	// (batch fast paths, the full-mesh inline route, adversary hooks) once.
-	if cfg.Adversary != nil {
-		e.advCtl = newAdversaryController(e, cfg.Adversary, d, eps)
+	if err := e.SetDelayModel(cfg.Delay); err != nil {
+		return nil, err
 	}
-	e.pipe = newPipeline(cfg.Delay, ch, e.advCtl)
-	e.bcastDelay = make([]float64, n)
-	e.bcastAt = make([]clock.Real, n)
-	e.bcastOK = make([]bool, n)
+	e.SetChannel(cfg.Channel)
+	e.SetAdversary(cfg.Adversary)
+	e.delays = make([]float64, n)
+	e.copies = make([]entry, 0, n)
 	e.corr = make([]CorrHolder, n)
 	for i, p := range cfg.Procs {
 		if h, ok := p.(CorrHolder); ok {
@@ -489,6 +485,7 @@ func newPartition(cfg Config, owner []int32, s int, mode schedMode) (*Engine, er
 	if hint >= n*owned {
 		msgs = 4*n + 16
 	}
+	d, eps := cfg.Delay.Bounds()
 	e.queue.init(mode, hint, d, eps)
 	e.queue.grow(hint, msgs)
 	for i := 0; i < n; i++ {
@@ -572,11 +569,8 @@ func total[T int | int64](e *Engine, f func(*Engine) T) T {
 // Steps returns the number of delivered messages so far.
 func (e *Engine) Steps() int { return total(e, func(p *Engine) int { return p.steps }) }
 
-// QueueLen returns the number of pending events: buffered messages and
-// timers, and every undelivered copy of a broadcast.
-func (e *Engine) QueueLen() int { return e.queue.len() }
-
-// QueuePeak returns the high-water mark of QueueLen over the execution — a
+// QueuePeak returns the high-water mark of pending events — buffered
+// STARTs, timers and undelivered message copies — over the execution: a
 // round peaks at ≈ n² pending copies; on a windowed engine, the largest
 // partition's. The benchjson memory metric reports this.
 func (e *Engine) QueuePeak() int {
@@ -629,10 +623,6 @@ func (e *Engine) LocalTime(p ProcID, t clock.Real) (clock.Local, bool) {
 
 // Process returns the automaton of p (used by tests and metrics).
 func (e *Engine) Process(p ProcID) Process { return e.procs[p] }
-
-// Pipeline returns the engine's delivery pipeline (used by tests asserting
-// stage classification).
-func (e *Engine) Pipeline() *Pipeline { return &e.pipe }
 
 // Adversary returns the engine's adversary controller, nil when no
 // adversary is installed.
@@ -761,72 +751,80 @@ func (e *Engine) annotate(p ProcID, tag string, v float64) {
 	}
 }
 
-// Broadcast schedules one ordinary message copy from p to every process,
-// including itself, as a single batched fan-out through the delivery
-// pipeline: delays for all n copies are sampled in one call (in fixed pid
-// order, drawing exactly the stream the per-copy path would), the adversary
-// stage — when installed — retimes each copy inside its clamp envelope, and
-// the route stage maps them to delivery times in one pass. Per-copy
-// accounting and send hooks then run in pid order, and the surviving copies
-// are filed under one shared header (on a windowed engine the remote ones go
-// onto the link to their partition). The copies share one send index, so their keys
-// order as n successive Send calls to q = 0..n−1 would; with the delay
-// stream, any channel state (e.g. Ether contention), the hook calls and the
-// sent/lost counters, that makes the two one execution —
-// TestBroadcastMatchesSends holds them to it.
-func (e *Engine) Broadcast(from ProcID, payload any) {
-	n := len(e.procs)
-	base, at, ok := e.bcastDelay[:n], e.bcastAt[:n], e.bcastOK[:n]
-	e.pipe.broadcast(from, n, e.now, &e.senders[from].rng, base, at, ok)
-	filed := false
-	for q := range ok {
-		if !ok[q] {
+// fanOut is the one send step of §2.2: it puts a copy of payload from p into
+// the buffer for every recipient q in [lo, hi) — Context.Broadcast passes
+// [0, n) and Context.Send(q) passes [q, q+1). It samples the delays first:
+// one SampleAll when the range is every process and the model batches, one
+// Sample per copy otherwise, drawing the same stream either way. Then, copy
+// by copy in recipient order, an installed adversary retimes the delay
+// inside its clamp, the channel routes it (inline on the full mesh), a copy
+// the channel lost or a delay model sent outside [now, +Inf) is dropped, and
+// the rest are counted and announced to the send hook. Only then are the
+// survivors filed, under one send index: local recipients under one shared
+// header, remote ones onto the link to their partition. A copy's key is
+// packSeq(from, sidx, q) whatever the range, so a Broadcast and n Sends to
+// q = 0..n−1 order their copies alike — TestBroadcastMatchesSends holds the
+// two to one execution.
+func (e *Engine) fanOut(from ProcID, lo, hi int, payload any) {
+	now, rng := e.now, &e.senders[from].rng
+	delays := e.delays[lo:hi]
+	if e.batch != nil && hi-lo == len(e.procs) {
+		e.batch.SampleAll(from, hi-lo, now, rng, delays)
+	} else {
+		for i := range delays {
+			delays[i] = e.delay.Sample(from, ProcID(lo+i), now, rng)
+		}
+	}
+	copies := e.copies[:0]
+	for i, d := range delays {
+		to := ProcID(lo + i)
+		if e.advCtl != nil {
+			d = e.advCtl.retime(from, to, now, d)
+		}
+		at, ok := now+clock.Real(d), true
+		if !e.mesh {
+			at, ok = e.channel.Route(from, to, now, d)
+		}
+		if !ok {
 			e.msgsLost++
 			continue
 		}
-		if !(at[q] >= e.now && at[q] <= math.MaxFloat64) { // NaN fails both
-			e.badCopy(from, ProcID(q), at[q])
-			ok[q] = false
+		if !(at >= now && at <= math.MaxFloat64) { // NaN fails both
+			e.badCopy(from, to, at)
 			continue
 		}
 		e.msgsSent++
 		if e.advCtl != nil {
-			e.advCtl.onSend(Message{
-				From: from, To: ProcID(q), Kind: KindOrdinary,
-				Payload: payload, SentAt: e.now, DeliverAt: at[q],
-			})
+			e.advCtl.onSend(Message{From: from, To: to, Kind: KindOrdinary, Payload: payload, SentAt: now, DeliverAt: at})
 		}
-		filed = true
+		copies = append(copies, entry{at: float64(at), key: uint64(to), to: int32(to)})
 	}
-	if !filed {
+	if len(copies) == 0 {
 		return
 	}
 	s := &e.senders[from]
 	seqBase := e.packSeq(from, s.sidx, 0)
 	s.sidx++
-	if e.local != nil {
-		e.linkRemote(from, payload, at, ok, seqBase)
+	// Partitions own contiguous pid blocks, so the copies for one remote
+	// partition are consecutive: one chunk per link.
+	local, last := copies[:0], int32(-1)
+	for _, c := range copies {
+		c.key |= seqBase
+		if e.local == nil || e.local[c.to] {
+			local = append(local, c)
+			continue
+		}
+		d := e.shardOf[c.to]
+		l := &e.out[d]
+		if d != last {
+			l.open(from, now, payload)
+			last = d
+		}
+		l.add(c)
 	}
-	e.queue.pushBroadcast(from, e.now, payload, at, ok, e.local, seqBase)
-}
-
-// send schedules one ordinary message copy through the delivery pipeline.
-func (e *Engine) send(from, to ProcID, payload any) {
-	at, ok := e.pipe.unicast(from, to, e.now, &e.senders[from].rng)
-	if !ok {
-		e.msgsLost++
-		return
+	if len(local) > 0 {
+		e.queue.pushCopies(from, now, payload, local)
 	}
-	if !(at >= e.now && at <= math.MaxFloat64) { // NaN fails both
-		e.badCopy(from, to, at)
-		return
-	}
-	e.msgsSent++
-	m := Message{From: from, To: to, Kind: KindOrdinary, Payload: payload, SentAt: e.now, DeliverAt: at}
-	if e.advCtl != nil {
-		e.advCtl.onSend(m)
-	}
-	e.push(m)
 }
 
 // badCopy drops a copy whose delivery time is not a finite time at or after
@@ -836,23 +834,16 @@ func (e *Engine) send(from, to ProcID, payload any) {
 func (e *Engine) badCopy(from, to ProcID, at clock.Real) {
 	if e.bad == nil {
 		e.bad = fmt.Errorf("sim: delay model %T sent copy %d→%d at t=%v for delivery at t=%v; a delivery time must be finite and not before the send",
-			e.pipe.Delay.Model(), from, to, e.now, at)
+			e.delay, from, to, e.now, at)
 	}
 }
 
-// push buffers a single-copy message under its sender's next packed key;
-// on a partition a copy for a process another partition owns goes onto the
-// link to that partition.
+// push buffers a START or a TIMER — one copy, for the sender itself, so
+// always on the sender's own partition — under its next packed key.
 func (e *Engine) push(m Message) {
 	s := &e.senders[m.From]
 	seq := e.packSeq(m.From, s.sidx, m.To)
 	s.sidx++
-	if e.local != nil && !e.local[m.To] {
-		l := &e.out[e.shardOf[m.To]]
-		l.open(m.From, m.SentAt, m.Payload)
-		l.add(entry{at: float64(m.DeliverAt), key: seq, to: int32(m.To)})
-		return
-	}
 	e.queue.push(&m, seq)
 }
 
@@ -901,15 +892,14 @@ func (c *Context) N() int { return len(c.eng.procs) }
 // instant. Processes never see real time.
 func (c *Context) PhysNow() clock.Local { return c.eng.clocks[c.pid].At(c.eng.now) }
 
-// Send places an ordinary message to q in the buffer.
-func (c *Context) Send(to ProcID, payload any) { c.eng.send(c.pid, to, payload) }
+// Send places an ordinary message to q in the buffer: a fan-out to q alone.
+func (c *Context) Send(to ProcID, payload any) { c.eng.fanOut(c.pid, int(to), int(to)+1, payload) }
 
 // Broadcast sends the payload to every process, including the sender (§2.2:
 // every process can communicate with every process, including itself). Each
-// copy's delay is drawn independently within [δ−ε, δ+ε]. The fan-out runs
-// through the engine's batched path (Engine.Broadcast): one delay-sampling
-// call, one routing call, one header and one queue pass for all n copies.
-func (c *Context) Broadcast(payload any) { c.eng.Broadcast(c.pid, payload) }
+// copy's delay is drawn independently within [δ−ε, δ+ε]; the copies share
+// one send index and, on their partition, one buffered header.
+func (c *Context) Broadcast(payload any) { c.eng.fanOut(c.pid, 0, len(c.eng.procs), payload) }
 
 // SetTimer requests a TIMER interrupt when the process's physical clock
 // reaches T. The payload is returned in the TIMER message.
@@ -922,9 +912,8 @@ func (c *Context) Annotate(tag string, v float64) { c.eng.annotate(c.pid, tag, v
 // fault strategies; nonfaulty algorithms in this repository are deterministic
 // and never call it). The generator is created on first use, seeded from the
 // engine seed and the process id, and cached for the rest of the execution,
-// so consecutive calls continue one stream. (It was previously re-seeded from
-// (pid, step count) on every call, which made two calls within a single
-// Receive return identical values.)
+// so consecutive calls continue one stream: two calls within one Receive
+// return different values.
 func (c *Context) Rand() *rand.Rand {
 	e := c.eng
 	if e.prand == nil {

@@ -107,7 +107,7 @@ func (o *Oracle) Check(e *sim.Engine, where string) {
 		return
 	}
 	o.localTimes(e, now, where)
-	o.spread(e, now-clock.Real(o.Checks%7+1)*0.37e-3, where+" (historical)")
+	o.spread(e, now-clock.Real(float64(o.Checks%7+1)*0.37e-3), where+" (historical)")
 }
 
 // localTimes compares LocalTimes with the live walk, process by process.

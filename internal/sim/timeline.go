@@ -24,12 +24,12 @@ import (
 // byte-identical and the steady state allocation-free.
 //
 // The swap hooks actions typically call — SetChannel, SetDelayModel,
-// SetAdversary — re-run the same capability classification the pipeline
-// stages perform at New, so a swapped-in channel or model gets its batch
-// fast paths exactly as if it had been configured up front. Delivery times
-// already fixed by the pipeline are untouched: a swap governs traffic sent
-// after it, which is the §2.2 buffer semantics (a message's delivery time is
-// decided when it enters the buffer).
+// SetAdversary — are the ones New configures the send path with, so a
+// swapped-in channel or model gets its fast paths exactly as if it had been
+// configured up front. Delivery times already fixed at send time are
+// untouched: a swap governs traffic sent after it, which is the §2.2 buffer
+// semantics (a message's delivery time is decided when it enters the
+// buffer).
 
 // TimedAction is one scheduled mutation of engine state: at real time At,
 // the engine invokes Do with itself. Name labels the action in errors and
@@ -91,24 +91,25 @@ func (e *Engine) fireTimeline(bound clock.Real) bool {
 	return fired
 }
 
-// SetChannel swaps the delivery channel for all traffic sent from now on,
-// re-classifying the route stage's capabilities (the FullMesh inline path)
-// exactly as New does. Copies already in the buffer keep the delivery times
-// the old channel assigned them. A nil channel restores the reliable full
-// mesh.
+// SetChannel swaps the delivery channel for all traffic sent from now on;
+// the reliable FullMesh is routed inline. Copies already in the buffer keep
+// the delivery times the old channel assigned them. A nil channel restores
+// the reliable full mesh.
 func (e *Engine) SetChannel(ch Channel) {
 	if ch == nil {
 		ch = FullMesh{}
 	}
-	e.pipe.Route = newRouteStage(ch)
+	e.channel = ch
+	_, e.mesh = ch.(FullMesh)
 }
 
 // SetDelayModel swaps the delay substrate for all traffic sent from now on,
-// validating assumption A3 (0 ≤ ε ≤ δ) and re-classifying the delay stage's
-// batch capability. When an adversary is installed, its clamp envelope
-// follows the new band, so retiming stays A3-legal against the substrate
-// actually in force. The swapped-in model sees the same RNG stream the old
-// one was drawing from (scenario delay-band shifts stay deterministic).
+// validating assumption A3 (0 ≤ ε ≤ δ); a broadcast samples the model with
+// one SampleAll call when it implements BatchDelayModel. When an adversary
+// is installed, its clamp envelope follows the new band, so retiming stays
+// A3-legal against the substrate actually in force. The swapped-in model
+// sees the same RNG stream the old one was drawing from (scenario delay-band
+// shifts stay deterministic).
 func (e *Engine) SetDelayModel(m DelayModel) error {
 	if m == nil {
 		return errors.New("sim: SetDelayModel: nil delay model")
@@ -117,25 +118,23 @@ func (e *Engine) SetDelayModel(m DelayModel) error {
 	if d < eps || eps < 0 {
 		return fmt.Errorf("sim: SetDelayModel: delay bounds δ=%v ε=%v violate assumption A3 (0 ≤ ε ≤ δ)", d, eps)
 	}
-	e.pipe.Delay = newDelayStage(m)
+	e.delay = m
+	e.batch, _ = m.(BatchDelayModel)
 	if e.advCtl != nil {
 		e.advCtl.lo, e.advCtl.hi = d-eps, d+eps
 	}
 	return nil
 }
 
-// SetAdversary installs, replaces, or (with nil) removes the delivery
-// pipeline's adaptive adversary mid-run. The controller is rebuilt with the
-// current delay model's clamp envelope and the adversary's hook capabilities
-// classified exactly as New does; with nil the adversary stage reverts to
-// the allocation-free fast path.
+// SetAdversary installs, replaces, or (with nil) removes the adaptive
+// adversary mid-run. The controller is rebuilt with the current delay
+// model's clamp envelope and the adversary's hook capabilities; with nil the
+// send path is back to the allocation-free one with no retiming.
 func (e *Engine) SetAdversary(adv Adversary) {
 	if adv == nil {
 		e.advCtl = nil
-		e.pipe.Adversary = AdversaryStage{}
 		return
 	}
-	d, eps := e.pipe.Delay.Bounds()
+	d, eps := e.delay.Bounds()
 	e.advCtl = newAdversaryController(e, adv, d, eps)
-	e.pipe.Adversary = AdversaryStage{ctl: e.advCtl}
 }

@@ -230,7 +230,7 @@ func TestTimelineSetDelayModelRejectsA3(t *testing.T) {
 }
 
 // TestTimelineSetAdversary installs and removes an adversary mid-run and
-// checks the pipeline stage classification follows.
+// checks the send path's classification follows.
 func TestTimelineSetAdversary(t *testing.T) {
 	e, err := New(pingConfig(2, func(c *Config) {
 		c.Delay = UniformDelay{Delta: 0.01, Eps: 0.002}
