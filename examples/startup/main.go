@@ -37,7 +37,7 @@ func main() {
 		marker := ""
 		if i > 0 {
 			bound := rep.Recurrence(prev)
-			if b <= bound*1.1+1e-5 {
+			if b <= float64(bound*1.1)+1e-5 {
 				marker = fmt.Sprintf("  (≤ Bᵢ₋₁/2 + 2ε + 2ρ(11δ+39ε) = %.3fms)", bound*1e3)
 			} else {
 				marker = "  EXCEEDS RECURRENCE"

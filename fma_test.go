@@ -9,16 +9,10 @@ import (
 	"testing"
 )
 
-// fmaFreePackages are the packages whose float arithmetic the goldens pin
-// bit for bit. Go lets a compiler fuse x*y + z into one instruction on
-// architectures that have one (amd64 never does), which rounds once instead
-// of twice and moves the last bit; an explicit float64(x*y) forbids it.
-var fmaFreePackages = []string{
-	"./internal/sim", "./internal/clock", "./internal/metrics", "./internal/invariant", "./internal/analysis",
-	"./internal/core", "./internal/hier", "./internal/faults", ".", "./internal/scenario", "./internal/sim/simtest",
-}
-
-// fmaTargets are the architectures whose compilers fuse.
+// fmaTargets are the architectures whose compilers fuse. Go lets a compiler
+// fuse x*y + z into one instruction on architectures that have one (amd64
+// never does), which rounds once instead of twice and moves the last bit;
+// an explicit float64(x*y) forbids it.
 var fmaTargets = []string{"arm64", "riscv64", "ppc64le", "s390x"}
 
 // fusedOp matches the mnemonic column of -S output for a fused
@@ -29,11 +23,12 @@ var fusedOp = regexp.MustCompile(`^(FN?M(ADD|SUB)[SD]?|W?FN?M[AS]DB)$`)
 // asmPos extracts the file:line of one -S instruction line.
 var asmPos = regexp.MustCompile(`\(([^()]+\.go:\d+)\)`)
 
-// TestNoFusedFloatOps cross-compiles fmaFreePackages for every fmaTargets
-// architecture with -gcflags=-S and fails, naming file:line, on any fused
-// multiply-add the compiler emitted — the arithmetic the amd64 goldens pin
-// would round differently there. The build cache replays the -S listing, so
-// a warm cache still checks every instruction.
+// TestNoFusedFloatOps cross-compiles every package of the module for every
+// fmaTargets architecture with -gcflags=-S and fails, naming file:line, on
+// any fused multiply-add the compiler emitted — the goldens and digests pin
+// float results bit for bit, and a fused product would round differently
+// there. The build cache replays the -S listing, so a warm cache still
+// checks every instruction.
 func TestNoFusedFloatOps(t *testing.T) {
 	goBin, err := exec.LookPath("go")
 	if err != nil {
@@ -44,8 +39,7 @@ func TestNoFusedFloatOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, arch := range fmaTargets {
-		args := append([]string{"build", "-gcflags=-S"}, fmaFreePackages...)
-		cmd := exec.Command(goBin, args...)
+		cmd := exec.Command(goBin, "build", "-gcflags=-S", "./...")
 		cmd.Env = append(os.Environ(), "GOOS=linux", "GOARCH="+arch, "CGO_ENABLED=0")
 		out, err := cmd.CombinedOutput()
 		if err != nil {

@@ -77,7 +77,7 @@ func (p *Proc) Corr() clock.Local { return p.corr }
 // Round returns the next round the process will act on.
 func (p *Proc) Round() int { return p.next }
 
-func (p *Proc) mark(k int) clock.Local { return clock.Local(p.cfg.T0 + float64(k)*p.cfg.P) }
+func (p *Proc) mark(k int) clock.Local { return clock.Local(p.cfg.T0 + float64(float64(k)*p.cfg.P)) }
 
 func (p *Proc) local(ctx *sim.Context) clock.Local { return ctx.PhysNow() + p.corr }
 
@@ -111,7 +111,7 @@ func (p *Proc) Receive(ctx *sim.Context, m sim.Message) {
 		// signatures can legitimately precede our clock's reaching T_k by
 		// at most β + s·(δ+ε).
 		early := float64(p.mark(sm.K) - p.local(ctx))
-		if early > p.cfg.Beta+float64(len(sm.Chain))*(p.cfg.Delta+p.cfg.Eps)+p.cfg.AcceptSlack {
+		if early > p.cfg.Beta+float64(float64(len(sm.Chain))*(p.cfg.Delta+p.cfg.Eps))+p.cfg.AcceptSlack {
 			return
 		}
 		// Update the clock to T_k and relay with our signature.

@@ -30,7 +30,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Threshold == 0 {
-		c.Threshold = 3*(c.Beta+c.Eps) + c.Rho*c.P
+		c.Threshold = float64(3*(c.Beta+c.Eps)) + float64(c.Rho*c.P)
 	}
 	return c
 }

@@ -180,6 +180,6 @@ func (p *Proc) Adjust(clock.Local) float64 {
 		p.errB = res.HalfWidth()
 	}
 	// Drift widens the interval until the next exchange.
-	p.errB += 2 * p.cfg.Rho * p.cfg.P
+	p.errB += float64(2 * p.cfg.Rho * p.cfg.P)
 	return adj
 }

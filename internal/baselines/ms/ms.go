@@ -27,7 +27,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Tolerance == 0 {
-		c.Tolerance = 2*(c.Beta+c.Eps) + c.Rho*c.P
+		c.Tolerance = float64(2*(c.Beta+c.Eps)) + float64(c.Rho*c.P)
 	}
 	return c
 }

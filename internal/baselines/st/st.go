@@ -71,7 +71,7 @@ func (p *Proc) Corr() clock.Local { return p.corr }
 // Round returns the next round to be accepted.
 func (p *Proc) Round() int { return p.next }
 
-func (p *Proc) mark(k int) clock.Local { return clock.Local(p.cfg.T0 + float64(k)*p.cfg.P) }
+func (p *Proc) mark(k int) clock.Local { return clock.Local(p.cfg.T0 + float64(float64(k)*p.cfg.P)) }
 
 // Receive implements sim.Process.
 func (p *Proc) Receive(ctx *sim.Context, m sim.Message) {

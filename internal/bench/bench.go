@@ -246,7 +246,7 @@ func largeNFlat(n, shards int) (largeNSystem, error) {
 			Seed:    1,
 			Shards:  shards,
 		},
-		horizon: tmax0 + clock.Real(largeNRounds*cfg.P*(1+2*cfg.Rho)+2*cfg.Window()+cfg.Delta+1),
+		horizon: tmax0 + clock.Real(float64(largeNRounds*cfg.P*(1+float64(2*cfg.Rho)))+float64(2*cfg.Window())+cfg.Delta+1),
 	}, nil
 }
 

@@ -39,7 +39,7 @@ func runE01() ([]*Table, error) {
 		bound := "-"
 		within := "-"
 		if i > 0 {
-			bb := prev/2 + 2*cfg.Eps + 2*cfg.Rho*cfg.P
+			bb := float64(prev/2) + float64(2*cfg.Eps) + float64(2*cfg.Rho*cfg.P)
 			bound = FmtDur(bb)
 			within = Verdict(b <= bb*1.05)
 		}

@@ -45,7 +45,7 @@ func runE02() ([]*Table, error) {
 				N: 7, F: 2,
 				Rho: r.rho, Delta: r.delta, Eps: r.eps, P: r.p,
 				// β chosen just above its feasibility floor for the regime.
-				Beta: 4*r.eps + 4*r.rho*r.p + r.eps/2 + 1e-4,
+				Beta: float64(4*r.eps) + float64(4*r.rho*r.p) + float64(r.eps/2) + 1e-4,
 			}
 			if err := params.Validate(); err != nil {
 				return Workload{}, fmt.Errorf("%s: %w", r.name, err)

@@ -105,7 +105,7 @@ func runE06() ([]*Table, error) {
 		if i > 0 {
 			bb := cfg.StartupStep(prev)
 			bound = FmtDur(bb)
-			within = Verdict(bs[i] <= bb*1.10+1e-5)
+			within = Verdict(bs[i] <= float64(bb*1.10)+1e-5)
 		}
 		t.AddRow(fmtInt(i), FmtDur(bs[i]), bound, within)
 		prev = bs[i]

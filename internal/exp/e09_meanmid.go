@@ -91,7 +91,7 @@ func runE09() ([]*Table, error) {
 			}
 			params := w.Cfg.Params
 			midFloor := params.BetaFloor() // 4ε+4ρP
-			meanFloor := 2*params.Eps + 4*params.Rho*params.P
+			meanFloor := float64(2*params.Eps) + float64(4*params.Rho*params.P)
 			t2.AddRow(fmtInt(p.n), FmtDur(midSkew), Verdict(midSkew <= midFloor),
 				FmtDur(skew), Verdict(skew <= meanFloor), FmtDur(meanFloor))
 			return nil

@@ -58,7 +58,7 @@ func runE10() ([]*Table, error) {
 	if err := sweep.Run(); err != nil {
 		return nil, err
 	}
-	t.AddNote("paper: βₖ approaches 4ε+2ρP as k grows (4ε+2ρP = %s here)", FmtDur(4*params.Eps+2*params.Rho*params.P))
+	t.AddNote("paper: βₖ approaches 4ε+2ρP as k grows (4ε+2ρP = %s here)", FmtDur(float64(4*params.Eps)+float64(2*params.Rho*params.P)))
 	t.AddNote("the skew column shows the additional practical benefit of spreading the k corrections across the round")
 	return []*Table{t}, nil
 }

@@ -45,7 +45,7 @@ func runE11() ([]*Table, error) {
 			if sent > 0 {
 				lossRate = float64(res.MessagesLost()) / float64(sent)
 			}
-			bound := cfg.Gamma() + float64(cfg.N)*sigma*2*cfg.Rho + 1e-4
+			bound := cfg.Gamma() + float64(float64(float64(cfg.N)*sigma)*2*cfg.Rho) + 1e-4
 			skew := res.Skew.MaxAfterWarmup()
 			t.AddRow(FmtDur(sigma), fmtInt(int(res.MessagesLost())), FmtRatio(lossRate),
 				FmtDur(skew), Verdict(skew <= bound))

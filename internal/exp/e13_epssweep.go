@@ -35,7 +35,7 @@ func runE13() ([]*Table, error) {
 			params := analysis.Params{
 				N: 7, F: 2,
 				Rho: 1e-6, Delta: 20e-3, Eps: eps,
-				Beta: 4*eps + 0.6*eps, P: 1.0,
+				Beta: float64(4*eps) + float64(0.6*eps), P: 1.0,
 			}
 			if err := params.Validate(); err != nil {
 				return Workload{}, fmt.Errorf("ε=%v: %w", eps, err)
@@ -72,7 +72,7 @@ func runE13() ([]*Table, error) {
 			params := analysis.Params{
 				N: 7, F: 2,
 				Rho: rho, Delta: 10e-3, Eps: 0.1e-3,
-				Beta: 4*0.1e-3 + 4*rho*2 + 2e-3, P: 2.0,
+				Beta: 4*0.1e-3 + float64(float64(4*rho)*2) + 2e-3, P: 2.0,
 			}
 			if err := params.Validate(); err != nil {
 				return Workload{}, fmt.Errorf("ρ=%v: %w", rho, err)

@@ -53,7 +53,7 @@ func runE14() ([]*Table, error) {
 				within = false
 			}
 		}
-		t.AddRow(fmtInt(i), fmt.Sprintf("%.6f", d), Verdict(d <= prev/2+1e-12), Verdict(within))
+		t.AddRow(fmtInt(i), fmt.Sprintf("%.6f", d), Verdict(d <= float64(prev/2)+1e-12), Verdict(within))
 		prev = d
 	}
 	t.AddNote("the same mid∘reduce_f machinery drives the clock algorithm; the clock rounds inherit the halving (E01)")

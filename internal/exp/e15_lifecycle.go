@@ -32,7 +32,7 @@ func runE15() ([]*Table, error) {
 	)
 
 	srec := metrics.NewRoundRecorder(metrics.TagStartupRound, metrics.TagAdjust)
-	horizon := clock.Real(switchRound*startupLength + 3*cfg.P + float64(maintRounds)*cfg.P)
+	horizon := clock.Real(switchRound*startupLength + float64(3*cfg.P) + float64(float64(maintRounds)*cfg.P))
 	res, procs, err := RunLifecycle(Workload{Cfg: cfg, Seed: 42, Observers: []sim.Observer{srec}},
 		spread, switchRound, 0, horizon)
 	if err != nil {

@@ -432,14 +432,14 @@ func (r *e20SplitRep) schedule(ctx *sim.Context) {
 	h := r.H
 	my := h.ClusterOf(ctx.ID())
 	outer := h.OuterParams()
-	mark := outer.T0 + float64(r.round)*outer.P
+	mark := outer.T0 + float64(float64(r.round)*outer.P)
 	for j := 0; j < h.Clusters(); j++ {
 		if j == my {
 			continue
 		}
 		at := mark + r.Lag
 		if j <= 5 {
-			at = mark - r.Lead - r.Ramp*float64(r.round)
+			at = mark - r.Lead - float64(r.Ramp*float64(r.round))
 		}
 		lo, hi := h.ClusterBounds(j)
 		cands := h.Candidates
@@ -464,5 +464,5 @@ func (r *e20SplitRep) schedule(ctx *sim.Context) {
 		}
 	}
 	r.round++
-	ctx.SetTimer(clock.Local(outer.T0+float64(r.round)*outer.P-r.Lead-r.Ramp*float64(r.round)-1e-9), e20NextRound{})
+	ctx.SetTimer(clock.Local(outer.T0+float64(float64(r.round)*outer.P)-r.Lead-float64(r.Ramp*float64(r.round))-1e-9), e20NextRound{})
 }

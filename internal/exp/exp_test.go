@@ -217,6 +217,36 @@ func TestRunEnginesAgree(t *testing.T) {
 	}
 }
 
+// TestTimelinePastHorizon pins that a timeline action the run cannot reach
+// is a named error rather than an action that silently never fires: one at
+// the horizon fires, one 1 µs after it (or at NaN) is refused.
+func TestTimelinePastHorizon(t *testing.T) {
+	w := func(at clock.Real) Workload {
+		return Workload{
+			Cfg: core.Config{Params: analysis.Default(7, 2)}, Rounds: 4,
+			Timeline: []sim.TimedAction{{At: at, Name: "heal", Do: func(e *sim.Engine) { e.SetChannel(nil) }}},
+		}
+	}
+	res, err := Run(w(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	horizon := res.Horizon
+	res, err = Run(w(horizon))
+	if err != nil {
+		t.Fatalf("action at the horizon: %v", err)
+	}
+	if n := res.TimelineRemaining(); n != 0 {
+		t.Fatalf("action at the horizon: %d unfired", n)
+	}
+	for _, at := range []clock.Real{horizon + 1e-6, clock.Real(math.NaN())} {
+		_, err := Run(w(at))
+		if err == nil || !strings.Contains(err.Error(), `timeline action "heal"`) || !strings.Contains(err.Error(), "past the run horizon") {
+			t.Errorf("action at %v (horizon %v): err = %v, want the named past-horizon error", at, horizon, err)
+		}
+	}
+}
+
 func TestRunStartOverride(t *testing.T) {
 	cfg := core.Config{Params: analysis.Default(4, 1)}
 	res, err := Run(Workload{

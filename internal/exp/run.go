@@ -65,7 +65,8 @@ type Workload struct {
 	// Timeline schedules state mutations (channel swaps, delay-band shifts,
 	// adversary changes) at real times, interleaved deterministically with
 	// deliveries; see sim.Config.Timeline. The scenario harness
-	// (internal/scenario) compiles its event scripts into this.
+	// (internal/scenario) lowers its event scripts into this; Run refuses an
+	// action after the run horizon, which would never fire.
 	Timeline []sim.TimedAction
 
 	// Rounds is how many rounds to simulate (default 20).
@@ -171,10 +172,17 @@ type assembly struct {
 	res *Result
 }
 
-// execute is the run path, the one place an engine is built: substitute the
-// faulty automata and flag them, build the engine, register the observers,
-// run to the horizon, package the Result.
+// execute is the run path, the one place an engine is built: refuse a
+// timeline action the run would never reach (the engine fires exactly those
+// at or before the horizon), substitute the faulty automata and flag them,
+// build the engine, register the observers, run to the horizon, package the
+// Result.
 func execute(a assembly) (*Result, error) {
+	for _, act := range a.cfg.Timeline {
+		if !(act.At <= a.horizon) {
+			return nil, fmt.Errorf("exp: timeline action %q at t=%v is past the run horizon %v — it would never fire", act.Name, act.At, a.horizon)
+		}
+	}
 	if len(a.faults) > 0 {
 		a.cfg.Faulty = make([]bool, len(a.cfg.Procs))
 		for i := range a.cfg.Procs {
@@ -308,7 +316,7 @@ func (w Workload) assembleFlat() assembly {
 		},
 		faults:    w.Faults,
 		observers: append(observers, w.Observers...),
-		horizon:   tmax0 + clock.Real(float64(rounds)*cfg.P*(1+2*cfg.Rho)+2*cfg.Window()+cfg.Delta+1),
+		horizon:   tmax0 + clock.Real(float64(float64(rounds)*cfg.P*(1+float64(2*cfg.Rho)))+float64(2*cfg.Window())+cfg.Delta+1),
 		res:       res,
 	}
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"cmp"
 	"os"
 	"path/filepath"
 	"testing"
@@ -85,10 +86,12 @@ func sanitize(s *Scenario) {
 		s.Seed = -s.Seed
 	}
 
-	// Substrate: drop any band that violates A3 or escapes the envelope.
-	if s.validateDelay(p) != nil {
+	// Substrate: drop an unknown model, or a band that violates A3 or
+	// escapes the envelope.
+	if _, m := s.substrate(p); m == nil || s.checkBand("delay", m, p) != nil {
 		s.Delay = Delay{}
 	}
+	model, _ := s.substrate(p)
 
 	// Fault strategy: must resolve, and its member count must fit under f.
 	budget := f
@@ -164,16 +167,8 @@ func sanitize(s *Scenario) {
 			// Always safe (the sanitizer admits no partitions or cuts, so
 			// heal is a no-op swap back to the full mesh).
 		case KindDelayShift:
-			e := ev.Eps
-			if ev.Model == "constant" {
-				e = 0
-			}
-			if s.checkBand("fuzz", ev.Delta, e, p) != nil {
-				continue
-			}
-			switch ev.Model {
-			case "", "uniform", "constant", "extremal", "center":
-			default:
+			m := delayModel(cmp.Or(ev.Model, model), ev.Delta, ev.Eps)
+			if m == nil || s.checkBand("fuzz", m, p) != nil {
 				continue
 			}
 		case KindAdversarySwap:

@@ -21,7 +21,7 @@ func TestOracleScenarios(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c, err := compile(s)
+			c, err := lower(s)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -94,6 +94,11 @@ func TestValidateErrors(t *testing.T) {
 		{"event past horizon", func(s *Scenario) {
 			s.Events = []Event{{At: 1e6, Kind: KindHeal}}
 		}, "it would never fire"},
+		{"event after the run ends but within β of the horizon estimate", func(s *Scenario) {
+			// The run ends at 13.048190 s; β + the run length would be
+			// 13.048740 s.
+			s.Events = []Event{{At: 13.048739, Kind: KindCrash, Proc: intp(3)}}
+		}, "it would never fire"},
 		{"unknown event kind", func(s *Scenario) {
 			s.Events = []Event{{At: 1, Kind: "reboot"}}
 		}, `unknown event kind "reboot"`},
@@ -201,6 +206,9 @@ func TestValidateErrors(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("Validate error %q does not contain %q", err, tc.want)
+			}
+			if _, rerr := Run(s); rerr == nil || rerr.Error() != err.Error() {
+				t.Errorf("Run error %v, want Validate's %q", rerr, err)
 			}
 		})
 	}

@@ -28,14 +28,12 @@ type Report struct {
 // Ok reports whether every assertion held.
 func (r *Report) Ok() bool { return len(r.Failures) == 0 }
 
-// Run validates, compiles and executes the scenario, then evaluates its
-// assertions. The error return covers malformed scenarios and harness
-// failures; assertion outcomes land in Report.Failures.
+// Run checks and lowers the scenario in one pass, executes it, then
+// evaluates its assertions. The error return covers malformed scenarios
+// (the same error Validate returns) and harness failures; assertion
+// outcomes land in Report.Failures.
 func Run(s *Scenario) (*Report, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	c, err := compile(s)
+	c, err := lower(s)
 	if err != nil {
 		return nil, err
 	}

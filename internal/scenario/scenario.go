@@ -5,14 +5,15 @@
 // assertions the execution must satisfy (the theorem invariants, a skew
 // envelope, expected-violation markers for runs that are supposed to break).
 //
-// A scenario file is parsed (Parse/Load), validated against the paper's
-// standing assumptions A1–A3 (Scenario.Validate), compiled onto the
-// experiment harness — the event script lowers to sim.TimedActions on the
-// engine's timeline stage (internal/sim/timeline.go), faults to the
-// internal/faults registry, the substrate to a sim.DelayModel — and run
-// (Run), producing a Report whose rendered table is pinned byte-for-byte by
-// the golden corpus test. `cmd/wlsim -scenario <file>` runs one from the
-// command line.
+// A scenario file is parsed (Parse/Load), then checked against the paper's
+// standing assumptions A1–A3 and lowered onto the experiment harness in one
+// pass, each part where it is checked — the substrate to a sim.DelayModel,
+// faults through the internal/faults registry, the event script to
+// sim.TimedActions on the engine's timeline stage
+// (internal/sim/timeline.go). Scenario.Validate runs that pass and keeps
+// only its error; Run runs it once and executes the result, producing a
+// Report whose rendered table is pinned byte-for-byte by the golden corpus
+// test. `cmd/wlsim -scenario <file>` runs one from the command line.
 //
 // The repository's corpus lives in scenarios/*.json at the module root.
 package scenario
@@ -48,7 +49,7 @@ type Scenario struct {
 	// Seed drives delay sampling and seeded fault strategies; 0 means 1.
 	Seed int64 `json:"seed,omitempty"`
 
-	// Events is the timed chaos script, compiled onto the engine's
+	// Events is the timed chaos script, lowered onto the engine's
 	// timeline stage. Times are real-time seconds.
 	Events []Event `json:"events,omitempty"`
 
@@ -167,8 +168,8 @@ type Assertions struct {
 
 // Parse decodes one scenario from JSON. Unknown fields are errors — a
 // typoed key silently ignored would make a chaos script lie about what it
-// tests. Parse does not validate semantics; call Validate (or use Run,
-// which validates).
+// tests. Parse does not check semantics; Validate does, and Run checks in
+// the same pass that lowers the scenario.
 func Parse(data []byte) (*Scenario, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()

@@ -10,7 +10,7 @@ import (
 
 // This file implements the engine's timeline stage: a script of mutations to
 // apply to live engine state at scheduled real times. The timeline is what
-// the scenario DSL (internal/scenario) compiles its event scripts onto —
+// the scenario DSL (internal/scenario) lowers its event scripts onto —
 // crash a process at t, heal a partition, shift the delay band, swap the
 // adversary — without the scenario runner having to chop Engine.Run into
 // segments or the event queue having to carry non-message entries.
