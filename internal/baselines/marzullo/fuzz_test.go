@@ -19,6 +19,15 @@ func encodeVals(vals ...float64) []byte {
 	return out
 }
 
+// repeat returns gen(0), …, gen(n−1).
+func repeat(n int, gen func(i int) float64) []float64 {
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = gen(i)
+	}
+	return vals
+}
+
 // decodeVals is the inverse, sanitizing arbitrary fuzzer bytes into finite,
 // moderately sized values so float64 round-off stays far below the assert
 // tolerance: NaN → 0, ±Inf → ±1e6, everything else folded into (−1e6, 1e6).
@@ -74,6 +83,23 @@ func FuzzFaultTolerantMidpoint(f *testing.F) {
 	f.Add(uint8(3), false, encodeVals())
 	f.Add(uint8(2), true, encodeVals(3, math.Inf(-1), 1, 1, math.Inf(-1), 2, 1))
 	f.Add(uint8(1), false, encodeVals(math.Inf(-1), math.Inf(-1), 4, math.Inf(1)))
+	// Past the selection's insertion-sorted tail (16 values), where it
+	// partitions: all equal, all sentinels, and sentinels outnumbering the
+	// values heard, grouped and interleaved.
+	f.Add(uint8(7), false, encodeVals(repeat(64, func(int) float64 { return 2.5 })...))
+	f.Add(uint8(5), true, encodeVals(repeat(40, func(int) float64 { return math.Inf(-1) })...))
+	f.Add(uint8(7), false, encodeVals(repeat(64, func(i int) float64 {
+		if i < 40 {
+			return math.Inf(-1)
+		}
+		return float64(i % 5)
+	})...))
+	f.Add(uint8(6), true, encodeVals(repeat(48, func(i int) float64 {
+		if i%3 != 0 {
+			return math.Inf(-1)
+		}
+		return float64(i) / 7
+	})...))
 
 	f.Fuzz(func(t *testing.T, fRaw uint8, mean bool, data []byte) {
 		fc := int(fRaw % 8)

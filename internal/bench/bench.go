@@ -58,18 +58,18 @@ func (a *adjuster) Corr() clock.Local { return a.corr }
 // NewSteadyEngine builds the no-observer benchmark engine: n beacon
 // processes on drifting clocks, uniform delays, no observers registered.
 func NewSteadyEngine(n int, seed int64) (*sim.Engine, error) {
-	return newSteadyEngine(n, seed, func(int) sim.Process { return &beacon{period: 1e-3} })
+	return newSteadyEngine(n, seed, 0, func(int) sim.Process { return &beacon{period: 1e-3} })
 }
 
 // NewSampledSteadyEngine is NewSteadyEngine over adjusters, for the caller
 // to attach samplers to.
 func NewSampledSteadyEngine(n int, seed int64) (*sim.Engine, error) {
-	return newSteadyEngine(n, seed, func(i int) sim.Process {
+	return newSteadyEngine(n, seed, 0, func(i int) sim.Process {
 		return &adjuster{beacon: beacon{period: 1e-3}, corr: clock.Local(i+1) * 1e-6}
 	})
 }
 
-func newSteadyEngine(n int, seed int64, mk func(i int) sim.Process) (*sim.Engine, error) {
+func newSteadyEngine(n int, seed int64, shards int, mk func(i int) sim.Process) (*sim.Engine, error) {
 	procs := make([]sim.Process, n)
 	clocks := make([]clock.Clock, n)
 	starts := make([]clock.Real, n)
@@ -88,6 +88,7 @@ func newSteadyEngine(n int, seed int64, mk func(i int) sim.Process) (*sim.Engine
 		// The bench loop sizes work by b.N events; never trip the runaway
 		// guard under long -benchtime runs.
 		MaxSteps: 1 << 40,
+		Shards:   shards,
 	})
 }
 

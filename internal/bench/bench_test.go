@@ -63,9 +63,10 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 // with the sharded run's allocs/op capped at 4× the sequential engine's.
 // The sharded engine's extra allocations are per-engine warm-up (k rings and
 // block chunks, the first round's cross-shard link buffers); in steady state
-// the barrier empties a link's buffers in place, so a leak on the exchange
-// path — a buffer dropped instead of reused — multiplies per-round and blows
-// the budget immediately (the pre-pool engine sat at ~14× sequential).
+// a destination empties a link's buffers in place and the window cut hands
+// them back, so a leak on the exchange path — a buffer dropped instead of
+// reused — multiplies per-round and blows the budget immediately (the
+// pre-pool engine sat at ~14× sequential).
 func TestShardedSteadyAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the n=1009 benchmark pair (~10s)")
@@ -78,6 +79,40 @@ func TestShardedSteadyAllocs(t *testing.T) {
 	}
 	if shAllocs > 4*seqAllocs {
 		t.Errorf("sharded n=1009 k=8 allocated %d/op, over the budget of 4× the sequential %d/op — the pooled cross-shard exchange is leaking", shAllocs, seqAllocs)
+	}
+}
+
+// TestShardedWindowAllocs is the per-window allocation gate: a warmed-up
+// k = 4 windowed run of n = 64 beacons may allocate at most 9 times per
+// window, what its runner.Map worker set costs (the job closure, the error
+// slice, the pool's shared counters and one closure per worker goroutine).
+// The engine's own share is zero — links are filed by their destinations at
+// the head of the next window and handed back emptied at the cut, and the
+// clock table is reloaded in place — so a second worker set per window, or
+// a buffer dropped instead of reused, fails it.
+func TestShardedWindowAllocs(t *testing.T) {
+	const k, perWindow = 4, 9
+	eng, err := newSteadyEngine(64, 1, k, func(int) sim.Process { return &beacon{period: 1e-3} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	horizon, err := Advance(eng, 0, 50_000) // warm the links, queues and worker goroutines
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows := eng.Windows()
+	allocs := testing.AllocsPerRun(5, func() {
+		var aerr error
+		if horizon, aerr = Advance(eng, horizon, eng.Steps()+50_000); aerr != nil {
+			panic(aerr)
+		}
+	})
+	perSlice := float64(eng.Windows()-windows) / 6 // one warm-up run + 5 measured
+	if perSlice < 100 {
+		t.Fatalf("only %.0f windows per measured slice; not a meaningful measurement", perSlice)
+	}
+	if got := allocs / perSlice; got > perWindow {
+		t.Errorf("k=%d: %.2f allocations per window (%v per slice of %.0f windows); want ≤ %d", k, got, allocs, perSlice, perWindow)
 	}
 }
 

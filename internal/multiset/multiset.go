@@ -137,7 +137,8 @@ func FaultTolerantMidpoint(u Multiset, f int) (float64, error) {
 // MidpointSelect computes mid(reduce_f(vals)) — the same value
 // FaultTolerantMidpoint returns for New(vals...) — without constructing a
 // multiset or fully sorting: mid only needs the (f+1)-th smallest and
-// (f+1)-th largest elements, which two quickselect passes find in O(n).
+// (f+1)-th largest elements, which two quickselect passes find in O(n), on
+// many equal values too.
 // The input slice is reordered in place (callers pass a reusable scratch
 // buffer; the clock-sync automaton calls this once per round per process,
 // where the full sort dominated the update step at large n). The result is
@@ -156,50 +157,76 @@ func MidpointSelect(vals []float64, f int) (float64, error) {
 }
 
 // selectKth returns the k-th smallest element (0-based), reordering a in
-// place. Hoare-partition quickselect with median-of-three pivots: expected
-// O(n), well-behaved on duplicate-heavy inputs (ARR arrays are padded with
-// −Inf never-heard sentinels).
+// place: quickselect with median-of-three pivots over a branch-free Lomuto
+// partition (the comparison feeds an index, never a jump — Edelkamp & Weiß,
+// "BlockQuicksort", ESA 2016), so the mispredictions a branchy partition
+// takes on every element go. Each step keeps the side holding rank k; a
+// pivot that is the range's minimum also splits off its copies, so every
+// step drops at least the pivot and an array of many equal values — ARR
+// arrays padded with −Inf never-heard sentinels — stays O(n). Ranges of at
+// most 16 elements are insertion-sorted.
 func selectKth(a []float64, k int) float64 {
-	lo, hi := 0, len(a)-1
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if a[mid] < a[lo] {
-			a[mid], a[lo] = a[lo], a[mid]
-		}
-		if a[hi] < a[mid] {
-			a[hi], a[mid] = a[mid], a[hi]
-			if a[mid] < a[lo] {
-				a[mid], a[lo] = a[lo], a[mid]
-			}
-		}
-		if hi-lo <= 2 {
-			break // the median-of-three ordering sorted all three
-		}
-		p := a[mid]
-		i, j := lo, hi
-		for i <= j {
-			for a[i] < p {
-				i++
-			}
-			for a[j] > p {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
-			}
-		}
+	for len(a) > 16 {
+		p := medianOfThree(a[0], a[len(a)/2], a[len(a)-1])
+		l := partition(a, func(x float64) bool { return x < p })
 		switch {
-		case k <= j:
-			hi = j
-		case k >= i:
-			lo = i
-		default:
-			return a[k]
+		case k < l:
+			a = a[:l]
+		case l > 0:
+			a, k = a[l:], k-l
+		default: // nothing below p: split off the elements not above it
+			e := partition(a, func(x float64) bool { return !(p < x) })
+			if k < e {
+				return a[k]
+			}
+			a, k = a[e:], k-e
 		}
 	}
+	for i := 1; i < len(a); i++ {
+		x, j := a[i], i
+		for ; j > 0 && x < a[j-1]; j-- {
+			a[j] = a[j-1]
+		}
+		a[j] = x
+	}
 	return a[k]
+}
+
+// partition moves the elements for which front holds to the front of a,
+// keeping the rest behind them, and returns how many it moved. Every
+// element is swapped with the first one behind the front part, which
+// advances by front's result: no branch depends on the data.
+func partition(a []float64, front func(float64) bool) int {
+	j := 0
+	for i, x := range a {
+		a[i] = a[j]
+		a[j] = x
+		j += b2i(front(x))
+	}
+	return j
+}
+
+// b2i is 1 for true and 0 for false, which the compiler emits as a flag
+// store (SETcc), not a jump.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// medianOfThree returns the median of x, y and z.
+func medianOfThree(x, y, z float64) float64 {
+	if y < x {
+		x, y = y, x
+	}
+	if z < y {
+		y = z
+		if y < x {
+			y = x
+		}
+	}
+	return y
 }
 
 // FaultTolerantMean computes mean(reduce_f(U)), the §7 variant.

@@ -1,10 +1,12 @@
 package multiset
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestBasicAccessors(t *testing.T) {
@@ -442,5 +444,106 @@ func TestDistXMonotoneInX(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMidpointSelectMatchesSort holds MidpointSelect to the sorting path bit
+// for bit on arrays of every size up to a few partition steps, drawn from a
+// handful of values with ±Inf among them, so ties, all-equal ranges and the
+// insertion-sorted tail all occur.
+func TestMidpointSelectMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	pool := []float64{math.Inf(-1), -2.5, -1, 0, 0.25, 1, 3, math.Inf(1)}
+	for it := 0; it < 20000; it++ {
+		n := 1 + rng.Intn(200)
+		distinct := 1 + rng.Intn(len(pool))
+		vals := make([]float64, n)
+		for i := range vals {
+			if rng.Intn(4) == 0 {
+				vals[i] = rng.NormFloat64()
+			} else {
+				vals[i] = pool[rng.Intn(distinct)]
+			}
+		}
+		f := rng.Intn((n-1)/2 + 1)
+		want, _ := FaultTolerantMidpoint(New(vals...), f)
+		got, err := MidpointSelect(append([]float64(nil), vals...), f)
+		if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("MidpointSelect(%v, %d) = %v, %v; the sorting path gives %v", vals, f, got, err, want)
+		}
+	}
+}
+
+// TestMidpointSelectLinear: selection stays linear on the inputs a plain
+// Lomuto partition takes quadratic time on — 2¹⁷ equal values, and 2¹⁷
+// values of which half are the −Inf never-heard sentinel, grouped or
+// interleaved. At 2¹⁷ a quadratic select runs for seconds (minutes under
+// the race detector); a linear one takes milliseconds.
+func TestMidpointSelectLinear(t *testing.T) {
+	const n, f = 1 << 17, (1<<17 - 1) / 3
+	rng := rand.New(rand.NewSource(17))
+	cases := map[string]func(i int) float64{
+		"all-equal": func(int) float64 { return 1.5 },
+		"half-inf/grouped": func(i int) float64 {
+			if i < n/2 {
+				return math.Inf(-1)
+			}
+			return rng.Float64()
+		},
+		"half-inf/interleaved": func(i int) float64 {
+			if i%2 == 0 {
+				return math.Inf(-1)
+			}
+			return rng.Float64()
+		},
+	}
+	for name, gen := range cases {
+		t.Run(name, func(t *testing.T) {
+			vals := make([]float64, n)
+			for i := range vals {
+				vals[i] = gen(i)
+			}
+			want, _ := FaultTolerantMidpoint(New(vals...), f)
+			done := make(chan float64, 1)
+			go func() {
+				got, _ := MidpointSelect(vals, f)
+				done <- got
+			}()
+			select {
+			case got := <-done:
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("MidpointSelect = %v, the sorting path gives %v", got, want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("MidpointSelect did not finish in 10 s: the selection is not linear on this input")
+			}
+		})
+	}
+}
+
+// BenchmarkMidpointSelect prices one midpoint at the three benchmarked sizes
+// on arrival-shaped input — a trend over sender ids under jitter twice its
+// span, as a §4.2 round's ARR looks — with f = ⌊(n−1)/3⌋. Every call gets a
+// fresh copy; the copy is part of the price, as it is in core.Round.Adjust.
+func BenchmarkMidpointSelect(b *testing.B) {
+	for _, n := range []int{7, 101, 1009} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(int64(n)))
+			srcs := make([][]float64, 16)
+			for j := range srcs {
+				srcs[j] = make([]float64, n)
+				for i := range srcs[j] {
+					srcs[j][i] = float64(i)/float64(n) + 2*rng.Float64()
+				}
+			}
+			scratch := make([]float64, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(scratch, srcs[i%len(srcs)])
+				if _, err := MidpointSelect(scratch, (n-1)/3); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

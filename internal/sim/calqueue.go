@@ -450,8 +450,8 @@ func (s *sched) drain(b *bin, fn func(en *entry)) {
 
 // pushCopies files copies of one ordinary message under one new header: ents
 // carry each copy's delivery time, key and recipient. A send files its local
-// copies here (Engine.fanOut), the window barrier those another partition
-// sent.
+// copies here (Engine.fanOut), and a partition, at the head of a window, those
+// another partition sent it (Engine.fileInbound).
 func (s *sched) pushCopies(from ProcID, sentAt clock.Real, payload any, ents []entry) {
 	h := s.newHdr(from, sentAt, payload, KindOrdinary)
 	for i := range ents {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/clock"
 )
@@ -28,7 +29,9 @@ import (
 //   - a timeline action fired: every row is re-read, and every read made
 //     inside the action re-reads them too;
 //   - Run was entered: between runs the caller may have changed anything, so
-//     every row is re-read.
+//     every row is re-read;
+//   - a windowed engine cut a window: partition 0, which observers read,
+//     re-reads every row there (see below).
 //
 // A full evaluation (scan) is a loop over the rows using the expression
 // clock.PiecewiseLinear.At uses (see clock.Segment), so its result is
@@ -58,11 +61,15 @@ import (
 //     Clock) makes the whole scan live; a multi-segment clock crossing a
 //     breakpoint reloads the rows first and stays on the table;
 //   - a historical query (t ≠ now) is never cached, and walks live when t
-//     lies outside the segments the rows hold;
-//   - a windowed engine's partitions: a peer's correction moves inside
-//     another partition's window, outside this engine's Receive, so their
-//     scan is always live and partition 0 advances its version at every
-//     window cut, where the observers fire.
+//     lies outside the segments the rows hold.
+//
+// A windowed engine's partitions keep rows but no correction mirror: a peer's
+// correction moves inside another partition's window, outside this engine's
+// Receive. Partition 0 therefore reloads every row at each window cut — the
+// windowed counterpart of Run entry — and its observers, which fire only
+// there, read the rows like the time-major engine's, historical annotation
+// reads included; a read made inside a Receive on a partition reloads them
+// first.
 //
 // The table relies on the CorrHolder contract — during Run a process changes
 // only its own correction, and only inside its own Receive or a timeline
@@ -94,12 +101,12 @@ func (r *clockRow) scale() float64 {
 
 type clockTable struct {
 	ids   []ProcID      // nonfaulty CORR-holding processes, ascending; nil until first read
-	rows  []clockRow    // parallel to ids; nil on partitions
+	rows  []clockRow    // parallel to ids
 	lt    []clock.Local // parallel to ids: the local times of version ltVer
 	hist  []clock.Local // scratch of the same length for scans at t ≠ now
 	rowOf []int32       // ProcID → index into ids, −1 outside the table; nil on partitions
-	// live routes the scan through At/Corr: a partition, or some row's
-	// clock is not a *clock.PiecewiseLinear.
+	// live routes the scan through At/Corr: some row's clock is not a
+	// *clock.PiecewiseLinear.
 	live bool
 	// Every row's segment is the one At reads over [from, until).
 	from, until clock.Real
@@ -169,28 +176,24 @@ func (e *Engine) refresh() {
 	switch {
 	case e.tbl.ids == nil:
 		e.buildTable()
-	case e.acting >= 0:
-		if e.tbl.rowOf != nil { // a partition mirrors no corrections
-			e.rereadCorr(e.acting)
-		}
-	default: // actingAll
+	case e.acting >= 0 && e.tbl.rowOf != nil:
+		e.rereadCorr(e.acting)
+	default: // inside a timeline action, or a Receive on a partition
 		e.loadTable()
 	}
 }
 
 func (e *Engine) buildTable() {
 	tb := &e.tbl
-	tb.ids = make([]ProcID, 0, len(e.nonfaulty))
-	for _, p := range e.nonfaulty {
-		if e.corr[p] != nil {
-			tb.ids = append(tb.ids, p)
-		}
+	tb.ids = e.nonfaulty // shared while every nonfaulty process holds a correction
+	if slices.ContainsFunc(e.nonfaulty, func(p ProcID) bool { return e.corr[p] == nil }) {
+		tb.ids = slices.DeleteFunc(slices.Clone(e.nonfaulty), func(p ProcID) bool { return e.corr[p] == nil })
 	}
 	n := len(tb.ids)
 	buf := make([]clock.Local, 2*n)
 	tb.lt, tb.hist = buf[:n:n], buf[n:]
+	tb.rows = make([]clockRow, n)
 	if e.local == nil {
-		tb.rows = make([]clockRow, n)
 		tb.rowOf = make([]int32, len(e.procs))
 		for i := range tb.rowOf {
 			tb.rowOf[i] = -1
@@ -205,12 +208,13 @@ func (e *Engine) buildTable() {
 // loadTable re-reads every row in place — the segment its clock is on at the
 // current instant and its correction — records the extreme segment rates,
 // drops the certificates and starts a new configuration version. It runs
-// when the table is built, when Run is entered, after a timeline action, and
-// when real time leaves [from, until).
+// when the table is built, when Run is entered, at a window cut, after a
+// timeline action, and when real time leaves [from, until); before the table
+// is built it only starts the version.
 func (e *Engine) loadTable() {
 	tb := &e.tbl
 	e.ver++
-	tb.live = e.local != nil
+	tb.live = false
 	tb.kin.ok = false
 	tb.from, tb.until = clock.Real(math.Inf(-1)), clock.Real(math.Inf(1))
 	tb.rMin, tb.rMax = math.Inf(1), math.Inf(-1)

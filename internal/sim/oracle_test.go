@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -138,7 +139,23 @@ func TestOracleDifferential(t *testing.T) {
 		})
 	})
 
-	// Flat, sharded: read at window cuts only, always live.
+	// Multi-segment clocks on the windowed engine: breakpoints fall between
+	// cuts, so each cut's reload moves rows across them, and the reads made
+	// at an annotation's own time, before the cut it is replayed at,
+	// straddle them.
+	for name, c := range map[string]struct {
+		drift clock.DriftSchedule
+		k     int
+	}{
+		"random-walk": {clock.RandomWalkDrift{RhoBound: cfg.Rho, SegmentDur: 0.05, Horizon: 10, Seed: 3}, 2},
+		"alternating": {clock.AlternatingDrift{RhoBound: cfg.Rho, Period: 0.05, Horizon: 10}, 4},
+	} {
+		t.Run("sharded-drift/"+name, func(t *testing.T) {
+			run(t, exp.Workload{Cfg: cfg, Rounds: 5, Seed: 5, Drift: c.drift, Shards: c.k, CheckInvariants: true})
+		})
+	}
+
+	// Flat, sharded: read at window cuts only, from rows reloaded there.
 	for _, k := range []int{2, 4} {
 		t.Run(fmt.Sprintf("sharded-flat/k=%d", k), func(t *testing.T) {
 			c := core.Config{Params: analysis.Default(40, 13)}
@@ -306,6 +323,77 @@ func TestOracleCatchesContractBreach(t *testing.T) {
 	for _, want := range []string{"process 5", "t=0.1", "the clock table has local time", "the live walk", "sim.CorrHolder contract"} {
 		if !strings.Contains(report, want) {
 			t.Fatalf("oracle report %q does not name %q", report, want)
+		}
+	}
+}
+
+// physProbe checks, at every delivery, that Context.PhysNow returns its
+// clock's At at the delivery time bit for bit, then keeps the traffic going:
+// a broadcast and a timer on every START and TIMER.
+type physProbe struct {
+	t      *testing.T
+	clk    clock.Clock
+	checks int
+}
+
+func (p *physProbe) Receive(ctx *sim.Context, m sim.Message) {
+	got, want := ctx.PhysNow(), p.clk.At(m.DeliverAt)
+	if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+		p.t.Errorf("process %d at t=%v: PhysNow = %v, its clock's At gives %v", ctx.ID(), m.DeliverAt, got, want)
+	}
+	p.checks++
+	if m.Kind != sim.KindOrdinary {
+		ctx.Broadcast(nil)
+		ctx.SetTimer(got+7e-3, nil)
+	}
+}
+
+// TestPhysNowMatchesAt holds Context.PhysNow, which reads a segment the
+// engine keeps per process, to the live Clock.At at every delivery, on
+// clocks that cross a breakpoint every 20 ms (so held segments go stale
+// between reads) and on clock.Offset clocks, which have no segment to hold —
+// time-major and on two shards.
+func TestPhysNowMatchesAt(t *testing.T) {
+	const n, horizon = 8, 1.0
+	const rho = 1e-4
+	offset := offsetDrift{clock.ConstantDrift{RhoBound: rho}}
+	for name, drift := range map[string]clock.DriftSchedule{
+		"random-walk": clock.RandomWalkDrift{RhoBound: rho, SegmentDur: 0.02, Horizon: 2 * horizon, Seed: 4},
+		"alternating": clock.AlternatingDrift{RhoBound: rho, Period: 0.02, Horizon: 2 * horizon},
+		"offset":      offset,
+	} {
+		for _, shards := range []int{0, 2} {
+			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
+				cfg := sim.Config{
+					Procs:   make([]sim.Process, n),
+					Clocks:  make([]clock.Clock, n),
+					StartAt: make([]clock.Real, n),
+					Delay:   sim.UniformDelay{Delta: 2e-3, Eps: 1e-3},
+					Seed:    9,
+					Shards:  shards,
+				}
+				probes := make([]*physProbe, n)
+				for i := range probes {
+					cfg.Clocks[i] = drift.Build(i, n)
+					cfg.StartAt[i] = clock.Real(i) * 1e-4
+					probes[i] = &physProbe{t: t, clk: cfg.Clocks[i]}
+					cfg.Procs[i] = probes[i]
+				}
+				eng, err := sim.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := eng.Run(horizon); err != nil {
+					t.Fatal(err)
+				}
+				checks := 0
+				for _, p := range probes {
+					checks += p.checks
+				}
+				if checks < 10_000 {
+					t.Fatalf("only %d PhysNow checks", checks)
+				}
+			})
 		}
 	}
 }

@@ -22,16 +22,21 @@ import (
 // partition: an Engine holding only its processes' pending events. Partition
 // 0 is the engine New returns; it drives the windows and is the one observers
 // read. A window runs as: (1) find the globally earliest pending event time
-// m; (2) let every partition drain its events in [m, m+L) concurrently
-// (Engine.drain, the loop the time-major engine runs, on one runner.Map
-// worker set per window); (3) join, exchange cross-partition traffic
-// single-threaded, cut, and repeat. Every cross-partition message produced
-// inside the window has delivery time ≥ m+L, i.e. beyond the window, so no
-// partition can miss an event (checked at exchange time against the earliest
-// copy on each link; a delay model violating its declared bounds is
-// reported, not silently reordered). runner.Map's join is the only
-// synchronization: it returns once every partition has, and turns a
-// panicking Receive into that partition's error.
+// m, over the queues and the copies the last window sent; (2) let every
+// partition, concurrently on one runner.Map worker set per window, file the
+// copies the last window sent it into its queue and then drain its events in
+// [m, m+L) (Engine.drain, the loop the time-major engine runs); (3) join,
+// check every link's earliest copy against the window, hand each link's
+// copies to its destination, cut, and repeat. Every link is double-buffered —
+// the buffer a source appends to this window, and the one its destination
+// files from — so the serial phase at the cut is k² comparisons and swaps,
+// and the filing runs on the worker set. Every cross-partition message
+// produced inside the window has delivery time ≥ m+L, i.e. beyond the window,
+// so no partition can miss an event (checked at the cut against the earliest
+// copy on each link; a delay model violating its declared bounds is reported,
+// not silently reordered). runner.Map's join is the only synchronization: it
+// returns once every partition has, and turns a panicking Receive into that
+// partition's error.
 //
 // Determinism is independent of k (the oracle E19 and TestShardedDeterminism
 // pin) because no order state is shared: every engine, time-major or
@@ -62,23 +67,26 @@ type chunkHdr struct {
 
 // shardLink is the traffic one shard produced for another during one
 // window, unicasts and fan-out copies alike: the copies as ready-keyed queue
-// entries (unsorted; the destination's header index is filled in when the
-// barrier files them), and their earliest delivery time, which the sender
-// keeps as it appends so the barrier can check the delay lower bound over
-// every copy in O(1). The barrier empties a link in place, so steady-state
-// windows allocate nothing.
+// entries (unsorted; the destination's header index is filled in when it
+// files them), and their earliest delivery time, which the sender keeps as it
+// appends so the cut can check the delay lower bound over every copy in O(1).
+// The destination empties a link in place when it files it, and the cut hands
+// the emptied buffer back to the source, so steady-state windows allocate
+// nothing.
 type shardLink struct {
 	hdrs []chunkHdr
 	ents []entry
 	min  float64 // +Inf when empty
 }
 
-func newShardLinks(k int) []shardLink {
-	ls := make([]shardLink, k)
+// newShardLinks returns a partition's links: the outbound one per
+// destination and the inbound one per source.
+func newShardLinks(k int) (out, in []shardLink) {
+	ls := make([]shardLink, 2*k)
 	for i := range ls {
 		ls[i].min = math.Inf(1)
 	}
-	return ls
+	return ls[:k:k], ls[k:]
 }
 
 // open starts the chunk of a new message; add appends its copies.
@@ -153,7 +161,8 @@ func newWindowed(cfg Config, mode schedMode) (*Engine, error) {
 // time-major engine, which has none.
 func (e *Engine) Windows() int { return e.windows }
 
-// minPending returns the earliest pending event time across the partitions.
+// minPending returns the earliest pending event time across the partitions:
+// their queues and the copies the last window sent them.
 func (e *Engine) minPending() (clock.Real, bool) {
 	var m clock.Real
 	any := false
@@ -162,17 +171,25 @@ func (e *Engine) minPending() (clock.Real, bool) {
 			m = at
 			any = true
 		}
+		for s := range p.in {
+			if l := &p.in[s]; len(l.ents) > 0 && (!any || clock.Real(l.min) < m) {
+				m = clock.Real(l.min)
+				any = true
+			}
+		}
 	}
 	return m, any
 }
 
 // runWindows is Run on a windowed engine: windows until no partition holds
 // an event at or before until, or the step limit is hit. At every cut — all
-// events strictly before it delivered and no others, so clock and correction
-// reads there are well-defined — it dispatches the buffered annotations in
-// merged order, then fires the samplers, single-threaded behind the window's
-// join.
+// events strictly before it delivered and no others — it reloads partition
+// 0's clock table, so clock and correction reads there see the cut, then
+// dispatches the buffered annotations in merged order and fires the samplers,
+// single-threaded behind the window's join. Before it returns it files the
+// copies the last window sent, so the queues hold every pending event.
 func (e *Engine) runWindows(until clock.Real) error {
+	defer e.fileAll()
 	for {
 		m, any := e.minPending()
 		if !any || m > until {
@@ -182,7 +199,7 @@ func (e *Engine) runWindows(until clock.Real) error {
 				for _, p := range e.parts {
 					p.now = until
 				}
-				e.ver++
+				e.loadTable()
 				e.sampleCut()
 			}
 			return nil
@@ -194,6 +211,7 @@ func (e *Engine) runWindows(until clock.Real) error {
 		cut := min(hi, until)
 		if _, err := runner.Map(len(e.parts), len(e.parts), func(i int) (struct{}, error) {
 			p := e.parts[i]
+			p.fileInbound()
 			err := p.drain(hi, until)
 			if err == nil && p.now < cut {
 				p.now = cut
@@ -211,17 +229,66 @@ func (e *Engine) runWindows(until clock.Real) error {
 				return p.bad
 			}
 		}
-		if err := e.exchange(hi); err != nil {
+		if err := e.handOver(hi); err != nil {
 			return err
 		}
 		e.windows++
-		// Partitions keep no configuration version of their own — peers'
-		// corrections move inside other partitions' windows — so every cut
-		// counts as a change and the first reader's live scan serves the
-		// rest of the cut.
-		e.ver++
+		// Partitions keep no correction mirror — peers' corrections move
+		// inside other partitions' windows — so every cut re-reads every row.
+		e.loadTable()
 		e.dispatchAnnotations()
 		e.sampleCut()
+	}
+}
+
+// handOver checks every link's earliest copy against the window and moves
+// each link that carries copies to its destination's inbound side, taking
+// the buffer the destination filed from back in exchange. A quiet link takes
+// the larger of its two emptied buffers, so traffic that comes in bursts
+// grows one buffer per link, not two. Single-threaded, once per window: k²
+// comparisons and swaps.
+func (e *Engine) handOver(hi clock.Real) error {
+	for s, src := range e.parts {
+		for d := range src.out {
+			l, in := &src.out[d], &e.parts[d].in[s]
+			if len(l.ents) == 0 {
+				if cap(in.ents) > cap(l.ents) {
+					*l, *in = *in, *l
+				}
+				continue
+			}
+			if clock.Real(l.min) < hi {
+				return l.lowerBoundError(hi)
+			}
+			*l, *in = *in, *l
+		}
+	}
+	return nil
+}
+
+// fileInbound moves the copies the last window sent this partition into its
+// queue: sources in ascending order, a link's chunk at a time — one order
+// whatever runs it, so header indexes and pop order stay fixed properties of
+// the execution. Each partition runs it for itself at the head of its share
+// of a window.
+func (e *Engine) fileInbound() {
+	for s := range e.in {
+		l := &e.in[s]
+		o := 0
+		for j := range l.hdrs {
+			h := &l.hdrs[j]
+			e.queue.pushCopies(h.from, h.sentAt, h.payload, l.ents[o:o+int(h.n)])
+			o += int(h.n)
+			h.payload = nil // release the payload reference
+		}
+		l.hdrs, l.ents, l.min = l.hdrs[:0], l.ents[:0], math.Inf(1)
+	}
+}
+
+// fileAll files what the last window sent, on every partition.
+func (e *Engine) fileAll() {
+	for _, p := range e.parts {
+		p.fileInbound()
 	}
 }
 
@@ -266,32 +333,6 @@ func (e *Engine) dispatchAnnotations() {
 		}
 		buf[i] = Annotation{}
 	}
-}
-
-// exchange moves the window's cross-partition traffic to the destination
-// partitions' queues, a link's chunk at a time, after checking the link's
-// earliest copy against the window. Single-threaded, once per window.
-func (e *Engine) exchange(hi clock.Real) error {
-	for _, src := range e.parts {
-		for d := range src.out {
-			l := &src.out[d]
-			if len(l.ents) == 0 {
-				continue
-			}
-			if clock.Real(l.min) < hi {
-				return l.lowerBoundError(hi)
-			}
-			q, o := &e.parts[d].queue, 0
-			for j := range l.hdrs {
-				h := &l.hdrs[j]
-				q.pushCopies(h.from, h.sentAt, h.payload, l.ents[o:o+int(h.n)])
-				o += int(h.n)
-				h.payload = nil // release the payload reference
-			}
-			l.hdrs, l.ents, l.min = l.hdrs[:0], l.ents[:0], math.Inf(1)
-		}
-	}
-	return nil
 }
 
 // lowerBoundError names the link's earliest copy, which lands before hi.

@@ -326,8 +326,8 @@ func (p *peeker) Receive(ctx *Context, m Message) {
 
 // TestShardedMidReceiveRead: the shared delivery loop marks the acting process
 // on partitions too, whose clock table has no correction mirror to re-read;
-// a table read made inside a Receive there must scan live, not index the
-// missing mirror.
+// a table read made inside a Receive there must reload every row, not index
+// the missing mirror.
 func TestShardedMidReceiveRead(t *testing.T) {
 	const n = 4
 	cfg := shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
@@ -475,12 +475,12 @@ func (p *idler) Receive(ctx *Context, m Message) {
 
 // TestShardedAdoptionBeforeWindow is the regression test for a scheduler
 // that moved when asked the time: a shard whose only pending events are far
-// timers is asked for its next event time at every window end, and the
-// barrier then files copies that land long before those timers. peekTime
-// must open no slot — the copies are filed ahead of the timers like any
-// other entry (there is no ordered-insert path for them to fall back on) —
-// and every process must see exactly the sequential engine's deliveries, in
-// its order.
+// timers is asked for its next event time at every window end, and then, at
+// the head of the next window, files copies that land long before those
+// timers. peekTime must open no slot — the copies are filed ahead of the
+// timers like any other entry (there is no ordered-insert path for them to
+// fall back on) — and every process must see exactly the sequential engine's
+// deliveries, in its order.
 func TestShardedAdoptionBeforeWindow(t *testing.T) {
 	const n = 8
 	horizon := clock.Real(0.12)
@@ -520,17 +520,20 @@ func TestShardedAdoptionBeforeWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// At every cut (after the exchange, before the next window): when shard 1
-	// holds copies that land well before its far timers, no window may be open
-	// on those timers, and asking for the time must leave the scheduler where
-	// it is.
+	// At every cut (before the next window, whose head files the copies
+	// shard 0 sent shard 1): when shard 1 is to adopt copies that land well
+	// before its far timers, no window may be open on those timers, and
+	// asking for the time must leave the scheduler where it is.
 	adoptedEarlier := 0
 	if err := se.Observe(samplerFunc(func(*Engine) {
-		q := &se.Shard(1).queue
+		q, l := &se.Shard(1).queue, &se.Shard(1).in[0]
 		opened, cur := q.opened, q.cur
 		next, ok := q.peekTime()
 		if q.opened != opened || q.cur != cur {
 			t.Errorf("peekTime moved the scheduler: opened %d → %d, open slot %d → %d", opened, q.opened, cur, q.cur)
+		}
+		if len(l.ents) > 0 && (!ok || clock.Real(l.min) < next) {
+			next, ok = clock.Real(l.min), true
 		}
 		if !ok {
 			return
@@ -539,7 +542,7 @@ func TestShardedAdoptionBeforeWindow(t *testing.T) {
 			if head := clock.Real(q.win[q.wpos].at); head-next > 5e-3 {
 				t.Errorf("cut at %v: a window is open on the timer at %v while copies landing at %v are pending", se.Now(), head, next)
 			}
-		} else if top := q.heap.peek(); top != nil && q.binned > 0 && clock.Real(top.at)-next > 5e-3 {
+		} else if top := q.heap.peek(); top != nil && (q.binned > 0 || len(l.ents) > 0) && clock.Real(top.at)-next > 5e-3 {
 			adoptedEarlier++
 		}
 	})); err != nil {
@@ -583,7 +586,7 @@ func (d undershoot) Sample(from, to ProcID, at clock.Real, rng *RNG) float64 {
 }
 
 // TestShardedLowerBoundEveryCopy: the lookahead is only as good as the delay
-// model's declared lower bound, so the barrier checks it — over every
+// model's declared lower bound, so the window cut checks it — over every
 // cross-shard copy, not just the first of each fan-out's (unsorted) share,
 // and over unicasts, which ride the same links. A model that undershoots δ−ε
 // for one recipient in the middle of a remote shard's block must end the run

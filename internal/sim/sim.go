@@ -125,7 +125,8 @@ type Process interface {
 // it) makes LocalTimeSpread and LocalTimes serve a stale value. The oracle
 // differential test (oracle_test.go) fails, naming the process, the time and
 // both values, when an automaton breaks this. A windowed engine (Config.Shards
-// ≥ 1) is exempt: it mirrors no corrections and scans them live at the cuts.
+// ≥ 1) re-reads every correction at each window cut, where its observers
+// read, and mirrors none in between.
 type CorrHolder interface {
 	Corr() clock.Local
 }
@@ -266,11 +267,13 @@ type Engine struct {
 
 	// A partition's plumbing, nil in time-major mode (see shard.go): local
 	// marks the processes this partition owns, shardOf every process's
-	// partition, and cross-partition traffic accumulates in out (one
-	// shardLink per destination) until the window barrier exchanges it.
+	// partition; cross-partition traffic accumulates in out (one shardLink
+	// per destination) until the window cut hands it to the destination's in
+	// (one per source), which the destination files at the head of the next
+	// window.
 	local   []bool
 	shardOf []int32
-	out     []shardLink
+	out, in []shardLink
 
 	// Windowed annotation capture: when the engine has annotation sinks,
 	// per-delivery annotations buffer here (reused across windows) and
@@ -327,11 +330,17 @@ func New(cfg Config) (*Engine, error) {
 	return newEngine(cfg, schedAuto)
 }
 
-// sender is one process's share of the numbering: its delay stream and the
-// index of its next send.
+// sender is one process's share of the numbering — its delay stream and the
+// index of its next send — and the piece of its physical clock PhysNow last
+// loaded: for now < until, Ph(now) = value + rate·(now − start). until is −∞
+// before the first load and stays so for a clock that is not a
+// *clock.PiecewiseLinear.
 type sender struct {
-	rng  RNG
-	sidx uint64
+	rng          RNG
+	sidx         uint64
+	start, until clock.Real
+	value        clock.Local
+	rate         float64
 }
 
 // maxProcs caps the system size. A packed sequence key splits 63 bits (bit
@@ -445,6 +454,7 @@ func newPartition(cfg Config, owner []int32, s int, mode schedMode) (*Engine, er
 	e.senders = make([]sender, n)
 	for i := range e.senders {
 		e.senders[i].rng = NewRNG(senderSeed(cfg.Seed, ProcID(i)))
+		e.senders[i].until = clock.Real(math.Inf(-1))
 	}
 	// Pre-size the queue's backing stores for the expected peak population
 	// (see Config.EventHint), unless the workload supplied a sharper hint.
@@ -468,7 +478,7 @@ func newPartition(cfg Config, owner []int32, s int, mode schedMode) (*Engine, er
 			}
 		}
 		e.shardOf = owner
-		e.out = newShardLinks(cfg.Shards)
+		e.out, e.in = newShardLinks(cfg.Shards)
 		if k := cfg.Shards; cfg.EventHint > 0 {
 			// A caller-supplied hint describes the whole system; a partition
 			// only ever buffers its own processes' share — roughly hint/k.
@@ -668,8 +678,9 @@ func (e *Engine) Run(until clock.Real) error {
 // drain(hi, until) with a finite hi, on an engine where every time-major-only
 // branch below is a never-taken comparison — a partition has no samplers,
 // delivery observers, adversary or timeline in drain's slices, and mirrors no
-// corrections. There it is the only engine code that runs concurrently: each
-// partition touches its own queue, links and processes' state; clocks and
+// corrections. There it is, with the filing of the partition's inbound links
+// before it, the only engine code that runs concurrently: each partition
+// touches its own queue, links, senders and processes' state; clocks and
 // remote corrections are read-only.
 func (e *Engine) drain(hi, until clock.Real) error {
 	var m Message
@@ -890,7 +901,31 @@ func (c *Context) N() int { return len(c.eng.procs) }
 
 // PhysNow returns the process's physical clock reading Ph_p(t) at the current
 // instant. Processes never see real time.
-func (c *Context) PhysNow() clock.Local { return c.eng.clocks[c.pid].At(c.eng.now) }
+//
+// It evaluates the piece of the clock the process's sender entry holds with
+// the expression clock.PiecewiseLinear.At uses (see clock.Segment), so the
+// reading is At's bit for bit without the interface call and the segment
+// search. The piece is reloaded only when now reaches its end: real time
+// never moves back, so now never falls before its start.
+func (c *Context) PhysNow() clock.Local {
+	e, now := c.eng, c.eng.now
+	if s := &e.senders[c.pid]; now < s.until {
+		return s.value + clock.Local(s.rate*float64(now-s.start))
+	}
+	return e.physAt(c.pid)
+}
+
+// physAt is PhysNow past the held piece: it loads p's current segment, or
+// reads a clock that is not a *clock.PiecewiseLinear through At.
+func (e *Engine) physAt(p ProcID) clock.Local {
+	pl, ok := e.clocks[p].(*clock.PiecewiseLinear)
+	if !ok {
+		return e.clocks[p].At(e.now)
+	}
+	seg, s := pl.SegmentAt(e.now), &e.senders[p]
+	s.start, s.until, s.value, s.rate = seg.Start, seg.Until, seg.Value, seg.Rate
+	return s.value + clock.Local(s.rate*float64(e.now-s.start))
+}
 
 // Send places an ordinary message to q in the buffer: a fan-out to q alone.
 func (c *Context) Send(to ProcID, payload any) { c.eng.fanOut(c.pid, int(to), int(to)+1, payload) }

@@ -74,8 +74,15 @@ func (o *Oracle) Sample(e *sim.Engine, pre bool) {
 	}
 }
 
-// OnAnnotation implements sim.AnnotationSink.
-func (o *Oracle) OnAnnotation(e *sim.Engine, a sim.Annotation) { o.Check(e, "annotation "+a.Tag) }
+// OnAnnotation implements sim.AnnotationSink. A windowed engine replays
+// annotations at the cut after their time, so there the spread at the
+// annotation's own time — what a round recorder reads — is checked too.
+func (o *Oracle) OnAnnotation(e *sim.Engine, a sim.Annotation) {
+	o.Check(e, "annotation "+a.Tag)
+	if a.At != e.Now() {
+		o.spread(e, a.At, "annotation "+a.Tag+" (at its time)")
+	}
+}
 
 // OnDeliver implements sim.DeliveryObserver.
 func (o *Oracle) OnDeliver(e *sim.Engine, _ sim.Message) { o.Check(e, "delivery") }
