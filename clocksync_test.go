@@ -371,27 +371,25 @@ func TestWithTrace(t *testing.T) {
 	}
 }
 
-// TestTwoTierRun drives the two-tier hierarchy through the facade, both
-// sequential and sharded, and checks the composed report plus determinism
-// of the execution itself (message count) across the engines.
+// TestTwoTierRun drives the two-tier hierarchy through the facade,
+// sequential and sharded, and checks the composed report. A report is one
+// for every shard count: the whole Report — skew maxima to the last bit,
+// rounds, messages, verdicts — must be equal at WithShards 1 (the sequential
+// engine), 2, 4 and 8, on the two-tier topology and on the flat n = 101 mesh.
 func TestTwoTierRun(t *testing.T) {
-	run := func(shards int) *clocksync.Report {
+	run := func(n, f, rounds, shards int, opts ...clocksync.Option) *clocksync.Report {
 		t.Helper()
-		opts := []clocksync.Option{clocksync.WithClusters(6)}
-		if shards > 1 {
-			opts = append(opts, clocksync.WithShards(shards))
-		}
-		c, err := clocksync.New(60, 0, opts...)
+		c, err := clocksync.New(n, f, append(opts, clocksync.WithShards(shards))...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := c.Run(6)
+		rep, err := c.Run(rounds)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rep
 	}
-	seq := run(1)
+	seq := run(60, 0, 6, 1, clocksync.WithClusters(6))
 	if !seq.TwoTier || seq.Clusters != 10 || seq.ClusterSize != 6 {
 		t.Fatalf("topology fields wrong: %+v", seq)
 	}
@@ -410,12 +408,14 @@ func TestTwoTierRun(t *testing.T) {
 			t.Errorf("report %q missing %q", s, want)
 		}
 	}
-	sh := run(4)
-	if sh.MessagesSent != seq.MessagesSent {
-		t.Errorf("sharded run sent %d messages, sequential %d — execution diverged", sh.MessagesSent, seq.MessagesSent)
-	}
-	if !sh.AgreementHolds() || !sh.InnerAgreementOK {
-		t.Errorf("sharded composed agreement violated: %+v", sh)
+	flat := run(101, 33, 10, 1)
+	for _, k := range []int{2, 4, 8} {
+		if sh := run(60, 0, 6, k, clocksync.WithClusters(6)); !reflect.DeepEqual(sh, seq) {
+			t.Errorf("two-tier report at %d shards differs from the sequential one:\n%+v\n%+v", k, sh, seq)
+		}
+		if sh := run(101, 33, 10, k); !reflect.DeepEqual(sh, flat) {
+			t.Errorf("flat n=101 report at %d shards differs from the sequential one:\n%+v\n%+v", k, sh, flat)
+		}
 	}
 }
 

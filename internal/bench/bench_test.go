@@ -129,9 +129,9 @@ func TestEngineCalendarSteadyStateAllocs(t *testing.T) {
 // TestEngineSampledSteadyStateAllocs is the same gate with the sampling path
 // on: n = 40 correction-holding processes under the three spread readers the
 // harness attaches (skew recorder, validity recorder, Theorem 16 checker),
-// sampled before and after every delivery. The clock table is allocated once,
-// at the first read — inside the warm-up — and refreshed in place from then
-// on, so the measured slices allocate nothing.
+// sampled before and after every correction change. The clock table is
+// allocated once, at the first Run — inside the warm-up — and refreshed in
+// place from then on, so the measured slices allocate nothing.
 func TestEngineSampledSteadyStateAllocs(t *testing.T) {
 	eng, err := NewSampledSteadyEngine(40, 1)
 	if err != nil {

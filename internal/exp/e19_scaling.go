@@ -33,8 +33,8 @@ var e19ShardCounts = []int{1, 2, 8}
 // algorithm on the real engine at n = 101 … 4001, partitioned across
 // shards with conservative time-window synchronization at lookahead δ−ε
 // (sim.Config.Shards). Every row reports deterministic quantities — windows
-// run, events delivered, copies sent, worst post-warmup skew at window cuts
-// — so the table doubles as a byte-exact oracle that executions are
+// run, events delivered, copies sent, worst post-warmup skew — so the table
+// doubles as a byte-exact oracle that executions are
 // independent of the shard count. The flat all-to-all message growth
 // (msgs ∝ n² per round) recorded here is the measured baseline any future
 // hierarchical variant has to beat.
@@ -83,7 +83,7 @@ func runE19() ([]*Table, error) {
 		}
 	}
 	t.AddNote("lookahead L = δ−ε; every shard drains one [t, t+L) window in parallel, cross-shard copies exchange at the barrier")
-	t.AddNote("worst skew is sampled at window cuts after %d warmup rounds (scaling oracle, not the piecewise-exact conformance measurement of E09)", e19Rounds/2)
+	t.AddNote("worst skew after %d warmup rounds, sampled where a local time bends — replayed at each cut, so exact and equal to the time-major run's", e19Rounds/2)
 	t.AddNote("msgs grows ∝ n² per round — the flat baseline a hierarchical topology would need to beat")
 	obs, err := e19ObserverTable()
 	if err != nil {
@@ -95,10 +95,10 @@ func runE19() ([]*Table, error) {
 // e19ObserverTable runs the same workload through the experiment harness
 // (Workload.Shards) with the standard recorders and the full invariant
 // suite registered via Engine.Observe on the windowed engine — the observer
-// path that made sharded runs measurable: samplers and annotation sinks fire at every
-// window cut in a merged deterministic order, so the recorded skew, the
-// Theorem 16/19/4(a) verdicts, and the tables built from them are
-// shard-count independent. Rows start at k = 2; the table above has k = 1.
+// path that made sharded runs measurable: samplers and annotation sinks are
+// replayed at every window cut at the time-major engine's instants and in
+// its order, so the recorded skew, the Theorem 16/19/4(a) verdicts, and the
+// tables built from them are shard-count independent. Rows start at k = 2; the table above has k = 1.
 func e19ObserverTable() (*Table, error) {
 	t := &Table{
 		ID:       "E19",
@@ -131,7 +131,7 @@ func e19ObserverTable() (*Table, error) {
 				Verdict(r.maxSkew <= r.gamma), Verdict(r.invariants), Verdict(det))
 		}
 	}
-	t.AddNote("recorders (skew, rounds, validity) and the invariant suite attach through ShardedEngine.Observe and sample at window cuts; per-delivery observers are rejected")
+	t.AddNote("recorders (skew, rounds, validity) and the invariant suite attach through Engine.Observe and are replayed at each window cut at the time-major sample points; per-delivery observers are not yet implemented there")
 	t.AddNote("identical rows across shard counts pin the merged observer dispatch order, not just the execution")
 	return t, nil
 }

@@ -135,7 +135,7 @@ func e20ScaleTable() (*Table, error) {
 		}
 	}
 	t.AddNote("hier: clusters of c ≈ √n run the §4.2 algorithm on a fast (δ_in=2ms) substrate; representatives run it again across clusters (δ_out=30ms) and relay corrections")
-	t.AddNote("bound is γ for flat rows and γ_composed = 2γ_in + γ_out + AdjBound_out for hier rows; skew sampled at window cuts after %d warmup rounds", e20ScaleRounds/2)
+	t.AddNote("bound is γ for flat rows and γ_composed = 2γ_in + γ_out + AdjBound_out for hier rows; worst skew after %d warmup rounds, sampled where a local time bends (exact on every engine)", e20ScaleRounds/2)
 	t.AddNote("identical hier digests across shard counts pin clusters straddling shard boundaries (c ≈ √n never divides the shard width)")
 	if SweepTier() >= TierStress {
 		t.AddNote("n=16385 flat baseline is analytic (n² copies/round); E19's stress rows measure that mesh directly")

@@ -88,12 +88,12 @@ type Workload struct {
 	CheckInvariants bool
 
 	// Shards is sim.Config.Shards: 0 drains time-major, k ≥ 1 in lookahead
-	// windows over k partitions, one execution for every k. Workload
-	// features the windowed engine rejects fail Run with a clear error: an
-	// Adversary or Timeline at engine construction, and per-delivery
-	// observers (e.g. sim.Tracer) at registration — the standard recorders
-	// and the invariant suite all sample at window barriers and work
-	// unchanged.
+	// windows over k partitions, one execution sampled at the same instants
+	// for every k, so the Result reads the same. Workload features the
+	// windowed engine rejects fail Run with a clear error: an Adversary or
+	// Timeline at engine construction, and per-delivery observers (e.g.
+	// sim.Tracer), not yet implemented there, at registration — the
+	// standard recorders and the invariant suite work unchanged.
 	Shards int
 }
 

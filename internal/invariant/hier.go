@@ -57,14 +57,16 @@ func NewHierAgreement(gamma, gammaIn float64, clusterSize int, warmup clock.Real
 // outside Exclude) seen from Warmup on — the quantity held against Gamma.
 func (h *HierAgreement) MaxSpread() float64 { return h.maxSpread }
 
-// Sample implements sim.Sampler. Without Exclude the global spread is the
-// engine's LocalTimeSpread — two certificated rows, not n — and the
-// per-cluster pass runs only when that spread exceeds GammaIn: every
-// cluster's hi − lo is at most the global hi − lo (float subtraction is
-// monotone), so below it no cluster can violate.
+// Sample implements sim.Sampler. A sample before Warmup asks for one at
+// Warmup. Without Exclude the global spread is the engine's LocalTimeSpread,
+// shared with the other samplers, and the per-cluster pass runs only when
+// that spread exceeds GammaIn: every cluster's hi − lo is at most the global
+// hi − lo (float subtraction is monotone), so below it no cluster can
+// violate.
 func (h *HierAgreement) Sample(e *sim.Engine, _ bool) {
 	t := e.Now()
 	if t < h.Warmup {
+		e.SampleAt(h.Warmup)
 		return
 	}
 	var glo, ghi clock.Local

@@ -1,8 +1,11 @@
 // Package invariant turns the paper's theorems into executable predicates
 // over live engine state. Each checker is a sim observer that watches one
-// guarantee at every sample point (the engine samples immediately before and
-// after every action, so piecewise-linear quantities are seen at their exact
-// extremes) and records violations instead of aggregating statistics:
+// guarantee at every sample point and records violations instead of
+// aggregating statistics. The engine samples wherever a local time may bend
+// (sim.Sampler) — around every correction change, at clock breakpoints, and
+// at the first instant of each checker's window, which the checker asks for
+// (sim.Engine.SampleAt) — so piecewise-linear quantities are seen at their
+// exact extremes:
 //
 //   - Agreement — Theorem 16: after convergence, the nonfaulty logical
 //     clocks stay within γ of each other.
@@ -125,14 +128,22 @@ func NewAgreement(gamma float64, warmup clock.Real) *Agreement {
 	return &Agreement{recorder: recorder{name: "agreement"}, Gamma: gamma, Warmup: warmup}
 }
 
-// Sample implements sim.Sampler.
+// Sample implements sim.Sampler. A sample before Warmup asks for one at
+// Warmup.
 func (a *Agreement) Sample(e *sim.Engine, _ bool) {
 	t := e.Now()
 	if t < a.Warmup {
+		e.SampleAt(a.Warmup)
 		return
 	}
 	lo, hi, count := e.LocalTimeSpread(t)
-	if count < 2 {
+	a.Record(t, lo, hi, count)
+}
+
+// Record checks the nonfaulty local-time extremes lo, hi of count processes
+// at real time t.
+func (a *Agreement) Record(t clock.Real, lo, hi clock.Local, count int) {
+	if t < a.Warmup || count < 2 {
 		return
 	}
 	a.checked++
@@ -174,10 +185,11 @@ func NewValidity(p analysis.Params, tmin0, tmax0 clock.Real) *Validity {
 	}
 }
 
-// Sample implements sim.Sampler.
+// Sample implements sim.Sampler. A sample before From asks for one at From.
 func (v *Validity) Sample(e *sim.Engine, _ bool) {
 	t := e.Now()
 	if t < v.From {
+		e.SampleAt(v.From)
 		return
 	}
 	lo, hi, count := e.LocalTimeSpread(t)
@@ -189,14 +201,14 @@ func (v *Validity) Sample(e *sim.Engine, _ bool) {
 	upper := float64(v.Alpha2*float64(t-v.TMin0)) + v.Alpha3
 	if d := lower - (float64(lo) - v.T0); d > 0 {
 		v.violate(Violation{
-			Invariant: v.name, At: t, Proc: v.attribute(e, t, float64(lo)),
+			Invariant: v.name, At: t, Proc: v.attribute(e, float64(lo)),
 			Amount: d,
 			Detail: fmt.Sprintf("L−T⁰ = %.6gs below envelope floor %.6gs", float64(lo)-v.T0, lower),
 		})
 	}
 	if d := (float64(hi) - v.T0) - upper; d > 0 {
 		v.violate(Violation{
-			Invariant: v.name, At: t, Proc: v.attribute(e, t, float64(hi)),
+			Invariant: v.name, At: t, Proc: v.attribute(e, float64(hi)),
 			Amount: d,
 			Detail: fmt.Sprintf("L−T⁰ = %.6gs above envelope ceiling %.6gs", float64(hi)-v.T0, upper),
 		})
@@ -204,11 +216,14 @@ func (v *Validity) Sample(e *sim.Engine, _ bool) {
 }
 
 // attribute finds a nonfaulty process whose local time equals the extreme
-// value (cold path, only on violation).
-func (v *Validity) attribute(e *sim.Engine, t clock.Real, extreme float64) sim.ProcID {
-	for _, p := range e.NonfaultyIDs() {
-		if lt, ok := e.LocalTime(p, t); ok && float64(lt) == extreme {
-			return p
+// value (cold path, only on violation). It reads the engine's local times of
+// this sample, not the live walk: a windowed engine's replay samples the
+// past, where the live corrections are already the cut's.
+func (v *Validity) attribute(e *sim.Engine, extreme float64) sim.ProcID {
+	ids, lts := e.LocalTimes()
+	for i, lt := range lts {
+		if float64(lt) == extreme {
+			return ids[i]
 		}
 	}
 	return -1
@@ -291,10 +306,12 @@ func NewLowerBoundWitness(target float64, warmup clock.Real) *LowerBoundWitness 
 	return &LowerBoundWitness{Target: target, Warmup: warmup}
 }
 
-// Sample implements sim.Sampler.
+// Sample implements sim.Sampler. A sample before Warmup asks for one at
+// Warmup.
 func (w *LowerBoundWitness) Sample(e *sim.Engine, _ bool) {
 	t := e.Now()
 	if t < w.Warmup {
+		e.SampleAt(w.Warmup)
 		return
 	}
 	lo, hi, count := e.LocalTimeSpread(t)

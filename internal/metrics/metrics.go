@@ -20,9 +20,11 @@ type TimedValue struct {
 	Value float64
 }
 
-// SkewRecorder tracks max |L_p(t) − L_q(t)| over nonfaulty p, q. Because the
-// engine samples immediately before and after every action, the recorder
-// sees the exact extremes of the piecewise-linear skew function.
+// SkewRecorder tracks max |L_p(t) − L_q(t)| over nonfaulty p, q. The engine
+// samples wherever a local time may bend (sim.Sampler), and the skew is
+// convex between two such instants, so the recorder sees its exact maxima —
+// over the run, from Warmup on and per bucket, whose first instants it asks
+// the engine to sample (sim.Engine.SampleAt).
 type SkewRecorder struct {
 	// Warmup discards samples before this real time from MaxAfterWarmup
 	// (steady-state skew, after initial convergence).
@@ -31,34 +33,65 @@ type SkewRecorder struct {
 	// zero disables series collection.
 	Bucket clock.Real
 
-	max       float64
-	maxAfter  float64
-	series    []float64 // per-bucket max skew
-	curBucket int
+	max      float64
+	maxAfter float64
+	series   []float64 // per-bucket max skew
 }
 
 var _ sim.Sampler = (*SkewRecorder)(nil)
 
 // Sample implements sim.Sampler.
 func (r *SkewRecorder) Sample(e *sim.Engine, _ bool) {
-	skew, ok := NonfaultySkew(e, e.Now())
-	if !ok {
+	t := e.Now()
+	if t < r.Warmup {
+		e.SampleAt(r.Warmup)
+	}
+	if r.Bucket > 0 {
+		e.SampleAt(clock.Real(r.bucket(t)+1) * r.Bucket)
+	}
+	lo, hi, count := e.LocalTimeSpread(t)
+	r.Record(t, lo, hi, count)
+}
+
+// bucket returns the series bucket of real time t: b with b·Bucket ≤ t <
+// (b+1)·Bucket, in the products Sample asks the engine to sample at.
+func (r *SkewRecorder) bucket(t clock.Real) int {
+	b := int(t / r.Bucket)
+	if t >= clock.Real(b+1)*r.Bucket {
+		b++
+	}
+	return b
+}
+
+// Record folds the nonfaulty local-time extremes lo, hi of count processes at
+// real time t into the maxima.
+func (r *SkewRecorder) Record(t clock.Real, lo, hi clock.Local, count int) {
+	if count < 2 {
 		return
 	}
+	skew := float64(hi - lo)
 	if skew > r.max {
 		r.max = skew
 	}
-	if e.Now() >= r.Warmup && skew > r.maxAfter {
+	if t >= r.Warmup && skew > r.maxAfter {
 		r.maxAfter = skew
 	}
-	if r.Bucket > 0 {
-		b := int(e.Now() / r.Bucket)
-		for len(r.series) <= b {
-			r.series = append(r.series, 0)
-		}
-		if skew > r.series[b] {
-			r.series[b] = skew
-		}
+	if r.Bucket <= 0 {
+		return
+	}
+	b := r.bucket(t)
+	for len(r.series) <= b {
+		r.series = append(r.series, 0)
+	}
+	r.raise(b, skew)
+	if b > 0 && t == clock.Real(b)*r.Bucket {
+		r.raise(b-1, skew) // a bucket's first instant is the last of the one before
+	}
+}
+
+func (r *SkewRecorder) raise(b int, skew float64) {
+	if skew > r.series[b] {
+		r.series[b] = skew
 	}
 }
 
@@ -75,9 +108,8 @@ func (r *SkewRecorder) Series() []float64 { return r.series }
 // ok is false when fewer than two nonfaulty processes expose local times.
 // The scan is delegated to the engine's LocalTimeSpread: at the current
 // instant every observer shares the one evaluation the engine makes per
-// configuration — two certificated rows, or a full scan inside their guard
-// band — and a sample that finds the configuration unchanged (most
-// post-delivery samples) costs nothing at all.
+// configuration, and a read that finds the configuration unchanged costs
+// nothing at all.
 func NonfaultySkew(e *sim.Engine, t clock.Real) (float64, bool) {
 	lo, hi, count := e.LocalTimeSpread(t)
 	if count < 2 {
@@ -118,7 +150,7 @@ func NewRoundRecorder(beginTag, adjTag string) *RoundRecorder {
 
 // OnAnnotation implements sim.AnnotationSink. (The recorder deliberately has
 // no Sample method: annotations arrive on their own callback, so the engine
-// skips it during the twice-per-action sampling fan-out.)
+// skips it when it samples.)
 //
 // The collection buffers are right-sized from the system size the first
 // time each is touched — a round's begin list gets one allocation of
@@ -246,17 +278,23 @@ type ValidityRecorder struct {
 
 var _ sim.Sampler = (*ValidityRecorder)(nil)
 
-// Sample implements sim.Sampler. The envelope is monotone in L_p, so the
-// per-process check reduces to the extremes: the lower bound is tightest for
-// the minimum local time and the upper bound for the maximum, which the
-// engine's shared one-pass spread scan provides directly.
+// Sample implements sim.Sampler. A sample before From asks for one at From.
 func (v *ValidityRecorder) Sample(e *sim.Engine, _ bool) {
 	t := e.Now()
 	if t < v.From {
+		e.SampleAt(v.From)
 		return
 	}
 	lo, hi, count := e.LocalTimeSpread(t)
-	if count == 0 {
+	v.Record(t, lo, hi, count)
+}
+
+// Record checks the nonfaulty local-time extremes lo, hi of count processes
+// at real time t. The envelope is monotone in L_p, so the per-process check
+// reduces to the extremes: the lower bound is tightest for the minimum local
+// time and the upper bound for the maximum.
+func (v *ValidityRecorder) Record(t clock.Real, lo, hi clock.Local, count int) {
+	if t < v.From || count == 0 {
 		return
 	}
 	v.samples += count

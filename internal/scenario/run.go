@@ -135,7 +135,9 @@ func (r *Report) Table() *exp.Table {
 }
 
 // checkerCell renders one invariant's verdict, expected-violation aware:
-// a checker that must break renders ok only when it actually broke.
+// a checker that must break renders ok only when it actually broke. A
+// sampler's counts are sample points — where a local time may bend (see
+// sim.Sampler) — not deliveries.
 func checkerCell(ck invariant.Checker, expected bool) string {
 	switch {
 	case expected && !ck.Ok():

@@ -522,9 +522,13 @@ func (s *sched) peekTime() (clock.Real, bool) {
 }
 
 // popMsg removes the minimum event, writing its message directly into out
-// (this is the once-per-delivered-event path). The caller must ensure the
-// queue is nonempty.
-func (s *sched) popMsg(out *Message) { s.take(s.popEntry(), out) }
+// (this is the once-per-delivered-event path), and returns its key. The
+// caller must ensure the queue is nonempty.
+func (s *sched) popMsg(out *Message) uint64 {
+	en := s.popEntry()
+	s.take(en, out)
+	return en.key
+}
 
 // take writes the message of a popped entry into out and releases its share
 // of the header.

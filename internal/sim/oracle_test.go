@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,36 +15,58 @@ import (
 	"repro/internal/exp"
 	"repro/internal/faults"
 	"repro/internal/hier"
+	"repro/internal/invariant"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/sim/simtest"
 )
 
-// TestOracleDifferential holds the engine's clock table against the live
-// NonfaultyIDs × LocalTime walk, bit for bit, at every callback of every run
-// below (simtest.Oracle). The scenario corpus has its own leg next to the
-// compiler, TestOracleScenarios in internal/scenario.
+// TestOracleDifferential holds the engine against two references in every
+// run below. The clock table must equal the live NonfaultyIDs × LocalTime
+// walk, bit for bit, at every callback of the time-major engine
+// (simtest.Oracle). The sampling rule must lose nothing: the maxima the skew
+// recorder, the validity recorder and the agreement checker report must equal
+// those of fresh recorders fed the live walk at every delivery and every
+// sample point (simtest.Dense), bit for bit. A windowed run must then report
+// the time-major run's numbers. The scenario corpus has its own leg next to
+// the compiler, TestOracleScenarios in internal/scenario.
 func TestOracleDifferential(t *testing.T) {
-	// run drives one harness workload with the oracle attached everywhere
-	// the harness lets an observer in.
+	// run drives one harness workload time-major with the oracle attached
+	// everywhere the harness lets an observer in, and the dense reference
+	// next to it. A windowed workload (Shards ≥ 1) runs again as given,
+	// and that run is returned.
 	run := func(t *testing.T, w exp.Workload) *exp.Result {
 		t.Helper()
-		o := simtest.NewOracle(t)
-		if w.Shards > 0 {
-			w.Observers = append(w.Observers, o.AtCuts())
-		} else {
-			w.Observers = append(w.Observers, o)
-		}
+		o, ref := simtest.NewOracle(t), &simtest.Dense{}
+		tm := w
+		tm.Shards = 0
+		tm.Observers = append(slices.Clone(w.Observers), o, ref)
 		if w.Adversary != nil {
-			w.Adversary = o.Wrap(w.Adversary)
+			tm.Adversary = o.Wrap(w.Adversary)
 		}
-		res, err := exp.Run(w)
+		res, err := exp.Run(tm)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if o.Checks < 100 {
 			t.Fatalf("only %d oracle checks", o.Checks)
 		}
-		return res
+		simtest.CheckMaxima(t, res, ref)
+		if w.Shards == 0 {
+			return res
+		}
+		if w.Hier != nil { // a built two-tier system runs once: rebuild it
+			if w.Hier, err = hier.Build(w.Hier.Cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		win, err := exp.Run(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameReport(t, res, win)
+		o.Check(win.Engine, "windowed run's horizon")
+		return win
 	}
 	cfg := core.Config{Params: analysis.Default(7, 2)}
 
@@ -82,7 +106,8 @@ func TestOracleDifferential(t *testing.T) {
 	})
 	t.Run("kinetic/long", func(t *testing.T) {
 		res := run(t, exp.Workload{Cfg: cfg, Rounds: 10_000, Seed: 21})
-		// The oracle's own LocalTimes reads scan too, about 12 a round.
+		// The oracle's and the dense reference's own LocalTimes reads scan
+		// too, at every delivery.
 		if evals, scans := res.TablePasses(); scans*2 > evals {
 			t.Fatalf("%d of %d evaluations scanned; the certificates served too few", scans, evals)
 		}
@@ -139,10 +164,9 @@ func TestOracleDifferential(t *testing.T) {
 		})
 	})
 
-	// Multi-segment clocks on the windowed engine: breakpoints fall between
-	// cuts, so each cut's reload moves rows across them, and the reads made
-	// at an annotation's own time, before the cut it is replayed at,
-	// straddle them.
+	// Multi-segment clocks on the windowed engine: breakpoints fall inside
+	// windows, so the replay at each cut moves rows across them with the
+	// corrections of the past.
 	for name, c := range map[string]struct {
 		drift clock.DriftSchedule
 		k     int
@@ -155,7 +179,7 @@ func TestOracleDifferential(t *testing.T) {
 		})
 	}
 
-	// Flat, sharded: read at window cuts only, from rows reloaded there.
+	// Flat, sharded: the replay at each cut against the time-major run.
 	for _, k := range []int{2, 4} {
 		t.Run(fmt.Sprintf("sharded-flat/k=%d", k), func(t *testing.T) {
 			c := core.Config{Params: analysis.Default(40, 13)}
@@ -163,9 +187,49 @@ func TestOracleDifferential(t *testing.T) {
 		})
 	}
 
-	// Two-tier n = 64 through the path users run (Workload.Hier): sequential
-	// with HierAgreement on the certificated spread, then sharded
-	// k ∈ {1, 2, 4}, where the same checker reads at every cut.
+	// Three two-faced processes in a system built for two (E05b's): the
+	// invariants break, and the windowed run must report the time-major
+	// run's violations — times, processes and amounts — as well as its
+	// maxima.
+	t.Run("sharded-beyond-f", func(t *testing.T) {
+		mix := map[sim.ProcID]func() sim.Process{}
+		for id := sim.ProcID(4); id < 7; id++ {
+			mix[id] = func() sim.Process {
+				return &faults.TwoFaced{Cfg: cfg, Lead: 9e-3, Lag: 9e-3, EarlyTo: func(to sim.ProcID) bool { return to < 2 }}
+			}
+		}
+		res := run(t, exp.Workload{
+			Cfg: cfg, Rounds: 8, Seed: 3, Faults: mix, Shards: 2, CheckInvariants: true,
+			Delay: sim.ExtremalDelay{Delta: cfg.Delta, Eps: cfg.Eps},
+		})
+		if res.Invariants.Ok() {
+			t.Fatal("no invariant broke: nothing to compare")
+		}
+	})
+
+	// Attribution in the replay: an envelope no local time fits, so every
+	// sample point violates validity on both sides and names the extreme
+	// processes there, in the past of the cut; the windowed run must name
+	// the time-major run's.
+	t.Run("sharded-attribution", func(t *testing.T) {
+		c := core.Config{Params: analysis.Default(40, 13)}
+		named := func(shards int) []invariant.Violation {
+			v := invariant.NewValidity(c.Params, 0, 0)
+			v.Alpha3 = -1
+			if _, err := exp.Run(exp.Workload{Cfg: c, Rounds: 2, Seed: 9, Shards: shards, Observers: []sim.Observer{v}}); err != nil {
+				t.Fatal(err)
+			}
+			return v.Violations()
+		}
+		tm, win := named(0), named(2)
+		if len(tm) == 0 || !reflect.DeepEqual(tm, win) {
+			t.Fatalf("windowed validity violations %v, time-major %v", win, tm)
+		}
+	})
+
+	// Two-tier n = 64 through the path users run (Workload.Hier), with
+	// HierAgreement's per-cluster reads: sequential, then sharded
+	// k ∈ {1, 2, 4}, where the same checker reads in the replay.
 	twoTier := func(t *testing.T, shards int) {
 		s, err := hier.Build(hier.Default(64, 8))
 		if err != nil {
@@ -182,8 +246,9 @@ func TestOracleDifferential(t *testing.T) {
 	}
 
 	t.Run("chaos", func(t *testing.T) {
-		o := simtest.NewOracle(t)
-		eng := newChaosEngine(t, 12, o, nil)
+		o, ref := simtest.NewOracle(t), &simtest.Dense{}
+		skew := &metrics.SkewRecorder{Warmup: 0.3}
+		eng := newChaosEngine(t, 12, 0, o, nil, ref, skew)
 		if err := eng.Run(0.4); err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +260,39 @@ func TestOracleDifferential(t *testing.T) {
 		if o.Checks < 10000 {
 			t.Fatalf("only %d oracle checks", o.Checks)
 		}
+		simtest.CheckSkew(t, skew, ref)
 	})
+}
+
+// sameReport holds a windowed run's recorders to the time-major run's: the
+// same maxima bit for bit, and the same number of checks.
+func sameReport(t *testing.T, tm, win *exp.Result) {
+	t.Helper()
+	simtest.SameBits(t, "windowed max skew", tm.Skew.Max(), win.Skew.Max())
+	simtest.SameBits(t, "windowed steady skew", tm.Skew.MaxAfterWarmup(), win.Skew.MaxAfterWarmup())
+	if tm.Validity != nil {
+		simtest.SameBits(t, "windowed validity violation", tm.Validity.WorstViolation(), win.Validity.WorstViolation())
+		if a, b := tm.Validity.Samples(), win.Validity.Samples(); a != b {
+			t.Errorf("windowed validity samples %d, time-major %d", b, a)
+		}
+	}
+	if tm.Invariants != nil {
+		if a, b := tm.Invariants.Summary(), win.Invariants.Summary(); a != b {
+			t.Errorf("windowed invariants %q, time-major %q", b, a)
+		}
+		if a, b := tm.Invariants.Violations(), win.Invariants.Violations(); !reflect.DeepEqual(a, b) {
+			t.Errorf("windowed invariant violations %v, time-major %v", b, a)
+		}
+	}
+	if h := tm.HierAgreement; h != nil {
+		simtest.SameBits(t, "windowed hier-agreement spread", h.MaxSpread(), win.HierAgreement.MaxSpread())
+		if a, b := h.Checked(), win.HierAgreement.Checked(); a != b {
+			t.Errorf("windowed hier-agreement checks %d, time-major %d", b, a)
+		}
+		if a, b := h.Violations(), win.HierAgreement.Violations(); !reflect.DeepEqual(a, b) {
+			t.Errorf("windowed hier-agreement violations %v, time-major %v", b, a)
+		}
+	}
 }
 
 // offsetDrift puts every odd process's clock behind a clock.Offset.
@@ -210,10 +307,10 @@ func (d offsetDrift) Build(id, n int) clock.Clock {
 }
 
 // chaosProc changes its correction on random deliveries, with and without
-// annotating, and has the oracle read the table before and after doing so —
-// inside its own Receive, which is all the sim.CorrHolder contract allows.
-// With meddle set it also, rarely, writes a peer's correction: the breach the
-// oracle exists to catch.
+// annotating, and has the oracle (when it has one) read the table before and
+// after doing so — inside its own Receive, which is all the sim.CorrHolder
+// contract allows. With meddle set it also, once, writes a peer's
+// correction: the breach the oracle exists to catch.
 type chaosProc struct {
 	corr   clock.Local
 	rng    *rand.Rand
@@ -226,7 +323,7 @@ type chaosProc struct {
 func (p *chaosProc) Corr() clock.Local { return p.corr }
 
 func (p *chaosProc) Receive(ctx *sim.Context, m sim.Message) {
-	p.o.Check(*p.eng, "chaos: entering Receive")
+	p.check("chaos: entering Receive")
 	switch p.rng.Intn(4) {
 	case 0:
 		p.corr += clock.Local(p.rng.NormFloat64()) * 1e-4
@@ -236,8 +333,8 @@ func (p *chaosProc) Receive(ctx *sim.Context, m sim.Message) {
 	case 2:
 		ctx.Annotate("chaos-unchanged", 0)
 	}
-	p.o.Check(*p.eng, "chaos: after changing CORR")
-	if p.meddle != nil && !*p.meddle && ctx.ID() == 0 && float64((*p.eng).Now()) > 0.1 {
+	p.check("chaos: after changing CORR")
+	if ctx.ID() == 0 && p.meddle != nil && !*p.meddle && float64((*p.eng).Now()) > 0.1 {
 		p.peers[5].corr += 1e-3
 		*p.meddle = true
 	}
@@ -247,12 +344,19 @@ func (p *chaosProc) Receive(ctx *sim.Context, m sim.Message) {
 	}
 }
 
+func (p *chaosProc) check(where string) {
+	if p.o != nil {
+		p.o.Check(*p.eng, where)
+	}
+}
+
 // newChaosEngine builds n chaosProcs (one of them marked faulty, one on a
-// two-segment clock) with o attached as observer and adversary, and a
-// timeline whose actions rewrite every correction — reading the table inside
-// the action before and, every other action, after. meddle, when non-nil,
-// arms the breach.
-func newChaosEngine(t *testing.T, n int, o *simtest.Oracle, meddle *bool) *sim.Engine {
+// two-segment clock) with obs attached. Time-major (shards = 0) it attaches o
+// as observer and adversary too, and a timeline whose actions rewrite every
+// correction — reading the table inside the action before and, every other
+// action, after. A windowed engine, which takes neither, leaves o out.
+// meddle, when non-nil, arms the breach.
+func newChaosEngine(t *testing.T, n, shards int, o *simtest.Oracle, meddle *bool, obs ...sim.Observer) *sim.Engine {
 	var eng *sim.Engine
 	procs := make([]sim.Process, n)
 	peers := make([]*chaosProc, n)
@@ -262,7 +366,10 @@ func newChaosEngine(t *testing.T, n int, o *simtest.Oracle, meddle *bool) *sim.E
 	for i := range procs {
 		peers[i] = &chaosProc{
 			corr: clock.Local(i) * 1e-3, rng: rand.New(rand.NewSource(int64(i) + 1)),
-			eng: &eng, o: o, peers: peers, meddle: meddle,
+			eng: &eng, peers: peers, meddle: meddle,
+		}
+		if shards == 0 {
+			peers[i].o = o
 		}
 		procs[i] = peers[i]
 		clocks[i] = clock.Linear(clock.Local(i)*1e-4, 1+1e-5*float64(i%3))
@@ -274,9 +381,17 @@ func newChaosEngine(t *testing.T, n int, o *simtest.Oracle, meddle *bool) *sim.E
 		t.Fatal(err)
 	}
 	clocks[1] = two
-	var timeline []sim.TimedAction
+	cfg := sim.Config{
+		Procs: procs, Clocks: clocks, StartAt: starts, Faulty: faulty,
+		Delay:  sim.UniformDelay{Delta: 2e-3, Eps: 1e-3},
+		Seed:   11,
+		Shards: shards,
+	}
 	for i, at := range []clock.Real{0.2, 0.2, 0.61, 0.8} {
-		timeline = append(timeline, sim.TimedAction{At: at, Name: "rewrite", Do: func(e *sim.Engine) {
+		if shards > 0 {
+			break
+		}
+		cfg.Timeline = append(cfg.Timeline, sim.TimedAction{At: at, Name: "rewrite", Do: func(e *sim.Engine) {
 			o.Check(e, "chaos: entering action")
 			for _, p := range peers {
 				p.corr -= 0.5e-3
@@ -286,17 +401,19 @@ func newChaosEngine(t *testing.T, n int, o *simtest.Oracle, meddle *bool) *sim.E
 			}
 		}})
 	}
-	eng, err = sim.New(sim.Config{
-		Procs: procs, Clocks: clocks, StartAt: starts, Faulty: faulty,
-		Delay:     sim.UniformDelay{Delta: 2e-3, Eps: 1e-3},
-		Seed:      11,
-		Adversary: o.Wrap(passThrough{}),
-		Timeline:  timeline,
-	})
+	if shards == 0 {
+		cfg.Adversary = o.Wrap(passThrough{})
+		obs = append(obs, o)
+	}
+	eng, err = sim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Observe(o)
+	for _, x := range obs {
+		if err := eng.Observe(x); err != nil {
+			t.Fatal(err)
+		}
+	}
 	return eng
 }
 
@@ -306,25 +423,59 @@ func (passThrough) Retime(_ *sim.AdversaryView, _, _ sim.ProcID, _ clock.Real, b
 	return base
 }
 
-// TestOracleCatchesContractBreach has process 0 write process 5's correction
-// inside its own Receive — what sim.CorrHolder forbids — and demands that the
-// oracle fail, naming the process, the time and both values.
+// corrPoke is an observer that, once, at its first sample from 0.1 s on,
+// writes process 5's correction: a move no Receive of process 5 makes.
+type corrPoke struct{ done bool }
+
+func (k *corrPoke) Sample(e *sim.Engine, _ bool) {
+	if !k.done && e.Now() >= 0.1 {
+		e.Process(5).(*chaosProc).corr += 1e-3
+		k.done = true
+	}
+}
+
+// TestOracleCatchesContractBreach moves a correction outside its process's
+// own Receive — what sim.CorrHolder forbids. Time-major, process 0 writes
+// process 5's correction inside its own Receive, and the oracle must fail,
+// naming the process, the time and both values. On two shards an observer
+// writes it during the replay at a cut, and Run must fail naming the process
+// and the time: at the cut process 5's row is short of the correction it
+// holds. (A peer's write inside a Receive is picked up, on both engines, at
+// process 5's next delivery, which reads its correction as its own move.)
 func TestOracleCatchesContractBreach(t *testing.T) {
-	var report string
-	o := &simtest.Oracle{Fail: func(format string, args ...any) { report = fmt.Sprintf(format, args...) }}
-	meddled := false
-	eng := newChaosEngine(t, 12, o, &meddled)
-	if err := eng.Run(0.3); err != nil {
-		t.Fatal(err)
-	}
-	if !meddled {
-		t.Fatal("the breach never happened")
-	}
-	for _, want := range []string{"process 5", "t=0.1", "the clock table has local time", "the live walk", "sim.CorrHolder contract"} {
-		if !strings.Contains(report, want) {
-			t.Fatalf("oracle report %q does not name %q", report, want)
+	t.Run("time-major", func(t *testing.T) {
+		var report string
+		o := &simtest.Oracle{Fail: func(format string, args ...any) { report = fmt.Sprintf(format, args...) }}
+		meddled := false
+		eng := newChaosEngine(t, 12, 0, o, &meddled)
+		if err := eng.Run(0.3); err != nil {
+			t.Fatal(err)
 		}
-	}
+		if !meddled {
+			t.Fatal("the breach never happened")
+		}
+		for _, want := range []string{"process 5", "t=0.1", "the clock table has local time", "the live walk", "sim.CorrHolder contract"} {
+			if !strings.Contains(report, want) {
+				t.Fatalf("oracle report %q does not name %q", report, want)
+			}
+		}
+	})
+	t.Run("k=2", func(t *testing.T) {
+		poke := &corrPoke{}
+		eng := newChaosEngine(t, 12, 2, nil, nil, &metrics.SkewRecorder{}, poke)
+		err := eng.Run(0.3)
+		if !poke.done {
+			t.Fatal("the breach never happened")
+		}
+		if err == nil {
+			t.Fatal("Run returned nil after an observer wrote process 5's correction")
+		}
+		for _, want := range []string{"process 5", "t=0.1", "sim.CorrHolder contract"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("Run error %q does not name %q", err, want)
+			}
+		}
+	})
 }
 
 // physProbe checks, at every delivery, that Context.PhysNow returns its

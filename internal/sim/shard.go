@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/clock"
 	"repro/internal/exp/runner"
@@ -20,8 +19,9 @@ import (
 //
 // The processes are partitioned into k contiguous blocks, each owned by a
 // partition: an Engine holding only its processes' pending events. Partition
-// 0 is the engine New returns; it drives the windows and is the one observers
-// read. A window runs as: (1) find the globally earliest pending event time
+// 0 is the engine New returns; it drives the windows and replays the
+// samples and annotations of each window at its cut (clocktable.go). A window
+// runs as: (1) find the globally earliest pending event time
 // m, over the queues and the copies the last window sent; (2) let every
 // partition, concurrently on one runner.Map worker set per window, file the
 // copies the last window sent it into its queue and then drain its events in
@@ -45,16 +45,16 @@ import (
 // recipient) keys (Engine.packSeq). A copy's delay and key are fixed
 // properties of the execution, not of the partition, so the time-major
 // engine and a windowed one over any k run one execution on every delay
-// model (TestShardedMatchesSequential); they differ only in when observers
-// sample it.
+// model (TestShardedMatchesSequential).
 //
 // Restrictions, validated at New (validateWindowed): the channel must be
 // stateless (FullMesh or LossyLinks; Ether's contention bookkeeping is
 // inherently sequential), no adversary (its omniscient PendingDeliveries view
 // and retime hooks observe a global order), no timeline (its actions mutate
 // global routing/delay state mid-window), and δ−ε must be positive — with
-// zero lookahead no window can make progress. Observers are supported at
-// window-barrier resolution (see Engine.Observe).
+// zero lookahead no window can make progress. Samplers and annotation sinks
+// are replayed at the cuts; per-delivery observers are not yet implemented
+// (see Engine.Observe).
 
 // chunkHdr is one message's share of a shardLink: what its copies have in
 // common, and how many of the link's entries (in order) are its.
@@ -182,63 +182,137 @@ func (e *Engine) minPending() (clock.Real, bool) {
 }
 
 // runWindows is Run on a windowed engine: windows until no partition holds
-// an event at or before until, or the step limit is hit. At every cut — all
-// events strictly before it delivered and no others — it reloads partition
-// 0's clock table, so clock and correction reads there see the cut, then
-// dispatches the buffered annotations in merged order and fires the samplers,
-// single-threaded behind the window's join. Before it returns it files the
-// copies the last window sent, so the queues hold every pending event.
+// an event at or before until, or the step limit is hit. Before it returns it
+// files the copies the last window sent, so the queues hold every pending
+// event.
 func (e *Engine) runWindows(until clock.Real) error {
 	defer e.fileAll()
+	e.enter()
 	for {
-		m, any := e.minPending()
-		if !any || m > until {
-			// Advance to the horizon so metrics sampled at Now() reflect
-			// the full interval, as time-major Run does.
-			if e.now < until {
-				for _, p := range e.parts {
-					p.now = until
-				}
-				e.loadTable()
-				e.sampleCut()
-			}
-			return nil
-		}
-		if e.Steps() >= e.maxSteps {
-			return fmt.Errorf("sim: step limit %d exceeded at t=%v", e.maxSteps, e.now)
-		}
-		hi := m + clock.Real(e.lookahead)
-		cut := min(hi, until)
-		if _, err := runner.Map(len(e.parts), len(e.parts), func(i int) (struct{}, error) {
-			p := e.parts[i]
-			p.fileInbound()
-			err := p.drain(hi, until)
-			if err == nil && p.now < cut {
-				p.now = cut
-			}
-			return struct{}{}, err
-		}); err != nil {
-			var p *runner.PanicError
-			if errors.As(err, &p) { // process code panicked: job i is partition i
-				return fmt.Errorf("sim: shard %d panicked: %v\n%s", p.Job, p.Value, p.Stack)
-			}
+		more, err := e.window(until)
+		if !more || err != nil {
 			return err
 		}
-		for _, p := range e.parts {
-			if p.bad != nil {
-				return p.bad
-			}
-		}
-		if err := e.handOver(hi); err != nil {
-			return err
-		}
-		e.windows++
-		// Partitions keep no correction mirror — peers' corrections move
-		// inside other partitions' windows — so every cut re-reads every row.
-		e.loadTable()
-		e.dispatchAnnotations()
-		e.sampleCut()
 	}
+}
+
+// window runs the next window and replays it at its cut — all events
+// strictly before the cut delivered and no others. With no event left at or
+// before until it advances every partition to until and samples the horizon,
+// as time-major Run does, and reports no more.
+func (e *Engine) window(until clock.Real) (more bool, err error) {
+	m, any := e.minPending()
+	if !any || m > until {
+		e.advance(until)
+		for _, p := range e.parts {
+			p.now = max(p.now, until)
+		}
+		e.horizon()
+		return false, nil
+	}
+	if e.Steps() >= e.maxSteps {
+		return false, fmt.Errorf("sim: step limit %d exceeded at t=%v", e.maxSteps, e.now)
+	}
+	hi := m + clock.Real(e.lookahead)
+	cut, from := min(hi, until), e.now
+	if _, err := runner.Map(len(e.parts), len(e.parts), func(i int) (struct{}, error) {
+		p := e.parts[i]
+		p.fileInbound()
+		err := p.drain(hi, until)
+		if err == nil && p.now < cut {
+			p.now = cut
+		}
+		return struct{}{}, err
+	}); err != nil {
+		var p *runner.PanicError
+		if errors.As(err, &p) { // process code panicked: job i is partition i
+			return false, fmt.Errorf("sim: shard %d panicked: %v\n%s", p.Job, p.Value, p.Stack)
+		}
+		return false, err
+	}
+	for _, p := range e.parts {
+		if p.bad != nil {
+			return false, p.bad
+		}
+	}
+	if err := e.handOver(hi); err != nil {
+		return false, err
+	}
+	e.windows++
+	return true, e.replay(from, cut)
+}
+
+// logEntry is one entry of a partition's window log, made by the delivery
+// with queue key key, at real time at, by process proc: an annotation (tag,
+// value) with proc's correction at emission in corr, a move of proc's
+// correction to corr (change), or both, when the move is what the
+// delivery's last annotation already showed.
+type logEntry struct {
+	key           uint64
+	at            clock.Real
+	tag           string
+	value         float64
+	corr          clock.Local
+	proc          int32
+	annot, change bool
+}
+
+// replay is the sampling rule at the cut of the window [from, cut): it steps
+// partition 0's rows through the partitions' logs merged in (at, key) order —
+// each is in its partition's pop order, and one delivery's entries come from
+// one partition — with Now at each entry's instant. It samples at every edge
+// and around every change, and hands each annotation to the sinks with the
+// emitter's row as at emission. At the cut every row must hold its process's
+// correction; otherwise a correction moved outside its own Receive and no
+// later delivery of its process picked the move up.
+func (e *Engine) replay(from, cut clock.Real) error {
+	tb := &e.tbl
+	e.now = from
+	for {
+		var src *Engine
+		var en *logEntry
+		for _, p := range e.parts {
+			if p.logPos == len(p.wlog) {
+				continue
+			}
+			if a := &p.wlog[p.logPos]; src == nil || a.at < en.at || a.at == en.at && a.key < en.key {
+				src, en = p, a
+			}
+		}
+		if src == nil {
+			break
+		}
+		src.logPos++
+		e.advance(en.at)
+		p := ProcID(en.proc)
+		j := tb.rowOf[p]
+		if j < 0 { // a process outside the table: an annotation only
+			e.dispatch(Annotation{At: en.at, Proc: p, Tag: en.tag, Value: en.value})
+			continue
+		}
+		was := tb.rows[j].corr
+		e.setRow(j, en.corr)
+		if en.annot {
+			e.dispatch(Annotation{At: en.at, Proc: p, Tag: en.tag, Value: en.value})
+		}
+		if en.change {
+			e.change(j, was)
+		} else {
+			e.setRow(j, was)
+		}
+	}
+	for _, p := range e.parts {
+		clear(p.wlog)
+		p.wlog, p.logPos = p.wlog[:0], 0
+	}
+	e.advance(cut)
+	for i, p := range tb.ids {
+		if c := e.corr[p].Corr(); !same(c, tb.rows[i].corr) {
+			return fmt.Errorf("sim: process %d's correction moved outside its own Receive by t=%v: its deliveries left it at %v, it held %v (sim.CorrHolder contract)",
+				p, e.now, tb.rows[i].corr, c)
+		}
+	}
+	return nil
 }
 
 // handOver checks every link's earliest copy against the window and moves
@@ -289,49 +363,6 @@ func (e *Engine) fileInbound() {
 func (e *Engine) fileAll() {
 	for _, p := range e.parts {
 		p.fileInbound()
-	}
-}
-
-// sampleCut fires the samplers on partition 0: it carries the full clock and
-// correction view and its now is the cut, so samplers read it exactly as
-// they would the time-major engine at a sample point.
-func (e *Engine) sampleCut() {
-	for _, s := range e.cutSamplers {
-		s.Sample(e, false)
-	}
-}
-
-// dispatchAnnotations merges the partitions' buffered annotations and
-// replays them to the registered sinks in (At, Proc) order — deterministic
-// for every k: each process lives on exactly one partition and its buffer is
-// in emission order, which the stable sort preserves within equal keys.
-func (e *Engine) dispatchAnnotations() {
-	if len(e.cutAnnots) == 0 {
-		return
-	}
-	buf := e.annotMerge[:0]
-	for _, p := range e.parts {
-		buf = append(buf, p.annotBuf...)
-		p.annotBuf = p.annotBuf[:0]
-	}
-	e.annotMerge = buf[:0]
-	if len(buf) == 0 {
-		return
-	}
-	slices.SortStableFunc(buf, func(a, b Annotation) int {
-		if a.At != b.At {
-			if a.At < b.At {
-				return -1
-			}
-			return 1
-		}
-		return int(a.Proc) - int(b.Proc)
-	})
-	for i := range buf {
-		for _, s := range e.cutAnnots {
-			s.OnAnnotation(e, buf[i])
-		}
-		buf[i] = Annotation{}
 	}
 }
 

@@ -78,8 +78,8 @@ func shardWorkload(n int, delay DelayModel, ch Channel) Config {
 }
 
 // shardDigests runs cfg across k shards to the horizon and returns the
-// per-process (digest, count) trace plus the engine totals and a spread
-// trace sampled at every window barrier.
+// per-process (digest, count) trace plus the engine totals and the spread
+// at every sample point.
 type shardRun struct {
 	digests []uint64
 	counts  []int
@@ -147,12 +147,11 @@ func equalShardRuns(a, b *shardRun) (string, bool) {
 
 // TestShardedDeterminism is the determinism oracle of the sharded engine:
 // the same system run across 1, 2, 4, 8 and 16 shards must produce identical
-// per-process delivery digests, engine totals, window counts, and
-// barrier-sampled spread traces. Per-sender RNG streams and packed sequence
+// per-process delivery digests, engine totals, window counts, and sampled
+// spread traces. Per-sender RNG streams and packed sequence
 // keys are exactly what this pins — any leak of shard-local state into
 // delay sampling or tie-break order diverges the digests. The cut sequence
-// (and so the spread trace) is defined by the global minimum pending time
-// alone.
+// is defined by the global minimum pending time alone.
 func TestShardedDeterminism(t *testing.T) {
 	const n = 64
 	horizon := clock.Real(0.012)
@@ -172,8 +171,10 @@ func TestShardedDeterminism(t *testing.T) {
 // TestShardedWindowAccounting pins the one-window-per-barrier loop's counters:
 // the window count is a property of the execution's time structure, not of
 // the partition; every window is one barrier and none is batched; and the
-// samplers fire once per window cut plus once at the horizon (which here sits
-// in the quiet gap after round 10, past the last cut). It runs through the
+// samplers fire at Run entry and at the horizon (which here sits in the
+// quiet gap after round 10, past the last cut) only, as on the time-major
+// engine: the beacons change no correction and their clocks never bend, so
+// no cut is a sample point. It runs through the
 // NewSharded shim the frozen benchmark builds with, and holds the shim to New
 // with Config.Shards = k: equal steps and windows.
 func TestShardedWindowAccounting(t *testing.T) {
@@ -202,9 +203,8 @@ func TestShardedWindowAccounting(t *testing.T) {
 		} else if st.Windows != windows {
 			t.Fatalf("k=%d ran %d windows, k=1 ran %d", k, st.Windows, windows)
 		}
-		if len(at) != st.Windows+1 || at[len(at)-1] != horizon || at[len(at)-2] >= horizon {
-			t.Fatalf("k=%d: %d samples ending at %v for %d windows; want one per cut and one at the horizon %v",
-				k, len(at), at[max(0, len(at)-2):], st.Windows, horizon)
+		if len(at) != 2 || at[0] != 0 || at[1] != horizon {
+			t.Fatalf("k=%d: samples at %v over %d windows; want one at Run entry (0) and one at the horizon %v", k, at, st.Windows, horizon)
 		}
 		cfg := workload()
 		cfg.Shards = k
@@ -523,9 +523,10 @@ func TestShardedAdoptionBeforeWindow(t *testing.T) {
 	// At every cut (before the next window, whose head files the copies
 	// shard 0 sent shard 1): when shard 1 is to adopt copies that land well
 	// before its far timers, no window may be open on those timers, and
-	// asking for the time must leave the scheduler where it is.
+	// asking for the time must leave the scheduler where it is. The run is
+	// Run's window loop, stepped here to look between the windows.
 	adoptedEarlier := 0
-	if err := se.Observe(samplerFunc(func(*Engine) {
+	atCut := func() {
 		q, l := &se.Shard(1).queue, &se.Shard(1).in[0]
 		opened, cur := q.opened, q.cur
 		next, ok := q.peekTime()
@@ -545,12 +546,19 @@ func TestShardedAdoptionBeforeWindow(t *testing.T) {
 		} else if top := q.heap.peek(); top != nil && (q.binned > 0 || len(l.ents) > 0) && clock.Real(top.at)-next > 5e-3 {
 			adoptedEarlier++
 		}
-	})); err != nil {
-		t.Fatal(err)
 	}
-	if err := se.Run(horizon); err != nil {
-		t.Fatal(err)
+	se.enter()
+	for {
+		more, err := se.window(horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		atCut()
+		if !more {
+			break
+		}
 	}
+	se.fileAll()
 	if adoptedEarlier < 10 {
 		t.Fatalf("only %d cuts left shard 1 with adopted copies binned ahead of its own far timers — the scenario did not occur", adoptedEarlier)
 	}
@@ -692,11 +700,10 @@ type deliverySpy struct{}
 
 func (deliverySpy) OnDeliver(*Engine, Message) {}
 
-// TestShardedObservers pins the v2 observer support: Sampler and
-// AnnotationSink observers fire at window barriers with traces that are
-// byte-identical across shard counts (samples at every cut; annotations in
-// merged (At, Proc) order with per-process emission order preserved), and
-// per-delivery observers are rejected with a useful error.
+// TestShardedObservers pins the windowed observer support: Sampler and
+// AnnotationSink observers see, for every shard count, exactly what they see
+// on the time-major engine — the same samples and the annotations in its
+// order — and per-delivery observers are rejected with a useful error.
 func TestShardedObservers(t *testing.T) {
 	delay := UniformDelay{Delta: 4e-4, Eps: 1e-4}
 	const n = 48
@@ -716,20 +723,14 @@ func TestShardedObservers(t *testing.T) {
 		}
 		return p
 	}
-	base := run(1)
+	base := run(0)
 	if len(base.samples) == 0 || len(base.annots) == 0 {
 		t.Fatalf("observer saw nothing: %d samples, %d annotations", len(base.samples), len(base.annots))
 	}
-	for i := 1; i < len(base.annots); i++ {
-		a, b := base.annots[i-1], base.annots[i]
-		if b.At < a.At || (b.At == a.At && b.Proc < a.Proc) {
-			t.Fatalf("annotations out of (At, Proc) order at %d: %+v then %+v", i, a, b)
-		}
-	}
-	for _, k := range []int{2, 6, 8} {
+	for _, k := range []int{1, 2, 6, 8} {
 		got := run(k)
 		if len(got.samples) != len(base.samples) {
-			t.Fatalf("k=%d: %d samples, k=1 had %d", k, len(got.samples), len(base.samples))
+			t.Fatalf("k=%d: %d samples, time-major %d", k, len(got.samples), len(base.samples))
 		}
 		for i := range base.samples {
 			if got.samples[i] != base.samples[i] {
@@ -737,7 +738,7 @@ func TestShardedObservers(t *testing.T) {
 			}
 		}
 		if len(got.annots) != len(base.annots) {
-			t.Fatalf("k=%d: %d annotations, k=1 had %d", k, len(got.annots), len(base.annots))
+			t.Fatalf("k=%d: %d annotations, time-major %d", k, len(got.annots), len(base.annots))
 		}
 		for i := range base.annots {
 			if got.annots[i] != base.annots[i] {

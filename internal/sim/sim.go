@@ -34,10 +34,9 @@
 // workload the engine benchmarks measure).
 //
 // One Engine type runs every execution, and New is its one constructor.
-// Config.Shards = 0 drains the buffer time-major, observers sampling at every
-// delivery; Shards = k ≥ 1 partitions the processes into k blocks drained in
-// parallel lookahead windows and samples at the window cuts (shard.go). The
-// two run one execution: they differ only in when observers sample it.
+// Config.Shards = 0 drains the buffer time-major; Shards = k ≥ 1 partitions
+// the processes into k blocks drained in parallel lookahead windows
+// (shard.go). The two run one execution and sample it at the same instants.
 package sim
 
 import (
@@ -118,15 +117,15 @@ type Process interface {
 // Contract: while Engine.Run is executing, the value Corr returns changes
 // only inside the holder's own Receive, or inside a timeline action
 // (Config.Timeline), and a process changes no correction but its own. The
-// engine mirrors nonfaulty corrections in its clock table and re-reads
-// exactly one — the recipient's — per delivery, and all of them after a
-// timeline action and when Run is entered; a holder whose correction moves
-// at any other moment (a peer writing it, a goroutine, an observer poking
-// it) makes LocalTimeSpread and LocalTimes serve a stale value. The oracle
-// differential test (oracle_test.go) fails, naming the process, the time and
-// both values, when an automaton breaks this. A windowed engine (Config.Shards
-// ≥ 1) re-reads every correction at each window cut, where its observers
-// read, and mirrors none in between.
+// engine mirrors nonfaulty corrections, re-reads exactly one — the
+// recipient's — per delivery (a change found there is what makes the
+// samplers fire) and all of them after a timeline action and when Run is
+// entered. A correction moved at any other moment (a peer writing it, a
+// goroutine, an observer poking it) is served stale until its process's next
+// delivery, which takes the move for its own: the oracle differential test
+// (oracle_test.go) names the process, the time and both values, and a
+// windowed engine fails Run naming the process and the cut when no delivery
+// picked the move up by then.
 type CorrHolder interface {
 	Corr() clock.Local
 }
@@ -140,10 +139,18 @@ type CorrHolder interface {
 // use, and an action with nobody listening costs no dynamic calls.
 type Observer = any
 
-// Sampler is called twice per action — immediately before the configuration
-// changes and immediately after — which brackets every linear segment of
-// every local-time function, so a sampling observer sees the exact extremes
-// of piecewise-linear quantities such as pairwise skew.
+// Sampler is called where some nonfaulty local-time function may bend: at
+// Run entry; immediately before (preDeliver true) and after each change of a
+// nonfaulty correction and each timeline action; at each clock breakpoint;
+// at each instant a sampler asked for with Engine.SampleAt; and at the
+// horizon. Between two calls every local time is linear, so a sampler that
+// takes maxima of convex quantities — the spread, a cluster's spread, the
+// validity envelope's violation — sees their exact maxima. A maximum over a
+// window that opens between two such instants (a warm-up, a series bucket)
+// is exact only if its sampler asks for the opening instant with SampleAt:
+// the engine samples nowhere else. On a windowed engine the calls are
+// replayed at each cut with Now at the time-major engine's instants and in
+// its order (clocktable.go).
 type Sampler interface {
 	Sample(e *Engine, preDeliver bool)
 }
@@ -200,10 +207,9 @@ type Config struct {
 	// the process count: a round keeps ≈ n² broadcast copies plus a timer
 	// per process in flight (DefaultEventHint).
 	EventHint int
-	// Shards selects how Run drains the buffer: 0 time-major, observers
-	// sampling at every delivery; k ≥ 1 in lookahead windows over k
-	// partitions, observers sampling at the window cuts (shard.go). k = 1
-	// is still windowed. Both run one execution.
+	// Shards selects how Run drains the buffer: 0 time-major; k ≥ 1 in
+	// lookahead windows over k partitions (shard.go). k = 1 is still
+	// windowed. Both run one execution and sample it at the same instants.
 	Shards int
 }
 
@@ -251,6 +257,7 @@ type Engine struct {
 	steps    int
 	maxSteps int
 	ctx      Context // one reusable per-delivery context per engine
+	key      uint64  // queue key of the delivery in progress
 
 	// The one numbering of an execution, sequential or sharded: every sender
 	// draws its delays from its own stream and numbers its sends itself, and
@@ -275,21 +282,30 @@ type Engine struct {
 	shardOf []int32
 	out, in []shardLink
 
-	// Windowed annotation capture: when the engine has annotation sinks,
-	// per-delivery annotations buffer here (reused across windows) and
-	// dispatch in merged deterministic order at the window cut.
-	annotCapture bool
-	annotBuf     []Annotation
+	// A partition's window log (shard.go): while a Run observes it, mirror
+	// holds every process's correction as its deliveries left it (one slice
+	// shared by the partitions, each writing only its own processes'), and
+	// wlog collects the partition's correction changes and annotations, up
+	// to logPos replayed.
+	mirror []clock.Local
+	wlog   []logEntry
+	logPos int
 
 	// The clock table and the configuration version its one pass per
 	// configuration is keyed by (clocktable.go). ver advances when real time
 	// moves, a re-read correction differs from its mirror, or a timeline
 	// action fires. acting is the process inside Receive (actingAll inside a
 	// timeline action, actingNone otherwise): what a read made at that
-	// moment must re-read first.
-	tbl    clockTable
-	ver    uint64
-	acting ProcID
+	// moment must re-read first. edges are the instants the samplers fire
+	// at without a change, ascending — clock breakpoints and SampleAt's, a
+	// handful, held in edgeBuf until they outgrow it — and sampledVer is the
+	// version of the last sample.
+	tbl        clockTable
+	ver        uint64
+	acting     ProcID
+	edges      []clock.Real
+	edgeBuf    [8]clock.Real
+	sampledVer uint64
 
 	// Timeline actions pending execution (sorted by At); tlIdx is the next
 	// action to fire. See timeline.go.
@@ -304,19 +320,17 @@ type Engine struct {
 	msgsLost     int64 // copies dropped by the channel
 	timersSet    int64
 	timersLapsed int64 // timers requested for the past (dropped per §2.2)
-	// bad is the first copy a send filed outside [now, +Inf); Run reports
-	// it once the drain (or the window) ends.
+	// bad is the first copy a send filed outside [now, +Inf), or on a
+	// partition a correction moved outside its Receive; Run reports it once
+	// the drain (or the window) ends.
 	bad error
 
 	// The windowed engine, on partition 0 only (shard.go): parts is every
-	// partition, this one first. Its observers fire at the cuts from their
-	// own slices, so drain, which partition 0 runs too, never calls them.
-	parts       []*Engine
-	lookahead   float64 // L = δ−ε
-	windows     int
-	cutSamplers []Sampler
-	cutAnnots   []AnnotationSink
-	annotMerge  []Annotation // reused window-merge scratch
+	// partition, this one first; its observers fire only in the replay at
+	// the cuts, so drain, which partition 0 runs too, never calls them.
+	parts     []*Engine
+	lookahead float64 // L = δ−ε
+	windows   int
 }
 
 // DefaultMaxSteps is the runaway guard Config.MaxSteps defaults to.
@@ -515,14 +529,8 @@ func newPartition(cfg Config, owner []int32, s int, mode schedMode) (*Engine, er
 
 // Observe registers an observer, classifying it once by capability. Must be
 // called before Run. An o that implements none of the observer interfaces is
-// an error — such a registration would silently observe nothing.
-//
-// On a windowed engine Samplers fire once per window, at the cut, and
-// annotations emitted inside a window are buffered per partition and
-// dispatched at the cut in a deterministic merged order (sorted by (At,
-// Proc); per-process emission order preserved) — identical for every k. A
-// DeliveryObserver is an error there: inside a window, deliveries on
-// different partitions have no global order to replay.
+// an error — such a registration would silently observe nothing — and so is
+// a DeliveryObserver on a windowed engine, where it is not yet implemented.
 func (e *Engine) Observe(o Observer) error {
 	s, isSampler := o.(Sampler)
 	a, isSink := o.(AnnotationSink)
@@ -530,28 +538,17 @@ func (e *Engine) Observe(o Observer) error {
 	switch {
 	case !isSampler && !isSink && !isDelivery:
 		return fmt.Errorf("sim: Observe(%T): type implements none of Sampler, AnnotationSink, DeliveryObserver", o)
-	case e.parts == nil:
-		if isSampler {
-			e.samplers = append(e.samplers, s)
-		}
-		if isSink {
-			e.annots = append(e.annots, a)
-		}
-		if isDelivery {
-			e.delivery = append(e.delivery, d)
-		}
-	case isDelivery:
-		return fmt.Errorf("sim: sharded execution cannot run per-delivery observer %T (deliveries inside a window have no deterministic global order; use Sampler/AnnotationSink observers, sampled at window barriers)", o)
-	default:
-		if isSampler {
-			e.cutSamplers = append(e.cutSamplers, s)
-		}
-		if isSink {
-			e.cutAnnots = append(e.cutAnnots, a)
-			for _, p := range e.parts {
-				p.annotCapture = true
-			}
-		}
+	case isDelivery && e.parts != nil:
+		return fmt.Errorf("sim: per-delivery observer %T is not yet implemented on a windowed engine (Config.Shards ≥ 1); Sampler and AnnotationSink observers are", o)
+	}
+	if isSampler {
+		e.samplers = append(e.samplers, s)
+	}
+	if isSink {
+		e.annots = append(e.annots, a)
+	}
+	if isDelivery {
+		e.delivery = append(e.delivery, d)
 	}
 	return nil
 }
@@ -559,8 +556,9 @@ func (e *Engine) Observe(o Observer) error {
 // N returns the number of processes.
 func (e *Engine) N() int { return len(e.procs) }
 
-// Now returns the current real time (the delivery time of the last action;
-// on a windowed engine, the last window cut).
+// Now returns the current real time: the delivery time of the last action,
+// or the instant a sampler or annotation sink is called at (on a windowed
+// engine, replayed at the cut).
 func (e *Engine) Now() clock.Real { return e.now }
 
 // total is f of the time-major engine, or f summed over the partitions of a
@@ -648,11 +646,7 @@ func (e *Engine) Run(until clock.Real) error {
 	if e.parts != nil {
 		return e.runWindows(until)
 	}
-	if e.tbl.ids != nil {
-		// Between runs the caller owns the processes and may have changed
-		// any correction; start from what they hold now.
-		e.loadTable()
-	}
+	e.enter()
 	err := e.drain(clock.Real(math.Inf(1)), until)
 	if e.bad != nil {
 		err = e.bad
@@ -660,30 +654,21 @@ func (e *Engine) Run(until clock.Real) error {
 	if err != nil {
 		return err
 	}
-	// Advance the clock to the horizon so metrics sampled at e.Now() reflect
-	// the full interval.
-	if e.now < until {
-		e.now = until
-		e.ver++
-		if len(e.samplers) > 0 {
-			e.sample(true)
-		}
-	}
+	e.advance(until)
+	e.horizon()
 	return nil
 }
 
 // drain is the one delivery loop: it delivers, in (DeliverAt, seq) order,
 // every pending event strictly before hi and at or before until. Time-major
-// Run drains with hi = +Inf; a partition's share of a window (runWindows) is
-// drain(hi, until) with a finite hi, on an engine where every time-major-only
-// branch below is a never-taken comparison — a partition has no samplers,
-// delivery observers, adversary or timeline in drain's slices, and mirrors no
-// corrections. There it is, with the filing of the partition's inbound links
-// before it, the only engine code that runs concurrently: each partition
-// touches its own queue, links, senders and processes' state; clocks and
-// remote corrections are read-only.
+// Run drains with hi = +Inf and samples as it goes; a partition's share of a
+// window is drain(hi, until) with a finite hi, logging its processes'
+// correction changes instead. There it is, with the filing of the inbound
+// links before it, the only engine code that runs concurrently: each
+// partition touches its own queue, links, senders, log and processes.
 func (e *Engine) drain(hi, until clock.Real) error {
 	var m Message
+	timeMajor := e.local == nil
 	for {
 		at, ok := e.queue.peekTime()
 		if e.tlIdx < len(e.timeline) {
@@ -705,18 +690,16 @@ func (e *Engine) drain(hi, until clock.Real) error {
 		if e.steps >= e.maxSteps {
 			return fmt.Errorf("sim: step limit %d exceeded at t=%v", e.maxSteps, e.now)
 		}
-		e.queue.popMsg(&m)
+		e.key = e.queue.popMsg(&m)
 		if m.DeliverAt != e.now {
-			e.now = m.DeliverAt
-			e.ver++
+			if timeMajor && len(e.edges) > 0 && m.DeliverAt >= e.edges[0] {
+				e.advance(m.DeliverAt)
+			} else {
+				e.now = m.DeliverAt
+				e.ver++
+			}
 		}
 		e.steps++
-		// The observer fan-outs are pre-classified at Observe time; skip
-		// the call overhead entirely on the (benchmark-typical) paths with
-		// nobody listening rather than iterating empty slices per event.
-		if len(e.samplers) > 0 {
-			e.sample(true) // configuration immediately before the action
-		}
 		for _, d := range e.delivery {
 			d.OnDeliver(e, m)
 		}
@@ -726,23 +709,26 @@ func (e *Engine) drain(hi, until clock.Real) error {
 			e.advCtl.onReceive(m)
 		}
 		e.ctx.pid = m.To
+		if !timeMajor {
+			e.procs[m.To].Receive(&e.ctx, m)
+			// The one correction the delivery may have changed, against the
+			// value the partition's deliveries left it at: a move is logged.
+			if h := e.corr[m.To]; e.mirror != nil && h != nil && !e.faulty[m.To] {
+				if c := h.Corr(); !same(c, e.mirror[m.To]) {
+					e.mirror[m.To] = c
+					e.logChange(m.To, c)
+				}
+			}
+			continue
+		}
 		e.acting = m.To
 		e.procs[m.To].Receive(&e.ctx, m)
 		e.acting = actingNone
 		if e.tbl.rowOf != nil {
 			// The one correction the delivery may have changed (CorrHolder's
-			// contract); the configuration version moves only if it did.
-			e.rereadCorr(m.To)
+			// contract): the samplers fire only if it did.
+			e.settle(m.To)
 		}
-		if len(e.samplers) > 0 {
-			e.sample(false) // configuration immediately after the action
-		}
-	}
-}
-
-func (e *Engine) sample(pre bool) {
-	for _, s := range e.samplers {
-		s.Sample(e, pre)
 	}
 }
 
@@ -750,13 +736,30 @@ func (e *Engine) annotate(p ProcID, tag string, v float64) {
 	// Annotations fire mid-Receive, typically right after the process
 	// changed its correction; a sink that reads clocks now goes through
 	// Engine.table, which re-reads the acting process first.
-	a := Annotation{At: e.now, Proc: p, Tag: tag, Value: v}
-	if e.annotCapture {
-		// Windowed execution: buffer for deterministic merged dispatch at
-		// the window cut (see Engine.dispatchAnnotations).
-		e.annotBuf = append(e.annotBuf, a)
+	if e.mirror != nil { // a window's: logged with the emitter's row as now, replayed at the cut
+		en := logEntry{key: e.key, at: e.now, tag: tag, value: v, proc: int32(p), annot: true}
+		if !e.faulty[p] && e.corr[p] != nil {
+			en.corr = e.corr[p].Corr()
+		}
+		e.wlog = append(e.wlog, en)
 		return
 	}
+	e.dispatch(Annotation{At: e.now, Proc: p, Tag: tag, Value: v})
+}
+
+// logChange logs the delivery's move of p's correction to c: on the
+// delivery's last log entry when that is p's annotation showing c already.
+func (e *Engine) logChange(p ProcID, c clock.Local) {
+	if n := len(e.wlog); n > 0 {
+		if l := &e.wlog[n-1]; l.key == e.key && l.at == e.now && l.proc == int32(p) && same(l.corr, c) {
+			l.change = true
+			return
+		}
+	}
+	e.wlog = append(e.wlog, logEntry{key: e.key, at: e.now, proc: int32(p), corr: c, change: true})
+}
+
+func (e *Engine) dispatch(a Annotation) {
 	for _, s := range e.annots {
 		s.OnAnnotation(e, a)
 	}

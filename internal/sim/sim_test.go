@@ -421,7 +421,10 @@ func (o *annObserver) OnAnnotation(_ *Engine, a Annotation) { o.anns = append(o.
 
 func TestAnnotationsAndSampling(t *testing.T) {
 	rec := &recorder{}
-	rec.onStart = func(ctx *Context) { ctx.Annotate("mark", 42) }
+	rec.onStart = func(ctx *Context) {
+		ctx.Annotate("mark", 42)
+		rec.corr += 1e-3
+	}
 	e, err := New(Config{
 		Procs:   []Process{rec},
 		Clocks:  perfectClocks(1),
@@ -443,9 +446,10 @@ func TestAnnotationsAndSampling(t *testing.T) {
 	if a.Tag != "mark" || a.Value != 42 || a.Proc != 0 || a.At != 3 {
 		t.Errorf("annotation = %+v", a)
 	}
-	// One action → one pre and one post sample, plus one horizon sample.
-	if obs.post != 1 || obs.pre != 2 {
-		t.Errorf("samples pre=%d post=%d, want 2/1", obs.pre, obs.post)
+	// The START changes the correction: one pre and one post sample around
+	// it, plus one at Run entry and one at the horizon.
+	if obs.post != 3 || obs.pre != 1 {
+		t.Errorf("samples pre=%d post=%d, want 1/3", obs.pre, obs.post)
 	}
 }
 
@@ -717,8 +721,8 @@ func TestObserveClassification(t *testing.T) {
 	if err := e.Run(1); err != nil {
 		t.Fatal(err)
 	}
-	if len(obs.anns) != 1 || obs.pre == 0 {
-		t.Errorf("classified observer missed callbacks: anns=%d pre=%d", len(obs.anns), obs.pre)
+	if len(obs.anns) != 1 || obs.post == 0 {
+		t.Errorf("classified observer missed callbacks: anns=%d post=%d", len(obs.anns), obs.post)
 	}
 }
 

@@ -1,6 +1,7 @@
-// Package simtest holds the engine's test oracle: the scan every observer
+// Package simtest holds the engine's test oracles: the scan every observer
 // used to run for itself, kept as the reference the engine's clock table is
-// held against.
+// held against, and the per-delivery sampling the engine used to do, kept as
+// the reference its sampling rule is held against.
 package simtest
 
 import (
@@ -8,6 +9,9 @@ import (
 	"testing"
 
 	"repro/internal/clock"
+	"repro/internal/exp"
+	"repro/internal/invariant"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -33,13 +37,14 @@ func LiveSpread(e *sim.Engine, t clock.Real) (lo, hi clock.Local, count int) {
 	return lo, hi, count
 }
 
-// Oracle demands, at every callback the engine offers, that what the clock
-// table serves as Engine.LocalTimeSpread(now) equals the live NonfaultyIDs ×
-// LocalTime walk bit for bit, and every 16th time that Engine.LocalTimes and
-// a historical LocalTimeSpread(t < now) do too. It is at once a
-// sim.Sampler (before and after every action), a sim.AnnotationSink and a
-// sim.DeliveryObserver (both inside the action), and Wrap makes it a
-// sim.Adversary around another one (inside Receive, per message copy).
+// Oracle demands, at every callback the time-major engine offers, that what
+// the clock table serves as Engine.LocalTimeSpread(now) equals the live
+// NonfaultyIDs × LocalTime walk bit for bit, and every 16th time that
+// Engine.LocalTimes and a historical LocalTimeSpread(t < now) do too. It is
+// at once a sim.Sampler, a sim.AnnotationSink and a sim.DeliveryObserver
+// (before every delivery), and Wrap makes it a sim.Adversary around another
+// one (inside Receive, per message copy). A windowed engine refuses it: there
+// the samples are replayed at the cut, where the live walk has moved on.
 //
 // A mismatch means either the table is wrong or an automaton broke the
 // sim.CorrHolder contract — its correction moved outside its own Receive or
@@ -65,43 +70,25 @@ var (
 	_ sim.DeliveryObserver = (*Oracle)(nil)
 )
 
-// Sample implements sim.Sampler.
+// Sample implements sim.Sampler. A pre sample reads the table with a row
+// holding the correction from before a change on purpose, while the live
+// walk already has the new one, so only post samples are checked; the
+// delivery the change is made in was checked just before it.
 func (o *Oracle) Sample(e *sim.Engine, pre bool) {
-	if pre {
-		o.Check(e, "pre-action sample")
-	} else {
-		o.Check(e, "post-action sample")
+	if !pre {
+		o.Check(e, "sample")
 	}
 }
 
-// OnAnnotation implements sim.AnnotationSink. A windowed engine replays
-// annotations at the cut after their time, so there the spread at the
-// annotation's own time — what a round recorder reads — is checked too.
-func (o *Oracle) OnAnnotation(e *sim.Engine, a sim.Annotation) {
-	o.Check(e, "annotation "+a.Tag)
-	if a.At != e.Now() {
-		o.spread(e, a.At, "annotation "+a.Tag+" (at its time)")
-	}
-}
+// OnAnnotation implements sim.AnnotationSink.
+func (o *Oracle) OnAnnotation(e *sim.Engine, a sim.Annotation) { o.Check(e, "annotation "+a.Tag) }
 
 // OnDeliver implements sim.DeliveryObserver.
 func (o *Oracle) OnDeliver(e *sim.Engine, _ sim.Message) { o.Check(e, "delivery") }
 
-// AtCuts returns the oracle as a Sampler and AnnotationSink only, which is
-// what Engine.Observe accepts on a windowed engine (sim.Config.Shards ≥ 1).
-func (o *Oracle) AtCuts() sim.Observer { return atCuts{o} }
-
-type atCuts struct{ o *Oracle }
-
-func (c atCuts) Sample(e *sim.Engine, pre bool)               { c.o.Sample(e, pre) }
-func (c atCuts) OnAnnotation(e *sim.Engine, a sim.Annotation) { c.o.OnAnnotation(e, a) }
-
 // Check compares the table's reads with the live walk at the engine's
 // current instant; where labels the failure. The spread comes first and
-// alone at most callbacks: LocalTimes makes the table evaluate every row,
-// and asked at every callback it would hide how the spread reads between
-// full evaluations (the kinetic certificates, see internal/sim's
-// clocktable.go).
+// alone at most callbacks, LocalTimes and a historical read every 16th.
 func (o *Oracle) Check(e *sim.Engine, where string) {
 	o.eng = e
 	if o.failed {
@@ -207,5 +194,89 @@ func (w *wrapped) OnReceive(v *sim.AdversaryView, m sim.Message) {
 	w.check("adversary receive hook")
 	if w.recv != nil {
 		w.recv.OnReceive(v, m)
+	}
+}
+
+// Dense is the reference the engine's sampling rule is held against: the
+// live walk (LiveSpread) at every delivery and at every point where the
+// engine samples — the per-delivery sampling the engine did before it
+// sampled only where a local time may bend. Register it on the time-major
+// engine, which has deliveries to observe; at a pre sample its live walk
+// reads the configuration after the change, whose state before it the
+// delivery's own point holds. Feed hands the points to a recorder's Record,
+// whose maxima must then equal the engine-driven recorder's bit for bit.
+type Dense struct {
+	points []densePoint
+}
+
+type densePoint struct {
+	at     clock.Real
+	lo, hi clock.Local
+	count  int
+}
+
+var (
+	_ sim.Sampler          = (*Dense)(nil)
+	_ sim.DeliveryObserver = (*Dense)(nil)
+)
+
+// Sample implements sim.Sampler.
+func (d *Dense) Sample(e *sim.Engine, _ bool) { d.add(e) }
+
+// OnDeliver implements sim.DeliveryObserver.
+func (d *Dense) OnDeliver(e *sim.Engine, _ sim.Message) { d.add(e) }
+
+func (d *Dense) add(e *sim.Engine) {
+	lo, hi, count := LiveSpread(e, e.Now())
+	d.points = append(d.points, densePoint{e.Now(), lo, hi, count})
+}
+
+// Points returns how many points the reference holds.
+func (d *Dense) Points() int { return len(d.points) }
+
+// Feed calls record with every point, in the order they were taken.
+func (d *Dense) Feed(record func(t clock.Real, lo, hi clock.Local, count int)) {
+	for _, p := range d.points {
+		record(p.at, p.lo, p.hi, p.count)
+	}
+}
+
+// SameBits fails t when two maxima differ in any bit.
+func SameBits(t testing.TB, what string, want, got float64) {
+	t.Helper()
+	if math.Float64bits(want) != math.Float64bits(got) {
+		t.Errorf("%s: %v, want %v (apart by %v)", what, got, want, got-want)
+	}
+}
+
+// CheckSkew holds a skew recorder to a fresh one with its warm-up fed the
+// dense reference.
+func CheckSkew(t testing.TB, skew *metrics.SkewRecorder, ref *Dense) {
+	t.Helper()
+	if ref.Points() < 100 {
+		t.Fatalf("only %d reference points", ref.Points())
+	}
+	want := &metrics.SkewRecorder{Warmup: skew.Warmup}
+	ref.Feed(want.Record)
+	SameBits(t, "max skew against the dense reference", want.Max(), skew.Max())
+	SameBits(t, "steady skew against the dense reference", want.MaxAfterWarmup(), skew.MaxAfterWarmup())
+}
+
+// CheckMaxima holds the maxima of res's skew recorder, validity recorder and
+// agreement checker to fresh ones with their parameters fed the dense
+// reference.
+func CheckMaxima(t testing.TB, res *exp.Result, ref *Dense) {
+	t.Helper()
+	CheckSkew(t, res.Skew, ref)
+	if v := res.Validity; v != nil {
+		want := &metrics.ValidityRecorder{Alpha1: v.Alpha1, Alpha2: v.Alpha2, Alpha3: v.Alpha3, T0: v.T0, TMin0: v.TMin0, TMax0: v.TMax0, From: v.From}
+		ref.Feed(want.Record)
+		SameBits(t, "validity violation against the dense reference", want.WorstViolation(), v.WorstViolation())
+	}
+	if res.Invariants != nil {
+		a := res.Invariants.Agreement
+		want := invariant.NewAgreement(a.Gamma, a.Warmup)
+		ref.Feed(want.Record)
+		SameBits(t, "agreement overshoot against the dense reference", want.Worst(), a.Worst())
 	}
 }

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"fmt"
 	"strconv"
 	"testing"
 
@@ -8,6 +9,8 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/exp"
+	"repro/internal/hier"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/sim/simtest"
 )
@@ -73,19 +76,104 @@ func TestLocalTimeSpreadMatchesLegacyScan(t *testing.T) {
 	}
 }
 
-// TestKineticExtremesO1 pins what the kinetic extremes buy: on the flat
-// n = 101 mesh over 20 rounds, sampled before and after every delivery, at
-// most 1 % of the configurations the clock table evaluates take a full scan
-// of its rows; the rest are served from the two certificated extremes.
+// sampleCount counts the sample points of a run.
+type sampleCount int
+
+func (c *sampleCount) Sample(*sim.Engine, bool) { *c++ }
+
+// TestSamplerBudget pins the sampling rule's cost: on the flat n = 101 mesh
+// over 20 rounds, time-major and on two shards, the samplers fire at most
+// twice per correction change, once per clock breakpoint (none: the drift is
+// constant) and per instant a recorder asked for (the skew recorder's
+// warm-up and the validity recorder's anchor), and at Run entry and the
+// horizon — not around each of the ≈ 2·10⁵ deliveries.
+func TestSamplerBudget(t *testing.T) {
+	const breakpoints, edges = 0, 2
+	for _, k := range []int{0, 2} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			var calls sampleCount
+			res, err := exp.Run(exp.Workload{
+				Cfg: core.Config{Params: analysis.Default(101, 33)}, Rounds: 20, Seed: 1, Shards: k,
+				Observers: []sim.Observer{&calls},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			changes := len(res.Rounds.Adjustments()) // one nonfaulty correction change each
+			budget := 2*changes + breakpoints + edges + 2
+			t.Logf("%d sample points for %d correction changes and %d deliveries", calls, changes, res.Steps())
+			if changes < 1000 || int(calls) > budget {
+				t.Fatalf("%d sample points for %d correction changes; want at most %d", calls, changes, budget)
+			}
+		})
+	}
+}
+
+// TestKineticExtremesO1 pins what the kinetic extremes buy: on the two-tier
+// n = 529 system over 10 rounds, where a correction moves at about one
+// delivery in fifteen and every move is read twice, at most 5 % of the
+// evaluations at sample points scan every row; the rest are served from the
+// two certificated extremes.
 func TestKineticExtremesO1(t *testing.T) {
-	res, err := exp.Run(exp.Workload{Cfg: core.Config{Params: analysis.Default(101, 33)}, Rounds: 20, Seed: 1})
+	s, err := hier.Build(hier.Default(529, 23))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := exp.Run(exp.Workload{Hier: s, Rounds: 10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	evals, scans := res.TablePasses()
-	t.Logf("%d full scans over %d evaluations (%.3f %%)", scans, evals, 100*float64(scans)/float64(evals))
-	if evals < 100_000 || scans*100 > evals {
-		t.Fatalf("%d full scans over %d evaluations; want ≤ 1 %% of at least 10⁵", scans, evals)
+	t.Logf("%d full scans over %d evaluations (%.2f %%)", scans, evals, 100*float64(scans)/float64(evals))
+	if evals < 10_000 || scans*20 > evals {
+		t.Fatalf("%d full scans over %d evaluations; want ≤ 5 %% of at least 10⁴", scans, evals)
+	}
+}
+
+// idleProc holds a fixed correction and does nothing: after its START the
+// engine has no delivery left to sample at.
+type idleProc struct{ corr clock.Local }
+
+func (p *idleProc) Receive(*sim.Context, sim.Message) {}
+func (p *idleProc) Corr() clock.Local                 { return p.corr }
+
+// TestSamplesAtBends pins the two sample points no delivery supplies. Two idle
+// processes START at 0; process 1's clock runs fast until its breakpoint at
+// 0.5 and slow after it, so the spread peaks there and falls through the
+// skew recorder's warm-up at 0.7. Time-major and windowed, the recorder must
+// report the spread at 0.5 as its maximum and the spread at 0.7 as its
+// maximum after warm-up, bit for bit.
+func TestSamplesAtBends(t *testing.T) {
+	bent, err := clock.New(0, []clock.Breakpoint{{Start: 0, Rate: 1 + 1e-3}, {Start: 0.5, Rate: 1 - 1e-3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{0, 1} {
+		eng, err := sim.New(sim.Config{
+			Procs:   []sim.Process{&idleProc{}, &idleProc{}},
+			Clocks:  []clock.Clock{clock.Linear(0, 1), bent},
+			StartAt: []clock.Real{0, 0},
+			Delay:   sim.UniformDelay{Delta: 2e-3, Eps: 1e-3},
+			Shards:  shards,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		skew := &metrics.SkewRecorder{Warmup: 0.7}
+		if err := eng.Observe(skew); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Run(1); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			what string
+			at   clock.Real
+			got  float64
+		}{{"max", 0.5, skew.Max()}, {"max after warm-up", 0.7, skew.MaxAfterWarmup()}} {
+			lo, hi, _ := simtest.LiveSpread(eng, c.at)
+			simtest.SameBits(t, fmt.Sprintf("shards=%d: %s", shards, c.what), float64(hi-lo), c.got)
+		}
 	}
 }
 
@@ -110,7 +198,7 @@ func TestLocalTimeSpreadHistoricalTime(t *testing.T) {
 }
 
 // TestClockTableRefreshedInPlace pins the table's allocation behaviour: built
-// once, at the first read, and from then on refreshed in place — by the
+// once, at the first Run, and from then on refreshed in place — by the
 // per-delivery re-read and by the every-row reload after a timeline action.
 func TestClockTableRefreshedInPlace(t *testing.T) {
 	const actions = 200
@@ -164,13 +252,12 @@ func (r *spreadReaders) Sample(e *sim.Engine, _ bool) {
 	}
 }
 
-// BenchmarkSpreadScan prices one delivered event's sampling — the pre- and
-// the post-delivery sample point, three spread readers each — by driving
-// deliveries through the engine. "changed-corr" has every delivery move the
-// recipient's correction, so both sample points of an event are new
-// configurations and each costs one evaluation of the clock table; "unchanged"
-// moves none (what ~(n+1)/(n+2) of a §4.2 run's deliveries look like), so the
-// post-delivery sample is served from the pre-delivery evaluation.
+// BenchmarkSpreadScan prices one delivered event's sampling, three spread
+// readers a sample point, by driving deliveries through the engine.
+// "changed-corr" has every delivery move the recipient's correction, so each
+// event has two sample points, before and after the change, and each costs
+// one evaluation of the clock table; "unchanged" moves none (what
+// ~(n+1)/(n+2) of a §4.2 run's deliveries look like), so no sampler fires.
 // "per-observer-rescan" is the pre-table reference: every reader walks
 // NonfaultyIDs × LocalTime itself. The same event stream with no sampler is
 // "engine-only"; subtract it to isolate the sampling.

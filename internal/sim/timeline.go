@@ -73,19 +73,19 @@ func (e *Engine) fireTimeline(bound clock.Real) bool {
 		e.tlIdx++
 		// An action scheduled before the current instant (e.g. before the
 		// first START) fires immediately; time never moves backward.
-		if a.At > e.now {
-			e.now = a.At
-			e.ver++
-		}
+		e.advance(a.At)
 		// The action may change any correction (a crash/rejoin wrapper
 		// freezing a stale CORR): reads made inside it re-read every row of
-		// the clock table, and so does the engine once it returns.
+		// the clock table, and so does the engine once it returns. The
+		// samplers fire immediately before and after it.
+		e.sample(true)
 		e.acting = actingAll
 		a.Do(e)
 		e.acting = actingNone
 		if e.tbl.ids != nil {
 			e.loadTable()
 		}
+		e.sample(false)
 		fired = true
 	}
 	return fired

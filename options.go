@@ -219,7 +219,7 @@ var optionRules = []optionRule{
 		twoTier: "applies to the flat mesh's §9.1 path"},
 	{option: "WithTrace", flag: "-trace", set: func(o *options) bool { return o.traceLimit > 0 }, startup: true, lifecycle: true,
 		sharded: func(*options) string {
-			return "records every delivery, which sharded mode cannot order deterministically"
+			return "records every delivery, and per-delivery observers are not yet implemented on the sharded engine"
 		}},
 	{option: "WithTopology/WithClusters", flag: "-topology/-clusters", set: func(o *options) bool { return o.topology != TopologyFlat }, startup: true, lifecycle: true},
 	{option: "WithShards", flag: "-shards", set: func(o *options) bool { return o.shards > 1 }, startup: true, lifecycle: true},
@@ -327,10 +327,10 @@ func WithSeed(seed int64) Option { return func(o *options) { o.seed = seed } }
 // lookahead windows in parallel (see README "Sharded execution for large
 // n"). The execution — every delivery, every measured quantity — is
 // byte-identical for every k, so the knob trades nothing but hardware.
-// What needs the sequential engine's delivery order — WithTrace, an adaptive
-// WithAdversary strategy — is rejected by New from the option table, naming
-// both options; k ≤ 1 means the sequential engine. Composes with both
-// topologies.
+// What the sharded engine does not run — WithTrace's per-delivery log (not
+// yet implemented there), an adaptive WithAdversary strategy — is rejected
+// by New from the option table, naming both options; k ≤ 1 means the
+// sequential engine. Composes with both topologies.
 func WithShards(k int) Option { return func(o *options) { o.shards = k } }
 
 // WithInitialSpread spreads the initial logical clocks over the given real
