@@ -12,16 +12,27 @@ import (
 // message form: what the copies of a buffered message share — one copy for a
 // START, TIMER or unicast, up to n for a broadcast — sits in a header
 // (msgHdr), and a 24-byte pointer-free entry per copy — the full sort key,
-// the header, and the recipient — is what the queue structures move. A 4-ary
-// min-heap of entries (entryHeap) is a complete scheduler by itself ("heap
-// mode"). The calendar is an optional front over the same store, in three
-// levels:
+// the header, and the recipient — is what the queue structures move. Entries
+// that wait unsorted sit in chains of fixed-size blocks drawn from one free
+// list (bin, link). The store serves two queues:
+//
+//   - The time-major engine's: a 4-ary min-heap of entries (entryHeap), a
+//     complete scheduler by itself ("heap mode"), optionally fronted by the
+//     calendar below. It is the only queue that must serve arbitrary delays,
+//     the adversary, timelines and per-delivery observers in global time
+//     order.
+//   - A windowed partition's (schedChains, shard.go): one chain per owned
+//     process instead of the calendar, opened process by process at the
+//     head of each lookahead window into the same window array the calendar
+//     opens a slot into; the heap then holds only the acting process's
+//     in-window timers. Partitions never build the calendar.
+//
+// The calendar works in three levels:
 //
 //   - The time line is cut into slots of span C, and the next R slots each
-//     own a bin: an unsorted chain of fixed-size entry blocks drawn from one
-//     free list. Filing an entry is an append to its slot's chain — once,
-//     when it is scheduled — so memory follows the peak number of pending
-//     entries and a drained round's blocks serve the next.
+//     own a bin: an unsorted chain. Filing an entry is an append to its
+//     slot's chain — once, when it is scheduled — so memory follows the peak
+//     number of pending entries and a drained round's blocks serve the next.
 //   - Everything beyond the ring, before it, or in the slot already open
 //     goes to the heap.
 //   - When the drain reaches a slot, its bin plus the heap entries that
@@ -70,6 +81,9 @@ const (
 	schedHeap
 	// schedCalendar switches the calendar on from the first event.
 	schedCalendar
+	// schedChains is a windowed partition's queue: a chain per owned
+	// process, no calendar (shard.go).
+	schedChains
 )
 
 const (
@@ -259,7 +273,8 @@ var emptyBin = bin{min: math.Inf(1), max: math.Inf(-1), head: -1}
 // the ring, or the heap. Every binned entry is later than every window entry,
 // so the minimum is the smaller of the window's head and the heap's top while
 // the window is nonempty, and the smaller of the first nonempty bin's minimum
-// and the heap's top otherwise.
+// and the heap's top otherwise. In chain mode the bins are the owned
+// processes' chains and the window one process's due events (shard.go).
 type sched struct {
 	heap    entryHeap // everything the window and the ring do not hold
 	hdrs    []msgHdr  // messages with copies still pending, and recycled slots
@@ -295,6 +310,13 @@ type sched struct {
 
 	slotCap      int32 // calSlotCap, lowered only by tests
 	cuts, opened int   // times C was cut; windows opened
+
+	// Chain mode: process base+i files on bins[i]; the window being drained
+	// takes the events at < dueHi and ≤ dueUntil (dueHi is −∞ outside one);
+	// stage holds the partition's own sends' copies until they are filed.
+	base            int32
+	dueHi, dueUntil float64
+	stage           shardLink
 }
 
 // init records the workload shape: δ and ε fix the starting slot span and
@@ -310,12 +332,15 @@ func (s *sched) init(mode schedMode, hint int, delta, eps float64) {
 	if l := delta - eps; l > 0 && l < s.c0 {
 		s.c0 = l
 	}
+	s.dueHi = math.Inf(-1)
 	if mode == schedCalendar || (mode == schedAuto && hint >= calActivateLen) {
 		s.activate()
 	}
 }
 
-func (s *sched) len() int { return len(s.win) - s.wpos + s.binned + s.heap.len() }
+func (s *sched) len() int {
+	return len(s.win) - s.wpos + s.binned + s.heap.len() + len(s.stage.ents)
+}
 
 // grow pre-sizes the backing stores: the header store for msgs buffered
 // messages, and the heap — for all events while it is the whole queue, for a
@@ -349,7 +374,11 @@ func (s *sched) push(m *Message, seq uint64) {
 // file queues one entry and, under schedAuto, switches the calendar on once
 // the population warrants it.
 func (s *sched) file(en entry) {
-	s.place(en)
+	if s.mode == schedChains {
+		s.chain(en)
+	} else {
+		s.place(en)
+	}
 	if l := s.len(); l > s.peak {
 		s.peak = l
 		// A population reaching the threshold is necessarily a new peak.
@@ -373,7 +402,14 @@ func (s *sched) place(en entry) {
 		return
 	}
 	slot := int64(f)
-	b := &s.bins[slot&s.mask]
+	s.put(&s.bins[slot&s.mask], en)
+	if slot < s.first {
+		s.first = slot
+	}
+}
+
+// put appends an entry to b's chain.
+func (s *sched) put(b *bin, en entry) {
 	t := b.tail
 	if t == nil || t.n == blockLen {
 		t = s.link(b)
@@ -386,9 +422,6 @@ func (s *sched) place(en entry) {
 	}
 	if en.at > b.max {
 		b.max = en.at
-	}
-	if slot < s.first {
-		s.first = slot
 	}
 	s.binned++
 }
@@ -450,15 +483,19 @@ func (s *sched) drain(b *bin, fn func(en *entry)) {
 
 // pushCopies files copies of one ordinary message under one new header: ents
 // carry each copy's delivery time, key and recipient. A send files its local
-// copies here (Engine.fanOut), and a partition, at the head of a window, those
-// another partition sent it (Engine.fileInbound).
+// copies here (Engine.fanOut); a partition keeps them in its stage
+// (stageCopies).
 func (s *sched) pushCopies(from ProcID, sentAt clock.Real, payload any, ents []entry) {
 	h := s.newHdr(from, sentAt, payload, KindOrdinary)
+	s.setLeft(h, int32(len(ents)))
+	if s.mode == schedChains {
+		s.stageCopies(h, ents)
+		return
+	}
 	for i := range ents {
 		ents[i].ref = h
 		s.file(ents[i])
 	}
-	s.setLeft(h, int32(len(ents)))
 }
 
 func (s *sched) newHdr(from ProcID, sentAt clock.Real, payload any, kind Kind) int32 {
@@ -521,15 +558,6 @@ func (s *sched) peekTime() (clock.Real, bool) {
 	return clock.Real(t), ok
 }
 
-// popMsg removes the minimum event, writing its message directly into out
-// (this is the once-per-delivered-event path), and returns its key. The
-// caller must ensure the queue is nonempty.
-func (s *sched) popMsg(out *Message) uint64 {
-	en := s.popEntry()
-	s.take(en, out)
-	return en.key
-}
-
 // take writes the message of a popped entry into out and releases its share
 // of the header.
 func (s *sched) take(en entry, out *Message) {
@@ -548,6 +576,15 @@ func (s *sched) popEntry() entry {
 	}
 	if s.wpos == len(s.win) {
 		s.rotate()
+	}
+	return s.popWin()
+}
+
+// popWin removes and returns the smaller of the open window's head and the
+// heap's top; one of them must hold an entry.
+func (s *sched) popWin() entry {
+	if s.wpos == len(s.win) {
+		return s.heap.pop()
 	}
 	w := &s.win[s.wpos]
 	if top := s.heap.peek(); top != nil && entryLess(top, w) {

@@ -140,11 +140,13 @@ func same(a, b clock.Local) bool {
 // table returns the clock table, current for a read at this instant: built
 // on first use (an engine nobody reads never pays for it), with the acting
 // process's correction — or, inside a timeline action, every row — re-read.
+// A partition's rows move only in the replay at the cut, so a read made
+// inside one of its Receives re-reads nothing.
 func (e *Engine) table() *clockTable {
 	switch {
 	case e.tbl.ids == nil:
 		e.buildTable()
-	case e.acting >= 0:
+	case e.acting >= 0 && e.shardOf == nil:
 		e.rereadCorr(e.acting)
 	case e.acting == actingAll:
 		e.loadTable()
@@ -274,14 +276,26 @@ func (e *Engine) setRow(i int32, c clock.Local) {
 	}
 }
 
-// settle ends a delivery on the time-major engine: it re-reads the
-// recipient's correction and, if the delivery moved it, samples there.
+// settle ends a delivery by reading the recipient's correction. The
+// time-major engine re-reads its row and, if the delivery moved it, samples
+// there; a partition whose window a Run observes compares it with the value
+// the partition's deliveries left it at and logs a move for the replay.
 func (e *Engine) settle(p ProcID) {
 	tb := &e.tbl
-	e.rereadCorr(p)
-	if tb.moved {
-		tb.moved = false
-		e.change(tb.rowOf[p], tb.before)
+	switch {
+	case e.mirror != nil:
+		if h := e.corr[p]; h != nil && !e.faulty[p] {
+			if c := h.Corr(); !same(c, e.mirror[p]) {
+				e.mirror[p] = c
+				e.logChange(p, c)
+			}
+		}
+	case tb.rowOf != nil && e.shardOf == nil:
+		e.rereadCorr(p)
+		if tb.moved {
+			tb.moved = false
+			e.change(tb.rowOf[p], tb.before)
+		}
 	}
 }
 

@@ -40,6 +40,14 @@ func (s *sched) pop() event {
 	return ev
 }
 
+// popMsg removes the minimum event, writing its message into out, and
+// returns its key; the queue must be nonempty.
+func (s *sched) popMsg(out *Message) uint64 {
+	en := s.popEntry()
+	s.take(en, out)
+	return en.key
+}
+
 // queueConfigs enumerates the scheduler configurations that must agree: the
 // heap alone, an auto sched (which switches the calendar on mid-run when the
 // population crosses the activation threshold), a calendar active from the

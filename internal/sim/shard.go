@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/clock"
 	"repro/internal/exp/runner"
@@ -18,25 +20,36 @@ import (
 // and may execute in parallel.
 //
 // The processes are partitioned into k contiguous blocks, each owned by a
-// partition: an Engine holding only its processes' pending events. Partition
-// 0 is the engine New returns; it drives the windows and replays the
-// samples and annotations of each window at its cut (clocktable.go). A window
-// runs as: (1) find the globally earliest pending event time
-// m, over the queues and the copies the last window sent; (2) let every
-// partition, concurrently on one runner.Map worker set per window, file the
-// copies the last window sent it into its queue and then drain its events in
-// [m, m+L) (Engine.drain, the loop the time-major engine runs); (3) join,
-// check every link's earliest copy against the window, hand each link's
-// copies to its destination, cut, and repeat. Every link is double-buffered —
-// the buffer a source appends to this window, and the one its destination
-// files from — so the serial phase at the cut is k² comparisons and swaps,
-// and the filing runs on the worker set. Every cross-partition message
-// produced inside the window has delivery time ≥ m+L, i.e. beyond the window,
-// so no partition can miss an event (checked at the cut against the earliest
-// copy on each link; a delay model violating its declared bounds is reported,
-// not silently reordered). runner.Map's join is the only synchronization: it
-// returns once every partition has, and turns a panicking Receive into that
-// partition's error.
+// partition: an Engine holding only its processes' pending events, each on
+// its recipient's chain (schedChains, calqueue.go). Partition 0 is the engine
+// New returns; it drives the windows and replays the samples and annotations
+// of each window at its cut (clocktable.go). A window runs as: (1) find the
+// globally earliest pending event time m, over the chains and the copies the
+// last window sent; (2) let every partition, concurrently on one runner.Map
+// worker set per window, file the copies the last window sent it onto its
+// chains and then deliver its events in [m, m+L) process by process
+// (Engine.drainWindow): each owned process, in ascending id, takes its due
+// events off its chain, sorts them by (at, key) and receives them in that
+// order, with any TIMER it sets for inside the window merged in; (3) join,
+// hand each link's copies to its destination, cut, and repeat. Every link is
+// double-buffered — the buffer a source appends to this window, and the one
+// its destination files from — so the serial phase at the cut is k²
+// comparisons and swaps, and the filing runs on the worker set. A
+// partition's own sends wait in a bounded stage of the same form; both are
+// filed onto the chains a tile of recipients at a time (fileLink).
+//
+// Process by process is one execution because a step changes only the
+// recipient's state and the buffer (§2.3(6)), and A3 puts every ordinary
+// copy sent at t ≥ m at or after t+L ≥ m+L: inside the window the only event
+// a step can add for the window is its own process's TIMER. So each
+// process's own (at, key)-ordered sequence of due events is what the
+// time-major engine delivers it, and the order between processes is
+// unobservable. A copy a delay model files inside the window breaks the
+// declared lower bound; Run fails at the cut naming the least (at, key) such
+// copy over the partitions — the same error for every k — rather than
+// deliver a reordered execution. runner.Map's join is the only
+// synchronization: it returns once every partition has, and turns a
+// panicking Receive into that partition's error.
 //
 // Determinism is independent of k (the oracle E19 and TestShardedDeterminism
 // pin) because no order state is shared: every engine, time-major or
@@ -57,19 +70,22 @@ import (
 // (see Engine.Observe).
 
 // chunkHdr is one message's share of a shardLink: what its copies have in
-// common, and how many of the link's entries (in order) are its.
+// common, and how many of the link's entries (in order) are its. While the
+// destination files the chunk, ref is its header there and pos the next of
+// its n entries still to file.
 type chunkHdr struct {
-	from    ProcID
-	sentAt  clock.Real
-	payload any
-	n       int32
+	from     ProcID
+	sentAt   clock.Real
+	payload  any
+	n        int32
+	ref, pos int32
 }
 
 // shardLink is the traffic one shard produced for another during one
 // window, unicasts and fan-out copies alike: the copies as ready-keyed queue
-// entries (unsorted; the destination's header index is filled in when it
-// files them), and their earliest delivery time, which the sender keeps as it
-// appends so the cut can check the delay lower bound over every copy in O(1).
+// entries, a chunk's in recipient order (the destination's header index is
+// filled in when it files them), and their earliest delivery time, which the
+// sender keeps as it appends so the next window's start counts them in O(1).
 // The destination empties a link in place when it files it, and the cut hands
 // the emptied buffer back to the source, so steady-state windows allocate
 // nothing.
@@ -136,7 +152,7 @@ func validateWindowed(cfg Config) error {
 // processes assigned in contiguous blocks, and returns partition 0. All
 // partitions share the configuration's process, clock and fault slices
 // read-only.
-func newWindowed(cfg Config, mode schedMode) (*Engine, error) {
+func newWindowed(cfg Config) (*Engine, error) {
 	n, k := len(cfg.Procs), cfg.Shards
 	owner := make([]int32, n)
 	per := (n + k - 1) / k
@@ -145,10 +161,18 @@ func newWindowed(cfg Config, mode schedMode) (*Engine, error) {
 	}
 	parts := make([]*Engine, k)
 	for s := range parts {
-		p, err := newPartition(cfg, owner, s, mode)
+		p, err := newBase(cfg)
 		if err != nil {
 			return nil, err
 		}
+		lo, hi := min(s*per, n), min((s+1)*per, n)
+		p.local, p.shardOf = make([]bool, n), owner
+		for i := lo; i < hi; i++ {
+			p.local[i] = true
+		}
+		p.out, p.in = newShardLinks(k)
+		p.queue.initChains(lo, hi-lo, n)
+		p.start(cfg.StartAt)
 		parts[s] = p
 	}
 	d, eps := cfg.Delay.Bounds()
@@ -162,28 +186,24 @@ func newWindowed(cfg Config, mode schedMode) (*Engine, error) {
 func (e *Engine) Windows() int { return e.windows }
 
 // minPending returns the earliest pending event time across the partitions:
-// their queues and the copies the last window sent them.
+// their chains and the copies the last window sent them. An event at +Inf
+// never comes.
 func (e *Engine) minPending() (clock.Real, bool) {
-	var m clock.Real
-	any := false
+	m := math.Inf(1)
 	for _, p := range e.parts {
-		if at, ok := p.queue.peekTime(); ok && (!any || at < m) {
-			m = at
-			any = true
+		for i := range p.queue.bins {
+			m = min(m, p.queue.bins[i].min)
 		}
 		for s := range p.in {
-			if l := &p.in[s]; len(l.ents) > 0 && (!any || clock.Real(l.min) < m) {
-				m = clock.Real(l.min)
-				any = true
-			}
+			m = min(m, p.in[s].min)
 		}
 	}
-	return m, any
+	return clock.Real(m), m < math.Inf(1)
 }
 
 // runWindows is Run on a windowed engine: windows until no partition holds
 // an event at or before until, or the step limit is hit. Before it returns it
-// files the copies the last window sent, so the queues hold every pending
+// files the copies the last window sent, so the chains hold every pending
 // event.
 func (e *Engine) runWindows(until clock.Real) error {
 	defer e.fileAll()
@@ -217,8 +237,7 @@ func (e *Engine) window(until clock.Real) (more bool, err error) {
 	cut, from := min(hi, until), e.now
 	if _, err := runner.Map(len(e.parts), len(e.parts), func(i int) (struct{}, error) {
 		p := e.parts[i]
-		p.fileInbound()
-		err := p.drain(hi, until)
+		err := p.drainWindow(hi, until)
 		if err == nil && p.now < cut {
 			p.now = cut
 		}
@@ -230,14 +249,20 @@ func (e *Engine) window(until clock.Real) (more bool, err error) {
 		}
 		return false, err
 	}
+	var early *earlyCopy
 	for _, p := range e.parts {
 		if p.bad != nil {
 			return false, p.bad
 		}
+		if c := &p.early; c.ok && (early == nil || entryLess(&c.en, &early.en)) {
+			early = c
+		}
 	}
-	if err := e.handOver(hi); err != nil {
-		return false, err
+	if early != nil {
+		return false, fmt.Errorf("sim: delay model violated its declared lower bound: copy %d→%d delivers at %v inside the window ending %v",
+			early.from, early.en.to, early.en.at, hi)
 	}
+	e.handOver()
 	e.windows++
 	return true, e.replay(from, cut)
 }
@@ -315,49 +340,94 @@ func (e *Engine) replay(from, cut clock.Real) error {
 	return nil
 }
 
-// handOver checks every link's earliest copy against the window and moves
-// each link that carries copies to its destination's inbound side, taking
-// the buffer the destination filed from back in exchange. A quiet link takes
-// the larger of its two emptied buffers, so traffic that comes in bursts
-// grows one buffer per link, not two. Single-threaded, once per window: k²
-// comparisons and swaps.
-func (e *Engine) handOver(hi clock.Real) error {
+// handOver moves each link that carries copies to its destination's inbound
+// side, taking the buffer the destination filed from back in exchange. A
+// quiet link takes the larger of its two emptied buffers, so traffic that
+// comes in bursts grows one buffer per link, not two. Single-threaded, once
+// per window: k² comparisons and swaps.
+func (e *Engine) handOver() {
 	for s, src := range e.parts {
 		for d := range src.out {
 			l, in := &src.out[d], &e.parts[d].in[s]
-			if len(l.ents) == 0 {
-				if cap(in.ents) > cap(l.ents) {
-					*l, *in = *in, *l
-				}
+			if len(l.ents) == 0 && cap(in.ents) <= cap(l.ents) {
 				continue
-			}
-			if clock.Real(l.min) < hi {
-				return l.lowerBoundError(hi)
 			}
 			*l, *in = *in, *l
 		}
 	}
-	return nil
 }
 
-// fileInbound moves the copies the last window sent this partition into its
-// queue: sources in ascending order, a link's chunk at a time — one order
-// whatever runs it, so header indexes and pop order stay fixed properties of
-// the execution. Each partition runs it for itself at the head of its share
-// of a window.
+// fileInbound moves the copies the last window sent this partition onto its
+// chains: sources in ascending order, each chunk under a header of its own
+// made in chunk order — one order whatever runs it, so header indexes stay
+// fixed properties of the execution. Each partition runs it for itself at
+// the head of its share of a window.
 func (e *Engine) fileInbound() {
+	q := &e.queue
 	for s := range e.in {
 		l := &e.in[s]
-		o := 0
+		o := int32(0)
 		for j := range l.hdrs {
 			h := &l.hdrs[j]
-			e.queue.pushCopies(h.from, h.sentAt, h.payload, l.ents[o:o+int(h.n)])
-			o += int(h.n)
+			h.ref = q.newHdr(h.from, h.sentAt, h.payload, KindOrdinary)
+			q.setLeft(h.ref, h.n)
 			h.payload = nil // release the payload reference
+			h.pos, o = o, o+h.n
 		}
-		l.hdrs, l.ents, l.min = l.hdrs[:0], l.ents[:0], math.Inf(1)
+		q.fileLink(l)
 	}
 }
+
+// stageCopies keeps the copies a send of the partition's own files under
+// header h for fileLink, first filing what the stage holds if it has
+// stageSends sends or the copies would not fit: filing a fan-out's copies at
+// once would touch the tail of every recipient's chain, each on its own
+// page, once per send.
+func (s *sched) stageCopies(h int32, ents []entry) {
+	st := &s.stage
+	if len(st.hdrs) == stageSends || len(st.ents)+len(ents) > cap(st.ents) {
+		s.fileLink(st)
+	}
+	st.hdrs = append(st.hdrs, chunkHdr{n: int32(len(ents)), ref: h, pos: int32(len(st.ents))})
+	for _, en := range ents {
+		en.ref = h
+		st.ents = append(st.ents, en)
+	}
+	s.peak = max(s.peak, s.len())
+}
+
+// fileLink puts the copies of l's chunks — each with its header ref and its
+// first entry pos set, its entries in recipient order — onto their chains,
+// and empties l. Fan-out chunks go a tile of recipients at a time, each chunk
+// giving its next run: a tile's chain tails and the chunks' cursors are few
+// enough pages for the TLB to hold, where chunk by chunk every chunk would
+// touch every chain's. Chunks shorter than a tile on average (unicasts) go
+// in one pass, as one tile.
+func (s *sched) fileLink(l *shardLink) {
+	tile := int32(fileTile)
+	if len(l.ents) < fileTile*len(l.hdrs) {
+		tile = int32(len(s.bins))
+	}
+	for lo := s.base; len(l.hdrs) > 0 && lo < s.base+int32(len(s.bins)); lo += tile {
+		for j := range l.hdrs {
+			h := &l.hdrs[j]
+			for ; h.n > 0 && l.ents[h.pos].to < lo+tile; h.pos, h.n = h.pos+1, h.n-1 {
+				en := l.ents[h.pos]
+				en.ref = h.ref
+				s.put(&s.bins[en.to-s.base], en)
+			}
+		}
+	}
+	l.hdrs, l.ents, l.min = l.hdrs[:0], l.ents[:0], math.Inf(1)
+	s.peak = max(s.peak, s.len())
+}
+
+const (
+	// fileTile is how many recipients fileLink files at a time.
+	fileTile = 32
+	// stageSends is how many sends' local copies the stage holds.
+	stageSends = 32
+)
 
 // fileAll files what the last window sent, on every partition.
 func (e *Engine) fileAll() {
@@ -366,19 +436,213 @@ func (e *Engine) fileAll() {
 	}
 }
 
-// lowerBoundError names the link's earliest copy, which lands before hi.
-func (l *shardLink) lowerBoundError(hi clock.Real) error {
-	o := 0
-	for _, h := range l.hdrs {
-		for _, en := range l.ents[o : o+int(h.n)] {
-			if en.at == l.min {
-				return fmt.Errorf("sim: delay model violated its declared lower bound: copy %d→%d delivers at %v inside the window ending %v",
-					h.from, en.to, en.at, hi)
-			}
-		}
-		o += int(h.n)
+// earlyCopy is a copy filed inside the window it was sent in, with its
+// sender; ok marks one found.
+type earlyCopy struct {
+	from ProcID
+	en   entry
+	ok   bool
+}
+
+// noteEarly keeps c, a copy from sender from that lands inside the window
+// being drained, if it is the least (at, key) such copy so far.
+func (e *Engine) noteEarly(from ProcID, c entry) {
+	if l := &e.early; !l.ok || entryLess(&c, &l.en) {
+		*l = earlyCopy{from: from, en: c, ok: true}
 	}
-	panic("sim: shard link minimum matches none of its copies")
+}
+
+// drainWindow is a partition's share of the window [m, hi): it files the
+// copies the last window sent it, then lets each owned process, in ascending
+// id, receive its events due before hi and at or before until, in (at, key)
+// order, merged with the TIMERs it sets for inside the window. This, with
+// the filing, is the only engine code that runs concurrently: each partition
+// touches its own chains, links, senders, log and processes. The window log
+// is left in (at, key) order for the replay.
+func (e *Engine) drainWindow(hi, until clock.Real) error {
+	e.fileInbound()
+	q := &e.queue
+	q.dueHi, q.dueUntil = float64(hi), float64(until)
+	defer q.shut()
+	var m Message
+	for i := range q.bins {
+		if !q.openDue(i) {
+			continue
+		}
+		for q.wpos < len(q.win) || q.heap.len() > 0 {
+			if e.steps >= e.maxSteps {
+				return fmt.Errorf("sim: step limit %d exceeded at t=%v", e.maxSteps, e.now)
+			}
+			e.step(q.popWin(), &m)
+		}
+	}
+	slices.SortStableFunc(e.wlog, func(a, b logEntry) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.key, b.key))
+	})
+	return nil
+}
+
+// initChains makes s the queue of a partition owning the processes [base,
+// base+owned) of an n-process system: a chain per process, room for one
+// process's due events in a window — a round's n copies — and for their
+// sort's group counts, for a few in-window timers, for the local copies of
+// stageSends fan-outs, and for the headers of the broadcasts in flight.
+func (s *sched) initChains(base, owned, n int) {
+	s.mode, s.base, s.free = schedChains, int32(base), -1
+	s.dueHi = math.Inf(-1)
+	s.bins = make([]bin, owned)
+	for i := range s.bins {
+		s.bins[i] = emptyBin
+	}
+	s.win = make([]entry, 0, n+16)
+	s.spill = make([]entry, 0, n+16)
+	s.off = make([]int32, 0, 2*(n+16)+1)
+	s.heap.items = make([]entry, 0, 16)
+	s.stage = shardLink{
+		hdrs: make([]chunkHdr, 0, stageSends),
+		ents: make([]entry, 0, stageSends*owned),
+		min:  math.Inf(1),
+	}
+	s.grow(0, 4*n+16)
+}
+
+// chain files an entry on its recipient's chain, a NaN delivery time as
+// +Inf. A TIMER due in the window being drained is the acting process's own
+// (only a process's step sets its timers): it goes to the heap, from which
+// the drain merges it into the process's due events.
+func (s *sched) chain(en entry) {
+	if en.at != en.at {
+		en.at = math.Inf(1)
+	}
+	if en.key&entryTimerBit != 0 && s.due(en.at) {
+		s.heap.push(en)
+		return
+	}
+	s.put(&s.bins[en.to-s.base], en)
+}
+
+// due reports whether an event at t belongs to the window being drained.
+func (s *sched) due(t float64) bool { return t < s.dueHi && t <= s.dueUntil }
+
+// openDue moves process base+i's due events off its chain into the window,
+// sorted (sortDue), and reports whether there were any. The sort's groups
+// are laid over the ordinary copies' times: a process's own timer for later
+// in the round would otherwise stretch them and crowd the copies into a
+// few. What is not due stays on the chain, compacted into its first blocks;
+// the blocks it no longer needs go back to the free list.
+func (s *sched) openDue(i int) bool {
+	b := &s.bins[i]
+	if !s.due(b.min) {
+		return false
+	}
+	sp, lo, hi := s.spill[:0], math.Inf(1), math.Inf(-1)
+	keep, kmin, kmax := int32(0), math.Inf(1), math.Inf(-1)
+	w := s.block(b.head) // the block being refilled: never ahead of the read
+	for id := b.head; id >= 0; {
+		t := s.block(id)
+		for _, en := range t.ents[:t.n] {
+			if s.due(en.at) {
+				sp = append(sp, en)
+				if en.key&entryTimerBit == 0 {
+					lo, hi = min(lo, en.at), max(hi, en.at)
+				}
+				continue
+			}
+			if keep > 0 && keep%blockLen == 0 {
+				w = s.block(w.next)
+			}
+			w.ents[keep%blockLen] = en
+			keep++
+			kmin, kmax = min(kmin, en.at), max(kmax, en.at)
+		}
+		id = t.next
+	}
+	if keep == 0 {
+		s.release(b.head)
+		*b = emptyBin
+	} else {
+		w.n = (keep-1)%blockLen + 1
+		s.release(w.next)
+		w.next = -1
+		b.tail, b.n, b.min, b.max = w, keep, kmin, kmax
+	}
+	s.binned -= len(sp)
+	s.spill = sp
+	if lo > hi { // timers only
+		lo, hi = sp[0].at, sp[0].at
+		for _, en := range sp {
+			lo, hi = min(lo, en.at), max(hi, en.at)
+		}
+	}
+	s.sortDue(sp, lo, hi)
+	return true
+}
+
+// sortDue sorts one process's due events sp into the window by entryLess: a
+// counting sort on their times into about two groups per entry, laid over
+// [lo, hi] (group is monotone in the time and clamps what lies outside),
+// then one insertion pass, which moves only entries that share a group.
+func (s *sched) sortDue(sp []entry, lo, hi float64) {
+	total := len(sp)
+	groups := 2*total + 1
+	s.wlo, s.wscale = lo, 0
+	if hi > lo {
+		s.wscale = float64(groups) / (hi - lo)
+	}
+	off := slices.Grow(s.off[:0], groups)[:groups]
+	clear(off)
+	s.off = off
+	for i := range sp {
+		off[s.group(sp[i].at)]++
+	}
+	sum := int32(0)
+	for g, n := range off {
+		off[g] = sum
+		sum += n
+	}
+	win := slices.Grow(s.win[:0], total)[:total]
+	for i := range sp {
+		g := s.group(sp[i].at)
+		win[off[g]] = sp[i]
+		off[g]++
+	}
+	for i := 1; i < total; i++ {
+		if en := win[i]; entryLess(&en, &win[i-1]) {
+			j := i
+			for j > 0 && entryLess(&en, &win[j-1]) {
+				win[j] = win[j-1]
+				j--
+			}
+			win[j] = en
+		}
+	}
+	s.win, s.wpos, s.wend = win, 0, total
+}
+
+// release returns the chain of blocks starting at id (−1 for none) to the
+// free list.
+func (s *sched) release(id int32) {
+	for id >= 0 {
+		t := s.block(id)
+		next := t.next
+		t.next, s.free = s.free, id
+		id = next
+	}
+}
+
+// shut ends a partition's window: the stage is filed, and what the window
+// and the heap still hold — only after the step limit stopped the drain —
+// goes back on its chains.
+func (s *sched) shut() {
+	s.fileLink(&s.stage)
+	s.dueHi = math.Inf(-1)
+	for _, en := range s.win[s.wpos:] {
+		s.put(&s.bins[en.to-s.base], en)
+	}
+	for _, en := range s.heap.items {
+		s.put(&s.bins[en.to-s.base], en)
+	}
+	s.win, s.wpos, s.heap.items = s.win[:0], 0, s.heap.items[:0]
 }
 
 // ShardedEngine, NewSharded, Stats and ShardStats are vestiges the frozen

@@ -473,14 +473,12 @@ func (p *idler) Receive(ctx *Context, m Message) {
 	}
 }
 
-// TestShardedAdoptionBeforeWindow is the regression test for a scheduler
-// that moved when asked the time: a shard whose only pending events are far
-// timers is asked for its next event time at every window end, and then, at
-// the head of the next window, files copies that land long before those
-// timers. peekTime must open no slot — the copies are filed ahead of the
-// timers like any other entry (there is no ordered-insert path for them to
-// fall back on) — and every process must see exactly the sequential engine's
-// deliveries, in its order.
+// TestShardedAdoptionBeforeWindow is the regression test for a partition
+// that adopts copies landing before everything it already holds: a shard
+// whose only pending events are far timers files, at the head of the next
+// window, copies that land long before those timers. They must be delivered
+// in that window, ahead of the timers, so every process sees exactly the
+// sequential engine's deliveries, in its order.
 func TestShardedAdoptionBeforeWindow(t *testing.T) {
 	const n = 8
 	horizon := clock.Real(0.12)
@@ -490,7 +488,6 @@ func TestShardedAdoptionBeforeWindow(t *testing.T) {
 		for i := n / 2; i < n; i++ { // shard 1 of 2: idlers
 			cfg.Procs[i] = &idler{far: 50e-3}
 		}
-		cfg.EventHint = 4 * calActivateLen // the calendar is on from the first event, on both shards
 		return cfg
 	}
 	digests := func(cfg Config) (ds []uint64, counts []int) {
@@ -521,29 +518,17 @@ func TestShardedAdoptionBeforeWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	// At every cut (before the next window, whose head files the copies
-	// shard 0 sent shard 1): when shard 1 is to adopt copies that land well
-	// before its far timers, no window may be open on those timers, and
-	// asking for the time must leave the scheduler where it is. The run is
+	// shard 0 sent shard 1): count the cuts where shard 1 is to adopt copies
+	// that land well before the earliest event on its chains. The run is
 	// Run's window loop, stepped here to look between the windows.
 	adoptedEarlier := 0
 	atCut := func() {
-		q, l := &se.Shard(1).queue, &se.Shard(1).in[0]
-		opened, cur := q.opened, q.cur
-		next, ok := q.peekTime()
-		if q.opened != opened || q.cur != cur {
-			t.Errorf("peekTime moved the scheduler: opened %d → %d, open slot %d → %d", opened, q.opened, cur, q.cur)
+		sh, l := se.Shard(1), &se.Shard(1).in[0]
+		held := math.Inf(1)
+		for i := range sh.queue.bins {
+			held = min(held, sh.queue.bins[i].min)
 		}
-		if len(l.ents) > 0 && (!ok || clock.Real(l.min) < next) {
-			next, ok = clock.Real(l.min), true
-		}
-		if !ok {
-			return
-		}
-		if q.wpos < len(q.win) {
-			if head := clock.Real(q.win[q.wpos].at); head-next > 5e-3 {
-				t.Errorf("cut at %v: a window is open on the timer at %v while copies landing at %v are pending", se.Now(), head, next)
-			}
-		} else if top := q.heap.peek(); top != nil && (q.binned > 0 || len(l.ents) > 0) && clock.Real(top.at)-next > 5e-3 {
+		if len(l.ents) > 0 && held-l.min > 5e-3 {
 			adoptedEarlier++
 		}
 	}
@@ -560,7 +545,7 @@ func TestShardedAdoptionBeforeWindow(t *testing.T) {
 	}
 	se.fileAll()
 	if adoptedEarlier < 10 {
-		t.Fatalf("only %d cuts left shard 1 with adopted copies binned ahead of its own far timers — the scenario did not occur", adoptedEarlier)
+		t.Fatalf("only %d cuts left shard 1 adopting copies ahead of its own far timers — the scenario did not occur", adoptedEarlier)
 	}
 	gotD, gotC := digests(cfg)
 	for i := range wantD {
@@ -571,6 +556,105 @@ func TestShardedAdoptionBeforeWindow(t *testing.T) {
 	}
 	if wantC[n-1] < 100 {
 		t.Fatalf("idler %d saw only %d deliveries", n-1, wantC[n-1])
+	}
+}
+
+// alarm exercises a partition's in-window timers on perfect clocks under a
+// constant delay, where delivery times are exact sums. At its START it
+// broadcasts and sets a timer for inside the window, which re-arms once; on
+// the copy from q it sets a timer for the instant q+1's copy reaches it,
+// which ties with that ordinary delivery. It folds every delivery's (at,
+// kind, from) into an order-sensitive digest and counts, on a partition,
+// the timers filed to the in-window heap and those delivered while due
+// copies were still waiting (the merge).
+type alarm struct {
+	starts          []clock.Real
+	delta           clock.Real
+	digest          uint64
+	rearmed         bool
+	merged, between int
+}
+
+func (a *alarm) Receive(ctx *Context, m Message) {
+	h := a.digest
+	if h == 0 {
+		h = 1469598103934665603
+	}
+	for _, x := range []uint64{math.Float64bits(float64(m.DeliverAt)), uint64(m.Kind), uint64(m.From)} {
+		h ^= x
+		h *= 1099511628211
+	}
+	a.digest = h
+	q := &ctx.eng.queue
+	set := func(T clock.Local) {
+		ctx.SetTimer(T, nil)
+		if q.mode == schedChains && q.heap.len() > 0 {
+			a.merged++
+		}
+	}
+	switch m.Kind {
+	case KindStart:
+		ctx.Broadcast(nil)
+		set(ctx.PhysNow() + 5e-5)
+	case KindTimer:
+		if q.mode == schedChains && q.wpos < len(q.win) {
+			a.between++
+		}
+		if !a.rearmed {
+			a.rearmed = true
+			set(ctx.PhysNow() + 5e-5)
+		}
+	case KindOrdinary:
+		if next := int(m.From) + 1; next < len(a.starts) {
+			set(clock.Local(a.starts[next] + a.delta))
+		}
+	}
+}
+
+// TestShardedInWindowTimers is the differential test of the in-window timer
+// merge: timers set for inside the current window, and timers landing at
+// exactly the delivery time of an ordinary copy to the same process (which
+// §2.3(4) orders first), give every process the time-major engine's
+// (at, kind, from) sequence for k = 1, 2 and 3, and the merge path runs.
+func TestShardedInWindowTimers(t *testing.T) {
+	const n = 12
+	const delta = 4e-4
+	run := func(k int) (digests []uint64, merged, between int) {
+		procs := make([]Process, n)
+		clocks := make([]clock.Clock, n)
+		st := make([]clock.Real, n)
+		for i := range procs {
+			st[i] = clock.Real(i) * 1e-5
+			clocks[i] = clock.Linear(0, 1)
+		}
+		for i := range procs {
+			procs[i] = &alarm{starts: st, delta: delta}
+		}
+		e, err := New(Config{Procs: procs, Clocks: clocks, StartAt: st, Delay: ConstantDelay{Delta: delta}, Seed: 3, Shards: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Run(2e-3); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range procs {
+			a := p.(*alarm)
+			digests = append(digests, a.digest)
+			merged, between = merged+a.merged, between+a.between
+		}
+		return digests, merged, between
+	}
+	want, _, _ := run(0)
+	for _, k := range []int{1, 2, 3} {
+		got, merged, between := run(k)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("k=%d: process %d's (at, kind, from) sequence diverges from the time-major run's", k, i)
+			}
+		}
+		if merged == 0 || between == 0 {
+			t.Fatalf("k=%d: %d timers filed in-window, %d delivered between due copies — the merge path did not run", k, merged, between)
+		}
 	}
 }
 
@@ -594,28 +678,37 @@ func (d undershoot) Sample(from, to ProcID, at clock.Real, rng *RNG) float64 {
 }
 
 // TestShardedLowerBoundEveryCopy: the lookahead is only as good as the delay
-// model's declared lower bound, so the window cut checks it — over every
-// cross-shard copy, not just the first of each fan-out's (unsorted) share,
-// and over unicasts, which ride the same links. A model that undershoots δ−ε
-// for one recipient in the middle of a remote shard's block must end the run
-// with the link's named error, never a reordered execution.
+// model's declared lower bound, so a copy filed inside the window it was sent
+// in ends the run — every copy, not just the first of each fan-out's share,
+// local or remote, unicast or broadcast. A model that undershoots δ−ε for one
+// recipient in the middle of a block must end the run with the named error,
+// never a reordered execution, and the error must name the same copy — the
+// least (at, key) one — whatever the partition count, k = 1 included.
 func TestShardedLowerBoundEveryCopy(t *testing.T) {
 	const n, victim = 8, 6 // shard 1 of 2 owns 4…7
 	for _, unicast := range []bool{false, true} {
-		cfg := shardWorkload(n, undershoot{UniformDelay{Delta: 4e-4, Eps: 1e-4}, victim}, nil)
-		if unicast {
-			for i := range cfg.Procs {
-				cfg.Procs[i] = &testBeacon{period: 1e-3, unicast: true}
+		var first string
+		for _, k := range []int{1, 2, 4} {
+			cfg := shardWorkload(n, undershoot{UniformDelay{Delta: 4e-4, Eps: 1e-4}, victim}, nil)
+			if unicast {
+				for i := range cfg.Procs {
+					cfg.Procs[i] = &testBeacon{period: 1e-3, unicast: true}
+				}
 			}
-		}
-		cfg.Shards = 2
-		se, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = se.Run(0.01)
-		if err == nil || !strings.Contains(err.Error(), "violated its declared lower bound") || !strings.Contains(err.Error(), "→6 ") {
-			t.Fatalf("unicast=%v: Run = %v; want the lower-bound error naming a copy to process %d", unicast, err, victim)
+			cfg.Shards = k
+			se, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = se.Run(0.01)
+			if err == nil || !strings.Contains(err.Error(), "violated its declared lower bound") || !strings.Contains(err.Error(), "→6 ") {
+				t.Fatalf("unicast=%v k=%d: Run = %v; want the lower-bound error naming a copy to process %d", unicast, k, err, victim)
+			}
+			if k == 1 {
+				first = err.Error()
+			} else if err.Error() != first {
+				t.Fatalf("unicast=%v: k=%d reports %q, k=1 %q", unicast, k, err, first)
+			}
 		}
 	}
 }
@@ -841,37 +934,35 @@ func TestLazySlabSizing(t *testing.T) {
 	}
 }
 
-// TestShardedEventHintScaling is the calendar pre-sizing regression test: a
-// caller-supplied whole-system EventHint must be scaled down to the shard's
-// own share, not passed through — the old behavior oversized every shard's
-// queue stores k-fold.
+// TestShardedEventHintScaling: a partition holds its own share of the
+// pending events, not the whole system's. With every process starting at one
+// instant, a round's n² copies are all in flight together; each of k
+// partitions must then have held its n²/k — every copy to its processes, its
+// own and those adopted from the links — and well under the whole system's,
+// whatever whole-system EventHint the caller passed (partitions ignore it).
 func TestShardedEventHintScaling(t *testing.T) {
-	const n, k = 1024, 8
+	const n, k = 512, 8
 	cfg := shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
+	cfg.StartAt = starts(n, 0)
 	cfg.EventHint = n*n + 2*n + 8 // the whole-system figure exp.Run would pass
 	cfg.Shards = k
 	se, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < k; i++ {
-		got := se.Shard(i).queue.eventHint
-		if got >= cfg.EventHint/2 {
-			t.Fatalf("shard %d hint %d is not scaled down from the whole-system %d", i, got, cfg.EventHint)
-		}
-		if got < n*n/k {
-			t.Fatalf("shard %d hint %d cannot cover its share of a round's copies (n²/k = %d)", i, got, n*n/k)
-		}
-	}
-	// The per-shard defaults (hint unset) must likewise be per-shard sized.
-	cfg2 := shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
-	cfg2.Shards = k
-	se2, err := New(cfg2)
-	if err != nil {
+	if err := se.Run(0.8e-3); err != nil { // round 0 lands by 0.5 ms, round 1 fires at 1 ms
 		t.Fatal(err)
 	}
-	if got := se2.Shard(0).queue.eventHint; got > 2*n*n/k {
-		t.Fatalf("default per-shard hint %d is system-sized (n²/k = %d)", got, n*n/k)
+	top := 0
+	for i := 0; i < k; i++ {
+		got := se.Shard(i).queue.peak
+		if got < n*n/k || got >= 2*n*n/k {
+			t.Fatalf("shard %d peaked at %d pending events; want its share of a round's copies, n²/k = %d, and not the whole system's %d", i, got, n*n/k, n*n)
+		}
+		top = max(top, got)
+	}
+	if se.QueuePeak() != top {
+		t.Fatalf("QueuePeak %d, want the largest partition's %d", se.QueuePeak(), top)
 	}
 }
 

@@ -23,20 +23,24 @@
 //
 // The event loop is the per-trial hot path of every experiment, so it is
 // built to run allocation-free in the steady state: buffered messages sit in
-// recycled headers and the queue orders 24-byte pointer-free entries, one per
-// copy — a concrete 4-ary heap, fronted by a calendar of time-slot bins once
-// the population warrants it (calqueue.go; no interface boxing) — one Context
-// per engine is reused across deliveries, observers are classified into typed
-// slices at registration time (no per-event type assertions), and delay
-// sampling draws from inline per-sender splitmix64 streams. The no-observer
-// steady state performs zero allocations per delivered event (enforced in CI
-// by TestEngineSteadyStateAllocs in internal/bench, which gates the same
-// workload the engine benchmarks measure).
+// recycled headers and the queues move 24-byte pointer-free entries, one per
+// copy (calqueue.go; no interface boxing). The time-major engine orders them
+// in a concrete 4-ary heap, fronted by a calendar of time-slot bins once the
+// population warrants it; a windowed partition files them on one chain per
+// recipient and sorts a process's due events only when its turn in a window
+// comes. One Context per engine is reused across deliveries, observers are
+// classified into typed slices at registration time (no per-event type
+// assertions), and delay sampling draws from inline per-sender splitmix64
+// streams. The no-observer steady state performs zero allocations per
+// delivered event (enforced in CI by TestEngineSteadyStateAllocs in
+// internal/bench, which gates the same workload the engine benchmarks
+// measure).
 //
 // One Engine type runs every execution, and New is its one constructor.
 // Config.Shards = 0 drains the buffer time-major; Shards = k ≥ 1 partitions
-// the processes into k blocks drained in parallel lookahead windows
-// (shard.go). The two run one execution and sample it at the same instants.
+// the processes into k blocks drained in parallel lookahead windows, each
+// window process by process (shard.go). The two run one execution and sample
+// it at the same instants.
 package sim
 
 import (
@@ -105,7 +109,11 @@ type Annotation struct {
 // implement the same interface but may behave arbitrarily in what they send
 // and when. What no Process may do, faulty or not, is change state outside its
 // own Receive: §2.3(6) lets a step change only the recipient's state and the
-// buffer, and the engine's clock table relies on it (see CorrHolder).
+// buffer, and the engine's clock table relies on it (see CorrHolder). So do
+// windowed partitions, within a partition too: they deliver a window's
+// events process by process, so a Receive that read or wrote another
+// process's state would see it at a different point of the execution than
+// on the time-major engine.
 type Process interface {
 	Receive(ctx *Context, msg Message)
 }
@@ -200,12 +208,14 @@ type Config struct {
 	// (internal/scenario) compiles its event scripts onto this. Not
 	// supported with Shards ≥ 1.
 	Timeline []TimedAction
-	// EventHint is the expected peak number of buffered events. A hint
-	// pre-sizes the queue's backing stores so large-n runs skip
-	// growth-doubling copies, and lets the scheduler switch its calendar on
-	// from the first event instead of mid-run. Zero derives the default from
-	// the process count: a round keeps ≈ n² broadcast copies plus a timer
-	// per process in flight (DefaultEventHint).
+	// EventHint is the expected peak number of buffered events on the
+	// time-major engine (Shards = 0). A hint pre-sizes the queue's backing
+	// stores so large-n runs skip growth-doubling copies, and lets the
+	// scheduler switch its calendar on from the first event instead of
+	// mid-run. Zero derives the default from the process count: a round
+	// keeps ≈ n² broadcast copies plus a timer per process in flight
+	// (DefaultEventHint). A windowed engine sizes its partitions' queues
+	// from their shares and ignores it.
 	EventHint int
 	// Shards selects how Run drains the buffer: 0 time-major; k ≥ 1 in
 	// lookahead windows over k partitions (shard.go). k = 1 is still
@@ -277,10 +287,12 @@ type Engine struct {
 	// partition; cross-partition traffic accumulates in out (one shardLink
 	// per destination) until the window cut hands it to the destination's in
 	// (one per source), which the destination files at the head of the next
-	// window.
+	// window. early is the least (at, key) copy a window's sends filed
+	// inside the window, which breaks the delay model's declared lower bound.
 	local   []bool
 	shardOf []int32
 	out, in []shardLink
+	early   earlyCopy
 
 	// A partition's window log (shard.go): while a Run observes it, mirror
 	// holds every process's correction as its deliveries left it (one slice
@@ -368,16 +380,40 @@ const maxProcs = 1 << 17
 var ErrTooManyProcs = fmt.Errorf("sim: system exceeds the %d-process cap of packed sequence keys", maxProcs)
 
 // newEngine validates cfg and builds its engine. mode is schedAuto except in
-// this package's tests and benchmarks, which force the heap or the calendar
-// to compare them.
+// this package's tests and benchmarks, which force the time-major engine's
+// heap or calendar to compare them.
 func newEngine(cfg Config, mode schedMode) (*Engine, error) {
 	if err := validate(cfg); err != nil {
 		return nil, err
 	}
-	if cfg.Shards == 0 {
-		return newPartition(cfg, nil, 0, mode)
+	if cfg.Shards != 0 {
+		return newWindowed(cfg)
 	}
-	return newWindowed(cfg, mode)
+	e, err := newBase(cfg)
+	if err != nil {
+		return nil, err
+	}
+	// Pre-size the queue's backing stores for the expected peak population
+	// (see Config.EventHint), unless the workload supplied a sharper hint.
+	// The hint also decides the scheduler shape up front (see schedMode), so
+	// large-n runs start with the calendar on. A broadcast's copies share one
+	// header, only timers and unicasts take one each: a hint that counts
+	// all-to-all rounds leaves the header store small, a smaller one
+	// describes sparser traffic — hier's unicast tiers — and sizes the store
+	// as it stands.
+	n, hint := len(cfg.Procs), cfg.EventHint
+	if hint <= 0 {
+		hint = DefaultEventHint(BroadcastAuto, n)
+	}
+	msgs := hint
+	if hint >= n*n {
+		msgs = 4*n + 16
+	}
+	d, eps := cfg.Delay.Bounds()
+	e.queue.init(mode, hint, d, eps)
+	e.queue.grow(hint, msgs)
+	e.start(cfg.StartAt)
+	return e, nil
 }
 
 // validate is the one check of a configuration, for either drain.
@@ -418,9 +454,9 @@ func validate(cfg Config) error {
 	return nil
 }
 
-// newPartition builds the time-major engine (owner == nil) or partition s
-// of a windowed one, whose processes are those owner maps to s.
-func newPartition(cfg Config, owner []int32, s int, mode schedMode) (*Engine, error) {
+// newBase builds what every engine, time-major or partition, holds, with no
+// queue and nothing buffered yet.
+func newBase(cfg Config) (*Engine, error) {
 	n := len(cfg.Procs)
 	faulty := cfg.Faulty
 	if faulty == nil {
@@ -470,61 +506,18 @@ func newPartition(cfg Config, owner []int32, s int, mode schedMode) (*Engine, er
 		e.senders[i].rng = NewRNG(senderSeed(cfg.Seed, ProcID(i)))
 		e.senders[i].until = clock.Real(math.Inf(-1))
 	}
-	// Pre-size the queue's backing stores for the expected peak population
-	// (see Config.EventHint), unless the workload supplied a sharper hint.
-	// The hint also decides the scheduler shape up front (see schedMode), so
-	// large-n runs start with the calendar on. A broadcast's copies share one
-	// header, only timers and unicasts take one each: a hint that counts
-	// all-to-all rounds (n copies per owned process) leaves the header store
-	// small, a smaller one describes sparser traffic — hier's unicast tiers —
-	// and sizes the store as it stands.
-	hint, owned := cfg.EventHint, n
-	if hint <= 0 {
-		hint = DefaultEventHint(BroadcastAuto, n)
-	}
-	if owner != nil {
-		e.local = make([]bool, n)
-		owned = 0
-		for i, o := range owner {
-			if int(o) == s {
-				e.local[i] = true
-				owned++
-			}
-		}
-		e.shardOf = owner
-		e.out, e.in = newShardLinks(cfg.Shards)
-		if k := cfg.Shards; cfg.EventHint > 0 {
-			// A caller-supplied hint describes the whole system; a partition
-			// only ever buffers its own processes' share — roughly hint/k.
-			// Passing the whole-system figure through would oversize every
-			// partition's stores k-fold (TestShardedEventHintScaling pins this).
-			hint = cfg.EventHint/k + n + 2*(n/k) + 16
-		} else {
-			// The local copies of every in-flight fan-out plus the
-			// partition's own timers.
-			hint = n*owned + 2*owned + 8
-		}
-	}
-	msgs := hint
-	if hint >= n*owned {
-		msgs = 4*n + 16
-	}
-	d, eps := cfg.Delay.Bounds()
-	e.queue.init(mode, hint, d, eps)
-	e.queue.grow(hint, msgs)
-	for i := 0; i < n; i++ {
+	return e, nil
+}
+
+// start buffers the START message of every process the engine owns, at its
+// real start time: the initial buffer state of §2.2.
+func (e *Engine) start(at []clock.Real) {
+	for i, t := range at {
 		if e.local != nil && !e.local[i] {
 			continue // a process STARTs on its own partition only
 		}
-		e.push(Message{
-			From:      ProcID(i),
-			To:        ProcID(i),
-			Kind:      KindStart,
-			SentAt:    cfg.StartAt[i],
-			DeliverAt: cfg.StartAt[i],
-		})
+		e.push(Message{From: ProcID(i), To: ProcID(i), Kind: KindStart, SentAt: t, DeliverAt: t})
 	}
-	return e, nil
 }
 
 // Observe registers an observer, classifying it once by capability. Must be
@@ -647,7 +640,7 @@ func (e *Engine) Run(until clock.Real) error {
 		return e.runWindows(until)
 	}
 	e.enter()
-	err := e.drain(clock.Real(math.Inf(1)), until)
+	err := e.drain(until)
 	if e.bad != nil {
 		err = e.bad
 	}
@@ -659,16 +652,12 @@ func (e *Engine) Run(until clock.Real) error {
 	return nil
 }
 
-// drain is the one delivery loop: it delivers, in (DeliverAt, seq) order,
-// every pending event strictly before hi and at or before until. Time-major
-// Run drains with hi = +Inf and samples as it goes; a partition's share of a
-// window is drain(hi, until) with a finite hi, logging its processes'
-// correction changes instead. There it is, with the filing of the inbound
-// links before it, the only engine code that runs concurrently: each
-// partition touches its own queue, links, senders, log and processes.
-func (e *Engine) drain(hi, until clock.Real) error {
+// drain is the time-major delivery loop: it delivers, in (DeliverAt, seq)
+// order, every pending event at or before until, firing timeline actions and
+// sampling at the edges in between. A windowed engine's partitions deliver
+// through drainWindow instead (shard.go); both take each step with step.
+func (e *Engine) drain(until clock.Real) error {
 	var m Message
-	timeMajor := e.local == nil
 	for {
 		at, ok := e.queue.peekTime()
 		if e.tlIdx < len(e.timeline) {
@@ -684,52 +673,43 @@ func (e *Engine) drain(hi, until clock.Real) error {
 				continue
 			}
 		}
-		if !ok || at >= hi || at > until {
+		if !ok || at > until {
 			return nil
 		}
 		if e.steps >= e.maxSteps {
 			return fmt.Errorf("sim: step limit %d exceeded at t=%v", e.maxSteps, e.now)
 		}
-		e.key = e.queue.popMsg(&m)
-		if m.DeliverAt != e.now {
-			if timeMajor && len(e.edges) > 0 && m.DeliverAt >= e.edges[0] {
-				e.advance(m.DeliverAt)
-			} else {
-				e.now = m.DeliverAt
-				e.ver++
-			}
+		if len(e.edges) > 0 && at >= e.edges[0] {
+			e.advance(at) // sample at the edges up to the delivery first
 		}
-		e.steps++
-		for _, d := range e.delivery {
-			d.OnDeliver(e, m)
-		}
-		if e.advCtl != nil && m.Kind == KindOrdinary {
-			// The adversary's observed-arrival record: every ordinary
-			// delivery, announced immediately before the recipient acts.
-			e.advCtl.onReceive(m)
-		}
-		e.ctx.pid = m.To
-		if !timeMajor {
-			e.procs[m.To].Receive(&e.ctx, m)
-			// The one correction the delivery may have changed, against the
-			// value the partition's deliveries left it at: a move is logged.
-			if h := e.corr[m.To]; e.mirror != nil && h != nil && !e.faulty[m.To] {
-				if c := h.Corr(); !same(c, e.mirror[m.To]) {
-					e.mirror[m.To] = c
-					e.logChange(m.To, c)
-				}
-			}
-			continue
-		}
-		e.acting = m.To
-		e.procs[m.To].Receive(&e.ctx, m)
-		e.acting = actingNone
-		if e.tbl.rowOf != nil {
-			// The one correction the delivery may have changed (CorrHolder's
-			// contract): the samplers fire only if it did.
-			e.settle(m.To)
-		}
+		e.step(e.queue.popEntry(), &m)
 	}
+}
+
+// step is one action of §2.3, whichever order the engine delivers in: it
+// takes the popped entry's message into m, moves real time to its delivery
+// time, counts the step, lets the recipient Receive it, and reads the one
+// correction the step may have changed (settle).
+func (e *Engine) step(en entry, m *Message) {
+	e.queue.take(en, m)
+	e.key = en.key
+	if m.DeliverAt != e.now {
+		e.now = m.DeliverAt
+		e.ver++
+	}
+	e.steps++
+	for _, d := range e.delivery {
+		d.OnDeliver(e, *m)
+	}
+	if e.advCtl != nil && m.Kind == KindOrdinary {
+		// The adversary's observed-arrival record: every ordinary
+		// delivery, announced immediately before the recipient acts.
+		e.advCtl.onReceive(*m)
+	}
+	e.ctx.pid, e.acting = m.To, m.To
+	e.procs[m.To].Receive(&e.ctx, *m)
+	e.acting = actingNone
+	e.settle(m.To)
 }
 
 func (e *Engine) annotate(p ProcID, tag string, v float64) {
@@ -775,10 +755,10 @@ func (e *Engine) dispatch(a Annotation) {
 // the channel lost or a delay model sent outside [now, +Inf) is dropped, and
 // the rest are counted and announced to the send hook. Only then are the
 // survivors filed, under one send index: local recipients under one shared
-// header, remote ones onto the link to their partition. A copy's key is
-// packSeq(from, sidx, q) whatever the range, so a Broadcast and n Sends to
-// q = 0..n−1 order their copies alike — TestBroadcastMatchesSends holds the
-// two to one execution.
+// header (on a partition, through its stage), remote ones onto the link to
+// their partition. A copy's key is packSeq(from, sidx, q) whatever the
+// range, so a Broadcast and n Sends to q = 0..n−1 order their copies alike —
+// TestBroadcastMatchesSends holds the two to one execution.
 func (e *Engine) fanOut(from ProcID, lo, hi int, payload any) {
 	now, rng := e.now, &e.senders[from].rng
 	delays := e.delays[lo:hi]
@@ -820,10 +800,15 @@ func (e *Engine) fanOut(from ProcID, lo, hi int, payload any) {
 	seqBase := e.packSeq(from, s.sidx, 0)
 	s.sidx++
 	// Partitions own contiguous pid blocks, so the copies for one remote
-	// partition are consecutive: one chunk per link.
+	// partition are consecutive, in recipient order: one chunk per link. A
+	// copy landing inside the window a partition drains breaks the declared
+	// lower bound (the time-major engine's dueHi is −∞).
 	local, last := copies[:0], int32(-1)
 	for _, c := range copies {
 		c.key |= seqBase
+		if c.at < e.queue.dueHi {
+			e.noteEarly(from, c)
+		}
 		if e.local == nil || e.local[c.to] {
 			local = append(local, c)
 			continue
