@@ -10,11 +10,11 @@ import (
 // This file implements the scheduler — the global message buffer of §2.2
 // with the total delivery order of §2.3. There is one event store and one
 // message form: what the copies of a buffered message share — one copy for a
-// START, TIMER or unicast, up to n for a broadcast — sits in a header
-// (msgHdr), and a 24-byte pointer-free entry per copy — the full sort key,
-// the header, and the recipient — is what the queue structures move. Entries
-// that wait unsorted sit in chains of fixed-size blocks drawn from one free
-// list (bin, link). The store serves two queues:
+// START, TIMER or unicast, up to n for a broadcast on the time-major engine —
+// sits in a header (msgHdr), and a 24-byte pointer-free entry per copy — the
+// full sort key, the header, and the recipient — is what the queue
+// structures move. Entries that wait unsorted sit in chains of fixed-size
+// blocks drawn from one free list (bin, link). The store serves two queues:
 //
 //   - The time-major engine's: a 4-ary min-heap of entries (entryHeap), a
 //     complete scheduler by itself ("heap mode"), optionally fronted by the
@@ -22,10 +22,13 @@ import (
 //     the adversary, timelines and per-delivery observers in global time
 //     order.
 //   - A windowed partition's (schedChains, shard.go): one chain per owned
-//     process instead of the calendar, opened process by process at the
-//     head of each lookahead window into the same window array the calendar
-//     opens a slot into; the heap then holds only the acting process's
-//     in-window timers. Partitions never build the calendar.
+//     process instead of the calendar, holding its STARTs, timers and
+//     unicasts. A broadcast there is no entry until it is due: its header
+//     holds its n delivery times, and at each lookahead window the partition
+//     gathers a process's due copies from those rows, next to its chain's
+//     due events, into the same window array the calendar opens a slot
+//     into; the heap then holds only the acting process's in-window timers.
+//     Partitions never build the calendar.
 //
 // The calendar works in three levels:
 //
@@ -135,7 +138,8 @@ const entryTimerBit = uint64(1) << 63
 
 // msgHdr is what the undelivered copies of one buffered message share: one
 // copy for a START, TIMER or unicast, one per routed recipient for a
-// broadcast. A copy is fully determined when it is sent (Engine.fanOut
+// broadcast on the time-major engine (a partition keeps a broadcast as a
+// bcast, shard.go). A copy is fully determined when it is sent (Engine.fanOut
 // samples, retimes and routes it then), so delivering one is pure Message
 // assembly from its entry and this header: no RNG draw, no channel state,
 // no retiming at pop time. Headers are recycled through a free stack,
@@ -313,10 +317,10 @@ type sched struct {
 
 	// Chain mode: process base+i files on bins[i]; the window being drained
 	// takes the events at < dueHi and ≤ dueUntil (dueHi is −∞ outside one);
-	// stage holds the partition's own sends' copies until they are filed.
+	// pend counts the copies of published broadcasts not yet gathered.
 	base            int32
 	dueHi, dueUntil float64
-	stage           shardLink
+	pend            int
 }
 
 // init records the workload shape: δ and ε fix the starting slot span and
@@ -339,7 +343,7 @@ func (s *sched) init(mode schedMode, hint int, delta, eps float64) {
 }
 
 func (s *sched) len() int {
-	return len(s.win) - s.wpos + s.binned + s.heap.len() + len(s.stage.ents)
+	return len(s.win) - s.wpos + s.binned + s.heap.len() + s.pend
 }
 
 // grow pre-sizes the backing stores: the header store for msgs buffered
@@ -483,15 +487,11 @@ func (s *sched) drain(b *bin, fn func(en *entry)) {
 
 // pushCopies files copies of one ordinary message under one new header: ents
 // carry each copy's delivery time, key and recipient. A send files its local
-// copies here (Engine.fanOut); a partition keeps them in its stage
-// (stageCopies).
+// copies here (Engine.fanOut): every copy on the time-major engine, a
+// unicast to an owned process on a partition.
 func (s *sched) pushCopies(from ProcID, sentAt clock.Real, payload any, ents []entry) {
 	h := s.newHdr(from, sentAt, payload, KindOrdinary)
 	s.setLeft(h, int32(len(ents)))
-	if s.mode == schedChains {
-		s.stageCopies(h, ents)
-		return
-	}
 	for i := range ents {
 		ents[i].ref = h
 		s.file(ents[i])

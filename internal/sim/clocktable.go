@@ -146,7 +146,7 @@ func (e *Engine) table() *clockTable {
 	switch {
 	case e.tbl.ids == nil:
 		e.buildTable()
-	case e.acting >= 0 && e.shardOf == nil:
+	case e.acting >= 0 && e.part == nil:
 		e.rereadCorr(e.acting)
 	case e.acting == actingAll:
 		e.loadTable()
@@ -290,7 +290,7 @@ func (e *Engine) settle(p ProcID) {
 				e.logChange(p, c)
 			}
 		}
-	case tb.rowOf != nil && e.shardOf == nil:
+	case tb.rowOf != nil && e.part == nil:
 		e.rereadCorr(p)
 		if tb.moved {
 			tb.moved = false

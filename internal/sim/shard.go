@@ -20,23 +20,27 @@ import (
 // and may execute in parallel.
 //
 // The processes are partitioned into k contiguous blocks, each owned by a
-// partition: an Engine holding only its processes' pending events, each on
-// its recipient's chain (schedChains, calqueue.go). Partition 0 is the engine
-// New returns; it drives the windows and replays the samples and annotations
-// of each window at its cut (clocktable.go). A window runs as: (1) find the
-// globally earliest pending event time m, over the chains and the copies the
-// last window sent; (2) let every partition, concurrently on one runner.Map
-// worker set per window, file the copies the last window sent it onto its
-// chains and then deliver its events in [m, m+L) process by process
-// (Engine.drainWindow): each owned process, in ascending id, takes its due
-// events off its chain, sorts them by (at, key) and receives them in that
+// partition: an Engine holding its processes' STARTs, timers and unicast
+// copies, each on its recipient's chain (schedChains, calqueue.go). A
+// broadcast is not filed anywhere: it is one header (bcast) holding its n
+// delivery times, which the cut after its send publishes on one board every
+// partition reads. Partition 0 is the engine New returns; it drives the
+// windows and replays the samples and annotations of each window at its cut
+// (clocktable.go). A window runs as: (1) find the globally earliest pending
+// event time m, over the chains, the unicasts the last window sent and the
+// broadcasts on the board; (2) let every partition, concurrently on one
+// runner.Map worker set per window, file the unicasts the last window sent
+// it onto its chains and then deliver its events in [m, m+L) process by
+// process (Engine.drainWindow): a tile of owned processes at a time, each
+// one's due events are taken off its chain and read off the rows of the
+// broadcasts that may have copies due (gather), and then each process, in
+// ascending id, sorts its due events by (at, key) and receives them in that
 // order, with any TIMER it sets for inside the window merged in; (3) join,
-// hand each link's copies to its destination, cut, and repeat. Every link is
-// double-buffered — the buffer a source appends to this window, and the one
-// its destination files from — so the serial phase at the cut is k²
-// comparisons and swaps, and the filing runs on the worker set. A
-// partition's own sends wait in a bounded stage of the same form; both are
-// filed onto the chains a tile of recipients at a time (fileLink).
+// hand each link's unicasts to its destination, publish the broadcasts the
+// window sent and drop those whose copies are all delivered (publish), cut,
+// and repeat. Every link is double-buffered — the buffer a source appends to
+// this window, and the one its destination files from — so the serial phase
+// at the cut is k² comparisons and swaps plus one pass over the board.
 //
 // Process by process is one execution because a step changes only the
 // recipient's state and the buffer (§2.3(6)), and A3 puts every ordinary
@@ -44,7 +48,7 @@ import (
 // a step can add for the window is its own process's TIMER. So each
 // process's own (at, key)-ordered sequence of due events is what the
 // time-major engine delivers it, and the order between processes is
-// unobservable. A copy a delay model files inside the window breaks the
+// unobservable. A copy a delay model sends inside the window breaks the
 // declared lower bound; Run fails at the cut naming the least (at, key) such
 // copy over the partitions — the same error for every k — rather than
 // deliver a reordered execution. runner.Map's join is the only
@@ -69,30 +73,92 @@ import (
 // are replayed at the cuts; per-delivery observers are not yet implemented
 // (see Engine.Observe).
 
-// chunkHdr is one message's share of a shardLink: what its copies have in
-// common, and how many of the link's entries (in order) are its. While the
-// destination files the chunk, ref is its header there and pos the next of
-// its n entries still to file.
-type chunkHdr struct {
+// partition is what a windowed engine's partition holds beyond the
+// time-major engine, which keeps it nil. It is partition id of the engine,
+// and partition d owns the processes [d·per, (d+1)·per) below n. A unicast
+// to another partition waits in out (one shardLink per destination) until
+// the cut hands it to the destination's in (one per source), which the
+// destination files at the head of the next window. early is the least
+// (at, key) copy a window's sends put inside the window, which breaks the
+// delay model's declared lower bound.
+//
+// A broadcast's header goes on sent, and its copies are counted in tally
+// per destination partition, until the cut publishes them on the board. Its
+// row comes from rows, a free list refilled by the cut with the rows of this
+// partition's delivered broadcasts; carved counts the rows made, a
+// bcastSlab at a time. pendMin is the least time of a copy the last window's
+// gather left pending, and due holds a tile's due events, one buffer per
+// process.
+type partition struct {
+	id, per int
+	out, in []shardLink
+	early   earlyCopy
+
+	board   *board
+	sent    []bcast
+	tally   []int
+	rows    [][]float64
+	carved  int
+	pendMin float64
+	due     [][]entry
+}
+
+// owner returns the partition that owns process q.
+func (pt *partition) owner(q int) int { return q / pt.per }
+
+// bcast is one broadcast on a windowed engine: what its copies share, and
+// the row of their delivery times — at[q] is the copy to q's, NaN for a copy
+// the channel lost or badCopy refused. Copy q's queue key is seq | q. min
+// and max are the row's finite extremes.
+type bcast struct {
 	from     ProcID
 	sentAt   clock.Real
 	payload  any
-	n        int32
-	ref, pos int32
+	seq      uint64
+	min, max float64
+	at       []float64
 }
 
-// shardLink is the traffic one shard produced for another during one
-// window, unicasts and fan-out copies alike: the copies as ready-keyed queue
-// entries, a chunk's in recipient order (the destination's header index is
-// filled in when it files them), and their earliest delivery time, which the
-// sender keeps as it appends so the next window's start counts them in O(1).
-// The destination empties a link in place when it files it, and the cut hands
-// the emptied buffer back to the source, so steady-state windows allocate
-// nothing.
+// board is the broadcasts in flight, shared by the partitions and read-only
+// while a window runs: live is every published header with a copy not yet
+// delivered, cands the window's candidates (the live headers with min < hi).
+// (H, U) is the last completed window's (hi, until): every copy at < H and
+// ≤ U is delivered. rest is the least min of the live headers no partition
+// scanned in that window.
+type board struct {
+	live  []bcast
+	cands []int32
+	H, U  float64
+	rest  float64
+}
+
+const (
+	// bcastSlab is how many rows a partition carves at a time.
+	bcastSlab = 64
+	// gatherTile is how many processes gather reads the rows for at once:
+	// a tile's slice of a row is a few cache lines, where one process at a
+	// time would touch each row's page once per process.
+	gatherTile = 16
+)
+
+// linkCopy is one unicast on a shardLink: what its header will hold, and its
+// ready-keyed queue entry (the destination fills in the header index when it
+// files it).
+type linkCopy struct {
+	from    ProcID
+	sentAt  clock.Real
+	payload any
+	en      entry
+}
+
+// shardLink is the unicasts one partition sent another during one window,
+// and their earliest delivery time, which the sender keeps as it appends so
+// the next window's start counts them in O(1). The destination empties a
+// link in place when it files it, and the cut hands the emptied buffer back
+// to the source, so steady-state windows allocate nothing.
 type shardLink struct {
-	hdrs []chunkHdr
-	ents []entry
-	min  float64 // +Inf when empty
+	copies []linkCopy
+	min    float64 // +Inf when empty
 }
 
 // newShardLinks returns a partition's links: the outbound one per
@@ -105,23 +171,10 @@ func newShardLinks(k int) (out, in []shardLink) {
 	return ls[:k:k], ls[k:]
 }
 
-// open starts the chunk of a new message; add appends its copies.
-func (l *shardLink) open(from ProcID, sentAt clock.Real, payload any) {
-	l.hdrs = append(l.hdrs, chunkHdr{from: from, sentAt: sentAt, payload: payload})
-}
-
-// add appends one copy of the message last opened.
-func (l *shardLink) add(en entry) {
-	l.hdrs[len(l.hdrs)-1].n++
-	if en.at < l.min {
-		l.min = en.at
-	}
-	if len(l.ents) == cap(l.ents) {
-		// Double exactly: append's 1.25× steps would copy a link that
-		// ends a round at n²/k² entries five times over.
-		l.ents = append(make([]entry, 0, max(2*len(l.ents), 64)), l.ents...)
-	}
-	l.ents = append(l.ents, en)
+// add appends one unicast.
+func (l *shardLink) add(c linkCopy) {
+	l.copies = append(l.copies, c)
+	l.min = min(l.min, c.en.at)
 }
 
 // validateWindowed is validate's block for Shards ≠ 0.
@@ -151,14 +204,11 @@ func validateWindowed(cfg Config) error {
 // newWindowed builds the Config.Shards partitions of a validated cfg, with
 // processes assigned in contiguous blocks, and returns partition 0. All
 // partitions share the configuration's process, clock and fault slices
-// read-only.
+// read-only, and one board.
 func newWindowed(cfg Config) (*Engine, error) {
 	n, k := len(cfg.Procs), cfg.Shards
-	owner := make([]int32, n)
 	per := (n + k - 1) / k
-	for i := range owner {
-		owner[i] = int32(i / per)
-	}
+	b := &board{H: math.Inf(-1), U: math.Inf(-1), rest: math.Inf(1)}
 	parts := make([]*Engine, k)
 	for s := range parts {
 		p, err := newBase(cfg)
@@ -166,11 +216,16 @@ func newWindowed(cfg Config) (*Engine, error) {
 			return nil, err
 		}
 		lo, hi := min(s*per, n), min((s+1)*per, n)
-		p.local, p.shardOf = make([]bool, n), owner
-		for i := lo; i < hi; i++ {
-			p.local[i] = true
+		pt := &partition{id: s, per: per, board: b, tally: make([]int, k), pendMin: math.Inf(1)}
+		pt.out, pt.in = newShardLinks(k)
+		// A tile's buffers hold a round's copies each, carved from one array.
+		tile := min(gatherTile, hi-lo)
+		buf := make([]entry, tile*(n+16))
+		pt.due = make([][]entry, tile)
+		for i := range pt.due {
+			pt.due[i] = buf[i*(n+16) : i*(n+16) : (i+1)*(n+16)]
 		}
-		p.out, p.in = newShardLinks(k)
+		p.part = pt
 		p.queue.initChains(lo, hi-lo, n)
 		p.start(cfg.StartAt)
 		parts[s] = p
@@ -186,16 +241,18 @@ func newWindowed(cfg Config) (*Engine, error) {
 func (e *Engine) Windows() int { return e.windows }
 
 // minPending returns the earliest pending event time across the partitions:
-// their chains and the copies the last window sent them. An event at +Inf
-// never comes.
+// their chains, the unicasts the last window sent them, the copies their last
+// gather left pending, and the broadcasts on the board none of them scanned.
+// An event at +Inf never comes.
 func (e *Engine) minPending() (clock.Real, bool) {
-	m := math.Inf(1)
+	m := e.part.board.rest
 	for _, p := range e.parts {
+		m = min(m, p.part.pendMin)
 		for i := range p.queue.bins {
 			m = min(m, p.queue.bins[i].min)
 		}
-		for s := range p.in {
-			m = min(m, p.in[s].min)
+		for s := range p.part.in {
+			m = min(m, p.part.in[s].min)
 		}
 	}
 	return clock.Real(m), m < math.Inf(1)
@@ -203,8 +260,8 @@ func (e *Engine) minPending() (clock.Real, bool) {
 
 // runWindows is Run on a windowed engine: windows until no partition holds
 // an event at or before until, or the step limit is hit. Before it returns it
-// files the copies the last window sent, so the chains hold every pending
-// event.
+// files the unicasts the last window sent, so the chains and the board hold
+// every pending event.
 func (e *Engine) runWindows(until clock.Real) error {
 	defer e.fileAll()
 	e.enter()
@@ -235,6 +292,7 @@ func (e *Engine) window(until clock.Real) (more bool, err error) {
 	}
 	hi := m + clock.Real(e.lookahead)
 	cut, from := min(hi, until), e.now
+	e.part.board.candidates(float64(hi))
 	if _, err := runner.Map(len(e.parts), len(e.parts), func(i int) (struct{}, error) {
 		p := e.parts[i]
 		err := p.drainWindow(hi, until)
@@ -254,7 +312,7 @@ func (e *Engine) window(until clock.Real) (more bool, err error) {
 		if p.bad != nil {
 			return false, p.bad
 		}
-		if c := &p.early; c.ok && (early == nil || entryLess(&c.en, &early.en)) {
+		if c := &p.part.early; c.ok && (early == nil || entryLess(&c.en, &early.en)) {
 			early = c
 		}
 	}
@@ -263,6 +321,7 @@ func (e *Engine) window(until clock.Real) (more bool, err error) {
 			early.from, early.en.to, early.en.at, hi)
 	}
 	e.handOver()
+	e.publish(float64(hi), float64(until))
 	e.windows++
 	return true, e.replay(from, cut)
 }
@@ -340,16 +399,16 @@ func (e *Engine) replay(from, cut clock.Real) error {
 	return nil
 }
 
-// handOver moves each link that carries copies to its destination's inbound
-// side, taking the buffer the destination filed from back in exchange. A
-// quiet link takes the larger of its two emptied buffers, so traffic that
-// comes in bursts grows one buffer per link, not two. Single-threaded, once
-// per window: k² comparisons and swaps.
+// handOver moves each link that carries unicasts to its destination's
+// inbound side, taking the buffer the destination filed from back in
+// exchange. A quiet link takes the larger of its two emptied buffers, so
+// traffic that comes in bursts grows one buffer per link, not two.
+// Single-threaded, once per window: k² comparisons and swaps.
 func (e *Engine) handOver() {
 	for s, src := range e.parts {
-		for d := range src.out {
-			l, in := &src.out[d], &e.parts[d].in[s]
-			if len(l.ents) == 0 && cap(in.ents) <= cap(l.ents) {
+		for d := range src.part.out {
+			l, in := &src.part.out[d], &e.parts[d].part.in[s]
+			if len(l.copies) == 0 && cap(in.copies) <= cap(l.copies) {
 				continue
 			}
 			*l, *in = *in, *l
@@ -357,77 +416,132 @@ func (e *Engine) handOver() {
 	}
 }
 
-// fileInbound moves the copies the last window sent this partition onto its
-// chains: sources in ascending order, each chunk under a header of its own
-// made in chunk order — one order whatever runs it, so header indexes stay
-// fixed properties of the execution. Each partition runs it for itself at
-// the head of its share of a window.
-func (e *Engine) fileInbound() {
-	q := &e.queue
-	for s := range e.in {
-		l := &e.in[s]
-		o := int32(0)
-		for j := range l.hdrs {
-			h := &l.hdrs[j]
-			h.ref = q.newHdr(h.from, h.sentAt, h.payload, KindOrdinary)
-			q.setLeft(h.ref, h.n)
-			h.payload = nil // release the payload reference
-			h.pos, o = o, o+h.n
+// publish is the broadcasts' share of the cut of the window [m, hi) that
+// delivered every copy at < hi and ≤ until. It drops each live header whose
+// copies are all delivered now — its finite max below hi and at or before
+// until — and gives its row back to its sender's partition, then appends the
+// headers the window's broadcasts wrote, partition by partition, and moves
+// the watermark to (hi, until). Each partition counts the copies published to
+// it as pending from here until its gather takes them. Single-threaded, once
+// per window.
+func (e *Engine) publish(hi, until float64) {
+	b := e.part.board
+	live, rest := b.live[:0], math.Inf(1)
+	for _, h := range b.live {
+		if h.max < hi && h.max <= until {
+			src := e.parts[e.part.owner(int(h.from))].part
+			src.rows = append(src.rows, h.at)
+			continue
 		}
-		q.fileLink(l)
+		if h.min >= hi { // not a candidate: no partition scanned it
+			rest = min(rest, h.min)
+		}
+		live = append(live, h)
+	}
+	clear(b.live[len(live):])
+	for _, p := range e.parts {
+		pt := p.part
+		for _, h := range pt.sent {
+			rest = min(rest, h.min)
+		}
+		live = append(live, pt.sent...)
+		clear(pt.sent)
+		pt.sent = pt.sent[:0]
+		for d, c := range pt.tally {
+			e.parts[d].queue.pend += c
+		}
+		clear(pt.tally)
+	}
+	for _, p := range e.parts {
+		p.queue.peak = max(p.queue.peak, p.queue.len())
+	}
+	b.live, b.H, b.U, b.rest = live, hi, until, rest
+}
+
+// candidates lists the live headers that may have a copy due before hi.
+func (b *board) candidates(hi float64) {
+	b.cands = b.cands[:0]
+	for i := range b.live {
+		if b.live[i].min < hi {
+			b.cands = append(b.cands, int32(i))
+		}
 	}
 }
 
-// stageCopies keeps the copies a send of the partition's own files under
-// header h for fileLink, first filing what the stage holds if it has
-// stageSends sends or the copies would not fit: filing a fan-out's copies at
-// once would touch the tail of every recipient's chain, each on its own
-// page, once per send.
-func (s *sched) stageCopies(h int32, ents []entry) {
-	st := &s.stage
-	if len(st.hdrs) == stageSends || len(st.ents)+len(ents) > cap(st.ents) {
-		s.fileLink(st)
-	}
-	st.hdrs = append(st.hdrs, chunkHdr{n: int32(len(ents)), ref: h, pos: int32(len(st.ents))})
-	for _, en := range ents {
-		en.ref = h
-		st.ents = append(st.ents, en)
-	}
-	s.peak = max(s.peak, s.len())
+// load writes the message of a gathered broadcast copy into out.
+func (b *board) load(en *entry, out *Message) {
+	h := &b.live[^en.ref]
+	out.From, out.To, out.Kind = h.from, ProcID(en.to), KindOrdinary
+	out.Payload, out.SentAt, out.DeliverAt = h.payload, h.sentAt, clock.Real(en.at)
 }
 
-// fileLink puts the copies of l's chunks — each with its header ref and its
-// first entry pos set, its entries in recipient order — onto their chains,
-// and empties l. Fan-out chunks go a tile of recipients at a time, each chunk
-// giving its next run: a tile's chain tails and the chunks' cursors are few
-// enough pages for the TLB to hold, where chunk by chunk every chunk would
-// touch every chain's. Chunks shorter than a tile on average (unicasts) go
-// in one pass, as one tile.
-func (s *sched) fileLink(l *shardLink) {
-	tile := int32(fileTile)
-	if len(l.ents) < fileTile*len(l.hdrs) {
-		tile = int32(len(s.bins))
+// row returns a broadcast's row, n long: a free one, or the first of a new
+// slab.
+func (pt *partition) row(n int) []float64 {
+	if len(pt.rows) == 0 {
+		slab := make([]float64, bcastSlab*n)
+		for i := bcastSlab - 1; i >= 0; i-- {
+			pt.rows = append(pt.rows, slab[i*n:(i+1)*n:(i+1)*n])
+		}
+		pt.carved += bcastSlab
 	}
-	for lo := s.base; len(l.hdrs) > 0 && lo < s.base+int32(len(s.bins)); lo += tile {
-		for j := range l.hdrs {
-			h := &l.hdrs[j]
-			for ; h.n > 0 && l.ents[h.pos].to < lo+tile; h.pos, h.n = h.pos+1, h.n-1 {
-				en := l.ents[h.pos]
-				en.ref = h.ref
-				s.put(&s.bins[en.to-s.base], en)
+	r := pt.rows[len(pt.rows)-1]
+	pt.rows = pt.rows[:len(pt.rows)-1]
+	return r
+}
+
+// post keeps a broadcast whose copies' delivery times row holds for the cut
+// to publish: its header, with the row's finite extremes, goes on the sent
+// list and its copies are tallied per destination partition. A copy landing
+// inside the window being drained breaks the declared lower bound.
+func (e *Engine) post(from ProcID, payload any, seq uint64, row []float64) {
+	pt := e.part
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for d := range pt.tally {
+		c := 0
+		for _, t := range row[min(d*pt.per, len(row)):min((d+1)*pt.per, len(row))] {
+			if t == t {
+				c++
+				if t < lo {
+					lo = t
+				}
+				if t > hi {
+					hi = t
+				}
+			}
+		}
+		pt.tally[d] += c
+	}
+	if dueHi := e.queue.dueHi; lo < dueHi {
+		for q, t := range row {
+			if t < dueHi {
+				pt.noteEarly(from, entry{at: t, key: seq | uint64(q), to: int32(q)})
 			}
 		}
 	}
-	l.hdrs, l.ents, l.min = l.hdrs[:0], l.ents[:0], math.Inf(1)
-	s.peak = max(s.peak, s.len())
+	pt.sent = append(pt.sent, bcast{from: from, sentAt: e.now, payload: payload, seq: seq, min: lo, max: hi, at: row})
 }
 
-const (
-	// fileTile is how many recipients fileLink files at a time.
-	fileTile = 32
-	// stageSends is how many sends' local copies the stage holds.
-	stageSends = 32
-)
+// fileInbound moves the unicasts the last window sent this partition onto
+// its chains, each under a header of its own, sources in ascending order —
+// one order whatever runs it, so header indexes stay fixed properties of the
+// execution. Each partition runs it for itself at the head of its share of a
+// window.
+func (e *Engine) fileInbound() {
+	q := &e.queue
+	for s := range e.part.in {
+		l := &e.part.in[s]
+		for i := range l.copies {
+			c := &l.copies[i]
+			c.en.ref = q.newHdr(c.from, c.sentAt, c.payload, KindOrdinary)
+			q.setLeft(c.en.ref, 1)
+			c.payload = nil // release the payload reference
+			q.put(&q.bins[c.en.to-q.base], c.en)
+		}
+		l.copies, l.min = l.copies[:0], math.Inf(1)
+	}
+	q.peak = max(q.peak, q.len())
+}
 
 // fileAll files what the last window sent, on every partition.
 func (e *Engine) fileAll() {
@@ -436,7 +550,7 @@ func (e *Engine) fileAll() {
 	}
 }
 
-// earlyCopy is a copy filed inside the window it was sent in, with its
+// earlyCopy is a copy landing inside the window it was sent in, with its
 // sender; ok marks one found.
 type earlyCopy struct {
 	from ProcID
@@ -446,34 +560,41 @@ type earlyCopy struct {
 
 // noteEarly keeps c, a copy from sender from that lands inside the window
 // being drained, if it is the least (at, key) such copy so far.
-func (e *Engine) noteEarly(from ProcID, c entry) {
-	if l := &e.early; !l.ok || entryLess(&c, &l.en) {
+func (pt *partition) noteEarly(from ProcID, c entry) {
+	if l := &pt.early; !l.ok || entryLess(&c, &l.en) {
 		*l = earlyCopy{from: from, en: c, ok: true}
 	}
 }
 
 // drainWindow is a partition's share of the window [m, hi): it files the
-// copies the last window sent it, then lets each owned process, in ascending
-// id, receive its events due before hi and at or before until, in (at, key)
-// order, merged with the TIMERs it sets for inside the window. This, with
-// the filing, is the only engine code that runs concurrently: each partition
-// touches its own chains, links, senders, log and processes. The window log
-// is left in (at, key) order for the replay.
+// unicasts the last window sent it, then, a tile of owned processes at a
+// time, gathers their events due before hi and at or before until, and lets
+// each, in ascending id, receive its own in (at, key) order, merged with the
+// TIMERs it sets for inside the window. This, with the filing, is the only
+// engine code that runs concurrently: each partition touches its own chains,
+// links, senders, log and processes, and only reads the board. The window
+// log is left in (at, key) order for the replay.
 func (e *Engine) drainWindow(hi, until clock.Real) error {
 	e.fileInbound()
 	q := &e.queue
 	q.dueHi, q.dueUntil = float64(hi), float64(until)
-	defer q.shut()
+	e.part.pendMin = math.Inf(1)
+	defer e.shut()
 	var m Message
-	for i := range q.bins {
-		if !q.openDue(i) {
-			continue
-		}
-		for q.wpos < len(q.win) || q.heap.len() > 0 {
-			if e.steps >= e.maxSteps {
-				return fmt.Errorf("sim: step limit %d exceeded at t=%v", e.maxSteps, e.now)
+	for lo := 0; lo < len(q.bins); lo += gatherTile {
+		due := e.gather(lo, min(lo+gatherTile, len(q.bins)))
+		for i := range due {
+			ok := q.openDue(due[i])
+			due[i] = due[i][:0]
+			if !ok {
+				continue
 			}
-			e.step(q.popWin(), &m)
+			for q.wpos < len(q.win) || q.heap.len() > 0 {
+				if e.steps >= e.maxSteps {
+					return fmt.Errorf("sim: step limit %d exceeded at t=%v", e.maxSteps, e.now)
+				}
+				e.step(q.popWin(), &m)
+			}
 		}
 	}
 	slices.SortStableFunc(e.wlog, func(a, b logEntry) int {
@@ -482,11 +603,47 @@ func (e *Engine) drainWindow(hi, until clock.Real) error {
 	return nil
 }
 
+// gather collects the due events of owned processes base+lo … base+end−1,
+// one buffer each: first what is due on each one's chain, then, header by
+// header, what is due of each candidate broadcast's row — a copy not
+// delivered by an earlier window, keyed seq | q under the header's board
+// index (ref = ^index). A copy it leaves pending feeds the partition's
+// pendMin.
+func (e *Engine) gather(lo, end int) [][]entry {
+	q, pt := &e.queue, e.part
+	due := pt.due[:end-lo]
+	for i := range due {
+		due[i] = q.takeDue(lo+i, due[i])
+	}
+	b := pt.board
+	hi, until, dH, dU := q.dueHi, q.dueUntil, b.H, b.U
+	first := int(q.base) + lo
+	pmin, got := pt.pendMin, 0
+	for _, c := range b.cands {
+		h := &b.live[c]
+		seq, ref := h.seq|uint64(first), ^c
+		for j, t := range h.at[first : first+len(due)] {
+			switch {
+			case t < hi && t <= until:
+				if !(t < dH && t <= dU) {
+					due[j] = append(due[j], entry{at: t, key: seq + uint64(j), ref: ref, to: int32(first + j)})
+					got++
+				}
+			case t < pmin:
+				pmin = t
+			}
+		}
+	}
+	q.pend -= got
+	pt.pendMin = pmin
+	return due
+}
+
 // initChains makes s the queue of a partition owning the processes [base,
 // base+owned) of an n-process system: a chain per process, room for one
 // process's due events in a window — a round's n copies — and for their
-// sort's group counts, for a few in-window timers, for the local copies of
-// stageSends fan-outs, and for the headers of the broadcasts in flight.
+// sort's group counts, for a few in-window timers, and for the headers of
+// the timers and unicasts in flight.
 func (s *sched) initChains(base, owned, n int) {
 	s.mode, s.base, s.free = schedChains, int32(base), -1
 	s.dueHi = math.Inf(-1)
@@ -495,14 +652,8 @@ func (s *sched) initChains(base, owned, n int) {
 		s.bins[i] = emptyBin
 	}
 	s.win = make([]entry, 0, n+16)
-	s.spill = make([]entry, 0, n+16)
 	s.off = make([]int32, 0, 2*(n+16)+1)
 	s.heap.items = make([]entry, 0, 16)
-	s.stage = shardLink{
-		hdrs: make([]chunkHdr, 0, stageSends),
-		ents: make([]entry, 0, stageSends*owned),
-		min:  math.Inf(1),
-	}
 	s.grow(0, 4*n+16)
 }
 
@@ -524,18 +675,15 @@ func (s *sched) chain(en entry) {
 // due reports whether an event at t belongs to the window being drained.
 func (s *sched) due(t float64) bool { return t < s.dueHi && t <= s.dueUntil }
 
-// openDue moves process base+i's due events off its chain into the window,
-// sorted (sortDue), and reports whether there were any. The sort's groups
-// are laid over the ordinary copies' times: a process's own timer for later
-// in the round would otherwise stretch them and crowd the copies into a
-// few. What is not due stays on the chain, compacted into its first blocks;
-// the blocks it no longer needs go back to the free list.
-func (s *sched) openDue(i int) bool {
+// takeDue appends process base+i's due events on its chain to sp. What is
+// not due stays on the chain, compacted into its first blocks; the blocks it
+// no longer needs go back to the free list.
+func (s *sched) takeDue(i int, sp []entry) []entry {
 	b := &s.bins[i]
 	if !s.due(b.min) {
-		return false
+		return sp
 	}
-	sp, lo, hi := s.spill[:0], math.Inf(1), math.Inf(-1)
+	n := len(sp)
 	keep, kmin, kmax := int32(0), math.Inf(1), math.Inf(-1)
 	w := s.block(b.head) // the block being refilled: never ahead of the read
 	for id := b.head; id >= 0; {
@@ -543,9 +691,6 @@ func (s *sched) openDue(i int) bool {
 		for _, en := range t.ents[:t.n] {
 			if s.due(en.at) {
 				sp = append(sp, en)
-				if en.key&entryTimerBit == 0 {
-					lo, hi = min(lo, en.at), max(hi, en.at)
-				}
 				continue
 			}
 			if keep > 0 && keep%blockLen == 0 {
@@ -566,12 +711,27 @@ func (s *sched) openDue(i int) bool {
 		w.next = -1
 		b.tail, b.n, b.min, b.max = w, keep, kmin, kmax
 	}
-	s.binned -= len(sp)
-	s.spill = sp
+	s.binned -= len(sp) - n
+	return sp
+}
+
+// openDue sorts one process's due events sp into the window (sortDue) and
+// reports whether there were any. The sort's groups are laid over the
+// ordinary copies' times: a process's own timer for later in the round
+// would otherwise stretch them and crowd the copies into a few.
+func (s *sched) openDue(sp []entry) bool {
+	if len(sp) == 0 {
+		return false
+	}
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for i := range sp {
+		if sp[i].key&entryTimerBit == 0 {
+			lo, hi = min(lo, sp[i].at), max(hi, sp[i].at)
+		}
+	}
 	if lo > hi { // timers only
-		lo, hi = sp[0].at, sp[0].at
-		for _, en := range sp {
-			lo, hi = min(lo, en.at), max(hi, en.at)
+		for i := range sp {
+			lo, hi = min(lo, sp[i].at), max(hi, sp[i].at)
 		}
 	}
 	s.sortDue(sp, lo, hi)
@@ -630,23 +790,31 @@ func (s *sched) release(id int32) {
 	}
 }
 
-// shut ends a partition's window: the stage is filed, and what the window
-// and the heap still hold — only after the step limit stopped the drain —
-// goes back on its chains.
-func (s *sched) shut() {
-	s.fileLink(&s.stage)
+// shut ends a partition's window. What the window, the heap and the tile's
+// buffers still hold — only after the step limit stopped the drain — goes
+// back on its chains, except broadcast copies, which their headers still
+// hold: the watermark moves only at a completed window's cut.
+func (e *Engine) shut() {
+	s := &e.queue
 	s.dueHi = math.Inf(-1)
-	for _, en := range s.win[s.wpos:] {
-		s.put(&s.bins[en.to-s.base], en)
+	back := func(ents []entry) {
+		for _, en := range ents {
+			if en.ref >= 0 {
+				s.put(&s.bins[en.to-s.base], en)
+			}
+		}
 	}
-	for _, en := range s.heap.items {
-		s.put(&s.bins[en.to-s.base], en)
+	back(s.win[s.wpos:])
+	back(s.heap.items)
+	for i, d := range e.part.due {
+		back(d)
+		e.part.due[i] = d[:0]
 	}
 	s.win, s.wpos, s.heap.items = s.win[:0], 0, s.heap.items[:0]
 }
 
 // ShardedEngine, NewSharded, Stats and ShardStats are vestiges the frozen
-// benchmark/replica.go still names; ROADMAP item 3 deletes them with the
+// benchmark/replica.go still names; ROADMAP item 6 deletes them with the
 // replica. The engine is Engine with Config.Shards ≥ 1.
 type ShardedEngine struct{ *Engine }
 

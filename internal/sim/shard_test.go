@@ -474,88 +474,107 @@ func (p *idler) Receive(ctx *Context, m Message) {
 }
 
 // TestShardedAdoptionBeforeWindow is the regression test for a partition
-// that adopts copies landing before everything it already holds: a shard
-// whose only pending events are far timers files, at the head of the next
-// window, copies that land long before those timers. They must be delivered
-// in that window, ahead of the timers, so every process sees exactly the
-// sequential engine's deliveries, in its order.
+// that takes up copies landing before everything it already holds: a shard
+// whose only pending events are far timers is sent copies that land long
+// before those timers. They must be delivered in the next window, ahead of
+// the timers, so every process sees exactly the sequential engine's
+// deliveries, in its order. The broadcast row sends them as headers the cut
+// publishes; the unicast row, in which every beacon fans out as n Sends,
+// sends them over the link, filed at the head of the next window.
 func TestShardedAdoptionBeforeWindow(t *testing.T) {
 	const n = 8
 	horizon := clock.Real(0.12)
 	delay := PerLinkDelay{Delta: 4e-4, Eps: 1e-4, Seed: 5}
-	workload := func() Config {
-		cfg := shardWorkload(n, delay, nil)
-		for i := n / 2; i < n; i++ { // shard 1 of 2: idlers
-			cfg.Procs[i] = &idler{far: 50e-3}
-		}
-		return cfg
-	}
-	digests := func(cfg Config) (ds []uint64, counts []int) {
-		for _, p := range cfg.Procs {
-			b, ok := p.(*shardBeacon)
-			if !ok {
-				b = &p.(*idler).shardBeacon
+	for _, unicast := range []bool{false, true} {
+		workload := func() Config {
+			cfg := shardWorkload(n, delay, nil)
+			for i := range n / 2 {
+				cfg.Procs[i].(*shardBeacon).unicast = unicast
 			}
-			ds, counts = append(ds, b.digest), append(counts, b.count)
+			for i := n / 2; i < n; i++ { // shard 1 of 2: idlers
+				cfg.Procs[i] = &idler{far: 50e-3}
+			}
+			return cfg
 		}
-		return ds, counts
-	}
+		digests := func(cfg Config) (ds []uint64, counts []int) {
+			for _, p := range cfg.Procs {
+				b, ok := p.(*shardBeacon)
+				if !ok {
+					b = &p.(*idler).shardBeacon
+				}
+				ds, counts = append(ds, b.digest), append(counts, b.count)
+			}
+			return ds, counts
+		}
 
-	seqCfg := workload()
-	eng, err := New(seqCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Run(horizon); err != nil {
-		t.Fatal(err)
-	}
-	wantD, wantC := digests(seqCfg)
-
-	cfg := workload()
-	cfg.Shards = 2
-	se, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// At every cut (before the next window, whose head files the copies
-	// shard 0 sent shard 1): count the cuts where shard 1 is to adopt copies
-	// that land well before the earliest event on its chains. The run is
-	// Run's window loop, stepped here to look between the windows.
-	adoptedEarlier := 0
-	atCut := func() {
-		sh, l := se.Shard(1), &se.Shard(1).in[0]
-		held := math.Inf(1)
-		for i := range sh.queue.bins {
-			held = min(held, sh.queue.bins[i].min)
-		}
-		if len(l.ents) > 0 && held-l.min > 5e-3 {
-			adoptedEarlier++
-		}
-	}
-	se.enter()
-	for {
-		more, err := se.window(horizon)
+		seqCfg := workload()
+		eng, err := New(seqCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		atCut()
-		if !more {
-			break
+		if err := eng.Run(horizon); err != nil {
+			t.Fatal(err)
 		}
-	}
-	se.fileAll()
-	if adoptedEarlier < 10 {
-		t.Fatalf("only %d cuts left shard 1 adopting copies ahead of its own far timers — the scenario did not occur", adoptedEarlier)
-	}
-	gotD, gotC := digests(cfg)
-	for i := range wantD {
-		if gotD[i] != wantD[i] || gotC[i] != wantC[i] {
-			t.Fatalf("process %d diverges: sequential (digest=%x count=%d), sharded (digest=%x count=%d)",
-				i, wantD[i], wantC[i], gotD[i], gotC[i])
+		wantD, wantC := digests(seqCfg)
+
+		cfg := workload()
+		cfg.Shards = 2
+		se, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if wantC[n-1] < 100 {
-		t.Fatalf("idler %d saw only %d deliveries", n-1, wantC[n-1])
+		// At every cut: count the cuts where shard 1 is to take up copies —
+		// broadcast copies on the board not yet delivered, or the unicasts on
+		// its inbound link — that land well before the earliest event on its
+		// chains. The run is Run's window loop, stepped here to look between
+		// the windows.
+		adoptedEarlier := 0
+		atCut := func() {
+			sh := se.Shard(1)
+			held := math.Inf(1)
+			for i := range sh.queue.bins {
+				held = min(held, sh.queue.bins[i].min)
+			}
+			early := sh.part.in[0].min
+			if b := sh.part.board; !unicast {
+				early = math.Inf(1)
+				for _, h := range b.live {
+					for _, at := range h.at[n/2:] {
+						if at == at && !(at < b.H && at <= b.U) {
+							early = min(early, at)
+						}
+					}
+				}
+			}
+			if held-early > 5e-3 {
+				adoptedEarlier++
+			}
+		}
+		se.enter()
+		for {
+			more, err := se.window(horizon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			atCut()
+			if !more {
+				break
+			}
+		}
+		se.fileAll()
+		if adoptedEarlier < 10 {
+			t.Fatalf("unicast=%v: only %d cuts left shard 1 taking up copies ahead of its own far timers — the scenario did not occur", unicast, adoptedEarlier)
+		}
+		gotD, gotC := digests(cfg)
+		for i := range wantD {
+			if gotD[i] != wantD[i] || gotC[i] != wantC[i] {
+				t.Fatalf("unicast=%v: process %d diverges: sequential (digest=%x count=%d), sharded (digest=%x count=%d)",
+					unicast, i, wantD[i], wantC[i], gotD[i], gotC[i])
+			}
+		}
+		if wantC[n-1] < 100 {
+			t.Fatalf("unicast=%v: idler %d saw only %d deliveries", unicast, n-1, wantC[n-1])
+		}
 	}
 }
 
@@ -963,6 +982,110 @@ func TestShardedEventHintScaling(t *testing.T) {
 	}
 	if se.QueuePeak() != top {
 		t.Fatalf("QueuePeak %d, want the largest partition's %d", se.QueuePeak(), top)
+	}
+}
+
+// TestShardedSplitHorizons runs a windowed engine to its horizon in 37 µs
+// Run calls, many of them ending inside a round's copy spread, so a
+// broadcast has copies delivered by one Run and pending for the next: the
+// watermark a window leaves and the NaN marking of the copies a lossy
+// channel drops must give every process the time-major engine's deliveries,
+// and the same step, sent and lost totals, at k = 1, 2 and 4.
+func TestShardedSplitHorizons(t *testing.T) {
+	const n, step = 24, 37e-6
+	horizon := clock.Real(0.012)
+	delay := UniformDelay{Delta: 4e-4, Eps: 1e-4}
+	for _, ch := range []Channel{nil, LossyLinks{}.BreakBothWays(0, 23).BreakBothWays(3, 17)} {
+		want := runOnShards(t, shardWorkload(n, delay, ch), 0, horizon)
+		if (ch != nil) != (want.lost > 0) {
+			t.Fatalf("%d copies lost on channel %v", want.lost, ch)
+		}
+		for _, k := range []int{1, 2, 4} {
+			cfg := shardWorkload(n, delay, ch)
+			cfg.Shards = k
+			se, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inside := 0
+			for i := 1; ; i++ {
+				h := min(clock.Real(i)*step, horizon)
+				if err := se.Run(h); err != nil {
+					t.Fatal(err)
+				}
+				for _, b := range se.part.board.live {
+					if b.min <= float64(h) && float64(h) < b.max {
+						inside++
+						break
+					}
+				}
+				if h == horizon {
+					break
+				}
+			}
+			if inside < 50 {
+				t.Fatalf("k=%d: only %d horizons fell inside a broadcast's copy spread", k, inside)
+			}
+			if se.Steps() != want.steps || se.MessagesSent() != want.sent || se.MessagesLost() != want.lost {
+				t.Fatalf("k=%d ch=%v: steps/sent/lost %d/%d/%d, time-major %d/%d/%d", k, ch,
+					se.Steps(), se.MessagesSent(), se.MessagesLost(), want.steps, want.sent, want.lost)
+			}
+			for i, p := range cfg.Procs {
+				if b := p.(*shardBeacon); b.digest != want.digests[i] || b.count != want.counts[i] {
+					t.Fatalf("k=%d ch=%v: process %d diverges: time-major (digest=%x count=%d), split (digest=%x count=%d)",
+						k, ch, i, want.digests[i], want.counts[i], b.digest, b.count)
+				}
+			}
+		}
+	}
+}
+
+// TestShardedBroadcastMemory is the memory gate of the windowed engine's
+// broadcasts: n = 512 beacons on two partitions, all broadcasting at once
+// every round, keep one row of n delivery times per broadcast in flight —
+// 8 bytes a copy — not a 24-byte queue entry per copy. The rows carved for
+// the first round are at most a round's plus one slab per partition, later
+// rounds reuse them and carve none, and New plus four rounds allocate less in
+// all than one 24-byte entry per copy of a round: a queue that files every
+// copy as an entry cannot meet it.
+func TestShardedBroadcastMemory(t *testing.T) {
+	const n, k = 512, 2
+	cfg := shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
+	cfg.StartAt = starts(n, 0)
+	cfg.Shards = k
+	carved := func(e *Engine) (rows int) {
+		for _, p := range e.parts {
+			rows += p.part.carved
+		}
+		return rows
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	se, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := se.Run(0.9e-3); err != nil { // round 0: sent at 0, delivered by 0.5 ms
+		t.Fatal(err)
+	}
+	first := carved(se)
+	if first < n || first > n+k*bcastSlab {
+		t.Fatalf("round 0 carved %d rows (%d B); want one per broadcast in flight, %d, plus at most a slab per partition",
+			first, 8*n*first, n)
+	}
+	if err := se.Run(3.9e-3); err != nil { // rounds 1–3
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := carved(se); got != first {
+		t.Fatalf("rounds 1–3 carved %d more rows; a delivered broadcast's row must be reused", got-first)
+	}
+	if got, ok := se.Process(n-1).(*shardBeacon).count, 4*n; got < ok {
+		t.Fatalf("process %d received %d messages in four rounds, want at least %d", n-1, got, ok)
+	}
+	if got, budget := after.TotalAlloc-before.TotalAlloc, uint64(24*n*n); got > budget {
+		t.Fatalf("New and four rounds allocated %d B, over %d B (one 24-byte entry per copy of a round)", got, budget)
 	}
 }
 

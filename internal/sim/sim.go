@@ -26,12 +26,14 @@
 // recycled headers and the queues move 24-byte pointer-free entries, one per
 // copy (calqueue.go; no interface boxing). The time-major engine orders them
 // in a concrete 4-ary heap, fronted by a calendar of time-slot bins once the
-// population warrants it; a windowed partition files them on one chain per
-// recipient and sorts a process's due events only when its turn in a window
-// comes. One Context per engine is reused across deliveries, observers are
-// classified into typed slices at registration time (no per-event type
-// assertions), and delay sampling draws from inline per-sender splitmix64
-// streams. The no-observer steady state performs zero allocations per
+// population warrants it. A windowed partition files STARTs, timers and
+// unicasts on one chain per recipient, keeps a broadcast as one header
+// holding its n delivery times, and makes a copy an entry only when it is
+// due in a window: a process's due events are gathered and sorted when its
+// turn in the window comes (shard.go). One Context per engine is reused
+// across deliveries, observers are classified into typed slices at
+// registration time (no per-event type assertions), and delay sampling draws
+// from inline per-sender splitmix64 streams. The no-observer steady state performs zero allocations per
 // delivered event (enforced in CI by TestEngineSteadyStateAllocs in
 // internal/bench, which gates the same workload the engine benchmarks
 // measure).
@@ -282,17 +284,9 @@ type Engine struct {
 	seqFromShift uint
 	sidxMax      uint64
 
-	// A partition's plumbing, nil in time-major mode (see shard.go): local
-	// marks the processes this partition owns, shardOf every process's
-	// partition; cross-partition traffic accumulates in out (one shardLink
-	// per destination) until the window cut hands it to the destination's in
-	// (one per source), which the destination files at the head of the next
-	// window. early is the least (at, key) copy a window's sends filed
-	// inside the window, which breaks the delay model's declared lower bound.
-	local   []bool
-	shardOf []int32
-	out, in []shardLink
-	early   earlyCopy
+	// A partition's plumbing and broadcasts in flight, nil on the time-major
+	// engine (see shard.go).
+	part *partition
 
 	// A partition's window log (shard.go): while a Run observes it, mirror
 	// holds every process's correction as its deliveries left it (one slice
@@ -513,7 +507,7 @@ func newBase(cfg Config) (*Engine, error) {
 // real start time: the initial buffer state of §2.2.
 func (e *Engine) start(at []clock.Real) {
 	for i, t := range at {
-		if e.local != nil && !e.local[i] {
+		if e.part != nil && e.part.owner(i) != e.part.id {
 			continue // a process STARTs on its own partition only
 		}
 		e.push(Message{From: ProcID(i), To: ProcID(i), Kind: KindStart, SentAt: t, DeliverAt: t})
@@ -573,7 +567,9 @@ func (e *Engine) Steps() int { return total(e, func(p *Engine) int { return p.st
 // QueuePeak returns the high-water mark of pending events — buffered
 // STARTs, timers and undelivered message copies — over the execution: a
 // round peaks at ≈ n² pending copies; on a windowed engine, the largest
-// partition's. The benchjson memory metric reports this.
+// partition's, where a broadcast's copies count toward their recipients'
+// partitions from the cut that publishes the broadcast until they are
+// delivered. The benchjson memory metric reports this.
 func (e *Engine) QueuePeak() int {
 	peak := e.queue.peak
 	for _, p := range e.parts {
@@ -691,7 +687,11 @@ func (e *Engine) drain(until clock.Real) error {
 // time, counts the step, lets the recipient Receive it, and reads the one
 // correction the step may have changed (settle).
 func (e *Engine) step(en entry, m *Message) {
-	e.queue.take(en, m)
+	if en.ref < 0 { // a broadcast copy a partition gathered
+		e.part.board.load(&en, m)
+	} else {
+		e.queue.take(en, m)
+	}
 	e.key = en.key
 	if m.DeliverAt != e.now {
 		e.now = m.DeliverAt
@@ -752,25 +752,32 @@ func (e *Engine) dispatch(a Annotation) {
 // Sample per copy otherwise, drawing the same stream either way. Then, copy
 // by copy in recipient order, an installed adversary retimes the delay
 // inside its clamp, the channel routes it (inline on the full mesh), a copy
-// the channel lost or a delay model sent outside [now, +Inf) is dropped, and
-// the rest are counted and announced to the send hook. Only then are the
-// survivors filed, under one send index: local recipients under one shared
-// header (on a partition, through its stage), remote ones onto the link to
-// their partition. A copy's key is packSeq(from, sidx, q) whatever the
-// range, so a Broadcast and n Sends to q = 0..n−1 order their copies alike —
-// TestBroadcastMatchesSends holds the two to one execution.
+// the channel lost or a delay model sent outside [now, +Inf) is dropped —
+// its time is NaN from here on — and the rest are counted and announced to
+// the send hook. Only then are the survivors filed, under one send index: on
+// the time-major engine under one shared header; on a partition, a
+// broadcast's as one header holding their times (post), a unicast under a
+// header of its own, or on the link to its partition. A copy's key is
+// packSeq(from, sidx, q) whatever the range, so a Broadcast and n Sends to
+// q = 0..n−1 order their copies alike — TestBroadcastMatchesSends holds the
+// two to one execution.
 func (e *Engine) fanOut(from ProcID, lo, hi int, payload any) {
-	now, rng := e.now, &e.senders[from].rng
-	delays := e.delays[lo:hi]
-	if e.batch != nil && hi-lo == len(e.procs) {
-		e.batch.SampleAll(from, hi-lo, now, rng, delays)
+	now, rng, pt := e.now, &e.senders[from].rng, e.part
+	all := hi-lo == len(e.procs)
+	row := pt != nil && all // a partition's broadcast: its delays become its row
+	times := e.delays[lo:hi]
+	if row {
+		times = pt.row(hi - lo)
+	}
+	if e.batch != nil && all {
+		e.batch.SampleAll(from, hi-lo, now, rng, times)
 	} else {
-		for i := range delays {
-			delays[i] = e.delay.Sample(from, ProcID(lo+i), now, rng)
+		for i := range times {
+			times[i] = e.delay.Sample(from, ProcID(lo+i), now, rng)
 		}
 	}
-	copies := e.copies[:0]
-	for i, d := range delays {
+	sent := 0
+	for i, d := range times {
 		to := ProcID(lo + i)
 		if e.advCtl != nil {
 			d = e.advCtl.retime(from, to, now, d)
@@ -779,47 +786,54 @@ func (e *Engine) fanOut(from ProcID, lo, hi int, payload any) {
 		if !e.mesh {
 			at, ok = e.channel.Route(from, to, now, d)
 		}
-		if !ok {
+		switch {
+		case !ok:
 			e.msgsLost++
-			continue
-		}
-		if !(at >= now && at <= math.MaxFloat64) { // NaN fails both
+			at = clock.Real(math.NaN())
+		case !(at >= now && at <= math.MaxFloat64): // NaN fails both
 			e.badCopy(from, to, at)
-			continue
+			at = clock.Real(math.NaN())
+		default:
+			e.msgsSent++
+			sent++
+			if e.advCtl != nil {
+				e.advCtl.onSend(Message{From: from, To: to, Kind: KindOrdinary, Payload: payload, SentAt: now, DeliverAt: at})
+			}
 		}
-		e.msgsSent++
-		if e.advCtl != nil {
-			e.advCtl.onSend(Message{From: from, To: to, Kind: KindOrdinary, Payload: payload, SentAt: now, DeliverAt: at})
-		}
-		copies = append(copies, entry{at: float64(at), key: uint64(to), to: int32(to)})
+		times[i] = float64(at)
 	}
-	if len(copies) == 0 {
+	if sent == 0 {
+		if row {
+			pt.rows = append(pt.rows, times)
+		}
 		return
 	}
 	s := &e.senders[from]
 	seqBase := e.packSeq(from, s.sidx, 0)
 	s.sidx++
-	// Partitions own contiguous pid blocks, so the copies for one remote
-	// partition are consecutive, in recipient order: one chunk per link. A
-	// copy landing inside the window a partition drains breaks the declared
-	// lower bound (the time-major engine's dueHi is −∞).
-	local, last := copies[:0], int32(-1)
-	for _, c := range copies {
-		c.key |= seqBase
-		if c.at < e.queue.dueHi {
-			e.noteEarly(from, c)
-		}
-		if e.local == nil || e.local[c.to] {
-			local = append(local, c)
+	if row {
+		e.post(from, payload, seqBase, times)
+		return
+	}
+	// On a partition, a copy landing inside the window being drained breaks
+	// the declared lower bound.
+	local := e.copies[:0]
+	for i, t := range times {
+		if t != t {
 			continue
 		}
-		d := e.shardOf[c.to]
-		l := &e.out[d]
-		if d != last {
-			l.open(from, now, payload)
-			last = d
+		to := lo + i
+		c := entry{at: t, key: seqBase | uint64(to), to: int32(to)}
+		if pt != nil {
+			if t < e.queue.dueHi {
+				pt.noteEarly(from, c)
+			}
+			if d := pt.owner(to); d != pt.id {
+				pt.out[d].add(linkCopy{from: from, sentAt: now, payload: payload, en: c})
+				continue
+			}
 		}
-		l.add(c)
+		local = append(local, c)
 	}
 	if len(local) > 0 {
 		e.queue.pushCopies(from, now, payload, local)
@@ -921,7 +935,8 @@ func (c *Context) Send(to ProcID, payload any) { c.eng.fanOut(c.pid, int(to), in
 // Broadcast sends the payload to every process, including the sender (§2.2:
 // every process can communicate with every process, including itself). Each
 // copy's delay is drawn independently within [δ−ε, δ+ε]; the copies share
-// one send index and, on their partition, one buffered header.
+// one send index and one buffered header — on a windowed engine one header
+// holding every copy's delivery time, whichever partition receives it.
 func (c *Context) Broadcast(payload any) { c.eng.fanOut(c.pid, 0, len(c.eng.procs), payload) }
 
 // SetTimer requests a TIMER interrupt when the process's physical clock
