@@ -94,7 +94,9 @@ func (s *System) MinRound() int {
 // SimConfig returns an engine configuration for running the system `rounds`
 // maintenance rounds: the clustered two-band network, a queue hint sized to
 // the hierarchy's per-round copy count (not the flat n²), and a step budget
-// with the same slack factor the flat experiments use.
+// with the same slack factor and floor the flat experiments use: the faulty
+// automata a run substitutes may send a flat mesh's traffic, which the
+// per-round count leaves out.
 func (s *System) SimConfig(rounds int, seed int64) sim.Config {
 	perRound := int(s.Cfg.MsgsPerRound())
 	return sim.Config{
@@ -104,7 +106,7 @@ func (s *System) SimConfig(rounds int, seed int64) sim.Config {
 		Delay:     NewClusteredDelay(s.Cfg),
 		Seed:      seed,
 		EventHint: perRound + 4*s.Cfg.N + 64,
-		MaxSteps:  (rounds + 4) * (perRound + 4*s.Cfg.N),
+		MaxSteps:  max(sim.DefaultMaxSteps, (rounds+4)*(perRound+4*s.Cfg.N)),
 	}
 }
 

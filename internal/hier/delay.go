@@ -17,19 +17,23 @@ import (
 // (δ, ε) pair: it is what the engine needs for A3-style admission checks and
 // what sharded execution uses for its lookahead, and the enclosing lower
 // edge is the true minimum latency across all links.
+//
+// It holds what Sample reads and nothing more: Sample has a value receiver,
+// so the engine copies the model on every copy's draw.
 type ClusteredDelay struct {
-	Topology             Config
+	ClusterSize          int
 	InnerDelta, InnerEps float64
 	OuterDelta, OuterEps float64
 }
 
 var _ sim.DelayModel = ClusteredDelay{}
 
-// NewClusteredDelay builds the network matching cfg's substrate parameters.
+// NewClusteredDelay builds the network matching cfg's clusters and substrate
+// parameters.
 func NewClusteredDelay(cfg Config) ClusteredDelay {
 	return ClusteredDelay{
-		Topology:   cfg,
-		InnerDelta: cfg.InnerDelta, InnerEps: cfg.InnerEps,
+		ClusterSize: cfg.ClusterSize,
+		InnerDelta:  cfg.InnerDelta, InnerEps: cfg.InnerEps,
 		OuterDelta: cfg.OuterDelta, OuterEps: cfg.OuterEps,
 	}
 }
@@ -37,7 +41,7 @@ func NewClusteredDelay(cfg Config) ClusteredDelay {
 // Sample implements sim.DelayModel.
 func (d ClusteredDelay) Sample(from, to sim.ProcID, _ clock.Real, rng *sim.RNG) float64 {
 	u := rng.Float64()
-	if d.Topology.ClusterOf(from) == d.Topology.ClusterOf(to) {
+	if int(from)/d.ClusterSize == int(to)/d.ClusterSize {
 		return d.InnerDelta - d.InnerEps + float64(2*d.InnerEps*u)
 	}
 	return d.OuterDelta - d.OuterEps + float64(2*d.OuterEps*u)

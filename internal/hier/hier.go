@@ -4,14 +4,15 @@
 //
 // Processes are grouped into clusters of (up to) ClusterSize contiguous ids.
 // Every cluster runs the algorithm internally on a fast intra-cluster
-// substrate (δ_in, ε_in): each member unicasts its round mark to its cluster
-// only, so a round costs ≈ n·c copies instead of n². Each cluster's acting
-// representative runs a second instance of the same algorithm across
+// substrate (δ_in, ε_in): each member multicasts its round mark to its
+// cluster only, so a round costs ≈ n·c copies instead of n². Each cluster's
+// acting representative runs a second instance of the same algorithm across
 // clusters on the (slower, wider) inter-cluster substrate (δ_out, ε_out),
-// costing ≈ (n/c)² copies per round, and relays every outer adjustment to
-// its followers as a discipline message (c−1 copies). Followers add the
-// disciplined adjustment to their own correction, so a whole cluster tracks
-// its representative's outer instance while the inner instance keeps the
+// multicasting to each foreign cluster's candidates — ≈ (n/c)²·Candidates
+// copies per round — and relays every outer adjustment to its followers as
+// a discipline message (c−1 copies). Followers add the disciplined
+// adjustment to their own correction, so a whole cluster tracks its
+// representative's outer instance while the inner instance keeps the
 // members tight around it.
 //
 // Representatives are elected deterministically: the lowest id of each
@@ -196,21 +197,31 @@ func (c Config) Validate() error {
 // MsgsPerRoundFlat returns the flat mesh's per-round copy count n².
 func (c Config) MsgsPerRoundFlat() float64 { return float64(c.N) * float64(c.N) }
 
-// MsgsPerRound estimates the hierarchy's per-round copy count: every member
-// unicasts to its cluster (Σ c_j² ≈ n·c), every representative sends one
-// outer mark per foreign candidate plus a self copy (m·((m−1)·cand + 1))
-// and disciplines its followers (Σ (c_j−1)).
+// candidateBounds returns the id range [lo, hi) of cluster j's
+// representative candidates: its Candidates lowest ids, clamped to the
+// cluster.
+func (c Config) candidateBounds(j int) (lo, hi sim.ProcID) {
+	lo, hi = c.ClusterBounds(j)
+	return lo, min(hi, lo+sim.ProcID(c.Candidates))
+}
+
+// MsgsPerRound returns the hierarchy's per-round copy count with every
+// representative in office: every member multicasts its mark to its cluster
+// (Σ c_j² ≈ n·c), every representative multicasts its outer mark to each
+// foreign cluster's candidates ((m−1)·Σ cand_j ≈ m²·cand; its own slot it
+// records without a copy) and disciplines its followers (Σ (c_j−1)).
 func (c Config) MsgsPerRound() float64 {
 	cc := c.withDefaults()
 	m := cc.Clusters()
-	total := 0.0
+	total, cands := 0, 0
 	for j := 0; j < m; j++ {
 		lo, hi := cc.ClusterBounds(j)
-		size := float64(hi - lo)
-		total += float64(size*size) + (size - 1)
+		_, ch := cc.candidateBounds(j)
+		size := int(hi - lo)
+		total += size*size + size - 1
+		cands += int(ch - lo)
 	}
-	total += float64(float64(m) * (float64(float64(m-1)*float64(cc.Candidates)) + 1))
-	return total
+	return float64(total + (m-1)*cands)
 }
 
 // GammaInner returns the per-cluster agreement envelope: the inner tier's

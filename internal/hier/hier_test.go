@@ -54,21 +54,132 @@ func TestConverges(t *testing.T) {
 	}
 }
 
-// TestTrafficReduction: the measured per-round copy count matches the
-// MsgsPerRound estimate and beats the flat mesh.
+// sendTally is an identity adversary that counts, as SendHook sees them,
+// every copy a two-tier run sends, per tier (inner mark, outer mark,
+// discipline), and the instants each sender sent that tier at: one instant
+// is one of the sender's rounds of that tier.
+type sendTally struct {
+	t      *testing.T
+	cfg    Config
+	copies [3]int
+	at     [3]map[sim.ProcID]map[clock.Real]bool
+}
+
+func (s *sendTally) Retime(_ *sim.AdversaryView, _, _ sim.ProcID, _ clock.Real, base float64) float64 {
+	return base
+}
+
+func (s *sendTally) OnSend(_ *sim.AdversaryView, m sim.Message) {
+	var tier int
+	from, to := s.cfg.ClusterOf(m.From), s.cfg.ClusterOf(m.To)
+	switch pl := m.Payload.(type) {
+	case TMsg:
+		if pl.Tier == TierOuter {
+			tier = 1
+			if lo, hi := s.cfg.candidateBounds(to); from == to || m.To < lo || m.To >= hi {
+				s.t.Errorf("outer mark %d→%d: not a foreign candidate", m.From, m.To)
+			}
+		} else if from != to {
+			s.t.Errorf("inner mark %d→%d leaves the cluster", m.From, m.To)
+		}
+	case Discipline:
+		tier = 2
+		if from != to || m.From == m.To {
+			s.t.Errorf("discipline %d→%d: not a follower of the sender", m.From, m.To)
+		}
+	default:
+		s.t.Fatalf("copy %d→%d carries %T", m.From, m.To, m.Payload)
+	}
+	s.copies[tier]++
+	if s.at[tier] == nil {
+		s.at[tier] = map[sim.ProcID]map[clock.Real]bool{}
+	}
+	if s.at[tier][m.From] == nil {
+		s.at[tier][m.From] = map[clock.Real]bool{}
+	}
+	s.at[tier][m.From][m.SentAt] = true
+}
+
+// TestTrafficReduction: a benign run sends exactly MsgsPerRound copies a
+// round and beats the flat mesh. Each tier's copies are counted against the
+// rounds that tier actually ran — a run to Horizon(r) runs more than r of
+// each, and not as many outer as inner ones — and against what each sender's
+// round must cost from the topology alone: its cluster's size for an inner
+// mark, the foreign clusters' candidates for an outer one, its followers for
+// a discipline. So a copy a multicast drops or duplicates, or a relay that
+// reaches the representative itself, fails the test. At n = 13, c = 4 the
+// last cluster is one process: a single candidate, and no followers.
 func TestTrafficReduction(t *testing.T) {
-	const n, c, rounds = 60, 6, 6
-	s, err := Build(Default(n, c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, _ := runSystem(t, s, rounds, 1)
-	perRound := float64(e.MessagesSent()) / float64(rounds)
-	if est := s.Cfg.MsgsPerRound(); perRound > 1.25*est {
-		t.Errorf("measured %.0f copies/round, estimate %.0f", perRound, est)
-	}
-	if flat := s.Cfg.MsgsPerRoundFlat(); perRound > 0.5*flat {
-		t.Errorf("measured %.0f copies/round not below half of flat %.0f", perRound, flat)
+	const rounds = 6
+	for _, tc := range []struct{ n, c int }{{60, 6}, {13, 4}} {
+		s, err := Build(Default(tc.n, tc.c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := s.Cfg
+		tally := &sendTally{t: t, cfg: cfg}
+		scfg := s.SimConfig(rounds, 1)
+		scfg.Adversary = tally
+		e, err := sim.New(scfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Run(s.Horizon(rounds)); err != nil {
+			t.Fatal(err)
+		}
+		// What one round of each tier costs each of its senders.
+		cands := 0
+		for j := 0; j < cfg.Clusters(); j++ {
+			lo, hi := cfg.candidateBounds(j)
+			cands += int(hi - lo)
+		}
+		var cost [3]map[sim.ProcID]int
+		for i := range cost {
+			cost[i] = map[sim.ProcID]int{}
+		}
+		for j := 0; j < cfg.Clusters(); j++ {
+			lo, hi := cfg.ClusterBounds(j)
+			clo, chi := cfg.candidateBounds(j)
+			for q := lo; q < hi; q++ {
+				cost[0][q] = int(hi - lo)
+			}
+			cost[1][lo] = cands - int(chi-clo)
+			if hi-lo > 1 {
+				cost[2][lo] = int(hi-lo) - 1
+			}
+		}
+		perRound := 0.0
+		for tier, name := range []string{"inner", "outer", "discipline"} {
+			ran, want, perTier := -1, 0, 0
+			for q, c := range cost[tier] {
+				r := len(tally.at[tier][q])
+				if ran < 0 {
+					ran = r
+				}
+				if r != ran || r < rounds {
+					t.Fatalf("n=%d c=%d %s: sender %d ran %d rounds, another %d (asked for %d)", tc.n, tc.c, name, q, r, ran, rounds)
+				}
+				want += r * c
+				perTier += c
+			}
+			if len(tally.at[tier]) != len(cost[tier]) {
+				t.Fatalf("n=%d c=%d %s: %d senders, want %d", tc.n, tc.c, name, len(tally.at[tier]), len(cost[tier]))
+			}
+			if got := tally.copies[tier]; got != want {
+				t.Errorf("n=%d c=%d %s: %d copies over %d rounds, want %d", tc.n, tc.c, name, got, ran, want)
+			}
+			t.Logf("n=%d c=%d %s: %d rounds, %d copies a round", tc.n, tc.c, name, ran, perTier)
+			perRound += float64(tally.copies[tier]) / float64(ran)
+		}
+		if int64(tally.copies[0]+tally.copies[1]+tally.copies[2]) != e.MessagesSent() {
+			t.Errorf("n=%d c=%d: the tiers total %v copies, the engine sent %d", tc.n, tc.c, tally.copies, e.MessagesSent())
+		}
+		if est := cfg.MsgsPerRound(); perRound != est {
+			t.Errorf("n=%d c=%d: measured %v copies/round, MsgsPerRound %v", tc.n, tc.c, perRound, est)
+		}
+		if flat := cfg.MsgsPerRoundFlat(); perRound > 0.5*flat {
+			t.Errorf("n=%d c=%d: measured %.0f copies/round not below half of flat %.0f", tc.n, tc.c, perRound, flat)
+		}
 	}
 }
 

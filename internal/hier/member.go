@@ -96,12 +96,9 @@ func NewMember(cfg Config, id sim.ProcID, initialCorr clock.Local) *Member {
 	cfg = cfg.withDefaults()
 	cluster := cfg.ClusterOf(id)
 	lo, hi := cfg.ClusterBounds(cluster)
-	cands := cfg.Candidates
-	if size := int(hi - lo); cands > size {
-		cands = size
-	}
+	_, ch := cfg.candidateBounds(cluster)
 	return &Member{
-		cfg: cfg, id: id, cluster: cluster, lo: lo, hi: hi, cands: cands,
+		cfg: cfg, id: id, cluster: cluster, lo: lo, hi: hi, cands: int(ch - lo),
 		corr:  initialCorr,
 		inner: core.NewRound(cfg.InnerParams(cluster), core.Midpoint),
 	}
@@ -214,17 +211,11 @@ func (m *Member) receiveOrdinary(ctx *sim.Context, msg sim.Message) {
 	}
 }
 
-// innerBroadcast is §4.2's BCAST step restricted to the own cluster: c
-// unicast copies instead of n broadcast copies.
+// innerBroadcast is §4.2's BCAST step restricted to the own cluster: one
+// multicast of c copies over [lo, hi) instead of n broadcast copies.
 func (m *Member) innerBroadcast(ctx *sim.Context) {
 	ctx.Annotate(metrics.TagRoundBegin, float64(m.inner.Index()))
-	// Box the payload once: unicasting a fresh interface value per copy is
-	// the dominant allocation at large n (a Broadcast pays it once per
-	// round; this loop is the unicast equivalent).
-	var pl any = TMsg{Tier: TierInner, Mark: m.inner.Mark()}
-	for q := m.lo; q < m.hi; q++ {
-		ctx.Send(q, pl)
-	}
+	ctx.Multicast(m.lo, m.hi, TMsg{Tier: TierInner, Mark: m.inner.Mark()})
 	m.armInner(ctx, m.inner.Collect(0))
 }
 
@@ -288,20 +279,20 @@ func (m *Member) outerTimer(ctx *sim.Context) {
 	ctx.Annotate(metrics.TagOuterAdjust, adj)
 	m.outer.Advance()
 	m.armOuter(ctx, m.outer.Mark())
+	// The followers are the rest of the cluster, on either side of this
+	// process: one multicast each side.
 	var pl any = Discipline{Adj: adj, Round: int32(m.outer.Index() - 1)}
-	for q := m.lo; q < m.hi; q++ {
-		if q != m.id {
-			ctx.Send(q, pl)
-		}
-	}
+	ctx.Multicast(m.lo, m.id, pl)
+	ctx.Multicast(m.id+1, m.hi, pl)
 	m.lastDisc = m.local(ctx)
 }
 
 // outerBroadcast sends the outer round mark to every foreign cluster's
-// candidate set (so a representative elected later still has warm peers) and
-// records the own-cluster slot directly at the nominal substrate offset —
-// looping a copy through the intra-cluster channel would stamp it with an
-// inner-band delay and bias the midpoint low.
+// candidate set (so a representative elected later still has warm peers), one
+// multicast per cluster over its candidate ids, and records the own-cluster
+// slot directly at the nominal substrate offset — looping a copy through the
+// intra-cluster channel would stamp it with an inner-band delay and bias the
+// midpoint low.
 func (m *Member) outerBroadcast(ctx *sim.Context) {
 	var pl any = TMsg{Tier: TierOuter, Mark: m.outer.Mark()}
 	for j := 0; j < m.cfg.Clusters(); j++ {
@@ -309,14 +300,8 @@ func (m *Member) outerBroadcast(ctx *sim.Context) {
 			m.outer.Record(j, float64(m.local(ctx))+m.cfg.OuterDelta)
 			continue
 		}
-		lo, hi := m.cfg.ClusterBounds(j)
-		cands := m.cfg.Candidates
-		if size := int(hi - lo); cands > size {
-			cands = size
-		}
-		for r := 0; r < cands; r++ {
-			ctx.Send(lo+sim.ProcID(r), pl)
-		}
+		lo, hi := m.cfg.candidateBounds(j)
+		ctx.Multicast(lo, hi, pl)
 	}
 	m.armOuter(ctx, m.outer.Collect(0))
 }

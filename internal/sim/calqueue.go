@@ -349,11 +349,16 @@ func (s *sched) len() int {
 // grow pre-sizes the backing stores: the header store for msgs buffered
 // messages, and the heap — for all events while it is the whole queue, for a
 // slice of msgs (timers and rejoin wake-ups, a small fraction of the
-// population) behind the calendar. Bins and the window grow with the traffic.
+// population) behind the calendar. A calendar on from the start also gets
+// its window, room for events entries but no more than calSlotCap, the
+// population above which a slot is cut before it opens, so the window is
+// sized once rather than regrown as the first rounds fill it. Bins grow with
+// the traffic.
 func (s *sched) grow(events, msgs int) {
 	s.hdrs = withCap(s.hdrs, msgs)
 	s.hdrFree = withCap(s.hdrFree, msgs)
 	if s.calOn {
+		s.win = withCap(s.win, min(events, calSlotCap))
 		events = msgs/8 + 64
 	}
 	s.heap.items = withCap(s.heap.items, events)

@@ -78,20 +78,36 @@ func TestSchedulerEquivalenceOnEngine(t *testing.T) {
 type testBeacon struct {
 	period  clock.Local
 	unicast bool // fan out as a Send loop over q = 0..n−1
+	block   int  // > 0: fan out as Multicasts over blocks of this many ids
 }
 
 func (b *testBeacon) Receive(ctx *Context, m Message) {
 	if m.Kind == KindOrdinary {
 		return
 	}
-	if b.unicast {
-		for q := 0; q < ctx.N(); q++ {
+	fanOutAs(ctx, b.unicast, b.block)
+	ctx.SetTimer(ctx.PhysNow()+b.period, nil)
+}
+
+// fanOutAs sends a copy to every process in one of the three spellings the
+// engine must run as one execution: Multicasts over the consecutive blocks
+// [j·block, (j+1)·block) — the last one shorter when block does not divide n
+// — when block > 0, a Send loop over q = 0..n−1 when unicast, one Broadcast
+// otherwise.
+func fanOutAs(ctx *Context, unicast bool, block int) {
+	n := ctx.N()
+	switch {
+	case block > 0:
+		for lo := 0; lo < n; lo += block {
+			ctx.Multicast(ProcID(lo), ProcID(min(lo+block, n)), nil)
+		}
+	case unicast:
+		for q := 0; q < n; q++ {
 			ctx.Send(ProcID(q), nil)
 		}
-	} else {
+	default:
 		ctx.Broadcast(nil)
 	}
-	ctx.SetTimer(ctx.PhysNow()+b.period, nil)
 }
 
 // observerFunc adapts a function to DeliveryObserver.

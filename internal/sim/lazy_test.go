@@ -10,17 +10,16 @@ import (
 
 // beaconEngine builds the standard fan-out workload: n beacon processes with
 // near-simultaneous starts (so whole fan-out bursts are in flight together),
-// drifting clocks, and a randomized delay model unless one is passed. unicast
-// spells every fan-out as a Send loop over q = 0..n−1 instead of one
-// Broadcast.
-func beaconEngine(t *testing.T, n int, unicast bool, delay DelayModel, ch Channel, adv Adversary) *Engine {
+// drifting clocks, and a randomized delay model unless one is passed. Every
+// beacon fans out as b's unicast and block fields spell it (fanOutAs).
+func beaconEngine(t *testing.T, n int, b testBeacon, delay DelayModel, ch Channel, adv Adversary) *Engine {
 	t.Helper()
 	procs := make([]Process, n)
 	clocks := make([]clock.Clock, n)
 	starts := make([]clock.Real, n)
 	drift := clock.ConstantDrift{RhoBound: 1e-5}
 	for i := range procs {
-		procs[i] = &testBeacon{period: 1e-3, unicast: unicast}
+		procs[i] = &testBeacon{period: 1e-3, unicast: b.unicast, block: b.block}
 		clocks[i] = drift.Build(i, n)
 		starts[i] = clock.Real(i) * 1e-6
 	}
@@ -68,17 +67,22 @@ func (h *hookLogger) OnReceive(v *AdversaryView, m Message) {
 	h.log = append(h.log, fmt.Sprintf("recv@%v %d→%d sent %v", v.Now(), m.From, m.To, m.SentAt))
 }
 
-// TestBroadcastMatchesSends is the reference Context.Broadcast is held to: a
-// fan-out is n Sends to q = 0..n−1, batched. The beacon workload runs once
-// with ctx.Broadcast and once with the Send loop, and must produce the
-// identical delivery sequence (DeliverAt, From, To, Kind), the identical
-// sent/lost/step counters and the identical send/receive hook calls — over
-// the reliable mesh, constant delays (a fan-out's copies tie on delivery
-// time, so sequence numbers alone order them), a lossy channel (the sent/lost
+// TestBroadcastMatchesSends is the reference Context.Broadcast and
+// Context.Multicast are held to: a fan-out is n Sends to q = 0..n−1,
+// batched. The beacon workload runs with the Send loop, with ctx.Broadcast
+// and with Multicasts over blocks of n/3+1 ids (three blocks, the last one
+// shorter, one of them holding the sender), and the fan-outs must produce
+// the Send loop's delivery sequence (DeliverAt, From, To, Kind), its
+// sent/lost/step counters and its send/receive hook calls — over the
+// reliable mesh, constant delays (a fan-out's copies tie on delivery time,
+// so sequence numbers alone order them), a lossy channel (the sent/lost
 // split), the stateful Ether (channel state evolving per copy) and with an
-// adversary installed, at a size the heap serves and one the calendar does. Any drift in Broadcast's
-// delay draws, sequence numbers, loss accounting or hook order shows up as a
-// first-divergence index.
+// adversary installed, at a size the heap serves and one the calendar does.
+// Any drift in a fan-out's delay draws, sequence numbers, loss accounting or
+// hook order shows up as a first-divergence index. A fan-out is one header
+// whatever its range, so neither fan-out run's header store grows past the
+// 4n+16 it starts with: a process's three multicasts and its timer in flight
+// take four.
 func TestBroadcastMatchesSends(t *testing.T) {
 	type delivered struct {
 		at   clock.Real
@@ -92,6 +96,7 @@ func TestBroadcastMatchesSends(t *testing.T) {
 		sent, lost int64
 		steps      int
 		calOn      bool
+		hdrs       int
 	}
 	lossy := LossyLinks{}.BreakBothWays(0, 1).BreakBothWays(2, 5).BreakBothWays(3, 6)
 	cases := []struct {
@@ -109,7 +114,7 @@ func TestBroadcastMatchesSends(t *testing.T) {
 	for _, n := range []int{8, 40} { // n² + 2n + 8 on either side of calActivateLen
 		for _, tc := range cases {
 			t.Run(fmt.Sprintf("%s/n=%d", tc.name, n), func(t *testing.T) {
-				run := func(unicast bool) outcome {
+				run := func(b testBeacon) outcome {
 					t.Helper()
 					var adv Adversary
 					hl := &hookLogger{t: t}
@@ -120,7 +125,7 @@ func TestBroadcastMatchesSends(t *testing.T) {
 					if tc.ch != nil {
 						ch = tc.ch()
 					}
-					eng := beaconEngine(t, n, unicast, tc.delay, ch, adv)
+					eng := beaconEngine(t, n, b, tc.delay, ch, adv)
 					var o outcome
 					eng.Observe(observerFunc(func(_ *Engine, m Message) {
 						o.log = append(o.log, delivered{at: m.DeliverAt, from: m.From, to: m.To, kind: m.Kind})
@@ -131,32 +136,45 @@ func TestBroadcastMatchesSends(t *testing.T) {
 					o.hooks = hl.log
 					o.sent, o.lost, o.steps = eng.MessagesSent(), eng.MessagesLost(), eng.Steps()
 					o.calOn = eng.queue.calOn
+					o.hdrs = cap(eng.queue.hdrs)
 					return o
 				}
-				want, got := run(true), run(false)
-				if got.calOn != (n == 40) {
-					t.Fatalf("calendar on = %v at n = %d; the sizes no longer straddle calActivateLen", got.calOn, n)
-				}
+				want := run(testBeacon{unicast: true})
 				if len(want.log) < 4*n*n {
 					t.Fatalf("only %d deliveries — not a meaningful comparison", len(want.log))
 				}
 				if tc.ch != nil && want.lost == 0 {
 					t.Fatal("no copies lost — the channel's loss path was not exercised")
 				}
-				if got.sent != want.sent || got.lost != want.lost || got.steps != want.steps {
-					t.Fatalf("accounting diverges: Broadcast sent/lost/steps %d/%d/%d, Send loop %d/%d/%d",
-						got.sent, got.lost, got.steps, want.sent, want.lost, want.steps)
-				}
-				if i := mismatch(got.log, want.log); i >= 0 {
-					t.Fatalf("delivery %d of %d (Send loop: %d) diverges: Broadcast %+v, Send loop %+v",
-						i, len(got.log), len(want.log), got.log[i:min(i+1, len(got.log))], want.log[i:min(i+1, len(want.log))])
-				}
 				if tc.adv && len(want.hooks) < 8*n*n {
 					t.Fatalf("only %d hook calls recorded", len(want.hooks))
 				}
-				if i := mismatch(got.hooks, want.hooks); i >= 0 {
-					t.Fatalf("hook call %d of %d (Send loop: %d) diverges: Broadcast %q, Send loop %q",
-						i, len(got.hooks), len(want.hooks), got.hooks[i:min(i+1, len(got.hooks))], want.hooks[i:min(i+1, len(want.hooks))])
+				for _, fan := range []struct {
+					name string
+					b    testBeacon
+				}{
+					{"Broadcast", testBeacon{}},
+					{"Multicast", testBeacon{block: n/3 + 1}},
+				} {
+					got := run(fan.b)
+					if got.calOn != (n == 40) {
+						t.Fatalf("%s: calendar on = %v at n = %d; the sizes no longer straddle calActivateLen", fan.name, got.calOn, n)
+					}
+					if got.sent != want.sent || got.lost != want.lost || got.steps != want.steps {
+						t.Fatalf("accounting diverges: %s sent/lost/steps %d/%d/%d, Send loop %d/%d/%d",
+							fan.name, got.sent, got.lost, got.steps, want.sent, want.lost, want.steps)
+					}
+					if i := mismatch(got.log, want.log); i >= 0 {
+						t.Fatalf("delivery %d of %d (Send loop: %d) diverges: %s %+v, Send loop %+v",
+							i, len(got.log), len(want.log), fan.name, got.log[i:min(i+1, len(got.log))], want.log[i:min(i+1, len(want.log))])
+					}
+					if i := mismatch(got.hooks, want.hooks); i >= 0 {
+						t.Fatalf("hook call %d of %d (Send loop: %d) diverges: %s %q, Send loop %q",
+							i, len(got.hooks), len(want.hooks), fan.name, got.hooks[i:min(i+1, len(got.hooks))], want.hooks[i:min(i+1, len(want.hooks))])
+					}
+					if got.hdrs > 4*n+16 {
+						t.Fatalf("%s: the header store grew to %d, past the 4n+16 = %d it starts with", fan.name, got.hdrs, 4*n+16)
+					}
 				}
 			})
 		}
@@ -279,7 +297,7 @@ func mismatch[T comparable](a, b []T) int {
 // rounds serves all later ones.
 func TestLazySchedulerMemory(t *testing.T) {
 	const n = 101
-	eng := beaconEngine(t, n, false, nil, nil, nil)
+	eng := beaconEngine(t, n, testBeacon{}, nil, nil, nil)
 	q := &eng.queue
 	type footprint struct{ blocks, win, hdrs int }
 	capacity := func() footprint {

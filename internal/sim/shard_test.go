@@ -23,6 +23,7 @@ type shardBeacon struct {
 	count   int
 	mute    bool // fold deliveries but never send (zero-sender topology)
 	unicast bool // fan out as a Send loop over q = 0..n−1
+	block   int  // > 0: fan out as Multicasts over blocks of this many ids
 }
 
 func (b *shardBeacon) Corr() clock.Local { return b.corr }
@@ -45,13 +46,7 @@ func (b *shardBeacon) Receive(ctx *Context, m Message) {
 	if m.Kind == KindOrdinary || b.mute {
 		return
 	}
-	if b.unicast {
-		for q := 0; q < ctx.N(); q++ {
-			ctx.Send(ProcID(q), nil)
-		}
-	} else {
-		ctx.Broadcast(nil)
-	}
+	fanOutAs(ctx, b.unicast, b.block)
 	ctx.SetTimer(ctx.PhysNow()+b.period, nil)
 }
 
@@ -381,7 +376,8 @@ func TestShardedLossyAccounting(t *testing.T) {
 // tied row starts every process at one instant under a constant delay, so
 // whole rounds of copies land together and the packed keys alone order them.
 // The unicast rows fan out as n Sends, so every copy is a one-recipient
-// send, filed locally or onto a link by the same path as a broadcast's.
+// send, filed locally or onto a link by the same path as a broadcast's. The
+// multicast rows fan out as Multicasts over blocks of ids, at k = 1, 2 and 4.
 func TestShardedMatchesSequential(t *testing.T) {
 	const n = 40
 	horizon := clock.Real(0.012)
@@ -392,6 +388,7 @@ func TestShardedMatchesSequential(t *testing.T) {
 		ch      Channel
 		tied    bool
 		unicast bool
+		block   int
 	}
 	var rows []row
 	for _, d := range []struct {
@@ -407,11 +404,17 @@ func TestShardedMatchesSequential(t *testing.T) {
 				suffix = "/unicast"
 			}
 			rows = append(rows,
-				row{d.name + "/fullmesh" + suffix, d.delay, nil, false, unicast},
-				row{d.name + "/lossy" + suffix, d.delay, cut, false, unicast})
+				row{d.name + "/fullmesh" + suffix, d.delay, nil, false, unicast, 0},
+				row{d.name + "/lossy" + suffix, d.delay, cut, false, unicast, 0})
 		}
 	}
-	rows = append(rows, row{"tied", ConstantDelay{Delta: 4e-4}, nil, true, false})
+	// Blocks of 7 ids: at k = 2 and 4 blocks straddle the partition cuts at
+	// 10, 20 and 30, so one multicast files its local copies under one
+	// header and sends the rest over a link.
+	rows = append(rows,
+		row{"tied", ConstantDelay{Delta: 4e-4}, nil, true, false, 0},
+		row{"uniform/fullmesh/multicast", UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil, false, false, 7},
+		row{"perlink/lossy/multicast", PerLinkDelay{Delta: 4e-4, Eps: 1e-4, Seed: 3}, cut, false, false, 7})
 	workload := func(r row) Config {
 		cfg := shardWorkload(n, r.delay, r.ch)
 		if r.tied {
@@ -419,6 +422,7 @@ func TestShardedMatchesSequential(t *testing.T) {
 		}
 		for _, p := range cfg.Procs {
 			p.(*shardBeacon).unicast = r.unicast
+			p.(*shardBeacon).block = r.block
 		}
 		return cfg
 	}
@@ -441,7 +445,11 @@ func TestShardedMatchesSequential(t *testing.T) {
 			if (r.ch != nil) != (seq.lost > 0) {
 				t.Fatalf("%d copies lost on channel %v", seq.lost, r.ch)
 			}
-			for _, k := range []int{1, 2, 4, 16} {
+			ks := []int{1, 2, 4, 16}
+			if r.block > 0 {
+				ks = ks[:3]
+			}
+			for _, k := range ks {
 				sh := runOnShards(t, workload(r), k, horizon)
 				if seq.sent != sh.sent || seq.lost != sh.lost || seq.steps != sh.steps {
 					t.Fatalf("k=%d totals diverge: sequential sent=%d lost=%d steps=%d, sharded sent=%d lost=%d steps=%d",
@@ -913,15 +921,15 @@ func TestShardedRunSamplesHorizon(t *testing.T) {
 	}
 }
 
-// TestLazySlabSizing pins who sizes the header store: a hint that counts
-// all-to-all rounds reserves no header per copy — sequential or per shard,
-// defaulted or passed in — while a hint below one round's copies describes
-// other traffic (the two-tier hierarchy's unicast fan-out, a header each) and
-// is taken as it stands.
+// TestLazySlabSizing pins who sizes the header store: not the hint. Every
+// fan-out — a broadcast, a multicast, a Send — is one header, so the store
+// starts at 4n+16, sequential or per shard, for a defaulted hint, one that
+// counts all-to-all rounds and one below a round's copies (the two-tier
+// hierarchy's).
 func TestLazySlabSizing(t *testing.T) {
 	const n, k = 64, 4
 	hdrs := func(e *Engine) int { return cap(e.queue.hdrs) }
-	for _, hint := range []int{0, DefaultEventHint(BroadcastAuto, n)} {
+	for _, hint := range []int{0, DefaultEventHint(BroadcastAuto, n), n*n/4 + 4*n} {
 		cfg := shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
 		cfg.EventHint = hint
 		e, err := New(cfg)
@@ -941,15 +949,6 @@ func TestLazySlabSizing(t *testing.T) {
 				t.Errorf("hint %d: shard %d header store holds %d, want %d", hint, i, got, 4*n+16)
 			}
 		}
-	}
-	cfg := shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
-	cfg.EventHint = n*n/4 + 4*n
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := hdrs(e); got < cfg.EventHint {
-		t.Errorf("sparse hint %d: header store holds %d", cfg.EventHint, got)
 	}
 }
 

@@ -211,12 +211,13 @@ type Config struct {
 	// supported with Shards ≥ 1.
 	Timeline []TimedAction
 	// EventHint is the expected peak number of buffered events on the
-	// time-major engine (Shards = 0). A hint pre-sizes the queue's backing
-	// stores so large-n runs skip growth-doubling copies, and lets the
-	// scheduler switch its calendar on from the first event instead of
-	// mid-run. Zero derives the default from the process count: a round
-	// keeps ≈ n² broadcast copies plus a timer per process in flight
-	// (DefaultEventHint). A windowed engine sizes its partitions' queues
+	// time-major engine (Shards = 0). A hint pre-sizes the queue's heap and
+	// calendar window so large-n runs skip growth-doubling copies, and lets
+	// the scheduler switch its calendar on from the first event instead of
+	// mid-run. It does not size the header store, which starts at 4n+16
+	// (one header per fan-out and timer in flight). Zero derives the
+	// default from the process count: a round keeps ≈ n² broadcast copies
+	// plus a timer per process in flight (DefaultEventHint). A windowed engine sizes its partitions' queues
 	// from their shares and ignores it.
 	EventHint int
 	// Shards selects how Run drains the buffer: 0 time-major; k ≥ 1 in
@@ -390,22 +391,17 @@ func newEngine(cfg Config, mode schedMode) (*Engine, error) {
 	// Pre-size the queue's backing stores for the expected peak population
 	// (see Config.EventHint), unless the workload supplied a sharper hint.
 	// The hint also decides the scheduler shape up front (see schedMode), so
-	// large-n runs start with the calendar on. A broadcast's copies share one
-	// header, only timers and unicasts take one each: a hint that counts
-	// all-to-all rounds leaves the header store small, a smaller one
-	// describes sparser traffic — hier's unicast tiers — and sizes the store
-	// as it stands.
+	// large-n runs start with the calendar on. It does not size the header
+	// store: every fan-out — a broadcast, a multicast, a Send — is one
+	// header, so a process's sends and timers in flight take a few each,
+	// 4n+16 to start with, whatever the traffic's copy count.
 	n, hint := len(cfg.Procs), cfg.EventHint
 	if hint <= 0 {
 		hint = DefaultEventHint(BroadcastAuto, n)
 	}
-	msgs := hint
-	if hint >= n*n {
-		msgs = 4*n + 16
-	}
 	d, eps := cfg.Delay.Bounds()
 	e.queue.init(mode, hint, d, eps)
-	e.queue.grow(hint, msgs)
+	e.queue.grow(hint, 4*n+16)
 	e.start(cfg.StartAt)
 	return e, nil
 }
@@ -747,23 +743,24 @@ func (e *Engine) dispatch(a Annotation) {
 
 // fanOut is the one send step of §2.2: it puts a copy of payload from p into
 // the buffer for every recipient q in [lo, hi) — Context.Broadcast passes
-// [0, n) and Context.Send(q) passes [q, q+1). It samples the delays first:
-// one SampleAll when the range is every process and the model batches, one
-// Sample per copy otherwise, drawing the same stream either way. Then, copy
-// by copy in recipient order, an installed adversary retimes the delay
-// inside its clamp, the channel routes it (inline on the full mesh), a copy
-// the channel lost or a delay model sent outside [now, +Inf) is dropped —
-// its time is NaN from here on — and the rest are counted and announced to
-// the send hook. Only then are the survivors filed, under one send index: on
-// the time-major engine under one shared header; on a partition, a
-// broadcast's as one header holding their times (post), a unicast under a
-// header of its own, or on the link to its partition. A copy's key is
-// packSeq(from, sidx, q) whatever the range, so a Broadcast and n Sends to
-// q = 0..n−1 order their copies alike — TestBroadcastMatchesSends holds the
-// two to one execution.
+// [0, n), Context.Multicast its range and Context.Send(q) [q, q+1). It
+// samples the delays first: one SampleAll when the range is every process
+// and the model batches, one Sample per copy otherwise, drawing the same
+// stream either way. Then, copy by copy in recipient order, an installed
+// adversary retimes the delay inside its clamp, the channel routes it
+// (inline on the full mesh), a copy the channel lost or a delay model sent
+// outside [now, +Inf) is dropped — its time is NaN from here on — and the
+// rest are counted and announced to the send hook. Only then are the
+// survivors filed, under one send index: on the time-major engine under one
+// shared header; on a partition, a broadcast's as one header holding their
+// times (post), any other range's local copies under one header and each
+// remote one on the link to its partition. A copy's key is
+// packSeq(from, sidx, q) whatever the range, so a Broadcast, Multicasts over
+// consecutive blocks and n Sends to q = 0..n−1 order their copies alike —
+// TestBroadcastMatchesSends holds the three to one execution.
 func (e *Engine) fanOut(from ProcID, lo, hi int, payload any) {
 	now, rng, pt := e.now, &e.senders[from].rng, e.part
-	all := hi-lo == len(e.procs)
+	all := lo == 0 && hi == len(e.procs)
 	row := pt != nil && all // a partition's broadcast: its delays become its row
 	times := e.delays[lo:hi]
 	if row {
@@ -887,9 +884,9 @@ func (e *Engine) setTimer(p ProcID, T clock.Local, payload any) {
 
 // Context is the interface a process step has to the system: its identity,
 // its physical clock reading, and the actions the model allows (send,
-// broadcast, set a timer). A Context is valid only for the duration of the
-// Receive call it was passed to; the engine reuses one context across
-// deliveries, so a process must never retain it.
+// multicast, broadcast, set a timer). A Context is valid only for the
+// duration of the Receive call it was passed to; the engine reuses one
+// context across deliveries, so a process must never retain it.
 type Context struct {
 	eng *Engine
 	pid ProcID
@@ -929,14 +926,30 @@ func (e *Engine) physAt(p ProcID) clock.Local {
 	return s.value + clock.Local(s.rate*float64(e.now-s.start))
 }
 
-// Send places an ordinary message to q in the buffer: a fan-out to q alone.
+// Send places an ordinary message to q in the buffer: the multicast over
+// [q, q+1). An id outside [0, n) panics.
 func (c *Context) Send(to ProcID, payload any) { c.eng.fanOut(c.pid, int(to), int(to)+1, payload) }
 
+// Multicast sends the payload to every process in [lo, hi), the sender
+// included if it lies there: one fan-out under one send index and — on the
+// time-major engine — one buffered header; on a windowed engine the copies
+// to the sender's partition share one header and the others travel its
+// links as Sends do. Delays are drawn copy by copy in recipient order, the
+// stream a loop of Sends to lo … hi−1 draws, and the copies order alike, so
+// the multicast and the loop run one execution. lo ≥ hi sends nothing; a
+// range reaching outside [0, n) panics as Send does.
+func (c *Context) Multicast(lo, hi ProcID, payload any) {
+	if lo < hi {
+		c.eng.fanOut(c.pid, int(lo), int(hi), payload)
+	}
+}
+
 // Broadcast sends the payload to every process, including the sender (§2.2:
-// every process can communicate with every process, including itself). Each
-// copy's delay is drawn independently within [δ−ε, δ+ε]; the copies share
-// one send index and one buffered header — on a windowed engine one header
-// holding every copy's delivery time, whichever partition receives it.
+// every process can communicate with every process, including itself): the
+// multicast over [0, n). Each copy's delay is drawn independently within
+// [δ−ε, δ+ε]; the copies share one send index and one buffered header — on
+// a windowed engine one header holding every copy's delivery time,
+// whichever partition receives it.
 func (c *Context) Broadcast(payload any) { c.eng.fanOut(c.pid, 0, len(c.eng.procs), payload) }
 
 // SetTimer requests a TIMER interrupt when the process's physical clock

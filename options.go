@@ -197,7 +197,7 @@ var optionRules = []optionRule{
 	{option: "WithKExchanges", flag: "-k", set: func(o *options) bool { return o.k > 1 }, startup: true, lifecycle: true,
 		twoTier: "applies to the flat single-instance round; two-tier rounds are single-exchange per tier"},
 	{option: "WithStagger", flag: "-stagger", set: func(o *options) bool { return o.stagger > 0 }, startup: true, lifecycle: true,
-		twoTier: "applies to the flat mesh's broadcast; two-tier traffic is already clustered unicast"},
+		twoTier: "applies to the flat mesh's broadcast; two-tier traffic is already one multicast per cluster"},
 	{option: "WithDelayDistribution", flag: "-adversarial", set: func(o *options) bool { return o.delayDist != DelayUniform }, startup: true,
 		twoTier: "configures the flat mesh's delay model; a two-tier topology uses its clustered two-band model"},
 	{option: "WithRandomDrift", set: func(o *options) bool { return o.randomDrift }, startup: true,
