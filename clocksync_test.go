@@ -375,7 +375,9 @@ func TestWithTrace(t *testing.T) {
 // sequential and sharded, and checks the composed report. A report is one
 // for every shard count: the whole Report — skew maxima to the last bit,
 // rounds, messages, verdicts — must be equal at WithShards 1 (the sequential
-// engine), 2, 4 and 8, on the two-tier topology and on the flat n = 101 mesh.
+// engine), 2, 4 and 8, on the two-tier topology, on the flat n = 101 mesh,
+// and on that mesh with four faulty processes whose unicasts a windowed
+// engine keeps as one-copy rows.
 func TestTwoTierRun(t *testing.T) {
 	run := func(n, f, rounds, shards int, opts ...clocksync.Option) *clocksync.Report {
 		t.Helper()
@@ -409,12 +411,24 @@ func TestTwoTierRun(t *testing.T) {
 		}
 	}
 	flat := run(101, 33, 10, 1)
+	// The faulty leg: two-faced, noise and stale-replay processes unicast,
+	// so a partition's Sends — one row each — carry part of the traffic.
+	faulty := []clocksync.Option{
+		clocksync.WithFault(97, clocksync.FaultTwoFaced),
+		clocksync.WithFault(98, clocksync.FaultNoise),
+		clocksync.WithFault(99, clocksync.FaultStaleReplay),
+		clocksync.WithFault(100, clocksync.FaultCrashMidRun),
+	}
+	faultySeq := run(101, 33, 10, 1, faulty...)
 	for _, k := range []int{2, 4, 8} {
 		if sh := run(60, 0, 6, k, clocksync.WithClusters(6)); !reflect.DeepEqual(sh, seq) {
 			t.Errorf("two-tier report at %d shards differs from the sequential one:\n%+v\n%+v", k, sh, seq)
 		}
 		if sh := run(101, 33, 10, k); !reflect.DeepEqual(sh, flat) {
 			t.Errorf("flat n=101 report at %d shards differs from the sequential one:\n%+v\n%+v", k, sh, flat)
+		}
+		if sh := run(101, 33, 10, k, faulty...); !reflect.DeepEqual(sh, faultySeq) {
+			t.Errorf("faulty flat n=101 report at %d shards differs from the sequential one:\n%+v\n%+v", k, sh, faultySeq)
 		}
 	}
 }

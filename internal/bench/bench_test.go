@@ -61,12 +61,12 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 // TestShardedSteadyAllocs is the sharded allocation budget gate: the same
 // n=1009 workload benchjson tracks, run sequentially and across 8 shards,
 // with the sharded run's allocs/op capped at 4× the sequential engine's.
-// The sharded engine's extra allocations are per-engine warm-up (k rings and
-// block chunks, the first round's cross-shard link buffers); in steady state
-// a destination empties a link's buffers in place and the window cut hands
-// them back, so a leak on the exchange path — a buffer dropped instead of
-// reused — multiplies per-round and blows the budget immediately (the
-// pre-pool engine sat at ~14× sequential).
+// The sharded engine's extra allocations are per-partition warm-up (the
+// first round's row slabs, timer heaps and tile buffers); in steady state the
+// cut recycles a delivered fan-out's row onto its size class's free list, so
+// a leak on the row path — a row dropped instead of reused — multiplies
+// per-round and blows the budget immediately (the pre-pool engine sat at
+// ~14× sequential).
 func TestShardedSteadyAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the n=1009 benchmark pair (~10s)")
@@ -86,17 +86,18 @@ func TestShardedSteadyAllocs(t *testing.T) {
 // k = 4 windowed run of n = 64 beacons may allocate at most 9 times per
 // window, what its runner.Map worker set costs (the job closure, the error
 // slice, the pool's shared counters and one closure per worker goroutine).
-// The engine's own share is zero — links are filed by their destinations at
-// the head of the next window and handed back emptied at the cut, and the
-// clock table is reloaded in place — so a second worker set per window, or
-// a buffer dropped instead of reused, fails it.
+// The engine's own share is zero — rows come off their size class's free
+// list and go back at the cut, the due STARTs and TIMERs fill one buffer
+// reused from its start, and the clock table is reloaded in place — so a
+// second worker set per window, or a buffer dropped instead of reused, fails
+// it.
 func TestShardedWindowAllocs(t *testing.T) {
 	const k, perWindow = 4, 9
 	eng, err := newSteadyEngine(64, 1, k, func(int) sim.Process { return &beacon{period: 1e-3} })
 	if err != nil {
 		t.Fatal(err)
 	}
-	horizon, err := Advance(eng, 0, 50_000) // warm the links, queues and worker goroutines
+	horizon, err := Advance(eng, 0, 50_000) // warm the rows, heaps and worker goroutines
 	if err != nil {
 		t.Fatal(err)
 	}

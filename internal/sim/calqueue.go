@@ -8,27 +8,26 @@ import (
 )
 
 // This file implements the scheduler — the global message buffer of §2.2
-// with the total delivery order of §2.3. There is one event store and one
-// message form: what the copies of a buffered message share — one copy for a
-// START, TIMER or unicast, up to n for a broadcast on the time-major engine —
-// sits in a header (msgHdr), and a 24-byte pointer-free entry per copy — the
-// full sort key, the header, and the recipient — is what the queue
-// structures move. Entries that wait unsorted sit in chains of fixed-size
-// blocks drawn from one free list (bin, link). The store serves two queues:
+// with the total delivery order of §2.3. What the copies of a buffered
+// message share — one copy for a START or TIMER, one per recipient of a
+// fan-out — sits in a header (msgHdr), and a 24-byte pointer-free entry per
+// copy — the full sort key, the header, and the recipient — is what the
+// queue structures move. Entries that wait unsorted sit in chains of
+// fixed-size blocks drawn from one free list (bin, link). The store serves
+// two queues:
 //
 //   - The time-major engine's: a 4-ary min-heap of entries (entryHeap), a
 //     complete scheduler by itself ("heap mode"), optionally fronted by the
 //     calendar below. It is the only queue that must serve arbitrary delays,
 //     the adversary, timelines and per-delivery observers in global time
 //     order.
-//   - A windowed partition's (schedChains, shard.go): one chain per owned
-//     process instead of the calendar, holding its STARTs, timers and
-//     unicasts. A broadcast there is no entry until it is due: its header
-//     holds its n delivery times, and at each lookahead window the partition
-//     gathers a process's due copies from those rows, next to its chain's
-//     due events, into the same window array the calendar opens a slot
-//     into; the heap then holds only the acting process's in-window timers.
-//     Partitions never build the calendar.
+//   - A windowed partition's (schedPartition, shard.go): its STARTs and
+//     TIMERs on one heap of entries (timers), and no calendar. A fan-out
+//     there is no entry until it is due: its row holds its copies' delivery
+//     times, and at each lookahead window the partition gathers a process's
+//     due copies from those rows, next to its due STARTs and TIMERs, into
+//     the same window array the calendar opens a slot into; the heap then
+//     holds only the acting process's in-window timers.
 //
 // The calendar works in three levels:
 //
@@ -84,9 +83,9 @@ const (
 	schedHeap
 	// schedCalendar switches the calendar on from the first event.
 	schedCalendar
-	// schedChains is a windowed partition's queue: a chain per owned
-	// process, no calendar (shard.go).
-	schedChains
+	// schedPartition is a windowed partition's queue: a heap of STARTs and
+	// TIMERs, no calendar (shard.go).
+	schedPartition
 )
 
 const (
@@ -137,13 +136,13 @@ const (
 const entryTimerBit = uint64(1) << 63
 
 // msgHdr is what the undelivered copies of one buffered message share: one
-// copy for a START, TIMER or unicast, one per routed recipient for a
-// broadcast on the time-major engine (a partition keeps a broadcast as a
-// bcast, shard.go). A copy is fully determined when it is sent (Engine.fanOut
-// samples, retimes and routes it then), so delivering one is pure Message
-// assembly from its entry and this header: no RNG draw, no channel state,
-// no retiming at pop time. Headers are recycled through a free stack,
-// and a recycled header drops its payload reference.
+// copy for a START or TIMER, one per routed recipient of a fan-out on the
+// time-major engine (a partition keeps a fan-out as a bcast row, shard.go).
+// A copy is fully determined when it is sent (Engine.fanOut samples, retimes
+// and routes it then), so delivering one is pure Message assembly from its
+// entry and this header: no RNG draw, no channel state, no retiming at pop
+// time. Headers are recycled through a free stack, and a recycled header
+// drops its payload reference.
 type msgHdr struct {
 	from    ProcID
 	sentAt  clock.Real
@@ -277,8 +276,8 @@ var emptyBin = bin{min: math.Inf(1), max: math.Inf(-1), head: -1}
 // the ring, or the heap. Every binned entry is later than every window entry,
 // so the minimum is the smaller of the window's head and the heap's top while
 // the window is nonempty, and the smaller of the first nonempty bin's minimum
-// and the heap's top otherwise. In chain mode the bins are the owned
-// processes' chains and the window one process's due events (shard.go).
+// and the heap's top otherwise. On a partition the window is one process's
+// due events and the heap its in-window timers (shard.go).
 type sched struct {
 	heap    entryHeap // everything the window and the ring do not hold
 	hdrs    []msgHdr  // messages with copies still pending, and recycled slots
@@ -315,11 +314,16 @@ type sched struct {
 	slotCap      int32 // calSlotCap, lowered only by tests
 	cuts, opened int   // times C was cut; windows opened
 
-	// Chain mode: process base+i files on bins[i]; the window being drained
-	// takes the events at < dueHi and ≤ dueUntil (dueHi is −∞ outside one);
-	// pend counts the copies of published broadcasts not yet gathered.
+	// Partition mode: the owned processes start at base; the window being
+	// drained takes the events at < dueHi and ≤ dueUntil (dueHi is −∞
+	// outside one); timers holds the STARTs and TIMERs not yet due, and
+	// held[hpos:] the due ones not yet gathered, grouped by recipient; pend
+	// counts the copies of published rows not yet gathered.
 	base            int32
 	dueHi, dueUntil float64
+	timers          entryHeap
+	held            []entry
+	hpos            int
 	pend            int
 }
 
@@ -343,7 +347,7 @@ func (s *sched) init(mode schedMode, hint int, delta, eps float64) {
 }
 
 func (s *sched) len() int {
-	return len(s.win) - s.wpos + s.binned + s.heap.len() + s.pend
+	return len(s.win) - s.wpos + s.binned + s.heap.len() + s.pend + s.timers.len() + len(s.held) - s.hpos
 }
 
 // grow pre-sizes the backing stores: the header store for msgs buffered
@@ -383,8 +387,8 @@ func (s *sched) push(m *Message, seq uint64) {
 // file queues one entry and, under schedAuto, switches the calendar on once
 // the population warrants it.
 func (s *sched) file(en entry) {
-	if s.mode == schedChains {
-		s.chain(en)
+	if s.mode == schedPartition {
+		s.hold(en)
 	} else {
 		s.place(en)
 	}
@@ -411,14 +415,10 @@ func (s *sched) place(en entry) {
 		return
 	}
 	slot := int64(f)
-	s.put(&s.bins[slot&s.mask], en)
 	if slot < s.first {
 		s.first = slot
 	}
-}
-
-// put appends an entry to b's chain.
-func (s *sched) put(b *bin, en entry) {
+	b := &s.bins[slot&s.mask]
 	t := b.tail
 	if t == nil || t.n == blockLen {
 		t = s.link(b)
@@ -491,9 +491,8 @@ func (s *sched) drain(b *bin, fn func(en *entry)) {
 }
 
 // pushCopies files copies of one ordinary message under one new header: ents
-// carry each copy's delivery time, key and recipient. A send files its local
-// copies here (Engine.fanOut): every copy on the time-major engine, a
-// unicast to an owned process on a partition.
+// carry each copy's delivery time, key and recipient. A fan-out on the
+// time-major engine files its copies here (Engine.fanOut).
 func (s *sched) pushCopies(from ProcID, sentAt clock.Real, payload any, ents []entry) {
 	h := s.newHdr(from, sentAt, payload, KindOrdinary)
 	s.setLeft(h, int32(len(ents)))
@@ -546,9 +545,8 @@ func (s *sched) nextBin() (*bin, int64) {
 }
 
 // peekTime returns the delivery time of the minimum buffered event, or
-// ok == false when the queue is empty. It opens no slot: a shard calls it at
-// every window end, and what it adopts next may be earlier than anything it
-// holds.
+// ok == false when the queue is empty. It opens no slot: a timeline action
+// fired before that time may file something earlier.
 func (s *sched) peekTime() (clock.Real, bool) {
 	t, ok := 0.0, false
 	if s.wpos < len(s.win) {

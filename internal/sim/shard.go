@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/clock"
@@ -20,27 +21,24 @@ import (
 // and may execute in parallel.
 //
 // The processes are partitioned into k contiguous blocks, each owned by a
-// partition: an Engine holding its processes' STARTs, timers and unicast
-// copies, each on its recipient's chain (schedChains, calqueue.go). A
-// broadcast is not filed anywhere: it is one header (bcast) holding its n
-// delivery times, which the cut after its send publishes on one board every
-// partition reads. Partition 0 is the engine New returns; it drives the
-// windows and replays the samples and annotations of each window at its cut
-// (clocktable.go). A window runs as: (1) find the globally earliest pending
-// event time m, over the chains, the unicasts the last window sent and the
-// broadcasts on the board; (2) let every partition, concurrently on one
-// runner.Map worker set per window, file the unicasts the last window sent
-// it onto its chains and then deliver its events in [m, m+L) process by
-// process (Engine.drainWindow): a tile of owned processes at a time, each
-// one's due events are taken off its chain and read off the rows of the
-// broadcasts that may have copies due (gather), and then each process, in
-// ascending id, sorts its due events by (at, key) and receives them in that
-// order, with any TIMER it sets for inside the window merged in; (3) join,
-// hand each link's unicasts to its destination, publish the broadcasts the
-// window sent and drop those whose copies are all delivered (publish), cut,
-// and repeat. Every link is double-buffered — the buffer a source appends to
-// this window, and the one its destination files from — so the serial phase
-// at the cut is k² comparisons and swaps plus one pass over the board.
+// partition: an Engine holding two stores. Every fan-out its processes send —
+// a broadcast, a multicast or a Send — is one row (bcast) holding its copies'
+// delivery times, which the cut after the send publishes on one board every
+// partition reads; and its processes' STARTs and TIMERs that are not yet due
+// are one heap (sched.timers). Partition 0 is the engine New returns; it
+// drives the windows and replays the samples and annotations of each window
+// at its cut (clocktable.go). A window runs as: (1) find the globally
+// earliest pending event time m, over the timer heaps and the rows on the
+// board; (2) let every partition, concurrently on one runner.Map worker set
+// per window, deliver its events in [m, m+L) process by process
+// (Engine.drainWindow): it pops its due STARTs and TIMERs and groups them by
+// recipient, then, a tile of owned processes at a time, hands each one its
+// own and reads its due copies off the rows that may hold some (gather); each
+// process, in ascending id, sorts its due events by (at, key) and receives
+// them in that order, with any TIMER it sets for inside the window merged in;
+// (3) join, publish the rows the window sent and drop those whose copies are
+// all delivered (publish), cut, and repeat. The serial phase at the cut is
+// one pass over the board.
 //
 // Process by process is one execution because a step changes only the
 // recipient's state and the buffer (§2.3(6)), and A3 puts every ordinary
@@ -75,29 +73,25 @@ import (
 
 // partition is what a windowed engine's partition holds beyond the
 // time-major engine, which keeps it nil. It is partition id of the engine,
-// and partition d owns the processes [d·per, (d+1)·per) below n. A unicast
-// to another partition waits in out (one shardLink per destination) until
-// the cut hands it to the destination's in (one per source), which the
-// destination files at the head of the next window. early is the least
-// (at, key) copy a window's sends put inside the window, which breaks the
-// delay model's declared lower bound.
+// and owns the own processes [id·per, id·per+own). early is the
+// least (at, key) copy a window's sends put inside the window, which breaks
+// the delay model's declared lower bound.
 //
-// A broadcast's header goes on sent, and its copies are counted in tally
-// per destination partition, until the cut publishes them on the board. Its
-// row comes from rows, a free list refilled by the cut with the rows of this
-// partition's delivered broadcasts; carved counts the rows made, a
-// bcastSlab at a time. pendMin is the least time of a copy the last window's
-// gather left pending, and due holds a tile's due events, one buffer per
-// process.
+// A fan-out's row goes on sent, and its copies are counted in tally per
+// destination partition, until the cut publishes them on the board. Rows
+// come from rows, one free list per size class — class c holds rows of
+// min(2^c, n) times — refilled by the cut with the rows of this partition's
+// delivered fan-outs; carved counts the rows made, a bcastSlab at a time.
+// pendMin is the least time of a copy the last window's gather left pending,
+// and due holds a tile's due events, one buffer per process.
 type partition struct {
-	id, per int
-	out, in []shardLink
-	early   earlyCopy
+	id, per, own int
+	early        earlyCopy
 
 	board   *board
 	sent    []bcast
 	tally   []int
-	rows    [][]float64
+	rows    [][][]float64
 	carved  int
 	pendMin float64
 	due     [][]entry
@@ -106,12 +100,13 @@ type partition struct {
 // owner returns the partition that owns process q.
 func (pt *partition) owner(q int) int { return q / pt.per }
 
-// bcast is one broadcast on a windowed engine: what its copies share, and
-// the row of their delivery times — at[q] is the copy to q's, NaN for a copy
-// the channel lost or badCopy refused. Copy q's queue key is seq | q. min
-// and max are the row's finite extremes.
+// bcast is one fan-out over [lo, lo+len(at)) on a windowed engine: what its
+// copies share, and the row of their delivery times — at[q−lo] is the copy
+// to q's, NaN for a copy the channel lost or badCopy refused. Copy q's queue
+// key is seq | q. min and max are the row's finite extremes.
 type bcast struct {
 	from     ProcID
+	lo       int
 	sentAt   clock.Real
 	payload  any
 	seq      uint64
@@ -119,11 +114,11 @@ type bcast struct {
 	at       []float64
 }
 
-// board is the broadcasts in flight, shared by the partitions and read-only
-// while a window runs: live is every published header with a copy not yet
-// delivered, cands the window's candidates (the live headers with min < hi).
+// board is the fan-outs in flight, shared by the partitions and read-only
+// while a window runs: live is every published row with a copy not yet
+// delivered, cands the window's candidates (the live rows with min < hi).
 // (H, U) is the last completed window's (hi, until): every copy at < H and
-// ≤ U is delivered. rest is the least min of the live headers no partition
+// ≤ U is delivered. rest is the least min of the live rows no partition
 // scanned in that window.
 type board struct {
 	live  []bcast
@@ -133,49 +128,14 @@ type board struct {
 }
 
 const (
-	// bcastSlab is how many rows a partition carves at a time.
+	// bcastSlab is how many rows of a size class a partition carves at a
+	// time.
 	bcastSlab = 64
 	// gatherTile is how many processes gather reads the rows for at once:
 	// a tile's slice of a row is a few cache lines, where one process at a
 	// time would touch each row's page once per process.
 	gatherTile = 16
 )
-
-// linkCopy is one unicast on a shardLink: what its header will hold, and its
-// ready-keyed queue entry (the destination fills in the header index when it
-// files it).
-type linkCopy struct {
-	from    ProcID
-	sentAt  clock.Real
-	payload any
-	en      entry
-}
-
-// shardLink is the unicasts one partition sent another during one window,
-// and their earliest delivery time, which the sender keeps as it appends so
-// the next window's start counts them in O(1). The destination empties a
-// link in place when it files it, and the cut hands the emptied buffer back
-// to the source, so steady-state windows allocate nothing.
-type shardLink struct {
-	copies []linkCopy
-	min    float64 // +Inf when empty
-}
-
-// newShardLinks returns a partition's links: the outbound one per
-// destination and the inbound one per source.
-func newShardLinks(k int) (out, in []shardLink) {
-	ls := make([]shardLink, 2*k)
-	for i := range ls {
-		ls[i].min = math.Inf(1)
-	}
-	return ls[:k:k], ls[k:]
-}
-
-// add appends one unicast.
-func (l *shardLink) add(c linkCopy) {
-	l.copies = append(l.copies, c)
-	l.min = min(l.min, c.en.at)
-}
 
 // validateWindowed is validate's block for Shards ≠ 0.
 func validateWindowed(cfg Config) error {
@@ -216,8 +176,8 @@ func newWindowed(cfg Config) (*Engine, error) {
 			return nil, err
 		}
 		lo, hi := min(s*per, n), min((s+1)*per, n)
-		pt := &partition{id: s, per: per, board: b, tally: make([]int, k), pendMin: math.Inf(1)}
-		pt.out, pt.in = newShardLinks(k)
+		pt := &partition{id: s, per: per, own: hi - lo, board: b, tally: make([]int, k), pendMin: math.Inf(1)}
+		pt.rows = make([][][]float64, bits.Len(uint(n-1))+1)
 		// A tile's buffers hold a round's copies each, carved from one array.
 		tile := min(gatherTile, hi-lo)
 		buf := make([]entry, tile*(n+16))
@@ -226,7 +186,7 @@ func newWindowed(cfg Config) (*Engine, error) {
 			pt.due[i] = buf[i*(n+16) : i*(n+16) : (i+1)*(n+16)]
 		}
 		p.part = pt
-		p.queue.initChains(lo, hi-lo, n)
+		p.queue.initPartition(lo, hi-lo, n)
 		p.start(cfg.StartAt)
 		parts[s] = p
 	}
@@ -241,29 +201,22 @@ func newWindowed(cfg Config) (*Engine, error) {
 func (e *Engine) Windows() int { return e.windows }
 
 // minPending returns the earliest pending event time across the partitions:
-// their chains, the unicasts the last window sent them, the copies their last
-// gather left pending, and the broadcasts on the board none of them scanned.
-// An event at +Inf never comes.
+// their timer heaps' tops, the copies their last gather left pending, and
+// the rows on the board none of them scanned. An event at +Inf never comes.
 func (e *Engine) minPending() (clock.Real, bool) {
 	m := e.part.board.rest
 	for _, p := range e.parts {
 		m = min(m, p.part.pendMin)
-		for i := range p.queue.bins {
-			m = min(m, p.queue.bins[i].min)
-		}
-		for s := range p.part.in {
-			m = min(m, p.part.in[s].min)
+		if top := p.queue.timers.peek(); top != nil {
+			m = min(m, top.at)
 		}
 	}
 	return clock.Real(m), m < math.Inf(1)
 }
 
 // runWindows is Run on a windowed engine: windows until no partition holds
-// an event at or before until, or the step limit is hit. Before it returns it
-// files the unicasts the last window sent, so the chains and the board hold
-// every pending event.
+// an event at or before until, or the step limit is hit.
 func (e *Engine) runWindows(until clock.Real) error {
-	defer e.fileAll()
 	e.enter()
 	for {
 		more, err := e.window(until)
@@ -316,11 +269,15 @@ func (e *Engine) window(until clock.Real) (more bool, err error) {
 			early = c
 		}
 	}
+	// Each partition held only its own steps to the limit: the budget is the
+	// run's.
+	if e.Steps() > e.maxSteps {
+		return false, fmt.Errorf("sim: step limit %d exceeded at t=%v", e.maxSteps, cut)
+	}
 	if early != nil {
 		return false, fmt.Errorf("sim: delay model violated its declared lower bound: copy %d→%d delivers at %v inside the window ending %v",
 			early.from, early.en.to, early.en.at, hi)
 	}
-	e.handOver()
 	e.publish(float64(hi), float64(until))
 	e.windows++
 	return true, e.replay(from, cut)
@@ -399,38 +356,19 @@ func (e *Engine) replay(from, cut clock.Real) error {
 	return nil
 }
 
-// handOver moves each link that carries unicasts to its destination's
-// inbound side, taking the buffer the destination filed from back in
-// exchange. A quiet link takes the larger of its two emptied buffers, so
-// traffic that comes in bursts grows one buffer per link, not two.
-// Single-threaded, once per window: k² comparisons and swaps.
-func (e *Engine) handOver() {
-	for s, src := range e.parts {
-		for d := range src.part.out {
-			l, in := &src.part.out[d], &e.parts[d].part.in[s]
-			if len(l.copies) == 0 && cap(in.copies) <= cap(l.copies) {
-				continue
-			}
-			*l, *in = *in, *l
-		}
-	}
-}
-
-// publish is the broadcasts' share of the cut of the window [m, hi) that
-// delivered every copy at < hi and ≤ until. It drops each live header whose
-// copies are all delivered now — its finite max below hi and at or before
-// until — and gives its row back to its sender's partition, then appends the
-// headers the window's broadcasts wrote, partition by partition, and moves
-// the watermark to (hi, until). Each partition counts the copies published to
-// it as pending from here until its gather takes them. Single-threaded, once
-// per window.
+// publish is the rows' share of the cut of the window [m, hi) that delivered
+// every copy at < hi and ≤ until. It drops each live row whose copies are all
+// delivered now — its finite max below hi and at or before until — and gives
+// it back to its sender's partition, then appends the rows the window's
+// fan-outs wrote, partition by partition, and moves the watermark to (hi,
+// until). Each partition counts the copies published to it as pending from
+// here until its gather takes them. Single-threaded, once per window.
 func (e *Engine) publish(hi, until float64) {
 	b := e.part.board
 	live, rest := b.live[:0], math.Inf(1)
 	for _, h := range b.live {
 		if h.max < hi && h.max <= until {
-			src := e.parts[e.part.owner(int(h.from))].part
-			src.rows = append(src.rows, h.at)
+			e.parts[e.part.owner(int(h.from))].part.recycle(h.at)
 			continue
 		}
 		if h.min >= hi { // not a candidate: no partition scanned it
@@ -458,7 +396,7 @@ func (e *Engine) publish(hi, until float64) {
 	b.live, b.H, b.U, b.rest = live, hi, until, rest
 }
 
-// candidates lists the live headers that may have a copy due before hi.
+// candidates lists the live rows that may have a copy due before hi.
 func (b *board) candidates(hi float64) {
 	b.cands = b.cands[:0]
 	for i := range b.live {
@@ -468,86 +406,70 @@ func (b *board) candidates(hi float64) {
 	}
 }
 
-// load writes the message of a gathered broadcast copy into out.
+// load writes the message of a gathered copy into out.
 func (b *board) load(en *entry, out *Message) {
 	h := &b.live[^en.ref]
 	out.From, out.To, out.Kind = h.from, ProcID(en.to), KindOrdinary
 	out.Payload, out.SentAt, out.DeliverAt = h.payload, h.sentAt, clock.Real(en.at)
 }
 
-// row returns a broadcast's row, n long: a free one, or the first of a new
-// slab.
-func (pt *partition) row(n int) []float64 {
-	if len(pt.rows) == 0 {
-		slab := make([]float64, bcastSlab*n)
+// row returns a fan-out's row, m long, of an n-process system: a free one of
+// its size class, or the first of a new slab of that class.
+func (pt *partition) row(m, n int) []float64 {
+	c := bits.Len(uint(m - 1))
+	free := &pt.rows[c]
+	if len(*free) == 0 {
+		size := min(1<<c, n)
+		slab := make([]float64, bcastSlab*size)
 		for i := bcastSlab - 1; i >= 0; i-- {
-			pt.rows = append(pt.rows, slab[i*n:(i+1)*n:(i+1)*n])
+			*free = append(*free, slab[i*size:(i+1)*size:(i+1)*size])
 		}
 		pt.carved += bcastSlab
 	}
-	r := pt.rows[len(pt.rows)-1]
-	pt.rows = pt.rows[:len(pt.rows)-1]
-	return r
+	r := (*free)[len(*free)-1]
+	*free = (*free)[:len(*free)-1]
+	return r[:m]
 }
 
-// post keeps a broadcast whose copies' delivery times row holds for the cut
-// to publish: its header, with the row's finite extremes, goes on the sent
-// list and its copies are tallied per destination partition. A copy landing
-// inside the window being drained breaks the declared lower bound.
-func (e *Engine) post(from ProcID, payload any, seq uint64, row []float64) {
+// recycle puts a row back on the free list of its size class.
+func (pt *partition) recycle(r []float64) {
+	c := bits.Len(uint(len(r) - 1))
+	pt.rows[c] = append(pt.rows[c], r)
+}
+
+// post keeps a fan-out over [lo, lo+len(row)) whose copies' delivery times
+// row holds for the cut to publish: the row, with its finite extremes, goes
+// on the sent list and its copies are tallied per destination partition. A
+// copy landing inside the window being drained breaks the declared lower
+// bound: early keeps the least (at, key) such copy.
+func (e *Engine) post(from ProcID, payload any, seq uint64, lo int, row []float64) {
 	pt := e.part
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for d := range pt.tally {
+	mn, mx := math.Inf(1), math.Inf(-1)
+	hi := lo + len(row)
+	for d := pt.owner(lo); d <= pt.owner(hi-1); d++ {
 		c := 0
-		for _, t := range row[min(d*pt.per, len(row)):min((d+1)*pt.per, len(row))] {
+		for _, t := range row[max(d*pt.per, lo)-lo : min((d+1)*pt.per, hi)-lo] {
 			if t == t {
 				c++
-				if t < lo {
-					lo = t
+				if t < mn {
+					mn = t
 				}
-				if t > hi {
-					hi = t
+				if t > mx {
+					mx = t
 				}
 			}
 		}
 		pt.tally[d] += c
 	}
-	if dueHi := e.queue.dueHi; lo < dueHi {
-		for q, t := range row {
-			if t < dueHi {
-				pt.noteEarly(from, entry{at: t, key: seq | uint64(q), to: int32(q)})
+	if dueHi := e.queue.dueHi; mn < dueHi {
+		for i, t := range row {
+			c := entry{at: t, key: seq | uint64(lo+i), to: int32(lo + i)}
+			if l := &pt.early; t < dueHi && (!l.ok || entryLess(&c, &l.en)) {
+				*l = earlyCopy{from: from, en: c, ok: true}
 			}
 		}
 	}
-	pt.sent = append(pt.sent, bcast{from: from, sentAt: e.now, payload: payload, seq: seq, min: lo, max: hi, at: row})
-}
-
-// fileInbound moves the unicasts the last window sent this partition onto
-// its chains, each under a header of its own, sources in ascending order —
-// one order whatever runs it, so header indexes stay fixed properties of the
-// execution. Each partition runs it for itself at the head of its share of a
-// window.
-func (e *Engine) fileInbound() {
-	q := &e.queue
-	for s := range e.part.in {
-		l := &e.part.in[s]
-		for i := range l.copies {
-			c := &l.copies[i]
-			c.en.ref = q.newHdr(c.from, c.sentAt, c.payload, KindOrdinary)
-			q.setLeft(c.en.ref, 1)
-			c.payload = nil // release the payload reference
-			q.put(&q.bins[c.en.to-q.base], c.en)
-		}
-		l.copies, l.min = l.copies[:0], math.Inf(1)
-	}
-	q.peak = max(q.peak, q.len())
-}
-
-// fileAll files what the last window sent, on every partition.
-func (e *Engine) fileAll() {
-	for _, p := range e.parts {
-		p.fileInbound()
-	}
+	pt.sent = append(pt.sent, bcast{from: from, lo: lo, sentAt: e.now, payload: payload, seq: seq, min: mn, max: mx, at: row})
 }
 
 // earlyCopy is a copy landing inside the window it was sent in, with its
@@ -558,37 +480,32 @@ type earlyCopy struct {
 	ok   bool
 }
 
-// noteEarly keeps c, a copy from sender from that lands inside the window
-// being drained, if it is the least (at, key) such copy so far.
-func (pt *partition) noteEarly(from ProcID, c entry) {
-	if l := &pt.early; !l.ok || entryLess(&c, &l.en) {
-		*l = earlyCopy{from: from, en: c, ok: true}
-	}
-}
-
-// drainWindow is a partition's share of the window [m, hi): it files the
-// unicasts the last window sent it, then, a tile of owned processes at a
-// time, gathers their events due before hi and at or before until, and lets
-// each, in ascending id, receive its own in (at, key) order, merged with the
-// TIMERs it sets for inside the window. This, with the filing, is the only
-// engine code that runs concurrently: each partition touches its own chains,
-// links, senders, log and processes, and only reads the board. The window
-// log is left in (at, key) order for the replay.
+// drainWindow is a partition's share of the window [m, hi): it takes the
+// STARTs and TIMERs due before hi and at or before until off its timer heap,
+// grouped by recipient, then, a tile of owned processes at a time, gathers
+// their due events and lets each, in ascending id, receive its own in
+// (at, key) order, merged with the TIMERs it sets for inside the window.
+// This is the only engine code that runs concurrently: each partition
+// touches its own heaps, rows, senders, log and processes, and only reads
+// the board. The window log is left in (at, key) order for the replay.
 func (e *Engine) drainWindow(hi, until clock.Real) error {
-	e.fileInbound()
 	q := &e.queue
 	q.dueHi, q.dueUntil = float64(hi), float64(until)
 	e.part.pendMin = math.Inf(1)
 	defer e.shut()
+	for top := q.timers.peek(); top != nil && q.due(top.at); top = q.timers.peek() {
+		q.held = append(q.held, q.timers.pop())
+	}
+	slices.SortStableFunc(q.held, func(a, b entry) int { return cmp.Compare(a.to, b.to) })
 	var m Message
-	for lo := 0; lo < len(q.bins); lo += gatherTile {
-		due := e.gather(lo, min(lo+gatherTile, len(q.bins)))
-		for i := range due {
-			ok := q.openDue(due[i])
-			due[i] = due[i][:0]
-			if !ok {
+	for lo := 0; lo < e.part.own; lo += gatherTile {
+		due := e.gather(lo, min(lo+gatherTile, e.part.own))
+		for i, sp := range due {
+			if len(sp) == 0 {
 				continue
 			}
+			q.sortDue(sp)
+			due[i] = sp[:0]
 			for q.wpos < len(q.win) || q.heap.len() > 0 {
 				if e.steps >= e.maxSteps {
 					return fmt.Errorf("sim: step limit %d exceeded at t=%v", e.maxSteps, e.now)
@@ -604,29 +521,34 @@ func (e *Engine) drainWindow(hi, until clock.Real) error {
 }
 
 // gather collects the due events of owned processes base+lo … base+end−1,
-// one buffer each: first what is due on each one's chain, then, header by
-// header, what is due of each candidate broadcast's row — a copy not
-// delivered by an earlier window, keyed seq | q under the header's board
-// index (ref = ^index). A copy it leaves pending feeds the partition's
-// pendMin.
+// one buffer each: first each one's due STARTs and TIMERs, then, row by row,
+// what is due of the part of each candidate row the tile covers — a copy not
+// delivered by an earlier window, keyed seq | q under the row's board index
+// (ref = ^index). A copy it leaves pending feeds the partition's pendMin.
 func (e *Engine) gather(lo, end int) [][]entry {
 	q, pt := &e.queue, e.part
 	due := pt.due[:end-lo]
-	for i := range due {
-		due[i] = q.takeDue(lo+i, due[i])
+	first := int(q.base) + lo
+	last := first + len(due)
+	for ; q.hpos < len(q.held) && int(q.held[q.hpos].to) < last; q.hpos++ {
+		en := q.held[q.hpos]
+		due[int(en.to)-first] = append(due[int(en.to)-first], en)
 	}
 	b := pt.board
 	hi, until, dH, dU := q.dueHi, q.dueUntil, b.H, b.U
-	first := int(q.base) + lo
 	pmin, got := pt.pendMin, 0
 	for _, c := range b.cands {
 		h := &b.live[c]
-		seq, ref := h.seq|uint64(first), ^c
-		for j, t := range h.at[first : first+len(due)] {
+		a, z := max(first, h.lo), min(last, h.lo+len(h.at))
+		if a >= z {
+			continue
+		}
+		seq, ref, d := h.seq|uint64(a), ^c, due[a-first:]
+		for j, t := range h.at[a-h.lo : z-h.lo] {
 			switch {
 			case t < hi && t <= until:
 				if !(t < dH && t <= dU) {
-					due[j] = append(due[j], entry{at: t, key: seq + uint64(j), ref: ref, to: int32(first + j)})
+					d[j] = append(d[j], entry{at: t, key: seq + uint64(j), ref: ref, to: int32(a + j)})
 					got++
 				}
 			case t < pmin:
@@ -639,90 +561,49 @@ func (e *Engine) gather(lo, end int) [][]entry {
 	return due
 }
 
-// initChains makes s the queue of a partition owning the processes [base,
-// base+owned) of an n-process system: a chain per process, room for one
-// process's due events in a window — a round's n copies — and for their
-// sort's group counts, for a few in-window timers, and for the headers of
-// the timers and unicasts in flight.
-func (s *sched) initChains(base, owned, n int) {
-	s.mode, s.base, s.free = schedChains, int32(base), -1
+// initPartition makes s the queue of a partition owning the processes
+// [base, base+owned) of an n-process system: room for one process's due
+// events in a window — a round's n copies — and for their sort's group
+// counts, for a few in-window timers, for the owned processes' STARTs and
+// TIMERs, and for the headers of the STARTs and TIMERs in flight.
+func (s *sched) initPartition(base, owned, n int) {
+	s.mode, s.base = schedPartition, int32(base)
 	s.dueHi = math.Inf(-1)
-	s.bins = make([]bin, owned)
-	for i := range s.bins {
-		s.bins[i] = emptyBin
-	}
 	s.win = make([]entry, 0, n+16)
 	s.off = make([]int32, 0, 2*(n+16)+1)
 	s.heap.items = make([]entry, 0, 16)
+	s.timers.items = make([]entry, 0, 2*owned+16)
+	s.held = make([]entry, 0, owned+16)
 	s.grow(0, 4*n+16)
 }
 
-// chain files an entry on its recipient's chain, a NaN delivery time as
-// +Inf. A TIMER due in the window being drained is the acting process's own
-// (only a process's step sets its timers): it goes to the heap, from which
-// the drain merges it into the process's due events.
-func (s *sched) chain(en entry) {
+// hold files a partition's START or TIMER, a NaN delivery time as +Inf. A
+// TIMER due in the window being drained is the acting process's own (only a
+// process's step sets its timers): it goes to the acting heap, from which
+// the drain merges it into the process's due events. Everything else waits
+// on the timer heap.
+func (s *sched) hold(en entry) {
 	if en.at != en.at {
 		en.at = math.Inf(1)
 	}
-	if en.key&entryTimerBit != 0 && s.due(en.at) {
+	if s.due(en.at) {
 		s.heap.push(en)
 		return
 	}
-	s.put(&s.bins[en.to-s.base], en)
+	s.timers.push(en)
 }
 
 // due reports whether an event at t belongs to the window being drained.
 func (s *sched) due(t float64) bool { return t < s.dueHi && t <= s.dueUntil }
 
-// takeDue appends process base+i's due events on its chain to sp. What is
-// not due stays on the chain, compacted into its first blocks; the blocks it
-// no longer needs go back to the free list.
-func (s *sched) takeDue(i int, sp []entry) []entry {
-	b := &s.bins[i]
-	if !s.due(b.min) {
-		return sp
-	}
-	n := len(sp)
-	keep, kmin, kmax := int32(0), math.Inf(1), math.Inf(-1)
-	w := s.block(b.head) // the block being refilled: never ahead of the read
-	for id := b.head; id >= 0; {
-		t := s.block(id)
-		for _, en := range t.ents[:t.n] {
-			if s.due(en.at) {
-				sp = append(sp, en)
-				continue
-			}
-			if keep > 0 && keep%blockLen == 0 {
-				w = s.block(w.next)
-			}
-			w.ents[keep%blockLen] = en
-			keep++
-			kmin, kmax = min(kmin, en.at), max(kmax, en.at)
-		}
-		id = t.next
-	}
-	if keep == 0 {
-		s.release(b.head)
-		*b = emptyBin
-	} else {
-		w.n = (keep-1)%blockLen + 1
-		s.release(w.next)
-		w.next = -1
-		b.tail, b.n, b.min, b.max = w, keep, kmin, kmax
-	}
-	s.binned -= len(sp) - n
-	return sp
-}
-
-// openDue sorts one process's due events sp into the window (sortDue) and
-// reports whether there were any. The sort's groups are laid over the
-// ordinary copies' times: a process's own timer for later in the round
-// would otherwise stretch them and crowd the copies into a few.
-func (s *sched) openDue(sp []entry) bool {
-	if len(sp) == 0 {
-		return false
-	}
+// sortDue sorts one process's due events sp, at least one, into the window
+// by entryLess: a counting sort on their times into about two groups per
+// entry, then one insertion pass, which moves only entries that share a
+// group. The groups are laid over the ordinary copies' times [lo, hi] (group
+// is monotone in the time and clamps what lies outside): a process's own
+// timer for later in the round would otherwise stretch them and crowd the
+// copies into a few.
+func (s *sched) sortDue(sp []entry) {
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for i := range sp {
 		if sp[i].key&entryTimerBit == 0 {
@@ -734,15 +615,6 @@ func (s *sched) openDue(sp []entry) bool {
 			lo, hi = min(lo, sp[i].at), max(hi, sp[i].at)
 		}
 	}
-	s.sortDue(sp, lo, hi)
-	return true
-}
-
-// sortDue sorts one process's due events sp into the window by entryLess: a
-// counting sort on their times into about two groups per entry, laid over
-// [lo, hi] (group is monotone in the time and clamps what lies outside),
-// then one insertion pass, which moves only entries that share a group.
-func (s *sched) sortDue(sp []entry, lo, hi float64) {
 	total := len(sp)
 	groups := 2*total + 1
 	s.wlo, s.wscale = lo, 0
@@ -779,28 +651,18 @@ func (s *sched) sortDue(sp []entry, lo, hi float64) {
 	s.win, s.wpos, s.wend = win, 0, total
 }
 
-// release returns the chain of blocks starting at id (−1 for none) to the
-// free list.
-func (s *sched) release(id int32) {
-	for id >= 0 {
-		t := s.block(id)
-		next := t.next
-		t.next, s.free = s.free, id
-		id = next
-	}
-}
-
-// shut ends a partition's window. What the window, the heap and the tile's
-// buffers still hold — only after the step limit stopped the drain — goes
-// back on its chains, except broadcast copies, which their headers still
-// hold: the watermark moves only at a completed window's cut.
+// shut ends a partition's window. What the window, the acting heap, the
+// tile's buffers and the due STARTs and TIMERs still hold — only after the
+// step limit stopped the drain — goes back on the timer heap, except the
+// rows' copies, which their rows still hold: the watermark moves only at a
+// completed window's cut.
 func (e *Engine) shut() {
 	s := &e.queue
 	s.dueHi = math.Inf(-1)
 	back := func(ents []entry) {
 		for _, en := range ents {
 			if en.ref >= 0 {
-				s.put(&s.bins[en.to-s.base], en)
+				s.timers.push(en)
 			}
 		}
 	}
@@ -810,7 +672,9 @@ func (e *Engine) shut() {
 		back(d)
 		e.part.due[i] = d[:0]
 	}
+	back(s.held[s.hpos:])
 	s.win, s.wpos, s.heap.items = s.win[:0], 0, s.heap.items[:0]
+	s.held, s.hpos = s.held[:0], 0
 }
 
 // ShardedEngine, NewSharded, Stats and ShardStats are vestiges the frozen

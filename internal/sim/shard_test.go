@@ -287,8 +287,39 @@ func TestShardedPanicNamesShard(t *testing.T) {
 
 // TestShardedStepLimit: MaxSteps running out in the middle of a window — the
 // second one, where every process receives a round of n copies — ends the run
-// with the step-limit error, on one shard and on four.
+// with the step-limit error, on one shard and on four. The limit is one
+// budget for the run, not one per partition: over a sweep of limits around
+// a run's 1,072 deliveries, the time-major engine and k = 1, 2 and 4 give the
+// same verdict and the same message up to the time.
 func TestShardedStepLimit(t *testing.T) {
+	verdict := func(k, limit int) string {
+		cfg := shardWorkload(16, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
+		cfg.MaxSteps, cfg.Shards = limit, k
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Run(3.5e-3); err != nil {
+			msg, _, _ := strings.Cut(err.Error(), " at t=")
+			return msg
+		}
+		return "ok"
+	}
+	if got := verdict(0, 1072); got != "ok" {
+		t.Fatalf("time-major at the run's 1,072 deliveries: %s", got)
+	}
+	if got := verdict(0, 1071); got == "ok" {
+		t.Fatal("time-major one step short of the run succeeded")
+	}
+	for limit := 860; limit <= 1080; limit++ {
+		want := verdict(0, limit)
+		for _, k := range []int{1, 2, 4} {
+			if got := verdict(k, limit); got != want {
+				t.Fatalf("MaxSteps %d, k=%d: %q; time-major %q", limit, k, got, want)
+			}
+		}
+	}
+
 	const n, limit = 64, 500
 	for _, k := range []int{1, 4} {
 		cfg := shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
@@ -372,12 +403,13 @@ func TestShardedLossyAccounting(t *testing.T) {
 // sharded one over any number of shards run one execution on every delay
 // model — equal per-process delivery digests and equal sent/lost/step
 // totals. k = 1 holds the sequential Run and a one-shard window run — the
-// same drain bounded two ways — to one execution; k > 1 adds the links. The
-// tied row starts every process at one instant under a constant delay, so
-// whole rounds of copies land together and the packed keys alone order them.
-// The unicast rows fan out as n Sends, so every copy is a one-recipient
-// send, filed locally or onto a link by the same path as a broadcast's. The
-// multicast rows fan out as Multicasts over blocks of ids, at k = 1, 2 and 4.
+// same drain bounded two ways — to one execution; k > 1 adds rows read by
+// partitions other than their sender's. The tied row starts every process at
+// one instant under a constant delay, so whole rounds of copies land
+// together and the packed keys alone order them. The unicast rows fan out as
+// n Sends, so every copy is a one-copy row, published and gathered by the
+// same path as a broadcast's. The multicast rows fan out as Multicasts over
+// blocks of ids.
 func TestShardedMatchesSequential(t *testing.T) {
 	const n = 40
 	horizon := clock.Real(0.012)
@@ -409,8 +441,8 @@ func TestShardedMatchesSequential(t *testing.T) {
 		}
 	}
 	// Blocks of 7 ids: at k = 2 and 4 blocks straddle the partition cuts at
-	// 10, 20 and 30, so one multicast files its local copies under one
-	// header and sends the rest over a link.
+	// 10, 20 and 30, and at k = 16 (3 ids a partition) every block does, so
+	// one multicast's row is read by two or three partitions.
 	rows = append(rows,
 		row{"tied", ConstantDelay{Delta: 4e-4}, nil, true, false, 0},
 		row{"uniform/fullmesh/multicast", UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil, false, false, 7},
@@ -445,11 +477,7 @@ func TestShardedMatchesSequential(t *testing.T) {
 			if (r.ch != nil) != (seq.lost > 0) {
 				t.Fatalf("%d copies lost on channel %v", seq.lost, r.ch)
 			}
-			ks := []int{1, 2, 4, 16}
-			if r.block > 0 {
-				ks = ks[:3]
-			}
-			for _, k := range ks {
+			for _, k := range []int{1, 2, 4, 16} {
 				sh := runOnShards(t, workload(r), k, horizon)
 				if seq.sent != sh.sent || seq.lost != sh.lost || seq.steps != sh.steps {
 					t.Fatalf("k=%d totals diverge: sequential sent=%d lost=%d steps=%d, sharded sent=%d lost=%d steps=%d",
@@ -486,9 +514,9 @@ func (p *idler) Receive(ctx *Context, m Message) {
 // whose only pending events are far timers is sent copies that land long
 // before those timers. They must be delivered in the next window, ahead of
 // the timers, so every process sees exactly the sequential engine's
-// deliveries, in its order. The broadcast row sends them as headers the cut
-// publishes; the unicast row, in which every beacon fans out as n Sends,
-// sends them over the link, filed at the head of the next window.
+// deliveries, in its order. The broadcast row sends them as one row per
+// broadcast, the unicast row, in which every beacon fans out as n Sends, as
+// one row per Send; the cut publishes both.
 func TestShardedAdoptionBeforeWindow(t *testing.T) {
 	const n = 8
 	horizon := clock.Real(0.12)
@@ -532,25 +560,21 @@ func TestShardedAdoptionBeforeWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 		// At every cut: count the cuts where shard 1 is to take up copies —
-		// broadcast copies on the board not yet delivered, or the unicasts on
-		// its inbound link — that land well before the earliest event on its
-		// chains. The run is Run's window loop, stepped here to look between
-		// the windows.
+		// copies to its processes on the board's rows, not yet delivered —
+		// that land well before the earliest event on its timer heap. The
+		// run is Run's window loop, stepped here to look between the windows.
 		adoptedEarlier := 0
 		atCut := func() {
 			sh := se.Shard(1)
 			held := math.Inf(1)
-			for i := range sh.queue.bins {
-				held = min(held, sh.queue.bins[i].min)
+			if top := sh.queue.timers.peek(); top != nil {
+				held = top.at
 			}
-			early := sh.part.in[0].min
-			if b := sh.part.board; !unicast {
-				early = math.Inf(1)
-				for _, h := range b.live {
-					for _, at := range h.at[n/2:] {
-						if at == at && !(at < b.H && at <= b.U) {
-							early = min(early, at)
-						}
+			early, b := math.Inf(1), sh.part.board
+			for _, h := range b.live {
+				for i, at := range h.at {
+					if h.lo+i >= n/2 && at == at && !(at < b.H && at <= b.U) {
+						early = min(early, at)
 					}
 				}
 			}
@@ -569,7 +593,6 @@ func TestShardedAdoptionBeforeWindow(t *testing.T) {
 				break
 			}
 		}
-		se.fileAll()
 		if adoptedEarlier < 10 {
 			t.Fatalf("unicast=%v: only %d cuts left shard 1 taking up copies ahead of its own far timers — the scenario did not occur", unicast, adoptedEarlier)
 		}
@@ -615,7 +638,7 @@ func (a *alarm) Receive(ctx *Context, m Message) {
 	q := &ctx.eng.queue
 	set := func(T clock.Local) {
 		ctx.SetTimer(T, nil)
-		if q.mode == schedChains && q.heap.len() > 0 {
+		if q.mode == schedPartition && q.heap.len() > 0 {
 			a.merged++
 		}
 	}
@@ -624,7 +647,7 @@ func (a *alarm) Receive(ctx *Context, m Message) {
 		ctx.Broadcast(nil)
 		set(ctx.PhysNow() + 5e-5)
 	case KindTimer:
-		if q.mode == schedChains && q.wpos < len(q.win) {
+		if q.mode == schedPartition && q.wpos < len(q.win) {
 			a.between++
 		}
 		if !a.rearmed {
@@ -955,8 +978,8 @@ func TestLazySlabSizing(t *testing.T) {
 // TestShardedEventHintScaling: a partition holds its own share of the
 // pending events, not the whole system's. With every process starting at one
 // instant, a round's n² copies are all in flight together; each of k
-// partitions must then have held its n²/k — every copy to its processes, its
-// own and those adopted from the links — and well under the whole system's,
+// partitions must then have held its n²/k — every copy to its processes, on
+// its own rows and on other partitions' — and well under the whole system's,
 // whatever whole-system EventHint the caller passed (partitions ignore it).
 func TestShardedEventHintScaling(t *testing.T) {
 	const n, k = 512, 8
@@ -1046,18 +1069,49 @@ func TestShardedSplitHorizons(t *testing.T) {
 // the first round are at most a round's plus one slab per partition, later
 // rounds reuse them and carve none, and New plus four rounds allocate less in
 // all than one 24-byte entry per copy of a round: a queue that files every
-// copy as an entry cannot meet it.
+// copy as an entry cannot meet it. Fanned out as multicasts over blocks of 7
+// ids, or as n Sends, every fan-out is a row of its size class, and rounds
+// 1–3 carve none either.
 func TestShardedBroadcastMemory(t *testing.T) {
 	const n, k = 512, 2
-	cfg := shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
-	cfg.StartAt = starts(n, 0)
-	cfg.Shards = k
 	carved := func(e *Engine) (rows int) {
 		for _, p := range e.parts {
 			rows += p.part.carved
 		}
 		return rows
 	}
+	for _, v := range []struct {
+		name    string
+		unicast bool
+		block   int
+	}{{"multicast", false, 7}, {"unicast", true, 0}} {
+		cfg := shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
+		cfg.StartAt = starts(n, 0)
+		cfg.Shards = k
+		for _, p := range cfg.Procs {
+			p.(*shardBeacon).unicast, p.(*shardBeacon).block = v.unicast, v.block
+		}
+		se, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := se.Run(0.9e-3); err != nil {
+			t.Fatal(err)
+		}
+		first := carved(se)
+		if err := se.Run(3.9e-3); err != nil {
+			t.Fatal(err)
+		}
+		if got := carved(se); got != first {
+			t.Fatalf("%s: rounds 1–3 carved %d more rows; a delivered fan-out's row must be reused", v.name, got-first)
+		}
+		if got, ok := se.Process(n-1).(*shardBeacon).count, 4*n; got < ok {
+			t.Fatalf("%s: process %d received %d messages in four rounds, want at least %d", v.name, n-1, got, ok)
+		}
+	}
+	cfg := shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
+	cfg.StartAt = starts(n, 0)
+	cfg.Shards = k
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -1200,11 +1254,11 @@ func TestShardedSeqPacking(t *testing.T) {
 }
 
 // TestShardedStress is the -race workout for the parallel window drain: a
-// n=192, k=4 mesh long enough that every shard crosses into calendar-queue
-// territory and thousands of windows' worth of cross-shard chunks move
-// through the pooled exchange. Correctness assertions are minimal — the
-// value of this test is running the real concurrent path (a worker set per
-// window, link recycling, observer dispatch) under the race detector; the main
+// n=192, k=4 mesh long enough that thousands of windows' worth of rows are
+// published, gathered by every partition and recycled. Correctness
+// assertions are minimal — the value of this test is running the real
+// concurrent path (a worker set per window, row recycling, observer
+// dispatch) under the race detector; the main
 // CI workflow invokes it by name as the sharded race smoke.
 func TestShardedStress(t *testing.T) {
 	if testing.Short() {

@@ -26,17 +26,17 @@
 // recycled headers and the queues move 24-byte pointer-free entries, one per
 // copy (calqueue.go; no interface boxing). The time-major engine orders them
 // in a concrete 4-ary heap, fronted by a calendar of time-slot bins once the
-// population warrants it. A windowed partition files STARTs, timers and
-// unicasts on one chain per recipient, keeps a broadcast as one header
-// holding its n delivery times, and makes a copy an entry only when it is
-// due in a window: a process's due events are gathered and sorted when its
-// turn in the window comes (shard.go). One Context per engine is reused
-// across deliveries, observers are classified into typed slices at
-// registration time (no per-event type assertions), and delay sampling draws
-// from inline per-sender splitmix64 streams. The no-observer steady state performs zero allocations per
-// delivered event (enforced in CI by TestEngineSteadyStateAllocs in
-// internal/bench, which gates the same workload the engine benchmarks
-// measure).
+// population warrants it. A windowed partition holds two stores: one heap of
+// its STARTs and TIMERs, and every fan-out — broadcast, multicast or Send —
+// as one row holding its copies' delivery times. It makes a copy an entry
+// only when the copy is due in a window: a process's due events are gathered
+// and sorted when its turn in the window comes (shard.go). One Context per
+// engine is reused across deliveries, observers are classified into typed
+// slices at registration time (no per-event type assertions), and delay
+// sampling draws from inline per-sender splitmix64 streams. The no-observer
+// steady state performs zero allocations per delivered event (enforced in CI
+// by TestEngineSteadyStateAllocs in internal/bench, which gates the same
+// workload the engine benchmarks measure).
 //
 // One Engine type runs every execution, and New is its one constructor.
 // Config.Shards = 0 drains the buffer time-major; Shards = k ≥ 1 partitions
@@ -217,8 +217,9 @@ type Config struct {
 	// mid-run. It does not size the header store, which starts at 4n+16
 	// (one header per fan-out and timer in flight). Zero derives the
 	// default from the process count: a round keeps ≈ n² broadcast copies
-	// plus a timer per process in flight (DefaultEventHint). A windowed engine sizes its partitions' queues
-	// from their shares and ignores it.
+	// plus a timer per process in flight (DefaultEventHint). A windowed
+	// engine ignores it: its partitions keep copies in rows, not in a queue,
+	// and size their timer heaps from their shares.
 	EventHint int
 	// Shards selects how Run drains the buffer: 0 time-major; k ≥ 1 in
 	// lookahead windows over k partitions (shard.go). k = 1 is still
@@ -285,8 +286,8 @@ type Engine struct {
 	seqFromShift uint
 	sidxMax      uint64
 
-	// A partition's plumbing and broadcasts in flight, nil on the time-major
-	// engine (see shard.go).
+	// A partition's rows, their free lists and its tile buffers, nil on the
+	// time-major engine (see shard.go).
 	part *partition
 
 	// A partition's window log (shard.go): while a Run observes it, mirror
@@ -563,8 +564,8 @@ func (e *Engine) Steps() int { return total(e, func(p *Engine) int { return p.st
 // QueuePeak returns the high-water mark of pending events — buffered
 // STARTs, timers and undelivered message copies — over the execution: a
 // round peaks at ≈ n² pending copies; on a windowed engine, the largest
-// partition's, where a broadcast's copies count toward their recipients'
-// partitions from the cut that publishes the broadcast until they are
+// partition's, where a fan-out's copies count toward their recipients'
+// partitions from the cut that publishes its row until they are
 // delivered. The benchjson memory metric reports this.
 func (e *Engine) QueuePeak() int {
 	peak := e.queue.peak
@@ -683,7 +684,7 @@ func (e *Engine) drain(until clock.Real) error {
 // time, counts the step, lets the recipient Receive it, and reads the one
 // correction the step may have changed (settle).
 func (e *Engine) step(en entry, m *Message) {
-	if en.ref < 0 { // a broadcast copy a partition gathered
+	if en.ref < 0 { // a row's copy a partition gathered
 		e.part.board.load(&en, m)
 	} else {
 		e.queue.take(en, m)
@@ -752,19 +753,16 @@ func (e *Engine) dispatch(a Annotation) {
 // outside [now, +Inf) is dropped — its time is NaN from here on — and the
 // rest are counted and announced to the send hook. Only then are the
 // survivors filed, under one send index: on the time-major engine under one
-// shared header; on a partition, a broadcast's as one header holding their
-// times (post), any other range's local copies under one header and each
-// remote one on the link to its partition. A copy's key is
-// packSeq(from, sidx, q) whatever the range, so a Broadcast, Multicasts over
-// consecutive blocks and n Sends to q = 0..n−1 order their copies alike —
-// TestBroadcastMatchesSends holds the three to one execution.
+// shared header, on a partition as one row holding their times (post). A
+// copy's key is packSeq(from, sidx, q) whatever the range, so a Broadcast,
+// Multicasts over consecutive blocks and n Sends to q = 0..n−1 order their
+// copies alike — TestBroadcastMatchesSends holds the three to one execution.
 func (e *Engine) fanOut(from ProcID, lo, hi int, payload any) {
 	now, rng, pt := e.now, &e.senders[from].rng, e.part
 	all := lo == 0 && hi == len(e.procs)
-	row := pt != nil && all // a partition's broadcast: its delays become its row
-	times := e.delays[lo:hi]
-	if row {
-		times = pt.row(hi - lo)
+	times := e.delays[lo:hi] // a range outside [0, n) panics here, before a row is taken
+	if pt != nil {           // a partition's fan-out: its delays become its row
+		times = pt.row(hi-lo, len(e.procs))
 	}
 	if e.batch != nil && all {
 		e.batch.SampleAll(from, hi-lo, now, rng, times)
@@ -800,41 +798,25 @@ func (e *Engine) fanOut(from ProcID, lo, hi int, payload any) {
 		times[i] = float64(at)
 	}
 	if sent == 0 {
-		if row {
-			pt.rows = append(pt.rows, times)
+		if pt != nil {
+			pt.recycle(times)
 		}
 		return
 	}
 	s := &e.senders[from]
 	seqBase := e.packSeq(from, s.sidx, 0)
 	s.sidx++
-	if row {
-		e.post(from, payload, seqBase, times)
+	if pt != nil {
+		e.post(from, payload, seqBase, lo, times)
 		return
 	}
-	// On a partition, a copy landing inside the window being drained breaks
-	// the declared lower bound.
 	local := e.copies[:0]
 	for i, t := range times {
-		if t != t {
-			continue
+		if t == t {
+			local = append(local, entry{at: t, key: seqBase | uint64(lo+i), to: int32(lo + i)})
 		}
-		to := lo + i
-		c := entry{at: t, key: seqBase | uint64(to), to: int32(to)}
-		if pt != nil {
-			if t < e.queue.dueHi {
-				pt.noteEarly(from, c)
-			}
-			if d := pt.owner(to); d != pt.id {
-				pt.out[d].add(linkCopy{from: from, sentAt: now, payload: payload, en: c})
-				continue
-			}
-		}
-		local = append(local, c)
 	}
-	if len(local) > 0 {
-		e.queue.pushCopies(from, now, payload, local)
-	}
+	e.queue.pushCopies(from, now, payload, local)
 }
 
 // badCopy drops a copy whose delivery time is not a finite time at or after
@@ -932,11 +914,10 @@ func (c *Context) Send(to ProcID, payload any) { c.eng.fanOut(c.pid, int(to), in
 
 // Multicast sends the payload to every process in [lo, hi), the sender
 // included if it lies there: one fan-out under one send index and — on the
-// time-major engine — one buffered header; on a windowed engine the copies
-// to the sender's partition share one header and the others travel its
-// links as Sends do. Delays are drawn copy by copy in recipient order, the
-// stream a loop of Sends to lo … hi−1 draws, and the copies order alike, so
-// the multicast and the loop run one execution. lo ≥ hi sends nothing; a
+// time-major engine — one buffered header; on a windowed engine one row
+// holding every copy's delivery time. Delays are drawn copy by copy in
+// recipient order, the stream a loop of Sends to lo … hi−1 draws, and the
+// copies order alike, so the multicast and the loop run one execution. lo ≥ hi sends nothing; a
 // range reaching outside [0, n) panics as Send does.
 func (c *Context) Multicast(lo, hi ProcID, payload any) {
 	if lo < hi {
@@ -948,8 +929,8 @@ func (c *Context) Multicast(lo, hi ProcID, payload any) {
 // every process can communicate with every process, including itself): the
 // multicast over [0, n). Each copy's delay is drawn independently within
 // [δ−ε, δ+ε]; the copies share one send index and one buffered header — on
-// a windowed engine one header holding every copy's delivery time,
-// whichever partition receives it.
+// a windowed engine one row holding every copy's delivery time, whichever
+// partition receives it.
 func (c *Context) Broadcast(payload any) { c.eng.fanOut(c.pid, 0, len(c.eng.procs), payload) }
 
 // SetTimer requests a TIMER interrupt when the process's physical clock

@@ -107,8 +107,8 @@ func (badCopyDelay) Bounds() (float64, float64) { return 0.01, 0.001 }
 // TestBadDeliveryTime: a delay model that sends a copy to a NaN, infinite or
 // past delivery time makes Run fail, naming the model, the copy and both
 // times — on either drain, from a broadcast or a unicast. At Shards = 2,
-// processes 0 and 1 share a partition, so no link's lower-bound check sees
-// the copy.
+// processes 0 and 1 share a partition, so the copy never leaves its
+// sender's partition.
 func TestBadDeliveryTime(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), -0.5} {
 		for _, shards := range []int{0, 2} {
