@@ -373,11 +373,12 @@ func TestWithTrace(t *testing.T) {
 
 // TestTwoTierRun drives the two-tier hierarchy through the facade,
 // sequential and sharded, and checks the composed report. A report is one
-// for every shard count: the whole Report — skew maxima to the last bit,
-// rounds, messages, verdicts — must be equal at WithShards 1 (the sequential
-// engine), 2, 4 and 8, on the two-tier topology, on the flat n = 101 mesh,
-// and on that mesh with four faulty processes whose unicasts a windowed
-// engine keeps as one-copy rows.
+// for every engine: the whole Report — skew maxima to the last bit, rounds,
+// messages, verdicts — must be equal time-major (pinned by WithTrace, whose
+// log is then dropped) and at WithShards 1 (one window partition), 2, 4 and
+// 8, on the two-tier topology, on the flat n = 101 mesh, and on that mesh
+// with four faulty processes whose unicasts a windowed engine keeps as
+// one-copy rows.
 func TestTwoTierRun(t *testing.T) {
 	run := func(n, f, rounds, shards int, opts ...clocksync.Option) *clocksync.Report {
 		t.Helper()
@@ -391,7 +392,18 @@ func TestTwoTierRun(t *testing.T) {
 		}
 		return rep
 	}
-	seq := run(60, 0, 6, 1, clocksync.WithClusters(6))
+	// The reference legs run time-major: WithTrace's per-delivery log keeps
+	// them off the window and changes nothing in the execution.
+	timeMajor := func(n, f, rounds int, opts ...clocksync.Option) *clocksync.Report {
+		t.Helper()
+		rep := run(n, f, rounds, 1, append(opts, clocksync.WithTrace(1))...)
+		if rep.Trace == "" {
+			t.Fatal("WithTrace recorded no delivery")
+		}
+		rep.Trace = ""
+		return rep
+	}
+	seq := timeMajor(60, 0, 6, clocksync.WithClusters(6))
 	if !seq.TwoTier || seq.Clusters != 10 || seq.ClusterSize != 6 {
 		t.Fatalf("topology fields wrong: %+v", seq)
 	}
@@ -410,7 +422,7 @@ func TestTwoTierRun(t *testing.T) {
 			t.Errorf("report %q missing %q", s, want)
 		}
 	}
-	flat := run(101, 33, 10, 1)
+	flat := timeMajor(101, 33, 10)
 	// The faulty leg: two-faced, noise and stale-replay processes unicast,
 	// so a partition's Sends — one row each — carry part of the traffic.
 	faulty := []clocksync.Option{
@@ -419,16 +431,16 @@ func TestTwoTierRun(t *testing.T) {
 		clocksync.WithFault(99, clocksync.FaultStaleReplay),
 		clocksync.WithFault(100, clocksync.FaultCrashMidRun),
 	}
-	faultySeq := run(101, 33, 10, 1, faulty...)
-	for _, k := range []int{2, 4, 8} {
+	faultySeq := timeMajor(101, 33, 10, faulty...)
+	for _, k := range []int{1, 2, 4, 8} {
 		if sh := run(60, 0, 6, k, clocksync.WithClusters(6)); !reflect.DeepEqual(sh, seq) {
-			t.Errorf("two-tier report at %d shards differs from the sequential one:\n%+v\n%+v", k, sh, seq)
+			t.Errorf("two-tier report at %d shards differs from the time-major one:\n%+v\n%+v", k, sh, seq)
 		}
 		if sh := run(101, 33, 10, k); !reflect.DeepEqual(sh, flat) {
-			t.Errorf("flat n=101 report at %d shards differs from the sequential one:\n%+v\n%+v", k, sh, flat)
+			t.Errorf("flat n=101 report at %d shards differs from the time-major one:\n%+v\n%+v", k, sh, flat)
 		}
 		if sh := run(101, 33, 10, k, faulty...); !reflect.DeepEqual(sh, faultySeq) {
-			t.Errorf("faulty flat n=101 report at %d shards differs from the sequential one:\n%+v\n%+v", k, sh, faultySeq)
+			t.Errorf("faulty flat n=101 report at %d shards differs from the time-major one:\n%+v\n%+v", k, sh, faultySeq)
 		}
 	}
 }

@@ -83,7 +83,7 @@ func main() {
 		startup  = flag.Bool("startup", false, "run the §9.2 establishment algorithm instead")
 		trace    = flag.Int("trace", 0, "print the first N actions of the execution log")
 		spread   = flag.Float64("spread", 2.0, "initial clock spread in seconds (startup mode)")
-		shards   = flag.Int("shards", 1, "run on the sharded time-window engine across this many shards (deterministic: results are identical for every value)")
+		shards   = flag.Int("shards", 1, "run on the sharded time-window engine across this many shards (deterministic: results are identical for every value); 1 is one window partition, or the time-major engine under -trace or an adaptive -adversary")
 		topology = flag.String("topology", "flat", "synchronization topology: flat (all-to-all mesh) or two-tier (clustered hierarchy)")
 		clusters = flag.Int("clusters", 0, "two-tier cluster size c (implies -topology two-tier; 0 with two-tier = c ≈ √n)")
 		trials   = flag.Int("trials", 1, "run this many derived-seed trials of the same configuration")

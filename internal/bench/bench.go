@@ -64,7 +64,11 @@ func NewSteadyEngine(n int, seed int64) (*sim.Engine, error) {
 // NewSampledSteadyEngine is NewSteadyEngine over adjusters, for the caller
 // to attach samplers to.
 func NewSampledSteadyEngine(n int, seed int64) (*sim.Engine, error) {
-	return newSteadyEngine(n, seed, 0, func(i int) sim.Process {
+	return newSampledSteadyEngine(n, seed, 0)
+}
+
+func newSampledSteadyEngine(n int, seed int64, shards int) (*sim.Engine, error) {
+	return newSteadyEngine(n, seed, shards, func(i int) sim.Process {
 		return &adjuster{beacon: beacon{period: 1e-3}, corr: clock.Local(i+1) * 1e-6}
 	})
 }

@@ -10,16 +10,20 @@ import (
 )
 
 // steadyAllocGate runs the shared allocation gate against one steady-state
-// engine: after warm-up, measured Run slices must stay allocation-free.
-func steadyAllocGate(t *testing.T, n int) {
+// engine, time-major (shards 0) or windowed: after warm-up, measured Run
+// slices must stay allocation-free.
+func steadyAllocGate(t *testing.T, n, shards int) {
 	t.Helper()
-	eng, err := NewSteadyEngine(n, 1)
+	eng, err := newSteadyEngine(n, 1, shards, func(int) sim.Process { return &beacon{period: 1e-3} })
 	if err != nil {
 		t.Fatal(err)
 	}
 	allocGate(t, eng)
 }
 
+// allocGate measures Run slices of a warmed-up eng: at most 2 allocations a
+// slice of thousands of events on the time-major engine, none at all on a
+// windowed one, whose partitions drain on Run's goroutine at k = 1.
 func allocGate(t *testing.T, eng *sim.Engine) {
 	t.Helper()
 	const perSlice = 5000
@@ -27,19 +31,24 @@ func allocGate(t *testing.T, eng *sim.Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := eng.Steps()
 	before := eng.Steps()
 	allocs := testing.AllocsPerRun(5, func() {
-		target += perSlice
+		// Every slice runs: at n = 40 one Run chunk overshoots a slice many
+		// times over, so a target counted from the start would leave the
+		// measured slices nothing to do.
 		var aerr error
-		horizon, aerr = Advance(eng, horizon, target)
+		horizon, aerr = Advance(eng, horizon, eng.Steps()+perSlice)
 		if aerr != nil {
 			panic(aerr)
 		}
 	})
 	delivered := (eng.Steps() - before) / 6 // AllocsPerRun runs one warm-up + 5 measured
-	if allocs > 2 {
-		t.Errorf("steady state allocated %v times per Run slice (~%d events); want ≤ 2", allocs, delivered)
+	limit := 2.0
+	if eng.Windows() > 0 {
+		limit = 0
+	}
+	if allocs > limit {
+		t.Errorf("steady state allocated %v times per Run slice (~%d events); want ≤ %v", allocs, delivered, limit)
 	}
 	if delivered < perSlice {
 		t.Fatalf("gate workload delivered only ~%d events per slice; not a meaningful measurement", delivered)
@@ -55,7 +64,19 @@ func allocGate(t *testing.T, eng *sim.Engine) {
 // benchmarked regime. Each measured Run slice delivers thousands of events;
 // even ≤ 2 allocations per slice is effectively zero per event.
 func TestEngineSteadyStateAllocs(t *testing.T) {
-	steadyAllocGate(t, 7) // n = 7: the heap alone
+	steadyAllocGate(t, 7, 0) // n = 7: the heap alone
+}
+
+// TestWindowSteadyStateAllocs is the gate at k = 1, what a default run takes
+// when it composes with the window: the n = 7 beacons of
+// TestEngineSteadyStateAllocs and the n = 40 ones of
+// TestEngineCalendarSteadyStateAllocs, drained in lookahead windows on Run's
+// goroutine, allocate nothing at all — no worker set, no job closure, rows
+// and buffers reused from window to window.
+func TestWindowSteadyStateAllocs(t *testing.T) {
+	for _, n := range []int{7, 40} {
+		steadyAllocGate(t, n, 1)
+	}
 }
 
 // TestShardedSteadyAllocs is the sharded allocation budget gate: the same
@@ -124,7 +145,7 @@ func TestShardedWindowAllocs(t *testing.T) {
 // through the free list, the window and its group offsets reused from slot
 // to slot — which must be as allocation-free as the heap alone at n = 7.
 func TestEngineCalendarSteadyStateAllocs(t *testing.T) {
-	steadyAllocGate(t, 40)
+	steadyAllocGate(t, 40, 0)
 }
 
 // TestEngineSampledSteadyStateAllocs is the same gate with the sampling path
@@ -132,19 +153,22 @@ func TestEngineCalendarSteadyStateAllocs(t *testing.T) {
 // harness attaches (skew recorder, validity recorder, Theorem 16 checker),
 // sampled before and after every correction change. The clock table is
 // allocated once, at the first Run — inside the warm-up — and refreshed in
-// place from then on, so the measured slices allocate nothing.
+// place from then on, so the measured slices allocate nothing; at k = 1 the
+// window log and its merge at the cut reuse their buffers too.
 func TestEngineSampledSteadyStateAllocs(t *testing.T) {
-	eng, err := NewSampledSteadyEngine(40, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	skew := &metrics.SkewRecorder{}
-	agree := invariant.NewAgreement(math.Inf(1), 0)
-	eng.Observe(skew)
-	eng.Observe(&metrics.ValidityRecorder{Alpha1: 1, Alpha2: 1})
-	eng.Observe(agree)
-	allocGate(t, eng)
-	if skew.Max() <= 0 || agree.Checked() == 0 {
-		t.Fatalf("samplers saw nothing: max skew %v, %d agreement checks", skew.Max(), agree.Checked())
+	for _, shards := range []int{0, 1} { // time-major, and one window partition
+		eng, err := newSampledSteadyEngine(40, 1, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		skew := &metrics.SkewRecorder{}
+		agree := invariant.NewAgreement(math.Inf(1), 0)
+		eng.Observe(skew)
+		eng.Observe(&metrics.ValidityRecorder{Alpha1: 1, Alpha2: 1})
+		eng.Observe(agree)
+		allocGate(t, eng)
+		if skew.Max() <= 0 || agree.Checked() == 0 {
+			t.Fatalf("shards %d: samplers saw nothing: max skew %v, %d agreement checks", shards, skew.Max(), agree.Checked())
+		}
 	}
 }

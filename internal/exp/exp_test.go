@@ -146,7 +146,7 @@ func TestRunTwoTierWorkload(t *testing.T) {
 	if seq.Rounds != nil || seq.Validity != nil || seq.Invariants != nil {
 		t.Error("two-tier run carries flat-mesh recorders")
 	}
-	plain, err := Run(Workload{Hier: build(), Rounds: 4})
+	plain, err := Run(timeMajor(Workload{Hier: build(), Rounds: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,10 +167,11 @@ func TestRunTwoTierWorkload(t *testing.T) {
 }
 
 // TestRunEnginesAgree is the harness differential: a flat workload (uniform
-// delays, two silent faults) and a two-tier hierarchy, each run on the
-// sequential engine and on two shards, are one execution — equal step and
-// message counts and, read through the Runner, bit-equal local times for
-// every process at the horizon.
+// delays, two silent faults) and a two-tier hierarchy, each run time-major —
+// the reference — by default (Shards = 0, which takes one window partition)
+// and on two shards, are one execution — equal step and message counts and,
+// read through the Runner, bit-equal local times for every process at the
+// horizon.
 func TestRunEnginesAgree(t *testing.T) {
 	silent := func() sim.Process { return silentProc{} }
 	for _, tc := range []struct {
@@ -192,26 +193,69 @@ func TestRunEnginesAgree(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			seq, err := Run(tc.w())
+			seq, err := Run(timeMajor(tc.w()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			w := tc.w()
-			w.Shards = 2
-			sh, err := Run(w)
-			if err != nil {
-				t.Fatal(err)
+			if seq.Windows() != 0 {
+				t.Fatalf("the time-major reference ran %d windows", seq.Windows())
 			}
-			if seq.Steps() != sh.Steps() || seq.MessagesSent() != sh.MessagesSent() || seq.MessagesLost() != sh.MessagesLost() {
-				t.Fatalf("totals: sequential steps=%d sent=%d lost=%d, sharded steps=%d sent=%d lost=%d",
-					seq.Steps(), seq.MessagesSent(), seq.MessagesLost(), sh.Steps(), sh.MessagesSent(), sh.MessagesLost())
-			}
-			for p := sim.ProcID(0); int(p) < seq.N(); p++ {
-				a, aok := seq.LocalTime(p, seq.Horizon)
-				b, bok := sh.LocalTime(p, sh.Horizon)
-				if aok != bok || math.Float64bits(float64(a)) != math.Float64bits(float64(b)) {
-					t.Fatalf("process %d at the horizon: sequential %v (%v), sharded %v (%v)", p, a, aok, b, bok)
+			for _, k := range []int{0, 2} {
+				w := tc.w()
+				w.Shards = k
+				sh, err := Run(w)
+				if err != nil {
+					t.Fatal(err)
 				}
+				if sh.Windows() == 0 {
+					t.Fatalf("Shards = %d ran time-major", k)
+				}
+				if seq.Steps() != sh.Steps() || seq.MessagesSent() != sh.MessagesSent() || seq.MessagesLost() != sh.MessagesLost() {
+					t.Fatalf("totals: time-major steps=%d sent=%d lost=%d, Shards = %d steps=%d sent=%d lost=%d",
+						seq.Steps(), seq.MessagesSent(), seq.MessagesLost(), k, sh.Steps(), sh.MessagesSent(), sh.MessagesLost())
+				}
+				for p := sim.ProcID(0); int(p) < seq.N(); p++ {
+					a, aok := seq.LocalTime(p, seq.Horizon)
+					b, bok := sh.LocalTime(p, sh.Horizon)
+					if aok != bok || math.Float64bits(float64(a)) != math.Float64bits(float64(b)) {
+						t.Fatalf("process %d at the horizon: time-major %v (%v), Shards = %d %v (%v)", p, a, aok, k, b, bok)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestDefaultEngine pins what Shards = 0 runs on: one window partition
+// exactly when the windowed engine composes with the workload — no
+// adversary, no timeline, a stateless channel, no per-delivery observer and
+// a positive lookahead δ−ε — and the time-major drain otherwise.
+func TestDefaultEngine(t *testing.T) {
+	p := analysis.Default(7, 2)
+	for _, tc := range []struct {
+		name   string
+		edit   func(w *Workload)
+		window bool
+	}{
+		{"plain", func(*Workload) {}, true},
+		{"lossy links", func(w *Workload) { w.Channel = sim.LossyLinks{} }, true},
+		{"adversary", func(w *Workload) { w.Adversary = &fuzzRetimer{vals: [3]float64{p.Delta, p.Delta, p.Delta}} }, false},
+		{"timeline", func(w *Workload) {
+			w.Timeline = []sim.TimedAction{{At: 0, Name: "heal", Do: func(e *sim.Engine) { e.SetChannel(nil) }}}
+		}, false},
+		{"Ether", func(w *Workload) { w.Channel = sim.NewEther(1e-6, 0) }, false},
+		{"tracer", func(w *Workload) { w.Observers = []sim.Observer{sim.NewTracer(10)} }, false},
+		{"zero lookahead", func(w *Workload) { w.Delay = sim.UniformDelay{Delta: p.Delta, Eps: p.Delta} }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := Workload{Cfg: core.Config{Params: p}, Rounds: 4}
+			tc.edit(&w)
+			res, err := Run(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Windows() > 0; got != tc.window {
+				t.Errorf("ran %d windows; want the window %v", res.Windows(), tc.window)
 			}
 		})
 	}

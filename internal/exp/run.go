@@ -87,13 +87,17 @@ type Workload struct {
 	// bound) as engine observers; the verdicts land in Result.Invariants.
 	CheckInvariants bool
 
-	// Shards is sim.Config.Shards: 0 drains time-major, k ≥ 1 in lookahead
-	// windows over k partitions, one execution sampled at the same instants
-	// for every k, so the Result reads the same. Workload features the
-	// windowed engine rejects fail Run with a clear error: an Adversary or
-	// Timeline at engine construction, and per-delivery observers (e.g.
-	// sim.Tracer), not yet implemented there, at registration — the
-	// standard recorders and the invariant suite work unchanged.
+	// Shards is sim.Config.Shards: k ≥ 1 drains in lookahead windows over k
+	// partitions; 0 drains in windows over one partition whenever the
+	// workload composes with the window (sim.Windowable: no Adversary, no
+	// Timeline, a stateless Channel, a positive lookahead δ−ε and no
+	// per-delivery observer such as sim.Tracer), and time-major otherwise.
+	// Every engine runs one execution sampled at the same instants, so the
+	// Result reads the same. With k ≥ 1, a feature the windowed engine
+	// rejects fails Run with a clear error: an Adversary, Timeline or
+	// stateful Channel at engine construction, a per-delivery observer at
+	// registration — the standard recorders and the invariant suite work
+	// unchanged.
 	Shards int
 }
 
@@ -191,9 +195,14 @@ func execute(a assembly) (*Result, error) {
 			}
 		}
 	}
-	// New rejects what the windowed engine cannot run (adversary, timeline,
-	// stateful channels), Observe a per-delivery observer there, each with
-	// its own error.
+	// Shards = 0 runs on one window partition whenever the windowed engine
+	// composes with the workload (sim.Windowable): the same execution as the
+	// time-major drain, faster. What needs per-delivery order stays
+	// time-major. An explicit Shards ≥ 1 is New's to check, and Observe's
+	// for a per-delivery observer, each with its own error.
+	if a.cfg.Shards == 0 && sim.Windowable(a.cfg, a.observers...) == nil {
+		a.cfg.Shards = 1
+	}
 	e, err := sim.New(a.cfg)
 	if err != nil {
 		return nil, fmt.Errorf("exp: %w", err)

@@ -18,6 +18,8 @@ type System struct {
 	Starts   []clock.Real
 	Procs    []sim.Process
 	MaxStart clock.Real
+
+	wire *wire // the members' payloads, interned by SimConfig
 }
 
 // Build validates cfg and assembles the system. Initial corrections spread
@@ -47,6 +49,7 @@ func Build(cfg Config) (*System, error) {
 	starts := make([]clock.Real, n)
 	procs := make([]sim.Process, n)
 	maxStart := clock.Real(0)
+	w := &wire{}
 	for i := 0; i < n; i++ {
 		var spread clock.Real
 		if n > 1 {
@@ -54,14 +57,14 @@ func Build(cfg Config) (*System, error) {
 		}
 		corrs[i] = clock.Local(cfg.T0) - clocks[i].At(spread)
 		starts[i] = clocks[i].Inv(clock.Local(cfg.T0) - corrs[i])
-		procs[i] = NewMember(cfg, sim.ProcID(i), corrs[i])
+		procs[i] = newMember(cfg, sim.ProcID(i), corrs[i], w)
 		if starts[i] > maxStart {
 			maxStart = starts[i]
 		}
 	}
 	return &System{
 		Cfg: cfg, Clocks: clocks, Corrs: corrs, Starts: starts,
-		Procs: procs, MaxStart: maxStart,
+		Procs: procs, MaxStart: maxStart, wire: w,
 	}, nil
 }
 
@@ -73,7 +76,7 @@ func (s *System) ShiftCluster(j int, offset clock.Local) {
 	for id := lo; id < hi; id++ {
 		s.Corrs[id] += offset
 		s.Starts[id] = s.Clocks[id].Inv(clock.Local(s.Cfg.T0) - s.Corrs[id])
-		s.Procs[id] = NewMember(s.Cfg, id, s.Corrs[id])
+		s.Procs[id] = newMember(s.Cfg, id, s.Corrs[id], s.wire)
 		s.MaxStart = max(s.MaxStart, s.Starts[id])
 	}
 }
@@ -96,8 +99,10 @@ func (s *System) MinRound() int {
 // the hierarchy's per-round copy count (not the flat n²), and a step budget
 // with the same slack factor and floor the flat experiments use: the faulty
 // automata a run substitutes may send a flat mesh's traffic, which the
-// per-round count leaves out.
+// per-round count leaves out. It also interns the members' payloads for
+// that many rounds, so it is called before the run.
 func (s *System) SimConfig(rounds int, seed int64) sim.Config {
+	s.wire.intern(s.Cfg, rounds)
 	perRound := int(s.Cfg.MsgsPerRound())
 	return sim.Config{
 		Procs:     s.Procs,

@@ -1,6 +1,8 @@
 package hier
 
 import (
+	"math"
+
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -49,6 +51,53 @@ type hTimer struct {
 	gen  uint32
 }
 
+// wire holds a system's members' payloads boxed once, before the run, and
+// only read during it, so that a send or a timer boxes nothing: each tier's
+// round message by round index, under the mark it carries, and each tier's
+// timer by generation. A payload outside the tables — a late
+// representative's skipped-to mark, a generation past the last interned —
+// is boxed at the send as before; either way the value is the same.
+type wire struct {
+	marks  [2][]clock.Local
+	msgs   [2][]any
+	timers [2][]any
+}
+
+// intern fills w for a run of rounds inner rounds of cfg: the marks T⁰ + iP
+// of either tier, summed as core's schedule sums them, and the timers of a
+// few arms per round.
+func (w *wire) intern(cfg Config, rounds int) {
+	for t, t0 := range []float64{cfg.InnerParams(0).T0, cfg.OuterParams().T0} {
+		tier := TierInner + TierID(t)
+		w.marks[t], w.msgs[t] = make([]clock.Local, rounds+2), make([]any, rounds+2)
+		mark := clock.Local(t0)
+		for i := range w.marks[t] {
+			w.marks[t][i], w.msgs[t][i] = mark, TMsg{Tier: tier, Mark: mark}
+			mark += clock.Local(cfg.P)
+		}
+		w.timers[t] = make([]any, 4*rounds+16)
+		for g := range w.timers[t] {
+			w.timers[t][g] = hTimer{tier, uint32(g)}
+		}
+	}
+}
+
+// msg returns tier's round message for round i with mark.
+func (w *wire) msg(tier TierID, i int, mark clock.Local) any {
+	if ms := w.marks[tier-1]; i < len(ms) && math.Float64bits(float64(ms[i])) == math.Float64bits(float64(mark)) {
+		return w.msgs[tier-1][i]
+	}
+	return TMsg{Tier: tier, Mark: mark}
+}
+
+// timer returns tier's timer payload of generation gen.
+func (w *wire) timer(tier TierID, gen uint32) any {
+	if ts := w.timers[tier-1]; int(gen) < len(ts) {
+		return ts[gen]
+	}
+	return hTimer{tier, gen}
+}
+
 // Member is the two-tier automaton of package hier: every process runs one.
 // Each tier is a core.Round — the §4.2 instance core.Proc also runs — with
 // arrivals slotted by cluster rank inside and by cluster id outside. The
@@ -69,7 +118,8 @@ type Member struct {
 	id      sim.ProcID
 	cluster int
 	lo, hi  sim.ProcID
-	cands   int // candidate count in the own cluster
+	cands   int   // candidate count in the own cluster
+	wire    *wire // the system's interned payloads
 
 	corr     clock.Local
 	inner    core.Round
@@ -93,12 +143,20 @@ var (
 // NewMember builds the automaton for process id with the given initial
 // correction. The caller is responsible for cfg.Validate.
 func NewMember(cfg Config, id sim.ProcID, initialCorr clock.Local) *Member {
+	return newMember(cfg, id, initialCorr, &noWire)
+}
+
+// noWire interns nothing: a member outside a System boxes its payloads.
+var noWire wire
+
+// newMember is NewMember sending the payloads of w.
+func newMember(cfg Config, id sim.ProcID, initialCorr clock.Local, w *wire) *Member {
 	cfg = cfg.withDefaults()
 	cluster := cfg.ClusterOf(id)
 	lo, hi := cfg.ClusterBounds(cluster)
 	_, ch := cfg.candidateBounds(cluster)
 	return &Member{
-		cfg: cfg, id: id, cluster: cluster, lo: lo, hi: hi, cands: int(ch - lo),
+		cfg: cfg, id: id, cluster: cluster, lo: lo, hi: hi, cands: int(ch - lo), wire: w,
 		corr:  initialCorr,
 		inner: core.NewRound(cfg.InnerParams(cluster), core.Midpoint),
 	}
@@ -127,14 +185,14 @@ func (m *Member) local(ctx *sim.Context) clock.Local { return ctx.PhysNow() + m.
 func (m *Member) armInner(ctx *sim.Context, T clock.Local) {
 	m.innerGen++
 	m.innerAt = T
-	ctx.SetTimer(T-m.corr, hTimer{TierInner, m.innerGen})
+	ctx.SetTimer(T-m.corr, m.wire.timer(TierInner, m.innerGen))
 }
 
 // armOuter is armInner's outer-tier twin.
 func (m *Member) armOuter(ctx *sim.Context, T clock.Local) {
 	m.outerGen++
 	m.outerAt = T
-	ctx.SetTimer(T-m.corr, hTimer{TierOuter, m.outerGen})
+	ctx.SetTimer(T-m.corr, m.wire.timer(TierOuter, m.outerGen))
 }
 
 // bumpFromInner applies an inner-tier CORR jump and re-arms the outer
@@ -215,7 +273,7 @@ func (m *Member) receiveOrdinary(ctx *sim.Context, msg sim.Message) {
 // multicast of c copies over [lo, hi) instead of n broadcast copies.
 func (m *Member) innerBroadcast(ctx *sim.Context) {
 	ctx.Annotate(metrics.TagRoundBegin, float64(m.inner.Index()))
-	ctx.Multicast(m.lo, m.hi, TMsg{Tier: TierInner, Mark: m.inner.Mark()})
+	ctx.Multicast(m.lo, m.hi, m.wire.msg(TierInner, m.inner.Index(), m.inner.Mark()))
 	m.armInner(ctx, m.inner.Collect(0))
 }
 
@@ -294,7 +352,7 @@ func (m *Member) outerTimer(ctx *sim.Context) {
 // intra-cluster channel would stamp it with an inner-band delay and bias the
 // midpoint low.
 func (m *Member) outerBroadcast(ctx *sim.Context) {
-	var pl any = TMsg{Tier: TierOuter, Mark: m.outer.Mark()}
+	pl := m.wire.msg(TierOuter, m.outer.Index(), m.outer.Mark())
 	for j := 0; j < m.cfg.Clusters(); j++ {
 		if j == m.cluster {
 			m.outer.Record(j, float64(m.local(ctx))+m.cfg.OuterDelta)

@@ -1,11 +1,11 @@
 package sim
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime/debug"
 	"slices"
 
 	"repro/internal/clock"
@@ -30,12 +30,14 @@ import (
 // at its cut (clocktable.go). A window runs as: (1) find the globally
 // earliest pending event time m, over the timer heaps and the rows on the
 // board; (2) let every partition, concurrently on one runner.Map worker set
-// per window, deliver its events in [m, m+L) process by process
-// (Engine.drainWindow): it pops its due STARTs and TIMERs and groups them by
-// recipient, then, a tile of owned processes at a time, hands each one its
-// own and reads its due copies off the rows that may hold some (gather); each
-// process, in ascending id, sorts its due events by (at, key) and receives
-// them in that order, with any TIMER it sets for inside the window merged in;
+// per window (at k = 1 on the calling goroutine), deliver its events in
+// [m, m+L) process by process (Engine.drainWindow): it pops its due STARTs
+// and TIMERs and groups them by recipient, files the candidate rows by the
+// tiles they overlap (bucket), then, a tile of owned processes at a time,
+// hands each one its own and reads its due copies off the rows over the tile
+// (gather); each process, in ascending id, sorts its due events by (at, key)
+// and receives them in that order, with any TIMER it sets for inside the
+// window merged in;
 // (3) join, publish the rows the window sent and drop those whose copies are
 // all delivered (publish), cut, and repeat. The serial phase at the cut is
 // one pass over the board.
@@ -51,7 +53,8 @@ import (
 // copy over the partitions — the same error for every k — rather than
 // deliver a reordered execution. runner.Map's join is the only
 // synchronization: it returns once every partition has, and turns a
-// panicking Receive into that partition's error.
+// panicking Receive into that partition's error (drainAlone does the same
+// at k = 1).
 //
 // Determinism is independent of k (the oracle E19 and TestShardedDeterminism
 // pin) because no order state is shared: every engine, time-major or
@@ -62,14 +65,9 @@ import (
 // engine and a windowed one over any k run one execution on every delay
 // model (TestShardedMatchesSequential).
 //
-// Restrictions, validated at New (validateWindowed): the channel must be
-// stateless (FullMesh or LossyLinks; Ether's contention bookkeeping is
-// inherently sequential), no adversary (its omniscient PendingDeliveries view
-// and retime hooks observe a global order), no timeline (its actions mutate
-// global routing/delay state mid-window), and δ−ε must be positive — with
-// zero lookahead no window can make progress. Samplers and annotation sinks
-// are replayed at the cuts; per-delivery observers are not yet implemented
-// (see Engine.Observe).
+// What a windowed engine runs is stated once, by Windowable, and checked at
+// New (validateWindowed). Samplers and annotation sinks are replayed at the
+// cuts; per-delivery observers are not yet implemented (see Engine.Observe).
 
 // partition is what a windowed engine's partition holds beyond the
 // time-major engine, which keeps it nil. It is partition id of the engine,
@@ -81,9 +79,11 @@ import (
 // destination partition, until the cut publishes them on the board. Rows
 // come from rows, one free list per size class — class c holds rows of
 // min(2^c, n) times — refilled by the cut with the rows of this partition's
-// delivered fan-outs; carved counts the rows made, a bcastSlab at a time.
-// pendMin is the least time of a copy the last window's gather left pending,
-// and due holds a tile's due events, one buffer per process.
+// delivered fan-outs, each class made a slab at a time. pendMin is the least
+// time of a copy the last window's gather left pending, and due holds a
+// tile's due events, one buffer per process, carved stride entries apart
+// from one array; wide, tiled and tileOff are the window's candidate rows
+// filed by tile (bucket).
 type partition struct {
 	id, per, own int
 	early        earlyCopy
@@ -91,10 +91,20 @@ type partition struct {
 	board   *board
 	sent    []bcast
 	tally   []int
-	rows    [][][]float64
-	carved  int
+	rows    []rowClass
 	pendMin float64
 	due     [][]entry
+	stride  int
+	wide    []int32
+	tiled   []int32
+	tileOff []int32
+}
+
+// rowClass is one size class of a partition's rows: the free ones, and how
+// many were made.
+type rowClass struct {
+	free   [][]float64
+	carved int
 }
 
 // owner returns the partition that owns process q.
@@ -128,13 +138,18 @@ type board struct {
 }
 
 const (
-	// bcastSlab is how many rows of a size class a partition carves at a
-	// time.
-	bcastSlab = 64
+	// A partition carves the rows of a size class a slab at a time, as many
+	// rows as the class holds already, within [bcastSlabMin, bcastSlab]: a
+	// small run makes a few rows, a large one few slabs.
+	bcastSlabMin = 8
+	bcastSlab    = 64
 	// gatherTile is how many processes gather reads the rows for at once:
 	// a tile's slice of a row is a few cache lines, where one process at a
 	// time would touch each row's page once per process.
 	gatherTile = 16
+	// A candidate row over more than wideTiles tiles of a partition (a
+	// broadcast) is read by every tile; a narrower one by those it overlaps.
+	wideTiles = 3
 )
 
 // validateWindowed is validate's block for Shards ≠ 0.
@@ -145,10 +160,27 @@ func validateWindowed(cfg Config) error {
 		return fmt.Errorf("sim: %d shards", k)
 	case k > n:
 		return fmt.Errorf("sim: %d shards for %d processes", k, n)
+	}
+	return Windowable(cfg)
+}
+
+// Windowable is the one statement of what a windowed engine runs: it returns
+// why one cannot run cfg with observers registered, or nil when it can. The
+// window needs no adversary (its omniscient PendingDeliveries view and
+// retime hooks observe a global order), no timeline (its actions mutate
+// global routing and delay state mid-window), a stateless channel (FullMesh
+// or LossyLinks: Ether's contention bookkeeping is inherently sequential), a
+// positive lookahead δ−ε (with none no window can make progress), and no
+// per-delivery observer (Observe). New checks cfg with it when
+// Config.Shards ≥ 1; a caller may ask it first to run Shards = 0 as 1.
+func Windowable(cfg Config, observers ...Observer) error {
+	switch {
 	case cfg.Adversary != nil:
-		return errors.New("sim: sharded execution does not support an adversary (its omniscient view requires the sequential engine)")
+		return errWindowAdversary
 	case len(cfg.Timeline) > 0:
-		return errors.New("sim: sharded execution does not support a timeline (actions mutate global routing/delay state mid-window)")
+		return errWindowTimeline
+	case cfg.Delay == nil:
+		return errNilDelay
 	}
 	switch cfg.Channel.(type) {
 	case nil, FullMesh, LossyLinks:
@@ -157,6 +189,27 @@ func validateWindowed(cfg Config) error {
 	}
 	if d, eps := cfg.Delay.Bounds(); !(d-eps > 0) {
 		return fmt.Errorf("sim: sharded execution needs positive lookahead δ−ε, got δ=%v ε=%v", d, eps)
+	}
+	for _, o := range observers {
+		if err := windowObserver(o); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Windowable's fixed refusals, made once: the run path asks on every run.
+var (
+	errWindowAdversary = errors.New("sim: sharded execution does not support an adversary (its omniscient view requires the sequential engine)")
+	errWindowTimeline  = errors.New("sim: sharded execution does not support a timeline (actions mutate global routing/delay state mid-window)")
+	errNilDelay        = errors.New("sim: nil delay model")
+)
+
+// windowObserver refuses a per-delivery observer, which a windowed engine
+// does not yet call.
+func windowObserver(o Observer) error {
+	if _, ok := o.(DeliveryObserver); ok {
+		return fmt.Errorf("sim: per-delivery observer %T is not yet implemented on a windowed engine (Config.Shards ≥ 1); Sampler and AnnotationSink observers are", o)
 	}
 	return nil
 }
@@ -168,7 +221,7 @@ func validateWindowed(cfg Config) error {
 func newWindowed(cfg Config) (*Engine, error) {
 	n, k := len(cfg.Procs), cfg.Shards
 	per := (n + k - 1) / k
-	b := &board{H: math.Inf(-1), U: math.Inf(-1), rest: math.Inf(1)}
+	b := &board{H: math.Inf(-1), U: math.Inf(-1), rest: math.Inf(1), cands: make([]int32, 0, n+4)}
 	parts := make([]*Engine, k)
 	for s := range parts {
 		p, err := newBase(cfg)
@@ -177,22 +230,25 @@ func newWindowed(cfg Config) (*Engine, error) {
 		}
 		lo, hi := min(s*per, n), min((s+1)*per, n)
 		pt := &partition{id: s, per: per, own: hi - lo, board: b, tally: make([]int, k), pendMin: math.Inf(1)}
-		pt.rows = make([][][]float64, bits.Len(uint(n-1))+1)
-		// A tile's buffers hold a round's copies each, carved from one array.
-		tile := min(gatherTile, hi-lo)
-		buf := make([]entry, tile*(n+16))
-		pt.due = make([][]entry, tile)
-		for i := range pt.due {
-			pt.due[i] = buf[i*(n+16) : i*(n+16) : (i+1)*(n+16)]
-		}
+		pt.rows = make([]rowClass, bits.Len(uint(n-1))+1)
+		pt.due = make([][]entry, min(gatherTile, hi-lo))
+		pt.carveTile(min(n, 28) + 4)
 		p.part = pt
 		p.queue.initPartition(lo, hi-lo, n)
+		// A window's fan-outs and log: about one fan-out and a few entries
+		// per owned process.
+		pt.sent = make([]bcast, 0, hi-lo+4)
+		p.wlog = make([]logEntry, 0, 2*(hi-lo)+4)
+		ids := make([]int32, (hi-lo+4)+(n+4)+(hi-lo+4)+(hi-lo)/gatherTile+2)
+		p.runs, pt.wide = share(&ids, hi-lo+4), share(&ids, n+4)
+		pt.tiled, pt.tileOff = share(&ids, hi-lo+4), share(&ids, (hi-lo)/gatherTile+2)
 		p.start(cfg.StartAt)
 		parts[s] = p
 	}
 	d, eps := cfg.Delay.Bounds()
 	e := parts[0]
 	e.parts, e.lookahead = parts, d-eps
+	e.runHeap = make([]logRun, 0, n+4)
 	return e, nil
 }
 
@@ -246,14 +302,14 @@ func (e *Engine) window(until clock.Real) (more bool, err error) {
 	hi := m + clock.Real(e.lookahead)
 	cut, from := min(hi, until), e.now
 	e.part.board.candidates(float64(hi))
-	if _, err := runner.Map(len(e.parts), len(e.parts), func(i int) (struct{}, error) {
-		p := e.parts[i]
-		err := p.drainWindow(hi, until)
-		if err == nil && p.now < cut {
-			p.now = cut
-		}
-		return struct{}{}, err
-	}); err != nil {
+	if len(e.parts) == 1 {
+		err = e.drainAlone(hi, until, cut)
+	} else {
+		_, err = runner.Map(len(e.parts), len(e.parts), func(i int) (struct{}, error) {
+			return struct{}{}, e.parts[i].drainCut(hi, until, cut)
+		})
+	}
+	if err != nil {
 		var p *runner.PanicError
 		if errors.As(err, &p) { // process code panicked: job i is partition i
 			return false, fmt.Errorf("sim: shard %d panicked: %v\n%s", p.Job, p.Value, p.Stack)
@@ -283,6 +339,27 @@ func (e *Engine) window(until clock.Real) (more bool, err error) {
 	return true, e.replay(from, cut)
 }
 
+// drainCut is a partition's share of the window [m, hi) cut at cut.
+func (e *Engine) drainCut(hi, until, cut clock.Real) error {
+	err := e.drainWindow(hi, until)
+	if err == nil && e.now < cut {
+		e.now = cut
+	}
+	return err
+}
+
+// drainAlone is drainCut for the one partition of k = 1, on the calling
+// goroutine: no worker set and no job closure per window, and a panicking
+// Receive is the error runner.Map would have made of it.
+func (e *Engine) drainAlone(hi, until, cut clock.Real) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &runner.PanicError{Job: 0, Value: v, Stack: debug.Stack()}
+		}
+	}()
+	return e.drainCut(hi, until, cut)
+}
+
 // logEntry is one entry of a partition's window log, made by the delivery
 // with queue key key, at real time at, by process proc: an annotation (tag,
 // value) with proc's correction at emission in corr, a move of proc's
@@ -298,32 +375,56 @@ type logEntry struct {
 	annot, change bool
 }
 
+// logRun is one process's stretch of a partition's window log, wlog[pos:end]
+// of partition part, in (at, key) order: (at, key) is its next entry's.
+type logRun struct {
+	at       clock.Real
+	key      uint64
+	pos, end int32
+	part     int32
+}
+
+func runLess(a, b *logRun) bool { return a.at < b.at || a.at == b.at && a.key < b.key }
+
 // replay is the sampling rule at the cut of the window [from, cut): it steps
 // partition 0's rows through the partitions' logs merged in (at, key) order —
-// each is in its partition's pop order, and one delivery's entries come from
-// one partition — with Now at each entry's instant. It samples at every edge
-// and around every change, and hands each annotation to the sinks with the
-// emitter's row as at emission. At the cut every row must hold its process's
-// correction; otherwise a correction moved outside its own Receive and no
-// later delivery of its process picked the move up.
+// each log is a run per process that acted, in its delivery order, and one
+// delivery's entries are one run's — with Now at each entry's instant. The
+// runs merge on a min-heap of their heads, so no entry moves. It samples at
+// every edge and around every change, and hands each annotation to the sinks
+// with the emitter's row as at emission. At the cut every row must hold its
+// process's correction; otherwise a correction moved outside its own Receive
+// and no later delivery of its process picked the move up.
 func (e *Engine) replay(from, cut clock.Real) error {
 	tb := &e.tbl
 	e.now = from
-	for {
-		var src *Engine
-		var en *logEntry
-		for _, p := range e.parts {
-			if p.logPos == len(p.wlog) {
-				continue
+	h := e.runHeap[:0]
+	for i, p := range e.parts {
+		for r, pos := range p.runs {
+			end := int32(len(p.wlog))
+			if r+1 < len(p.runs) {
+				end = p.runs[r+1]
 			}
-			if a := &p.wlog[p.logPos]; src == nil || a.at < en.at || a.at == en.at && a.key < en.key {
-				src, en = p, a
+			if pos < end {
+				en := &p.wlog[pos]
+				h = append(h, logRun{at: en.at, key: en.key, pos: pos, end: end, part: int32(i)})
 			}
 		}
-		if src == nil {
-			break
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftRun(h, i)
+	}
+	for len(h) > 0 {
+		r := &h[0]
+		en := &e.parts[r.part].wlog[r.pos]
+		if r.pos++; r.pos < r.end {
+			next := &e.parts[r.part].wlog[r.pos]
+			r.at, r.key = next.at, next.key
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
 		}
-		src.logPos++
+		siftRun(h, 0)
 		e.advance(en.at)
 		p := ProcID(en.proc)
 		j := tb.rowOf[p]
@@ -342,9 +443,10 @@ func (e *Engine) replay(from, cut clock.Real) error {
 			e.setRow(j, was)
 		}
 	}
+	e.runHeap = h
 	for _, p := range e.parts {
 		clear(p.wlog)
-		p.wlog, p.logPos = p.wlog[:0], 0
+		p.wlog, p.runs = p.wlog[:0], p.runs[:0]
 	}
 	e.advance(cut)
 	for i, p := range tb.ids {
@@ -354,6 +456,24 @@ func (e *Engine) replay(from, cut clock.Real) error {
 		}
 	}
 	return nil
+}
+
+// siftRun restores the min-heap order of h below i.
+func siftRun(h []logRun, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && runLess(&h[c+1], &h[c]) {
+			c++
+		}
+		if !runLess(&h[c], &h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // publish is the rows' share of the cut of the window [m, hi) that delivered
@@ -416,25 +536,35 @@ func (b *board) load(en *entry, out *Message) {
 // row returns a fan-out's row, m long, of an n-process system: a free one of
 // its size class, or the first of a new slab of that class.
 func (pt *partition) row(m, n int) []float64 {
-	c := bits.Len(uint(m - 1))
-	free := &pt.rows[c]
-	if len(*free) == 0 {
-		size := min(1<<c, n)
-		slab := make([]float64, bcastSlab*size)
-		for i := bcastSlab - 1; i >= 0; i-- {
-			*free = append(*free, slab[i*size:(i+1)*size:(i+1)*size])
+	rc := &pt.rows[bits.Len(uint(m-1))]
+	if len(rc.free) == 0 {
+		size, rows := min(1<<bits.Len(uint(m-1)), n), min(bcastSlab, max(bcastSlabMin, rc.carved))
+		slab := make([]float64, rows*size)
+		rc.free = slices.Grow(rc.free, rows)
+		for i := rows - 1; i >= 0; i-- {
+			rc.free = append(rc.free, slab[i*size:(i+1)*size:(i+1)*size])
 		}
-		pt.carved += bcastSlab
+		rc.carved += rows
 	}
-	r := (*free)[len(*free)-1]
-	*free = (*free)[:len(*free)-1]
+	r := rc.free[len(rc.free)-1]
+	rc.free = rc.free[:len(rc.free)-1]
 	return r[:m]
 }
 
 // recycle puts a row back on the free list of its size class.
 func (pt *partition) recycle(r []float64) {
-	c := bits.Len(uint(len(r) - 1))
-	pt.rows[c] = append(pt.rows[c], r)
+	rc := &pt.rows[bits.Len(uint(len(r)-1))]
+	rc.free = append(rc.free, r)
+}
+
+// carveTile gives the tile's buffers, empty between gathers, stride
+// entries each from one array.
+func (pt *partition) carveTile(stride int) {
+	buf := make([]entry, len(pt.due)*stride)
+	for i := range pt.due {
+		pt.due[i] = buf[i*stride : i*stride : (i+1)*stride]
+	}
+	pt.stride = stride
 }
 
 // post keeps a fan-out over [lo, lo+len(row)) whose copies' delivery times
@@ -496,7 +626,8 @@ func (e *Engine) drainWindow(hi, until clock.Real) error {
 	for top := q.timers.peek(); top != nil && q.due(top.at); top = q.timers.peek() {
 		q.held = append(q.held, q.timers.pop())
 	}
-	slices.SortStableFunc(q.held, func(a, b entry) int { return cmp.Compare(a.to, b.to) })
+	q.groupHeld()
+	e.part.bucket(int(q.base))
 	var m Message
 	for lo := 0; lo < e.part.own; lo += gatherTile {
 		due := e.gather(lo, min(lo+gatherTile, e.part.own))
@@ -506,6 +637,9 @@ func (e *Engine) drainWindow(hi, until clock.Real) error {
 			}
 			q.sortDue(sp)
 			due[i] = sp[:0]
+			if r := int32(len(e.wlog)); e.mirror != nil && (len(e.runs) == 0 || e.runs[len(e.runs)-1] != r) {
+				e.runs = append(e.runs, r) // the last run, if empty, is this one's
+			}
 			for q.wpos < len(q.win) || q.heap.len() > 0 {
 				if e.steps >= e.maxSteps {
 					return fmt.Errorf("sim: step limit %d exceeded at t=%v", e.maxSteps, e.now)
@@ -514,45 +648,60 @@ func (e *Engine) drainWindow(hi, until clock.Real) error {
 			}
 		}
 	}
-	slices.SortStableFunc(e.wlog, func(a, b logEntry) int {
-		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.key, b.key))
-	})
 	return nil
 }
 
 // gather collects the due events of owned processes base+lo … base+end−1,
 // one buffer each: first each one's due STARTs and TIMERs, then, row by row,
-// what is due of the part of each candidate row the tile covers — a copy not
-// delivered by an earlier window, keyed seq | q under the row's board index
-// (ref = ^index). A copy it leaves pending feeds the partition's pendMin.
+// what is due of the part of each candidate row over the tile (bucket) — a
+// copy not delivered by an earlier window, keyed seq | q under the row's
+// board index (ref = ^index). A copy it leaves pending feeds the partition's
+// pendMin. A process takes at most one copy a row, so the buffers are first
+// given room for a copy of each row over the tile and for the most due
+// STARTs and TIMERs one process of the tile has: sized by the traffic, not
+// by n.
 func (e *Engine) gather(lo, end int) [][]entry {
 	q, pt := &e.queue, e.part
 	due := pt.due[:end-lo]
 	first := int(q.base) + lo
 	last := first + len(due)
-	for ; q.hpos < len(q.held) && int(q.held[q.hpos].to) < last; q.hpos++ {
+	tile := lo / gatherTile
+	narrow := pt.tiled[pt.tileOff[tile]:pt.tileOff[tile+1]]
+	held, most := q.hpos, 0 // the tile's due STARTs and TIMERs; most a process's
+	for run := 0; held < len(q.held) && int(q.held[held].to) < last; held++ {
+		if run++; held == q.hpos || q.held[held].to != q.held[held-1].to {
+			run = 1
+		}
+		most = max(most, run)
+	}
+	if need := len(pt.wide) + len(narrow) + most; need > pt.stride {
+		pt.carveTile(max(need, min(2*pt.stride, len(e.procs)+4)))
+	}
+	for ; q.hpos < held; q.hpos++ {
 		en := q.held[q.hpos]
 		due[int(en.to)-first] = append(due[int(en.to)-first], en)
 	}
 	b := pt.board
 	hi, until, dH, dU := q.dueHi, q.dueUntil, b.H, b.U
 	pmin, got := pt.pendMin, 0
-	for _, c := range b.cands {
-		h := &b.live[c]
-		a, z := max(first, h.lo), min(last, h.lo+len(h.at))
-		if a >= z {
-			continue
-		}
-		seq, ref, d := h.seq|uint64(a), ^c, due[a-first:]
-		for j, t := range h.at[a-h.lo : z-h.lo] {
-			switch {
-			case t < hi && t <= until:
-				if !(t < dH && t <= dU) {
-					d[j] = append(d[j], entry{at: t, key: seq + uint64(j), ref: ref, to: int32(a + j)})
-					got++
+	for _, rows := range [2][]int32{pt.wide, narrow} {
+		for _, c := range rows {
+			h := &b.live[c]
+			a, z := max(first, h.lo), min(last, h.lo+len(h.at))
+			if a >= z {
+				continue
+			}
+			seq, ref, d := h.seq|uint64(a), ^c, due[a-first:]
+			for j, t := range h.at[a-h.lo : z-h.lo] {
+				switch {
+				case t < hi && t <= until:
+					if !(t < dH && t <= dU) {
+						d[j] = append(d[j], entry{at: t, key: seq + uint64(j), ref: ref, to: int32(a + j)})
+						got++
+					}
+				case t < pmin:
+					pmin = t
 				}
-			case t < pmin:
-				pmin = t
 			}
 		}
 	}
@@ -561,20 +710,110 @@ func (e *Engine) gather(lo, end int) [][]entry {
 	return due
 }
 
+// bucket files the window's candidate rows by the tiles of the partition,
+// base on, that they overlap: a row over at most wideTiles tiles on each of
+// their lists — tile t's is tiled[tileOff[t]:tileOff[t+1]] — and a wider one
+// on wide, which every tile reads. A tile then reads the rows over it, not
+// every candidate: two-tier rows are a cluster wide.
+func (pt *partition) bucket(base int) {
+	b := pt.board
+	nt := (pt.own + gatherTile - 1) / gatherTile
+	if nt <= wideTiles { // a few tiles: every row is wide
+		pt.wide, pt.tileOff = b.cands, pt.tileOff[:nt+1]
+		return
+	}
+	off := slices.Grow(pt.tileOff[:0], nt+2)[:nt+2]
+	clear(off)
+	wide, end := pt.wide[:0], base+pt.own
+	for _, c := range b.cands {
+		h := &b.live[c]
+		a, z := max(base, h.lo), min(end, h.lo+len(h.at))
+		if a >= z {
+			continue
+		}
+		t0, t1 := (a-base)/gatherTile, (z-1-base)/gatherTile
+		if t1-t0 >= wideTiles {
+			wide = append(wide, c)
+			continue
+		}
+		for t := t0; t <= t1; t++ {
+			off[t+2]++
+		}
+	}
+	for t := 2; t < len(off); t++ {
+		off[t] += off[t-1]
+	}
+	tiled := slices.Grow(pt.tiled[:0], int(off[nt+1]))[:off[nt+1]]
+	for _, c := range b.cands {
+		h := &b.live[c]
+		a, z := max(base, h.lo), min(end, h.lo+len(h.at))
+		if a >= z {
+			continue
+		}
+		if t0, t1 := (a-base)/gatherTile, (z-1-base)/gatherTile; t1-t0 < wideTiles {
+			for t := t0 + 1; t <= t1+1; t++ {
+				tiled[off[t]] = c
+				off[t]++
+			}
+		}
+	}
+	pt.wide, pt.tiled, pt.tileOff = wide, tiled, off
+}
+
+// groupHeld orders the due STARTs and TIMERs by recipient, keeping each
+// recipient's in the (at, key) order they came off the timer heap: one
+// counting pass over the recipients they name, into the window array, which
+// then trades places with held.
+func (s *sched) groupHeld() {
+	h := s.held
+	if len(h) < 2 {
+		return
+	}
+	lo, hi := h[0].to, h[0].to
+	for _, en := range h[1:] {
+		lo, hi = min(lo, en.to), max(hi, en.to)
+	}
+	off := slices.Grow(s.off[:0], int(hi-lo)+1)[:hi-lo+1]
+	clear(off)
+	for _, en := range h {
+		off[en.to-lo]++
+	}
+	sum := int32(0)
+	for i, c := range off {
+		off[i] = sum
+		sum += c
+	}
+	out := slices.Grow(s.win[:0], len(h))[:len(h)]
+	for _, en := range h {
+		out[off[en.to-lo]] = en
+		off[en.to-lo]++
+	}
+	s.off, s.held, s.win = off, out, h[:0]
+}
+
 // initPartition makes s the queue of a partition owning the processes
-// [base, base+owned) of an n-process system: room for one process's due
-// events in a window — a round's n copies — and for their sort's group
-// counts, for a few in-window timers, for the owned processes' STARTs and
-// TIMERs, and for the headers of the STARTs and TIMERs in flight.
+// [base, base+owned) of an n-process system. Its stores start in one array
+// each, sized to a round's traffic: room for one process's due events in a
+// window — a round's n copies — and for their sort's group counts, for a few
+// in-window timers, for the owned processes' STARTs and TIMERs pending and
+// due, and for the headers of those in flight. A store outgrowing its share
+// grows on its own.
 func (s *sched) initPartition(base, owned, n int) {
 	s.mode, s.base = schedPartition, int32(base)
 	s.dueHi = math.Inf(-1)
-	s.win = make([]entry, 0, n+16)
-	s.off = make([]int32, 0, 2*(n+16)+1)
-	s.heap.items = make([]entry, 0, 16)
-	s.timers.items = make([]entry, 0, 2*owned+16)
-	s.held = make([]entry, 0, owned+16)
-	s.grow(0, 4*n+16)
+	ents := make([]entry, (n+4)+4+(2*owned+4)+(owned+4))
+	s.win, s.heap.items = share(&ents, n+4), share(&ents, 4)
+	s.timers.items, s.held = share(&ents, 2*owned+4), share(&ents, owned+4)
+	ids := make([]int32, 2*(n+4)+1+2*owned+4)
+	s.off, s.hdrFree = share(&ids, 2*(n+4)+1), share(&ids, 2*owned+4)
+	s.hdrs = make([]msgHdr, 0, 2*owned+4)
+}
+
+// share cuts the next c elements off *buf, as an empty slice of capacity c.
+func share[T any](buf *[]T, c int) []T {
+	b := (*buf)[:0:c]
+	*buf = (*buf)[c:]
+	return b
 }
 
 // hold files a partition's START or TIMER, a NaN delivery time as +Inf. A
@@ -597,13 +836,19 @@ func (s *sched) hold(en entry) {
 func (s *sched) due(t float64) bool { return t < s.dueHi && t <= s.dueUntil }
 
 // sortDue sorts one process's due events sp, at least one, into the window
-// by entryLess: a counting sort on their times into about two groups per
-// entry, then one insertion pass, which moves only entries that share a
-// group. The groups are laid over the ordinary copies' times [lo, hi] (group
-// is monotone in the time and clamps what lies outside): a process's own
-// timer for later in the round would otherwise stretch them and crowd the
-// copies into a few.
+// by entryLess: a few by insertion, more by a counting sort on their times
+// into about two groups per entry, then one insertion pass, which moves only
+// entries that share a group. The groups are laid over the ordinary copies'
+// times [lo, hi] (group is monotone in the time and clamps what lies
+// outside): a process's own timer for later in the round would otherwise
+// stretch them and crowd the copies into a few.
 func (s *sched) sortDue(sp []entry) {
+	if len(sp) <= 16 {
+		s.win = append(s.win[:0], sp...)
+		sortEntries(s.win)
+		s.wpos, s.wend = 0, len(sp)
+		return
+	}
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for i := range sp {
 		if sp[i].key&entryTimerBit == 0 {

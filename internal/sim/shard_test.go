@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -244,44 +245,49 @@ func (p *slowpoke) Receive(ctx *Context, m Message) {
 // promptly, and only after every shard has joined. The bomb goes off at its
 // START while its 12 siblings on the other shards each sleep through theirs in
 // the same window, so a window loop that returned on the first failure without
-// joining the rest would come back with a Receive still running.
+// joining the rest would come back with a Receive still running. At k = 1 the
+// one partition drains on Run's own goroutine, and the error names shard 0.
 func TestShardedPanicNamesShard(t *testing.T) {
-	const n, k, victim = 16, 4, 8 // shard 2 owns 8…11
-	cfg := shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
-	var running atomic.Int32
-	for i := range cfg.Procs {
-		cfg.Procs[i] = &slowpoke{shardBeacon: shardBeacon{period: 1e-3}, running: &running}
-	}
-	cfg.Procs[victim] = &bomb{}
-	cfg.Shards = k
-	se, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := runtime.NumGoroutine()
-	done := make(chan error, 1)
-	go func() { done <- se.Run(0.01) }()
-	select {
-	case err = <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("Run did not return after a shard panicked")
-	}
-	if r := running.Load(); r != 0 {
-		t.Fatalf("Run returned with %d Receive calls still running: the window did not join every shard", r)
-	}
-	if err == nil {
-		t.Fatal("Run = nil after a process panicked")
-	}
-	for _, want := range []string{"sim: shard 2 panicked: boom", "(*bomb).Receive"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error does not contain %q:\n%v", want, err)
-		}
-	}
-	for i := 0; runtime.NumGoroutine() > before; i++ {
-		if i == 100 {
-			t.Fatalf("%d goroutines before Run, %d still alive a second after it returned", before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
+	const n, victim = 16, 8
+	for _, tc := range []struct{ k, shard int }{{4, 2}, {1, 0}} { // shard 2 of 4 owns 8…11
+		t.Run(fmt.Sprintf("k=%d", tc.k), func(t *testing.T) {
+			cfg := shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
+			var running atomic.Int32
+			for i := range cfg.Procs {
+				cfg.Procs[i] = &slowpoke{shardBeacon: shardBeacon{period: 1e-3}, running: &running}
+			}
+			cfg.Procs[victim] = &bomb{}
+			cfg.Shards = tc.k
+			se, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := runtime.NumGoroutine()
+			done := make(chan error, 1)
+			go func() { done <- se.Run(0.01) }()
+			select {
+			case err = <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("Run did not return after a shard panicked")
+			}
+			if r := running.Load(); r != 0 {
+				t.Fatalf("Run returned with %d Receive calls still running: the window did not join every shard", r)
+			}
+			if err == nil {
+				t.Fatal("Run = nil after a process panicked")
+			}
+			for _, want := range []string{fmt.Sprintf("sim: shard %d panicked: boom", tc.shard), "(*bomb).Receive"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("error does not contain %q:\n%v", want, err)
+				}
+			}
+			for i := 0; runtime.NumGoroutine() > before; i++ {
+				if i == 100 {
+					t.Fatalf("%d goroutines before Run, %d still alive a second after it returned", before, runtime.NumGoroutine())
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
 	}
 }
 
@@ -944,11 +950,12 @@ func TestShardedRunSamplesHorizon(t *testing.T) {
 	}
 }
 
-// TestLazySlabSizing pins who sizes the header store: not the hint. Every
-// fan-out — a broadcast, a multicast, a Send — is one header, so the store
-// starts at 4n+16, sequential or per shard, for a defaulted hint, one that
-// counts all-to-all rounds and one below a round's copies (the two-tier
-// hierarchy's).
+// TestLazySlabSizing pins who sizes the header store: not the hint. On the
+// time-major engine every fan-out — a broadcast, a multicast, a Send — is one
+// header, so the store starts at 4n+16; a partition keeps its fan-outs as
+// rows and heads only its processes' STARTs and TIMERs, so its store starts
+// at 2·own+4. Both hold for a defaulted hint, one that counts all-to-all
+// rounds and one below a round's copies (the two-tier hierarchy's).
 func TestLazySlabSizing(t *testing.T) {
 	const n, k = 64, 4
 	hdrs := func(e *Engine) int { return cap(e.queue.hdrs) }
@@ -968,8 +975,8 @@ func TestLazySlabSizing(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < k; i++ {
-			if got := hdrs(se.Shard(i)); got != 4*n+16 {
-				t.Errorf("hint %d: shard %d header store holds %d, want %d", hint, i, got, 4*n+16)
+			if got := hdrs(se.Shard(i)); got != 2*n/k+4 {
+				t.Errorf("hint %d: shard %d header store holds %d, want %d", hint, i, got, 2*n/k+4)
 			}
 		}
 	}
@@ -1076,7 +1083,9 @@ func TestShardedBroadcastMemory(t *testing.T) {
 	const n, k = 512, 2
 	carved := func(e *Engine) (rows int) {
 		for _, p := range e.parts {
-			rows += p.part.carved
+			for _, c := range p.part.rows {
+				rows += c.carved
+			}
 		}
 		return rows
 	}

@@ -42,7 +42,9 @@
 // Config.Shards = 0 drains the buffer time-major; Shards = k ≥ 1 partitions
 // the processes into k blocks drained in parallel lookahead windows, each
 // window process by process (shard.go). The two run one execution and sample
-// it at the same instants.
+// it at the same instants. The window is the faster at k = 1 too, so the run
+// path takes it for every configuration Windowable accepts; time-major
+// serves what needs the per-delivery order.
 package sim
 
 import (
@@ -223,7 +225,9 @@ type Config struct {
 	EventHint int
 	// Shards selects how Run drains the buffer: 0 time-major; k ≥ 1 in
 	// lookahead windows over k partitions (shard.go). k = 1 is still
-	// windowed. Both run one execution and sample it at the same instants.
+	// windowed, on Run's own goroutine. Both run one execution and sample it
+	// at the same instants; Windowable says whether a configuration may take
+	// k ≥ 1, and internal/exp runs its Shards = 0 as 1 when it may.
 	Shards int
 }
 
@@ -293,11 +297,13 @@ type Engine struct {
 	// A partition's window log (shard.go): while a Run observes it, mirror
 	// holds every process's correction as its deliveries left it (one slice
 	// shared by the partitions, each writing only its own processes'), and
-	// wlog collects the partition's correction changes and annotations, up
-	// to logPos replayed.
-	mirror []clock.Local
-	wlog   []logEntry
-	logPos int
+	// wlog collects the partition's correction changes and annotations, a
+	// run per process that acted, starting at runs; runHeap is partition 0's
+	// merge of the runs at the cut.
+	mirror  []clock.Local
+	wlog    []logEntry
+	runs    []int32
+	runHeap []logRun
 
 	// The clock table and the configuration version its one pass per
 	// configuration is keyed by (clocktable.go). ver advances when real time
@@ -401,6 +407,7 @@ func newEngine(cfg Config, mode schedMode) (*Engine, error) {
 		hint = DefaultEventHint(BroadcastAuto, n)
 	}
 	d, eps := cfg.Delay.Bounds()
+	e.copies = make([]entry, 0, n)
 	e.queue.init(mode, hint, d, eps)
 	e.queue.grow(hint, 4*n+16)
 	e.start(cfg.StartAt)
@@ -434,7 +441,7 @@ func validate(cfg Config) error {
 		}
 	}
 	if cfg.Delay == nil {
-		return errors.New("sim: nil delay model")
+		return errNilDelay
 	}
 	if d, eps := cfg.Delay.Bounds(); d < eps || eps < 0 {
 		return fmt.Errorf("sim: delay bounds δ=%v ε=%v violate assumption A3 (0 ≤ ε ≤ δ)", d, eps)
@@ -473,7 +480,6 @@ func newBase(cfg Config) (*Engine, error) {
 	e.SetChannel(cfg.Channel)
 	e.SetAdversary(cfg.Adversary)
 	e.delays = make([]float64, n)
-	e.copies = make([]entry, 0, n)
 	e.corr = make([]CorrHolder, n)
 	for i, p := range cfg.Procs {
 		if h, ok := p.(CorrHolder); ok {
@@ -522,8 +528,10 @@ func (e *Engine) Observe(o Observer) error {
 	switch {
 	case !isSampler && !isSink && !isDelivery:
 		return fmt.Errorf("sim: Observe(%T): type implements none of Sampler, AnnotationSink, DeliveryObserver", o)
-	case isDelivery && e.parts != nil:
-		return fmt.Errorf("sim: per-delivery observer %T is not yet implemented on a windowed engine (Config.Shards ≥ 1); Sampler and AnnotationSink observers are", o)
+	case e.parts != nil:
+		if err := windowObserver(o); err != nil {
+			return err
+		}
 	}
 	if isSampler {
 		e.samplers = append(e.samplers, s)

@@ -329,8 +329,11 @@ func WithSeed(seed int64) Option { return func(o *options) { o.seed = seed } }
 // byte-identical for every k, so the knob trades nothing but hardware.
 // What the sharded engine does not run — WithTrace's per-delivery log (not
 // yet implemented there), an adaptive WithAdversary strategy — is rejected
-// by New from the option table, naming both options; k ≤ 1 means the
-// sequential engine. Composes with both topologies.
+// by New from the option table, naming both options. k ≤ 1, like leaving
+// the option out, runs one window partition on the calling goroutine when
+// the run composes with the window (sim.Windowable), and the time-major
+// engine when it does not: with WithTrace or an adaptive WithAdversary.
+// Composes with both topologies.
 func WithShards(k int) Option { return func(o *options) { o.shards = k } }
 
 // WithInitialSpread spreads the initial logical clocks over the given real
