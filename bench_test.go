@@ -159,16 +159,15 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	b.Run("adversary", bench.EngineAdversary)
 }
 
-// BenchmarkLargeN measures the round-structured broadcast regime the
-// calendar queue and the shared broadcast header target: 10 maintenance
-// rounds of an n-process full mesh (≈ n² messages per round inside one delay
-// window) with no observers, so queue and automaton work dominate
-// (peak-queue-events is ≈ n² pending copies; B/op shows what a copy costs).
-// The heap against the calendar is sim's BenchmarkSchedCrossover. The sharded
-// sub-benchmarks run the same workload across k worker shards
-// (time-window synchronization at lookahead δ−ε), and the -hier one swaps
-// the flat mesh for the two-tier hierarchy (clusters of 32, internal/hier):
-// same rounds, ≈ 3% of the per-round traffic (msgs-per-round records it).
+// BenchmarkLargeN measures the round-structured broadcast regime: 10
+// maintenance rounds of an n-process full mesh (≈ n² messages per round
+// inside one delay window) with no observers, so engine and automaton work
+// dominate (peak-queue-events is ≈ n² pending copies; B/op shows what a copy
+// costs), on the engine a plain run takes: one window partition. The sharded
+// sub-benchmark runs the same workload across k worker shards (time-window
+// synchronization at lookahead δ−ε), and the -hier one swaps the flat mesh
+// for the two-tier hierarchy (clusters of 32, internal/hier): same rounds,
+// ≈ 3% of the per-round traffic (msgs-per-round records it).
 func BenchmarkLargeN(b *testing.B) {
 	b.Run("n=31", bench.LargeN(31))
 	b.Run("n=101", bench.LargeN(101))

@@ -77,9 +77,8 @@ func main() {
 		// The send path's adversary retiming under load: a regression here
 		// means a change slowed the retime/hook path.
 		{"EngineThroughput/adversary", bench.EngineAdversary},
-		// The large-n broadcast regime on the calendar scheduler. (The heap
-		// against the calendar at populations either side of the switch is
-		// sim's BenchmarkSchedCrossover.)
+		// The large-n broadcast regime on the engine a plain run takes: one
+		// window partition (what internal/exp runs Shards = 0 as).
 		{"LargeN/n=31", bench.LargeN(31)},
 		{"LargeN/n=101", bench.LargeN(101)},
 		// The "n in the thousands" tier the sharded work exists for; the
@@ -93,7 +92,7 @@ func main() {
 	}
 
 	rep := report{
-		Note: "events/sec is simulator event throughput; in steady, one op = one delivered event and allocs_per_op must stay ~0 (no-observer steady state); LargeN is 10 maintenance rounds of an n-process broadcast mesh; peak_queue_events is the queue population high-water mark (every pending copy, ≈ n², 24 B each plus a header shared by the fan-out); -sharded-k runs the mesh across k time-window shards, one worker set per window, every fan-out one row of delivery times recycled at the cut — its allocs_per_op must stay within 4× the sequential entry's (TestShardedSteadyAllocs); -hier runs the same rounds on the two-tier hierarchy (clusters of 32) and must stay at ≤ 1/3 the flat n=1009 wall-clock per op; msgs_per_round is the deterministic per-round traffic (≈ n² flat, ≈ n·c + (n/c)² two-tier), gated raw like the sharded allocs; entries too slow to iterate under the 1s benchtime are rerun at 3 forced iterations and report the median run; measured events/sec depends on the host's core count (a single-core machine cannot show the parallel speedup)",
+		Note: "events/sec is simulator event throughput; in steady, one op = one delivered event and allocs_per_op must stay ~0 (no-observer steady state); LargeN is 10 maintenance rounds of an n-process broadcast mesh; LargeN and -hier run on one window partition, the engine a plain run takes; peak_queue_events is the largest partition's high-water mark of pending events (every pending copy, ≈ n²/k; a copy is 8 B of its fan-out's row of delivery times); -sharded-k runs the mesh across k time-window shards, one worker set per window, every fan-out one row of delivery times recycled at the cut — its allocs_per_op must stay within 4× the one-partition entry's (TestShardedSteadyAllocs); -hier runs the same rounds on the two-tier hierarchy (clusters of 32) and must stay at ≤ 1/3 the flat n=1009 wall-clock per op; msgs_per_round is the deterministic per-round traffic (≈ n² flat, ≈ n·c + (n/c)² two-tier), gated raw like the sharded allocs; entries too slow to iterate under the 1s benchtime are rerun at 3 forced iterations and report the median run; measured events/sec depends on the host's core count (a single-core machine cannot show the parallel speedup)",
 	}
 	for _, bm := range benchmarks {
 		rep.Benchmarks = append(rep.Benchmarks, measure(bm.name, bm.fn, *count))

@@ -217,9 +217,9 @@ type largeNSystem struct {
 
 // largeNFlat assembles the large-n benchmark system: n maintenance automata
 // (f = (n−1)/3 capacity, no actual faults) on drifting clocks with uniform
-// delays and no observers — the round-structured n²-broadcast regime the
-// calendar queue and the shared broadcast header exist for, with nothing but engine
-// and automaton work on the clock.
+// delays and no observers — the round-structured n²-broadcast regime, with
+// nothing but engine and automaton work on the clock — drained over shards
+// window partitions.
 func largeNFlat(n, shards int) (largeNSystem, error) {
 	cfg := core.Config{Params: analysis.Default(n, (n-1)/3)}
 	if err := cfg.Validate(); err != nil {
@@ -258,9 +258,9 @@ func largeNFlat(n, shards int) (largeNSystem, error) {
 // largeN is the one LargeN benchmark loop: per op, build the system and its
 // engine, simulate largeNRounds maintenance rounds. events/sec is the
 // headline metric (a flat round delivers ≈ n² messages inside one delay
-// window) and peak-queue-events the population one: the queue's high-water
-// mark — for a sharded run the largest per-shard one — ≈ n² pending copies
-// (B/op carries what a copy costs: a 24-byte entry).
+// window) and peak-queue-events the population one: the largest partition's
+// high-water mark of pending events, ≈ n²/k copies over k partitions (B/op
+// carries what a copy costs: 8 bytes of its fan-out's row).
 func largeN(build func() (largeNSystem, error)) func(*testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
@@ -296,22 +296,23 @@ func largeN(build func() (largeNSystem, error)) func(*testing.B) {
 	}
 }
 
-// LargeN returns the flat benchmark at size n on the sequential engine.
+// LargeN returns the flat benchmark at size n on the engine a plain run
+// takes: one window partition, what internal/exp runs Shards = 0 as.
 func LargeN(n int) func(*testing.B) {
-	return largeN(func() (largeNSystem, error) { return largeNFlat(n, 0) })
+	return largeN(func() (largeNSystem, error) { return largeNFlat(n, 1) })
 }
 
 // LargeNSharded returns the flat benchmark partitioned across k shards with
 // conservative time-window synchronization (lookahead δ−ε); events/sec
-// measures the parallel window-drain throughput against the sequential
-// LargeN numbers.
+// measures the parallel window-drain throughput against LargeN's one
+// partition.
 func LargeNSharded(n, k int) func(*testing.B) {
 	return largeN(func() (largeNSystem, error) { return largeNFlat(n, k) })
 }
 
 // LargeNHier returns the two-tier counterpart: n processes in clusters of c
-// (internal/hier defaults) on the sequential engine. Same rounds and seed
-// discipline as LargeN, so the events/sec and msgs-per-round entries
+// (internal/hier defaults) on one window partition. Same engine, rounds and
+// seed discipline as LargeN, so the events/sec and msgs-per-round entries
 // committed next to the flat ones quantify the topology change alone: the
 // per-round traffic collapses from n² to ≈ n·c + (n/c)², and with it the
 // wall-clock cost of simulating (or running) one round.
@@ -321,7 +322,9 @@ func LargeNHier(n, c int) func(*testing.B) {
 		if err != nil {
 			return largeNSystem{}, err
 		}
-		return largeNSystem{cfg: s.SimConfig(largeNRounds, 1), horizon: s.Horizon(largeNRounds)}, nil
+		cfg := s.SimConfig(largeNRounds, 1)
+		cfg.Shards = 1
+		return largeNSystem{cfg: cfg, horizon: s.Horizon(largeNRounds)}, nil
 	})
 }
 

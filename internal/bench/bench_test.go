@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -56,21 +57,24 @@ func allocGate(t *testing.T, eng *sim.Engine) {
 }
 
 // TestEngineSteadyStateAllocs is the allocation regression gate (wired into
-// CI): after warm-up, the no-observer event loop must run allocation-free —
-// queue slots are recycled from the free list, the Context is reused, delay
-// sampling is inline, and observer fan-outs are empty. It measures the same
-// engine configuration BenchmarkEngineThroughput/steady reports, via the
-// same NewSteadyEngine/Advance harness, so the gate guards exactly the
-// benchmarked regime. Each measured Run slice delivers thousands of events;
-// even ≤ 2 allocations per slice is effectively zero per event.
+// CI) of the time-major engine: after warm-up, the no-observer event loop
+// must run allocation-free — headers are recycled through their free stack,
+// the heap is pre-sized for a round's n² copies, the Context is reused,
+// delay sampling is inline, and observer fan-outs are empty. At n = 7 it
+// measures the engine configuration BenchmarkEngineThroughput/steady
+// reports, via the same NewSteadyEngine/Advance harness; at n = 40 every
+// fan-out files a shared header and one heap entry per copy, hundreds in
+// flight. Each measured Run slice delivers thousands of events; even ≤ 2
+// allocations per slice is effectively zero per event.
 func TestEngineSteadyStateAllocs(t *testing.T) {
-	steadyAllocGate(t, 7, 0) // n = 7: the heap alone
+	for _, n := range []int{7, 40} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) { steadyAllocGate(t, n, 0) })
+	}
 }
 
 // TestWindowSteadyStateAllocs is the gate at k = 1, what a default run takes
-// when it composes with the window: the n = 7 beacons of
-// TestEngineSteadyStateAllocs and the n = 40 ones of
-// TestEngineCalendarSteadyStateAllocs, drained in lookahead windows on Run's
+// when it composes with the window: the n = 7 and n = 40 beacons of
+// TestEngineSteadyStateAllocs, drained in lookahead windows on Run's
 // goroutine, allocate nothing at all — no worker set, no job closure, rows
 // and buffers reused from window to window.
 func TestWindowSteadyStateAllocs(t *testing.T) {
@@ -80,8 +84,9 @@ func TestWindowSteadyStateAllocs(t *testing.T) {
 }
 
 // TestShardedSteadyAllocs is the sharded allocation budget gate: the same
-// n=1009 workload benchjson tracks, run sequentially and across 8 shards,
-// with the sharded run's allocs/op capped at 4× the sequential engine's.
+// n=1009 workload benchjson tracks, run on one window partition (LargeN) and
+// across 8 shards, with the sharded run's allocs/op capped at 4× the one
+// partition's.
 // The sharded engine's extra allocations are per-partition warm-up (the
 // first round's row slabs, timer heaps and tile buffers); in steady state the
 // cut recycles a delivered fan-out's row onto its size class's free list, so
@@ -92,14 +97,14 @@ func TestShardedSteadyAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the n=1009 benchmark pair (~10s)")
 	}
-	seq := testing.Benchmark(LargeN(1009))
+	one := testing.Benchmark(LargeN(1009))
 	sh := testing.Benchmark(LargeNSharded(1009, 8))
-	seqAllocs, shAllocs := seq.AllocsPerOp(), sh.AllocsPerOp()
-	if seqAllocs <= 0 {
-		t.Fatalf("sequential n=1009 reported %d allocs/op; the gate has no baseline", seqAllocs)
+	oneAllocs, shAllocs := one.AllocsPerOp(), sh.AllocsPerOp()
+	if oneAllocs <= 0 {
+		t.Fatalf("one-partition n=1009 reported %d allocs/op; the gate has no baseline", oneAllocs)
 	}
-	if shAllocs > 4*seqAllocs {
-		t.Errorf("sharded n=1009 k=8 allocated %d/op, over the budget of 4× the sequential %d/op — the pooled cross-shard exchange is leaking", shAllocs, seqAllocs)
+	if shAllocs > 4*oneAllocs {
+		t.Errorf("sharded n=1009 k=8 allocated %d/op, over the budget of 4× the one partition's %d/op — the pooled cross-shard exchange is leaking", shAllocs, oneAllocs)
 	}
 }
 
@@ -136,16 +141,6 @@ func TestShardedWindowAllocs(t *testing.T) {
 	if got := allocs / perSlice; got > perWindow {
 		t.Errorf("k=%d: %.2f allocations per window (%v per slice of %.0f windows); want ≤ %d", k, got, allocs, perSlice, perWindow)
 	}
-}
-
-// TestEngineCalendarSteadyStateAllocs is the same gate on the calendar side
-// of the scheduler's one fork: at n = 40 the default event hint switches the
-// calendar on from the first event, so every fan-out files its shared header
-// and one entry per copy into the bins — header recycling, block recycling
-// through the free list, the window and its group offsets reused from slot
-// to slot — which must be as allocation-free as the heap alone at n = 7.
-func TestEngineCalendarSteadyStateAllocs(t *testing.T) {
-	steadyAllocGate(t, 40, 0)
 }
 
 // TestEngineSampledSteadyStateAllocs is the same gate with the sampling path

@@ -44,8 +44,8 @@ func runE17() ([]*Table, error) {
 		grid = append(grid, gridNF{13, 4})
 	}
 	// Nightly-only stress tier: 31- and 63-process systems per strategy ×
-	// delay model — ~n² messages a round through the calendar scheduler,
-	// the regime the per-push grid never reaches — each cell run at three
+	// delay model — ~n² messages a round, the regime the per-push grid
+	// never reaches — each cell run at three
 	// derived seeds and aggregated into one row (worst skew, AND-ed
 	// verdicts). Additive-only so the golden tables (pinned without the
 	// stress tier) stay byte-identical.

@@ -95,9 +95,9 @@ func (s *System) MinRound() int {
 }
 
 // SimConfig returns an engine configuration for running the system `rounds`
-// maintenance rounds: the clustered two-band network, a queue hint sized to
-// the hierarchy's per-round copy count (not the flat n²), and a step budget
-// with the same slack factor and floor the flat experiments use: the faulty
+// maintenance rounds: the clustered two-band network and a step budget
+// sized to the hierarchy's per-round copy count (not the flat n²), with the
+// same slack factor and floor the flat experiments use: the faulty
 // automata a run substitutes may send a flat mesh's traffic, which the
 // per-round count leaves out. It also interns the members' payloads for
 // that many rounds, so it is called before the run.
@@ -105,13 +105,12 @@ func (s *System) SimConfig(rounds int, seed int64) sim.Config {
 	s.wire.intern(s.Cfg, rounds)
 	perRound := int(s.Cfg.MsgsPerRound())
 	return sim.Config{
-		Procs:     s.Procs,
-		Clocks:    s.Clocks,
-		StartAt:   s.Starts,
-		Delay:     NewClusteredDelay(s.Cfg),
-		Seed:      seed,
-		EventHint: perRound + 4*s.Cfg.N + 64,
-		MaxSteps:  max(sim.DefaultMaxSteps, (rounds+4)*(perRound+4*s.Cfg.N)),
+		Procs:    s.Procs,
+		Clocks:   s.Clocks,
+		StartAt:  s.Starts,
+		Delay:    NewClusteredDelay(s.Cfg),
+		Seed:     seed,
+		MaxSteps: max(sim.DefaultMaxSteps, (rounds+4)*(perRound+4*s.Cfg.N)),
 	}
 }
 

@@ -77,7 +77,7 @@ func (h *hookLogger) OnReceive(v *AdversaryView, m Message) {
 // reliable mesh, constant delays (a fan-out's copies tie on delivery time,
 // so sequence numbers alone order them), a lossy channel (the sent/lost
 // split), the stateful Ether (channel state evolving per copy) and with an
-// adversary installed, at a size the heap serves and one the calendar does.
+// adversary installed, at n = 8 and n = 40.
 // Any drift in a fan-out's delay draws, sequence numbers, loss accounting or
 // hook order shows up as a first-divergence index. A fan-out is one header
 // whatever its range, so neither fan-out run's header store grows past the
@@ -95,7 +95,6 @@ func TestBroadcastMatchesSends(t *testing.T) {
 		hooks      []string
 		sent, lost int64
 		steps      int
-		calOn      bool
 		hdrs       int
 	}
 	lossy := LossyLinks{}.BreakBothWays(0, 1).BreakBothWays(2, 5).BreakBothWays(3, 6)
@@ -111,7 +110,7 @@ func TestBroadcastMatchesSends(t *testing.T) {
 		{name: "ether", ch: func() Channel { return NewEther(5e-5, 2) }},
 		{name: "hooks", adv: true},
 	}
-	for _, n := range []int{8, 40} { // n² + 2n + 8 on either side of calActivateLen
+	for _, n := range []int{8, 40} {
 		for _, tc := range cases {
 			t.Run(fmt.Sprintf("%s/n=%d", tc.name, n), func(t *testing.T) {
 				run := func(b testBeacon) outcome {
@@ -135,7 +134,6 @@ func TestBroadcastMatchesSends(t *testing.T) {
 					}
 					o.hooks = hl.log
 					o.sent, o.lost, o.steps = eng.MessagesSent(), eng.MessagesLost(), eng.Steps()
-					o.calOn = eng.queue.calOn
 					o.hdrs = cap(eng.queue.hdrs)
 					return o
 				}
@@ -157,9 +155,6 @@ func TestBroadcastMatchesSends(t *testing.T) {
 					{"Multicast", testBeacon{block: n/3 + 1}},
 				} {
 					got := run(fan.b)
-					if got.calOn != (n == 40) {
-						t.Fatalf("%s: calendar on = %v at n = %d; the sizes no longer straddle calActivateLen", fan.name, got.calOn, n)
-					}
 					if got.sent != want.sent || got.lost != want.lost || got.steps != want.steps {
 						t.Fatalf("accounting diverges: %s sent/lost/steps %d/%d/%d, Send loop %d/%d/%d",
 							fan.name, got.sent, got.lost, got.steps, want.sent, want.lost, want.steps)
@@ -289,60 +284,40 @@ func mismatch[T comparable](a, b []T) int {
 	return -1
 }
 
-// TestLazySchedulerMemory states what a round costs the scheduler: one queue
-// entry per pending copy (QueuePeak ≈ n²) and nothing else per copy. With
-// every process broadcasting each period: the blocks in use never exceed what
-// the binned entries fill plus one partial block per nonempty bin, headers one
-// per in-flight broadcast or timer — and the capacity carved in the first
-// rounds serves all later ones.
+// TestLazySchedulerMemory states what a round costs the time-major
+// scheduler: one heap entry per pending copy (QueuePeak ≈ n²) and nothing
+// else per copy. With every process broadcasting each period: headers one
+// per in-flight broadcast or timer, and the heap and header store sized at
+// New (DefaultEventHint, 4n+16) serve every round without growing.
 func TestLazySchedulerMemory(t *testing.T) {
 	const n = 101
 	eng := beaconEngine(t, n, testBeacon{}, nil, nil, nil)
 	q := &eng.queue
-	type footprint struct{ blocks, win, hdrs int }
-	capacity := func() footprint {
-		return footprint{int(q.nblocks), cap(q.win), cap(q.hdrs)}
+	type footprint struct{ heap, hdrs int }
+	capacity := func() footprint { return footprint{cap(q.heap.items), cap(q.hdrs)} }
+	before := capacity()
+	if before.heap != DefaultEventHint(BroadcastAuto, n) {
+		t.Fatalf("heap pre-sized to %d entries, want DefaultEventHint = %d", before.heap, DefaultEventHint(BroadcastAuto, n))
 	}
-	var after2 footprint
-	maxBinned := 0
+	maxHeld := 0
 	for r := 1; r <= 8; r++ {
 		// Stop mid-burst: the round's fan-outs are in flight.
 		if err := eng.Run(clock.Real(r)*1e-3 + 3e-4); err != nil {
 			t.Fatal(err)
 		}
-		live, bins := 0, 0
-		for i := range q.bins {
-			if q.bins[i].n > 0 {
-				bins++
-			}
-			for id := q.bins[i].head; id >= 0; id = q.block(id).next {
-				live++
-			}
-		}
-		if max := (q.binned+blockLen-1)/blockLen + bins; live > max {
-			t.Fatalf("round %d: %d blocks chained for %d binned entries in %d bins; want ≤ %d", r, live, q.binned, bins, max)
-		}
 		if held := len(q.hdrs) - len(q.hdrFree); held > 3*n {
 			t.Fatalf("round %d: %d headers held for %d senders and their timers; copies must share their broadcast's", r, held, n)
 		}
-		maxBinned = max(maxBinned, q.binned)
-		if r == 2 {
-			after2 = capacity()
-		}
+		maxHeld = max(maxHeld, q.heap.len())
 	}
-	if maxBinned < n*(n-1)/2 {
-		t.Fatalf("at most %d copies binned mid-burst — the bursts never overlapped, weak test", maxBinned)
+	if maxHeld < n*(n-1)/2 {
+		t.Fatalf("at most %d copies pending mid-burst — the bursts never overlapped, weak test", maxHeld)
 	}
 	if eng.QueuePeak() < n*(n-1)/2 || eng.QueuePeak() > 2*n*n {
 		t.Fatalf("QueuePeak %d, want about n² = %d pending copies", eng.QueuePeak(), n*n)
 	}
-	if got := capacity(); got != after2 {
-		t.Fatalf("scheduler stores grew after round 2: %+v → %+v", after2, got)
-	}
-	// Bytes: 24 per pending copy, rounded up to whole chunks of blocks, plus
-	// the window the largest slot was sorted in.
-	if carved, need := int(q.nblocks)*blockLen, eng.QueuePeak()+blockLen*len(q.bins); carved > need+chunkBlocks*blockLen {
-		t.Fatalf("%d entry slots carved for a peak of %d pending copies", carved, eng.QueuePeak())
+	if got := capacity(); got != before {
+		t.Fatalf("scheduler stores grew from their pre-sized capacity: %+v → %+v", before, got)
 	}
 }
 

@@ -25,7 +25,7 @@ import (
 // a broadcast, a multicast or a Send — is one row (bcast) holding its copies'
 // delivery times, which the cut after the send publishes on one board every
 // partition reads; and its processes' STARTs and TIMERs that are not yet due
-// are one heap (sched.timers). Partition 0 is the engine New returns; it
+// are one heap (partition.timers). Partition 0 is the engine New returns; it
 // drives the windows and replays the samples and annotations of each window
 // at its cut (clocktable.go). A window runs as: (1) find the globally
 // earliest pending event time m, over the timer heaps and the rows on the
@@ -84,8 +84,18 @@ import (
 // tile's due events, one buffer per process, carved stride entries apart
 // from one array; wide, tiled and tileOff are the window's candidate rows
 // filed by tile (bucket).
+//
+// Its events: the window being drained takes those at < dueHi and
+// ≤ dueUntil (dueHi is −∞ outside one). timers holds the owned processes'
+// STARTs and TIMERs not yet due, held[hpos:] the due ones not yet gathered,
+// grouped by recipient, and win[wpos:] the acting process's due events not
+// yet delivered, sorted (sortDue, whose group counts off holds); pend counts
+// the copies of published rows not yet gathered. The acting process's
+// in-window timers sit on the engine's heap (sched.heap), and the headers of
+// all its STARTs and TIMERs in the engine's header store.
 type partition struct {
 	id, per, own int
+	base         int // the first owned process
 	early        earlyCopy
 
 	board   *board
@@ -98,6 +108,15 @@ type partition struct {
 	wide    []int32
 	tiled   []int32
 	tileOff []int32
+
+	dueHi, dueUntil float64
+	timers          entryHeap
+	held            []entry
+	hpos            int
+	win             []entry
+	wpos            int
+	off             []int32
+	pend            int
 }
 
 // rowClass is one size class of a partition's rows: the free ones, and how
@@ -229,12 +248,12 @@ func newWindowed(cfg Config) (*Engine, error) {
 			return nil, err
 		}
 		lo, hi := min(s*per, n), min((s+1)*per, n)
-		pt := &partition{id: s, per: per, own: hi - lo, board: b, tally: make([]int, k), pendMin: math.Inf(1)}
+		pt := &partition{id: s, per: per, own: hi - lo, base: lo, board: b, tally: make([]int, k), pendMin: math.Inf(1)}
 		pt.rows = make([]rowClass, bits.Len(uint(n-1))+1)
 		pt.due = make([][]entry, min(gatherTile, hi-lo))
 		pt.carveTile(min(n, 28) + 4)
 		p.part = pt
-		p.queue.initPartition(lo, hi-lo, n)
+		pt.initStores(&p.queue, n)
 		// A window's fan-outs and log: about one fan-out and a few entries
 		// per owned process.
 		pt.sent = make([]bcast, 0, hi-lo+4)
@@ -263,7 +282,7 @@ func (e *Engine) minPending() (clock.Real, bool) {
 	m := e.part.board.rest
 	for _, p := range e.parts {
 		m = min(m, p.part.pendMin)
-		if top := p.queue.timers.peek(); top != nil {
+		if top := p.part.timers.peek(); top != nil {
 			m = min(m, top.at)
 		}
 	}
@@ -506,12 +525,12 @@ func (e *Engine) publish(hi, until float64) {
 		clear(pt.sent)
 		pt.sent = pt.sent[:0]
 		for d, c := range pt.tally {
-			e.parts[d].queue.pend += c
+			e.parts[d].part.pend += c
 		}
 		clear(pt.tally)
 	}
 	for _, p := range e.parts {
-		p.queue.peak = max(p.queue.peak, p.queue.len())
+		p.queue.peak = max(p.queue.peak, p.part.len(&p.queue))
 	}
 	b.live, b.H, b.U, b.rest = live, hi, until, rest
 }
@@ -591,7 +610,7 @@ func (e *Engine) post(from ProcID, payload any, seq uint64, lo int, row []float6
 		}
 		pt.tally[d] += c
 	}
-	if dueHi := e.queue.dueHi; mn < dueHi {
+	if dueHi := pt.dueHi; mn < dueHi {
 		for i, t := range row {
 			c := entry{at: t, key: seq | uint64(lo+i), to: int32(lo + i)}
 			if l := &pt.early; t < dueHi && (!l.ok || entryLess(&c, &l.en)) {
@@ -619,36 +638,51 @@ type earlyCopy struct {
 // touches its own heaps, rows, senders, log and processes, and only reads
 // the board. The window log is left in (at, key) order for the replay.
 func (e *Engine) drainWindow(hi, until clock.Real) error {
-	q := &e.queue
-	q.dueHi, q.dueUntil = float64(hi), float64(until)
-	e.part.pendMin = math.Inf(1)
+	q, pt := &e.queue, e.part
+	pt.dueHi, pt.dueUntil = float64(hi), float64(until)
+	pt.pendMin = math.Inf(1)
 	defer e.shut()
-	for top := q.timers.peek(); top != nil && q.due(top.at); top = q.timers.peek() {
-		q.held = append(q.held, q.timers.pop())
+	for top := pt.timers.peek(); top != nil && pt.inWindow(top.at); top = pt.timers.peek() {
+		pt.held = append(pt.held, pt.timers.pop())
 	}
-	q.groupHeld()
-	e.part.bucket(int(q.base))
+	pt.groupHeld()
+	pt.bucket()
 	var m Message
-	for lo := 0; lo < e.part.own; lo += gatherTile {
-		due := e.gather(lo, min(lo+gatherTile, e.part.own))
+	for lo := 0; lo < pt.own; lo += gatherTile {
+		due := e.gather(lo, min(lo+gatherTile, pt.own))
 		for i, sp := range due {
 			if len(sp) == 0 {
 				continue
 			}
-			q.sortDue(sp)
+			pt.sortDue(sp)
 			due[i] = sp[:0]
 			if r := int32(len(e.wlog)); e.mirror != nil && (len(e.runs) == 0 || e.runs[len(e.runs)-1] != r) {
 				e.runs = append(e.runs, r) // the last run, if empty, is this one's
 			}
-			for q.wpos < len(q.win) || q.heap.len() > 0 {
+			for pt.wpos < len(pt.win) || q.heap.len() > 0 {
 				if e.steps >= e.maxSteps {
 					return fmt.Errorf("sim: step limit %d exceeded at t=%v", e.maxSteps, e.now)
 				}
-				e.step(q.popWin(), &m)
+				e.step(pt.next(&q.heap), &m)
 			}
 		}
 	}
 	return nil
+}
+
+// next removes and returns the acting process's next event: the smaller of
+// its sorted due events' head and the top of its in-window timers h; one of
+// them must hold an entry.
+func (pt *partition) next(h *entryHeap) entry {
+	if pt.wpos == len(pt.win) {
+		return h.pop()
+	}
+	w := &pt.win[pt.wpos]
+	if top := h.peek(); top != nil && entryLess(top, w) {
+		return h.pop()
+	}
+	pt.wpos++
+	return *w
 }
 
 // gather collects the due events of owned processes base+lo … base+end−1,
@@ -661,15 +695,15 @@ func (e *Engine) drainWindow(hi, until clock.Real) error {
 // STARTs and TIMERs one process of the tile has: sized by the traffic, not
 // by n.
 func (e *Engine) gather(lo, end int) [][]entry {
-	q, pt := &e.queue, e.part
+	pt := e.part
 	due := pt.due[:end-lo]
-	first := int(q.base) + lo
+	first := pt.base + lo
 	last := first + len(due)
 	tile := lo / gatherTile
 	narrow := pt.tiled[pt.tileOff[tile]:pt.tileOff[tile+1]]
-	held, most := q.hpos, 0 // the tile's due STARTs and TIMERs; most a process's
-	for run := 0; held < len(q.held) && int(q.held[held].to) < last; held++ {
-		if run++; held == q.hpos || q.held[held].to != q.held[held-1].to {
+	held, most := pt.hpos, 0 // the tile's due STARTs and TIMERs; most a process's
+	for run := 0; held < len(pt.held) && int(pt.held[held].to) < last; held++ {
+		if run++; held == pt.hpos || pt.held[held].to != pt.held[held-1].to {
 			run = 1
 		}
 		most = max(most, run)
@@ -677,12 +711,12 @@ func (e *Engine) gather(lo, end int) [][]entry {
 	if need := len(pt.wide) + len(narrow) + most; need > pt.stride {
 		pt.carveTile(max(need, min(2*pt.stride, len(e.procs)+4)))
 	}
-	for ; q.hpos < held; q.hpos++ {
-		en := q.held[q.hpos]
+	for ; pt.hpos < held; pt.hpos++ {
+		en := pt.held[pt.hpos]
 		due[int(en.to)-first] = append(due[int(en.to)-first], en)
 	}
 	b := pt.board
-	hi, until, dH, dU := q.dueHi, q.dueUntil, b.H, b.U
+	hi, until, dH, dU := pt.dueHi, pt.dueUntil, b.H, b.U
 	pmin, got := pt.pendMin, 0
 	for _, rows := range [2][]int32{pt.wide, narrow} {
 		for _, c := range rows {
@@ -705,18 +739,18 @@ func (e *Engine) gather(lo, end int) [][]entry {
 			}
 		}
 	}
-	q.pend -= got
+	pt.pend -= got
 	pt.pendMin = pmin
 	return due
 }
 
-// bucket files the window's candidate rows by the tiles of the partition,
-// base on, that they overlap: a row over at most wideTiles tiles on each of
-// their lists — tile t's is tiled[tileOff[t]:tileOff[t+1]] — and a wider one
-// on wide, which every tile reads. A tile then reads the rows over it, not
+// bucket files the window's candidate rows by the tiles of the partition
+// that they overlap: a row over at most wideTiles tiles on each of their
+// lists — tile t's is tiled[tileOff[t]:tileOff[t+1]] — and a wider one on
+// wide, which every tile reads. A tile then reads the rows over it, not
 // every candidate: two-tier rows are a cluster wide.
-func (pt *partition) bucket(base int) {
-	b := pt.board
+func (pt *partition) bucket() {
+	b, base := pt.board, pt.base
 	nt := (pt.own + gatherTile - 1) / gatherTile
 	if nt <= wideTiles { // a few tiles: every row is wide
 		pt.wide, pt.tileOff = b.cands, pt.tileOff[:nt+1]
@@ -764,8 +798,8 @@ func (pt *partition) bucket(base int) {
 // recipient's in the (at, key) order they came off the timer heap: one
 // counting pass over the recipients they name, into the window array, which
 // then trades places with held.
-func (s *sched) groupHeld() {
-	h := s.held
+func (pt *partition) groupHeld() {
+	h := pt.held
 	if len(h) < 2 {
 		return
 	}
@@ -773,7 +807,7 @@ func (s *sched) groupHeld() {
 	for _, en := range h[1:] {
 		lo, hi = min(lo, en.to), max(hi, en.to)
 	}
-	off := slices.Grow(s.off[:0], int(hi-lo)+1)[:hi-lo+1]
+	off := slices.Grow(pt.off[:0], int(hi-lo)+1)[:hi-lo+1]
 	clear(off)
 	for _, en := range h {
 		off[en.to-lo]++
@@ -783,30 +817,30 @@ func (s *sched) groupHeld() {
 		off[i] = sum
 		sum += c
 	}
-	out := slices.Grow(s.win[:0], len(h))[:len(h)]
+	out := slices.Grow(pt.win[:0], len(h))[:len(h)]
 	for _, en := range h {
 		out[off[en.to-lo]] = en
 		off[en.to-lo]++
 	}
-	s.off, s.held, s.win = off, out, h[:0]
+	pt.off, pt.held, pt.win = off, out, h[:0]
 }
 
-// initPartition makes s the queue of a partition owning the processes
-// [base, base+owned) of an n-process system. Its stores start in one array
-// each, sized to a round's traffic: room for one process's due events in a
-// window — a round's n copies — and for their sort's group counts, for a few
+// initStores gives the partition and q, its engine's queue, their stores
+// for a partition of an n-process system. They start in one array each,
+// sized to a round's traffic: room for one process's due events in a window
+// — a round's n copies — and for their sort's group counts, for a few
 // in-window timers, for the owned processes' STARTs and TIMERs pending and
 // due, and for the headers of those in flight. A store outgrowing its share
 // grows on its own.
-func (s *sched) initPartition(base, owned, n int) {
-	s.mode, s.base = schedPartition, int32(base)
-	s.dueHi = math.Inf(-1)
+func (pt *partition) initStores(q *sched, n int) {
+	owned := pt.own
+	pt.dueHi = math.Inf(-1)
 	ents := make([]entry, (n+4)+4+(2*owned+4)+(owned+4))
-	s.win, s.heap.items = share(&ents, n+4), share(&ents, 4)
-	s.timers.items, s.held = share(&ents, 2*owned+4), share(&ents, owned+4)
+	pt.win, q.heap.items = share(&ents, n+4), share(&ents, 4)
+	pt.timers.items, pt.held = share(&ents, 2*owned+4), share(&ents, owned+4)
 	ids := make([]int32, 2*(n+4)+1+2*owned+4)
-	s.off, s.hdrFree = share(&ids, 2*(n+4)+1), share(&ids, 2*owned+4)
-	s.hdrs = make([]msgHdr, 0, 2*owned+4)
+	pt.off, q.hdrFree = share(&ids, 2*(n+4)+1), share(&ids, 2*owned+4)
+	q.hdrs = make([]msgHdr, 0, 2*owned+4)
 }
 
 // share cuts the next c elements off *buf, as an empty slice of capacity c.
@@ -816,37 +850,46 @@ func share[T any](buf *[]T, c int) []T {
 	return b
 }
 
+// len counts the partition's pending events: its STARTs and TIMERs wherever
+// they wait — q is its engine's queue, whose heap holds the in-window
+// timers — and the copies published to it and not yet delivered.
+func (pt *partition) len(q *sched) int {
+	return len(pt.win) - pt.wpos + q.heap.len() + pt.pend + pt.timers.len() + len(pt.held) - pt.hpos
+}
+
 // hold files a partition's START or TIMER, a NaN delivery time as +Inf. A
 // TIMER due in the window being drained is the acting process's own (only a
-// process's step sets its timers): it goes to the acting heap, from which
+// process's step sets its timers): it goes to the engine's heap, from which
 // the drain merges it into the process's due events. Everything else waits
 // on the timer heap.
-func (s *sched) hold(en entry) {
+func (e *Engine) hold(en entry) {
+	pt, q := e.part, &e.queue
 	if en.at != en.at {
 		en.at = math.Inf(1)
 	}
-	if s.due(en.at) {
-		s.heap.push(en)
-		return
+	if pt.inWindow(en.at) {
+		q.heap.push(en)
+	} else {
+		pt.timers.push(en)
 	}
-	s.timers.push(en)
+	q.peak = max(q.peak, pt.len(q))
 }
 
-// due reports whether an event at t belongs to the window being drained.
-func (s *sched) due(t float64) bool { return t < s.dueHi && t <= s.dueUntil }
+// inWindow reports whether an event at t belongs to the window being drained.
+func (pt *partition) inWindow(t float64) bool { return t < pt.dueHi && t <= pt.dueUntil }
 
 // sortDue sorts one process's due events sp, at least one, into the window
-// by entryLess: a few by insertion, more by a counting sort on their times
-// into about two groups per entry, then one insertion pass, which moves only
-// entries that share a group. The groups are laid over the ordinary copies'
-// times [lo, hi] (group is monotone in the time and clamps what lies
-// outside): a process's own timer for later in the round would otherwise
-// stretch them and crowd the copies into a few.
-func (s *sched) sortDue(sp []entry) {
+// array by entryLess: a few by insertion, more by a counting sort on their
+// times into about two groups per entry, then one insertion pass, which
+// moves only entries that share a group. The groups are laid over the
+// ordinary copies' times [lo, hi] (group is monotone in the time and clamps
+// what lies outside): a process's own timer for later in the round would
+// otherwise stretch them and crowd the copies into a few.
+func (pt *partition) sortDue(sp []entry) {
+	pt.wpos = 0
 	if len(sp) <= 16 {
-		s.win = append(s.win[:0], sp...)
-		sortEntries(s.win)
-		s.wpos, s.wend = 0, len(sp)
+		pt.win = append(pt.win[:0], sp...)
+		sortEntries(pt.win)
 		return
 	}
 	lo, hi := math.Inf(1), math.Inf(-1)
@@ -862,24 +905,24 @@ func (s *sched) sortDue(sp []entry) {
 	}
 	total := len(sp)
 	groups := 2*total + 1
-	s.wlo, s.wscale = lo, 0
+	scale := 0.0
 	if hi > lo {
-		s.wscale = float64(groups) / (hi - lo)
+		scale = float64(groups) / (hi - lo)
 	}
-	off := slices.Grow(s.off[:0], groups)[:groups]
+	off := slices.Grow(pt.off[:0], groups)[:groups]
 	clear(off)
-	s.off = off
+	pt.off = off
 	for i := range sp {
-		off[s.group(sp[i].at)]++
+		off[group(sp[i].at, lo, scale, groups)]++
 	}
 	sum := int32(0)
 	for g, n := range off {
 		off[g] = sum
 		sum += n
 	}
-	win := slices.Grow(s.win[:0], total)[:total]
+	win := slices.Grow(pt.win[:0], total)[:total]
 	for i := range sp {
-		g := s.group(sp[i].at)
+		g := group(sp[i].at, lo, scale, groups)
 		win[off[g]] = sp[i]
 		off[g]++
 	}
@@ -893,33 +936,65 @@ func (s *sched) sortDue(sp []entry) {
 			win[j] = en
 		}
 	}
-	s.win, s.wpos, s.wend = win, 0, total
+	pt.win = win
 }
 
-// shut ends a partition's window. What the window, the acting heap, the
-// tile's buffers and the due STARTs and TIMERs still hold — only after the
-// step limit stopped the drain — goes back on the timer heap, except the
+// group maps a delivery time to one of n groups of width 1/scale laid from
+// lo: monotone in at, and clamped for what lies outside them (±Inf, and
+// every time when scale is 0).
+func group(at, lo, scale float64, n int) int {
+	x := (at - lo) * scale
+	switch {
+	case x < 0 || (x != x && !(at > lo)): // NaN: an infinite time or range
+		return 0
+	case x < float64(n):
+		return int(x)
+	}
+	return n - 1
+}
+
+// sortEntries orders a few entries by entryLess: by insertion up to 16, by
+// the general sorter beyond.
+func sortEntries(b []entry) {
+	if len(b) > 16 {
+		slices.SortFunc(b, entryCmp)
+		return
+	}
+	for i := 1; i < len(b); i++ {
+		en := b[i]
+		j := i
+		for j > 0 && entryLess(&en, &b[j-1]) {
+			b[j] = b[j-1]
+			j--
+		}
+		b[j] = en
+	}
+}
+
+// shut ends a partition's window. What the window, the in-window timers,
+// the tile's buffers and the due STARTs and TIMERs still hold — only after
+// the step limit stopped the drain — goes back on the timer heap, except the
 // rows' copies, which their rows still hold: the watermark moves only at a
 // completed window's cut.
 func (e *Engine) shut() {
-	s := &e.queue
-	s.dueHi = math.Inf(-1)
+	q, pt := &e.queue, e.part
+	pt.dueHi = math.Inf(-1)
 	back := func(ents []entry) {
 		for _, en := range ents {
 			if en.ref >= 0 {
-				s.timers.push(en)
+				pt.timers.push(en)
 			}
 		}
 	}
-	back(s.win[s.wpos:])
-	back(s.heap.items)
-	for i, d := range e.part.due {
+	back(pt.win[pt.wpos:])
+	back(q.heap.items)
+	for i, d := range pt.due {
 		back(d)
-		e.part.due[i] = d[:0]
+		pt.due[i] = d[:0]
 	}
-	back(s.held[s.hpos:])
-	s.win, s.wpos, s.heap.items = s.win[:0], 0, s.heap.items[:0]
-	s.held, s.hpos = s.held[:0], 0
+	back(pt.held[pt.hpos:])
+	pt.win, pt.wpos, q.heap.items = pt.win[:0], 0, q.heap.items[:0]
+	pt.held, pt.hpos = pt.held[:0], 0
 }
 
 // ShardedEngine, NewSharded, Stats and ShardStats are vestiges the frozen

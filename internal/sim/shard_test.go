@@ -573,7 +573,7 @@ func TestShardedAdoptionBeforeWindow(t *testing.T) {
 		atCut := func() {
 			sh := se.Shard(1)
 			held := math.Inf(1)
-			if top := sh.queue.timers.peek(); top != nil {
+			if top := sh.part.timers.peek(); top != nil {
 				held = top.at
 			}
 			early, b := math.Inf(1), sh.part.board
@@ -641,10 +641,10 @@ func (a *alarm) Receive(ctx *Context, m Message) {
 		h *= 1099511628211
 	}
 	a.digest = h
-	q := &ctx.eng.queue
+	e := ctx.eng
 	set := func(T clock.Local) {
 		ctx.SetTimer(T, nil)
-		if q.mode == schedPartition && q.heap.len() > 0 {
+		if e.part != nil && e.queue.heap.len() > 0 {
 			a.merged++
 		}
 	}
@@ -653,7 +653,7 @@ func (a *alarm) Receive(ctx *Context, m Message) {
 		ctx.Broadcast(nil)
 		set(ctx.PhysNow() + 5e-5)
 	case KindTimer:
-		if q.mode == schedPartition && q.wpos < len(q.win) {
+		if e.part != nil && e.part.wpos < len(e.part.win) {
 			a.between++
 		}
 		if !a.rearmed {
@@ -950,34 +950,35 @@ func TestShardedRunSamplesHorizon(t *testing.T) {
 	}
 }
 
-// TestLazySlabSizing pins who sizes the header store: not the hint. On the
-// time-major engine every fan-out — a broadcast, a multicast, a Send — is one
-// header, so the store starts at 4n+16; a partition keeps its fan-outs as
-// rows and heads only its processes' STARTs and TIMERs, so its store starts
-// at 2·own+4. Both hold for a defaulted hint, one that counts all-to-all
-// rounds and one below a round's copies (the two-tier hierarchy's).
+// TestLazySlabSizing pins how the stores are sized. On the time-major
+// engine every fan-out — a broadcast, a multicast, a Send — is one header,
+// so the header store starts at 4n+16, and the heap at DefaultEventHint; a
+// partition keeps its fan-outs as rows and heads only its processes' STARTs
+// and TIMERs, so its header store starts at 2·own+4. Config.EventHint, set
+// here below a round's copies, moves none of them.
 func TestLazySlabSizing(t *testing.T) {
 	const n, k = 64, 4
 	hdrs := func(e *Engine) int { return cap(e.queue.hdrs) }
-	for _, hint := range []int{0, DefaultEventHint(BroadcastAuto, n), n*n/4 + 4*n} {
-		cfg := shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
-		cfg.EventHint = hint
-		e, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := hdrs(e); got != 4*n+16 {
-			t.Errorf("hint %d: sequential header store holds %d, want %d", hint, got, 4*n+16)
-		}
-		cfg.Shards = k
-		se, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < k; i++ {
-			if got := hdrs(se.Shard(i)); got != 2*n/k+4 {
-				t.Errorf("hint %d: shard %d header store holds %d, want %d", hint, i, got, 2*n/k+4)
-			}
+	cfg := shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
+	cfg.EventHint = n*n/4 + 4*n
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hdrs(e); got != 4*n+16 {
+		t.Errorf("sequential header store holds %d, want %d", got, 4*n+16)
+	}
+	if got, want := cap(e.queue.heap.items), DefaultEventHint(BroadcastAuto, n); got != want {
+		t.Errorf("sequential heap holds %d, want %d", got, want)
+	}
+	cfg.Shards = k
+	se, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < k; i++ {
+		if got := hdrs(se.Shard(i)); got != 2*n/k+4 {
+			t.Errorf("shard %d header store holds %d, want %d", i, got, 2*n/k+4)
 		}
 	}
 }
@@ -987,7 +988,7 @@ func TestLazySlabSizing(t *testing.T) {
 // instant, a round's n² copies are all in flight together; each of k
 // partitions must then have held its n²/k — every copy to its processes, on
 // its own rows and on other partitions' — and well under the whole system's,
-// whatever whole-system EventHint the caller passed (partitions ignore it).
+// whatever whole-system EventHint the caller passed (engines ignore it).
 func TestShardedEventHintScaling(t *testing.T) {
 	const n, k = 512, 8
 	cfg := shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
@@ -1250,7 +1251,7 @@ func TestShardedSeqPacking(t *testing.T) {
 		}
 	}
 	if top := e.packSeq(9, e.sidxMax, 9); top&(1<<63) != 0 {
-		t.Fatalf("maximal key %x collides with the calendar TIMER bit", top)
+		t.Fatalf("maximal key %x collides with the TIMER bit of an entry key", top)
 	}
 	func() {
 		defer func() {

@@ -24,10 +24,9 @@
 // The event loop is the per-trial hot path of every experiment, so it is
 // built to run allocation-free in the steady state: buffered messages sit in
 // recycled headers and the queues move 24-byte pointer-free entries, one per
-// copy (calqueue.go; no interface boxing). The time-major engine orders them
-// in a concrete 4-ary heap, fronted by a calendar of time-slot bins once the
-// population warrants it. A windowed partition holds two stores: one heap of
-// its STARTs and TIMERs, and every fan-out — broadcast, multicast or Send —
+// copy (queue.go; no interface boxing). The time-major engine orders them
+// in one concrete 4-ary heap. A windowed partition holds two stores: one heap
+// of its STARTs and TIMERs, and every fan-out — broadcast, multicast or Send —
 // as one row holding its copies' delivery times. It makes a copy an entry
 // only when the copy is due in a window: a process's due events are gathered
 // and sorted when its turn in the window comes (shard.go). One Context per
@@ -212,22 +211,18 @@ type Config struct {
 	// (internal/scenario) compiles its event scripts onto this. Not
 	// supported with Shards ≥ 1.
 	Timeline []TimedAction
-	// EventHint is the expected peak number of buffered events on the
-	// time-major engine (Shards = 0). A hint pre-sizes the queue's heap and
-	// calendar window so large-n runs skip growth-doubling copies, and lets
-	// the scheduler switch its calendar on from the first event instead of
-	// mid-run. It does not size the header store, which starts at 4n+16
-	// (one header per fan-out and timer in flight). Zero derives the
-	// default from the process count: a round keeps ≈ n² broadcast copies
-	// plus a timer per process in flight (DefaultEventHint). A windowed
-	// engine ignores it: its partitions keep copies in rows, not in a queue,
-	// and size their timer heaps from their shares.
+	// EventHint is ignored. It is kept, unread, because benchmark/replica.go
+	// sets it: the time-major engine sizes its heap from the process count
+	// (DefaultEventHint), and a windowed engine's partitions keep copies in
+	// rows and size their timer heaps from their shares.
 	EventHint int
-	// Shards selects how Run drains the buffer: 0 time-major; k ≥ 1 in
-	// lookahead windows over k partitions (shard.go). k = 1 is still
-	// windowed, on Run's own goroutine. Both run one execution and sample it
-	// at the same instants; Windowable says whether a configuration may take
-	// k ≥ 1, and internal/exp runs its Shards = 0 as 1 when it may.
+	// Shards selects how Run drains the buffer: 0 time-major, on one heap in
+	// global (at, key) order; k ≥ 1 in lookahead windows over k partitions
+	// (shard.go). k = 1 is still windowed, on Run's own goroutine. Both run
+	// one execution and sample it at the same instants. Windowable says
+	// whether a configuration may take k ≥ 1, and internal/exp runs its
+	// Shards = 0 as 1 when it may; only an adversary, a timeline, Ether, a
+	// per-delivery observer or zero lookahead keep a run time-major.
 	Shards int
 }
 
@@ -235,8 +230,8 @@ type Config struct {
 // under this name for benchmark/replica.go:169.
 const BroadcastAuto = 0
 
-// DefaultEventHint is the queue population estimate Config.EventHint
-// defaults to: the expected peak number of simultaneously buffered events
+// DefaultEventHint is the queue population the time-major engine pre-sizes
+// its heap for: the expected peak number of simultaneously buffered events
 // for an n-process all-to-all round — n² copies, a timer or two per process
 // and slack. The first parameter is ignored; benchmark/replica.go:169 passes
 // BroadcastAuto there.
@@ -282,7 +277,7 @@ type Engine struct {
 	// a copy's (DeliverAt, key) tie-break key packs (sender, send index,
 	// recipient) — see packSeq. Neither depends on which engine delivers the
 	// copy, so a sequential run and a run over any number of shards are one
-	// execution. The bit split is sized to the system at newEngine: a key is
+	// execution. The bit split is sized to the system at newBase: a key is
 	// from(63−seqFromShift bits)|sidx|to(seqToBits) and sidxMax guards the
 	// send-index field.
 	senders      []sender
@@ -290,8 +285,9 @@ type Engine struct {
 	seqFromShift uint
 	sidxMax      uint64
 
-	// A partition's rows, their free lists and its tile buffers, nil on the
-	// time-major engine (see shard.go).
+	// A partition's rows, their free lists, its tile buffers, its timer heap
+	// and the window being drained, nil on the time-major engine (see
+	// shard.go).
 	part *partition
 
 	// A partition's window log (shard.go): while a Run observes it, mirror
@@ -355,7 +351,26 @@ const DefaultMaxSteps = 10_000_000
 // Config.Shards = k ≥ 1 the engine returned is partition 0 of k: it drives
 // the windows, observers read it, and its counters total every partition's.
 func New(cfg Config) (*Engine, error) {
-	return newEngine(cfg, schedAuto)
+	if err := validate(cfg); err != nil {
+		return nil, err
+	}
+	if cfg.Shards != 0 {
+		return newWindowed(cfg)
+	}
+	e, err := newBase(cfg)
+	if err != nil {
+		return nil, err
+	}
+	// Pre-size the heap for a round's population (DefaultEventHint), and the
+	// header store for what is in flight: every fan-out — a broadcast, a
+	// multicast, a Send — is one header, so a process's sends and timers in
+	// flight take a few each, 4n+16 to start with, whatever the traffic's
+	// copy count.
+	n := len(cfg.Procs)
+	e.copies = make([]entry, 0, n)
+	e.queue.grow(DefaultEventHint(BroadcastAuto, n), 4*n+16)
+	e.start(cfg.StartAt)
+	return e, nil
 }
 
 // sender is one process's share of the numbering — its delay stream and the
@@ -380,39 +395,6 @@ const maxProcs = 1 << 17
 // ErrTooManyProcs rejects a system larger than maxProcs, whose packed
 // sequence keys would overflow.
 var ErrTooManyProcs = fmt.Errorf("sim: system exceeds the %d-process cap of packed sequence keys", maxProcs)
-
-// newEngine validates cfg and builds its engine. mode is schedAuto except in
-// this package's tests and benchmarks, which force the time-major engine's
-// heap or calendar to compare them.
-func newEngine(cfg Config, mode schedMode) (*Engine, error) {
-	if err := validate(cfg); err != nil {
-		return nil, err
-	}
-	if cfg.Shards != 0 {
-		return newWindowed(cfg)
-	}
-	e, err := newBase(cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Pre-size the queue's backing stores for the expected peak population
-	// (see Config.EventHint), unless the workload supplied a sharper hint.
-	// The hint also decides the scheduler shape up front (see schedMode), so
-	// large-n runs start with the calendar on. It does not size the header
-	// store: every fan-out — a broadcast, a multicast, a Send — is one
-	// header, so a process's sends and timers in flight take a few each,
-	// 4n+16 to start with, whatever the traffic's copy count.
-	n, hint := len(cfg.Procs), cfg.EventHint
-	if hint <= 0 {
-		hint = DefaultEventHint(BroadcastAuto, n)
-	}
-	d, eps := cfg.Delay.Bounds()
-	e.copies = make([]entry, 0, n)
-	e.queue.init(mode, hint, d, eps)
-	e.queue.grow(hint, 4*n+16)
-	e.start(cfg.StartAt)
-	return e, nil
-}
 
 // validate is the one check of a configuration, for either drain.
 func validate(cfg Config) error {
@@ -683,7 +665,7 @@ func (e *Engine) drain(until clock.Real) error {
 		if len(e.edges) > 0 && at >= e.edges[0] {
 			e.advance(at) // sample at the edges up to the delivery first
 		}
-		e.step(e.queue.popEntry(), &m)
+		e.step(e.queue.heap.pop(), &m)
 	}
 }
 
@@ -844,6 +826,10 @@ func (e *Engine) push(m Message) {
 	s := &e.senders[m.From]
 	seq := e.packSeq(m.From, s.sidx, m.To)
 	s.sidx++
+	if e.part != nil {
+		e.hold(e.queue.single(&m, seq))
+		return
+	}
 	e.queue.push(&m, seq)
 }
 

@@ -516,7 +516,7 @@ func TestQueueOrderingProperty(t *testing.T) {
 		}
 		var last Message
 		first := true
-		for e.queue.len() > 0 {
+		for e.queue.heap.len() > 0 {
 			m := e.queue.pop().msg
 			if !first {
 				if m.DeliverAt < last.DeliverAt {
