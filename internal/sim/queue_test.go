@@ -89,64 +89,83 @@ func (f observerFunc) OnDeliver(e *Engine, m Message) { f(e, m) }
 // first, seq) order — the order a plain sort of the same events produces.
 // Pushes respect the engine's scheduling contract (never earlier than the
 // last popped delivery time); the generated times mix same-instant ties,
-// dense clusters, and far-future jumps.
+// dense clusters, and far-future jumps. It runs once per scheduler
+// configuration in queueConfigs.
 func TestQueueMatchesNaiveSort(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
-		q := &sched{}
-		rng := rand.New(rand.NewSource(seed))
-		total := 1 + rng.Intn(700)
+	for name, mk := range queueConfigs() {
+		t.Run(name, func(t *testing.T) {
+			for seed := int64(0); seed < 40; seed++ {
+				q := mk()
+				rng := rand.New(rand.NewSource(seed))
+				total := 1 + rng.Intn(700)
 
-		var pending []event // naive mirror of the queue's contents
-		floor := clock.Real(0)
-		popCheck := func() {
-			min := 0
-			for i := range pending {
-				if eventLess(&pending[i], &pending[min]) {
-					min = i
+				var pending []event // naive mirror of the queue's contents
+				floor := clock.Real(0)
+				popCheck := func() {
+					min := 0
+					for i := range pending {
+						if eventLess(&pending[i], &pending[min]) {
+							min = i
+						}
+					}
+					want := pending[min]
+					pending = append(pending[:min], pending[min+1:]...)
+					got := q.pop()
+					if got.seq != want.seq {
+						t.Fatalf("seed %d: pop returned seq %d (t=%v %v), naive min is seq %d (t=%v %v)",
+							seed, got.seq, got.msg.DeliverAt, got.msg.Kind,
+							want.seq, want.msg.DeliverAt, want.msg.Kind)
+					}
+					if got.msg.DeliverAt != want.msg.DeliverAt || got.msg.Kind != want.msg.Kind {
+						t.Fatalf("seed %d: seq %d popped with corrupted contents (t=%v %v, want t=%v %v)",
+							seed, got.seq, got.msg.DeliverAt, got.msg.Kind,
+							want.msg.DeliverAt, want.msg.Kind)
+					}
+					floor = got.msg.DeliverAt
+				}
+
+				pushed := 0
+				for pushed < total {
+					if len(pending) > 0 && rng.Intn(3) == 0 {
+						popCheck()
+						continue
+					}
+					ev := genEventAfter(rng, floor, uint64(pushed))
+					q.push(&ev.msg, ev.seq)
+					pending = append(pending, ev)
+					pushed++
+				}
+
+				// Drain what is left and compare the full pop sequence against a
+				// sorted copy in one shot.
+				ref := make([]event, len(pending))
+				copy(ref, pending)
+				sort.Slice(ref, func(i, j int) bool { return eventLess(&ref[i], &ref[j]) })
+				for _, want := range ref {
+					if got := q.pop(); got.seq != want.seq {
+						t.Fatalf("seed %d: drain order diverges from naive sort: got seq %d, want %d",
+							seed, got.seq, want.seq)
+					}
+				}
+				if q.heap.len() != 0 {
+					t.Fatalf("seed %d: queue not empty after drain", seed)
 				}
 			}
-			want := pending[min]
-			pending = append(pending[:min], pending[min+1:]...)
-			got := q.pop()
-			if got.seq != want.seq {
-				t.Fatalf("seed %d: pop returned seq %d (t=%v %v), naive min is seq %d (t=%v %v)",
-					seed, got.seq, got.msg.DeliverAt, got.msg.Kind,
-					want.seq, want.msg.DeliverAt, want.msg.Kind)
-			}
-			if got.msg.DeliverAt != want.msg.DeliverAt || got.msg.Kind != want.msg.Kind {
-				t.Fatalf("seed %d: seq %d popped with corrupted contents (t=%v %v, want t=%v %v)",
-					seed, got.seq, got.msg.DeliverAt, got.msg.Kind,
-					want.msg.DeliverAt, want.msg.Kind)
-			}
-			floor = got.msg.DeliverAt
-		}
+		})
+	}
+}
 
-		pushed := 0
-		for pushed < total {
-			if len(pending) > 0 && rng.Intn(3) == 0 {
-				popCheck()
-				continue
-			}
-			ev := genEventAfter(rng, floor, uint64(pushed))
-			q.push(&ev.msg, ev.seq)
-			pending = append(pending, ev)
-			pushed++
-		}
-
-		// Drain what is left and compare the full pop sequence against a
-		// sorted copy in one shot.
-		ref := make([]event, len(pending))
-		copy(ref, pending)
-		sort.Slice(ref, func(i, j int) bool { return eventLess(&ref[i], &ref[j]) })
-		for _, want := range ref {
-			if got := q.pop(); got.seq != want.seq {
-				t.Fatalf("seed %d: drain order diverges from naive sort: got seq %d, want %d",
-					seed, got.seq, want.seq)
-			}
-		}
-		if q.heap.len() != 0 {
-			t.Fatalf("seed %d: queue not empty after drain", seed)
-		}
+// queueConfigs names the scheduler configurations TestQueueMatchesNaiveSort
+// runs: an empty scheduler that grows its stores as it goes, and one whose
+// heap and header store are pre-sized the way NewEngine sizes them.
+func queueConfigs() map[string]func() *sched {
+	return map[string]func() *sched{
+		"heap": func() *sched { return &sched{} },
+		"presized": func() *sched {
+			s := &sched{}
+			s.grow(1024, 1024)
+			return s
+		},
 	}
 }
 
@@ -181,19 +200,49 @@ func genEventAfter(rng *rand.Rand, floor clock.Real, seq uint64) event {
 }
 
 // TestQueuePopReleasesPayload checks the header hygiene: the header a pop
-// vacates must not pin the message payload, whether it served one copy (a
-// START or TIMER) or the last of a fan-out's.
+// vacates must not pin the message payload.
 func TestQueuePopReleasesPayload(t *testing.T) {
 	s := &sched{}
 	s.push(&Message{Kind: KindOrdinary, Payload: "x", DeliverAt: 1}, 0)
 	s.push(&Message{Kind: KindOrdinary, Payload: "y", DeliverAt: 2}, 1)
-	s.pushCopies(0, 0, "z", []entry{{at: 3, key: 2 << 4, to: 0}, {at: 4, key: 2<<4 | 1, to: 1}})
-	for s.heap.len() > 0 {
-		s.pop()
+	if s.heap.len() != 2 {
+		t.Fatalf("heap holds %d entries, want 2", s.heap.len())
 	}
+	s.pop()
+	s.pop()
 	for i, h := range s.hdrs {
 		if h.payload != nil {
 			t.Fatalf("header %d still holds payload %v after pop", i, h.payload)
+		}
+	}
+}
+
+// TestSlabReleasesPayload checks the header store across recycling: singles
+// (STARTs, TIMERs) and fan-outs whose copies share one header, pushed
+// between pops so that freed headers are reused, must leave no header
+// pinning a payload after the drain, and every header back on the free list.
+func TestSlabReleasesPayload(t *testing.T) {
+	s := &sched{}
+	seq := uint64(0)
+	for i := 0; i < 10; i++ {
+		at := clock.Real(i) * 1e-3
+		s.push(&Message{Kind: KindTimer, Payload: "x", DeliverAt: at}, seq)
+		seq++
+		copies := make([]entry, 3)
+		for c := range copies {
+			copies[c] = entry{at: float64(at) + float64(c)*1e-4, key: packKey(KindOrdinary, seq), to: int32(c)}
+			seq++
+		}
+		s.pushCopies(0, at, "z", copies)
+		s.pop()
+		s.pop()
+	}
+	for s.heap.len() > 0 {
+		s.pop()
+	}
+	for i := range s.hdrs {
+		if s.hdrs[i].payload != nil {
+			t.Fatalf("header %d still holds payload %v after drain", i, s.hdrs[i].payload)
 		}
 	}
 	if len(s.hdrFree) != len(s.hdrs) {
