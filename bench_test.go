@@ -148,13 +148,16 @@ func BenchmarkClockInverse(b *testing.B) {
 //
 //   - steady: the no-observer steady state, one op per delivered event —
 //     allocs/op here is the engine's own allocation rate and must stay at
-//     (effectively) zero;
+//     (effectively) zero — on the time-major heap, and drained in windows
+//     over one partition (steady-k=1) and over two (steady-k=2);
 //   - workload: one full experiment-harness run per op, recorders attached;
 //   - adversary: steady state with an adaptive adversary installed on the
 //     send path (every copy retimed through the clamped view, every delivery
 //     hook-dispatched) — the regime E18's adaptive strategies pay for.
 func BenchmarkEngineThroughput(b *testing.B) {
 	b.Run("steady", bench.EngineSteady)
+	b.Run("steady-k=1", bench.EngineSteadyShards(1))
+	b.Run("steady-k=2", bench.EngineSteadyShards(2))
 	b.Run("workload", bench.EngineWorkload)
 	b.Run("adversary", bench.EngineAdversary)
 }

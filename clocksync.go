@@ -28,8 +28,9 @@
 // through the engine's batched fan-out, which a default run drains in
 // lookahead windows — every broadcast one row of its copies' delivery times,
 // each process's due copies gathered and sorted when its turn in the window
-// comes — so sweeps at n = 101 run routinely, and WithShards spreads larger
-// ones over cores. See the README's engine section and BenchmarkLargeN.
+// comes — so sweeps at n = 101 run routinely. A flat run from n = 80 up
+// spreads its windows over the cores by default (WithShards documents the
+// Auto count). See the README's engine section and BenchmarkLargeN.
 package clocksync
 
 import (
@@ -209,8 +210,11 @@ func (c *Cluster) Run(rounds int) (*Report, error) {
 		Seed:       c.opts.seed,
 		SkewBucket: c.opts.skewBucket,
 	}
-	if c.opts.shards > 1 {
-		w.Shards = c.opts.shards
+	switch k := c.opts.shards; {
+	case k > 1:
+		w.Shards = k
+	case k < 1:
+		w.Shards = exp.Auto
 	}
 	var tracer *sim.Tracer
 	if c.opts.traceLimit > 0 {

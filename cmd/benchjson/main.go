@@ -10,6 +10,8 @@
 //	benchjson -o - | jq .                   # print to stdout
 //	benchjson -against BENCH_engine.json    # also fail on a >20% events/sec
 //	                                        # regression vs the committed file
+//	benchjson -crossover                    # re-measure the shard-count
+//	                                        # crossover table only (≈ 1 min)
 package main
 
 import (
@@ -17,9 +19,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
 )
@@ -49,6 +55,9 @@ type result struct {
 type report struct {
 	Note       string   `json:"note"`
 	Benchmarks []result `json:"benchmarks"`
+	// Crossover is the shard-count table exp.AutoShards is read from:
+	// measured under -crossover, otherwise carried over from -o.
+	Crossover *bench.Crossover `json:"crossover,omitempty"`
 }
 
 // defaultBenchtime restores testing's stock benchtime after a forced-
@@ -63,6 +72,8 @@ func main() {
 	against := flag.String("against", "", "compare events/sec against this committed report and exit nonzero on regression")
 	tolerance := flag.Float64("tolerance", 0.20, "allowed fractional events/sec drop before -against fails")
 	count := flag.Int("count", 3, "runs per benchmark; the fastest is reported (noise suppression on shared machines)")
+	crossover := flag.Bool("crossover", false, "measure the shard-count crossover (n × k, interleaved) that exp.AutoShards is read from instead of the benchmarks, which are kept from -o; without it the table in -o is kept")
+	rev := flag.String("rev", "", "revision stamped on the crossover table (default: the build's VCS revision)")
 	flag.Parse()
 	if *count < 1 {
 		fatal(fmt.Errorf("-count must be ≥ 1, got %d (zero runs would overwrite %s with empty measurements)", *count, *out))
@@ -73,6 +84,10 @@ func main() {
 		fn   func(*testing.B)
 	}{
 		{"EngineThroughput/steady", bench.EngineSteady},
+		// The same beacons on one window partition, what a plain run takes,
+		// and on two, whose Run crew parks between windows.
+		{"EngineThroughput/steady-k=1", bench.EngineSteadyShards(1)},
+		{"EngineThroughput/steady-k=2", bench.EngineSteadyShards(2)},
 		{"EngineThroughput/workload", bench.EngineWorkload},
 		// The send path's adversary retiming under load: a regression here
 		// means a change slowed the retime/hook path.
@@ -92,10 +107,28 @@ func main() {
 	}
 
 	rep := report{
-		Note: "events/sec is simulator event throughput; in steady, one op = one delivered event and allocs_per_op must stay ~0 (no-observer steady state); LargeN is 10 maintenance rounds of an n-process broadcast mesh; LargeN and -hier run on one window partition, the engine a plain run takes; peak_queue_events is the largest partition's high-water mark of pending events (every pending copy, ≈ n²/k; a copy is 8 B of its fan-out's row of delivery times); -sharded-k runs the mesh across k time-window shards, one worker set per window, every fan-out one row of delivery times recycled at the cut — its allocs_per_op must stay within 4× the one-partition entry's (TestShardedSteadyAllocs); -hier runs the same rounds on the two-tier hierarchy (clusters of 32) and must stay at ≤ 1/3 the flat n=1009 wall-clock per op; msgs_per_round is the deterministic per-round traffic (≈ n² flat, ≈ n·c + (n/c)² two-tier), gated raw like the sharded allocs; entries too slow to iterate under the 1s benchtime are rerun at 3 forced iterations and report the median run; measured events/sec depends on the host's core count (a single-core machine cannot show the parallel speedup)",
+		Note: "events/sec is simulator event throughput; in steady, one op = one delivered event and allocs_per_op must stay ~0 (no-observer steady state) — steady on the time-major heap, steady-k=1 on one window partition, steady-k=2 on two, whose Run crew parks between windows (0 allocs per event, TestShardedSteadyAllocs); LargeN is 10 maintenance rounds of an n-process broadcast mesh; LargeN and -hier run on one window partition, the engine a plain run takes; peak_queue_events is the largest partition's high-water mark of pending events (every pending copy, ≈ n²/k; a copy is 8 B of its fan-out's row of delivery times); -sharded-k runs the mesh across k time-window shards, drained by a crew of workers started once per Run, every fan-out one row of delivery times recycled at the cut — its allocs_per_op must stay within 4× the one-partition entry's (TestShardedSteadyAllocs); -hier runs the same rounds on the two-tier hierarchy (clusters of 32) and must stay at ≤ 1/3 the flat n=1009 wall-clock per op; msgs_per_round is the deterministic per-round traffic (≈ n² flat, ≈ n·c + (n/c)² two-tier), gated raw like the sharded allocs; entries too slow to iterate under the 1s benchtime are rerun at 3 forced iterations and report the median run; measured events/sec depends on the host's core count (a single-core machine cannot show the parallel speedup); crossover is the shard-count table exp.AutoShards is read from (cmd/benchjson -crossover): per n and k, the quartiles of a 20-round flat exp.Run's wall time over interleaved repetitions, and the winner among the k ≤ gomaxprocs Auto may pick",
 	}
-	for _, bm := range benchmarks {
-		rep.Benchmarks = append(rep.Benchmarks, measure(bm.name, bm.fn, *count))
+	// The benchmarks and the crossover table are measured apart — the table
+	// alone takes about a minute — and the part not measured is carried over
+	// from -o.
+	var prev report
+	if raw, err := os.ReadFile(*out); err == nil && *out != "-" {
+		if err := json.Unmarshal(raw, &prev); err != nil {
+			fatal(fmt.Errorf("parse %s: %w", *out, err))
+		}
+	}
+	if *crossover {
+		c, err := measureCrossover(*rev)
+		if err != nil {
+			fatal(err)
+		}
+		rep.Benchmarks, rep.Crossover = prev.Benchmarks, c
+	} else {
+		for _, bm := range benchmarks {
+			rep.Benchmarks = append(rep.Benchmarks, measure(bm.name, bm.fn, *count))
+		}
+		rep.Crossover = prev.Crossover
 	}
 
 	// Load the baseline before writing anything: -o (default
@@ -183,6 +216,96 @@ func measure(name string, fn func(*testing.B), count int) result {
 	}
 	sort.Slice(runs, func(i, j int) bool { return runs[i].EventsPerSec < runs[j].EventsPerSec })
 	return runs[len(runs)/2]
+}
+
+// The crossover grid: every n the table records, every k measured at it.
+var (
+	crossoverNs = []int{7, 13, 22, 31, 61, 101, 251, 1009}
+	crossoverKs = []int{1, 2, 4, 8}
+)
+
+// crossoverBudget is roughly the wall time spent measuring one n.
+const crossoverBudget = 4 * time.Second
+
+// measureCrossover times bench.CrossoverOp over the grid. At each n one
+// unmeasured op per k warms up and sizes the repetitions (5 to 31 of them,
+// within crossoverBudget); then each repetition times one op at every k,
+// starting at a different k each time, so that drift of the host's load
+// falls on every k alike.
+func measureCrossover(rev string) (*bench.Crossover, error) {
+	c := &bench.Crossover{Host: host(), GOMAXPROCS: runtime.GOMAXPROCS(0), Revision: revision(rev), Rounds: bench.CrossoverRounds}
+	for _, n := range crossoverNs {
+		ks := slices.DeleteFunc(slices.Clone(crossoverKs), func(k int) bool { return k > n })
+		var sweep time.Duration
+		for _, k := range ks {
+			d, err := timeOp(n, k)
+			if err != nil {
+				return nil, err
+			}
+			sweep += d
+		}
+		reps := min(31, max(5, int(crossoverBudget/max(sweep, 1))))
+		ms := make([][]float64, len(ks))
+		for r := range reps {
+			for j := range ks {
+				i := (r + j) % len(ks)
+				d, err := timeOp(n, ks[i])
+				if err != nil {
+					return nil, err
+				}
+				ms[i] = append(ms[i], float64(d.Nanoseconds())/1e6)
+			}
+		}
+		for i, k := range ks {
+			sort.Float64s(ms[i])
+			q := func(f float64) float64 { return ms[i][int(float64(f*float64(len(ms[i])-1))+0.5)] }
+			c.Rows = append(c.Rows, bench.CrossoverCell{N: n, K: k, Ops: len(ms[i]), Q1Ms: q(0.25), P50Ms: q(0.5), Q3Ms: q(0.75)})
+		}
+		w := c.Winner(n)
+		for i := range c.Rows {
+			c.Rows[i].Winner = c.Rows[i].Winner || c.Rows[i].N == n && c.Rows[i].K == w
+		}
+		fmt.Fprintf(os.Stderr, "crossover n=%d: winner k=%d\n", n, w)
+	}
+	return c, nil
+}
+
+// timeOp returns the wall time of one crossover op.
+func timeOp(n, k int) (time.Duration, error) {
+	start := time.Now()
+	if err := bench.CrossoverOp(n, k); err != nil {
+		return 0, fmt.Errorf("crossover n=%d k=%d: %w", n, k, err)
+	}
+	return time.Since(start), nil
+}
+
+// host names the machine: its CPU model, when the OS tells, and its cores.
+func host() string {
+	model := runtime.GOARCH
+	if raw, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(raw), "\n") {
+			if name, ok := strings.CutPrefix(line, "model name"); ok {
+				model = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(name), ":"))
+				break
+			}
+		}
+	}
+	return fmt.Sprintf("%s, %d CPUs, %s", model, runtime.NumCPU(), runtime.Version())
+}
+
+// revision returns rev, or else the VCS revision the binary was built from.
+func revision(rev string) string {
+	if rev != "" {
+		return rev
+	}
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			if s.Key == "vcs.revision" {
+				return s.Value
+			}
+		}
+	}
+	return "unknown"
 }
 
 // checkRegression compares the fresh measurements against a committed

@@ -56,9 +56,10 @@ func (a *adjuster) Receive(ctx *sim.Context, m sim.Message) {
 func (a *adjuster) Corr() clock.Local { return a.corr }
 
 // NewSteadyEngine builds the no-observer benchmark engine: n beacon
-// processes on drifting clocks, uniform delays, no observers registered.
-func NewSteadyEngine(n int, seed int64) (*sim.Engine, error) {
-	return newSteadyEngine(n, seed, 0, func(int) sim.Process { return &beacon{period: 1e-3} })
+// processes on drifting clocks, uniform delays, no observers registered,
+// drained time-major (shards 0) or in windows over shards partitions.
+func NewSteadyEngine(n int, seed int64, shards int) (*sim.Engine, error) {
+	return newSteadyEngine(n, seed, shards, func(int) sim.Process { return &beacon{period: 1e-3} })
 }
 
 // NewSampledSteadyEngine is NewSteadyEngine over adjusters, for the caller
@@ -119,10 +120,18 @@ func runSteps(b *testing.B, eng *sim.Engine, horizon clock.Real, target int) clo
 	return horizon
 }
 
-// EngineSteady benchmarks the no-observer steady state; one op is one
-// delivered event.
-func EngineSteady(b *testing.B) {
-	eng, err := NewSteadyEngine(7, 1)
+// EngineSteady benchmarks the no-observer steady state on the time-major
+// engine; one op is one delivered event.
+func EngineSteady(b *testing.B) { engineSteady(b, 0) }
+
+// EngineSteadyShards is EngineSteady drained in lookahead windows over k
+// partitions: at k = 1 on Run's goroutine, at k ≥ 2 on Run's crew.
+func EngineSteadyShards(k int) func(*testing.B) {
+	return func(b *testing.B) { engineSteady(b, k) }
+}
+
+func engineSteady(b *testing.B, shards int) {
+	eng, err := NewSteadyEngine(7, 1, shards)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -233,8 +242,9 @@ func largeNFlat(n, shards int) (largeNSystem, error) {
 	corrs := core.InitialCorrsWithinBeta(cfg, clocks, 0.9*cfg.Beta)
 	starts := core.StartTimes(cfg, clocks, corrs)
 	procs := make([]sim.Process, n)
+	msgs := core.NewRoundMsgs(cfg, largeNRounds)
 	for i := range procs {
-		procs[i] = core.NewProc(cfg, corrs[i])
+		procs[i] = core.NewProc(cfg, corrs[i]).WithRoundMsgs(msgs)
 	}
 	tmax0 := starts[0]
 	for _, s := range starts[1:] {
@@ -347,4 +357,60 @@ func EngineWorkload(b *testing.B) {
 	if secs > 0 {
 		b.ReportMetric(events/secs, "events/sec")
 	}
+}
+
+// CrossoverRounds is how many rounds one crossover op simulates.
+const CrossoverRounds = 20
+
+// CrossoverOp is one op of the shard-count crossover: a flat run of n
+// maintenance processes (f = (n−1)/3, no actual faults) through exp.Run with
+// the standard recorders — what a clocksync.Run with no options does — over
+// k window partitions.
+func CrossoverOp(n, k int) error {
+	cfg := core.Config{Params: analysis.Default(n, (n-1)/3)}
+	_, err := exp.Run(exp.Workload{Cfg: cfg, Rounds: CrossoverRounds, Seed: 1, Shards: k})
+	return err
+}
+
+// Crossover is the measured shard-count crossover BENCH_engine.json
+// records: on Host, at Revision, the wall time of CrossoverOp for each n
+// and k, the k measured in interleaved order (one op at each k, then the
+// next round of ops).
+type Crossover struct {
+	Host       string          `json:"host"`
+	GOMAXPROCS int             `json:"gomaxprocs"`
+	Revision   string          `json:"revision"`
+	Rounds     int             `json:"rounds"`
+	Rows       []CrossoverCell `json:"rows"`
+}
+
+// CrossoverCell is one (n, k) point: the quartiles of its op times in ms.
+type CrossoverCell struct {
+	N      int     `json:"n"`
+	K      int     `json:"k"`
+	Ops    int     `json:"ops"`
+	Q1Ms   float64 `json:"q1_ms"`
+	P50Ms  float64 `json:"p50_ms"`
+	Q3Ms   float64 `json:"q3_ms"`
+	Winner bool    `json:"winner"`
+}
+
+// Winner returns the k that wins at n among the k ≤ GOMAXPROCS that Auto
+// may pick (the larger k are recorded as well, for reference): the least
+// k, displaced by a larger one only when that one is faster beyond the
+// noise of both — its third quartile below the incumbent's first. A k that
+// is level within noise costs cores for nothing, so it does not win. Rows
+// are in ascending k at each n, as the measurement writes them; 0 means n
+// was not measured.
+func (c *Crossover) Winner(n int) int {
+	var best *CrossoverCell
+	for i := range c.Rows {
+		if r := &c.Rows[i]; r.N == n && r.K <= c.GOMAXPROCS && (best == nil || r.Q3Ms < best.Q1Ms) {
+			best = r
+		}
+	}
+	if best == nil {
+		return 0
+	}
+	return best.K
 }

@@ -1,10 +1,13 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"os"
 	"testing"
 
+	"repro/internal/exp"
 	"repro/internal/invariant"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -15,7 +18,7 @@ import (
 // slices must stay allocation-free.
 func steadyAllocGate(t *testing.T, n, shards int) {
 	t.Helper()
-	eng, err := newSteadyEngine(n, 1, shards, func(int) sim.Process { return &beacon{period: 1e-3} })
+	eng, err := NewSteadyEngine(n, 1, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,10 +86,11 @@ func TestWindowSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestShardedSteadyAllocs is the sharded allocation budget gate: the same
-// n=1009 workload benchjson tracks, run on one window partition (LargeN) and
-// across 8 shards, with the sharded run's allocs/op capped at 4× the one
-// partition's.
+// TestShardedSteadyAllocs is the sharded allocation budget gate: the steady
+// beacons at k = 2 (EngineSteadyShards) at no allocation per event, and the
+// same n=1009 workload benchjson tracks, run on one window partition
+// (LargeN) and across 8 shards, with the sharded run's allocs/op capped at
+// 4× the one partition's.
 // The sharded engine's extra allocations are per-partition warm-up (the
 // first round's row slabs, timer heaps and tile buffers); in steady state the
 // cut recycles a delivered fan-out's row onto its size class's free list, so
@@ -94,6 +98,12 @@ func TestWindowSteadyStateAllocs(t *testing.T) {
 // per-round and blows the budget immediately (the pre-pool engine sat at
 // ~14× sequential).
 func TestShardedSteadyAllocs(t *testing.T) {
+	// The crew's gate: the steady beacons over two partitions, whose workers
+	// are started once per Run and parked between its windows, allocate
+	// nothing per delivered event.
+	if got := testing.Benchmark(EngineSteadyShards(2)).AllocsPerOp(); got != 0 {
+		t.Errorf("steady k=2 allocated %d times per event; want 0", got)
+	}
 	if testing.Short() {
 		t.Skip("runs the n=1009 benchmark pair (~10s)")
 	}
@@ -109,17 +119,17 @@ func TestShardedSteadyAllocs(t *testing.T) {
 }
 
 // TestShardedWindowAllocs is the per-window allocation gate: a warmed-up
-// k = 4 windowed run of n = 64 beacons may allocate at most 9 times per
-// window, what its runner.Map worker set costs (the job closure, the error
-// slice, the pool's shared counters and one closure per worker goroutine).
-// The engine's own share is zero — rows come off their size class's free
-// list and go back at the cut, the due STARTs and TIMERs fill one buffer
-// reused from its start, and the clock table is reloaded in place — so a
-// second worker set per window, or a buffer dropped instead of reused, fails
-// it.
+// k = 4 windowed run of n = 64 beacons may allocate at most 0.1 times per
+// window. Run starts its crew once — the crew, its channels and result
+// slice, one closure per worker goroutine: 2k+1 allocations per Run, about
+// 0.05 per window here — and a window costs nothing: the workers park
+// between windows, rows come off their size class's free list and go back
+// at the cut, the due STARTs and TIMERs fill one buffer reused from its
+// start, and the clock table is reloaded in place. A worker set started per
+// window, or a buffer dropped instead of reused, fails it.
 func TestShardedWindowAllocs(t *testing.T) {
-	const k, perWindow = 4, 9
-	eng, err := newSteadyEngine(64, 1, k, func(int) sim.Process { return &beacon{period: 1e-3} })
+	const k, perWindow = 4, 0.1
+	eng, err := NewSteadyEngine(64, 1, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +149,7 @@ func TestShardedWindowAllocs(t *testing.T) {
 		t.Fatalf("only %.0f windows per measured slice; not a meaningful measurement", perSlice)
 	}
 	if got := allocs / perSlice; got > perWindow {
-		t.Errorf("k=%d: %.2f allocations per window (%v per slice of %.0f windows); want ≤ %d", k, got, allocs, perSlice, perWindow)
+		t.Errorf("k=%d: %.2f allocations per window (%v per slice of %.0f windows); want ≤ %v", k, got, allocs, perSlice, perWindow)
 	}
 }
 
@@ -164,6 +174,36 @@ func TestEngineSampledSteadyStateAllocs(t *testing.T) {
 		allocGate(t, eng)
 		if skew.Max() <= 0 || agree.Checked() == 0 {
 			t.Fatalf("shards %d: samplers saw nothing: max skew %v, %d agreement checks", shards, skew.Max(), agree.Checked())
+		}
+	}
+}
+
+// TestAutoShardsMatchesCrossover holds exp.AutoShards to the crossover table
+// committed in BENCH_engine.json: at every n the table records, Auto on the
+// table's host picks the k that won there (Crossover.Winner). A table
+// re-measured on other hardware, or an n₀ edited by hand, that disagrees
+// fails here.
+func TestAutoShardsMatchesCrossover(t *testing.T) {
+	raw, err := os.ReadFile("../../BENCH_engine.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct{ Crossover *Crossover }
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	c := rep.Crossover
+	if c == nil || len(c.Rows) == 0 {
+		t.Fatal("BENCH_engine.json records no crossover table (cmd/benchjson -crossover)")
+	}
+	seen := map[int]bool{}
+	for _, r := range c.Rows {
+		if seen[r.N] {
+			continue
+		}
+		seen[r.N] = true
+		if got, want := exp.AutoShards(r.N, c.GOMAXPROCS), c.Winner(r.N); got != want {
+			t.Errorf("n=%d on %d cores: Auto picks k=%d, the table's winner is k=%d", r.N, c.GOMAXPROCS, got, want)
 		}
 	}
 }

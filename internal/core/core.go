@@ -40,6 +40,36 @@ type TMsg struct {
 	Mark clock.Local // the round mark Tⁱ the sender is broadcasting
 }
 
+// RoundMsgs is a run's round messages boxed once, before the run, and only
+// read during it, so that a round's n broadcasts box nothing: the message
+// of round i under the mark it carries, T⁰ + iP summed as a schedule sums
+// it. A mark outside the table — a late starter's skipped-to mark, a §7
+// sub-exchange, a round past the last interned — is boxed at the send as
+// before; either way the payload is the same TMsg value.
+type RoundMsgs struct {
+	marks []clock.Local
+	msgs  []any
+}
+
+// NewRoundMsgs interns the messages of rounds 0 … rounds+1 of cfg.
+func NewRoundMsgs(cfg Config, rounds int) *RoundMsgs {
+	s := newSchedule(cfg.Params, 0)
+	r := &RoundMsgs{marks: make([]clock.Local, rounds+2), msgs: make([]any, rounds+2)}
+	for i := range r.marks {
+		r.marks[i], r.msgs[i] = s.t, TMsg{Mark: s.t}
+		s.Advance()
+	}
+	return r
+}
+
+// msg returns round i's message for mark, interned when the table holds it.
+func (r *RoundMsgs) msg(i int, mark clock.Local) any {
+	if r != nil && i < len(r.marks) && r.marks[i] == mark {
+		return r.msgs[i]
+	}
+	return TMsg{Mark: mark}
+}
+
 // Averager selects the ordinary averaging function applied after reduce_f;
 // multiset owns it, with the one averaging step every automaton here runs.
 type Averager = multiset.Averager
@@ -171,25 +201,23 @@ func (s *schedule) SkipTo(now clock.Local) {
 // cluster; a Rejoiner gathers each candidate mark into one.
 type Round struct {
 	schedule
-	f       int
-	delta   float64
-	avg     Averager
-	arr     []float64 // ARR: local arrival time of each slot's latest message
-	scratch []float64 // reusable buffer the averager reorders
+	f     int
+	delta float64
+	avg   Averager
+	arr   []float64 // ARR: local arrival time of each slot's latest message
 }
 
 // NewRound builds the instance for p at its first mark T⁰, FLAG = BCAST,
 // with one arrival slot per p.N, averaging with avg.
 func NewRound(p analysis.Params, avg Averager) Round {
-	buf := make([]float64, 2*p.N) // ARR and the scratch, one allocation
-	arr := buf[:p.N:p.N]
+	arr := make([]float64, p.N)
 	for i := range arr {
 		arr[i] = math.Inf(-1) // never-heard sentinel; reduce_f discards them
 	}
 	return Round{
 		schedule: newSchedule(p, p.Window()),
 		f:        p.F, delta: p.Delta, avg: avg,
-		arr: arr, scratch: buf[p.N:],
+		arr: arr,
 	}
 }
 
@@ -197,12 +225,19 @@ func NewRound(p analysis.Params, avg Averager) Round {
 func (r *Round) Record(slot int, local float64) { r.arr[slot] = local }
 
 // Adjust returns ADJ = T + δ − AV, AV = mid(reduce_f(ARR)) or the §7 mean,
-// averaged on a reused scratch copy of ARR: no per-round allocation, and for
-// the midpoint — which needs only the (f+1)-th smallest and largest arrivals
-// — quickselect instead of a sort, bit-identical to the sorting path.
-func (r *Round) Adjust() float64 {
-	copy(r.scratch, r.arr)
-	av, err := r.avg.Average(r.scratch, r.f)
+// averaged on a copy of ARR in scratch, which the averager reorders: the
+// engine's Context.Scratch, one buffer per engine partition rather than one
+// per process, so no per-round allocation; a scratch shorter than ARR
+// (nil) is allocated. For the midpoint — which needs only the (f+1)-th
+// smallest and largest arrivals — it quickselects instead of sorting,
+// bit-identical to the sorting path.
+func (r *Round) Adjust(scratch []float64) float64 {
+	if len(scratch) < len(r.arr) {
+		scratch = make([]float64, len(r.arr))
+	}
+	scratch = scratch[:len(r.arr)]
+	copy(scratch, r.arr)
+	av, err := r.avg.Average(scratch, r.f)
 	if err != nil {
 		// Unreachable for validated configs: |ARR| = n ≥ 3f+1 > 2f.
 		panic(fmt.Sprintf("core: averaging: %v", err))
@@ -227,7 +262,8 @@ type Proc struct {
 	cfg  Config
 	corr clock.Local
 	rd   Round
-	exch int // sub-exchange index within the round, 0-based
+	exch int        // sub-exchange index within the round, 0-based
+	msgs *RoundMsgs // the run's interned round messages; nil boxes each
 
 	// lastAdj is the most recent ADJ, for tests; the authoritative record
 	// for experiments is the TagAdjust annotation stream.
@@ -246,6 +282,13 @@ var (
 func NewProc(cfg Config, initialCorr clock.Local) *Proc {
 	cfg = cfg.withDefaults()
 	return &Proc{cfg: cfg, corr: initialCorr, rd: NewRound(cfg.Params, cfg.Averager)}
+}
+
+// WithRoundMsgs makes p broadcast the run's interned round messages, msgs
+// shared by every process of the run, and returns p.
+func (p *Proc) WithRoundMsgs(msgs *RoundMsgs) *Proc {
+	p.msgs = msgs
+	return p
 }
 
 // Corr implements sim.CorrHolder: the local time is Ph_p + CORR.
@@ -279,7 +322,7 @@ func (p *Proc) Receive(ctx *sim.Context, m sim.Message) {
 		if p.exch == 0 {
 			ctx.Annotate(metrics.TagRoundBegin, float64(p.rd.rnd))
 		}
-		ctx.Broadcast(TMsg{Mark: p.rd.t})
+		ctx.Broadcast(p.msgs.msg(p.rd.rnd, p.rd.t))
 		// The window is extended to cover the staggered broadcast tail n·σ
 		// when σ > 0.
 		p.setTimer(ctx, p.rd.Collect(float64(float64(p.cfg.N)*p.cfg.Stagger)))
@@ -298,7 +341,7 @@ func isOwnTimer(m sim.Message) bool {
 
 func (p *Proc) update(ctx *sim.Context) {
 	r := &p.rd
-	adj := r.Adjust()
+	adj := r.Adjust(ctx.Scratch(len(r.arr)))
 	p.corr += clock.Local(adj)
 	p.lastAdj = adj
 	ctx.Annotate(metrics.TagAdjust, adj)

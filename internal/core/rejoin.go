@@ -147,7 +147,7 @@ func (r *Rejoiner) closeGroup(ctx *sim.Context, mark clock.Local) {
 	if g.count < r.cfg.N-r.cfg.F {
 		return
 	}
-	r.corr += clock.Local(g.rd.Adjust())
+	r.corr += clock.Local(g.rd.Adjust(ctx.Scratch(r.cfg.N)))
 
 	// Join the main algorithm at the next round mark.
 	next := mark + clock.Local(r.cfg.P)

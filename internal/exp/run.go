@@ -8,6 +8,7 @@ package exp
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/clock"
 	"repro/internal/core"
@@ -91,7 +92,10 @@ type Workload struct {
 	// partitions; 0 drains in windows over one partition whenever the
 	// workload composes with the window (sim.Windowable: no Adversary, no
 	// Timeline, a stateless Channel, a positive lookahead δ−ε and no
-	// per-delivery observer such as sim.Tracer), and time-major otherwise.
+	// per-delivery observer such as sim.Tracer), and time-major otherwise;
+	// Auto drains a flat mesh that composes with the window over
+	// AutoShards(n, GOMAXPROCS) partitions, and is 0 otherwise. A sweep
+	// keeps 0: its runner already has every core busy.
 	// Every engine runs one execution sampled at the same instants, so the
 	// Result reads the same. With k ≥ 1, a feature the windowed engine
 	// rejects fails Run with a clear error: an Adversary, Timeline or
@@ -182,11 +186,19 @@ func execute(a assembly) (*Result, error) {
 	}
 	// Shards = 0 runs on one window partition whenever the windowed engine
 	// composes with the workload (sim.Windowable): the same execution as the
-	// time-major drain, faster. What needs per-delivery order stays
+	// time-major drain, faster. Auto runs there on AutoShards partitions,
+	// the same execution again. What needs per-delivery order stays
 	// time-major. An explicit Shards ≥ 1 is New's to check, and Observe's
 	// for a per-delivery observer, each with its own error.
-	if a.cfg.Shards == 0 && sim.Windowable(a.cfg, a.observers...) == nil {
-		a.cfg.Shards = 1
+	if a.cfg.Shards == 0 || a.cfg.Shards == Auto {
+		k := 0
+		if sim.Windowable(a.cfg, a.observers...) == nil {
+			k = 1
+			if a.cfg.Shards == Auto {
+				k = AutoShards(len(a.cfg.Procs), runtime.GOMAXPROCS(0))
+			}
+		}
+		a.cfg.Shards = k
 	}
 	e, err := sim.New(a.cfg)
 	if err != nil {
@@ -204,6 +216,21 @@ func execute(a assembly) (*Result, error) {
 	res.Engine, res.Horizon = e, a.horizon
 	return res, nil
 }
+
+// Auto is Workload.Shards's automatic shard count.
+const Auto = -1
+
+// autoMinN is n₀ of AutoShards: the processes a partition needs before a
+// second one pays for its fork, join and cut work. It is read off the
+// crossover table in BENCH_engine.json (cmd/benchjson -crossover): on its
+// 2-core host k = 2 is level with k = 1 within noise up to n = 61 and
+// faster beyond it from n = 101 on, so n₀ lies in (30, 50];
+// TestAutoShardsMatchesCrossover holds the two together.
+const autoMinN = 40
+
+// AutoShards is the shard count Auto picks for a flat mesh of n processes
+// on procs cores: min(procs, n / n₀), at least 1.
+func AutoShards(n, procs int) int { return max(1, min(procs, n/autoMinN)) }
 
 // Run assembles the workload's topology and executes it, returning the
 // recorders.
@@ -242,8 +269,9 @@ func (w Workload) assembleFlat() assembly {
 	}
 	makeProc := w.MakeProc
 	if makeProc == nil {
+		msgs := core.NewRoundMsgs(cfg, rounds)
 		makeProc = func(_ sim.ProcID, corr clock.Local) sim.Process {
-			return core.NewProc(cfg, corr)
+			return core.NewProc(cfg, corr).WithRoundMsgs(msgs)
 		}
 	}
 
@@ -321,6 +349,14 @@ func (w Workload) assembleTwoTier() assembly {
 	s := w.Hier
 	cfg := s.SimConfig(w.Rounds, w.Seed)
 	cfg.Channel, cfg.Adversary, cfg.Timeline, cfg.Shards = w.Channel, w.Adversary, w.Timeline, w.Shards
+	if cfg.Shards == Auto {
+		// Auto keeps a two-tier run on one partition: its lookahead is the
+		// inner band's, so its windows are many and small, and at n = 529
+		// (10 rounds, 2 cores) a second partition measured level within
+		// noise, 30–32 ms against 32–33 ms, for 2 % more allocations and
+		// 7 % more bytes.
+		cfg.Shards = 0
+	}
 	warm := s.Warmup(w.Rounds)
 	res := &Result{
 		HierAgreement: invariant.NewHierAgreement(s.Cfg.GammaComposed(), s.Cfg.GammaInner(), s.Cfg.ClusterSize, warm),

@@ -27,10 +27,63 @@ var _ sim.Process = Silent{}
 // Receive implements sim.Process.
 func (Silent) Receive(*sim.Context, sim.Message) {}
 
-// sendAt is the timer payload of a per-recipient timed send.
+// sendAt is one per-recipient timed send: its timer's payload is a pointer
+// to it, in its round's slot of the strategy's ring, so that arming it
+// boxes nothing.
 type sendAt struct {
 	to      sim.ProcID
 	payload any
+	slot    int
+}
+
+// sendRing is a strategy's planned rounds: each slot holds a round's timed
+// sends and how many of them have yet to fire. A slot is reused only once
+// every send it holds has fired; a round planned while each slot still
+// waits on one gets a new slot.
+type sendRing struct {
+	slots []sendSlot
+	next  int
+}
+
+type sendSlot struct {
+	sends   []sendAt
+	pending int
+}
+
+// plan returns a free slot's m sends, counted pending, for a round to fill.
+func (r *sendRing) plan(m int) []sendAt {
+	j := -1
+	for i := range r.slots {
+		if k := (r.next + i) % len(r.slots); r.slots[k].pending == 0 {
+			j = k
+			break
+		}
+	}
+	if j < 0 {
+		r.slots = append(r.slots, sendSlot{})
+		j = len(r.slots) - 1
+	}
+	r.next = j + 1
+	sl := &r.slots[j]
+	if cap(sl.sends) < m {
+		sl.sends = make([]sendAt, m)
+	}
+	sl.sends, sl.pending = sl.sends[:m], m
+	for i := range sl.sends {
+		sl.sends[i].slot = j
+	}
+	return sl.sends
+}
+
+// fire relays a timed send whose timer went off, and reports whether m was
+// one.
+func (r *sendRing) fire(ctx *sim.Context, m sim.Message) bool {
+	p, ok := m.Payload.(*sendAt)
+	if ok {
+		ctx.Send(p.to, p.payload)
+		r.slots[p.slot].pending--
+	}
+	return ok
 }
 
 // nextRound is the timer payload that wakes a strategy for its next round.
@@ -55,22 +108,23 @@ type timing interface {
 // own (uncorrected) physical clock: a sendAt timer is relayed to its
 // recipient; START or any other timer plans round i — one timed copy of one
 // payload per recipient — and wakes the strategy before the next mark.
-type timedSends struct{ round int }
+type timedSends struct {
+	round int
+	ring  sendRing
+}
 
 func (s *timedSends) receive(ctx *sim.Context, m sim.Message, cfg *core.Config, t timing) {
-	if m.Kind != sim.KindStart && m.Kind != sim.KindTimer {
-		return
-	}
-	if p, ok := m.Payload.(sendAt); ok {
-		ctx.Send(p.to, p.payload)
+	if m.Kind != sim.KindStart && m.Kind != sim.KindTimer || s.ring.fire(ctx, m) {
 		return
 	}
 	mark := cfg.T0 + float64(float64(s.round)*cfg.P)
 	payload := t.begin(s.round, clock.Local(mark))
 	n := ctx.N()
-	for q := 0; q < n; q++ {
+	sends := s.ring.plan(n)
+	for q := range sends {
 		at := mark + t.offset(sim.ProcID(q), n)
-		ctx.SetTimer(clock.Local(at), sendAt{to: sim.ProcID(q), payload: payload})
+		sends[q].to, sends[q].payload = sim.ProcID(q), payload
+		ctx.SetTimer(clock.Local(at), &sends[q])
 	}
 	s.round++
 	ctx.SetTimer(clock.Local(t.wake(cfg.T0+float64(float64(s.round)*cfg.P))), nextRound{})
@@ -132,17 +186,14 @@ type Noise struct {
 	Burst int // messages per round per recipient; default 3
 
 	round int
+	ring  sendRing
 }
 
 var _ sim.Process = (*Noise)(nil)
 
 // Receive implements sim.Process.
 func (f *Noise) Receive(ctx *sim.Context, m sim.Message) {
-	if m.Kind != sim.KindStart && m.Kind != sim.KindTimer {
-		return
-	}
-	if p, ok := m.Payload.(sendAt); ok {
-		ctx.Send(p.to, p.payload)
+	if m.Kind != sim.KindStart && m.Kind != sim.KindTimer || f.ring.fire(ctx, m) {
 		return
 	}
 	burst := f.Burst
@@ -152,11 +203,14 @@ func (f *Noise) Receive(ctx *sim.Context, m sim.Message) {
 	rng := ctx.Rand()
 	mark := f.Cfg.T0 + float64(float64(f.round)*f.Cfg.P)
 	window := f.Cfg.Window()
+	sends := f.ring.plan(ctx.N() * burst)
 	for q := 0; q < ctx.N(); q++ {
 		for b := 0; b < burst; b++ {
 			at := mark + float64(rng.Float64()*window)
 			bogus := core.TMsg{Mark: clock.Local(mark + float64(rng.NormFloat64()*window))}
-			ctx.SetTimer(clock.Local(at), sendAt{to: sim.ProcID(q), payload: bogus})
+			sa := &sends[q*burst+b]
+			sa.to, sa.payload = sim.ProcID(q), bogus
+			ctx.SetTimer(clock.Local(at), sa)
 		}
 	}
 	f.round++

@@ -1,6 +1,7 @@
 package faults_test
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -121,9 +122,10 @@ func TestLyingMarkHarmless(t *testing.T) {
 }
 
 // TestTwoFacedRoundAllocs pins what one round of the timed-send schedule
-// allocates: the payload box and one sendAt box per recipient, n + 1 on a
-// 7-process engine. A schedule that plans a round through a closure built
-// per round escapes it to the heap and reads n + 2.
+// allocates: the payload box alone. The n timed sends are armed with
+// pointers into a slot of the strategy's ring, reused once its sends have
+// fired, so a send boxed per recipient reads n + 1, and a schedule that
+// plans a round through a closure built per round reads one more.
 func TestTwoFacedRoundAllocs(t *testing.T) {
 	cfg := cfg7()
 	procs := make([]sim.Process, cfg.N)
@@ -151,7 +153,70 @@ func TestTwoFacedRoundAllocs(t *testing.T) {
 	for round < 5 {
 		oneRound()
 	}
-	if got := testing.AllocsPerRun(100, oneRound); got != float64(cfg.N+1) {
-		t.Errorf("a TwoFaced round allocates %v times, want n+1 = %d", got, cfg.N+1)
+	if got := testing.AllocsPerRun(100, oneRound); got != 1 {
+		t.Errorf("a TwoFaced round allocates %v times, want 1 (its payload)", got)
+	}
+}
+
+// hearer records the round marks it hears from each sender, with their
+// delivery times.
+type hearer struct{ heard []sim.Message }
+
+func (h *hearer) Receive(_ *sim.Context, m sim.Message) {
+	if m.Kind == sim.KindOrdinary {
+		h.heard = append(h.heard, m)
+	}
+}
+
+// TestTimedSendRingOverlap holds the timed sends' ring to its reuse rule: a
+// TwoFaced whose late copies go out 2.5 rounds after their mark has three
+// rounds of sends pending at once, so a slot reused before its sends fire
+// would relay a later round's payload. Every copy must carry the mark of
+// the round it was timed for, and every recipient must hear each round
+// once.
+func TestTimedSendRingOverlap(t *testing.T) {
+	cfg := cfg7()
+	lead, lag := 3*cfg.Eps, 2.5*cfg.P
+	procs := make([]sim.Process, cfg.N)
+	clocks := make([]clock.Clock, cfg.N)
+	hearers := make([]*hearer, cfg.N-1)
+	for i := range hearers {
+		hearers[i] = &hearer{}
+		procs[i] = hearers[i]
+	}
+	for i := range clocks {
+		clocks[i] = clock.Linear(0, 1)
+	}
+	procs[6] = &faults.TwoFaced{Cfg: cfg, Lead: lead, Lag: lag}
+	e, err := sim.New(sim.Config{
+		Procs: procs, Clocks: clocks, StartAt: make([]clock.Real, cfg.N),
+		Delay: sim.ConstantDelay{Delta: cfg.Delta},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 12
+	if err := e.Run(clock.Real(cfg.T0 + rounds*cfg.P)); err != nil {
+		t.Fatal(err)
+	}
+	for q, h := range hearers {
+		offset := lag
+		if q < cfg.N/2 {
+			offset = -lead
+		}
+		seen := map[clock.Local]bool{}
+		for _, m := range h.heard {
+			mark := m.Payload.(core.TMsg).Mark
+			if seen[mark] {
+				t.Fatalf("recipient %d heard mark %v twice", q, mark)
+			}
+			seen[mark] = true
+			if want := float64(mark) + offset + cfg.Delta; math.Abs(float64(m.DeliverAt)-want) > 1e-9 {
+				t.Fatalf("recipient %d heard mark %v at %v, the copy timed for it lands at %v", q, mark, m.DeliverAt, want)
+			}
+		}
+		if q >= cfg.N/2 && len(seen) < rounds-3 {
+			t.Fatalf("recipient %d heard %d rounds of late copies, want at least %d", q, len(seen), rounds-3)
+		}
 	}
 }

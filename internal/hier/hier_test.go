@@ -463,7 +463,7 @@ func TestSharedRound(t *testing.T) {
 		for slot, at := range tc.arr {
 			r.Record(slot, at)
 		}
-		if adj := r.Adjust(); !tc.want(adj) {
+		if adj := r.Adjust(nil); !tc.want(adj) {
 			t.Errorf("Round, %s ARR: ADJ = %v", tc.name, adj)
 		}
 	}
@@ -485,7 +485,7 @@ func TestSharedRound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := r.Adjust(), p7.T0+p7.Delta-av; math.Float64bits(got) != math.Float64bits(want) {
+		if got, want := r.Adjust(nil), p7.T0+p7.Delta-av; math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("Round, %v: ADJ = %v, the multiset path gives %v", tc.avg, got, want)
 		}
 	}

@@ -282,7 +282,7 @@ func (m *Member) innerTimer(ctx *sim.Context) {
 		m.innerBroadcast(ctx)
 		return
 	}
-	adj := m.inner.Adjust()
+	adj := m.inner.Adjust(ctx.Scratch(m.cfg.N))
 	m.bumpFromInner(ctx, adj)
 	m.lastAdj = adj
 	ctx.Annotate(metrics.TagAdjust, adj)
@@ -332,7 +332,7 @@ func (m *Member) outerTimer(ctx *sim.Context) {
 		m.outerBroadcast(ctx)
 		return
 	}
-	adj := m.outer.Adjust()
+	adj := m.outer.Adjust(ctx.Scratch(m.cfg.N))
 	m.bumpFromOuter(ctx, adj)
 	ctx.Annotate(metrics.TagOuterAdjust, adj)
 	m.outer.Advance()

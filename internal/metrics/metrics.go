@@ -126,26 +126,36 @@ type RoundRecorder struct {
 	BeginTag string
 	AdjTag   string
 
-	begins map[int][]TimedValue // round index → round-begin events
-	adjs   []TimedValue         // all adjustments in arrival order
-	// skewAtBegin tracks the instantaneous nonfaulty skew at the *latest*
-	// round-begin annotation seen so far per round — the paper's Bⁱ is
-	// defined "at the latest real time when a nonfaulty process begins
-	// round i" (§9.2). Annotations arrive in time order, so overwriting
-	// keeps the latest.
-	skewAtBegin map[int]float64
+	// begins[i] is round i's round-begin events, nil for a round not
+	// seen. The round index is dense — rounds run 0, 1, 2, … — so it
+	// indexes a slice that grows with the rounds seen, one slot each.
+	begins []roundBegins
+	adjs   []TimedValue // all adjustments in arrival order
+}
+
+// roundBegins is one round's record: its round-begin events, and the
+// instantaneous nonfaulty skew at the *latest* of them seen so far — the
+// paper's Bⁱ is defined "at the latest real time when a nonfaulty process
+// begins round i" (§9.2). Annotations arrive in time order, so overwriting
+// keeps the latest.
+type roundBegins struct {
+	evs  []TimedValue
+	skew float64
+}
+
+// round returns round i's record, nil when i was not seen.
+func (r *RoundRecorder) round(i int) *roundBegins {
+	if i < 0 || i >= len(r.begins) {
+		return nil
+	}
+	return &r.begins[i]
 }
 
 var _ sim.AnnotationSink = (*RoundRecorder)(nil)
 
 // NewRoundRecorder builds a recorder for the given annotation tags.
 func NewRoundRecorder(beginTag, adjTag string) *RoundRecorder {
-	return &RoundRecorder{
-		BeginTag:    beginTag,
-		AdjTag:      adjTag,
-		begins:      make(map[int][]TimedValue),
-		skewAtBegin: make(map[int]float64),
-	}
+	return &RoundRecorder{BeginTag: beginTag, AdjTag: adjTag}
 }
 
 // OnAnnotation implements sim.AnnotationSink. (The recorder deliberately has
@@ -165,13 +175,19 @@ func (r *RoundRecorder) OnAnnotation(e *sim.Engine, a sim.Annotation) {
 	switch a.Tag {
 	case r.BeginTag:
 		i := int(a.Value)
-		evs, ok := r.begins[i]
-		if !ok {
-			evs = make([]TimedValue, 0, e.N())
+		if i < 0 {
+			return // not a round index
 		}
-		r.begins[i] = append(evs, TimedValue{At: a.At, Proc: a.Proc, Value: a.Value})
+		if i >= len(r.begins) {
+			r.begins = append(r.begins, make([]roundBegins, i+1-len(r.begins))...)
+		}
+		rb := &r.begins[i]
+		if rb.evs == nil {
+			rb.evs = make([]TimedValue, 0, e.N())
+		}
+		rb.evs = append(rb.evs, TimedValue{At: a.At, Proc: a.Proc, Value: a.Value})
 		if skew, ok := NonfaultySkew(e, a.At); ok {
-			r.skewAtBegin[i] = skew
+			rb.skew = skew
 		}
 	case r.AdjTag:
 		if r.adjs == nil {
@@ -184,22 +200,22 @@ func (r *RoundRecorder) OnAnnotation(e *sim.Engine, a sim.Annotation) {
 // Rounds returns the number of rounds for which every nonfaulty process has
 // a recorded beginning (consecutive from 0).
 func (r *RoundRecorder) Rounds() int {
-	i := 0
-	for {
-		if _, ok := r.begins[i]; !ok {
+	for i := range r.begins {
+		if r.begins[i].evs == nil {
 			return i
 		}
-		i++
 	}
+	return len(r.begins)
 }
 
 // BetaMeasured returns the real-time spread of round i's beginnings — the
 // measured βᵢ of Theorem 4(c) — and false if round i was not observed.
 func (r *RoundRecorder) BetaMeasured(i int) (float64, bool) {
-	evs := r.begins[i]
-	if len(evs) == 0 {
+	rb := r.round(i)
+	if rb == nil || len(rb.evs) == 0 {
 		return 0, false
 	}
+	evs := rb.evs
 	lo, hi := evs[0].At, evs[0].At
 	for _, ev := range evs[1:] {
 		if ev.At < lo {
@@ -226,7 +242,12 @@ func (r *RoundRecorder) BetaSeries() []float64 {
 // SkewAtBegin returns the instantaneous nonfaulty skew at the latest
 // round-begin annotation of round i (the paper's Bⁱ for the start-up
 // algorithm).
-func (r *RoundRecorder) SkewAtBegin(i int) float64 { return r.skewAtBegin[i] }
+func (r *RoundRecorder) SkewAtBegin(i int) float64 {
+	if rb := r.round(i); rb != nil {
+		return rb.skew
+	}
+	return 0
+}
 
 // MaxAbsAdj returns the largest |ADJ| over nonfaulty processes, optionally
 // restricted to adjustments at or after real time from.
@@ -249,7 +270,10 @@ func (r *RoundRecorder) Adjustments() []TimedValue { return r.adjs }
 // AnnotationTimes returns, per round, the sorted real times of the begin
 // annotations (useful for validity's tmin/tmax bookkeeping).
 func (r *RoundRecorder) AnnotationTimes(i int) []clock.Real {
-	evs := r.begins[i]
+	var evs []TimedValue
+	if rb := r.round(i); rb != nil {
+		evs = rb.evs
+	}
 	ts := make([]clock.Real, len(evs))
 	for j, ev := range evs {
 		ts[j] = ev.At

@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"runtime/debug"
 	"slices"
 
 	"repro/internal/clock"
-	"repro/internal/exp/runner"
 )
 
 // This file implements the windowed execution (Config.Shards = k ≥ 1): a
@@ -29,8 +29,9 @@ import (
 // drives the windows and replays the samples and annotations of each window
 // at its cut (clocktable.go). A window runs as: (1) find the globally
 // earliest pending event time m, over the timer heaps and the rows on the
-// board; (2) let every partition, concurrently on one runner.Map worker set
-// per window (at k = 1 on the calling goroutine), deliver its events in
+// board; (2) let every partition, concurrently — on Run's goroutine and the
+// crew of workers Run starts once (crew.go), each claiming the next
+// partition not yet drained, partition 0 Run's own — deliver its events in
 // [m, m+L) process by process (Engine.drainWindow): it pops its due STARTs
 // and TIMERs and groups them by recipient, files the candidate rows by the
 // tiles they overlap (bucket), then, a tile of owned processes at a time,
@@ -51,10 +52,9 @@ import (
 // unobservable. A copy a delay model sends inside the window breaks the
 // declared lower bound; Run fails at the cut naming the least (at, key) such
 // copy over the partitions — the same error for every k — rather than
-// deliver a reordered execution. runner.Map's join is the only
-// synchronization: it returns once every partition has, and turns a
-// panicking Receive into that partition's error (drainAlone does the same
-// at k = 1).
+// deliver a reordered execution. The crew's join is the only
+// synchronization: it returns once every partition has, and a panicking
+// Receive is that partition's error (drainSafe, at k = 1 too).
 //
 // Determinism is independent of k (the oracle E19 and TestShardedDeterminism
 // pin) because no order state is shared: every engine, time-major or
@@ -251,7 +251,6 @@ func newWindowed(cfg Config) (*Engine, error) {
 		pt := &partition{id: s, per: per, own: hi - lo, base: lo, board: b, tally: make([]int, k), pendMin: math.Inf(1)}
 		pt.rows = make([]rowClass, bits.Len(uint(n-1))+1)
 		pt.due = make([][]entry, min(gatherTile, hi-lo))
-		pt.carveTile(min(n, 28) + 4)
 		p.part = pt
 		pt.initStores(&p.queue, n)
 		// A window's fan-outs and log: about one fan-out and a few entries
@@ -293,6 +292,10 @@ func (e *Engine) minPending() (clock.Real, bool) {
 // an event at or before until, or the step limit is hit.
 func (e *Engine) runWindows(until clock.Real) error {
 	e.enter()
+	if helpers := min(len(e.parts), runtime.GOMAXPROCS(0)) - 1; helpers > 0 {
+		e.crew = e.hire(helpers)
+		defer func() { e.crew.dismiss(); e.crew = nil }()
+	}
 	for {
 		more, err := e.window(until)
 		if !more || err != nil {
@@ -321,18 +324,16 @@ func (e *Engine) window(until clock.Real) (more bool, err error) {
 	hi := m + clock.Real(e.lookahead)
 	cut, from := min(hi, until), e.now
 	e.part.board.candidates(float64(hi))
-	if len(e.parts) == 1 {
-		err = e.drainAlone(hi, until, cut)
-	} else {
-		_, err = runner.Map(len(e.parts), len(e.parts), func(i int) (struct{}, error) {
-			return struct{}{}, e.parts[i].drainCut(hi, until, cut)
-		})
+	if e.crew != nil {
+		err = e.crew.drain(hi, until, cut)
+	} else { // k = 1, one core, or a window stepped outside Run: one after another
+		for i, p := range e.parts {
+			if perr := p.drainSafe(i, hi, until, cut); err == nil {
+				err = perr
+			}
+		}
 	}
 	if err != nil {
-		var p *runner.PanicError
-		if errors.As(err, &p) { // process code panicked: job i is partition i
-			return false, fmt.Errorf("sim: shard %d panicked: %v\n%s", p.Job, p.Value, p.Stack)
-		}
 		return false, err
 	}
 	var early *earlyCopy
@@ -358,25 +359,19 @@ func (e *Engine) window(until clock.Real) (more bool, err error) {
 	return true, e.replay(from, cut)
 }
 
-// drainCut is a partition's share of the window [m, hi) cut at cut.
-func (e *Engine) drainCut(hi, until, cut clock.Real) error {
-	err := e.drainWindow(hi, until)
+// drainSafe is partition i's share of the window [m, hi) cut at cut, with
+// a panicking Receive turned into the partition's named error and stack.
+func (e *Engine) drainSafe(i int, hi, until, cut clock.Real) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("sim: shard %d panicked: %v\n%s", i, v, debug.Stack())
+		}
+	}()
+	err = e.drainWindow(hi, until)
 	if err == nil && e.now < cut {
 		e.now = cut
 	}
 	return err
-}
-
-// drainAlone is drainCut for the one partition of k = 1, on the calling
-// goroutine: no worker set and no job closure per window, and a panicking
-// Receive is the error runner.Map would have made of it.
-func (e *Engine) drainAlone(hi, until, cut clock.Real) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &runner.PanicError{Job: 0, Value: v, Stack: debug.Stack()}
-		}
-	}()
-	return e.drainCut(hi, until, cut)
 }
 
 // logEntry is one entry of a partition's window log, made by the delivery
@@ -577,7 +572,8 @@ func (pt *partition) recycle(r []float64) {
 }
 
 // carveTile gives the tile's buffers, empty between gathers, stride
-// entries each from one array.
+// entries each from one array. A partition has none until its first gather
+// with events due.
 func (pt *partition) carveTile(stride int) {
 	buf := make([]entry, len(pt.due)*stride)
 	for i := range pt.due {
@@ -709,7 +705,12 @@ func (e *Engine) gather(lo, end int) [][]entry {
 		most = max(most, run)
 	}
 	if need := len(pt.wide) + len(narrow) + most; need > pt.stride {
-		pt.carveTile(max(need, min(2*pt.stride, len(e.procs)+4)))
+		// Carved when first needed, and then only when a tile needs more:
+		// at twice the need up to n+4 (a flat mesh needs about a row per
+		// process, which a partition's first full window shows), and no
+		// less than a small system's n+4.
+		n := len(e.procs)
+		pt.carveTile(max(need, min(2*need, n+4), min(n, 28)+4))
 	}
 	for ; pt.hpos < held; pt.hpos++ {
 		en := pt.held[pt.hpos]

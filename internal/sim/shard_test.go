@@ -1267,7 +1267,7 @@ func TestShardedSeqPacking(t *testing.T) {
 // n=192, k=4 mesh long enough that thousands of windows' worth of rows are
 // published, gathered by every partition and recycled. Correctness
 // assertions are minimal — the value of this test is running the real
-// concurrent path (a worker set per window, row recycling, observer
+// concurrent path (the Run crew claiming partitions, row recycling, observer
 // dispatch) under the race detector; the main
 // CI workflow invokes it by name as the sharded race smoke.
 func TestShardedStress(t *testing.T) {

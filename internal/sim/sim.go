@@ -269,8 +269,9 @@ type Engine struct {
 	now      clock.Real
 	steps    int
 	maxSteps int
-	ctx      Context // one reusable per-delivery context per engine
-	key      uint64  // queue key of the delivery in progress
+	ctx      Context   // one reusable per-delivery context per engine
+	scratch  []float64 // Context.Scratch's buffer
+	key      uint64    // queue key of the delivery in progress
 
 	// The one numbering of an execution, sequential or sharded: every sender
 	// draws its delays from its own stream and numbers its sends itself, and
@@ -341,6 +342,7 @@ type Engine struct {
 	parts     []*Engine
 	lookahead float64 // L = δ−ε
 	windows   int
+	crew      *crew // the workers of the Run in progress at k ≥ 2
 }
 
 // DefaultMaxSteps is the runaway guard Config.MaxSteps defaults to.
@@ -461,7 +463,8 @@ func newBase(cfg Config) (*Engine, error) {
 	}
 	e.SetChannel(cfg.Channel)
 	e.SetAdversary(cfg.Adversary)
-	e.delays = make([]float64, n)
+	buf := make([]float64, 2*n) // fanOut's delays and Context.Scratch, one allocation
+	e.delays, e.scratch = buf[:n:n], buf[n:]
 	e.corr = make([]CorrHolder, n)
 	for i, p := range cfg.Procs {
 		if h, ok := p.(CorrHolder); ok {
@@ -930,6 +933,18 @@ func (c *Context) Broadcast(payload any) { c.eng.fanOut(c.pid, 0, len(c.eng.proc
 // SetTimer requests a TIMER interrupt when the process's physical clock
 // reaches T. The payload is returned in the TIMER message.
 func (c *Context) SetTimer(T clock.Local, payload any) { c.eng.setTimer(c.pid, T, payload) }
+
+// Scratch returns a buffer of n floats for the process to use inside this
+// Receive call and no longer: one per engine partition, shared by every
+// process it delivers to, its contents unspecified. A round's averaging
+// takes ARR's copy from it rather than hold a second ARR per process.
+func (c *Context) Scratch(n int) []float64 {
+	e := c.eng
+	if len(e.scratch) < n {
+		e.scratch = make([]float64, n)
+	}
+	return e.scratch[:n]
+}
 
 // Annotate emits a measurement observers can timestamp with real time.
 func (c *Context) Annotate(tag string, v float64) { c.eng.annotate(c.pid, tag, v) }

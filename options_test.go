@@ -1,6 +1,8 @@
 package clocksync
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -89,6 +91,47 @@ func TestOptionRules(t *testing.T) {
 				if !strings.Contains(err.Error(), part) {
 					t.Errorf("%s with %s: error %q does not contain %q", ep.name, r.option, err, part)
 				}
+			}
+		}
+	}
+
+	// Auto — no WithShards — refuses nothing the sharded column names: a run
+	// the window does not compose with falls back to the time-major engine.
+	// At n = 101 Auto spreads the others over the cores.
+	for _, name := range []string{"WithAdversary", "WithTrace"} {
+		c, err := New(101, 33, setters[name])
+		if err == nil {
+			_, err = c.Run(2)
+		}
+		if err != nil {
+			t.Errorf("Auto with %s: %v", name, err)
+		}
+	}
+}
+
+// TestAutoShardsReport: a Run with no WithShards — Auto, at n = 101 two
+// partitions on a host with two cores or more — reports exactly what
+// WithShards(1) reports, with and without a faulty process.
+func TestAutoShardsReport(t *testing.T) {
+	for _, n := range []int{7, 31, 101} {
+		for _, faulty := range []bool{false, true} {
+			var opts []Option
+			if faulty {
+				opts = append(opts, WithFault(n-1, FaultTwoFaced), WithFault(n-2, FaultNoise))
+			}
+			run := func(extra ...Option) *Report {
+				c, err := New(n, (n-1)/3, append(slices.Clone(opts), extra...)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := c.Run(8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep
+			}
+			if auto, one := run(), run(WithShards(1)); !reflect.DeepEqual(auto, one) {
+				t.Errorf("n=%d faulty=%v: Auto's report differs from WithShards(1)'s:\n%+v\n%+v", n, faulty, auto, one)
 			}
 		}
 	}
