@@ -371,6 +371,34 @@ func TestWithTrace(t *testing.T) {
 	}
 }
 
+// TestWithTraceTimedSends pins how a trace prints a timed-send strategy's
+// timers: recipient and payload, as the value {to, payload} prints under
+// %+v, with nothing of the ring the strategy arms them from.
+func TestWithTraceTimedSends(t *testing.T) {
+	c, err := clocksync.New(7, 2,
+		clocksync.WithFault(5, clocksync.FaultNoise),
+		clocksync.WithFault(6, clocksync.FaultTwoFaced),
+		clocksync.WithTrace(2000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := c.Run(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"t=0.004557s  p5       TIMER     {to:3 payload:{Mark:-0.0018168196119657644}} (phys 0.004557)\n",
+		"t=0.996990s  p6       TIMER     {to:0 payload:{Mark:1}} (phys 0.997000)\n",
+	} {
+		if !strings.Contains(rep.Trace, want) {
+			t.Errorf("trace missing %q", want)
+		}
+	}
+	if strings.Contains(rep.Trace, "slot:") || strings.Contains(rep.Trace, "&{") {
+		t.Error("trace prints a timed send's ring slot or pointer")
+	}
+}
+
 // TestTwoTierRun drives the two-tier hierarchy through the facade,
 // sequential and sharded, and checks the composed report. A report is one
 // for every engine: the whole Report — skew maxima to the last bit, rounds,

@@ -180,9 +180,11 @@ func TestEngineSampledSteadyStateAllocs(t *testing.T) {
 
 // TestAutoShardsMatchesCrossover holds exp.AutoShards to the crossover table
 // committed in BENCH_engine.json: at every n the table records, Auto on the
-// table's host picks the k that won there (Crossover.Winner). A table
-// re-measured on other hardware, or an n₀ edited by hand, that disagrees
-// fails here.
+// table's host picks the k that won there (Crossover.Winner), and on a host
+// of any width it picks no k larger than the largest the table shows
+// winning, and that one where the table's largest n would have it. A table
+// re-measured on other hardware, an n₀ edited by hand, or a cap widened
+// past what was measured fails here.
 func TestAutoShardsMatchesCrossover(t *testing.T) {
 	raw, err := os.ReadFile("../../BENCH_engine.json")
 	if err != nil {
@@ -205,5 +207,19 @@ func TestAutoShardsMatchesCrossover(t *testing.T) {
 		if got, want := exp.AutoShards(r.N, c.GOMAXPROCS), c.Winner(r.N); got != want {
 			t.Errorf("n=%d on %d cores: Auto picks k=%d, the table's winner is k=%d", r.N, c.GOMAXPROCS, got, want)
 		}
+	}
+	maxN, maxK := 0, 0
+	for n := range seen {
+		maxN, maxK = max(maxN, n), max(maxK, c.Winner(n))
+	}
+	for n := range seen {
+		for _, procs := range []int{c.GOMAXPROCS, 4, 8, 32, 256} {
+			if got := exp.AutoShards(n, procs); got > maxK {
+				t.Errorf("n=%d on %d cores: Auto picks k=%d, but no k above %d won in the table (measured on %d cores)", n, procs, got, maxK, c.GOMAXPROCS)
+			}
+		}
+	}
+	if got := exp.AutoShards(maxN, 256); got != maxK {
+		t.Errorf("n=%d on 256 cores: Auto picks k=%d, want the table's largest winner k=%d", maxN, got, maxK)
 	}
 }

@@ -40,32 +40,48 @@ type TMsg struct {
 	Mark clock.Local // the round mark Tⁱ the sender is broadcasting
 }
 
-// RoundMsgs is a run's round messages boxed once, before the run, and only
-// read during it, so that a round's n broadcasts box nothing: the message
-// of round i under the mark it carries, T⁰ + iP summed as a schedule sums
-// it. A mark outside the table — a late starter's skipped-to mark, a §7
-// sub-exchange, a round past the last interned — is boxed at the send as
-// before; either way the payload is the same TMsg value.
+// RoundMsgs is a run's round messages of one schedule boxed once, before
+// the run, and only read during it, so that a round's sends box nothing:
+// the message of round i under the mark it carries, T⁰ + iP summed as a
+// schedule sums it. Proc broadcasts from one (NewRoundMsgs); hier keeps
+// one per tier. A mark outside the table — a late starter's skipped-to
+// mark, a §7 sub-exchange, a round past the last interned — is boxed at
+// the send as before; either way the payload is the same value.
 type RoundMsgs struct {
 	marks []clock.Local
 	msgs  []any
 }
 
-// NewRoundMsgs interns the messages of rounds 0 … rounds+1 of cfg.
-func NewRoundMsgs(cfg Config, rounds int) *RoundMsgs {
-	s := newSchedule(cfg.Params, 0)
-	r := &RoundMsgs{marks: make([]clock.Local, rounds+2), msgs: make([]any, rounds+2)}
+// InternRounds boxes box(Tⁱ) for the marks of rounds 0 … rounds+1 of p.
+func InternRounds(p analysis.Params, rounds int, box func(mark clock.Local) any) RoundMsgs {
+	s := newSchedule(p, 0)
+	r := RoundMsgs{marks: make([]clock.Local, rounds+2), msgs: make([]any, rounds+2)}
 	for i := range r.marks {
-		r.marks[i], r.msgs[i] = s.t, TMsg{Mark: s.t}
+		r.marks[i], r.msgs[i] = s.t, box(s.t)
 		s.Advance()
 	}
 	return r
 }
 
-// msg returns round i's message for mark, interned when the table holds it.
+// NewRoundMsgs interns the TMsgs of rounds 0 … rounds+1 of cfg.
+func NewRoundMsgs(cfg Config, rounds int) *RoundMsgs {
+	r := InternRounds(cfg.Params, rounds, func(mark clock.Local) any { return TMsg{Mark: mark} })
+	return &r
+}
+
+// Lookup returns round i's interned message when the table holds it for
+// mark, bit for bit: a −0 mark is not the interned +0.
+func (r *RoundMsgs) Lookup(i int, mark clock.Local) (any, bool) {
+	if r != nil && i < len(r.marks) && math.Float64bits(float64(r.marks[i])) == math.Float64bits(float64(mark)) {
+		return r.msgs[i], true
+	}
+	return nil, false
+}
+
+// msg returns round i's TMsg for mark, interned when the table holds it.
 func (r *RoundMsgs) msg(i int, mark clock.Local) any {
-	if r != nil && i < len(r.marks) && r.marks[i] == mark {
-		return r.msgs[i]
+	if m, ok := r.Lookup(i, mark); ok {
+		return m
 	}
 	return TMsg{Mark: mark}
 }

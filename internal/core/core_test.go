@@ -413,3 +413,28 @@ func TestStartTimesRealizeA4(t *testing.T) {
 		t.Errorf("start span = %v, want 4ms", span)
 	}
 }
+
+// TestRoundMsgsLookup: a round's interned message is returned for that
+// round's mark, bit for bit, and for nothing else — a −0 mark where +0 is
+// interned, another round's mark or a round past the table is boxed at the
+// send instead.
+func TestRoundMsgsLookup(t *testing.T) {
+	p := analysis.Default(7, 2)
+	p.T0 = 0
+	r := core.InternRounds(p, 3, func(mark clock.Local) any { return core.TMsg{Mark: mark} })
+	if m, ok := r.Lookup(1, clock.Local(p.P)); !ok || m != (core.TMsg{Mark: clock.Local(p.P)}) {
+		t.Errorf("round 1: got %v, %v; want the interned TMsg{Mark: P}", m, ok)
+	}
+	for _, c := range []struct {
+		i    int
+		mark clock.Local
+	}{{0, clock.Local(math.Copysign(0, -1))}, {2, clock.Local(p.P)}, {5, clock.Local(5 * p.P)}} {
+		if m, ok := r.Lookup(c.i, c.mark); ok {
+			t.Errorf("round %d, mark %v: interned %v, want a miss", c.i, c.mark, m)
+		}
+	}
+	var none *core.RoundMsgs
+	if _, ok := none.Lookup(0, 0); ok {
+		t.Error("a nil table interned a message")
+	}
+}

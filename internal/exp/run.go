@@ -228,9 +228,17 @@ const Auto = -1
 // TestAutoShardsMatchesCrossover holds the two together.
 const autoMinN = 40
 
+// autoMaxShards caps AutoShards at the largest k the crossover table shows
+// winning. Its host has 2 cores, so no k above 2 was measured to pay for
+// its workers there, and none is picked on a wider host either: every
+// concurrent Run would add that many workers on a guess. A wider cap needs
+// a table measured on a wider host, which TestAutoShardsMatchesCrossover
+// then checks at that host's GOMAXPROCS.
+const autoMaxShards = 2
+
 // AutoShards is the shard count Auto picks for a flat mesh of n processes
-// on procs cores: min(procs, n / n₀), at least 1.
-func AutoShards(n, procs int) int { return max(1, min(procs, n/autoMinN)) }
+// on procs cores: min(procs, n / n₀, autoMaxShards), at least 1.
+func AutoShards(n, procs int) int { return max(1, min(procs, n/autoMinN, autoMaxShards)) }
 
 // Run assembles the workload's topology and executes it, returning the
 // recorders.

@@ -12,6 +12,8 @@
 package faults
 
 import (
+	"fmt"
+
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -34,6 +36,16 @@ type sendAt struct {
 	to      sim.ProcID
 	payload any
 	slot    int
+}
+
+// String renders a timed send as a trace prints its timer: recipient and
+// payload, the ring slot left out, exactly as the value struct of {to,
+// payload} prints under %+v.
+func (s *sendAt) String() string {
+	return fmt.Sprintf("%+v", struct {
+		to      sim.ProcID
+		payload any
+	}{s.to, s.payload})
 }
 
 // sendRing is a strategy's planned rounds: each slot holds a round's timed

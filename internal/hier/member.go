@@ -1,8 +1,7 @@
 package hier
 
 import (
-	"math"
-
+	"repro/internal/analysis"
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -53,28 +52,21 @@ type hTimer struct {
 
 // wire holds a system's members' payloads boxed once, before the run, and
 // only read during it, so that a send or a timer boxes nothing: each tier's
-// round message by round index, under the mark it carries, and each tier's
-// timer by generation. A payload outside the tables — a late
-// representative's skipped-to mark, a generation past the last interned —
-// is boxed at the send as before; either way the value is the same.
+// round messages (core.RoundMsgs) and each tier's timer by generation. A
+// payload outside the tables — a late representative's skipped-to mark, a
+// generation past the last interned — is boxed at the send as before;
+// either way the value is the same.
 type wire struct {
-	marks  [2][]clock.Local
-	msgs   [2][]any
+	msgs   [2]core.RoundMsgs
 	timers [2][]any
 }
 
-// intern fills w for a run of rounds inner rounds of cfg: the marks T⁰ + iP
-// of either tier, summed as core's schedule sums them, and the timers of a
-// few arms per round.
+// intern fills w for a run of rounds inner rounds of cfg: either tier's
+// round messages and the timers of a few arms per round.
 func (w *wire) intern(cfg Config, rounds int) {
-	for t, t0 := range []float64{cfg.InnerParams(0).T0, cfg.OuterParams().T0} {
+	for t, p := range []analysis.Params{cfg.InnerParams(0), cfg.OuterParams()} {
 		tier := TierInner + TierID(t)
-		w.marks[t], w.msgs[t] = make([]clock.Local, rounds+2), make([]any, rounds+2)
-		mark := clock.Local(t0)
-		for i := range w.marks[t] {
-			w.marks[t][i], w.msgs[t][i] = mark, TMsg{Tier: tier, Mark: mark}
-			mark += clock.Local(cfg.P)
-		}
+		w.msgs[t] = core.InternRounds(p, rounds, func(mark clock.Local) any { return TMsg{Tier: tier, Mark: mark} })
 		w.timers[t] = make([]any, 4*rounds+16)
 		for g := range w.timers[t] {
 			w.timers[t][g] = hTimer{tier, uint32(g)}
@@ -84,8 +76,8 @@ func (w *wire) intern(cfg Config, rounds int) {
 
 // msg returns tier's round message for round i with mark.
 func (w *wire) msg(tier TierID, i int, mark clock.Local) any {
-	if ms := w.marks[tier-1]; i < len(ms) && math.Float64bits(float64(ms[i])) == math.Float64bits(float64(mark)) {
-		return w.msgs[tier-1][i]
+	if m, ok := w.msgs[tier-1].Lookup(i, mark); ok {
+		return m
 	}
 	return TMsg{Tier: tier, Mark: mark}
 }

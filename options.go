@@ -331,8 +331,9 @@ func WithSeed(seed int64) Option { return func(o *options) { o.seed = seed } }
 // yet implemented there), an adaptive WithAdversary strategy — is rejected
 // by New from the option table, naming both options. Leaving the option out
 // (or k ≤ 0) is Auto: a flat mesh the window composes with runs on
-// min(GOMAXPROCS, n / n₀) shards, n₀ read off the measured crossover table
-// in BENCH_engine.json, and a two-tier one on one; with WithTrace or an
+// min(GOMAXPROCS, n / n₀, 2) shards, n₀ and the cap of 2 read off the
+// measured crossover table in BENCH_engine.json (a 2-core host: no wider k
+// is measured to win), and a two-tier one on one; with WithTrace or an
 // adaptive WithAdversary Auto runs the time-major engine instead, without
 // an error. k = 1 runs one window partition on the calling goroutine, with
 // the same time-major fallback. Composes with both topologies.
