@@ -26,7 +26,12 @@ type ClusteredDelay struct {
 	OuterDelta, OuterEps float64
 }
 
-var _ sim.DelayModel = ClusteredDelay{}
+var _ sim.CounterDelayModel = ClusteredDelay{}
+
+// DrawsPerCopy implements sim.CounterDelayModel: one Float64 a copy, in
+// either band, so a windowed engine keeps a fan-out's row as its sender's
+// stream state rather than its delivery times.
+func (ClusteredDelay) DrawsPerCopy() int { return 1 }
 
 // NewClusteredDelay builds the network matching cfg's clusters and substrate
 // parameters.

@@ -7,7 +7,7 @@ package metrics
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/clock"
 	"repro/internal/sim"
@@ -126,29 +126,41 @@ type RoundRecorder struct {
 	BeginTag string
 	AdjTag   string
 
-	// begins[i] is round i's round-begin events, nil for a round not
-	// seen. The round index is dense — rounds run 0, 1, 2, … — so it
-	// indexes a slice that grows with the rounds seen, one slot each.
-	begins []roundBegins
-	adjs   []TimedValue // all adjustments in arrival order
+	// begins holds round i's round-begin events at
+	// begins[i/beginChunk][i%beginChunk], nil for a round not seen. The
+	// round index is dense — rounds run 0, 1, 2, … — so it indexes chunks
+	// made as the rounds come, and no record ever moves. Each round's list
+	// is carved, n times long, off slab, the rest of an array made for up
+	// to beginChunk rounds at once.
+	begins [][]roundBegins
+	slab   []clock.Real
+	// adjs is every adjustment in arrival order, a chunk at a time: a full
+	// chunk is followed by one twice as long, so the log is never copied
+	// and at most half of it is room to spare.
+	adjs [][]TimedValue
 }
 
-// roundBegins is one round's record: its round-begin events, and the
-// instantaneous nonfaulty skew at the *latest* of them seen so far — the
-// paper's Bⁱ is defined "at the latest real time when a nonfaulty process
-// begins round i" (§9.2). Annotations arrive in time order, so overwriting
-// keeps the latest.
+// roundBegins is one round's record: the real times of its round-begin
+// events, and the instantaneous nonfaulty skew at the *latest* of them seen
+// so far — the paper's Bⁱ is defined "at the latest real time when a
+// nonfaulty process begins round i" (§9.2). Annotations arrive in time
+// order, so overwriting keeps the latest.
 type roundBegins struct {
-	evs  []TimedValue
+	ats  []clock.Real
 	skew float64
 }
 
-// round returns round i's record, nil when i was not seen.
+// beginChunk is how many rounds' records a chunk of begins holds, and the
+// most rounds' begin lists one slab holds (as many as the rounds seen so
+// far, and at least 4).
+const beginChunk = 64
+
+// round returns round i's record, nil when i is past every chunk.
 func (r *RoundRecorder) round(i int) *roundBegins {
-	if i < 0 || i >= len(r.begins) {
+	if i < 0 || i/beginChunk >= len(r.begins) {
 		return nil
 	}
-	return &r.begins[i]
+	return &r.begins[i/beginChunk][i%beginChunk]
 }
 
 var _ sim.AnnotationSink = (*RoundRecorder)(nil)
@@ -162,12 +174,9 @@ func NewRoundRecorder(beginTag, adjTag string) *RoundRecorder {
 // no Sample method: annotations arrive on their own callback, so the engine
 // skips it when it samples.)
 //
-// The collection buffers are right-sized from the system size the first
-// time each is touched — a round's begin list gets one allocation of
-// exactly n slots instead of growth-doubling through the round, and the
-// adjustment log starts several rounds deep — so recording across many
-// rounds reuses capacity instead of reallocating per round (the dominant
-// allocation source of the full-workload benchmark before this).
+// The collection buffers are sized from the system size n: a round's begin
+// list is n slots of a slab made for up to 64 rounds, and the adjustment
+// log's first chunk is several rounds deep; neither is ever copied.
 func (r *RoundRecorder) OnAnnotation(e *sim.Engine, a sim.Annotation) {
 	if e.Faulty(a.Proc) {
 		return
@@ -178,52 +187,54 @@ func (r *RoundRecorder) OnAnnotation(e *sim.Engine, a sim.Annotation) {
 		if i < 0 {
 			return // not a round index
 		}
-		if i >= len(r.begins) {
-			r.begins = append(r.begins, make([]roundBegins, i+1-len(r.begins))...)
+		for i/beginChunk >= len(r.begins) {
+			r.begins = append(r.begins, make([]roundBegins, beginChunk))
 		}
-		rb := &r.begins[i]
-		if rb.evs == nil {
-			rb.evs = make([]TimedValue, 0, e.N())
+		rb := r.round(i)
+		if rb.ats == nil {
+			n := e.N()
+			if len(r.slab) < n {
+				r.slab = make([]clock.Real, n*min(beginChunk, max(4, i)))
+			}
+			rb.ats, r.slab = r.slab[:0:n], r.slab[n:]
 		}
-		rb.evs = append(rb.evs, TimedValue{At: a.At, Proc: a.Proc, Value: a.Value})
+		rb.ats = append(rb.ats, a.At)
 		if skew, ok := NonfaultySkew(e, a.At); ok {
 			rb.skew = skew
 		}
 	case r.AdjTag:
-		if r.adjs == nil {
-			r.adjs = make([]TimedValue, 0, 8*e.N())
+		if k := len(r.adjs); k == 0 || len(r.adjs[k-1]) == cap(r.adjs[k-1]) {
+			size := 8 * e.N()
+			if k > 0 {
+				size = 2 * cap(r.adjs[k-1])
+			}
+			r.adjs = append(r.adjs, make([]TimedValue, 0, size))
 		}
-		r.adjs = append(r.adjs, TimedValue{At: a.At, Proc: a.Proc, Value: a.Value})
+		last := &r.adjs[len(r.adjs)-1]
+		*last = append(*last, TimedValue{At: a.At, Proc: a.Proc, Value: a.Value})
 	}
 }
 
 // Rounds returns the number of rounds for which every nonfaulty process has
 // a recorded beginning (consecutive from 0).
 func (r *RoundRecorder) Rounds() int {
-	for i := range r.begins {
-		if r.begins[i].evs == nil {
+	for i := 0; ; i++ {
+		if rb := r.round(i); rb == nil || rb.ats == nil {
 			return i
 		}
 	}
-	return len(r.begins)
 }
 
 // BetaMeasured returns the real-time spread of round i's beginnings — the
 // measured βᵢ of Theorem 4(c) — and false if round i was not observed.
 func (r *RoundRecorder) BetaMeasured(i int) (float64, bool) {
 	rb := r.round(i)
-	if rb == nil || len(rb.evs) == 0 {
+	if rb == nil || len(rb.ats) == 0 {
 		return 0, false
 	}
-	evs := rb.evs
-	lo, hi := evs[0].At, evs[0].At
-	for _, ev := range evs[1:] {
-		if ev.At < lo {
-			lo = ev.At
-		}
-		if ev.At > hi {
-			hi = ev.At
-		}
+	lo, hi := rb.ats[0], rb.ats[0]
+	for _, at := range rb.ats[1:] {
+		lo, hi = min(lo, at), max(hi, at)
 	}
 	return float64(hi - lo), true
 }
@@ -253,32 +264,31 @@ func (r *RoundRecorder) SkewAtBegin(i int) float64 {
 // restricted to adjustments at or after real time from.
 func (r *RoundRecorder) MaxAbsAdj(from clock.Real) float64 {
 	m := 0.0
-	for _, a := range r.adjs {
-		if a.At < from {
-			continue
-		}
-		if v := math.Abs(a.Value); v > m {
-			m = v
+	for _, c := range r.adjs {
+		for _, a := range c {
+			if a.At < from {
+				continue
+			}
+			if v := math.Abs(a.Value); v > m {
+				m = v
+			}
 		}
 	}
 	return m
 }
 
-// Adjustments returns all recorded adjustments in arrival order.
-func (r *RoundRecorder) Adjustments() []TimedValue { return r.adjs }
+// Adjustments returns all recorded adjustments in arrival order, in a new
+// slice.
+func (r *RoundRecorder) Adjustments() []TimedValue { return slices.Concat(r.adjs...) }
 
 // AnnotationTimes returns, per round, the sorted real times of the begin
 // annotations (useful for validity's tmin/tmax bookkeeping).
 func (r *RoundRecorder) AnnotationTimes(i int) []clock.Real {
-	var evs []TimedValue
+	var ts []clock.Real
 	if rb := r.round(i); rb != nil {
-		evs = rb.evs
+		ts = slices.Clone(rb.ats)
 	}
-	ts := make([]clock.Real, len(evs))
-	for j, ev := range evs {
-		ts[j] = ev.At
-	}
-	sort.Slice(ts, func(a, b int) bool { return ts[a] < ts[b] })
+	slices.Sort(ts)
 	return ts
 }
 

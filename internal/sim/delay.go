@@ -25,13 +25,46 @@ type BatchDelayModel interface {
 	SampleAll(from ProcID, n int, at clock.Real, rng *RNG, out []float64)
 }
 
+// CounterDelayModel is the opt-in of a windowed engine's drawn rows. Its
+// Sample draws exactly DrawsPerCopy values from rng for every copy, whatever
+// the copy, and depends on nothing else that changes during a run: on
+// (from, to, at) and those draws alone. The stream is a counter generator
+// (rng.go), so the delay of copy j of a fan-out over [lo, hi) is then a
+// function of the sender's stream state s₀ before the fan-out: Sample again,
+// on a copy of the stream seeked to s₀ + (j−lo)·DrawsPerCopy draws, returns
+// it bit for bit.
+//
+// A partition stores such a fan-out as a drawn row — s₀, the range and the
+// exact extremes, no delivery times — when every copy routes on the full
+// mesh and none is lost or refused, and its gather redraws the times of the
+// copies it reads, from its tile's first copy on. Sample may then run again
+// for a copy on any partition's goroutine, later, possibly at once with
+// other partitions' calls. fanOut checks, once per fan-out, that sampling
+// advanced the stream by exactly m·DrawsPerCopy draws; a model that drew
+// otherwise gets a stored row holding the m times, as does every fan-out of
+// a model that does not implement this interface. So a wrong declaration
+// cannot change an execution, only its memory: a stored row costs 8 bytes a
+// copy, a drawn row none.
+type CounterDelayModel interface {
+	DelayModel
+	// DrawsPerCopy returns how many rng values Sample draws per copy: 0 for
+	// a model that ignores rng.
+	DrawsPerCopy() int
+}
+
 // ConstantDelay delivers every message in exactly δ (ε = 0) — the idealized
 // network in which the algorithm's estimator ARR−(T+δ) is exact.
 type ConstantDelay struct {
 	Delta float64
 }
 
-var _ BatchDelayModel = ConstantDelay{}
+var (
+	_ BatchDelayModel   = ConstantDelay{}
+	_ CounterDelayModel = ConstantDelay{}
+)
+
+// DrawsPerCopy implements CounterDelayModel: none.
+func (ConstantDelay) DrawsPerCopy() int { return 0 }
 
 // Sample implements DelayModel.
 func (d ConstantDelay) Sample(_, _ ProcID, _ clock.Real, _ *RNG) float64 { return d.Delta }
@@ -53,7 +86,13 @@ type UniformDelay struct {
 	Eps   float64
 }
 
-var _ BatchDelayModel = UniformDelay{}
+var (
+	_ BatchDelayModel   = UniformDelay{}
+	_ CounterDelayModel = UniformDelay{}
+)
+
+// DrawsPerCopy implements CounterDelayModel: one Float64 a copy.
+func (UniformDelay) DrawsPerCopy() int { return 1 }
 
 // Sample implements DelayModel.
 func (d UniformDelay) Sample(_, _ ProcID, _ clock.Real, rng *RNG) float64 {
@@ -84,7 +123,14 @@ type ExtremalDelay struct {
 	SlowTo func(from, to ProcID) bool
 }
 
-var _ BatchDelayModel = ExtremalDelay{}
+var (
+	_ BatchDelayModel   = ExtremalDelay{}
+	_ CounterDelayModel = ExtremalDelay{}
+)
+
+// DrawsPerCopy implements CounterDelayModel: none (SlowTo must be a pure
+// function of its link).
+func (ExtremalDelay) DrawsPerCopy() int { return 0 }
 
 // SampleAll implements BatchDelayModel.
 func (d ExtremalDelay) SampleAll(from ProcID, n int, at clock.Real, rng *RNG, out []float64) {
@@ -119,7 +165,13 @@ type PerLinkDelay struct {
 	Seed  int64
 }
 
-var _ BatchDelayModel = PerLinkDelay{}
+var (
+	_ BatchDelayModel   = PerLinkDelay{}
+	_ CounterDelayModel = PerLinkDelay{}
+)
+
+// DrawsPerCopy implements CounterDelayModel: none, the delay is the link's.
+func (PerLinkDelay) DrawsPerCopy() int { return 0 }
 
 // SampleAll implements BatchDelayModel.
 func (d PerLinkDelay) SampleAll(from ProcID, n int, at clock.Real, rng *RNG, out []float64) {
@@ -152,7 +204,13 @@ type CenterDelay struct {
 	Eps   float64
 }
 
-var _ BatchDelayModel = CenterDelay{}
+var (
+	_ BatchDelayModel   = CenterDelay{}
+	_ CounterDelayModel = CenterDelay{}
+)
+
+// DrawsPerCopy implements CounterDelayModel: none.
+func (CenterDelay) DrawsPerCopy() int { return 0 }
 
 // Sample implements DelayModel.
 func (d CenterDelay) Sample(_, _ ProcID, _ clock.Real, _ *RNG) float64 { return d.Delta }

@@ -10,3 +10,16 @@ func (e *Engine) Shards() int { return len(e.parts) }
 
 // Shard returns partition i of a windowed engine (treat as read-only).
 func (e *Engine) Shard(i int) *Engine { return e.parts[i] }
+
+// storeRows makes every fan-out of windowed engine e a stored row, as if its
+// delay model declared no draws per copy: the seam that holds drawn rows to
+// the stored rows they replace.
+func (e *Engine) storeRows() {
+	for _, p := range e.parts {
+		p.draws = -1
+	}
+}
+
+// CheckRedraw is checkRedraw (redraw_test.go) for the external test package,
+// which can name delay models of packages that import this one.
+var CheckRedraw = checkRedraw

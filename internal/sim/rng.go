@@ -13,14 +13,24 @@ type RNG struct {
 	state uint64
 }
 
+// gamma is splitmix64's increment γ (the odd integer nearest 2⁶⁴/φ): the
+// state after j draws from s₀ is s₀ + j·γ, and draw j is mix64(s₀ + (j+1)·γ).
+// So the generator is a counter — any draw is reachable in one step (skip) —
+// which lets a windowed engine keep a fan-out as its sender's state and
+// redraw its delays (CounterDelayModel).
+const gamma = 0x9e3779b97f4a7c15
+
 // NewRNG returns a generator seeded with seed.
 func NewRNG(seed int64) RNG { return RNG{state: uint64(seed)} }
 
 // Uint64 returns the next 64 uniformly random bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += gamma
 	return mix64(r.state)
 }
+
+// skip returns the stream j draws past r, without drawing them.
+func (r RNG) skip(j uint64) RNG { return RNG{state: r.state + j*gamma} }
 
 // Int63 returns a non-negative random int64.
 func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
@@ -61,7 +71,7 @@ const procSeedTag = 0xd1b54a32d192ed03
 // so per-process randomness is reproducible and well separated across
 // processes, the delay streams, and per-trial sweep seeds.
 func procSeed(seed int64, pid ProcID) int64 {
-	return int64(mix64((uint64(seed) ^ procSeedTag) + 0x9e3779b97f4a7c15*uint64(pid+1)))
+	return int64(mix64((uint64(seed) ^ procSeedTag) + gamma*uint64(pid+1)))
 }
 
 // senderSeedTag domain-separates the per-sender delay streams from
@@ -74,5 +84,5 @@ const senderSeedTag = 0x9e6c63d0876a9a47
 // into shards — the sequential engine is the one-shard case — and of window
 // interleaving.
 func senderSeed(seed int64, pid ProcID) int64 {
-	return int64(mix64((uint64(seed) ^ senderSeedTag) + 0x9e3779b97f4a7c15*uint64(pid+1)))
+	return int64(mix64((uint64(seed) ^ senderSeedTag) + gamma*uint64(pid+1)))
 }

@@ -22,10 +22,12 @@ import (
 //
 // The processes are partitioned into k contiguous blocks, each owned by a
 // partition: an Engine holding two stores. Every fan-out its processes send —
-// a broadcast, a multicast or a Send — is one row (bcast) holding its copies'
-// delivery times, which the cut after the send publishes on one board every
-// partition reads; and its processes' STARTs and TIMERs that are not yet due
-// are one heap (partition.timers). Partition 0 is the engine New returns; it
+// a broadcast, a multicast or a Send — is one row (bcast), which the cut
+// after the send publishes on one board every partition reads: its sender's
+// delay-stream state, from which readers redraw the copies' delivery times
+// (a drawn row, CounterDelayModel), or the times themselves (a stored row);
+// and its processes' STARTs and TIMERs that are not yet due are one heap
+// (partition.timers). Partition 0 is the engine New returns; it
 // drives the windows and replays the samples and annotations of each window
 // at its cut (clocktable.go). A window runs as: (1) find the globally
 // earliest pending event time m, over the timer heaps and the rows on the
@@ -75,15 +77,16 @@ import (
 // least (at, key) copy a window's sends put inside the window, which breaks
 // the delay model's declared lower bound.
 //
-// A fan-out's row goes on sent, and its copies are counted in tally per
-// destination partition, until the cut publishes them on the board. Rows
-// come from rows, one free list per size class — class c holds rows of
+// A fan-out's header goes on sent, and its copies are counted in tally per
+// destination partition, until the cut publishes them on the board. Stored
+// rows come from rows, one free list per size class — class c holds rows of
 // min(2^c, n) times — refilled by the cut with the rows of this partition's
 // delivered fan-outs, each class made a slab at a time. pendMin is the least
 // time of a copy the last window's gather left pending, and due holds a
 // tile's due events, one buffer per process, carved stride entries apart
 // from one array; wide, tiled and tileOff are the window's candidate rows
-// filed by tile (bucket).
+// filed by tile (bucket), and drawn is the tile's slice of a drawn row,
+// redrawn from the stream redraw.
 //
 // Its events: the window being drained takes those at < dueHi and
 // ≤ dueUntil (dueHi is −∞ outside one). timers holds the owned processes'
@@ -108,6 +111,8 @@ type partition struct {
 	wide    []int32
 	tiled   []int32
 	tileOff []int32
+	drawn   [gatherTile]float64
+	redraw  RNG
 
 	dueHi, dueUntil float64
 	timers          entryHeap
@@ -119,28 +124,31 @@ type partition struct {
 	pend            int
 }
 
-// rowClass is one size class of a partition's rows: the free ones, and how
-// many were made.
+// rowClass is one size class of a partition's stored rows: the free ones,
+// each the full size of its class, and how many were made.
 type rowClass struct {
-	free   [][]float64
+	free   []*[]float64
 	carved int
 }
 
 // owner returns the partition that owns process q.
 func (pt *partition) owner(q int) int { return q / pt.per }
 
-// bcast is one fan-out over [lo, lo+len(at)) on a windowed engine: what its
-// copies share, and the row of their delivery times — at[q−lo] is the copy
-// to q's, NaN for a copy the channel lost or badCopy refused. Copy q's queue
-// key is seq | q. min and max are the row's finite extremes.
+// bcast is one fan-out over [lo, lo+m) on a windowed engine: what its copies
+// share, and their delivery times, in one of two forms. A stored row is at,
+// whose first m times are the copies' — (*at)[q−lo] the copy to q's, NaN for
+// a copy the channel lost or badCopy refused. A drawn row (at nil) keeps s0,
+// its sender's delay stream before the fan-out, and its readers redraw the
+// times (times). Copy q's queue key is seq | q. min and max are the exact
+// finite extremes of the times. The header is 80 bytes either way.
 type bcast struct {
-	from     ProcID
-	lo       int
-	sentAt   clock.Real
-	payload  any
-	seq      uint64
-	min, max float64
-	at       []float64
+	from, lo, m int32
+	sentAt      clock.Real
+	payload     any
+	seq         uint64
+	min, max    float64
+	at          *[]float64
+	s0          uint64
 }
 
 // board is the fan-outs in flight, shared by the partitions and read-only
@@ -502,7 +510,9 @@ func (e *Engine) publish(hi, until float64) {
 	live, rest := b.live[:0], math.Inf(1)
 	for _, h := range b.live {
 		if h.max < hi && h.max <= until {
-			e.parts[e.part.owner(int(h.from))].part.recycle(h.at)
+			if h.at != nil {
+				e.parts[e.part.owner(int(h.from))].part.recycle(h.at)
+			}
 			continue
 		}
 		if h.min >= hi { // not a candidate: no partition scanned it
@@ -543,32 +553,54 @@ func (b *board) candidates(hi float64) {
 // load writes the message of a gathered copy into out.
 func (b *board) load(en *entry, out *Message) {
 	h := &b.live[^en.ref]
-	out.From, out.To, out.Kind = h.from, ProcID(en.to), KindOrdinary
+	out.From, out.To, out.Kind = ProcID(h.from), ProcID(en.to), KindOrdinary
 	out.Payload, out.SentAt, out.DeliverAt = h.payload, h.sentAt, clock.Real(en.at)
 }
 
-// row returns a fan-out's row, m long, of an n-process system: a free one of
-// its size class, or the first of a new slab of that class.
-func (pt *partition) row(m, n int) []float64 {
+// row returns a stored row for m copies of an n-process system: a free one
+// of its size class, or the first of a new slab of that class, whose rows'
+// slice headers are one array beside it.
+func (pt *partition) row(m, n int) *[]float64 {
 	rc := &pt.rows[bits.Len(uint(m-1))]
 	if len(rc.free) == 0 {
 		size, rows := min(1<<bits.Len(uint(m-1)), n), min(bcastSlab, max(bcastSlabMin, rc.carved))
-		slab := make([]float64, rows*size)
+		slab, hdrs := make([]float64, rows*size), make([][]float64, rows)
 		rc.free = slices.Grow(rc.free, rows)
 		for i := rows - 1; i >= 0; i-- {
-			rc.free = append(rc.free, slab[i*size:(i+1)*size:(i+1)*size])
+			hdrs[i] = slab[i*size : (i+1)*size : (i+1)*size]
+			rc.free = append(rc.free, &hdrs[i])
 		}
 		rc.carved += rows
 	}
 	r := rc.free[len(rc.free)-1]
 	rc.free = rc.free[:len(rc.free)-1]
-	return r[:m]
+	return r
 }
 
-// recycle puts a row back on the free list of its size class.
-func (pt *partition) recycle(r []float64) {
-	rc := &pt.rows[bits.Len(uint(len(r)-1))]
+// recycle puts a stored row back on the free list of its size class.
+func (pt *partition) recycle(r *[]float64) {
+	rc := &pt.rows[bits.Len(uint(len(*r)-1))]
 	rc.free = append(rc.free, r)
+}
+
+// times returns the delivery times of copies a … z−1 (at most a tile) of
+// fan-out h: its stored row's, or, for a drawn row, the times fanOut sampled,
+// redrawn into the partition's drawn buffer — a copy of the sender's stream
+// skipped to copy a's first draw runs the delay model's Sample copy by copy,
+// and each time is formed as fanOut forms it.
+func (e *Engine) times(h *bcast, a, z int) []float64 {
+	lo := int(h.lo)
+	if h.at != nil {
+		return (*h.at)[a-lo : z-lo]
+	}
+	from, now, rng := ProcID(h.from), h.sentAt, &e.part.redraw
+	*rng = RNG{h.s0}.skip(uint64(e.draws * (a - lo)))
+	out := e.part.drawn[:z-a]
+	for i := range out {
+		d := e.delay.Sample(from, ProcID(a+i), now, rng)
+		out[i] = float64(now + clock.Real(d))
+	}
+	return out
 }
 
 // carveTile gives the tile's buffers, empty between gathers, stride
@@ -583,11 +615,14 @@ func (pt *partition) carveTile(stride int) {
 }
 
 // post keeps a fan-out over [lo, lo+len(row)) whose copies' delivery times
-// row holds for the cut to publish: the row, with its finite extremes, goes
-// on the sent list and its copies are tallied per destination partition. A
-// copy landing inside the window being drained breaks the declared lower
-// bound: early keeps the least (at, key) such copy.
-func (e *Engine) post(from ProcID, payload any, seq uint64, lo int, row []float64) {
+// row holds, in the engine's delays buffer, for the cut to publish: its
+// header, with the times' finite extremes, goes on the sent list and its
+// copies are tallied per destination partition. A drawn fan-out keeps s0,
+// its sender's delay stream before the fan-out, in place of the times; any
+// other copies row into a stored row. A copy landing inside the window being
+// drained breaks the declared lower bound: early keeps the least (at, key)
+// such copy.
+func (e *Engine) post(from ProcID, payload any, seq uint64, lo int, row []float64, drawn bool, s0 uint64) {
 	pt := e.part
 	mn, mx := math.Inf(1), math.Inf(-1)
 	hi := lo + len(row)
@@ -614,7 +649,14 @@ func (e *Engine) post(from ProcID, payload any, seq uint64, lo int, row []float6
 			}
 		}
 	}
-	pt.sent = append(pt.sent, bcast{from: from, lo: lo, sentAt: e.now, payload: payload, seq: seq, min: mn, max: mx, at: row})
+	h := bcast{from: int32(from), lo: int32(lo), m: int32(len(row)), sentAt: e.now, payload: payload, seq: seq, min: mn, max: mx}
+	if drawn {
+		h.s0 = s0
+	} else {
+		h.at = pt.row(len(row), len(e.procs))
+		copy(*h.at, row)
+	}
+	pt.sent = append(pt.sent, h)
 }
 
 // earlyCopy is a copy landing inside the window it was sent in, with its
@@ -722,12 +764,12 @@ func (e *Engine) gather(lo, end int) [][]entry {
 	for _, rows := range [2][]int32{pt.wide, narrow} {
 		for _, c := range rows {
 			h := &b.live[c]
-			a, z := max(first, h.lo), min(last, h.lo+len(h.at))
+			a, z := max(first, int(h.lo)), min(last, int(h.lo+h.m))
 			if a >= z {
 				continue
 			}
 			seq, ref, d := h.seq|uint64(a), ^c, due[a-first:]
-			for j, t := range h.at[a-h.lo : z-h.lo] {
+			for j, t := range e.times(h, a, z) {
 				switch {
 				case t < hi && t <= until:
 					if !(t < dH && t <= dU) {
@@ -762,7 +804,7 @@ func (pt *partition) bucket() {
 	wide, end := pt.wide[:0], base+pt.own
 	for _, c := range b.cands {
 		h := &b.live[c]
-		a, z := max(base, h.lo), min(end, h.lo+len(h.at))
+		a, z := max(base, int(h.lo)), min(end, int(h.lo+h.m))
 		if a >= z {
 			continue
 		}
@@ -781,7 +823,7 @@ func (pt *partition) bucket() {
 	tiled := slices.Grow(pt.tiled[:0], int(off[nt+1]))[:off[nt+1]]
 	for _, c := range b.cands {
 		h := &b.live[c]
-		a, z := max(base, h.lo), min(end, h.lo+len(h.at))
+		a, z := max(base, int(h.lo)), min(end, int(h.lo+h.m))
 		if a >= z {
 			continue
 		}

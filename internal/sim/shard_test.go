@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/clock"
 )
@@ -88,10 +89,19 @@ type shardRun struct {
 
 func runOnShards(t *testing.T, cfg Config, k int, horizon clock.Real) *shardRun {
 	t.Helper()
+	return runOnShardsAs(t, cfg, k, horizon, false)
+}
+
+// runOnShardsAs is runOnShards, with every fan-out a stored row if stored.
+func runOnShardsAs(t *testing.T, cfg Config, k int, horizon clock.Real, stored bool) *shardRun {
+	t.Helper()
 	cfg.Shards = k
 	se, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if stored {
+		se.storeRows()
 	}
 	r := &shardRun{}
 	if err := se.Observe(samplerFunc(func(e *Engine) {
@@ -410,7 +420,10 @@ func TestShardedLossyAccounting(t *testing.T) {
 // model — equal per-process delivery digests and equal sent/lost/step
 // totals. k = 1 holds the sequential Run and a one-shard window run — the
 // same drain bounded two ways — to one execution; k > 1 adds rows read by
-// partitions other than their sender's. The tied row starts every process at
+// partitions other than their sender's. Every k runs twice: as the delay
+// model has it — drawn rows where it declares its draws per copy and a
+// fan-out loses no copy, stored rows otherwise — and with every row stored,
+// so a drawn row is held to the stored row it replaces. The tied row starts every process at
 // one instant under a constant delay, so whole rounds of copies land
 // together and the packed keys alone order them. The unicast rows fan out as
 // n Sends, so every copy is a one-copy row, published and gathered by the
@@ -484,15 +497,17 @@ func TestShardedMatchesSequential(t *testing.T) {
 				t.Fatalf("%d copies lost on channel %v", seq.lost, r.ch)
 			}
 			for _, k := range []int{1, 2, 4, 16} {
-				sh := runOnShards(t, workload(r), k, horizon)
-				if seq.sent != sh.sent || seq.lost != sh.lost || seq.steps != sh.steps {
-					t.Fatalf("k=%d totals diverge: sequential sent=%d lost=%d steps=%d, sharded sent=%d lost=%d steps=%d",
-						k, seq.sent, seq.lost, seq.steps, sh.sent, sh.lost, sh.steps)
-				}
-				for i := range seq.digests {
-					if seq.digests[i] != sh.digests[i] || seq.counts[i] != sh.counts[i] {
-						t.Fatalf("k=%d process %d diverges: sequential (digest=%x count=%d), sharded (digest=%x count=%d)",
-							k, i, seq.digests[i], seq.counts[i], sh.digests[i], sh.counts[i])
+				for _, stored := range []bool{false, true} {
+					sh := runOnShardsAs(t, workload(r), k, horizon, stored)
+					if seq.sent != sh.sent || seq.lost != sh.lost || seq.steps != sh.steps {
+						t.Fatalf("k=%d stored=%v totals diverge: sequential sent=%d lost=%d steps=%d, sharded sent=%d lost=%d steps=%d",
+							k, stored, seq.sent, seq.lost, seq.steps, sh.sent, sh.lost, sh.steps)
+					}
+					for i := range seq.digests {
+						if seq.digests[i] != sh.digests[i] || seq.counts[i] != sh.counts[i] {
+							t.Fatalf("k=%d stored=%v process %d diverges: sequential (digest=%x count=%d), sharded (digest=%x count=%d)",
+								k, stored, i, seq.digests[i], seq.counts[i], sh.digests[i], sh.counts[i])
+						}
 					}
 				}
 			}
@@ -578,8 +593,9 @@ func TestShardedAdoptionBeforeWindow(t *testing.T) {
 			}
 			early, b := math.Inf(1), sh.part.board
 			for _, h := range b.live {
-				for i, at := range h.at {
-					if h.lo+i >= n/2 && at == at && !(at < b.H && at <= b.U) {
+				for a := int(h.lo); a < int(h.lo+h.m); a++ {
+					at := sh.times(&h, a, a+1)[0]
+					if a >= n/2 && at == at && !(at < b.H && at <= b.U) {
 						early = min(early, at)
 					}
 				}
@@ -1071,84 +1087,120 @@ func TestShardedSplitHorizons(t *testing.T) {
 }
 
 // TestShardedBroadcastMemory is the memory gate of the windowed engine's
-// broadcasts: n = 512 beacons on two partitions, all broadcasting at once
-// every round, keep one row of n delivery times per broadcast in flight —
-// 8 bytes a copy — not a 24-byte queue entry per copy. The rows carved for
-// the first round are at most a round's plus one slab per partition, later
-// rounds reuse them and carve none, and New plus four rounds allocate less in
-// all than one 24-byte entry per copy of a round: a queue that files every
-// copy as an entry cannot meet it. Fanned out as multicasts over blocks of 7
-// ids, or as n Sends, every fan-out is a row of its size class, and rounds
-// 1–3 carve none either.
+// fan-outs (ROADMAP item 3): the bytes held per fan-out in flight stay O(1)
+// in n. Beacons on two partitions all broadcast at once, so round 0 puts n
+// fan-outs in flight together, and what the engine holds for them — its
+// stored rows (8 bytes a copy) and headers (the board's and the partitions'
+// sent lists, 80 bytes each) — is kept once made. Under UniformDelay, which
+// declares one draw per copy, every broadcast is a drawn row, which holds no
+// times: round 0 carves no stored row, n = 2048 holds no more bytes per
+// fan-out than n = 512 (where a stored row alone is 4 KB), and New plus
+// round 0 allocate no more per process at 2048 than at 512 (stored rows
+// would allocate four times as much). Stored rows are still reused: fanned
+// out as multicasts over blocks of 7 ids, or as n Sends, with stored rows
+// forced, and as broadcasts over LossyLinks, whose copies may be lost, so
+// that none is drawn, every fan-out is a stored row of its size class, and
+// rounds 1–3 carve no row round 0 did not.
 func TestShardedBroadcastMemory(t *testing.T) {
-	const n, k = 512, 2
-	carved := func(e *Engine) (rows int) {
+	const k = 2
+	if size := unsafe.Sizeof(bcast{}); size != 80 {
+		t.Fatalf("a fan-out's header is %d bytes, want 80", size)
+	}
+	carved := func(e *Engine) (rows, bytes int) {
 		for _, p := range e.parts {
-			for _, c := range p.part.rows {
-				rows += c.carved
+			for c, rc := range p.part.rows {
+				rows += rc.carved
+				bytes += 8 * rc.carved * min(1<<c, e.N())
 			}
 		}
-		return rows
+		return rows, bytes
 	}
-	for _, v := range []struct {
-		name    string
-		unicast bool
-		block   int
-	}{{"multicast", false, 7}, {"unicast", true, 0}} {
-		cfg := shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
+	held := func(e *Engine) int {
+		_, bytes := carved(e)
+		hdrs := cap(e.part.board.live)
+		for _, p := range e.parts {
+			hdrs += cap(p.part.sent)
+		}
+		return bytes + 80*hdrs
+	}
+	beacons := func(n int, ch Channel, unicast bool, block int) Config {
+		cfg := shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, ch)
 		cfg.StartAt = starts(n, 0)
 		cfg.Shards = k
 		for _, p := range cfg.Procs {
-			p.(*shardBeacon).unicast, p.(*shardBeacon).block = v.unicast, v.block
+			p.(*shardBeacon).unicast, p.(*shardBeacon).block = unicast, block
 		}
+		return cfg
+	}
+	perFanOut, perProc := map[int]float64{}, map[int]float64{}
+	for _, n := range []int{512, 2048} {
+		cfg := beacons(n, nil, false, 0)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
 		se, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := se.Run(0.9e-3); err != nil { // round 0: sent at 0, delivered by 0.5 ms
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if rows, _ := carved(se); rows != 0 {
+			t.Fatalf("n=%d: round 0 carved %d stored rows; a broadcast under UniformDelay is a drawn row", n, rows)
+		}
+		if got := se.Process(ProcID(n - 1)).(*shardBeacon).count; got < n {
+			t.Fatalf("n=%d: process %d received %d messages in round 0, want at least %d", n, n-1, got, n)
+		}
+		perFanOut[n] = float64(held(se)) / float64(n)
+		perProc[n] = float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	}
+	t.Logf("bytes held per fan-out in flight: %.0f at n=512, %.0f at n=2048; allocated per process: %.0f, %.0f",
+		perFanOut[512], perFanOut[2048], perProc[512], perProc[2048])
+	if perFanOut[2048] > 1.25*perFanOut[512] {
+		t.Fatalf("bytes held per fan-out in flight grow with n: %.0f at n=512, %.0f at n=2048", perFanOut[512], perFanOut[2048])
+	}
+	if perProc[2048] > 1.5*perProc[512] {
+		t.Fatalf("New and round 0 allocate %.0f B per process at n=2048, %.0f at n=512: the fan-outs cost O(n) each", perProc[2048], perProc[512])
+	}
+
+	const n = 512
+	for _, v := range []struct {
+		name    string
+		ch      Channel
+		unicast bool
+		block   int
+	}{
+		{"multicast", nil, false, 7},
+		{"unicast", nil, true, 0},
+		{"lossy", LossyLinks{}.BreakBothWays(3, 30), false, 0},
+	} {
+		se, err := New(beacons(n, v.ch, v.unicast, v.block))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.ch == nil {
+			se.storeRows()
+		}
 		if err := se.Run(0.9e-3); err != nil {
 			t.Fatal(err)
 		}
-		first := carved(se)
-		if err := se.Run(3.9e-3); err != nil {
+		first, _ := carved(se)
+		if v.block == 0 && !v.unicast && (first < n || first > n+k*bcastSlab) {
+			t.Fatalf("%s: round 0 carved %d rows; want one per broadcast in flight, %d, plus at most a slab per partition", v.name, first, n)
+		}
+		if first == 0 {
+			t.Fatalf("%s: round 0 carved no stored row", v.name)
+		}
+		if err := se.Run(3.9e-3); err != nil { // rounds 1–3
 			t.Fatal(err)
 		}
-		if got := carved(se); got != first {
+		if got, _ := carved(se); got != first {
 			t.Fatalf("%s: rounds 1–3 carved %d more rows; a delivered fan-out's row must be reused", v.name, got-first)
 		}
 		if got, ok := se.Process(n-1).(*shardBeacon).count, 4*n; got < ok {
 			t.Fatalf("%s: process %d received %d messages in four rounds, want at least %d", v.name, n-1, got, ok)
 		}
-	}
-	cfg := shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
-	cfg.StartAt = starts(n, 0)
-	cfg.Shards = k
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	se, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := se.Run(0.9e-3); err != nil { // round 0: sent at 0, delivered by 0.5 ms
-		t.Fatal(err)
-	}
-	first := carved(se)
-	if first < n || first > n+k*bcastSlab {
-		t.Fatalf("round 0 carved %d rows (%d B); want one per broadcast in flight, %d, plus at most a slab per partition",
-			first, 8*n*first, n)
-	}
-	if err := se.Run(3.9e-3); err != nil { // rounds 1–3
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	if got := carved(se); got != first {
-		t.Fatalf("rounds 1–3 carved %d more rows; a delivered broadcast's row must be reused", got-first)
-	}
-	if got, ok := se.Process(n-1).(*shardBeacon).count, 4*n; got < ok {
-		t.Fatalf("process %d received %d messages in four rounds, want at least %d", n-1, got, ok)
-	}
-	if got, budget := after.TotalAlloc-before.TotalAlloc, uint64(24*n*n); got > budget {
-		t.Fatalf("New and four rounds allocated %d B, over %d B (one 24-byte entry per copy of a round)", got, budget)
 	}
 }
 

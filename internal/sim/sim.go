@@ -249,12 +249,14 @@ type Engine struct {
 
 	// What the send path (fanOut) times every ordinary copy with, classified
 	// by SetDelayModel, SetChannel and SetAdversary at New and again on a
-	// timeline swap: the delay model and its SampleAll (nil when it has
-	// none), the channel and whether it is the reliable full mesh, which
-	// fanOut routes inline, and the adversary controller, nil when no
-	// adversary is installed (the common case).
+	// timeline swap: the delay model, its SampleAll (nil when it has none)
+	// and its draws per copy (−1 when it declares none: CounterDelayModel),
+	// the channel and whether it is the reliable full mesh, which fanOut
+	// routes inline, and the adversary controller, nil when no adversary is
+	// installed (the common case).
 	delay   DelayModel
 	batch   BatchDelayModel
+	draws   int
 	channel Channel
 	mesh    bool
 	advCtl  *AdversaryController
@@ -738,26 +740,23 @@ func (e *Engine) dispatch(a Annotation) {
 // fanOut is the one send step of §2.2: it puts a copy of payload from p into
 // the buffer for every recipient q in [lo, hi) — Context.Broadcast passes
 // [0, n), Context.Multicast its range and Context.Send(q) [q, q+1). It
-// samples the delays first: one SampleAll when the range is every process
-// and the model batches, one Sample per copy otherwise, drawing the same
-// stream either way. Then, copy by copy in recipient order, an installed
-// adversary retimes the delay inside its clamp, the channel routes it
-// (inline on the full mesh), a copy the channel lost or a delay model sent
-// outside [now, +Inf) is dropped — its time is NaN from here on — and the
-// rest are counted and announced to the send hook. Only then are the
-// survivors filed, under one send index: on the time-major engine under one
-// shared header, on a partition as one row holding their times (post). A
-// copy's key is packSeq(from, sidx, q) whatever the range, so a Broadcast,
+// samples the delays first, into the engine's delays buffer: one SampleAll
+// when the range is every process and the model batches, one Sample per copy
+// otherwise, drawing the same stream either way. Then, copy by copy in
+// recipient order, an installed adversary retimes the delay inside its
+// clamp, the channel routes it (inline on the full mesh), a copy the channel
+// lost or a delay model sent outside [now, +Inf) is dropped — its time is NaN
+// from here on — and the rest are counted and announced to the send hook.
+// Only then are the survivors filed, under one send index: on the time-major
+// engine under one shared header, on a partition as one row (post). A copy's
+// key is packSeq(from, sidx, q) whatever the range, so a Broadcast,
 // Multicasts over consecutive blocks and n Sends to q = 0..n−1 order their
 // copies alike — TestBroadcastMatchesSends holds the three to one execution.
 func (e *Engine) fanOut(from ProcID, lo, hi int, payload any) {
 	now, rng, pt := e.now, &e.senders[from].rng, e.part
-	all := lo == 0 && hi == len(e.procs)
-	times := e.delays[lo:hi] // a range outside [0, n) panics here, before a row is taken
-	if pt != nil {           // a partition's fan-out: its delays become its row
-		times = pt.row(hi-lo, len(e.procs))
-	}
-	if e.batch != nil && all {
+	times := e.delays[lo:hi] // a range outside [0, n) panics here
+	s0 := rng.state
+	if e.batch != nil && lo == 0 && hi == len(e.procs) {
 		e.batch.SampleAll(from, hi-lo, now, rng, times)
 	} else {
 		for i := range times {
@@ -791,16 +790,16 @@ func (e *Engine) fanOut(from ProcID, lo, hi int, payload any) {
 		times[i] = float64(at)
 	}
 	if sent == 0 {
-		if pt != nil {
-			pt.recycle(times)
-		}
 		return
 	}
 	s := &e.senders[from]
 	seqBase := e.packSeq(from, s.sidx, 0)
 	s.sidx++
 	if pt != nil {
-		e.post(from, payload, seqBase, lo, times)
+		// A row its readers can redraw: every copy timed by the model alone,
+		// from exactly the draws it declares.
+		drawn := e.draws >= 0 && e.mesh && sent == len(times) && rng.state == RNG{s0}.skip(uint64(e.draws*len(times))).state
+		e.post(from, payload, seqBase, lo, times, drawn, s0)
 		return
 	}
 	local := e.copies[:0]

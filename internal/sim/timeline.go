@@ -109,10 +109,14 @@ func (e *Engine) SetChannel(ch Channel) {
 // is installed, its clamp envelope follows the new band, so retiming stays
 // A3-legal against the substrate actually in force. The swapped-in model
 // sees the same RNG stream the old one was drawing from (scenario delay-band
-// shifts stay deterministic).
+// shifts stay deterministic). A windowed engine's model is fixed at New: its
+// partitions redraw rows in flight with it (CounterDelayModel).
 func (e *Engine) SetDelayModel(m DelayModel) error {
 	if m == nil {
 		return errors.New("sim: SetDelayModel: nil delay model")
+	}
+	if e.part != nil {
+		return errors.New("sim: SetDelayModel on a windowed engine (Config.Shards ≥ 1), whose rows in flight are redrawn with the model of New")
 	}
 	d, eps := m.Bounds()
 	if d < eps || eps < 0 {
@@ -120,6 +124,10 @@ func (e *Engine) SetDelayModel(m DelayModel) error {
 	}
 	e.delay = m
 	e.batch, _ = m.(BatchDelayModel)
+	e.draws = -1
+	if c, ok := m.(CounterDelayModel); ok && c.DrawsPerCopy() >= 0 {
+		e.draws = c.DrawsPerCopy()
+	}
 	if e.advCtl != nil {
 		e.advCtl.lo, e.advCtl.hi = d-eps, d+eps
 	}
