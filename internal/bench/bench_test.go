@@ -154,9 +154,10 @@ func TestShardedWindowAllocs(t *testing.T) {
 }
 
 // TestEngineSampledSteadyStateAllocs is the same gate with the sampling path
-// on: n = 40 correction-holding processes under the three spread readers the
-// harness attaches (skew recorder, validity recorder, Theorem 16 checker),
-// sampled before and after every correction change. The clock table is
+// on: n = 40 correction-holding processes under the spread readers the
+// harness attaches with the invariant suite (the Theorem 16 checker sampling
+// through the skew recorder, the validity recorder), sampled before and
+// after every correction change. The clock table is
 // allocated once, at the first Run — inside the warm-up — and refreshed in
 // place from then on, so the measured slices allocate nothing; at k = 1 the
 // window log and its merge at the cut reuse their buffers too.
@@ -167,8 +168,7 @@ func TestEngineSampledSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		skew := &metrics.SkewRecorder{}
-		agree := invariant.NewAgreement(math.Inf(1), 0)
-		eng.Observe(skew)
+		agree := invariant.NewAgreement(math.Inf(1), skew)
 		eng.Observe(&metrics.ValidityRecorder{Alpha1: 1, Alpha2: 1})
 		eng.Observe(agree)
 		allocGate(t, eng)

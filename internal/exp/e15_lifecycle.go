@@ -69,8 +69,8 @@ func runE15() ([]*Table, error) {
 	// (large, legitimate) start-up corrections, so cut at the first
 	// maintenance round's beginning.
 	maintFrom := res.Now()
-	if ts := res.Rounds.AnnotationTimes(0); len(ts) > 0 {
-		maintFrom = ts[0]
+	if at, ok := res.Rounds.FirstBegin(0); ok {
+		maintFrom = at
 	}
 	t.AddRow("maintain", "max |ADJ| in maintenance", FmtDur(res.Rounds.MaxAbsAdj(maintFrom)),
 		"Thm 4(a) bound "+FmtDur(cfg.AdjBound()))

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"math"
+	"runtime/debug"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
@@ -63,6 +64,13 @@ func runE19() ([]*Table, error) {
 		}
 		var base *e19Run
 		for _, k := range counts {
+			if SweepTier() >= TierStress {
+				// The last trial's engine is garbage, but the heap goal its
+				// live ARR set (≈ 2 × 2.2 GB at n = 16,385) would keep it
+				// resident while this trial allocates. FreeOSMemory collects
+				// it and hands the pages back first.
+				debug.FreeOSMemory()
+			}
 			r, err := e19Trial(n, k)
 			if err != nil {
 				return nil, fmt.Errorf("E19 n=%d shards=%d: %w", n, k, err)

@@ -314,19 +314,15 @@ func (w Workload) assembleFlat() assembly {
 			Warmup: tmax0 + clock.Real(float64(warmRounds)*cfg.P),
 			Bucket: w.SkewBucket,
 		},
-		Rounds: metrics.NewDefaultRoundRecorder(),
-	}
-	a1, a2, a3 := cfg.Validity()
-	res.Validity = &metrics.ValidityRecorder{
-		Alpha1: a1, Alpha2: a2, Alpha3: a3,
-		T0:    cfg.T0,
-		TMin0: tmin0, TMax0: tmax0,
-		From: tmax0,
+		Rounds:   metrics.NewDefaultRoundRecorder(),
+		Validity: metrics.NewValidityRecorder(cfg.Params, tmin0, tmax0),
 	}
 	observers := []sim.Observer{res.Skew, res.Rounds, res.Validity}
 	if w.CheckInvariants {
-		res.Invariants = invariant.NewSuite(cfg.Params, tmin0, tmax0, res.Skew.Warmup)
-		observers = append(observers, res.Invariants.Observers()...)
+		// The suite samples through the skew and validity recorders, so it
+		// is registered in their place.
+		res.Invariants = invariant.Over(cfg.Params, res.Skew, res.Validity)
+		observers = append([]sim.Observer{res.Rounds}, res.Invariants.Observers()...)
 	}
 	return assembly{
 		cfg: sim.Config{
@@ -365,15 +361,14 @@ func (w Workload) assembleTwoTier() assembly {
 		// 7 % more bytes.
 		cfg.Shards = 0
 	}
-	warm := s.Warmup(w.Rounds)
-	res := &Result{
-		HierAgreement: invariant.NewHierAgreement(s.Cfg.GammaComposed(), s.Cfg.GammaInner(), s.Cfg.ClusterSize, warm),
-		Skew:          &metrics.SkewRecorder{Warmup: warm, Bucket: w.SkewBucket},
-	}
+	// The checker samples through its skew recorder, the Result's.
+	chk := invariant.NewHierAgreement(s.Cfg.GammaComposed(), s.Cfg.GammaInner(), s.Cfg.ClusterSize, s.Warmup(w.Rounds))
+	chk.Skew.Bucket = w.SkewBucket
+	res := &Result{HierAgreement: chk, Skew: chk.Skew}
 	return assembly{
 		cfg:       cfg,
 		faults:    w.Faults,
-		observers: append([]sim.Observer{res.HierAgreement, res.Skew}, w.Observers...),
+		observers: append([]sim.Observer{chk}, w.Observers...),
 		horizon:   s.Horizon(w.Rounds),
 		res:       res,
 	}

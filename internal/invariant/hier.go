@@ -5,11 +5,12 @@ import (
 	"math"
 
 	"repro/internal/clock"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
 // HierAgreement is the composed agreement predicate of the two-tier topology
-// (internal/hier): from Warmup on, the nonfaulty local-time spread across
+// (internal/hier): from the skew recorder's Warmup on, the nonfaulty local-time spread across
 // the whole system stays within Gamma = γ_composed
 // (analysis.HierParams.GammaComposed), and — when GammaIn > 0 — the spread
 // inside every cluster stays within the inner tier's own γ. The two checks
@@ -27,8 +28,10 @@ type HierAgreement struct {
 	Gamma       float64
 	GammaIn     float64
 	ClusterSize int
-	Warmup      clock.Real
 	Exclude     []bool
+	// Skew is the recorder the checker samples through: its Warmup is the
+	// checker's, and without Exclude its spread is the one checked.
+	Skew *metrics.SkewRecorder
 
 	// Sized at the first per-cluster pass: cluster[i] is the cluster of the
 	// i-th process of Engine.LocalTimes, seen[j] whether cluster j has one at
@@ -43,47 +46,40 @@ type HierAgreement struct {
 
 var _ sim.Sampler = (*HierAgreement)(nil)
 
-// NewHierAgreement builds the composed checker. gammaIn ≤ 0 disables the
-// per-cluster check.
+// NewHierAgreement builds the composed checker over a skew recorder of its
+// own with the given warm-up. gammaIn ≤ 0 disables the per-cluster check.
 func NewHierAgreement(gamma, gammaIn float64, clusterSize int, warmup clock.Real) *HierAgreement {
 	return &HierAgreement{
 		recorder: recorder{name: "hier-agreement"},
 		Gamma:    gamma, GammaIn: gammaIn,
-		ClusterSize: clusterSize, Warmup: warmup,
+		ClusterSize: clusterSize,
+		Skew:        &metrics.SkewRecorder{Warmup: warmup},
 	}
 }
 
 // MaxSpread returns the largest spread of the checked population (everyone
-// outside Exclude) seen from Warmup on — the quantity held against Gamma.
+// outside Exclude) seen from the warm-up on — the quantity held against Gamma.
 func (h *HierAgreement) MaxSpread() float64 { return h.maxSpread }
 
-// Sample implements sim.Sampler. A sample before Warmup asks for one at
-// Warmup. Without Exclude the global spread is the engine's LocalTimeSpread,
-// shared with the other samplers, and the per-cluster pass runs only when
-// that spread exceeds GammaIn: every cluster's hi − lo is at most the global
-// hi − lo (float subtraction is monotone), so below it no cluster can
-// violate.
+// Sample implements sim.Sampler. Without Exclude the global spread is the
+// one the skew recorder records, and the per-cluster pass runs only when
+// that spread exceeds GammaIn: every cluster's hi − lo is at most the
+// global hi − lo (float subtraction is monotone), so below it no cluster
+// can violate.
 func (h *HierAgreement) Sample(e *sim.Engine, _ bool) {
-	t := e.Now()
-	if t < h.Warmup {
-		e.SampleAt(h.Warmup)
+	t, skew, count := h.Skew.Measure(e)
+	if t < h.Skew.Warmup {
 		return
 	}
-	var glo, ghi clock.Local
-	if h.Exclude == nil {
-		lo, hi, count := e.LocalTimeSpread(t)
-		if count == 0 {
-			return
-		}
-		glo, ghi = lo, hi
-	} else {
+	if h.Exclude != nil {
 		h.refill(e)
-		members := 0
+		var glo, ghi clock.Local
+		count = 0
 		for j, seen := range h.seen {
 			if !seen || (j < len(h.Exclude) && h.Exclude[j]) {
 				continue
 			}
-			if members == 0 {
+			if count == 0 {
 				glo, ghi = h.lo[j], h.hi[j]
 			} else {
 				if h.lo[j] < glo {
@@ -93,14 +89,14 @@ func (h *HierAgreement) Sample(e *sim.Engine, _ bool) {
 					ghi = h.hi[j]
 				}
 			}
-			members++
+			count++
 		}
-		if members == 0 {
-			return
-		}
+		skew = float64(ghi - glo)
+	}
+	if count == 0 {
+		return
 	}
 	h.checked++
-	skew := float64(ghi - glo)
 	h.maxSpread = max(h.maxSpread, skew)
 	if skew > h.Gamma {
 		h.violate(Violation{

@@ -111,43 +111,36 @@ func (r *recorder) violate(v Violation) {
 	}
 }
 
-// Agreement checks Theorem 16: from Warmup on, the nonfaulty local-time
-// spread never exceeds Gamma. Warmup covers initial convergence — the
-// theorem's γ is a steady-state bound, and executions may start anywhere
-// inside the β-envelope of A4.
+// Agreement checks Theorem 16: from the skew recorder's Warmup on, the
+// nonfaulty local-time spread never exceeds Gamma. Warmup covers initial
+// convergence — the theorem's γ is a steady-state bound, and executions may
+// start anywhere inside the β-envelope of A4. The checker samples through
+// the recorder and checks the spread it records.
 type Agreement struct {
 	recorder
-	Gamma  float64
-	Warmup clock.Real
+	Gamma float64
+	// Skew is the recorder the checker samples through; its Warmup is the
+	// checker's.
+	Skew *metrics.SkewRecorder
 }
 
 var _ sim.Sampler = (*Agreement)(nil)
 
-// NewAgreement builds the Theorem 16 checker.
-func NewAgreement(gamma float64, warmup clock.Real) *Agreement {
-	return &Agreement{recorder: recorder{name: "agreement"}, Gamma: gamma, Warmup: warmup}
+// NewAgreement builds the Theorem 16 checker over skew, which it samples
+// through.
+func NewAgreement(gamma float64, skew *metrics.SkewRecorder) *Agreement {
+	return &Agreement{recorder: recorder{name: "agreement"}, Gamma: gamma, Skew: skew}
 }
 
-// Sample implements sim.Sampler. A sample before Warmup asks for one at
-// Warmup.
-func (a *Agreement) Sample(e *sim.Engine, _ bool) {
-	t := e.Now()
-	if t < a.Warmup {
-		e.SampleAt(a.Warmup)
-		return
-	}
-	lo, hi, count := e.LocalTimeSpread(t)
-	a.Record(t, lo, hi, count)
-}
+// Sample implements sim.Sampler.
+func (a *Agreement) Sample(e *sim.Engine, _ bool) { a.check(a.Skew.Measure(e)) }
 
-// Record checks the nonfaulty local-time extremes lo, hi of count processes
-// at real time t.
-func (a *Agreement) Record(t clock.Real, lo, hi clock.Local, count int) {
-	if t < a.Warmup || count < 2 {
+func (a *Agreement) check(t clock.Real, skew float64, count int) {
+	if t < a.Skew.Warmup || count < 2 {
 		return
 	}
 	a.checked++
-	if skew := float64(hi - lo); skew > a.Gamma {
+	if skew > a.Gamma {
 		a.violate(Violation{
 			Invariant: a.name, At: t, Proc: -1,
 			Amount: skew - a.Gamma,
@@ -160,57 +153,43 @@ func (a *Agreement) Record(t clock.Real, lo, hi clock.Local, count int) {
 //
 //	α₁(t − tmax⁰) − α₃ ≤ L_p(t) − T⁰ ≤ α₂(t − tmin⁰) + α₃
 //
-// for every nonfaulty p at every sample from From on. The envelope is
-// monotone in L_p, so the hot path checks only the spread extremes; the
-// violating process is identified by a rescan on the (cold) failure path.
+// for every nonfaulty p at every sample from From on, as the validity
+// recorder it samples through evaluates it. The envelope is monotone in
+// L_p, so the hot path checks only the spread extremes; the violating
+// process is identified by a rescan on the (cold) failure path.
 type Validity struct {
 	recorder
-	Alpha1, Alpha2, Alpha3 float64
-	T0                     float64
-	TMin0, TMax0           clock.Real
-	From                   clock.Real
+	*metrics.ValidityRecorder
 }
 
 var _ sim.Sampler = (*Validity)(nil)
 
-// NewValidity builds the Theorem 19 checker from the paper parameters.
-func NewValidity(p analysis.Params, tmin0, tmax0 clock.Real) *Validity {
-	a1, a2, a3 := p.Validity()
-	return &Validity{
-		recorder: recorder{name: "validity"},
-		Alpha1:   a1, Alpha2: a2, Alpha3: a3,
-		T0:    p.T0,
-		TMin0: tmin0, TMax0: tmax0,
-		From: tmax0,
-	}
+// NewValidity builds the Theorem 19 checker over rec, which it samples
+// through.
+func NewValidity(rec *metrics.ValidityRecorder) *Validity {
+	return &Validity{recorder: recorder{name: "validity"}, ValidityRecorder: rec}
 }
 
-// Sample implements sim.Sampler. A sample before From asks for one at From.
+// Sample implements sim.Sampler.
 func (v *Validity) Sample(e *sim.Engine, _ bool) {
-	t := e.Now()
-	if t < v.From {
-		e.SampleAt(v.From)
-		return
-	}
-	lo, hi, count := e.LocalTimeSpread(t)
-	if count == 0 {
+	env, ok := v.Measure(e)
+	if !ok {
 		return
 	}
 	v.checked++
-	lower := float64(v.Alpha1*float64(t-v.TMax0)) - v.Alpha3
-	upper := float64(v.Alpha2*float64(t-v.TMin0)) + v.Alpha3
-	if d := lower - (float64(lo) - v.T0); d > 0 {
+	lo, hi := float64(env.Lo)-v.T0, float64(env.Hi)-v.T0
+	if d := env.Floor - lo; d > 0 {
 		v.violate(Violation{
-			Invariant: v.name, At: t, Proc: v.attribute(e, float64(lo)),
+			Invariant: v.name, At: e.Now(), Proc: attribute(e, env.Lo),
 			Amount: d,
-			Detail: fmt.Sprintf("L−T⁰ = %.6gs below envelope floor %.6gs", float64(lo)-v.T0, lower),
+			Detail: fmt.Sprintf("L−T⁰ = %.6gs below envelope floor %.6gs", lo, env.Floor),
 		})
 	}
-	if d := (float64(hi) - v.T0) - upper; d > 0 {
+	if d := hi - env.Ceiling; d > 0 {
 		v.violate(Violation{
-			Invariant: v.name, At: t, Proc: v.attribute(e, float64(hi)),
+			Invariant: v.name, At: e.Now(), Proc: attribute(e, env.Hi),
 			Amount: d,
-			Detail: fmt.Sprintf("L−T⁰ = %.6gs above envelope ceiling %.6gs", float64(hi)-v.T0, upper),
+			Detail: fmt.Sprintf("L−T⁰ = %.6gs above envelope ceiling %.6gs", hi, env.Ceiling),
 		})
 	}
 }
@@ -219,10 +198,10 @@ func (v *Validity) Sample(e *sim.Engine, _ bool) {
 // value (cold path, only on violation). It reads the engine's local times of
 // this sample, not the live walk: a windowed engine's replay samples the
 // past, where the live corrections are already the cut's.
-func (v *Validity) attribute(e *sim.Engine, extreme float64) sim.ProcID {
+func attribute(e *sim.Engine, extreme clock.Local) sim.ProcID {
 	ids, lts := e.LocalTimes()
 	for i, lt := range lts {
-		if float64(lt) == extreme {
+		if lt == extreme {
 			return ids[i]
 		}
 	}
@@ -278,62 +257,6 @@ func (m *Monotonicity) Sample(e *sim.Engine, _ bool) {
 	m.ver = ver
 }
 
-// LowerBoundWitness is the bound predicate of the lower-bound experiments —
-// Agreement's mirror image. Where the Theorem 16 checker fails when the
-// nonfaulty spread *exceeds* γ, the witness succeeds when the spread
-// *reaches* a stated fraction of the ε(1−1/n) lower bound
-// (analysis.Params.SkewLowerBound): it records the maximum spread observed
-// after Warmup, and Achieved reports whether the adversary actually drove
-// the execution to Target — the experimental evidence that the bound is
-// sharp rather than slack. It is a plain sampler, attachable through
-// Workload.Observers next to the theorem checkers.
-type LowerBoundWitness struct {
-	// Target is the spread the adversary must reach (the experiment's
-	// fraction of ε(1−1/n)).
-	Target float64
-	// Warmup is the real time after which spreads count (matching the
-	// steady-state window of the agreement bound).
-	Warmup clock.Real
-
-	maxSpread float64
-	samples   int64
-}
-
-var _ sim.Sampler = (*LowerBoundWitness)(nil)
-
-// NewLowerBoundWitness builds the witness for one execution.
-func NewLowerBoundWitness(target float64, warmup clock.Real) *LowerBoundWitness {
-	return &LowerBoundWitness{Target: target, Warmup: warmup}
-}
-
-// Sample implements sim.Sampler. A sample before Warmup asks for one at
-// Warmup.
-func (w *LowerBoundWitness) Sample(e *sim.Engine, _ bool) {
-	t := e.Now()
-	if t < w.Warmup {
-		e.SampleAt(w.Warmup)
-		return
-	}
-	lo, hi, count := e.LocalTimeSpread(t)
-	if count < 2 {
-		return
-	}
-	w.samples++
-	if s := float64(hi - lo); s > w.maxSpread {
-		w.maxSpread = s
-	}
-}
-
-// MaxSpread returns the largest nonfaulty spread observed after Warmup.
-func (w *LowerBoundWitness) MaxSpread() float64 { return w.maxSpread }
-
-// Samples returns how many sample points contributed; a witness that saw
-// nothing proves nothing.
-func (w *LowerBoundWitness) Samples() int64 { return w.samples }
-
-// Achieved reports whether the observed spread reached Target.
-func (w *LowerBoundWitness) Achieved() bool { return w.samples > 0 && w.maxSpread >= w.Target }
-
 // AdjustmentBound checks Theorem 4(a) on the adjustment annotation stream:
 // every nonfaulty ADJ satisfies |ADJ| ≤ Bound.
 type AdjustmentBound struct {
@@ -374,14 +297,21 @@ type Suite struct {
 	Adjustment *AdjustmentBound
 }
 
-// NewSuite builds the standard checkers from the paper parameters. tmin0 and
-// tmax0 are the earliest and latest nonfaulty start times (the validity
-// anchors of Theorem 19), warmup the real time after which the steady-state
-// agreement bound must hold.
+// NewSuite builds the standard checkers from the paper parameters, over
+// recorders of their own. tmin0 and tmax0 are the earliest and latest
+// nonfaulty start times (the validity anchors of Theorem 19), warmup the
+// real time after which the steady-state agreement bound must hold.
 func NewSuite(p analysis.Params, tmin0, tmax0, warmup clock.Real) *Suite {
+	return Over(p, &metrics.SkewRecorder{Warmup: warmup}, metrics.NewValidityRecorder(p, tmin0, tmax0))
+}
+
+// Over builds the standard checkers over the given skew and validity
+// recorders: the agreement and validity checkers sample through them, so
+// they are registered in the recorders' place, not beside them.
+func Over(p analysis.Params, skew *metrics.SkewRecorder, validity *metrics.ValidityRecorder) *Suite {
 	return &Suite{
-		Agreement:  NewAgreement(p.Gamma(), warmup),
-		Validity:   NewValidity(p, tmin0, tmax0),
+		Agreement:  NewAgreement(p.Gamma(), skew),
+		Validity:   NewValidity(validity),
 		Monotonic:  NewMonotonicity(p.AdjBound()),
 		Adjustment: NewAdjustmentBound(p.AdjBound()),
 	}

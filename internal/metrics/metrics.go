@@ -7,18 +7,12 @@ package metrics
 
 import (
 	"math"
-	"slices"
+	"sort"
 
+	"repro/internal/analysis"
 	"repro/internal/clock"
 	"repro/internal/sim"
 )
-
-// TimedValue is an annotation value with its real timestamp.
-type TimedValue struct {
-	At    clock.Real
-	Proc  sim.ProcID
-	Value float64
-}
 
 // SkewRecorder tracks max |L_p(t) − L_q(t)| over nonfaulty p, q. The engine
 // samples wherever a local time may bend (sim.Sampler), and the skew is
@@ -41,8 +35,14 @@ type SkewRecorder struct {
 var _ sim.Sampler = (*SkewRecorder)(nil)
 
 // Sample implements sim.Sampler.
-func (r *SkewRecorder) Sample(e *sim.Engine, _ bool) {
-	t := e.Now()
+func (r *SkewRecorder) Sample(e *sim.Engine, _ bool) { r.Measure(e) }
+
+// Measure samples e as Sample does and returns what it recorded: the
+// instant, the nonfaulty local-time spread there and how many processes it
+// spans (the spread is meaningless when that count is 0). A checker of the
+// spread samples through it instead of measuring again.
+func (r *SkewRecorder) Measure(e *sim.Engine) (t clock.Real, skew float64, count int) {
+	t = e.Now()
 	if t < r.Warmup {
 		e.SampleAt(r.Warmup)
 	}
@@ -51,6 +51,7 @@ func (r *SkewRecorder) Sample(e *sim.Engine, _ bool) {
 	}
 	lo, hi, count := e.LocalTimeSpread(t)
 	r.Record(t, lo, hi, count)
+	return t, float64(hi - lo), count
 }
 
 // bucket returns the series bucket of real time t: b with b·Bucket ≤ t <
@@ -119,64 +120,58 @@ func NonfaultySkew(e *sim.Engine, t clock.Real) (float64, bool) {
 }
 
 // RoundRecorder collects the per-round annotations emitted by the core (and
-// baseline) processes.
+// baseline) processes. It keeps what its readers read: per round the
+// earliest and latest begin and the skew at the latest, and of the
+// adjustments only their suffix maxima.
 type RoundRecorder struct {
 	// BeginTag and AdjTag name the annotations to collect; the core
 	// package's TagRoundBegin/TagAdjust by default (set by NewRoundRecorder).
 	BeginTag string
 	AdjTag   string
 
-	// begins holds round i's round-begin events at
-	// begins[i/beginChunk][i%beginChunk], nil for a round not seen. The
-	// round index is dense — rounds run 0, 1, 2, … — so it indexes chunks
-	// made as the rounds come, and no record ever moves. Each round's list
-	// is carved, n times long, off slab, the rest of an array made for up
-	// to beginChunk rounds at once.
-	begins [][]roundBegins
-	slab   []clock.Real
-	// adjs is every adjustment in arrival order, a chunk at a time: a full
-	// chunk is followed by one twice as long, so the log is never copied
-	// and at most half of it is room to spare.
-	adjs [][]TimedValue
+	// rounds[i] is round i's record. The round index is dense — rounds run
+	// 0, 1, 2, … — so it indexes the slice, which doubles when full (from
+	// 64 records).
+	rounds []round
+	// peaks are the suffix maxima of |ADJ|, ascending in time and strictly
+	// descending in value: each adjustment that no later one equals or
+	// exceeds. The largest |ADJ| at or after an instant is the first peak
+	// at or after it.
+	peaks []peak
+	adjs  int
 }
 
-// roundBegins is one round's record: the real times of its round-begin
-// events, and the instantaneous nonfaulty skew at the *latest* of them seen
-// so far — the paper's Bⁱ is defined "at the latest real time when a
-// nonfaulty process begins round i" (§9.2). Annotations arrive in time
-// order, so overwriting keeps the latest.
-type roundBegins struct {
-	ats  []clock.Real
-	skew float64
+// round is one round's record: the earliest and latest real time of its
+// round-begin events, and the instantaneous nonfaulty skew at the latest of
+// them seen so far — the paper's Bⁱ is defined "at the latest real time
+// when a nonfaulty process begins round i" (§9.2). Annotations arrive in
+// time order, so the first begin is the earliest and overwriting keeps the
+// latest.
+type round struct {
+	first, last clock.Real
+	skew        float64
+	seen        bool
 }
 
-// beginChunk is how many rounds' records a chunk of begins holds, and the
-// most rounds' begin lists one slab holds (as many as the rounds seen so
-// far, and at least 4).
-const beginChunk = 64
-
-// round returns round i's record, nil when i is past every chunk.
-func (r *RoundRecorder) round(i int) *roundBegins {
-	if i < 0 || i/beginChunk >= len(r.begins) {
-		return nil
-	}
-	return &r.begins[i/beginChunk][i%beginChunk]
+// peak is one adjustment of the suffix maxima: its real time and |ADJ|.
+type peak struct {
+	at clock.Real
+	v  float64
 }
 
 var _ sim.AnnotationSink = (*RoundRecorder)(nil)
 
-// NewRoundRecorder builds a recorder for the given annotation tags.
+// NewRoundRecorder builds a recorder for the given annotation tags. The
+// suffix maxima of a run's adjustments are few — 5 to 11 at the end of
+// flat runs of n = 4 to 1009, from 408 to 35,014 adjustments — so their
+// stack starts with room for 32.
 func NewRoundRecorder(beginTag, adjTag string) *RoundRecorder {
-	return &RoundRecorder{BeginTag: beginTag, AdjTag: adjTag}
+	return &RoundRecorder{BeginTag: beginTag, AdjTag: adjTag, peaks: make([]peak, 0, 32)}
 }
 
 // OnAnnotation implements sim.AnnotationSink. (The recorder deliberately has
 // no Sample method: annotations arrive on their own callback, so the engine
 // skips it when it samples.)
-//
-// The collection buffers are sized from the system size n: a round's begin
-// list is n slots of a slab made for up to 64 rounds, and the adjustment
-// log's first chunk is several rounds deep; neither is ever copied.
 func (r *RoundRecorder) OnAnnotation(e *sim.Engine, a sim.Annotation) {
 	if e.Faulty(a.Proc) {
 		return
@@ -187,65 +182,67 @@ func (r *RoundRecorder) OnAnnotation(e *sim.Engine, a sim.Annotation) {
 		if i < 0 {
 			return // not a round index
 		}
-		for i/beginChunk >= len(r.begins) {
-			r.begins = append(r.begins, make([]roundBegins, beginChunk))
-		}
-		rb := r.round(i)
-		if rb.ats == nil {
-			n := e.N()
-			if len(r.slab) < n {
-				r.slab = make([]clock.Real, n*min(beginChunk, max(4, i)))
+		for len(r.rounds) <= i {
+			if len(r.rounds) == cap(r.rounds) {
+				r.rounds = append(make([]round, 0, max(64, 2*cap(r.rounds))), r.rounds...)
 			}
-			rb.ats, r.slab = r.slab[:0:n], r.slab[n:]
+			r.rounds = append(r.rounds, round{})
 		}
-		rb.ats = append(rb.ats, a.At)
+		rb := &r.rounds[i]
+		if !rb.seen {
+			rb.first, rb.seen = a.At, true
+		}
+		rb.last = a.At
 		if skew, ok := NonfaultySkew(e, a.At); ok {
 			rb.skew = skew
 		}
 	case r.AdjTag:
-		if k := len(r.adjs); k == 0 || len(r.adjs[k-1]) == cap(r.adjs[k-1]) {
-			size := 8 * e.N()
-			if k > 0 {
-				size = 2 * cap(r.adjs[k-1])
-			}
-			r.adjs = append(r.adjs, make([]TimedValue, 0, size))
+		r.adjs++
+		v := math.Abs(a.Value)
+		if math.IsNaN(v) {
+			return // never a maximum
 		}
-		last := &r.adjs[len(r.adjs)-1]
-		*last = append(*last, TimedValue{At: a.At, Proc: a.Proc, Value: a.Value})
+		// Annotations arrive in time order, so every peak is at or before
+		// a.At: those no larger than v are no longer suffix maxima.
+		k := len(r.peaks)
+		for k > 0 && r.peaks[k-1].v <= v {
+			k--
+		}
+		r.peaks = append(r.peaks[:k], peak{a.At, v})
 	}
 }
 
-// Rounds returns the number of rounds for which every nonfaulty process has
-// a recorded beginning (consecutive from 0).
+// round returns round i's record, the zero record for a round not seen.
+func (r *RoundRecorder) round(i int) round {
+	if i < 0 || i >= len(r.rounds) {
+		return round{}
+	}
+	return r.rounds[i]
+}
+
+// Rounds returns the number of rounds, consecutive from 0, that some
+// nonfaulty process has a recorded beginning of.
 func (r *RoundRecorder) Rounds() int {
-	for i := 0; ; i++ {
-		if rb := r.round(i); rb == nil || rb.ats == nil {
+	for i, rb := range r.rounds {
+		if !rb.seen {
 			return i
 		}
 	}
+	return len(r.rounds)
 }
 
 // BetaMeasured returns the real-time spread of round i's beginnings — the
 // measured βᵢ of Theorem 4(c) — and false if round i was not observed.
 func (r *RoundRecorder) BetaMeasured(i int) (float64, bool) {
 	rb := r.round(i)
-	if rb == nil || len(rb.ats) == 0 {
-		return 0, false
-	}
-	lo, hi := rb.ats[0], rb.ats[0]
-	for _, at := range rb.ats[1:] {
-		lo, hi = min(lo, at), max(hi, at)
-	}
-	return float64(hi - lo), true
+	return float64(rb.last - rb.first), rb.seen
 }
 
 // BetaSeries returns the measured βᵢ for all complete rounds.
 func (r *RoundRecorder) BetaSeries() []float64 {
-	n := r.Rounds()
-	out := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		b, _ := r.BetaMeasured(i)
-		out = append(out, b)
+	out := make([]float64, r.Rounds())
+	for i := range out {
+		out[i], _ = r.BetaMeasured(i)
 	}
 	return out
 }
@@ -253,44 +250,27 @@ func (r *RoundRecorder) BetaSeries() []float64 {
 // SkewAtBegin returns the instantaneous nonfaulty skew at the latest
 // round-begin annotation of round i (the paper's Bⁱ for the start-up
 // algorithm).
-func (r *RoundRecorder) SkewAtBegin(i int) float64 {
-	if rb := r.round(i); rb != nil {
-		return rb.skew
-	}
-	return 0
+func (r *RoundRecorder) SkewAtBegin(i int) float64 { return r.round(i).skew }
+
+// FirstBegin returns the real time of round i's earliest begin annotation,
+// and false if round i was not observed.
+func (r *RoundRecorder) FirstBegin(i int) (clock.Real, bool) {
+	rb := r.round(i)
+	return rb.first, rb.seen
 }
 
 // MaxAbsAdj returns the largest |ADJ| over nonfaulty processes, optionally
 // restricted to adjustments at or after real time from.
 func (r *RoundRecorder) MaxAbsAdj(from clock.Real) float64 {
-	m := 0.0
-	for _, c := range r.adjs {
-		for _, a := range c {
-			if a.At < from {
-				continue
-			}
-			if v := math.Abs(a.Value); v > m {
-				m = v
-			}
-		}
+	i := sort.Search(len(r.peaks), func(k int) bool { return !(r.peaks[k].at < from) })
+	if i == len(r.peaks) {
+		return 0
 	}
-	return m
+	return r.peaks[i].v
 }
 
-// Adjustments returns all recorded adjustments in arrival order, in a new
-// slice.
-func (r *RoundRecorder) Adjustments() []TimedValue { return slices.Concat(r.adjs...) }
-
-// AnnotationTimes returns, per round, the sorted real times of the begin
-// annotations (useful for validity's tmin/tmax bookkeeping).
-func (r *RoundRecorder) AnnotationTimes(i int) []clock.Real {
-	var ts []clock.Real
-	if rb := r.round(i); rb != nil {
-		ts = slices.Clone(rb.ats)
-	}
-	slices.Sort(ts)
-	return ts
-}
+// Adjustments returns how many adjustments were recorded.
+func (r *RoundRecorder) Adjustments() int { return r.adjs }
 
 // ValidityRecorder checks the Theorem 19 envelope
 //
@@ -312,34 +292,65 @@ type ValidityRecorder struct {
 
 var _ sim.Sampler = (*ValidityRecorder)(nil)
 
-// Sample implements sim.Sampler. A sample before From asks for one at From.
-func (v *ValidityRecorder) Sample(e *sim.Engine, _ bool) {
+// NewValidityRecorder builds the Theorem 19 recorder from the paper
+// parameters, anchored at the earliest and latest nonfaulty start times
+// tmin0 and tmax0 and checking from tmax0 on.
+func NewValidityRecorder(p analysis.Params, tmin0, tmax0 clock.Real) *ValidityRecorder {
+	a1, a2, a3 := p.Validity()
+	return &ValidityRecorder{
+		Alpha1: a1, Alpha2: a2, Alpha3: a3,
+		T0:    p.T0,
+		TMin0: tmin0, TMax0: tmax0,
+		From: tmax0,
+	}
+}
+
+// Envelope is one checked sample: the nonfaulty local-time extremes Lo, Hi
+// and the envelope's Floor and Ceiling on L − T⁰ at that instant.
+type Envelope struct {
+	Lo, Hi         clock.Local
+	Floor, Ceiling float64
+}
+
+// Sample implements sim.Sampler.
+func (v *ValidityRecorder) Sample(e *sim.Engine, _ bool) { v.Measure(e) }
+
+// Measure samples e as Sample does — a sample before From asks for one at
+// From — and returns the envelope it checked, ok false when it checked
+// nothing. A checker of the envelope samples through it instead of
+// evaluating the envelope again.
+func (v *ValidityRecorder) Measure(e *sim.Engine) (env Envelope, ok bool) {
 	t := e.Now()
 	if t < v.From {
 		e.SampleAt(v.From)
-		return
+		return env, false
 	}
 	lo, hi, count := e.LocalTimeSpread(t)
-	v.Record(t, lo, hi, count)
+	return v.Record(t, lo, hi, count)
 }
 
 // Record checks the nonfaulty local-time extremes lo, hi of count processes
-// at real time t. The envelope is monotone in L_p, so the per-process check
-// reduces to the extremes: the lower bound is tightest for the minimum local
-// time and the upper bound for the maximum.
-func (v *ValidityRecorder) Record(t clock.Real, lo, hi clock.Local, count int) {
+// at real time t and returns the envelope there, ok false when it checked
+// nothing. The envelope is monotone in L_p, so the per-process check
+// reduces to the extremes: the lower bound is tightest for the minimum
+// local time and the upper bound for the maximum.
+func (v *ValidityRecorder) Record(t clock.Real, lo, hi clock.Local, count int) (env Envelope, ok bool) {
 	if t < v.From || count == 0 {
-		return
+		return env, false
 	}
 	v.samples += count
-	lower := float64(v.Alpha1*float64(t-v.TMax0)) - v.Alpha3
-	upper := float64(v.Alpha2*float64(t-v.TMin0)) + v.Alpha3
-	if d := lower - (float64(lo) - v.T0); d > v.worst {
+	env = Envelope{
+		Lo: lo, Hi: hi,
+		Floor:   float64(v.Alpha1*float64(t-v.TMax0)) - v.Alpha3,
+		Ceiling: float64(v.Alpha2*float64(t-v.TMin0)) + v.Alpha3,
+	}
+	if d := env.Floor - (float64(lo) - v.T0); d > v.worst {
 		v.worst = d
 	}
-	if d := (float64(hi) - v.T0) - upper; d > v.worst {
+	if d := (float64(hi) - v.T0) - env.Ceiling; d > v.worst {
 		v.worst = d
 	}
+	return env, true
 }
 
 // WorstViolation returns the largest envelope violation observed; 0 means

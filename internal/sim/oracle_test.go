@@ -214,7 +214,7 @@ func TestOracleDifferential(t *testing.T) {
 	t.Run("sharded-attribution", func(t *testing.T) {
 		c := core.Config{Params: analysis.Default(40, 13)}
 		named := func(shards int) []invariant.Violation {
-			v := invariant.NewValidity(c.Params, 0, 0)
+			v := invariant.NewValidity(metrics.NewValidityRecorder(c.Params, 0, 0))
 			v.Alpha3 = -1
 			if _, err := exp.Run(exp.Workload{Cfg: c, Rounds: 2, Seed: 9, Shards: shards, Observers: []sim.Observer{v}}); err != nil {
 				t.Fatal(err)

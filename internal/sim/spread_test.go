@@ -99,7 +99,7 @@ func TestSamplerBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			changes := len(res.Rounds.Adjustments()) // one nonfaulty correction change each
+			changes := res.Rounds.Adjustments() // one nonfaulty correction change each
 			budget := 2*changes + breakpoints + edges + 2
 			t.Logf("%d sample points for %d correction changes and %d deliveries", calls, changes, res.Steps())
 			if changes < 1000 || int(calls) > budget {
