@@ -287,8 +287,8 @@ type Proc struct {
 }
 
 var (
-	_ sim.Process    = (*Proc)(nil)
-	_ sim.CorrHolder = (*Proc)(nil)
+	_ sim.CopyReceiver = (*Proc)(nil)
+	_ sim.CorrHolder   = (*Proc)(nil)
 )
 
 // NewProc builds a process with the given initial correction (the paper's
@@ -345,6 +345,17 @@ func (p *Proc) Receive(ctx *sim.Context, m sim.Message) {
 
 	case isOwnTimer(m) && p.rd.flag == phaseUpdate:
 		p.update(ctx)
+	}
+}
+
+// ReceiveCopies implements sim.CopyReceiver: §4.2's receive step for each
+// copy, ARR[q] := local-time() at its delivery. The steps commute, since
+// none sets a timer, sends, or moves CORR, which changes only at the
+// process's own TIMER.
+func (p *Proc) ReceiveCopies(ctx *sim.Context, from []sim.ProcID, at []clock.Real) {
+	arr, corr, sigma := p.rd.arr, p.corr, p.cfg.Stagger
+	for i, q := range from {
+		arr[q] = float64(ctx.PhysAt(at[i])+corr) - float64(sigma*float64(q))
 	}
 }
 

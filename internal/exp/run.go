@@ -314,7 +314,7 @@ func (w Workload) assembleFlat() assembly {
 			Warmup: tmax0 + clock.Real(float64(warmRounds)*cfg.P),
 			Bucket: w.SkewBucket,
 		},
-		Rounds:   metrics.NewDefaultRoundRecorder(),
+		Rounds:   metrics.NewDefaultRoundRecorder().Reserve(rounds + 2),
 		Validity: metrics.NewValidityRecorder(cfg.Params, tmin0, tmax0),
 	}
 	observers := []sim.Observer{res.Skew, res.Rounds, res.Validity}

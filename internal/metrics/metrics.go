@@ -7,6 +7,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/analysis"
@@ -130,8 +131,8 @@ type RoundRecorder struct {
 	AdjTag   string
 
 	// rounds[i] is round i's record. The round index is dense — rounds run
-	// 0, 1, 2, … — so it indexes the slice, which doubles when full (from
-	// 64 records).
+	// 0, 1, 2, … — so it indexes the slice, which Reserve sizes up front and
+	// which doubles when full (from 64 records).
 	rounds []round
 	// peaks are the suffix maxima of |ADJ|, ascending in time and strictly
 	// descending in value: each adjustment that no later one equals or
@@ -167,6 +168,14 @@ var _ sim.AnnotationSink = (*RoundRecorder)(nil)
 // stack starts with room for 32.
 func NewRoundRecorder(beginTag, adjTag string) *RoundRecorder {
 	return &RoundRecorder{BeginTag: beginTag, AdjTag: adjTag, peaks: make([]peak, 0, 32)}
+}
+
+// Reserve gives r room for the records of the given number of rounds up
+// front, so a run that knows how many it asks for keeps them in one slice
+// rather than doubling into it, and returns r.
+func (r *RoundRecorder) Reserve(rounds int) *RoundRecorder {
+	r.rounds = slices.Grow(r.rounds, rounds)
+	return r
 }
 
 // OnAnnotation implements sim.AnnotationSink. (The recorder deliberately has

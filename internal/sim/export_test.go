@@ -1,5 +1,7 @@
 package sim
 
+import "sync/atomic"
+
 // TablePasses reports how many times the clock table evaluated the current
 // instant's configuration, and how many of those evaluations scanned every
 // row rather than reading the two certificated extremes.
@@ -23,3 +25,14 @@ func (e *Engine) storeRows() {
 // CheckRedraw is checkRedraw (redraw_test.go) for the external test package,
 // which can name delay models of packages that import this one.
 var CheckRedraw = checkRedraw
+
+// The package's tests take the census of process-windows (shard.go).
+func init() { census = new([3]atomic.Int64) }
+
+// Census returns how many process-windows the package's tests have had
+// delivered as ReceiveCopies batches, one step each because their copies
+// repeated a sender, and one step each because their process is not a
+// CopyReceiver.
+func Census() (batched, repeated, perCopy int64) {
+	return census[censusBatched].Load(), census[censusRepeated].Load(), census[censusPerCopy].Load()
+}

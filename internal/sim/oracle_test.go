@@ -499,11 +499,39 @@ func (p *physProbe) Receive(ctx *sim.Context, m sim.Message) {
 	}
 }
 
+// batchProbe is a physProbe that takes its copies in batches: it checks
+// Context.PhysAt at every copy's time the same way, and counts the pairs of
+// copies in one batch that lie out of time order on either side of a clock
+// breakpoint — a read before the piece the later copy loaded.
+type batchProbe struct {
+	physProbe
+	straddles int
+}
+
+func (p *batchProbe) ReceiveCopies(ctx *sim.Context, _ []sim.ProcID, at []clock.Real) {
+	for i, t := range at {
+		got, want := ctx.PhysAt(t), p.clk.At(t)
+		if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+			p.t.Errorf("process %d, batched copy at t=%v: PhysAt = %v, its clock's At gives %v", ctx.ID(), t, got, want)
+		}
+		p.checks++
+		if pl, ok := p.clk.(*clock.PiecewiseLinear); ok {
+			for _, u := range at[i+1:] {
+				if u < t && pl.SegmentAt(u).Until <= t {
+					p.straddles++
+				}
+			}
+		}
+	}
+}
+
 // TestPhysNowMatchesAt holds Context.PhysNow, which reads a segment the
 // engine keeps per process, to the live Clock.At at every delivery, on
 // clocks that cross a breakpoint every 20 ms (so held segments go stale
 // between reads) and on clock.Offset clocks, which have no segment to hold —
-// time-major and on two shards.
+// time-major and on two shards. On one and two shards it holds
+// Context.PhysAt to Clock.At at every copy of every batch, too, batches
+// whose unsorted copies straddle a breakpoint included.
 func TestPhysNowMatchesAt(t *testing.T) {
 	const n, horizon = 8, 1.0
 	const rho = 1e-4
@@ -513,22 +541,32 @@ func TestPhysNowMatchesAt(t *testing.T) {
 		"alternating": clock.AlternatingDrift{RhoBound: rho, Period: 0.02, Horizon: 2 * horizon},
 		"offset":      offset,
 	} {
-		for _, shards := range []int{0, 2} {
-			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
+		for _, run := range []struct {
+			shards int
+			batch  bool
+		}{{0, false}, {2, false}, {1, true}, {2, true}} {
+			sub := fmt.Sprintf("%s/shards=%d", name, run.shards)
+			if run.batch {
+				sub += "/batch"
+			}
+			t.Run(sub, func(t *testing.T) {
 				cfg := sim.Config{
 					Procs:   make([]sim.Process, n),
 					Clocks:  make([]clock.Clock, n),
 					StartAt: make([]clock.Real, n),
 					Delay:   sim.UniformDelay{Delta: 2e-3, Eps: 1e-3},
 					Seed:    9,
-					Shards:  shards,
+					Shards:  run.shards,
 				}
-				probes := make([]*physProbe, n)
+				probes := make([]*batchProbe, n)
 				for i := range probes {
 					cfg.Clocks[i] = drift.Build(i, n)
 					cfg.StartAt[i] = clock.Real(i) * 1e-4
-					probes[i] = &physProbe{t: t, clk: cfg.Clocks[i]}
-					cfg.Procs[i] = probes[i]
+					probes[i] = &batchProbe{physProbe: physProbe{t: t, clk: cfg.Clocks[i]}}
+					cfg.Procs[i] = &probes[i].physProbe
+					if run.batch {
+						cfg.Procs[i] = probes[i]
+					}
 				}
 				eng, err := sim.New(cfg)
 				if err != nil {
@@ -537,12 +575,15 @@ func TestPhysNowMatchesAt(t *testing.T) {
 				if err := eng.Run(horizon); err != nil {
 					t.Fatal(err)
 				}
-				checks := 0
+				checks, straddles := 0, 0
 				for _, p := range probes {
-					checks += p.checks
+					checks, straddles = checks+p.checks, straddles+p.straddles
 				}
 				if checks < 10_000 {
 					t.Fatalf("only %d PhysNow checks", checks)
+				}
+				if run.batch && name != "offset" && straddles == 0 {
+					t.Fatal("no batch straddled a breakpoint out of time order")
 				}
 			})
 		}

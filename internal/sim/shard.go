@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/clock"
 )
@@ -38,9 +39,12 @@ import (
 // and TIMERs and groups them by recipient, files the candidate rows by the
 // tiles they overlap (bucket), then, a tile of owned processes at a time,
 // hands each one its own and reads its due copies off the rows over the tile
-// (gather); each process, in ascending id, sorts its due events by (at, key)
-// and receives them in that order, with any TIMER it sets for inside the
-// window merged in;
+// (gather); each process, in ascending id, receives its due STARTs and
+// TIMERs in (at, key) order, with any TIMER it sets for inside the window
+// merged in, and its due copies between them — a CopyReceiver as one
+// unsorted batch per stretch between two of its own events
+// (receiveBatch), any other process, or one whose copies repeat a sender,
+// one Receive a copy in (at, key) order (sortDue);
 // (3) join, publish the rows the window sent and drop those whose copies are
 // all delivered (publish), cut, and repeat. The serial phase at the cut is
 // one pass over the board.
@@ -51,12 +55,19 @@ import (
 // a step can add for the window is its own process's TIMER. So each
 // process's own (at, key)-ordered sequence of due events is what the
 // time-major engine delivers it, and the order between processes is
-// unobservable. A copy a delay model sends inside the window breaks the
-// declared lower bound; Run fails at the cut naming the least (at, key) such
-// copy over the partitions — the same error for every k — rather than
-// deliver a reordered execution. The crew's join is the only
-// synchronization: it returns once every partition has, and a panicking
-// Receive is that partition's error (drainSafe, at k = 1 too).
+// unobservable. Within one process, a CopyReceiver's ordinary receives set
+// no timer, send nothing and move no correction: those from distinct
+// senders between two of its STARTs and TIMERs write disjoint state and
+// commute, so a batch in any order is that sequence too, with real time at
+// its last copy after it. A step limit falling inside a batch, or a sender
+// repeated in a process's window — whose copies do not commute, the later
+// one's reading overwriting the earlier's — takes the sorted path. A copy a
+// delay model sends inside the window breaks the declared lower bound; Run
+// fails at the cut naming the least (at, key) such copy over the partitions
+// — the same error for every k — rather than deliver a reordered execution.
+// The crew's join is the only synchronization: it returns once every
+// partition has, and a panicking Receive is that partition's error
+// (drainSafe, at k = 1 too).
 //
 // Determinism is independent of k (the oracle E19 and TestShardedDeterminism
 // pin) because no order state is shared: every engine, time-major or
@@ -92,7 +103,8 @@ import (
 // ≤ dueUntil (dueHi is −∞ outside one). timers holds the owned processes'
 // STARTs and TIMERs not yet due, held[hpos:] the due ones not yet gathered,
 // grouped by recipient, and win[wpos:] the acting process's due events not
-// yet delivered, sorted (sortDue, whose group counts off holds); pend counts
+// yet delivered, sorted (sortDue, whose group counts off holds) — or, for a
+// batch, its STARTs and TIMERs only; pend counts
 // the copies of published rows not yet gathered. The acting process's
 // in-window timers sit on the engine's heap (sched.heap), and the headers of
 // all its STARTs and TIMERs in the engine's header store.
@@ -122,6 +134,13 @@ type partition struct {
 	wpos            int
 	off             []int32
 	pend            int
+
+	// A batch (CopyReceiver): the acting process's copies' senders and
+	// times, and stamp[q] = mark when q sent one of them.
+	from  []ProcID
+	at    []clock.Real
+	stamp []int32
+	mark  int32
 }
 
 // rowClass is one size class of a partition's stored rows: the free ones,
@@ -260,14 +279,7 @@ func newWindowed(cfg Config) (*Engine, error) {
 		pt.rows = make([]rowClass, bits.Len(uint(n-1))+1)
 		pt.due = make([][]entry, min(gatherTile, hi-lo))
 		p.part = pt
-		pt.initStores(&p.queue, n)
-		// A window's fan-outs and log: about one fan-out and a few entries
-		// per owned process.
-		pt.sent = make([]bcast, 0, hi-lo+4)
-		p.wlog = make([]logEntry, 0, 2*(hi-lo)+4)
-		ids := make([]int32, (hi-lo+4)+(n+4)+(hi-lo+4)+(hi-lo)/gatherTile+2)
-		p.runs, pt.wide = share(&ids, hi-lo+4), share(&ids, n+4)
-		pt.tiled, pt.tileOff = share(&ids, hi-lo+4), share(&ids, (hi-lo)/gatherTile+2)
+		p.initStores(n)
 		p.start(cfg.StartAt)
 		parts[s] = p
 	}
@@ -671,7 +683,9 @@ type earlyCopy struct {
 // STARTs and TIMERs due before hi and at or before until off its timer heap,
 // grouped by recipient, then, a tile of owned processes at a time, gathers
 // their due events and lets each, in ascending id, receive its own in
-// (at, key) order, merged with the TIMERs it sets for inside the window.
+// (at, key) order, merged with the TIMERs it sets for inside the window — a
+// CopyReceiver whose copies come from distinct senders in batches between
+// them (receiveBatch).
 // This is the only engine code that runs concurrently: each partition
 // touches its own heaps, rows, senders, log and processes, and only reads
 // the board. The window log is left in (at, key) order for the replay.
@@ -692,11 +706,19 @@ func (e *Engine) drainWindow(hi, until clock.Real) error {
 			if len(sp) == 0 {
 				continue
 			}
-			pt.sortDue(sp)
 			due[i] = sp[:0]
 			if r := int32(len(e.wlog)); e.mirror != nil && (len(e.runs) == 0 || e.runs[len(e.runs)-1] != r) {
 				e.runs = append(e.runs, r) // the last run, if empty, is this one's
 			}
+			if cr, ok := e.procs[sp[0].to].(CopyReceiver); !ok {
+				count(censusPerCopy)
+			} else if c, last, ok := pt.distinct(sp); ok {
+				if err := e.receiveBatch(cr, sp, c, last, &m); err != nil {
+					return err
+				}
+				continue
+			}
+			pt.sortDue(sp)
 			for pt.wpos < len(pt.win) || q.heap.len() > 0 {
 				if e.steps >= e.maxSteps {
 					return fmt.Errorf("sim: step limit %d exceeded at t=%v", e.maxSteps, e.now)
@@ -706,6 +728,126 @@ func (e *Engine) drainWindow(hi, until clock.Real) error {
 		}
 	}
 	return nil
+}
+
+// The kinds of process-window — a process's due events in one window — by
+// how the partition delivered them: as ReceiveCopies batches between its own
+// events, one step each because its copies repeat a sender, and one step
+// each because its process is not a CopyReceiver.
+const censusBatched, censusRepeated, censusPerCopy = 0, 1, 2
+
+// census counts process-windows by kind. It is nil outside the package's
+// own tests, which set it (export_test.go).
+var census *[3]atomic.Int64
+
+func count(kind int) {
+	if census != nil {
+		census[kind].Add(1)
+	}
+}
+
+// distinct reports whether the c copies among the acting process's due
+// events sp — which follow its STARTs and TIMERs — come from distinct
+// senders, and lays their senders and times out in from and at, in sp's
+// order; last is the last of them in (at, key) order. The stamps of senders
+// seen are the window's mark; one left from 2³² marks back can only send a
+// batch down the sorted path.
+func (pt *partition) distinct(sp []entry) (c int, last entry, ok bool) {
+	pt.mark++
+	live := pt.board.live
+	for i := range sp {
+		if sp[i].ref >= 0 {
+			continue
+		}
+		q := live[^sp[i].ref].from
+		if pt.stamp[q] == pt.mark {
+			count(censusRepeated)
+			return 0, last, false
+		}
+		pt.stamp[q] = pt.mark
+		pt.from[c], pt.at[c] = ProcID(q), clock.Real(sp[i].at)
+		if c++; c == 1 || entryLess(&last, &sp[i]) {
+			last = sp[i]
+		}
+	}
+	count(censusBatched)
+	return c, last, true
+}
+
+// receiveBatch delivers the acting process's due events sp, whose c copies
+// distinct laid out: its STARTs and TIMERs, which came off the timer heap in
+// (at, key) order, and those it sets for inside the window, one step each in
+// that order, and between two of them the copies due before the later as one
+// ReceiveCopies — or, where the step limit falls inside them, one step each.
+// The copies after the last of its events hold the last copy of all, last:
+// an event after it splits nothing off.
+func (e *Engine) receiveBatch(cr CopyReceiver, sp []entry, c int, last entry, m *Message) error {
+	q, pt, nh := &e.queue, e.part, len(sp)-c
+	pt.win, pt.wpos = append(pt.win[:0], sp[:nh]...), 0
+	cs, from, at := sp[nh:], pt.from[:c], pt.at[:c]
+	for {
+		bound, k, seg := pt.peekNext(&q.heap), len(cs), last
+		if bound != nil && entryLess(bound, &last) {
+			k, seg = split(cs, from, at, bound)
+		}
+		if e.steps+k > e.maxSteps {
+			sortEntries(cs[:k])
+			for _, en := range cs[:k] {
+				if e.steps >= e.maxSteps {
+					return fmt.Errorf("sim: step limit %d exceeded at t=%v", e.maxSteps, e.now)
+				}
+				e.step(en, m)
+			}
+		} else if k > 0 {
+			e.receiveCopies(cr, cs[:k], from[:k], at[:k], seg)
+		}
+		cs, from, at = cs[k:], from[k:], at[k:]
+		if bound == nil {
+			return nil
+		}
+		if e.steps >= e.maxSteps {
+			return fmt.Errorf("sim: step limit %d exceeded at t=%v", e.maxSteps, e.now)
+		}
+		e.step(pt.next(&q.heap), m)
+	}
+}
+
+// split moves the copies of cs due before bound, with their senders and
+// times in from and at, to the front, and returns how many there are and
+// the last of them in (at, key) order.
+func split(cs []entry, from []ProcID, at []clock.Real, bound *entry) (k int, last entry) {
+	for j := range cs {
+		if entryLess(&cs[j], bound) {
+			cs[j], cs[k] = cs[k], cs[j]
+			from[j], from[k] = from[k], from[j]
+			at[j], at[k] = at[k], at[j]
+			if k++; k == 1 || entryLess(&last, &cs[k-1]) {
+				last = cs[k-1]
+			}
+		}
+	}
+	return k, last
+}
+
+// receiveCopies is the steps of copies cs, from distinct senders, as one
+// ReceiveCopies: real time moves to, and the log keys by, the last of them.
+func (e *Engine) receiveCopies(cr CopyReceiver, cs []entry, from []ProcID, at []clock.Real, last entry) {
+	p := ProcID(last.to)
+	e.now, e.key, e.ver, e.steps = clock.Real(last.at), last.key, e.ver+1, e.steps+len(cs)
+	e.ctx.pid, e.acting, e.ctx.copies = p, p, true
+	cr.ReceiveCopies(&e.ctx, from, at)
+	e.acting, e.ctx.copies = actingNone, false
+	e.settle(p)
+}
+
+// peekNext returns the acting process's next START or TIMER, as next would
+// take it, or nil when none is left.
+func (pt *partition) peekNext(h *entryHeap) *entry {
+	top := h.peek()
+	if pt.wpos < len(pt.win) && (top == nil || entryLess(&pt.win[pt.wpos], top)) {
+		return &pt.win[pt.wpos]
+	}
+	return top
 }
 
 // next removes and returns the acting process's next event: the smaller of
@@ -868,22 +1010,31 @@ func (pt *partition) groupHeld() {
 	pt.off, pt.held, pt.win = off, out, h[:0]
 }
 
-// initStores gives the partition and q, its engine's queue, their stores
-// for a partition of an n-process system. They start in one array each,
-// sized to a round's traffic: room for one process's due events in a window
-// — a round's n copies — and for their sort's group counts, for a few
-// in-window timers, for the owned processes' STARTs and TIMERs pending and
-// due, and for the headers of those in flight. A store outgrowing its share
-// grows on its own.
-func (pt *partition) initStores(q *sched, n int) {
-	owned := pt.own
+// initStores gives partition engine e and its queue their stores for a
+// partition of an n-process system. They start in one array per element
+// type, sized to a round's traffic: room for one process's due events in a
+// window — a round's n copies — and for their sort's group counts or their
+// batch's senders and times, for a few in-window timers, for the owned
+// processes' STARTs and TIMERs pending and due, for the headers of those in
+// flight, and for a window's fan-outs and log — about one fan-out and a few
+// entries per owned process. A store outgrowing its share grows on its own.
+func (e *Engine) initStores(n int) {
+	q, pt, owned := &e.queue, e.part, e.part.own
 	pt.dueHi = math.Inf(-1)
 	ents := make([]entry, (n+4)+4+(2*owned+4)+(owned+4))
 	pt.win, q.heap.items = share(&ents, n+4), share(&ents, 4)
 	pt.timers.items, pt.held = share(&ents, 2*owned+4), share(&ents, owned+4)
-	ids := make([]int32, 2*(n+4)+1+2*owned+4)
+	ids := make([]int32, 2*(n+4)+1+2*owned+4+n+(owned+4)+(n+4)+(owned+4)+owned/gatherTile+2)
 	pt.off, q.hdrFree = share(&ids, 2*(n+4)+1), share(&ids, 2*owned+4)
+	pt.stamp = share(&ids, n)[:n]
+	e.runs, pt.wide = share(&ids, owned+4), share(&ids, n+4)
+	pt.tiled, pt.tileOff = share(&ids, owned+4), share(&ids, owned/gatherTile+2)
+	// The batch's senders follow the nonfaulty ids in one array (newBase).
+	procs := e.nonfaulty[:2*n]
+	pt.from, e.nonfaulty, pt.at = procs[n:], procs[:len(e.nonfaulty):n], make([]clock.Real, n)
 	q.hdrs = make([]msgHdr, 0, 2*owned+4)
+	pt.sent = make([]bcast, 0, owned+4)
+	e.wlog = make([]logEntry, 0, 2*owned+4)
 }
 
 // share cuts the next c elements off *buf, as an empty slice of capacity c.

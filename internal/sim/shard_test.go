@@ -52,6 +52,101 @@ func (b *shardBeacon) Receive(ctx *Context, m Message) {
 	ctx.SetTimer(ctx.PhysNow()+b.period, nil)
 }
 
+// fold returns a differential process's order-sensitive digest and its
+// delivery count.
+func (b *shardBeacon) fold() (uint64, int) { return b.digest, b.count }
+
+// copyBeacon is shardBeacon's CopyReceiver twin. An ordinary copy from q
+// sets arr[q] to its local arrival time, in either receive, and commutes
+// with the other copies; each START and TIMER folds arr into the digest and
+// moves the correction, so the digest pins every arrival's reading and
+// which copies preceded each of the process's own steps. It fans out twice
+// a step if double — repeating a sender in its recipients' windows — and
+// only to the lower half of the ids if half, and sets a blip, a TIMER blip
+// after each, which folds only, for inside the window if blip > 0.
+type copyBeacon struct {
+	shardBeacon
+	arr          []clock.Local
+	double, half bool
+	blip         clock.Local
+}
+
+// blipTimer is the payload of a copyBeacon's blip.
+type blipTimer struct{}
+
+func (b *copyBeacon) Receive(ctx *Context, m Message) {
+	if m.Kind == KindOrdinary {
+		b.arr[m.From] = ctx.PhysNow() + b.corr
+		b.count++
+		return
+	}
+	b.shardBeacon.Receive(ctx, m) // muted: folds m only
+	b.foldArr()
+	if m.Payload != nil {
+		return
+	}
+	b.corr += 1e-6
+	switch {
+	case b.half:
+		ctx.Multicast(0, ProcID(ctx.N()/2), nil)
+	case b.double:
+		fanOutAs(ctx, b.unicast, b.block)
+		fallthrough
+	default:
+		fanOutAs(ctx, b.unicast, b.block)
+	}
+	ctx.SetTimer(ctx.PhysNow()+b.period, nil)
+	if b.blip > 0 {
+		ctx.SetTimer(ctx.PhysNow()+b.blip, blipTimer{})
+	}
+}
+
+func (b *copyBeacon) ReceiveCopies(ctx *Context, from []ProcID, at []clock.Real) {
+	for i, q := range from {
+		b.arr[q] = ctx.PhysAt(at[i]) + b.corr
+	}
+	b.count += len(from)
+}
+
+// foldArr mixes arr into the digest.
+func (b *copyBeacon) foldArr() {
+	for _, v := range b.arr {
+		b.digest ^= math.Float64bits(float64(v))
+		b.digest *= 1099511628211
+	}
+}
+
+func (b *copyBeacon) fold() (uint64, int) {
+	b.foldArr()
+	return b.digest, b.count
+}
+
+// copyWorkload is shardWorkload over copyBeacons, each behind perCopy
+// unless batch, with their shardBeacon muted: a copyBeacon sends itself.
+func copyWorkload(n int, delay DelayModel, batch bool, set func(i int, b *copyBeacon)) Config {
+	cfg := shardWorkload(n, delay, nil)
+	for i, p := range cfg.Procs {
+		b := &copyBeacon{shardBeacon: *p.(*shardBeacon), arr: make([]clock.Local, n)}
+		b.mute = true
+		if set != nil {
+			set(i, b)
+		}
+		cfg.Procs[i] = b
+		if !batch {
+			cfg.Procs[i] = perCopy{b}
+		}
+	}
+	return cfg
+}
+
+// perCopy hides a copyBeacon's ReceiveCopies: a windowed engine delivers
+// its copies one Receive at a time.
+type perCopy struct{ b *copyBeacon }
+
+func (p perCopy) Receive(ctx *Context, m Message) { p.b.Receive(ctx, m) }
+func (p perCopy) Corr() clock.Local               { return p.b.Corr() }
+func (p perCopy) fold() (uint64, int)             { return p.b.fold() }
+
 // shardWorkload builds n shardBeacons on drifting clocks with distinct
 // start times.
 func shardWorkload(n int, delay DelayModel, ch Channel) Config {
@@ -114,9 +209,9 @@ func runOnShardsAs(t *testing.T, cfg Config, k int, horizon clock.Real, stored b
 		t.Fatal(err)
 	}
 	for _, p := range cfg.Procs {
-		b := p.(*shardBeacon)
-		r.digests = append(r.digests, b.digest)
-		r.counts = append(r.counts, b.count)
+		d, c := p.(interface{ fold() (uint64, int) }).fold()
+		r.digests = append(r.digests, d)
+		r.counts = append(r.counts, c)
 	}
 	r.sent, r.lost = se.MessagesSent(), se.MessagesLost()
 	r.steps, r.windows = se.Steps(), se.Windows()
@@ -336,6 +431,38 @@ func TestShardedStepLimit(t *testing.T) {
 		}
 	}
 
+	// The CopyReceiver twin stops where one Receive a copy stops at every
+	// limit up to its run's length, many of them inside a batch: the same
+	// error, time included, on the same k, and the time-major verdict.
+	copyVerdict := func(k, limit int, batch bool) string {
+		cfg := copyWorkload(16, UniformDelay{Delta: 4e-4, Eps: 1e-4}, batch, func(_ int, b *copyBeacon) { b.blip = 1e-4 })
+		cfg.MaxSteps, cfg.Shards = limit, k
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Run(3.5e-3); err != nil {
+			return err.Error()
+		}
+		return fmt.Sprintf("ok after %d steps", e.Steps())
+	}
+	var total int
+	if _, err := fmt.Sscanf(copyVerdict(0, 0, true), "ok after %d steps", &total); err != nil {
+		t.Fatal(err)
+	}
+	for limit := total - 120; limit <= total+1; limit++ {
+		want, _, _ := strings.Cut(copyVerdict(0, limit, true), " at t=")
+		for _, k := range []int{1, 2, 4} {
+			got, one := copyVerdict(k, limit, true), copyVerdict(k, limit, false)
+			if got != one {
+				t.Fatalf("MaxSteps %d, k=%d: batched %q; one Receive a copy %q", limit, k, got, one)
+			}
+			if got, _, _ := strings.Cut(got, " at t="); got != want {
+				t.Fatalf("MaxSteps %d, k=%d: %q; time-major %q", limit, k, got, want)
+			}
+		}
+	}
+
 	const n, limit = 64, 500
 	for _, k := range []int{1, 4} {
 		cfg := shardWorkload(n, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
@@ -512,6 +639,98 @@ func TestShardedMatchesSequential(t *testing.T) {
 				}
 			}
 		})
+	}
+	// The CopyReceiver twin, delivered in batches, delivered one Receive a
+	// copy on the same windows, and time-major: one execution at k = 1, 2
+	// and 3. Its blips split batches at in-window timers: on the uniform row,
+	// whose starts spread over a period, among the copies. In the double row
+	// a third of the processes repeat in each window, which sends it down the
+	// sorted path, and the rest reach only the lower half of the ids; the
+	// tied row, on perfect clocks under a constant delay, lands copies at the
+	// instants of their recipients' own TIMERs (which order after them) and
+	// of even ids' STARTs (which order before the copies of higher ids).
+	const delta = 4e-4
+	for _, c := range []struct {
+		name  string
+		build func(batch bool) Config
+	}{
+		{"copies/uniform", func(batch bool) Config {
+			cfg := copyWorkload(n, UniformDelay{Delta: delta, Eps: 1e-4}, batch, func(_ int, b *copyBeacon) { b.blip = 1e-4 })
+			for i := range cfg.StartAt {
+				cfg.StartAt[i] = clock.Real(i) * 2.5e-5 // a period's worth: each TIMER and blip lands among copies
+			}
+			return cfg
+		}},
+		{"copies/double", func(batch bool) Config {
+			return copyWorkload(n, UniformDelay{Delta: delta, Eps: 1e-4}, batch, func(i int, b *copyBeacon) {
+				b.double, b.half, b.blip = i%3 == 0, i%3 != 0, 1e-4
+				if i%2 == 0 {
+					b.block = 7
+				}
+			})
+		}},
+		{"copies/tied", func(batch bool) Config {
+			cfg := copyWorkload(n, ConstantDelay{Delta: delta}, batch, func(_ int, b *copyBeacon) { b.period, b.blip = delta, delta/2 })
+			cfg.Clocks = perfectClocks(n)
+			for i := range cfg.StartAt {
+				cfg.StartAt[i] = clock.Real(1-i%2) * delta
+			}
+			return cfg
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			b0, r0, _ := Census()
+			tm := runOnShards(t, c.build(true), 0, horizon)
+			for _, k := range []int{1, 2, 3} {
+				one := runOnShards(t, c.build(false), k, horizon)
+				batch := runOnShards(t, c.build(true), k, horizon)
+				tm.windows = one.windows // the time-major engine has none
+				if what, ok := equalShardRuns(tm, one); !ok {
+					t.Fatalf("k=%d, one Receive a copy: %s diverges from the time-major run", k, what)
+				}
+				if what, ok := equalShardRuns(tm, batch); !ok {
+					t.Fatalf("k=%d, batched: %s diverges from the time-major run", k, what)
+				}
+			}
+			b1, r1, _ := Census()
+			if b1 == b0 || (r1 == r0) != (c.name != "copies/double") {
+				t.Fatalf("%d process-windows batched, %d sent down the sorted path for a repeated sender", b1-b0, r1-r0)
+			}
+		})
+	}
+}
+
+// actor is a copyBeacon whose ReceiveCopies takes an action instead.
+type actor struct {
+	copyBeacon
+	act func(*Context)
+}
+
+func (a *actor) ReceiveCopies(ctx *Context, _ []ProcID, _ []clock.Real) { a.act(ctx) }
+
+// TestCopyActionRefused: an action inside ReceiveCopies breaks the
+// CopyReceiver contract, and Run fails with ErrCopyAction named, at k = 1
+// and 2.
+func TestCopyActionRefused(t *testing.T) {
+	for name, act := range map[string]func(*Context){
+		"SetTimer":  func(c *Context) { c.SetTimer(c.PhysNow()+1, nil) },
+		"Annotate":  func(c *Context) { c.Annotate("x", 1) },
+		"Send":      func(c *Context) { c.Send(0, nil) },
+		"Multicast": func(c *Context) { c.Multicast(0, 2, nil) },
+		"Broadcast": func(c *Context) { c.Broadcast(nil) },
+	} {
+		for _, k := range []int{1, 2} {
+			cfg := copyWorkload(8, UniformDelay{Delta: 4e-4, Eps: 1e-4}, true, nil)
+			cfg.Procs[5] = &actor{copyBeacon: *cfg.Procs[5].(*copyBeacon), act: act}
+			cfg.Shards = k
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Run(3e-3); err == nil || !strings.Contains(err.Error(), ErrCopyAction.Error()) {
+				t.Fatalf("%s inside ReceiveCopies, k=%d: Run = %v; want %v", name, k, err, ErrCopyAction)
+			}
+		}
 	}
 }
 

@@ -29,13 +29,15 @@
 // of its STARTs and TIMERs, and every fan-out — broadcast, multicast or Send —
 // as one row holding its copies' delivery times. It makes a copy an entry
 // only when the copy is due in a window: a process's due events are gathered
-// and sorted when its turn in the window comes (shard.go). One Context per
-// engine is reused across deliveries, observers are classified into typed
-// slices at registration time (no per-event type assertions), and delay
-// sampling draws from inline per-sender splitmix64 streams. The no-observer
-// steady state performs zero allocations per delivered event (enforced in CI
-// by TestEngineSteadyStateAllocs in internal/bench, which gates the same
-// workload the engine benchmarks measure).
+// when its turn in the window comes and sorted, or, for a CopyReceiver, only
+// split at its own STARTs and TIMERs and handed over in batches (shard.go).
+// One Context per engine is reused across deliveries, observers are
+// classified into typed slices at registration time (no per-event type
+// assertions), and delay sampling draws from inline per-sender splitmix64
+// streams. The no-observer steady state performs zero allocations per
+// delivered event (enforced in CI by TestEngineSteadyStateAllocs in
+// internal/bench, which gates the same workload the engine benchmarks
+// measure).
 //
 // One Engine type runs every execution, and New is its one constructor.
 // Config.Shards = 0 drains the buffer time-major; Shards = k ≥ 1 partitions
@@ -116,10 +118,35 @@ type Annotation struct {
 // windowed partitions, within a partition too: they deliver a window's
 // events process by process, so a Receive that read or wrote another
 // process's state would see it at a different point of the execution than
-// on the time-major engine.
+// on the time-major engine. A process whose ordinary receives commute may
+// opt in to taking them in batches there (CopyReceiver).
 type Process interface {
 	Receive(ctx *Context, msg Message)
 }
+
+// CopyReceiver is the opt-in of a windowed engine's batched receives, for a
+// Process whose ordinary receive commutes: it sets no timer, sends nothing,
+// annotates nothing and leaves its correction alone, so receives from
+// distinct senders between two of its own STARTs or TIMERs may run in any
+// order (§2.3(6)). ReceiveCopies(ctx, from, at) must have the effect of
+// Receive for each ordinary copy from from[i] delivered at real time at[i],
+// in any order; the senders are distinct, the times unsorted, and
+// Context.PhysAt reads the clock at each. Inside it SetTimer, Annotate and
+// every send panic with ErrCopyAction.
+//
+// A partition (shard.go) hands a process that implements it each window's
+// due copies as one batch per stretch between its STARTs and TIMERs, unless
+// two of them share a sender or the step limit falls inside the stretch:
+// then, as for every other process and on the time-major engine, it receives
+// them one Receive at a time in (at, key) order.
+type CopyReceiver interface {
+	Process
+	ReceiveCopies(ctx *Context, from []ProcID, at []clock.Real)
+}
+
+// ErrCopyAction is the panic of an action taken inside ReceiveCopies, which
+// a windowed engine's Run returns as the partition's error.
+var ErrCopyAction = errors.New("sim: SetTimer, Annotate or a send inside ReceiveCopies (sim.CopyReceiver contract)")
 
 // CorrHolder is implemented by processes whose local time is Ph + CORR; it
 // lets the engine (and metrics) evaluate L_p(t) without touching process
@@ -473,7 +500,8 @@ func newBase(cfg Config) (*Engine, error) {
 			e.corr[i] = h
 		}
 	}
-	e.nonfaulty = make([]ProcID, 0, n)
+	// On a partition, its batches' senders follow the ids (initStores).
+	e.nonfaulty = make([]ProcID, 0, n+min(cfg.Shards, 1)*n)
 	for i, f := range faulty {
 		if !f {
 			e.nonfaulty = append(e.nonfaulty, ProcID(i))
@@ -866,8 +894,18 @@ func (e *Engine) setTimer(p ProcID, T clock.Local, payload any) {
 // duration of the Receive call it was passed to; the engine reuses one
 // context across deliveries, so a process must never retain it.
 type Context struct {
-	eng *Engine
-	pid ProcID
+	eng    *Engine
+	pid    ProcID
+	copies bool // inside ReceiveCopies, which takes no action
+}
+
+// act returns the engine for an action of the step: none inside
+// ReceiveCopies.
+func (c *Context) act() *Engine {
+	if c.copies {
+		panic(ErrCopyAction)
+	}
+	return c.eng
 }
 
 // ID returns the process's own id.
@@ -878,35 +916,41 @@ func (c *Context) N() int { return len(c.eng.procs) }
 
 // PhysNow returns the process's physical clock reading Ph_p(t) at the current
 // instant. Processes never see real time.
+func (c *Context) PhysNow() clock.Local { return c.PhysAt(c.eng.now) }
+
+// PhysAt returns Ph_p(t), the reading PhysNow gives at real time t: what a
+// CopyReceiver reads its copies' delivery times with.
 //
 // It evaluates the piece of the clock the process's sender entry holds with
 // the expression clock.PiecewiseLinear.At uses (see clock.Segment), so the
 // reading is At's bit for bit without the interface call and the segment
-// search. The piece is reloaded only when now reaches its end: real time
-// never moves back, so now never falls before its start.
-func (c *Context) PhysNow() clock.Local {
-	e, now := c.eng, c.eng.now
-	if s := &e.senders[c.pid]; now < s.until {
-		return s.value + clock.Local(s.rate*float64(now-s.start))
+// search. A t past the held piece loads the piece it lies in; a t before it,
+// which only a batch's unsorted times reach, reads through At.
+func (c *Context) PhysAt(t clock.Real) clock.Local {
+	e := c.eng
+	if s := &e.senders[c.pid]; t < s.until && t >= s.start {
+		return s.value + clock.Local(s.rate*float64(t-s.start))
 	}
-	return e.physAt(c.pid)
+	return e.physAt(c.pid, t)
 }
 
-// physAt is PhysNow past the held piece: it loads p's current segment, or
-// reads a clock that is not a *clock.PiecewiseLinear through At.
-func (e *Engine) physAt(p ProcID) clock.Local {
+// physAt is PhysAt outside the held piece: it loads p's segment at t, or
+// reads a t before the held piece, or a clock that is not a
+// *clock.PiecewiseLinear, through At.
+func (e *Engine) physAt(p ProcID, t clock.Real) clock.Local {
 	pl, ok := e.clocks[p].(*clock.PiecewiseLinear)
-	if !ok {
-		return e.clocks[p].At(e.now)
+	s := &e.senders[p]
+	if !ok || t < s.start {
+		return e.clocks[p].At(t)
 	}
-	seg, s := pl.SegmentAt(e.now), &e.senders[p]
+	seg := pl.SegmentAt(t)
 	s.start, s.until, s.value, s.rate = seg.Start, seg.Until, seg.Value, seg.Rate
-	return s.value + clock.Local(s.rate*float64(e.now-s.start))
+	return s.value + clock.Local(s.rate*float64(t-s.start))
 }
 
 // Send places an ordinary message to q in the buffer: the multicast over
 // [q, q+1). An id outside [0, n) panics.
-func (c *Context) Send(to ProcID, payload any) { c.eng.fanOut(c.pid, int(to), int(to)+1, payload) }
+func (c *Context) Send(to ProcID, payload any) { c.act().fanOut(c.pid, int(to), int(to)+1, payload) }
 
 // Multicast sends the payload to every process in [lo, hi), the sender
 // included if it lies there: one fan-out under one send index and — on the
@@ -916,8 +960,8 @@ func (c *Context) Send(to ProcID, payload any) { c.eng.fanOut(c.pid, int(to), in
 // copies order alike, so the multicast and the loop run one execution. lo ≥ hi sends nothing; a
 // range reaching outside [0, n) panics as Send does.
 func (c *Context) Multicast(lo, hi ProcID, payload any) {
-	if lo < hi {
-		c.eng.fanOut(c.pid, int(lo), int(hi), payload)
+	if e := c.act(); lo < hi {
+		e.fanOut(c.pid, int(lo), int(hi), payload)
 	}
 }
 
@@ -927,11 +971,11 @@ func (c *Context) Multicast(lo, hi ProcID, payload any) {
 // [δ−ε, δ+ε]; the copies share one send index and one buffered header — on
 // a windowed engine one row holding every copy's delivery time, whichever
 // partition receives it.
-func (c *Context) Broadcast(payload any) { c.eng.fanOut(c.pid, 0, len(c.eng.procs), payload) }
+func (c *Context) Broadcast(payload any) { c.act().fanOut(c.pid, 0, len(c.eng.procs), payload) }
 
 // SetTimer requests a TIMER interrupt when the process's physical clock
 // reaches T. The payload is returned in the TIMER message.
-func (c *Context) SetTimer(T clock.Local, payload any) { c.eng.setTimer(c.pid, T, payload) }
+func (c *Context) SetTimer(T clock.Local, payload any) { c.act().setTimer(c.pid, T, payload) }
 
 // Scratch returns a buffer of n floats for the process to use inside this
 // Receive call and no longer: one per engine partition, shared by every
@@ -946,7 +990,7 @@ func (c *Context) Scratch(n int) []float64 {
 }
 
 // Annotate emits a measurement observers can timestamp with real time.
-func (c *Context) Annotate(tag string, v float64) { c.eng.annotate(c.pid, tag, v) }
+func (c *Context) Annotate(tag string, v float64) { c.act().annotate(c.pid, tag, v) }
 
 // Rand returns the process's deterministic random source (used by randomized
 // fault strategies; nonfaulty algorithms in this repository are deterministic
