@@ -26,9 +26,10 @@
 //
 // Large systems are first-class: each round's all-to-all broadcast goes
 // through the engine's batched fan-out, which a default run drains in
-// lookahead windows — every broadcast one row of its copies' delivery times,
-// each process's due copies gathered and sorted when its turn in the window
-// comes — so sweeps at n = 101 run routinely. A flat run from n = 80 up
+// lookahead windows — every broadcast one 80-byte row from which its copies'
+// delivery times are redrawn, each process's due copies gathered when its
+// turn in the window comes and received as unsorted batches between its own
+// timers — so sweeps at n = 101 run routinely. A flat run from n = 80 up
 // spreads its windows over the cores by default (WithShards documents the
 // Auto count). See the README's engine section and BenchmarkLargeN.
 package clocksync

@@ -73,6 +73,11 @@ func TestNewValidation(t *testing.T) {
 			clocksync.WithAdversary("skewmax"),
 			clocksync.WithFault(6, clocksync.FaultSilent),
 		}, false, ""},
+		{"k=2 ok", 7, 2, []clocksync.Option{clocksync.WithKExchanges(2)}, false, ""},
+		{"k=2 stagger tail past the next exchange", 7, 2, []clocksync.Option{
+			clocksync.WithKExchanges(2),
+			clocksync.WithStagger(1.0 / 56),
+		}, true, "K=2 exchanges need sub-period"},
 		{"custom regime ok", 7, 2, []clocksync.Option{
 			clocksync.WithRho(1e-6),
 			clocksync.WithDelay(1e-3, 0.1e-3),

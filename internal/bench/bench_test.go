@@ -92,11 +92,11 @@ func TestWindowSteadyStateAllocs(t *testing.T) {
 // (LargeN) and across 8 shards, with the sharded run's allocs/op capped at
 // 4× the one partition's.
 // The sharded engine's extra allocations are per-partition warm-up (the
-// first round's row slabs, timer heaps and tile buffers); in steady state the
-// cut recycles a delivered fan-out's row onto its size class's free list, so
-// a leak on the row path — a row dropped instead of reused — multiplies
-// per-round and blows the budget immediately (the pre-pool engine sat at
-// ~14× sequential).
+// board, timer heaps and tile buffers); in steady state every fan-out is a
+// drawn row, an 80-byte header in slices the cut reuses, so an allocation on
+// the row path — a stored row, say — multiplies per round and blows the
+// budget immediately (an engine that allocated every row sat at ~14×
+// sequential).
 func TestShardedSteadyAllocs(t *testing.T) {
 	// The crew's gate: the steady beacons over two partitions, whose workers
 	// are started once per Run and parked between its windows, allocate
@@ -123,8 +123,8 @@ func TestShardedSteadyAllocs(t *testing.T) {
 // window. Run starts its crew once — the crew, its channels and result
 // slice, one closure per worker goroutine: 2k+1 allocations per Run, about
 // 0.05 per window here — and a window costs nothing: the workers park
-// between windows, rows come off their size class's free list and go back
-// at the cut, the due STARTs and TIMERs fill one buffer reused from its
+// between windows, a fan-out is a drawn row's header in the board's reused
+// slices, the due STARTs and TIMERs fill one buffer reused from its
 // start, and the clock table is reloaded in place. A worker set started per
 // window, or a buffer dropped instead of reused, fails it.
 func TestShardedWindowAllocs(t *testing.T) {

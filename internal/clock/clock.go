@@ -7,9 +7,12 @@
 // times and upper-case letters are clock times; here the two are the defined
 // types Real and Local. All times are in seconds.
 //
-// Clocks are represented piecewise-linearly, which keeps them exactly
-// invertible: the simulation engine relies on Inv to schedule TIMER delivery
-// at the exact real instant Ph⁻¹(T) the model prescribes.
+// A clock is a piecewise-linear function (Clock is *PiecewiseLinear), which
+// keeps it exactly invertible — the simulation engine relies on Inv to
+// schedule TIMER delivery at the exact real instant Ph⁻¹(T) the model
+// prescribes — and lets the engine hold the linear piece a clock is on
+// (Segment) and read it bit for bit as At does. A logical clock Ph + CORR is
+// not a Clock: the engine adds a process's correction to its physical clock.
 package clock
 
 import (
@@ -32,18 +35,9 @@ const (
 	Microsecond = 1e-6
 )
 
-// Clock is a monotonically increasing mapping from real time to clock time.
-// Implementations must be strictly increasing so that Inv is well defined.
-type Clock interface {
-	// At returns the clock reading at real time t (the paper's C(t)).
-	At(t Real) Local
-	// Inv returns the real time at which the clock reads T (the paper's
-	// c(T), the inverse function).
-	Inv(T Local) Real
-	// Rate returns dC/dt at real time t. At a breakpoint the rate of the
-	// segment beginning at t is returned.
-	Rate(t Real) float64
-}
+// Clock is a physical clock: a strictly increasing piecewise-linear mapping
+// from real time to clock time, so that Inv is well defined and exact.
+type Clock = *PiecewiseLinear
 
 // segment is one linear piece of a piecewise-linear clock: for t >= start
 // (until the next segment) the clock reads value + rate*(t-start).
@@ -58,8 +52,6 @@ type segment struct {
 type PiecewiseLinear struct {
 	segs []segment
 }
-
-var _ Clock = (*PiecewiseLinear)(nil)
 
 // Linear returns the clock C(t) = offset + rate*t.
 func Linear(offset Local, rate float64) *PiecewiseLinear {
@@ -99,13 +91,14 @@ func New(valueAtFirst Local, bps []Breakpoint) (*PiecewiseLinear, error) {
 	return &PiecewiseLinear{segs: segs}, nil
 }
 
-// At implements Clock.
+// At returns the clock reading at real time t (the paper's C(t)).
 func (c *PiecewiseLinear) At(t Real) Local {
-	s := c.segAt(t)
+	s := c.segs[c.segIndex(t)]
 	return s.value + Local(s.rate*float64(t-s.start))
 }
 
-// Inv implements Clock.
+// Inv returns the real time at which the clock reads T (the paper's c(T),
+// the inverse function).
 func (c *PiecewiseLinear) Inv(T Local) Real {
 	s := c.segs[0]
 	if len(c.segs) > 1 {
@@ -118,15 +111,6 @@ func (c *PiecewiseLinear) Inv(T Local) Real {
 		s = c.segs[i]
 	}
 	return s.start + Real(float64(T-s.value)/s.rate)
-}
-
-// Rate implements Clock.
-func (c *PiecewiseLinear) Rate(t Real) float64 {
-	return c.segAt(t).rate
-}
-
-func (c *PiecewiseLinear) segAt(t Real) segment {
-	return c.segs[c.segIndex(t)]
 }
 
 func (c *PiecewiseLinear) segIndex(t Real) int {
@@ -186,24 +170,6 @@ func (c *PiecewiseLinear) RhoBounded(rho float64) bool {
 
 // Segments returns the number of linear pieces (useful in tests).
 func (c *PiecewiseLinear) Segments() int { return len(c.segs) }
-
-// Offset is a convenience clock built on an underlying clock shifted by a
-// constant: the paper's logical clock Ph + CORR for a fixed CORR.
-type Offset struct {
-	Base Clock
-	Corr Local
-}
-
-var _ Clock = Offset{}
-
-// At implements Clock.
-func (o Offset) At(t Real) Local { return o.Base.At(t) + o.Corr }
-
-// Inv implements Clock.
-func (o Offset) Inv(T Local) Real { return o.Base.Inv(T - o.Corr) }
-
-// Rate implements Clock.
-func (o Offset) Rate(t Real) float64 { return o.Base.Rate(t) }
 
 // MaxRho returns the smallest ρ such that a rate r is within [1/(1+ρ), 1+ρ];
 // useful when characterizing a generated clock.

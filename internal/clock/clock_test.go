@@ -196,20 +196,6 @@ func TestLemma3(t *testing.T) {
 	}
 }
 
-func TestOffsetClock(t *testing.T) {
-	base := Linear(0, 1.1)
-	o := Offset{Base: base, Corr: 7}
-	if got := o.At(10); math.Abs(float64(got-18)) > 1e-12 {
-		t.Errorf("Offset.At(10) = %v, want 18", got)
-	}
-	if got := o.Inv(18); math.Abs(float64(got-10)) > 1e-9 {
-		t.Errorf("Offset.Inv(18) = %v, want 10", got)
-	}
-	if o.Rate(3) != 1.1 {
-		t.Errorf("Offset.Rate = %v, want 1.1", o.Rate(3))
-	}
-}
-
 func TestRhoBounded(t *testing.T) {
 	tests := []struct {
 		name string
@@ -237,8 +223,8 @@ func TestConstantDriftSpansBand(t *testing.T) {
 	d := ConstantDrift{RhoBound: 0.01}
 	n := 5
 	lo, hi := 1/(1+d.RhoBound), 1+d.RhoBound
-	first := d.Build(0, n).Rate(0)
-	last := d.Build(n-1, n).Rate(0)
+	first := d.Build(0, n).SegmentAt(0).Rate
+	last := d.Build(n-1, n).SegmentAt(0).Rate
 	if math.Abs(first-lo) > 1e-12 {
 		t.Errorf("slowest rate %v, want %v", first, lo)
 	}
@@ -246,7 +232,7 @@ func TestConstantDriftSpansBand(t *testing.T) {
 		t.Errorf("fastest rate %v, want %v", last, hi)
 	}
 	for i := 0; i < n; i++ {
-		c := d.Build(i, n).(*PiecewiseLinear)
+		c := d.Build(i, n)
 		if !c.RhoBounded(d.RhoBound) {
 			t.Errorf("process %d not ρ-bounded", i)
 		}
@@ -256,7 +242,7 @@ func TestConstantDriftSpansBand(t *testing.T) {
 func TestConstantDriftSingleProcess(t *testing.T) {
 	d := ConstantDrift{RhoBound: 0.01}
 	c := d.Build(0, 1)
-	r := c.Rate(0)
+	r := c.SegmentAt(0).Rate
 	if r < 1/(1+d.RhoBound) || r > 1+d.RhoBound {
 		t.Errorf("single-process rate %v outside band", r)
 	}
@@ -265,11 +251,11 @@ func TestConstantDriftSingleProcess(t *testing.T) {
 func TestRandomWalkDriftBoundedAndDeterministic(t *testing.T) {
 	d := RandomWalkDrift{RhoBound: 1e-3, SegmentDur: 0.5, Horizon: 30, Seed: 5}
 	for id := 0; id < 4; id++ {
-		c := d.Build(id, 4).(*PiecewiseLinear)
+		c := d.Build(id, 4)
 		if !c.RhoBounded(d.RhoBound) {
 			t.Errorf("process %d not ρ-bounded", id)
 		}
-		c2 := d.Build(id, 4).(*PiecewiseLinear)
+		c2 := d.Build(id, 4)
 		for _, tv := range []Real{0, 1, 7.7, 29} {
 			if c.At(tv) != c2.At(tv) {
 				t.Errorf("nondeterministic clock for id %d at %v", id, tv)
@@ -292,7 +278,7 @@ func TestRandomWalkDriftBoundedAndDeterministic(t *testing.T) {
 
 func TestRandomWalkDriftDefaults(t *testing.T) {
 	d := RandomWalkDrift{RhoBound: 1e-4}
-	c := d.Build(0, 1).(*PiecewiseLinear)
+	c := d.Build(0, 1)
 	if !c.RhoBounded(d.RhoBound) {
 		t.Error("defaulted random walk not ρ-bounded")
 	}
@@ -306,7 +292,7 @@ func TestAlternatingDriftAntiphase(t *testing.T) {
 	a := d.Build(0, 2)
 	b := d.Build(1, 2)
 	// At mid-period the two clocks should run at opposite extremes.
-	ra, rb := a.Rate(0.5), b.Rate(0.5)
+	ra, rb := a.SegmentAt(0.5).Rate, b.SegmentAt(0.5).Rate
 	if ra == rb {
 		t.Errorf("antiphase clocks have equal rate %v", ra)
 	}

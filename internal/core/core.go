@@ -146,6 +146,13 @@ func (c Config) Validate() error {
 	if cc.Stagger > 0 && float64(cc.N)*cc.Stagger > cc.P/4 {
 		return fmt.Errorf("core: stagger %v too large for n=%d and P=%v", cc.Stagger, cc.N, cc.P)
 	}
+	// An exchange's update is due Window + N·σ after its mark; at or past
+	// the next sub-exchange's mark, that mark's timer is set for the past
+	// and dropped (§2.2), and the process stops exchanging.
+	if tail := float64(float64(cc.N) * cc.Stagger); cc.K > 1 && cc.SubPeriod <= cc.Window()+tail {
+		return fmt.Errorf("core: K=%d exchanges need sub-period %v > collection window %v + N·σ %v (n=%d, σ=%v)",
+			cc.K, cc.SubPeriod, cc.Window(), tail, cc.N, cc.Stagger)
+	}
 	return nil
 }
 

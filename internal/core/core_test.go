@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -31,6 +32,7 @@ func TestConfigValidate(t *testing.T) {
 		{"negative stagger", func(c *core.Config) { c.Stagger = -1 }, true},
 		{"huge stagger", func(c *core.Config) { c.Stagger = 1 }, true},
 		{"small stagger ok", func(c *core.Config) { c.Stagger = 1e-3 }, false},
+		{"k sub-period inside window", func(c *core.Config) { c.K = 2; c.SubPeriod = c.Window() }, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -40,6 +42,28 @@ func TestConfigValidate(t *testing.T) {
 				t.Errorf("Validate() = %v, wantErr %v", err, tt.wantErr)
 			}
 		})
+	}
+}
+
+// TestValidateSubExchangeTail: with K > 1, an exchange's update, due the
+// collection window plus the stagger tail N·σ after its mark, must come
+// before the next sub-exchange's mark, whose timer would otherwise be set
+// for the past and dropped. The error names the three quantities.
+func TestValidateSubExchangeTail(t *testing.T) {
+	cfg := defaultCfg(7, 2)
+	cfg.K, cfg.Stagger = 2, cfg.P/56
+	err := cfg.Validate()
+	if err == nil {
+		t.Fatalf("K=2, σ=P/56 (N·σ=%v, window %v) accepted", 7*cfg.Stagger, cfg.Window())
+	}
+	for _, want := range []string{"sub-period", "collection window", "N·σ"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	cfg.Stagger = 0
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("K=2, σ=0 refused: %v", err)
 	}
 }
 

@@ -20,18 +20,24 @@ import (
 // seed 1, the scenario corpus, E05 and — in neither -short mode nor under
 // the race detector, where they take a minute — E20 and the whole
 // experiment suite, logs the counts (-v), and holds the split the design
-// promises: the
-// flat meshes batch, the two-tier hierarchy does not opt in, and E05's
-// faulty senders repeat.
+// promises: the flat meshes batch, the two-tier hierarchy does not opt in,
+// and E05's faulty senders repeat. It counts the fan-outs kept as stored
+// rows too, and fails on any: every delay model these runs use declares its
+// draws per copy, so every fan-out, lossy ones included, is a drawn row.
 func TestCopyCensus(t *testing.T) {
 	take := func(name string, run func() error) (batched, repeated, perCopy int64) {
 		b0, r0, p0 := sim.Census()
+		s0 := sim.StoredRows()
 		if err := run(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		b1, r1, p1 := sim.Census()
 		batched, repeated, perCopy = b1-b0, r1-r0, p1-p0
-		t.Logf("%-16s batched %9d  repeated sender %7d  not opted in %9d", name, batched, repeated, perCopy)
+		stored := sim.StoredRows() - s0
+		t.Logf("%-16s batched %9d  repeated sender %7d  not opted in %9d  stored rows %d", name, batched, repeated, perCopy, stored)
+		if stored != 0 {
+			t.Errorf("%s: %d fan-outs kept as stored rows, want none", name, stored)
+		}
 		return
 	}
 	facade := func(n, f, rounds int, opts ...clocksync.Option) func() error {

@@ -16,9 +16,7 @@ import (
 // a configuration version that advances when real time moves, a mirror
 // changes or the segments reload. A full evaluation (scan) uses
 // clock.PiecewiseLinear.At's float expression (see clock.Segment), so it is
-// bit-identical to the live LocalTime walk, which stays the oracle. A clock
-// that is not a *clock.PiecewiseLinear is read through At, its bends unknown
-// to the engine.
+// bit-identical to the live LocalTime walk, which stays the oracle.
 //
 // Real time moves between any two sample points, so one scan per version
 // would still cost n rows per correction change. The extremes are therefore
@@ -71,11 +69,7 @@ type clockTable struct {
 	lt    []clock.Local // parallel to ids: the local times of version ltVer
 	hist  []clock.Local // scratch of the same length for scans at t ≠ now
 	rowOf []int32       // ProcID → index into ids, −1 outside the table
-	// live routes the scan through At: some row's clock is not a
-	// *clock.PiecewiseLinear.
-	live bool
-	// Every piecewise-linear row's segment is the one At reads over
-	// [from, until).
+	// Every row's segment is the one At reads over [from, until).
 	from, until clock.Real
 	lo, hi      clock.Local // extremes of the local times at version passVer
 	passVer     uint64      // configuration version lo, hi belong to; 0 = none yet
@@ -212,16 +206,11 @@ func (e *Engine) rereadAll() bool {
 func (e *Engine) loadSegments() {
 	tb := &e.tbl
 	e.ver++
-	tb.live, tb.kin.ok = false, false
+	tb.kin.ok = false
 	tb.from, tb.until = clock.Real(math.Inf(-1)), clock.Real(math.Inf(1))
 	tb.rMin, tb.rMax, tb.mag = math.Inf(1), math.Inf(-1), 0
 	for i, p := range tb.ids {
-		pl, ok := e.clocks[p].(*clock.PiecewiseLinear)
-		if !ok {
-			tb.live = true
-			continue
-		}
-		s, r := pl.SegmentAt(e.now), &tb.rows[i]
+		s, r := e.clocks[p].SegmentAt(e.now), &tb.rows[i]
 		r.start, r.value, r.rate = s.Start, s.Value, s.Rate
 		tb.from, tb.until = max(tb.from, s.From), min(tb.until, s.Until)
 		tb.rMin, tb.rMax = min(tb.rMin, s.Rate), max(tb.rMax, s.Rate)
@@ -401,7 +390,7 @@ func (e *Engine) enter() {
 func (e *Engine) scan(t clock.Real, lt []clock.Local) (lo, hi clock.Local) {
 	tb := &e.tbl
 	lo, hi = clock.Local(math.Inf(1)), clock.Local(math.Inf(-1))
-	if tb.live || t < tb.from || t >= tb.until {
+	if t < tb.from || t >= tb.until {
 		for i, p := range tb.ids {
 			v := e.clocks[p].At(t) + tb.rows[i].corr
 			lt[i] = v
@@ -473,13 +462,10 @@ func (e *Engine) evaluate(all bool) {
 // certify derives the certificates from the full scan just made at now: the
 // rows scan took the extremes from (the first to attain each, as widen
 // keeps), and bound lines through the other rows' extremes, widened by one
-// allowance so they hold for the exact values. A live table, an empty one or
-// one with no finite extremes keeps none.
+// allowance so they hold for the exact values. An empty table or one with no
+// finite extremes keeps none.
 func (e *Engine) certify() {
 	tb := &e.tbl
-	if tb.live {
-		return
-	}
 	k := &tb.kin
 	k.hiRow, k.loRow = -1, -1
 	bLo, bHi := clock.Local(math.Inf(1)), clock.Local(math.Inf(-1))

@@ -35,16 +35,17 @@ type BatchDelayModel interface {
 // it bit for bit.
 //
 // A partition stores such a fan-out as a drawn row — s₀, the range and the
-// exact extremes, no delivery times — when every copy routes on the full
-// mesh and none is lost or refused, and its gather redraws the times of the
-// copies it reads, from its tile's first copy on. Sample may then run again
-// for a copy on any partition's goroutine, later, possibly at once with
-// other partitions' calls. fanOut checks, once per fan-out, that sampling
-// advanced the stream by exactly m·DrawsPerCopy draws; a model that drew
-// otherwise gets a stored row holding the m times, as does every fan-out of
-// a model that does not implement this interface. So a wrong declaration
-// cannot change an execution, only its memory: a stored row costs 8 bytes a
-// copy, a drawn row none.
+// exact extremes, no delivery times — unless a copy was refused (a delivery
+// time not finite or before the send), and its gather redraws the times of
+// the copies it reads, from its tile's first copy on, and routes them
+// through the channel as fanOut did, a lost copy again lost. Sample may then
+// run again for a copy on any partition's goroutine, later, possibly at once
+// with other partitions' calls. fanOut checks, once per fan-out, that
+// sampling advanced the stream by exactly m·DrawsPerCopy draws; a model that
+// drew otherwise gets a stored row holding the m times, as does every
+// fan-out of a model that does not implement this interface. So a wrong
+// declaration cannot change an execution, only its memory: a stored row
+// costs 8 bytes a copy, a drawn row none.
 type CounterDelayModel interface {
 	DelayModel
 	// DrawsPerCopy returns how many rng values Sample draws per copy: 0 for

@@ -27,7 +27,7 @@ func (e *Engine) storeRows() {
 var CheckRedraw = checkRedraw
 
 // The package's tests take the census of process-windows (shard.go).
-func init() { census = new([3]atomic.Int64) }
+func init() { census = new([4]atomic.Int64) }
 
 // Census returns how many process-windows the package's tests have had
 // delivered as ReceiveCopies batches, one step each because their copies
@@ -35,4 +35,19 @@ func init() { census = new([3]atomic.Int64) }
 // CopyReceiver.
 func Census() (batched, repeated, perCopy int64) {
 	return census[censusBatched].Load(), census[censusRepeated].Load(), census[censusPerCopy].Load()
+}
+
+// StoredRows returns how many fan-outs the package's tests have had kept as
+// stored rows.
+func StoredRows() int64 { return census[censusStored].Load() }
+
+// BatchBuffers returns the room windowed engine e's partitions hold for
+// CopyReceiver batches: the capacities of their senders, times and stamps,
+// summed.
+func (e *Engine) BatchBuffers() int {
+	c := 0
+	for _, p := range e.parts {
+		c += cap(p.part.from) + cap(p.part.at) + cap(p.part.stamp)
+	}
+	return c
 }

@@ -134,7 +134,7 @@ func TestOracleDifferential(t *testing.T) {
 		"alternating": clock.AlternatingDrift{RhoBound: cfg.Rho, Period: 0.05, Horizon: 10},
 	} {
 		t.Run("drift/"+name, func(t *testing.T) {
-			if segs := drift.Build(0, 7).(*clock.PiecewiseLinear).Segments(); segs < 100 {
+			if segs := drift.Build(0, 7).Segments(); segs < 100 {
 				t.Fatalf("%d segments", segs)
 			}
 			res := run(t, exp.Workload{Cfg: cfg, Rounds: 5, Seed: 5, Drift: drift, CheckInvariants: true})
@@ -143,12 +143,6 @@ func TestOracleDifferential(t *testing.T) {
 			}
 		})
 	}
-
-	// Clocks the table cannot hold as rows: every odd process on a
-	// clock.Offset turns the whole scan live.
-	t.Run("offset-clocks", func(t *testing.T) {
-		run(t, exp.Workload{Cfg: cfg, Rounds: 5, Seed: 6, Drift: offsetDrift{clock.ConstantDrift{RhoBound: cfg.Rho}}})
-	})
 
 	// A nonfaulty-marked process behind the crash/rejoin wrapper that dies
 	// mid-run: its row mirrors the wrapper's Corr, which freezes.
@@ -293,17 +287,6 @@ func sameReport(t *testing.T, tm, win *exp.Result) {
 			t.Errorf("windowed hier-agreement violations %v, time-major %v", b, a)
 		}
 	}
-}
-
-// offsetDrift puts every odd process's clock behind a clock.Offset.
-type offsetDrift struct{ clock.ConstantDrift }
-
-func (d offsetDrift) Build(id, n int) clock.Clock {
-	c := d.ConstantDrift.Build(id, n)
-	if id%2 == 1 {
-		return clock.Offset{Base: c, Corr: 1e-3}
-	}
-	return c
 }
 
 // chaosProc changes its correction on random deliveries, with and without
@@ -515,11 +498,9 @@ func (p *batchProbe) ReceiveCopies(ctx *sim.Context, _ []sim.ProcID, at []clock.
 			p.t.Errorf("process %d, batched copy at t=%v: PhysAt = %v, its clock's At gives %v", ctx.ID(), t, got, want)
 		}
 		p.checks++
-		if pl, ok := p.clk.(*clock.PiecewiseLinear); ok {
-			for _, u := range at[i+1:] {
-				if u < t && pl.SegmentAt(u).Until <= t {
-					p.straddles++
-				}
+		for _, u := range at[i+1:] {
+			if u < t && p.clk.SegmentAt(u).Until <= t {
+				p.straddles++
 			}
 		}
 	}
@@ -528,18 +509,18 @@ func (p *batchProbe) ReceiveCopies(ctx *sim.Context, _ []sim.ProcID, at []clock.
 // TestPhysNowMatchesAt holds Context.PhysNow, which reads a segment the
 // engine keeps per process, to the live Clock.At at every delivery, on
 // clocks that cross a breakpoint every 20 ms (so held segments go stale
-// between reads) and on clock.Offset clocks, which have no segment to hold —
-// time-major and on two shards. On one and two shards it holds
+// between reads) and on linear clocks started up to 1 ms apart (the
+// "offset" rows: one piece each, which PhysNow loads once and holds for the
+// whole run), time-major and on two shards. On one and two shards it holds
 // Context.PhysAt to Clock.At at every copy of every batch, too, batches
 // whose unsorted copies straddle a breakpoint included.
 func TestPhysNowMatchesAt(t *testing.T) {
 	const n, horizon = 8, 1.0
 	const rho = 1e-4
-	offset := offsetDrift{clock.ConstantDrift{RhoBound: rho}}
 	for name, drift := range map[string]clock.DriftSchedule{
 		"random-walk": clock.RandomWalkDrift{RhoBound: rho, SegmentDur: 0.02, Horizon: 2 * horizon, Seed: 4},
 		"alternating": clock.AlternatingDrift{RhoBound: rho, Period: 0.02, Horizon: 2 * horizon},
-		"offset":      offset,
+		"offset":      clock.ConstantDrift{RhoBound: rho, InitialOffsets: clock.SpreadOffsets(n, 1e-3)},
 	} {
 		for _, run := range []struct {
 			shards int

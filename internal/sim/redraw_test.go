@@ -7,17 +7,19 @@ import (
 	"repro/internal/clock"
 )
 
-// checkRedraw holds the drawn rows of delay's fan-outs to the stored rows
-// they replace, bit for bit. For each kind of fan-out — a Broadcast,
-// Multicasts over blocks of 7 ids (the block [14, 21) straddles the gather
-// tile boundary at 16 and the partition cut at 20) and n Sends — it runs
-// n = 40 shardBeacons on two partitions window by window beside a twin whose
-// rows are all stored. At every cut it redraws every copy of every drawn row
-// on the board, tile by tile as the gather of the copy's partition does, and
-// compares the times with the twin's row (math.Float64bits) and the headers
-// field by field; both runs must deliver alike. It returns how many drawn
-// rows it compared, per kind of fan-out.
-func checkRedraw(t *testing.T, delay DelayModel) (drawn map[string]int) {
+// checkRedraw holds the drawn rows of delay's fan-outs over channel ch (nil:
+// the full mesh) to the stored rows they replace, bit for bit. For each kind
+// of fan-out — a Broadcast, Multicasts over blocks of 7 ids (the block
+// [14, 21) straddles the gather tile boundary at 16 and the partition cut at
+// 20) and n Sends — it runs n = 40 shardBeacons on two partitions window by
+// window beside a twin whose rows are all stored. At every cut it redraws
+// every copy of every drawn row on the board, tile by tile as the gather of
+// the copy's partition does, and compares the times with the twin's row
+// (math.Float64bits, so a lost copy is NaN in both) and the headers field by
+// field; both runs must deliver alike. It returns how many drawn rows it
+// compared per kind of fan-out, and under "lost" how many of their copies
+// were lost.
+func checkRedraw(t *testing.T, delay DelayModel, ch Channel) (drawn map[string]int) {
 	t.Helper()
 	const n, k = 40, 2
 	horizon := clock.Real(4e-3)
@@ -30,7 +32,7 @@ func checkRedraw(t *testing.T, delay DelayModel) (drawn map[string]int) {
 		var cfgs [2]Config
 		var engs [2]*Engine
 		for i := range engs {
-			cfgs[i] = shardWorkload(n, delay, nil)
+			cfgs[i] = shardWorkload(n, delay, ch)
 			cfgs[i].Shards = k
 			for _, p := range cfgs[i].Procs {
 				p.(*shardBeacon).unicast, p.(*shardBeacon).block = fan.unicast, fan.block
@@ -84,6 +86,9 @@ func checkRedraw(t *testing.T, delay DelayModel) (drawn map[string]int) {
 								t.Fatalf("%s: copy %d→%d sent at %v redraws to %v on partition %d, stored %v",
 									fan.name, hd.from, a+j, hd.sentAt, got[j], p.part.id, want[j])
 							}
+							if got[j] != got[j] {
+								drawn["lost"]++
+							}
 						}
 					}
 				}
@@ -110,7 +115,7 @@ func (miscounted) DrawsPerCopy() int { return 0 }
 // honest twin runs — the declaration changes memory, never an execution.
 func TestRedrawWrongDeclarationStores(t *testing.T) {
 	honest := UniformDelay{Delta: 4e-4, Eps: 1e-4}
-	if drawn := checkRedraw(t, miscounted{honest}); len(drawn) != 0 {
+	if drawn := checkRedraw(t, miscounted{honest}, nil); len(drawn) != 0 {
 		t.Fatalf("a miscounted model published drawn rows: %v", drawn)
 	}
 	const n = 40
@@ -123,7 +128,8 @@ func TestRedrawWrongDeclarationStores(t *testing.T) {
 }
 
 // TestWindowedRefusesDelaySwap: a windowed engine redraws the rows in flight
-// with the delay model of New, so it refuses to swap the model.
+// with the delay model of New, and routes them with the channel of New, so
+// it refuses to swap either.
 func TestWindowedRefusesDelaySwap(t *testing.T) {
 	cfg := shardWorkload(8, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
 	cfg.Shards = 2
@@ -134,4 +140,10 @@ func TestWindowedRefusesDelaySwap(t *testing.T) {
 	if err := e.SetDelayModel(ConstantDelay{Delta: 4e-4}); err == nil {
 		t.Fatal("a windowed engine swapped its delay model")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a windowed engine swapped its channel")
+		}
+	}()
+	e.SetChannel(LossyLinks{}.BreakBothWays(3, 5))
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -26,8 +25,10 @@ import (
 // a broadcast, a multicast or a Send — is one row (bcast), which the cut
 // after the send publishes on one board every partition reads: its sender's
 // delay-stream state, from which readers redraw the copies' delivery times
-// (a drawn row, CounterDelayModel), or the times themselves (a stored row);
-// and its processes' STARTs and TIMERs that are not yet due are one heap
+// and route them through the stateless channel (a drawn row,
+// CounterDelayModel), or, for a delay model that does not declare its draws,
+// a copy of the times (a stored row); and its processes' STARTs and TIMERs
+// that are not yet due are one heap
 // (partition.timers). Partition 0 is the engine New returns; it
 // drives the windows and replays the samples and annotations of each window
 // at its cut (clocktable.go). A window runs as: (1) find the globally
@@ -89,14 +90,11 @@ import (
 // the delay model's declared lower bound.
 //
 // A fan-out's header goes on sent, and its copies are counted in tally per
-// destination partition, until the cut publishes them on the board. Stored
-// rows come from rows, one free list per size class — class c holds rows of
-// min(2^c, n) times — refilled by the cut with the rows of this partition's
-// delivered fan-outs, each class made a slab at a time. pendMin is the least
-// time of a copy the last window's gather left pending, and due holds a
-// tile's due events, one buffer per process, carved stride entries apart
-// from one array; wide, tiled and tileOff are the window's candidate rows
-// filed by tile (bucket), and drawn is the tile's slice of a drawn row,
+// destination partition, until the cut publishes them on the board. pendMin
+// is the least time of a copy the last window's gather left pending, and due
+// holds a tile's due events, one buffer per process, carved stride entries
+// apart from one array; wide, tiled and tileOff are the window's candidate
+// rows filed by tile (bucket), and drawn is the tile's slice of a drawn row,
 // redrawn from the stream redraw.
 //
 // Its events: the window being drained takes those at < dueHi and
@@ -116,7 +114,6 @@ type partition struct {
 	board   *board
 	sent    []bcast
 	tally   []int
-	rows    []rowClass
 	pendMin float64
 	due     [][]entry
 	stride  int
@@ -136,30 +133,25 @@ type partition struct {
 	pend            int
 
 	// A batch (CopyReceiver): the acting process's copies' senders and
-	// times, and stamp[q] = mark when q sent one of them.
+	// times, and stamp[q] = mark when q sent one of them. A partition that
+	// owns no CopyReceiver has none.
 	from  []ProcID
 	at    []clock.Real
 	stamp []int32
 	mark  int32
 }
 
-// rowClass is one size class of a partition's stored rows: the free ones,
-// each the full size of its class, and how many were made.
-type rowClass struct {
-	free   []*[]float64
-	carved int
-}
-
 // owner returns the partition that owns process q.
 func (pt *partition) owner(q int) int { return q / pt.per }
 
 // bcast is one fan-out over [lo, lo+m) on a windowed engine: what its copies
-// share, and their delivery times, in one of two forms. A stored row is at,
-// whose first m times are the copies' — (*at)[q−lo] the copy to q's, NaN for
-// a copy the channel lost or badCopy refused. A drawn row (at nil) keeps s0,
-// its sender's delay stream before the fan-out, and its readers redraw the
-// times (times). Copy q's queue key is seq | q. min and max are the exact
-// finite extremes of the times. The header is 80 bytes either way.
+// share, and their delivery times, in one of two forms. A drawn row (at nil)
+// keeps s0, its sender's delay stream before the fan-out, and its readers
+// redraw and route the times (times). A stored row is at, a copy of the m
+// times — (*at)[q−lo] the copy to q's. Either way a copy the channel lost,
+// or (stored only) badCopy refused, has time NaN. Copy q's queue key is
+// seq | q. min and max are the exact finite extremes of the times. The
+// header is 80 bytes either way.
 type bcast struct {
 	from, lo, m int32
 	sentAt      clock.Real
@@ -184,11 +176,6 @@ type board struct {
 }
 
 const (
-	// A partition carves the rows of a size class a slab at a time, as many
-	// rows as the class holds already, within [bcastSlabMin, bcastSlab]: a
-	// small run makes a few rows, a large one few slabs.
-	bcastSlabMin = 8
-	bcastSlab    = 64
 	// gatherTile is how many processes gather reads the rows for at once:
 	// a tile's slice of a row is a few cache lines, where one process at a
 	// time would touch each row's page once per process.
@@ -215,10 +202,12 @@ func validateWindowed(cfg Config) error {
 // window needs no adversary (its omniscient PendingDeliveries view and
 // retime hooks observe a global order), no timeline (its actions mutate
 // global routing and delay state mid-window), a stateless channel (FullMesh
-// or LossyLinks: Ether's contention bookkeeping is inherently sequential), a
-// positive lookahead δ−ε (with none no window can make progress), and no
-// per-delivery observer (Observe). New checks cfg with it when
-// Config.Shards ≥ 1; a caller may ask it first to run Shards = 0 as 1.
+// or LossyLinks, whose Route is a pure read that the partitions may make at
+// once when they redraw rows, Engine.times; Ether's contention bookkeeping
+// is inherently sequential), a positive lookahead δ−ε (with none no window
+// can make progress), and no per-delivery observer (Observe). New checks cfg
+// with it when Config.Shards ≥ 1; a caller may ask it first to run
+// Shards = 0 as 1.
 func Windowable(cfg Config, observers ...Observer) error {
 	switch {
 	case cfg.Adversary != nil:
@@ -270,16 +259,19 @@ func newWindowed(cfg Config) (*Engine, error) {
 	b := &board{H: math.Inf(-1), U: math.Inf(-1), rest: math.Inf(1), cands: make([]int32, 0, n+4)}
 	parts := make([]*Engine, k)
 	for s := range parts {
-		p, err := newBase(cfg)
+		lo, hi := min(s*per, n), min((s+1)*per, n)
+		batch := 0 // room for a batch's senders, times and stamps, on a CopyReceiver's partition
+		if slices.ContainsFunc(cfg.Procs[lo:hi], func(p Process) bool { _, ok := p.(CopyReceiver); return ok }) {
+			batch = n
+		}
+		p, err := newBase(cfg, batch)
 		if err != nil {
 			return nil, err
 		}
-		lo, hi := min(s*per, n), min((s+1)*per, n)
 		pt := &partition{id: s, per: per, own: hi - lo, base: lo, board: b, tally: make([]int, k), pendMin: math.Inf(1)}
-		pt.rows = make([]rowClass, bits.Len(uint(n-1))+1)
 		pt.due = make([][]entry, min(gatherTile, hi-lo))
 		p.part = pt
-		p.initStores(n)
+		p.initStores(n, batch)
 		p.start(cfg.StartAt)
 		parts[s] = p
 	}
@@ -512,19 +504,16 @@ func siftRun(h []logRun, i int) {
 
 // publish is the rows' share of the cut of the window [m, hi) that delivered
 // every copy at < hi and ≤ until. It drops each live row whose copies are all
-// delivered now — its finite max below hi and at or before until — and gives
-// it back to its sender's partition, then appends the rows the window's
-// fan-outs wrote, partition by partition, and moves the watermark to (hi,
-// until). Each partition counts the copies published to it as pending from
-// here until its gather takes them. Single-threaded, once per window.
+// delivered now — its finite max below hi and at or before until — then
+// appends the rows the window's fan-outs wrote, partition by partition, and
+// moves the watermark to (hi, until). Each partition counts the copies
+// published to it as pending from here until its gather takes them.
+// Single-threaded, once per window.
 func (e *Engine) publish(hi, until float64) {
 	b := e.part.board
 	live, rest := b.live[:0], math.Inf(1)
 	for _, h := range b.live {
 		if h.max < hi && h.max <= until {
-			if h.at != nil {
-				e.parts[e.part.owner(int(h.from))].part.recycle(h.at)
-			}
 			continue
 		}
 		if h.min >= hi { // not a candidate: no partition scanned it
@@ -569,37 +558,13 @@ func (b *board) load(en *entry, out *Message) {
 	out.Payload, out.SentAt, out.DeliverAt = h.payload, h.sentAt, clock.Real(en.at)
 }
 
-// row returns a stored row for m copies of an n-process system: a free one
-// of its size class, or the first of a new slab of that class, whose rows'
-// slice headers are one array beside it.
-func (pt *partition) row(m, n int) *[]float64 {
-	rc := &pt.rows[bits.Len(uint(m-1))]
-	if len(rc.free) == 0 {
-		size, rows := min(1<<bits.Len(uint(m-1)), n), min(bcastSlab, max(bcastSlabMin, rc.carved))
-		slab, hdrs := make([]float64, rows*size), make([][]float64, rows)
-		rc.free = slices.Grow(rc.free, rows)
-		for i := rows - 1; i >= 0; i-- {
-			hdrs[i] = slab[i*size : (i+1)*size : (i+1)*size]
-			rc.free = append(rc.free, &hdrs[i])
-		}
-		rc.carved += rows
-	}
-	r := rc.free[len(rc.free)-1]
-	rc.free = rc.free[:len(rc.free)-1]
-	return r
-}
-
-// recycle puts a stored row back on the free list of its size class.
-func (pt *partition) recycle(r *[]float64) {
-	rc := &pt.rows[bits.Len(uint(len(*r)-1))]
-	rc.free = append(rc.free, r)
-}
-
 // times returns the delivery times of copies a … z−1 (at most a tile) of
-// fan-out h: its stored row's, or, for a drawn row, the times fanOut sampled,
+// fan-out h: its stored row's, or, for a drawn row, the times fanOut formed,
 // redrawn into the partition's drawn buffer — a copy of the sender's stream
 // skipped to copy a's first draw runs the delay model's Sample copy by copy,
-// and each time is formed as fanOut forms it.
+// and each time is formed as fanOut forms it: inline on the full mesh, and
+// otherwise routed by the channel, NaN for a copy it loses (Windowable admits
+// only channels the partitions may route through at once).
 func (e *Engine) times(h *bcast, a, z int) []float64 {
 	lo := int(h.lo)
 	if h.at != nil {
@@ -608,6 +573,17 @@ func (e *Engine) times(h *bcast, a, z int) []float64 {
 	from, now, rng := ProcID(h.from), h.sentAt, &e.part.redraw
 	*rng = RNG{h.s0}.skip(uint64(e.draws * (a - lo)))
 	out := e.part.drawn[:z-a]
+	if !e.mesh {
+		for i := range out {
+			to := ProcID(a + i)
+			at, ok := e.channel.Route(from, to, now, e.delay.Sample(from, to, now, rng))
+			if !ok {
+				at = clock.Real(math.NaN())
+			}
+			out[i] = float64(at)
+		}
+		return out
+	}
 	for i := range out {
 		d := e.delay.Sample(from, ProcID(a+i), now, rng)
 		out[i] = float64(now + clock.Real(d))
@@ -631,9 +607,9 @@ func (pt *partition) carveTile(stride int) {
 // header, with the times' finite extremes, goes on the sent list and its
 // copies are tallied per destination partition. A drawn fan-out keeps s0,
 // its sender's delay stream before the fan-out, in place of the times; any
-// other copies row into a stored row. A copy landing inside the window being
-// drained breaks the declared lower bound: early keeps the least (at, key)
-// such copy.
+// other keeps a copy of row, its stored row. A copy landing inside the
+// window being drained breaks the declared lower bound: early keeps the
+// least (at, key) such copy.
 func (e *Engine) post(from ProcID, payload any, seq uint64, lo int, row []float64, drawn bool, s0 uint64) {
 	pt := e.part
 	mn, mx := math.Inf(1), math.Inf(-1)
@@ -665,8 +641,9 @@ func (e *Engine) post(from ProcID, payload any, seq uint64, lo int, row []float6
 	if drawn {
 		h.s0 = s0
 	} else {
-		h.at = pt.row(len(row), len(e.procs))
-		copy(*h.at, row)
+		count(censusStored)
+		at := slices.Clone(row)
+		h.at = &at
 	}
 	pt.sent = append(pt.sent, h)
 }
@@ -733,12 +710,13 @@ func (e *Engine) drainWindow(hi, until clock.Real) error {
 // The kinds of process-window — a process's due events in one window — by
 // how the partition delivered them: as ReceiveCopies batches between its own
 // events, one step each because its copies repeat a sender, and one step
-// each because its process is not a CopyReceiver.
-const censusBatched, censusRepeated, censusPerCopy = 0, 1, 2
+// each because its process is not a CopyReceiver; and, beside them, the
+// fan-outs a partition kept as stored rows.
+const censusBatched, censusRepeated, censusPerCopy, censusStored = 0, 1, 2, 3
 
-// census counts process-windows by kind. It is nil outside the package's
-// own tests, which set it (export_test.go).
-var census *[3]atomic.Int64
+// census counts process-windows by kind, and stored rows. It is nil outside
+// the package's own tests, which set it (export_test.go).
+var census *[4]atomic.Int64
 
 func count(kind int) {
 	if census != nil {
@@ -1013,25 +991,29 @@ func (pt *partition) groupHeld() {
 // initStores gives partition engine e and its queue their stores for a
 // partition of an n-process system. They start in one array per element
 // type, sized to a round's traffic: room for one process's due events in a
-// window — a round's n copies — and for their sort's group counts or their
-// batch's senders and times, for a few in-window timers, for the owned
-// processes' STARTs and TIMERs pending and due, for the headers of those in
-// flight, and for a window's fan-outs and log — about one fan-out and a few
-// entries per owned process. A store outgrowing its share grows on its own.
-func (e *Engine) initStores(n int) {
+// window — a round's n copies — and for their sort's group counts, for a
+// few in-window timers, for the owned processes' STARTs and TIMERs pending
+// and due, for the headers of those in flight, and for a window's fan-outs
+// and log — about one fan-out and a few entries per owned process. A store
+// outgrowing its share grows on its own. A partition that owns a
+// CopyReceiver has room for batch senders, times and stamps too: batch is n
+// there, 0 elsewhere.
+func (e *Engine) initStores(n, batch int) {
 	q, pt, owned := &e.queue, e.part, e.part.own
 	pt.dueHi = math.Inf(-1)
 	ents := make([]entry, (n+4)+4+(2*owned+4)+(owned+4))
 	pt.win, q.heap.items = share(&ents, n+4), share(&ents, 4)
 	pt.timers.items, pt.held = share(&ents, 2*owned+4), share(&ents, owned+4)
-	ids := make([]int32, 2*(n+4)+1+2*owned+4+n+(owned+4)+(n+4)+(owned+4)+owned/gatherTile+2)
+	ids := make([]int32, 2*(n+4)+1+2*owned+4+batch+(owned+4)+(n+4)+(owned+4)+owned/gatherTile+2)
 	pt.off, q.hdrFree = share(&ids, 2*(n+4)+1), share(&ids, 2*owned+4)
-	pt.stamp = share(&ids, n)[:n]
+	pt.stamp = share(&ids, batch)[:batch]
 	e.runs, pt.wide = share(&ids, owned+4), share(&ids, n+4)
 	pt.tiled, pt.tileOff = share(&ids, owned+4), share(&ids, owned/gatherTile+2)
-	// The batch's senders follow the nonfaulty ids in one array (newBase).
-	procs := e.nonfaulty[:2*n]
-	pt.from, e.nonfaulty, pt.at = procs[n:], procs[:len(e.nonfaulty):n], make([]clock.Real, n)
+	if batch > 0 {
+		// The batch's senders follow the nonfaulty ids in one array (newBase).
+		procs := e.nonfaulty[:2*n]
+		pt.from, e.nonfaulty, pt.at = procs[n:], procs[:len(e.nonfaulty):n], make([]clock.Real, n)
+	}
 	q.hdrs = make([]msgHdr, 0, 2*owned+4)
 	pt.sent = make([]bcast, 0, owned+4)
 	e.wlog = make([]logEntry, 0, 2*owned+4)

@@ -27,10 +27,12 @@
 // copy (queue.go; no interface boxing). The time-major engine orders them
 // in one concrete 4-ary heap. A windowed partition holds two stores: one heap
 // of its STARTs and TIMERs, and every fan-out — broadcast, multicast or Send —
-// as one row holding its copies' delivery times. It makes a copy an entry
-// only when the copy is due in a window: a process's due events are gathered
-// when its turn in the window comes and sorted, or, for a CopyReceiver, only
-// split at its own STARTs and TIMERs and handed over in batches (shard.go).
+// as one row: its sender's delay-stream state, from which readers redraw and
+// route the copies' delivery times, or, for a delay model that does not
+// declare its draws, a copy of the times. It makes a copy an entry only when
+// the copy is due in a window: a process's due events are gathered when its
+// turn in the window comes and sorted, or, for a CopyReceiver, only split at
+// its own STARTs and TIMERs and handed over in batches (shard.go).
 // One Context per engine is reused across deliveries, observers are
 // classified into typed slices at registration time (no per-event type
 // assertions), and delay sampling draws from inline per-sender splitmix64
@@ -315,9 +317,8 @@ type Engine struct {
 	seqFromShift uint
 	sidxMax      uint64
 
-	// A partition's rows, their free lists, its tile buffers, its timer heap
-	// and the window being drained, nil on the time-major engine (see
-	// shard.go).
+	// A partition's rows, its tile buffers, its timer heap and the window
+	// being drained, nil on the time-major engine (see shard.go).
 	part *partition
 
 	// A partition's window log (shard.go): while a Run observes it, mirror
@@ -388,7 +389,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Shards != 0 {
 		return newWindowed(cfg)
 	}
-	e, err := newBase(cfg)
+	e, err := newBase(cfg, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -406,9 +407,8 @@ func New(cfg Config) (*Engine, error) {
 
 // sender is one process's share of the numbering — its delay stream and the
 // index of its next send — and the piece of its physical clock PhysNow last
-// loaded: for now < until, Ph(now) = value + rate·(now − start). until is −∞
-// before the first load and stays so for a clock that is not a
-// *clock.PiecewiseLinear.
+// loaded: for start ≤ now < until, Ph(now) = value + rate·(now − start).
+// The zero piece, before the first load, is empty.
 type sender struct {
 	rng          RNG
 	sidx         uint64
@@ -466,8 +466,9 @@ func validate(cfg Config) error {
 }
 
 // newBase builds what every engine, time-major or partition, holds, with no
-// queue and nothing buffered yet.
-func newBase(cfg Config) (*Engine, error) {
+// queue and nothing buffered yet. The ids of the nonfaulty processes have
+// batch more slots after them, for a partition's batch senders (initStores).
+func newBase(cfg Config, batch int) (*Engine, error) {
 	n := len(cfg.Procs)
 	faulty := cfg.Faulty
 	if faulty == nil {
@@ -500,8 +501,7 @@ func newBase(cfg Config) (*Engine, error) {
 			e.corr[i] = h
 		}
 	}
-	// On a partition, its batches' senders follow the ids (initStores).
-	e.nonfaulty = make([]ProcID, 0, n+min(cfg.Shards, 1)*n)
+	e.nonfaulty = make([]ProcID, 0, n+batch)
 	for i, f := range faulty {
 		if !f {
 			e.nonfaulty = append(e.nonfaulty, ProcID(i))
@@ -516,7 +516,6 @@ func newBase(cfg Config) (*Engine, error) {
 	e.senders = make([]sender, n)
 	for i := range e.senders {
 		e.senders[i].rng = NewRNG(senderSeed(cfg.Seed, ProcID(i)))
-		e.senders[i].until = clock.Real(math.Inf(-1))
 	}
 	return e, nil
 }
@@ -791,7 +790,7 @@ func (e *Engine) fanOut(from ProcID, lo, hi int, payload any) {
 			times[i] = e.delay.Sample(from, ProcID(lo+i), now, rng)
 		}
 	}
-	sent := 0
+	sent, refused := 0, false
 	for i, d := range times {
 		to := ProcID(lo + i)
 		if e.advCtl != nil {
@@ -807,7 +806,7 @@ func (e *Engine) fanOut(from ProcID, lo, hi int, payload any) {
 			at = clock.Real(math.NaN())
 		case !(at >= now && at <= math.MaxFloat64): // NaN fails both
 			e.badCopy(from, to, at)
-			at = clock.Real(math.NaN())
+			at, refused = clock.Real(math.NaN()), true
 		default:
 			e.msgsSent++
 			sent++
@@ -824,9 +823,9 @@ func (e *Engine) fanOut(from ProcID, lo, hi int, payload any) {
 	seqBase := e.packSeq(from, s.sidx, 0)
 	s.sidx++
 	if pt != nil {
-		// A row its readers can redraw: every copy timed by the model alone,
-		// from exactly the draws it declares.
-		drawn := e.draws >= 0 && e.mesh && sent == len(times) && rng.state == RNG{s0}.skip(uint64(e.draws*len(times))).state
+		// A row its readers can redraw and route: every copy timed by the
+		// model, from exactly the draws it declares, and the channel alone.
+		drawn := e.draws >= 0 && !refused && rng.state == RNG{s0}.skip(uint64(e.draws*len(times))).state
 		e.post(from, payload, seqBase, lo, times, drawn, s0)
 		return
 	}
@@ -935,15 +934,13 @@ func (c *Context) PhysAt(t clock.Real) clock.Local {
 }
 
 // physAt is PhysAt outside the held piece: it loads p's segment at t, or
-// reads a t before the held piece, or a clock that is not a
-// *clock.PiecewiseLinear, through At.
+// reads a t before the held piece through At.
 func (e *Engine) physAt(p ProcID, t clock.Real) clock.Local {
-	pl, ok := e.clocks[p].(*clock.PiecewiseLinear)
 	s := &e.senders[p]
-	if !ok || t < s.start {
+	if t < s.start {
 		return e.clocks[p].At(t)
 	}
-	seg := pl.SegmentAt(t)
+	seg := e.clocks[p].SegmentAt(t)
 	s.start, s.until, s.value, s.rate = seg.Start, seg.Until, seg.Value, seg.Rate
 	return s.value + clock.Local(s.rate*float64(t-s.start))
 }
@@ -954,8 +951,7 @@ func (c *Context) Send(to ProcID, payload any) { c.act().fanOut(c.pid, int(to), 
 
 // Multicast sends the payload to every process in [lo, hi), the sender
 // included if it lies there: one fan-out under one send index and — on the
-// time-major engine — one buffered header; on a windowed engine one row
-// holding every copy's delivery time. Delays are drawn copy by copy in
+// time-major engine — one buffered header; on a windowed engine one row. Delays are drawn copy by copy in
 // recipient order, the stream a loop of Sends to lo … hi−1 draws, and the
 // copies order alike, so the multicast and the loop run one execution. lo ≥ hi sends nothing; a
 // range reaching outside [0, n) panics as Send does.
@@ -969,8 +965,7 @@ func (c *Context) Multicast(lo, hi ProcID, payload any) {
 // every process can communicate with every process, including itself): the
 // multicast over [0, n). Each copy's delay is drawn independently within
 // [δ−ε, δ+ε]; the copies share one send index and one buffered header — on
-// a windowed engine one row holding every copy's delivery time, whichever
-// partition receives it.
+// a windowed engine one row, whichever partition receives it.
 func (c *Context) Broadcast(payload any) { c.act().fanOut(c.pid, 0, len(c.eng.procs), payload) }
 
 // SetTimer requests a TIMER interrupt when the process's physical clock

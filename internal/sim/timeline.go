@@ -94,8 +94,12 @@ func (e *Engine) fireTimeline(bound clock.Real) bool {
 // SetChannel swaps the delivery channel for all traffic sent from now on;
 // the reliable FullMesh is routed inline. Copies already in the buffer keep
 // the delivery times the old channel assigned them. A nil channel restores
-// the reliable full mesh.
+// the reliable full mesh. A windowed engine's channel is fixed at New — its
+// partitions route the rows they redraw with it — so a swap there panics.
 func (e *Engine) SetChannel(ch Channel) {
+	if e.part != nil {
+		panic("sim: SetChannel on a windowed engine (Config.Shards ≥ 1), whose partitions route the rows in flight with the channel of New")
+	}
 	if ch == nil {
 		ch = FullMesh{}
 	}
