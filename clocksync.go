@@ -37,7 +37,6 @@ package clocksync
 import (
 	"fmt"
 	"maps"
-	"math"
 	"slices"
 	"strings"
 
@@ -168,11 +167,7 @@ func newTwoTier(n, f int, o options) (*Cluster, error) {
 	}
 	c := o.clusterSize
 	if c <= 0 {
-		// c ≈ √n minimizes the n·c + (n/c)² traffic terms.
-		c = int(math.Round(math.Sqrt(float64(n))))
-		if c < 1 {
-			c = 1
-		}
+		c = hier.DefaultClusterSize(n)
 	}
 	if c > n {
 		return nil, fmt.Errorf("clocksync: cluster size %d exceeds n = %d", c, n)

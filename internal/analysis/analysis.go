@@ -132,9 +132,6 @@ func (p Params) MeanConvergenceRate() float64 {
 	return float64(p.F) / float64(p.N-2*p.F)
 }
 
-// MidpointConvergenceRate returns the midpoint averaging contraction, 1/2.
-func (Params) MidpointConvergenceRate() float64 { return 0.5 }
-
 // StartupStep applies the Lemma 20 recurrence to a closeness value:
 // B^{i+1} ≤ B^i/2 + 2ε + 2ρ(11δ+39ε).
 func (p Params) StartupStep(b float64) float64 {

@@ -59,37 +59,31 @@ func (a *adjuster) Corr() clock.Local { return a.corr }
 // processes on drifting clocks, uniform delays, no observers registered,
 // drained time-major (shards 0) or in windows over shards partitions.
 func NewSteadyEngine(n int, seed int64, shards int) (*sim.Engine, error) {
-	return newSteadyEngine(n, seed, shards, func(int) sim.Process { return &beacon{period: 1e-3} })
+	return newSteadyEngine(n, seed, shards, nil, func(int) sim.Process { return &beacon{period: 1e-3} })
 }
 
-// NewSampledSteadyEngine is NewSteadyEngine over adjusters, for the caller
+// newSampledSteadyEngine is NewSteadyEngine over adjusters, for the caller
 // to attach samplers to.
-func NewSampledSteadyEngine(n int, seed int64) (*sim.Engine, error) {
-	return newSampledSteadyEngine(n, seed, 0)
-}
-
 func newSampledSteadyEngine(n int, seed int64, shards int) (*sim.Engine, error) {
-	return newSteadyEngine(n, seed, shards, func(i int) sim.Process {
+	return newSteadyEngine(n, seed, shards, nil, func(i int) sim.Process {
 		return &adjuster{beacon: beacon{period: 1e-3}, corr: clock.Local(i+1) * 1e-6}
 	})
 }
 
-func newSteadyEngine(n int, seed int64, shards int, mk func(i int) sim.Process) (*sim.Engine, error) {
+func newSteadyEngine(n int, seed int64, shards int, adv sim.Adversary, mk func(i int) sim.Process) (*sim.Engine, error) {
 	procs := make([]sim.Process, n)
-	clocks := make([]clock.Clock, n)
 	starts := make([]clock.Real, n)
-	drift := clock.ConstantDrift{RhoBound: 1e-5}
 	for i := range procs {
 		procs[i] = mk(i)
-		clocks[i] = drift.Build(i, n)
 		starts[i] = clock.Real(i) * 1e-4
 	}
 	return sim.New(sim.Config{
-		Procs:   procs,
-		Clocks:  clocks,
-		StartAt: starts,
-		Delay:   sim.UniformDelay{Delta: 4e-4, Eps: 1e-4},
-		Seed:    seed,
+		Procs:     procs,
+		Clocks:    clock.Clocks(clock.ConstantDrift{RhoBound: 1e-5}, n),
+		StartAt:   starts,
+		Delay:     sim.UniformDelay{Delta: 4e-4, Eps: 1e-4},
+		Seed:      seed,
+		Adversary: adv,
 		// The bench loop sizes work by b.N events; never trip the runaway
 		// guard under long -benchtime runs.
 		MaxSteps: 1 << 40,
@@ -175,24 +169,7 @@ func (a *benchAdversary) OnReceive(_ *sim.AdversaryView, _ sim.Message) { a.recv
 // regression on the adversary path fails the perf gate
 // like any other.
 func NewAdversarySteadyEngine(n int, seed int64) (*sim.Engine, error) {
-	procs := make([]sim.Process, n)
-	clocks := make([]clock.Clock, n)
-	starts := make([]clock.Real, n)
-	drift := clock.ConstantDrift{RhoBound: 1e-5}
-	for i := range procs {
-		procs[i] = &beacon{period: 1e-3}
-		clocks[i] = drift.Build(i, n)
-		starts[i] = clock.Real(i) * 1e-4
-	}
-	return sim.New(sim.Config{
-		Procs:     procs,
-		Clocks:    clocks,
-		StartAt:   starts,
-		Delay:     sim.UniformDelay{Delta: 4e-4, Eps: 1e-4},
-		Seed:      seed,
-		Adversary: &benchAdversary{},
-		MaxSteps:  1 << 40,
-	})
+	return newSteadyEngine(n, seed, 0, &benchAdversary{}, func(int) sim.Process { return &beacon{period: 1e-3} })
 }
 
 // EngineAdversary benchmarks the steady state with an adaptive adversary
@@ -234,11 +211,7 @@ func largeNFlat(n, shards int) (largeNSystem, error) {
 	if err := cfg.Validate(); err != nil {
 		return largeNSystem{}, err
 	}
-	drift := clock.ConstantDrift{RhoBound: cfg.Rho}
-	clocks := make([]clock.Clock, n)
-	for i := range clocks {
-		clocks[i] = drift.Build(i, n)
-	}
+	clocks := clock.Clocks(clock.ConstantDrift{RhoBound: cfg.Rho}, n)
 	corrs := core.InitialCorrsWithinBeta(cfg, clocks, 0.9*cfg.Beta)
 	starts := core.StartTimes(cfg, clocks, corrs)
 	procs := make([]sim.Process, n)

@@ -17,6 +17,15 @@ type DriftSchedule interface {
 	Rho() float64
 }
 
+// Clocks builds the physical clocks of processes 0 … n−1 from d.
+func Clocks(d DriftSchedule, n int) []Clock {
+	clocks := make([]Clock, n)
+	for i := range clocks {
+		clocks[i] = d.Build(i, n)
+	}
+	return clocks
+}
+
 // ConstantDrift assigns each process a fixed rate spread across the ρ-band:
 // process 0 runs slowest (1/(1+ρ)), process n−1 fastest (1+ρ), the rest
 // evenly in between. InitialOffset lets tests start physical clocks apart.

@@ -287,10 +287,6 @@ type Proc struct {
 	rd   Round
 	exch int        // sub-exchange index within the round, 0-based
 	msgs *RoundMsgs // the run's interned round messages; nil boxes each
-
-	// lastAdj is the most recent ADJ, for tests; the authoritative record
-	// for experiments is the TagAdjust annotation stream.
-	lastAdj float64
 }
 
 var (
@@ -319,9 +315,6 @@ func (p *Proc) Corr() clock.Local { return p.corr }
 
 // Round returns the current round index.
 func (p *Proc) Round() int { return p.rd.rnd }
-
-// LastAdj returns the adjustment applied at the most recent update.
-func (p *Proc) LastAdj() float64 { return p.lastAdj }
 
 // local returns local-time() = physical clock + CORR.
 func (p *Proc) local(ctx *sim.Context) clock.Local { return ctx.PhysNow() + p.corr }
@@ -377,7 +370,6 @@ func (p *Proc) update(ctx *sim.Context) {
 	r := &p.rd
 	adj := r.Adjust(ctx.Scratch(len(r.arr)))
 	p.corr += clock.Local(adj)
-	p.lastAdj = adj
 	ctx.Annotate(metrics.TagAdjust, adj)
 
 	if p.exch < p.cfg.K-1 {

@@ -29,7 +29,7 @@ func (w Workload) arbitraryStart(spread, stagger float64, horizon clock.Real, mk
 		starts[i] = clock.Real(float64(i) * stagger)
 	}
 	return assembly{
-		cfg:       sim.Config{Procs: procs, Clocks: w.clocks(), StartAt: starts, Delay: w.Delay, Seed: w.Seed},
+		cfg:       sim.Config{Procs: procs, Clocks: clock.Clocks(w.Drift, w.Cfg.N), StartAt: starts, Delay: w.Delay, Seed: w.Seed},
 		observers: append(observers, w.Observers...),
 		horizon:   horizon,
 		res:       &Result{},

@@ -41,16 +41,6 @@ func runE20() ([]*Table, error) {
 	return []*Table{scale, fl}, nil
 }
 
-// e20ClusterSize picks c ≈ √n, the traffic-optimal cluster size for
-// n·c + (n/c)² message terms.
-func e20ClusterSize(n int) int {
-	c := int(math.Round(math.Sqrt(float64(n))))
-	if c < 1 {
-		c = 1
-	}
-	return c
-}
-
 // e20ScaleTable is the head-to-head against E19's flat baseline: same n,
 // same number of rounds, flat mesh vs. two-tier hierarchy, with the
 // hierarchy additionally swept across shard counts as a determinism oracle
@@ -72,7 +62,7 @@ func e20ScaleTable() (*Table, error) {
 	type nRows struct{ rows [][]string }
 	all, err := runner.Map(0, len(ns), func(i int) (nRows, error) {
 		n := ns[i]
-		c := e20ClusterSize(n)
+		c := hier.DefaultClusterSize(n)
 		var out nRows
 
 		// Flat baseline. Above the sequential-tier sizes the flat mesh is

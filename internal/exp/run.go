@@ -122,15 +122,6 @@ func (w Workload) withDefaults() Workload {
 	return w
 }
 
-// clocks builds the n physical clocks of the drift schedule.
-func (w Workload) clocks() []clock.Clock {
-	clocks := make([]clock.Clock, w.Cfg.N)
-	for i := range clocks {
-		clocks[i] = w.Drift.Build(i, w.Cfg.N)
-	}
-	return clocks
-}
-
 // Result bundles the engine and the recorders after a run.
 type Result struct {
 	// Engine is the engine that ran. Its counters (Steps, MessagesSent,
@@ -283,7 +274,7 @@ func (w Workload) assembleFlat() assembly {
 		}
 	}
 
-	clocks := w.clocks()
+	clocks := clock.Clocks(w.Drift, w.Cfg.N)
 	corrs := core.InitialCorrsWithinBeta(cfg, clocks, spread)
 	starts := core.StartTimes(cfg, clocks, corrs)
 	for id, at := range w.StartOverride {

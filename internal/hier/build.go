@@ -2,8 +2,11 @@ package hier
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/analysis"
 	"repro/internal/clock"
+	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -26,42 +29,31 @@ type System struct {
 // the initial logical clocks evenly over a real-time width chosen to satisfy
 // both tiers' A4 at once: the global spread stays within β_out, and — since
 // clusters are contiguous id ranges — the induced within-cluster spread
-// (width·(c−1)/(n−1)) stays within β_in.
+// (width·(c−1)/(n−1)) stays within β_in. The corrections and START times
+// are the flat system's (core.InitialCorrsWithinBeta, core.StartTimes) at
+// that width.
 func Build(cfg Config) (*System, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("hier: %w", err)
 	}
 	n := cfg.N
-	drift := clock.ConstantDrift{RhoBound: cfg.Rho}
-	clocks := make([]clock.Clock, n)
-	for i := range clocks {
-		clocks[i] = drift.Build(i, n)
-	}
-
+	clocks := clock.Clocks(clock.ConstantDrift{RhoBound: cfg.Rho}, n)
 	width := 0.9 * cfg.OuterBeta
 	if n > 1 && cfg.ClusterSize > 1 {
 		if inner := width * float64(cfg.ClusterSize-1) / float64(n-1); inner > 0.9*cfg.InnerBeta {
 			width *= 0.9 * cfg.InnerBeta / inner
 		}
 	}
-	corrs := make([]clock.Local, n)
-	starts := make([]clock.Real, n)
+	a4 := core.Config{Params: analysis.Params{T0: cfg.T0}}
+	corrs := core.InitialCorrsWithinBeta(a4, clocks, width)
+	starts := core.StartTimes(a4, clocks, corrs)
 	procs := make([]sim.Process, n)
-	maxStart := clock.Real(0)
 	w := &wire{}
-	for i := 0; i < n; i++ {
-		var spread clock.Real
-		if n > 1 {
-			spread = clock.Real(width) * clock.Real(i) / clock.Real(n-1)
-		}
-		corrs[i] = clock.Local(cfg.T0) - clocks[i].At(spread)
-		starts[i] = clocks[i].Inv(clock.Local(cfg.T0) - corrs[i])
+	for i := range procs {
 		procs[i] = newMember(cfg, sim.ProcID(i), corrs[i], w)
-		if starts[i] > maxStart {
-			maxStart = starts[i]
-		}
 	}
+	maxStart := max(0, slices.Max(starts))
 	return &System{
 		Cfg: cfg, Clocks: clocks, Corrs: corrs, Starts: starts,
 		Procs: procs, MaxStart: maxStart, wire: w,

@@ -32,6 +32,7 @@ package hier
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/analysis"
 	"repro/internal/sim"
@@ -98,6 +99,12 @@ func Default(n, c int) Config {
 	cfg.FIn = (minSize - 1) / 3
 	cfg.FOut = (cfg.Clusters() - 1) / 3
 	return cfg
+}
+
+// DefaultClusterSize returns c ≈ √n, at least 1: the cluster size that
+// minimizes the n·c + (n/c)² copies of a round (MsgsPerRound).
+func DefaultClusterSize(n int) int {
+	return max(int(math.Round(math.Sqrt(float64(n)))), 1)
 }
 
 func (c Config) withDefaults() Config {

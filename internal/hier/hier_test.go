@@ -289,6 +289,16 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
+// TestDefaultClusterSize pins c ≈ √n, at least 1, at the sizes the facade,
+// E20 and the benchmark run.
+func TestDefaultClusterSize(t *testing.T) {
+	for _, tc := range []struct{ n, c int }{{1, 1}, {2, 1}, {529, 23}, {1009, 32}, {16385, 128}} {
+		if got := DefaultClusterSize(tc.n); got != tc.c {
+			t.Errorf("DefaultClusterSize(%d) = %d, want %d", tc.n, got, tc.c)
+		}
+	}
+}
+
 // TestGammaComposedFinite sanity-checks the derived bound's shape: positive,
 // finite, and strictly wider than either tier alone.
 func TestGammaComposedFinite(t *testing.T) {

@@ -118,7 +118,6 @@ type Member struct {
 	outer    *core.Round // non-nil while acting representative
 	repRank  int
 	lastDisc clock.Local
-	lastAdj  float64
 
 	// Pending-timer bookkeeping: each tier has at most one live timer; the
 	// generation counters invalidate superseded ones and the marks remember
@@ -166,9 +165,6 @@ func (m *Member) ActingRep() bool { return m.outer != nil }
 
 // Round returns the inner tier's current round index.
 func (m *Member) Round() int { return m.inner.Index() }
-
-// LastAdj returns the inner adjustment applied at the most recent update.
-func (m *Member) LastAdj() float64 { return m.lastAdj }
 
 func (m *Member) local(ctx *sim.Context) clock.Local { return ctx.PhysNow() + m.corr }
 
@@ -276,7 +272,6 @@ func (m *Member) innerTimer(ctx *sim.Context) {
 	}
 	adj := m.inner.Adjust(ctx.Scratch(m.cfg.N))
 	m.bumpFromInner(ctx, adj)
-	m.lastAdj = adj
 	ctx.Annotate(metrics.TagAdjust, adj)
 	ctx.Annotate(metrics.TagRoundComplete, float64(m.inner.Index()))
 	m.inner.Advance()

@@ -234,8 +234,9 @@ func TestPassthroughAdversaryPreservesExecution(t *testing.T) {
 
 // TestSendPathClassification checks the engine's one classification of its
 // send path, made by SetDelayModel, SetChannel and SetAdversary at New and
-// again when a timeline swaps a part: a batch delay model is sampled with
-// SampleAll and one without falls back to per-copy Sample; the full mesh
+// again when a timeline swaps a part: a batch delay model (UniformDelay) is
+// sampled with SampleAll and any other falls back to per-copy Sample,
+// CenterDelay included; the full mesh
 // routes inline and any other channel through Route; no controller exists
 // without an adversary, and the controller's view reads the model in force.
 func TestSendPathClassification(t *testing.T) {
@@ -270,7 +271,7 @@ func TestSendPathClassification(t *testing.T) {
 	}
 	eng.SetChannel(nil)
 	eng.SetAdversary(nil)
-	check("swapped back", eng, true, true, false)
+	check("swapped back", eng, false, true, false)
 	if err := eng.Run(0.01); err != nil {
 		t.Fatal(err)
 	}
@@ -288,12 +289,5 @@ func TestCenterDelaySamplesCenter(t *testing.T) {
 	rng := NewRNG(1)
 	if got := d.Sample(0, 1, 0, &rng); got != 10e-3 {
 		t.Errorf("Sample = %v, want δ", got)
-	}
-	out := make([]float64, 5)
-	d.SampleAll(0, 5, 0, &rng, out)
-	for i, v := range out {
-		if v != 10e-3 {
-			t.Errorf("SampleAll[%d] = %v, want δ", i, v)
-		}
 	}
 }

@@ -76,10 +76,13 @@ func (c *crew) work(w *worker) {
 			}
 			w.asleep.Store(false)
 		}
+		// The epoch is read before quit: read after, it could be dismiss's
+		// own, whose fork then finds the worker awake and leaves no token,
+		// and the worker would park on it for good.
+		seen = c.epoch.Load()
 		if c.quit.Load() {
 			return
 		}
-		seen = c.epoch.Load()
 		c.claim()
 	}
 }

@@ -20,6 +20,13 @@ type DelayModel interface {
 // draws, same fixed pid order — but with one call for the whole fan-out.
 // Models that don't implement it are sampled per copy by the engine, with
 // identical results.
+//
+// UniformDelay alone implements it, the one model where a workload measures
+// a benefit: in 8 interleaved pairs of the repository benchmark on a 2-core
+// host, flat_n1009_k2 took a median 218.9 ms an op [quartiles 211.4–231.5]
+// with the batch and 241.4 ms [227.6–274.1] sampling per copy, slower in 7
+// of the 8. The other models' copies would only loop over Sample or fill in
+// a constant, which the engine's per-copy loop does as well.
 type BatchDelayModel interface {
 	DelayModel
 	SampleAll(from ProcID, n int, at clock.Real, rng *RNG, out []float64)
@@ -59,23 +66,13 @@ type ConstantDelay struct {
 	Delta float64
 }
 
-var (
-	_ BatchDelayModel   = ConstantDelay{}
-	_ CounterDelayModel = ConstantDelay{}
-)
+var _ CounterDelayModel = ConstantDelay{}
 
 // DrawsPerCopy implements CounterDelayModel: none.
 func (ConstantDelay) DrawsPerCopy() int { return 0 }
 
 // Sample implements DelayModel.
 func (d ConstantDelay) Sample(_, _ ProcID, _ clock.Real, _ *RNG) float64 { return d.Delta }
-
-// SampleAll implements BatchDelayModel.
-func (d ConstantDelay) SampleAll(_ ProcID, n int, _ clock.Real, _ *RNG, out []float64) {
-	for q := 0; q < n; q++ {
-		out[q] = d.Delta
-	}
-}
 
 // Bounds implements DelayModel.
 func (d ConstantDelay) Bounds() (float64, float64) { return d.Delta, 0 }
@@ -124,21 +121,11 @@ type ExtremalDelay struct {
 	SlowTo func(from, to ProcID) bool
 }
 
-var (
-	_ BatchDelayModel   = ExtremalDelay{}
-	_ CounterDelayModel = ExtremalDelay{}
-)
+var _ CounterDelayModel = ExtremalDelay{}
 
 // DrawsPerCopy implements CounterDelayModel: none (SlowTo must be a pure
 // function of its link).
 func (ExtremalDelay) DrawsPerCopy() int { return 0 }
-
-// SampleAll implements BatchDelayModel.
-func (d ExtremalDelay) SampleAll(from ProcID, n int, at clock.Real, rng *RNG, out []float64) {
-	for q := 0; q < n; q++ {
-		out[q] = d.Sample(from, ProcID(q), at, rng)
-	}
-}
 
 // Sample implements DelayModel.
 func (d ExtremalDelay) Sample(from, to ProcID, _ clock.Real, _ *RNG) float64 {
@@ -166,20 +153,10 @@ type PerLinkDelay struct {
 	Seed  int64
 }
 
-var (
-	_ BatchDelayModel   = PerLinkDelay{}
-	_ CounterDelayModel = PerLinkDelay{}
-)
+var _ CounterDelayModel = PerLinkDelay{}
 
 // DrawsPerCopy implements CounterDelayModel: none, the delay is the link's.
 func (PerLinkDelay) DrawsPerCopy() int { return 0 }
-
-// SampleAll implements BatchDelayModel.
-func (d PerLinkDelay) SampleAll(from ProcID, n int, at clock.Real, rng *RNG, out []float64) {
-	for q := 0; q < n; q++ {
-		out[q] = d.Sample(from, ProcID(q), at, rng)
-	}
-}
 
 // Sample implements DelayModel.
 func (d PerLinkDelay) Sample(from, to ProcID, _ clock.Real, _ *RNG) float64 {
@@ -205,23 +182,13 @@ type CenterDelay struct {
 	Eps   float64
 }
 
-var (
-	_ BatchDelayModel   = CenterDelay{}
-	_ CounterDelayModel = CenterDelay{}
-)
+var _ CounterDelayModel = CenterDelay{}
 
 // DrawsPerCopy implements CounterDelayModel: none.
 func (CenterDelay) DrawsPerCopy() int { return 0 }
 
 // Sample implements DelayModel.
 func (d CenterDelay) Sample(_, _ ProcID, _ clock.Real, _ *RNG) float64 { return d.Delta }
-
-// SampleAll implements BatchDelayModel.
-func (d CenterDelay) SampleAll(_ ProcID, n int, _ clock.Real, _ *RNG, out []float64) {
-	for q := 0; q < n; q++ {
-		out[q] = d.Delta
-	}
-}
 
 // Bounds implements DelayModel.
 func (d CenterDelay) Bounds() (float64, float64) { return d.Delta, d.Eps }

@@ -82,15 +82,6 @@ func entryLess(a, b *entry) bool {
 	return a.key < b.key
 }
 
-// entryCmp adapts entryLess for slices.SortFunc. The order is total (seq is
-// unique per engine), so no two distinct entries compare equal.
-func entryCmp(a, b entry) int {
-	if entryLess(&a, &b) {
-		return -1
-	}
-	return 1
-}
-
 // entryHeap is a 4-ary min-heap of entries ordered by entryLess. It is
 // deliberately not a container/heap.Interface (heap.Push(x any) would box
 // every entry into an interface value, one allocation per scheduled

@@ -45,7 +45,8 @@ import (
 // merged in, and its due copies between them — a CopyReceiver as one
 // unsorted batch per stretch between two of its own events
 // (receiveBatch), any other process, or one whose copies repeat a sender,
-// one Receive a copy in (at, key) order (sortDue);
+// one Receive a copy in (at, key) order (sortDue), as is the rest of a
+// CopyReceiver's window from a stretch the step limit falls inside;
 // (3) join, publish the rows the window sent and drop those whose copies are
 // all delivered (publish), cut, and repeat. The serial phase at the cut is
 // one pass over the board.
@@ -60,9 +61,10 @@ import (
 // no timer, send nothing and move no correction: those from distinct
 // senders between two of its STARTs and TIMERs write disjoint state and
 // commute, so a batch in any order is that sequence too, with real time at
-// its last copy after it. A step limit falling inside a batch, or a sender
-// repeated in a process's window — whose copies do not commute, the later
-// one's reading overwriting the earlier's — takes the sorted path. A copy a
+// its last copy after it. A sender repeated in a process's window — whose
+// copies do not commute, the later one's reading overwriting the earlier's —
+// takes the sorted path; so does the rest of a process's window from a
+// stretch the step limit falls inside, handed over by receiveBatch. A copy a
 // delay model sends inside the window breaks the declared lower bound; Run
 // fails at the cut naming the least (at, key) such copy over the partitions
 // — the same error for every k — rather than deliver a reordered execution.
@@ -662,7 +664,8 @@ type earlyCopy struct {
 // their due events and lets each, in ascending id, receive its own in
 // (at, key) order, merged with the TIMERs it sets for inside the window — a
 // CopyReceiver whose copies come from distinct senders in batches between
-// them (receiveBatch).
+// them (receiveBatch), which hands back what is left of its window when the
+// step limit falls inside it.
 // This is the only engine code that runs concurrently: each partition
 // touches its own heaps, rows, senders, log and processes, and only reads
 // the board. The window log is left in (at, key) order for the replay.
@@ -689,11 +692,10 @@ func (e *Engine) drainWindow(hi, until clock.Real) error {
 			}
 			if cr, ok := e.procs[sp[0].to].(CopyReceiver); !ok {
 				count(censusPerCopy)
-			} else if c, last, ok := pt.distinct(sp); ok {
-				if err := e.receiveBatch(cr, sp, c, last, &m); err != nil {
-					return err
+			} else if c, last, ok := e.distinct(sp); ok {
+				if sp, ok = e.receiveBatch(cr, sp, c, last, &m); ok {
+					continue
 				}
-				continue
 			}
 			pt.sortDue(sp)
 			for pt.wpos < len(pt.win) || q.heap.len() > 0 {
@@ -729,15 +731,15 @@ func count(kind int) {
 // senders, and lays their senders and times out in from and at, in sp's
 // order; last is the last of them in (at, key) order. The stamps of senders
 // seen are the window's mark; one left from 2³² marks back can only send a
-// batch down the sorted path.
-func (pt *partition) distinct(sp []entry) (c int, last entry, ok bool) {
+// batch down the sorted path. A copy's sender is read off its key (packSeq).
+func (e *Engine) distinct(sp []entry) (c int, last entry, ok bool) {
+	pt := e.part
 	pt.mark++
-	live := pt.board.live
 	for i := range sp {
 		if sp[i].ref >= 0 {
 			continue
 		}
-		q := live[^sp[i].ref].from
+		q := sp[i].key >> e.seqFromShift
 		if pt.stamp[q] == pt.mark {
 			count(censusRepeated)
 			return 0, last, false
@@ -756,10 +758,13 @@ func (pt *partition) distinct(sp []entry) (c int, last entry, ok bool) {
 // distinct laid out: its STARTs and TIMERs, which came off the timer heap in
 // (at, key) order, and those it sets for inside the window, one step each in
 // that order, and between two of them the copies due before the later as one
-// ReceiveCopies — or, where the step limit falls inside them, one step each.
-// The copies after the last of its events hold the last copy of all, last:
-// an event after it splits nothing off.
-func (e *Engine) receiveBatch(cr CopyReceiver, sp []entry, c int, last entry, m *Message) error {
+// ReceiveCopies. The copies after the last of its events hold the last copy
+// of all, last: an event after it splits nothing off. Where the step limit
+// falls inside a stretch, or on the event after it, it delivers nothing more
+// and returns what is left, its own events before its copies, in sp, for the
+// sorted path (sortDue): each copy left of the stretch precedes every own
+// event still pending, so the limit fires there as it would have here.
+func (e *Engine) receiveBatch(cr CopyReceiver, sp []entry, c int, last entry, m *Message) (rest []entry, done bool) {
 	q, pt, nh := &e.queue, e.part, len(sp)-c
 	pt.win, pt.wpos = append(pt.win[:0], sp[:nh]...), 0
 	cs, from, at := sp[nh:], pt.from[:c], pt.at[:c]
@@ -768,23 +773,18 @@ func (e *Engine) receiveBatch(cr CopyReceiver, sp []entry, c int, last entry, m 
 		if bound != nil && entryLess(bound, &last) {
 			k, seg = split(cs, from, at, bound)
 		}
-		if e.steps+k > e.maxSteps {
-			sortEntries(cs[:k])
-			for _, en := range cs[:k] {
-				if e.steps >= e.maxSteps {
-					return fmt.Errorf("sim: step limit %d exceeded at t=%v", e.maxSteps, e.now)
-				}
-				e.step(en, m)
-			}
-		} else if k > 0 {
+		if e.steps+k > e.maxSteps || bound != nil && e.steps+k == e.maxSteps {
+			own := pt.win[pt.wpos:]
+			rest = sp[len(sp)-len(cs)-len(own):]
+			copy(rest, own)
+			return rest, false
+		}
+		if k > 0 {
 			e.receiveCopies(cr, cs[:k], from[:k], at[:k], seg)
 		}
 		cs, from, at = cs[k:], from[k:], at[k:]
 		if bound == nil {
-			return nil
-		}
-		if e.steps >= e.maxSteps {
-			return fmt.Errorf("sim: step limit %d exceeded at t=%v", e.maxSteps, e.now)
+			return nil, true
 		}
 		e.step(pt.next(&q.heap), m)
 	}
@@ -1065,7 +1065,7 @@ func (pt *partition) sortDue(sp []entry) {
 	pt.wpos = 0
 	if len(sp) <= 16 {
 		pt.win = append(pt.win[:0], sp...)
-		sortEntries(pt.win)
+		insertion(pt.win)
 		return
 	}
 	lo, hi := math.Inf(1), math.Inf(-1)
@@ -1102,17 +1102,22 @@ func (pt *partition) sortDue(sp []entry) {
 		win[off[g]] = sp[i]
 		off[g]++
 	}
-	for i := 1; i < total; i++ {
-		if en := win[i]; entryLess(&en, &win[i-1]) {
+	insertion(win)
+	pt.win = win
+}
+
+// insertion sorts b by entryLess, moving only the entries out of order.
+func insertion(b []entry) {
+	for i := 1; i < len(b); i++ {
+		if en := b[i]; entryLess(&en, &b[i-1]) {
 			j := i
-			for j > 0 && entryLess(&en, &win[j-1]) {
-				win[j] = win[j-1]
+			for j > 0 && entryLess(&en, &b[j-1]) {
+				b[j] = b[j-1]
 				j--
 			}
-			win[j] = en
+			b[j] = en
 		}
 	}
-	pt.win = win
 }
 
 // group maps a delivery time to one of n groups of width 1/scale laid from
@@ -1127,24 +1132,6 @@ func group(at, lo, scale float64, n int) int {
 		return int(x)
 	}
 	return n - 1
-}
-
-// sortEntries orders a few entries by entryLess: by insertion up to 16, by
-// the general sorter beyond.
-func sortEntries(b []entry) {
-	if len(b) > 16 {
-		slices.SortFunc(b, entryCmp)
-		return
-	}
-	for i := 1; i < len(b); i++ {
-		en := b[i]
-		j := i
-		for j > 0 && entryLess(&en, &b[j-1]) {
-			b[j] = b[j-1]
-			j--
-		}
-		b[j] = en
-	}
 }
 
 // shut ends a partition's window. What the window, the in-window timers,

@@ -138,9 +138,10 @@ type Process interface {
 //
 // A partition (shard.go) hands a process that implements it each window's
 // due copies as one batch per stretch between its STARTs and TIMERs, unless
-// two of them share a sender or the step limit falls inside the stretch:
-// then, as for every other process and on the time-major engine, it receives
-// them one Receive at a time in (at, key) order.
+// two of them share a sender: then, as for every other process and on the
+// time-major engine, it receives them one Receive at a time in (at, key)
+// order. A stretch the step limit falls inside goes down that sorted path
+// too, with the rest of the process's window.
 type CopyReceiver interface {
 	Process
 	ReceiveCopies(ctx *Context, from []ProcID, at []clock.Real)
@@ -768,12 +769,13 @@ func (e *Engine) dispatch(a Annotation) {
 // the buffer for every recipient q in [lo, hi) — Context.Broadcast passes
 // [0, n), Context.Multicast its range and Context.Send(q) [q, q+1). It
 // samples the delays first, into the engine's delays buffer: one SampleAll
-// when the range is every process and the model batches, one Sample per copy
-// otherwise, drawing the same stream either way. Then, copy by copy in
-// recipient order, an installed adversary retimes the delay inside its
-// clamp, the channel routes it (inline on the full mesh), a copy the channel
-// lost or a delay model sent outside [now, +Inf) is dropped — its time is NaN
-// from here on — and the rest are counted and announced to the send hook.
+// when the range is every process and the model batches (UniformDelay), one
+// Sample per copy otherwise, drawing the same stream either way. Then, copy
+// by copy in recipient order, an installed adversary retimes the delay
+// inside its clamp, the channel routes it (inline on the full mesh), a copy
+// the channel lost or a delay model sent outside [now, +Inf) is dropped —
+// its time is NaN from here on — and the rest are counted and announced to
+// the send hook.
 // Only then are the survivors filed, under one send index: on the time-major
 // engine under one shared header, on a partition as one row (post). A copy's
 // key is packSeq(from, sidx, q) whatever the range, so a Broadcast,

@@ -109,11 +109,12 @@ func (e *Engine) SetChannel(ch Channel) {
 
 // SetDelayModel swaps the delay substrate for all traffic sent from now on,
 // validating assumption A3 (0 ≤ ε ≤ δ); a broadcast samples the model with
-// one SampleAll call when it implements BatchDelayModel. When an adversary
-// is installed, its clamp envelope follows the new band, so retiming stays
-// A3-legal against the substrate actually in force. The swapped-in model
-// sees the same RNG stream the old one was drawing from (scenario delay-band
-// shifts stay deterministic). A windowed engine's model is fixed at New: its
+// one SampleAll call when it implements BatchDelayModel (UniformDelay), any
+// other model one Sample a copy. When an adversary is installed, its clamp
+// envelope follows the new band, so retiming stays A3-legal against the
+// substrate actually in force. The swapped-in model sees the same RNG
+// stream the old one was drawing from (scenario delay-band shifts stay
+// deterministic). A windowed engine's model is fixed at New: its
 // partitions redraw rows in flight with it (CounterDelayModel).
 func (e *Engine) SetDelayModel(m DelayModel) error {
 	if m == nil {
