@@ -27,8 +27,11 @@ var asmPos = regexp.MustCompile(`\(([^()]+\.go:\d+)\)`)
 // fmaTargets architecture with -gcflags=-S and fails, naming file:line, on
 // any fused multiply-add the compiler emitted — the goldens and digests pin
 // float results bit for bit, and a fused product would round differently
-// there. The build cache replays the -S listing, so a warm cache still
-// checks every instruction.
+// there. That covers the delay models' declared spans too (sim.UniformSpan,
+// PerLinkDelay.Span, hier.ClusteredDelay's Span and Bounds): a span must
+// round as Sample rounds each delay, or a windowed engine's check of its
+// redrawn copies fails on an architecture that fuses. The build cache
+// replays the -S listing, so a warm cache still checks every instruction.
 func TestNoFusedFloatOps(t *testing.T) {
 	goBin, err := exec.LookPath("go")
 	if err != nil {

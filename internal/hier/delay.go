@@ -52,9 +52,34 @@ func (d ClusteredDelay) Sample(from, to sim.ProcID, _ clock.Real, rng *sim.RNG) 
 	return d.OuterDelta - d.OuterEps + float64(2*d.OuterEps*u)
 }
 
+// Span implements sim.CounterDelayModel: the inner band for a range inside
+// the sender's cluster, the outer band for one wholly outside it, and their
+// envelope for a range that reaches both — each band formed as Sample forms
+// a delay (sim.UniformSpan).
+func (d ClusteredDelay) Span(from, lo, hi sim.ProcID, _ clock.Real) (float64, float64) {
+	c := int(from) / d.ClusterSize * d.ClusterSize
+	inLo, inHi := sim.UniformSpan(d.InnerDelta, d.InnerEps)
+	outLo, outHi := sim.UniformSpan(d.OuterDelta, d.OuterEps)
+	switch {
+	case int(lo) >= c && int(hi) <= c+d.ClusterSize:
+		return inLo, inHi
+	case int(hi) <= c || int(lo) >= c+d.ClusterSize:
+		return outLo, outHi
+	}
+	return math.Min(inLo, outLo), math.Max(inHi, outHi)
+}
+
 // Bounds implements sim.DelayModel: the enclosing envelope of both bands.
+// Its ε is widened by the ulps that keep δ−ε, the windowed engine's
+// lookahead, from rounding above the lowest delay lo: a lookahead past lo
+// would put a fan-out sent at a window's start inside the window by its
+// declared span, and sample it at send.
 func (d ClusteredDelay) Bounds() (float64, float64) {
 	lo := math.Min(d.InnerDelta-d.InnerEps, d.OuterDelta-d.OuterEps)
 	hi := math.Max(d.InnerDelta+d.InnerEps, d.OuterDelta+d.OuterEps)
-	return (lo + hi) / 2, (hi - lo) / 2
+	delta, eps := float64((lo+hi)/2), float64((hi-lo)/2)
+	for delta-eps > lo {
+		eps = math.Nextafter(eps, math.Inf(1))
+	}
+	return delta, eps
 }

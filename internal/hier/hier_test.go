@@ -316,19 +316,23 @@ func TestGammaComposedFinite(t *testing.T) {
 }
 
 // TestClusteredDelayBounds: the envelope encloses both bands and keeps the
-// sharded lookahead positive.
+// sharded lookahead positive, and δ−ε, the lookahead, is at most the lowest
+// delay exactly — no rounding lifts it over a band floor, where a fan-out
+// sent at a window's start would reach into the window by its span.
 func TestClusteredDelayBounds(t *testing.T) {
-	d := NewClusteredDelay(Default(12, 4))
-	delta, eps := d.Bounds()
-	if delta-eps <= 0 {
-		t.Fatalf("lookahead δ−ε = %v not positive", delta-eps)
-	}
-	const tol = 1e-12
-	if lo := delta - eps; lo > d.InnerDelta-d.InnerEps+tol || lo > d.OuterDelta-d.OuterEps+tol {
-		t.Errorf("envelope floor %v above a band floor", lo)
-	}
-	if hi := delta + eps; hi < d.InnerDelta+d.InnerEps-tol || hi < d.OuterDelta+d.OuterEps-tol {
-		t.Errorf("envelope ceiling %v below a band ceiling", hi)
+	for _, c := range []struct{ n, size int }{{12, 4}, {64, 8}, {529, 23}, {1009, 32}} {
+		d := NewClusteredDelay(Default(c.n, c.size))
+		delta, eps := d.Bounds()
+		if delta-eps <= 0 {
+			t.Fatalf("n=%d: lookahead δ−ε = %v not positive", c.n, delta-eps)
+		}
+		if lo := delta - eps; lo > d.InnerDelta-d.InnerEps || lo > d.OuterDelta-d.OuterEps {
+			t.Errorf("n=%d: envelope floor %v above a band floor", c.n, lo)
+		}
+		const tol = 1e-12
+		if hi := delta + eps; hi < d.InnerDelta+d.InnerEps-tol || hi < d.OuterDelta+d.OuterEps-tol {
+			t.Errorf("n=%d: envelope ceiling %v below a band ceiling", c.n, hi)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package sim_test
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	clocksync "repro"
@@ -24,19 +25,30 @@ import (
 // and E05's faulty senders repeat. It counts the fan-outs kept as stored
 // rows too, and fails on any: every delay model these runs use declares its
 // draws per copy, so every fan-out, lossy ones included, is a drawn row.
+// Beside them it counts the copies a windowed engine sampled at send — none
+// on the facade workloads' full meshes, where every fan-out is posted in
+// O(1) from its model's declared span — the copies it redrew, and the
+// windows.
 func TestCopyCensus(t *testing.T) {
 	take := func(name string, run func() error) (batched, repeated, perCopy int64) {
 		b0, r0, p0 := sim.Census()
 		s0 := sim.StoredRows()
+		c0, d0, w0 := sim.Copies()
 		if err := run(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		b1, r1, p1 := sim.Census()
 		batched, repeated, perCopy = b1-b0, r1-r0, p1-p0
 		stored := sim.StoredRows() - s0
-		t.Logf("%-16s batched %9d  repeated sender %7d  not opted in %9d  stored rows %d", name, batched, repeated, perCopy, stored)
+		c1, d1, w1 := sim.Copies()
+		sampled, redrawn, windows := c1-c0, d1-d0, w1-w0
+		t.Logf("%-16s batched %9d  repeated sender %7d  not opted in %9d  stored rows %d  sampled at send %8d  redrawn %10d  windows %6d",
+			name, batched, repeated, perCopy, stored, sampled, redrawn, windows)
 		if stored != 0 {
 			t.Errorf("%s: %d fan-outs kept as stored rows, want none", name, stored)
+		}
+		if mesh := strings.HasPrefix(name, "flat_") || strings.HasPrefix(name, "twotier_"); mesh && sampled != 0 {
+			t.Errorf("%s: %d copies sampled at send on a full-mesh window, want none", name, sampled)
 		}
 		return
 	}

@@ -14,19 +14,24 @@ type DelayModel interface {
 	Bounds() (delta, eps float64)
 }
 
-// BatchDelayModel is the broadcast fan-out fast path: SampleAll fills
-// out[q] with the delay of the copy to process q for q = 0..n−1, exactly
-// the values n successive Sample(from, q, …) calls would return — same rng
-// draws, same fixed pid order — but with one call for the whole fan-out.
-// Models that don't implement it are sampled per copy by the engine, with
-// identical results.
+// BatchDelayModel is the sampling fast path of a fan-out: SampleAll fills
+// out[q] with the delay of copy q for q = 0..n−1, exactly the values n
+// successive Sample(from, to, …) calls would return for any n recipients —
+// same rng draws, same order — with one call instead of n. A batched
+// model's delay does not depend on the copy's recipient, so the engine may
+// batch any contiguous run of copies: a time-major broadcast's n, and a
+// window's redraw of a drawn row's tile (Engine.times). Models that don't
+// implement it are sampled per copy, with identical results
+// (simtest.CheckDelayModel holds a model to both).
 //
-// UniformDelay alone implements it, the one model where a workload measures
-// a benefit: in 8 interleaved pairs of the repository benchmark on a 2-core
-// host, flat_n1009_k2 took a median 218.9 ms an op [quartiles 211.4–231.5]
-// with the batch and 241.4 ms [227.6–274.1] sampling per copy, slower in 7
-// of the 8. The other models' copies would only loop over Sample or fill in
-// a constant, which the engine's per-copy loop does as well.
+// UniformDelay alone implements it. Its send-side batch no longer serves a
+// windowed run, which draws nothing at send on the full mesh
+// (CounterDelayModel); its redraw does: 10 interleaved pairs of the
+// repository benchmark on a 2-core host took flat_n1009_k2 from a median
+// 147.2 ms an op [quartiles 143.4–152.3] redrawing a tile one Sample a copy
+// to 135.4 ms [132.2–137.2] with one SampleAll, faster in all 10. The other
+// models' copies would only loop over Sample or fill in a constant, which
+// the engine's per-copy loop does as well.
 type BatchDelayModel interface {
 	DelayModel
 	SampleAll(from ProcID, n int, at clock.Real, rng *RNG, out []float64)
@@ -39,25 +44,46 @@ type BatchDelayModel interface {
 // (rng.go), so the delay of copy j of a fan-out over [lo, hi) is then a
 // function of the sender's stream state s₀ before the fan-out: Sample again,
 // on a copy of the stream seeked to s₀ + (j−lo)·DrawsPerCopy draws, returns
-// it bit for bit.
+// it bit for bit. Span declares, for a fan-out from from over [lo, hi) sent
+// at at, a closed range [min, max] holding every copy's delay — formed in
+// the float arithmetic Sample uses, so that float64(at + clock.Real(d)) of
+// every copy d lies in [at + min, at + max].
 //
-// A partition stores such a fan-out as a drawn row — s₀, the range and the
-// exact extremes, no delivery times — unless a copy was refused (a delivery
-// time not finite or before the send), and its gather redraws the times of
-// the copies it reads, from its tile's first copy on, and routes them
-// through the channel as fanOut did, a lost copy again lost. Sample may then
-// run again for a copy on any partition's goroutine, later, possibly at once
-// with other partitions' calls. fanOut checks, once per fan-out, that
-// sampling advanced the stream by exactly m·DrawsPerCopy draws; a model that
-// drew otherwise gets a stored row holding the m times, as does every
-// fan-out of a model that does not implement this interface. So a wrong
-// declaration cannot change an execution, only its memory: a stored row
-// costs 8 bytes a copy, a drawn row none.
+// A partition keeps such a fan-out as a drawn row — s₀ and the range, no
+// delivery times — and, on the full mesh, posts it in O(1): it skips the
+// sender's stream by m·DrawsPerCopy draws, counts the m copies sent, and
+// takes the row's extremes from Span. Only a fan-out whose span reaches into
+// the window being drained, or one over LossyLinks (which counts its lost
+// copies), is sampled copy by copy at send. A gather redraws the times of
+// the copies it reads and routes them through the channel as fanOut would,
+// a lost copy again lost; Sample may then run for a copy on any partition's
+// goroutine, later, possibly at once with other partitions' calls. Nothing
+// checks the declaration at send: every redrawn time is compared with its
+// row's extremes, and one outside them fails Run at the cut that finds it
+// (the least (at, key) such copy, the same error for every partition
+// count), as does one found when Run reaches its horizon, where the rows no
+// window has read yet are redrawn once. A wrong declaration is an error,
+// never a dropped or reordered copy; simtest.CheckDelayModel holds a model
+// to its declaration. A model that does not implement this interface gets
+// stored rows: its times, 8 bytes a copy.
 type CounterDelayModel interface {
 	DelayModel
 	// DrawsPerCopy returns how many rng values Sample draws per copy: 0 for
 	// a model that ignores rng.
 	DrawsPerCopy() int
+	// Span returns the range [min, max] of the delays Sample returns for the
+	// copies from from to lo … hi−1 sent at at.
+	Span(from, lo, hi ProcID, at clock.Real) (min, max float64)
+}
+
+// MaxFloat64Draw is the largest value RNG.Float64 returns, 1 − 2⁻⁵³.
+const MaxFloat64Draw = float64(1<<53-1) / (1 << 53)
+
+// UniformSpan returns the span of δ−ε + 2ε·u over every Float64 draw u,
+// formed as UniformDelay.Sample forms a delay: rounding is monotone, so
+// u = 0 and u = MaxFloat64Draw give its ends.
+func UniformSpan(delta, eps float64) (float64, float64) {
+	return delta - eps, delta - eps + float64(2*eps*MaxFloat64Draw)
 }
 
 // ConstantDelay delivers every message in exactly δ (ε = 0) — the idealized
@@ -70,6 +96,9 @@ var _ CounterDelayModel = ConstantDelay{}
 
 // DrawsPerCopy implements CounterDelayModel: none.
 func (ConstantDelay) DrawsPerCopy() int { return 0 }
+
+// Span implements CounterDelayModel: δ.
+func (d ConstantDelay) Span(_, _, _ ProcID, _ clock.Real) (float64, float64) { return d.Delta, d.Delta }
 
 // Sample implements DelayModel.
 func (d ConstantDelay) Sample(_, _ ProcID, _ clock.Real, _ *RNG) float64 { return d.Delta }
@@ -91,6 +120,11 @@ var (
 
 // DrawsPerCopy implements CounterDelayModel: one Float64 a copy.
 func (UniformDelay) DrawsPerCopy() int { return 1 }
+
+// Span implements CounterDelayModel: the band, UniformSpan.
+func (d UniformDelay) Span(_, _, _ ProcID, _ clock.Real) (float64, float64) {
+	return UniformSpan(d.Delta, d.Eps)
+}
 
 // Sample implements DelayModel.
 func (d UniformDelay) Sample(_, _ ProcID, _ clock.Real, rng *RNG) float64 {
@@ -127,6 +161,11 @@ var _ CounterDelayModel = ExtremalDelay{}
 // function of its link).
 func (ExtremalDelay) DrawsPerCopy() int { return 0 }
 
+// Span implements CounterDelayModel: both ends of the band.
+func (d ExtremalDelay) Span(_, _, _ ProcID, _ clock.Real) (float64, float64) {
+	return d.Delta - d.Eps, d.Delta + d.Eps
+}
+
 // Sample implements DelayModel.
 func (d ExtremalDelay) Sample(from, to ProcID, _ clock.Real, _ *RNG) float64 {
 	slow := false
@@ -158,6 +197,13 @@ var _ CounterDelayModel = PerLinkDelay{}
 // DrawsPerCopy implements CounterDelayModel: none, the delay is the link's.
 func (PerLinkDelay) DrawsPerCopy() int { return 0 }
 
+// Span implements CounterDelayModel: the band, over the fractions
+// 0 … 1 − 2⁻⁵² a link's hash gives.
+func (d PerLinkDelay) Span(_, _, _ ProcID, _ clock.Real) (float64, float64) {
+	const top = float64(1<<52-1) / (1 << 52)
+	return d.Delta - d.Eps, d.Delta - d.Eps + float64(2*d.Eps*top)
+}
+
 // Sample implements DelayModel.
 func (d PerLinkDelay) Sample(from, to ProcID, _ clock.Real, _ *RNG) float64 {
 	h := uint64(d.Seed)*0x9E3779B97F4A7C15 + uint64(from)*0xBF58476D1CE4E5B9 + uint64(to)*0x94D049BB133111EB
@@ -186,6 +232,9 @@ var _ CounterDelayModel = CenterDelay{}
 
 // DrawsPerCopy implements CounterDelayModel: none.
 func (CenterDelay) DrawsPerCopy() int { return 0 }
+
+// Span implements CounterDelayModel: δ, where every delay is sampled.
+func (d CenterDelay) Span(_, _, _ ProcID, _ clock.Real) (float64, float64) { return d.Delta, d.Delta }
 
 // Sample implements DelayModel.
 func (d CenterDelay) Sample(_, _ ProcID, _ clock.Real, _ *RNG) float64 { return d.Delta }

@@ -1,6 +1,11 @@
 package sim
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/clock"
+)
 
 // TablePasses reports how many times the clock table evaluated the current
 // instant's configuration, and how many of those evaluations scanned every
@@ -18,16 +23,29 @@ func (e *Engine) Shard(i int) *Engine { return e.parts[i] }
 // the stored rows they replace.
 func (e *Engine) storeRows() {
 	for _, p := range e.parts {
-		p.draws = -1
+		p.counter, p.draws = nil, -1
 	}
 }
+
+// The doubles of the delay-model harness (simtest.CheckDelayModel): an
+// honest model that undershoots the lookahead for copies to one recipient,
+// and four that break a declaration — draws per copy, a span one ulp too
+// narrow at both ends, a span [lo, hi] the copies leave, and a SampleAll
+// whose delays depend on the recipient.
+func Undershoot(d UniformDelay, to ProcID) CounterDelayModel { return undershoot{d, to} }
+func Miscounted(d UniformDelay) CounterDelayModel            { return miscounted{d} }
+func Narrowed(m CounterDelayModel) CounterDelayModel         { return narrowed{m} }
+func Misspan(d UniformDelay, lo, hi float64) CounterDelayModel {
+	return misspan{d, lo, hi}
+}
+func RecipientBatch(d UniformDelay) CounterDelayModel { return recipientBatch{d} }
 
 // CheckRedraw is checkRedraw (redraw_test.go) for the external test package,
 // which can name delay models of packages that import this one.
 var CheckRedraw = checkRedraw
 
-// The package's tests take the census of process-windows (shard.go).
-func init() { census = new([4]atomic.Int64) }
+// The package's tests take the census (shard.go).
+func init() { census = new([censusKinds]atomic.Int64) }
 
 // Census returns how many process-windows the package's tests have had
 // delivered as ReceiveCopies batches, one step each because their copies
@@ -41,13 +59,60 @@ func Census() (batched, repeated, perCopy int64) {
 // stored rows.
 func StoredRows() int64 { return census[censusStored].Load() }
 
+// Copies returns how many copies the package's tests have had a windowed
+// engine sample at send and redraw, and how many windows have run.
+func Copies() (sampled, redrawn, windows int64) {
+	return census[censusSampled].Load(), census[censusRedrawn].Load(), census[censusWindows].Load()
+}
+
 // BatchBuffers returns the room windowed engine e's partitions hold for
-// CopyReceiver batches: the capacities of their senders, times and stamps,
-// summed.
+// CopyReceiver batches: the capacities of their tiles' senders and times and
+// of their stamps, summed.
 func (e *Engine) BatchBuffers() int {
 	c := 0
 	for _, p := range e.parts {
-		c += cap(p.part.from) + cap(p.part.at) + cap(p.part.stamp)
+		for i := range p.part.tb {
+			c += cap(p.part.tb[i].from) + cap(p.part.tb[i].at)
+		}
+		c += cap(p.part.stamp)
 	}
 	return c
+}
+
+// Header is a drawn row's sender, range [Lo, Hi), send time and extremes.
+type Header struct {
+	From, Lo, Hi ProcID
+	SentAt       clock.Real
+	Min, Max     float64
+}
+
+// DrawnHeaders runs n = 40 shardBeacons over delay on two partitions, window
+// by window, fanning out as Broadcasts (block 0) or as Multicasts over
+// blocks of block ids, and returns the header of every drawn row as the cut
+// that published it left it, before a window read it.
+func DrawnHeaders(t *testing.T, delay DelayModel, block int) []Header {
+	cfg := shardWorkload(40, delay, nil)
+	for _, p := range cfg.Procs {
+		p.(*shardBeacon).block = block
+	}
+	cfg.Shards = 2
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.enter()
+	var out []Header
+	seen := map[uint64]bool{}
+	for more := true; more; {
+		if more, err = e.window(4e-3); err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range e.part.board.live {
+			if h.at == nil && !h.read && !seen[h.seq] {
+				seen[h.seq] = true
+				out = append(out, Header{ProcID(h.from), ProcID(h.lo), ProcID(h.lo + h.m), h.sentAt, h.min, h.max})
+			}
+		}
+	}
+	return out
 }

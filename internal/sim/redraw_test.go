@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/clock"
@@ -12,14 +13,17 @@ import (
 // of fan-out — a Broadcast, Multicasts over blocks of 7 ids (the block
 // [14, 21) straddles the gather tile boundary at 16 and the partition cut at
 // 20) and n Sends — it runs n = 40 shardBeacons on two partitions window by
-// window beside a twin whose rows are all stored. At every cut it redraws
-// every copy of every drawn row on the board, tile by tile as the gather of
-// the copy's partition does, and compares the times with the twin's row
-// (math.Float64bits, so a lost copy is NaN in both) and the headers field by
-// field; both runs must deliver alike. It returns how many drawn rows it
-// compared per kind of fan-out, and under "lost" how many of their copies
-// were lost.
-func checkRedraw(t *testing.T, delay DelayModel, ch Channel) (drawn map[string]int) {
+// window beside a twin whose rows are all stored, and keeps every row either
+// board published. Then it redraws every copy of every drawn row, tile by
+// tile as the gather of the copy's partition does, and compares the times
+// with the twin's row (math.Float64bits, so a lost copy is NaN in both) and
+// the headers field by field: a drawn row's extremes are its declared span
+// on the full mesh, where it is posted in O(1), and the twin's exact
+// extremes over LossyLinks, where its copies are sampled at send; either way
+// they hold the twin's. Both runs must deliver alike. It returns how many
+// drawn rows it compared per kind of fan-out, and under "lost" how many of
+// their copies were lost.
+func checkRedraw(t *testing.T, delay CounterDelayModel, ch Channel) (drawn map[string]int) {
 	t.Helper()
 	const n, k = 40, 2
 	horizon := clock.Real(4e-3)
@@ -31,6 +35,7 @@ func checkRedraw(t *testing.T, delay DelayModel, ch Channel) (drawn map[string]i
 	}{{"broadcast", false, 0}, {"multicast", false, 7}, {"send", true, 0}} {
 		var cfgs [2]Config
 		var engs [2]*Engine
+		var rows [2]map[uint64]bcast // by key: every row the board published
 		for i := range engs {
 			cfgs[i] = shardWorkload(n, delay, ch)
 			cfgs[i].Shards = k
@@ -41,54 +46,62 @@ func checkRedraw(t *testing.T, delay DelayModel, ch Channel) (drawn map[string]i
 			if err != nil {
 				t.Fatal(err)
 			}
-			engs[i] = e
-		}
-		d, s := engs[0], engs[1]
-		s.storeRows()
-		for _, e := range engs {
+			if engs[i], rows[i] = e, map[uint64]bcast{}; i == 1 {
+				e.storeRows()
+			}
 			e.enter()
-		}
-		for more := true; more; {
-			for _, e := range engs {
-				var err error
+			for more := true; more; {
 				if more, err = e.window(horizon); err != nil {
 					t.Fatal(err)
 				}
+				for _, h := range e.part.board.live {
+					if _, ok := rows[i][h.seq]; !ok { // as published, before a cut settles it
+						rows[i][h.seq] = h
+					}
+				}
 			}
-			ld, ls := d.part.board.live, s.part.board.live
-			if len(ld) != len(ls) {
-				t.Fatalf("%s: %d rows live, %d with stored rows", fan.name, len(ld), len(ls))
+		}
+		d := engs[0]
+		if len(rows[0]) != len(rows[1]) {
+			t.Fatalf("%s: %d rows published, %d with stored rows", fan.name, len(rows[0]), len(rows[1]))
+		}
+		for seq, hd := range rows[0] {
+			hs, ok := rows[1][seq]
+			if !ok || hs.at == nil {
+				t.Fatalf("%s: the fan-out of %d keyed %#x has no stored twin", fan.name, hd.from, seq)
 			}
-			for i := range ld {
-				hd, hs := &ld[i], &ls[i]
-				if hs.at == nil {
-					t.Fatalf("%s: a fan-out of %d is drawn with stored rows forced", fan.name, hs.from)
-				}
-				if hd.from != hs.from || hd.lo != hs.lo || hd.m != hs.m || hd.sentAt != hs.sentAt || hd.seq != hs.seq ||
-					math.Float64bits(hd.min) != math.Float64bits(hs.min) || math.Float64bits(hd.max) != math.Float64bits(hs.max) {
-					t.Fatalf("%s: row %d's header %+v, stored %+v", fan.name, i, *hd, *hs)
-				}
-				if hd.at != nil {
-					continue
-				}
-				drawn[fan.name]++
-				lo, hi := int(hd.lo), int(hd.lo+hd.m)
-				for _, p := range d.parts {
-					end := p.part.base + p.part.own
-					for first := p.part.base; first < end; first += gatherTile {
-						a, z := max(first, lo), min(first+gatherTile, end, hi)
-						if a >= z {
-							continue
+			if hd.from != hs.from || hd.lo != hs.lo || hd.m != hs.m || hd.sentAt != hs.sentAt {
+				t.Fatalf("%s: header %+v, stored %+v", fan.name, hd, hs)
+			}
+			if hd.at != nil {
+				continue
+			}
+			mn, mx := hs.min, hs.max
+			if ch == nil {
+				a, z := delay.Span(ProcID(hd.from), ProcID(hd.lo), ProcID(hd.lo+hd.m), hd.sentAt)
+				mn, mx = float64(hd.sentAt+clock.Real(a)), float64(hd.sentAt+clock.Real(z))
+			}
+			if math.Float64bits(hd.min) != math.Float64bits(mn) || math.Float64bits(hd.max) != math.Float64bits(mx) || !(hd.min <= hs.min && hs.max <= hd.max) {
+				t.Fatalf("%s: the extremes of %d's fan-out are [%v, %v], want [%v, %v] around the stored row's [%v, %v]",
+					fan.name, hd.from, hd.min, hd.max, mn, mx, hs.min, hs.max)
+			}
+			drawn[fan.name]++
+			lo, hi := int(hd.lo), int(hd.lo+hd.m)
+			for _, p := range d.parts {
+				end := p.part.base + p.part.own
+				for first := p.part.base; first < end; first += gatherTile {
+					a, z := max(first, lo), min(first+gatherTile, end, hi)
+					if a >= z {
+						continue
+					}
+					got, want := p.times(&hd, a, z), (*hs.at)[a-lo:z-lo]
+					for j := range got {
+						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+							t.Fatalf("%s: copy %d→%d sent at %v redraws to %v on partition %d, stored %v",
+								fan.name, hd.from, a+j, hd.sentAt, got[j], p.part.id, want[j])
 						}
-						got, want := p.times(hd, a, z), (*hs.at)[a-lo:z-lo]
-						for j := range got {
-							if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-								t.Fatalf("%s: copy %d→%d sent at %v redraws to %v on partition %d, stored %v",
-									fan.name, hd.from, a+j, hd.sentAt, got[j], p.part.id, want[j])
-							}
-							if got[j] != got[j] {
-								drawn["lost"]++
-							}
+						if got[j] != got[j] {
+							drawn["lost"]++
 						}
 					}
 				}
@@ -110,20 +123,126 @@ type miscounted struct{ UniformDelay }
 
 func (miscounted) DrawsPerCopy() int { return 0 }
 
-// TestRedrawWrongDeclarationStores: a model whose declared draws per copy
-// disagree with what it draws gets stored rows, and runs the execution its
-// honest twin runs — the declaration changes memory, never an execution.
-func TestRedrawWrongDeclarationStores(t *testing.T) {
-	honest := UniformDelay{Delta: 4e-4, Eps: 1e-4}
-	if drawn := checkRedraw(t, miscounted{honest}, nil); len(drawn) != 0 {
-		t.Fatalf("a miscounted model published drawn rows: %v", drawn)
+// narrowed is a model whose declared span is one ulp too narrow at both
+// ends.
+type narrowed struct{ CounterDelayModel }
+
+func (d narrowed) Span(from, lo, hi ProcID, at clock.Real) (float64, float64) {
+	mn, mx := d.CounterDelayModel.Span(from, lo, hi, at)
+	return math.Nextafter(mn, math.Inf(1)), math.Nextafter(mx, math.Inf(-1))
+}
+
+// misspan is UniformDelay declaring the span [lo, hi] for every fan-out.
+type misspan struct {
+	UniformDelay
+	lo, hi float64
+}
+
+func (d misspan) Span(_, _, _ ProcID, _ clock.Real) (float64, float64) { return d.lo, d.hi }
+
+// recipientBatch is UniformDelay whose copies to odd ids take δ, with a
+// SampleAll that sets the odd positions of its batch, not the odd ids.
+type recipientBatch struct{ UniformDelay }
+
+func (d recipientBatch) Sample(from, to ProcID, at clock.Real, rng *RNG) float64 {
+	if u := d.UniformDelay.Sample(from, to, at, rng); to%2 == 0 {
+		return u
 	}
+	return d.Delta
+}
+
+func (d recipientBatch) SampleAll(from ProcID, n int, at clock.Real, rng *RNG, out []float64) {
+	d.UniformDelay.SampleAll(from, n, at, rng, out)
+	for q := 1; q < n; q += 2 {
+		out[q] = d.Delta
+	}
+}
+
+// TestSpanViolationFailsRun: a copy outside the span its model declared
+// fails Run with one named error, the same text at k = 1 and 2 — whether a
+// gather finds it above the span (the row would be dropped before it is
+// delivered), below it (its row became a candidate too late to deliver it),
+// or only at the horizon, in a row no window read, where it would otherwise
+// go undelivered without a word.
+func TestSpanViolationFailsRun(t *testing.T) {
 	const n = 40
-	horizon := clock.Real(4e-3)
-	want := runOnShards(t, shardWorkload(n, honest, nil), 2, horizon)
-	got := runOnShards(t, shardWorkload(n, miscounted{honest}, nil), 2, horizon)
-	if what, ok := equalShardRuns(want, got); !ok {
-		t.Fatalf("a miscounted model diverges from the honest one: %s", what)
+	band := UniformDelay{Delta: 4e-4, Eps: 1e-4} // delays in [3e-4, 5e-4]
+	for _, c := range []struct {
+		name    string
+		lo, hi  float64
+		horizon clock.Real
+	}{
+		{"above", 3e-4, 4e-4, 4e-3},
+		{"below", 5e-4, 7e-4, 4e-3},
+		{"horizon", 5e-4, 7e-4, 4.5e-4},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var first string
+			for _, k := range []int{1, 2} {
+				cfg := shardWorkload(n, misspan{band, c.lo, c.hi}, nil)
+				cfg.Shards = k
+				e, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = e.Run(c.horizon)
+				if err == nil || !strings.Contains(err.Error(), "outside the span") {
+					t.Fatalf("k=%d: Run = %v, want the span error", k, err)
+				}
+				if k == 1 {
+					first = err.Error()
+				} else if err.Error() != first {
+					t.Fatalf("k=%d reports %q, k=1 %q", k, err, first)
+				}
+			}
+			t.Log(first)
+		})
+	}
+}
+
+// emptyCaster multicasts over empty ranges at its START, and sends nothing
+// else.
+type emptyCaster struct{}
+
+func (emptyCaster) Receive(ctx *Context, m Message) {
+	if m.Kind == KindStart {
+		ctx.Multicast(3, 3, nil)
+		ctx.Multicast(5, 2, nil)
+	}
+}
+
+// TestEmptyMulticastPostsNothing: Multicast(lo, lo) on a window posts no
+// row, samples and counts no copy and uses no send index.
+func TestEmptyMulticastPostsNothing(t *testing.T) {
+	cfg := shardWorkload(8, UniformDelay{Delta: 4e-4, Eps: 1e-4}, nil)
+	for i := range cfg.Procs {
+		cfg.Procs[i] = emptyCaster{}
+	}
+	cfg.Shards = 2
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampled, _, _ := Copies()
+	if err := e.Run(1e-2); err != nil {
+		t.Fatal(err)
+	}
+	if after, _, _ := Copies(); after != sampled {
+		t.Errorf("%d copies sampled at send", after-sampled)
+	}
+	if e.MessagesSent() != 0 || len(e.part.board.live) != 0 {
+		t.Errorf("%d copies sent, %d rows live", e.MessagesSent(), len(e.part.board.live))
+	}
+	for _, p := range e.parts {
+		for q := range p.senders {
+			want := uint64(0)
+			if p.part.owner(q) == p.part.id {
+				want = 1 // its START's
+			}
+			if p.senders[q].sidx != want {
+				t.Errorf("sender %d used %d send indexes on partition %d, want %d", q, p.senders[q].sidx, p.part.id, want)
+			}
+		}
 	}
 }
 

@@ -32,6 +32,11 @@ func (r *RNG) Uint64() uint64 {
 // skip returns the stream j draws past r, without drawing them.
 func (r RNG) skip(j uint64) RNG { return RNG{state: r.state + j*gamma} }
 
+// RNGDrawing returns the stream whose next Uint64 is v: mix64 is a
+// bijection, so exactly one state draws v next. It lets a test place a draw
+// at either end of its range (simtest.CheckDelayModel).
+func RNGDrawing(v uint64) RNG { return RNG{state: unmix64(v) - gamma} }
+
 // Int63 returns a non-negative random int64.
 func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
 
@@ -58,6 +63,18 @@ func mix64(z uint64) uint64 {
 	z ^= z >> 27
 	z *= 0x94d049bb133111eb
 	z ^= z >> 31
+	return z
+}
+
+// unmix64 is mix64's inverse: each xorshift undone by reapplying it until
+// the shifted-in bits run out, each product by the multiplier's inverse mod
+// 2⁶⁴.
+func unmix64(z uint64) uint64 {
+	z ^= z>>31 ^ z>>62
+	z *= 0x319642b2d24d8ec3
+	z ^= z>>27 ^ z>>54
+	z *= 0x96de1b173f119089
+	z ^= z>>30 ^ z>>60
 	return z
 }
 

@@ -80,3 +80,17 @@ func TestProcSeedSeparation(t *testing.T) {
 		t.Error("different engine seeds gave process 0 the same stream")
 	}
 }
+
+// TestRNGDrawing: RNGDrawing(v) draws v next, at both ends of the range and
+// between, so Float64 reaches 0 and MaxFloat64Draw.
+func TestRNGDrawing(t *testing.T) {
+	pick := NewRNG(11)
+	for _, v := range []uint64{0, ^uint64(0), 1, 1 << 63, pick.Uint64(), pick.Uint64()} {
+		if r := RNGDrawing(v); r.Uint64() != v {
+			t.Fatalf("RNGDrawing(%#x) drew something else", v)
+		}
+	}
+	if lo, hi := RNGDrawing(0), RNGDrawing(^uint64(0)); lo.Float64() != 0 || hi.Float64() != MaxFloat64Draw {
+		t.Fatal("the extreme draws do not give Float64's ends")
+	}
+}

@@ -28,28 +28,33 @@ import (
 // and route them through the stateless channel (a drawn row,
 // CounterDelayModel), or, for a delay model that does not declare its draws,
 // a copy of the times (a stored row); and its processes' STARTs and TIMERs
-// that are not yet due are one heap
-// (partition.timers). Partition 0 is the engine New returns; it
-// drives the windows and replays the samples and annotations of each window
-// at its cut (clocktable.go). A window runs as: (1) find the globally
-// earliest pending event time m, over the timer heaps and the rows on the
-// board; (2) let every partition, concurrently — on Run's goroutine and the
-// crew of workers Run starts once (crew.go), each claiming the next
-// partition not yet drained, partition 0 Run's own — deliver its events in
-// [m, m+L) process by process (Engine.drainWindow): it pops its due STARTs
-// and TIMERs and groups them by recipient, files the candidate rows by the
-// tiles they overlap (bucket), then, a tile of owned processes at a time,
-// hands each one its own and reads its due copies off the rows over the tile
-// (gather); each process, in ascending id, receives its due STARTs and
-// TIMERs in (at, key) order, with any TIMER it sets for inside the window
-// merged in, and its due copies between them — a CopyReceiver as one
-// unsorted batch per stretch between two of its own events
-// (receiveBatch), any other process, or one whose copies repeat a sender,
-// one Receive a copy in (at, key) order (sortDue), as is the rest of a
-// CopyReceiver's window from a stretch the step limit falls inside;
-// (3) join, publish the rows the window sent and drop those whose copies are
-// all delivered (publish), cut, and repeat. The serial phase at the cut is
-// one pass over the board.
+// that are not yet due are one heap (partition.timers). On the full mesh a
+// drawn row is posted in O(1) (postSpan): no copy is drawn at send, and the
+// row's extremes are the span its model declares, which the first window to
+// read the row checks every copy against. Partition 0 is the engine New
+// returns; it drives the windows and replays the samples and annotations of
+// each window at its cut (clocktable.go). A window runs as: (1) find the
+// globally earliest pending event time m, over the timer heaps, the copies
+// the partitions left pending and the rows on the board no window has read
+// — a lower bound where a row's span is; (2) let every partition,
+// concurrently — on Run's goroutine and the crew of workers Run starts once
+// (crew.go), each claiming the next partition not yet drained, partition 0
+// Run's own — deliver its events in [m, m+L) process by process
+// (Engine.drainWindow): it pops its due STARTs and TIMERs and groups them by
+// recipient, files the candidate rows by the tiles they overlap (bucket),
+// then, a tile of owned processes at a time, hands each one its own and
+// reads its due copies off the rows over the tile (gather), a
+// CopyReceiver's straight into its batch unless a sender has two candidate
+// rows in the window; each process, in ascending id, receives its due
+// STARTs and TIMERs in (at, key) order, with any TIMER it sets for inside the
+// window merged in, and its due copies between them — a CopyReceiver as one
+// unsorted batch per stretch between two of its own events (receiveBatch),
+// any other process, or one whose copies repeat a sender, one Receive a copy
+// in (at, key) order (sortDue), as is the rest of a CopyReceiver's window
+// from a stretch the step limit falls inside; (3) join, raise each read
+// row's min to its least pending copy and drop the rows with none
+// (settleRows), publish the rows the window sent (publish), cut, and
+// repeat. The serial phase at the cut is one pass over the board.
 //
 // Process by process is one execution because a step changes only the
 // recipient's state and the buffer (§2.3(6)), and A3 puts every ordinary
@@ -65,9 +70,12 @@ import (
 // copies do not commute, the later one's reading overwriting the earlier's —
 // takes the sorted path; so does the rest of a process's window from a
 // stretch the step limit falls inside, handed over by receiveBatch. A copy a
-// delay model sends inside the window breaks the declared lower bound; Run
-// fails at the cut naming the least (at, key) such copy over the partitions
-// — the same error for every k — rather than deliver a reordered execution.
+// delay model sends inside the window breaks the declared lower bound, and
+// a redrawn copy outside its row's declared span breaks the declaration;
+// either way Run fails at the cut naming the least (at, key) such copy over
+// the partitions — the same error for every k — rather than deliver a
+// reordered execution or drop a copy. So does a copy outside its span in a
+// row no window read before Run's horizon (checkUnread).
 // The crew's join is the only synchronization: it returns once every
 // partition has, and a panicking Receive is that partition's error
 // (drainSafe, at k = 1 too).
@@ -134,13 +142,46 @@ type partition struct {
 	off             []int32
 	pend            int
 
-	// A batch (CopyReceiver): the acting process's copies' senders and
-	// times, and stamp[q] = mark when q sent one of them. A partition that
-	// owns no CopyReceiver has none.
-	from  []ProcID
-	at    []clock.Real
+	// The tile's batches, one per process (tileBatch), and, for a window
+	// whose copies gather files as entries, stamp[q] = mark when q sent one
+	// of the acting process's copies (distinct). A partition that owns no
+	// CopyReceiver has no room for either. stray is the least (at, key)
+	// redrawn copy outside its row's extremes.
+	tb    [gatherTile]tileBatch
 	stamp []int32
 	mark  int32
+	stray strayCopy
+
+	// pending[c] is the least time of the copies of candidate row c (its
+	// board index) the window's gathers left pending.
+	pending []float64
+}
+
+// tileBatch is a tile process's copies in the form ReceiveCopies takes:
+// the senders and times of n copies, from[:n] and at[:n], unsorted, and the
+// last of them in (at, key) order. cr is the process as a CopyReceiver, nil
+// when it is none; on marks a window in which gather writes its copies here
+// rather than as entries — one in which no sender has two candidate rows
+// (board.repeats).
+type tileBatch struct {
+	cr   CopyReceiver
+	on   bool
+	n    int
+	from []ProcID
+	at   []clock.Real
+	last entry
+}
+
+// strayCopy is a redrawn copy whose time lies outside its row's declared
+// extremes: the copy (en, whose at orders a NaN last), its time t, and the
+// row's sender, send time and extremes; ok marks one found.
+type strayCopy struct {
+	en       entry
+	t        float64
+	from     ProcID
+	sentAt   clock.Real
+	min, max float64
+	ok       bool
 }
 
 // owner returns the partition that owns process q.
@@ -152,10 +193,16 @@ func (pt *partition) owner(q int) int { return q / pt.per }
 // redraw and route the times (times). A stored row is at, a copy of the m
 // times — (*at)[q−lo] the copy to q's. Either way a copy the channel lost,
 // or (stored only) badCopy refused, has time NaN. Copy q's queue key is
-// seq | q. min and max are the exact finite extremes of the times. The
-// header is 80 bytes either way.
+// seq | q. min and max bound the finite times of the copies not yet
+// delivered: the model's declared span sentAt + Span on a drawn row posted
+// in O(1), which the first window to read the row, or Run's horizon
+// (checkUnread), checks every time against, or the exact extremes on a row
+// sampled at send; read marks a row checked. The cut after a window that
+// read it raises min to the least time of its copies still pending
+// (settleRows). The header is 80 bytes either way.
 type bcast struct {
 	from, lo, m int32
+	read        bool
 	sentAt      clock.Real
 	payload     any
 	seq         uint64
@@ -169,12 +216,19 @@ type bcast struct {
 // delivered, cands the window's candidates (the live rows with min < hi).
 // (H, U) is the last completed window's (hi, until): every copy at < H and
 // ≤ U is delivered. rest is the least min of the live rows no partition
-// scanned in that window.
+// scanned in that window. In a run with CopyReceivers, repeats marks a
+// window in which one sender has two candidate rows — the only way a
+// process can take two copies from one sender in it; otherwise rowOf[q] is
+// sender q's candidate row, if any. seen[q] = mark when q has one.
 type board struct {
-	live  []bcast
-	cands []int32
-	H, U  float64
-	rest  float64
+	live    []bcast
+	cands   []int32
+	H, U    float64
+	rest    float64
+	repeats bool
+	mark    int32
+	seen    []int32
+	rowOf   []int32
 }
 
 const (
@@ -258,20 +312,32 @@ func windowObserver(o Observer) error {
 func newWindowed(cfg Config) (*Engine, error) {
 	n, k := len(cfg.Procs), cfg.Shards
 	per := (n + k - 1) / k
-	b := &board{H: math.Inf(-1), U: math.Inf(-1), rest: math.Inf(1), cands: make([]int32, 0, n+4)}
+	// The board's candidates — room for a round's fan-outs and a few more
+	// (a two-faced process sends two) — and seen and rowOf for
+	// CopyReceivers' batches.
+	size := rowRoom(n)
+	if slices.ContainsFunc(cfg.Procs, isCopyReceiver) {
+		size += 2 * n
+	}
+	ids := make([]int32, size)
+	b := &board{H: math.Inf(-1), U: math.Inf(-1), rest: math.Inf(1), cands: ids[:0:rowRoom(n)]}
+	if size > rowRoom(n) {
+		b.seen, b.rowOf = ids[rowRoom(n):rowRoom(n)+n], ids[rowRoom(n)+n:]
+	}
 	parts := make([]*Engine, k)
 	for s := range parts {
 		lo, hi := min(s*per, n), min((s+1)*per, n)
-		batch := 0 // room for a batch's senders, times and stamps, on a CopyReceiver's partition
-		if slices.ContainsFunc(cfg.Procs[lo:hi], func(p Process) bool { _, ok := p.(CopyReceiver); return ok }) {
-			batch = n
+		tile := min(gatherTile, hi-lo)
+		batch := 0 // room for a tile's batches — n senders and times a process — on a CopyReceiver's partition
+		if slices.ContainsFunc(cfg.Procs[lo:hi], isCopyReceiver) {
+			batch = tile * n
 		}
 		p, err := newBase(cfg, batch)
 		if err != nil {
 			return nil, err
 		}
 		pt := &partition{id: s, per: per, own: hi - lo, base: lo, board: b, tally: make([]int, k), pendMin: math.Inf(1)}
-		pt.due = make([][]entry, min(gatherTile, hi-lo))
+		pt.due = make([][]entry, tile)
 		p.part = pt
 		p.initStores(n, batch)
 		p.start(cfg.StartAt)
@@ -283,6 +349,13 @@ func newWindowed(cfg Config) (*Engine, error) {
 	e.runHeap = make([]logRun, 0, n+4)
 	return e, nil
 }
+
+// isCopyReceiver reports whether p batches its ordinary receives.
+func isCopyReceiver(p Process) bool { _, ok := p.(CopyReceiver); return ok }
+
+// rowRoom is how many rows in flight a windowed engine's stores start with
+// room for: a round's fan-outs and a few more.
+func rowRoom(n int) int { return n + 8 }
 
 // Windows returns how many synchronization windows have run: 0 on the
 // time-major engine, which has none.
@@ -325,6 +398,9 @@ func (e *Engine) runWindows(until clock.Real) error {
 func (e *Engine) window(until clock.Real) (more bool, err error) {
 	m, any := e.minPending()
 	if !any || m > until {
+		if err := e.checkUnread(); err != nil {
+			return false, err
+		}
 		e.advance(until)
 		for _, p := range e.parts {
 			p.now = max(p.now, until)
@@ -368,7 +444,11 @@ func (e *Engine) window(until clock.Real) (more bool, err error) {
 		return false, fmt.Errorf("sim: delay model violated its declared lower bound: copy %d→%d delivers at %v inside the window ending %v",
 			early.from, early.en.to, early.en.at, hi)
 	}
+	if err := e.strayErr(); err != nil {
+		return false, err
+	}
 	e.publish(float64(hi), float64(until))
+	count(censusWindows)
 	e.windows++
 	return true, e.replay(from, cut)
 }
@@ -513,6 +593,7 @@ func siftRun(h []logRun, i int) {
 // Single-threaded, once per window.
 func (e *Engine) publish(hi, until float64) {
 	b := e.part.board
+	e.settleRows()
 	live, rest := b.live[:0], math.Inf(1)
 	for _, h := range b.live {
 		if h.max < hi && h.max <= until {
@@ -543,13 +624,88 @@ func (e *Engine) publish(hi, until float64) {
 	b.live, b.H, b.U, b.rest = live, hi, until, rest
 }
 
-// candidates lists the live rows that may have a copy due before hi.
-func (b *board) candidates(hi float64) {
-	b.cands = b.cands[:0]
-	for i := range b.live {
-		if b.live[i].min < hi {
-			b.cands = append(b.cands, int32(i))
+// settleRows raises each candidate row's min to the least time of its copies
+// the window's gathers left pending, over the partitions, and marks it
+// read; a row with none pending gets max −∞, which publish drops. A row read
+// once is a candidate again only while a copy of it may be due, as a row
+// timed at send is, and stays on the board no longer than its last copy.
+func (e *Engine) settleRows() {
+	b := e.part.board
+	for _, c := range b.cands {
+		mn := math.Inf(1)
+		for _, p := range e.parts {
+			mn = min(mn, p.part.pending[c])
 		}
+		h := &b.live[c]
+		if h.min, h.read = mn, true; mn == math.Inf(1) {
+			h.max = math.Inf(-1)
+		}
+	}
+}
+
+// candidates lists the live rows that may have a copy due before hi, and
+// marks whether one sender has two of them (repeats), filing each sender's
+// row under rowOf otherwise. A mark left from 2³² windows back can only
+// mark a repeat that is not there: the path it sends copies down is exact
+// either way.
+func (b *board) candidates(hi float64) {
+	b.cands, b.repeats = b.cands[:0], false
+	b.mark++
+	for i := range b.live {
+		if h := &b.live[i]; h.min < hi {
+			b.cands = append(b.cands, int32(i))
+			if b.seen != nil { // a run with CopyReceivers
+				b.repeats = b.repeats || b.seen[h.from] == b.mark
+				b.seen[h.from], b.rowOf[h.from] = b.mark, int32(i)
+			}
+		}
+	}
+}
+
+// checkUnread holds the drawn rows no window has read to their declared
+// extremes when Run reaches its horizon: a copy a wrong declaration put at
+// or before the horizon would otherwise go undelivered unnoticed. Each such
+// row is redrawn once, here, tile by tile on partition 0, and marked read,
+// so a later Run's horizon does not redraw it again.
+func (e *Engine) checkUnread() error {
+	b := e.part.board
+	for i := range b.live {
+		if h := &b.live[i]; h.at == nil && !h.read {
+			for a, end := int(h.lo), int(h.lo+h.m); a < end; a += gatherTile {
+				e.times(h, a, min(a+gatherTile, end))
+			}
+			h.read = true
+		}
+	}
+	return e.strayErr()
+}
+
+// strayErr is Run's error for the least (at, key) redrawn copy, over the
+// partitions, that lay outside its row's extremes — the same for every
+// partition count — or nil when there is none.
+func (e *Engine) strayErr() error {
+	var c *strayCopy
+	for _, p := range e.parts {
+		if s := &p.part.stray; s.ok && (c == nil || entryLess(&s.en, &c.en)) {
+			c = s
+		}
+	}
+	if c == nil {
+		return nil
+	}
+	return fmt.Errorf("sim: delay model %T sent copy %d→%d at t=%v for delivery at t=%v, outside the span [%v, %v] it declared for the fan-out (sim.CounterDelayModel contract)",
+		e.delay, c.from, c.en.to, c.sentAt, c.t, c.min, c.max)
+}
+
+// strayed keeps copy to of row h, redrawn to time t outside h's extremes,
+// if it is the least (at, key) such copy the partition has found.
+func (pt *partition) strayed(h *bcast, to int, t float64) {
+	c := strayCopy{en: entry{at: t, key: h.seq | uint64(to), to: int32(to)}, t: t, from: ProcID(h.from), sentAt: h.sentAt, min: h.min, max: h.max, ok: true}
+	if t != t {
+		c.en.at = math.Inf(1)
+	}
+	if s := &pt.stray; !s.ok || entryLess(&c.en, &s.en) {
+		*s = c
 	}
 }
 
@@ -561,34 +717,54 @@ func (b *board) load(en *entry, out *Message) {
 }
 
 // times returns the delivery times of copies a … z−1 (at most a tile) of
-// fan-out h: its stored row's, or, for a drawn row, the times fanOut formed,
-// redrawn into the partition's drawn buffer — a copy of the sender's stream
-// skipped to copy a's first draw runs the delay model's Sample copy by copy,
-// and each time is formed as fanOut forms it: inline on the full mesh, and
-// otherwise routed by the channel, NaN for a copy it loses (Windowable admits
-// only channels the partitions may route through at once).
+// fan-out h: its stored row's, or, for a drawn row, the times its fan-out
+// stands for, drawn into the partition's drawn buffer — a copy of the
+// sender's stream skipped to copy a's first draw runs the delay model's
+// Sample copy by copy, or on the full mesh its SampleAll for the tile, and
+// each time is formed as fanOut forms it: inline on the full mesh, and
+// otherwise routed by the channel, NaN for a copy it loses (Windowable
+// admits only channels the partitions may route through at once). On a row
+// not yet checked (read), a time outside its declared extremes is kept as
+// the partition's stray, for Run's error at the cut; a checked row's times
+// were compared then, and a redraw repeats them.
 func (e *Engine) times(h *bcast, a, z int) []float64 {
 	lo := int(h.lo)
 	if h.at != nil {
 		return (*h.at)[a-lo : z-lo]
 	}
+	countN(censusRedrawn, z-a)
 	from, now, rng := ProcID(h.from), h.sentAt, &e.part.redraw
 	*rng = RNG{h.s0}.skip(uint64(e.draws * (a - lo)))
-	out := e.part.drawn[:z-a]
+	out, mn, mx := e.part.drawn[:z-a], h.min, h.max
+	if h.read {
+		mn, mx = math.Inf(-1), math.Inf(1)
+	}
 	if !e.mesh {
 		for i := range out {
 			to := ProcID(a + i)
 			at, ok := e.channel.Route(from, to, now, e.delay.Sample(from, to, now, rng))
-			if !ok {
+			if t := float64(at); !ok {
 				at = clock.Real(math.NaN())
+			} else if !(t >= mn && t <= mx) {
+				e.part.strayed(h, a+i, t)
 			}
 			out[i] = float64(at)
 		}
 		return out
 	}
-	for i := range out {
-		d := e.delay.Sample(from, ProcID(a+i), now, rng)
-		out[i] = float64(now + clock.Real(d))
+	if e.batch != nil {
+		e.batch.SampleAll(from, len(out), now, rng, out)
+	} else {
+		for i := range out {
+			out[i] = e.delay.Sample(from, ProcID(a+i), now, rng)
+		}
+	}
+	for i, d := range out {
+		t := float64(now + clock.Real(d))
+		if !(t >= mn && t <= mx) {
+			e.part.strayed(h, a+i, t)
+		}
+		out[i] = t
 	}
 	return out
 }
@@ -650,6 +826,34 @@ func (e *Engine) post(from ProcID, payload any, seq uint64, lo int, row []float6
 	pt.sent = append(pt.sent, h)
 }
 
+// postSpan posts fanOut's fan-out from from over [lo, hi) as a drawn row
+// in O(1), on a partition's full mesh with a model that declares its draws
+// and span (CounterDelayModel): the row's extremes are the span, its
+// sender's stream skips the m·DrawsPerCopy draws its copies take, and its m
+// copies are counted sent and tallied per destination partition by
+// arithmetic. No copy is drawn. It posts nothing and reports false for a
+// span that is not a finite range at or after now, or that reaches into the
+// window being drained — there fanOut samples every copy, and post names a
+// copy that lands in the window.
+func (e *Engine) postSpan(from ProcID, lo, hi int, payload any) bool {
+	pt, now := e.part, e.now
+	mn, mx := e.counter.Span(from, ProcID(lo), ProcID(hi), now)
+	a, z := float64(now+clock.Real(mn)), float64(now+clock.Real(mx))
+	if !(a >= pt.dueHi && a >= float64(now) && a <= z && z <= math.MaxFloat64) {
+		return false
+	}
+	s, m := &e.senders[from], hi-lo
+	pt.sent = append(pt.sent, bcast{from: int32(from), lo: int32(lo), m: int32(m), sentAt: now, payload: payload,
+		seq: e.packSeq(from, s.sidx, 0), min: a, max: z, s0: s.rng.state})
+	s.sidx++
+	s.rng = s.rng.skip(uint64(e.draws * m))
+	e.msgsSent += int64(m)
+	for d := pt.owner(lo); d <= pt.owner(hi-1); d++ {
+		pt.tally[d] += min((d+1)*pt.per, hi) - max(d*pt.per, lo)
+	}
+	return true
+}
+
 // earlyCopy is a copy landing inside the window it was sent in, with its
 // sender; ok marks one found.
 type earlyCopy struct {
@@ -679,23 +883,37 @@ func (e *Engine) drainWindow(hi, until clock.Real) error {
 	}
 	pt.groupHeld()
 	pt.bucket()
+	pt.pending = slices.Grow(pt.pending[:0], len(pt.board.live))[:len(pt.board.live)]
+	for _, c := range pt.board.cands {
+		pt.pending[c] = math.Inf(1)
+	}
 	var m Message
 	for lo := 0; lo < pt.own; lo += gatherTile {
 		due := e.gather(lo, min(lo+gatherTile, pt.own))
 		for i, sp := range due {
-			if len(sp) == 0 {
+			tb := &pt.tb[i]
+			if len(sp) == 0 && tb.n == 0 {
 				continue
 			}
 			due[i] = sp[:0]
 			if r := int32(len(e.wlog)); e.mirror != nil && (len(e.runs) == 0 || e.runs[len(e.runs)-1] != r) {
 				e.runs = append(e.runs, r) // the last run, if empty, is this one's
 			}
-			if cr, ok := e.procs[sp[0].to].(CopyReceiver); !ok {
+			ok := false
+			switch {
+			case tb.cr == nil:
 				count(censusPerCopy)
-			} else if c, last, ok := e.distinct(sp); ok {
-				if sp, ok = e.receiveBatch(cr, sp, c, last, &m); ok {
-					continue
+			case tb.on:
+				count(censusBatched)
+				sp, ok = e.receiveBatch(tb.cr, sp, nil, tb, &m)
+			default:
+				var own int
+				if own, ok = e.distinct(sp, tb); ok {
+					sp, ok = e.receiveBatch(tb.cr, sp[:own], sp[own:], tb, &m)
 				}
+			}
+			if ok {
+				continue
 			}
 			pt.sortDue(sp)
 			for pt.wpos < len(pt.win) || q.heap.len() > 0 {
@@ -709,80 +927,101 @@ func (e *Engine) drainWindow(hi, until clock.Real) error {
 	return nil
 }
 
-// The kinds of process-window — a process's due events in one window — by
-// how the partition delivered them: as ReceiveCopies batches between its own
-// events, one step each because its copies repeat a sender, and one step
-// each because its process is not a CopyReceiver; and, beside them, the
-// fan-outs a partition kept as stored rows.
-const censusBatched, censusRepeated, censusPerCopy, censusStored = 0, 1, 2, 3
+// The census counts (census_test.go): process-windows — a process's due
+// events in one window — by how the partition delivered them, as
+// ReceiveCopies batches between its own events, one step each because its
+// copies repeat a sender, and one step each because its process is not a
+// CopyReceiver; the fan-outs a partition kept as stored rows; the copies a
+// partition sampled at send and the copies it redrew; and the windows.
+const (
+	censusBatched = iota
+	censusRepeated
+	censusPerCopy
+	censusStored
+	censusSampled
+	censusRedrawn
+	censusWindows
+	censusKinds
+)
 
-// census counts process-windows by kind, and stored rows. It is nil outside
-// the package's own tests, which set it (export_test.go).
-var census *[4]atomic.Int64
+// census holds the counts. It is nil outside the package's own tests, which
+// set it (export_test.go).
+var census *[censusKinds]atomic.Int64
 
-func count(kind int) {
+func count(kind int) { countN(kind, 1) }
+
+func countN(kind, c int) {
 	if census != nil {
-		census[kind].Add(1)
+		census[kind].Add(int64(c))
 	}
 }
 
-// distinct reports whether the c copies among the acting process's due
-// events sp — which follow its STARTs and TIMERs — come from distinct
-// senders, and lays their senders and times out in from and at, in sp's
-// order; last is the last of them in (at, key) order. The stamps of senders
-// seen are the window's mark; one left from 2³² marks back can only send a
-// batch down the sorted path. A copy's sender is read off its key (packSeq).
-func (e *Engine) distinct(sp []entry) (c int, last entry, ok bool) {
+// distinct reports whether the copies among the acting process's due events
+// sp — which follow its own events, the first own of them — come from
+// distinct senders, and lays their senders and times out in its batch tb, in
+// sp's order, with the last of them in (at, key) order. It serves a window
+// in which gather filed every copy as an entry (board.repeats). The stamps
+// of senders seen are the window's mark; one left from 2³² marks back can
+// only send a batch down the sorted path. A copy's sender is read off its
+// key (packSeq).
+func (e *Engine) distinct(sp []entry, tb *tileBatch) (own int, ok bool) {
 	pt := e.part
 	pt.mark++
 	for i := range sp {
 		if sp[i].ref >= 0 {
+			own++
 			continue
 		}
 		q := sp[i].key >> e.seqFromShift
 		if pt.stamp[q] == pt.mark {
 			count(censusRepeated)
-			return 0, last, false
+			return 0, false
 		}
 		pt.stamp[q] = pt.mark
-		pt.from[c], pt.at[c] = ProcID(q), clock.Real(sp[i].at)
-		if c++; c == 1 || entryLess(&last, &sp[i]) {
-			last = sp[i]
+		tb.from[tb.n], tb.at[tb.n] = ProcID(q), clock.Real(sp[i].at)
+		if tb.n++; tb.n == 1 || entryLess(&tb.last, &sp[i]) {
+			tb.last = sp[i]
 		}
 	}
 	count(censusBatched)
-	return c, last, true
+	return own, true
 }
 
-// receiveBatch delivers the acting process's due events sp, whose c copies
-// distinct laid out: its STARTs and TIMERs, which came off the timer heap in
-// (at, key) order, and those it sets for inside the window, one step each in
-// that order, and between two of them the copies due before the later as one
-// ReceiveCopies. The copies after the last of its events hold the last copy
-// of all, last: an event after it splits nothing off. Where the step limit
-// falls inside a stretch, or on the event after it, it delivers nothing more
-// and returns what is left, its own events before its copies, in sp, for the
-// sorted path (sortDue): each copy left of the stretch precedes every own
-// event still pending, so the limit fires there as it would have here.
-func (e *Engine) receiveBatch(cr CopyReceiver, sp []entry, c int, last entry, m *Message) (rest []entry, done bool) {
-	q, pt, nh := &e.queue, e.part, len(sp)-c
-	pt.win, pt.wpos = append(pt.win[:0], sp[:nh]...), 0
-	cs, from, at := sp[nh:], pt.from[:c], pt.at[:c]
+// receiveBatch delivers the acting process's due events: its STARTs and
+// TIMERs own, which came off the timer heap in (at, key) order, and those it
+// sets for inside the window, one step each in that order, and between two
+// of them the copies of its batch tb due before the later as one
+// ReceiveCopies. cs is the batch's copies as entries where gather filed them
+// so, nil where it wrote tb alone (batchCopy). The copies after the last of
+// its events hold the last copy of all: an event after it splits nothing
+// off. Where the step limit falls inside a stretch, or on the event after
+// it, it delivers nothing more and returns what is left, its own events
+// before its copies, in own's buffer, for the sorted path (sortDue): each
+// copy left of the stretch precedes every own event still pending, so the
+// limit fires there as it would have here.
+func (e *Engine) receiveBatch(cr CopyReceiver, own, cs []entry, tb *tileBatch, m *Message) (rest []entry, done bool) {
+	q, pt := &e.queue, e.part
+	pt.win, pt.wpos = append(pt.win[:0], own...), 0
+	from, at, last := tb.from[:tb.n], tb.at[:tb.n], tb.last
 	for {
-		bound, k, seg := pt.peekNext(&q.heap), len(cs), last
+		bound, k, seg := pt.peekNext(&q.heap), len(at), last
 		if bound != nil && entryLess(bound, &last) {
-			k, seg = split(cs, from, at, bound)
+			k, seg = e.split(from, at, cs, bound, last.to)
 		}
 		if e.steps+k > e.maxSteps || bound != nil && e.steps+k == e.maxSteps {
-			own := pt.win[pt.wpos:]
-			rest = sp[len(sp)-len(cs)-len(own):]
-			copy(rest, own)
+			rest = append(own[:0], pt.win[pt.wpos:]...)
+			for j := range at {
+				rest = append(rest, e.batchCopy(from, at, cs, j, last.to))
+			}
 			return rest, false
 		}
 		if k > 0 {
-			e.receiveCopies(cr, cs[:k], from[:k], at[:k], seg)
+			e.receiveCopies(cr, from[:k], at[:k], seg)
 		}
-		cs, from, at = cs[k:], from[k:], at[k:]
+		from, at = from[k:], at[k:]
+		if cs != nil {
+			cs = cs[k:]
+		}
 		if bound == nil {
 			return nil, true
 		}
@@ -790,28 +1029,45 @@ func (e *Engine) receiveBatch(cr CopyReceiver, sp []entry, c int, last entry, m 
 	}
 }
 
-// split moves the copies of cs due before bound, with their senders and
-// times in from and at, to the front, and returns how many there are and
-// the last of them in (at, key) order.
-func split(cs []entry, from []ProcID, at []clock.Real, bound *entry) (k int, last entry) {
-	for j := range cs {
-		if entryLess(&cs[j], bound) {
-			cs[j], cs[k] = cs[k], cs[j]
+// batchCopy returns copy j of a batch to process to as an entry: cs[j] where
+// the batch came with its entries, and otherwise rebuilt from the one
+// candidate row its sender has in the window (board.rowOf).
+func (e *Engine) batchCopy(from []ProcID, at []clock.Real, cs []entry, j int, to int32) entry {
+	if cs != nil {
+		return cs[j]
+	}
+	c := e.part.board.rowOf[from[j]]
+	return entry{at: float64(at[j]), key: e.part.board.live[c].seq | uint64(to), ref: ^c, to: to}
+}
+
+// split moves the copies of a batch to process to due before bound — with
+// their senders, times and, if the batch has them, entries — to the front,
+// and returns how many there are and the last of them in (at, key) order.
+func (e *Engine) split(from []ProcID, at []clock.Real, cs []entry, bound *entry, to int32) (k int, last entry) {
+	for j := range at {
+		if float64(at[j]) > bound.at {
+			continue
+		}
+		if c := e.batchCopy(from, at, cs, j, to); entryLess(&c, bound) {
 			from[j], from[k] = from[k], from[j]
 			at[j], at[k] = at[k], at[j]
-			if k++; k == 1 || entryLess(&last, &cs[k-1]) {
-				last = cs[k-1]
+			if cs != nil {
+				cs[j], cs[k] = cs[k], cs[j]
+			}
+			if k++; k == 1 || entryLess(&last, &c) {
+				last = c
 			}
 		}
 	}
 	return k, last
 }
 
-// receiveCopies is the steps of copies cs, from distinct senders, as one
-// ReceiveCopies: real time moves to, and the log keys by, the last of them.
-func (e *Engine) receiveCopies(cr CopyReceiver, cs []entry, from []ProcID, at []clock.Real, last entry) {
+// receiveCopies is the steps of copies from distinct senders from, at times
+// at, as one ReceiveCopies: real time moves to, and the log keys by, the
+// last of them.
+func (e *Engine) receiveCopies(cr CopyReceiver, from []ProcID, at []clock.Real, last entry) {
 	p := ProcID(last.to)
-	e.now, e.key, e.ver, e.steps = clock.Real(last.at), last.key, e.ver+1, e.steps+len(cs)
+	e.now, e.key, e.ver, e.steps = clock.Real(last.at), last.key, e.ver+1, e.steps+len(at)
 	e.ctx.pid, e.acting, e.ctx.copies = p, p, true
 	cr.ReceiveCopies(&e.ctx, from, at)
 	e.acting, e.ctx.copies = actingNone, false
@@ -846,12 +1102,16 @@ func (pt *partition) next(h *entryHeap) entry {
 // gather collects the due events of owned processes base+lo … base+end−1,
 // one buffer each: first each one's due STARTs and TIMERs, then, row by row,
 // what is due of the part of each candidate row over the tile (bucket) — a
-// copy not delivered by an earlier window, keyed seq | q under the row's
-// board index (ref = ^index). A copy it leaves pending feeds the partition's
-// pendMin. A process takes at most one copy a row, so the buffers are first
-// given room for a copy of each row over the tile and for the most due
-// STARTs and TIMERs one process of the tile has: sized by the traffic, not
-// by n.
+// copy not delivered by an earlier window. A CopyReceiver's copies go to its
+// batch (tileBatch) as sender and time, with the last of them, when no
+// sender has two candidate rows in the window; every other copy is an entry
+// keyed seq | q under the row's board index (ref = ^index). The least time
+// of a row's copies it leaves pending is the row's pending min, and feeds
+// the partition's pendMin. A process takes at most one copy a row, so the
+// buffers are first given room for the most due STARTs and TIMERs one
+// process of the tile has and, unless every process of the tile batches,
+// for a copy of each row over the tile: sized by the traffic, not by n. A
+// batch has room for a copy from every sender.
 func (e *Engine) gather(lo, end int) [][]entry {
 	pt := e.part
 	due := pt.due[:end-lo]
@@ -866,21 +1126,31 @@ func (e *Engine) gather(lo, end int) [][]entry {
 		}
 		most = max(most, run)
 	}
-	if need := len(pt.wide) + len(narrow) + most; need > pt.stride {
+	b := pt.board
+	n := len(e.procs)
+	need, least := most, 4 // a batching tile's entries are its own few events
+	for i := range due {
+		tb := &pt.tb[i]
+		tb.cr, _ = e.procs[first+i].(CopyReceiver)
+		tb.on = tb.cr != nil && !b.repeats
+		tb.n = 0
+		if !tb.on {
+			need, least = most+len(pt.wide)+len(narrow), min(n, 28)+4
+		}
+	}
+	if need > pt.stride {
 		// Carved when first needed, and then only when a tile needs more:
 		// at twice the need up to n+4 (a flat mesh needs about a row per
-		// process, which a partition's first full window shows), and no
-		// less than a small system's n+4.
-		n := len(e.procs)
-		pt.carveTile(max(need, min(2*need, n+4), min(n, 28)+4))
+		// process, which a partition's first full window shows), and, where
+		// copies are entries, no less than a small system's n+4.
+		pt.carveTile(max(need, min(2*need, n+4), least))
 	}
 	for ; pt.hpos < held; pt.hpos++ {
 		en := pt.held[pt.hpos]
 		due[int(en.to)-first] = append(due[int(en.to)-first], en)
 	}
-	b := pt.board
 	hi, until, dH, dU := pt.dueHi, pt.dueUntil, b.H, b.U
-	pmin, got := pt.pendMin, 0
+	got := 0
 	for _, rows := range [2][]int32{pt.wide, narrow} {
 		for _, c := range rows {
 			h := &b.live[c]
@@ -888,22 +1158,34 @@ func (e *Engine) gather(lo, end int) [][]entry {
 			if a >= z {
 				continue
 			}
-			seq, ref, d := h.seq|uint64(a), ^c, due[a-first:]
+			from, seq, ref, d := ProcID(h.from), h.seq|uint64(a), ^c, due[a-first:]
+			rlo := pt.pending[c]
 			for j, t := range e.times(h, a, z) {
 				switch {
 				case t < hi && t <= until:
-					if !(t < dH && t <= dU) {
-						d[j] = append(d[j], entry{at: t, key: seq + uint64(j), ref: ref, to: int32(a + j)})
-						got++
+					if t < dH && t <= dU {
+						continue // delivered by an earlier window
 					}
-				case t < pmin:
-					pmin = t
+					got++
+					key, tb := seq+uint64(j), &pt.tb[a-first+j]
+					if !tb.on {
+						d[j] = append(d[j], entry{at: t, key: key, ref: ref, to: int32(a + j)})
+						continue
+					}
+					k := tb.n
+					tb.from[k], tb.at[k], tb.n = from, clock.Real(t), k+1
+					if k == 0 || t > tb.last.at || t == tb.last.at && key > tb.last.key {
+						tb.last = entry{at: t, key: key, ref: ref, to: int32(a + j)}
+					}
+				case t < rlo: // pending; NaN, a lost copy, is not
+					rlo = t
 				}
 			}
+			pt.pending[c] = rlo
+			pt.pendMin = min(pt.pendMin, rlo)
 		}
 	}
 	pt.pend -= got
-	pt.pendMin = pmin
 	return due
 }
 
@@ -994,25 +1276,31 @@ func (pt *partition) groupHeld() {
 // window — a round's n copies — and for their sort's group counts, for a
 // few in-window timers, for the owned processes' STARTs and TIMERs pending
 // and due, for the headers of those in flight, and for a window's fan-outs
-// and log — about one fan-out and a few entries per owned process. A store
-// outgrowing its share grows on its own. A partition that owns a
-// CopyReceiver has room for batch senders, times and stamps too: batch is n
-// there, 0 elsewhere.
+// and log — about one fan-out and a few entries per owned process — and for
+// the pending mins of the rows in flight (rowRoom). A store outgrowing its
+// share grows on its own. A partition that owns a CopyReceiver has room for
+// a tile's batches too — n senders and times for each of its processes,
+// batch in all — and stamps for n senders; batch is 0 elsewhere.
 func (e *Engine) initStores(n, batch int) {
 	q, pt, owned := &e.queue, e.part, e.part.own
 	pt.dueHi = math.Inf(-1)
 	ents := make([]entry, (n+4)+4+(2*owned+4)+(owned+4))
 	pt.win, q.heap.items = share(&ents, n+4), share(&ents, 4)
 	pt.timers.items, pt.held = share(&ents, 2*owned+4), share(&ents, owned+4)
-	ids := make([]int32, 2*(n+4)+1+2*owned+4+batch+(owned+4)+(n+4)+(owned+4)+owned/gatherTile+2)
+	stamps := min(batch, n)
+	ids := make([]int32, 2*(n+4)+1+2*owned+4+stamps+(owned+4)+(n+4)+(owned+4)+owned/gatherTile+2)
 	pt.off, q.hdrFree = share(&ids, 2*(n+4)+1), share(&ids, 2*owned+4)
-	pt.stamp = share(&ids, batch)[:batch]
+	pt.stamp = share(&ids, stamps)[:stamps]
 	e.runs, pt.wide = share(&ids, owned+4), share(&ids, n+4)
 	pt.tiled, pt.tileOff = share(&ids, owned+4), share(&ids, owned/gatherTile+2)
+	pt.pending, e.scratch = e.scratch[len(e.scratch):cap(e.scratch)], e.scratch[:n:n] // after Context.Scratch's buffer (newBase)
 	if batch > 0 {
-		// The batch's senders follow the nonfaulty ids in one array (newBase).
-		procs := e.nonfaulty[:2*n]
-		pt.from, e.nonfaulty, pt.at = procs[n:], procs[:len(e.nonfaulty):n], make([]clock.Real, n)
+		// The batches' senders follow the nonfaulty ids in one array (newBase).
+		from, at := e.nonfaulty[n:n+batch], make([]clock.Real, batch)
+		e.nonfaulty = e.nonfaulty[:len(e.nonfaulty):n]
+		for i := range pt.due {
+			pt.tb[i].from, pt.tb[i].at = share(&from, n)[:n], share(&at, n)[:n]
+		}
 	}
 	q.hdrs = make([]msgHdr, 0, 2*owned+4)
 	pt.sent = make([]bcast, 0, owned+4)

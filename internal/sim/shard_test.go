@@ -950,22 +950,30 @@ func TestShardedInWindowTimers(t *testing.T) {
 }
 
 // undershoot is a delay model that breaks its own declared lower bound for
-// one recipient.
+// one recipient, and declares so in its span. Its delay depends on the
+// recipient, so it has no SampleAll.
 type undershoot struct {
-	UniformDelay
+	u  UniformDelay
 	to ProcID
 }
 
-func (d undershoot) SampleAll(from ProcID, n int, at clock.Real, rng *RNG, out []float64) {
-	d.UniformDelay.SampleAll(from, n, at, rng, out)
-	out[d.to] = 0.1 * (d.Delta - d.Eps)
+func (d undershoot) Bounds() (float64, float64) { return d.u.Bounds() }
+func (d undershoot) DrawsPerCopy() int          { return d.u.DrawsPerCopy() }
+
+// Span declares what Sample does: the victim's copy at a tenth of δ−ε.
+func (d undershoot) Span(from, lo, hi ProcID, at clock.Real) (float64, float64) {
+	mn, mx := d.u.Span(from, lo, hi, at)
+	if lo <= d.to && d.to < hi {
+		mn = 0.1 * (d.u.Delta - d.u.Eps)
+	}
+	return mn, mx
 }
 
 func (d undershoot) Sample(from, to ProcID, at clock.Real, rng *RNG) float64 {
-	if to == d.to {
-		return 0.1 * (d.Delta - d.Eps)
+	if u := d.u.Sample(from, to, at, rng); to != d.to {
+		return u
 	}
-	return d.UniformDelay.Sample(from, to, at, rng)
+	return 0.1 * (d.u.Delta - d.u.Eps)
 }
 
 // TestShardedLowerBoundEveryCopy: the lookahead is only as good as the delay
@@ -1279,7 +1287,9 @@ func TestShardedSplitHorizons(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, b := range se.part.board.live {
-					if b.min <= float64(h) && float64(h) < b.max {
+					// A row's extremes narrow to its pending copies once read:
+					// the spread is its band from the send.
+					if lo, hi := b.sentAt+clock.Real(delay.Delta-delay.Eps), b.sentAt+clock.Real(delay.Delta+delay.Eps); lo <= h && h < hi {
 						inside++
 						break
 					}

@@ -28,11 +28,13 @@
 // in one concrete 4-ary heap. A windowed partition holds two stores: one heap
 // of its STARTs and TIMERs, and every fan-out — broadcast, multicast or Send —
 // as one row: its sender's delay-stream state, from which readers redraw and
-// route the copies' delivery times, or, for a delay model that does not
-// declare its draws, a copy of the times. It makes a copy an entry only when
-// the copy is due in a window: a process's due events are gathered when its
-// turn in the window comes and sorted, or, for a CopyReceiver, only split at
-// its own STARTs and TIMERs and handed over in batches (shard.go).
+// route the copies' delivery times — on the full mesh posted in O(1) from
+// the span its model declares, no copy drawn at send — or, for a delay model
+// that does not declare its draws, a copy of the times. A copy is drawn when
+// it is due in a window: a process's due events are gathered when its turn
+// in the window comes and sorted, or, for a CopyReceiver, gathered straight
+// into its batch's senders and times, only split at its own STARTs and
+// TIMERs and handed over (shard.go).
 // One Context per engine is reused across deliveries, observers are
 // classified into typed slices at registration time (no per-event type
 // assertions), and delay sampling draws from inline per-sender splitmix64
@@ -279,13 +281,14 @@ type Engine struct {
 
 	// What the send path (fanOut) times every ordinary copy with, classified
 	// by SetDelayModel, SetChannel and SetAdversary at New and again on a
-	// timeline swap: the delay model, its SampleAll (nil when it has none)
-	// and its draws per copy (−1 when it declares none: CounterDelayModel),
-	// the channel and whether it is the reliable full mesh, which fanOut
-	// routes inline, and the adversary controller, nil when no adversary is
-	// installed (the common case).
+	// timeline swap: the delay model, its SampleAll (nil when it has none),
+	// its declaration and draws per copy (nil and −1 when it declares none:
+	// CounterDelayModel), the channel and whether it is the reliable full
+	// mesh, which fanOut routes inline, and the adversary controller, nil
+	// when no adversary is installed (the common case).
 	delay   DelayModel
 	batch   BatchDelayModel
+	counter CounterDelayModel
 	draws   int
 	channel Channel
 	mesh    bool
@@ -494,8 +497,12 @@ func newBase(cfg Config, batch int) (*Engine, error) {
 	}
 	e.SetChannel(cfg.Channel)
 	e.SetAdversary(cfg.Adversary)
-	buf := make([]float64, 2*n) // fanOut's delays and Context.Scratch, one allocation
-	e.delays, e.scratch = buf[:n:n], buf[n:]
+	rows := 0 // a partition's pending mins of the rows in flight, after Context.Scratch's buffer (initStores)
+	if cfg.Shards != 0 {
+		rows = rowRoom(n)
+	}
+	buf := make([]float64, 2*n+rows) // fanOut's delays, Context.Scratch and the rows', one allocation
+	e.delays, e.scratch = buf[:n:n], buf[n:2*n]
 	e.corr = make([]CorrHolder, n)
 	for i, p := range cfg.Procs {
 		if h, ok := p.(CorrHolder); ok {
@@ -767,7 +774,9 @@ func (e *Engine) dispatch(a Annotation) {
 
 // fanOut is the one send step of §2.2: it puts a copy of payload from p into
 // the buffer for every recipient q in [lo, hi) — Context.Broadcast passes
-// [0, n), Context.Multicast its range and Context.Send(q) [q, q+1). It
+// [0, n), Context.Multicast its range and Context.Send(q) [q, q+1). On a
+// partition's full mesh a model that declares its draws and span posts the
+// fan-out as a drawn row in O(1), drawing nothing (postSpan). Otherwise it
 // samples the delays first, into the engine's delays buffer: one SampleAll
 // when the range is every process and the model batches (UniformDelay), one
 // Sample per copy otherwise, drawing the same stream either way. Then, copy
@@ -784,6 +793,9 @@ func (e *Engine) dispatch(a Annotation) {
 func (e *Engine) fanOut(from ProcID, lo, hi int, payload any) {
 	now, rng, pt := e.now, &e.senders[from].rng, e.part
 	times := e.delays[lo:hi] // a range outside [0, n) panics here
+	if pt != nil && e.mesh && e.counter != nil && e.postSpan(from, lo, hi, payload) {
+		return
+	}
 	s0 := rng.state
 	if e.batch != nil && lo == 0 && hi == len(e.procs) {
 		e.batch.SampleAll(from, hi-lo, now, rng, times)
@@ -825,10 +837,10 @@ func (e *Engine) fanOut(from ProcID, lo, hi int, payload any) {
 	seqBase := e.packSeq(from, s.sidx, 0)
 	s.sidx++
 	if pt != nil {
-		// A row its readers can redraw and route: every copy timed by the
-		// model, from exactly the draws it declares, and the channel alone.
-		drawn := e.draws >= 0 && !refused && rng.state == RNG{s0}.skip(uint64(e.draws*len(times))).state
-		e.post(from, payload, seqBase, lo, times, drawn, s0)
+		// A row its readers can redraw and route: every copy timed by a
+		// model that declares its draws, and the channel alone.
+		countN(censusSampled, len(times))
+		e.post(from, payload, seqBase, lo, times, e.draws >= 0 && !refused, s0)
 		return
 	}
 	local := e.copies[:0]

@@ -129,9 +129,9 @@ func (e *Engine) SetDelayModel(m DelayModel) error {
 	}
 	e.delay = m
 	e.batch, _ = m.(BatchDelayModel)
-	e.draws = -1
+	e.counter, e.draws = nil, -1
 	if c, ok := m.(CounterDelayModel); ok && c.DrawsPerCopy() >= 0 {
-		e.draws = c.DrawsPerCopy()
+		e.counter, e.draws = c, c.DrawsPerCopy()
 	}
 	if e.advCtl != nil {
 		e.advCtl.lo, e.advCtl.hi = d-eps, d+eps
