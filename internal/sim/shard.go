@@ -780,11 +780,12 @@ func (pt *partition) carveTile(stride int) {
 	pt.stride = stride
 }
 
-// post keeps a fan-out over [lo, lo+len(row)) whose copies' delivery times
-// row holds, in the engine's delays buffer, for the cut to publish: its
-// header, with the times' finite extremes, goes on the sent list and its
-// copies are tallied per destination partition. A drawn fan-out keeps s0,
-// its sender's delay stream before the fan-out, in place of the times; any
+// post keeps a fan-out over [lo, lo+len(row)) that fanOut sampled at send —
+// one postSpan declined — whose copies' delivery times row holds, in the
+// engine's delays buffer, for the cut to publish: its header, with the
+// times' exact finite extremes, goes on the sent list and its copies are
+// tallied per destination partition. A drawn fan-out keeps s0, its
+// sender's delay stream before the fan-out, in place of the times; any
 // other keeps a copy of row, its stored row. A copy landing inside the
 // window being drained breaks the declared lower bound: early keeps the
 // least (at, key) such copy.
