@@ -72,8 +72,8 @@ func (d ClusteredDelay) Span(from, lo, hi sim.ProcID, _ clock.Real) (float64, fl
 // Bounds implements sim.DelayModel: the enclosing envelope of both bands.
 // Its ε is widened by the ulps that keep δ−ε, the windowed engine's
 // lookahead, from rounding above the lowest delay lo: a lookahead past lo
-// would put a fan-out sent at a window's start inside the window by its
-// declared span, and sample it at send.
+// would let a copy sent at a window's start land inside that window, which
+// its row's first read reports as a broken lower bound.
 func (d ClusteredDelay) Bounds() (float64, float64) {
 	lo := math.Min(d.InnerDelta-d.InnerEps, d.OuterDelta-d.OuterEps)
 	hi := math.Max(d.InnerDelta+d.InnerEps, d.OuterDelta+d.OuterEps)

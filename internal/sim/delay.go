@@ -25,8 +25,8 @@ type DelayModel interface {
 // (simtest.CheckDelayModel holds a model to both).
 //
 // UniformDelay alone implements it. Its send-side batch no longer serves a
-// windowed run, which draws nothing at send on the full mesh
-// (CounterDelayModel); its redraw does: 10 interleaved pairs of the
+// windowed run, which draws nothing at send (CounterDelayModel); its redraw
+// does: 10 interleaved pairs of the
 // repository benchmark on a 2-core host took flat_n1009_k2 from a median
 // 147.2 ms an op [quartiles 143.4–152.3] redrawing a tile one Sample a copy
 // to 135.4 ms [132.2–137.2] with one SampleAll, faster in all 10. The other
@@ -50,19 +50,19 @@ type BatchDelayModel interface {
 // every copy d lies in [at + min, at + max].
 //
 // A partition keeps such a fan-out as a drawn row — s₀ and the range, no
-// delivery times — and, on the full mesh, posts it in O(1): it skips the
-// sender's stream by m·DrawsPerCopy draws, counts the m copies sent, and
-// takes the row's extremes from Span. Only a fan-out whose span reaches into
-// the window being drained, or one over LossyLinks (which counts its lost
-// copies), is sampled copy by copy at send. A gather redraws the times of
-// the copies it reads and routes them through the channel as fanOut would,
-// a lost copy again lost; Sample may then run for a copy on any partition's
-// goroutine, later, possibly at once with other partitions' calls. Nothing
-// checks the declaration at send: every redrawn time is compared with its
-// row's extremes, and one outside them fails Run at the cut that finds it
-// (the least (at, key) such copy, the same error for every partition
+// delivery times — and posts it in O(1): it skips the sender's stream by
+// m·DrawsPerCopy draws, counts the m copies sent, and takes the row's
+// extremes from Span, which must be a finite range at or after the send
+// (Run fails by name otherwise). A gather redraws the times of the copies it
+// reads and routes them through the channel as fanOut would, a lost copy
+// lost there, and counted lost on the row's first read; Sample may then run
+// for a copy on any partition's goroutine, later, possibly at once with
+// other partitions' calls. Nothing checks the declaration at send: on a
+// row's first read every redrawn time is compared with its extremes and
+// with the lookahead, and one outside them fails Run at the cut that finds
+// it (the least (at, key) such copy, the same error for every partition
 // count), as does one found when Run reaches its horizon, where the rows no
-// window has read yet are redrawn once. A wrong declaration is an error,
+// window has read yet are read once. A wrong declaration is an error,
 // never a dropped or reordered copy; simtest.CheckDelayModel holds a model
 // to its declaration. A model that does not implement this interface gets
 // stored rows: its times, 8 bytes a copy.

@@ -48,9 +48,9 @@ var CheckRedraw = checkRedraw
 func init() { census = new([censusKinds]atomic.Int64) }
 
 // Census returns how many process-windows the package's tests have had
-// delivered as ReceiveCopies batches, one step each because their copies
-// repeated a sender, and one step each because their process is not a
-// CopyReceiver.
+// delivered as ReceiveCopies batches, one step each because a sender had two
+// candidate rows in the window, and one step each because their process is
+// not a CopyReceiver.
 func Census() (batched, repeated, perCopy int64) {
 	return census[censusBatched].Load(), census[censusRepeated].Load(), census[censusPerCopy].Load()
 }
@@ -65,16 +65,19 @@ func Copies() (sampled, redrawn, windows int64) {
 	return census[censusSampled].Load(), census[censusRedrawn].Load(), census[censusWindows].Load()
 }
 
+// RepeatWindows returns how many of those windows had a sender with two
+// candidate rows, in a run with CopyReceivers.
+func RepeatWindows() int64 { return census[censusRepeats].Load() }
+
 // BatchBuffers returns the room windowed engine e's partitions hold for
-// CopyReceiver batches: the capacities of their tiles' senders and times and
-// of their stamps, summed.
+// CopyReceiver batches: the capacities of their tiles' senders and times,
+// summed.
 func (e *Engine) BatchBuffers() int {
 	c := 0
 	for _, p := range e.parts {
 		for i := range p.part.tb {
 			c += cap(p.part.tb[i].from) + cap(p.part.tb[i].at)
 		}
-		c += cap(p.part.stamp)
 	}
 	return c
 }

@@ -13,11 +13,12 @@ import (
 // per copy, a drawn row's times, redrawn tile by tile on the partition that
 // gathers them, equal bit for bit the stored row they replace, for a
 // Broadcast, for Multicasts over blocks that straddle gather tiles and
-// partitions, and for Sends (sim.CheckRedraw) — on the full mesh, where each
-// row's extremes are its declared span, and over LossyLinks (the "/lossy"
-// legs), whose dead links cross the partition cut at 20 and the tile
-// boundary at 16, so a redrawn row routes its copies and loses those the
-// sender's did.
+// partitions, and for Sends (sim.CheckRedraw) — on the full mesh and over
+// LossyLinks (the "/lossy" legs), whose dead links cross the partition cut at
+// 20 and the tile boundary at 16, so a redrawn row routes its copies and
+// loses those the sender's did; either way each row's extremes are its
+// declared span. Over LossyLinks a Send the channel loses whole posts a
+// drawn row and no stored one.
 func TestRedrawMatchesStoredRows(t *testing.T) {
 	const delta, eps = 4e-4, 1e-4
 	lossy := sim.LossyLinks{}.BreakBothWays(3, 30).BreakBothWays(15, 17).BreakBothWays(19, 21)
@@ -45,8 +46,8 @@ func TestRedrawMatchesStoredRows(t *testing.T) {
 						t.Fatalf("no drawn %s row compared: %v", fan, drawn)
 					}
 				}
-				if (drawn["lost"] > 0) != (ch != nil) {
-					t.Fatalf("%d lost copies compared: %v", drawn["lost"], drawn)
+				if (drawn["lost"] > 0) != (ch != nil) || (drawn["wholly lost"] > 0) != (ch != nil) {
+					t.Fatalf("%d lost copies and %d wholly lost rows compared: %v", drawn["lost"], drawn["wholly lost"], drawn)
 				}
 				t.Logf("drawn rows compared: %v", drawn)
 			})

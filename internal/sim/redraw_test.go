@@ -17,12 +17,12 @@ import (
 // board published. Then it redraws every copy of every drawn row, tile by
 // tile as the gather of the copy's partition does, and compares the times
 // with the twin's row (math.Float64bits, so a lost copy is NaN in both) and
-// the headers field by field: a drawn row's extremes are its declared span
-// on the full mesh, where it is posted in O(1), and the twin's exact
-// extremes over LossyLinks, where its copies are sampled at send; either way
-// they hold the twin's. Both runs must deliver alike. It returns how many
-// drawn rows it compared per kind of fan-out, and under "lost" how many of
-// their copies were lost.
+// the headers field by field: a drawn row's extremes are its declared span,
+// around the twin's exact ones. A Send the channel loses whole is a drawn
+// row, whose copy its first read counts lost, and no stored row: it is held
+// to a twin of NaNs. Both runs must deliver alike. It returns how many drawn
+// rows it compared per kind of fan-out, under "lost" how many of their
+// copies were lost, and under "wholly lost" how many rows had no twin.
 func checkRedraw(t *testing.T, delay CounterDelayModel, ch Channel) (drawn map[string]int) {
 	t.Helper()
 	const n, k = 40, 2
@@ -61,13 +61,18 @@ func checkRedraw(t *testing.T, delay CounterDelayModel, ch Channel) (drawn map[s
 				}
 			}
 		}
-		d := engs[0]
-		if len(rows[0]) != len(rows[1]) {
-			t.Fatalf("%s: %d rows published, %d with stored rows", fan.name, len(rows[0]), len(rows[1]))
-		}
+		d, whole := engs[0], 0
 		for seq, hd := range rows[0] {
 			hs, ok := rows[1][seq]
-			if !ok || hs.at == nil {
+			if !ok {
+				lost := make([]float64, hd.m)
+				for i := range lost {
+					lost[i] = math.NaN()
+				}
+				hs = bcast{from: hd.from, lo: hd.lo, m: hd.m, sentAt: hd.sentAt, min: math.Inf(1), max: math.Inf(-1), at: &lost}
+				whole++
+			}
+			if hs.at == nil {
 				t.Fatalf("%s: the fan-out of %d keyed %#x has no stored twin", fan.name, hd.from, seq)
 			}
 			if hd.from != hs.from || hd.lo != hs.lo || hd.m != hs.m || hd.sentAt != hs.sentAt {
@@ -76,11 +81,8 @@ func checkRedraw(t *testing.T, delay CounterDelayModel, ch Channel) (drawn map[s
 			if hd.at != nil {
 				continue
 			}
-			mn, mx := hs.min, hs.max
-			if ch == nil {
-				a, z := delay.Span(ProcID(hd.from), ProcID(hd.lo), ProcID(hd.lo+hd.m), hd.sentAt)
-				mn, mx = float64(hd.sentAt+clock.Real(a)), float64(hd.sentAt+clock.Real(z))
-			}
+			a, z := delay.Span(ProcID(hd.from), ProcID(hd.lo), ProcID(hd.lo+hd.m), hd.sentAt)
+			mn, mx := float64(hd.sentAt+clock.Real(a)), float64(hd.sentAt+clock.Real(z))
 			if math.Float64bits(hd.min) != math.Float64bits(mn) || math.Float64bits(hd.max) != math.Float64bits(mx) || !(hd.min <= hs.min && hs.max <= hd.max) {
 				t.Fatalf("%s: the extremes of %d's fan-out are [%v, %v], want [%v, %v] around the stored row's [%v, %v]",
 					fan.name, hd.from, hd.min, hd.max, mn, mx, hs.min, hs.max)
@@ -107,6 +109,10 @@ func checkRedraw(t *testing.T, delay CounterDelayModel, ch Channel) (drawn map[s
 				}
 			}
 		}
+		if len(rows[0]) != len(rows[1])+whole {
+			t.Fatalf("%s: %d rows published, %d with stored rows and %d wholly lost", fan.name, len(rows[0]), len(rows[1]), whole)
+		}
+		drawn["wholly lost"] += whole
 		for q := range n {
 			bd, bs := cfgs[0].Procs[q].(*shardBeacon), cfgs[1].Procs[q].(*shardBeacon)
 			if bd.digest != bs.digest || bd.count != bs.count {
@@ -163,18 +169,23 @@ func (d recipientBatch) SampleAll(from ProcID, n int, at clock.Real, rng *RNG, o
 // gather finds it above the span (the row would be dropped before it is
 // delivered), below it (its row became a candidate too late to deliver it),
 // or only at the horizon, in a row no window read, where it would otherwise
-// go undelivered without a word.
+// go undelivered without a word. So does a declared span that is infinite
+// or begins before the send, which no row can be posted with.
 func TestSpanViolationFailsRun(t *testing.T) {
 	const n = 40
 	band := UniformDelay{Delta: 4e-4, Eps: 1e-4} // delays in [3e-4, 5e-4]
+	const stray, unposted = "outside the span", "not a finite range at or after the send"
 	for _, c := range []struct {
 		name    string
 		lo, hi  float64
 		horizon clock.Real
+		want    string
 	}{
-		{"above", 3e-4, 4e-4, 4e-3},
-		{"below", 5e-4, 7e-4, 4e-3},
-		{"horizon", 5e-4, 7e-4, 4.5e-4},
+		{"above", 3e-4, 4e-4, 4e-3, stray},
+		{"below", 5e-4, 7e-4, 4e-3, stray},
+		{"horizon", 5e-4, 7e-4, 4.5e-4, stray},
+		{"infinite", 3e-4, math.Inf(1), 4e-3, unposted},
+		{"before send", -1e-4, 5e-4, 4e-3, unposted},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var first string
@@ -186,8 +197,8 @@ func TestSpanViolationFailsRun(t *testing.T) {
 					t.Fatal(err)
 				}
 				err = e.Run(c.horizon)
-				if err == nil || !strings.Contains(err.Error(), "outside the span") {
-					t.Fatalf("k=%d: Run = %v, want the span error", k, err)
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Fatalf("k=%d: Run = %v, want the error %q", k, err, c.want)
 				}
 				if k == 1 {
 					first = err.Error()

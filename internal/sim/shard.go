@@ -28,10 +28,9 @@ import (
 // and route them through the stateless channel (a drawn row,
 // CounterDelayModel), or, for a delay model that does not declare its draws,
 // a copy of the times (a stored row); and its processes' STARTs and TIMERs
-// that are not yet due are one heap (partition.timers). On the full mesh a
-// drawn row is posted in O(1) (postSpan): no copy is drawn at send, and the
-// row's extremes are the span its model declares, which the first window to
-// read the row checks every copy against. Partition 0 is the engine New
+// that are not yet due are one heap (partition.timers). A drawn row is
+// posted in O(1) (postSpan): no copy is drawn at send, and the row's
+// extremes are the span its model declares. Partition 0 is the engine New
 // returns; it drives the windows and replays the samples and annotations of
 // each window at its cut (clocktable.go). A window runs as: (1) find the
 // globally earliest pending event time m, over the timer heaps, the copies
@@ -49,12 +48,13 @@ import (
 // STARTs and TIMERs in (at, key) order, with any TIMER it sets for inside the
 // window merged in, and its due copies between them — a CopyReceiver as one
 // unsorted batch per stretch between two of its own events (receiveBatch),
-// any other process, or one whose copies repeat a sender, one Receive a copy
-// in (at, key) order (sortDue), as is the rest of a CopyReceiver's window
-// from a stretch the step limit falls inside; (3) join, raise each read
-// row's min to its least pending copy and drop the rows with none
-// (settleRows), publish the rows the window sent (publish), cut, and
-// repeat. The serial phase at the cut is one pass over the board.
+// any other process, and every process of a window in which a sender has
+// two candidate rows, one Receive a copy in (at, key) order (sortDue), as is
+// the rest of a CopyReceiver's window from a stretch the step limit falls
+// inside; (3) join, raise each read row's min to its least pending copy and
+// drop the rows with none (settleRows), publish the rows the window sent
+// (publish), cut, and repeat. The serial phase at the cut is one pass over
+// the board.
 //
 // Process by process is one execution because a step changes only the
 // recipient's state and the buffer (§2.3(6)), and A3 puts every ordinary
@@ -66,16 +66,18 @@ import (
 // no timer, send nothing and move no correction: those from distinct
 // senders between two of its STARTs and TIMERs write disjoint state and
 // commute, so a batch in any order is that sequence too, with real time at
-// its last copy after it. A sender repeated in a process's window — whose
-// copies do not commute, the later one's reading overwriting the earlier's —
-// takes the sorted path; so does the rest of a process's window from a
-// stretch the step limit falls inside, handed over by receiveBatch. A copy a
-// delay model sends inside the window breaks the declared lower bound, and
-// a redrawn copy outside its row's declared span breaks the declaration;
-// either way Run fails at the cut naming the least (at, key) such copy over
-// the partitions — the same error for every k — rather than deliver a
-// reordered execution or drop a copy. So does a copy outside its span in a
-// row no window read before Run's horizon (checkUnread).
+// its last copy after it. Two copies from one sender do not commute, the
+// later one's reading overwriting the earlier's, and a process can take two
+// only from a sender with two candidate rows: such a window takes the sorted
+// path; so does the rest of a process's window from a stretch the step
+// limit falls inside, handed over by receiveBatch. A row's first read (times)
+// — in the first window that has it as a candidate, or at Run's horizon
+// (checkUnread) — counts the copies the channel lost and checks every copy:
+// one below the watermark of the windows already run was sent inside its own
+// window, which breaks the declared lower bound, and one outside the row's
+// declared span breaks the declaration. Either way Run fails at that cut
+// naming the least (at, key) such copy over the partitions — the same error
+// for every k — rather than deliver a reordered execution or drop a copy.
 // The crew's join is the only synchronization: it returns once every
 // partition has, and a panicking Receive is that partition's error
 // (drainSafe, at k = 1 too).
@@ -95,9 +97,7 @@ import (
 
 // partition is what a windowed engine's partition holds beyond the
 // time-major engine, which keeps it nil. It is partition id of the engine,
-// and owns the own processes [id·per, id·per+own). early is the
-// least (at, key) copy a window's sends put inside the window, which breaks
-// the delay model's declared lower bound.
+// and owns the own processes [id·per, id·per+own).
 //
 // A fan-out's header goes on sent, and its copies are counted in tally per
 // destination partition, until the cut publishes them on the board. pendMin
@@ -117,9 +117,15 @@ import (
 // in-window timers sit on the engine's heap (sched.heap), and the headers of
 // all its STARTs and TIMERs in the engine's header store.
 type partition struct {
+	// The tile's batches, one per process (tileBatch) — a partition that
+	// owns no CopyReceiver has no room for them — and drawn lead the
+	// struct, which starts on a cache line: gather writes them for every
+	// copy it takes.
+	tb    [gatherTile]tileBatch
+	drawn [gatherTile]float64
+
 	id, per, own int
 	base         int // the first owned process
-	early        earlyCopy
 
 	board   *board
 	sent    []bcast
@@ -130,7 +136,6 @@ type partition struct {
 	wide    []int32
 	tiled   []int32
 	tileOff []int32
-	drawn   [gatherTile]float64
 	redraw  RNG
 
 	dueHi, dueUntil float64
@@ -142,14 +147,8 @@ type partition struct {
 	off             []int32
 	pend            int
 
-	// The tile's batches, one per process (tileBatch), and, for a window
-	// whose copies gather files as entries, stamp[q] = mark when q sent one
-	// of the acting process's copies (distinct). A partition that owns no
-	// CopyReceiver has no room for either. stray is the least (at, key)
-	// redrawn copy outside its row's extremes.
-	tb    [gatherTile]tileBatch
-	stamp []int32
-	mark  int32
+	// stray is the least (at, key) copy a row's first read found breaking
+	// the model's declarations.
 	stray strayCopy
 
 	// pending[c] is the least time of the copies of candidate row c (its
@@ -172,16 +171,18 @@ type tileBatch struct {
 	last entry
 }
 
-// strayCopy is a redrawn copy whose time lies outside its row's declared
-// extremes: the copy (en, whose at orders a NaN last), its time t, and the
+// strayCopy is a copy a row's first read found breaking the delay model's
+// declarations: its time outside the row's extremes, or else, early, below
+// the watermark of the windows already run — inside the window it was sent
+// in. It holds the copy (en, whose at orders a NaN last), its time t, and the
 // row's sender, send time and extremes; ok marks one found.
 type strayCopy struct {
-	en       entry
-	t        float64
-	from     ProcID
-	sentAt   clock.Real
-	min, max float64
-	ok       bool
+	en        entry
+	t         float64
+	from      ProcID
+	sentAt    clock.Real
+	min, max  float64
+	early, ok bool
 }
 
 // owner returns the partition that owns process q.
@@ -194,12 +195,11 @@ func (pt *partition) owner(q int) int { return q / pt.per }
 // times — (*at)[q−lo] the copy to q's. Either way a copy the channel lost,
 // or (stored only) badCopy refused, has time NaN. Copy q's queue key is
 // seq | q. min and max bound the finite times of the copies not yet
-// delivered: the model's declared span sentAt + Span on a drawn row posted
-// in O(1), which the first window to read the row, or Run's horizon
-// (checkUnread), checks every time against, or the exact extremes on a row
-// sampled at send; read marks a row checked. The cut after a window that
-// read it raises min to the least time of its copies still pending
-// (settleRows). The header is 80 bytes either way.
+// delivered: the model's declared span sentAt + Span on a drawn row, or the
+// exact extremes of a stored one. read marks a row whose copies its first
+// read (times) has checked and, on a drawn row, counted lost. The cut after
+// a window that read it raises min to the least time of its copies still
+// pending (settleRows). The header is 80 bytes either way.
 type bcast struct {
 	from, lo, m int32
 	read        bool
@@ -426,13 +426,9 @@ func (e *Engine) window(until clock.Real) (more bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	var early *earlyCopy
 	for _, p := range e.parts {
 		if p.bad != nil {
 			return false, p.bad
-		}
-		if c := &p.part.early; c.ok && (early == nil || entryLess(&c.en, &early.en)) {
-			early = c
 		}
 	}
 	// Each partition held only its own steps to the limit: the budget is the
@@ -440,15 +436,14 @@ func (e *Engine) window(until clock.Real) (more bool, err error) {
 	if e.Steps() > e.maxSteps {
 		return false, fmt.Errorf("sim: step limit %d exceeded at t=%v", e.maxSteps, cut)
 	}
-	if early != nil {
-		return false, fmt.Errorf("sim: delay model violated its declared lower bound: copy %d→%d delivers at %v inside the window ending %v",
-			early.from, early.en.to, early.en.at, hi)
-	}
 	if err := e.strayErr(); err != nil {
 		return false, err
 	}
 	e.publish(float64(hi), float64(until))
 	count(censusWindows)
+	if e.part.board.repeats {
+		count(censusRepeats)
+	}
 	e.windows++
 	return true, e.replay(from, cut)
 }
@@ -662,17 +657,21 @@ func (b *board) candidates(hi float64) {
 	}
 }
 
-// checkUnread holds the drawn rows no window has read to their declared
-// extremes when Run reaches its horizon: a copy a wrong declaration put at
-// or before the horizon would otherwise go undelivered unnoticed. Each such
-// row is redrawn once, here, tile by tile on partition 0, and marked read,
-// so a later Run's horizon does not redraw it again.
+// checkUnread gives the rows no window has read their first read when Run
+// reaches its horizon: a copy a wrong declaration put at or before the
+// horizon would otherwise go undelivered unnoticed, and the copies the
+// channel lost are counted as the time-major engine counts them by then.
+// Each such row is read once, here, tile by tile on the partition that owns
+// the tile's processes, and marked read, so a later Run neither reads nor
+// counts it again.
 func (e *Engine) checkUnread() error {
-	b := e.part.board
+	b, per := e.part.board, e.part.per
 	for i := range b.live {
-		if h := &b.live[i]; h.at == nil && !h.read {
-			for a, end := int(h.lo), int(h.lo+h.m); a < end; a += gatherTile {
-				e.times(h, a, min(a+gatherTile, end))
+		if h := &b.live[i]; !h.read {
+			for a, end := int(h.lo), int(h.lo+h.m); a < end; {
+				z := min(a+gatherTile, end, (a/per+1)*per)
+				e.parts[a/per].times(h, a, z)
+				a = z
 			}
 			h.read = true
 		}
@@ -680,9 +679,10 @@ func (e *Engine) checkUnread() error {
 	return e.strayErr()
 }
 
-// strayErr is Run's error for the least (at, key) redrawn copy, over the
-// partitions, that lay outside its row's extremes — the same for every
-// partition count — or nil when there is none.
+// strayErr is Run's error for the least (at, key) copy, over the
+// partitions, that a row's first read found breaking the model's
+// declarations — the same for every partition count — or nil when there is
+// none.
 func (e *Engine) strayErr() error {
 	var c *strayCopy
 	for _, p := range e.parts {
@@ -690,17 +690,26 @@ func (e *Engine) strayErr() error {
 			c = s
 		}
 	}
-	if c == nil {
+	switch {
+	case c == nil:
 		return nil
+	case c.early:
+		return fmt.Errorf("sim: delay model violated its declared lower bound: copy %d→%d delivers at %v inside the window ending %v",
+			c.from, c.en.to, c.t, e.part.board.H)
 	}
 	return fmt.Errorf("sim: delay model %T sent copy %d→%d at t=%v for delivery at t=%v, outside the span [%v, %v] it declared for the fan-out (sim.CounterDelayModel contract)",
 		e.delay, c.from, c.en.to, c.sentAt, c.t, c.min, c.max)
 }
 
-// strayed keeps copy to of row h, redrawn to time t outside h's extremes,
-// if it is the least (at, key) such copy the partition has found.
+// strayed keeps copy to of row h, at time t outside h's extremes or below
+// the watermark's hi (board.H), if it is the least (at, key) such copy the
+// partition has found; a copy outside the extremes is a stray even below the
+// watermark. Every copy sent in a window lands at or after the window's hi,
+// so one below it on its row's first read broke the lower bound, whether or
+// not the window's until covered it.
 func (pt *partition) strayed(h *bcast, to int, t float64) {
-	c := strayCopy{en: entry{at: t, key: h.seq | uint64(to), to: int32(to)}, t: t, from: ProcID(h.from), sentAt: h.sentAt, min: h.min, max: h.max, ok: true}
+	c := strayCopy{en: entry{at: t, key: h.seq | uint64(to), to: int32(to)}, t: t, from: ProcID(h.from), sentAt: h.sentAt, min: h.min, max: h.max,
+		early: t >= h.min && t <= h.max, ok: true}
 	if t != t {
 		c.en.at = math.Inf(1)
 	}
@@ -716,42 +725,37 @@ func (b *board) load(en *entry, out *Message) {
 	out.Payload, out.SentAt, out.DeliverAt = h.payload, h.sentAt, clock.Real(en.at)
 }
 
-// times returns the delivery times of copies a … z−1 (at most a tile) of
-// fan-out h: its stored row's, or, for a drawn row, the times its fan-out
-// stands for, drawn into the partition's drawn buffer — a copy of the
-// sender's stream skipped to copy a's first draw runs the delay model's
-// Sample copy by copy, or on the full mesh its SampleAll for the tile, and
+// times returns the delivery times of copies a … z−1 (at most a tile, all
+// owned by e's partition) of fan-out h: its stored row's, or, for a drawn
+// row, the times its fan-out stands for, drawn into the partition's drawn
+// buffer — a copy of the sender's stream skipped to copy a's first draw runs
+// the delay model's Sample copy by copy, or its SampleAll for the tile, and
 // each time is formed as fanOut forms it: inline on the full mesh, and
 // otherwise routed by the channel, NaN for a copy it loses (Windowable
-// admits only channels the partitions may route through at once). On a row
-// not yet checked (read), a time outside its declared extremes is kept as
-// the partition's stray, for Run's error at the cut; a checked row's times
-// were compared then, and a redraw repeats them.
+// admits only channels the partitions may route through at once). The first
+// read of a row (not yet read) counts each copy the channel lost there as
+// lost, not sent and not pending, and hands strayed every time outside the
+// row's extremes or below the watermark board.H. A read row's times were
+// checked then, and a redraw repeats them.
 func (e *Engine) times(h *bcast, a, z int) []float64 {
-	lo := int(h.lo)
-	if h.at != nil {
-		return (*h.at)[a-lo : z-lo]
-	}
-	countN(censusRedrawn, z-a)
-	from, now, rng := ProcID(h.from), h.sentAt, &e.part.redraw
-	*rng = RNG{h.s0}.skip(uint64(e.draws * (a - lo)))
-	out, mn, mx := e.part.drawn[:z-a], h.min, h.max
+	lo, pt := int(h.lo), e.part
+	mn, mx := max(h.min, pt.board.H), h.max
 	if h.read {
 		mn, mx = math.Inf(-1), math.Inf(1)
 	}
-	if !e.mesh {
-		for i := range out {
-			to := ProcID(a + i)
-			at, ok := e.channel.Route(from, to, now, e.delay.Sample(from, to, now, rng))
-			if t := float64(at); !ok {
-				at = clock.Real(math.NaN())
-			} else if !(t >= mn && t <= mx) {
-				e.part.strayed(h, a+i, t)
+	if h.at != nil {
+		out := (*h.at)[a-lo : z-lo]
+		for i, t := range out {
+			if t < mn { // a stored row's copies lie within its extremes
+				pt.strayed(h, a+i, t)
 			}
-			out[i] = float64(at)
 		}
 		return out
 	}
+	countN(censusRedrawn, z-a)
+	from, now, rng := ProcID(h.from), h.sentAt, &pt.redraw
+	*rng = RNG{h.s0}.skip(uint64(e.draws * (a - lo)))
+	out := pt.drawn[:z-a]
 	if e.batch != nil {
 		e.batch.SampleAll(from, len(out), now, rng, out)
 	} else {
@@ -759,10 +763,29 @@ func (e *Engine) times(h *bcast, a, z int) []float64 {
 			out[i] = e.delay.Sample(from, ProcID(a+i), now, rng)
 		}
 	}
+	if !e.mesh {
+		for i, d := range out {
+			at, ok := e.channel.Route(from, ProcID(a+i), now, d)
+			t := float64(at)
+			switch {
+			case !ok:
+				t = math.NaN()
+				if !h.read {
+					e.msgsLost++
+					e.msgsSent--
+					pt.pend--
+				}
+			case !(t >= mn && t <= mx):
+				pt.strayed(h, a+i, t)
+			}
+			out[i] = t
+		}
+		return out
+	}
 	for i, d := range out {
 		t := float64(now + clock.Real(d))
 		if !(t >= mn && t <= mx) {
-			e.part.strayed(h, a+i, t)
+			pt.strayed(h, a+i, t)
 		}
 		out[i] = t
 	}
@@ -780,68 +803,46 @@ func (pt *partition) carveTile(stride int) {
 	pt.stride = stride
 }
 
-// post keeps a fan-out over [lo, lo+len(row)) that fanOut sampled at send —
-// one postSpan declined — whose copies' delivery times row holds, in the
-// engine's delays buffer, for the cut to publish: its header, with the
-// times' exact finite extremes, goes on the sent list and its copies are
-// tallied per destination partition. A drawn fan-out keeps s0, its
-// sender's delay stream before the fan-out, in place of the times; any
-// other keeps a copy of row, its stored row. A copy landing inside the
-// window being drained breaks the declared lower bound: early keeps the
-// least (at, key) such copy.
-func (e *Engine) post(from ProcID, payload any, seq uint64, lo int, row []float64, drawn bool, s0 uint64) {
+// post keeps a fan-out over [lo, lo+len(row)) of a model that declares no
+// draws, which fanOut sampled at send, in the engine's delays buffer, for the
+// cut to publish: its stored row, a copy of row, goes on the sent list
+// under a header with the times' finite extremes, and its copies are
+// tallied per destination partition.
+func (e *Engine) post(from ProcID, payload any, seq uint64, lo int, row []float64) {
 	pt := e.part
 	mn, mx := math.Inf(1), math.Inf(-1)
 	hi := lo + len(row)
 	for d := pt.owner(lo); d <= pt.owner(hi-1); d++ {
-		c := 0
 		for _, t := range row[max(d*pt.per, lo)-lo : min((d+1)*pt.per, hi)-lo] {
 			if t == t {
-				c++
-				if t < mn {
-					mn = t
-				}
-				if t > mx {
-					mx = t
-				}
-			}
-		}
-		pt.tally[d] += c
-	}
-	if dueHi := pt.dueHi; mn < dueHi {
-		for i, t := range row {
-			c := entry{at: t, key: seq | uint64(lo+i), to: int32(lo + i)}
-			if l := &pt.early; t < dueHi && (!l.ok || entryLess(&c, &l.en)) {
-				*l = earlyCopy{from: from, en: c, ok: true}
+				pt.tally[d]++
+				mn, mx = min(mn, t), max(mx, t)
 			}
 		}
 	}
-	h := bcast{from: int32(from), lo: int32(lo), m: int32(len(row)), sentAt: e.now, payload: payload, seq: seq, min: mn, max: mx}
-	if drawn {
-		h.s0 = s0
-	} else {
-		count(censusStored)
-		at := slices.Clone(row)
-		h.at = &at
-	}
-	pt.sent = append(pt.sent, h)
+	count(censusStored)
+	at := slices.Clone(row)
+	pt.sent = append(pt.sent, bcast{from: int32(from), lo: int32(lo), m: int32(len(row)), sentAt: e.now, payload: payload, seq: seq, min: mn, max: mx, at: &at})
 }
 
 // postSpan posts fanOut's fan-out from from over [lo, hi) as a drawn row
-// in O(1), on a partition's full mesh with a model that declares its draws
-// and span (CounterDelayModel): the row's extremes are the span, its
-// sender's stream skips the m·DrawsPerCopy draws its copies take, and its m
-// copies are counted sent and tallied per destination partition by
-// arithmetic. No copy is drawn. It posts nothing and reports false for a
-// span that is not a finite range at or after now, or that reaches into the
-// window being drained — there fanOut samples every copy, and post names a
-// copy that lands in the window.
-func (e *Engine) postSpan(from ProcID, lo, hi int, payload any) bool {
+// in O(1), on a partition with a model that declares its draws and span
+// (CounterDelayModel): the row's extremes are the span, its sender's stream
+// skips the m·DrawsPerCopy draws its copies take, and its m copies are
+// counted sent and tallied per destination partition by arithmetic — the
+// row's first read takes back those the channel loses (times). No copy is
+// drawn. A span that is not a finite range at or after now is the run's
+// error, and posts nothing.
+func (e *Engine) postSpan(from ProcID, lo, hi int, payload any) {
 	pt, now := e.part, e.now
 	mn, mx := e.counter.Span(from, ProcID(lo), ProcID(hi), now)
 	a, z := float64(now+clock.Real(mn)), float64(now+clock.Real(mx))
-	if !(a >= pt.dueHi && a >= float64(now) && a <= z && z <= math.MaxFloat64) {
-		return false
+	if !(a >= float64(now) && a <= z && z <= math.MaxFloat64) {
+		if e.bad == nil {
+			e.bad = fmt.Errorf("sim: delay model %T declared the span [%v, %v] for a fan-out from %d at t=%v, not a finite range at or after the send (sim.CounterDelayModel contract)",
+				e.delay, mn, mx, from, now)
+		}
+		return
 	}
 	s, m := &e.senders[from], hi-lo
 	pt.sent = append(pt.sent, bcast{from: int32(from), lo: int32(lo), m: int32(m), sentAt: now, payload: payload,
@@ -852,15 +853,6 @@ func (e *Engine) postSpan(from ProcID, lo, hi int, payload any) bool {
 	for d := pt.owner(lo); d <= pt.owner(hi-1); d++ {
 		pt.tally[d] += min((d+1)*pt.per, hi) - max(d*pt.per, lo)
 	}
-	return true
-}
-
-// earlyCopy is a copy landing inside the window it was sent in, with its
-// sender; ok marks one found.
-type earlyCopy struct {
-	from ProcID
-	en   entry
-	ok   bool
 }
 
 // drainWindow is a partition's share of the window [m, hi): it takes the
@@ -868,9 +860,10 @@ type earlyCopy struct {
 // grouped by recipient, then, a tile of owned processes at a time, gathers
 // their due events and lets each, in ascending id, receive its own in
 // (at, key) order, merged with the TIMERs it sets for inside the window — a
-// CopyReceiver whose copies come from distinct senders in batches between
-// them (receiveBatch), which hands back what is left of its window when the
-// step limit falls inside it.
+// CopyReceiver, unless a sender has two candidate rows in the window
+// (board.repeats), with its copies in batches between them (receiveBatch),
+// which hands back what is left of its window when the step limit falls
+// inside it.
 // This is the only engine code that runs concurrently: each partition
 // touches its own heaps, rows, senders, log and processes, and only reads
 // the board. The window log is left in (at, key) order for the replay.
@@ -906,12 +899,9 @@ func (e *Engine) drainWindow(hi, until clock.Real) error {
 				count(censusPerCopy)
 			case tb.on:
 				count(censusBatched)
-				sp, ok = e.receiveBatch(tb.cr, sp, nil, tb, &m)
+				sp, ok = e.receiveBatch(tb.cr, sp, tb, &m)
 			default:
-				var own int
-				if own, ok = e.distinct(sp, tb); ok {
-					sp, ok = e.receiveBatch(tb.cr, sp[:own], sp[own:], tb, &m)
-				}
+				count(censusRepeated)
 			}
 			if ok {
 				continue
@@ -930,10 +920,11 @@ func (e *Engine) drainWindow(hi, until clock.Real) error {
 
 // The census counts (census_test.go): process-windows — a process's due
 // events in one window — by how the partition delivered them, as
-// ReceiveCopies batches between its own events, one step each because its
-// copies repeat a sender, and one step each because its process is not a
-// CopyReceiver; the fan-outs a partition kept as stored rows; the copies a
-// partition sampled at send and the copies it redrew; and the windows.
+// ReceiveCopies batches between its own events, one step each because a
+// sender has two candidate rows in the window, and one step each because
+// its process is not a CopyReceiver; the fan-outs a partition kept as
+// stored rows; the copies a partition sampled at send and the copies it
+// redrew; the windows, and those in which a sender had two candidate rows.
 const (
 	censusBatched = iota
 	censusRepeated
@@ -942,6 +933,7 @@ const (
 	censusSampled
 	censusRedrawn
 	censusWindows
+	censusRepeats
 	censusKinds
 )
 
@@ -957,62 +949,29 @@ func countN(kind, c int) {
 	}
 }
 
-// distinct reports whether the copies among the acting process's due events
-// sp — which follow its own events, the first own of them — come from
-// distinct senders, and lays their senders and times out in its batch tb, in
-// sp's order, with the last of them in (at, key) order. It serves a window
-// in which gather filed every copy as an entry (board.repeats). The stamps
-// of senders seen are the window's mark; one left from 2³² marks back can
-// only send a batch down the sorted path. A copy's sender is read off its
-// key (packSeq).
-func (e *Engine) distinct(sp []entry, tb *tileBatch) (own int, ok bool) {
-	pt := e.part
-	pt.mark++
-	for i := range sp {
-		if sp[i].ref >= 0 {
-			own++
-			continue
-		}
-		q := sp[i].key >> e.seqFromShift
-		if pt.stamp[q] == pt.mark {
-			count(censusRepeated)
-			return 0, false
-		}
-		pt.stamp[q] = pt.mark
-		tb.from[tb.n], tb.at[tb.n] = ProcID(q), clock.Real(sp[i].at)
-		if tb.n++; tb.n == 1 || entryLess(&tb.last, &sp[i]) {
-			tb.last = sp[i]
-		}
-	}
-	count(censusBatched)
-	return own, true
-}
-
 // receiveBatch delivers the acting process's due events: its STARTs and
 // TIMERs own, which came off the timer heap in (at, key) order, and those it
 // sets for inside the window, one step each in that order, and between two
-// of them the copies of its batch tb due before the later as one
-// ReceiveCopies. cs is the batch's copies as entries where gather filed them
-// so, nil where it wrote tb alone (batchCopy). The copies after the last of
-// its events hold the last copy of all: an event after it splits nothing
-// off. Where the step limit falls inside a stretch, or on the event after
+// of them the copies of its batch tb, as gather wrote it, due before the
+// later as one ReceiveCopies. The copies after the last of its events hold
+// the last copy of all: an event after it splits nothing off. Where the step limit falls inside a stretch, or on the event after
 // it, it delivers nothing more and returns what is left, its own events
 // before its copies, in own's buffer, for the sorted path (sortDue): each
 // copy left of the stretch precedes every own event still pending, so the
 // limit fires there as it would have here.
-func (e *Engine) receiveBatch(cr CopyReceiver, own, cs []entry, tb *tileBatch, m *Message) (rest []entry, done bool) {
+func (e *Engine) receiveBatch(cr CopyReceiver, own []entry, tb *tileBatch, m *Message) (rest []entry, done bool) {
 	q, pt := &e.queue, e.part
 	pt.win, pt.wpos = append(pt.win[:0], own...), 0
 	from, at, last := tb.from[:tb.n], tb.at[:tb.n], tb.last
 	for {
 		bound, k, seg := pt.peekNext(&q.heap), len(at), last
 		if bound != nil && entryLess(bound, &last) {
-			k, seg = e.split(from, at, cs, bound, last.to)
+			k, seg = e.split(from, at, bound, last.to)
 		}
 		if e.steps+k > e.maxSteps || bound != nil && e.steps+k == e.maxSteps {
 			rest = append(own[:0], pt.win[pt.wpos:]...)
 			for j := range at {
-				rest = append(rest, e.batchCopy(from, at, cs, j, last.to))
+				rest = append(rest, e.batchCopy(from[j], at[j], last.to))
 			}
 			return rest, false
 		}
@@ -1020,9 +979,6 @@ func (e *Engine) receiveBatch(cr CopyReceiver, own, cs []entry, tb *tileBatch, m
 			e.receiveCopies(cr, from[:k], at[:k], seg)
 		}
 		from, at = from[k:], at[k:]
-		if cs != nil {
-			cs = cs[k:]
-		}
 		if bound == nil {
 			return nil, true
 		}
@@ -1030,31 +986,25 @@ func (e *Engine) receiveBatch(cr CopyReceiver, own, cs []entry, tb *tileBatch, m
 	}
 }
 
-// batchCopy returns copy j of a batch to process to as an entry: cs[j] where
-// the batch came with its entries, and otherwise rebuilt from the one
-// candidate row its sender has in the window (board.rowOf).
-func (e *Engine) batchCopy(from []ProcID, at []clock.Real, cs []entry, j int, to int32) entry {
-	if cs != nil {
-		return cs[j]
-	}
-	c := e.part.board.rowOf[from[j]]
-	return entry{at: float64(at[j]), key: e.part.board.live[c].seq | uint64(to), ref: ^c, to: to}
+// batchCopy returns the copy from sender q at time at to process to as an
+// entry, rebuilt from the one candidate row q has in the window
+// (board.rowOf).
+func (e *Engine) batchCopy(q ProcID, at clock.Real, to int32) entry {
+	c := e.part.board.rowOf[q]
+	return entry{at: float64(at), key: e.part.board.live[c].seq | uint64(to), ref: ^c, to: to}
 }
 
 // split moves the copies of a batch to process to due before bound — with
-// their senders, times and, if the batch has them, entries — to the front,
-// and returns how many there are and the last of them in (at, key) order.
-func (e *Engine) split(from []ProcID, at []clock.Real, cs []entry, bound *entry, to int32) (k int, last entry) {
+// their senders and times — to the front, and returns how many there are and
+// the last of them in (at, key) order.
+func (e *Engine) split(from []ProcID, at []clock.Real, bound *entry, to int32) (k int, last entry) {
 	for j := range at {
 		if float64(at[j]) > bound.at {
 			continue
 		}
-		if c := e.batchCopy(from, at, cs, j, to); entryLess(&c, bound) {
+		if c := e.batchCopy(from[j], at[j], to); entryLess(&c, bound) {
 			from[j], from[k] = from[k], from[j]
 			at[j], at[k] = at[k], at[j]
-			if cs != nil {
-				cs[j], cs[k] = cs[k], cs[j]
-			}
 			if k++; k == 1 || entryLess(&last, &c) {
 				last = c
 			}
@@ -1103,9 +1053,11 @@ func (pt *partition) next(h *entryHeap) entry {
 // gather collects the due events of owned processes base+lo … base+end−1,
 // one buffer each: first each one's due STARTs and TIMERs, then, row by row,
 // what is due of the part of each candidate row over the tile (bucket) — a
-// copy not delivered by an earlier window. A CopyReceiver's copies go to its
-// batch (tileBatch) as sender and time, with the last of them, when no
-// sender has two candidate rows in the window; every other copy is an entry
+// copy not delivered by an earlier window (on a row's first read, one below
+// their watermark is a stray: times). A CopyReceiver's copies go to its batch
+// (tileBatch) as sender and time, with the last of them, when no sender has
+// two candidate rows in the window — the only batches there are; every other
+// copy is an entry
 // keyed seq | q under the row's board index (ref = ^index). The least time
 // of a row's copies it leaves pending is the row's pending min, and feeds
 // the partition's pendMin. A process takes at most one copy a row, so the
@@ -1281,17 +1233,15 @@ func (pt *partition) groupHeld() {
 // the pending mins of the rows in flight (rowRoom). A store outgrowing its
 // share grows on its own. A partition that owns a CopyReceiver has room for
 // a tile's batches too — n senders and times for each of its processes,
-// batch in all — and stamps for n senders; batch is 0 elsewhere.
+// batch in all; batch is 0 elsewhere.
 func (e *Engine) initStores(n, batch int) {
 	q, pt, owned := &e.queue, e.part, e.part.own
 	pt.dueHi = math.Inf(-1)
 	ents := make([]entry, (n+4)+4+(2*owned+4)+(owned+4))
 	pt.win, q.heap.items = share(&ents, n+4), share(&ents, 4)
 	pt.timers.items, pt.held = share(&ents, 2*owned+4), share(&ents, owned+4)
-	stamps := min(batch, n)
-	ids := make([]int32, 2*(n+4)+1+2*owned+4+stamps+(owned+4)+(n+4)+(owned+4)+owned/gatherTile+2)
+	ids := make([]int32, 2*(n+4)+1+2*owned+4+(owned+4)+(n+4)+(owned+4)+owned/gatherTile+2)
 	pt.off, q.hdrFree = share(&ids, 2*(n+4)+1), share(&ids, 2*owned+4)
-	pt.stamp = share(&ids, stamps)[:stamps]
 	e.runs, pt.wide = share(&ids, owned+4), share(&ids, n+4)
 	pt.tiled, pt.tileOff = share(&ids, owned+4), share(&ids, owned/gatherTile+2)
 	pt.pending, e.scratch = e.scratch[len(e.scratch):cap(e.scratch)], e.scratch[:n:n] // after Context.Scratch's buffer (newBase)

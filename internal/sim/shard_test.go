@@ -14,10 +14,12 @@ import (
 )
 
 // shardBeacon is the sharded-mode differential process: a self-sustaining
-// broadcaster that folds every delivery into an order-sensitive FNV digest.
-// Because the fold is order-sensitive, two executions produce the same
-// digest only if every process saw the same deliveries in the same order —
-// a window-boundary or sequencing bug cannot hide behind commutativity.
+// broadcaster that folds every delivery, with its queue key — the
+// (sender, send index, recipient) numbering itself — into an order-sensitive
+// FNV digest. Because the fold is order-sensitive, two executions produce
+// the same digest only if every process saw the same deliveries in the same
+// order under the same keys — a window-boundary or sequencing bug cannot
+// hide behind commutativity.
 type shardBeacon struct {
 	period  clock.Local
 	corr    clock.Local
@@ -43,6 +45,7 @@ func (b *shardBeacon) Receive(ctx *Context, m Message) {
 	mix(uint64(m.Kind))
 	mix(math.Float64bits(float64(m.DeliverAt)))
 	mix(math.Float64bits(float64(m.SentAt)))
+	mix(ctx.eng.key)
 	b.digest = h
 	b.count++
 	if m.Kind == KindOrdinary || b.mute {
@@ -544,9 +547,12 @@ func TestShardedLossyAccounting(t *testing.T) {
 // TestShardedMatchesSequential is the engine differential: both engines
 // number sends and draw delays alike, so the sequential engine and the
 // sharded one over any number of shards run one execution on every delay
-// model — equal per-process delivery digests and equal sent/lost/step
-// totals. k = 1 holds the sequential Run and a one-shard window run — the
-// same drain bounded two ways — to one execution; k > 1 adds rows read by
+// model — equal per-process delivery digests, keys included, and equal
+// sent/lost/step totals. The lossy unicast rows hold a Send whose one copy
+// the channel loses to a send index on both engines, though a partition
+// finds the copy lost only at its row's first read. k = 1 holds the
+// sequential Run and a one-shard window run — the same drain bounded two
+// ways — to one execution; k > 1 adds rows read by
 // partitions other than their sender's. Every k runs twice: as the delay
 // model has it — drawn rows where it declares its draws per copy, on the
 // full mesh and over LossyLinks, stored rows otherwise — and with every row
@@ -1263,7 +1269,10 @@ func TestShardedEventHintScaling(t *testing.T) {
 // broadcast has copies delivered by one Run and pending for the next: the
 // watermark a window leaves and the NaN marking of the copies a lossy
 // channel drops must give every process the time-major engine's deliveries,
-// and the same step, sent and lost totals, at k = 1, 2 and 4.
+// and the same step, sent and lost totals, at k = 1, 2 and 4. The sent and
+// lost counts equal the time-major engine's at every horizon, though a
+// partition counts a lost copy only at its row's first read: Run's horizon
+// reads the rows no window read.
 func TestShardedSplitHorizons(t *testing.T) {
 	const n, step = 24, 37e-6
 	horizon := clock.Real(0.012)
@@ -1272,6 +1281,21 @@ func TestShardedSplitHorizons(t *testing.T) {
 		want := runOnShards(t, shardWorkload(n, delay, ch), 0, horizon)
 		if (ch != nil) != (want.lost > 0) {
 			t.Fatalf("%d copies lost on channel %v", want.lost, ch)
+		}
+		tm, err := New(shardWorkload(n, delay, ch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var counts [][2]int64 // the time-major sent and lost counts at each horizon
+		for i := 1; ; i++ {
+			h := min(clock.Real(i)*step, horizon)
+			if err := tm.Run(h); err != nil {
+				t.Fatal(err)
+			}
+			counts = append(counts, [2]int64{tm.MessagesSent(), tm.MessagesLost()})
+			if h == horizon {
+				break
+			}
 		}
 		for _, k := range []int{1, 2, 4} {
 			cfg := shardWorkload(n, delay, ch)
@@ -1285,6 +1309,9 @@ func TestShardedSplitHorizons(t *testing.T) {
 				h := min(clock.Real(i)*step, horizon)
 				if err := se.Run(h); err != nil {
 					t.Fatal(err)
+				}
+				if c := counts[i-1]; se.MessagesSent() != c[0] || se.MessagesLost() != c[1] {
+					t.Fatalf("k=%d ch=%v: sent/lost %d/%d at t=%v, time-major %d/%d", k, ch, se.MessagesSent(), se.MessagesLost(), h, c[0], c[1])
 				}
 				for _, b := range se.part.board.live {
 					// A row's extremes narrow to its pending copies once read:

@@ -28,9 +28,9 @@
 // in one concrete 4-ary heap. A windowed partition holds two stores: one heap
 // of its STARTs and TIMERs, and every fan-out — broadcast, multicast or Send —
 // as one row: its sender's delay-stream state, from which readers redraw and
-// route the copies' delivery times — on the full mesh posted in O(1) from
-// the span its model declares, no copy drawn at send — or, for a delay model
-// that does not declare its draws, a copy of the times. A copy is drawn when
+// route the copies' delivery times — posted in O(1) from the span its model
+// declares, no copy drawn at send — or, for a delay model that does not
+// declare its draws, a copy of the times. A copy is drawn when
 // it is due in a window: a process's due events are gathered when its turn
 // in the window comes and sorted, or, for a CopyReceiver, gathered straight
 // into its batch's senders and times, only split at its own STARTs and
@@ -140,8 +140,9 @@ type Process interface {
 //
 // A partition (shard.go) hands a process that implements it each window's
 // due copies as one batch per stretch between its STARTs and TIMERs, unless
-// two of them share a sender: then, as for every other process and on the
-// time-major engine, it receives them one Receive at a time in (at, key)
+// a sender has two fan-outs whose copies may fall due in the window, so two
+// copies could share a sender: then, as every other process does and as on
+// the time-major engine, it receives them one Receive at a time in (at, key)
 // order. A stretch the step limit falls inside goes down that sorted path
 // too, with the rest of the process's window.
 type CopyReceiver interface {
@@ -366,7 +367,7 @@ type Engine struct {
 	timersSet    int64
 	timersLapsed int64 // timers requested for the past (dropped per §2.2)
 	// bad is the first copy a send filed outside [now, +Inf), or on a
-	// partition a correction moved outside its Receive; Run reports it once
+	// partition the first span postSpan could not post; Run reports it once
 	// the drain (or the window) ends.
 	bad error
 
@@ -596,7 +597,8 @@ func (e *Engine) Steps() int { return total(e, func(p *Engine) int { return p.st
 // round peaks at ≈ n² pending copies; on a windowed engine, the largest
 // partition's, where a fan-out's copies count toward their recipients'
 // partitions from the cut that publishes its row until they are
-// delivered. The benchjson memory metric reports this.
+// delivered — a copy the channel lost until its row's first read. The
+// benchjson memory metric reports this.
 func (e *Engine) QueuePeak() int {
 	peak := e.queue.peak
 	for _, p := range e.parts {
@@ -606,7 +608,11 @@ func (e *Engine) QueuePeak() int {
 }
 
 // MessagesSent returns the count of ordinary message copies scheduled so far
-// (the paper's per-round message complexity derives from this).
+// (the paper's per-round message complexity derives from this). A partition
+// counts a drawn row's copies sent when it posts the row and takes back
+// those the channel lost, into MessagesLost, when the row is first read: in
+// a window, or at Run's horizon for a row no window read. So at the end of
+// every Run both equal the time-major engine's counts.
 func (e *Engine) MessagesSent() int64 { return total(e, func(p *Engine) int64 { return p.msgsSent }) }
 
 // MessagesLost returns copies dropped by the channel (nonzero only for lossy
@@ -775,28 +781,28 @@ func (e *Engine) dispatch(a Annotation) {
 // fanOut is the one send step of §2.2: it puts a copy of payload from p into
 // the buffer for every recipient q in [lo, hi) — Context.Broadcast passes
 // [0, n), Context.Multicast its range and Context.Send(q) [q, q+1). On a
-// partition's full mesh a model that declares its draws and span posts the
-// fan-out as a drawn row in O(1), drawing nothing (postSpan). Otherwise it
-// samples the delays first, into the engine's delays buffer: one SampleAll
-// when the range is every process and the model batches (UniformDelay), one
-// Sample per copy otherwise, drawing the same stream either way. Then, copy
-// by copy in recipient order, an installed adversary retimes the delay
-// inside its clamp, the channel routes it (inline on the full mesh), a copy
-// the channel lost or a delay model sent outside [now, +Inf) is dropped —
-// its time is NaN from here on — and the rest are counted and announced to
-// the send hook.
-// Only then are the survivors filed, under one send index: on the time-major
-// engine under one shared header, on a partition as one row (post). A copy's
-// key is packSeq(from, sidx, q) whatever the range, so a Broadcast,
+// partition a model that declares its draws and span posts the fan-out as a
+// drawn row in O(1), drawing nothing (postSpan). Otherwise it samples the
+// delays first, into the engine's delays buffer: one SampleAll when the
+// range is every process and the model batches (UniformDelay), one Sample
+// per copy otherwise, drawing the same stream either way. Then, copy by copy
+// in recipient order, an installed adversary retimes the delay inside its
+// clamp, the channel routes it (inline on the full mesh), a copy the channel
+// lost or a delay model sent outside [now, +Inf) is dropped — its time is
+// NaN from here on — and the rest are counted and announced to the send
+// hook. The fan-out takes its send index even when none survives, as a
+// drawn row does; the survivors are filed under it: on the time-major
+// engine under one shared header, on a partition as one stored row (post). A
+// copy's key is packSeq(from, sidx, q) whatever the range, so a Broadcast,
 // Multicasts over consecutive blocks and n Sends to q = 0..n−1 order their
 // copies alike — TestBroadcastMatchesSends holds the three to one execution.
 func (e *Engine) fanOut(from ProcID, lo, hi int, payload any) {
 	now, rng, pt := e.now, &e.senders[from].rng, e.part
 	times := e.delays[lo:hi] // a range outside [0, n) panics here
-	if pt != nil && e.mesh && e.counter != nil && e.postSpan(from, lo, hi, payload) {
+	if pt != nil && e.counter != nil {
+		e.postSpan(from, lo, hi, payload)
 		return
 	}
-	s0 := rng.state
 	if e.batch != nil && lo == 0 && hi == len(e.procs) {
 		e.batch.SampleAll(from, hi-lo, now, rng, times)
 	} else {
@@ -804,7 +810,7 @@ func (e *Engine) fanOut(from ProcID, lo, hi int, payload any) {
 			times[i] = e.delay.Sample(from, ProcID(lo+i), now, rng)
 		}
 	}
-	sent, refused := 0, false
+	sent := 0
 	for i, d := range times {
 		to := ProcID(lo + i)
 		if e.advCtl != nil {
@@ -820,7 +826,7 @@ func (e *Engine) fanOut(from ProcID, lo, hi int, payload any) {
 			at = clock.Real(math.NaN())
 		case !(at >= now && at <= math.MaxFloat64): // NaN fails both
 			e.badCopy(from, to, at)
-			at, refused = clock.Real(math.NaN()), true
+			at = clock.Real(math.NaN())
 		default:
 			e.msgsSent++
 			sent++
@@ -830,17 +836,14 @@ func (e *Engine) fanOut(from ProcID, lo, hi int, payload any) {
 		}
 		times[i] = float64(at)
 	}
-	if sent == 0 {
-		return
-	}
 	s := &e.senders[from]
 	seqBase := e.packSeq(from, s.sidx, 0)
-	s.sidx++
+	if s.sidx++; sent == 0 {
+		return
+	}
 	if pt != nil {
-		// A row its readers can redraw and route: every copy timed by a
-		// model that declares its draws, and the channel alone.
 		countN(censusSampled, len(times))
-		e.post(from, payload, seqBase, lo, times, e.draws >= 0 && !refused, s0)
+		e.post(from, payload, seqBase, lo, times)
 		return
 	}
 	local := e.copies[:0]

@@ -13,7 +13,7 @@ import (
 // CopyReceiver's batches only when it owns one. A windowed two-tier run,
 // whose hier.Members do not opt in, holds none; a flat run of core.Procs
 // holds a tile's batches — a system's senders and times for each process of
-// the tile — and a system's stamps on each partition.
+// the tile — on each partition.
 func TestBatchBuffersOnlyForCopyReceivers(t *testing.T) {
 	const k = 2
 	s, err := hier.Build(hier.Default(64, 8))
@@ -36,8 +36,8 @@ func TestBatchBuffersOnlyForCopyReceivers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Each partition: a tile of batches — n senders and times for each of
-	// its processes, 4 and 3 — and n stamps.
-	if got, want := res.BatchBuffers(), (2*4*n+n)+(2*3*n+n); got != want {
+	// its processes, 4 and 3.
+	if got, want := res.BatchBuffers(), 2*4*n+2*3*n; got != want {
 		t.Fatalf("a windowed flat run holds room for %d batch entries, want %d", got, want)
 	}
 }
