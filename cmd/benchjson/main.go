@@ -107,7 +107,7 @@ func main() {
 	}
 
 	rep := report{
-		Note: "events/sec is simulator event throughput; in steady, one op = one delivered event and allocs_per_op must stay ~0 (no-observer steady state) — steady on the time-major heap, steady-k=1 on one window partition, steady-k=2 on two, whose Run crew parks between windows (0 allocs per event, TestShardedSteadyAllocs); LargeN is 10 maintenance rounds of an n-process broadcast mesh; LargeN and -hier run on one window partition, the engine a plain run takes; peak_queue_events is the largest partition's high-water mark of pending events (every pending copy, ≈ n²/k; a broadcast's copies share one 80-byte header holding its sender's delay-stream state, from which readers redraw their delivery times, or 8 B a copy in a stored row, a copy of the times, for a delay model that does not declare its draws); -sharded-k runs the mesh across k time-window shards, drained by a crew of workers started once per Run, every fan-out one row — its allocs_per_op must stay within 4× the one-partition entry's (TestShardedSteadyAllocs); -hier runs the same rounds on the two-tier hierarchy (clusters of 32) and must stay at ≤ 1/3 the flat n=1009 wall-clock per op; msgs_per_round is the deterministic per-round traffic (≈ n² flat, ≈ n·c + (n/c)² two-tier), gated raw like the sharded allocs; entries too slow to iterate under the 1s benchtime are rerun at 3 forced iterations and report the median run; measured events/sec depends on the host's core count (a single-core machine cannot show the parallel speedup); crossover is the shard-count table exp.AutoShards is read from (cmd/benchjson -crossover): per n and k, the quartiles of a 20-round flat exp.Run's wall time over interleaved repetitions, and the winner among the k ≤ gomaxprocs Auto may pick",
+		Note: "events/sec is simulator event throughput; in steady, one op = one delivered event and allocs_per_op must stay ~0 (no-observer steady state) — steady on the time-major heap, steady-k=1 on one window partition, steady-k=2 on two, whose Run crew parks between windows (0 allocs per event, TestShardedSteadyAllocs); LargeN is 10 maintenance rounds of an n-process broadcast mesh; LargeN and -hier run on one window partition, the engine a plain run takes; peak_queue_events is the largest partition's high-water mark of pending events (every pending copy, ≈ n²/k; a broadcast's copies share one 80-byte header holding its sender's delay-stream state, from which readers redraw their delivery times, or 8 B a copy in a stored row, a copy of the times, for a delay model that does not declare its draws); -sharded-k runs the mesh across k time-window shards, drained by a crew of workers started once per Run, every fan-out one row — its allocs_per_op may exceed the one-partition entry's by at most 32 per partition (TestShardedSteadyAllocs); -hier runs the same rounds on the two-tier hierarchy (clusters of 32) and must stay at ≤ 1/3 the flat n=1009 wall-clock per op; msgs_per_round is the deterministic per-round traffic (≈ n² flat, ≈ n·c + (n/c)² two-tier), gated raw like the sharded allocs; entries too slow to iterate under the 1s benchtime are rerun at 3 forced iterations and report the median run; measured events/sec depends on the host's core count (a single-core machine cannot show the parallel speedup); crossover is the shard-count table exp.AutoShards is read from (cmd/benchjson -crossover): per n and k, the quartiles of a 20-round flat exp.Run's wall time over interleaved repetitions, and the winner among the k ≤ gomaxprocs Auto may pick",
 	}
 	// The benchmarks and the crossover table are measured apart — the table
 	// alone takes about a minute — and the part not measured is carried over

@@ -205,7 +205,8 @@ type largeNSystem struct {
 // (f = (n−1)/3 capacity, no actual faults) on drifting clocks with uniform
 // delays and no observers — the round-structured n²-broadcast regime, with
 // nothing but engine and automaton work on the clock — drained over shards
-// window partitions.
+// window partitions. Its clocks and automata come from the constructors a
+// facade run's come from (clock.Clocks, core.NewProcs), one slab per kind.
 func largeNFlat(n, shards int) (largeNSystem, error) {
 	cfg := core.Config{Params: analysis.Default(n, (n-1)/3)}
 	if err := cfg.Validate(); err != nil {
@@ -214,11 +215,7 @@ func largeNFlat(n, shards int) (largeNSystem, error) {
 	clocks := clock.Clocks(clock.ConstantDrift{RhoBound: cfg.Rho}, n)
 	corrs := core.InitialCorrsWithinBeta(cfg, clocks, 0.9*cfg.Beta)
 	starts := core.StartTimes(cfg, clocks, corrs)
-	procs := make([]sim.Process, n)
-	msgs := core.NewRoundMsgs(cfg, largeNRounds)
-	for i := range procs {
-		procs[i] = core.NewProc(cfg, corrs[i]).WithRoundMsgs(msgs)
-	}
+	procs := core.NewProcs(cfg, corrs, core.NewRoundMsgs(cfg, largeNRounds), nil)
 	tmax0 := starts[0]
 	for _, s := range starts[1:] {
 		if s > tmax0 {

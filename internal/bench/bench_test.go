@@ -89,14 +89,16 @@ func TestWindowSteadyStateAllocs(t *testing.T) {
 // TestShardedSteadyAllocs is the sharded allocation budget gate: the steady
 // beacons at k = 2 (EngineSteadyShards) at no allocation per event, and the
 // same n=1009 workload benchjson tracks, run on one window partition
-// (LargeN) and across 8 shards, with the sharded run's allocs/op capped at
-// 4× the one partition's.
+// (LargeN) and across 8 shards, with the sharded run allowed at most
+// shardWarmup allocations per partition more than the one partition.
 // The sharded engine's extra allocations are per-partition warm-up (the
-// board, timer heaps and tile buffers); in steady state every fan-out is a
-// drawn row, an 80-byte header in slices the cut reuses, so an allocation on
-// the row path — a stored row, say — multiplies per round and blows the
-// budget immediately (an engine that allocated every row sat at ~14×
-// sequential).
+// board, timer heaps and tile buffers, the crew); in steady state every
+// fan-out is a drawn row, an 80-byte header in slices the cut reuses, so an
+// allocation on the row path — a stored row, say — multiplies per round and
+// blows the budget immediately (an engine that allocated every row sat at
+// ~14× sequential). The budget is a difference, not a ratio: the system's
+// clocks and automata come from one slab per kind, so the one partition's
+// run allocates tens of objects, not thousands.
 func TestShardedSteadyAllocs(t *testing.T) {
 	// The crew's gate: the steady beacons over two partitions, whose workers
 	// are started once per Run and parked between its windows, allocate
@@ -113,10 +115,16 @@ func TestShardedSteadyAllocs(t *testing.T) {
 	if oneAllocs <= 0 {
 		t.Fatalf("one-partition n=1009 reported %d allocs/op; the gate has no baseline", oneAllocs)
 	}
-	if shAllocs > 4*oneAllocs {
-		t.Errorf("sharded n=1009 k=8 allocated %d/op, over the budget of 4× the one partition's %d/op — the pooled cross-shard exchange is leaking", shAllocs, oneAllocs)
+	if budget := oneAllocs + 8*shardWarmup; shAllocs > budget {
+		t.Errorf("sharded n=1009 k=8 allocated %d/op, over the budget of the one partition's %d/op + 8×%d — the pooled cross-shard exchange is leaking", shAllocs, oneAllocs, shardWarmup)
 	}
 }
+
+// shardWarmup is what TestShardedSteadyAllocs lets a partition's warm-up
+// allocate: the k = 8 run measured 16 a partition more than the one
+// partition's on 2 cores and 18 at GOMAXPROCS = 8 (the crew grows with the
+// cores).
+const shardWarmup = 32
 
 // TestShardedWindowAllocs is the per-window allocation gate: a warmed-up
 // k = 4 windowed run of n = 64 beacons may allocate at most 0.1 times per

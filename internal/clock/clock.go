@@ -73,22 +73,30 @@ func New(valueAtFirst Local, bps []Breakpoint) (*PiecewiseLinear, error) {
 	if len(bps) == 0 {
 		return nil, errors.New("clock: need at least one breakpoint")
 	}
-	segs := make([]segment, 0, len(bps))
-	v := valueAtFirst
+	segs := make([]segment, len(bps))
 	for i, bp := range bps {
 		if bp.Rate <= 0 {
 			return nil, fmt.Errorf("clock: rate %v at breakpoint %d is not positive", bp.Rate, i)
 		}
+		if i > 0 && bp.Start <= bps[i-1].Start {
+			return nil, fmt.Errorf("clock: breakpoint %d start %v not after previous %v", i, bp.Start, bps[i-1].Start)
+		}
+		segs[i] = segment{start: bp.Start, rate: bp.Rate}
+	}
+	settle(segs, valueAtFirst)
+	return &PiecewiseLinear{segs: segs}, nil
+}
+
+// settle sets the reading of each piece from its start and rate: v at the
+// first piece, and at each later one where the piece before it has got to.
+func settle(segs []segment, v Local) {
+	for i := range segs {
 		if i > 0 {
 			prev := segs[i-1]
-			if bp.Start <= prev.start {
-				return nil, fmt.Errorf("clock: breakpoint %d start %v not after previous %v", i, bp.Start, prev.start)
-			}
-			v = prev.value + Local(prev.rate*float64(bp.Start-prev.start))
+			v = prev.value + Local(prev.rate*float64(segs[i].start-prev.start))
 		}
-		segs = append(segs, segment{start: bp.Start, value: v, rate: bp.Rate})
+		segs[i].value = v
 	}
-	return &PiecewiseLinear{segs: segs}, nil
 }
 
 // At returns the clock reading at real time t (the paper's C(t)).

@@ -1,7 +1,6 @@
 package clock
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -15,15 +14,61 @@ type DriftSchedule interface {
 	Build(id, n int) Clock
 	// Rho returns the drift bound the schedule honors.
 	Rho() float64
+
+	// pieces returns how many linear pieces each clock of n has.
+	pieces(n int) int
+	// rates writes the start and rate of each of process id's pieces into
+	// segs, len(segs) = pieces(n), and returns the clock's reading at the
+	// first start.
+	rates(id, n int, segs []segment) Local
 }
 
-// Clocks builds the physical clocks of processes 0 … n−1 from d.
+// Clocks builds the physical clocks of processes 0 … n−1 from d: the n
+// clocks in one []PiecewiseLinear and all their pieces in one []segment,
+// so a run's clocks are three allocations whatever n is.
 func Clocks(d DriftSchedule, n int) []Clock {
+	cs := build(d, 0, n, n)
 	clocks := make([]Clock, n)
 	for i := range clocks {
-		clocks[i] = d.Build(i, n)
+		clocks[i] = &cs[i]
 	}
 	return clocks
+}
+
+// build makes the clocks of processes lo … hi−1 of n from d, in one
+// []PiecewiseLinear over one []segment: the one way every schedule's
+// clocks are made, Clocks and each Build alike.
+func build(d DriftSchedule, lo, hi, n int) []PiecewiseLinear {
+	k := d.pieces(n)
+	cs := make([]PiecewiseLinear, hi-lo)
+	segs := make([]segment, len(cs)*k)
+	for i := range cs {
+		s := segs[i*k : (i+1)*k : (i+1)*k]
+		settle(s, d.rates(lo+i, n, s))
+		cs[i].segs = s
+	}
+	return cs
+}
+
+// offsetOf returns offs[id], or 0 past the end of offs.
+func offsetOf(offs []Local, id int) Local {
+	if id < len(offs) {
+		return offs[id]
+	}
+	return 0
+}
+
+// steps returns the piece length (1 when dur ≤ 0) and the number of pieces
+// that cover [0, horizon] (3600 s when horizon ≤ 0) of a schedule that
+// changes rate every dur seconds.
+func steps(dur, horizon Real) (Real, int) {
+	if dur <= 0 {
+		dur = 1
+	}
+	if horizon <= 0 {
+		horizon = 3600
+	}
+	return dur, int(math.Ceil(float64(horizon/dur))) + 1
 }
 
 // ConstantDrift assigns each process a fixed rate spread across the ρ-band:
@@ -37,23 +82,23 @@ type ConstantDrift struct {
 var _ DriftSchedule = ConstantDrift{}
 
 // Build implements DriftSchedule.
-func (d ConstantDrift) Build(id, n int) Clock {
+func (d ConstantDrift) Build(id, n int) Clock { return &build(d, id, id+1, n)[0] }
+
+// Rho implements DriftSchedule.
+func (d ConstantDrift) Rho() float64 { return d.RhoBound }
+
+func (d ConstantDrift) pieces(int) int { return 1 }
+
+func (d ConstantDrift) rates(id, n int, segs []segment) Local {
 	lo := 1 / (1 + d.RhoBound)
 	hi := 1 + d.RhoBound
 	frac := 0.5
 	if n > 1 {
 		frac = float64(id) / float64(n-1)
 	}
-	rate := lo + float64(frac*(hi-lo))
-	var off Local
-	if id < len(d.InitialOffsets) {
-		off = d.InitialOffsets[id]
-	}
-	return Linear(off, rate)
+	segs[0] = segment{rate: lo + float64(frac*(hi-lo))}
+	return offsetOf(d.InitialOffsets, id)
 }
-
-// Rho implements DriftSchedule.
-func (d ConstantDrift) Rho() float64 { return d.RhoBound }
 
 // RandomWalkDrift builds clocks whose rate is re-drawn uniformly from the
 // ρ-band every SegmentDur real seconds up to Horizon. Deterministic per seed
@@ -69,41 +114,26 @@ type RandomWalkDrift struct {
 var _ DriftSchedule = RandomWalkDrift{}
 
 // Build implements DriftSchedule.
-func (d RandomWalkDrift) Build(id, n int) Clock {
-	rng := rand.New(rand.NewSource(d.Seed*1_000_003 + int64(id)))
-	lo := 1 / (1 + d.RhoBound)
-	hi := 1 + d.RhoBound
-	segDur := d.SegmentDur
-	if segDur <= 0 {
-		segDur = 1
-	}
-	horizon := d.Horizon
-	if horizon <= 0 {
-		horizon = 3600
-	}
-	nseg := int(math.Ceil(float64(horizon/segDur))) + 1
-	bps := make([]Breakpoint, 0, nseg)
-	for i := 0; i < nseg; i++ {
-		bps = append(bps, Breakpoint{
-			Start: Real(i) * segDur,
-			Rate:  lo + float64(rng.Float64()*(hi-lo)),
-		})
-	}
-	var off Local
-	if id < len(d.Offsets) {
-		off = d.Offsets[id]
-	}
-	c, err := New(off, bps)
-	if err != nil {
-		// Construction only fails on programmer error (bad breakpoints),
-		// which the loop above cannot produce.
-		panic(fmt.Sprintf("clock: random walk build: %v", err))
-	}
-	return c
-}
+func (d RandomWalkDrift) Build(id, n int) Clock { return &build(d, id, id+1, n)[0] }
 
 // Rho implements DriftSchedule.
 func (d RandomWalkDrift) Rho() float64 { return d.RhoBound }
+
+func (d RandomWalkDrift) pieces(int) int {
+	_, k := steps(d.SegmentDur, d.Horizon)
+	return k
+}
+
+func (d RandomWalkDrift) rates(id, _ int, segs []segment) Local {
+	rng := rand.New(rand.NewSource(d.Seed*1_000_003 + int64(id)))
+	lo := 1 / (1 + d.RhoBound)
+	hi := 1 + d.RhoBound
+	dur, _ := steps(d.SegmentDur, d.Horizon)
+	for i := range segs {
+		segs[i] = segment{start: Real(i) * dur, rate: lo + float64(rng.Float64()*(hi-lo))}
+	}
+	return offsetOf(d.Offsets, id)
+}
 
 // AlternatingDrift flips each clock between the slow and fast extreme every
 // Period seconds, with odd processes in antiphase. This is the adversarial
@@ -118,39 +148,29 @@ type AlternatingDrift struct {
 var _ DriftSchedule = AlternatingDrift{}
 
 // Build implements DriftSchedule.
-func (d AlternatingDrift) Build(id, n int) Clock {
+func (d AlternatingDrift) Build(id, n int) Clock { return &build(d, id, id+1, n)[0] }
+
+// Rho implements DriftSchedule.
+func (d AlternatingDrift) Rho() float64 { return d.RhoBound }
+
+func (d AlternatingDrift) pieces(int) int {
+	_, k := steps(d.Period, d.Horizon)
+	return k
+}
+
+func (d AlternatingDrift) rates(id, _ int, segs []segment) Local {
 	lo := 1 / (1 + d.RhoBound)
 	hi := 1 + d.RhoBound
-	period := d.Period
-	if period <= 0 {
-		period = 1
-	}
-	horizon := d.Horizon
-	if horizon <= 0 {
-		horizon = 3600
-	}
-	nseg := int(math.Ceil(float64(horizon/period))) + 1
-	bps := make([]Breakpoint, 0, nseg)
-	for i := 0; i < nseg; i++ {
+	period, _ := steps(d.Period, d.Horizon)
+	for i := range segs {
 		rate := lo
 		if (i+id)%2 == 0 {
 			rate = hi
 		}
-		bps = append(bps, Breakpoint{Start: Real(i) * period, Rate: rate})
+		segs[i] = segment{start: Real(i) * period, rate: rate}
 	}
-	var off Local
-	if id < len(d.Offsets) {
-		off = d.Offsets[id]
-	}
-	c, err := New(off, bps)
-	if err != nil {
-		panic(fmt.Sprintf("clock: alternating build: %v", err))
-	}
-	return c
+	return offsetOf(d.Offsets, id)
 }
-
-// Rho implements DriftSchedule.
-func (d AlternatingDrift) Rho() float64 { return d.RhoBound }
 
 // SpreadOffsets returns n initial offsets evenly spread over [0, width] —
 // the standard way experiments realize assumption A4 (initial logical clocks

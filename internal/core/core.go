@@ -233,7 +233,13 @@ type Round struct {
 // NewRound builds the instance for p at its first mark T⁰, FLAG = BCAST,
 // with one arrival slot per p.N, averaging with avg.
 func NewRound(p analysis.Params, avg Averager) Round {
-	arr := make([]float64, p.N)
+	return NewRoundOver(make([]float64, p.N), p, avg)
+}
+
+// NewRoundOver is NewRound over arr, len(arr) = p.N, which it sets to
+// never-heard: a caller that builds many instances cuts their ARRs from one
+// slab. NewRound and every slab go through it.
+func NewRoundOver(arr []float64, p analysis.Params, avg Averager) Round {
 	for i := range arr {
 		arr[i] = math.Inf(-1) // never-heard sentinel; reduce_f discards them
 	}
@@ -278,9 +284,10 @@ func (r *Round) Adjust(scratch []float64) float64 {
 }
 
 // Proc is the nonfaulty process automaton of §4.2. One Proc per process;
-// construct with NewProc. It holds its Round by value, so recording an
-// arrival is one indexed store, and adds what only the flat mesh has: the K
-// sub-exchanges of §7 and the §9.3 stagger.
+// construct with NewProcs, or NewProc for one on its own. It holds its
+// Round by value, so recording an arrival is one indexed store, and adds
+// what only the flat mesh has: the K sub-exchanges of §7 and the §9.3
+// stagger.
 type Proc struct {
 	cfg  Config
 	corr clock.Local
@@ -297,17 +304,51 @@ var (
 // NewProc builds a process with the given initial correction (the paper's
 // "initially whatever value is needed to attain required degree of
 // synchronization": the experiment setup chooses initial corrections so that
-// assumption A4 holds, or violates it on purpose).
+// assumption A4 holds, or violates it on purpose). It boxes each round
+// message it sends; a run's automata come from NewProcs, which share one
+// table of them. Both go through the one initializer, init.
 func NewProc(cfg Config, initialCorr clock.Local) *Proc {
 	cfg = cfg.withDefaults()
-	return &Proc{cfg: cfg, corr: initialCorr, rd: NewRound(cfg.Params, cfg.Averager)}
+	p := new(Proc)
+	p.init(cfg, initialCorr, make([]float64, cfg.N), nil)
+	return p
 }
 
-// WithRoundMsgs makes p broadcast the run's interned round messages, msgs
-// shared by every process of the run, and returns p.
-func (p *Proc) WithRoundMsgs(msgs *RoundMsgs) *Proc {
-	p.msgs = msgs
-	return p
+// NewProcs builds the automata of a run's processes, one per entry of corrs
+// at that initial correction, broadcasting msgs' interned round messages
+// (nil boxes each): all of them in one []Proc and their ARRs in one slab
+// of cfg.N slots apiece, three allocations whatever the count. An id
+// faulty reports (nil: none) gets no Proc and no ARR, and its slot of the
+// result is left nil for the run to fill with its faulty automaton.
+func NewProcs(cfg Config, corrs []clock.Local, msgs *RoundMsgs, faulty func(sim.ProcID) bool) []sim.Process {
+	cfg = cfg.withDefaults()
+	n, m := cfg.N, len(corrs)
+	if faulty != nil {
+		for i := range corrs {
+			if faulty(sim.ProcID(i)) {
+				m--
+			}
+		}
+	}
+	slab, arr := make([]Proc, m), make([]float64, m*n)
+	procs := make([]sim.Process, len(corrs))
+	j := 0
+	for i, corr := range corrs {
+		if faulty != nil && faulty(sim.ProcID(i)) {
+			continue
+		}
+		p := &slab[j]
+		p.init(cfg, corr, arr[j*n:(j+1)*n:(j+1)*n], msgs)
+		procs[i] = p
+		j++
+	}
+	return procs
+}
+
+// init makes p a fresh automaton for cfg (defaulted) at initialCorr, its
+// ARR over arr, len(arr) = cfg.N.
+func (p *Proc) init(cfg Config, initialCorr clock.Local, arr []float64, msgs *RoundMsgs) {
+	*p = Proc{cfg: cfg, corr: initialCorr, rd: NewRoundOver(arr, cfg.Params, cfg.Averager), msgs: msgs}
 }
 
 // Corr implements sim.CorrHolder: the local time is Ph_p + CORR.

@@ -149,6 +149,9 @@ type assembly struct {
 	// into cfg.Procs.
 	cfg    sim.Config
 	faults map[sim.ProcID]func() sim.Process
+	// msgs is the run's interned round messages, which execute hands the
+	// faulty automata that send them (nil: they box their own).
+	msgs *core.RoundMsgs
 	// observers are registered in order.
 	observers []sim.Observer
 	horizon   clock.Real
@@ -156,9 +159,14 @@ type assembly struct {
 	res *Result
 }
 
+// roundMsgsUser is a faulty automaton that sends the run's round messages
+// when handed the run's interned table (faults' timed-send strategies).
+type roundMsgsUser interface{ UseRoundMsgs(*core.RoundMsgs) }
+
 // execute is the run path, the one place an engine is built: refuse a
 // timeline action the run would never reach (the engine fires exactly those
-// at or before the horizon), substitute the faulty automata and flag them,
+// at or before the horizon), substitute the faulty automata — handing the
+// run's interned round messages to those that send them — and flag them,
 // build the engine, register the observers, run to the horizon, package the
 // Result.
 func execute(a assembly) (*Result, error) {
@@ -171,7 +179,11 @@ func execute(a assembly) (*Result, error) {
 		a.cfg.Faulty = make([]bool, len(a.cfg.Procs))
 		for i := range a.cfg.Procs {
 			if mk, ok := a.faults[sim.ProcID(i)]; ok {
-				a.cfg.Procs[i], a.cfg.Faulty[i] = mk(), true
+				p := mk()
+				if u, ok := p.(roundMsgsUser); ok {
+					u.UseRoundMsgs(a.msgs)
+				}
+				a.cfg.Procs[i], a.cfg.Faulty[i] = p, true
 			}
 		}
 	}
@@ -266,14 +278,6 @@ func (w Workload) assembleFlat() assembly {
 	if spread == 0 {
 		spread = 0.9 * cfg.Beta
 	}
-	makeProc := w.MakeProc
-	if makeProc == nil {
-		msgs := core.NewRoundMsgs(cfg, rounds)
-		makeProc = func(_ sim.ProcID, corr clock.Local) sim.Process {
-			return core.NewProc(cfg, corr).WithRoundMsgs(msgs)
-		}
-	}
-
 	clocks := clock.Clocks(w.Drift, w.Cfg.N)
 	corrs := core.InitialCorrsWithinBeta(cfg, clocks, spread)
 	starts := core.StartTimes(cfg, clocks, corrs)
@@ -281,15 +285,31 @@ func (w Workload) assembleFlat() assembly {
 		starts[id] = at
 	}
 
+	faulty := func(id sim.ProcID) bool {
+		_, ok := w.Faults[id]
+		return ok
+	}
+	var procs []sim.Process
+	var msgs *core.RoundMsgs
+	if w.MakeProc == nil {
+		msgs = core.NewRoundMsgs(cfg, rounds)
+		procs = core.NewProcs(cfg, corrs, msgs, faulty)
+	} else {
+		procs = make([]sim.Process, n)
+		for i := range procs {
+			if !faulty(sim.ProcID(i)) {
+				procs[i] = w.MakeProc(sim.ProcID(i), corrs[i])
+			}
+		}
+	}
+
 	// tmin⁰ / tmax⁰ over nonfaulty processes, for validity bookkeeping.
-	procs := make([]sim.Process, n)
 	tmin0, tmax0 := starts[0], starts[0]
 	first := true
 	for i, s := range starts {
-		if _, faulty := w.Faults[sim.ProcID(i)]; faulty {
+		if faulty(sim.ProcID(i)) {
 			continue
 		}
-		procs[i] = makeProc(sim.ProcID(i), corrs[i])
 		if first {
 			tmin0, tmax0, first = s, s, false
 		}
@@ -331,6 +351,7 @@ func (w Workload) assembleFlat() assembly {
 			Shards:   w.Shards,
 		},
 		faults:    w.Faults,
+		msgs:      msgs,
 		observers: append(observers, w.Observers...),
 		horizon:   tmax0 + clock.Real(float64(float64(rounds)*cfg.P*(1+float64(2*cfg.Rho)))+float64(2*cfg.Window())+cfg.Delta+1),
 		res:       res,

@@ -83,7 +83,7 @@ func (c *cliqueMember) Receive(ctx *sim.Context, m sim.Message) { c.receive(ctx,
 
 func (c *cliqueMember) begin(round int, mark clock.Local) any {
 	c.plan.advance(round)
-	return core.TMsg{Mark: mark}
+	return c.tmsg(round, mark)
 }
 
 func (c *cliqueMember) offset(q sim.ProcID, _ int) float64 {
@@ -113,7 +113,7 @@ var _ sim.Process = (*EdgeRider)(nil)
 // Receive implements sim.Process.
 func (r *EdgeRider) Receive(ctx *sim.Context, m sim.Message) { r.receive(ctx, m, &r.Cfg, r) }
 
-func (r *EdgeRider) begin(_ int, mark clock.Local) any { return core.TMsg{Mark: mark} }
+func (r *EdgeRider) begin(round int, mark clock.Local) any { return r.tmsg(round, mark) }
 
 func (r *EdgeRider) offset(q sim.ProcID, _ int) float64 {
 	if q%2 == 0 {
@@ -250,7 +250,7 @@ func clampAbs(v, limit float64) float64 {
 // Receive implements sim.Process.
 func (r *RandomTiming) Receive(ctx *sim.Context, m sim.Message) { r.receive(ctx, m, &r.cfg, r) }
 
-func (r *RandomTiming) begin(_ int, mark clock.Local) any { return core.TMsg{Mark: mark} }
+func (r *RandomTiming) begin(round int, mark clock.Local) any { return r.tmsg(round, mark) }
 
 func (r *RandomTiming) offset(sim.ProcID, int) float64 {
 	u := float64(r.rng.Float64()) // Float64 inlines as a product: round it here

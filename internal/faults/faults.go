@@ -123,6 +123,21 @@ type timing interface {
 type timedSends struct {
 	round int
 	ring  sendRing
+	msgs  *core.RoundMsgs // the run's interned round messages; nil boxes each
+}
+
+// UseRoundMsgs makes the strategy send the run's interned round messages,
+// msgs, where it sends a TMsg its table holds: the run hands its table to
+// the faulty automata it substitutes.
+func (s *timedSends) UseRoundMsgs(msgs *core.RoundMsgs) { s.msgs = msgs }
+
+// tmsg returns round i's TMsg for mark: the run's interned one when its
+// table holds it, boxed only on a miss, as core.Proc does.
+func (s *timedSends) tmsg(i int, mark clock.Local) any {
+	if m, ok := s.msgs.Lookup(i, mark); ok {
+		return m
+	}
+	return core.TMsg{Mark: mark}
 }
 
 func (s *timedSends) receive(ctx *sim.Context, m sim.Message, cfg *core.Config, t timing) {
@@ -170,11 +185,11 @@ var _ sim.Process = (*TwoFaced)(nil)
 // Receive implements sim.Process.
 func (t *TwoFaced) Receive(ctx *sim.Context, m sim.Message) { t.receive(ctx, m, &t.Cfg, t) }
 
-func (t *TwoFaced) begin(_ int, mark clock.Local) any {
+func (t *TwoFaced) begin(round int, mark clock.Local) any {
 	if t.MakePayload != nil {
 		return t.MakePayload(mark)
 	}
-	return core.TMsg{Mark: mark}
+	return t.tmsg(round, mark)
 }
 
 func (t *TwoFaced) offset(q sim.ProcID, n int) float64 {

@@ -122,39 +122,54 @@ func TestLyingMarkHarmless(t *testing.T) {
 }
 
 // TestTwoFacedRoundAllocs pins what one round of the timed-send schedule
-// allocates: the payload box alone. The n timed sends are armed with
-// pointers into a slot of the strategy's ring, reused once its sends have
-// fired, so a send boxed per recipient reads n + 1, and a schedule that
-// plans a round through a closure built per round reads one more.
+// allocates: the payload box alone, and nothing once the strategy holds the
+// run's interned round messages. The n timed sends are armed with pointers
+// into a slot of the strategy's ring, reused once its sends have fired, so
+// a send boxed per recipient reads n more, and a schedule that plans a
+// round through a closure built per round reads one more.
 func TestTwoFacedRoundAllocs(t *testing.T) {
 	cfg := cfg7()
-	procs := make([]sim.Process, cfg.N)
-	clocks := make([]clock.Clock, cfg.N)
-	for i := range procs {
-		procs[i], clocks[i] = faults.Silent{}, clock.Linear(0, 1)
-	}
-	procs[6] = &faults.TwoFaced{Cfg: cfg, Lead: 3 * cfg.Eps, Lag: 3 * cfg.Eps}
-	e, err := sim.New(sim.Config{
-		Procs: procs, Clocks: clocks, StartAt: make([]clock.Real, cfg.N),
-		Delay: sim.ConstantDelay{Delta: cfg.Delta},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Each Run slice ends mid-round, so it holds exactly one planning step,
-	// its n relays and their deliveries; the first slices warm the queue.
-	round := 0
-	oneRound := func() {
-		round++
-		if err := e.Run(clock.Real(cfg.T0 + (float64(round)+0.5)*cfg.P)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for round < 5 {
-		oneRound()
-	}
-	if got := testing.AllocsPerRun(100, oneRound); got != 1 {
-		t.Errorf("a TwoFaced round allocates %v times, want 1 (its payload)", got)
+	for _, tc := range []struct {
+		name string
+		msgs *core.RoundMsgs
+		want float64
+	}{
+		{"boxed", nil, 1},
+		{"interned", core.NewRoundMsgs(cfg, 200), 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			procs := make([]sim.Process, cfg.N)
+			clocks := make([]clock.Clock, cfg.N)
+			for i := range procs {
+				procs[i], clocks[i] = faults.Silent{}, clock.Linear(0, 1)
+			}
+			tf := &faults.TwoFaced{Cfg: cfg, Lead: 3 * cfg.Eps, Lag: 3 * cfg.Eps}
+			tf.UseRoundMsgs(tc.msgs)
+			procs[6] = tf
+			e, err := sim.New(sim.Config{
+				Procs: procs, Clocks: clocks, StartAt: make([]clock.Real, cfg.N),
+				Delay: sim.ConstantDelay{Delta: cfg.Delta},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Each Run slice ends mid-round, so it holds exactly one planning
+			// step, its n relays and their deliveries; the first slices warm
+			// the queue.
+			round := 0
+			oneRound := func() {
+				round++
+				if err := e.Run(clock.Real(cfg.T0 + (float64(round)+0.5)*cfg.P)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for round < 5 {
+				oneRound()
+			}
+			if got := testing.AllocsPerRun(100, oneRound); got != tc.want {
+				t.Errorf("a TwoFaced round allocates %v times, want %v", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -22,7 +22,8 @@ type System struct {
 	Procs    []sim.Process
 	MaxStart clock.Real
 
-	wire *wire // the members' payloads, interned by SimConfig
+	members []Member // Procs' automata, in one slab
+	wire    *wire    // the members' payloads, interned by SimConfig
 }
 
 // Build validates cfg and assembles the system. Initial corrections spread
@@ -31,7 +32,9 @@ type System struct {
 // clusters are contiguous id ranges — the induced within-cluster spread
 // (width·(c−1)/(n−1)) stays within β_in. The corrections and START times
 // are the flat system's (core.InitialCorrsWithinBeta, core.StartTimes) at
-// that width.
+// that width. The clocks come from clock.Clocks, and the Members and their
+// inner-tier ARRs from one slab each, so a System is the same handful of
+// allocations whatever n is.
 func Build(cfg Config) (*System, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -48,27 +51,39 @@ func Build(cfg Config) (*System, error) {
 	a4 := core.Config{Params: analysis.Params{T0: cfg.T0}}
 	corrs := core.InitialCorrsWithinBeta(a4, clocks, width)
 	starts := core.StartTimes(a4, clocks, corrs)
+	// Every member's inner ARR has a slot per member of its cluster: Σ c².
+	slots := 0
+	for j := range cfg.Clusters() {
+		lo, hi := cfg.ClusterBounds(j)
+		slots += int(hi-lo) * int(hi-lo)
+	}
+	members, arr := make([]Member, n), make([]float64, slots)
 	procs := make([]sim.Process, n)
 	w := &wire{}
-	for i := range procs {
-		procs[i] = newMember(cfg, sim.ProcID(i), corrs[i], w)
+	for i := range members {
+		id := sim.ProcID(i)
+		lo, hi := cfg.ClusterBounds(cfg.ClusterOf(id))
+		c := int(hi - lo)
+		members[i].init(cfg, id, corrs[i], w, arr[:c:c])
+		arr, procs[i] = arr[c:], &members[i]
 	}
 	maxStart := max(0, slices.Max(starts))
 	return &System{
 		Cfg: cfg, Clocks: clocks, Corrs: corrs, Starts: starts,
-		Procs: procs, MaxStart: maxStart, wire: w,
+		Procs: procs, MaxStart: maxStart, members: members, wire: w,
 	}, nil
 }
 
 // ShiftCluster moves cluster j's initial frame by offset — violating the
-// outer tier's A4 on purpose, for partition experiments — rebuilding its
-// members on the shifted corrections. Call before the run.
+// outer tier's A4 on purpose, for partition experiments — and starts its
+// members, which have not run yet, from the shifted corrections. Call
+// before the run.
 func (s *System) ShiftCluster(j int, offset clock.Local) {
 	lo, hi := s.Cfg.ClusterBounds(j)
 	for id := lo; id < hi; id++ {
 		s.Corrs[id] += offset
 		s.Starts[id] = s.Clocks[id].Inv(clock.Local(s.Cfg.T0) - s.Corrs[id])
-		s.Procs[id] = newMember(s.Cfg, id, s.Corrs[id], s.wire)
+		s.members[id].corr = s.Corrs[id]
 		s.MaxStart = max(s.MaxStart, s.Starts[id])
 	}
 }

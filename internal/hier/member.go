@@ -134,22 +134,27 @@ var (
 // NewMember builds the automaton for process id with the given initial
 // correction. The caller is responsible for cfg.Validate.
 func NewMember(cfg Config, id sim.ProcID, initialCorr clock.Local) *Member {
-	return newMember(cfg, id, initialCorr, &noWire)
+	cfg = cfg.withDefaults()
+	m := new(Member)
+	m.init(cfg, id, initialCorr, &noWire, make([]float64, cfg.InnerParams(cfg.ClusterOf(id)).N))
+	return m
 }
 
 // noWire interns nothing: a member outside a System boxes its payloads.
 var noWire wire
 
-// newMember is NewMember sending the payloads of w.
-func newMember(cfg Config, id sim.ProcID, initialCorr clock.Local, w *wire) *Member {
-	cfg = cfg.withDefaults()
+// init makes m a fresh automaton for process id of cfg (defaulted) at
+// initialCorr, sending the payloads of w, its inner-tier ARR over arr (one
+// slot per member of its cluster): the one initializer of NewMember and
+// Build's slab.
+func (m *Member) init(cfg Config, id sim.ProcID, initialCorr clock.Local, w *wire, arr []float64) {
 	cluster := cfg.ClusterOf(id)
 	lo, hi := cfg.ClusterBounds(cluster)
 	_, ch := cfg.candidateBounds(cluster)
-	return &Member{
+	*m = Member{
 		cfg: cfg, id: id, cluster: cluster, lo: lo, hi: hi, cands: int(ch - lo), wire: w,
 		corr:  initialCorr,
-		inner: core.NewRound(cfg.InnerParams(cluster), core.Midpoint),
+		inner: core.NewRoundOver(arr, cfg.InnerParams(cluster), core.Midpoint),
 	}
 }
 
