@@ -142,9 +142,6 @@ func (s *State) Diameter() float64 {
 	return m.Diam()
 }
 
-// Round returns the number of completed rounds.
-func (s *State) Round() int { return s.round }
-
 // Step executes one synchronous round.
 func (s *State) Step() error {
 	next := make([]float64, s.cfg.N)
@@ -173,17 +170,4 @@ func (s *State) Step() error {
 	}
 	s.round++
 	return nil
-}
-
-// RunUntil steps until the nonfaulty diameter is ≤ target or maxRounds is
-// reached, returning the diameter history (index 0 = initial diameter).
-func (s *State) RunUntil(target float64, maxRounds int) ([]float64, error) {
-	hist := []float64{s.Diameter()}
-	for i := 0; i < maxRounds && hist[len(hist)-1] > target; i++ {
-		if err := s.Step(); err != nil {
-			return hist, err
-		}
-		hist = append(hist, s.Diameter())
-	}
-	return hist, nil
 }

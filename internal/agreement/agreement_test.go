@@ -1,7 +1,6 @@
 package agreement
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -210,49 +209,5 @@ func TestMeanConvergenceRate(t *testing.T) {
 		if rate > wantMax {
 			t.Errorf("n=%d: mean contraction rate %v exceeds f/(n−2f)=%v", n, rate, wantMax)
 		}
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	cfg := Config{N: 4, F: 0, Averager: Midpoint}
-	st, err := New(cfg, []float64{0, 1, 2, 16}, make([]bool, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hist, err := st.RunUntil(0.1, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hist[0] != 16 {
-		t.Errorf("initial diameter %v, want 16", hist[0])
-	}
-	if last := hist[len(hist)-1]; last > 0.1 {
-		t.Errorf("did not reach target: %v", last)
-	}
-	if len(hist) > 10 {
-		t.Errorf("took %d rounds, expected ≤ 9 halvings", len(hist)-1)
-	}
-	if st.Round() != len(hist)-1 {
-		t.Errorf("Round() = %d, want %d", st.Round(), len(hist)-1)
-	}
-}
-
-func TestRunUntilRespectsMaxRounds(t *testing.T) {
-	cfg := Config{N: 4, F: 0, Averager: Midpoint}
-	st, err := New(cfg, []float64{0, 0, 0, 1e12}, make([]bool, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A negative target is unreachable (diameter ≥ 0), so RunUntil must
-	// stop exactly at maxRounds.
-	hist, err := st.RunUntil(-1, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hist) != 6 {
-		t.Errorf("history length %d, want maxRounds+1 = 6", len(hist))
-	}
-	if math.IsNaN(hist[5]) {
-		t.Error("NaN diameter")
 	}
 }

@@ -128,8 +128,8 @@ const shardWarmup = 32
 
 // TestShardedWindowAllocs is the per-window allocation gate: a warmed-up
 // k = 4 windowed run of n = 64 beacons may allocate at most 0.1 times per
-// window. Run starts its crew once — the crew, its channels and result
-// slice, one closure per worker goroutine: 2k+1 allocations per Run, about
+// window. Run starts its crew once — the crew, its result slice and about
+// two allocations per worker goroutine it starts: about 2k per Run, about
 // 0.05 per window here — and a window costs nothing: the workers park
 // between windows, a fan-out is a drawn row's header in the board's reused
 // slices, the due STARTs and TIMERs fill one buffer reused from its

@@ -3,6 +3,7 @@ package clock
 import (
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // DriftSchedule generates ρ-bounded physical clocks. Schedules are the
@@ -124,8 +125,15 @@ func (d RandomWalkDrift) pieces(int) int {
 	return k
 }
 
+// walkRNGs holds the generators random walks draw from: Seed resets one
+// fully, so a clock's draws are those of a fresh source with its seed, and
+// a run of n clocks makes no generator per clock.
+var walkRNGs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 func (d RandomWalkDrift) rates(id, _ int, segs []segment) Local {
-	rng := rand.New(rand.NewSource(d.Seed*1_000_003 + int64(id)))
+	rng := walkRNGs.Get().(*rand.Rand)
+	defer walkRNGs.Put(rng)
+	rng.Seed(d.Seed*1_000_003 + int64(id))
 	lo := 1 / (1 + d.RhoBound)
 	hi := 1 + d.RhoBound
 	dur, _ := steps(d.SegmentDur, d.Horizon)

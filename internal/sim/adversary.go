@@ -24,11 +24,13 @@ import (
 //     so assumptions A1–A3 hold *by construction* no matter what the
 //     adversary returns — the upper-bound theorems keep their hypotheses
 //     and the invariant checkers remain sound;
-//   - the AdversaryView is the omniscient read side: nonfaulty local
-//     clocks, the spread of the current configuration, pending buffered
-//     deliveries, and —
-//     via the ReceiveHook/SendHook interfaces — the observed send and
-//     arrival times of every copy as it moves through the buffer.
+//   - the AdversaryView is the omniscient read side: every process's local
+//     clock and the spread of the current configuration, read at the send
+//     being retimed, and — via the ReceiveHook/SendHook interfaces — the
+//     observed send and arrival times of every copy, in global order.
+//     That order is what ties an adversary to the time-major drain: a
+//     windowed engine has no global order of the sends and arrivals inside
+//     a window.
 //
 // The controller is engine-owned and absent when no adversary is installed:
 // the send path then pays one nil comparison per copy and never builds a
@@ -51,11 +53,10 @@ type Adversary interface {
 }
 
 // SendHook observes every ordinary message copy on its way into the global
-// buffer, after its delivery time is fixed. The rule is the same for Send
-// and Broadcast: announce, then file — the copy OnSend is told about is not
-// yet among AdversaryView.PendingDeliveries (a Broadcast announces all its
-// copies, in pid order, before it files any). Copies lost to the channel are
-// not announced (they never enter the buffer).
+// buffer, after its delivery time is fixed, in the global order of sends:
+// a fan-out announces its copies in pid order, and the local times the view
+// reads are those at the send. Copies lost to the channel are not announced
+// (they never enter the buffer).
 type SendHook interface {
 	OnSend(v *AdversaryView, m Message)
 }
@@ -68,9 +69,9 @@ type ReceiveHook interface {
 }
 
 // AdversaryView is the omniscient read capability granted to a registered
-// adversary: real time, the fault assignment, every process's local clock,
-// the nonfaulty spread, and the buffered (pending) deliveries. It is
-// engine-owned and reused across calls; adversaries must not retain it.
+// adversary: real time, the delay envelope, the fault assignment, every
+// process's local clock and the nonfaulty spread. It is engine-owned and
+// reused across calls; adversaries must not retain it.
 type AdversaryView struct {
 	eng *Engine
 }
@@ -78,18 +79,12 @@ type AdversaryView struct {
 // Now returns the current real time.
 func (v *AdversaryView) Now() clock.Real { return v.eng.now }
 
-// N returns the number of processes.
-func (v *AdversaryView) N() int { return len(v.eng.procs) }
-
 // Bounds returns the delay model's (δ, ε) — the envelope every retimed
 // delay is clamped to.
 func (v *AdversaryView) Bounds() (delta, eps float64) { return v.eng.delay.Bounds() }
 
 // Faulty reports whether p is marked faulty.
 func (v *AdversaryView) Faulty(p ProcID) bool { return v.eng.faulty[p] }
-
-// NonfaultyIDs returns the cached nonfaulty ids (shared; do not modify).
-func (v *AdversaryView) NonfaultyIDs() []ProcID { return v.eng.nonfaulty }
 
 // LocalTime returns L_p(t); ok is false when p exposes no correction.
 func (v *AdversaryView) LocalTime(p ProcID, t clock.Real) (clock.Local, bool) {
@@ -104,16 +99,6 @@ func (v *AdversaryView) LocalTime(p ProcID, t clock.Real) (clock.Local, bool) {
 // one fan-out share a single scan.
 func (v *AdversaryView) LocalTimeSpread(t clock.Real) (lo, hi clock.Local, count int) {
 	return v.eng.LocalTimeSpread(t)
-}
-
-// PendingDeliveries calls fn for every message currently buffered (ordinary,
-// START and TIMER alike) until fn returns false. Iteration order is
-// unspecified — it depends on the scheduler's internal layout — so adaptive
-// strategies that need determinism must reduce what they read to an
-// order-independent quantity (count, min, max, …). The pointer is valid
-// only for the duration of the call; fn must not retain or modify it.
-func (v *AdversaryView) PendingDeliveries(fn func(m *Message) bool) {
-	v.eng.queue.forEachPending(fn)
 }
 
 // AdversaryController is the engine-owned write side of the adversary seam:

@@ -11,32 +11,26 @@ import (
 
 // crew is the windowed engine's workers for one Run over k ≥ 2 partitions:
 // min(k, GOMAXPROCS) − 1 goroutines beside Run's own, which poll for the
-// next window for crewSpin and then park. A window's partitions are claimed
-// one at a time off next, so each is drained by exactly one goroutine:
-// Run's takes partition 0, each worker the next unclaimed one, and whoever
-// finishes takes the next, so a worker slow to wake costs the window only
-// the partitions the others drained meanwhile. Started once per Run, not
-// once per window, the crew leaves a window's fork and join an epoch, a
-// token per parked worker and a WaitGroup: no goroutine, closure or result
-// slice per window. The window's bounds travel in the crew, published by
-// the claim; errs[i] is partition i's outcome of the last window, published
-// by the join.
+// next window for crewSpin and then park on wake. A window's partitions are
+// claimed one at a time off next, so each is drained by exactly one
+// goroutine: Run's takes partition 0, each worker the next unclaimed one,
+// and whoever finishes takes the next, so a worker slow to wake costs the
+// window only the partitions the others drained meanwhile. Started once per
+// Run, not once per window, the crew leaves a window's fork and join an
+// epoch, a broadcast and a WaitGroup: no goroutine, closure or result slice
+// per window. The window's bounds travel in the crew, published by the
+// claim; errs[i] is partition i's outcome of the last window, published by
+// the join.
 type crew struct {
 	e              *Engine
 	hi, until, cut clock.Real
 	next           atomic.Int32
 	epoch          atomic.Uint32 // windows forked so far; dismiss adds one more
 	quit           atomic.Bool
-	workers        []worker
+	mu             sync.Mutex // held to move epoch and to park on it
+	wake           sync.Cond  // on mu; broadcast by fork
 	errs           []error
 	joined, exited sync.WaitGroup
-}
-
-// worker is one goroutine of a crew: a token on goes wakes it once it has
-// parked (asleep).
-type worker struct {
-	goes   chan struct{}
-	asleep atomic.Bool
 }
 
 // crewSpin is how long a worker polls for the next window before it parks:
@@ -49,36 +43,33 @@ const crewSpin = 50 * time.Microsecond
 // Run's goroutine, at least one.
 func (e *Engine) hire(helpers int) *crew {
 	k := len(e.parts)
-	c := &crew{e: e, workers: make([]worker, helpers), errs: make([]error, k)}
+	c := &crew{e: e, errs: make([]error, k)}
+	c.wake.L = &c.mu
 	c.next.Store(int32(k)) // nothing to claim before the first window
 	c.exited.Add(helpers)
-	for i := range c.workers {
-		c.workers[i].goes = make(chan struct{}, 1)
-		go c.work(&c.workers[i])
+	for range helpers {
+		go c.work()
 	}
 	return c
 }
 
 // work is a worker's loop: wait for the next window — polling for crewSpin,
-// then parked on its go channel — claim its partitions, and repeat until
-// dismissed.
-func (c *crew) work(w *worker) {
+// then parked on wake — claim its partitions, and repeat until dismissed.
+func (c *crew) work() {
 	defer c.exited.Done()
 	seen := uint32(0) // the epoch at hire, whenever the goroutine starts
 	for {
 		for start := time.Now(); c.epoch.Load() == seen && time.Since(start) < crewSpin; {
 			runtime.Gosched()
 		}
+		c.mu.Lock()
 		for c.epoch.Load() == seen {
-			w.asleep.Store(true)
-			if c.epoch.Load() == seen { // no fork since it announced its nap
-				<-w.goes
-			}
-			w.asleep.Store(false)
+			c.wake.Wait()
 		}
+		c.mu.Unlock()
 		// The epoch is read before quit: read after, it could be dismiss's
-		// own, whose fork then finds the worker awake and leaves no token,
-		// and the worker would park on it for good.
+		// own, and the worker would park for good waiting for a fork that
+		// never comes.
 		seen = c.epoch.Load()
 		if c.quit.Load() {
 			return
@@ -95,20 +86,13 @@ func (c *crew) claim() {
 	}
 }
 
-// fork starts a window, or the crew's end: the epoch moves, and each parked
-// worker gets a token (a worker that announced its nap and then saw the new
-// epoch leaves its token for the next one, which it takes as a spurious
-// wake).
+// fork starts a window, or the crew's end: the epoch moves under mu, so a
+// worker that found it unmoved is already waiting when the broadcast comes.
 func (c *crew) fork() {
+	c.mu.Lock()
 	c.epoch.Add(1)
-	for i := range c.workers {
-		if w := &c.workers[i]; w.asleep.Load() {
-			select {
-			case w.goes <- struct{}{}:
-			default:
-			}
-		}
-	}
+	c.mu.Unlock()
+	c.wake.Broadcast()
 }
 
 // drain runs every partition's share of the window [m, hi) cut at cut and

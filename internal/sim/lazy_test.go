@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
 	"repro/internal/clock"
@@ -42,10 +41,8 @@ func beaconEngine(t *testing.T, n int, b testBeacon, delay DelayModel, ch Channe
 }
 
 // hookLogger is an identity adversary that records every send and receive
-// hook call, and checks SendHook's rule on each send: the copy announced is
-// not in the buffer yet.
+// hook call.
 type hookLogger struct {
-	t   *testing.T
 	log []string
 }
 
@@ -55,12 +52,6 @@ func (h *hookLogger) Retime(_ *AdversaryView, _, _ ProcID, _ clock.Real, base fl
 
 func (h *hookLogger) OnSend(v *AdversaryView, m Message) {
 	h.log = append(h.log, fmt.Sprintf("send@%v %d→%d at %v", v.Now(), m.From, m.To, m.DeliverAt))
-	v.PendingDeliveries(func(p *Message) bool {
-		if *p == m {
-			h.t.Fatalf("OnSend(%+v): the copy is already pending", m)
-		}
-		return true
-	})
 }
 
 func (h *hookLogger) OnReceive(v *AdversaryView, m Message) {
@@ -116,7 +107,7 @@ func TestBroadcastMatchesSends(t *testing.T) {
 				run := func(b testBeacon) outcome {
 					t.Helper()
 					var adv Adversary
-					hl := &hookLogger{t: t}
+					hl := &hookLogger{}
 					if tc.adv {
 						adv = hl
 					}
@@ -173,100 +164,6 @@ func TestBroadcastMatchesSends(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// pendingSnapshotter is an adversary that, on its trigger'th Retime call,
-// snapshots the full pending-delivery multiset through the omniscient view.
-// Retiming is the identity, so installing it does not perturb the execution.
-type pendingSnapshotter struct {
-	trigger int
-	calls   int
-	at      clock.Real // when the snapshot was taken
-	snap    []Message
-}
-
-func (p *pendingSnapshotter) Retime(v *AdversaryView, _, _ ProcID, _ clock.Real, base float64) float64 {
-	p.calls++
-	if p.calls == p.trigger {
-		p.at = v.Now()
-		v.PendingDeliveries(func(m *Message) bool {
-			p.snap = append(p.snap, *m)
-			return true
-		})
-	}
-	return base
-}
-
-// TestLazyPendingDeliveriesView checks the adversary's PendingDeliveries
-// view against the run itself: a snapshot taken mid-burst (while fan-outs are
-// in flight) must equal, as a multiset — iteration order is explicitly
-// unspecified — the messages buffered before that moment and delivered after
-// it, whatever their form: START, TIMER, unicast and fan-out copy each
-// exactly once.
-func TestLazyPendingDeliveriesView(t *testing.T) {
-	const n = 48
-	procs := make([]Process, n)
-	clocks := make([]clock.Clock, n)
-	starts := make([]clock.Real, n)
-	for i := range procs {
-		// Odd processes fan out by Send loop.
-		procs[i] = &testBeacon{period: 1e-3, unicast: i%2 == 1}
-		clocks[i] = clock.ConstantDrift{RhoBound: 1e-5}.Build(i, n)
-		starts[i] = clock.Real(i) * 1e-5
-	}
-	starts[n-2], starts[n-1] = 10e-3, 11e-3 // still to START when the snapshot is taken
-	// A fan-out is n Retime calls either way, so this is the first copy of
-	// one in the fourth round: nothing its Receive sends is buffered yet.
-	adv := &pendingSnapshotter{trigger: (3*n+n/2)*n + 1}
-	eng, err := New(Config{
-		Procs: procs, Clocks: clocks, StartAt: starts,
-		Delay: UniformDelay{Delta: 4e-4, Eps: 1e-4}, Seed: 7, Adversary: adv,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := func(m Message) string {
-		return fmt.Sprintf("%v %d→%d sent %v at %v", m.Kind, m.From, m.To, m.SentAt, m.DeliverAt)
-	}
-	// What the run delivers after the snapshot of what was buffered before it:
-	// sent by an earlier Receive, or a START (buffered from time zero).
-	var want []string
-	eng.Observe(observerFunc(func(_ *Engine, m Message) {
-		if adv.snap != nil && (m.SentAt < adv.at || m.Kind == KindStart) {
-			want = append(want, key(m))
-		}
-	}))
-	if err := eng.Run(0.02); err != nil {
-		t.Fatal(err)
-	}
-	if adv.snap == nil {
-		t.Fatalf("snapshot never triggered (%d retime calls)", adv.calls)
-	}
-	var starting, timers, unicasts, copies int
-	got := make([]string, len(adv.snap))
-	for i, m := range adv.snap {
-		got[i] = key(m)
-		switch {
-		case m.Kind == KindStart:
-			starting++
-		case m.Kind == KindTimer:
-			timers++
-		case m.From%2 == 1:
-			unicasts++
-		default:
-			copies++
-		}
-	}
-	if starting != 2 || timers < n/2 || unicasts < n || copies < n {
-		t.Fatalf("snapshot holds %d STARTs, %d TIMERs, %d unicasts, %d fan-out copies — not mid-burst with every form pending",
-			starting, timers, unicasts, copies)
-	}
-	slices.Sort(got)
-	slices.Sort(want)
-	if i := mismatch(got, want); i >= 0 {
-		t.Fatalf("pending view holds %d messages, %d already-buffered messages were delivered afterwards; sorted, they differ from #%d: %q vs %q",
-			len(got), len(want), i, got[i:min(i+1, len(got))], want[i:min(i+1, len(want))])
 	}
 }
 

@@ -259,16 +259,3 @@ func (s *sched) take(en entry, out *Message) {
 		s.setLeft(en.ref, 0)
 	}
 }
-
-// forEachPending calls fn for every buffered message until fn returns
-// false: exactly one per pending entry. Iteration order is unspecified.
-// Read-only view for the adversary seam; never on the hot path.
-func (s *sched) forEachPending(fn func(m *Message) bool) {
-	var m Message
-	for i := range s.heap.items {
-		s.load(&s.heap.items[i], &m)
-		if !fn(&m) {
-			return
-		}
-	}
-}

@@ -37,9 +37,6 @@ func (r RNG) skip(j uint64) RNG { return RNG{state: r.state + j*gamma} }
 // at either end of its range (simtest.CheckDelayModel).
 func RNGDrawing(v uint64) RNG { return RNG{state: unmix64(v) - gamma} }
 
-// Int63 returns a non-negative random int64.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Float64 returns a uniform float64 in [0, 1) with full 53-bit resolution.
 func (r *RNG) Float64() float64 { return float64(r.Uint64()>>11) * (1.0 / (1 << 53)) }
 

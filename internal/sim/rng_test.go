@@ -58,15 +58,6 @@ func TestRNGIntn(t *testing.T) {
 	r.Intn(0)
 }
 
-func TestRNGInt63NonNegative(t *testing.T) {
-	r := NewRNG(-5)
-	for i := 0; i < 1000; i++ {
-		if v := r.Int63(); v < 0 {
-			t.Fatalf("Int63 = %d", v)
-		}
-	}
-}
-
 func TestProcSeedSeparation(t *testing.T) {
 	seen := make(map[int64]ProcID)
 	for pid := ProcID(0); pid < 64; pid++ {

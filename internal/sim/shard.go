@@ -255,8 +255,8 @@ func validateWindowed(cfg Config) error {
 
 // Windowable is the one statement of what a windowed engine runs: it returns
 // why one cannot run cfg with observers registered, or nil when it can. The
-// window needs no adversary (its omniscient PendingDeliveries view and
-// retime hooks observe a global order), no timeline (its actions mutate
+// window needs no adversary (it reads local times at each send, and
+// arrivals, in global order), no timeline (its actions mutate
 // global routing and delay state mid-window), a stateless channel (FullMesh
 // or LossyLinks, whose Route is a pure read that the partitions may make at
 // once when they redraw rows, Engine.times; Ether's contention bookkeeping
@@ -291,7 +291,7 @@ func Windowable(cfg Config, observers ...Observer) error {
 
 // Windowable's fixed refusals, made once: the run path asks on every run.
 var (
-	errWindowAdversary = errors.New("sim: sharded execution does not support an adversary (its omniscient view requires the sequential engine)")
+	errWindowAdversary = errors.New("sim: sharded execution does not support an adversary (it reads local times at each send, and arrivals, in global order)")
 	errWindowTimeline  = errors.New("sim: sharded execution does not support a timeline (actions mutate global routing/delay state mid-window)")
 	errNilDelay        = errors.New("sim: nil delay model")
 )

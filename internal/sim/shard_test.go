@@ -1034,7 +1034,7 @@ func TestNewShardedValidation(t *testing.T) {
 		{"more shards than processes", shardWorkload(8, delay, nil), 9, "shards"},
 		{"adversary", func() Config {
 			c := shardWorkload(8, delay, nil)
-			c.Adversary = &pendingSnapshotter{trigger: 1}
+			c.Adversary = passthrough{}
 			return c
 		}(), 2, "adversary"},
 		{"stateful channel", shardWorkload(8, delay, &Ether{}), 2, "stateless channel"},

@@ -27,11 +27,6 @@ type Tracer struct {
 	// Limit bounds the number of recorded events.
 	Limit int
 
-	// only holds the process filter shifted by one (id+1), so the zero
-	// value means "trace everything". (It used to be an exported ProcID
-	// field whose zero value was a valid id: a Tracer{} literal silently
-	// traced only process 0.)
-	only      ProcID
 	events    []TraceEvent
 	truncated bool
 }
@@ -51,20 +46,8 @@ func NewTracer(limit int) *Tracer {
 	return &Tracer{Limit: limit}
 }
 
-// FilterTo restricts recording to process p's deliveries and annotations.
-func (t *Tracer) FilterTo(p ProcID) { t.only = p + 1 }
-
-// Unfiltered removes the process filter, restoring the all-processes default.
-func (t *Tracer) Unfiltered() { t.only = 0 }
-
-// skip reports whether the filter excludes process p.
-func (t *Tracer) skip(p ProcID) bool { return t.only != 0 && p != t.only-1 }
-
 // OnDeliver implements DeliveryObserver.
 func (t *Tracer) OnDeliver(e *Engine, m Message) {
-	if t.skip(m.To) {
-		return
-	}
 	detail := ""
 	if m.Payload != nil {
 		detail = fmt.Sprintf("%+v", m.Payload)
@@ -81,9 +64,6 @@ func (t *Tracer) OnDeliver(e *Engine, m Message) {
 
 // OnAnnotation implements AnnotationSink.
 func (t *Tracer) OnAnnotation(e *Engine, a Annotation) {
-	if t.skip(a.Proc) {
-		return
-	}
 	t.record(TraceEvent{
 		At:      a.At,
 		Proc:    a.Proc,

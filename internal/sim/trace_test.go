@@ -69,23 +69,8 @@ func TestTracerRecordsEverything(t *testing.T) {
 	}
 }
 
-func TestTracerOnlyFilter(t *testing.T) {
-	tr := NewTracer(0)
-	tr.FilterTo(1)
-	traceEngine(t, tr)
-	for _, ev := range tr.Events() {
-		if ev.Proc != 1 {
-			t.Fatalf("filtered trace contains event for p%d", ev.Proc)
-		}
-	}
-	if len(tr.Events()) == 0 {
-		t.Error("filter recorded nothing")
-	}
-}
-
-// TestTracerZeroValueTracesAll is the regression test for the zero-value
-// footgun: a Tracer{} literal used to trace only process 0, because the
-// filter's zero value was a valid ProcID.
+// TestTracerZeroValueTracesAll checks that a Tracer{} literal traces every
+// process.
 func TestTracerZeroValueTracesAll(t *testing.T) {
 	tr := &Tracer{}
 	traceEngine(t, tr)
@@ -95,23 +80,6 @@ func TestTracerZeroValueTracesAll(t *testing.T) {
 	}
 	if !seen[0] || !seen[1] {
 		t.Errorf("Tracer{} zero value should trace every process, saw %v", seen)
-	}
-	// FilterTo(0) must still be able to select process 0 specifically,
-	// and Unfiltered must restore the trace-everything default.
-	tr2 := &Tracer{}
-	tr2.FilterTo(0)
-	traceEngine(t, tr2)
-	for _, ev := range tr2.Events() {
-		if ev.Proc != 0 {
-			t.Fatalf("FilterTo(0) trace contains event for p%d", ev.Proc)
-		}
-	}
-	if len(tr2.Events()) == 0 {
-		t.Error("FilterTo(0) recorded nothing")
-	}
-	tr2.Unfiltered()
-	if tr2.skip(1) {
-		t.Error("Unfiltered should restore the all-processes default")
 	}
 }
 

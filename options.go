@@ -177,8 +177,9 @@ type optionRule struct {
 	// sharded gives why the option, as set in o, cannot run alongside
 	// WithShards ("" if it can; nil: it always can). The sharded engine has
 	// no sequential order of deliveries inside a window, so what needs one —
-	// a per-delivery log, an omniscient adversary — is rejected here, by name,
-	// rather than by the engine at Run.
+	// a per-delivery log, an adversary that reads local times at each send
+	// and arrivals in global order — is rejected here, by name, rather than
+	// by the engine at Run.
 	sharded func(o *options) string
 	// startup and lifecycle mark the options RunStartup and
 	// RunEstablishThenMaintain have no use for.
@@ -213,7 +214,7 @@ var optionRules = []optionRule{
 			if s, err := faults.ByName(o.adversary); err != nil || !s.Adaptive() {
 				return "" // schedule-driven strategies only fill fault slots
 			}
-			return "installs an adaptive network adversary, whose omniscient view of every copy in flight needs the sequential engine"
+			return "installs an adaptive network adversary, which reads local times at each send, and arrivals, in global order, so it needs the sequential engine"
 		}},
 	{option: "WithRejoiner", set: func(o *options) bool { return o.rejoin != nil }, startup: true, lifecycle: true,
 		twoTier: "applies to the flat mesh's §9.1 path"},
